@@ -22,10 +22,6 @@ is pinned by ``tests/analysis/test_execsafety.py``):
     Durable resume plus load shedding: shedding decisions depend on
     wall-clock queue depths, so a resumed run could silently diverge
     (``DurableRunner.__init__``).
-``SA304``
-    Durable resume over *unsupervised* process shards: only the
-    supervisor's checkpoint protocol can snapshot remote workers mid-run
-    (``DurableRunner.__init__``).
 ``SA305``
     Durable resume needs every SFUN state in the plan to be
     checkpointable; a state class declaring ``checkpointable = False``
@@ -75,12 +71,11 @@ class ExecTarget:
 
     Parsed from the CLI's ``--target`` value; mirrors the constructor
     surface of the runtimes it models (``ShardedGigascope(shards=...,
-    processes=..., supervise=..., shed_threshold=...)`` wrapped in a
-    ``DurableRunner`` when ``durable``).
+    supervise=..., shed_threshold=...)`` wrapped in a ``DurableRunner``
+    when ``durable``).
     """
 
     shards: Optional[int] = None
-    processes: bool = False
     supervise: bool = False
     durable: bool = False
     rebalance: bool = False
@@ -98,8 +93,6 @@ class ExecTarget:
         parts: List[str] = []
         if self.shards is not None:
             parts.append(f"shards={self.shards}")
-        if self.processes:
-            parts.append("processes")
         if self.supervise:
             parts.append("supervise")
         if self.durable:
@@ -115,7 +108,6 @@ class ExecTarget:
     def to_json(self) -> Dict[str, Any]:
         return {
             "shards": self.shards,
-            "processes": self.processes,
             "supervise": self.supervise,
             "durable": self.durable,
             "rebalance": self.rebalance,
@@ -128,8 +120,8 @@ def parse_target(text: str) -> ExecTarget:
     """Parse a ``--target`` value like ``shards=4,durable,supervise``.
 
     Grammar: comma-separated items, each a flag (``durable`` /
-    ``supervise`` / ``processes``) or a keyed value (``shards=N`` /
-    ``shed=N``).  Raises :class:`ValueError` with a usage hint on
+    ``supervise`` / ``rebalance`` / ``serve``) or a keyed value
+    (``shards=N`` / ``shed=N``).  Raises :class:`ValueError` with a usage hint on
     anything else.
     """
     target: Dict[str, Any] = {}
@@ -140,7 +132,7 @@ def parse_target(text: str) -> ExecTarget:
         key, _, value = item.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key in ("durable", "supervise", "processes", "rebalance", "serve"):
+        if key in ("durable", "supervise", "rebalance", "serve"):
             if value:
                 raise ValueError(
                     f"target flag {key!r} takes no value (got {item!r})"
@@ -159,8 +151,7 @@ def parse_target(text: str) -> ExecTarget:
         else:
             raise ValueError(
                 f"unknown target item {item!r}; expected"
-                " shards=N, shed=N, durable, supervise, processes,"
-                " rebalance, or serve"
+                " shards=N, shed=N, durable, supervise, rebalance, or serve"
             )
     return ExecTarget(**target)
 
@@ -301,7 +292,6 @@ def check_execsafety(
             _check_migratable(analyzed, result, target, collector)
     if target.durable:
         _check_durable_shedding(analyzed, target, collector)
-        _check_durable_supervision(analyzed, target, collector)
         _check_durable_states(analyzed, result, target, collector)
 
 
@@ -359,22 +349,6 @@ def _check_durable_shedding(
         analyzed.ast.clause_span("FROM"),
         hint="drop shed=N from the target (DurableRunner refuses the"
         " combination at construction)",
-    )
-
-
-def _check_durable_supervision(
-    analyzed: AnalyzedQuery, target: ExecTarget, collector: DiagnosticCollector
-) -> None:
-    if not target.sharded or target.supervise:
-        return
-    collector.error(
-        "SA304",
-        f"target {target.describe()} runs durable resume over unsupervised"
-        " process shards, which cannot be checkpointed mid-run",
-        analyzed.ast.clause_span("FROM"),
-        hint="add supervise to the target: only the shard supervisor's"
-        " checkpoint protocol can snapshot remote workers"
-        " (DurableRunner refuses the combination at construction)",
     )
 
 

@@ -109,7 +109,6 @@ _FEEDS = {
 def _standard_instance(
     relax_factor: float,
     shards: int = 0,
-    shard_processes: bool = False,
     supervise: bool = False,
     max_restarts: int = 2,
     shed_threshold: Optional[int] = None,
@@ -119,17 +118,20 @@ def _standard_instance(
     validate_admission: bool = False,
     vectorize: bool = False,
     rebalance=None,
+    schema=TCP_SCHEMA,
 ):
-    """A DSMS instance with the TCP stream and all SFUN packs loaded.
+    """A DSMS instance with one source stream (``schema``, the stock TCP
+    one by default) and all SFUN packs loaded.
 
     ``shards > 0`` returns a :class:`ShardedGigascope` running the query
     hash-partitioned across that many shards instead of serially.
     ``vectorize`` enables the columnar batch engine (serial instances
     only; eligible operators fall back per plan, see DESIGN.md §11).
-    ``supervise`` runs shard workers under crash supervision with up to
-    ``max_restarts`` restarts each; ``shed_threshold`` enables overload
-    shedding (ring-backlog admission control, and — supervised — input
-    queue shedding).  ``trace_sink`` / ``profile`` attach the
+    ``supervise`` runs the shards in forked workers under crash
+    supervision with up to ``max_restarts`` restarts each;
+    ``shed_threshold`` enables overload shedding (ring-backlog admission
+    control, and — supervised — input queue shedding).
+    ``trace_sink`` / ``profile`` attach the
     observability layer (docs/OBSERVABILITY.md).  ``quarantine`` /
     ``validate_admission`` route malformed records to a dead-letter
     stream at admission instead of raising (docs/RESILIENCE.md).
@@ -137,8 +139,6 @@ def _standard_instance(
     if shards > 0:
         gs = ShardedGigascope(
             shards=shards,
-            processes=shard_processes,
-            supervise=supervise,
             supervision=SupervisionPolicy(max_restarts=max_restarts)
             if supervise
             else None,
@@ -157,7 +157,7 @@ def _standard_instance(
             validate_admission=validate_admission,
             vectorize=vectorize,
         )
-    gs.register_stream(TCP_SCHEMA)
+    gs.register_stream(schema)
     gs.use_stateful_library(subset_sum_library(relax_factor=relax_factor))
     gs.use_stateful_library(basic_subset_sum_library())
     gs.use_stateful_library(reservoir_library())
@@ -244,13 +244,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if args.shards <= 0:
             print("--rebalance needs --shards N", file=sys.stderr)
             return 2
-        if args.shard_processes and not args.supervise:
-            print(
-                "--rebalance with --shard-processes needs --supervise"
-                " (migration runs at the supervisor's checkpoint barrier)",
-                file=sys.stderr,
-            )
-            return 2
         rebalance = RebalancePolicy(
             check_interval=args.rebalance_interval,
             imbalance_threshold=args.rebalance_threshold,
@@ -260,7 +253,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     gs = _standard_instance(
         args.relax_factor,
         shards=args.shards,
-        shard_processes=args.shard_processes,
         supervise=args.supervise,
         max_restarts=args.max_restarts,
         shed_threshold=args.shed_threshold,
@@ -270,33 +262,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         validate_admission=harden,
         vectorize=args.vectorize,
         rebalance=rebalance,
+        # The trace's own schema, when it is not the stock TCP one.
+        schema=trace[0].schema,
     )
-    # Re-register the trace's own schema if it is not the stock TCP one.
-    if trace[0].schema != TCP_SCHEMA:
-        if args.shards > 0:
-            gs = ShardedGigascope(
-                shards=args.shards,
-                processes=args.shard_processes,
-                supervise=args.supervise,
-                supervision=SupervisionPolicy(max_restarts=args.max_restarts)
-                if args.supervise
-                else None,
-                shed_threshold=args.shed_threshold,
-                trace=trace_sink,
-                quarantine=quarantine,
-                validate_admission=harden,
-                rebalance=rebalance,
-            )
-        else:
-            gs = Gigascope(
-                shed_threshold=args.shed_threshold,
-                trace=trace_sink,
-                profile=args.profile,
-                quarantine=quarantine,
-                validate_admission=harden,
-                vectorize=args.vectorize,
-            )
-        gs.register_stream(trace[0].schema)
     if args.lint:
         result = gs.lint(sql, name="cli")
         if result.diagnostics:
@@ -749,12 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
         " back automatically)",
     )
     query.add_argument(
-        "--shard-processes",
-        action="store_true",
-        help="with --shards, fork one worker process per shard instead of"
-        " interleaving the shards in-process",
-    )
-    query.add_argument(
         "--rebalance",
         action="store_true",
         help="with --shards, watch per-shard load and migrate hot key"
@@ -795,9 +757,10 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--supervise",
         action="store_true",
-        help="with --shards, run shard workers under crash supervision:"
-        " dead/stalled workers restart and recover from checkpoints plus"
-        " batch replay (implies worker processes)",
+        help="with --shards, fork one worker process per shard (instead"
+        " of interleaving the shards in this process) under crash"
+        " supervision: dead/stalled workers restart and recover from"
+        " checkpoints plus batch replay",
     )
     query.add_argument(
         "--max-restarts",
@@ -844,8 +807,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="journal committed windows to this write-ahead file so a"
-        " killed run can be resumed with --resume (serial or"
-        " --supervise runs; incompatible with --shed-threshold)",
+        " killed run can be resumed with --resume (serial or --shards"
+        " runs, with or without --supervise; incompatible with"
+        " --shed-threshold)",
     )
     query.add_argument(
         "--resume",
@@ -890,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="deployment configuration for the SA3xx execution-safety"
         " and SA4xx serving rules, e.g. 'shards=4,durable,supervise'"
-        " (flags: durable, supervise, processes, rebalance, serve;"
+        " (flags: durable, supervise, rebalance, serve;"
         " keyed: shards=N, shed=N)",
     )
     lint_cmd.add_argument(
@@ -1062,7 +1026,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        message = "unrecognized arguments: " + " ".join(unknown)
+        if any(arg.startswith("--shard-") for arg in unknown):
+            # The unsupervised worker-per-shard flag is gone.
+            message += " (shards fork workers under --supervise)"
+        parser.error(message)  # exits 2
     return args.fn(args)
 
 

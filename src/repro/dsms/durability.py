@@ -3,8 +3,9 @@
 The supervision layer (:mod:`repro.dsms.resilience`) survives *worker*
 crashes; this module survives the death of the **entire process**.  A
 :class:`DurableRunner` drives a :class:`~repro.dsms.runtime.Gigascope`
-or a supervised :class:`~repro.dsms.sharded.ShardedGigascope` through a
-record stream while journalling committed progress to disk:
+or a :class:`~repro.dsms.sharded.ShardedGigascope` (inline or
+supervised shards alike) through a record stream while journalling
+committed progress to disk:
 
 * the journal (:class:`ResultJournal`) is an fsync'd, framed, CRC-checked
   append-only file — a torn tail (the normal state of a file whose
@@ -13,21 +14,23 @@ record stream while journalling committed progress to disk:
 * each commit entry pairs ``consumed`` (records of input fully applied)
   with the v2 checkpoint state that reflects exactly that prefix —
   serial runs embed :meth:`Gigascope.checkpoint` (which includes
-  retained results and metrics), supervised runs embed every shard's
-  ``(seq, blob)`` from :meth:`ShardSupervisor.checkpoint_all`;
+  retained results and metrics), sharded runs embed every shard's
+  ``(seq, pickled checkpoint)`` from the shard pool's
+  ``checkpoint_all()`` plus the parent's SPLIT-edge metrics;
 * :meth:`DurableRunner.resume` restores the last committed entry into an
   *identically registered* instance, skips the committed input prefix,
   and replays the rest — producing byte-identical results and metrics to
   an uninterrupted run, because checkpoints are taken at batch
-  boundaries where the pipeline is fully drained (serial ``feed`` drains
-  the rings each batch; the supervisor's checkpoint request queues
-  behind every shipped batch).
+  boundaries where the pipeline is fully drained (``feed`` drains the
+  rings each batch; a supervised worker's checkpoint request queues
+  behind every batch shipped to it).
 
 Commit granularity: serial runs commit at **window granularity** — a
 commit is appended whenever a window closed (some retained query emitted
 rows) since the last one — with an optional every-N-batches fallback.
-Supervised runs commit every ``commit_interval`` rounds (window closes
-happen inside the workers, invisible to the parent until checkpointed).
+Sharded runs commit every ``commit_interval`` rounds (under supervision
+window closes happen inside the workers, invisible to the parent until
+checkpointed).
 
 Load shedding and durable resume do not mix deterministically: shedding
 decisions depend on wall-clock queue depths, so a resumed run may shed
@@ -164,14 +167,14 @@ class DurableRunner:
     """Drive an instance through a stream with journalled commits.
 
     ``instance`` is either a :class:`Gigascope` (serial) or a
-    :class:`~repro.dsms.sharded.ShardedGigascope` with ``supervise=True``
-    — the supervisor's checkpoint protocol is what makes a consistent
-    mid-run snapshot of remote workers possible.
+    :class:`~repro.dsms.sharded.ShardedGigascope`; both shard pools
+    checkpoint at round boundaries, and a journal written over one
+    resumes over the other.
 
     Hooks (both optional, both for chaos tests and progress reporting):
 
     * ``on_batch(batch_no, consumed)`` — before each serial batch is fed
-      / after each supervised round is shipped;
+      / after each sharded round is shipped;
     * ``on_commit(consumed, kind)`` — after each journal entry is
       durable (``kind`` is ``"commit"`` or ``"final"``).  Killing the
       process inside this hook is exactly the crash the journal is
@@ -199,12 +202,6 @@ class DurableRunner:
         self.on_batch = on_batch
         self.on_commit = on_commit
         self._serial = isinstance(instance, Gigascope)
-        if not self._serial and not getattr(instance, "supervise", False):
-            raise ExecutionError(
-                "DurableRunner needs a serial Gigascope or a supervised"
-                " ShardedGigascope; unsupervised process shards cannot be"
-                " checkpointed mid-run"
-            )
         if getattr(instance, "shed_threshold", None) is not None:
             raise ExecutionError(
                 "durable resume and load shedding do not mix: shedding"
@@ -284,7 +281,7 @@ class DurableRunner:
     # -- shared plumbing ---------------------------------------------------
 
     def _mode(self) -> str:
-        return "serial" if self._serial else "supervised"
+        return "serial" if self._serial else "sharded"
 
     def _check_entry(self, entry: Dict[str, Any]) -> None:
         if entry.get("journal_version") != JOURNAL_VERSION:
@@ -293,9 +290,12 @@ class DurableRunner:
                 f" {entry.get('journal_version')!r} is not supported"
                 f" (expected {JOURNAL_VERSION})"
             )
-        if entry.get("mode") != self._mode():
+        # Journals from before the shard pools shared one checkpoint
+        # currency say "supervised" where they now say "sharded".
+        mode = entry.get("mode")
+        if (mode == "serial") != self._serial:
             raise ExecutionError(
-                f"journal was written by a {entry.get('mode')!r} run; this"
+                f"journal was written by a {mode!r} run; this"
                 f" runner drives a {self._mode()!r} instance"
             )
 
@@ -336,7 +336,7 @@ class DurableRunner:
     ) -> int:
         if self._serial:
             return self._run_serial(journal, records, consumed, snapshot)
-        return self._run_supervised(journal, records, consumed, snapshot)
+        return self._run_sharded(journal, records, consumed, snapshot)
 
     # -- serial ------------------------------------------------------------
 
@@ -388,9 +388,9 @@ class DurableRunner:
         self._commit(journal, "final", consumed, snapshot=gs.checkpoint())
         return consumed
 
-    # -- supervised sharded ------------------------------------------------
+    # -- sharded -----------------------------------------------------------
 
-    def _run_supervised(
+    def _run_sharded(
         self,
         journal: ResultJournal,
         records: Iterable[Record],
@@ -415,23 +415,31 @@ class DurableRunner:
                     " rebalances; resume with the same configuration as"
                     " the original run"
                 )
+            if snapshot.get("metrics"):
+                sh.metrics.restore(snapshot["metrics"])
             records = self._skip(records, consumed)
         start = consumed
         rounds = 0
         rebalancing = getattr(sh, "_rebalancer", None) is not None
 
-        def on_round(supervisor: Any, total: int) -> None:
+        def on_round(pool: Any, total: int) -> None:
             nonlocal rounds
             rounds += 1
             if self.on_batch is not None:
                 self.on_batch(rounds, start + total)
             if rounds % self.commit_interval == 0:
-                shards = supervisor.checkpoint_all()
                 extra = (
                     {"routing": sh.routing_snapshot()} if rebalancing else {}
                 )
                 self._commit(
-                    journal, "commit", start + total, shards=shards, **extra
+                    journal,
+                    "commit",
+                    start + total,
+                    shards=pool.checkpoint_all(),
+                    # SPLIT-edge counters (quarantine, curation) live in
+                    # the parent, outside every shard checkpoint.
+                    metrics=sh.metrics.checkpoint(),
+                    **extra,
                 )
 
         total = sh.run(

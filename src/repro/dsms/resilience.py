@@ -2,8 +2,9 @@
 
 A production DSMS keeps answering queries when a worker dies; this
 module gives the sharded runtime that property.  The
-:class:`ShardSupervisor` replaces the fire-and-forget worker handling of
-``ShardedGigascope._run_processes`` with a monitored execution loop:
+:class:`ShardSupervisor` is the shard pool whose instances live in
+forked workers: :meth:`ShardedGigascope.run` drives it round by round
+(``start`` / ``ship`` / ``finish``), and every call monitors the workers:
 
 * **Failure detection** — three signals: the worker process is dead
   (``is_alive`` false, with a short grace period for a result already in
@@ -54,6 +55,8 @@ message path is handled anyway.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import pickle
 import queue as _queue
 import time
 from dataclasses import dataclass, field
@@ -63,6 +66,7 @@ from repro.errors import ExecutionError
 from repro.streams.records import Record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dsms.runtime import Gigascope
     from repro.dsms.sharded import ShardedGigascope
 
 
@@ -129,12 +133,12 @@ class _WorkerDied(Exception):
 
 
 class ShardSupervisor:
-    """Run one sharded query set under crash supervision.
+    """The shard pool of forked workers, under crash supervision.
 
-    One supervisor drives one :meth:`ShardedGigascope.run` call; it is
-    not reusable.  The owner provides the shard instances, routing and
-    cost model; the supervisor owns worker lifecycle, the journal,
-    checkpoints and the recovery protocol.
+    One supervisor serves one :meth:`ShardedGigascope.run` call; it is
+    not reusable.  The owner provides the shard instances, the routed
+    buckets and the cost model; the supervisor owns worker lifecycle,
+    the journal, checkpoints and the recovery protocol.
     """
 
     def __init__(
@@ -143,20 +147,11 @@ class ShardSupervisor:
         policy: Optional[SupervisionPolicy] = None,
         fault_plan: Any = None,
         shed_threshold: Optional[int] = None,
-        resume_state: Optional[Dict[int, Tuple[int, bytes]]] = None,
     ) -> None:
-        """``resume_state`` (per shard: ``(covered_seq, pickled snapshot)``,
-        as produced by :meth:`checkpoint_all`) seeds the run from a prior
-        process's committed checkpoints — the whole-pipeline durable
-        resume of :mod:`repro.dsms.durability`.  Each listed shard starts
-        by restoring its snapshot, and its sequence numbering continues
-        from ``covered_seq`` so later checkpoints and journal trims line
-        up; unlisted shards start fresh at seq 0."""
         self.owner = owner
         self.policy = policy or SupervisionPolicy()
         self.fault_plan = fault_plan
         self.shed_threshold = shed_threshold
-        self._resume_state = dict(resume_state) if resume_state else {}
         self.report = SupervisionReport()
         try:
             self._context = multiprocessing.get_context("fork")
@@ -201,52 +196,22 @@ class ShardSupervisor:
         if self.owner.trace.enabled:
             self.owner.trace.emit(kind, **fields)
 
-    # -- main loop -------------------------------------------------------------------
+    # -- the pool calls ------------------------------------------------------------
 
-    def run(
-        self,
-        records,
-        batch_size: int,
-        route: Dict[str, int],
-        on_round=None,
-    ) -> Tuple[int, Dict[int, Dict[str, List[Record]]], List[dict]]:
-        """Ship all records under supervision; returns
-        ``(total, shard_results, worker_run_reports)``.
+    def start(self, resume_state: Dict[int, Tuple[int, bytes]]) -> None:
+        """Fork the workers; restore the shards ``resume_state`` lists.
 
-        ``on_round(supervisor, total)`` is called after every shipped
-        round — the durable runner's commit hook: at a commit point it
-        calls :meth:`checkpoint_all` and journals the result.
+        ``resume_state`` (per shard: ``(covered_seq, pickled snapshot)``,
+        as produced by :meth:`checkpoint_all`) seeds the run from a prior
+        process's committed checkpoints — the whole-pipeline durable
+        resume of :mod:`repro.dsms.durability`.  Each listed shard starts
+        by restoring its snapshot, and its sequence numbering continues
+        from ``covered_seq`` so later checkpoints and journal trims line
+        up; unlisted shards start fresh at seq 0.
         """
         for shard in range(self.owner.shards):
             self._spawn(shard)
-        self._apply_resume_state()
-        total = 0
-        batch: List[Record] = []
-        try:
-            for record in records:
-                batch.append(record)
-                if len(batch) >= batch_size:
-                    total += self._ship_round(batch, route)
-                    batch = []
-                    if on_round is not None:
-                        on_round(self, total)
-            if batch:
-                total += self._ship_round(batch, route)
-                if on_round is not None:
-                    on_round(self, total)
-            shard_results, reports = self._finish_and_collect()
-            return total, shard_results, reports
-        finally:
-            for worker in self._workers:
-                if worker is not None and worker.is_alive():
-                    worker.terminate()
-            for worker in self._workers:
-                if worker is not None:
-                    worker.join(timeout=5.0)
-
-    def _apply_resume_state(self) -> None:
-        """Restore shards from a prior process's committed checkpoints."""
-        for shard, (seq, blob) in self._resume_state.items():
+        for shard, (seq, blob) in resume_state.items():
             self._ckpt[shard] = (seq, blob)
             self._seq[shard] = seq
             self._last_ckpt_request[shard] = seq
@@ -258,6 +223,28 @@ class ShardSupervisor:
             except _WorkerDied as died:
                 # _recover re-sends the restore from self._ckpt.
                 self._recover(shard, str(died))
+
+    def ship(self, buckets: List[List[Record]]) -> None:
+        """Journal and send one round's routed buckets."""
+        for shard, bucket in enumerate(buckets):
+            if not bucket:
+                continue
+            self._seq[shard] += 1
+            seq = self._seq[shard]
+            self._journal[shard].append((seq, bucket))
+            self._send_batch(shard, seq, bucket)
+            self._maybe_checkpoint(shard)
+            self._enforce_journal_bound(shard)
+        self._drain()
+
+    def close(self) -> None:
+        """Reap the workers (any still alive: the run failed)."""
+        for worker in self._workers:
+            if worker is not None and worker.is_alive():
+                worker.terminate()
+        for worker in self._workers:
+            if worker is not None:
+                worker.join(timeout=5.0)
 
     def add_shard(self, shard: int) -> None:
         """Grow the supervised pool by one worker (elastic scale-up).
@@ -365,24 +352,22 @@ class ShardSupervisor:
             if self._ckpt[shard] is not None
         }
 
-    def _ship_round(self, batch: List[Record], route: Dict[str, int]) -> int:
-        for shard, bucket in enumerate(self.owner._split(batch, route)):
-            if not bucket:
-                continue
-            self._seq[shard] += 1
-            seq = self._seq[shard]
-            self._journal[shard].append((seq, list(bucket)))
-            self._send_batch(shard, seq, bucket)
-            self._maybe_checkpoint(shard)
-            self._enforce_journal_bound(shard)
-        self._drain()
-        return len(batch)
+    def states(self) -> Dict[int, Dict[str, Any]]:
+        """Every shard's current checkpoint, unpickled (the rebalance
+        barrier rewrites them and hands back the changed ones)."""
+        return {
+            shard: pickle.loads(blob)
+            for shard, (_seq, blob) in self.checkpoint_all().items()
+        }
+
+    def install_states(self, states: Dict[int, Dict[str, Any]]) -> None:
+        self.install_checkpoints(
+            {shard: pickle.dumps(state) for shard, state in states.items()}
+        )
 
     # -- worker lifecycle ------------------------------------------------------------
 
     def _spawn(self, shard: int) -> None:
-        from repro.dsms.sharded import _supervised_worker
-
         old_queue = self._in_queues[shard]
         if old_queue is not None:
             try:
@@ -692,9 +677,8 @@ class ShardSupervisor:
 
     # -- completion ------------------------------------------------------------------
 
-    def _finish_and_collect(
-        self,
-    ) -> Tuple[Dict[int, Dict[str, List[Record]]], List[dict]]:
+    def finish(self) -> Tuple[List[Dict[str, List[Record]]], List[dict]]:
+        """Flush every worker; returns ``(results per shard, run reports)``."""
         self._finishing = True
         for shard in range(self.owner.shards):
             self._send_control(shard, ("finish",))
@@ -729,12 +713,84 @@ class ShardSupervisor:
                     f" waiting for shards {missing}"
                     f" (failure log: {'; '.join(self.report.failures) or 'none'})"
                 )
-        shard_results: Dict[int, Dict[str, List[Record]]] = {}
+        shard_results: List[Dict[str, List[Record]]] = []
         reports: List[dict] = []
         for shard in range(self.owner.shards):
             results, accounts, report, metrics_snap, trace_events = self._results[shard]
-            shard_results[shard] = results
+            shard_results.append(results)
             self.owner.cost.absorb(accounts)
             reports.append(report)
             self.owner._absorb_shard_obs(shard, metrics_snap, trace_events)
         return shard_results, reports
+
+
+def _supervised_worker(
+    shard: int,
+    epoch: int,
+    instance: "Gigascope",
+    query_names: List[str],
+    in_queue,
+    out_queue,
+    fault_plan: Any = None,
+) -> None:
+    """Worker loop under supervision: a small message protocol.
+
+    Runs in a forked child, so ``instance`` (including closures inside
+    SFUN libraries) is inherited by memory copy rather than pickled; only
+    record batches, checkpoints, result records and cost balances cross
+    the process boundary, and those pickle cleanly.
+
+    Inbound: ``("restore", seq, blob)`` reinstates a pickled
+    :meth:`Gigascope.checkpoint`; ``("batch", seq, records)`` feeds one
+    routed batch and acks it; ``("checkpoint", seq)`` snapshots operator
+    state and ships it back; ``("finish",)`` flushes and reports.
+    Outbound messages all carry ``(kind, shard, epoch, ...)`` so the
+    parent can discard events from incarnations it has declared dead.
+
+    The checkpoint blob is pickled *synchronously* (``pickle.dumps``)
+    before it enters the queue: Queue.put pickles lazily on a feeder
+    thread, which would race with this loop mutating operator state on
+    the very next batch.
+    """
+    try:
+        if instance.cost.enabled:
+            # The fork copied the parent's balances; count only this
+            # worker's own charges so the parent can absorb the delta.
+            instance.cost.reset()
+        instance.start()
+        batch_no = 0
+        while True:
+            message = in_queue.get()
+            kind = message[0]
+            if kind == "restore":
+                snapshot = pickle.loads(message[2])
+                instance.restore(snapshot, restore_cost=instance.cost.enabled)
+            elif kind == "batch":
+                seq, records = message[1], message[2]
+                batch_no += 1
+                if fault_plan is not None:
+                    fault_plan.fire_batch(shard, epoch, batch_no, out_queue)
+                instance.feed(records)
+                out_queue.put(("ack", shard, epoch, seq))
+            elif kind == "checkpoint":
+                blob = pickle.dumps(instance.checkpoint())
+                out_queue.put(("ckpt", shard, epoch, message[1], blob))
+            elif kind == "finish":
+                if fault_plan is not None and fault_plan.drops_result(shard, epoch):
+                    os._exit(0)
+                instance.finish()
+                results = {name: instance.query(name).results for name in query_names}
+                accounts = instance.cost.accounts() if instance.cost.enabled else {}
+                trace_events = (
+                    list(instance.trace.events) if instance.trace.enabled else []
+                )
+                out_queue.put(
+                    ("result", shard, epoch, results, accounts,
+                     instance.run_report(), instance.metrics.checkpoint(),
+                     trace_events)
+                )
+                return
+            else:  # pragma: no cover - protocol guard
+                raise ExecutionError(f"unknown supervisor message {kind!r}")
+    except BaseException as exc:  # pragma: no cover - exercised via parent
+        out_queue.put(("error", shard, epoch, repr(exc)))

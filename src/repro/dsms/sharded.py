@@ -22,11 +22,20 @@ Architecture::
   by the planner (:func:`repro.dsms.parser.planner.partition_info`) from
   every query reading the stream; records route to shard
   ``stable_hash(record[column]) % shards``.
-* **shards** — full replicas of the query DAG.  ``processes=False``
-  (default) drives them in-process, batch-interleaved and fully
-  deterministic; ``processes=True`` forks one worker per shard and
-  exchanges pickled record batches over queues (POSIX ``fork`` start
-  method, so SFUN closures need no pickling).
+* **shards** — full replicas of the query DAG, held by a *shard pool*.
+  There are exactly two pools and they differ only in where the
+  :class:`Gigascope` instances live: :class:`_InlinePool` (default)
+  drives them in this process, batch-interleaved and fully
+  deterministic; ``supervise=True`` runs them in forked workers under a
+  :class:`~repro.dsms.resilience.ShardSupervisor`, which exchanges
+  pickled record batches over queues (POSIX ``fork`` start method, so
+  SFUN closures need no pickling) and restarts crashed or stalled
+  workers from checkpoints.  Both answer the same calls — ``start``,
+  ``ship``, ``add_shard``, ``checkpoint_all`` / ``states`` /
+  ``install_states``, ``finish``, ``close`` — so :meth:`ShardedGigascope.run`
+  is one loop: validate at the SPLIT edge, batch, split,
+  ``pool.ship(buckets)``, drain the MERGE, rebalance barrier,
+  ``on_round``.  The pool is crossed once per round, never per record.
 * **MERGE** — one :class:`MergeOperator` per registered query recombines
   the shard outputs on the query's ordered output attribute; a shard
   that finishes releases its watermark via ``end_source``.
@@ -42,22 +51,19 @@ window-to-window SFUN carryover on that shard skips the silent window
 (the serial operator would have dropped the carryover state); dense
 feeds — the paper's operating regime — never hit this.
 
-Cost accounting: every shard charges the shared cost model (in-process)
+Cost accounting: every shard charges the shared cost model (inline)
 or its own forked copy whose balances the parent absorbs afterwards
-(processes), both under the plain query name — so ``cpu_percent`` and
+(supervised), both under the plain query name — so ``cpu_percent`` and
 the Fig 5/6 benchmarks read one aggregate account per query, exactly as
 with the serial runtime.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import pickle
-import queue as _queue
-import time
 import zlib
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError, PlanningError
@@ -121,7 +127,7 @@ class ShardedQueryHandle:
     keep_results: bool = True
     #: merged (order-recombined) output across all shards
     results: List[Record] = field(default_factory=list)
-    #: the per-shard handles (note: in ``processes`` mode the parent's
+    #: the per-shard handles (note: under ``supervise`` the parent's
     #: copies stay empty — shard results live in the worker processes)
     shard_handles: List[QueryHandle] = field(default_factory=list)
 
@@ -139,39 +145,141 @@ class _Node:
 class _MergeSink:
     """Recombines one query's shard outputs through a MergeOperator."""
 
-    def __init__(self, handle: ShardedQueryHandle, shards: int) -> None:
+    def __init__(self, handle: ShardedQueryHandle) -> None:
         self.handle = handle
+        # Rows the shard handles already hold come from an earlier run()
+        # on inline shards and were merged then; start past them.
+        self.cursors = [len(h.results) for h in handle.shard_handles]
+        self._bind(len(self.cursors))
+
+    def _bind(self, shards: int) -> None:
         self.sources = [f"shard{i}" for i in range(shards)]
         # MergeOperator needs >= 2 sources; one shard is a pass-through.
         self.operator = (
-            MergeOperator(handle.output_schema, self.sources)
+            MergeOperator(self.handle.output_schema, self.sources)
             if shards > 1
             else None
         )
-        self.cursors = [0] * shards
+        self.cursors += [0] * (shards - len(self.cursors))
 
-    def feed(self, shard: int, records: Sequence[Record]) -> None:
-        if self.operator is None:
-            self._sink(list(records))
-            return
-        for record in records:
-            self._sink(self.operator.process_from(self.sources[shard], record))
-
-    def drain(self, shard: int, handle: QueryHandle) -> None:
+    def drain(self, shard: int, produced: Sequence[Record]) -> None:
         """Feed any records the shard produced since the last drain."""
-        produced = handle.results
         cursor = self.cursors[shard]
-        if len(produced) > cursor:
-            self.feed(shard, produced[cursor:])
-            self.cursors[shard] = len(produced)
+        if len(produced) <= cursor:
+            return
+        self.cursors[shard] = len(produced)
+        if self.operator is None:
+            self._sink(list(produced[cursor:]))
+            return
+        source = self.sources[shard]
+        for record in produced[cursor:]:
+            self._sink(self.operator.process_from(source, record))
 
-    def end_source(self, shard: int) -> None:
-        if self.operator is not None:
-            self._sink(self.operator.end_source(self.sources[shard]))
+    def finish(self, results: Sequence[Dict[str, List[Record]]]) -> None:
+        """Feed every shard's remaining rows and release its watermark."""
+        if len(results) > len(self.sources):
+            # The pool grew mid-run (rebalance), which defers all merging
+            # to this point, so nothing has been fed to the old operator.
+            self._bind(len(results))
+        for shard, rows in enumerate(results):
+            self.drain(shard, rows[self.handle.name])
+            if self.operator is not None:
+                self._sink(self.operator.end_source(self.sources[shard]))
 
     def _sink(self, outputs: List[Record]) -> None:
         if outputs and self.handle.keep_results:
             self.handle.results.extend(outputs)
+
+
+class _InlinePool:
+    """The shard pool whose :class:`Gigascope` instances live in this
+    process (``owner._instances``): shards advance batch by batch,
+    fully deterministic, nothing is pickled unless a journal asks.
+
+    Answers the same calls as :class:`ShardSupervisor`, the pool whose
+    instances live in forked workers.
+    """
+
+    #: no workers, so nothing to report (cf. ``ShardSupervisor.report``)
+    report = None
+
+    def __init__(self, owner: "ShardedGigascope") -> None:
+        self.owner = owner
+        #: batches shipped per shard, numbered like the supervisor's so a
+        #: journal written here resumes on supervised shards and back
+        self._seq = [0] * owner.shards
+
+    def start(self, resume_state: Dict[int, Tuple[int, bytes]]) -> None:
+        instances = self.owner._instances
+        for shard, (seq, blob) in resume_state.items():
+            self._seq[shard] = seq
+            instances[shard].restore(pickle.loads(blob))
+        for instance in instances:
+            instance.start()
+
+    def ship(self, buckets: List[List[Record]]) -> None:
+        instances = self.owner._instances
+        for shard, bucket in enumerate(buckets):
+            if bucket:
+                self._seq[shard] += 1
+                instances[shard].feed(bucket)
+
+    def add_shard(self, shard: int) -> None:
+        self._seq.append(0)
+        self.owner._instances[shard].start()
+
+    # A round boundary is a consistent cut: feed() drains the rings, so
+    # a shard's checkpoint covers all input shipped to it.
+
+    def states(self) -> Dict[int, Dict[str, Any]]:
+        return {
+            shard: instance.checkpoint()
+            for shard, instance in enumerate(self.owner._instances)
+        }
+
+    def install_states(self, states: Dict[int, Dict[str, Any]]) -> None:
+        for shard, state in states.items():
+            self.owner._instances[shard].restore(state)
+
+    def checkpoint_all(self) -> Dict[int, Tuple[int, bytes]]:
+        blobs = {}
+        for shard, state in self.states().items():
+            # The cost model is shared by every shard and the parent, so
+            # its balances are not this shard's state (a worker restoring
+            # them as its own would count them once per shard).
+            state["cost_accounts"] = {}
+            blobs[shard] = (self._seq[shard], pickle.dumps(state))
+        return blobs
+
+    def finish(self) -> Tuple[List[Dict[str, List[Record]]], List[dict]]:
+        owner = self.owner
+        for instance in owner._instances:
+            instance.finish()
+        results = [
+            {name: instance.query(name).results for name in owner._order}
+            for instance in owner._instances
+        ]
+        # Snapshot the per-shard reports before the registries are
+        # zeroed below (run_report reads the registry).
+        reports = [instance.run_report() for instance in owner._instances]
+        for shard, instance in enumerate(owner._instances):
+            owner._absorb_shard_obs(
+                shard,
+                instance.metrics.checkpoint(),
+                list(instance.trace.events) if instance.trace.enabled else [],
+            )
+            # Zero the shard registry (in place, so bound operator
+            # series survive): a second run() must not re-fold this
+            # run's counts into the parent.
+            instance.metrics.reset()
+            if instance.trace.enabled:
+                instance.trace.events.clear()
+        return results, reports
+
+    def close(self) -> None:
+        """Abandon any shard still mid-run (a no-op after finish)."""
+        for instance in self.owner._instances:
+            instance._session = None
 
 
 class ShardedGigascope:
@@ -188,12 +296,10 @@ class ShardedGigascope:
         self,
         shards: int = 2,
         *,
-        processes: bool = False,
         cost_model: Optional[CostModel] = None,
         ring_capacity: int = 65536,
         strict: bool = False,
         queue_depth: int = 8,
-        stall_timeout: float = 60.0,
         supervise: bool = False,
         supervision: Optional[SupervisionPolicy] = None,
         shed_threshold: Optional[int] = None,
@@ -206,37 +312,38 @@ class ShardedGigascope:
     ) -> None:
         """Beyond the PR-2 parameters:
 
-        ``queue_depth`` bounds each worker's input queue (batches), so a
-        wedged worker backpressures the splitter instead of buffering
-        unboundedly.  ``stall_timeout`` caps how long an *unsupervised*
-        process run waits for worker results before failing.
-        ``supervise=True`` runs workers under a :class:`ShardSupervisor`
-        (implies process mode): crashed or stalled shards restart and
-        recover from the batch journal / operator checkpoints, per
-        ``supervision`` (a :class:`SupervisionPolicy`, default policy if
-        None).  ``shed_threshold`` enables graceful degradation: each
-        shard's Gigascope sheds admission beyond that ring backlog, and
-        the supervisor sheds batches when a shard's input queue stays at
-        that depth.  ``fault_plan`` (a
-        :class:`repro.testing.faults.FaultPlan`) injects deterministic
-        worker failures for tests; ignored by the in-process mode.
+        ``supervise=True`` runs the shards in forked workers under a
+        :class:`ShardSupervisor` instead of in this process: crashed or
+        stalled shards restart and recover from the batch journal /
+        operator checkpoints, per ``supervision`` (a
+        :class:`SupervisionPolicy`, default policy if None; passing one
+        implies ``supervise``).  ``queue_depth`` bounds each worker's
+        input queue (batches), so a wedged worker backpressures the
+        splitter instead of buffering unboundedly.  ``shed_threshold``
+        enables graceful degradation: each shard's Gigascope sheds
+        admission beyond that ring backlog, and the supervisor sheds
+        batches when a shard's input queue stays at that depth.
+        ``fault_plan`` (a :class:`repro.testing.faults.FaultPlan`)
+        injects deterministic worker failures for tests; ignored by
+        inline shards.
 
         ``metrics`` / ``trace`` attach the parent-side metrics registry
         and trace sink.  Each shard instance keeps its *own* registry
         (and, when tracing is on, its own sink); after a run the parent
         absorbs every shard's series stamped with a ``shard`` label, so
         ``metrics.total(name, query=...)`` aggregates across shards while
-        the per-shard series stay distinguishable.  In process modes the
-        snapshots cross the fork boundary with the results.
+        the per-shard series stay distinguishable.  Under ``supervise``
+        the snapshots cross the fork boundary with the results.
 
         ``validate_admission`` validates every record at the SPLIT edge
-        — in the parent, uniformly across all three execution modes —
-        and routes uncoercible records to ``quarantine`` (a
+        — in the parent, the same for both pools — and routes
+        uncoercible records to ``quarantine`` (a
         :class:`repro.streams.sources.QuarantineStream`; a private
         bounded one by default) instead of shipping them to a worker
         where the failure would surface as a shard crash.  Quarantined
         records are counted in the parent registry as
-        ``stream_quarantined_total{stream=...}``.
+        ``stream_quarantined_total{stream=...}`` (and, like every offered
+        record, in ``stream_records_total``).
 
         ``rebalance`` enables elastic skew-aware sharding (``True`` for
         the default policy, or a :class:`RebalancePolicy`): routing goes
@@ -245,9 +352,7 @@ class ShardedGigascope:
         key ranges, migrate operator state between shards via the
         checkpoint/restore snapshots, scale the shard pool, and — under
         ``policy.curate`` — downsample an unmigratable hot key's traffic
-        with shed-style cost accounting.  Works with the in-process and
-        supervised modes; unsupervised process shards have no control
-        channel to migrate over.
+        with shed-style cost accounting.
         """
         if shards < 1:
             raise PlanningError("shards must be >= 1")
@@ -255,17 +360,9 @@ class ShardedGigascope:
             raise PlanningError("queue_depth must be >= 1")
         self.shards = shards
         self.supervise = supervise or supervision is not None
-        self.processes = processes or self.supervise
-        if rebalance and processes and not self.supervise:
-            raise PlanningError(
-                "rebalance needs the in-process or supervised mode:"
-                " unsupervised process shards have no control channel"
-                " for state migration (use supervise=True)"
-            )
         self.cost = cost_model or NULL_COST_MODEL
         self.strict = strict
         self.queue_depth = queue_depth
-        self.stall_timeout = stall_timeout
         self.supervision = supervision
         self.shed_threshold = shed_threshold
         self.fault_plan = fault_plan
@@ -595,52 +692,80 @@ class ShardedGigascope:
     ) -> int:
         """SPLIT the record stream across the shards, MERGE their outputs.
 
-        Returns the number of records read (like :meth:`Gigascope.run`).
+        Returns the number of records read (like :meth:`Gigascope.run`),
+        malformed ones quarantined at the SPLIT edge included.
 
         ``on_round`` / ``resume_state`` are the durable-resume hooks
-        (supervised mode only — see :mod:`repro.dsms.durability`):
-        ``on_round(supervisor, total)`` fires after every shipped round,
-        and ``resume_state`` seeds the shards from a prior process's
-        committed checkpoints.
+        (see :mod:`repro.dsms.durability`): ``on_round(pool, total)``
+        fires after every shipped round — after the rebalance barrier,
+        so a commit journals the post-migration checkpoints and routing
+        table together — and ``resume_state`` (per shard ``(seq,
+        pickled checkpoint)``, as ``pool.checkpoint_all()`` returns)
+        seeds the shards from a prior process's committed checkpoints.
         """
-        if (on_round is not None or resume_state) and not self.supervise:
-            raise ExecutionError(
-                "on_round/resume_state need supervised mode"
-                " (ShardedGigascope(supervise=True)): durable commits are"
-                " built on the supervisor's checkpoint protocol"
-            )
         route = self._route_indices()
+        sinks = [_MergeSink(self._handles[name]) for name in self._order]
         # Under rebalance the shard pool can grow mid-run, so the merge
-        # sinks are built *after* execution (sized to the final pool);
-        # shard handles keep full results either way.
-        sinks = (
-            None
-            if self._rebalancer is not None
-            else [_MergeSink(self._handles[name], self.shards) for name in self._order]
-        )
+        # is deferred to the end (sized to the final pool); shard
+        # handles keep full results either way.
+        streaming = self._rebalancer is None
         self._last_report = None
-        self.last_supervision = None
-        if self.validate_admission:
-            records = self._validate_edge(records)
-        if self.supervise:
-            return self._run_supervised(
-                records, batch_size, route, sinks,
-                on_round=on_round, resume_state=resume_state,
+        pool: Any = (
+            ShardSupervisor(
+                self,
+                policy=self.supervision,
+                fault_plan=self.fault_plan,
+                shed_threshold=self.shed_threshold,
             )
-        if self.processes:
-            return self._run_processes(records, batch_size, route, sinks)
-        return self._run_inline(records, batch_size, route, sinks)
+            if self.supervise
+            else _InlinePool(self)
+        )
+        self.last_supervision = pool.report
+        source = iter(records)
+        total = 0
+        try:
+            pool.start(resume_state or {})
+            while True:
+                batch = list(islice(source, batch_size))
+                if not batch:
+                    break
+                total += len(batch)
+                if self.validate_admission:
+                    batch = self._validate_edge(batch)
+                pool.ship(self._split(batch, route))
+                if streaming:
+                    for sink in sinks:
+                        handles = sink.handle.shard_handles
+                        for shard in range(self.shards):
+                            sink.drain(shard, handles[shard].results)
+                else:
+                    self._rebalance(pool)
+                if on_round is not None:
+                    on_round(pool, total)
+            results, reports = pool.finish()
+        finally:
+            pool.close()
+        for sink in sinks:
+            sink.finish(results)
+        report = _merge_reports(reports)
+        for stream, counters in report["streams"].items():
+            counters["quarantined"] += int(
+                self.metrics.value("stream_quarantined_total", stream=stream)
+            )
+        self._last_report = report
+        return total
 
-    def _validate_edge(self, records: Iterable[Record]) -> Iterable[Record]:
-        """Validate/coerce records at the SPLIT edge; dead-letter failures.
+    def _validate_edge(self, batch: List[Any]) -> List[Record]:
+        """Validate/coerce one batch at the SPLIT edge; dead-letter failures.
 
-        Runs in the parent so all three execution modes get identical
-        admission behavior, and a malformed record is refused *before*
-        it can crash a worker mid-query.
+        Runs in the parent so both pools get identical admission
+        behavior, and a malformed record is refused *before* it can
+        crash a worker mid-query.
         """
         schemas = self.registries.schemas
         single = self._streams[0] if len(self._streams) == 1 else None
-        for payload in records:
+        admitted: List[Record] = []
+        for payload in batch:
             schema = payload.schema if isinstance(payload, Record) else None
             if schema is None and single is not None:
                 schema = schemas[single]
@@ -655,11 +780,19 @@ class ShardedGigascope:
                 )
                 continue
             try:
-                yield coerce_record(schema, payload)
+                admitted.append(coerce_record(schema, payload))
             except SchemaError as exc:
                 self._quarantine_edge(schema.name, str(exc), payload)
+        return admitted
 
     def _quarantine_edge(self, stream: str, reason: str, payload: Any) -> None:
+        # The shards never see this record, so the parent counts it as
+        # offered on their behalf (records == ingested + ... + quarantined).
+        self.metrics.counter(
+            "stream_records_total",
+            help="records offered to the stream (before admission)",
+            stream=stream,
+        ).inc()
         self.metrics.counter(
             "stream_quarantined_total",
             help="records dead-lettered at the split edge (malformed input)",
@@ -719,166 +852,17 @@ class ShardedGigascope:
         if self.trace.enabled and trace_events:
             self.trace.absorb(trace_events, shard=shard)
 
-    def _run_inline(
-        self,
-        records: Iterable[Record],
-        batch_size: int,
-        route: Dict[str, int],
-        sinks: List[_MergeSink],
-    ) -> int:
-        """Deterministic in-process mode: shards advance batch by batch."""
-        for instance in self._instances:
-            instance.start()
-        total = 0
-        batch: List[Record] = []
-
-        def feed_round(batch: List[Record]) -> int:
-            buckets = self._split(batch, route)
-            for shard, bucket in enumerate(buckets):
-                if bucket:
-                    self._instances[shard].feed(bucket)
-            if sinks is not None:
-                for sink in sinks:
-                    for shard in range(self.shards):
-                        sink.drain(shard, sink.handle.shard_handles[shard])
-            if self._rebalancer is not None:
-                # Round boundary: rings are drained, so shard checkpoints
-                # cover all fed input — a consistent migration point.
-                self._rebalance_inline()
-            return len(batch)
-
-        try:
-            for record in records:
-                batch.append(record)
-                if len(batch) >= batch_size:
-                    total += feed_round(batch)
-                    batch = []
-            if batch:
-                total += feed_round(batch)
-            for instance in self._instances:
-                instance.finish()
-            if sinks is None:
-                sinks = [
-                    _MergeSink(self._handles[name], self.shards)
-                    for name in self._order
-                ]
-                for sink in sinks:
-                    for shard in range(self.shards):
-                        sink.feed(shard, sink.handle.shard_handles[shard].results)
-                        sink.end_source(shard)
-            else:
-                for shard in range(self.shards):
-                    for sink in sinks:
-                        sink.drain(shard, sink.handle.shard_handles[shard])
-                        sink.end_source(shard)
-            # Snapshot the per-shard reports before the registries are
-            # zeroed below (run_report reads the registry).
-            self._last_report = _merge_reports(
-                [instance.run_report() for instance in self._instances]
-            )
-            for shard, instance in enumerate(self._instances):
-                self._absorb_shard_obs(
-                    shard,
-                    instance.metrics.checkpoint(),
-                    list(instance.trace.events) if instance.trace.enabled else [],
-                )
-                # Zero the shard registry (in place, so bound operator
-                # series survive): a second run() must not re-fold this
-                # run's counts into the parent.
-                instance.metrics.reset()
-                if instance.trace.enabled:
-                    instance.trace.events.clear()
-        except BaseException:
-            for instance in self._instances:
-                instance._session = None
-            raise
-        return total
-
-    def _run_supervised(
-        self,
-        records: Iterable[Record],
-        batch_size: int,
-        route: Dict[str, int],
-        sinks: List[_MergeSink],
-        on_round=None,
-        resume_state: Optional[Dict[int, Tuple[int, bytes]]] = None,
-    ) -> int:
-        """Run the workers under a :class:`ShardSupervisor`: crashed or
-        stalled shards restart and recover by checkpoint restore plus
-        journal replay, so a single worker failure does not fail the run."""
-        supervisor = ShardSupervisor(
-            self,
-            policy=self.supervision,
-            fault_plan=self.fault_plan,
-            shed_threshold=self.shed_threshold,
-            resume_state=resume_state,
-        )
-        self.last_supervision = supervisor.report
-        if self._rebalancer is not None:
-            # Rebalance *before* the caller's hook so a durable commit in
-            # the same round journals the post-migration checkpoints and
-            # routing table together.
-            user_on_round = on_round
-
-            def on_round(sup, total):
-                self._rebalance_supervised(sup)
-                if user_on_round is not None:
-                    user_on_round(sup, total)
-
-        total, shard_results, reports = supervisor.run(
-            records, batch_size, route, on_round=on_round
-        )
-        if sinks is None:
-            sinks = [
-                _MergeSink(self._handles[name], self.shards)
-                for name in self._order
-            ]
-        for sink in sinks:
-            for shard in range(self.shards):
-                sink.feed(shard, shard_results[shard].get(sink.handle.name, []))
-                sink.end_source(shard)
-        self._last_report = _merge_reports(reports)
-        return total
-
     # -- rebalancing --------------------------------------------------------------
 
-    def _rebalance_inline(self) -> None:
-        """Inline-mode decision point: plan, migrate live state, commit."""
-        rebalancer = self._rebalancer
-        assert rebalancer is not None
-        plan = rebalancer.maybe_plan()
-        if plan is None:
-            return
-        if not plan.reroutes:
-            rebalancer.commit(plan)
-            self._note_rebalance(rebalancer, migrated=(0, 0))
-            return
-        added = self._ensure_pool(plan.table.shard_count)
-        for shard in added:
-            self._instances[shard].start()
-        states = {
-            shard: self._instances[shard].checkpoint()
-            for shard in range(self.shards)
-        }
-        try:
-            states, changed, moved = migrate_states(self, states, plan.table)
-        except MigrationDeferred as exc:
-            rebalancer.defer(plan, str(exc))
-            self._note_rebalance(rebalancer, deferred=str(exc))
-            return
-        for shard in sorted(changed):
-            self._instances[shard].restore(states[shard])
-        rebalancer.commit(plan, moved)
-        self._note_rebalance(rebalancer, migrated=moved)
+    def _rebalance(self, pool: Any) -> None:
+        """Round-boundary decision point: plan, migrate state, commit.
 
-    def _rebalance_supervised(self, supervisor: ShardSupervisor) -> None:
-        """Supervised decision point: checkpoint barrier, migrate, install.
-
-        The new checkpoints are installed parent-side *atomically* (all
-        shards' ``_ckpt`` slots rewritten before any worker is told to
-        restore), so a worker crash at any point mid-migration recovers
-        through the normal restart path from a consistent post-migration
-        checkpoint set.
+        Every shipped batch is behind the barrier (inline rings are
+        drained; a worker's checkpoint request queues behind its
+        batches), so the shard checkpoints are a consistent migration
+        point.  The pool installs the rewritten snapshots so that a
+        worker crash at any point mid-migration recovers from the
+        post-migration set (see ``ShardSupervisor.install_checkpoints``).
         """
         rebalancer = self._rebalancer
         assert rebalancer is not None
@@ -889,20 +873,17 @@ class ShardedGigascope:
             rebalancer.commit(plan)
             self._note_rebalance(rebalancer, migrated=(0, 0))
             return
-        added = self._ensure_pool(plan.table.shard_count)
-        for shard in added:
-            supervisor.add_shard(shard)
-        blobs = supervisor.checkpoint_all()
-        states = {shard: pickle.loads(blob) for shard, (_seq, blob) in blobs.items()}
+        for shard in self._ensure_pool(plan.table.shard_count):
+            pool.add_shard(shard)
         try:
-            states, changed, moved = migrate_states(self, states, plan.table)
+            states, changed, moved = migrate_states(
+                self, pool.states(), plan.table
+            )
         except MigrationDeferred as exc:
             rebalancer.defer(plan, str(exc))
             self._note_rebalance(rebalancer, deferred=str(exc))
             return
-        supervisor.install_checkpoints(
-            {shard: pickle.dumps(states[shard]) for shard in sorted(changed)}
-        )
+        pool.install_states({shard: states[shard] for shard in sorted(changed)})
         rebalancer.commit(plan, moved)
         self._note_rebalance(rebalancer, migrated=moved)
 
@@ -965,165 +946,6 @@ class ShardedGigascope:
         self._ensure_pool(snapshot["pool"])
         self._rebalancer.restore(snapshot["rebalancer"])
 
-    def _run_processes(
-        self,
-        records: Iterable[Record],
-        batch_size: int,
-        route: Dict[str, int],
-        sinks: List[_MergeSink],
-    ) -> int:
-        """Fork one worker per shard; exchange pickled record batches.
-
-        Unsupervised: a worker failure fails the whole run — but it fails
-        *promptly and attributably* (naming the dead shard) rather than
-        deadlocking on a queue the worker will never serve again.
-        """
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-            raise ExecutionError(
-                "processes=True needs the 'fork' start method (POSIX);"
-                " use the in-process mode instead"
-            ) from exc
-        in_queues = [context.Queue(maxsize=self.queue_depth) for _ in range(self.shards)]
-        out_queue = context.Queue()
-        workers = [
-            context.Process(
-                target=_shard_worker,
-                args=(shard, self._instances[shard], list(self._order),
-                      in_queues[shard], out_queue, self.fault_plan),
-                daemon=True,
-            )
-            for shard in range(self.shards)
-        ]
-        for worker in workers:
-            worker.start()
-
-        total = 0
-        batch: List[Record] = []
-        try:
-            try:
-                for record in records:
-                    batch.append(record)
-                    if len(batch) >= batch_size:
-                        total += self._ship(batch, route, in_queues, workers)
-                        batch = []
-                if batch:
-                    total += self._ship(batch, route, in_queues, workers)
-            finally:
-                for queue in in_queues:
-                    try:
-                        # Timed: a dead worker's full queue never drains,
-                        # and the collection loop reports it either way.
-                        queue.put(None, timeout=1.0)
-                    except _queue.Full:
-                        pass
-
-            shard_results, reports = self._collect_results(workers, out_queue)
-        finally:
-            for worker in workers:
-                if worker.is_alive():
-                    worker.terminate()
-            for worker in workers:
-                worker.join(timeout=5.0)
-
-        self._last_report = _merge_reports(reports)
-        for sink in sinks:
-            for shard in range(self.shards):
-                sink.feed(shard, shard_results[shard].get(sink.handle.name, []))
-                sink.end_source(shard)
-        return total
-
-    def _collect_results(
-        self, workers: List, out_queue
-    ) -> Tuple[Dict[int, Dict[str, List[Record]]], List[dict]]:
-        """Gather one result per shard with liveness checks.
-
-        A bare ``out_queue.get()`` here deadlocks forever if a worker
-        died (nothing will ever arrive); instead we poll with a timeout,
-        watch worker liveness — with a short grace period, because a
-        dying worker's result may still be in the queue's feeder pipe —
-        and fail with the dead shard's identity and exit code.
-        """
-        failures: List[str] = []
-        shard_results: Dict[int, Dict[str, List[Record]]] = {}
-        reports: List[dict] = []
-        pending = set(range(self.shards))
-        dead_since: Dict[int, float] = {}
-        deadline = time.monotonic() + self.stall_timeout
-        while pending:
-            try:
-                message = out_queue.get(timeout=0.1)
-            except _queue.Empty:
-                message = None
-            except Exception as exc:
-                # Undecodable (corrupt) message: the queue survives; the
-                # broken sender dies and the liveness check below names it.
-                failures.append(
-                    f"result queue delivered an undecodable message: {exc!r}"
-                )
-                message = None
-            if message is not None:
-                shard, results, accounts, error, report, metrics_snap, trace_events = message
-                if shard in pending:
-                    pending.discard(shard)
-                    dead_since.pop(shard, None)
-                    if error is not None:
-                        failures.append(f"shard {shard}: {error}")
-                    else:
-                        shard_results[shard] = results
-                        self.cost.absorb(accounts)
-                        reports.append(report)
-                        self._absorb_shard_obs(shard, metrics_snap, trace_events)
-                continue
-            now = time.monotonic()
-            for shard in sorted(pending):
-                worker = workers[shard]
-                if worker.is_alive():
-                    continue
-                since = dead_since.setdefault(shard, now)
-                if now - since >= 1.0:
-                    pending.discard(shard)
-                    failures.append(
-                        f"shard {shard} worker (pid {worker.pid}) exited with"
-                        f" code {worker.exitcode} without reporting a result"
-                    )
-            if pending and now > deadline:
-                stuck = ", ".join(str(shard) for shard in sorted(pending))
-                raise ExecutionError(
-                    f"sharded run stalled: no result from shard(s) {stuck}"
-                    f" within stall_timeout={self.stall_timeout}s"
-                )
-        if failures:
-            raise ExecutionError("sharded run failed: " + "; ".join(failures))
-        return shard_results, reports
-
-    def _ship(
-        self,
-        batch: List[Record],
-        route: Dict[str, int],
-        in_queues: List,
-        workers: Optional[List] = None,
-    ) -> int:
-        for shard, bucket in enumerate(self._split(batch, route)):
-            if not bucket:
-                continue
-            while True:
-                try:
-                    # Bounded put: never block forever on a queue whose
-                    # consumer is gone.
-                    in_queues[shard].put(bucket, timeout=0.25)
-                    break
-                except _queue.Full:
-                    if workers is not None and not workers[shard].is_alive():
-                        worker = workers[shard]
-                        raise ExecutionError(
-                            f"shard {shard} worker (pid {worker.pid}) exited"
-                            f" with code {worker.exitcode} while its input"
-                            " queue was full"
-                        ) from None
-        return len(batch)
-
     # -- reporting ------------------------------------------------------------------
 
     def cpu_percent(self, name: str, stream_seconds: float) -> float:
@@ -1133,9 +955,10 @@ class ShardedGigascope:
     def run_report(self) -> Dict[str, Dict[str, Dict[str, int]]]:
         """Overload counters of the most recent run, summed over shards.
 
-        Same shape as :meth:`Gigascope.run_report`; in process modes the
-        per-shard reports crossed the queue with the results, in the
-        in-process mode they are read straight off the shard instances.
+        Same shape as :meth:`Gigascope.run_report`; supervised workers'
+        reports cross the queue with the results, inline shards' are
+        read straight off the instances, and records quarantined at the
+        SPLIT edge are added from the parent registry.
         Supervisor-level shedding is reported separately via
         :attr:`last_supervision`.
 
@@ -1162,7 +985,7 @@ class ShardedGigascope:
         """Render the sharding layout plus one shard's query DAG."""
         lines = [
             f"ShardedGigascope(shards={self.shards},"
-            f" processes={self.processes})"
+            f" supervise={self.supervise})"
         ]
         try:
             self._resolve_partitions()
@@ -1201,112 +1024,3 @@ def _merge_reports(reports: Sequence[dict]) -> Dict[str, Dict[str, Dict[str, int
                 for key, value in counters.items():
                     slot[key] = slot.get(key, 0) + value
     return merged
-
-
-def _shard_worker(
-    shard: int,
-    instance: Gigascope,
-    query_names: List[str],
-    in_queue,
-    out_queue,
-    fault_plan: Any = None,
-) -> None:
-    """Worker-process loop: drain batches, run the shard DAG, ship results.
-
-    Runs in a forked child, so ``instance`` (including closures inside
-    SFUN libraries) is inherited by memory copy rather than pickled; only
-    record batches, result records and cost balances cross the process
-    boundary, and those pickle cleanly.
-    """
-    try:
-        if instance.cost.enabled:
-            # The fork copied the parent's balances; count only this
-            # worker's own charges so the parent can absorb the delta.
-            instance.cost.reset()
-        instance.start()
-        batch_no = 0
-        while True:
-            batch = in_queue.get()
-            if batch is None:
-                break
-            batch_no += 1
-            if fault_plan is not None:
-                fault_plan.fire_batch(shard, 0, batch_no, out_queue)
-            instance.feed(batch)
-        if fault_plan is not None and fault_plan.drops_result(shard, 0):
-            os._exit(0)
-        instance.finish()
-        results = {name: instance.query(name).results for name in query_names}
-        accounts = instance.cost.accounts() if instance.cost.enabled else {}
-        trace_events = list(instance.trace.events) if instance.trace.enabled else []
-        out_queue.put(
-            (shard, results, accounts, None, instance.run_report(),
-             instance.metrics.checkpoint(), trace_events)
-        )
-    except BaseException as exc:  # pragma: no cover - exercised via parent
-        out_queue.put((shard, {}, {}, repr(exc), {}, None, []))
-
-
-def _supervised_worker(
-    shard: int,
-    epoch: int,
-    instance: Gigascope,
-    query_names: List[str],
-    in_queue,
-    out_queue,
-    fault_plan: Any = None,
-) -> None:
-    """Worker loop under supervision: a small message protocol.
-
-    Inbound: ``("restore", seq, blob)`` reinstates a pickled
-    :meth:`Gigascope.checkpoint`; ``("batch", seq, records)`` feeds one
-    routed batch and acks it; ``("checkpoint", seq)`` snapshots operator
-    state and ships it back; ``("finish",)`` flushes and reports.
-    Outbound messages all carry ``(kind, shard, epoch, ...)`` so the
-    parent can discard events from incarnations it has declared dead.
-
-    The checkpoint blob is pickled *synchronously* (``pickle.dumps``)
-    before it enters the queue: Queue.put pickles lazily on a feeder
-    thread, which would race with this loop mutating operator state on
-    the very next batch.
-    """
-    try:
-        if instance.cost.enabled:
-            instance.cost.reset()
-        instance.start()
-        batch_no = 0
-        while True:
-            message = in_queue.get()
-            kind = message[0]
-            if kind == "restore":
-                snapshot = pickle.loads(message[2])
-                instance.restore(snapshot, restore_cost=instance.cost.enabled)
-            elif kind == "batch":
-                seq, records = message[1], message[2]
-                batch_no += 1
-                if fault_plan is not None:
-                    fault_plan.fire_batch(shard, epoch, batch_no, out_queue)
-                instance.feed(records)
-                out_queue.put(("ack", shard, epoch, seq))
-            elif kind == "checkpoint":
-                blob = pickle.dumps(instance.checkpoint())
-                out_queue.put(("ckpt", shard, epoch, message[1], blob))
-            elif kind == "finish":
-                if fault_plan is not None and fault_plan.drops_result(shard, epoch):
-                    os._exit(0)
-                instance.finish()
-                results = {name: instance.query(name).results for name in query_names}
-                accounts = instance.cost.accounts() if instance.cost.enabled else {}
-                trace_events = (
-                    list(instance.trace.events) if instance.trace.enabled else []
-                )
-                out_queue.put(
-                    ("result", shard, epoch, results, accounts,
-                     instance.run_report(), instance.metrics.checkpoint(),
-                     trace_events)
-                )
-                return
-            else:  # pragma: no cover - protocol guard
-                raise ExecutionError(f"unknown supervisor message {kind!r}")
-    except BaseException as exc:  # pragma: no cover - exercised via parent
-        out_queue.put(("error", shard, epoch, repr(exc)))

@@ -29,10 +29,10 @@ the original would have.
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
+
+from repro.streams.sources import BoundedDeadLetters
 
 #: breaker states, in escalation order
 CLOSED = "closed"
@@ -182,61 +182,28 @@ class DeadLetter:
         }
 
 
-class DeadLetterLog:
-    """Bounded, inspectable log of quarantined batch failures.
+class DeadLetterLog(BoundedDeadLetters):
+    """Log of quarantined batch failures, counted per query."""
 
-    Keeps the most recent ``capacity`` entries (older ones are evicted
-    and only counted), a running total, and per-query counts.
-    """
-
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError("dead-letter capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: deque = deque(maxlen=capacity)
-        self.total = 0
-        self.evicted = 0
-        self._by_query: Dict[str, int] = {}
+    count_key = "qid"
+    counts_by_query = BoundedDeadLetters.counts
 
     def put(self, entry: DeadLetter) -> DeadLetter:
-        if len(self._entries) == self.capacity:
-            self.evicted += 1
-        self._entries.append(entry)
-        self.total += 1
-        self._by_query[entry.qid] = self._by_query.get(entry.qid, 0) + 1
-        return entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def entries(self) -> List[DeadLetter]:
-        return list(self._entries)
-
-    def counts_by_query(self) -> Dict[str, int]:
-        return dict(self._by_query)
-
-    def write_jsonl(self, path: str) -> int:
-        """Dump the retained entries as JSONL; returns the entry count."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in self._entries:
-                fh.write(json.dumps(entry.as_dict(), default=repr))
-                fh.write("\n")
-        return len(self._entries)
+        return self._append(entry)
 
     def checkpoint(self) -> Dict[str, Any]:
         return {
             "capacity": self.capacity,
             "total": self.total,
             "evicted": self.evicted,
-            "by_query": dict(self._by_query),
+            "by_query": self.counts(),
             "entries": [entry.as_dict() for entry in self._entries],
         }
 
     def restore(self, snapshot: Dict[str, Any]) -> None:
         self.total = snapshot["total"]
         self.evicted = snapshot["evicted"]
-        self._by_query = dict(snapshot["by_query"])
+        self._counts = dict(snapshot["by_query"])
         self._entries.clear()
         for raw in snapshot["entries"]:
             self._entries.append(DeadLetter(**raw))

@@ -74,23 +74,64 @@ class QuarantinedRecord:
         }
 
 
-class QuarantineStream:
-    """Bounded, inspectable dead-letter stream for refused input.
+class BoundedDeadLetters:
+    """Bounded, inspectable dead-letter container.
 
     Keeps the most recent ``capacity`` entries (older ones are evicted
-    and only counted), a running ``total``, and per-reason counts — a
-    quarantine must never become the unbounded buffer that sinks the
-    process it is protecting.
+    and only counted), a running ``total``, and a count per
+    ``count_key`` attribute of the entries — a quarantine must never
+    become the unbounded buffer that sinks the process it is protecting.
+    Entries need that attribute and an ``as_dict()``.
     """
+
+    #: entry attribute the per-key counts are kept by
+    count_key = ""
 
     def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
-            raise StreamError("quarantine capacity must be >= 1")
+            raise StreamError("dead-letter capacity must be >= 1")
         self.capacity = capacity
         self._entries: deque = deque(maxlen=capacity)
         self.total = 0
         self.evicted = 0
-        self._by_reason: Dict[str, int] = {}
+        self._counts: Dict[str, int] = {}
+
+    def _append(self, entry: Any) -> Any:
+        if len(self._entries) == self.capacity:
+            self.evicted += 1
+        self._entries.append(entry)
+        self.total += 1
+        key = getattr(entry, self.count_key)
+        self._counts[key] = self._counts.get(key, 0) + 1
+        return entry
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(list(self._entries))
+
+    @property
+    def entries(self) -> List[Any]:
+        return list(self._entries)
+
+    def counts(self) -> Dict[str, int]:
+        return dict(self._counts)
+
+    def write_jsonl(self, path: str) -> int:
+        """Dump the retained entries as JSONL; returns the entry count."""
+        with open(path, "w", encoding="utf-8") as fh:
+            for entry in self._entries:
+                fh.write(json.dumps(entry.as_dict(), default=repr))
+                fh.write("\n")
+        return len(self._entries)
+
+
+class QuarantineStream(BoundedDeadLetters):
+    """Dead-letter stream for refused input, counted per reason."""
+
+    count_key = "reason"
+    counts_by_reason = BoundedDeadLetters.counts
 
     def put(
         self,
@@ -100,36 +141,11 @@ class QuarantineStream:
         source: str = "",
         index: Optional[int] = None,
     ) -> QuarantinedRecord:
-        entry = QuarantinedRecord(
-            reason=reason, payload=payload, source=source, index=index
+        return self._append(
+            QuarantinedRecord(
+                reason=reason, payload=payload, source=source, index=index
+            )
         )
-        if len(self._entries) == self.capacity:
-            self.evicted += 1
-        self._entries.append(entry)
-        self.total += 1
-        self._by_reason[reason] = self._by_reason.get(reason, 0) + 1
-        return entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[QuarantinedRecord]:
-        return iter(list(self._entries))
-
-    @property
-    def entries(self) -> List[QuarantinedRecord]:
-        return list(self._entries)
-
-    def counts_by_reason(self) -> Dict[str, int]:
-        return dict(self._by_reason)
-
-    def write_jsonl(self, path: str) -> int:
-        """Dump the retained entries as JSONL; returns the entry count."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in self._entries:
-                fh.write(json.dumps(entry.as_dict(), default=repr))
-                fh.write("\n")
-        return len(self._entries)
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,9 @@ def make_runtime(shards=0, supervise=False, shed_threshold=None, rebalance=False
 
 class TestParseTarget:
     def test_full_spec(self):
-        target = parse_target("shards=4,processes,supervise,durable,shed=100")
+        target = parse_target("shards=4,supervise,durable,shed=100")
         assert target == ExecTarget(
             shards=4,
-            processes=True,
             supervise=True,
             durable=True,
             shed_threshold=100,
@@ -91,6 +90,7 @@ class TestParseTarget:
             ("shards=0", ">= 1"),
             ("durable=1", "takes no value"),
             ("bogus", "unknown target item"),
+            ("processes", "unknown target item"),  # removed with the mode
             ("shed", "integer"),
         ],
     )
@@ -121,7 +121,7 @@ class TestGating:
         result = lint_source(
             text, registries, target=parse_target("shards=4,durable")
         )
-        assert rules_of(result) == {"SA301", "SA302", "SA304"}
+        assert rules_of(result) == {"SA301", "SA302"}
         assert all(d.is_error for d in result.diagnostics)
 
 
@@ -163,26 +163,19 @@ class TestSingleRules:
         )
         assert "SA303" in rules_of(result)
 
-    def test_sa304_durable_unsupervised_shards(self, registries):
-        result = lint_source(
-            "SELECT tb, srcIP, sum(len) FROM TCP GROUP BY time/20 as tb, srcIP",
-            registries,
-            target=parse_target("shards=4,durable"),
-        )
-        assert "SA304" in rules_of(result)
-
-    def test_sa304_supervision_silences_it(self, registries):
-        result = lint_source(
-            "SELECT tb, srcIP, sum(len) FROM TCP GROUP BY time/20 as tb, srcIP",
-            registries,
-            target=parse_target("shards=4,durable,supervise"),
-        )
-        assert "SA304" not in rules_of(result), result.render()
+    def test_durable_shards_lint_clean_under_either_pool(self, registries):
+        for spec in ("shards=4,durable", "shards=4,durable,supervise"):
+            result = lint_source(
+                "SELECT tb, srcIP, sum(len) FROM TCP GROUP BY time/20 as tb, srcIP",
+                registries,
+                target=parse_target(spec),
+            )
+            assert result.clean, result.render()
 
     def test_pragma_applies_to_sa3xx(self, registries):
         text = (EXAMPLES[0].parent / "unsound_unshardable.gsql").read_text()
         result = lint_source(
-            "-- lint: disable=SA301,SA302,SA304\n" + text,
+            "-- lint: disable=SA301,SA302\n" + text,
             registries,
             target=parse_target("shards=4,durable"),
         )
@@ -349,7 +342,7 @@ class TestOneToOneMapping:
         text = (EXAMPLES[0].parent / "top_talkers.gsql").read_text()
         result = lint_source(text, registries, target=parse_target(spec))
         lint_refuses = bool(
-            {"SA303", "SA304", "SA305"} & {d.rule for d in result.errors}
+            {"SA303", "SA305"} & {d.rule for d in result.errors}
         )
         gs = make_runtime(shards=shards, supervise=supervise, shed_threshold=shed)
         gs.add_query(text, name="q")

@@ -74,7 +74,6 @@ _CHILD = textwrap.dedent(
         )
         gs = ShardedGigascope(
             shards=2,
-            processes=True,
             supervise=True,
             supervision=SupervisionPolicy(max_restarts=2),
         )
@@ -108,7 +107,6 @@ def build(mode):
     if mode == "supervised":
         gs = ShardedGigascope(
             shards=2,
-            processes=True,
             supervise=True,
             supervision=SupervisionPolicy(max_restarts=2),
         )

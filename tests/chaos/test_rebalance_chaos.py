@@ -151,18 +151,18 @@ _CHILD = textwrap.dedent(
     # Die between the migration barrier and the journal commit: right
     # after the Nth committed migration, before control returns to the
     # durable runner's on_round commit.
-    original = ShardedGigascope._rebalance_supervised
+    original = ShardedGigascope._rebalance
     seen = {"migrations": 0}
 
-    def crashing(self, supervisor):
+    def crashing(self, pool):
         before = self._rebalancer.report.plans
-        original(self, supervisor)
+        original(self, pool)
         if self._rebalancer.report.plans > before:
             seen["migrations"] += 1
             if seen["migrations"] >= kill_after:
                 os._exit(86)
 
-    ShardedGigascope._rebalance_supervised = crashing
+    ShardedGigascope._rebalance = crashing
 
     runner = DurableRunner(sh, journal, batch_size=64, commit_interval=2)
     recs = list(research_center_feed(TraceConfig({feed_args})))

@@ -32,14 +32,14 @@ def feed(seconds=15, seed=3):
     return list(research_center_feed(config))
 
 
-def build(shards=0, supervise=False, shed_threshold=None):
+def build(shards=0, supervise=False, shed_threshold=None, **sharded_options):
     if shards:
         gs = ShardedGigascope(
             shards=shards,
-            processes=supervise,
             supervise=supervise,
             supervision=SupervisionPolicy(max_restarts=2) if supervise else None,
             shed_threshold=shed_threshold,
+            **sharded_options,
         )
     else:
         gs = Gigascope(shed_threshold=shed_threshold)
@@ -243,14 +243,174 @@ class TestSupervisedDurability:
         assert comparable(fresh) == comparable(ref)
 
 
+def skewed_feed():
+    from repro.testing.faults import hot_key_stream
+
+    return hot_key_stream(feed(), "srcIP", 0x0A0A0A0A, fraction=0.8)
+
+
+def damaged_feed(bad=(5, 90, 91, 200, 201)):
+    from repro.testing.faults import FaultySource, SourceFault
+
+    return FaultySource(feed(), [SourceFault("corrupt", i) for i in bad]).damaged
+
+
+def uninterrupted(tmp_path, records, **options):
+    """Reference durable run; returns ``(instance, commit entries written)``."""
+    ref = build(shards=2, **options)
+    kinds = []
+    DurableRunner(
+        ref,
+        str(tmp_path / "ref.bin"),
+        batch_size=128,
+        commit_interval=2,
+        on_commit=lambda consumed, kind: kinds.append(kind),
+    ).run(iter(records))
+    return ref, kinds.count("commit")
+
+
+def crash_and_resume(tmp_path, records, crash_at, resume_options=None, **options):
+    """Die right after commit ``crash_at``; resume on a fresh instance."""
+    path = str(tmp_path / "j.bin")
+    runner = DurableRunner(
+        build(shards=2, **options),
+        path,
+        batch_size=128,
+        commit_interval=2,
+        on_commit=crash_on_commit(crash_at),
+    )
+    with pytest.raises(_Boom):
+        runner.run(iter(records))
+    assert len(ResultJournal.read(path)) == crash_at
+    fresh = build(shards=2, **(options if resume_options is None else resume_options))
+    consumed = DurableRunner(fresh, path, batch_size=128, commit_interval=2).resume(
+        iter(records)
+    )
+    assert consumed == len(records)
+    return fresh
+
+
+class TestInlineShardDurability:
+    """Inline shards checkpoint at round boundaries like any other pool."""
+
+    def test_fresh_durable_run_matches_plain_inline_run(self, tmp_path):
+        ref = build(shards=2)
+        ref.run(iter(feed()), batch_size=128)
+        sh, commits = uninterrupted(tmp_path, feed())
+        assert commits >= 3
+        assert rows_of(sh) == rows_of(ref)
+        assert comparable(sh) == comparable(ref)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_crash_after_commit_resumes_byte_identically(self, tmp_path, where):
+        ref, commits = uninterrupted(tmp_path, feed())
+        crash_at = {"first": 1, "middle": (commits + 1) // 2, "last": commits}[where]
+        fresh = crash_and_resume(tmp_path, feed(), crash_at)
+        assert rows_of(fresh) == rows_of(ref)
+        assert comparable(fresh) == comparable(ref)
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_routing_snapshot_rides_the_commits(self, tmp_path, where):
+        from repro.dsms.rebalance import RebalancePolicy
+
+        policy = RebalancePolicy(check_interval=2, min_records=64, max_shards=4)
+        ref, commits = uninterrupted(tmp_path, skewed_feed(), rebalance=policy)
+        assert ref.run_report()["rebalance"]["plans"] >= 1
+        crash_at = 1 if where == "first" else commits
+        fresh = crash_and_resume(tmp_path, skewed_feed(), crash_at, rebalance=policy)
+        entries = ResultJournal.read(str(tmp_path / "j.bin"))
+        assert all(e["routing"] is not None for e in entries if e["kind"] == "commit")
+        assert rows_of(fresh) == rows_of(ref)
+        assert fresh.run_report() == ref.run_report()
+        assert comparable(fresh) == comparable(ref)
+
+    def test_final_entry_restores_without_input(self, tmp_path):
+        ref, _ = uninterrupted(tmp_path, feed())
+        fresh = build(shards=2)
+        consumed = DurableRunner(fresh, str(tmp_path / "ref.bin")).resume(iter(()))
+        assert consumed == len(feed())
+        assert rows_of(fresh) == rows_of(ref)
+
+    def test_serial_journal_is_still_refused(self, tmp_path):
+        path = str(tmp_path / "j.bin")
+        runner = DurableRunner(
+            build(), path, batch_size=64, commit_interval=2, on_commit=crash_on_commit(2)
+        )
+        with pytest.raises(_Boom):
+            runner.run(iter(feed()))
+        with pytest.raises(ExecutionError, match="serial"):
+            DurableRunner(build(shards=2), path).resume(iter(feed()))
+
+
+class TestResumeAcrossPools:
+    """Both pools journal ``Gigascope.checkpoint()`` blobs, so a journal
+    written over one resumes over the other."""
+
+    @pytest.mark.parametrize(
+        "written_by, resumed_on",
+        [(False, True), (True, False)],
+        ids=["inline-to-supervised", "supervised-to-inline"],
+    )
+    def test_resume_on_the_other_pool(self, tmp_path, written_by, resumed_on):
+        ref, _ = uninterrupted(tmp_path, feed())
+        fresh = crash_and_resume(
+            tmp_path,
+            feed(),
+            2,
+            supervise=written_by,
+            resume_options={"supervise": resumed_on},
+        )
+        assert sorted(rows_of(fresh)) == sorted(rows_of(ref))
+        assert comparable(fresh) == comparable(ref)
+
+    def test_journal_from_before_the_pools_merged_still_resumes(self, tmp_path):
+        # Older supervised runs wrote mode="supervised" and no parent metrics.
+        ref, _ = uninterrupted(tmp_path, feed())
+        path = str(tmp_path / "j.bin")
+        runner = DurableRunner(
+            build(shards=2, supervise=True),
+            path,
+            batch_size=128,
+            commit_interval=2,
+            on_commit=crash_on_commit(2),
+        )
+        with pytest.raises(_Boom):
+            runner.run(iter(feed()))
+        entries = ResultJournal.read(path)
+        with ResultJournal(path, fresh=True) as journal:
+            for entry in entries:
+                entry["mode"] = "supervised"
+                del entry["metrics"]
+                journal.append(entry)
+        fresh = build(shards=2, supervise=True)
+        DurableRunner(fresh, path, batch_size=128, commit_interval=2).resume(
+            iter(feed())
+        )
+        assert sorted(rows_of(fresh)) == sorted(rows_of(ref))
+        assert comparable(fresh) == comparable(ref)
+
+
+class TestSplitEdgeQuarantineIsDurable:
+    """Malformed records before the kill point: the journalled offset
+    counts them, so the resume neither re-reads nor double-counts."""
+
+    @pytest.mark.parametrize("supervise", [False, True], ids=["inline", "supervised"])
+    def test_resume_is_identical_to_the_uninterrupted_run(self, tmp_path, supervise):
+        damaged = damaged_feed()
+        ref, _ = uninterrupted(
+            tmp_path, damaged, supervise=supervise, validate_admission=True
+        )
+        assert ref.metrics.total("stream_quarantined_total") == 5
+        fresh = crash_and_resume(
+            tmp_path, damaged, 2, supervise=supervise, validate_admission=True
+        )
+        assert sorted(rows_of(fresh)) == sorted(rows_of(ref))
+        assert comparable(fresh) == comparable(ref)
+        assert fresh.run_report() == ref.run_report()
+
+
 class TestRefusals:
     def test_shedding_and_durability_do_not_mix(self, tmp_path):
         gs = build(shed_threshold=8)
         with pytest.raises(ExecutionError):
             DurableRunner(gs, str(tmp_path / "j.bin"))
-
-    def test_unsupervised_process_shards_are_refused(self, tmp_path):
-        sh = ShardedGigascope(shards=2, processes=True)
-        sh.register_stream(TCP_SCHEMA)
-        with pytest.raises(ExecutionError):
-            DurableRunner(sh, str(tmp_path / "j.bin"))

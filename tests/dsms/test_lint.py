@@ -471,7 +471,6 @@ class TestCorpusClean:
         assert {d.rule for d in deployed.diagnostics} == {
             "SA301",
             "SA302",
-            "SA304",
         }, deployed.render()
         assert not deployed.ok  # the runtimes refuse this deployment
 

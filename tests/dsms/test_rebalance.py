@@ -228,9 +228,12 @@ class TestCurationAccounting:
 
 
 class TestRefusals:
-    def test_unsupervised_processes_refused(self):
-        with pytest.raises(PlanningError, match="supervise"):
-            ShardedGigascope(shards=2, processes=True, rebalance=policy())
+    def test_no_shard_mode_is_refused(self):
+        for supervise in (False, True):
+            sh = ShardedGigascope(
+                shards=2, supervise=supervise, rebalance=policy()
+            )
+            assert sh.routing_snapshot() is not None
 
     def test_merge_nodes_refused(self):
         sh = ShardedGigascope(shards=2, rebalance=policy())

@@ -237,33 +237,6 @@ class TestPermanentFailure:
         assert sh.last_supervision.restarts == {1: 2}
 
 
-class TestUnsupervisedFailFast:
-    """Satellites 1 + 2: without supervision a dead worker fails the run
-    promptly with the shard's identity — no deadlock on get() or put()."""
-
-    def test_dead_worker_is_named_not_hung(self):
-        plan = FaultPlan([Fault(shard=0, action="kill", at_batch=1)])
-        sh = ShardedGigascope(
-            shards=2, processes=True, fault_plan=plan, stall_timeout=20.0
-        )
-        sh.register_stream(TCP_SCHEMA)
-        sh.add_query(AGG_TEXT, name="q")
-        with pytest.raises(ExecutionError, match="shard 0"):
-            sh.run(trace(), batch_size=BATCH)
-
-    def test_dropped_result_is_named_not_hung(self):
-        plan = FaultPlan([Fault(shard=1, action="drop_result")])
-        sh = ShardedGigascope(
-            shards=2, processes=True, fault_plan=plan, stall_timeout=20.0
-        )
-        sh.register_stream(TCP_SCHEMA)
-        sh.add_query(AGG_TEXT, name="q")
-        with pytest.raises(
-            ExecutionError, match="shard 1.*without reporting a result"
-        ):
-            sh.run(trace(), batch_size=BATCH)
-
-
 class TestLoadShedding:
     def test_serial_admission_shedding_is_counted_everywhere(self):
         cost = CostModel()

@@ -59,8 +59,8 @@ def serial_rows(text, library=None, feed=None):
     return canonical_rows(handle.results)
 
 
-def sharded_rows(text, shards, library=None, processes=False, feed=None):
-    sh = ShardedGigascope(shards=shards, processes=processes)
+def sharded_rows(text, shards, library=None, supervise=False, feed=None):
+    sh = ShardedGigascope(shards=shards, supervise=supervise)
     sh.register_stream(TCP_SCHEMA)
     if library is not None:
         sh.use_stateful_library(library)
@@ -202,12 +202,12 @@ class TestProcessMode:
         library = subset_sum_library(relax_factor=10.0)
         expected = serial_rows(SS_TEXT, library)
         got = sharded_rows(
-            SS_TEXT, 2, subset_sum_library(relax_factor=10.0), processes=True
+            SS_TEXT, 2, subset_sum_library(relax_factor=10.0), supervise=True
         )
         assert got == expected
 
     def test_worker_failure_surfaces(self):
-        sh = ShardedGigascope(shards=2, processes=True)
+        sh = ShardedGigascope(shards=2, supervise=True)
         sh.register_stream(TCP_SCHEMA)
         sh.add_query(AGG_TEXT, name="agg")
         bad = Record(PKT_SCHEMA, (0, 1, 2, 100, 1024, 80, 6))
@@ -215,11 +215,75 @@ class TestProcessMode:
             sh.run(iter([bad]))
 
 
+class TestSecondRun:
+    """A second run() accumulates, like the serial runtime's."""
+
+    @pytest.mark.parametrize("supervise", [False, True], ids=["inline", "supervised"])
+    def test_second_run_appends_the_later_windows(self, supervise):
+        first = list(trace(seconds=10))
+        later = [
+            Record(TCP_SCHEMA, (r.values[0] + 100,) + r.values[1:]) for r in first
+        ]
+        gs = Gigascope()
+        gs.register_stream(TCP_SCHEMA)
+        serial = gs.add_query(AGG_TEXT, name="q")
+        sh = ShardedGigascope(shards=2, supervise=supervise)
+        sh.register_stream(TCP_SCHEMA)
+        handle = sh.add_query(AGG_TEXT, name="q")
+        for part in (first, later):
+            gs.run(iter(part))
+            sh.run(iter(part))
+        assert canonical_rows(handle.results) == canonical_rows(serial.results)
+
+
+class TestSplitEdgeValidation:
+    """validate_admission=True: malformed records are dead-lettered in
+    the parent, and still counted as read and as offered."""
+
+    BAD = (5, 90, 91, 700)
+
+    def damaged(self):
+        from repro.testing.faults import FaultySource, SourceFault
+
+        return FaultySource(
+            list(trace(seconds=10)), [SourceFault("corrupt", i) for i in self.BAD]
+        ).damaged
+
+    @pytest.mark.parametrize("supervise", [False, True], ids=["inline", "supervised"])
+    def test_quarantined_records_are_read_offered_and_reported(self, supervise):
+        damaged = self.damaged()
+        gs = Gigascope(validate_admission=True)
+        gs.register_stream(TCP_SCHEMA)
+        serial = gs.add_query(AGG_TEXT, name="q")
+        assert gs.run(iter(damaged), batch_size=256) == len(damaged)
+
+        sh = ShardedGigascope(shards=2, supervise=supervise, validate_admission=True)
+        sh.register_stream(TCP_SCHEMA)
+        handle = sh.add_query(AGG_TEXT, name="q")
+        assert sh.run(iter(damaged), batch_size=256) == len(damaged)
+        assert canonical_rows(handle.results) == canonical_rows(serial.results)
+
+        m = sh.metrics
+        assert sh.quarantine.total == len(self.BAD)
+        assert m.total("stream_quarantined_total") == len(self.BAD)
+        assert m.total("stream_records_total") == len(damaged)
+        assert m.total("stream_records_total") == (
+            m.total("stream_ingested_total")
+            + m.total("stream_shed_total")
+            + m.total("stream_quarantined_total")
+        )
+        assert sh.run_report()["streams"]["TCP"]["quarantined"] == len(self.BAD)
+        assert (
+            sh.run_report()["streams"]["TCP"]
+            == gs.run_report()["streams"]["TCP"]
+        )
+
+
 class TestCostAggregation:
     def test_accounts_aggregate_under_query_name(self):
-        def cycles(shards, processes=False):
+        def cycles(shards, supervise=False):
             cm = CostModel()
-            sh = ShardedGigascope(shards=shards, processes=processes, cost_model=cm)
+            sh = ShardedGigascope(shards=shards, supervise=supervise, cost_model=cm)
             sh.register_stream(TCP_SCHEMA)
             sh.add_query(AGG_TEXT, name="agg")
             sh.run(trace(seconds=10))
@@ -233,8 +297,8 @@ class TestCostAggregation:
         reference = serial_cm.cycles("agg")
         assert reference > 0
 
-        for shards, processes in ((2, False), (2, True)):
-            total = cycles(shards, processes)
+        for shards, supervise in ((2, False), (2, True)):
+            total = cycles(shards, supervise)
             # Same work, one account: only per-shard window-flush overhead
             # may differ from serial.
             assert total == pytest.approx(reference, rel=0.05)

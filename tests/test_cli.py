@@ -90,7 +90,35 @@ class TestQuery:
 
         serial = rows([])
         assert rows(["--shards", "2"]) == serial
-        assert rows(["--shards", "2", "--shard-processes"]) == serial
+        assert rows(["--shards", "2", "--supervise"]) == serial
+
+    def test_removed_worker_flag_points_at_supervise(self, trace_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", "--trace", trace_file, "--shards", "2",
+                  "--shard-processes", "--sql", "SELECT len FROM TCP"])
+        assert exit_info.value.code == 2
+        assert "--supervise" in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize("extra", [[], ["--supervise"]], ids=["inline", "supervised"])
+    def test_journal_composes_with_either_shard_pool(
+        self, trace_file, tmp_path, capsys, extra
+    ):
+        sql = "SELECT tb, srcIP, sum(len) FROM TCP GROUP BY time/5 as tb, srcIP"
+
+        def rows(args):
+            rc = main([
+                "query", "--trace", trace_file, "--limit", "100000",
+                "--sql", sql, *args,
+            ])
+            assert rc == 0
+            return sorted(capsys.readouterr().out.splitlines()[1:])
+
+        serial = rows([])
+        journal = str(tmp_path / "run.journal")
+        sharded = ["--shards", "2", "--journal", journal, *extra]
+        assert rows(sharded) == serial
+        # The journal ends in a final entry: resume restores, reads nothing.
+        assert rows([*sharded, "--resume"]) == serial
 
     def test_supervised_matches_serial_and_reports(self, trace_file, capsys):
         sql = "SELECT tb, srcIP, sum(len) FROM TCP GROUP BY time/5 as tb, srcIP"
