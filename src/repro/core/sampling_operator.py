@@ -35,7 +35,6 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import ExecutionError
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.expr import (
     AggregateCall,
@@ -43,7 +42,14 @@ from repro.dsms.expr import (
     Expr,
     StatefulCall,
     SuperAggregateCall,
-    evaluate,
+    bind_group,
+    bind_input,
+    bind_tuple,
+    compile_clause,
+    compile_expr,
+    compile_tuple,
+    compile_update_value,
+    pick,
 )
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.parser.planner import SamplingSpec
@@ -91,104 +97,47 @@ class WindowStats:
     peak_groups: int = 0
 
 
-class _TupleContext(EvalContext):
-    """WHERE-time context: raw columns, group-by variables, SFUNs,
-    superaggregates."""
+class _Context(EvalContext):
+    """What the compiled clauses read and call.
 
-    def __init__(self, operator: "SamplingOperator") -> None:
-        self._op = operator
+    ``record`` is the input tuple and ``key`` the group-by values in
+    scope: the tuple's own while it is admitted (WHERE, aggregate and
+    superaggregate arguments, CLEANING WHEN), the visited group's during
+    a cleaning phase and at window close (CLEANING BY, HAVING, SELECT),
+    when ``group`` is that group.  ``supergroup`` holds the SFUN states
+    and superaggregates either way.  Compiled closures reach operator
+    state only through these fields, so a ``restore()`` that swaps the
+    tables needs no recompilation.
+    """
+
+    def __init__(
+        self,
+        scalars: FunctionRegistry,
+        stateful: StatefulLibrary,
+        cost_model: CostModel,
+        account: str,
+    ) -> None:
+        self._call = scalars.call
+        self._invoke = stateful.invoke
+        self._charge = cost_model.charge
+        self._account = account
         self.record: Optional[Record] = None
-        self.gb_values: Tuple[Any, ...] = ()
+        self.key: Tuple[Any, ...] = ()
         self.supergroup: Optional[SuperGroupEntry] = None
-
-    def column(self, name: str) -> Any:
-        # Prefer the record's own columns: for a plain-column group-by
-        # variable the value is identical, and the group-by expressions
-        # themselves are evaluated before gb_values exists.  Derived
-        # variables (time/20 AS tb, H(destIP) AS HX) resolve via gb_values.
-        assert self.record is not None
-        if name in self.record.schema:
-            return self.record[name]
-        index = self._op._gb_index.get(name)
-        if index is not None and self.gb_values:
-            return self.gb_values[index]
-        raise ExecutionError(f"column {name!r} not available at WHERE time")
-
-    def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self._op._charge("function_call")
-        return self._op._scalars.call(name, args)
-
-    def call_stateful(self, node: StatefulCall, args: Sequence[Any]) -> Any:
-        self._op._charge("sfun_call")
-        assert self.supergroup is not None
-        return self._op._stateful.invoke(node.name, self.supergroup.states, args)
-
-    def superaggregate_value(self, node: SuperAggregateCall) -> Any:
-        assert self.supergroup is not None
-        return self.supergroup.superaggregates[node.slot].value()
-
-
-class _GroupContext(EvalContext):
-    """Group-time context (CLEANING BY / HAVING / SELECT): group-by
-    variable values, finalized aggregates, SFUNs, superaggregates."""
-
-    def __init__(self, operator: "SamplingOperator") -> None:
-        self._op = operator
         self.group: Optional[GroupEntry] = None
-        self.supergroup: Optional[SuperGroupEntry] = None
-
-    def column(self, name: str) -> Any:
-        index = self._op._gb_index.get(name)
-        if index is None:
-            raise ExecutionError(
-                f"column {name!r} is not a group-by variable"
-            )
-        assert self.group is not None
-        return self.group.key[index]
 
     def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self._op._charge("function_call")
-        return self._op._scalars.call(name, args)
+        self._charge(self._account, "function_call")
+        return self._call(name, args)
 
     def call_stateful(self, node: StatefulCall, args: Sequence[Any]) -> Any:
-        self._op._charge("sfun_call")
-        assert self.supergroup is not None
-        return self._op._stateful.invoke(node.name, self.supergroup.states, args)
+        self._charge(self._account, "sfun_call")
+        return self._invoke(node.name, self.supergroup.states, args)
 
     def aggregate_value(self, node: AggregateCall) -> Any:
-        assert self.group is not None
         return self.group.aggregates[node.slot].value()
 
     def superaggregate_value(self, node: SuperAggregateCall) -> Any:
-        assert self.supergroup is not None
-        return self.supergroup.superaggregates[node.slot].value()
-
-
-class _SuperGroupContext(EvalContext):
-    """CLEANING WHEN context: supergroup variables, SFUNs, superaggregates."""
-
-    def __init__(self, operator: "SamplingOperator") -> None:
-        self._op = operator
-        self.supergroup: Optional[SuperGroupEntry] = None
-        self.gb_values: Tuple[Any, ...] = ()
-
-    def column(self, name: str) -> Any:
-        index = self._op._gb_index.get(name)
-        if index is None:
-            raise ExecutionError(f"column {name!r} is not a group-by variable")
-        return self.gb_values[index]
-
-    def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self._op._charge("function_call")
-        return self._op._scalars.call(name, args)
-
-    def call_stateful(self, node: StatefulCall, args: Sequence[Any]) -> Any:
-        self._op._charge("sfun_call")
-        assert self.supergroup is not None
-        return self._op._stateful.invoke(node.name, self.supergroup.states, args)
-
-    def superaggregate_value(self, node: SuperAggregateCall) -> Any:
-        assert self.supergroup is not None
         return self.supergroup.superaggregates[node.slot].value()
 
 
@@ -209,15 +158,17 @@ class SamplingOperator:
         account: str = "sampling",
     ) -> None:
         self.spec = spec
-        self._scalars = scalars
         self._stateful = stateful
         self._aggregate_factory = aggregate_factory
         self._superaggregate_factory = superaggregate_factory
-        self._cost = cost_model
+        self._charge = cost_model.charge
         self._account = account
 
         self.output_schema = spec.output_schema
-        self._gb_index = {item.name: i for i, item in enumerate(spec.group_by)}
+        names = spec.group_by_names
+        #: group-by name -> key position (``rebalance.migration_specs``
+        #: locates the partition column through it)
+        self._gb_index = {name: i for i, name in enumerate(names)}
         self._tables = GroupTables()
         self._current_window: Optional[Tuple[Any, ...]] = None
         self._window_stats: List[WindowStats] = []
@@ -228,9 +179,47 @@ class SamplingOperator:
         #: likewise for tuples dead-lettered at admission
         self._pending_quarantined = 0
 
-        self._tuple_ctx = _TupleContext(self)
-        self._group_ctx = _GroupContext(self)
-        self._super_ctx = _SuperGroupContext(self)
+        # The whole per-record plan is fixed here, once: every clause
+        # compiled against the plan-time input schema (shadowing rule:
+        # see expr.bind_tuple), superaggregates split by how they are fed.
+        schema = spec.analyzed.schema
+        at_tuple = bind_tuple(schema, names)
+        at_group = bind_group(names)
+
+        self._group_key = compile_tuple(
+            [item.expr for item in spec.group_by], bind_input(schema)
+        )
+        self._window_of = pick(spec.ordered_indices)
+        self._supergroup_key_of = pick(spec.nonordered_supergroup_indices)
+        self._where = compile_clause(spec.where, at_tuple)
+        self._aggregate_names = tuple(node.name for node in spec.aggregates)
+        self._aggregate_args = tuple(
+            compile_update_value(node, at_tuple) for node in spec.aggregates
+        )
+        #: (slot, value) of the superaggregates fed by every admitted tuple
+        self._tuple_fed = tuple(
+            (slot, compile_expr(sa.value_expr, at_tuple))
+            for slot, sa in enumerate(spec.superaggregates)
+            if sa.feeds == "tuple"
+        )
+        #: per slot: the group value of a group-fed superaggregate, else None
+        self._group_values = tuple(
+            compile_expr(sa.value_expr, at_group) if sa.feeds == "group" else None
+            for sa in spec.superaggregates
+        )
+        self._group_fed = tuple(
+            (slot, value)
+            for slot, value in enumerate(self._group_values)
+            if value is not None
+        )
+        self._cleaning_when = compile_clause(spec.cleaning_when, at_group)
+        self._cleaning_by = compile_clause(spec.cleaning_by, at_group)
+        self._having = compile_clause(spec.having, at_group)
+        self._select = compile_tuple(
+            [item.expr for item in spec.select_items], at_group
+        )
+
+        self._ctx = _Context(scalars, stateful, cost_model, account)
         self.bind_obs(MetricsRegistry(), NULL_TRACE, account)
 
     # -- observability -----------------------------------------------------------
@@ -328,107 +317,92 @@ class SamplingOperator:
         """Feed one input record; returns output records (non-empty only
         when this record closed a window)."""
         outputs: List[Record] = []
-        self._charge("tuple_read")
+        charge, account, ctx = self._charge, self._account, self._ctx
+        charge(account, "tuple_read")
         self.m_in.inc()
-        self._tuple_ctx.record = record
-        self._tuple_ctx.supergroup = None
-        self._tuple_ctx.gb_values = ()
+        ctx.record = record
+        ctx.key = gb_values = self._group_key(ctx)
+        window = self._window_of(gb_values)
 
-        gb_values = tuple(
-            evaluate(item.expr, self._tuple_ctx) for item in self.spec.group_by
-        )
-        self._tuple_ctx.gb_values = gb_values
-        window = tuple(gb_values[i] for i in self.spec.ordered_indices)
-
-        if self._current_window is None:
-            self._open_window(window)
-        elif window != self._current_window:
-            try:
-                is_late = window < self._current_window
-            except TypeError:
-                # A malformed tuple whose window id cannot be ordered
-                # against the current window must not close the window
-                # (that would drop every live group and SFUN state).
-                assert self._active_stats is not None
-                self._active_stats.incomparable_tuples += 1
-                self.m_incomparable.inc()
-                return outputs
-            if is_late:
-                # The tuple's window already closed and was emitted; state
-                # for it no longer exists.  Count and drop.
-                assert self._active_stats is not None
-                self._active_stats.late_tuples += 1
-                self.m_late.inc()
-                return outputs
-            outputs = self._close_window()
-            self._open_window(window)
+        if window != self._current_window:
+            if self._current_window is None:
+                self._open_window(window)
+            else:
+                try:
+                    is_late = window < self._current_window
+                except TypeError:
+                    # A malformed tuple whose window id cannot be ordered
+                    # against the current window must not close the window
+                    # (that would drop every live group and SFUN state).
+                    assert self._active_stats is not None
+                    self._active_stats.incomparable_tuples += 1
+                    self.m_incomparable.inc()
+                    return outputs
+                if is_late:
+                    # The tuple's window already closed and was emitted; state
+                    # for it no longer exists.  Count and drop.
+                    assert self._active_stats is not None
+                    self._active_stats.late_tuples += 1
+                    self.m_late.inc()
+                    return outputs
+                outputs = self._close_window()
+                self._open_window(window)
+                ctx.key = gb_values  # the close visited the old window's groups
 
         stats = self._active_stats
         assert stats is not None
         stats.tuples_seen += 1
 
-        supergroup = self._lookup_supergroup(gb_values)
-        self._tuple_ctx.supergroup = supergroup
+        ctx.supergroup = supergroup = self._lookup_supergroup(gb_values)
 
-        if self.spec.where is not None:
-            self._charge("predicate_eval")
-            if not evaluate(self.spec.where, self._tuple_ctx):
+        if self._where is not None:
+            charge(account, "predicate_eval")
+            if not self._where(ctx):
                 self.m_filtered.inc()
                 return outputs
 
         stats.tuples_admitted += 1
         self.m_admitted.inc()
 
-        group_key = gb_values
-        for sa_spec, sa in zip(self.spec.superaggregates, supergroup.superaggregates):
-            if sa_spec.feeds == "tuple":
-                value = evaluate(sa_spec.value_expr, self._tuple_ctx)
-                sa.on_tuple(group_key, value)
-                self._charge("aggregate_update")
+        superaggregates = supergroup.superaggregates
+        for slot, value in self._tuple_fed:
+            superaggregates[slot].on_tuple(gb_values, value(ctx))
+            charge(account, "aggregate_update")
 
-        self._charge("hash_probe")
-        group = self._tables.groups.get(group_key)
+        charge(account, "hash_probe")
+        tables = self._tables
+        group = tables.groups.get(gb_values)
         is_new_group = group is None
         if is_new_group:
+            create = self._aggregate_factory
             group = GroupEntry(
-                key=group_key,
-                aggregates=[
-                    self._aggregate_factory(node.name) for node in self.spec.aggregates
-                ],
+                key=gb_values,
+                aggregates=[create(name) for name in self._aggregate_names],
                 supergroup_key=supergroup.key,
             )
-            self._tables.add_group(group)
+            tables.add_group(group)
             stats.groups_created += 1
             self.m_groups_created.inc()
-            if self._tables.group_count > stats.peak_groups:
-                stats.peak_groups = self._tables.group_count
+            if tables.group_count > stats.peak_groups:
+                stats.peak_groups = tables.group_count
                 self.g_peak_groups.set(
-                    max(self.g_peak_groups.value, self._tables.group_count)
+                    max(self.g_peak_groups.value, tables.group_count)
                 )
-            self._charge("hash_insert")
-        for node, aggregate in zip(self.spec.aggregates, group.aggregates):
-            arg = node.args[0] if node.args else None
-            value = evaluate(arg, self._tuple_ctx) if arg is not None else 1
-            aggregate.update(value)
-            self._charge("aggregate_update")
+            charge(account, "hash_insert")
+        for argument, aggregate in zip(self._aggregate_args, group.aggregates):
+            aggregate.update(argument(ctx) if argument is not None else 1)
+            charge(account, "aggregate_update")
 
         if is_new_group:
             # Register the brand-new group with the group-fed superaggregates.
-            self._group_ctx.group = group
-            self._group_ctx.supergroup = supergroup
-            for sa_spec, sa in zip(
-                self.spec.superaggregates, supergroup.superaggregates
-            ):
-                if sa_spec.feeds == "group":
-                    value = evaluate(sa_spec.value_expr, self._group_ctx)
-                    sa.on_group_added(group_key, value)
-                    self._charge("aggregate_update")
+            ctx.group = group
+            for slot, value in self._group_fed:
+                superaggregates[slot].on_group_added(gb_values, value(ctx))
+                charge(account, "aggregate_update")
 
-        if self.spec.cleaning_when is not None:
-            self._super_ctx.supergroup = supergroup
-            self._super_ctx.gb_values = gb_values
-            self._charge("predicate_eval")
-            if evaluate(self.spec.cleaning_when, self._super_ctx):
+        if self._cleaning_when is not None:
+            charge(account, "predicate_eval")
+            if self._cleaning_when(ctx):
                 if self.obs_trace.enabled:
                     self.obs_trace.emit(
                         "cleaning_trigger",
@@ -581,9 +555,6 @@ class SamplingOperator:
 
     # -- internals -----------------------------------------------------------------
 
-    def _charge(self, operation: str, count: int = 1) -> None:
-        self._cost.charge(self._account, operation, count)
-
     def _open_window(self, window: Tuple[Any, ...]) -> None:
         self._current_window = window
         self._active_stats = WindowStats(window=window)
@@ -599,8 +570,8 @@ class SamplingOperator:
             )
 
     def _lookup_supergroup(self, gb_values: Tuple[Any, ...]) -> SuperGroupEntry:
-        key = tuple(gb_values[i] for i in self.spec.nonordered_supergroup_indices)
-        self._charge("hash_probe")
+        key = self._supergroup_key_of(gb_values)
+        self._charge(self._account, "hash_probe")
         entry = self._tables.new_supergroups.get(key)
         if entry is not None:
             return entry
@@ -622,7 +593,7 @@ class SamplingOperator:
         ]
         entry = SuperGroupEntry(key=key, states=states, superaggregates=superaggs)
         self._tables.new_supergroups[key] = entry
-        self._charge("hash_insert")
+        self._charge(self._account, "hash_insert")
         return entry
 
     def _run_cleaning_phase(self, supergroup: SuperGroupEntry) -> None:
@@ -630,20 +601,19 @@ class SamplingOperator:
         assert stats is not None
         stats.cleaning_phases += 1
         self.m_cleaning_phases.inc()
-        self._charge("cleaning_phase")
-        self._group_ctx.supergroup = supergroup
+        charge, account, ctx = self._charge, self._account, self._ctx
+        cleaning_by = self._cleaning_by
+        charge(account, "cleaning_phase")
+        ctx.supergroup = supergroup
+        groups = self._tables.groups
         for group_key in self._tables.groups_of(supergroup.key):
-            group = self._tables.groups.get(group_key)
+            group = groups.get(group_key)
             if group is None:
                 continue
-            self._group_ctx.group = group
-            self._charge("cleaning_per_group")
-            keep = (
-                True
-                if self.spec.cleaning_by is None
-                else bool(evaluate(self.spec.cleaning_by, self._group_ctx))
-            )
-            if not keep:
+            ctx.group = group
+            ctx.key = group_key
+            charge(account, "cleaning_per_group")
+            if cleaning_by is not None and not cleaning_by(ctx):
                 self._evict_group(group, supergroup)
                 stats.groups_evicted += 1
                 self.m_groups_evicted.inc()
@@ -656,21 +626,19 @@ class SamplingOperator:
                     )
 
     def _evict_group(self, group: GroupEntry, supergroup: SuperGroupEntry) -> None:
-        self._group_ctx.group = group
-        self._group_ctx.supergroup = supergroup
-        for sa_spec, sa in zip(self.spec.superaggregates, supergroup.superaggregates):
-            if sa_spec.feeds == "group":
-                value = evaluate(sa_spec.value_expr, self._group_ctx)
-                sa.on_group_removed(group.key, value)
-            else:
-                sa.on_group_removed(group.key, None)
+        """Remove ``group`` — the group the context is visiting."""
+        ctx = self._ctx
+        for sa, value in zip(supergroup.superaggregates, self._group_values):
+            sa.on_group_removed(group.key, value(ctx) if value is not None else None)
         self._tables.remove_group(group.key)
-        self._charge("hash_delete")
+        self._charge(self._account, "hash_delete")
 
     def _close_window(self) -> List[Record]:
         stats = self._active_stats
         assert stats is not None
-        self._charge("window_flush")
+        charge, account, ctx = self._charge, self._account, self._ctx
+        having, select = self._having, self._select
+        charge(account, "window_flush")
 
         # 1. Signal window end to every state (paper: final_init()).
         for supergroup in self._tables.new_supergroups.values():
@@ -684,11 +652,12 @@ class SamplingOperator:
             if group is None:
                 continue
             supergroup = self._tables.new_supergroups[group.supergroup_key]
-            self._group_ctx.group = group
-            self._group_ctx.supergroup = supergroup
-            if self.spec.having is not None:
-                self._charge("predicate_eval")
-                if not evaluate(self.spec.having, self._group_ctx):
+            ctx.group = group
+            ctx.key = group_key
+            ctx.supergroup = supergroup
+            if having is not None:
+                charge(account, "predicate_eval")
+                if not having(ctx):
                     self._evict_group(group, supergroup)
                     self.m_having_rejected.inc()
                     if self.obs_trace.enabled:
@@ -699,11 +668,8 @@ class SamplingOperator:
                             group=list(group.key),
                         )
                     continue
-            values = [
-                evaluate(item.expr, self._group_ctx) for item in self.spec.select_items
-            ]
-            outputs.append(Record(self.spec.output_schema, values))
-            self._charge("output_tuple")
+            outputs.append(Record(self.spec.output_schema, select(ctx)))
+            charge(account, "output_tuple")
             if self.obs_trace.enabled:
                 self.obs_trace.emit(
                     "group_emitted",

@@ -1,21 +1,33 @@
-"""Expression AST and evaluator for the GSQL subset.
+"""Expression AST and compiler for the GSQL subset.
 
 The parser builds these nodes; the analyzer classifies function calls into
 scalar functions, aggregates, superaggregates (``name$``-suffixed, paper
-§6.3) and stateful functions (paper §6.2); the operators evaluate them
-against an :class:`EvalContext`.
+§6.3) and stateful functions (paper §6.2); the operators compile them.
 
-Evaluation is context-driven rather than closure-compiled: the sampling
-operator evaluates the same expression trees in several phases (per-tuple
+Compile once, run per tuple: :func:`compile_expr` turns an analyzed tree
+into nested closures when an operator is built, with every column name
+resolved by a *binder* to the position it is read from (a record slot,
+a group-by value) and every function name and aggregate slot captured.
+It is the only implementation of scalar expression semantics;
+:func:`evaluate` is its one-shot form for tests and ad-hoc callers.
+
+The sampling operator evaluates its clauses in several phases (per-tuple
 WHERE, per-supergroup CLEANING WHEN, per-group CLEANING BY / HAVING, and
-output SELECT), and each phase exposes a different context.  A context
-only needs to implement the hooks for node kinds that can legally appear
-in its clause — the analyzer enforces legality, so a hook that is missing
-at runtime is a bug, reported as :class:`ExecutionError`.
+output SELECT).  What differs between phases is the binder each clause
+is compiled with (:func:`bind_input`, :func:`bind_tuple`,
+:func:`bind_group`), not the evaluator: at run time a closure takes one
+:class:`EvalContext`, reads the fields the binder pointed it at, and
+calls the context's hooks for functions and aggregates — which is where
+cost charging lives.  A context only needs the hooks for node kinds that
+can legally appear in its clauses — the analyzer enforces legality, so a
+hook that is missing at runtime is a bug, reported as
+:class:`ExecutionError`.  Closures hold no operator state, so nothing
+compiled is ever checkpointed and ``restore()`` needs no recompilation.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -192,11 +204,15 @@ class StatefulCall(Expr):
 
 
 class EvalContext:
-    """Resolution hooks for expression evaluation.
+    """What compiled expressions read and call at evaluation time.
 
-    Subclasses override the hooks relevant to their phase.  The default
-    implementations raise, which surfaces analyzer gaps as explicit errors
-    instead of silent Nones.
+    A context carries the per-evaluation data (the operators add plain
+    attributes such as ``record`` or ``gb_values`` that positional
+    getters read) and the hooks below.  Subclasses override the hooks
+    relevant to their phase; the defaults raise, which surfaces analyzer
+    gaps as explicit errors instead of silent Nones.  ``column`` serves
+    only :func:`by_name` binding — operators bind names to positions
+    when they are built and never look a column up by name per tuple.
     """
 
     def column(self, name: str) -> Any:
@@ -219,62 +235,209 @@ class EvalContext:
         )
 
 
-_ARITHMETIC: dict = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "%": lambda a, b: a % b,
-}
+#: A compiled expression (or a bound column): context in, value out.
+Compiled = Callable[[Any], Any]
+#: Resolves a column name, once, to the getter that reads it.
+Bind = Callable[[str], Compiled]
 
-_COMPARISON: dict = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+
+def by_name(name: str) -> Compiled:
+    """The binder of last resort: ask the context's ``column`` hook."""
+    return lambda ctx: ctx.column(name)
+
+
+def _fails(message: str) -> Compiled:
+    """What a node nothing can evaluate compiles to.
+
+    The analyzer rejects such queries, so this only runs for trees built
+    by hand; the error still belongs to the record that evaluates it,
+    not to operator construction.
+    """
+
+    def fail(ctx: Any) -> Any:
+        raise ExecutionError(message)
+
+    return fail
+
+
+def bind_input(schema: Any) -> Bind:
+    """Names are columns of ``schema``, read from ``ctx.record`` by
+    position.  GROUP BY expressions and selections bind this way."""
+
+    def bind(name: str) -> Compiled:
+        if name not in schema:
+            return _fails(f"column {name!r} not available in this context")
+        index = schema.index_of(name)
+        return lambda ctx: ctx.record.values[index]
+
+    return bind
+
+
+def bind_group(group_by_names: Sequence[str]) -> Bind:
+    """Group-time binding (CLEANING WHEN/BY, HAVING, SELECT, group-fed
+    superaggregate values): only group-by names exist, read by position
+    from ``ctx.key`` — the group-by values in scope."""
+    positions = {name: i for i, name in enumerate(group_by_names)}
+
+    def bind(name: str) -> Compiled:
+        index = positions.get(name)
+        if index is None:
+            return _fails(f"column {name!r} is not a group-by variable")
+        return lambda ctx: ctx.key[index]
+
+    return bind
+
+
+def bind_tuple(schema: Any, group_by_names: Sequence[str]) -> Bind:
+    """Tuple-time binding once GROUP BY has run (WHERE, aggregate
+    arguments, tuple-fed superaggregate values).
+
+    The one shadowing rule: GROUP BY expressions see input columns
+    (:func:`bind_input`); everywhere after, a group-by name wins over an
+    input column of the same name (:func:`bind_group`, with ``ctx.key``
+    holding the tuple's own group-by values).
+    """
+    bind_key = bind_group(group_by_names)
+    bind_column = bind_input(schema)
+
+    def bind(name: str) -> Compiled:
+        if name in group_by_names:
+            return bind_key(name)
+        if name in schema:
+            return bind_column(name)
+        return _fails(f"column {name!r} not available at WHERE time")
+
+    return bind
 
 
 def evaluate(expr: Expr, ctx: EvalContext) -> Any:
-    """Evaluate ``expr`` against ``ctx``.
+    """Evaluate ``expr`` once against ``ctx``, resolving columns by name.
 
-    Division follows SQL/C integer semantics on two ints (``time/60`` must
-    bucket, not produce floats) and float semantics otherwise.  AND/OR
-    short-circuit.
+    The one-shot form of :func:`compile_expr`, for tests and ad-hoc
+    callers; anything evaluating per tuple compiles once instead.
+    """
+    return compile_expr(expr, by_name)(ctx)
+
+
+def compile_expr(expr: Expr, bind: Bind) -> Compiled:
+    """Turn an analyzed tree into nested closures, once.
+
+    ``bind`` resolves every :class:`ColumnRef`; function names and
+    aggregate slots are captured, so evaluating the result touches no
+    AST node and looks no name up.  Semantics: division is SQL/C integer
+    division on two ints (``time/60`` must bucket, not produce floats)
+    and float division otherwise, ``bool`` counting as a number rather
+    than an int; AND/OR short-circuit; arguments evaluate left to right;
+    scalar and stateful calls go through the context hooks (which charge
+    them).  Every error is raised when the offending record is
+    evaluated, never here.
     """
     if isinstance(expr, Literal):
-        return expr.value
+        value = expr.value
+        return lambda ctx: value
     if isinstance(expr, ColumnRef):
-        return ctx.column(expr.name)
+        return bind(expr.name)
     if isinstance(expr, Star):
-        return 1  # count(*) counts rows; the argument value is irrelevant
+        return lambda ctx: 1  # count(*) counts rows; the argument value is irrelevant
     if isinstance(expr, UnaryOp):
-        value = evaluate(expr.operand, ctx)
-        if expr.op == "-":
-            return -value
-        if expr.op == "NOT":
-            return not value
-        raise ExecutionError(f"unknown unary operator {expr.op!r}")
+        return _compile_unary(expr, compile_expr(expr.operand, bind))
     if isinstance(expr, BinaryOp):
-        return _evaluate_binary(expr, ctx)
+        return _compile_binary(expr, bind)
     if isinstance(expr, ScalarCall):
-        args = [evaluate(a, ctx) for a in expr.args]
-        return ctx.call_scalar(expr.name, args)
+        name = expr.name
+        scalar_args = _compile_args(expr.args, bind)
+        return lambda ctx: ctx.call_scalar(name, scalar_args(ctx))
     if isinstance(expr, AggregateCall):
-        return ctx.aggregate_value(expr)
+        return lambda ctx: ctx.aggregate_value(expr)
     if isinstance(expr, SuperAggregateCall):
-        return ctx.superaggregate_value(expr)
+        return lambda ctx: ctx.superaggregate_value(expr)
     if isinstance(expr, StatefulCall):
-        args = [evaluate(a, ctx) for a in expr.args]
-        return ctx.call_stateful(expr, args)
+        sfun_args = _compile_args(expr.args, bind)
+        return lambda ctx: ctx.call_stateful(expr, sfun_args(ctx))
     if isinstance(expr, FunctionCall):
-        raise ExecutionError(
+        return _fails(
             f"unclassified function call {expr.name!r} reached evaluation;"
             " run the analyzer before executing"
         )
-    raise ExecutionError(f"unknown expression node {type(expr).__name__}")
+    return _fails(f"unknown expression node {type(expr).__name__}")
+
+
+def compile_clause(expr: Optional[Expr], bind: Bind) -> Optional[Compiled]:
+    """An optional clause (WHERE, HAVING, CLEANING ...): compiled, or
+    None when the query has none."""
+    return compile_expr(expr, bind) if expr is not None else None
+
+
+def compile_tuple(exprs: Sequence[Expr], bind: Bind) -> Callable[[Any], Tuple[Any, ...]]:
+    """Compile ``exprs`` into one closure returning their values, left
+    to right, as a tuple (a group key, an output row)."""
+    return _sequence([compile_expr(expr, bind) for expr in exprs], "(", ")")
+
+
+def compile_update_value(node: AggregateCall, bind: Bind) -> Optional[Compiled]:
+    """What one tuple feeds an aggregate: its first argument, compiled —
+    or None when that is the constant 1 (``count(*)``, ``count()``)."""
+    if not node.args or isinstance(node.args[0], Star):
+        return None
+    return compile_expr(node.args[0], bind)
+
+
+def pick(indices: Sequence[int]) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
+    """``values -> tuple(values[i] for i in indices)``, built once (a
+    window id out of group-by values, bare columns out of a record).
+    ``itemgetter`` takes no fewer than one index and returns a bare
+    value for exactly one, hence the two cases before it."""
+    if not indices:
+        return lambda values: ()
+    if len(indices) == 1:
+        (index,) = indices
+        return lambda values: (values[index],)
+    return operator.itemgetter(*indices)
+
+
+def _compile_args(args: Sequence[Expr], bind: Bind) -> Callable[[Any], List[Any]]:
+    """Argument list of a call: a fresh list per evaluation."""
+    return _sequence([compile_expr(arg, bind) for arg in args], "[", "]")
+
+
+def _sequence(fns: Sequence[Compiled], opening: str, closing: str) -> Compiled:
+    """``lambda ctx: (f0(ctx), f1(ctx), ...)`` for any number of ``fns``
+    (or ``[...]``), written out as one display expression.
+
+    The comprehension ``[fn(ctx) for fn in fns]`` means the same, but
+    before Python 3.12 it runs in a frame of its own per evaluation, and
+    group keys and call arguments are built for every record: on the
+    ledger's ``ss_steady`` it reads 125k rec/s against 141k for this
+    (80.2 against 77.2 calls/record).
+    """
+    names = {f"f{i}": fn for i, fn in enumerate(fns)}
+    items = "".join(f"{name}(ctx), " for name in names)
+    return eval(f"lambda ctx: {opening}{items}{closing}", names)
+
+
+def _compile_unary(expr: UnaryOp, operand: Compiled) -> Compiled:
+    if expr.op == "NOT":
+        return lambda ctx: not operand(ctx)
+    if expr.op == "-":
+
+        def negate(ctx: Any) -> Any:
+            value = operand(ctx)
+            try:
+                return -value
+            except TypeError:
+                raise ExecutionError(
+                    f"cannot evaluate {expr}: unsupported operand type for"
+                    f" '-' ({type(value).__name__})",
+                    span=expr.span,
+                ) from None
+
+        return negate
+
+    def unknown(ctx: Any) -> Any:
+        operand(ctx)
+        raise ExecutionError(f"unknown unary operator {expr.op!r}")
+
+    return unknown
 
 
 def _is_integer(value: Any) -> bool:
@@ -288,36 +451,93 @@ def _is_integer(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _evaluate_binary(expr: BinaryOp, ctx: EvalContext) -> Any:
-    op = expr.op
-    if op == "AND":
-        return bool(evaluate(expr.left, ctx)) and bool(evaluate(expr.right, ctx))
-    if op == "OR":
-        return bool(evaluate(expr.left, ctx)) or bool(evaluate(expr.right, ctx))
-    left = evaluate(expr.left, ctx)
-    right = evaluate(expr.right, ctx)
-    if op == "/":
-        if _is_integer(left) and _is_integer(right):
+def _divider(expr: BinaryOp) -> Callable[[Any, Any], Any]:
+    def divide(left: Any, right: Any) -> Any:
+        # Exact ints first: the common case (``time/60``) without the
+        # subclass-aware test below (ss_steady: 6.0 fewer calls/record,
+        # 139k -> 144k rec/s).
+        if (type(left) is int and type(right) is int) or (
+            _is_integer(left) and _is_integer(right)
+        ):
             if right == 0:
                 raise ExecutionError("integer division by zero", span=expr.span)
             return left // right
         if right == 0:
             raise ExecutionError("division by zero", span=expr.span)
+        return left / right
+
+    return divide
+
+
+def _modulo(expr: BinaryOp) -> Callable[[Any, Any], Any]:
+    def modulo(left: Any, right: Any) -> Any:
         try:
-            return left / right
-        except TypeError:
-            raise _type_error(op, left, right, expr) from None
-    if op in _ARITHMETIC:
+            return left % right
+        except ZeroDivisionError:
+            raise ExecutionError("modulo by zero", span=expr.span) from None
+
+    return modulo
+
+
+#: Operators whose errors carry the node's span: built per node.
+_SPANNED: dict = {"/": _divider, "%": _modulo}
+
+#: Operators whose whole meaning is Python's ``fn(left, right)``.
+_PLAIN: dict = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "=": operator.eq,
+    "<>": operator.ne,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _compile_binary(expr: BinaryOp, bind: Bind) -> Compiled:
+    op = expr.op
+    left = compile_expr(expr.left, bind)
+    right = compile_expr(expr.right, bind)
+    if op == "AND":
+        return lambda ctx: bool(left(ctx)) and bool(right(ctx))
+    if op == "OR":
+        return lambda ctx: bool(left(ctx)) or bool(right(ctx))
+    apply = _SPANNED[op](expr) if op in _SPANNED else _PLAIN.get(op)
+    if apply is None:
+
+        def unknown(ctx: Any) -> Any:
+            left(ctx)
+            right(ctx)
+            raise ExecutionError(f"unknown binary operator {op!r}")
+
+        return unknown
+
+    if isinstance(expr.right, Literal):
+        # ``len > 100``, ``time / 60``: the literal is captured, not
+        # called (ss_steady: 2.8 fewer calls/record, 138k -> 144k rec/s).
+        const = expr.right.value
+
+        def run_const(ctx: Any) -> Any:
+            a = left(ctx)
+            try:
+                return apply(a, const)
+            except TypeError:
+                raise _type_error(op, a, const, expr) from None
+
+        return run_const
+
+    def run(ctx: Any) -> Any:
+        a = left(ctx)
+        b = right(ctx)
         try:
-            return _ARITHMETIC[op](left, right)
+            return apply(a, b)
         except TypeError:
-            raise _type_error(op, left, right, expr) from None
-    if op in _COMPARISON:
-        try:
-            return _COMPARISON[op](left, right)
-        except TypeError:
-            raise _type_error(op, left, right, expr) from None
-    raise ExecutionError(f"unknown binary operator {op!r}")
+            raise _type_error(op, a, b, expr) from None
+
+    return run
 
 
 def _type_error(op: str, left: Any, right: Any, expr: BinaryOp) -> ExecutionError:

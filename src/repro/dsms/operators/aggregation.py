@@ -18,7 +18,17 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ExecutionError
 from repro.dsms.aggregates import Aggregate, AggregateRegistry
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
-from repro.dsms.expr import AggregateCall, EvalContext, evaluate
+from repro.dsms.expr import (
+    AggregateCall,
+    EvalContext,
+    bind_group,
+    bind_input,
+    bind_tuple,
+    compile_clause,
+    compile_tuple,
+    compile_update_value,
+    pick,
+)
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.operators.base import Operator
 from repro.dsms.parser.analyzer import AnalyzedQuery
@@ -26,35 +36,16 @@ from repro.streams.records import Record
 from repro.streams.schema import StreamSchema
 
 
-class _AggTupleContext(EvalContext):
+class _AggContext(EvalContext):
+    """What the compiled clauses read: the input record and, in ``key``,
+    the group-by values in scope — the tuple's own at tuple time, the
+    visited group's (with its ``aggregates``) at window close."""
+
     def __init__(self, operator: "AggregationOperator") -> None:
         self._op = operator
         self.record: Optional[Record] = None
-        self.gb_values: Tuple[Any, ...] = ()
-
-    def column(self, name: str) -> Any:
-        index = self._op._gb_index.get(name)
-        if index is not None and self.gb_values:
-            return self.gb_values[index]
-        assert self.record is not None
-        return self.record[name]
-
-    def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self._op._cost.charge(self._op._account, "function_call")
-        return self._op._scalars.call(name, args)
-
-
-class _AggGroupContext(EvalContext):
-    def __init__(self, operator: "AggregationOperator") -> None:
-        self._op = operator
         self.key: Tuple[Any, ...] = ()
         self.aggregates: List[Aggregate] = []
-
-    def column(self, name: str) -> Any:
-        index = self._op._gb_index.get(name)
-        if index is None:
-            raise ExecutionError(f"column {name!r} is not a group-by variable")
-        return self.key[index]
 
     def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
         self._op._cost.charge(self._op._account, "function_call")
@@ -89,15 +80,31 @@ class AggregationOperator(Operator):
         self._cost = cost_model
         self._account = account
 
-        self._gb_index = {item.name: i for i, item in enumerate(analyzed.group_by)}
+        names = analyzed.group_by_names
+        self._gb_index = {name: i for i, name in enumerate(names)}
         self._ordered_indices = tuple(
             list(self._gb_index[name] for name in analyzed.ordered_names)
         )
         self._groups: Dict[Tuple[Any, ...], List[Aggregate]] = {}
         self._current_window: Optional[Tuple[Any, ...]] = None
 
-        self._tuple_ctx = _AggTupleContext(self)
-        self._group_ctx = _AggGroupContext(self)
+        # Every clause is compiled here, once, against the plan-time
+        # input schema (shadowing rule: see expr.bind_tuple).
+        ast = analyzed.ast
+        at_tuple = bind_tuple(analyzed.schema, names)
+        at_group = bind_group(names)
+        self._group_key = compile_tuple(
+            [item.expr for item in analyzed.group_by], bind_input(analyzed.schema)
+        )
+        self._window_of = pick(self._ordered_indices)
+        self._where = compile_clause(ast.where, at_tuple)
+        self._aggregate_args = tuple(
+            compile_update_value(node, at_tuple) for node in analyzed.aggregates
+        )
+        self._having = compile_clause(ast.having, at_group)
+        self._select = compile_tuple([item.expr for item in ast.select], at_group)
+
+        self._ctx = _AggContext(self)
         self._default_obs(account)
 
     def _bind_series(self) -> None:
@@ -122,13 +129,10 @@ class AggregationOperator(Operator):
         )
 
     def process(self, record: Record) -> List[Record]:
-        self._tuple_ctx.record = record
-        self._tuple_ctx.gb_values = ()
-        gb_values = tuple(
-            evaluate(item.expr, self._tuple_ctx) for item in self.analyzed.group_by
-        )
-        self._tuple_ctx.gb_values = gb_values
-        window = tuple(gb_values[i] for i in self._ordered_indices)
+        ctx = self._ctx
+        ctx.record = record
+        ctx.key = gb_values = self._group_key(ctx)
+        window = self._window_of(gb_values)
 
         outputs: List[Record] = []
         if self._current_window is None:
@@ -142,14 +146,15 @@ class AggregationOperator(Operator):
             self.obs_trace.emit(
                 "window_open", query=self.obs_query, window=list(window)
             )
+            ctx.key = gb_values  # the window close visited other groups
 
-        self._cost.charge(self._account, "tuple_read")
-        self._cost.charge(self._account, "hash_probe")
+        charge, account = self._cost.charge, self._account
+        charge(account, "tuple_read")
+        charge(account, "hash_probe")
         self.m_in.inc()
-        where = self.analyzed.ast.where
-        if where is not None:
-            self._cost.charge(self._account, "predicate_eval")
-            if not evaluate(where, self._tuple_ctx):
+        if self._where is not None:
+            charge(account, "predicate_eval")
+            if not self._where(ctx):
                 self.m_filtered.inc()
                 return outputs
         self.m_admitted.inc()
@@ -158,13 +163,11 @@ class AggregationOperator(Operator):
         if group is None:
             group = [self._registry.create(node.name) for node in self.analyzed.aggregates]
             self._groups[gb_values] = group
-            self._cost.charge(self._account, "hash_insert")
+            charge(account, "hash_insert")
             self.m_groups_created.inc()
-        for node, aggregate in zip(self.analyzed.aggregates, group):
-            arg = node.args[0] if node.args else None
-            value = evaluate(arg, self._tuple_ctx) if arg is not None else 1
-            aggregate.update(value)
-            self._cost.charge(self._account, "aggregate_update")
+        for argument, aggregate in zip(self._aggregate_args, group):
+            aggregate.update(argument(ctx) if argument is not None else 1)
+            charge(account, "aggregate_update")
         return outputs
 
     def flush(self) -> List[Record]:
@@ -192,22 +195,19 @@ class AggregationOperator(Operator):
 
     def _emit_window(self) -> List[Record]:
         outputs: List[Record] = []
-        having = self.analyzed.ast.having
-        self._cost.charge(self._account, "window_flush")
+        ctx, having, select = self._ctx, self._having, self._select
+        charge, account = self._cost.charge, self._account
+        charge(account, "window_flush")
         for key, aggregates in self._groups.items():
-            self._group_ctx.key = key
-            self._group_ctx.aggregates = aggregates
+            ctx.key = key
+            ctx.aggregates = aggregates
             if having is not None:
-                self._cost.charge(self._account, "predicate_eval")
-                if not evaluate(having, self._group_ctx):
+                charge(account, "predicate_eval")
+                if not having(ctx):
                     self.m_having_rejected.inc()
                     continue
-            values = [
-                evaluate(item.expr, self._group_ctx)
-                for item in self.analyzed.ast.select
-            ]
-            outputs.append(Record(self.output_schema, values))
-            self._cost.charge(self._account, "output_tuple")
+            outputs.append(Record(self.output_schema, select(ctx)))
+            charge(account, "output_tuple")
         self.m_windows.inc()
         self.m_rows_out.inc(len(outputs))
         self.obs_trace.emit(

@@ -9,10 +9,19 @@ operator" (§7.2) and how low-level prefilter queries work (Fig 6).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
-from repro.dsms.expr import EvalContext, StatefulCall, evaluate
+from repro.dsms.expr import (
+    ColumnRef,
+    Compiled,
+    EvalContext,
+    StatefulCall,
+    bind_input,
+    compile_clause,
+    compile_tuple,
+    pick,
+)
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.operators.base import Operator
 from repro.dsms.parser.analyzer import AnalyzedQuery
@@ -23,23 +32,20 @@ from repro.streams.schema import StreamSchema
 
 class _SelectionContext(EvalContext):
     def __init__(
-        self,
-        scalars: FunctionRegistry,
-        stateful: Optional[StatefulLibrary],
-        states: Optional[dict],
-        cost_model: CostModel,
-        account: str,
+        self, scalars: FunctionRegistry, cost_model: CostModel, account: str
     ) -> None:
         self._scalars = scalars
-        self._stateful = stateful
-        self._states = states
+        self._stateful: Optional[StatefulLibrary] = None
+        self._states: Optional[dict] = None
         self._cost = cost_model
         self._account = account
         self.record: Optional[Record] = None
 
-    def column(self, name: str) -> Any:
-        assert self.record is not None
-        return self.record[name]
+    def use_states(self, stateful: StatefulLibrary, states: dict) -> None:
+        """Point SFUN calls at ``states`` (a stateful selection's global
+        state set, at build and again after ``restore``)."""
+        self._stateful = stateful
+        self._states = states
 
     def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
         self._cost.charge(self._account, "function_call")
@@ -53,7 +59,12 @@ class _SelectionContext(EvalContext):
 
 
 class SelectionOperator(Operator):
-    """Plain WHERE + SELECT over a stream."""
+    """Plain WHERE + SELECT over a stream.
+
+    WHERE and the SELECT list are compiled against the plan-time input
+    schema when the operator is built; a record costs two closure calls
+    plus whatever the expressions themselves do.
+    """
 
     kind_label = "selection"
 
@@ -69,25 +80,43 @@ class SelectionOperator(Operator):
         self.output_schema = output_schema
         self._cost = cost_model
         self._account = account
-        self._ctx = _SelectionContext(scalars, None, None, cost_model, account)
+        self._ctx = _SelectionContext(scalars, cost_model, account)
+        self._where, self._select = _compile_clauses(analyzed)
         self._default_obs(account)
 
     def process(self, record: Record) -> List[Record]:
-        self._ctx.record = record
+        ctx = self._ctx
+        ctx.record = record
         self._cost.charge(self._account, "tuple_read")
         self.m_in.inc()
-        where = self.analyzed.ast.where
-        if where is not None:
+        if self._where is not None:
             self._cost.charge(self._account, "predicate_eval")
-            if not evaluate(where, self._ctx):
+            if not self._where(ctx):
                 self.m_filtered.inc()
                 return []
-        values = [evaluate(item.expr, self._ctx) for item in self.analyzed.ast.select]
+        values = self._select(ctx)
         self.m_rows_out.inc()
         return [Record(self.output_schema, values)]
 
 
-class StatefulSelectionOperator(Operator):
+def _compile_clauses(
+    analyzed: AnalyzedQuery,
+) -> Tuple[Optional[Compiled], Callable[[Any], Tuple[Any, ...]]]:
+    """WHERE (or None) and the SELECT list of a selection, compiled."""
+    schema = analyzed.schema
+    bind = bind_input(schema)
+    exprs = [item.expr for item in analyzed.ast.select]
+    if all(isinstance(e, ColumnRef) and e.name in schema for e in exprs):
+        # A projection of bare columns (the auto-inserted pass-through
+        # feeder) is one itemgetter over the record, not a call per column.
+        columns = pick([schema.index_of(e.name) for e in exprs])
+        select = lambda ctx: columns(ctx.record.values)  # noqa: E731
+    else:
+        select = compile_tuple(exprs, bind)
+    return compile_clause(analyzed.ast.where, bind), select
+
+
+class StatefulSelectionOperator(SelectionOperator):
     """Selection whose WHERE calls SFUNs against one global state set.
 
     The state persists for the life of the operator (there are no windows
@@ -106,28 +135,10 @@ class StatefulSelectionOperator(Operator):
         cost_model: CostModel = NULL_COST_MODEL,
         account: str = "stateful_selection",
     ) -> None:
-        self.analyzed = analyzed
-        self.output_schema = output_schema
-        self._cost = cost_model
-        self._account = account
+        super().__init__(analyzed, output_schema, scalars, cost_model, account)
         self._stateful = stateful
         self.states = stateful.instantiate_states(analyzed.state_names)
-        self._ctx = _SelectionContext(scalars, stateful, self.states, cost_model, account)
-        self._default_obs(account)
-
-    def process(self, record: Record) -> List[Record]:
-        self._ctx.record = record
-        self._cost.charge(self._account, "tuple_read")
-        self.m_in.inc()
-        where = self.analyzed.ast.where
-        if where is not None:
-            self._cost.charge(self._account, "predicate_eval")
-            if not evaluate(where, self._ctx):
-                self.m_filtered.inc()
-                return []
-        values = [evaluate(item.expr, self._ctx) for item in self.analyzed.ast.select]
-        self.m_rows_out.inc()
-        return [Record(self.output_schema, values)]
+        self._ctx.use_states(stateful, self.states)
 
     def checkpoint(self) -> Any:
         """Snapshot the global SFUN state set by state *name* (the state
@@ -137,4 +148,4 @@ class StatefulSelectionOperator(Operator):
 
     def restore(self, snapshot: Any) -> None:
         self.states = self._stateful.restore_states(snapshot["states"])
-        self._ctx._states = self.states
+        self._ctx.use_states(self._stateful, self.states)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ExecutionError, PlanningError
 from repro.dsms.aggregates import default_aggregate_registry
@@ -33,7 +33,7 @@ from repro.dsms.operators.base import Operator
 from repro.dsms.parser import Registries, compile_query
 from repro.dsms.ring_buffer import RingBuffer
 from repro.dsms.stateful import StatefulLibrary
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracing import NULL_TRACE, TraceSink
 from repro.streams.records import Record
 from repro.streams.schema import StreamSchema, coerce_record
@@ -54,6 +54,18 @@ class QueryHandle:
     results: List[Record] = field(default_factory=list)
     keep_results: bool = True
     forwarded: int = 0  # tuples this node pushed to downstream queries
+    #: the operator is fed per source (``process_from``: a merge) rather
+    #: than through ``process`` — resolved once, at registration
+    fed_per_source: bool = False
+    #: the operator consumes column batches (``process_batch``) rather
+    #: than records — resolved once, at registration
+    fed_batches: bool = False
+    #: records -> column batch of the input schema, for a ``fed_batches``
+    #: operator reading records off a ring; None otherwise
+    to_batch: Optional[Callable[[List[Record]], Any]] = None
+    #: this node's ``query_forwarded_total`` series, resolved on first
+    #: forward (a node that never forwards registers no series)
+    forwarded_series: Optional[Counter] = None
 
     @property
     def output_schema(self) -> StreamSchema:
@@ -151,6 +163,10 @@ class Gigascope:
         self._quota_shed: Dict[str, int] = {}
         #: records skipped at the serving edge by an open circuit breaker
         self._poison_skipped: Dict[str, int] = {}
+        #: per-stream counter series by (metric name, stream), resolved
+        #: on first use (``MetricsRegistry.restore`` mutates series in
+        #: place, so the references stay valid)
+        self._stream_series: Dict[Tuple[str, str], Counter] = {}
 
     # -- registration -----------------------------------------------------------
 
@@ -277,6 +293,14 @@ class Gigascope:
             operator=operator,
             keep_results=keep_results,
         )
+        if hasattr(operator, "process_batch"):
+            from repro.dsms.vectorized import RecordBatch
+
+            input_schema = self.registries.schemas[source]
+            handle.fed_batches = True
+            handle.to_batch = lambda records: RecordBatch.from_records(
+                input_schema, records
+            )
         self._queries[name] = handle
         self._order.append(name)
         self._downstream.setdefault(source, []).append(name)
@@ -316,6 +340,7 @@ class Gigascope:
             source=sources[0],
             operator=operator,
             keep_results=True,
+            fed_per_source=True,
         )
         self._queries[name] = handle
         self._order.append(name)
@@ -475,11 +500,7 @@ class Gigascope:
             return
         self._quota_shed[stream] = self._quota_shed.get(stream, 0) + count
         self.cost.charge(stream, "quota_shed", count)
-        self.metrics.counter(
-            "stream_records_total",
-            help="records offered to the stream (before admission)",
-            stream=stream,
-        ).inc(count)
+        self._stream_counter("stream_records_total", stream).inc(count)
         self.metrics.counter(
             "stream_quota_shed_total",
             help="records refused at the serving edge by a tenant quota",
@@ -506,11 +527,7 @@ class Gigascope:
             self._poison_skipped.get(stream, 0) + count
         )
         self.cost.charge(stream, "poison_skip", count)
-        self.metrics.counter(
-            "stream_records_total",
-            help="records offered to the stream (before admission)",
-            stream=stream,
-        ).inc(count)
+        self._stream_counter("stream_records_total", stream).inc(count)
         self.metrics.counter(
             "serve_poison_skipped_total",
             help="records skipped at the serving edge because the query's"
@@ -538,22 +555,16 @@ class Gigascope:
             if record is not None:
                 by_stream.setdefault(stream, []).append(record)
         for stream, count in offered.items():
-            self.metrics.counter(
-                "stream_records_total",
-                help="records offered to the stream (before admission)",
-                stream=stream,
-            ).inc(count)
+            self._stream_counter("stream_records_total", stream).inc(count)
         for stream, stream_records in by_stream.items():
             ring = self._rings[stream]
             if self.shed_threshold is not None:
                 stream_records = self._admit(
                     stream, stream_records, ring, subscribers
                 )
-            self.metrics.counter(
-                "stream_ingested_total",
-                help="records admitted into the ring buffer",
-                stream=stream,
-            ).inc(len(stream_records))
+            self._stream_counter("stream_ingested_total", stream).inc(
+                len(stream_records)
+            )
             for record in stream_records:
                 ring.push(record)
         for name, sid in subscribers.items():
@@ -561,17 +572,27 @@ class Gigascope:
             pending = self._rings[handle.source].poll(sid)
             if not pending:
                 continue
-            if hasattr(handle.operator, "process_batch"):
-                from repro.dsms.vectorized import RecordBatch
-
-                schema = self.registries.schemas[handle.source]
-                self._dispatch_batch(
-                    handle, RecordBatch.from_records(schema, list(pending))
-                )
+            if handle.to_batch is not None:
+                self._dispatch_batch(handle, handle.to_batch(list(pending)))
             else:
                 for record in pending:
                     self._dispatch(handle, record)
         return len(batch)
+
+    #: help text of the per-stream counters behind :meth:`_stream_counter`
+    _STREAM_HELP = {
+        "stream_records_total": "records offered to the stream (before admission)",
+        "stream_ingested_total": "records admitted into the ring buffer",
+    }
+
+    def _stream_counter(self, name: str, stream: str) -> Counter:
+        """One of the per-batch stream counters, resolved once per stream."""
+        series = self._stream_series.get((name, stream))
+        if series is None:
+            series = self._stream_series[name, stream] = self.metrics.counter(
+                name, help=self._STREAM_HELP[name], stream=stream
+            )
+        return series
 
     def _admit_payload(self, payload: Any) -> "tuple":
         """Route one fed payload to its stream, validating when enabled.
@@ -713,7 +734,7 @@ class Gigascope:
         operator = handle.operator
         if self.profile:
             started = perf_counter()
-        if hasattr(operator, "process_from"):
+        if handle.fed_per_source:
             outputs = operator.process_from(from_source, record)
         else:
             outputs = operator.process(record)
@@ -757,14 +778,10 @@ class Gigascope:
         count = len(outputs)
         handle.forwarded += count
         self.cost.charge(handle.name, "tuple_copy", count)
-        self.metrics.counter(
-            "query_forwarded_total",
-            help="tuples pushed to downstream queries",
-            query=handle.name,
-        ).inc(count)
+        self._forwarded_series(handle).inc(count)
         for child_name in downstream:
             child = self._queries[child_name]
-            if hasattr(child.operator, "process_batch"):
+            if child.fed_batches:
                 self._dispatch_batch(child, outputs)
             else:
                 if records is None:
@@ -781,15 +798,21 @@ class Gigascope:
         # Forwarding to another query is the copy the paper charges for.
         handle.forwarded += len(outputs)
         self.cost.charge(handle.name, "tuple_copy", len(outputs))
-        self.metrics.counter(
-            "query_forwarded_total",
-            help="tuples pushed to downstream queries",
-            query=handle.name,
-        ).inc(len(outputs))
+        self._forwarded_series(handle).inc(len(outputs))
         for child_name in downstream:
             child = self._queries[child_name]
             for record in outputs:
                 self._dispatch(child, record, from_source=handle.name)
+
+    def _forwarded_series(self, handle: QueryHandle) -> Counter:
+        series = handle.forwarded_series
+        if series is None:
+            series = handle.forwarded_series = self.metrics.counter(
+                "query_forwarded_total",
+                help="tuples pushed to downstream queries",
+                query=handle.name,
+            )
+        return series
 
     def _flush_all(self) -> None:
         for name in self._order:

@@ -234,12 +234,13 @@ class StatefulLibrary:
         args: Sequence[Any],
     ) -> Any:
         """Call an SFUN against the supergroup's state set."""
-        state_name = self.state_of(fn_name)
         try:
-            state = states[state_name]
+            state = states[self._sfuns[fn_name]]
+            fn = self._callables[fn_name]
         except KeyError:
+            state_name = self.state_of(fn_name)  # unknown SFUN: RegistryError
             raise StatefulFunctionError(
                 f"state {state_name!r} for SFUN {fn_name!r} was not allocated;"
                 " this usually means the call appears outside a sampling query"
             ) from None
-        return self.callable_of(fn_name)(state, *args)
+        return fn(state, *args)

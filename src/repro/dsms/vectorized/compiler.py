@@ -206,7 +206,10 @@ def _scalar_apply(op: str, a: Any, b: Any, expr: BinaryOp) -> Any:
         if op == "*":
             return a * b
         if op == "%":
-            return a % b
+            try:
+                return a % b
+            except ZeroDivisionError:
+                raise ExecutionError("modulo by zero", span=expr.span) from None
         if op == "<":
             return a < b
         if op == "<=":
@@ -256,7 +259,7 @@ def apply_binary(expr: BinaryOp, left: Any, right: Any) -> Any:
         except TypeError:
             raise _type_error(op, left, right, expr) from None
     if op == "%":
-        # numpy would emit 0 with a warning; the tuple path raises.
+        # numpy would emit 0 with a warning; the tuple path raises this.
         _check_divisor(right, expr, "modulo by zero")
     if op in _ARITH_UFUNCS:
         # Python bools are ints under arithmetic (True + True == 2);
@@ -370,7 +373,15 @@ class BatchCompiler:
                     # numpy refuses unary minus on booleans; Python's
                     # -True is -1, so promote first.
                     return -value.astype(np.int64)
-                return -value
+                try:
+                    return -value
+                except TypeError:
+                    # Same diagnostic as the tuple path's compiled '-'.
+                    raise ExecutionError(
+                        f"cannot evaluate {expr}: unsupported operand type"
+                        f" for '-' ({_type_name(value)})",
+                        span=expr.span,
+                    ) from None
 
             return run_neg
         if expr.op == "NOT":

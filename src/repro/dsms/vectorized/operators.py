@@ -427,7 +427,7 @@ class VectorizedAggregationOperator(AggregationOperator):
 
     def _row_env(self, batch: RecordBatch, gb_arrays: List[Any], length: int) -> Env:
         """Row env where group-by names shadow stream columns, exactly
-        like the tuple path's _AggTupleContext."""
+        like the tuple path's ``expr.bind_tuple``."""
         gb_index = self._gb_index
 
         def column(name: str) -> Any:

@@ -1,5 +1,7 @@
 """The sampling operator: §5 semantics, §6.4 evaluation order."""
 
+import pickle
+
 import pytest
 
 from repro.dsms.operators import build_operator
@@ -398,3 +400,68 @@ class TestIncomparableWindows:
         op.finish()
         assert [s.window for s in op.window_stats] == [(7,), (8,)]
         assert op.window_stats[0].incomparable_tuples == 3
+
+
+class TestGroupByShadowing:
+    """One rule in every operator: GROUP BY expressions see input
+    columns; everywhere after, a group-by name wins."""
+
+    PLAIN = (
+        "SELECT time, count(*), sum(time) FROM TCP WHERE time > 4"
+        " GROUP BY time/2 as time"
+    )
+    #: a cleaning that never evicts: it only makes this a sampling plan
+    NOOP_CLEANING = " CLEANING WHEN tick(1000) = TRUE CLEANING BY count(*) >= 0"
+
+    def test_noop_cleaning_leaves_the_alias_meaning_alone(self, registries):
+        registries.stateful = registries.stateful.merge(threshold_library())
+        records = [packet(time=t, uts=t) for t in range(12)]
+        plain = build_operator(compile_query(self.PLAIN, registries))
+        sampled = build(self.PLAIN + self.NOOP_CLEANING, registries)
+        want = [tuple(r) for r in plain.run(records)]
+        # the alias wins in WHERE and in sum(): only bucket 5 passes > 4
+        assert want == [(5, 2, 10)]
+        assert [tuple(r) for r in sampled.run(records)] == want
+
+    def test_group_by_expression_itself_sees_the_input_column(self, registries):
+        op = build(
+            "SELECT time, count(*) FROM TCP GROUP BY time/10 as time, srcIP"
+            " SUPERGROUP time",
+            registries,
+        )
+        rows = [tuple(r) for r in op.run([packet(time=25), packet(time=29)])]
+        assert rows == [(2, 2)]
+
+
+class TestRestoreOnFreshOperator:
+    """Compiled closures hold no operator state: a checkpoint taken
+    mid-window restores onto a freshly built operator, which continues
+    exactly where the original would have."""
+
+    QUERY = (
+        "SELECT tb, srcIP, count(*), sum(len), cleanings(), count_distinct$(*)"
+        " FROM TCP WHERE len > 10 GROUP BY time/10 as tb, srcIP"
+        " HAVING count(*) > 0"
+        " CLEANING WHEN tick(4) = TRUE CLEANING BY count(*) > 1"
+    )
+
+    def test_checkpoint_restore_continue(self, registries):
+        library = threshold_library()
+        records = trace(
+            *[(t, 1 + (t * 7) % 5, 5 + (t * 13) % 40) for t in range(0, 45)]
+        )
+        whole = build(self.QUERY, registries, library)
+        want = [tuple(r) for r in whole.run(records)]
+        assert len(want) > 3
+
+        cut = 23  # mid-window, after cleanings and a carried-over supergroup
+        first = build(self.QUERY, registries)
+        got = [tuple(r) for record in records[:cut] for r in first.process(record)]
+        snapshot = pickle.loads(pickle.dumps(first.checkpoint()))
+        second = build(self.QUERY, registries)
+        second.restore(snapshot)
+        for record in records[cut:]:
+            got.extend(tuple(r) for r in second.process(record))
+        got.extend(tuple(r) for r in second.finish())
+        assert got == want
+        assert second.window_stats == whole.window_stats

@@ -17,8 +17,15 @@ import pytest
 from repro.cli import _standard_instance
 from repro.dsms.cost import CostModel
 from repro.errors import ExecutionError
+from repro.streams.records import Record
+from repro.streams.schema import Attribute, Ordering, StreamSchema
 
-from tests.vectorized.conftest import metric_state, run_both, make_val_records
+from tests.vectorized.conftest import (
+    make_val_records,
+    metric_state,
+    run_both,
+    run_engine,
+)
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples" / "queries"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.gsql"))
@@ -142,7 +149,7 @@ def test_having_and_full_aggregate_battery(packet_trace):
 
 def test_group_by_expression_shadowing(packet_trace):
     """Group-by aliases shadow stream columns in WHERE, as on the tuple
-    path (_AggTupleContext semantics)."""
+    path (``expr.bind_tuple``'s rule)."""
     run_both(
         "SELECT tb, count(*) FROM TCP WHERE tb % 2 = 0 GROUP BY time/5 AS tb",
         packet_trace,
@@ -242,8 +249,6 @@ def test_integer_division_buckets():
 
 
 def test_division_by_zero_raises_same_error():
-    from tests.vectorized.conftest import run_engine
-
     rows = make_val_records([(0, 1, 1.0, True)])
     errors = []
     for vectorize in (False, True):
@@ -255,8 +260,6 @@ def test_division_by_zero_raises_same_error():
 
 
 def test_mixed_type_comparison_raises_same_error():
-    from tests.vectorized.conftest import run_engine
-
     schema_rows = make_val_records([(0, 1, 1.0, True)])
     errors = []
     for vectorize in (False, True):
@@ -265,6 +268,43 @@ def test_mixed_type_comparison_raises_same_error():
                 "SELECT t FROM VAL WHERE x < 'zzz'", schema_rows, vectorize=vectorize
             )
         errors.append(str(exc_info.value))
+    assert errors[0] == errors[1]
+
+
+_STR_SCHEMA = StreamSchema(
+    "S",
+    [
+        Attribute("t", "int", Ordering.INCREASING),
+        Attribute("x", "int"),
+        Attribute("f", "float"),
+        Attribute("name", "str"),
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "select, message",
+    [
+        ("x % 0", "modulo by zero"),
+        ("x % (x - x)", "modulo by zero"),
+        ("f % 0.0", "modulo by zero"),
+        ("5 % (f - f)", "modulo by zero"),
+        ("-name", "cannot evaluate (- name): unsupported operand type for '-' (str)"),
+        ("x + (-name)", "cannot evaluate (- name): unsupported operand type for '-' (str)"),
+    ],
+)
+def test_modulo_and_negation_errors_match_across_engines(select, message):
+    """Both used to escape the tuple engine raw (ZeroDivisionError,
+    TypeError); DESIGN.md §11 promises one span-carrying ExecutionError
+    on either engine."""
+    records = [Record(_STR_SCHEMA, [0, 7, 2.5, "alpha"]), Record(_STR_SCHEMA, [1, 9, 0.5, "b"])]
+    errors = []
+    for vectorize in (False, True):
+        with pytest.raises(ExecutionError) as exc_info:
+            run_engine(f"SELECT t, {select} FROM S", records, _STR_SCHEMA, vectorize)
+        assert exc_info.value.span is not None
+        errors.append(str(exc_info.value))
+    assert message in errors[0]
     assert errors[0] == errors[1]
 
 
