@@ -3,7 +3,7 @@
 Every benchmark family lands its measured numbers in a flat
 ``{benchmark_name: payload}`` JSON document at the repo root
 (``BENCH_throughput.json``, ``BENCH_rebalance.json``, ...) for trend
-tracking and the CI gates (``scripts/check_*_gate.py``).  Rewriting the
+tracking and the CI gate (``scripts/check_bench_gate.py``).  Rewriting the
 whole document on every merge keeps it valid JSON regardless of which
 subset of benchmarks ran.
 """

@@ -8,9 +8,15 @@ lands its measured numbers in ``BENCH_throughput.json`` at the repo root
 (one key per benchmark) for trend tracking and the CI throughput gate.
 
 The vectorized benchmarks carry the hard gates for the columnar batch
-engine (DESIGN.md §11): the operator-level selection and windowed
-aggregation hot paths must beat the tuple path by >= 10x locally (CI
-enforces a looser 5x floor for noisy runners via the recorded JSON).
+engine (DESIGN.md §11).  They gate on what the tuple engine's speed
+cannot move: the columnar cost per record, measured in runs of the perf
+ledger's calibration kernel (``benchmarks.ledger.measure.Host`` —
+interpreter-bound dictionary work that slows down with the host, so the
+unit travels between machines), must stay under a recorded ceiling, and
+the columnar engine must beat the tuple engine on the same data.  The
+tuple-to-columnar ratio is reported, not asserted: compiling the tuple
+engine's expressions (PR 13) cut it from 18x to 6x on the selection hot
+path without the columnar engine getting any slower.
 """
 
 import os
@@ -20,6 +26,7 @@ import pytest
 
 from benchmarks._emit import ROUNDS, best_of
 from benchmarks._emit import record_bench as _record_bench
+from benchmarks.ledger.measure import Host
 from repro.dsms.runtime import Gigascope
 from repro.dsms.vectorized import RecordBatch
 from repro.streams.schema import TCP_SCHEMA
@@ -34,14 +41,16 @@ from repro.algorithms.bindings import (
 OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_throughput.json")
 BATCH_SIZE = 4096
 
-#: CI floor for the vectorized selection hot path; loose relative to the
-#: in-test gates because shared CI runners are noisy.
-CI_MIN_SELECTION_SPEEDUP = 5.0
-
-#: Hot-path gate used by the asserts below.  Defaults to the 10x claim;
-#: CI exports REPRO_MIN_HOT_PATH_SPEEDUP=5 so a noisy runner can't flake
-#: the job (the recorded JSON keeps the honest number either way).
-MIN_HOT_PATH_SPEEDUP = float(os.environ.get("REPRO_MIN_HOT_PATH_SPEEDUP", "10"))
+#: Ceilings on the columnar engine's cost, in calibration-kernel runs per
+#: 1000 records — about 2.5x what the development host measures
+#: (BENCH_throughput.json, ``vectorized_kernels_per_krecord``), which is
+#: past its run-to-run spread and short of any real regression.
+CEILING_KERNELS_PER_KRECORD = {
+    "vectorized_selection_hot_path": 1.0,
+    "vectorized_aggregation_hot_path": 1.0,
+    "vectorized_grouped_aggregation": 5.0,
+    "vectorized_selection_end_to_end": 7.0,
+}
 
 
 def record_bench(name, payload):
@@ -186,7 +195,7 @@ def test_throughput_sharded_vs_serial(benchmark, packets):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized engine: operator-level hot paths (the >= 10x claims)
+# Vectorized engine: operator-level hot paths and the whole engine
 # ---------------------------------------------------------------------------
 
 
@@ -200,7 +209,18 @@ def _operator_pair(sql):
     return operators
 
 
+def kernel_seconds(samples=7):
+    """Best-of cost of one run of the ledger's calibration kernel."""
+    costs = []
+    for _ in range(samples):
+        host = Host()
+        host.sample()
+        costs.extend(host.costs)
+    return min(costs)
+
+
 def _hot_path_seconds(sql, packets, batches):
+    """(tuple seconds, vectorized seconds, kernel seconds, run_vec)."""
     tup, vec = _operator_pair(sql)
     assert vec.execution_mode == "vectorized", vec.vectorize_fallback
 
@@ -214,26 +234,43 @@ def _hot_path_seconds(sql, packets, batches):
             vec.process_batch(batch)
         vec.flush()
 
-    return best_of(run_tuple), best_of(run_vec), run_vec
+    kernel = kernel_seconds()
+    tuple_seconds, vec_seconds = best_of(run_tuple), best_of(run_vec)
+    return tuple_seconds, vec_seconds, min(kernel, kernel_seconds()), run_vec
+
+
+def gate_vectorized(name, n, tuple_seconds, vec_seconds, kernel, **extra):
+    """Record one tuple-vs-columnar comparison and hold the columnar
+    side to its ceiling; the ratio rides along as a reported number."""
+    ceiling = CEILING_KERNELS_PER_KRECORD[name]
+    cost = vec_seconds / n * 1000 / kernel
+    record_bench(name, {
+        "records": n,
+        "rounds": ROUNDS,
+        "tuple_us_per_record": round(tuple_seconds / n * 1e6, 3),
+        "vectorized_us_per_record": round(vec_seconds / n * 1e6, 3),
+        "kernel_us": round(kernel * 1e6, 1),
+        "vectorized_kernels_per_krecord": round(cost, 3),
+        "ceiling_kernels_per_krecord": ceiling,
+        "speedup": round(tuple_seconds / vec_seconds, 1),
+        **extra,
+    })
+    assert cost <= ceiling, (vec_seconds, kernel)
+    assert vec_seconds < tuple_seconds, (tuple_seconds, vec_seconds)
 
 
 def test_throughput_vectorized_selection_hot_path(benchmark, packets, batches):
     """Operator-level selection: the batch engine's headline number."""
     sql = "SELECT time, srcIP, len FROM TCP WHERE len > 200"
-    tuple_seconds, vec_seconds, run_vec = _hot_path_seconds(sql, packets, batches)
-    speedup = tuple_seconds / vec_seconds
-    n = len(packets)
-    record_bench("vectorized_selection_hot_path", {
-        "records": n,
-        "batch_size": BATCH_SIZE,
-        "rounds": ROUNDS,
-        "tuple_us_per_record": round(tuple_seconds / n * 1e6, 3),
-        "vectorized_us_per_record": round(vec_seconds / n * 1e6, 3),
-        "speedup": round(speedup, 1),
-        "target_speedup": 10.0,
-        "ci_min_speedup": CI_MIN_SELECTION_SPEEDUP,
-    })
-    assert speedup >= MIN_HOT_PATH_SPEEDUP, (tuple_seconds, vec_seconds)
+    tuple_seconds, vec_seconds, kernel, run_vec = _hot_path_seconds(
+        sql, packets, batches
+    )
+    gate_vectorized(
+        "vectorized_selection_hot_path", len(packets), tuple_seconds,
+        vec_seconds, kernel, batch_size=BATCH_SIZE,
+        # scripts/check_bench_gate.py: columnar beats tuple, in CI too
+        ci_min_speedup=1.0,
+    )
     benchmark.pedantic(run_vec, rounds=1, iterations=1)
 
 
@@ -241,43 +278,29 @@ def test_throughput_vectorized_aggregation_hot_path(benchmark, packets, batches)
     """Operator-level windowed aggregation (the paper's per-time-bucket
     ``sum(len)`` shape): batched folds plus the columnar window close."""
     sql = "SELECT tb, sum(len), count(*) FROM TCP GROUP BY time/2 AS tb"
-    tuple_seconds, vec_seconds, run_vec = _hot_path_seconds(sql, packets, batches)
-    speedup = tuple_seconds / vec_seconds
-    n = len(packets)
-    record_bench("vectorized_aggregation_hot_path", {
-        "records": n,
-        "batch_size": BATCH_SIZE,
-        "rounds": ROUNDS,
-        "tuple_us_per_record": round(tuple_seconds / n * 1e6, 3),
-        "vectorized_us_per_record": round(vec_seconds / n * 1e6, 3),
-        "speedup": round(speedup, 1),
-        "target_speedup": 10.0,
-    })
-    assert speedup >= MIN_HOT_PATH_SPEEDUP, (tuple_seconds, vec_seconds)
+    tuple_seconds, vec_seconds, kernel, run_vec = _hot_path_seconds(
+        sql, packets, batches
+    )
+    gate_vectorized(
+        "vectorized_aggregation_hot_path", len(packets), tuple_seconds,
+        vec_seconds, kernel, batch_size=BATCH_SIZE,
+    )
     benchmark.pedantic(run_vec, rounds=1, iterations=1)
 
 
 def test_throughput_vectorized_grouped_aggregation(packets, batches):
     """High-cardinality GROUP BY (a group per handful of rows): the
     per-group work both engines share — aggregate instances, output
-    records — bounds the win, so this records the honest number with a
-    pathology-only gate rather than the 10x hot-path claim."""
+    records — bounds the win, hence the higher ceiling."""
     sql = (
         "SELECT tb, srcIP, sum(len), count(*)"
         " FROM TCP WHERE len > 100 GROUP BY time/2 AS tb, srcIP"
     )
-    tuple_seconds, vec_seconds, _ = _hot_path_seconds(sql, packets, batches)
-    speedup = tuple_seconds / vec_seconds
-    n = len(packets)
-    record_bench("vectorized_grouped_aggregation", {
-        "records": n,
-        "batch_size": BATCH_SIZE,
-        "rounds": ROUNDS,
-        "tuple_us_per_record": round(tuple_seconds / n * 1e6, 3),
-        "vectorized_us_per_record": round(vec_seconds / n * 1e6, 3),
-        "speedup": round(speedup, 1),
-    })
-    assert speedup >= 2.0, (tuple_seconds, vec_seconds)
+    tuple_seconds, vec_seconds, kernel, _ = _hot_path_seconds(sql, packets, batches)
+    gate_vectorized(
+        "vectorized_grouped_aggregation", len(packets), tuple_seconds,
+        vec_seconds, kernel, batch_size=BATCH_SIZE,
+    )
 
 
 def test_throughput_vectorized_end_to_end(packets):
@@ -293,17 +316,13 @@ def test_throughput_vectorized_end_to_end(packets):
 
     assert run(False) == len(packets)
     assert run(True) == len(packets)
+    kernel = kernel_seconds()
     tuple_seconds = best_of(lambda: run(False))
     vec_seconds = best_of(lambda: run(True))
-    speedup = tuple_seconds / vec_seconds
     n = len(packets)
-    record_bench("vectorized_selection_end_to_end", {
-        "records": n,
-        "rounds": ROUNDS,
-        "tuple_seconds": round(tuple_seconds, 4),
-        "vectorized_seconds": round(vec_seconds, 4),
-        "tuple_records_per_second": round(n / tuple_seconds),
-        "vectorized_records_per_second": round(n / vec_seconds),
-        "speedup": round(speedup, 1),
-    })
-    assert speedup >= 2.0, (tuple_seconds, vec_seconds)
+    gate_vectorized(
+        "vectorized_selection_end_to_end", n, tuple_seconds, vec_seconds,
+        min(kernel, kernel_seconds()),
+        tuple_records_per_second=round(n / tuple_seconds),
+        vectorized_records_per_second=round(n / vec_seconds),
+    )

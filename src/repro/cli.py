@@ -76,7 +76,7 @@ from repro.dsms.rebalance import RebalancePolicy
 from repro.dsms.resilience import SupervisionPolicy
 from repro.dsms.runtime import Gigascope
 from repro.dsms.sharded import ShardedGigascope
-from repro.errors import ExecutionError, PlanningError, SourceError
+from repro.errors import ExecutionError, PlanningError, ReproError, SourceError
 from repro.obs import TraceSink, write_metrics, write_trace
 from repro.streams.persistence import load_trace, save_trace
 from repro.streams.schema import TCP_SCHEMA
@@ -290,21 +290,21 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.journal is not None:
         try:
             runner = DurableRunner(gs, args.journal)
-        except ExecutionError as exc:
+            if args.resume:
+                consumed = runner.resume(iter(trace))
+                print(
+                    f"-- resumed from {args.journal}; {consumed:,} records total",
+                    file=sys.stderr,
+                )
+            else:
+                consumed = runner.run(iter(trace))
+                print(
+                    f"-- journalled {consumed:,} records to {args.journal}",
+                    file=sys.stderr,
+                )
+        except ReproError as exc:
             print(f"cannot journal this run: {exc}", file=sys.stderr)
             return 2
-        if args.resume:
-            consumed = runner.resume(iter(trace))
-            print(
-                f"-- resumed from {args.journal}; {consumed:,} records total",
-                file=sys.stderr,
-            )
-        else:
-            consumed = runner.run(iter(trace))
-            print(
-                f"-- journalled {consumed:,} records to {args.journal}",
-                file=sys.stderr,
-            )
     else:
         gs.run(iter(trace))
     rows = handle.results
@@ -450,11 +450,21 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    try:
+        return _serve(args)
+    except ReproError as exc:
+        # A refused --resume, a bad --batch-size/--commit-interval, an
+        # unreadable trace: one line, not a traceback.
+        print(f"cannot serve: {exc}", file=sys.stderr)
+        return 2
+
+
+def _serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
 
+    from repro.dsms.durability import ResultJournal
     from repro.serving.faults import BreakerConfig
-    from repro.serving.journal import ServingJournal
     from repro.serving.server import (
         DRAIN_EXIT_CODE,
         HttpLimits,
@@ -513,9 +523,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     drained = False
     if args.resume:
-        if not os.path.exists(args.journal):
-            print(f"cannot resume: {args.journal} does not exist", file=sys.stderr)
-            return 2
         engine = resume_serving(
             factory,
             args.journal,
@@ -533,7 +540,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     else:
         journal = (
-            ServingJournal(args.journal, fresh=True) if args.journal else None
+            ResultJournal(args.journal, fresh=True) if args.journal else None
         )
         engine = StandingQueryEngine(
             factory,
@@ -577,7 +584,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ),
             )
 
-            async def _serve() -> None:
+            async def _listen() -> None:
                 # Only when this (main) thread owns a running loop; a
                 # host embedding the server elsewhere handles signals
                 # itself (install_signal_handlers returns False there).
@@ -595,22 +602,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     " (/metrics /queries /healthz /readyz /drain)",
                     file=sys.stderr,
                 )
-                await server.ingest(records, close=True)
-                if server.drained:
-                    print(
-                        f"-- drained after {engine.consumed:,} records;"
-                        " final state committed",
-                        file=sys.stderr,
-                    )
-                elif args.linger > 0:
-                    print(
-                        f"-- feed drained; lingering {args.linger}s",
-                        file=sys.stderr,
-                    )
-                    await server.linger(args.linger)
-                await server.stop_http()
+                try:
+                    await server.ingest(records, close=True)
+                    if server.drained:
+                        print(
+                            f"-- drained after {engine.consumed:,} records;"
+                            " final state committed",
+                            file=sys.stderr,
+                        )
+                    elif args.linger > 0:
+                        print(
+                            f"-- feed drained; lingering {args.linger}s",
+                            file=sys.stderr,
+                        )
+                        await server.linger(args.linger)
+                finally:
+                    await server.stop_http()
 
-            asyncio.run(_serve())
+            asyncio.run(_listen())
             drained = server.drained
         else:
             drive(

@@ -1,36 +1,41 @@
-"""Whole-pipeline durable resume: a write-ahead result journal.
+"""Whole-pipeline durable resume: one feed loop, one journal, one resume.
 
 The supervision layer (:mod:`repro.dsms.resilience`) survives *worker*
-crashes; this module survives the death of the **entire process**.  A
-:class:`DurableRunner` drives a :class:`~repro.dsms.runtime.Gigascope`
-or a :class:`~repro.dsms.sharded.ShardedGigascope` (inline or
-supervised shards alike) through a record stream while journalling
-committed progress to disk:
+crashes; this module survives the death of the **entire process**, the
+same way for every deployment.  A serial
+:class:`~repro.dsms.runtime.Gigascope`, a
+:class:`~repro.dsms.sharded.ShardedGigascope` over either shard pool and
+a :class:`~repro.serving.server.StandingQueryEngine` answer the same
+calls — ``start()``, ``feed(batch) -> int``, ``finish()``,
+``checkpoint() -> dict``, ``restore(dict)``, plus ``abandon()`` to drop
+a run mid-stream — and the rest is written once, here, against those:
 
-* the journal (:class:`ResultJournal`) is an fsync'd, framed, CRC-checked
-  append-only file — a torn tail (the normal state of a file whose
-  writer was killed mid-append) is detected and discarded on read, so
-  the last *complete* entry is always a consistent resume point;
-* each commit entry pairs ``consumed`` (records of input fully applied)
-  with the v2 checkpoint state that reflects exactly that prefix —
-  serial runs embed :meth:`Gigascope.checkpoint` (which includes
-  retained results and metrics), sharded runs embed every shard's
-  ``(seq, pickled checkpoint)`` from the shard pool's
-  ``checkpoint_all()`` plus the parent's SPLIT-edge metrics;
-* :meth:`DurableRunner.resume` restores the last committed entry into an
-  *identically registered* instance, skips the committed input prefix,
-  and replays the rest — producing byte-identical results and metrics to
-  an uninterrupted run, because checkpoints are taken at batch
-  boundaries where the pipeline is fully drained (``feed`` drains the
-  rings each batch; a supervised worker's checkpoint request queues
-  behind every batch shipped to it).
+* :func:`batches` cuts a stream into batches (the one place a batch size
+  is validated) and :func:`skip` drops a committed prefix;
+* :func:`feed_loop` feeds batch after batch and commits when due: when a
+  window closed since the last commit (``rows_emitted()`` grew — a
+  serial instance sees its windows close; shard pools and the serving
+  engine report a constant, so theirs is interval-only) or after
+  ``commit_interval`` batches.  A batch boundary is a consistent cut:
+  ``feed`` drains the rings, and a supervised worker's checkpoint
+  request queues behind every batch shipped to it;
+* :func:`run_batches` is a whole run — start, loop, finish, final
+  commit — journalled or not;
+* :func:`read_journal` says what kind of journal it was handed and
+  upgrades entries earlier writers shaped differently; :func:`resume`
+  restores the last commit and hands back the input still to be fed,
+  so replaying it into an *identically registered* deployment is
+  byte-identical to an uninterrupted run.
 
-Commit granularity: serial runs commit at **window granularity** — a
-commit is appended whenever a window closed (some retained query emitted
-rows) since the last one — with an optional every-N-batches fallback.
-Sharded runs commit every ``commit_interval`` rounds (under supervision
-window closes happen inside the workers, invisible to the parent until
-checkpointed).
+The journal (:class:`ResultJournal`) is an fsync'd, framed, CRC-checked
+append-only file — a torn tail (the normal state of a file whose writer
+was killed mid-append) is detected and discarded on read, so the last
+*complete* entry is always a consistent resume point.  Every entry wears
+one envelope (:func:`entry`): ``journal_version``, ``kind`` (``commit``
+/ ``final``, and the serving registry's ``register`` / ``unregister``),
+``mode`` (the deployment's ``journal_mode``: serial, sharded or serving)
+and ``consumed``; a commit carries the deployment's ``checkpoint()``
+beside it.
 
 Load shedding and durable resume do not mix deterministically: shedding
 decisions depend on wall-clock queue depths, so a resumed run may shed
@@ -48,15 +53,18 @@ from itertools import islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ExecutionError, StreamError, TraceCorruptError
-from repro.dsms.runtime import Gigascope
 from repro.streams.records import Record
 
 _MAGIC = b"RPJRNL01"
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
 
 #: journal entry format version (independent of the checkpoint version,
-#: which rides inside each entry as ``checkpoint_version``)
-JOURNAL_VERSION = 1
+#: which rides inside each commit as ``checkpoint_version``); version 1
+#: nested serial state under ``snapshot`` and gave serving entries no
+#: envelope, and :func:`read_journal` still reads it
+JOURNAL_VERSION = 2
+
+Hook = Optional[Callable[[int, str], None]]
 
 
 class ResultJournal:
@@ -146,39 +154,203 @@ class ResultJournal:
         """All complete entries, oldest first (torn tail silently cut)."""
         return cls._scan(path)[0]
 
-    @classmethod
-    def last_entry(cls, path: str) -> Optional[Dict[str, Any]]:
-        entries = cls.read(path)
-        return entries[-1] if entries else None
+
+def entry(kind: str, mode: str, consumed: int, **fields: Any) -> Dict[str, Any]:
+    """One journal entry in the envelope every writer uses."""
+    return {
+        "journal_version": JOURNAL_VERSION,
+        "kind": kind,
+        "mode": mode,
+        "consumed": consumed,
+        **fields,
+    }
 
 
-def _batches(records: Iterable[Record], size: int) -> Iterator[List[Record]]:
-    batch: List[Record] = []
-    for record in records:
-        batch.append(record)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+def _upgraded(e: Dict[str, Any]) -> Dict[str, Any]:
+    """``e`` in today's envelope, whichever earlier writer shaped it."""
+    if "journal_version" not in e and "serving_version" in e:
+        # Serving journals had their own version stamp and no mode;
+        # registry events carried their offset under ``offset`` only.
+        e = {
+            "consumed": e.get("offset"),
+            **e,
+            "journal_version": e["serving_version"],
+            "mode": "serving",
+        }
+    if e.get("mode") == "supervised":
+        # From before the shard pools shared one checkpoint currency.
+        e = {**e, "mode": "sharded"}
+    if "snapshot" in e:
+        # Version-1 serial commits nested the instance checkpoint.
+        e = {**e, **e["snapshot"]}
+    return e
+
+
+def read_journal(path: str, mode: str) -> List[Dict[str, Any]]:
+    """Every complete entry of the ``mode`` journal at ``path``, upgraded.
+
+    The one place a journal is judged fit to resume from: a missing
+    file, a file that is not a journal (:class:`TraceCorruptError`), an
+    entry version this code does not read and a journal written by
+    another kind of run are each refused here, by name.
+    """
+    if not os.path.exists(path):
+        raise ExecutionError(f"journal {path!r} does not exist")
+    entries = [_upgraded(e) for e in ResultJournal.read(path)]
+    for e in entries:
+        if e.get("journal_version") not in (1, JOURNAL_VERSION):
+            raise ExecutionError(
+                f"journal entry version {e.get('journal_version')!r} in"
+                f" {path!r} is not supported (expected 1 or {JOURNAL_VERSION})"
+            )
+        if e.get("mode") != mode:
+            raise ExecutionError(
+                f"journal {path!r} was written by a {e.get('mode')!r} run;"
+                f" it cannot resume a {mode!r} run"
+            )
+    return entries
+
+
+def batches(records: Iterable[Record], size: int) -> Iterator[List[Record]]:
+    """Cut ``records`` into lists of ``size`` (the last may be shorter)."""
+    if size < 1:
+        raise StreamError(f"batch size must be >= 1, got {size}")
+    source = iter(records)
+    return iter(lambda: list(islice(source, size)), [])
+
+
+def skip(records: Iterable[Record], n: int) -> Iterator[Record]:
+    """``records`` past the first ``n``, which a resumed run already ate."""
+    iterator = iter(records)
+    skipped = sum(1 for _ in islice(iterator, n))
+    if skipped < n:
+        raise ExecutionError(
+            f"resume input is shorter than the committed prefix"
+            f" ({skipped} < {n} records): the input must be the same"
+            " replayable stream the original run consumed"
+        )
+    return iterator
+
+
+def commit(
+    driven: Any,
+    journal: Optional[ResultJournal],
+    kind: str,
+    consumed: int,
+    on_commit: Hook = None,
+) -> None:
+    """Make ``driven``'s state after ``consumed`` records durable.
+
+    ``on_commit(consumed, kind)`` fires once the entry is fsync'd;
+    killing the process inside it is exactly the crash the journal is
+    designed to survive.
+    """
+    if journal is None:
+        return
+    envelope = entry(kind, driven.journal_mode, consumed, checkpoint_version=2)
+    journal.append({**driven.checkpoint(), **envelope})
+    if on_commit is not None:
+        on_commit(consumed, kind)
+
+
+def feed_loop(
+    driven: Any,
+    batch_iter: Iterable[List[Record]],
+    journal: Optional[ResultJournal] = None,
+    *,
+    consumed: int = 0,
+    commit_interval: int = 4,
+    on_batch: Optional[Callable[[int, int], None]] = None,
+    on_commit: Hook = None,
+) -> Iterator[int]:
+    """Feed ``driven`` batch after batch, committing when due.
+
+    A generator yielding the records consumed so far after each batch,
+    so an asyncio caller can ``await`` between steps while a synchronous
+    one just exhausts it.  ``on_batch(batch_no, consumed)`` fires after
+    each batch is fed.  An error — a refused cadence included — abandons
+    the run rather than flushing half-fed windows.
+    """
+    try:
+        if commit_interval < 1:
+            raise StreamError(f"commit_interval must be >= 1, got {commit_interval}")
+        emitted = driven.rows_emitted()
+        since_commit = 0
+        for batch_no, batch in enumerate(batch_iter, 1):
+            consumed += driven.feed(batch)
+            if on_batch is not None:
+                on_batch(batch_no, consumed)
+            since_commit += 1
+            if journal is not None:
+                now = driven.rows_emitted()
+                if now > emitted or since_commit >= commit_interval:
+                    commit(driven, journal, "commit", consumed, on_commit)
+                    emitted, since_commit = now, 0
+            yield consumed
+    except GeneratorExit:
+        raise  # the caller stopped driving; the run is still its to end
+    except BaseException:
+        driven.abandon()
+        raise
+
+
+def run_batches(
+    driven: Any,
+    batch_iter: Iterable[List[Record]],
+    journal: Optional[ResultJournal] = None,
+    consumed: int = 0,
+    on_commit: Hook = None,
+    **cadence: Any,
+) -> int:
+    """One whole run: start, feed every batch, finish, final commit.
+
+    Returns the records consumed, ``consumed`` (a resumed run's
+    committed prefix) included; ``cadence`` is :func:`feed_loop`'s.
+    """
+    driven.start()
+    loop = feed_loop(
+        driven, batch_iter, journal, consumed=consumed, on_commit=on_commit, **cadence
+    )
+    for consumed in loop:
+        pass
+    driven.finish()
+    commit(driven, journal, "final", consumed, on_commit)
+    return consumed
+
+
+def resume(
+    driven: Any, entries: List[Dict[str, Any]], records: Iterable[Record]
+) -> Tuple[Optional[Dict[str, Any]], Optional[Iterable[Record]]]:
+    """Restore the last commit among ``entries`` into ``driven``.
+
+    Returns that commit and the input still to be fed: ``records`` (the
+    same replayable stream the original run consumed) past the committed
+    prefix; all of it when nothing was durable yet, so the resume
+    degenerates to a fresh run; ``None`` when the last commit is
+    ``final`` — the finished run's state is restored, no input is read.
+    """
+    commits = [e for e in entries if e["kind"] in ("commit", "final")]
+    if not commits:
+        return None, records
+    last = commits[-1]
+    driven.restore(last)
+    if last["kind"] == "final":
+        return last, None
+    return last, skip(records, last["consumed"])
 
 
 class DurableRunner:
     """Drive an instance through a stream with journalled commits.
 
-    ``instance`` is either a :class:`Gigascope` (serial) or a
+    ``instance`` is a :class:`~repro.dsms.runtime.Gigascope` or a
     :class:`~repro.dsms.sharded.ShardedGigascope`; both shard pools
     checkpoint at round boundaries, and a journal written over one
     resumes over the other.
 
     Hooks (both optional, both for chaos tests and progress reporting):
-
-    * ``on_batch(batch_no, consumed)`` — before each serial batch is fed
-      / after each sharded round is shipped;
-    * ``on_commit(consumed, kind)`` — after each journal entry is
-      durable (``kind`` is ``"commit"`` or ``"final"``).  Killing the
-      process inside this hook is exactly the crash the journal is
-      designed to survive.
+    ``on_batch(batch_no, consumed)`` after each batch is fed, and
+    ``on_commit(consumed, kind)`` after each journal entry is durable
+    (``kind`` is ``"commit"`` or ``"final"``).
     """
 
     def __init__(
@@ -188,20 +360,15 @@ class DurableRunner:
         *,
         batch_size: int = 512,
         commit_interval: int = 4,
-        window_commits: bool = True,
         on_batch: Optional[Callable[[int, int], None]] = None,
-        on_commit: Optional[Callable[[int, str], None]] = None,
+        on_commit: Hook = None,
     ) -> None:
         self.instance = instance
         self.journal_path = journal_path
         self.batch_size = batch_size
-        if commit_interval < 1:
-            raise StreamError("commit_interval must be >= 1")
         self.commit_interval = commit_interval
-        self.window_commits = window_commits
         self.on_batch = on_batch
         self.on_commit = on_commit
-        self._serial = isinstance(instance, Gigascope)
         if getattr(instance, "shed_threshold", None) is not None:
             raise ExecutionError(
                 "durable resume and load shedding do not mix: shedding"
@@ -232,241 +399,27 @@ class DurableRunner:
                     bad.append(state)
         return sorted(bad)
 
-    # -- public API --------------------------------------------------------
-
     def run(self, records: Iterable[Record]) -> int:
         """Fresh run: truncate the journal, run, commit, finalize.
 
         Returns total records consumed.
         """
-        journal = ResultJournal(self.journal_path, fresh=True)
-        try:
-            return self._run(journal, records, consumed=0, snapshot=None)
-        finally:
-            journal.close()
+        return self._run(records, None)
 
     def resume(self, records: Iterable[Record]) -> int:
-        """Resume from the journal's last committed entry.
+        """Resume from the journal's last commit (see :func:`resume`)."""
+        entries = read_journal(self.journal_path, self.instance.journal_mode)
+        last, rest = resume(self.instance, entries, records)
+        return last["consumed"] if rest is None else self._run(rest, last)
 
-        ``records`` must be the *same* logical input as the original run
-        (a replayable source: a trace file, a seeded generator); the
-        committed prefix is skipped and the remainder replayed.  If the
-        journal's last entry is ``final`` the run already completed: the
-        final state is restored (results included) and no input is read.
-        """
-        entries = ResultJournal.read(self.journal_path)
-        commits = [
-            e for e in entries if e.get("kind") in ("commit", "final")
-        ]
-        if not commits:
-            # Nothing durable yet (died before the first commit): the
-            # resume degenerates to a fresh run.
-            return self.run(records)
-        last = commits[-1]
-        self._check_entry(last)
-        if last["kind"] == "final":
-            self._restore_final(last)
-            return last["consumed"]
-        journal = ResultJournal(self.journal_path, fresh=False)
-        try:
-            return self._run(
+    def _run(self, records: Iterable[Record], last: Optional[Dict[str, Any]]) -> int:
+        with ResultJournal(self.journal_path, fresh=last is None) as journal:
+            return run_batches(
+                self.instance,
+                batches(records, self.batch_size),
                 journal,
-                records,
-                consumed=last["consumed"],
-                snapshot=last,
+                last["consumed"] if last else 0,
+                self.on_commit,
+                commit_interval=self.commit_interval,
+                on_batch=self.on_batch,
             )
-        finally:
-            journal.close()
-
-    # -- shared plumbing ---------------------------------------------------
-
-    def _mode(self) -> str:
-        return "serial" if self._serial else "sharded"
-
-    def _check_entry(self, entry: Dict[str, Any]) -> None:
-        if entry.get("journal_version") != JOURNAL_VERSION:
-            raise ExecutionError(
-                "journal entry version"
-                f" {entry.get('journal_version')!r} is not supported"
-                f" (expected {JOURNAL_VERSION})"
-            )
-        # Journals from before the shard pools shared one checkpoint
-        # currency say "supervised" where they now say "sharded".
-        mode = entry.get("mode")
-        if (mode == "serial") != self._serial:
-            raise ExecutionError(
-                f"journal was written by a {mode!r} run; this"
-                f" runner drives a {self._mode()!r} instance"
-            )
-
-    def _entry(self, kind: str, consumed: int, **state: Any) -> Dict[str, Any]:
-        return {
-            "journal_version": JOURNAL_VERSION,
-            "checkpoint_version": 2,
-            "kind": kind,
-            "mode": self._mode(),
-            "consumed": consumed,
-            **state,
-        }
-
-    def _commit(
-        self, journal: ResultJournal, kind: str, consumed: int, **state: Any
-    ) -> None:
-        journal.append(self._entry(kind, consumed, **state))
-        if self.on_commit is not None:
-            self.on_commit(consumed, kind)
-
-    def _skip(self, records: Iterable[Record], n: int) -> Iterator[Record]:
-        iterator = iter(records)
-        skipped = sum(1 for _ in islice(iterator, n))
-        if skipped < n:
-            raise ExecutionError(
-                f"resume input is shorter than the committed prefix"
-                f" ({skipped} < {n} records): the input must be the same"
-                " replayable stream the original run consumed"
-            )
-        return iterator
-
-    def _run(
-        self,
-        journal: ResultJournal,
-        records: Iterable[Record],
-        consumed: int,
-        snapshot: Optional[Dict[str, Any]],
-    ) -> int:
-        if self._serial:
-            return self._run_serial(journal, records, consumed, snapshot)
-        return self._run_sharded(journal, records, consumed, snapshot)
-
-    # -- serial ------------------------------------------------------------
-
-    def _results_watermark(self) -> int:
-        gs = self.instance
-        return sum(
-            len(gs.query(name).results)
-            for name in gs._order
-            if gs.query(name).keep_results
-        )
-
-    def _run_serial(
-        self,
-        journal: ResultJournal,
-        records: Iterable[Record],
-        consumed: int,
-        snapshot: Optional[Dict[str, Any]],
-    ) -> int:
-        gs = self.instance
-        if snapshot is not None:
-            gs.restore(snapshot["snapshot"])
-            records = self._skip(records, consumed)
-        gs.start()
-        watermark = self._results_watermark()
-        batch_no = 0
-        since_commit = 0
-        try:
-            for batch in _batches(records, self.batch_size):
-                batch_no += 1
-                if self.on_batch is not None:
-                    self.on_batch(batch_no, consumed)
-                consumed += gs.feed(batch)
-                since_commit += 1
-                grew = self._results_watermark()
-                if (self.window_commits and grew > watermark) or (
-                    since_commit >= self.commit_interval
-                ):
-                    # The rings are fully drained after feed(), so the
-                    # checkpoint reflects exactly `consumed` input.
-                    self._commit(
-                        journal, "commit", consumed, snapshot=gs.checkpoint()
-                    )
-                    watermark = grew
-                    since_commit = 0
-        except BaseException:
-            gs._session = None  # abandon without flushing
-            raise
-        gs.finish()
-        self._commit(journal, "final", consumed, snapshot=gs.checkpoint())
-        return consumed
-
-    # -- sharded -----------------------------------------------------------
-
-    def _run_sharded(
-        self,
-        journal: ResultJournal,
-        records: Iterable[Record],
-        consumed: int,
-        snapshot: Optional[Dict[str, Any]],
-    ) -> int:
-        sh = self.instance
-        resume_state = None
-        if snapshot is not None:
-            resume_state = {
-                int(shard): (seq, blob)
-                for shard, (seq, blob) in snapshot["shards"].items()
-            }
-            if snapshot.get("routing") is not None:
-                # The routing table (and the rebalancer's decision state)
-                # rides every commit, so the replay routes — and keeps
-                # re-deciding — under the same routing history.
-                sh.restore_rebalance(snapshot["routing"])
-            elif getattr(sh, "_rebalancer", None) is not None:
-                raise ExecutionError(
-                    "journal has no routing table but this instance"
-                    " rebalances; resume with the same configuration as"
-                    " the original run"
-                )
-            if snapshot.get("metrics"):
-                sh.metrics.restore(snapshot["metrics"])
-            records = self._skip(records, consumed)
-        start = consumed
-        rounds = 0
-        rebalancing = getattr(sh, "_rebalancer", None) is not None
-
-        def on_round(pool: Any, total: int) -> None:
-            nonlocal rounds
-            rounds += 1
-            if self.on_batch is not None:
-                self.on_batch(rounds, start + total)
-            if rounds % self.commit_interval == 0:
-                extra = (
-                    {"routing": sh.routing_snapshot()} if rebalancing else {}
-                )
-                self._commit(
-                    journal,
-                    "commit",
-                    start + total,
-                    shards=pool.checkpoint_all(),
-                    # SPLIT-edge counters (quarantine, curation) live in
-                    # the parent, outside every shard checkpoint.
-                    metrics=sh.metrics.checkpoint(),
-                    **extra,
-                )
-
-        total = sh.run(
-            records,
-            batch_size=self.batch_size,
-            on_round=on_round,
-            resume_state=resume_state,
-        )
-        consumed = start + total
-        self._commit(
-            journal,
-            "final",
-            consumed,
-            results={
-                name: list(sh.query(name).results) for name in sh._order
-            },
-            metrics=sh.metrics.checkpoint(),
-        )
-        return consumed
-
-    def _restore_final(self, entry: Dict[str, Any]) -> None:
-        """Reinstate a completed run's results from its final entry."""
-        if self._serial:
-            self.instance.restore(entry["snapshot"])
-            return
-        sh = self.instance
-        for name, rows in entry["results"].items():
-            sh.query(name).results[:] = rows
-        if entry.get("metrics"):
-            sh.metrics.restore(entry["metrics"])

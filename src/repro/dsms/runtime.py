@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from repro.errors import ExecutionError, PlanningError
 from repro.dsms.aggregates import default_aggregate_registry
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
+from repro.dsms.durability import batches, run_batches
 from repro.dsms.functions import default_function_registry
 from repro.dsms.operators import build_operator
 from repro.dsms.operators.base import Operator
@@ -74,6 +75,9 @@ class QueryHandle:
 
 class Gigascope:
     """A miniature DSMS instance hosting source streams and queries."""
+
+    #: the ``mode`` this deployment's journal entries carry
+    journal_mode = "serial"
 
     def __init__(
         self,
@@ -419,26 +423,13 @@ class Gigascope:
         After the iterator is exhausted every operator is flushed in
         topological order, so trailing windows are emitted.
         """
-        self.start()
-        total = 0
-        batch: List[Record] = []
-        try:
-            for record in records:
-                batch.append(record)
-                if len(batch) >= batch_size:
-                    total += self.feed(batch)
-                    batch = []
-            if batch:
-                total += self.feed(batch)
-        except BaseException:
-            self._session = None  # abandon the run without flushing
-            raise
-        self.finish()
-        return total
+        return run_batches(self, batches(records, batch_size))
 
-    # Incremental driving (used by the sharded runtime, which interleaves
-    # feeding several instances): start() once, feed() any number of
-    # batches, finish() once to flush trailing windows.
+    # Incremental driving — what every driver is written against (the
+    # one feed loop in repro.dsms.durability, the shard pools, the
+    # serving engine): start() once, feed() any number of batches, then
+    # finish() once to flush trailing windows or abandon() to drop the
+    # run unflushed; checkpoint()/restore() at any batch boundary.
 
     def start(self) -> None:
         """Begin an incremental run: subscribe low-level queries."""
@@ -465,6 +456,19 @@ class Gigascope:
             self._flush_all()
         finally:
             self._session = None
+
+    def abandon(self) -> None:
+        """Drop an open run without flushing it (a no-op when idle)."""
+        self._session = None
+
+    def rows_emitted(self) -> int:
+        """Rows retained so far; it grows exactly when a window closed,
+        which is when the durable feed loop commits early."""
+        return sum(
+            len(handle.results)
+            for handle in self._queries.values()
+            if handle.keep_results
+        )
 
     def inject(
         self,

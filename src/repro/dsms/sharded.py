@@ -32,10 +32,10 @@ Architecture::
   SFUN closures need no pickling) and restarts crashed or stalled
   workers from checkpoints.  Both answer the same calls — ``start``,
   ``ship``, ``add_shard``, ``checkpoint_all`` / ``states`` /
-  ``install_states``, ``finish``, ``close`` — so :meth:`ShardedGigascope.run`
-  is one loop: validate at the SPLIT edge, batch, split,
-  ``pool.ship(buckets)``, drain the MERGE, rebalance barrier,
-  ``on_round``.  The pool is crossed once per round, never per record.
+  ``install_states``, ``finish``, ``close`` — so one round is one
+  :meth:`ShardedGigascope.feed`: validate at the SPLIT edge, split,
+  ``pool.ship(buckets)``, drain the MERGE, rebalance barrier.  The
+  pool is crossed once per round, never per record.
 * **MERGE** — one :class:`MergeOperator` per registered query recombines
   the shard outputs on the query's ordered output attribute; a shard
   that finishes releases its watermark via ``end_source``.
@@ -63,11 +63,11 @@ from __future__ import annotations
 import pickle
 import zlib
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError, PlanningError
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
+from repro.dsms.durability import batches, run_batches
 from repro.dsms.operators.merge import MergeOperator
 from repro.dsms.parser import compile_query
 from repro.dsms.parser.planner import partition_info
@@ -279,7 +279,7 @@ class _InlinePool:
     def close(self) -> None:
         """Abandon any shard still mid-run (a no-op after finish)."""
         for instance in self.owner._instances:
-            instance._session = None
+            instance.abandon()
 
 
 class ShardedGigascope:
@@ -291,6 +291,9 @@ class ShardedGigascope:
     partition rules of :func:`partition_info` or ``add_query`` raises a
     :class:`PlanningError` explaining why the query cannot shard.
     """
+
+    #: the ``mode`` this deployment's journal entries carry
+    journal_mode = "sharded"
 
     def __init__(
         self,
@@ -400,6 +403,12 @@ class ShardedGigascope:
         self._constraints: Dict[str, List[Tuple[str, frozenset]]] = {}
         self._partition: Dict[str, str] = {}
         self._auto_counter = 0
+        #: the open run's shard pool, SPLIT routes and MERGE sinks
+        self._pool: Any = None
+        self._route: Dict[str, int] = {}
+        self._sinks: List[_MergeSink] = []
+        #: per shard ``(seq, pickled checkpoint)`` the next start() seeds
+        self._resume_state: Dict[int, Tuple[int, bytes]] = {}
 
     # -- registration -----------------------------------------------------------
 
@@ -682,35 +691,25 @@ class ShardedGigascope:
 
     # -- execution ----------------------------------------------------------------
 
-    def run(
-        self,
-        records: Iterable[Record],
-        batch_size: int = 4096,
-        *,
-        on_round=None,
-        resume_state: Optional[Dict[int, Tuple[int, bytes]]] = None,
-    ) -> int:
+    def run(self, records: Iterable[Record], batch_size: int = 4096) -> int:
         """SPLIT the record stream across the shards, MERGE their outputs.
 
         Returns the number of records read (like :meth:`Gigascope.run`),
         malformed ones quarantined at the SPLIT edge included.
-
-        ``on_round`` / ``resume_state`` are the durable-resume hooks
-        (see :mod:`repro.dsms.durability`): ``on_round(pool, total)``
-        fires after every shipped round — after the rebalance barrier,
-        so a commit journals the post-migration checkpoints and routing
-        table together — and ``resume_state`` (per shard ``(seq,
-        pickled checkpoint)``, as ``pool.checkpoint_all()`` returns)
-        seeds the shards from a prior process's committed checkpoints.
         """
-        route = self._route_indices()
-        sinks = [_MergeSink(self._handles[name]) for name in self._order]
-        # Under rebalance the shard pool can grow mid-run, so the merge
-        # is deferred to the end (sized to the final pool); shard
-        # handles keep full results either way.
-        streaming = self._rebalancer is None
+        return run_batches(self, batches(records, batch_size))
+
+    # The same incremental surface as Gigascope, one round per feed().
+
+    def start(self) -> None:
+        """Begin a run: open the shard pool, seeded by the last
+        :meth:`restore` if there was one."""
+        if self._pool is not None:
+            raise ExecutionError("instance is already running; finish() first")
+        self._route = self._route_indices()
+        self._sinks = [_MergeSink(self._handles[name]) for name in self._order]
         self._last_report = None
-        pool: Any = (
+        self._pool = (
             ShardSupervisor(
                 self,
                 policy=self.supervision,
@@ -720,32 +719,45 @@ class ShardedGigascope:
             if self.supervise
             else _InlinePool(self)
         )
-        self.last_supervision = pool.report
-        source = iter(records)
-        total = 0
+        self.last_supervision = self._pool.report
         try:
-            pool.start(resume_state or {})
-            while True:
-                batch = list(islice(source, batch_size))
-                if not batch:
-                    break
-                total += len(batch)
-                if self.validate_admission:
-                    batch = self._validate_edge(batch)
-                pool.ship(self._split(batch, route))
-                if streaming:
-                    for sink in sinks:
-                        handles = sink.handle.shard_handles
-                        for shard in range(self.shards):
-                            sink.drain(shard, handles[shard].results)
-                else:
-                    self._rebalance(pool)
-                if on_round is not None:
-                    on_round(pool, total)
-            results, reports = pool.finish()
+            self._pool.start(self._resume_state)
+        except BaseException:
+            self.abandon()
+            raise
+        self._resume_state = {}
+
+    def feed(self, batch: List[Record]) -> int:
+        """One round: validate at the SPLIT edge, split, ship, drain the
+        MERGE (or hold the rebalance barrier); returns the batch size."""
+        pool = self._pool
+        if pool is None:
+            raise ExecutionError("start() the instance before feeding it")
+        offered = len(batch)
+        if self.validate_admission:
+            batch = self._validate_edge(batch)
+        pool.ship(self._split(batch, self._route))
+        if self._rebalancer is None:
+            for sink in self._sinks:
+                handles = sink.handle.shard_handles
+                for shard in range(self.shards):
+                    sink.drain(shard, handles[shard].results)
+        else:
+            # The shard pool can grow mid-run, so the merge is deferred
+            # to finish() (sized to the final pool); shard handles keep
+            # full results either way.
+            self._rebalance(pool)
+        return offered
+
+    def finish(self) -> None:
+        """End the run: collect every shard, MERGE what is left."""
+        if self._pool is None:
+            raise ExecutionError("instance is not running")
+        try:
+            results, reports = self._pool.finish()
         finally:
-            pool.close()
-        for sink in sinks:
+            self.abandon()
+        for sink in self._sinks:
             sink.finish(results)
         report = _merge_reports(reports)
         for stream, counters in report["streams"].items():
@@ -753,7 +765,65 @@ class ShardedGigascope:
                 self.metrics.value("stream_quarantined_total", stream=stream)
             )
         self._last_report = report
-        return total
+
+    def abandon(self) -> None:
+        """Reap an open run's pool without collecting it (a no-op when
+        idle)."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
+
+    def rows_emitted(self) -> int:
+        """Constant: under supervision windows close inside the workers,
+        invisible here until checkpointed, so durable commits over
+        either pool come every ``commit_interval`` rounds only."""
+        return 0
+
+    def checkpoint(self) -> Dict[str, Any]:
+        """Picklable state at a round boundary (after the rebalance
+        barrier, so post-migration checkpoints and the routing table
+        travel together): every shard's ``(seq, pickled checkpoint)``,
+        the routing snapshot when rebalancing, and the parent's metrics —
+        SPLIT-edge counters (quarantine, curation) live outside every
+        shard checkpoint.  Once the run has finished the shards are
+        gone and its state is the merged results."""
+        state: Dict[str, Any] = {"metrics": self.metrics.checkpoint()}
+        if self._pool is None:
+            state["results"] = {
+                name: list(self._handles[name].results) for name in self._order
+            }
+            return state
+        state["shards"] = self._pool.checkpoint_all()
+        state["routing"] = self.routing_snapshot()
+        return state
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Reinstate a :meth:`checkpoint`: a finished run's results at
+        once, an open run's shards at the next :meth:`start`."""
+        if "results" in state:
+            for name, rows in state["results"].items():
+                self.query(name).results[:] = rows
+        else:
+            self._resume_state = {
+                int(shard): (seq, blob)
+                for shard, (seq, blob) in state["shards"].items()
+            }
+            routing = state.get("routing")
+            if (routing is None) != (self._rebalancer is None):
+                raise ExecutionError(
+                    "the journal and this instance disagree about"
+                    " rebalance=...: the journal"
+                    f" {'has no' if routing is None else 'carries a'}"
+                    " routing table; resume with the same configuration"
+                    " as the original run"
+                )
+            if routing is not None:
+                # The replay routes — and keeps re-deciding — under the
+                # journalled routing history.
+                self._ensure_pool(routing["pool"])
+                self._rebalancer.restore(routing["rebalancer"])
+        if state.get("metrics"):
+            self.metrics.restore(state["metrics"])
 
     def _validate_edge(self, batch: List[Any]) -> List[Record]:
         """Validate/coerce one batch at the SPLIT edge; dead-letter failures.
@@ -932,19 +1002,6 @@ class ShardedGigascope:
         if self._rebalancer is None:
             return None
         return {"pool": self.shards, "rebalancer": self._rebalancer.checkpoint()}
-
-    def restore_rebalance(self, snapshot: Dict[str, Any]) -> None:
-        """Reinstate a :meth:`routing_snapshot` before a resumed run, so
-        the replay routes — and keeps deciding — under the journalled
-        routing history."""
-        if self._rebalancer is None:
-            raise ExecutionError(
-                "journal carries a routing table but this instance was"
-                " built without rebalance=...; resume with the same"
-                " configuration as the original run"
-            )
-        self._ensure_pool(snapshot["pool"])
-        self._rebalancer.restore(snapshot["rebalancer"])
 
     # -- reporting ------------------------------------------------------------------
 

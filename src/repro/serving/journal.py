@@ -1,8 +1,9 @@
 """Durable standing registrations: the serving journal (docs/SERVING.md).
 
 Standing queries ride the same fsync'd, CRC-framed, torn-tail-tolerant
-:class:`~repro.dsms.durability.ResultJournal` the durable runner uses,
-with serving-specific entry kinds:
+:class:`~repro.dsms.durability.ResultJournal` — and the same entry
+envelope, under ``mode="serving"`` — as every durable run, with two
+entry kinds of their own beside the commits:
 
 * ``register`` / ``unregister`` — one entry per registry mutation, with
   the record ``offset`` (records consumed so far) at which it took
@@ -18,51 +19,12 @@ the event log, restores the last commit's checkpoints, skips the
 committed input prefix, and replays the remainder (re-applying any
 events the journal recorded *after* the last commit at their original
 offsets) — byte-identical to an uninterrupted serve, by the same
-batch-boundary-drain argument the durable runner rests on.
+batch-boundary-drain argument every durable run rests on.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
-
-from repro.dsms.durability import ResultJournal
-
-#: serving journal entry format version
-SERVING_JOURNAL_VERSION = 1
-
-
-class ServingJournal:
-    """Append-only log of registry events and engine commits."""
-
-    def __init__(self, path: str, fresh: bool = False) -> None:
-        self.path = path
-        self._journal = ResultJournal(path, fresh=fresh)
-
-    def append(self, kind: str, **fields: Any) -> None:
-        self._journal.append({
-            "serving_version": SERVING_JOURNAL_VERSION,
-            "kind": kind,
-            **fields,
-        })
-
-    def close(self) -> None:
-        self._journal.close()
-
-    # -- reading -----------------------------------------------------------
-
-    @staticmethod
-    def read(path: str) -> List[Dict[str, Any]]:
-        """All complete serving entries, oldest first, version-checked."""
-        entries = []
-        for entry in ResultJournal.read(path):
-            version = entry.get("serving_version")
-            if version != SERVING_JOURNAL_VERSION:
-                raise ValueError(
-                    f"serving journal entry version {version!r} is not"
-                    f" supported (expected {SERVING_JOURNAL_VERSION})"
-                )
-            entries.append(entry)
-        return entries
 
 
 def split_log(

@@ -19,8 +19,11 @@ Two layers (docs/SERVING.md):
   with its failures recorded to a :class:`~repro.serving.faults.DeadLetterLog`,
   while every other query keeps serving; a quarantined shared-group
   leader is replaced by the lowest-qid healthy follower *within the
-  same batch*, so followers never observe a gap.  With a
-  :class:`~repro.serving.journal.ServingJournal` attached, every
+  same batch*, so followers never observe a gap.  The engine answers
+  the calls the one feed loop (:mod:`repro.dsms.durability`) drives
+  every deployment through — ``feed``, ``finish``, ``checkpoint``,
+  ``restore``, ``abandon`` — so with a
+  :class:`~repro.dsms.durability.ResultJournal` attached every
   register/unregister event and periodic checkpoint (including breaker
   and dead-letter state) is durable and :func:`resume_serving` rebuilds
   the full standing set after a crash.
@@ -54,6 +57,15 @@ from itertools import islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ExecutionError, PlanningError
+from repro.dsms.durability import (
+    ResultJournal,
+    batches,
+    commit,
+    entry,
+    feed_loop,
+    read_journal,
+    resume,
+)
 from repro.dsms.parser import compile_query
 from repro.dsms.runtime import Gigascope
 from repro.obs.export import render_prometheus
@@ -65,7 +77,7 @@ from repro.serving.faults import (
     DeadLetter,
     DeadLetterLog,
 )
-from repro.serving.journal import ServingJournal, split_log
+from repro.serving.journal import split_log
 from repro.serving.sharing import (
     BatchCapture,
     ShareSignature,
@@ -154,15 +166,6 @@ class ServedQuery:
         }
 
 
-def _batches(records: Iterable[Record], size: int) -> Iterator[List[Record]]:
-    iterator = iter(records)
-    while True:
-        batch = list(islice(iterator, size))
-        if not batch:
-            return
-        yield batch
-
-
 class StandingQueryEngine:
     """Multiplexes standing queries over shared feeds, deterministically.
 
@@ -177,13 +180,16 @@ class StandingQueryEngine:
     after each journal commit is durable — the chaos tests' kill point.
     """
 
+    #: the ``mode`` this deployment's journal entries carry
+    journal_mode = "serving"
+
     def __init__(
         self,
         instance_factory: Callable[[], Gigascope],
         *,
         share: bool = True,
         quotas: Optional[Dict[str, Any]] = None,
-        journal: Optional[ServingJournal] = None,
+        journal: Optional[ResultJournal] = None,
         on_commit: Optional[Callable[[int, str], None]] = None,
         breaker: Optional[BreakerConfig] = None,
         dead_letter_capacity: int = 1024,
@@ -211,7 +217,6 @@ class StandingQueryEngine:
         self._offered: Dict[str, int] = {}  # records offered, per tenant
         self._next_id = 0
         self._closed = False
-        self._muted = False  # journal muting during restore
         self.draining = False  # graceful drain in progress
 
     # -- registry ----------------------------------------------------------
@@ -571,22 +576,32 @@ class StandingQueryEngine:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def close(self) -> None:
-        """End the serve: flush every active query, commit final state.
+    def finish(self) -> None:
+        """Flush every active query's trailing windows and close.
 
         Flushing runs inside the same per-query fault boundary as
         feeding: one poisoned query raising during its trailing window
         flush cannot abort the drain for the others.
         """
-        if self._closed:
-            return
         for sq in self.active_queries():
             try:
                 sq.instance.finish()
             except Exception as exc:  # fault boundary, not a bug trap
                 self._record_failure(sq, exc, "flush", self.consumed, 0)
         self._closed = True
-        self.commit(kind="final")
+
+    def abandon(self) -> None:
+        """Close without flushing: drop every active query's open run."""
+        for sq in self.active_queries():
+            sq.instance.abandon()
+        self._closed = True
+
+    def close(self) -> None:
+        """End the serve: flush every active query, commit final state."""
+        if self._closed:
+            return
+        self.finish()
+        self.commit("final")
         if self.journal is not None:
             self.journal.close()
 
@@ -606,77 +621,67 @@ class StandingQueryEngine:
     # -- durability --------------------------------------------------------
 
     def _journal_event(self, kind: str, **fields: Any) -> None:
-        if self.journal is not None and not self._muted:
-            self.journal.append(kind, **fields)
+        if self.journal is not None:
+            self.journal.append(
+                entry(kind, self.journal_mode, self.consumed, **fields)
+            )
 
     def commit(self, kind: str = "commit") -> None:
         """Append one durable checkpoint of every served query."""
-        if self.journal is None:
-            return
-        self.journal.append(
-            kind,
-            consumed=self.consumed,
-            offered=dict(self._offered),
-            next_id=self._next_id,
-            queries={
+        commit(self, self.journal, kind, self.consumed, self.on_commit)
+
+    def rows_emitted(self) -> int:
+        """Constant: the serving cadence is every ``commit_interval``
+        batches, whichever windows closed in between."""
+        return 0
+
+    def checkpoint(self) -> Dict[str, Any]:
+        """Picklable state of the serve at a batch boundary: every
+        served query's instance checkpoint, the quota ledger, breaker
+        and dead-letter state."""
+        return {
+            "consumed": self.consumed,
+            "offered": dict(self._offered),
+            "next_id": self._next_id,
+            "queries": {
                 qid: {
                     "snapshot": sq.instance.checkpoint(),
                     "active": sq.active,
                 }
                 for qid, sq in self._queries.items()
             },
-            breakers={
+            "breakers": {
                 qid: sq.breaker.checkpoint()
                 for qid, sq in self._queries.items()
             },
-            dead_letters=self.dead_letters.checkpoint(),
-        )
-        if self.on_commit is not None:
-            self.on_commit(self.consumed, kind)
+            "dead_letters": self.dead_letters.checkpoint(),
+        }
 
-    def _restore(
-        self,
-        replayed: List[Dict[str, Any]],
-        commit: Dict[str, Any],
-    ) -> None:
-        """Rebuild the standing set from the event log + last commit."""
-        self._muted = True
-        try:
-            for event in replayed:
-                if event["kind"] == "register":
-                    sq = self.register(
-                        event["text"],
-                        name=event["name"],
-                        tenant=event["tenant"],
-                        qid=event["qid"],
-                    )
-                    sq.registered_at = event["offset"]
-                else:
-                    sq = self.unregister(event["qid"])
-                    sq.unregistered_at = event["offset"]
-        finally:
-            self._muted = False
-        for qid, entry in commit["queries"].items():
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Reinstate a :meth:`checkpoint` into an engine that holds the
+        same standing set (:func:`resume_serving` rebuilds it from the
+        journal's registry events first)."""
+        if set(state["queries"]) != set(self._queries):
+            raise ExecutionError(
+                "checkpoint does not match this engine: it has queries"
+                f" {sorted(state['queries'])}, the engine has"
+                f" {sorted(self._queries)}"
+            )
+        for qid, served in state["queries"].items():
             self._queries[qid].instance.restore(
-                entry["snapshot"], restore_cost=True
+                served["snapshot"], restore_cost=True
             )
         # Pre-isolation journals carry no breaker/dead-letter state;
         # breakers then start closed, exactly as the original run did.
-        for qid, snapshot in commit.get("breakers", {}).items():
+        for qid, snapshot in state.get("breakers", {}).items():
             sq = self._queries[qid]
             sq.breaker.restore(snapshot)
             self._sync_breaker_gauge(sq)
-        if "dead_letters" in commit:
-            self.dead_letters.restore(commit["dead_letters"])
-        self.consumed = commit["consumed"]
-        self._offered = dict(commit["offered"])
-        self._next_id = max(self._next_id, commit["next_id"])
-        if commit["kind"] == "final":
-            for sq in self.active_queries():
-                sq.instance._session = None
-            self._closed = True
-            if self.journal is not None:
-                self.journal.close()
+        if "dead_letters" in state:
+            self.dead_letters.restore(state["dead_letters"])
+        self.consumed = state["consumed"]
+        self._offered = dict(state["offered"])
+        self._next_id = max(self._next_id, state["next_id"])
 
     # -- reporting ---------------------------------------------------------
 
@@ -747,6 +752,53 @@ class StandingQueryEngine:
 # -- synchronous drivers ----------------------------------------------------
 
 
+def _apply_event(engine: StandingQueryEngine, event: Dict[str, Any]) -> None:
+    if event["kind"] == "register":
+        engine.register(
+            event["text"],
+            name=event.get("name", "q"),
+            tenant=event.get("tenant", "default"),
+            qid=event.get("qid"),
+        )
+    else:
+        engine.unregister(event["qid"])
+
+
+def _scheduled_batches(
+    engine: StandingQueryEngine,
+    records: Iterable[Record],
+    schedule: Iterable[Dict[str, Any]],
+    batch_size: int,
+) -> Iterator[List[Record]]:
+    """Batches cut at event offsets too, each event applied once the
+    records before it are fed (the consumer feeds a batch before asking
+    for the next, so ``engine.consumed`` is current between yields)."""
+    iterator = iter(records)
+    for event in sorted(schedule, key=lambda event: event["offset"]):
+        before = event["offset"] - engine.consumed
+        if before > 0:
+            yield from batches(islice(iterator, before), batch_size)
+        # Events scheduled past the end of the input apply at stream end.
+        _apply_event(engine, event)
+    yield from batches(iterator, batch_size)
+
+
+def _engine_loop(
+    engine: StandingQueryEngine,
+    batch_iter: Iterable[List[Record]],
+    commit_interval: int,
+) -> Iterator[int]:
+    """The one feed loop, continuing ``engine`` from where it stands."""
+    return feed_loop(
+        engine,
+        batch_iter,
+        engine.journal,
+        consumed=engine.consumed,
+        commit_interval=commit_interval,
+        on_commit=engine.on_commit,
+    )
+
+
 def drive(
     engine: StandingQueryEngine,
     records: Iterable[Record],
@@ -767,68 +819,12 @@ def drive(
     exactly N records — deterministically, which is what lets the
     journal replay a schedule byte-identically on resume.
     """
-    events = sorted(schedule, key=lambda event: event["offset"])
-    index = 0
-
-    def apply_due() -> None:
-        nonlocal index
-        while index < len(events) and events[index]["offset"] <= engine.consumed:
-            event = events[index]
-            index += 1
-            if event["kind"] == "register":
-                engine.register(
-                    event["text"],
-                    name=event.get("name", "q"),
-                    tenant=event.get("tenant", "default"),
-                    qid=event.get("qid"),
-                )
-            else:
-                engine.unregister(event["qid"])
-
-    apply_due()
-    iterator = iter(records)
-    since_commit = 0
-    while True:
-        limit = batch_size
-        if index < len(events):
-            limit = min(limit, events[index]["offset"] - engine.consumed)
-        batch = list(islice(iterator, limit))
-        if not batch:
-            break
-        engine.feed(batch)
-        since_commit += 1
-        if since_commit >= commit_interval:
-            engine.commit()
-            since_commit = 0
-        apply_due()
-    # Events scheduled past the end of the input apply at stream end.
-    while index < len(events):
-        event = events[index]
-        index += 1
-        if event["kind"] == "register":
-            engine.register(
-                event["text"],
-                name=event.get("name", "q"),
-                tenant=event.get("tenant", "default"),
-                qid=event.get("qid"),
-            )
-        else:
-            engine.unregister(event["qid"])
+    scheduled = _scheduled_batches(engine, records, schedule, batch_size)
+    for _ in _engine_loop(engine, scheduled, commit_interval):
+        pass
     if close:
         engine.close()
     return engine.consumed
-
-
-def _skip(records: Iterable[Record], n: int) -> Iterator[Record]:
-    iterator = iter(records)
-    skipped = sum(1 for _ in islice(iterator, n))
-    if skipped < n:
-        raise ExecutionError(
-            f"resume input is shorter than the committed prefix"
-            f" ({skipped} < {n} records): the input must be the same"
-            " replayable stream the original serve consumed"
-        )
-    return iterator
 
 
 def resume_serving(
@@ -855,41 +851,30 @@ def resume_serving(
     the same offsets.  Returns the closed engine (results, metrics and
     cost accounts byte-identical to an uninterrupted serve).
     """
-    entries = ServingJournal.read(journal_path)
-    replayed, last_commit, pending = split_log(entries)
-    if last_commit is None:
-        # Died before anything durable: degenerate to a fresh serve with
-        # the recorded events as the schedule.
-        engine = StandingQueryEngine(
-            instance_factory,
-            share=share,
-            quotas=quotas,
-            journal=ServingJournal(journal_path, fresh=True),
-            on_commit=on_commit,
-            breaker=breaker,
-        )
-        drive(
-            engine,
-            records,
-            schedule=pending,
-            batch_size=batch_size,
-            commit_interval=commit_interval,
-        )
-        return engine
+    entries = read_journal(journal_path, StandingQueryEngine.journal_mode)
+    replayed, _, pending = split_log(entries)
+    # No journal yet: the events being replayed are already in it.
     engine = StandingQueryEngine(
         instance_factory,
         share=share,
         quotas=quotas,
-        journal=ServingJournal(journal_path, fresh=False),
         on_commit=on_commit,
         breaker=breaker,
     )
-    engine._restore(replayed, last_commit)
-    if engine.closed:
+    for event in replayed:
+        # Registrations stamp the offset they happen at.
+        engine.consumed = event["offset"]
+        _apply_event(engine, event)
+    last, rest = resume(engine, entries, records)
+    if rest is None:
+        engine.abandon()  # the serve had ended: nothing is left running
         return engine
+    # Died before anything durable: a fresh serve, with every recorded
+    # event as the schedule.
+    engine.journal = ResultJournal(journal_path, fresh=last is None)
     drive(
         engine,
-        _skip(records, last_commit["consumed"]),
+        rest,
         schedule=pending,
         batch_size=batch_size,
         commit_interval=commit_interval,
@@ -985,20 +970,26 @@ class QueryServer:
         writing the final journal commit) when a drain is requested via
         :meth:`request_drain`, SIGTERM/SIGINT, or ``POST /drain``.
         """
-        since_commit = 0
-        for batch in _batches(records, self.batch_size):
+        engine = self.engine
+        loop = _engine_loop(
+            engine,
+            self._until_drained(batches(records, self.batch_size)),
+            self.commit_interval,
+        )
+        for _ in loop:
+            await asyncio.sleep(self.pace)
+        if (close or self.drained) and not engine.closed:
+            engine.close()
+        return engine.consumed
+
+    def _until_drained(
+        self, batch_iter: Iterator[List[Record]]
+    ) -> Iterator[List[Record]]:
+        for batch in batch_iter:
             if self._drain_event.is_set():
                 self.drained = True
-                break
-            self.engine.feed(batch)
-            since_commit += 1
-            if since_commit >= self.commit_interval:
-                self.engine.commit()
-                since_commit = 0
-            await asyncio.sleep(self.pace)
-        if (close or self.drained) and not self.engine.closed:
-            self.engine.close()
-        return self.engine.consumed
+                return
+            yield batch
 
     # -- drain -------------------------------------------------------------
 

@@ -150,7 +150,7 @@ _CHILD = textwrap.dedent(
 
     # Die between the migration barrier and the journal commit: right
     # after the Nth committed migration, before control returns to the
-    # durable runner's on_round commit.
+    # durable feed loop's commit.
     original = ShardedGigascope._rebalance
     seen = {"migrations": 0}
 

@@ -59,7 +59,7 @@ _CHILD = textwrap.dedent(
     import sys
     from repro.dsms.cost import CostModel
     from repro.dsms.runtime import Gigascope
-    from repro.serving.journal import ServingJournal
+    from repro.dsms.durability import ResultJournal
     from repro.serving.server import StandingQueryEngine, drive
     from repro.streams.schema import TCP_SCHEMA
     from repro.streams.traces import TraceConfig, research_center_feed
@@ -87,7 +87,7 @@ _CHILD = textwrap.dedent(
 
     engine = StandingQueryEngine(
         factory,
-        journal=ServingJournal(journal, fresh=True),
+        journal=ResultJournal(journal, fresh=True),
         on_commit=exit_after_commits(kill_at, exit_code=86),
     )
     feed = research_center_feed(TraceConfig({feed_args}))
@@ -227,11 +227,11 @@ class TestServingCrashResume:
 
     def test_resume_of_a_completed_serve_reads_no_input(self, tmp_path):
         """After a clean close, resume restores from the final entry."""
-        from repro.serving.journal import ServingJournal
+        from repro.dsms.durability import ResultJournal
 
         journal = str(tmp_path / "serve.wal")
         engine = StandingQueryEngine(
-            make_instance, journal=ServingJournal(journal, fresh=True)
+            make_instance, journal=ResultJournal(journal, fresh=True)
         )
         drive(
             engine,
@@ -262,7 +262,7 @@ _TORN_CHILD = textwrap.dedent(
     from repro.dsms import durability
     from repro.dsms.cost import CostModel
     from repro.dsms.runtime import Gigascope
-    from repro.serving.journal import ServingJournal
+    from repro.dsms.durability import ResultJournal
     from repro.serving.server import StandingQueryEngine
     from repro.streams.schema import TCP_SCHEMA
     from repro.streams.traces import TraceConfig, research_center_feed
@@ -287,7 +287,7 @@ _TORN_CHILD = textwrap.dedent(
         return gs
 
     engine = StandingQueryEngine(
-        factory, journal=ServingJournal(journal_path, fresh=True)
+        factory, journal=ResultJournal(journal_path, fresh=True)
     )
     engine.register(text, name="q", qid="sqA")
     records = list(
@@ -299,7 +299,7 @@ _TORN_CHILD = textwrap.dedent(
 
     # Tear the next register event's frame: write the length/CRC header
     # and half the pickled payload, make it durable, die.
-    raw = engine.journal._journal
+    raw = engine.journal
     payload = pickle.dumps(
         {"serving_version": 1, "kind": "register", "qid": "sqB",
          "name": "q", "text": text, "tenant": "default", "offset": 512}
@@ -322,7 +322,7 @@ _DRAIN_CHILD = textwrap.dedent(
     import sys
     from repro.dsms.cost import CostModel
     from repro.dsms.runtime import Gigascope
-    from repro.serving.journal import ServingJournal
+    from repro.dsms.durability import ResultJournal
     from repro.serving.server import (
         DRAIN_EXIT_CODE,
         QueryServer,
@@ -351,7 +351,7 @@ _DRAIN_CHILD = textwrap.dedent(
         return gs
 
     engine = StandingQueryEngine(
-        factory, journal=ServingJournal(journal_path, fresh=True)
+        factory, journal=ResultJournal(journal_path, fresh=True)
     )
     engine.register(text_a, name="q", qid="sqA")
     engine.register(text_b, name="q", qid="sqB")
@@ -491,7 +491,7 @@ _POISON_CHILD = textwrap.dedent(
     from repro.dsms.cost import CostModel
     from repro.dsms.runtime import Gigascope
     from repro.serving.faults import BreakerConfig
-    from repro.serving.journal import ServingJournal
+    from repro.dsms.durability import ResultJournal
     from repro.serving.server import StandingQueryEngine, drive
     from repro.streams.schema import TCP_SCHEMA
     from repro.streams.traces import TraceConfig, research_center_feed
@@ -526,7 +526,7 @@ _POISON_CHILD = textwrap.dedent(
 
     engine = StandingQueryEngine(
         factory,
-        journal=ServingJournal(journal_path, fresh=True),
+        journal=ResultJournal(journal_path, fresh=True),
         on_commit=exit_after_commits(kill_at, exit_code=86),
         breaker=BreakerConfig(failure_threshold=2, cooldown_batches=3),
     )

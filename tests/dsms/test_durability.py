@@ -9,16 +9,26 @@ fsync'd when the hook fires, exactly the state a killed process leaves
 behind); the chaos suite does it for real with ``os._exit``.
 """
 
+from itertools import islice
+
 import pytest
 
-from repro.dsms.durability import JOURNAL_VERSION, DurableRunner, ResultJournal
+from repro.dsms.durability import (
+    JOURNAL_VERSION,
+    DurableRunner,
+    ResultJournal,
+    batches,
+)
 from repro.dsms.resilience import SupervisionPolicy
 from repro.dsms.runtime import Gigascope
 from repro.dsms.sharded import ShardedGigascope
-from repro.errors import ExecutionError, TraceCorruptError
+from repro.errors import ExecutionError, StreamError, TraceCorruptError
+from repro.serving.server import StandingQueryEngine, drive, resume_serving
 from repro.streams.schema import TCP_SCHEMA
-from repro.streams.traces import TraceConfig, research_center_feed
+from repro.streams.traces import TraceConfig, data_center_feed, research_center_feed
 from repro.algorithms.bindings import SUBSET_SUM_QUERY, subset_sum_library
+
+from tests.serving.conftest import instance_state, make_instance
 
 SS_TEXT = SUBSET_SUM_QUERY.format(window=5, target=200)
 SS_SHARDED = SS_TEXT.replace(
@@ -80,7 +90,7 @@ class TestResultJournal:
             journal.append({"kind": "final", "n": 2})
         entries = ResultJournal.read(path)
         assert [e["n"] for e in entries] == [1, 2]
-        assert ResultJournal.last_entry(path)["kind"] == "final"
+        assert entries[-1]["kind"] == "final"
 
     def test_torn_tail_is_dropped_then_truncated(self, tmp_path):
         path = str(tmp_path / "j.bin")
@@ -137,33 +147,6 @@ class TestSerialDurability:
         assert consumed == len(feed())
         assert rows_of(fresh) == rows_of(gs)
 
-    @pytest.mark.parametrize("crash_at", [1, 2, 3])
-    def test_crash_after_commit_resumes_byte_identically(self, tmp_path, crash_at):
-        ref = build()
-        ref.run(iter(feed()))
-        path = str(tmp_path / "j.bin")
-        gs = build()
-        runner = DurableRunner(
-            gs,
-            path,
-            batch_size=64,
-            commit_interval=2,
-            on_commit=crash_on_commit(crash_at),
-        )
-        with pytest.raises(_Boom):
-            runner.run(iter(feed()))
-        committed = ResultJournal.read(path)
-        assert len(committed) == crash_at
-        assert committed[-1]["journal_version"] == JOURNAL_VERSION
-
-        fresh = build()
-        consumed = DurableRunner(fresh, path, batch_size=64, commit_interval=2).resume(
-            iter(feed())
-        )
-        assert consumed == len(feed())
-        assert rows_of(fresh) == rows_of(ref)
-        assert comparable(fresh) == comparable(ref)
-
     def test_crash_before_any_commit_degenerates_to_fresh_run(self, tmp_path):
         ref = build()
         ref.run(iter(feed()))
@@ -218,29 +201,6 @@ class TestSupervisedDurability:
         assert consumed == len(feed())
         assert sorted(rows_of(sh)) == sorted(rows_of(ref))
         assert comparable(sh) == comparable(ref)
-
-    @pytest.mark.parametrize("crash_at", [1, 2])
-    def test_crash_after_commit_resumes_byte_identically(self, tmp_path, crash_at):
-        ref = build(shards=2, supervise=True)
-        ref.run(iter(feed()), batch_size=128)
-        path = str(tmp_path / "j.bin")
-        sh = build(shards=2, supervise=True)
-        runner = DurableRunner(
-            sh,
-            path,
-            batch_size=128,
-            commit_interval=2,
-            on_commit=crash_on_commit(crash_at),
-        )
-        with pytest.raises(_Boom):
-            runner.run(iter(feed()))
-        fresh = build(shards=2, supervise=True)
-        consumed = DurableRunner(
-            fresh, path, batch_size=128, commit_interval=2
-        ).resume(iter(feed()))
-        assert consumed == len(feed())
-        assert sorted(rows_of(fresh)) == sorted(rows_of(ref))
-        assert comparable(fresh) == comparable(ref)
 
 
 def skewed_feed():
@@ -300,14 +260,6 @@ class TestInlineShardDurability:
         assert commits >= 3
         assert rows_of(sh) == rows_of(ref)
         assert comparable(sh) == comparable(ref)
-
-    @pytest.mark.parametrize("where", ["first", "middle", "last"])
-    def test_crash_after_commit_resumes_byte_identically(self, tmp_path, where):
-        ref, commits = uninterrupted(tmp_path, feed())
-        crash_at = {"first": 1, "middle": (commits + 1) // 2, "last": commits}[where]
-        fresh = crash_and_resume(tmp_path, feed(), crash_at)
-        assert rows_of(fresh) == rows_of(ref)
-        assert comparable(fresh) == comparable(ref)
 
     @pytest.mark.parametrize("where", ["first", "last"])
     def test_routing_snapshot_rides_the_commits(self, tmp_path, where):
@@ -414,3 +366,276 @@ class TestRefusals:
         gs = build(shed_threshold=8)
         with pytest.raises(ExecutionError):
             DurableRunner(gs, str(tmp_path / "j.bin"))
+
+    def test_a_commit_cadence_below_one_is_refused(self, tmp_path):
+        runner = DurableRunner(build(), str(tmp_path / "j.bin"), commit_interval=0)
+        with pytest.raises(StreamError, match="commit_interval"):
+            runner.run(iter(feed()))
+
+
+def untouchable():
+    raise AssertionError("a refused or finished run must not read its input")
+    yield  # pragma: no cover
+
+
+class TestBatchCutter:
+    """One place cuts a stream into batches, and it checks the size."""
+
+    def test_cuts_full_batches_then_the_remainder(self):
+        assert list(batches(range(7), 3)) == [[0, 1, 2], [3, 4, 5], [6]]
+        assert list(batches((), 3)) == []
+
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_a_size_below_one_is_refused(self, size):
+        with pytest.raises(StreamError, match="batch size"):
+            batches(range(7), size)
+
+    @pytest.mark.parametrize("size", [0, -5])
+    @pytest.mark.parametrize("shards", [0, 2], ids=["serial", "sharded"])
+    def test_runs_refuse_it_unread(self, shards, size):
+        # ShardedGigascope.run(batch_size=0) used to read nothing and
+        # return 0; a negative size was a ValueError out of islice.
+        with pytest.raises(StreamError, match="batch size"):
+            build(shards=shards).run(untouchable(), batch_size=size)
+
+
+class _Runner:
+    """One deployment under DurableRunner, for TestCrashAtEveryCommit."""
+
+    def __init__(self, mode, batch_size, ordered=True, **options):
+        self.mode, self.batch_size, self.ordered = mode, batch_size, ordered
+        self.options = options
+
+    def _runner(self, path, on_commit=None):
+        return DurableRunner(
+            build(**self.options),
+            path,
+            batch_size=self.batch_size,
+            commit_interval=2,
+            on_commit=on_commit,
+        )
+
+    def run(self, path, records, on_commit=None):
+        runner = self._runner(path, on_commit)
+        runner.run(iter(records))
+        return runner.instance
+
+    def resume(self, path, records):
+        runner = self._runner(path)
+        return runner.instance, runner.resume(records)
+
+    def observed(self, gs):
+        rows = rows_of(gs)
+        return (rows if self.ordered else sorted(rows)), comparable(gs)
+
+
+class _Served:
+    """A standing-query engine under the same loop, journal attached."""
+
+    mode = "serving"
+    texts = {
+        "ss": SS_TEXT,
+        "agg": "SELECT tb, srcIP, sum(len) FROM TCP GROUP BY time/5 as tb, srcIP",
+    }
+
+    def run(self, path, records, on_commit=None):
+        engine = StandingQueryEngine(
+            make_instance,
+            journal=ResultJournal(path, fresh=True),
+            on_commit=on_commit,
+        )
+        for qid, text in self.texts.items():
+            engine.register(text, name="q", qid=qid)
+        drive(engine, records, batch_size=128, commit_interval=2)
+        return engine
+
+    def resume(self, path, records):
+        engine = resume_serving(
+            make_instance, path, records, batch_size=128, commit_interval=2
+        )
+        return engine, engine.consumed
+
+    def observed(self, engine):
+        # Rows, metrics and cost accounts of every served query.
+        return {
+            sq.qid: instance_state(sq.instance, sq.name) for sq in engine.queries()
+        }
+
+
+DEPLOYMENTS = {
+    "serial": _Runner("serial", 64),
+    "inline": _Runner("sharded", 128, shards=2),
+    "supervised": _Runner(
+        "sharded", 128, ordered=False, shards=2, supervise=True
+    ),
+    "served": _Served(),
+}
+
+
+class TestCrashAtEveryCommit:
+    """One loop, so one test: die inside ``on_commit`` — the entry is
+    fsync'd, exactly what a killed process leaves behind — then resume a
+    fresh deployment from the journal alone and land on the uninterrupted
+    run's rows and metrics (and cost accounts, where the deployment's
+    checkpoint restores them), wherever the crash fell."""
+
+    _reference = {}
+
+    def reference(self, name, tmp_path):
+        if name not in self._reference:
+            kinds = []
+            driven = DEPLOYMENTS[name].run(
+                str(tmp_path / "ref.bin"),
+                feed(),
+                on_commit=lambda consumed, kind: kinds.append(kind),
+            )
+            assert kinds.count("commit") >= 3 and kinds[-1] == "final"
+            self._reference[name] = (
+                DEPLOYMENTS[name].observed(driven),
+                kinds.count("commit"),
+            )
+        return self._reference[name]
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "final"])
+    @pytest.mark.parametrize("name", list(DEPLOYMENTS))
+    def test_resume_is_identical(self, tmp_path, name, where):
+        deployment = DEPLOYMENTS[name]
+        expected, commits = self.reference(name, tmp_path)
+        crash_at = {
+            "first": 1,
+            "middle": (commits + 1) // 2,
+            "last": commits,
+            "final": commits + 1,
+        }[where]
+        path = str(tmp_path / "j.bin")
+        with pytest.raises(_Boom):
+            deployment.run(path, feed(), on_commit=crash_on_commit(crash_at))
+        committed = [
+            e for e in ResultJournal.read(path) if e["kind"] in ("commit", "final")
+        ]
+        assert len(committed) == crash_at
+        assert committed[-1]["journal_version"] == JOURNAL_VERSION
+        assert committed[-1]["mode"] == deployment.mode
+        assert committed[-1]["kind"] == ("final" if where == "final" else "commit")
+
+        records = untouchable() if where == "final" else iter(feed())
+        driven, consumed = deployment.resume(path, records)
+        assert consumed == len(feed())
+        assert deployment.observed(driven) == expected
+
+
+class TestCommitsDidNotMove:
+    def test_commit_offsets_match_the_recorded_ones(self, tmp_path):
+        """Where commits land is behaviour: an interval commit copies the
+        group table at whatever point of the cleaning cycle it falls on
+        (benchmarks/ledger/README.md, ss_durable).  The list below was
+        recorded from the commit before the loops were merged: the first
+        commit is the interval rule (4 batches), the second the window
+        rule (the first window closes inside batch 5)."""
+        config = TraceConfig(duration_seconds=100_000, rate_scale=0.005, seed=7)
+        trace = list(islice(data_center_feed(config), 4000))
+        commits = []
+        DurableRunner(
+            build(),
+            str(tmp_path / "j.bin"),
+            batch_size=512,
+            commit_interval=4,
+            on_commit=lambda consumed, kind: commits.append((consumed, kind)),
+        ).run(iter(trace))
+        assert commits == [(2048, "commit"), (2560, "commit"), (4000, "final")]
+
+
+class TestParentCommitJournals:
+    """Entry shapes copied from the writers this loop replaced: journal
+    version 1, serial state nested under ``snapshot``, sharded state
+    spread at top level."""
+
+    CUT = 512  # records behind the hand-built commit
+
+    @staticmethod
+    def envelope(kind, mode, consumed, **state):
+        return {
+            "journal_version": 1,
+            "checkpoint_version": 2,
+            "kind": kind,
+            "mode": mode,
+            "consumed": consumed,
+            **state,
+        }
+
+    def fed_to_the_cut(self, gs, batch_size):
+        gs.start()
+        for batch in batches(feed()[: self.CUT], batch_size):
+            gs.feed(batch)
+        return gs
+
+    def write(self, tmp_path, entry):
+        path = str(tmp_path / "old.bin")
+        with ResultJournal(path, fresh=True) as journal:
+            journal.append(entry)
+        return path
+
+    def test_serial_commit_resumes(self, tmp_path):
+        ref = build()
+        ref.run(iter(feed()), batch_size=64)
+        gs = self.fed_to_the_cut(build(), 64)
+        path = self.write(
+            tmp_path,
+            self.envelope("commit", "serial", self.CUT, snapshot=gs.checkpoint()),
+        )
+        fresh = build()
+        assert DurableRunner(fresh, path, batch_size=64).resume(iter(feed())) == len(
+            feed()
+        )
+        assert rows_of(fresh) == rows_of(ref)
+        assert comparable(fresh) == comparable(ref)
+
+    def test_serial_final_restores_without_input(self, tmp_path):
+        ref = build()
+        ref.run(iter(feed()), batch_size=64)
+        path = self.write(
+            tmp_path,
+            self.envelope("final", "serial", len(feed()), snapshot=ref.checkpoint()),
+        )
+        fresh = build()
+        assert DurableRunner(fresh, path).resume(untouchable()) == len(feed())
+        assert rows_of(fresh) == rows_of(ref)
+
+    def test_sharded_commit_resumes(self, tmp_path):
+        ref = build(shards=2)
+        ref.run(iter(feed()), batch_size=128)
+        sh = self.fed_to_the_cut(build(shards=2), 128)
+        state = sh.checkpoint()
+        sh.abandon()
+        path = self.write(
+            tmp_path,
+            self.envelope(
+                "commit",
+                "sharded",
+                self.CUT,
+                shards=state["shards"],
+                metrics=state["metrics"],
+            ),
+        )
+        fresh = build(shards=2)
+        DurableRunner(fresh, path, batch_size=128).resume(iter(feed()))
+        assert rows_of(fresh) == rows_of(ref)
+        assert comparable(fresh) == comparable(ref)
+
+    def test_sharded_final_restores_without_input(self, tmp_path):
+        ref = build(shards=2)
+        ref.run(iter(feed()), batch_size=128)
+        path = self.write(
+            tmp_path,
+            self.envelope(
+                "final",
+                "sharded",
+                len(feed()),
+                results={"q": list(ref.query("q").results)},
+                metrics=ref.metrics.checkpoint(),
+            ),
+        )
+        fresh = build(shards=2)
+        assert DurableRunner(fresh, path).resume(untouchable()) == len(feed())
+        assert rows_of(fresh) == rows_of(ref)
+        assert comparable(fresh) == comparable(ref)

@@ -20,7 +20,7 @@ from repro.serving.faults import (
     DeadLetter,
     DeadLetterLog,
 )
-from repro.serving.journal import ServingJournal
+from repro.dsms.durability import ResultJournal
 from repro.serving.server import StandingQueryEngine, drive, resume_serving
 
 from tests.serving.conftest import BATCH, make_instance, served_state, solo_state
@@ -347,7 +347,7 @@ class TestBreakerDurability:
     def run_drive(self, journal_path, records, fresh=True):
         engine = StandingQueryEngine(
             poison_factory,
-            journal=ServingJournal(journal_path, fresh=fresh) if journal_path
+            journal=ResultJournal(journal_path, fresh=fresh) if journal_path
             else None,
             breaker=BreakerConfig(failure_threshold=2, cooldown_batches=3),
         )
@@ -388,7 +388,7 @@ class TestBreakerDurability:
         ``dead_letters`` keys) restore with everything closed."""
         path = str(tmp_path / "serve.wal")
         engine = StandingQueryEngine(
-            make_instance, journal=ServingJournal(path, fresh=True)
+            make_instance, journal=ResultJournal(path, fresh=True)
         )
         engine.register(HEALTHY_AGGS[0], name="q", qid="good")
         half = (len(records) // (2 * BATCH)) * BATCH
@@ -397,15 +397,13 @@ class TestBreakerDurability:
         # Rewrite the journal's entries with the legacy commit shape.
         engine.commit()
         engine.journal.close()
-        entries = ServingJournal.read(path)
-        legacy = ServingJournal(path, fresh=True)
+        entries = ResultJournal.read(path)
+        legacy = ResultJournal(path, fresh=True)
         for entry in entries:
             entry = dict(entry)
-            kind = entry.pop("kind")
-            entry.pop("serving_version", None)
             entry.pop("breakers", None)
             entry.pop("dead_letters", None)
-            legacy.append(kind, **entry)
+            legacy.append(entry)
         legacy.close()
 
         resumed = resume_serving(

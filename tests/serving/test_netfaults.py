@@ -274,14 +274,14 @@ class TestGracefulDrain:
         """``POST /drain`` mid-ingest: readiness flips to 503, the feed
         stops at a batch boundary, windows flush, the final commit lands
         — and a resume of the journal reads no input at all."""
-        from repro.serving.journal import ServingJournal
+        from repro.dsms.durability import ResultJournal
         from repro.serving.server import drive, resume_serving
 
         path = str(tmp_path / "serve.wal")
 
         async def scenario():
             engine = StandingQueryEngine(
-                make_instance, journal=ServingJournal(path, fresh=True)
+                make_instance, journal=ResultJournal(path, fresh=True)
             )
             engine.register(SELECTION, name="q", qid="sqA")
             server = QueryServer(

@@ -7,7 +7,8 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.obs.export import render_prometheus
-from repro.serving.journal import ServingJournal, split_log
+from repro.dsms.durability import ResultJournal
+from repro.serving.journal import split_log
 from repro.serving.server import (
     QueryServer,
     StandingQueryEngine,
@@ -179,14 +180,85 @@ class TestMetricsExport:
         assert engine.metrics.value("serving_records_total") == 256
 
 
+class TestCadenceIsChecked:
+    """Batch size and commit cadence are validated where batches are cut
+    and fed — not per driver (a zero batch size used to read nothing and
+    report success; a zero interval silently committed every batch)."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"batch_size": 0}, {"batch_size": -5}, {"commit_interval": 0}],
+        ids=["batch-0", "batch-negative", "interval-0"],
+    )
+    def test_drive_and_ingest_refuse(self, records, options):
+        from repro.errors import StreamError
+
+        engine = StandingQueryEngine(make_instance)
+        engine.register(SELECTION, name="q")
+        with pytest.raises(StreamError):
+            drive(engine, records, **options)
+        with pytest.raises(StreamError):
+            asyncio.run(
+                QueryServer(StandingQueryEngine(make_instance), **options).ingest(
+                    records
+                )
+            )
+
+
 class TestJournalFormat:
     def test_version_mismatch_is_refused(self, tmp_path):
         path = str(tmp_path / "serve.wal")
-        journal = ServingJournal(path, fresh=True)
-        journal._journal.append({"serving_version": 99, "kind": "commit"})
-        journal.close()
-        with pytest.raises(ValueError, match="version 99"):
-            ServingJournal.read(path)
+        with ResultJournal(path, fresh=True) as journal:
+            journal.append({"serving_version": 99, "kind": "commit"})
+        with pytest.raises(ExecutionError, match="version 99"):
+            resume_serving(make_instance, path, [])
+
+    def test_pre_envelope_journal_still_resumes(self, tmp_path, records):
+        """Entries shaped as the serving journal's own writer shaped
+        them: stamped ``serving_version: 1``, no ``journal_version`` or
+        ``mode``, registry events carrying only ``offset``."""
+        cut = 4 * BATCH
+        engine = StandingQueryEngine(make_instance)
+        engine.register(SELECTION, name="q", qid="sqA")
+        for start in range(0, cut, BATCH):
+            engine.feed(records[start : start + BATCH])
+        event = {"serving_version": 1, "name": "q", "tenant": "default"}
+        old_entries = [
+            {**event, "kind": "register", "qid": "sqA", "text": SELECTION,
+             "offset": 0},
+            {
+                "serving_version": 1,
+                "kind": "commit",
+                "consumed": cut,
+                "offered": {},
+                "next_id": 0,
+                "queries": {
+                    "sqA": {
+                        "snapshot": engine.lookup("sqA").instance.checkpoint(),
+                        "active": True,
+                    }
+                },
+                "breakers": {"sqA": engine.lookup("sqA").breaker.checkpoint()},
+                "dead_letters": engine.dead_letters.checkpoint(),
+            },
+            # Journalled after the commit: replayed at its offset.
+            {**event, "kind": "register", "qid": "sqB",
+             "text": EXAMPLE_TEXTS["big_flows"], "offset": cut},
+        ]
+        path = str(tmp_path / "serve.wal")
+        with ResultJournal(path, fresh=True) as journal:
+            for old_entry in old_entries:
+                journal.append(old_entry)
+
+        resumed = resume_serving(make_instance, path, records, batch_size=BATCH)
+        assert resumed.closed and resumed.consumed == len(records)
+        assert served_state(resumed.lookup("sqA")) == solo_state(
+            SELECTION, records
+        )
+        assert resumed.lookup("sqB").registered_at == cut
+        assert served_state(resumed.lookup("sqB")) == solo_state(
+            EXAMPLE_TEXTS["big_flows"], records[cut:]
+        )
 
     def test_split_log_dedupes_resume_duplicates(self):
         entries = [
@@ -209,7 +281,7 @@ class TestJournalFormat:
     ):
         path = str(tmp_path / "serve.wal")
         engine = StandingQueryEngine(
-            make_instance, journal=ServingJournal(path, fresh=True)
+            make_instance, journal=ResultJournal(path, fresh=True)
         )
         engine.register(SELECTION, name="q")
         # Crash before the first commit: only the register event is

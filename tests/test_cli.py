@@ -277,3 +277,160 @@ class TestExplain:
         rc = main(["explain", "--sql", "SELECT len FROM TCP WHERE len > 9"])
         assert rc == 0
         assert "selection" in capsys.readouterr().out
+
+
+AGG_SQL = "SELECT tb, srcIP, sum(len) FROM TCP GROUP BY time/5 as tb, srcIP"
+GSQL = "examples/queries/big_flows.gsql"
+
+
+def refused(capsys, argv):
+    """``argv`` exits 2 with one line on stderr; returns that line."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    lines = [
+        line
+        for line in capsys.readouterr().err.splitlines()
+        if not line.startswith("--")  # progress notes
+    ]
+    assert len(lines) == 1, lines
+    return lines[0]
+
+
+class _Killed(Exception):
+    pass
+
+
+def die_at_commit(n):
+    seen = []
+
+    def hook(consumed, kind):
+        seen.append(kind)
+        if len(seen) == n:
+            raise _Killed
+
+    return hook
+
+
+@pytest.fixture
+def killed_query_journal(trace_file, tmp_path):
+    """A `repro query --journal` run killed after its second commit."""
+    from repro.cli import _standard_instance
+    from repro.dsms.durability import DurableRunner
+
+    path = str(tmp_path / "query.journal")
+    gs = _standard_instance(10.0)
+    gs.add_query(AGG_SQL, name="cli")
+    runner = DurableRunner(gs, path, batch_size=64, on_commit=die_at_commit(2))
+    with pytest.raises(_Killed):
+        runner.run(iter(load_trace(trace_file)))
+    return path
+
+
+@pytest.fixture
+def killed_serve_journal(trace_file, tmp_path):
+    """A `repro serve --journal` run killed after its second commit."""
+    from repro.cli import _standard_instance
+    from repro.dsms.durability import ResultJournal
+    from repro.serving.server import StandingQueryEngine, drive
+
+    path = str(tmp_path / "serve.journal")
+    engine = StandingQueryEngine(
+        lambda: _standard_instance(10.0),
+        journal=ResultJournal(path, fresh=True),
+        on_commit=die_at_commit(2),
+    )
+    with open(GSQL, encoding="utf-8") as fh:
+        engine.register(fh.read(), name="big_flows")
+    with pytest.raises(_Killed):
+        drive(engine, load_trace(trace_file), batch_size=64)
+    return path
+
+
+def resume_argv(command, trace, journal):
+    if command == "query":
+        return ["query", "--trace", trace, "--sql", AGG_SQL,
+                "--journal", journal, "--resume"]
+    return ["serve", "--trace", trace, "--journal", journal, "--resume"]
+
+
+class TestCadenceFlags:
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_serve_refuses_a_batch_size_below_one(self, trace_file, capsys, size):
+        # 0 used to read nothing and exit 0; -5 was a ValueError traceback.
+        line = refused(
+            capsys, ["serve", GSQL, "--trace", trace_file, "--batch-size", size]
+        )
+        assert "batch size must be >= 1" in line
+
+    def test_serve_refuses_a_commit_interval_below_one(self, trace_file, capsys):
+        line = refused(
+            capsys, ["serve", GSQL, "--trace", trace_file, "--commit-interval", "0"]
+        )
+        assert "commit_interval must be >= 1" in line
+
+
+@pytest.mark.parametrize("command", ["query", "serve"])
+class TestResumeRefusals:
+    """Every way --resume can be refused is one line and exit 2, the same
+    from both commands (each was a traceback from at least one)."""
+
+    def test_missing_journal(self, command, trace_file, tmp_path, capsys):
+        journal = str(tmp_path / "never-written.journal")
+        line = refused(capsys, resume_argv(command, trace_file, journal))
+        assert "does not exist" in line
+
+    def test_not_a_journal(self, command, trace_file, tmp_path, capsys):
+        journal = tmp_path / "garbage.journal"
+        journal.write_bytes(b"NOTAJRNL" + b"\x00" * 16)
+        line = refused(capsys, resume_argv(command, trace_file, str(journal)))
+        assert "bad magic" in line
+
+    def test_the_other_commands_journal(
+        self, command, trace_file, capsys, killed_query_journal, killed_serve_journal
+    ):
+        journal = killed_serve_journal if command == "query" else killed_query_journal
+        line = refused(capsys, resume_argv(command, trace_file, journal))
+        assert "'serial'" in line and "'serving'" in line
+
+    def test_unsupported_entry_version(self, command, trace_file, tmp_path, capsys):
+        from repro.dsms.durability import ResultJournal
+
+        journal = str(tmp_path / "future.journal")
+        mode = "serial" if command == "query" else "serving"
+        with ResultJournal(journal, fresh=True) as writer:
+            writer.append(
+                {"journal_version": 99, "kind": "commit", "mode": mode, "consumed": 0}
+            )
+        line = refused(capsys, resume_argv(command, trace_file, journal))
+        assert "version 99" in line
+
+    def test_input_shorter_than_the_committed_prefix(
+        self, command, tmp_path, capsys, killed_query_journal, killed_serve_journal
+    ):
+        short = str(tmp_path / "short.bin")
+        assert main(["generate", "--seconds", "2", "--rate-scale", "0.0005",
+                     "--seed", "7", "--out", short]) == 0
+        journal = killed_query_journal if command == "query" else killed_serve_journal
+        line = refused(capsys, resume_argv(command, short, journal))
+        assert "shorter than the committed prefix" in line
+
+    def test_a_different_registered_query_set(
+        self, command, trace_file, capsys, killed_query_journal, killed_serve_journal
+    ):
+        if command == "query":
+            # The journalled aggregate has a low-level feeder node; a
+            # selection does not.
+            argv = resume_argv(command, trace_file, killed_query_journal)
+            argv[argv.index(AGG_SQL)] = "SELECT len FROM TCP"
+        else:
+            # A commit naming a query no registry event introduced.
+            from repro.dsms.durability import ResultJournal
+
+            entries = ResultJournal.read(killed_serve_journal)
+            with ResultJournal(killed_serve_journal, fresh=True) as writer:
+                for entry in entries:
+                    if entry["kind"] != "register":
+                        writer.append(entry)
+            argv = resume_argv(command, trace_file, killed_serve_journal)
+        line = refused(capsys, argv)
+        assert "does not match" in line
