@@ -19,7 +19,7 @@ Per-tuple evaluation, in the paper's order:
    and evict the groups for which it is FALSE (updating superaggregates).
 
 The operator never blocks: output is produced at window boundaries (and
-by :meth:`finish` for the trailing window).
+by :meth:`flush` for the trailing window).
 
 Deviation note (documented in DESIGN.md): §6.4's prose contains a typo —
 "If the condition evaluates to FALSE, then delete the group" appears
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.expr import (
@@ -52,10 +52,9 @@ from repro.dsms.expr import (
     pick,
 )
 from repro.dsms.functions import FunctionRegistry
+from repro.dsms.operators.base import Operator
 from repro.dsms.parser.planner import SamplingSpec
 from repro.dsms.stateful import StatefulLibrary
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NULL_TRACE, TraceSink
 from repro.core.group_tables import GroupEntry, GroupTables, SuperGroupEntry
 from repro.streams.records import Record
 
@@ -110,28 +109,20 @@ class _Context(EvalContext):
     tables needs no recompilation.
     """
 
-    def __init__(
-        self,
-        scalars: FunctionRegistry,
-        stateful: StatefulLibrary,
-        cost_model: CostModel,
-        account: str,
-    ) -> None:
+    def __init__(self, scalars: FunctionRegistry, stateful: StatefulLibrary) -> None:
         self._call = scalars.call
         self._invoke = stateful.invoke
-        self._charge = cost_model.charge
-        self._account = account
         self.record: Optional[Record] = None
         self.key: Tuple[Any, ...] = ()
         self.supergroup: Optional[SuperGroupEntry] = None
         self.group: Optional[GroupEntry] = None
 
     def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self._charge(self._account, "function_call")
+        self.function_calls += 1
         return self._call(name, args)
 
     def call_stateful(self, node: StatefulCall, args: Sequence[Any]) -> Any:
-        self._charge(self._account, "sfun_call")
+        self.sfun_calls += 1
         return self._invoke(node.name, self.supergroup.states, args)
 
     def aggregate_value(self, node: AggregateCall) -> Any:
@@ -141,10 +132,9 @@ class _Context(EvalContext):
         return self.supergroup.superaggregates[node.slot].value()
 
 
-class SamplingOperator:
+class SamplingOperator(Operator):
     """Executable instance of one sampling query."""
 
-    #: value of the ``operator`` label on this operator's metric series
     kind_label = "sampling"
 
     def __init__(
@@ -219,36 +209,19 @@ class SamplingOperator:
             [item.expr for item in spec.select_items], at_group
         )
 
-        self._ctx = _Context(scalars, stateful, cost_model, account)
-        self.bind_obs(MetricsRegistry(), NULL_TRACE, account)
+        self._ctx = _Context(scalars, stateful)
+        self._default_obs(account)
 
     # -- observability -----------------------------------------------------------
     #
-    # SamplingOperator is not an Operator subclass (its push protocol
-    # predates the operator base), but it speaks the same bind_obs
-    # protocol so the runtime can re-bind it onto the instance-wide
-    # registry.  Conservation identity (docs/OBSERVABILITY.md):
+    # Conservation identity (docs/OBSERVABILITY.md):
     #   in == filtered + admitted + late + incomparable
     #   groups_created == rows_out + groups_evicted + having_rejected
 
-    def bind_obs(
-        self, metrics: MetricsRegistry, trace: TraceSink, query: str
-    ) -> None:
-        """Attach metric series and the trace sink (see Operator.bind_obs)."""
-        self.obs_metrics = metrics
-        self.obs_trace = trace
-        self.obs_query = query
-        common = {"query": query, "operator": self.kind_label}
-        self.m_in = metrics.counter(
-            "operator_tuples_in_total",
-            help="input tuples presented to the operator",
-            **common,
-        )
-        self.m_filtered = metrics.counter(
-            "operator_tuples_filtered_total",
-            help="input tuples rejected by WHERE",
-            **common,
-        )
+    def _bind_series(self) -> None:
+        super()._bind_series()
+        metrics = self.obs_metrics
+        common = {"query": self.obs_query, "operator": self.kind_label}
         self.m_admitted = metrics.counter(
             "operator_tuples_admitted_total",
             help="tuples that passed WHERE and fed a group",
@@ -272,11 +245,6 @@ class SamplingOperator:
         self.m_quarantined = metrics.counter(
             "operator_quarantined_tuples_total",
             help="tuples dead-lettered upstream at admission (malformed)",
-            **common,
-        )
-        self.m_rows_out = metrics.counter(
-            "operator_rows_out_total",
-            help="output records emitted (per window for windowed operators)",
             **common,
         )
         self.m_windows = metrics.counter(
@@ -313,127 +281,143 @@ class SamplingOperator:
 
     # -- public API -------------------------------------------------------------
 
-    def process(self, record: Record) -> List[Record]:
-        """Feed one input record; returns output records (non-empty only
-        when this record closed a window)."""
-        outputs: List[Record] = []
-        charge, account, ctx = self._charge, self._account, self._ctx
-        charge(account, "tuple_read")
-        self.m_in.inc()
-        ctx.record = record
-        ctx.key = gb_values = self._group_key(ctx)
-        window = self._window_of(gb_values)
-
-        if window != self._current_window:
-            if self._current_window is None:
-                self._open_window(window)
-            else:
-                try:
-                    is_late = window < self._current_window
-                except TypeError:
-                    # A malformed tuple whose window id cannot be ordered
-                    # against the current window must not close the window
-                    # (that would drop every live group and SFUN state).
-                    assert self._active_stats is not None
-                    self._active_stats.incomparable_tuples += 1
-                    self.m_incomparable.inc()
-                    return outputs
-                if is_late:
-                    # The tuple's window already closed and was emitted; state
-                    # for it no longer exists.  Count and drop.
-                    assert self._active_stats is not None
-                    self._active_stats.late_tuples += 1
-                    self.m_late.inc()
-                    return outputs
-                outputs = self._close_window()
-                self._open_window(window)
-                ctx.key = gb_values  # the close visited the old window's groups
-
-        stats = self._active_stats
-        assert stats is not None
-        stats.tuples_seen += 1
-
-        ctx.supergroup = supergroup = self._lookup_supergroup(gb_values)
-
-        if self._where is not None:
-            charge(account, "predicate_eval")
-            if not self._where(ctx):
-                self.m_filtered.inc()
-                return outputs
-
-        stats.tuples_admitted += 1
-        self.m_admitted.inc()
-
-        superaggregates = supergroup.superaggregates
-        for slot, value in self._tuple_fed:
-            superaggregates[slot].on_tuple(gb_values, value(ctx))
-            charge(account, "aggregate_update")
-
-        charge(account, "hash_probe")
+    def process_many(
+        self, records: Iterable[Record], out: Optional[List[Record]] = None
+    ) -> List[Record]:
+        """Feed a run of input records; appends output records to ``out``
+        (non-empty only when a record of the run closed a window)."""
+        if out is None:
+            out = []
+        ctx, where, cleaning_when = self._ctx, self._where, self._cleaning_when
+        group_key, window_of = self._group_key, self._window_of
+        supergroup_key_of = self._supergroup_key_of
         tables = self._tables
-        group = tables.groups.get(gb_values)
-        is_new_group = group is None
-        if is_new_group:
-            create = self._aggregate_factory
-            group = GroupEntry(
-                key=gb_values,
-                aggregates=[create(name) for name in self._aggregate_names],
-                supergroup_key=supergroup.key,
-            )
-            tables.add_group(group)
-            stats.groups_created += 1
-            self.m_groups_created.inc()
-            if tables.group_count > stats.peak_groups:
-                stats.peak_groups = tables.group_count
-                self.g_peak_groups.set(
-                    max(self.g_peak_groups.value, tables.group_count)
-                )
-            charge(account, "hash_insert")
-        for argument, aggregate in zip(self._aggregate_args, group.aggregates):
-            aggregate.update(argument(ctx) if argument is not None else 1)
-            charge(account, "aggregate_update")
+        groups, supergroups = tables.groups, tables.new_supergroups
+        create, names = self._aggregate_factory, self._aggregate_names
+        arguments = self._aggregate_args
+        tuple_fed, group_fed = self._tuple_fed, self._group_fed
+        current, stats = self._current_window, self._active_stats
+        n_in = n_filtered = n_admitted = n_created = peak = 0
+        n_probes = n_inserts = n_predicates = n_updates = 0
+        try:
+            for record in records:
+                n_in += 1
+                ctx.record = record
+                ctx.key = key = group_key(ctx)
+                window = window_of(key)
+                if window != current:
+                    if current is not None:
+                        try:
+                            is_late = window < current
+                        except TypeError:
+                            # An unorderable window id must not close the
+                            # window: that would drop every live group and
+                            # SFUN state.
+                            stats.incomparable_tuples += 1
+                            self.m_incomparable.inc()
+                            continue
+                        if is_late:
+                            # The tuple's window already closed and was
+                            # emitted; state for it no longer exists.
+                            stats.late_tuples += 1
+                            self.m_late.inc()
+                            continue
+                        # Into the caller's list at once: these rows must
+                        # outlive an error later in the run.
+                        out.extend(self._close_window())
+                        supergroups = tables.new_supergroups
+                        ctx.key = key  # the close visited the old groups
+                    self._open_window(window)
+                    current, stats = window, self._active_stats
+                stats.tuples_seen += 1
 
-        if is_new_group:
-            # Register the brand-new group with the group-fed superaggregates.
-            ctx.group = group
-            for slot, value in self._group_fed:
-                superaggregates[slot].on_group_added(gb_values, value(ctx))
-                charge(account, "aggregate_update")
+                supergroup_key = supergroup_key_of(key)
+                n_probes += 1
+                supergroup = supergroups.get(supergroup_key)
+                if supergroup is None:
+                    supergroup = self._new_supergroup(supergroup_key)
+                    n_inserts += 1
+                ctx.supergroup = supergroup
 
-        if self._cleaning_when is not None:
-            charge(account, "predicate_eval")
-            if self._cleaning_when(ctx):
-                if self.obs_trace.enabled:
-                    self.obs_trace.emit(
-                        "cleaning_trigger",
-                        query=self.obs_query,
-                        window=list(self._current_window or ()),
-                        supergroup=list(supergroup.key),
+                if where is not None:
+                    n_predicates += 1
+                    if not where(ctx):
+                        n_filtered += 1
+                        continue
+                stats.tuples_admitted += 1
+                n_admitted += 1
+
+                superaggregates = supergroup.superaggregates
+                for slot, value in tuple_fed:
+                    superaggregates[slot].on_tuple(key, value(ctx))
+                    n_updates += 1
+
+                n_probes += 1
+                group = groups.get(key)
+                is_new_group = group is None
+                if is_new_group:
+                    group = GroupEntry(
+                        key=key,
+                        aggregates=[create(name) for name in names],
+                        supergroup_key=supergroup_key,
                     )
-                self._run_cleaning_phase(supergroup)
+                    tables.add_group(group)
+                    stats.groups_created += 1
+                    n_created += 1
+                    if len(groups) > stats.peak_groups:
+                        stats.peak_groups = len(groups)
+                        if len(groups) > peak:
+                            peak = len(groups)
+                for argument, aggregate in zip(arguments, group.aggregates):
+                    aggregate.update(argument(ctx) if argument is not None else 1)
+                    n_updates += 1
 
-        return outputs
+                if is_new_group:  # tell the group-fed superaggregates
+                    ctx.group = group
+                    for slot, value in group_fed:
+                        superaggregates[slot].on_group_added(key, value(ctx))
+                        n_updates += 1
 
-    def run(self, records: Iterable[Record]) -> Iterator[Record]:
-        """Process an entire stream, yielding outputs as windows close."""
-        for record in records:
-            for out in self.process(record):
-                yield out
-        for out in self.finish():
-            yield out
+                if cleaning_when is not None:
+                    n_predicates += 1
+                    if cleaning_when(ctx):
+                        if self.obs_trace.enabled:
+                            self.obs_trace.emit(
+                                "cleaning_trigger",
+                                query=self.obs_query,
+                                window=list(current),
+                                supergroup=list(supergroup_key),
+                            )
+                        self._run_cleaning_phase(supergroup)
+        finally:
+            charge, account = self._charge, self._account
+            charge(account, "tuple_read", n_in)
+            charge(account, "hash_probe", n_probes)
+            charge(account, "hash_insert", n_inserts + n_created)
+            charge(account, "predicate_eval", n_predicates)
+            charge(account, "aggregate_update", n_updates)
+            ctx.settle_calls(charge, account)
+            self.m_in.inc(n_in)
+            self.m_filtered.inc(n_filtered)
+            self.m_admitted.inc(n_admitted)
+            self.m_groups_created.inc(n_created)
+            if peak > self.g_peak_groups.value:
+                self.g_peak_groups.set(peak)
+        return out
 
-    def finish(self) -> List[Record]:
+    def flush(self) -> List[Record]:
         """Close the trailing window and return its output."""
         if self._current_window is None:
             return []
-        outputs = self._close_window()
+        try:
+            outputs = self._close_window()
+        finally:
+            self._ctx.settle_calls(self._charge, self._account)
         self._current_window = None
         self._active_stats = None
         return outputs
 
-    def flush(self) -> List[Record]:
-        """Operator-protocol alias for :meth:`finish`."""
-        return self.finish()
+    finish = flush
 
     @property
     def window_stats(self) -> List[WindowStats]:
@@ -569,12 +553,9 @@ class SamplingOperator:
                 "window_open", query=self.obs_query, window=list(window)
             )
 
-    def _lookup_supergroup(self, gb_values: Tuple[Any, ...]) -> SuperGroupEntry:
-        key = self._supergroup_key_of(gb_values)
-        self._charge(self._account, "hash_probe")
-        entry = self._tables.new_supergroups.get(key)
-        if entry is not None:
-            return entry
+    def _new_supergroup(self, key: Tuple[Any, ...]) -> SuperGroupEntry:
+        """Create the supergroup ``key`` misses in the new table; its SFUN
+        states start from the old window's supergroup when there is one."""
         old_entry = self._tables.old_supergroups.get(key)
         old_states = old_entry.states if old_entry is not None else None
         if old_entry is not None:
@@ -593,7 +574,6 @@ class SamplingOperator:
         ]
         entry = SuperGroupEntry(key=key, states=states, superaggregates=superaggs)
         self._tables.new_supergroups[key] = entry
-        self._charge(self._account, "hash_insert")
         return entry
 
     def _run_cleaning_phase(self, supergroup: SuperGroupEntry) -> None:
@@ -606,32 +586,38 @@ class SamplingOperator:
         charge(account, "cleaning_phase")
         ctx.supergroup = supergroup
         groups = self._tables.groups
-        for group_key in self._tables.groups_of(supergroup.key):
-            group = groups.get(group_key)
-            if group is None:
-                continue
-            ctx.group = group
-            ctx.key = group_key
-            charge(account, "cleaning_per_group")
-            if cleaning_by is not None and not cleaning_by(ctx):
-                self._evict_group(group, supergroup)
-                stats.groups_evicted += 1
-                self.m_groups_evicted.inc()
-                if self.obs_trace.enabled:
-                    self.obs_trace.emit(
-                        "group_evicted",
-                        query=self.obs_query,
-                        window=list(self._current_window or ()),
-                        group=list(group.key),
-                    )
+        visited = evicted = 0
+        try:
+            for group_key in self._tables.groups_of(supergroup.key):
+                group = groups.get(group_key)
+                if group is None:
+                    continue
+                ctx.group = group
+                ctx.key = group_key
+                visited += 1
+                if cleaning_by is not None and not cleaning_by(ctx):
+                    self._evict_group(group, supergroup)
+                    evicted += 1
+                    if self.obs_trace.enabled:
+                        self.obs_trace.emit(
+                            "group_evicted",
+                            query=self.obs_query,
+                            window=list(self._current_window or ()),
+                            group=list(group.key),
+                        )
+        finally:
+            charge(account, "cleaning_per_group", visited)
+            charge(account, "hash_delete", evicted)
+            stats.groups_evicted += evicted
+            self.m_groups_evicted.inc(evicted)
 
     def _evict_group(self, group: GroupEntry, supergroup: SuperGroupEntry) -> None:
-        """Remove ``group`` — the group the context is visiting."""
+        """Remove ``group`` — the group the context is visiting (the
+        caller charges the ``hash_delete``, folded over its pass)."""
         ctx = self._ctx
         for sa, value in zip(supergroup.superaggregates, self._group_values):
             sa.on_group_removed(group.key, value(ctx) if value is not None else None)
         self._tables.remove_group(group.key)
-        self._charge(self._account, "hash_delete")
 
     def _close_window(self) -> List[Record]:
         stats = self._active_stats
@@ -647,36 +633,41 @@ class SamplingOperator:
 
         # 2. HAVING filters groups; survivors are emitted.
         outputs: List[Record] = []
-        for group_key in list(self._tables.groups.keys()):
-            group = self._tables.groups.get(group_key)
-            if group is None:
-                continue
-            supergroup = self._tables.new_supergroups[group.supergroup_key]
-            ctx.group = group
-            ctx.key = group_key
-            ctx.supergroup = supergroup
-            if having is not None:
-                charge(account, "predicate_eval")
-                if not having(ctx):
-                    self._evict_group(group, supergroup)
-                    self.m_having_rejected.inc()
-                    if self.obs_trace.enabled:
-                        self.obs_trace.emit(
-                            "having_rejected",
-                            query=self.obs_query,
-                            window=list(stats.window),
-                            group=list(group.key),
-                        )
+        rejected = 0
+        try:
+            for group_key in list(self._tables.groups.keys()):
+                group = self._tables.groups.get(group_key)
+                if group is None:
                     continue
-            outputs.append(Record(self.spec.output_schema, select(ctx)))
-            charge(account, "output_tuple")
-            if self.obs_trace.enabled:
-                self.obs_trace.emit(
-                    "group_emitted",
-                    query=self.obs_query,
-                    window=list(stats.window),
-                    group=list(group.key),
-                )
+                supergroup = self._tables.new_supergroups[group.supergroup_key]
+                ctx.group = group
+                ctx.key = group_key
+                ctx.supergroup = supergroup
+                if having is not None:
+                    charge(account, "predicate_eval")
+                    if not having(ctx):
+                        self._evict_group(group, supergroup)
+                        rejected += 1
+                        if self.obs_trace.enabled:
+                            self.obs_trace.emit(
+                                "having_rejected",
+                                query=self.obs_query,
+                                window=list(stats.window),
+                                group=list(group.key),
+                            )
+                        continue
+                outputs.append(Record(self.spec.output_schema, select(ctx)))
+                charge(account, "output_tuple")
+                if self.obs_trace.enabled:
+                    self.obs_trace.emit(
+                        "group_emitted",
+                        query=self.obs_query,
+                        window=list(stats.window),
+                        group=list(group.key),
+                    )
+        finally:
+            charge(account, "hash_delete", rejected)
+            self.m_having_rejected.inc(rejected)
 
         stats.output_tuples = len(outputs)
         self._window_stats.append(stats)

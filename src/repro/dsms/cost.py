@@ -107,8 +107,10 @@ class CostModel:
     # -- charging ------------------------------------------------------------
 
     def charge(self, account: str, operation: str, count: int = 1) -> None:
-        """Charge ``count`` occurrences of ``operation`` to ``account``."""
-        if not self.enabled:
+        """Charge ``count`` occurrences of ``operation`` to ``account``
+        (none leaves no trace: operators settle a run's counts, some of
+        them zero, in one call each)."""
+        if not self.enabled or not count:
             return
         try:
             unit = getattr(self.book, operation)
@@ -162,18 +164,11 @@ class CostModel:
 
 
 class _NullCostModel(CostModel):
-    """A cost model that ignores all charges (used when accounting is off).
-
-    Charging is on the per-tuple hot path; tests and examples that don't
-    measure CPU use this to avoid both the time and the memory.
-    """
+    """A cost model that ignores all charges (used when accounting is off)."""
 
     def __init__(self) -> None:
         super().__init__()
         self.enabled = False
-
-    def charge(self, account: str, operation: str, count: int = 1) -> None:  # noqa: D102
-        return
 
 
 #: Shared do-nothing cost model.

@@ -18,7 +18,7 @@ is compiled with (:func:`bind_input`, :func:`bind_tuple`,
 :func:`bind_group`), not the evaluator: at run time a closure takes one
 :class:`EvalContext`, reads the fields the binder pointed it at, and
 calls the context's hooks for functions and aggregates — which is where
-cost charging lives.  A context only needs the hooks for node kinds that
+calls are counted for the cost model.  A context only needs the hooks for node kinds that
 can legally appear in its clauses — the analyzer enforces legality, so a
 hook that is missing at runtime is a bug, reported as
 :class:`ExecutionError`.  Closures hold no operator state, so nothing
@@ -213,7 +213,21 @@ class EvalContext:
     gaps as explicit errors instead of silent Nones.  ``column`` serves
     only :func:`by_name` binding — operators bind names to positions
     when they are built and never look a column up by name per tuple.
+
+    An operator's context does not charge a ``function_call`` /
+    ``sfun_call`` per hook call; it counts them here, and the operator
+    settles the counts into its cost account when its run (or flush)
+    ends — :meth:`settle_calls`.
     """
+
+    function_calls = 0
+    sfun_calls = 0
+
+    def settle_calls(self, charge: Callable[..., None], account: str) -> None:
+        """Charge, then zero, the hook calls counted since the last settle."""
+        charge(account, "function_call", self.function_calls)
+        charge(account, "sfun_call", self.sfun_calls)
+        self.function_calls = self.sfun_calls = 0
 
     def column(self, name: str) -> Any:
         raise ExecutionError(f"column {name!r} not available in this context")

@@ -13,7 +13,7 @@ windows run next to the sampling query.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.dsms.aggregates import Aggregate, AggregateRegistry
@@ -41,15 +41,15 @@ class _AggContext(EvalContext):
     the group-by values in scope — the tuple's own at tuple time, the
     visited group's (with its ``aggregates``) at window close."""
 
-    def __init__(self, operator: "AggregationOperator") -> None:
-        self._op = operator
+    def __init__(self, scalars: FunctionRegistry) -> None:
+        self._scalars = scalars
         self.record: Optional[Record] = None
         self.key: Tuple[Any, ...] = ()
         self.aggregates: List[Aggregate] = []
 
     def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self._op._cost.charge(self._op._account, "function_call")
-        return self._op._scalars.call(name, args)
+        self.function_calls += 1
+        return self._scalars.call(name, args)
 
     def aggregate_value(self, node: AggregateCall) -> Any:
         return self.aggregates[node.slot].value()
@@ -75,7 +75,6 @@ class AggregationOperator(Operator):
             )
         self.analyzed = analyzed
         self.output_schema = output_schema
-        self._scalars = scalars
         self._registry = aggregates
         self._cost = cost_model
         self._account = account
@@ -98,13 +97,14 @@ class AggregationOperator(Operator):
         )
         self._window_of = pick(self._ordered_indices)
         self._where = compile_clause(ast.where, at_tuple)
+        self._aggregate_names = tuple(node.name for node in analyzed.aggregates)
         self._aggregate_args = tuple(
             compile_update_value(node, at_tuple) for node in analyzed.aggregates
         )
         self._having = compile_clause(ast.having, at_group)
         self._select = compile_tuple([item.expr for item in ast.select], at_group)
 
-        self._ctx = _AggContext(self)
+        self._ctx = _AggContext(scalars)
         self._default_obs(account)
 
     def _bind_series(self) -> None:
@@ -128,52 +128,66 @@ class AggregationOperator(Operator):
             **common,
         )
 
-    def process(self, record: Record) -> List[Record]:
-        ctx = self._ctx
-        ctx.record = record
-        ctx.key = gb_values = self._group_key(ctx)
-        window = self._window_of(gb_values)
-
-        outputs: List[Record] = []
-        if self._current_window is None:
-            self._current_window = window
-            self.obs_trace.emit(
-                "window_open", query=self.obs_query, window=list(window)
-            )
-        elif window != self._current_window:
-            outputs = self._emit_window()
-            self._current_window = window
-            self.obs_trace.emit(
-                "window_open", query=self.obs_query, window=list(window)
-            )
-            ctx.key = gb_values  # the window close visited other groups
-
-        charge, account = self._cost.charge, self._account
-        charge(account, "tuple_read")
-        charge(account, "hash_probe")
-        self.m_in.inc()
-        if self._where is not None:
-            charge(account, "predicate_eval")
-            if not self._where(ctx):
-                self.m_filtered.inc()
-                return outputs
-        self.m_admitted.inc()
-
-        group = self._groups.get(gb_values)
-        if group is None:
-            group = [self._registry.create(node.name) for node in self.analyzed.aggregates]
-            self._groups[gb_values] = group
-            charge(account, "hash_insert")
-            self.m_groups_created.inc()
-        for argument, aggregate in zip(self._aggregate_args, group):
-            aggregate.update(argument(ctx) if argument is not None else 1)
-            charge(account, "aggregate_update")
-        return outputs
+    def process_many(
+        self, records: Iterable[Record], out: Optional[List[Record]] = None
+    ) -> List[Record]:
+        if out is None:
+            out = []
+        ctx, where, groups = self._ctx, self._where, self._groups
+        group_key, window_of = self._group_key, self._window_of
+        create, names = self._registry.create, self._aggregate_names
+        arguments = self._aggregate_args
+        current = self._current_window
+        n_in = n_filtered = n_admitted = n_created = n_updates = 0
+        try:
+            for record in records:
+                ctx.record = record
+                ctx.key = key = group_key(ctx)
+                window = window_of(key)
+                if window != current:
+                    if current is not None:
+                        # Into the caller's list at once: these rows
+                        # must outlive an error later in the run.
+                        out.extend(self._emit_window())
+                        ctx.key = key  # the close visited other groups
+                    self._current_window = current = window
+                    self.obs_trace.emit(
+                        "window_open", query=self.obs_query, window=list(window)
+                    )
+                n_in += 1
+                if where is not None and not where(ctx):
+                    n_filtered += 1
+                    continue
+                n_admitted += 1
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = [create(name) for name in names]
+                    n_created += 1
+                for argument, aggregate in zip(arguments, group):
+                    aggregate.update(argument(ctx) if argument is not None else 1)
+                    n_updates += 1
+        finally:
+            charge, account = self._cost.charge, self._account
+            charge(account, "tuple_read", n_in)
+            charge(account, "hash_probe", n_in)
+            if where is not None:
+                charge(account, "predicate_eval", n_in)
+            charge(account, "hash_insert", n_created)
+            charge(account, "aggregate_update", n_updates)
+            ctx.settle_calls(charge, account)
+            self.m_in.inc(n_in)
+            self.m_filtered.inc(n_filtered)
+            self.m_admitted.inc(n_admitted)
+            self.m_groups_created.inc(n_created)
+        return out
 
     def flush(self) -> List[Record]:
         if self._current_window is None:
             return []
-        outputs = self._emit_window()
+        try:
+            outputs = self._emit_window()
+        finally:
+            self._ctx.settle_calls(self._cost.charge, self._account)
         self._current_window = None
         return outputs
 

@@ -1,9 +1,13 @@
 """Push-based operator protocol.
 
-Operators consume one input record at a time and return zero or more
-output records; :meth:`flush` closes any trailing window at end of
-stream.  The runtime chains operators by feeding each output record to
-the downstream node.
+Operators consume their input a *run* at a time — whatever stretch of
+records the caller has at hand, in order: a ring poll, a parent's
+output, one record — through :meth:`Operator.process_many`, and append
+zero or more output records; :meth:`flush` closes any trailing window
+at end of stream.  The runtime chains operators by handing each node's
+output run to the downstream node.  Decisions stay per tuple and in
+order, so how a stream is cut into runs changes no row, counter, charge
+or checkpoint (DESIGN.md §2).
 
 Operators also support crash-recovery checkpoints: :meth:`checkpoint`
 returns a picklable snapshot of all mutable state and :meth:`restore`
@@ -14,7 +18,7 @@ checkpoint instead of replaying the whole stream.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.obs.metrics import MetricsRegistry
@@ -100,8 +104,24 @@ class Operator:
         """Bind a private registry (constructor fallback; see bind_obs)."""
         self.bind_obs(MetricsRegistry(), NULL_TRACE, query)
 
-    def process(self, record: Record) -> List[Record]:
+    def process_many(
+        self, records: Iterable[Record], out: Optional[List[Record]] = None
+    ) -> List[Record]:
+        """Consume a run of records in order; append what they emit to
+        ``out`` (a fresh list when omitted) and return it.
+
+        The one per-tuple body of every operator.  Operation counts and
+        metric increments accumulate in locals and are settled once, in
+        a ``finally``: when an error escapes, the operator has counted
+        and charged exactly the records it consumed, the failing one
+        included, and ``out`` — owned by the caller — still holds every
+        row emitted before it.
+        """
         raise NotImplementedError
+
+    def process(self, record: Record) -> List[Record]:
+        """A run of one."""
+        return self.process_many((record,))
 
     def flush(self) -> List[Record]:
         """End-of-stream: emit anything still buffered (default: nothing)."""

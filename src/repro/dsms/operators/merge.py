@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 import heapq
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ExecutionError, SchemaError
 from repro.dsms.operators.base import Operator
@@ -59,24 +59,45 @@ class MergeOperator(Operator):
 
     # -- input -------------------------------------------------------------------
 
-    def process_from(self, source: str, record: Record) -> List[Record]:
-        """Accept one record from a named source; returns releasable output."""
+    def process_many_from(
+        self,
+        source: str,
+        records: Iterable[Record],
+        out: Optional[List[Record]] = None,
+    ) -> List[Record]:
+        """Accept a run of records from a named source; appends what the
+        watermark releases to ``out``.  Releasing once, at the run's end
+        (or at the record that violates the source's ordering), yields
+        what a release per record would: the watermark only rises, and
+        every later record sorts at or above it."""
+        if out is None:
+            out = []
         if source not in self._frontier:
             raise ExecutionError(f"unknown merge source {source!r}")
         if source in self._done:
             raise ExecutionError(f"merge source {source!r} already ended")
-        key = record.values[self._key_index]
-        last = self._frontier[source]
-        if last is not None and key < last:
-            raise ExecutionError(
-                f"merge source {source!r} violated ordering:"
-                f" {key!r} after {last!r}"
-            )
-        self.m_in.inc()
-        self._frontier[source] = key
-        heapq.heappush(self._heap, (key, self._seq, record))
-        self._seq += 1
-        return self._release()
+        heap, key_index, push = self._heap, self._key_index, heapq.heappush
+        last, seq = self._frontier[source], self._seq
+        try:
+            for record in records:
+                key = record.values[key_index]
+                if last is not None and key < last:
+                    raise ExecutionError(
+                        f"merge source {source!r} violated ordering:"
+                        f" {key!r} after {last!r}"
+                    )
+                last = key
+                push(heap, (key, seq, record))
+                seq += 1
+        finally:
+            self.m_in.inc(seq - self._seq)
+            self._frontier[source], self._seq = last, seq
+            out.extend(self._release())
+        return out
+
+    def process_from(self, source: str, record: Record) -> List[Record]:
+        """A run of one, from ``source``."""
+        return self.process_many_from(source, (record,))
 
     def process(self, record: Record) -> List[Record]:
         raise ExecutionError(

@@ -9,7 +9,7 @@ operator" (§7.2) and how low-level prefilter queries work (Fig 6).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.expr import (
@@ -31,14 +31,10 @@ from repro.streams.schema import StreamSchema
 
 
 class _SelectionContext(EvalContext):
-    def __init__(
-        self, scalars: FunctionRegistry, cost_model: CostModel, account: str
-    ) -> None:
+    def __init__(self, scalars: FunctionRegistry) -> None:
         self._scalars = scalars
         self._stateful: Optional[StatefulLibrary] = None
         self._states: Optional[dict] = None
-        self._cost = cost_model
-        self._account = account
         self.record: Optional[Record] = None
 
     def use_states(self, stateful: StatefulLibrary, states: dict) -> None:
@@ -48,13 +44,13 @@ class _SelectionContext(EvalContext):
         self._states = states
 
     def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self._cost.charge(self._account, "function_call")
+        self.function_calls += 1
         return self._scalars.call(name, args)
 
     def call_stateful(self, node: StatefulCall, args: Sequence[Any]) -> Any:
         if self._stateful is None or self._states is None:
             return super().call_stateful(node, args)
-        self._cost.charge(self._account, "sfun_call")
+        self.sfun_calls += 1
         return self._stateful.invoke(node.name, self._states, args)
 
 
@@ -80,23 +76,36 @@ class SelectionOperator(Operator):
         self.output_schema = output_schema
         self._cost = cost_model
         self._account = account
-        self._ctx = _SelectionContext(scalars, cost_model, account)
+        self._ctx = _SelectionContext(scalars)
         self._where, self._select = _compile_clauses(analyzed)
         self._default_obs(account)
 
-    def process(self, record: Record) -> List[Record]:
-        ctx = self._ctx
-        ctx.record = record
-        self._cost.charge(self._account, "tuple_read")
-        self.m_in.inc()
-        if self._where is not None:
-            self._cost.charge(self._account, "predicate_eval")
-            if not self._where(ctx):
-                self.m_filtered.inc()
-                return []
-        values = self._select(ctx)
-        self.m_rows_out.inc()
-        return [Record(self.output_schema, values)]
+    def process_many(
+        self, records: Iterable[Record], out: Optional[List[Record]] = None
+    ) -> List[Record]:
+        if out is None:
+            out = []
+        ctx, where, select = self._ctx, self._where, self._select
+        schema, emit, before = self.output_schema, out.append, len(out)
+        n_in = n_filtered = 0
+        try:
+            for record in records:
+                n_in += 1
+                ctx.record = record
+                if where is not None and not where(ctx):
+                    n_filtered += 1
+                    continue
+                emit(Record(schema, select(ctx)))
+        finally:
+            charge, account = self._cost.charge, self._account
+            charge(account, "tuple_read", n_in)
+            if where is not None:
+                charge(account, "predicate_eval", n_in)
+            ctx.settle_calls(charge, account)
+            self.m_in.inc(n_in)
+            self.m_filtered.inc(n_filtered)
+            self.m_rows_out.inc(len(out) - before)
+        return out
 
 
 def _compile_clauses(

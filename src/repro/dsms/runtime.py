@@ -55,8 +55,8 @@ class QueryHandle:
     results: List[Record] = field(default_factory=list)
     keep_results: bool = True
     forwarded: int = 0  # tuples this node pushed to downstream queries
-    #: the operator is fed per source (``process_from``: a merge) rather
-    #: than through ``process`` — resolved once, at registration
+    #: the operator is fed per source (``process_many_from``: a merge)
+    #: rather than through ``process_many`` — resolved once, at registration
     fed_per_source: bool = False
     #: the operator consumes column batches (``process_batch``) rather
     #: than records — resolved once, at registration
@@ -275,13 +275,10 @@ class Gigascope:
             plan, self.cost, account=name, vectorize=self.vectorize
         )
         operator.bind_obs(self.metrics, self.trace, name)
-        if (
-            self.vectorize
-            and getattr(operator, "execution_mode", "tuple") != "vectorized"
-        ):
+        if self.vectorize and operator.execution_mode != "vectorized":
             # The fallback is a per-plan decision made here, once — put
             # it where reports and scrapes can see it, not just stderr.
-            if getattr(operator, "vectorize_fallback", None) is None:
+            if operator.vectorize_fallback is None:
                 operator.vectorize_fallback = "this plan kind runs per-tuple"
             self.metrics.counter(
                 "vectorize_fallback_total",
@@ -487,9 +484,8 @@ class Gigascope:
         """
         if self._session is None:
             raise ExecutionError("start() the instance before injecting")
-        handle = self.query(name)
-        for record in records:
-            self._dispatch(handle, record, from_source=from_source)
+        if records:
+            self._dispatch(self.query(name), records, from_source)
 
     def quota_shed(self, stream: str, count: int) -> None:
         """Account ``count`` records refused at the serving edge because
@@ -512,7 +508,7 @@ class Gigascope:
         ).inc(count)
         if self.trace.enabled:
             self.trace.emit("quota_shed", stream=stream, count=count)
-        self._notify_shed(stream, count)
+        self._notify("note_shed", stream, count)
 
     def poison_shed(self, stream: str, count: int) -> None:
         """Account ``count`` records skipped at the serving edge because
@@ -540,7 +536,7 @@ class Gigascope:
         ).inc(count)
         if self.trace.enabled:
             self.trace.emit("poison_skip", stream=stream, count=count)
-        self._notify_shed(stream, count)
+        self._notify("note_shed", stream, count)
 
     def _subscribe_low_level(self) -> Dict[str, int]:
         subscribers: Dict[str, int] = {}
@@ -579,8 +575,7 @@ class Gigascope:
             if handle.to_batch is not None:
                 self._dispatch_batch(handle, handle.to_batch(list(pending)))
             else:
-                for record in pending:
-                    self._dispatch(handle, record)
+                self._dispatch(handle, pending)
         return len(batch)
 
     #: help text of the per-stream counters behind :meth:`_stream_counter`
@@ -652,7 +647,7 @@ class Gigascope:
         if self.trace.enabled:
             self.trace.emit("quarantine", stream=stream, reason=reason)
         self.quarantine.put(reason, payload, source=stream)
-        self._notify_quarantined(stream, 1)
+        self._notify("note_quarantined", stream, 1)
 
     def _admit(
         self,
@@ -693,13 +688,15 @@ class Gigascope:
             self.trace.emit(
                 "shed", stream=stream, count=shed, backlog=backlog
             )
-        self._notify_shed(stream, shed)
+        self._notify("note_shed", stream, shed)
         return records[:allowed]
 
-    def _notify_shed(self, stream: str, count: int) -> None:
+    def _notify(self, note: str, stream: str, count: int) -> None:
         """Tell every query downstream of ``stream`` (transitively) that
-        ``count`` of its input tuples were shed, so sampling operators can
-        expose the loss in their per-window stats."""
+        ``count`` of its input tuples never reached it — ``note`` names
+        why: ``note_shed`` (refused at admission or at the serving edge)
+        or ``note_quarantined`` (dead-lettered as malformed) — so sampling
+        operators can expose the loss in their per-window stats."""
         seen = set()
         frontier = [stream]
         while frontier:
@@ -708,49 +705,45 @@ class Gigascope:
                 if child in seen:
                     continue
                 seen.add(child)
-                operator = self._queries[child].operator
-                note = getattr(operator, "note_shed", None)
-                if note is not None:
-                    note(count)
-                frontier.append(child)
-
-    def _notify_quarantined(self, stream: str, count: int) -> None:
-        """Tell every query downstream of ``stream`` (transitively) that
-        ``count`` of its input tuples were dead-lettered at admission, so
-        sampling operators can expose the loss in their window stats."""
-        seen = set()
-        frontier = [stream]
-        while frontier:
-            node = frontier.pop()
-            for child in self._downstream.get(node, ()):
-                if child in seen:
-                    continue
-                seen.add(child)
-                operator = self._queries[child].operator
-                note = getattr(operator, "note_quarantined", None)
-                if note is not None:
-                    note(count)
+                told = getattr(self._queries[child].operator, note, None)
+                if told is not None:
+                    told(count)
                 frontier.append(child)
 
     def _dispatch(
-        self, handle: QueryHandle, record: Record, from_source: Optional[str] = None
+        self,
+        handle: QueryHandle,
+        records: List[Record],
+        from_source: Optional[str] = None,
     ) -> None:
+        """Hand one run of records to a node, and what it emits onward.
+
+        The output list is owned here, not by the operator: rows emitted
+        before an operator raises mid-run still reach ``results`` and the
+        node's children before the error leaves ``feed``.
+        """
         operator = handle.operator
+        outputs: List[Record] = []
         if self.profile:
             started = perf_counter()
-        if handle.fed_per_source:
-            outputs = operator.process_from(from_source, record)
-        else:
-            outputs = operator.process(record)
-        if self.profile:
-            self.metrics.histogram(
-                "operator_seconds",
-                help="wall time per operator call",
-                query=handle.name,
-                phase="process",
-            ).observe(perf_counter() - started)
-        if outputs:
-            self._propagate(handle, outputs)
+        try:
+            if handle.fed_per_source:
+                operator.process_many_from(from_source, records, outputs)
+            else:
+                operator.process_many(records, outputs)
+        finally:
+            if self.profile:
+                self._observe_seconds(handle.name, "process", started)
+            if outputs:
+                self._propagate(handle, outputs)
+
+    def _observe_seconds(self, query: str, phase: str, started: float) -> None:
+        self.metrics.histogram(
+            "operator_seconds",
+            help="wall time per operator call",
+            query=query,
+            phase=phase,
+        ).observe(perf_counter() - started)
 
     def _dispatch_batch(self, handle: QueryHandle, batch: Any) -> None:
         """Feed one column batch to a vectorized operator (and onward)."""
@@ -759,12 +752,7 @@ class Gigascope:
             started = perf_counter()
         outputs = operator.process_batch(batch)
         if self.profile:
-            self.metrics.histogram(
-                "operator_seconds",
-                help="wall time per operator call",
-                query=handle.name,
-                phase="process",
-            ).observe(perf_counter() - started)
+            self._observe_seconds(handle.name, "process", started)
         if outputs is not None and len(outputs):
             self._propagate_batch(handle, outputs)
 
@@ -790,8 +778,7 @@ class Gigascope:
             else:
                 if records is None:
                     records = outputs.to_records()
-                for record in records:
-                    self._dispatch(child, record, from_source=handle.name)
+                self._dispatch(child, records, handle.name)
 
     def _propagate(self, handle: QueryHandle, outputs: List[Record]) -> None:
         if handle.keep_results:
@@ -804,9 +791,7 @@ class Gigascope:
         self.cost.charge(handle.name, "tuple_copy", len(outputs))
         self._forwarded_series(handle).inc(len(outputs))
         for child_name in downstream:
-            child = self._queries[child_name]
-            for record in outputs:
-                self._dispatch(child, record, from_source=handle.name)
+            self._dispatch(self._queries[child_name], outputs, handle.name)
 
     def _forwarded_series(self, handle: QueryHandle) -> Counter:
         series = handle.forwarded_series
@@ -825,12 +810,7 @@ class Gigascope:
                 started = perf_counter()
             outputs = handle.operator.flush()
             if self.profile:
-                self.metrics.histogram(
-                    "operator_seconds",
-                    help="wall time per operator call",
-                    query=name,
-                    phase="flush",
-                ).observe(perf_counter() - started)
+                self._observe_seconds(name, "flush", started)
             if outputs:
                 self._propagate(handle, outputs)
             # A flushed node is exhausted: release any downstream merge
@@ -979,10 +959,7 @@ class Gigascope:
             fallbacks = {
                 name: self._queries[name].operator.vectorize_fallback
                 for name in self._order
-                if getattr(
-                    self._queries[name].operator, "execution_mode", "tuple"
-                )
-                != "vectorized"
+                if self._queries[name].operator.execution_mode != "vectorized"
             }
             if fallbacks:
                 report["vectorize"] = {"fallbacks": fallbacks}

@@ -171,9 +171,9 @@ class _MergeSink:
         if self.operator is None:
             self._sink(list(produced[cursor:]))
             return
-        source = self.sources[shard]
-        for record in produced[cursor:]:
-            self._sink(self.operator.process_from(source, record))
+        self._sink(
+            self.operator.process_many_from(self.sources[shard], produced[cursor:])
+        )
 
     def finish(self, results: Sequence[Dict[str, List[Record]]]) -> None:
         """Feed every shard's remaining rows and release its watermark."""

@@ -166,8 +166,8 @@ def capture_feed(
 ) -> BatchCapture:
     """Feed ``batch`` to the canonical instance, capturing prefix effects.
 
-    The low-level node's ``process`` is shimmed for the duration of the
-    feed to collect its emitted records; metric and cost deltas are
+    The low-level node's run entry (``process_many``) is shimmed for the
+    duration of the feed to collect its emitted records; metric and cost deltas are
     taken by snapshot difference.  Deltas attributable to the canonical
     query's own *high-level* operator are excluded (each follower
     regenerates those natively via :func:`replay_feed`), as is the
@@ -181,19 +181,19 @@ def capture_feed(
     forwarded_before = low.forwarded
 
     outputs: List[Record] = []
-    original = low.operator.process
+    original = low.operator.process_many
 
-    def capturing(record: Record) -> List[Record]:
-        outs = original(record)
-        if outs:
-            outputs.extend(outs)
-        return outs
+    def capturing(records: List[Record], out: List[Record]) -> List[Record]:
+        try:
+            return original(records, out)
+        finally:
+            outputs.extend(out)
 
-    low.operator.process = capturing
+    low.operator.process_many = capturing
     try:
         gs.feed(batch)
     finally:
-        del low.operator.process
+        del low.operator.process_many
 
     forwarded = low.forwarded - forwarded_before
     metric_deltas: List[MetricDelta] = []
