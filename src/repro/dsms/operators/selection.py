@@ -78,7 +78,17 @@ class SelectionOperator(Operator):
         self._account = account
         self._ctx = _SelectionContext(scalars)
         self._where, self._select = _compile_clauses(analyzed)
+        self._forwards = False
         self._default_obs(account)
+
+    def forward_input(self) -> None:
+        """Emit input records as they are — read, counted and charged as
+        before, never re-wrapped under this query's schema.  For the
+        runtime's own pass-through feeder, whose rows nobody retains and
+        whose children read by position; a user's identity projection
+        keeps re-wrapping (its rows' ``schema`` shows in equality,
+        ``repr`` and journal bytes)."""
+        self._forwards = True
 
     def process_many(
         self, records: Iterable[Record], out: Optional[List[Record]] = None
@@ -89,13 +99,17 @@ class SelectionOperator(Operator):
         schema, emit, before = self.output_schema, out.append, len(out)
         n_in = n_filtered = 0
         try:
-            for record in records:
-                n_in += 1
-                ctx.record = record
-                if where is not None and not where(ctx):
-                    n_filtered += 1
-                    continue
-                emit(Record(schema, select(ctx)))
+            if self._forwards:
+                out.extend(records)
+                n_in = len(out) - before
+            else:
+                for record in records:
+                    n_in += 1
+                    ctx.record = record
+                    if where is not None and not where(ctx):
+                        n_filtered += 1
+                        continue
+                    emit(Record(schema, select(ctx)))
         finally:
             charge, account = self._cost.charge, self._account
             charge(account, "tuple_read", n_in)
@@ -116,8 +130,8 @@ def _compile_clauses(
     bind = bind_input(schema)
     exprs = [item.expr for item in analyzed.ast.select]
     if all(isinstance(e, ColumnRef) and e.name in schema for e in exprs):
-        # A projection of bare columns (the auto-inserted pass-through
-        # feeder) is one itemgetter over the record, not a call per column.
+        # A projection of bare columns is one itemgetter over the record,
+        # not a call per column.
         columns = pick([schema.index_of(e.name) for e in exprs])
         select = lambda ctx: columns(ctx.record.values)  # noqa: E731
     else:

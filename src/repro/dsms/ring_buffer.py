@@ -16,7 +16,7 @@ counter increments — the stream analogue of packet loss under overload.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import StreamError
 
@@ -41,12 +41,23 @@ class RingBuffer:
         self._slots[self._head % self.capacity] = record
         self._head += 1
 
-    def extend(self, records: Iterator[Any]) -> int:
-        """Push every record from an iterator; return how many were pushed."""
-        count = 0
-        for record in records:
-            self.push(record)
-            count += 1
+    def extend(self, records: Iterable[Any]) -> int:
+        """Append a run, as ``push`` per record would, with at most two
+        slice assignments (a run may wrap); return its length.  Of a run
+        longer than ``capacity`` only the newest ``capacity`` records
+        are written, into the slots they would have landed in."""
+        run = records if isinstance(records, (list, tuple)) else list(records)
+        count, capacity = len(run), self.capacity
+        if count > capacity:
+            run = run[count - capacity:]
+        start = (self._head + count - len(run)) % capacity
+        room = capacity - start  # slots before the wrap
+        if len(run) <= room:
+            self._slots[start:start + len(run)] = run
+        else:
+            self._slots[start:] = run[:room]
+            self._slots[:len(run) - room] = run[room:]
+        self._head += count
         return count
 
     # -- consumer side -----------------------------------------------------
@@ -67,6 +78,9 @@ class RingBuffer:
         """Return (and consume) available records for one subscriber."""
         if subscriber_id not in self._cursors:
             raise StreamError(f"unknown subscriber id {subscriber_id}")
+        if max_records is not None and max_records < 0:
+            # it would move the cursor backwards and re-deliver records
+            raise StreamError(f"max_records must not be negative: {max_records}")
         cursor = self._cursors[subscriber_id]
         oldest_available = max(0, self._head - self.capacity)
         if cursor < oldest_available:
@@ -75,7 +89,12 @@ class RingBuffer:
         end = self._head
         if max_records is not None:
             end = min(end, cursor + max_records)
-        out = [self._slots[i % self.capacity] for i in range(cursor, end)]
+        # At most ``capacity`` records are readable: the span wraps once.
+        start = cursor % self.capacity
+        stop = start + end - cursor
+        out = self._slots[start:stop]
+        if stop > self.capacity:
+            out += self._slots[: stop - self.capacity]
         self._cursors[subscriber_id] = end
         return out
 

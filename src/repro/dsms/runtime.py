@@ -21,8 +21,9 @@ of Figure 1) and also forwarded to any downstream queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError, PlanningError
 from repro.dsms.aggregates import default_aggregate_registry
@@ -43,6 +44,9 @@ from repro.core.superaggregates import default_superaggregate_registry
 from repro.errors import SchemaError
 
 
+_SCHEMA_OF = attrgetter("schema")
+
+
 @dataclass
 class QueryHandle:
     """One registered query: its plan, operator, topology and sink."""
@@ -58,11 +62,9 @@ class QueryHandle:
     #: the operator is fed per source (``process_many_from``: a merge)
     #: rather than through ``process_many`` — resolved once, at registration
     fed_per_source: bool = False
-    #: the operator consumes column batches (``process_batch``) rather
-    #: than records — resolved once, at registration
-    fed_batches: bool = False
-    #: records -> column batch of the input schema, for a ``fed_batches``
-    #: operator reading records off a ring; None otherwise
+    #: records -> column batch of the input schema, when the operator
+    #: consumes column batches (``process_batch``) rather than records;
+    #: None otherwise — resolved once, at registration
     to_batch: Optional[Callable[[List[Record]], Any]] = None
     #: this node's ``query_forwarded_total`` series, resolved on first
     #: forward (a node that never forwards registers no series)
@@ -298,7 +300,6 @@ class Gigascope:
             from repro.dsms.vectorized import RecordBatch
 
             input_schema = self.registries.schemas[source]
-            handle.fed_batches = True
             handle.to_batch = lambda records: RecordBatch.from_records(
                 input_schema, records
             )
@@ -354,12 +355,16 @@ class Gigascope:
         schema = self.registries.schemas[stream]
         select_list = ", ".join(schema.names)
         # Internal plumbing, not user input: never strict-check it.
-        return self.add_query(
+        handle = self.add_query(
             f"SELECT {select_list} FROM {stream}",
             name=name,
             keep_results=False,
             strict=False,
         )
+        # Reading the ring is free and the copy upward is charged once, in
+        # _propagate (paper §3): do not perform it again here, per tuple.
+        handle.operator.forward_input()
+        return handle
 
     @staticmethod
     def _rewrite_from(text: str, old: str, new: str) -> str:
@@ -437,13 +442,16 @@ class Gigascope:
         # drop/backlog counters for the completed run.
         self._last_subscribers = dict(self._session)
 
-    def feed(self, records: List[Record]) -> int:
-        """Push one batch of records through the DAG; returns batch size."""
+    def feed(self, records: Iterable[Record]) -> int:
+        """Push one batch of records through the DAG; returns batch size.
+        The batch is read, never kept or changed."""
         if self._session is None:
             raise ExecutionError("start() the instance before feeding it")
+        if not isinstance(records, (list, tuple)):
+            records = list(records)  # a generator has no length
         if not records:
             return 0
-        return self._run_batch(list(records), self._session)
+        return self._run_batch(records, self._session)
 
     def finish(self) -> None:
         """End an incremental run: flush every operator in topo order."""
@@ -546,37 +554,63 @@ class Gigascope:
                 subscribers[name] = self._rings[handle.source].subscribe()
         return subscribers
 
-    def _run_batch(self, batch: List[Record], subscribers: Dict[str, int]) -> int:
-        by_stream: Dict[str, List[Record]] = {}
-        offered: Dict[str, int] = {}
-        for payload in batch:
-            stream, record = self._admit_payload(payload)
-            offered[stream] = offered.get(stream, 0) + 1
-            if record is not None:
-                by_stream.setdefault(stream, []).append(record)
-        for stream, count in offered.items():
-            self._stream_counter("stream_records_total", stream).inc(count)
-        for stream, stream_records in by_stream.items():
+    def _run_batch(self, batch: Sequence[Any], subscribers: Dict[str, int]) -> int:
+        for stream, run in self._admit_batch(batch).items():
             ring = self._rings[stream]
             if self.shed_threshold is not None:
-                stream_records = self._admit(
-                    stream, stream_records, ring, subscribers
-                )
-            self._stream_counter("stream_ingested_total", stream).inc(
-                len(stream_records)
-            )
-            for record in stream_records:
-                ring.push(record)
+                run = self._admit(stream, run, ring, subscribers)
+            self._stream_counter("stream_ingested_total", stream).inc(len(run))
+            ring.extend(run)
+        # Every poll below ends at its ring's head, so its length names
+        # the span it read: columnar subscribers of one span share one
+        # batch, and a column converts once, for whoever touches it first.
+        spans: Dict[Tuple[str, int], Any] = {}
         for name, sid in subscribers.items():
             handle = self._queries[name]
             pending = self._rings[handle.source].poll(sid)
             if not pending:
                 continue
-            if handle.to_batch is not None:
-                self._dispatch_batch(handle, handle.to_batch(list(pending)))
-            else:
+            if handle.to_batch is None:
                 self._dispatch(handle, pending)
+                continue
+            span = (handle.source, len(pending))
+            if span not in spans:
+                spans[span] = handle.to_batch(pending)
+            self._dispatch_batch(handle, spans[span])
         return len(batch)
+
+    def _admit_batch(self, batch: Sequence[Any]) -> Dict[str, Sequence[Record]]:
+        """The records of one fed batch to write, per stream, in order.
+
+        A *run* — exact ``Record`` instances that all carry the first
+        one's schema, named after a registered stream — is admitted
+        whole, in a constant number of Python calls.  ``list.count``
+        compares by identity before equality, so nothing is hashed or
+        compared at Python level unless schema objects differ (a worker's
+        unpickled records share one equal to the registered schema, not
+        identical with it); the contract stays name-only.  Anything else
+        goes payload by payload through :meth:`_admit_payload`.  A batch
+        that raises has admitted and counted nothing.
+        """
+        offered: Dict[str, int] = {}
+        by_stream: Dict[str, Any] = {}
+        if (
+            not self.validate_admission
+            and list(map(type, batch)).count(Record) == len(batch)
+            and list(map(_SCHEMA_OF, batch)).count(batch[0].schema) == len(batch)
+            and batch[0].schema.name in self._rings
+        ):
+            stream = batch[0].schema.name
+            offered[stream], by_stream[stream] = len(batch), batch
+        else:
+            for payload in batch:
+                stream, record = self._admit_payload(payload)
+                offered[stream] = offered.get(stream, 0) + 1
+                if record is not None:
+                    by_stream.setdefault(stream, []).append(record)
+        for stream, count in offered.items():
+            self._stream_counter("stream_records_total", stream).inc(count)
+        return by_stream
 
     #: help text of the per-stream counters behind :meth:`_stream_counter`
     _STREAM_HELP = {
@@ -652,10 +686,10 @@ class Gigascope:
     def _admit(
         self,
         stream: str,
-        records: List[Record],
+        records: Sequence[Record],
         ring: RingBuffer,
         subscribers: Dict[str, int],
-    ) -> List[Record]:
+    ) -> Sequence[Record]:
         """Overload admission: step down intake instead of drowning the ring.
 
         When the slowest subscriber's backlog plus the incoming batch
@@ -773,7 +807,7 @@ class Gigascope:
         self._forwarded_series(handle).inc(count)
         for child_name in downstream:
             child = self._queries[child_name]
-            if child.fed_batches:
+            if child.to_batch is not None:
                 self._dispatch_batch(child, outputs)
             else:
                 if records is None:

@@ -111,6 +111,9 @@ class RecordBatch:
             # column, an int overflowing int64): keep Python objects so
             # per-element semantics match the tuple path exactly.
             col = np.asarray(values, dtype=object)
+        # A record-backed batch may be shared by every query that polled
+        # the same span of the ring: a write must raise, not reach them.
+        col.setflags(write=False)
         self._columns[name] = col
         return col
 

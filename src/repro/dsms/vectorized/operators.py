@@ -91,6 +91,12 @@ class VectorizedSelectionOperator(SelectionOperator):
             return RecordBatch.empty(self.output_schema)
         self._cost.charge(self._account, "tuple_read", n)
         self.m_in.inc(n)
+        if self._forwards:
+            # The batch itself, not one relabelled with this query's
+            # schema: columns stay typed by the stream, and what a child
+            # converts lands in the batch its siblings share.
+            self.m_rows_out.inc(n)
+            return batch
         if self._where_fn is not None:
             self._cost.charge(self._account, "predicate_eval", n)
             mask = self._where_fn(Env(batch.column, n, self._charge))

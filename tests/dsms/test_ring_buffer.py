@@ -1,6 +1,8 @@
 """Ring buffer: subscription, polling, drop accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StreamError
 from repro.dsms.ring_buffer import RingBuffer
@@ -114,6 +116,93 @@ class TestErrors:
             ring.drops(99)
         with pytest.raises(StreamError):
             ring.backlog(99)
+
+    def test_negative_max_records_is_refused(self):
+        """It used to return ``[]`` and move the cursor *backwards*, so
+        the next poll re-delivered records already consumed."""
+        ring = RingBuffer(8)
+        sid = ring.subscribe()
+        ring.extend(range(5))
+        assert ring.poll(sid, 2) == [0, 1]
+        with pytest.raises(StreamError, match="negative"):
+            ring.poll(sid, max_records=-2)
+        assert ring.poll(sid, 0) == []
+        assert ring.poll(sid) == [2, 3, 4]
+
+
+class _NaiveRing:
+    """The model: every record ever written, and a cursor per subscriber."""
+
+    def __init__(self, capacity):
+        self.capacity, self.log, self.cursors, self.lost = capacity, [], [], []
+
+    def oldest(self):
+        return max(0, len(self.log) - self.capacity)
+
+    def subscribe(self):
+        self.cursors.append(len(self.log))
+        self.lost.append(0)
+
+    def poll(self, sid, max_records):
+        start = max(self.cursors[sid], self.oldest())
+        self.lost[sid] += start - self.cursors[sid]
+        end = len(self.log) if max_records is None else start + max_records
+        self.cursors[sid] = min(end, len(self.log))
+        return self.log[start:end]
+
+    def drops(self, sid):
+        return self.lost[sid] + max(0, self.oldest() - self.cursors[sid])
+
+    def backlog(self, sid):
+        return len(self.log) - max(self.cursors[sid], self.oldest())
+
+
+_RING_OPS = st.one_of(
+    st.just(("push",)),
+    st.tuples(
+        st.just("extend"),
+        st.integers(0, 40),
+        st.sampled_from([list, tuple, iter]),
+    ),
+    st.just(("subscribe",)),
+    st.tuples(
+        st.just("poll"),
+        st.integers(0, 7),
+        st.one_of(st.none(), st.integers(0, 20)),
+    ),
+)
+
+
+class TestAgainstANaiveModel:
+    """Runs written by slice — longer than ``capacity``, wrapping inside
+    a run — and polls read by slice are what a growing list and a cursor
+    per subscriber say they are, subscribers joining mid-stream included."""
+
+    @given(st.integers(1, 16), st.lists(_RING_OPS, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_every_observable_equals_the_models(self, capacity, ops):
+        ring, model = RingBuffer(capacity), _NaiveRing(capacity)
+        for op, *args in ops:
+            written = len(model.log)
+            if op == "push":
+                ring.push(written)
+                model.log.append(written)
+            elif op == "extend":
+                run = list(range(written, written + args[0]))
+                assert ring.extend(args[1](run)) == len(run)
+                model.log.extend(run)
+            elif op == "subscribe":
+                assert ring.subscribe() == len(model.cursors)
+                model.subscribe()
+            elif model.cursors:
+                sid = args[0] % len(model.cursors)
+                assert ring.poll(sid, args[1]) == model.poll(sid, args[1])
+            sids = range(len(model.cursors))
+            assert len(ring) == len(model.log)
+            assert [ring.drops(s) for s in sids] == [model.drops(s) for s in sids]
+            assert [ring.backlog(s) for s in sids] == [model.backlog(s) for s in sids]
+            assert ring.max_drops() == max(map(model.drops, sids), default=0)
+            assert ring.max_backlog() == max(map(model.backlog, sids), default=0)
 
 
 class TestPropertyBased:

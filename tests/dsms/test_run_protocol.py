@@ -29,7 +29,7 @@ from repro.dsms.cost import CostBook, CostModel
 from repro.dsms.runtime import Gigascope
 from repro.errors import ExecutionError
 from repro.streams.records import Record
-from repro.streams.schema import TCP_SCHEMA
+from repro.streams.schema import PKT_SCHEMA, TCP_SCHEMA
 from repro.streams.traces import TraceConfig, data_center_feed, research_center_feed
 
 # -- deployments ----------------------------------------------------------------
@@ -103,6 +103,13 @@ def _with_time(record, time):
     return Record(TCP_SCHEMA, values)
 
 
+def _series(gs):
+    """Every series but the histograms (wall time is not reproducible)."""
+    return [
+        (s.name, s.labels, s.value) for s in gs.metrics.series() if s.kind != "histogram"
+    ]
+
+
 def _observe(deployment, records, cuts, checkpoint_at):
     """Everything observable after feeding ``records`` cut at ``cuts``."""
     gs = Gigascope(cost_model=CostModel())
@@ -116,15 +123,7 @@ def _observe(deployment, records, cuts, checkpoint_at):
         if hi == checkpoint_at:
             checkpoint = pickle.dumps(gs.checkpoint())
     gs.finish()
-    seen = {
-        "checkpoint": checkpoint,
-        "series": [
-            (s.name, s.labels, s.value)
-            for s in gs.metrics.series()
-            if s.kind != "histogram"
-        ],
-        "cost": gs.cost.accounts(),
-    }
+    seen = {"checkpoint": checkpoint, "series": _series(gs), "cost": gs.cost.accounts()}
     for handle in gs.query_handles():
         seen["rows", handle.name] = [r.values for r in handle.results]
         if hasattr(handle.operator, "window_stats"):
@@ -296,3 +295,254 @@ class TestTheNodeThatRaisedCountedWhatItConsumed:
         assert _count(gs, "query_forwarded_total", query="q__lowsel") == 4
         book = self.BOOK
         assert gs.cost.cycles("q__lowsel") == 4 * (book.tuple_read + book.tuple_copy)
+
+
+# -- the ingest edge takes runs too --------------------------------------------------
+#
+# Admission, the ring and the feeder handle a fed batch as one run when
+# it is one.  The oracle for a batch the fast path takes is the same
+# batch made of instances of a ``Record`` subclass, which it declines:
+# that goes payload by payload through ``_admit_payload`` and record by
+# record into the operators, whatever the batch is cut into.
+
+
+class _Packet(Record):
+    """Not exactly a ``Record``: declined by run admission."""
+
+    __slots__ = ()
+
+
+def _declined(records):
+    return [_Packet(r.schema, r.values) for r in records]
+
+
+def _spy_on_admission(gs, monkeypatch):
+    """The payloads that went through the per-payload path."""
+    seen, admit_payload = [], gs._admit_payload
+    monkeypatch.setattr(
+        gs, "_admit_payload", lambda p: seen.append(p) or admit_payload(p)
+    )
+    return seen
+
+
+def _instance(build=_subset_sum, **options):
+    gs = Gigascope(cost_model=CostModel(), **options)
+    gs.register_stream(TCP_SCHEMA)
+    gs.register_stream(PKT_SCHEMA)
+    build(gs)
+    gs.start()
+    return gs
+
+
+def _seen(gs):
+    """Rows, every non-histogram series, cost accounts and the run report."""
+    gs.finish()
+    return {
+        "rows": {h.name: [r.values for r in h.results] for h in gs.query_handles()},
+        "series": _series(gs),
+        "cost": gs.cost.accounts(),
+        "report": gs.run_report(),
+    }
+
+
+def _fed_in(batches, build=_subset_sum, **options):
+    gs = _instance(build, **options)
+    for batch in batches:
+        gs.feed(batch)
+    return _seen(gs)
+
+
+STEADY = TRACES["steady"]
+CUT = [STEADY[:64], STEADY[64:67], STEADY[67:]]
+_DEPLOYMENTS = pytest.mark.parametrize("build", [_subset_sum, _selection, _aggregate])
+
+
+class TestRunAdmission:
+    @_DEPLOYMENTS
+    def test_a_run_is_admitted_whole_and_changes_nothing(self, build, monkeypatch):
+        gs = _instance(build)
+        per_payload = _spy_on_admission(gs, monkeypatch)
+        for batch in CUT:
+            gs.feed(batch)
+        assert per_payload == []
+        assert _seen(gs) == _fed_in(map(_declined, CUT), build)
+
+    def test_a_record_subclass_is_declined(self, monkeypatch):
+        gs = _instance()
+        per_payload = _spy_on_admission(gs, monkeypatch)
+        gs.feed(_declined(STEADY))
+        assert len(per_payload) == len(STEADY)
+
+    @_DEPLOYMENTS
+    def test_unpickled_records_are_a_run(self, build, monkeypatch):
+        """A supervised worker's records share a schema object equal to,
+        not identical with, the registered one."""
+        shipped = pickle.loads(pickle.dumps(CUT))
+        assert shipped[0][0].schema is not TCP_SCHEMA
+        gs = _instance(build)
+        per_payload = _spy_on_admission(gs, monkeypatch)
+        for batch in shipped:
+            gs.feed(batch)
+        assert per_payload == []
+        assert _seen(gs) == _fed_in(CUT, build)
+
+    def test_a_batch_across_a_pickle_seam_is_admitted_all_the_same(self):
+        seam = [STEADY[:40] + pickle.loads(pickle.dumps(STEADY[40:]))]
+        assert _fed_in(seam) == _fed_in([STEADY])
+
+    def test_interleaved_streams_keep_their_order(self):
+        def build(gs):
+            _subset_sum(gs)
+            gs.add_query("SELECT time, len FROM PKT WHERE len > 200", name="pkt")
+
+        packets = [
+            Record(PKT_SCHEMA, r.values[: len(PKT_SCHEMA)]) for r in STEADY
+        ]
+        interleaved = [r for pair in zip(STEADY, packets) for r in pair]
+        mixed = _fed_in([interleaved[:100], interleaved[100:]], build)
+        assert len(mixed["rows"]["pkt"]) > 10
+        assert mixed == _fed_in(
+            [STEADY[:50], packets[:50], STEADY[50:], packets[50:]], build
+        )
+
+    @pytest.mark.parametrize("poison", [object(), ("not", "a", "record")])
+    def test_a_batch_that_raises_admits_and_counts_nothing(self, poison):
+        gs = _instance()
+        gs.feed(STEADY[:10])
+        batch = STEADY[10:20] + [poison] + STEADY[20:30]
+        with pytest.raises(ExecutionError, match="not a Record"):
+            gs.feed(batch)
+        assert gs.metrics.total("stream_records_total", stream="TCP") == 10
+        assert gs.metrics.total("stream_ingested_total", stream="TCP") == 10
+        assert len(gs._rings["TCP"]) == 10
+        gs.feed(STEADY[10:])
+        assert _seen(gs) == _fed_in([STEADY[:10], STEADY[10:]])
+
+    def test_with_validation_the_non_record_is_quarantined(self):
+        gs = Gigascope(cost_model=CostModel(), validate_admission=True)
+        gs.register_stream(TCP_SCHEMA)
+        _subset_sum(gs)
+        gs.start()
+        gs.feed(STEADY[:80] + [object()] + STEADY[80:])
+        seen = _seen(gs)
+        total = gs.metrics.total
+        assert total("stream_quarantined_total", stream="TCP") == 1
+        assert total("stream_records_total", stream="TCP") == len(STEADY) + 1
+        assert total("stream_ingested_total", stream="TCP") == len(STEADY)
+        assert seen["rows"] == _fed_in([STEADY])["rows"]
+
+    def test_a_ring_smaller_than_the_batch_drops_the_oldest(self):
+        small = _fed_in(CUT, ring_capacity=16)
+        assert small["report"]["streams"]["TCP"]["drops"] == (64 - 16) + (93 - 16)
+        assert small == _fed_in(map(_declined, CUT), ring_capacity=16)
+        kept = [batch[-16:] for batch in CUT]
+        assert small["rows"] == _fed_in(kept)["rows"]
+
+    def test_shedding_sees_the_run(self):
+        shed = _fed_in(CUT, shed_threshold=20)
+        assert shed["report"]["streams"]["TCP"]["shed"] == (64 - 20) + (93 - 20)
+        assert shed == _fed_in(map(_declined, CUT), shed_threshold=20)
+
+    @pytest.mark.parametrize("shape", [tuple, iter, lambda b: (r for r in b)])
+    def test_feed_takes_any_iterable(self, shape):
+        assert _fed_in([shape(batch) for batch in CUT]) == _fed_in(CUT)
+
+    def test_feed_neither_keeps_nor_changes_the_callers_list(self):
+        gs = _instance(ring_capacity=16)
+        for batch in CUT:
+            mine = list(batch)
+            assert gs.feed(mine) == len(batch)
+            assert mine == batch
+            mine.clear()
+        assert _seen(gs) == _fed_in(CUT, ring_capacity=16)
+
+
+class TestTheFeederForwards:
+    """The runtime's own pass-through feeder hands its input on as it
+    is; a user's identity projection re-wraps, and is the oracle."""
+
+    EVERY_COLUMN = f"SELECT {', '.join(TCP_SCHEMA.names)} FROM TCP"
+
+    QUERIES = {
+        "sampling": subset_sum_query(window=1, target=20, stream="{stream}"),
+        "aggregate": "SELECT tb, srcIP, sum(len), count(*) FROM {stream}"
+        " GROUP BY time/1 as tb, srcIP HAVING count(*) > 1",
+    }
+
+    @pytest.mark.parametrize("vectorize", [False, True])
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_same_rows_series_and_charges_as_a_user_written_feeder(
+        self, query, vectorize
+    ):
+        def automatic(gs):
+            gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
+            gs.add_query(self.QUERIES[query].format(stream="TCP"), name="q")
+
+        def by_hand(gs):
+            gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
+            gs.add_query(self.EVERY_COLUMN, name="q__lowsel", keep_results=False)
+            gs.add_query(self.QUERIES[query].format(stream="q__lowsel"), name="q")
+
+        forwarded = _fed_in(CUT, automatic, vectorize=vectorize)
+        assert forwarded["cost"]["q__lowsel"] > 0 and len(forwarded["rows"]["q"]) > 3
+        assert forwarded == _fed_in(CUT, by_hand, vectorize=vectorize)
+
+    def test_only_the_runtimes_own_feeder_forwards(self):
+        gs = _instance()
+        feeder = gs.query("q__lowsel").operator
+        assert all(a is b for a, b in zip(feeder.process_many(STEADY[:5]), STEADY))
+        gs = _instance(lambda gs: gs.add_query(self.EVERY_COLUMN, name="mine"))
+        gs.feed(STEADY[:5])
+        assert [r.values for r in gs.results("mine")] == [r.values for r in STEADY[:5]]
+        assert {r.schema.name for r in gs.results("mine")} == {"mine"}
+
+
+class TestOneBatchPerPolledSpan:
+    SELECTION = "SELECT time, len FROM TCP WHERE len > 200"
+    AGGREGATE = "SELECT tb, sum(len), count(*) FROM TCP GROUP BY time/1 as tb"
+
+    def _builds(self):
+        return {
+            "sel": lambda gs: gs.add_query(self.SELECTION, name="sel"),
+            "agg": lambda gs: gs.add_query(self.AGGREGATE, name="agg"),
+            "q": _subset_sum,
+        }
+
+    def test_three_queries_on_one_stream_share_it(self, monkeypatch):
+        from collections import Counter
+
+        from repro.dsms.vectorized import RecordBatch
+
+        converted, convert = Counter(), RecordBatch._convert
+
+        def counting(batch, name):
+            converted[len(batch), name] += 1
+            return convert(batch, name)
+
+        monkeypatch.setattr(RecordBatch, "_convert", counting)
+        builds = self._builds()
+
+        def together(gs):
+            for build in builds.values():
+                build(gs)
+
+        gs = _instance(together, vectorize=True)
+        assert gs.query("agg").operator.execution_mode == "vectorized"
+        assert gs.query("q").operator.execution_mode == "tuple"
+        gs.feed(STEADY)
+        # The whole span: ``len`` for the selection's WHERE, ``time`` for
+        # the aggregate's window id -- once each, whoever asked first.
+        assert {
+            name: n for (length, name), n in converted.items() if length == len(STEADY)
+        } == {"len": 1, "time": 1}
+        shared = _seen(gs)["rows"]
+        for name, build in builds.items():
+            assert shared[name] == _fed_in([STEADY], build, vectorize=True)["rows"][name]
+            assert len(shared[name]) > 2
+
+    def test_a_converted_column_cannot_be_written(self):
+        from repro.dsms.vectorized import RecordBatch
+
+        column = RecordBatch.from_records(TCP_SCHEMA, STEADY).column("len")
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
