@@ -37,7 +37,6 @@ def subset_sum_library(
     relax_factor: float = 1.0,
     adjust_at_close: bool = True,
     adjustment: str = "solve",
-    state_name: str = "subsetsum_sampling_state",
 ) -> StatefulLibrary:
     """SFUNs ``ssample``/``ssdo_clean``/``ssclean_with``/``ssfinal_clean``/
     ``ssthreshold`` sharing ``subsetsum_sampling_state``.
@@ -55,7 +54,9 @@ def subset_sum_library(
     if adjustment not in ("solve", "aggressive"):
         raise ReproError("adjustment must be 'solve' or 'aggressive'")
     library = StatefulLibrary()
+    state_name = "subsetsum_sampling_state"
 
+    @library.state(state_name)
     class SubsetSumState(StatefulState):
         """Threshold, credit counter, and live-sample bookkeeping."""
 
@@ -145,10 +146,6 @@ def subset_sum_library(
                         self.z, live, self.target, self.big_count()
                     )
 
-    @library.state(state_name)
-    class _State(SubsetSumState):
-        pass
-
     @library.sfun("ssample", state=state_name)
     def ssample(state: SubsetSumState, measure: float, target: int) -> bool:
         """Basic subset-sum admission with the current threshold."""
@@ -228,9 +225,7 @@ def subset_sum_query(window: int = 20, target: int = 1000, stream: str = "TCP") 
 # ---------------------------------------------------------------------------
 
 
-def basic_subset_sum_library(
-    state_name: str = "basic_subsetsum_state",
-) -> StatefulLibrary:
+def basic_subset_sum_library() -> StatefulLibrary:
     """A single SFUN ``ssbasic(x, z)`` running fixed-threshold subset-sum
     sampling inside a (stateful) selection operator.
 
@@ -240,16 +235,14 @@ def basic_subset_sum_library(
     low-level prefilter of Fig 6.
     """
     library = StatefulLibrary()
+    state_name = "basic_subsetsum_state"
 
+    @library.state(state_name)
     class BasicState(StatefulState):
         def __init__(self) -> None:
             self.credit = 0.0
             self.sampled = 0
             self.offered = 0
-
-    @library.state(state_name)
-    class _State(BasicState):
-        pass
 
     @library.sfun("ssbasic", state=state_name)
     def ssbasic(state: BasicState, measure: float, z: float) -> bool:
@@ -295,7 +288,6 @@ WHERE ssbasic(len, {z}) = TRUE
 def reservoir_library(
     tolerance: int = 20,
     seed: int = 0xA5A5,
-    state_name: str = "reservoir_sampling_state",
 ) -> StatefulLibrary:
     """SFUNs ``rsample``/``rsdo_clean``/``rsclean_with``/``rsfinal_clean``.
 
@@ -308,7 +300,9 @@ def reservoir_library(
     order, which is what makes the replay valid.
     """
     library = StatefulLibrary()
+    state_name = "reservoir_sampling_state"
 
+    @library.state(state_name)
     class ReservoirState(StatefulState):
         def __init__(self) -> None:
             self.n: Optional[int] = None
@@ -365,10 +359,6 @@ def reservoir_library(
             # Windows are independent for reservoir sampling.
             self.t = 0
             self.skip = 0
-
-    @library.state(state_name)
-    class _State(ReservoirState):
-        pass
 
     @library.sfun("rsample", state=state_name)
     def rsample(state: ReservoirState, n: int) -> bool:
@@ -428,21 +418,18 @@ CLEANING BY rsclean_with() = TRUE
 
 def heavy_hitters_library(
     bucket_width: int = 100,
-    state_name: str = "heavy_hitters_state",
 ) -> StatefulLibrary:
     """SFUNs ``local_count`` and ``current_bucket`` for the Manku–Motwani
     query.  ``local_count(N)`` counts tuples and fires every N-th call;
     ``current_bucket()`` reads the current bucket id without counting."""
     library = StatefulLibrary()
+    state_name = "heavy_hitters_state"
 
+    @library.state(state_name)
     class HeavyHitterState(StatefulState):
         def __init__(self) -> None:
             self.tuples = 0
             self.width = bucket_width
-
-    @library.state(state_name)
-    class _State(HeavyHitterState):
-        pass
 
     @library.sfun("local_count", state=state_name)
     def local_count(state: HeavyHitterState, every: int) -> bool:
@@ -475,9 +462,7 @@ CLEANING BY count(*) >= current_bucket() - first(current_bucket())
 # ---------------------------------------------------------------------------
 
 
-def distinct_sampling_library(
-    state_name: str = "distinct_sampling_state",
-) -> StatefulLibrary:
+def distinct_sampling_library() -> StatefulLibrary:
     """SFUNs ``dsample``/``dsdo_clean``/``dsclean_with``/``dslevel``.
 
     Level-based distinct sampling: a value is admitted while its unit-
@@ -487,7 +472,9 @@ def distinct_sampling_library(
     can re-test it.
     """
     library = StatefulLibrary()
+    state_name = "distinct_sampling_state"
 
+    @library.state(state_name)
     class DistinctState(StatefulState):
         def __init__(self) -> None:
             self.level = 0
@@ -496,10 +483,6 @@ def distinct_sampling_library(
         @property
         def threshold(self) -> float:
             return 2.0 ** (-self.level)
-
-    @library.state(state_name)
-    class _State(DistinctState):
-        pass
 
     @library.sfun("dsample", state=state_name)
     def dsample(state: DistinctState, unit_hash: float) -> bool:

@@ -122,9 +122,6 @@ class PlanGraph:
             raise ValueError("plan graph contains a cycle")
         return order
 
-    def nodes_of_kind(self, kind: str) -> List[PlanNode]:
-        return [n for n in self.topological() if n.kind == kind]
-
     def first_of_kind(self, kind: str) -> Optional[PlanNode]:
         for node in self.topological():
             if node.kind == kind:

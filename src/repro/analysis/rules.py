@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import DiagnosticCollector
+from repro.errors import ExecutionError
 from repro.dsms.expr import (
     BinaryOp,
     ColumnRef,
@@ -43,6 +44,7 @@ from repro.dsms.expr import (
     ScalarCall,
     StatefulCall,
     UnaryOp,
+    binary_function,
     find_nodes,
 )
 from repro.dsms.parser.analyzer import AnalyzedQuery, Registries
@@ -94,37 +96,10 @@ def _fold_binary(expr: BinaryOp) -> Any:
     if left is NOT_CONSTANT or right is NOT_CONSTANT:
         return NOT_CONSTANT
     try:
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            if right == 0:
-                return NOT_CONSTANT  # reported separately by SA007
-            if isinstance(left, int) and isinstance(right, int):
-                return left // right
-            return left / right
-        if expr.op == "%":
-            if right == 0:
-                return NOT_CONSTANT
-            return left % right
-        if expr.op == "=":
-            return left == right
-        if expr.op in ("<>", "!="):
-            return left != right
-        if expr.op == "<":
-            return left < right
-        if expr.op == "<=":
-            return left <= right
-        if expr.op == ">":
-            return left > right
-        if expr.op == ">=":
-            return left >= right
-    except TypeError:
+        return binary_function(expr)(left, right)
+    except ExecutionError:
+        # a zero divisor (SA007 reports it), mixed types, an unknown operator
         return NOT_CONSTANT
-    return NOT_CONSTANT
 
 
 def _all_exprs(analyzed: AnalyzedQuery) -> List[Tuple[str, Expr]]:

@@ -511,6 +511,28 @@ _PLAIN: dict = {
 }
 
 
+def binary_function(expr: BinaryOp) -> Callable[[Any, Any], Any]:
+    """``(left, right) -> value`` of one arithmetic or comparison node:
+    the scalar semantics, for whoever applies them outside a compiled
+    tree — the columnar engine's object-dtype and constant fallback, the
+    linter's constant folder.  A zero divisor, mixed operand types and an
+    unknown operator raise the :class:`ExecutionError` the tuple path
+    raises (AND/OR short-circuit, so they are not functions of values).
+    """
+    op = expr.op
+    apply = _SPANNED[op](expr) if op in _SPANNED else _PLAIN.get(op)
+
+    def run(left: Any, right: Any) -> Any:
+        if apply is None:
+            raise ExecutionError(f"unknown binary operator {op!r}")
+        try:
+            return apply(left, right)
+        except TypeError:
+            raise _type_error(op, left, right, expr) from None
+
+    return run
+
+
 def _compile_binary(expr: BinaryOp, bind: Bind) -> Compiled:
     op = expr.op
     left = compile_expr(expr.left, bind)

@@ -11,25 +11,6 @@ from repro.dsms.parser.planner import QueryPlan
 from repro.core.sampling_operator import SamplingOperator
 
 
-#: Static plan-kind -> operator-class mapping, introspectable without
-#: building anything (the execution-safety analyzer reads capability
-#: attributes like ``supports_checkpoint`` off the class).
-OPERATOR_CLASSES = {
-    "selection": SelectionOperator,
-    "stateful_selection": StatefulSelectionOperator,
-    "aggregation": AggregationOperator,
-    "sampling": SamplingOperator,
-}
-
-
-def operator_class(kind: str) -> type:
-    """The operator class a plan of ``kind`` would instantiate."""
-    try:
-        return OPERATOR_CLASSES[kind]
-    except KeyError:
-        raise PlanningError(f"unknown plan kind {kind!r}") from None
-
-
 def build_operator(
     plan: QueryPlan,
     cost_model: CostModel = NULL_COST_MODEL,

@@ -34,11 +34,12 @@ forked workers: :meth:`ShardedGigascope.run` drives it round by round
   snapshot and replays only the journal tail past it.
 * **Graceful degradation** — when a shard's input queue stays full and
   its depth is at ``shed_threshold``, the supervisor drops the batch
-  instead of blocking indefinitely: the shed records are counted in the
-  :class:`SupervisionReport`, charged to the cost model as
-  ``tuple_shed``, and the run keeps its latency at the cost of answer
-  completeness (the paper's position: a degraded sample beats a stalled
-  operator).
+  instead of blocking indefinitely: the shed records are counted per
+  shard in the :class:`SupervisionReport` and accounted in the owner's
+  registry like every other shed record (``runtime.REFUSALS``: offered,
+  shed, charged ``tuple_shed``), and the run keeps its latency at the
+  cost of answer completeness (the paper's position: a degraded sample
+  beats a stalled operator).
 
 Epochs disambiguate incarnations: every worker message carries the
 worker's epoch, and the parent ignores messages from epochs it has
@@ -63,10 +64,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
+from repro.dsms.runtime import Gigascope, account_refusal
 from repro.streams.records import Record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dsms.runtime import Gigascope
     from repro.dsms.sharded import ShardedGigascope
 
 
@@ -589,18 +590,18 @@ class ShardSupervisor:
             "supervisor_shed_records_total", shard, by=len(bucket),
             help="records dropped at a saturated shard input queue",
         )
-        self._trace(
-            "shard_shed",
-            shard=shard,
-            epoch=self._epoch[shard],
-            records=len(bucket),
-        )
         per_stream: Dict[str, int] = {}
         for record in bucket:
             name = record.schema.name
             per_stream[name] = per_stream.get(name, 0) + 1
         for stream, count in per_stream.items():
-            self.owner.cost.charge(stream, "tuple_shed", count)
+            # The worker never sees these, so the parent counts them as
+            # offered; the supervisor counter above is the by-cause view.
+            fields = {"shard": shard, "epoch": self._epoch[shard], "records": count}
+            account_refusal(
+                self.owner, "shed", stream, count, offered=True,
+                event="shard_shed", fields=fields,
+            )
 
     def _queue_depth(self, shard: int) -> int:
         try:

@@ -23,9 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Collection, Dict, Iterable, List, NamedTuple, Optional,
+    Sequence, Tuple,
+)
 
-from repro.errors import ExecutionError, PlanningError
+from repro.errors import ExecutionError, PlanningError, SchemaError
 from repro.dsms.aggregates import default_aggregate_registry
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.durability import batches, run_batches
@@ -41,10 +44,118 @@ from repro.streams.records import Record
 from repro.streams.schema import StreamSchema, coerce_record
 from repro.streams.sources import QuarantineStream
 from repro.core.superaggregates import default_superaggregate_registry
-from repro.errors import SchemaError
 
 
 _SCHEMA_OF = attrgetter("schema")
+
+#: help text of the two per-stream counters every fed batch lands in
+_STREAM_HELP = {
+    "stream_records_total": "records offered to the stream (before admission)",
+    "stream_ingested_total": "records admitted into the ring buffer",
+}
+
+
+class Refusal(NamedTuple):
+    """How one kind of unprocessed record is accounted: the cost ``op``
+    charged per record, the per-stream ``counter`` (and its ``help``), the
+    trace ``event`` unless the refusing site names its own, and the
+    ``note`` downstream sampling operators are told."""
+
+    op: str
+    counter: str
+    help: str
+    event: str
+    note: str
+
+
+#: Every way an offered record goes unprocessed, keyed by its
+#: ``run_report()["streams"]`` column — the only place that names these
+#: operations, counters and events.  On every deployment's folded registry
+#: ``stream_records_total == stream_ingested_total + Σ`` these counters.
+REFUSALS: Dict[str, Refusal] = {
+    # overload: ring admission, hot-key curation, a saturated shard queue
+    "shed": Refusal(
+        "tuple_shed", "stream_shed_total",
+        "records refused at admission under overload", "shed", "note_shed",
+    ),
+    "quarantined": Refusal(
+        "tuple_quarantined", "stream_quarantined_total",
+        "records dead-lettered at admission (malformed input)",
+        "quarantine", "note_quarantined",
+    ),
+    "quota_shed": Refusal(
+        "quota_shed", "stream_quota_shed_total",
+        "records refused at the serving edge by a tenant quota",
+        "quota_shed", "note_shed",
+    ),
+    "poison_skipped": Refusal(
+        "poison_skip", "serve_poison_skipped_total",
+        "records skipped at the serving edge because the query's circuit"
+        " breaker is open",
+        "poison_skip", "note_shed",
+    ),
+}
+
+
+def account_refusal(
+    host: Any, kind: str, stream: str, count: int, offered: bool,
+    event: Optional[str] = None, fields: Optional[Dict[str, Any]] = None,
+) -> None:
+    """Charge, count and trace ``count`` records of ``stream`` that
+    ``host`` (any deployment: it has ``cost``, ``metrics``, ``trace``)
+    does not process, the way :data:`REFUSALS` says for ``kind``.
+
+    ``offered``: count them in ``stream_records_total`` too — False when
+    an instance's own admission refuses (it counted the batch already),
+    True outside one (serving edge, SPLIT edge, supervisor queue).
+    ``event`` / ``fields`` replace the trace default ``{stream, count}``.
+    """
+    row = REFUSALS[kind]
+    host.cost.charge(stream, row.op, count)
+    if offered:
+        name = "stream_records_total"
+        host.metrics.counter(name, help=_STREAM_HELP[name], stream=stream).inc(count)
+    host.metrics.counter(row.counter, help=row.help, stream=stream).inc(count)
+    if host.trace.enabled:
+        host.trace.emit(
+            event or row.event, **(fields or {"stream": stream, "count": count})
+        )
+
+
+def admit_payload(
+    payload: Any,
+    schemas: Dict[str, StreamSchema],
+    streams: Collection[str],
+    validate: bool,
+) -> Tuple[str, Optional[Record], Optional[str]]:
+    """Route one fed payload to a source stream and, when ``validate``,
+    validate and coerce it against that stream's schema: ``(stream,
+    record, None)``, or ``(stream, None, reason)`` for a payload the
+    caller must dead-letter.  Without ``validate`` nothing is refused
+    that way: a non-record or a record for an unregistered stream raises
+    :class:`ExecutionError`."""
+    schema = payload.schema if isinstance(payload, Record) else None
+    if schema is None and validate and len(streams) == 1:
+        # Raw payloads (mappings, value tuples) are only routable when
+        # the deployment hosts a single source stream.
+        schema = schemas[next(iter(streams))]
+    if schema is None:
+        if validate:
+            reason = f"cannot route a {type(payload).__name__} payload to a stream"
+            return "__unroutable__", None, reason
+        raise ExecutionError(f"cannot ingest a {type(payload).__name__}: not a Record")
+    stream = schema.name
+    if stream not in streams:
+        reason = f"record for unregistered stream {stream!r}"
+        if validate:
+            return stream, None, reason
+        raise ExecutionError(reason)
+    if not validate:
+        return stream, payload, None
+    try:
+        return stream, coerce_record(schema, payload), None
+    except SchemaError as exc:
+        return stream, None, str(exc)
 
 
 @dataclass
@@ -100,12 +211,11 @@ class Gigascope:
         ``shed_threshold`` enables overload load shedding: when a source
         stream's ring-buffer backlog (slowest subscriber) would exceed
         this many records, the surplus of the incoming batch is *shed* —
-        dropped at admission, counted per stream (:meth:`run_report`),
-        charged to the cost model (``tuple_shed``) and reported to
-        downstream sampling operators (``WindowStats.shed_tuples``) —
-        instead of silently overwriting the ring.  ``None`` disables
-        shedding (the default; the ring then drops oldest records under
-        overload exactly as before).
+        refused at admission and accounted as :data:`REFUSALS` says
+        (charged, counted per stream, reported to downstream sampling
+        operators' ``WindowStats``) — instead of silently overwriting the
+        ring.  ``None`` disables shedding (the default; the ring then
+        drops oldest records under overload exactly as before).
 
         ``metrics`` / ``trace`` attach an instance-wide metrics registry
         and trace sink; every operator registered afterwards is bound to
@@ -115,14 +225,13 @@ class Gigascope:
 
         ``validate_admission`` hardens the ingest edge: every fed payload
         is validated (and, where possible, coerced) against its stream
-        schema, and records that fail — NaN window ids, wrong types,
-        non-records — are routed to the dead-letter ``quarantine`` stream
-        instead of raising mid-query.  Quarantined records are counted
-        per stream and reported to downstream sampling operators, so the
-        conservation identity becomes
-        ``records == ingested + shed + quarantined``.  ``quarantine``
-        defaults to a private bounded :class:`QuarantineStream`; pass one
-        to share it with a resilient source or inspect it afterwards.
+        schema (:func:`admit_payload`), and records that fail — NaN
+        window ids, wrong types, non-records — are routed to the
+        dead-letter ``quarantine`` stream and accounted as
+        ``"quarantined"`` refusals instead of raising mid-query.
+        ``quarantine`` defaults to a private bounded
+        :class:`QuarantineStream`; pass one to share it with a resilient
+        source or inspect it afterwards.
 
         ``vectorize`` executes selection and plain-aggregation operators
         on the columnar batch engine (DESIGN.md §11): ring-buffer output
@@ -161,14 +270,6 @@ class Gigascope:
         self._session: Optional[Dict[str, int]] = None
         #: subscriber ids of the most recent run (for run_report)
         self._last_subscribers: Dict[str, int] = {}
-        #: records shed at admission, per source stream
-        self._shed: Dict[str, int] = {}
-        #: records dead-lettered at admission, per source stream
-        self._quarantined: Dict[str, int] = {}
-        #: records refused at the serving edge by a tenant quota
-        self._quota_shed: Dict[str, int] = {}
-        #: records skipped at the serving edge by an open circuit breaker
-        self._poison_skipped: Dict[str, int] = {}
         #: per-stream counter series by (metric name, stream), resolved
         #: on first use (``MetricsRegistry.restore`` mutates series in
         #: place, so the references stay valid)
@@ -495,56 +596,19 @@ class Gigascope:
         if records:
             self._dispatch(self.query(name), records, from_source)
 
-    def quota_shed(self, stream: str, count: int) -> None:
-        """Account ``count`` records refused at the serving edge because
-        the owning tenant is over its cost quota.
-
-        Mirrors overload shedding (:meth:`_admit`) at the layer above
-        admission: counted per stream, charged ``quota_shed`` cycles,
-        and folded into the conservation identity, which widens to
-        ``records == ingested + shed + quarantined + quota_shed``.
+    def refuse(
+        self, kind: str, stream: str, count: int, offered: bool = True,
+        fields: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Account ``count`` records of ``stream`` this instance does not
+        process (:func:`account_refusal`; ``kind`` is a :data:`REFUSALS`
+        row) and tell the sampling operators downstream.  Public for the
+        serving edge, which refuses whole batches this instance never
+        saw — ``"quota_shed"``, ``"poison_skipped"`` — hence ``offered``.
         """
-        if count <= 0:
-            return
-        self._quota_shed[stream] = self._quota_shed.get(stream, 0) + count
-        self.cost.charge(stream, "quota_shed", count)
-        self._stream_counter("stream_records_total", stream).inc(count)
-        self.metrics.counter(
-            "stream_quota_shed_total",
-            help="records refused at the serving edge by a tenant quota",
-            stream=stream,
-        ).inc(count)
-        if self.trace.enabled:
-            self.trace.emit("quota_shed", stream=stream, count=count)
-        self._notify("note_shed", stream, count)
-
-    def poison_shed(self, stream: str, count: int) -> None:
-        """Account ``count`` records skipped at the serving edge because
-        this instance's standing query is quarantined (its circuit
-        breaker is open after repeated batch failures).
-
-        The third serving-edge refusal, alongside overload shedding and
-        tenant quotas: counted per stream, charged ``poison_skip``
-        cycles, and folded into the conservation identity, which widens
-        to ``records == ingested + shed + quarantined + quota_shed +
-        poison_skipped``.
-        """
-        if count <= 0:
-            return
-        self._poison_skipped[stream] = (
-            self._poison_skipped.get(stream, 0) + count
-        )
-        self.cost.charge(stream, "poison_skip", count)
-        self._stream_counter("stream_records_total", stream).inc(count)
-        self.metrics.counter(
-            "serve_poison_skipped_total",
-            help="records skipped at the serving edge because the query's"
-            " circuit breaker is open",
-            stream=stream,
-        ).inc(count)
-        if self.trace.enabled:
-            self.trace.emit("poison_skip", stream=stream, count=count)
-        self._notify("note_shed", stream, count)
+        if count > 0:
+            account_refusal(self, kind, stream, count, offered, fields=fields)
+            self._notify(REFUSALS[kind].note, stream, count)
 
     def _subscribe_low_level(self) -> Dict[str, int]:
         subscribers: Dict[str, int] = {}
@@ -612,76 +676,28 @@ class Gigascope:
             self._stream_counter("stream_records_total", stream).inc(count)
         return by_stream
 
-    #: help text of the per-stream counters behind :meth:`_stream_counter`
-    _STREAM_HELP = {
-        "stream_records_total": "records offered to the stream (before admission)",
-        "stream_ingested_total": "records admitted into the ring buffer",
-    }
-
     def _stream_counter(self, name: str, stream: str) -> Counter:
         """One of the per-batch stream counters, resolved once per stream."""
         series = self._stream_series.get((name, stream))
         if series is None:
             series = self._stream_series[name, stream] = self.metrics.counter(
-                name, help=self._STREAM_HELP[name], stream=stream
+                name, help=_STREAM_HELP[name], stream=stream
             )
         return series
 
-    def _admit_payload(self, payload: Any) -> "tuple":
-        """Route one fed payload to its stream, validating when enabled.
-
-        Returns ``(stream_name, record_or_None)``; ``None`` means the
-        payload was dead-lettered.  Without ``validate_admission`` this
-        is the historical strict path: a non-record or a record for an
-        unregistered stream raises :class:`ExecutionError`.
-        """
-        schema = payload.schema if isinstance(payload, Record) else None
-        if schema is None and self.validate_admission and len(self._rings) == 1:
-            # Raw payloads (mappings, value tuples) are only routable
-            # when the instance hosts a single source stream.
-            stream = next(iter(self._rings))
-            schema = self.registries.schemas[stream]
-        if schema is None:
-            if self.validate_admission:
-                self._quarantine_one(
-                    "__unroutable__",
-                    f"cannot route a {type(payload).__name__} payload to a"
-                    " stream",
-                    payload,
-                )
-                return "__unroutable__", None
-            raise ExecutionError(
-                f"cannot ingest a {type(payload).__name__}: not a Record"
+    def _admit_payload(self, payload: Any) -> Tuple[str, Optional[Record]]:
+        """Route one fed payload (:func:`admit_payload`) and dead-letter
+        it if refused: ``(stream, record)``, or ``(stream, None)``."""
+        stream, record, reason = admit_payload(
+            payload, self.registries.schemas, self._rings, self.validate_admission
+        )
+        if reason is not None:
+            self.refuse(
+                "quarantined", stream, 1, offered=False,
+                fields={"stream": stream, "reason": reason},
             )
-        stream = schema.name
-        if stream not in self._rings:
-            if self.validate_admission:
-                self._quarantine_one(
-                    stream, f"record for unregistered stream {stream!r}", payload
-                )
-                return stream, None
-            raise ExecutionError(f"record for unregistered stream {stream!r}")
-        if not self.validate_admission:
-            return stream, payload
-        try:
-            return stream, coerce_record(schema, payload)
-        except SchemaError as exc:
-            self._quarantine_one(stream, str(exc), payload)
-            return stream, None
-
-    def _quarantine_one(self, stream: str, reason: str, payload: Any) -> None:
-        """Dead-letter one refused payload: count, charge, notify, retain."""
-        self._quarantined[stream] = self._quarantined.get(stream, 0) + 1
-        self.cost.charge(stream, "tuple_quarantined", 1)
-        self.metrics.counter(
-            "stream_quarantined_total",
-            help="records dead-lettered at admission (malformed input)",
-            stream=stream,
-        ).inc()
-        if self.trace.enabled:
-            self.trace.emit("quarantine", stream=stream, reason=reason)
-        self.quarantine.put(reason, payload, source=stream)
-        self._notify("note_quarantined", stream, 1)
+            self.quarantine.put(reason, payload, source=stream)
+        return stream, record
 
     def _admit(
         self,
@@ -694,8 +710,7 @@ class Gigascope:
 
         When the slowest subscriber's backlog plus the incoming batch
         would exceed ``shed_threshold``, the surplus (newest records) is
-        shed: counted, charged, and reported to downstream sampling
-        operators so the degradation is deliberate and observable — the
+        refused as ``"shed"``: deliberate, observable degradation — the
         paper's drop-under-overload behavior (§1) made explicit.
         """
         backlog = max(
@@ -711,26 +726,17 @@ class Gigascope:
         if len(records) <= allowed:
             return records
         shed = len(records) - allowed
-        self._shed[stream] = self._shed.get(stream, 0) + shed
-        self.cost.charge(stream, "tuple_shed", shed)
-        self.metrics.counter(
-            "stream_shed_total",
-            help="records refused at admission under overload",
-            stream=stream,
-        ).inc(shed)
-        if self.trace.enabled:
-            self.trace.emit(
-                "shed", stream=stream, count=shed, backlog=backlog
-            )
-        self._notify("note_shed", stream, shed)
+        self.refuse(
+            "shed", stream, shed, offered=False,
+            fields={"stream": stream, "count": shed, "backlog": backlog},
+        )
         return records[:allowed]
 
     def _notify(self, note: str, stream: str, count: int) -> None:
         """Tell every query downstream of ``stream`` (transitively) that
-        ``count`` of its input tuples never reached it — ``note`` names
-        why: ``note_shed`` (refused at admission or at the serving edge)
-        or ``note_quarantined`` (dead-lettered as malformed) — so sampling
-        operators can expose the loss in their per-window stats."""
+        ``count`` of its input tuples never reached it — ``note`` (a
+        :data:`REFUSALS` column) names why — so sampling operators can
+        expose the loss in their per-window stats."""
         seen = set()
         frontier = [stream]
         while frontier:
@@ -863,8 +869,8 @@ class Gigascope:
 
         Captures every query node: operator state (see
         ``Operator.checkpoint``), retained results, and forwarded-tuple
-        counters — plus shed counters and cost balances.  Ring buffers
-        are deliberately *not* captured: a restored instance starts with
+        counters — plus cost balances and metrics.  Ring buffers are
+        deliberately *not* captured: a restored instance starts with
         empty rings, and the supervisor replays the journalled batches
         that postdate the checkpoint to refill the pipeline.
         """
@@ -881,10 +887,6 @@ class Gigascope:
         return {
             "version": 2,
             "queries": queries,
-            "shed": dict(self._shed),
-            "quarantined": dict(self._quarantined),
-            "quota_shed": dict(self._quota_shed),
-            "poison_skipped": dict(self._poison_skipped),
             "cost_accounts": self.cost.accounts() if self.cost.enabled else {},
             # v2: metric/trace state rides along so a supervised restart
             # resumes counting exactly where the checkpoint left off.
@@ -912,11 +914,6 @@ class Gigascope:
             handle.operator.restore(entry["operator"])
             handle.results[:] = entry["results"]
             handle.forwarded = entry["forwarded"]
-        self._shed = dict(snapshot["shed"])
-        # Pre-quarantine snapshots lack the key; counters start at zero.
-        self._quarantined = dict(snapshot.get("quarantined", {}))
-        self._quota_shed = dict(snapshot.get("quota_shed", {}))
-        self._poison_skipped = dict(snapshot.get("poison_skipped", {}))
         if restore_cost and self.cost.enabled:
             self.cost.reset()
             self.cost.absorb(snapshot["cost_accounts"])
@@ -936,57 +933,33 @@ class Gigascope:
         """Overload/degradation counters for the most recent run.
 
         ``streams``: per source stream, ring-buffer ``drops`` (slowest
-        subscriber), remaining ``backlog``, ``shed`` records, and
-        ``quarantined`` (dead-lettered) records.
-        ``queries``: per sampling query, late / incomparable / shed /
-        quarantined tuple totals over all windows.  Everything here is a
-        tuple the answer silently does *not* include — the report makes
-        degradation visible instead of silent.
+        subscriber), remaining ``backlog``, and a column per refusal kind
+        (:data:`REFUSALS`).  ``queries``: per sampling query, late /
+        incomparable / shed / quarantined tuple totals over all windows.
+        Everything here is a tuple the answer silently does *not*
+        include — the report makes degradation visible instead of silent.
         """
         self._sync_ring_metrics()
+        value = self.metrics.value
         streams: Dict[str, Dict[str, int]] = {}
         for stream in self._rings:
             streams[stream] = {
-                "drops": int(self.metrics.value("ring_dropped", stream=stream)),
-                "backlog": int(self.metrics.value("ring_backlog", stream=stream)),
-                "shed": int(
-                    self.metrics.value("stream_shed_total", stream=stream)
-                ),
-                "quarantined": int(
-                    self.metrics.value("stream_quarantined_total", stream=stream)
-                ),
-                "quota_shed": int(
-                    self.metrics.value("stream_quota_shed_total", stream=stream)
-                ),
-                "poison_skipped": int(
-                    self.metrics.value(
-                        "serve_poison_skipped_total", stream=stream
-                    )
-                ),
+                "drops": int(value("ring_dropped", stream=stream)),
+                "backlog": int(value("ring_backlog", stream=stream)),
             }
+            for kind, row in REFUSALS.items():
+                streams[stream][kind] = int(value(row.counter, stream=stream))
         queries: Dict[str, Dict[str, int]] = {}
         for name in self._order:
             operator = self._queries[name].operator
             if getattr(operator, "overload_counters", None) is None:
                 continue
-            value = self.metrics.value
+            # Each counter the operator keeps is mirrored by a series
+            # named after it; the report reads the registry.
+            labels = {"query": name, "operator": operator.kind_label}
             queries[name] = {
-                "late_tuples": int(
-                    value("operator_late_tuples_total", query=name,
-                          operator=operator.kind_label)
-                ),
-                "incomparable_tuples": int(
-                    value("operator_incomparable_tuples_total", query=name,
-                          operator=operator.kind_label)
-                ),
-                "shed_tuples": int(
-                    value("operator_shed_tuples_total", query=name,
-                          operator=operator.kind_label)
-                ),
-                "quarantined_tuples": int(
-                    value("operator_quarantined_tuples_total", query=name,
-                          operator=operator.kind_label)
-                ),
+                key: int(value(f"operator_{key}_total", **labels))
+                for key in operator.overload_counters()
             }
         report: Dict[str, Any] = {"streams": streams, "queries": queries}
         if self.vectorize:

@@ -79,14 +79,15 @@ from repro.dsms.rebalance import (
     migrate_states,
 )
 from repro.dsms.resilience import ShardSupervisor, SupervisionPolicy, SupervisionReport
-from repro.dsms.runtime import Gigascope, QueryHandle
+from repro.dsms.runtime import (
+    REFUSALS, Gigascope, QueryHandle, account_refusal, admit_payload,
+)
 from repro.dsms.stateful import StatefulLibrary
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACE, TraceSink
 from repro.streams.records import Record
-from repro.streams.schema import StreamSchema, coerce_record
+from repro.streams.schema import StreamSchema
 from repro.streams.sources import QuarantineStream
-from repro.errors import SchemaError
 
 
 def stable_hash(value: Any) -> int:
@@ -343,10 +344,10 @@ class ShardedGigascope:
         uncoercible records to ``quarantine`` (a
         :class:`repro.streams.sources.QuarantineStream`; a private
         bounded one by default) instead of shipping them to a worker
-        where the failure would surface as a shard crash.  Quarantined
-        records are counted in the parent registry as
-        ``stream_quarantined_total{stream=...}`` (and, like every offered
-        record, in ``stream_records_total``).
+        where the failure would surface as a shard crash.  Like every
+        record the parent itself refuses (curation, a saturated shard
+        queue) they are accounted in the parent registry, with no
+        ``shard`` label, as offered and as refused (``runtime.REFUSALS``).
 
         ``rebalance`` enables elastic skew-aware sharding (``True`` for
         the default policy, or a :class:`RebalancePolicy`): routing goes
@@ -760,10 +761,10 @@ class ShardedGigascope:
         for sink in self._sinks:
             sink.finish(results)
         report = _merge_reports(reports)
+        # What the parent refused itself is in no shard's report.
         for stream, counters in report["streams"].items():
-            counters["quarantined"] += int(
-                self.metrics.value("stream_quarantined_total", stream=stream)
-            )
+            for kind, row in REFUSALS.items():
+                counters[kind] += int(self.metrics.value(row.counter, stream=stream))
         self._last_report = report
 
     def abandon(self) -> None:
@@ -830,48 +831,22 @@ class ShardedGigascope:
 
         Runs in the parent so both pools get identical admission
         behavior, and a malformed record is refused *before* it can
-        crash a worker mid-query.
+        crash a worker mid-query — so no shard ever counts it as offered.
         """
-        schemas = self.registries.schemas
-        single = self._streams[0] if len(self._streams) == 1 else None
         admitted: List[Record] = []
         for payload in batch:
-            schema = payload.schema if isinstance(payload, Record) else None
-            if schema is None and single is not None:
-                schema = schemas[single]
-            if schema is None or schema.name not in self._nodes:
-                stream = schema.name if schema is not None else "__unroutable__"
-                self._quarantine_edge(
-                    stream,
-                    f"cannot route a {type(payload).__name__} payload to a"
-                    " stream" if schema is None
-                    else f"record for unregistered stream {stream!r}",
-                    payload,
-                )
+            stream, record, reason = admit_payload(
+                payload, self.registries.schemas, self._streams, True
+            )
+            if reason is None:
+                admitted.append(record)
                 continue
-            try:
-                admitted.append(coerce_record(schema, payload))
-            except SchemaError as exc:
-                self._quarantine_edge(schema.name, str(exc), payload)
+            account_refusal(
+                self, "quarantined", stream, 1, offered=True,
+                fields={"stream": stream, "reason": reason},
+            )
+            self.quarantine.put(reason, payload, source=stream)
         return admitted
-
-    def _quarantine_edge(self, stream: str, reason: str, payload: Any) -> None:
-        # The shards never see this record, so the parent counts it as
-        # offered on their behalf (records == ingested + ... + quarantined).
-        self.metrics.counter(
-            "stream_records_total",
-            help="records offered to the stream (before admission)",
-            stream=stream,
-        ).inc()
-        self.metrics.counter(
-            "stream_quarantined_total",
-            help="records dead-lettered at the split edge (malformed input)",
-            stream=stream,
-        ).inc()
-        self.cost.charge(stream, "tuple_quarantined", 1)
-        if self.trace.enabled:
-            self.trace.emit("quarantine", stream=stream, reason=reason)
-        self.quarantine.put(reason, payload, source=stream)
 
     def _split(
         self, batch: Sequence[Record], route: Dict[str, int]
@@ -881,10 +856,10 @@ class ShardedGigascope:
         for record in batch:
             try:
                 index = route[record.schema.name]
-            except KeyError:
-                raise ExecutionError(
-                    f"record for unregistered stream {record.schema.name!r}"
-                ) from None
+            except (KeyError, AttributeError):
+                # Refuse it as the serial runtime's admission would: raises.
+                admit_payload(record, self.registries.schemas, self._streams, False)
+                raise
             value = record.values[index]
             if rebalancer is None:
                 buckets[stable_hash(value) % self.shards].append(record)
@@ -899,18 +874,18 @@ class ShardedGigascope:
         return buckets
 
     def _account_curated(self, per_stream: Dict[str, int]) -> None:
-        """Charge curated (hot-key downsampled) records like shed ones."""
+        """Curated (hot-key downsampled) records are shed records; the
+        curation counter keeps the by-cause breakdown."""
         for stream, count in per_stream.items():
             self.metrics.counter(
                 "rebalance_curated_total",
                 help="records dropped by hot-key curation at the split edge",
                 stream=stream,
             ).inc(count)
-            self.cost.charge(stream, "tuple_shed", count)
-            if self.trace.enabled:
-                self.trace.emit(
-                    "rebalance_curate", stream=stream, dropped=count
-                )
+            account_refusal(
+                self, "shed", stream, count, offered=True,
+                event="rebalance_curate", fields={"stream": stream, "dropped": count},
+            )
 
     def _absorb_shard_obs(
         self, shard: int, metrics_snapshot: Optional[dict], trace_events: list
@@ -1014,10 +989,9 @@ class ShardedGigascope:
 
         Same shape as :meth:`Gigascope.run_report`; supervised workers'
         reports cross the queue with the results, inline shards' are
-        read straight off the instances, and records quarantined at the
-        SPLIT edge are added from the parent registry.
-        Supervisor-level shedding is reported separately via
-        :attr:`last_supervision`.
+        read straight off the instances, and what the parent refused
+        itself is added from its registry (:attr:`last_supervision`
+        keeps queue shedding by shard).
 
         When rebalancing is enabled the report grows a ``rebalance``
         section (plans, migrations, pins, scale events, curated

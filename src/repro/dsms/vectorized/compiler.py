@@ -49,6 +49,7 @@ from repro.dsms.expr import (
     StatefulCall,
     SuperAggregateCall,
     UnaryOp,
+    binary_function,
 )
 from repro.dsms.functions import FunctionRegistry
 
@@ -178,60 +179,15 @@ _ARITH_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "%": np.mod}
 _ORDER_UFUNCS = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
 
 
-def _scalar_apply(op: str, a: Any, b: Any, expr: BinaryOp) -> Any:
-    """The tuple path's per-pair semantics, for object-dtype fallback."""
-    if op == "/":
-        if (
-            isinstance(a, int) and not isinstance(a, bool)
-            and isinstance(b, int) and not isinstance(b, bool)
-        ):
-            if b == 0:
-                raise ExecutionError("integer division by zero", span=expr.span)
-            return a // b
-        if b == 0:
-            raise ExecutionError("division by zero", span=expr.span)
-        try:
-            return a / b
-        except TypeError:
-            raise _type_error(op, a, b, expr) from None
-    if op == "=":
-        return a == b
-    if op in ("<>", "!="):
-        return a != b
-    try:
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "%":
-            try:
-                return a % b
-            except ZeroDivisionError:
-                raise ExecutionError("modulo by zero", span=expr.span) from None
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-    except TypeError:
-        raise _type_error(op, a, b, expr) from None
-    raise ExecutionError(f"unknown binary operator {op!r}")
-
-
 def _elementwise(expr: BinaryOp, left: Any, right: Any) -> Any:
     """Element-wise scalar-rule application for object-dtype operands."""
     n = len(left) if isinstance(left, np.ndarray) else len(right)
     lseq = left if isinstance(left, np.ndarray) else [left] * n
     rseq = right if isinstance(right, np.ndarray) else [right] * n
     out = np.empty(n, dtype=object)
-    op = expr.op
+    apply = binary_function(expr)
     for i in range(n):
-        out[i] = _scalar_apply(op, lseq[i], rseq[i], expr)
+        out[i] = apply(lseq[i], rseq[i])
     return _tighten(out)
 
 
@@ -246,7 +202,7 @@ def _check_divisor(right: Any, expr: BinaryOp, message: str) -> None:
 def apply_binary(expr: BinaryOp, left: Any, right: Any) -> Any:
     op = expr.op
     if not isinstance(left, np.ndarray) and not isinstance(right, np.ndarray):
-        return _scalar_apply(op, left, right, expr)
+        return binary_function(expr)(left, right)
     if _is_object_array(left) or _is_object_array(right):
         return _elementwise(expr, left, right)
     if op == "/":

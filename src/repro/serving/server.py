@@ -175,8 +175,8 @@ class StandingQueryEngine:
     metrics registry.  ``quotas`` maps tenant names to
     :class:`TenantQuota` (or bare cycles-per-record numbers).
     ``breaker`` configures the per-query circuit breakers (see
-    :mod:`repro.serving.faults`); ``dead_letter_capacity`` bounds the
-    poison-batch quarantine log.  ``on_commit(consumed, kind)`` fires
+    :mod:`repro.serving.faults`); the poison-batch quarantine log
+    (``dead_letters``) is bounded.  ``on_commit(consumed, kind)`` fires
     after each journal commit is durable — the chaos tests' kill point.
     """
 
@@ -192,7 +192,6 @@ class StandingQueryEngine:
         journal: Optional[ResultJournal] = None,
         on_commit: Optional[Callable[[int, str], None]] = None,
         breaker: Optional[BreakerConfig] = None,
-        dead_letter_capacity: int = 1024,
         trace: Optional[TraceSink] = None,
     ) -> None:
         self._factory = instance_factory
@@ -207,7 +206,7 @@ class StandingQueryEngine:
         self.journal = journal
         self.on_commit = on_commit
         self.breaker_config = breaker or BreakerConfig()
-        self.dead_letters = DeadLetterLog(capacity=dead_letter_capacity)
+        self.dead_letters = DeadLetterLog()
         self.trace = trace if trace is not None else NULL_TRACE
         self.consumed = 0
         self.metrics = MetricsRegistry()
@@ -391,7 +390,7 @@ class StandingQueryEngine:
             fed: List[ServedQuery] = []
             for sq in live:
                 if sq.tenant in shed_tenants:
-                    sq.instance.quota_shed(sq.stream, n)
+                    sq.instance.refuse("quota_shed", sq.stream, n)
                 elif sq.breaker.admits():
                     fed.append(sq)
                 else:
@@ -437,7 +436,7 @@ class StandingQueryEngine:
         for qid in list(self._direct):
             sq = self._queries[qid]
             if sq.tenant in shed_tenants:
-                sq.instance.quota_shed(sq.stream, n)
+                sq.instance.refuse("quota_shed", sq.stream, n)
             elif not sq.breaker.admits():
                 self._poison_skip(sq, n)
             else:
@@ -478,7 +477,7 @@ class StandingQueryEngine:
 
     def _poison_skip(self, sq: ServedQuery, n: int) -> None:
         """Skip one batch for a quarantined query, fully accounted."""
-        sq.instance.poison_shed(sq.stream, n)
+        sq.instance.refuse("poison_skipped", sq.stream, n)
         self.metrics.counter(
             "serving_poison_skipped_total",
             help="records skipped because the query's breaker is open",

@@ -318,7 +318,6 @@ class ResilientSource:
         name: str = "source",
         metrics: Any = None,
         seed: int = 0,
-        clock: Callable[[float], None] = time.sleep,
     ) -> None:
         if schema is not None and quarantine is None:
             raise StreamError(
@@ -332,7 +331,6 @@ class ResilientSource:
         self.name = name
         self.stats = SourceStats()
         self._rng = random.Random(seed)
-        self._sleep = clock
         self._metrics = metrics
 
     # -- observability -----------------------------------------------------
@@ -391,7 +389,7 @@ class ResilientSource:
             ) from exc
         delay = self.policy.delay(attempt, self._rng)
         if delay > 0:
-            self._sleep(delay)
+            time.sleep(delay)
         return attempt
 
     # -- iteration ---------------------------------------------------------

@@ -8,6 +8,9 @@ this repository ships lints clean.
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.analysis.diagnostics import (
@@ -22,13 +25,15 @@ from repro.analysis.linter import (
     parse_pragmas,
 )
 from repro.analysis.rules import NOT_CONSTANT, fold_constant
+from repro.dsms.expr import BinaryOp, EvalContext, Literal, evaluate
 from repro.dsms.parser.analyzer import Registries, analyze
 from repro.dsms.parser.parser import parse_expression, parse_query
 from repro.dsms.runtime import Gigascope
 from repro.dsms.parser.planner import compile_query
 from repro.dsms.span import Span
 from repro.dsms.stateful import StatefulLibrary
-from repro.errors import AnalysisError
+from repro.dsms.vectorized.compiler import apply_binary
+from repro.errors import AnalysisError, ExecutionError
 from repro.streams.schema import TCP_SCHEMA
 
 
@@ -308,6 +313,35 @@ class TestConstantFolding:
 
     def test_non_constant(self):
         assert fold_constant(parse_expression("len + 1")) is NOT_CONSTANT
+
+    OPERANDS = [0, 1, -3, 7, 2.5, 0.0, -1.5, True, False, "a", ""]
+
+    @pytest.mark.parametrize(
+        "op", ["+", "-", "*", "/", "%", "=", "<>", "<", "<=", ">", ">="]
+    )
+    def test_folds_what_both_engines_compute(self, op):
+        """One scalar semantics (``expr.binary_function``): a constant
+        folds to the value *and type* the tuple engine, the columnar
+        engine's constant path and its object-dtype fallback compute —
+        ``7 / TRUE`` is ``7.0`` (a bool is not an integer operand; the
+        linter's own ladder said ``7``) — and not at all where they raise."""
+        for left, right in itertools.product(self.OPERANDS, repeat=2):
+            node = BinaryOp(op, Literal(left), Literal(right))
+            boxed = np.empty(1, dtype=object)
+            boxed[0] = left
+            outcomes = []
+            for run in (
+                lambda: fold_constant(node),
+                lambda: evaluate(node, EvalContext()),
+                lambda: apply_binary(node, left, right),
+                lambda: apply_binary(node, boxed, right).tolist()[0],
+            ):
+                try:
+                    value = run()
+                except ExecutionError:
+                    value = NOT_CONSTANT
+                outcomes.append((type(value), value))
+            assert outcomes.count(outcomes[0]) == 4, (left, op, right, outcomes)
 
 
 class TestCustomRegistries:

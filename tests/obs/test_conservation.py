@@ -4,15 +4,19 @@ Every tuple a stream offers must be accounted for exactly once at every
 layer (docs/OBSERVABILITY.md lists the identities):
 
 * stream:    records == ingested + shed + quarantined + quota_shed
+             + poison_skipped   (one term per ``runtime.REFUSALS`` row)
 * selection: in == filtered + rows_out
 * sampling:  in == filtered + admitted + late + incomparable
 * groups:    created == rows_out + evicted + having_rejected
 
 These are checked for every shipped example query, for a shedding run,
-for a run with malformed records quarantined at admission, for
-serial-vs-sharded agreement on partition-invariant totals, and for
-a supervised run with an injected shard kill (the counters must come
-out byte-identical to an unfaulted supervised run).
+for a run with malformed records quarantined at admission, for a
+rebalanced run that curates its hot key and a supervised run whose
+saturated shard queue sheds (both refuse records in the parent, outside
+every shard's admission), for serial-vs-sharded agreement on
+partition-invariant totals, and for a supervised run with an injected
+shard kill (the counters must come out byte-identical to an unfaulted
+supervised run).
 """
 
 import glob
@@ -21,12 +25,16 @@ import os
 import pytest
 
 from repro.cli import _standard_instance
+from repro.dsms.rebalance import RebalancePolicy
+from repro.dsms.resilience import SupervisionPolicy
 from repro.dsms.runtime import Gigascope
 from repro.dsms.sharded import ShardedGigascope, canonical_rows
 from repro.streams.schema import TCP_SCHEMA
 from repro.streams.traces import TraceConfig, research_center_feed
-from repro.testing.faults import Fault, FaultPlan
+from repro.testing.faults import Fault, FaultPlan, hot_key_stream
 from repro.algorithms.bindings import SUBSET_SUM_QUERY, subset_sum_library
+
+from tests.dsms.test_refusals import conserved
 
 EXAMPLES_DIR = os.path.join(
     os.path.dirname(__file__), "..", "..", "examples", "queries"
@@ -229,6 +237,70 @@ class TestQuarantine:
         # The operator-level mirror: quarantined tuples appear in the
         # query's overload accounting without ever entering the window.
         assert val(gs, "operator_quarantined_tuples_total", query="q") == 2
+
+
+class TestCuration:
+    def test_curated_records_are_offered_and_shed(self):
+        """benchmarks/test_rebalance.py's hot-key workload (half length):
+        the 4 508 curated records used to be charged ``tuple_shed`` and
+        counted nowhere — 6 522 read, ``stream_records_total`` 2 014."""
+        records = list(
+            research_center_feed(
+                TraceConfig(duration_seconds=30, rate_scale=0.02, seed=7)
+            )
+        )
+        skewed = hot_key_stream(records, "srcIP", 0x0A0A0A0A, fraction=0.8)
+        policy = RebalancePolicy(
+            check_interval=2, min_records=256, max_shards=4,
+            curate=True, curate_threshold=0.5, curate_keep=0.0625,
+        )
+        sh = ShardedGigascope(shards=4, rebalance=policy)
+        sh.register_stream(TCP_SCHEMA)
+        sh.use_stateful_library(subset_sum_library(relax_factor=10.0))
+        sh.add_query(SS_TEXT, name="ss")
+        read = sh.run(iter(skewed), batch_size=256)
+        assert read == 6522
+        refused = conserved(sh.metrics, sh.run_report(), read)
+        assert sh.metrics.total("stream_ingested_total") == 2014
+        assert refused["shed"] == 4508
+        # the by-cause breakdown stays where it was
+        assert sh.metrics.value("rebalance_curated_total", stream="TCP") == 4508
+        assert sh.run_report()["rebalance"]["curated_records"] == 4508
+
+
+class TestSupervisorQueueShed:
+    def test_queue_shed_records_are_offered_and_shed(self):
+        """A stalled worker behind a one-batch queue: the supervisor
+        drops batches instead of blocking, and every dropped record is
+        offered + shed in the parent registry (no ``shard`` label)."""
+        plan = FaultPlan([Fault(shard=0, action="delay", at_batch=1, seconds=1.0)])
+        sh = ShardedGigascope(
+            shards=2,
+            queue_depth=1,
+            shed_threshold=1,
+            supervision=SupervisionPolicy(put_timeout=0.02),
+            fault_plan=plan,
+        )
+        sh.register_stream(TCP_SCHEMA)
+        sh.add_query(
+            "SELECT tb, srcIP, count(*) FROM TCP GROUP BY time/5 as tb, srcIP",
+            name="q",
+        )
+        records = list(feed(seconds=10))
+        read = sh.run(iter(records), batch_size=32)
+        assert read == len(records)
+        refused = conserved(sh.metrics, sh.run_report(), read)
+        queue_shed = sh.last_supervision.total_shed
+        assert queue_shed > 0
+        m = sh.metrics
+        assert queue_shed == m.total("supervisor_shed_records_total")
+        # the parent's own series; each shard's ring shedding
+        # (``shed_threshold`` reaches the shards too) carries a label
+        assert queue_shed == m.value("stream_shed_total", stream="TCP")
+        assert refused["shed"] == queue_shed + sum(
+            m.value("stream_shed_total", stream="TCP", shard=shard)
+            for shard in range(2)
+        )
 
 
 class TestSerialVsSharded:
