@@ -14,6 +14,8 @@ import json
 import os
 import time
 
+from benchmarks.ledger.measure import Host
+
 #: Default best-of rounds for wall-clock measurements.
 ROUNDS = 3
 
@@ -43,3 +45,15 @@ def best_of(fn, rounds: int = ROUNDS) -> float:
         fn()
         elapsed.append(time.perf_counter() - start)
     return min(elapsed)
+
+
+def kernel_seconds(samples: int = 7) -> float:
+    """Best-of cost of one run of the perf ledger's calibration kernel:
+    interpreter-bound dictionary work that slows down with the host, so
+    a cost counted in kernel runs travels between machines."""
+    costs = []
+    for _ in range(samples):
+        host = Host()
+        host.sample()
+        costs.extend(host.costs)
+    return min(costs)

@@ -24,9 +24,8 @@ import time
 
 import pytest
 
-from benchmarks._emit import ROUNDS, best_of
+from benchmarks._emit import ROUNDS, best_of, kernel_seconds
 from benchmarks._emit import record_bench as _record_bench
-from benchmarks.ledger.measure import Host
 from repro.dsms.runtime import Gigascope
 from repro.dsms.vectorized import RecordBatch
 from repro.streams.schema import TCP_SCHEMA
@@ -207,16 +206,6 @@ def _operator_pair(sql):
         gs.register_stream(TCP_SCHEMA)
         operators.append(gs.add_query(sql, name="bench").operator)
     return operators
-
-
-def kernel_seconds(samples=7):
-    """Best-of cost of one run of the ledger's calibration kernel."""
-    costs = []
-    for _ in range(samples):
-        host = Host()
-        host.sample()
-        costs.extend(host.costs)
-    return min(costs)
 
 
 def _hot_path_seconds(sql, packets, batches):

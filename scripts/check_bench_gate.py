@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI gates over benchmark result files.
 
-    python scripts/check_bench_gate.py BENCH_rebalance.json rebalanced_vs_static_hot_key
+    python scripts/check_bench_gate.py BENCH_throughput.json vectorized_selection_hot_path
     python scripts/check_bench_gate.py benchmarks/ledger/out/ss_steady.json py_calls_per_record 40
 
 Two arguments: one entry of a tracked ``BENCH_*.json``, run after the

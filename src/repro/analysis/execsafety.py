@@ -23,10 +23,13 @@ is pinned by ``tests/analysis/test_execsafety.py``):
     wall-clock queue depths, so a resumed run could silently diverge
     (``DurableRunner.__init__``).
 ``SA305``
-    Durable resume needs every SFUN state in the plan to be
-    checkpointable; a state class declaring ``checkpointable = False``
-    (it holds unsnapshottable resources) cannot ride a journal commit
-    (``DurableRunner.__init__``).
+    A deployment that snapshots operator state — a durable journal, or
+    supervised workers restarting from checkpoints
+    (:attr:`ExecTarget.checkpoints`) — needs every SFUN state in the
+    plan to be checkpointable; a state class declaring
+    ``checkpointable = False`` (it holds unsnapshottable resources)
+    cannot ride one (``DurableRunner.__init__``,
+    ``ShardedGigascope.add_query`` under ``supervise``).
 ``SA306``
     Elastic rebalancing migrates operator state between shards through
     the same checkpoint/restore snapshots, so a state class declaring
@@ -88,6 +91,13 @@ class ExecTarget:
         ``ShardedGigascope.add_query`` enforces its plan rules even for a
         single shard."""
         return self.shards is not None
+
+    @property
+    def checkpoints(self) -> bool:
+        """True when the deployment snapshots operator state as it runs
+        (rule SA305): a durable journal, or supervised shard workers.
+        ``rebalance`` snapshots too, under its own rule id (SA306)."""
+        return self.durable or (self.sharded and self.supervise)
 
     def describe(self) -> str:
         parts: List[str] = []
@@ -288,11 +298,9 @@ def check_execsafety(
     if target.sharded:
         _check_mergeable(analyzed, plan, target, collector)
         _check_partitionable(analyzed, plan, target, collector)
-        if target.rebalance:
-            _check_migratable(analyzed, result, target, collector)
     if target.durable:
         _check_durable_shedding(analyzed, target, collector)
-        _check_durable_states(analyzed, result, target, collector)
+    _check_snapshottable_states(analyzed, result, target, collector)
 
 
 def _check_mergeable(
@@ -352,41 +360,38 @@ def _check_durable_shedding(
     )
 
 
-def _check_migratable(
+def _check_snapshottable_states(
     analyzed: AnalyzedQuery,
     result: DataflowResult[ExecFact],
     target: ExecTarget,
     collector: DiagnosticCollector,
 ) -> None:
+    """SA305 and SA306 from the one predicate: the plan's SFUN states
+    that opt out of checkpoints, against each consumer of checkpoints
+    the target names."""
     final = result.out_facts[result.graph.topological()[-1].node_id]
     for state in final.non_checkpointable:
-        collector.error(
-            "SA306",
-            f"SFUN state {state!r} declares checkpointable=False, so its"
-            f" operator state is not migratable across shard boundaries"
-            f" (target {target.describe()})",
-            _stateful_call_span(analyzed, state),
-            hint="run without rebalancing or make the state snapshottable"
-            " (ShardedGigascope.add_query refuses the plan at runtime"
-            " when rebalance= is set)",
-        )
-
-
-def _check_durable_states(
-    analyzed: AnalyzedQuery,
-    result: DataflowResult[ExecFact],
-    target: ExecTarget,
-    collector: DiagnosticCollector,
-) -> None:
-    final = result.out_facts[result.graph.topological()[-1].node_id]
-    for state in final.non_checkpointable:
-        collector.error(
-            "SA305",
-            f"SFUN state {state!r} declares checkpointable=False, so this"
-            f" query cannot ride a durable journal commit"
-            f" (target {target.describe()})",
-            _stateful_call_span(analyzed, state),
-            hint="make the state checkpointable (implement"
-            " checkpoint()/restore() and drop the opt-out) or run without"
-            " durable resume (DurableRunner refuses it at construction)",
-        )
+        span = _stateful_call_span(analyzed, state)
+        if target.sharded and target.rebalance:
+            collector.error(
+                "SA306",
+                f"SFUN state {state!r} declares checkpointable=False, so its"
+                f" operator state is not migratable across shard boundaries"
+                f" (target {target.describe()})",
+                span,
+                hint="run without rebalancing or make the state snapshottable"
+                " (ShardedGigascope.add_query refuses the plan at runtime"
+                " when rebalance= is set)",
+            )
+        if target.checkpoints:
+            collector.error(
+                "SA305",
+                f"SFUN state {state!r} declares checkpointable=False, so this"
+                f" query cannot ride a durable journal commit or a worker"
+                f" checkpoint (target {target.describe()})",
+                span,
+                hint="make the state checkpointable (implement"
+                " checkpoint()/restore() and drop the opt-out) or run without"
+                " durable / supervise (DurableRunner refuses it at"
+                " construction, ShardedGigascope.add_query under supervise)",
+            )

@@ -61,7 +61,7 @@ RULE_DESCRIPTIONS: Dict[str, str] = {
     "SA301": "output has no ordered attribute for the sharded MERGE",
     "SA302": "operator state cannot be hash-partitioned",
     "SA303": "durable resume and load shedding do not mix",
-    "SA305": "SFUN state is not checkpointable under durable resume",
+    "SA305": "SFUN state is not checkpointable under a durable or supervised target",
     "SA306": "operator state not migratable across shard boundaries",
     "SA401": "query cannot share a served feed",
 }

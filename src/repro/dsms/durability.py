@@ -58,11 +58,15 @@ from repro.streams.records import Record
 _MAGIC = b"RPJRNL01"
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
 
-#: journal entry format version (independent of the checkpoint version,
-#: which rides inside each commit as ``checkpoint_version``); version 1
-#: nested serial state under ``snapshot`` and gave serving entries no
-#: envelope, and :func:`read_journal` still reads it
+#: journal entry format version; version 1 nested serial state under
+#: ``snapshot`` and gave serving entries no envelope, and
+#: :func:`read_journal` still reads it
 JOURNAL_VERSION = 2
+
+#: version of what ``checkpoint()`` returns, independent of the above: it
+#: rides inside each commit as ``checkpoint_version`` (some version-1
+#: journals carry none); within a version, keys are only ever added
+CHECKPOINT_VERSION = 2
 
 Hook = Optional[Callable[[int, str], None]]
 
@@ -191,8 +195,8 @@ def read_journal(path: str, mode: str) -> List[Dict[str, Any]]:
 
     The one place a journal is judged fit to resume from: a missing
     file, a file that is not a journal (:class:`TraceCorruptError`), an
-    entry version this code does not read and a journal written by
-    another kind of run are each refused here, by name.
+    entry or checkpoint version this code does not read and a journal
+    written by another kind of run are each refused here, by name.
     """
     if not os.path.exists(path):
         raise ExecutionError(f"journal {path!r} does not exist")
@@ -202,6 +206,11 @@ def read_journal(path: str, mode: str) -> List[Dict[str, Any]]:
             raise ExecutionError(
                 f"journal entry version {e.get('journal_version')!r} in"
                 f" {path!r} is not supported (expected 1 or {JOURNAL_VERSION})"
+            )
+        if e.get("checkpoint_version", CHECKPOINT_VERSION) != CHECKPOINT_VERSION:
+            raise ExecutionError(
+                f"checkpoint version {e['checkpoint_version']!r} in {path!r}"
+                f" is not supported (expected {CHECKPOINT_VERSION})"
             )
         if e.get("mode") != mode:
             raise ExecutionError(
@@ -247,7 +256,7 @@ def commit(
     """
     if journal is None:
         return
-    envelope = entry(kind, driven.journal_mode, consumed, checkpoint_version=2)
+    envelope = entry(kind, driven.journal_mode, consumed, checkpoint_version=CHECKPOINT_VERSION)
     journal.append({**driven.checkpoint(), **envelope})
     if on_commit is not None:
         on_commit(consumed, kind)
@@ -375,29 +384,10 @@ class DurableRunner:
                 " depends on wall-clock queue depths, so a resumed run"
                 " could shed differently and silently diverge"
             )
-        bad_states = self._non_checkpointable_states()
-        if bad_states:
-            raise ExecutionError(
-                "durable resume needs checkpointable operator state, but"
-                f" SFUN state(s) {bad_states} declare checkpointable=False;"
-                " run without durable resume or make the state snapshottable"
-            )
-
-    def _non_checkpointable_states(self) -> List[str]:
-        """SFUN states of registered queries that opt out of checkpoints.
-
-        Static introspection: reads each operator's ``required_states``
-        capability record against the instance's stateful library, so an
-        unsafe deployment is refused at construction — the same verdict
-        ``repro lint --target durable`` reports as rule SA305.
-        """
-        library = self.instance.registries.stateful
-        bad: List[str] = []
-        for handle in self.instance.query_handles():
-            for state in getattr(handle.operator, "required_states", ()):
-                if state not in bad and not library.checkpointable(state):
-                    bad.append(state)
-        return sorted(bad)
+        states = [s for h in instance.query_handles() for s in h.operator.required_states]
+        instance.registries.stateful.require_checkpointable(
+            states, "durable resume cannot journal this run's operator state"
+        )
 
     def run(self, records: Iterable[Record]) -> int:
         """Fresh run: truncate the journal, run, commit, finalize.

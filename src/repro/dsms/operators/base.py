@@ -9,16 +9,37 @@ output run to the downstream node.  Decisions stay per tuple and in
 order, so how a stream is cut into runs changes no row, counter, charge
 or checkpoint (DESIGN.md §2).
 
-Operators also support crash-recovery checkpoints: :meth:`checkpoint`
-returns a picklable snapshot of all mutable state and :meth:`restore`
-reinstates it on a freshly built operator of the same plan.  The shard
-supervisor uses this pair to resume a replacement worker from the last
-checkpoint instead of replaying the whole stream.
+Checkpoint protocol (DESIGN.md §8): :meth:`Operator.checkpoint` decouples
+— the snapshot is picklable and stays valid while the operator runs on;
+:meth:`Operator.restore` takes ownership — on a freshly built operator
+of the same plan; keep a snapshot you will restore twice by pickling it.
+Only an operator reads its own snapshot: state moves between shards
+through :meth:`Operator.split_snapshot` / :meth:`Operator.merge_snapshot`,
+and the one key anyone else may read is a windowed operator's
+``"current_window"`` (``dsms/rebalance.py`` checks that shards agree on
+it before moving anything).  Every piece of run state has one owner:
+
+========================== ================ ============================== ================================
+state                      owner            who checkpoints it             who may restore it
+========================== ================ ============================== ================================
+group / supergroup tables  the operator     Operator.checkpoint            the same plan's operator
+SFUN states, by name       stateful library checkpoint_states (gated)      restore_states, equal library
+retained rows, forwarded   Gigascope        Gigascope.checkpoint           identically registered instance
+metrics, trace, cycles     its deployment   runtime.own_state, once        restore_own_state (absent: kept)
+routing + rebalancer state Rebalancer       ShardedGigascope.checkpoint    same rebalance= configuration
+breakers, dead letters     serving engine   StandingQueryEngine.checkpoint engine holding the same queries
+========================== ================ ============================== ================================
+
+Rings are in no checkpoint (a batch boundary drains them), nor are
+quarantine payloads (they may not pickle).  "Gated": every consumer of
+operator checkpoints — a durable journal, supervised workers,
+rebalancing, a journalled serve — first passes the one gate,
+:meth:`repro.dsms.stateful.StatefulLibrary.require_checkpointable`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.obs.metrics import MetricsRegistry
@@ -38,14 +59,9 @@ class Operator:
 
     # -- static capabilities ----------------------------------------------
     #
-    # Introspectable without running the operator: the durable runner and
+    # Introspectable without running the operator: the checkpoint gate and
     # the execution-safety analyzer (rules SA3xx) read these to decide up
     # front whether a deployment is safe, instead of finding out mid-run.
-
-    #: Whether :meth:`checkpoint`/:meth:`restore` capture *all* mutable
-    #: state (every shipped operator does; an operator holding state it
-    #: cannot snapshot overrides this to False).
-    supports_checkpoint: bool = True
 
     #: SFUN state names this operator's plan requires (set by the
     #: factory from the analyzed query; empty for stateless plans).
@@ -138,12 +154,29 @@ class Operator:
         return None
 
     def restore(self, snapshot: Any) -> None:
-        """Reinstate a :meth:`checkpoint` snapshot (stateless: no-op)."""
+        """Reinstate a :meth:`checkpoint` snapshot (stateless: no-op);
+        the operator takes ownership of it, nothing is copied again."""
         if snapshot is not None:
             raise ExecutionError(
                 f"{type(self).__name__} is stateless but was given a"
                 f" non-empty snapshot ({type(snapshot).__name__})"
             )
+
+    def split_snapshot(
+        self, snapshot: Any, column: str, route: Callable[[Any], int], src: int
+    ) -> Dict[int, Any]:
+        """Cut out of ``snapshot`` — a :meth:`checkpoint` of this plan
+        taken on shard ``src``; not live state, so a parent's pristine
+        operator answers for a worker's — the state whose ``column``
+        value ``route`` sends elsewhere; returns it by destination.
+        Default: none (stateless, or not keyed by ``column``)."""
+        return {}
+
+    def merge_snapshot(self, snapshot: Any, part: Any, window: Any) -> Tuple[int, int]:
+        """Fold one :meth:`split_snapshot` part into ``snapshot``, which
+        adopts the in-flight ``window`` if it has none open; returns the
+        ``(groups, supergroups)`` that moved in."""
+        raise ExecutionError(f"{type(self).__name__} has no state to merge")
 
     def run(self, records: Iterable[Record]) -> Iterator[Record]:
         """Drive the operator over a whole stream."""

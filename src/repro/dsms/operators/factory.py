@@ -72,7 +72,7 @@ def build_operator(
     else:
         raise PlanningError(f"unknown plan kind {plan.kind!r}")
     # Instance-level capability record: which SFUN states this plan needs
-    # (the durable runner checks them against the library up front).
+    # (the checkpoint gate checks them against the library up front).
     operator.required_states = tuple(plan.analyzed.state_names)
     if fallback_reason is not None:
         operator.vectorize_fallback = fallback_reason

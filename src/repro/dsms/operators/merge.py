@@ -161,10 +161,10 @@ class MergeOperator(Operator):
         }
 
     def restore(self, snapshot: Any) -> None:
-        self._heap = copy.deepcopy(snapshot["heap"])
+        self._heap = snapshot["heap"]
         self._seq = snapshot["seq"]
-        self._frontier = dict(snapshot["frontier"])
-        self._done = set(snapshot["done"])
+        self._frontier = snapshot["frontier"]
+        self._done = snapshot["done"]
 
     @property
     def buffered(self) -> int:

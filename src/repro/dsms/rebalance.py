@@ -21,11 +21,13 @@ from a recovery tool into a scaling tool:
   with full shed-style cost accounting.
 * :func:`migrate_states` rewrites per-shard :meth:`Gigascope.checkpoint`
   snapshots so that every group / supergroup / SFUN state lands on the
-  shard the new table routes its key to.  Migration happens at a
-  barrier where the snapshots cover all shipped input (the supervisor's
-  ``checkpoint_all``, or an inline round boundary), so a shard crash
-  mid-migration recovers through the normal restart path from the
-  already-rewritten checkpoints.
+  shard the new table routes its key to — by asking each query's
+  operator to cut and join its own snapshots (``split_snapshot`` /
+  ``merge_snapshot``); no operator's layout is known here.  Migration
+  happens at a barrier where the snapshots cover all shipped input (the
+  supervisor's ``checkpoint_all``, or an inline round boundary), so a
+  shard crash mid-migration recovers through the normal restart path
+  from the already-rewritten checkpoints.
 
 Decisions are **data-deterministic**: every input the planner consults
 (tuple counts, key counts, the accumulator deciding which curated
@@ -38,7 +40,6 @@ decisions at the same rounds (docs/RESILIENCE.md).
 
 from __future__ import annotations
 
-import copy
 import pickle
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -537,88 +538,8 @@ class Rebalancer:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MigrationSpec:
-    """How one query node's checkpoint splits along the partition key.
-
-    ``kind`` is ``"sampling"`` / ``"aggregation"`` / ``"stateless"``;
-    ``gb_index`` locates the partition column inside the group key, and
-    ``sg_pos`` (sampling only) inside the supergroup key, or None when
-    the plan keeps no supergroup-keyed state on the partition column.
-    """
-
-    kind: str
-    gb_index: int = -1
-    sg_pos: Optional[int] = None
-
-
-def migration_specs(owner: "ShardedGigascope") -> Dict[str, MigrationSpec]:
-    """Per-query split metadata, computed from shard 0's operators.
-
-    Every registered query's partition column is one of its own bare
-    group-by columns (that is what :func:`partition_info` guarantees for
-    shardable stateful plans), so ``operator._gb_index[column]`` locates
-    the partition value inside every group key.
-    """
-    specs: Dict[str, MigrationSpec] = {}
-    for name in owner._order:
-        handle = owner._handles[name]
-        operator = handle.shard_handles[0].operator
-        node = owner._nodes[name]
-        roots = sorted(node.roots)
-        column = owner._partition[roots[0]] if roots else None
-        gb_index = getattr(operator, "_gb_index", {}).get(column, None)
-        spec_obj = getattr(operator, "spec", None)
-        if gb_index is None:
-            specs[name] = MigrationSpec(kind="stateless")
-        elif spec_obj is not None and hasattr(
-            spec_obj, "nonordered_supergroup_indices"
-        ):
-            indices = list(spec_obj.nonordered_supergroup_indices)
-            sg_pos = indices.index(gb_index) if gb_index in indices else None
-            specs[name] = MigrationSpec(
-                kind="sampling", gb_index=gb_index, sg_pos=sg_pos
-            )
-        else:
-            specs[name] = MigrationSpec(kind="aggregation", gb_index=gb_index)
-    return specs
-
-
 class MigrationDeferred(Exception):
     """Raised when shard windows are not aligned; retry at a later barrier."""
-
-
-
-
-def _operator_snap(
-    states: Dict[int, Dict[str, Any]], shard: int, name: str
-) -> Optional[Dict[str, Any]]:
-    snap = states.get(shard, {}).get("queries", {}).get(name, {}).get("operator")
-    return snap if isinstance(snap, dict) else None
-
-
-def _destinations(
-    snap: Dict[str, Any], spec: MigrationSpec, table: RoutingTable, src: int, hash_fn
-) -> set:
-    """Read-only: shards this snapshot would send state to under ``table``."""
-    dests: set = set()
-    if spec.kind == "aggregation":
-        for key in snap["groups"]:
-            dest = table.route(hash_fn(key[spec.gb_index]))
-            if dest != src:
-                dests.add(dest)
-        return dests
-    for entry in snap["groups"]:
-        dest = table.route(hash_fn(entry[0][spec.gb_index]))
-        if dest != src:
-            dests.add(dest)
-    if spec.sg_pos is not None:
-        for table_name in ("new_supergroups", "old_supergroups"):
-            for entry in snap[table_name]:
-                dest = table.route(hash_fn(entry[0][spec.sg_pos]))
-                if dest != src:
-                    dests.add(dest)
-    return dests
 
 
 def migrate_states(
@@ -630,202 +551,64 @@ def migrate_states(
 
     ``states`` maps shard id -> :meth:`Gigascope.checkpoint` dict for
     every shard that currently holds state; destination shards without a
-    snapshot get a pristine template from the owner's parent-side
-    instances.  Returns ``(states, changed, (groups, supergroups))``
+    snapshot get a pristine one from the owner (``shard_state``).  One
+    pass, query by query: the query's operator cuts out of every source
+    snapshot what ``new_table`` routes elsewhere, then joins each part
+    into its destination — source shards ascending, destinations
+    ascending.  Returns ``(states, changed, (groups, supergroups))``
     where ``changed`` is the set of shard ids whose snapshot was
     rewritten — sources that lost state and destinations that gained it.
 
-    Raises :class:`MigrationDeferred` — *before any snapshot is mutated*
-    — when, for some query, the shards losing or gaining state disagree
-    on the current window: moving a window-w group into a shard already
-    past w would mis-emit it.  The caller keeps the old routing and
-    retries at the next barrier (worker state is a pure function of the
-    input, so a resumed run defers and retries at the same rounds).
+    Raises :class:`MigrationDeferred` when, for some query, the shards
+    losing or gaining state disagree on the current window: moving a
+    window-w group into a shard already past w would mis-emit it.
+    ``states`` is half-rewritten by then and must be discarded — it is
+    the caller's private copy (a fresh ``checkpoint()`` per inline
+    shard, an unpickled blob per worker), nothing was installed, and
+    the shards run on under the old routing until the caller retries at
+    the next barrier (worker state is a pure function of the input, so a
+    resumed run defers and retries at the same rounds).
     """
     from repro.dsms.sharded import stable_hash
 
-    specs = migration_specs(owner)
+    def route(value: Any) -> int:
+        return new_table.route(stable_hash(value))
 
-    # Pass 1 (read-only): window-alignment check across every query.
-    plan_windows: Dict[str, Any] = {}
-    for name, spec in specs.items():
-        if spec.kind == "stateless":
-            continue
-        involved: set = set()
-        for src in sorted(states):
-            snap = _operator_snap(states, src, name)
-            if snap is None:
-                continue
-            dests = _destinations(snap, spec, new_table, src, stable_hash)
-            if dests:
-                involved.add(src)
-                involved.update(dests)
-        if not involved:
-            continue
-        windows = set()
-        for shard in sorted(involved):
-            snap = _operator_snap(states, shard, name)
-            if snap is not None and snap.get("current_window") is not None:
-                windows.add(snap["current_window"])
+    changed: set = set()
+    groups_moved = supergroups_moved = 0
+    for name in owner._order:
+        # Every shard runs the same plan, so shard 0's operator answers
+        # for all of them; a shardable stateful plan keys its state by
+        # its root stream's partition column (``partition_info``).
+        operator = owner._handles[name].shard_handles[0].operator
+        column = owner._partition[min(owner._nodes[name].roots)]
+        snaps = {shard: state["queries"][name]["operator"] for shard, state in states.items()}
+        parts = {
+            src: operator.split_snapshot(snaps[src], column, route, src)
+            for src in sorted(snaps)
+        }
+        involved = {src for src, cut in parts.items() if cut}
+        involved.update(dest for cut in parts.values() for dest in cut)
+        # ``current_window`` is the one key of an operator's snapshot
+        # read here (see repro.dsms.operators.base).
+        windows = {
+            snaps[shard]["current_window"]
+            for shard in involved
+            if shard in snaps and snaps[shard]["current_window"] is not None
+        }
         if len(windows) > 1:
             raise MigrationDeferred(
                 f"query {name!r}: shards disagree on the current window"
                 f" ({sorted(windows)})"
             )
-        plan_windows[name] = next(iter(windows)) if windows else None
-
-    changed: set = set()
-    groups_moved = 0
-    supergroups_moved = 0
-
-    def ensure_state(shard: int) -> Dict[str, Any]:
-        if shard not in states:
-            states[shard] = owner._instances[shard].checkpoint()
-        return states[shard]
-
-    # Pass 2: destructively extract and merge, query by query.
-    for name, window in plan_windows.items():
-        spec = specs[name]
-        for src in sorted(list(states)):
-            snap = _operator_snap(states, src, name)
-            if snap is None:
-                continue
-            if spec.kind == "sampling":
-                parts = _split_sampling(snap, spec, new_table, src, stable_hash)
-            else:
-                parts = _split_aggregation(snap, spec, new_table, src, stable_hash)
-            if not parts:
-                continue
-            changed.add(src)
-            for dest, part in sorted(parts.items()):
-                changed.add(dest)
-                dest_snap = ensure_state(dest)["queries"][name]["operator"]
-                if spec.kind == "sampling":
-                    g, sg = _merge_sampling(dest_snap, part, window)
-                else:
-                    g, sg = _merge_aggregation(dest_snap, part, window)
-                groups_moved += g
-                supergroups_moved += sg
-
+        window = next(iter(windows), None)
+        changed |= involved
+        for src, cut in parts.items():
+            for dest, part in sorted(cut.items()):
+                if dest not in snaps:
+                    states[dest] = owner.shard_state(dest)
+                    snaps[dest] = states[dest]["queries"][name]["operator"]
+                moved = operator.merge_snapshot(snaps[dest], part, window)
+                groups_moved += moved[0]
+                supergroups_moved += moved[1]
     return states, changed, (groups_moved, supergroups_moved)
-
-
-def _split_sampling(
-    snap: Dict[str, Any],
-    spec: MigrationSpec,
-    table: RoutingTable,
-    src: int,
-    hash_fn,
-) -> Dict[int, Dict[str, Any]]:
-    """Destructively extract the state leaving shard ``src``."""
-    parts: Dict[int, Dict[str, Any]] = {}
-
-    def part(dest: int) -> Dict[str, Any]:
-        return parts.setdefault(
-            dest,
-            {
-                "groups": [],
-                "new_supergroups": [],
-                "old_supergroups": [],
-                # sg_pos None: placeholder supergroup entries *copied* (not
-                # moved) so the destination's window close finds them.
-                "shared_new": [],
-                "shared_old": [],
-            },
-        )
-
-    kept_groups = []
-    #: supergroup keys that must exist at each destination (sg_pos None)
-    needed_sg: Dict[int, set] = {}
-    for entry in snap["groups"]:
-        dest = table.route(hash_fn(entry[0][spec.gb_index]))
-        if dest == src:
-            kept_groups.append(entry)
-        else:
-            part(dest)["groups"].append(entry)
-            if spec.sg_pos is None:
-                needed_sg.setdefault(dest, set()).add(entry[2])
-    snap["groups"] = kept_groups
-
-    for table_name, shared_name in (
-        ("new_supergroups", "shared_new"),
-        ("old_supergroups", "shared_old"),
-    ):
-        kept = []
-        for entry in snap[table_name]:
-            if spec.sg_pos is not None:
-                dest = table.route(hash_fn(entry[0][spec.sg_pos]))
-                if dest == src:
-                    kept.append(entry)
-                else:
-                    part(dest)[table_name].append(entry)
-            else:
-                # Partition column outside the supergroup key: the planner
-                # only permits that when the supergroup carries no SFUN /
-                # superaggregate state, so the entry is a placeholder —
-                # keep it, and copy it wherever one of its groups went.
-                kept.append(entry)
-                for dest, keys in needed_sg.items():
-                    if entry[0] in keys:
-                        part(dest)[shared_name].append(copy.deepcopy(entry))
-        snap[table_name] = kept
-    return parts
-
-
-def _merge_sampling(
-    dest_snap: Dict[str, Any], part: Dict[str, Any], window: Any
-) -> Tuple[int, int]:
-    groups_moved = len(part["groups"])
-    supergroups_moved = 0
-    for table_name, shared_name in (
-        ("new_supergroups", "shared_new"),
-        ("old_supergroups", "shared_old"),
-    ):
-        present = {entry[0] for entry in dest_snap[table_name]}
-        for entry in part[table_name]:
-            dest_snap[table_name].append(entry)
-            present.add(entry[0])
-            supergroups_moved += 1
-        for entry in part[shared_name]:
-            if entry[0] not in present:
-                dest_snap[table_name].append(entry)
-                present.add(entry[0])
-    dest_snap["groups"].extend(part["groups"])
-    if dest_snap.get("current_window") is None and window is not None:
-        # A fresh destination adopts the in-flight window: its next input
-        # tuple must not re-open the window (which would orphan the
-        # migrated groups), and the window close needs live WindowStats.
-        from repro.core.sampling_operator import WindowStats
-
-        dest_snap["current_window"] = window
-        if dest_snap.get("active_stats") is None:
-            dest_snap["active_stats"] = WindowStats(window=window)
-    return groups_moved, supergroups_moved
-
-
-def _split_aggregation(
-    snap: Dict[str, Any],
-    spec: MigrationSpec,
-    table: RoutingTable,
-    src: int,
-    hash_fn,
-) -> Dict[int, Dict[str, Any]]:
-    parts: Dict[int, Dict[str, Any]] = {}
-    kept: Dict[Any, Any] = {}
-    for key, aggregates in snap["groups"].items():
-        dest = table.route(hash_fn(key[spec.gb_index]))
-        if dest == src:
-            kept[key] = aggregates
-        else:
-            parts.setdefault(dest, {"groups": {}})["groups"][key] = aggregates
-    snap["groups"] = kept
-    return parts
-
-
-def _merge_aggregation(
-    dest_snap: Dict[str, Any], part: Dict[str, Any], window: Any
-) -> Tuple[int, int]:
-    dest_snap["groups"].update(part["groups"])
-    if dest_snap.get("current_window") is None and window is not None:
-        dest_snap["current_window"] = window
-    return len(part["groups"]), 0

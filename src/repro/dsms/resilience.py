@@ -764,8 +764,8 @@ def _supervised_worker(
             message = in_queue.get()
             kind = message[0]
             if kind == "restore":
-                snapshot = pickle.loads(message[2])
-                instance.restore(snapshot, restore_cost=instance.cost.enabled)
+                # Any balances in it are this worker's own (cf. ``shard_state``).
+                instance.restore(pickle.loads(message[2]))
             elif kind == "batch":
                 seq, records = message[1], message[2]
                 batch_no += 1

@@ -31,7 +31,7 @@ from typing import (
 from repro.errors import ExecutionError, PlanningError, SchemaError
 from repro.dsms.aggregates import default_aggregate_registry
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
-from repro.dsms.durability import batches, run_batches
+from repro.dsms.durability import CHECKPOINT_VERSION, batches, run_batches
 from repro.dsms.functions import default_function_registry
 from repro.dsms.operators import build_operator
 from repro.dsms.operators.base import Operator
@@ -120,6 +120,35 @@ def account_refusal(
         host.trace.emit(
             event or row.event, **(fields or {"stream": stream, "count": count})
         )
+
+
+def own_state(host: Any) -> Dict[str, Any]:
+    """The run state ``host`` (any deployment: it has ``cost``,
+    ``metrics``, ``trace``) owns itself, for its ``checkpoint()`` to
+    carry beside its children's.  State that is shared is owned — and
+    checkpointed — once, by whoever handed it out (see
+    ``ShardedGigascope.shard_state``)."""
+    return {
+        "cost_accounts": host.cost.accounts() if host.cost.enabled else {},
+        "metrics": host.metrics.checkpoint(),
+        "trace": host.trace.checkpoint(),
+    }
+
+
+def restore_own_state(host: Any, state: Dict[str, Any]) -> None:
+    """Reinstate whatever of :func:`own_state` ``state`` carries; what
+    it does not carry is left alone — no balances (a shard of a shared
+    model; a journal from before its writer checkpointed them), no
+    metrics or trace (a version-1 snapshot)."""
+    if state.get("cost_accounts") and host.cost.enabled:
+        host.cost.reset()
+        host.cost.absorb(state["cost_accounts"])
+    if "metrics" in state:
+        # In place: series bound to operators stay valid, and counts a
+        # replay of registrations bumped are overwritten, not added to.
+        host.metrics.restore(state["metrics"])
+    if "trace" in state and host.trace.enabled:
+        host.trace.restore(state["trace"])
 
 
 def admit_payload(
@@ -869,10 +898,10 @@ class Gigascope:
 
         Captures every query node: operator state (see
         ``Operator.checkpoint``), retained results, and forwarded-tuple
-        counters — plus cost balances and metrics.  Ring buffers are
-        deliberately *not* captured: a restored instance starts with
-        empty rings, and the supervisor replays the journalled batches
-        that postdate the checkpoint to refill the pipeline.
+        counters — plus what the instance owns itself (:func:`own_state`).
+        Ring buffers are deliberately *not* captured: a restored instance
+        starts with empty rings, and the supervisor replays the journalled
+        batches that postdate the checkpoint to refill the pipeline.
         """
         queries = {}
         for name in self._order:
@@ -884,24 +913,12 @@ class Gigascope:
                 "results": list(handle.results),
                 "forwarded": handle.forwarded,
             }
-        return {
-            "version": 2,
-            "queries": queries,
-            "cost_accounts": self.cost.accounts() if self.cost.enabled else {},
-            # v2: metric/trace state rides along so a supervised restart
-            # resumes counting exactly where the checkpoint left off.
-            "metrics": self.metrics.checkpoint(),
-            "trace": self.trace.checkpoint(),
-        }
+        return {"version": CHECKPOINT_VERSION, "queries": queries, **own_state(self)}
 
-    def restore(self, snapshot: Dict[str, Any], restore_cost: bool = False) -> None:
+    def restore(self, snapshot: Dict[str, Any]) -> None:
         """Reinstate a :meth:`checkpoint` taken from an identically
-        registered instance (same streams and queries, in order).
-
-        ``restore_cost`` also resets this instance's cost model to the
-        snapshot's balances — only safe when the model is private to this
-        instance (a forked worker's copy), not shared across shards.
-        """
+        registered instance (same streams and queries, in order); the
+        instance takes ownership of ``snapshot``."""
         queries = snapshot["queries"]
         if set(queries) != set(self._order):
             raise ExecutionError(
@@ -914,15 +931,7 @@ class Gigascope:
             handle.operator.restore(entry["operator"])
             handle.results[:] = entry["results"]
             handle.forwarded = entry["forwarded"]
-        if restore_cost and self.cost.enabled:
-            self.cost.reset()
-            self.cost.absorb(snapshot["cost_accounts"])
-        # v1 snapshots predate the observability layer; leave counters as
-        # they are (zero on a fresh worker) rather than guessing.
-        if "metrics" in snapshot:
-            self.metrics.restore(snapshot["metrics"])
-        if "trace" in snapshot and self.trace.enabled:
-            self.trace.restore(snapshot["trace"])
+        restore_own_state(self, snapshot)
 
     # -- reporting ------------------------------------------------------------------
 

@@ -80,7 +80,8 @@ from repro.dsms.rebalance import (
 )
 from repro.dsms.resilience import ShardSupervisor, SupervisionPolicy, SupervisionReport
 from repro.dsms.runtime import (
-    REFUSALS, Gigascope, QueryHandle, account_refusal, admit_payload,
+    REFUSALS, Gigascope, QueryHandle, account_refusal, admit_payload, own_state,
+    restore_own_state,
 )
 from repro.dsms.stateful import StatefulLibrary
 from repro.obs.metrics import MetricsRegistry
@@ -214,7 +215,11 @@ class _InlinePool:
         instances = self.owner._instances
         for shard, (seq, blob) in resume_state.items():
             self._seq[shard] = seq
-            instances[shard].restore(pickle.loads(blob))
+            state = pickle.loads(blob)
+            # A blob a worker wrote carries the balances of its private
+            # model; here every shard charges the owner's one model.
+            self.owner.cost.absorb(state.pop("cost_accounts", {}))
+            instances[shard].restore(state)
         for instance in instances:
             instance.start()
 
@@ -234,8 +239,7 @@ class _InlinePool:
 
     def states(self) -> Dict[int, Dict[str, Any]]:
         return {
-            shard: instance.checkpoint()
-            for shard, instance in enumerate(self.owner._instances)
+            shard: self.owner.shard_state(shard) for shard in range(self.owner.shards)
         }
 
     def install_states(self, states: Dict[int, Dict[str, Any]]) -> None:
@@ -243,14 +247,10 @@ class _InlinePool:
             self.owner._instances[shard].restore(state)
 
     def checkpoint_all(self) -> Dict[int, Tuple[int, bytes]]:
-        blobs = {}
-        for shard, state in self.states().items():
-            # The cost model is shared by every shard and the parent, so
-            # its balances are not this shard's state (a worker restoring
-            # them as its own would count them once per shard).
-            state["cost_accounts"] = {}
-            blobs[shard] = (self._seq[shard], pickle.dumps(state))
-        return blobs
+        return {
+            shard: (self._seq[shard], pickle.dumps(state))
+            for shard, state in self.states().items()
+        }
 
     def finish(self) -> Tuple[List[Dict[str, List[Record]]], List[dict]]:
         owner = self.owner
@@ -520,28 +520,19 @@ class ShardedGigascope:
                 f"query {name!r} reads from {source!r}, which is neither a"
                 " source stream nor a registered query"
             )
-        if self._rebalancer is not None:
-            # Rebalancing moves operator state between shards through
-            # checkpoint snapshots, so every SFUN state must be
-            # snapshottable.  Checked before the shardability rules so a
-            # query failing several is refused for this reason first —
-            # ``repro lint --target 'shards=N,rebalance'`` reports the
-            # same verdict as rule SA306.
-            library = self._instances[0].registries.stateful
-            bad = sorted(
-                {
-                    state
-                    for state in plan.analyzed.state_names
-                    if not library.checkpointable(state)
-                }
+        if self._rebalancer is not None or self.supervise:
+            # Rebalancing moves operator state between shards, and a
+            # restarted worker recovers it, as checkpoint snapshots.
+            # Checked before the shardability rules so a query failing
+            # several is refused for this reason first — ``repro lint
+            # --target shards=N,rebalance`` (SA306) / ``,supervise`` (SA305).
+            self._instances[0].registries.stateful.require_checkpointable(
+                plan.analyzed.state_names,
+                f"query {name!r} is not migratable across shard boundaries"
+                if self._rebalancer is not None
+                else f"a restarted worker could not recover query {name!r}",
+                PlanningError,
             )
-            if bad:
-                raise PlanningError(
-                    f"cannot rebalance query {name!r}: SFUN state(s) {bad}"
-                    " declare checkpointable=False, so their operator state"
-                    " is not migratable across shard boundaries; run without"
-                    " rebalancing or make the state snapshottable"
-                )
         if not plan.output_schema.ordered_attributes():
             raise PlanningError(
                 f"cannot shard query {name!r}: its output has no ordered"
@@ -780,15 +771,26 @@ class ShardedGigascope:
         either pool come every ``commit_interval`` rounds only."""
         return 0
 
+    def shard_state(self, shard: int) -> Dict[str, Any]:
+        """A checkpoint of the parent-side instance of ``shard``: an
+        inline pool's live one, or the pristine copy a worker is forked
+        from.  Both charge this deployment's cost model, which
+        :meth:`checkpoint` carries once — so no balances here (a worker
+        restoring them as its own would count them once per shard)."""
+        state = self._instances[shard].checkpoint()
+        state["cost_accounts"] = {}
+        return state
+
     def checkpoint(self) -> Dict[str, Any]:
         """Picklable state at a round boundary (after the rebalance
         barrier, so post-migration checkpoints and the routing table
         travel together): every shard's ``(seq, pickled checkpoint)``,
-        the routing snapshot when rebalancing, and the parent's metrics —
-        SPLIT-edge counters (quarantine, curation) live outside every
-        shard checkpoint.  Once the run has finished the shards are
-        gone and its state is the merged results."""
-        state: Dict[str, Any] = {"metrics": self.metrics.checkpoint()}
+        the routing snapshot when rebalancing, and what the parent owns
+        itself (``runtime.own_state``) — SPLIT-edge refusals (quarantine,
+        curation, queue shed) are counted, charged and traced outside
+        every shard.  Once the run has finished the shards are gone and
+        its state is the merged results."""
+        state = own_state(self)
         if self._pool is None:
             state["results"] = {
                 name: list(self._handles[name].results) for name in self._order
@@ -823,8 +825,7 @@ class ShardedGigascope:
                 # journalled routing history.
                 self._ensure_pool(routing["pool"])
                 self._rebalancer.restore(routing["rebalancer"])
-        if state.get("metrics"):
-            self.metrics.restore(state["metrics"])
+        restore_own_state(self, state)
 
     def _validate_edge(self, batch: List[Any]) -> List[Record]:
         """Validate/coerce one batch at the SPLIT edge; dead-letter failures.

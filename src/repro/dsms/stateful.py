@@ -26,9 +26,9 @@ planner then knows which states each supergroup must allocate.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Type
+from typing import Any, Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Type
 
-from repro.errors import RegistryError, StatefulFunctionError
+from repro.errors import ExecutionError, RegistryError, StatefulFunctionError
 
 
 class StatefulState:
@@ -43,8 +43,8 @@ class StatefulState:
     #: Whether instances can be snapshotted by :meth:`checkpoint` and
     #: rebuilt by :meth:`restore`.  A state holding unsnapshottable
     #: resources (live sockets, ffi handles, external cursors) sets this
-    #: to False; the durable runner then refuses the query up front, and
-    #: the static analyzer reports the same refusal at lint time (SA305).
+    #: to False; :meth:`StatefulLibrary.require_checkpointable` then refuses
+    #: the query up front, and the static analyzer at lint time (SA305/SA306).
     checkpointable: ClassVar[bool] = True
 
     @classmethod
@@ -77,9 +77,9 @@ class StatefulState:
         return copy.deepcopy(self.__dict__)
 
     def restore(self, snapshot: Dict[str, Any]) -> None:
-        """Reinstate the fields captured by :meth:`checkpoint`."""
+        """Reinstate the fields :meth:`checkpoint` captured (taking them over)."""
         self.__dict__.clear()
-        self.__dict__.update(copy.deepcopy(snapshot))
+        self.__dict__.update(snapshot)
 
 
 SFun = Callable[..., Any]
@@ -156,10 +156,24 @@ class StatefulLibrary:
 
         Reads the state class's :attr:`StatefulState.checkpointable`
         declaration without instantiating anything — the analyzer
-        (rule SA305) and :class:`~repro.dsms.durability.DurableRunner`
-        both decide from this before any tuple flows.
+        (rules SA305/SA306) and :meth:`require_checkpointable` both
+        decide from this before any tuple flows.
         """
         return bool(getattr(self.state_class(state_name), "checkpointable", True))
+
+    def require_checkpointable(
+        self, state_names: Iterable[str], feature: str, error: type = ExecutionError
+    ) -> None:
+        """The one gate every consumer of operator checkpoints passes — a
+        durable journal, supervised workers, rebalancing, a journalled
+        serve: raise ``error`` naming the ``state_names`` that declare
+        ``checkpointable = False``; ``feature`` says what they preclude."""
+        bad = sorted({name for name in state_names if not self.checkpointable(name)})
+        if bad:
+            raise error(
+                f"SFUN state(s) {bad} declare checkpointable=False, so"
+                f" {feature}; make the state snapshottable or run without it"
+            )
 
     def state_names(self) -> List[str]:
         return sorted(self._states)

@@ -12,7 +12,8 @@ entry kinds of their own beside the commits:
 * ``commit`` / ``final`` — periodic durable snapshots: ``consumed``
   plus every served query's full instance checkpoint
   (:meth:`~repro.dsms.runtime.Gigascope.checkpoint` — operator state,
-  results, metrics, cost balances) and the per-tenant quota ledger.
+  results, metrics, cost balances), the per-tenant quota ledger and the
+  engine's own registry and trace.
 
 :func:`repro.serving.server.resume_serving` rebuilds the query set from
 the event log, restores the last commit's checkpoints, skips the

@@ -66,8 +66,9 @@ from repro.dsms.durability import (
     read_journal,
     resume,
 )
+from repro.dsms.cost import NULL_COST_MODEL
 from repro.dsms.parser import compile_query
-from repro.dsms.runtime import Gigascope
+from repro.dsms.runtime import Gigascope, own_state, restore_own_state
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACE, TraceSink
@@ -183,6 +184,10 @@ class StandingQueryEngine:
     #: the ``mode`` this deployment's journal entries carry
     journal_mode = "serving"
 
+    #: the engine charges nothing itself (spend is per served instance);
+    #: the attribute completes the ``host`` contract of ``repro.dsms.runtime``
+    cost = NULL_COST_MODEL
+
     def __init__(
         self,
         instance_factory: Callable[[], Gigascope],
@@ -251,6 +256,11 @@ class StandingQueryEngine:
                 f" the factory returned {type(gs).__name__}"
             )
         handle = gs.add_query(text, name=name)
+        if self.journal is not None:
+            gs.registries.stateful.require_checkpointable(
+                handle.operator.required_states,
+                f"a journalled serve cannot commit query {name!r}",
+            )
         feeder = f"{name}__lowsel"
         if (
             handle.level == "high"
@@ -637,8 +647,11 @@ class StandingQueryEngine:
     def checkpoint(self) -> Dict[str, Any]:
         """Picklable state of the serve at a batch boundary: every
         served query's instance checkpoint, the quota ledger, breaker
-        and dead-letter state."""
+        and dead-letter state, and what the engine owns itself
+        (``runtime.own_state``: its ``serving_*`` series, the HTTP
+        plane's included, and its trace)."""
         return {
+            **own_state(self),
             "consumed": self.consumed,
             "offered": dict(self._offered),
             "next_id": self._next_id,
@@ -667,9 +680,7 @@ class StandingQueryEngine:
                 f" {sorted(self._queries)}"
             )
         for qid, served in state["queries"].items():
-            self._queries[qid].instance.restore(
-                served["snapshot"], restore_cost=True
-            )
+            self._queries[qid].instance.restore(served["snapshot"])
         # Pre-isolation journals carry no breaker/dead-letter state;
         # breakers then start closed, exactly as the original run did.
         for qid, snapshot in state.get("breakers", {}).items():
@@ -681,6 +692,7 @@ class StandingQueryEngine:
         self.consumed = state["consumed"]
         self._offered = dict(state["offered"])
         self._next_id = max(self._next_id, state["next_id"])
+        restore_own_state(self, state)
 
     # -- reporting ---------------------------------------------------------
 

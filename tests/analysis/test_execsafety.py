@@ -16,12 +16,13 @@ import pytest
 
 from repro.analysis.execsafety import ExecTarget, parse_target
 from repro.analysis.linter import default_lint_registries, lint_source
-from repro.dsms.durability import DurableRunner
+from repro.dsms.durability import DurableRunner, ResultJournal
 from repro.dsms.rebalance import RebalancePolicy
 from repro.dsms.runtime import Gigascope
 from repro.dsms.sharded import ShardedGigascope
 from repro.dsms.stateful import StatefulLibrary, StatefulState
 from repro.errors import ExecutionError, PlanningError
+from repro.serving.server import StandingQueryEngine
 from repro.streams.schema import TCP_SCHEMA
 from repro.algorithms.bindings import (
     basic_subset_sum_library,
@@ -198,6 +199,11 @@ def flaky_library():
 
 
 FLAKY_QUERY = "SELECT time, srcIP FROM TCP WHERE flaky(len) = TRUE"
+#: the same state in a plan that shards cleanly (state per tb, srcIP)
+FLAKY_SAMPLING = (
+    "SELECT tb, srcIP, count(*) FROM TCP WHERE flaky(len) = TRUE"
+    " GROUP BY time/20 as tb, srcIP SUPERGROUP BY tb, srcIP"
+)
 
 
 class TestSA305:
@@ -242,6 +248,43 @@ class TestSA305:
         )
         runner = DurableRunner(gs, str(tmp_path / "journal.bin"))
         assert runner is not None
+
+    def test_supervised_workers_are_a_checkpointing_target(self):
+        registries = self.make_registries()
+        for spec, refused in [("shards=2,supervise", True), ("shards=2", False)]:
+            result = lint_source(FLAKY_SAMPLING, registries, target=parse_target(spec))
+            assert ("SA305" in rules_of(result)) == refused, result.render()
+
+    @pytest.mark.parametrize("supervise", [True, False])
+    def test_supervised_twin_refuses_at_registration(self, supervise):
+        # A restarted worker recovers from a checkpoint: refused up
+        # front, not by burning the restart budget on a pickling error.
+        sh = ShardedGigascope(shards=2, supervise=supervise)
+        sh.register_stream(TCP_SCHEMA)
+        sh.use_stateful_library(flaky_library())
+        if supervise:
+            with pytest.raises(PlanningError, match="flaky_state"):
+                sh.add_query(FLAKY_SAMPLING, name="q")
+        else:
+            assert sh.add_query(FLAKY_SAMPLING, name="q") is not None
+
+    @pytest.mark.parametrize("journalled", [True, False])
+    def test_journalled_serve_twin_refuses_at_registration(self, tmp_path, journalled):
+        def factory():
+            gs = Gigascope()
+            gs.register_stream(TCP_SCHEMA)
+            gs.use_stateful_library(flaky_library())
+            return gs
+
+        journal = ResultJournal(str(tmp_path / "j.bin"), fresh=True) if journalled else None
+        engine = StandingQueryEngine(factory, journal=journal)
+        if journalled:
+            with pytest.raises(ExecutionError, match="flaky_state"):
+                engine.register(FLAKY_QUERY, name="q")
+            assert engine.queries() == []
+        else:
+            assert engine.register(FLAKY_QUERY, name="q").active
+        engine.close()
 
 
 class TestSA306:
@@ -319,6 +362,29 @@ class TestOneToOneMapping:
             {"SA301", "SA302", "SA306"} & {d.rule for d in result.errors}
         )
         gs = make_runtime(shards=4, rebalance=True)
+        try:
+            gs.add_query(text, name="q")
+            runtime_refuses = False
+        except PlanningError:
+            runtime_refuses = True
+        assert lint_refuses == runtime_refuses, result.render()
+
+    @pytest.mark.parametrize(
+        "text",
+        [FLAKY_SAMPLING, FLAKY_QUERY, (EXAMPLES[0].parent / "top_talkers.gsql").read_text()],
+        ids=["flaky-sampling", "flaky-selection", "top_talkers"],
+    )
+    def test_supervise_verdict_matches_runtime(self, text):
+        registries = default_lint_registries()
+        registries.stateful = registries.stateful.merge(flaky_library())
+        result = lint_source(
+            text, registries, target=parse_target("shards=4,supervise")
+        )
+        lint_refuses = bool(
+            {"SA301", "SA302", "SA305"} & {d.rule for d in result.errors}
+        )
+        gs = make_runtime(shards=4, supervise=True)
+        gs.use_stateful_library(flaky_library())
         try:
             gs.add_query(text, name="q")
             runtime_refuses = False

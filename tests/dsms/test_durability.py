@@ -13,16 +13,19 @@ from itertools import islice
 
 import pytest
 
+from repro.dsms.cost import CostModel
 from repro.dsms.durability import (
     JOURNAL_VERSION,
     DurableRunner,
     ResultJournal,
     batches,
 )
+from repro.dsms.rebalance import RebalancePolicy
 from repro.dsms.resilience import SupervisionPolicy
 from repro.dsms.runtime import Gigascope
 from repro.dsms.sharded import ShardedGigascope
 from repro.errors import ExecutionError, StreamError, TraceCorruptError
+from repro.obs.tracing import TraceSink
 from repro.serving.server import StandingQueryEngine, drive, resume_serving
 from repro.streams.schema import TCP_SCHEMA
 from repro.streams.traces import TraceConfig, data_center_feed, research_center_feed
@@ -42,17 +45,20 @@ def feed(seconds=15, seed=3):
     return list(research_center_feed(config))
 
 
-def build(shards=0, supervise=False, shed_threshold=None, **sharded_options):
+def build(shards=0, supervise=False, shed_threshold=None, observe=False, **options):
+    if observe:
+        # Cycles and trace events are run state too: a resume owes them.
+        options.update(cost_model=CostModel(), trace=TraceSink())
     if shards:
         gs = ShardedGigascope(
             shards=shards,
             supervise=supervise,
             supervision=SupervisionPolicy(max_restarts=2) if supervise else None,
             shed_threshold=shed_threshold,
-            **sharded_options,
+            **options,
         )
     else:
-        gs = Gigascope(shed_threshold=shed_threshold)
+        gs = Gigascope(shed_threshold=shed_threshold, **options)
     gs.register_stream(TCP_SCHEMA)
     gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
     gs.add_query(SS_SHARDED if shards else SS_TEXT, name="q")
@@ -65,6 +71,18 @@ def rows_of(gs):
 
 def comparable(gs):
     return gs.metrics.comparable_items(exclude_prefixes=("supervisor_",))
+
+
+def observed(gs, ordered=True):
+    """All a resumed run must reproduce: rows, metric series, cost
+    accounts and trace events — bar the recovery machinery's own
+    (``supervisor_*`` series, ``shard_*`` events), which tell how the
+    run got here, not what it computed."""
+    rows = rows_of(gs)
+    events = [
+        (e.kind, e.fields) for e in gs.trace.events if not e.kind.startswith("shard_")
+    ]
+    return (rows if ordered else sorted(rows)), comparable(gs), gs.cost.accounts(), events
 
 
 class _Boom(Exception):
@@ -295,25 +313,49 @@ class TestInlineShardDurability:
 
 
 class TestResumeAcrossPools:
-    """Both pools journal ``Gigascope.checkpoint()`` blobs, so a journal
-    written over one resumes over the other."""
+    """Both pools journal ``Gigascope.checkpoint()`` blobs, and the
+    parent checkpoints what it owns itself — its cost model, what it
+    refused and traced at the SPLIT edge — exactly once, so a journal
+    written over one pool resumes over the other, and over either, to
+    the uninterrupted run's rows, series, cycles and trace."""
+
+    CURATING = RebalancePolicy(
+        check_interval=2, min_records=64, max_shards=4, curate=True, curate_threshold=0.5
+    )
 
     @pytest.mark.parametrize(
-        "written_by, resumed_on",
-        [(False, True), (True, False)],
-        ids=["inline-to-supervised", "supervised-to-inline"],
+        "written_by, resumed_on, rebalance",
+        [
+            (False, True, None),
+            (True, False, None),
+            (False, False, CURATING),
+            (True, True, CURATING),
+        ],
+        ids=[
+            "inline-to-supervised",
+            "supervised-to-inline",
+            "inline-curating",
+            "supervised-curating",
+        ],
     )
-    def test_resume_on_the_other_pool(self, tmp_path, written_by, resumed_on):
-        ref, _ = uninterrupted(tmp_path, feed())
+    def test_resume_on_the_other_pool(self, tmp_path, written_by, resumed_on, rebalance):
+        records = feed() if rebalance is None else skewed_feed()
+        ref, _ = uninterrupted(tmp_path, records, observe=True, rebalance=rebalance)
+        if rebalance is not None:
+            kinds = ref.trace.kinds()
+            assert kinds["rebalance_plan"] >= 1 and kinds["rebalance_curate"] >= 1
         fresh = crash_and_resume(
             tmp_path,
-            feed(),
+            records,
             2,
             supervise=written_by,
-            resume_options={"supervise": resumed_on},
+            observe=True,
+            rebalance=rebalance,
+            resume_options={
+                "supervise": resumed_on, "observe": True, "rebalance": rebalance
+            },
         )
-        assert sorted(rows_of(fresh)) == sorted(rows_of(ref))
-        assert comparable(fresh) == comparable(ref)
+        assert observed(fresh, ordered=False) == observed(ref, ordered=False)
 
     def test_journal_from_before_the_pools_merged_still_resumes(self, tmp_path):
         # Older supervised runs wrote mode="supervised" and no parent metrics.
@@ -367,6 +409,18 @@ class TestRefusals:
         with pytest.raises(ExecutionError):
             DurableRunner(gs, str(tmp_path / "j.bin"))
 
+    def test_an_unknown_checkpoint_version_is_refused_by_name(self, tmp_path):
+        from repro.dsms.durability import entry, read_journal
+
+        path = str(tmp_path / "j.bin")
+        with ResultJournal(path, fresh=True) as journal:
+            journal.append(entry("commit", "serial", 0))  # version-1 writers stamped none
+        assert len(read_journal(path, "serial")) == 1
+        with ResultJournal(path) as journal:
+            journal.append(entry("commit", "serial", 64, checkpoint_version=99))
+        with pytest.raises(ExecutionError, match="checkpoint version 99"):
+            read_journal(path, "serial")
+
     def test_a_commit_cadence_below_one_is_refused(self, tmp_path):
         runner = DurableRunner(build(), str(tmp_path / "j.bin"), commit_interval=0)
         with pytest.raises(StreamError, match="commit_interval"):
@@ -408,7 +462,7 @@ class _Runner:
 
     def _runner(self, path, on_commit=None):
         return DurableRunner(
-            build(**self.options),
+            build(observe=True, **self.options),
             path,
             batch_size=self.batch_size,
             commit_interval=2,
@@ -425,41 +479,46 @@ class _Runner:
         return runner.instance, runner.resume(records)
 
     def observed(self, gs):
-        rows = rows_of(gs)
-        return (rows if self.ordered else sorted(rows)), comparable(gs)
+        return observed(gs, self.ordered)
 
 
 class _Served:
-    """A standing-query engine under the same loop, journal attached."""
+    """A standing-query engine under the same loop, journal attached:
+    two queries sharing a prefilter, a third under a tenant quota."""
 
     mode = "serving"
     texts = {
-        "ss": SS_TEXT,
-        "agg": "SELECT tb, srcIP, sum(len) FROM TCP GROUP BY time/5 as tb, srcIP",
+        "ss": (SS_TEXT, "default"),
+        "agg": ("SELECT tb, srcIP, sum(len) FROM TCP GROUP BY time/5 as tb, srcIP", "default"),
+        "capped": ("SELECT tb, max(len) FROM TCP GROUP BY time/5 as tb", "t1"),
     }
+    quotas = {"t1": 2500}
 
     def run(self, path, records, on_commit=None):
         engine = StandingQueryEngine(
             make_instance,
+            quotas=self.quotas,
             journal=ResultJournal(path, fresh=True),
             on_commit=on_commit,
         )
-        for qid, text in self.texts.items():
-            engine.register(text, name="q", qid=qid)
+        for qid, (text, tenant) in self.texts.items():
+            engine.register(text, name="q", tenant=tenant, qid=qid)
         drive(engine, records, batch_size=128, commit_interval=2)
         return engine
 
     def resume(self, path, records):
         engine = resume_serving(
-            make_instance, path, records, batch_size=128, commit_interval=2
+            make_instance, path, records, quotas=self.quotas, batch_size=128, commit_interval=2
         )
         return engine, engine.consumed
 
     def observed(self, engine):
-        # Rows, metrics and cost accounts of every served query.
-        return {
+        # Rows, metrics and cost accounts of every served query, and the
+        # engine's own series (what /metrics adds to theirs).
+        served = {
             sq.qid: instance_state(sq.instance, sq.name) for sq in engine.queries()
         }
+        return served, engine.metrics.comparable_items()
 
 
 DEPLOYMENTS = {
@@ -476,8 +535,7 @@ class TestCrashAtEveryCommit:
     """One loop, so one test: die inside ``on_commit`` — the entry is
     fsync'd, exactly what a killed process leaves behind — then resume a
     fresh deployment from the journal alone and land on the uninterrupted
-    run's rows and metrics (and cost accounts, where the deployment's
-    checkpoint restores them), wherever the crash fell."""
+    run's rows, metrics, cost accounts and trace, wherever the crash fell."""
 
     _reference = {}
 

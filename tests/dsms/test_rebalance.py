@@ -9,7 +9,12 @@ counts (so checkpoint/restore replays identically), and hot-key
 curation drops records only with full shed-style accounting.
 """
 
+import pickle
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExecutionError, PlanningError
 from repro.dsms.cost import CostModel
@@ -21,6 +26,7 @@ from repro.dsms.rebalance import (
 )
 from repro.dsms.runtime import Gigascope
 from repro.dsms.sharded import ShardedGigascope, canonical_rows, stable_hash
+from repro.streams.records import Record
 from repro.streams.schema import TCP_SCHEMA
 from repro.streams.traces import TraceConfig, research_center_feed
 from repro.testing.faults import hot_key_stream
@@ -145,6 +151,117 @@ class TestRebalancerCheckpoint:
         assert clone.report.as_dict() == reference.report.as_dict()
 
 
+#: one plan per way a windowed operator keys its state by the partition
+#: column ``srcIP`` (position 1 of every group key below)
+WINDOWED = {
+    "aggregation": "SELECT tb, srcIP, destIP, sum(len), count(*) FROM TCP"
+    " GROUP BY time/5 as tb, srcIP, destIP",
+    # srcIP inside the supergroup key: SFUN states move with their groups
+    "sampling-keyed": SS_TEXT,
+    # srcIP outside it: supergroups are placeholders, copied where needed
+    "sampling-placeholder": "SELECT tb, srcIP, destIP, sum(len), count(*) FROM TCP"
+    " GROUP BY time/5 as tb, srcIP, destIP SUPERGROUP BY tb, destIP",
+}
+
+
+def windowed_operator(name):
+    gs = Gigascope()
+    gs.register_stream(TCP_SCHEMA)
+    gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
+    return gs.add_query(WINDOWED[name], name="q").operator
+
+
+def contents(name, snapshot):
+    """``(groups, supergroups)`` a snapshot holds, as multisets, read off
+    a fresh operator it is restored into — only an operator reads its
+    own layout.  A group is its key and aggregate values."""
+    operator = windowed_operator(name)
+    operator.restore(pickle.loads(pickle.dumps(snapshot)))
+    if name == "aggregation":
+        rows = [tuple(row.values) for row in operator.flush()]
+        return Counter((row[:3], row[3:]) for row in rows), Counter()
+    tables = operator.tables
+    groups = Counter(
+        (g.key, tuple(a.value() for a in g.aggregates)) for g in tables.groups.values()
+    )
+    supergroups = Counter(
+        (which, sg.key, repr(sorted((n, s.checkpoint()) for n, s in sg.states.items())))
+        for which, table in (("new", tables.new_supergroups), ("old", tables.old_supergroups))
+        for sg in table.values()
+    )
+    return groups, supergroups
+
+
+class TestOperatorsCutAndJoinTheirOwnSnapshots:
+    """``split_snapshot`` / ``merge_snapshot``, through the operator alone."""
+
+    @pytest.mark.parametrize("name", list(WINDOWED))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        packets=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 3), st.integers(40, 1500)),
+            min_size=1,
+            max_size=40,
+        ),
+        cut=st.integers(0, 40),
+        table=st.lists(st.integers(0, 3), min_size=8, max_size=8),
+        src=st.integers(0, 3),
+    )
+    def test_split_then_merge_conserves_and_places_state(
+        self, name, packets, cut, table, src
+    ):
+        # Two windows, so a sampling plan also holds old-window supergroups.
+        donor = windowed_operator(name)
+        donor.process_many(
+            Record(TCP_SCHEMA, (1 if i < cut else 6, i + 1, ip, dst, size, 1024, 80, 6))
+            for i, (ip, dst, size) in enumerate(packets)
+        )
+        snapshot = donor.checkpoint()
+        window = snapshot["current_window"]
+        groups, supergroups = contents(name, snapshot)
+
+        parts = donor.split_snapshot(snapshot, "srcIP", table.__getitem__, src)
+        shards = {src: snapshot}
+        for dest, part in parts.items():
+            shards[dest] = windowed_operator(name).checkpoint()
+            moved = donor.merge_snapshot(shards[dest], part, window)
+            assert shards[dest]["current_window"] == window
+            placed, joined = contents(name, shards[dest])
+            # Copies of placeholders are not counted as moved.
+            keyed = name == "sampling-keyed"
+            assert moved == (sum(placed.values()), sum(joined.values()) if keyed else 0)
+        held = {shard: contents(name, state) for shard, state in shards.items()}
+
+        assert src not in parts
+        assert sum((g for g, _ in held.values()), Counter()) == groups
+        for shard, (placed, _) in held.items():
+            assert all(table[key[1]] == shard for key, _ in placed)
+        if name == "sampling-placeholder":
+            # Copied, never moved: the source keeps every one, and each
+            # destination holds those its groups belong to (key: destIP).
+            assert held[src][1] == supergroups
+            for shard, (placed, copies) in held.items():
+                assert copies <= supergroups
+                assert {key[2] for key, _ in placed} <= {sg[1][0] for sg in copies}
+        else:
+            assert sum((sg for _, sg in held.values()), Counter()) == supergroups
+
+    @pytest.mark.parametrize("name", list(WINDOWED))
+    def test_nothing_moves_when_every_key_stays(self, name):
+        donor = windowed_operator(name)
+        donor.process_many(
+            Record(TCP_SCHEMA, (1 + i // 4, i + 1, i % 5, i % 3, 100 + i, 1024, 80, 6))
+            for i in range(24)
+        )
+        snapshot = donor.checkpoint()
+        before = pickle.dumps(snapshot)
+        assert donor.split_snapshot(snapshot, "srcIP", lambda ip: 2, 2) == {}
+        assert pickle.dumps(snapshot) == before
+        # ... and when the state is not keyed by the column at all.
+        assert donor.split_snapshot(snapshot, "protocol", lambda value: 0, 2) == {}
+        assert pickle.dumps(snapshot) == before
+
+
 class TestInlineEquivalence:
     def test_aggregation_on_skewed_stream(self):
         feed = skewed_trace()
@@ -191,6 +308,35 @@ class TestSupervisedEquivalence:
             AGG_TEXT, feed
         )
         assert sh.run_report()["rebalance"]["plans"] >= 1
+
+    def test_cycles_match_inline_after_migrating_into_fresh_shards(self):
+        """Every key on shard 0 of 4: the first plan moves groups into
+        three workers that never saw a batch, whose snapshots are cut
+        from the parent's pristine instances — which charge the parent's
+        cost model.  Its balances (here: ten quarantined payloads) must
+        not ride into each worker and be absorbed back once per shard."""
+        from repro.testing.faults import _rekey_record
+
+        ips = [ip for ip in range(1, 2000) if stable_hash(ip) % 4 == 0][:40]
+        feed = [
+            _rekey_record(record, "srcIP", ips[i % len(ips)])
+            for i, record in enumerate(skewed_trace(seconds=10, fraction=0.01))
+        ]
+        accounts = {}
+        for supervise in (False, True):
+            sh = build(
+                RebalancePolicy(check_interval=2, min_records=64, imbalance_threshold=1.2),
+                shards=4,
+                supervise=supervise,
+                cost_model=CostModel(),
+                validate_admission=True,
+            )
+            sh.run(iter([object()] * 10 + feed), batch_size=128)
+            report = sh.run_report()["rebalance"]
+            assert report["plans"] >= 1 and report["migrated_groups"] > 0
+            accounts[supervise] = sh.cost.accounts()
+        assert accounts[True] == accounts[False]
+        assert accounts[True]["TCP"] == 10 * CostModel().book.tuple_quarantined
 
 
 class TestCurationAccounting:

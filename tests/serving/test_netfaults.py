@@ -286,7 +286,7 @@ class TestGracefulDrain:
             engine.register(SELECTION, name="q", qid="sqA")
             server = QueryServer(
                 engine, batch_size=BATCH, commit_interval=2,
-                pace=0.01, limits=LIMITS,
+                pace=0.05, limits=LIMITS,
             )
             _, port = await server.start_http()
             ingest = asyncio.create_task(server.ingest(records, close=True))

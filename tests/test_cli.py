@@ -404,6 +404,23 @@ class TestResumeRefusals:
         line = refused(capsys, resume_argv(command, trace_file, journal))
         assert "version 99" in line
 
+    def test_unsupported_checkpoint_version(
+        self, command, trace_file, capsys, killed_query_journal, killed_serve_journal
+    ):
+        # The stamp every commit carries used to be written and never read.
+        from repro.dsms.durability import ResultJournal
+
+        journal = killed_query_journal if command == "query" else killed_serve_journal
+        entries = ResultJournal.read(journal)
+        assert any("checkpoint_version" in entry for entry in entries)
+        with ResultJournal(journal, fresh=True) as writer:
+            for entry in entries:
+                if "checkpoint_version" in entry:
+                    entry["checkpoint_version"] = 99
+                writer.append(entry)
+        line = refused(capsys, resume_argv(command, trace_file, journal))
+        assert "checkpoint version 99" in line
+
     def test_input_shorter_than_the_committed_prefix(
         self, command, tmp_path, capsys, killed_query_journal, killed_serve_journal
     ):
