@@ -184,10 +184,7 @@ class AggregationOperator(Operator):
     def flush(self) -> List[Record]:
         if self._current_window is None:
             return []
-        try:
-            outputs = self._emit_window()
-        finally:
-            self._ctx.settle_calls(self._cost.charge, self._account)
+        outputs = self._emit_window()
         self._current_window = None
         return outputs
 
@@ -235,16 +232,24 @@ class AggregationOperator(Operator):
         ctx, having, select = self._ctx, self._having, self._select
         charge, account = self._cost.charge, self._account
         charge(account, "window_flush")
-        for key, aggregates in self._groups.items():
-            ctx.key = key
-            ctx.aggregates = aggregates
-            if having is not None:
-                charge(account, "predicate_eval")
-                if not having(ctx):
-                    self.m_having_rejected.inc()
-                    continue
-            outputs.append(Record(self.output_schema, select(ctx)))
-            charge(account, "output_tuple")
+        n_tested = n_rejected = 0
+        try:
+            for key, aggregates in self._groups.items():
+                ctx.key = key
+                ctx.aggregates = aggregates
+                if having is not None:
+                    n_tested += 1
+                    if not having(ctx):
+                        n_rejected += 1
+                        continue
+                outputs.append(Record(self.output_schema, select(ctx)))
+        finally:
+            # Settled per window, not per group; a close that raises has
+            # charged the groups it visited, the failing one included.
+            charge(account, "predicate_eval", n_tested)
+            charge(account, "output_tuple", len(outputs))
+            ctx.settle_calls(charge, account)
+            self.m_having_rejected.inc(n_rejected)
         self.m_windows.inc()
         self.m_rows_out.inc(len(outputs))
         self.obs_trace.emit(

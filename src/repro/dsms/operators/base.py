@@ -2,12 +2,13 @@
 
 Operators consume their input a *run* at a time — whatever stretch of
 records the caller has at hand, in order: a ring poll, a parent's
-output, one record — through :meth:`Operator.process_many`, and append
-zero or more output records; :meth:`flush` closes any trailing window
-at end of stream.  The runtime chains operators by handing each node's
-output run to the downstream node.  Decisions stay per tuple and in
-order, so how a stream is cut into runs changes no row, counter, charge
-or checkpoint (DESIGN.md §2).
+output (a column batch included), one record — through
+:meth:`Operator.process_many`, the one entry of every operator on
+either engine, and return the run they emitted; :meth:`flush` closes any
+trailing window at end of stream.  The runtime chains operators by
+handing each node's output run to the downstream node.  Decisions stay
+per tuple and in order, so how a stream is cut into runs changes no row,
+counter, charge or checkpoint (DESIGN.md §2).
 
 Checkpoint protocol (DESIGN.md §8): :meth:`Operator.checkpoint` decouples
 — the snapshot is picklable and stays valid while the operator runs on;
@@ -39,7 +40,9 @@ rebalancing, a journalled serve — first passes the one gate,
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Collection, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
 from repro.errors import ExecutionError
 from repro.obs.metrics import MetricsRegistry
@@ -122,20 +125,25 @@ class Operator:
 
     def process_many(
         self, records: Iterable[Record], out: Optional[List[Record]] = None
-    ) -> List[Record]:
-        """Consume a run of records in order; append what they emit to
-        ``out`` (a fresh list when omitted) and return it.
+    ) -> Collection[Record]:
+        """Consume a run of records in order and return the run you
+        emitted — ``out`` if you appended to it.
+
+        Rows go into ``out`` (a fresh list when omitted) as they are
+        emitted: it is owned by the caller, so when an error escapes it
+        still holds every row emitted before it.  Only an operator that
+        emits a run's rows together or not at all (the columnar
+        selection) may leave ``out`` alone and return its own run.
 
         The one per-tuple body of every operator.  Operation counts and
         metric increments accumulate in locals and are settled once, in
         a ``finally``: when an error escapes, the operator has counted
         and charged exactly the records it consumed, the failing one
-        included, and ``out`` — owned by the caller — still holds every
-        row emitted before it.
+        included.
         """
         raise NotImplementedError
 
-    def process(self, record: Record) -> List[Record]:
+    def process(self, record: Record) -> Collection[Record]:
         """A run of one."""
         return self.process_many((record,))
 

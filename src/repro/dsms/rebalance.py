@@ -49,6 +49,15 @@ from repro.errors import ExecutionError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dsms.sharded import ShardedGigascope
 
+#: single-key share of traffic that gets the key pinned
+HOT_KEY_FRACTION = 0.3
+#: routing slots per shard (the "finer routing table" granularity)
+SLOTS_PER_SHARD = 32
+#: floor on routable shards
+MIN_SHARDS = 1
+#: heavy-hitter candidates tracked per decision window
+TOP_K = 16
+
 
 # --------------------------------------------------------------------------
 # Routing
@@ -80,14 +89,14 @@ class RoutingTable:
         self.version = version
 
     @classmethod
-    def default(cls, shards: int, slots_per_shard: int = 32) -> "RoutingTable":
+    def default(cls, shards: int) -> "RoutingTable":
         """The table equivalent to legacy ``stable_hash % shards``.
 
         ``num_slots`` is a multiple of ``shards``, so
         ``slots[h % num_slots] == (h % num_slots) % shards == h % shards``
         — byte-identical routing until the first rebalance commits.
         """
-        num_slots = max(1, shards) * max(1, slots_per_shard)
+        num_slots = max(1, shards) * SLOTS_PER_SHARD
         return cls(
             slots=[i % shards for i in range(num_slots)],
             shard_count=shards,
@@ -155,14 +164,8 @@ class RebalancePolicy:
     min_records: int = 256
     #: max-shard load over mean-shard load that counts as imbalanced
     imbalance_threshold: float = 1.5
-    #: single-key share of traffic that gets the key pinned
-    hot_key_fraction: float = 0.3
-    #: routing slots per shard (the "finer routing table" granularity)
-    slots_per_shard: int = 32
     #: ceiling on routable shards (None: stay at the initial count)
     max_shards: Optional[int] = None
-    #: floor on routable shards
-    min_shards: int = 1
     #: records per decision window one shard should handle; drives
     #: scale up/down (None: shard count changes only on hot-key pins)
     shard_capacity: Optional[int] = None
@@ -173,8 +176,6 @@ class RebalancePolicy:
     curate_threshold: float = 0.6
     #: fraction of a curated key's records that are admitted
     curate_keep: float = 0.125
-    #: heavy-hitter candidates tracked per decision window
-    top_k: int = 16
 
 
 @dataclass
@@ -317,7 +318,7 @@ class Rebalancer:
         if entry is not None:
             entry[0] += 1
             return
-        capacity = max(4, self.policy.top_k * 2)
+        capacity = max(4, TOP_K * 2)
         if len(self._keys) < capacity:
             self._keys[h] = [1, value]
             return
@@ -359,10 +360,10 @@ class Rebalancer:
         # Hot keys: any single key whose share crosses the pin threshold.
         hot: List[Tuple[int, int, Any]] = []  # (count, hash, value)
         for h, (count, value) in self._keys.items():
-            if count >= policy.hot_key_fraction * total:
+            if count >= HOT_KEY_FRACTION * total:
                 hot.append((count, h, value))
         hot.sort(key=lambda item: (-item[0], item[1]))
-        hot = hot[: policy.top_k]
+        hot = hot[:TOP_K]
 
         # Target shard count.
         max_shards = policy.max_shards or self.initial_shards
@@ -371,13 +372,13 @@ class Rebalancer:
             want = (total + policy.shard_capacity - 1) // policy.shard_capacity
         elif hot:
             want = active + 1  # give the cold traffic room away from the pin
-        want = max(policy.min_shards, min(max_shards, want))
+        want = max(MIN_SHARDS, min(max_shards, want))
 
         needs_rebalance = (
             imbalance > policy.imbalance_threshold
             or want != active
             or any(
-                table.route(h) != table.hot.get(h) and count >= policy.hot_key_fraction * total
+                table.route(h) != table.hot.get(h) and count >= HOT_KEY_FRACTION * total
                 for count, h, _value in hot
                 if h not in table.hot
             )

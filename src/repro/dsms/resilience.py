@@ -71,6 +71,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dsms.sharded import ShardedGigascope
 
 
+#: overall ceiling, in seconds, on waiting for final results after finish
+RESULT_TIMEOUT = 30.0
+#: grace, in seconds, for a dead worker's in-flight result to surface
+#: from the pipe
+RESULT_GRACE = 1.0
+
+
 @dataclass
 class SupervisionPolicy:
     """Tunables for shard supervision (defaults suit test-scale runs)."""
@@ -89,10 +96,6 @@ class SupervisionPolicy:
     journal_capacity: int = 64
     #: per-attempt queue put timeout (liveness is re-checked between attempts)
     put_timeout: float = 0.25
-    #: overall ceiling on waiting for final results after finish
-    result_timeout: float = 30.0
-    #: grace for a dead worker's in-flight result to surface from the pipe
-    result_grace: float = 1.0
 
 
 @dataclass
@@ -320,7 +323,7 @@ class ShardSupervisor:
         the replacement's restored state never saw the request.  Shards
         that have received no batches are omitted — they have no state.
         """
-        deadline = time.monotonic() + self.policy.result_timeout
+        deadline = time.monotonic() + RESULT_TIMEOUT
         while True:
             pending = [
                 shard
@@ -344,7 +347,7 @@ class ShardSupervisor:
             if time.monotonic() > deadline:
                 raise ExecutionError(
                     "checkpoint_all timed out after"
-                    f" {self.policy.result_timeout}s waiting for shards"
+                    f" {RESULT_TIMEOUT}s waiting for shards"
                     f" {pending}"
                 )
         return {
@@ -683,7 +686,7 @@ class ShardSupervisor:
         self._finishing = True
         for shard in range(self.owner.shards):
             self._send_control(shard, ("finish",))
-        deadline = time.monotonic() + self.policy.result_timeout
+        deadline = time.monotonic() + RESULT_TIMEOUT
         dead_since: Dict[int, float] = {}
         while len(self._results) < self.owner.shards:
             if self._pump_once(0.05):
@@ -696,7 +699,7 @@ class ShardSupervisor:
                 worker = self._workers[shard]
                 if not worker.is_alive():
                     since = dead_since.setdefault(shard, now)
-                    if now - since >= self.policy.result_grace:
+                    if now - since >= RESULT_GRACE:
                         dead_since.pop(shard, None)
                         self._recover(shard, self._failure_reason(shard))
                 elif now - self._last_event[shard] > self.policy.heartbeat_timeout:
@@ -710,7 +713,7 @@ class ShardSupervisor:
             if time.monotonic() > deadline:
                 missing = sorted(set(range(self.owner.shards)) - set(self._results))
                 raise ExecutionError(
-                    f"supervised run timed out after {self.policy.result_timeout}s"
+                    f"supervised run timed out after {RESULT_TIMEOUT}s"
                     f" waiting for shards {missing}"
                     f" (failure log: {'; '.join(self.report.failures) or 'none'})"
                 )

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from time import perf_counter
 from typing import (
-    Any, Callable, Collection, Dict, Iterable, List, NamedTuple, Optional,
-    Sequence, Tuple,
+    Any, Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 from repro.errors import ExecutionError, PlanningError, SchemaError
@@ -202,10 +202,6 @@ class QueryHandle:
     #: the operator is fed per source (``process_many_from``: a merge)
     #: rather than through ``process_many`` — resolved once, at registration
     fed_per_source: bool = False
-    #: records -> column batch of the input schema, when the operator
-    #: consumes column batches (``process_batch``) rather than records;
-    #: None otherwise — resolved once, at registration
-    to_batch: Optional[Callable[[List[Record]], Any]] = None
     #: this node's ``query_forwarded_total`` series, resolved on first
     #: forward (a node that never forwards registers no series)
     forwarded_series: Optional[Counter] = None
@@ -426,13 +422,6 @@ class Gigascope:
             operator=operator,
             keep_results=keep_results,
         )
-        if hasattr(operator, "process_batch"):
-            from repro.dsms.vectorized import RecordBatch
-
-            input_schema = self.registries.schemas[source]
-            handle.to_batch = lambda records: RecordBatch.from_records(
-                input_schema, records
-            )
         self._queries[name] = handle
         self._order.append(name)
         self._downstream.setdefault(source, []).append(name)
@@ -492,7 +481,7 @@ class Gigascope:
             strict=False,
         )
         # Reading the ring is free and the copy upward is charged once, in
-        # _propagate (paper §3): do not perform it again here, per tuple.
+        # emit (paper §3): do not perform it again here, per tuple.
         handle.operator.forward_input()
         return handle
 
@@ -605,26 +594,6 @@ class Gigascope:
             if handle.keep_results
         )
 
-    def inject(
-        self,
-        name: str,
-        records: List[Record],
-        from_source: Optional[str] = None,
-    ) -> None:
-        """Dispatch records directly into one registered query node.
-
-        The serving layer's shared-feed replay path: when another
-        instance already ran the shared low-level prefix over a batch,
-        its captured outputs are injected here into this instance's
-        downstream operator, bypassing ring admission.  Records flow
-        through the operator (and onward) exactly as if the local
-        low-level node had produced them.
-        """
-        if self._session is None:
-            raise ExecutionError("start() the instance before injecting")
-        if records:
-            self._dispatch(self.query(name), records, from_source)
-
     def refuse(
         self, kind: str, stream: str, count: int, offered: bool = True,
         fields: Optional[Dict[str, Any]] = None,
@@ -663,13 +632,16 @@ class Gigascope:
             pending = self._rings[handle.source].poll(sid)
             if not pending:
                 continue
-            if handle.to_batch is None:
-                self._dispatch(handle, pending)
-                continue
-            span = (handle.source, len(pending))
-            if span not in spans:
-                spans[span] = handle.to_batch(pending)
-            self._dispatch_batch(handle, spans[span])
+            if handle.operator.execution_mode == "vectorized":
+                span = (handle.source, len(pending))
+                if span not in spans:
+                    from repro.dsms.vectorized.batch import RecordBatch
+
+                    spans[span] = RecordBatch.from_records(
+                        self.registries.schemas[handle.source], pending
+                    )
+                pending = spans[span]
+            self._dispatch(handle, pending)
         return len(batch)
 
     def _admit_batch(self, batch: Sequence[Any]) -> Dict[str, Sequence[Record]]:
@@ -782,29 +754,27 @@ class Gigascope:
     def _dispatch(
         self,
         handle: QueryHandle,
-        records: List[Record],
+        run: Collection[Record],
         from_source: Optional[str] = None,
     ) -> None:
-        """Hand one run of records to a node, and what it emits onward.
-
-        The output list is owned here, not by the operator: rows emitted
-        before an operator raises mid-run still reach ``results`` and the
-        node's children before the error leaves ``feed``.
-        """
+        """Hand one run to a node, and the run it emits onward: what
+        the call returned — or, if it raised, the output list, which is
+        owned here and not by the operator, so rows emitted before an
+        operator raises mid-run still reach ``results`` and the node's
+        children before the error leaves ``feed``."""
         operator = handle.operator
-        outputs: List[Record] = []
+        emitted: Collection[Record] = []
         if self.profile:
             started = perf_counter()
         try:
             if handle.fed_per_source:
-                operator.process_many_from(from_source, records, outputs)
+                operator.process_many_from(from_source, run, emitted)
             else:
-                operator.process_many(records, outputs)
+                emitted = operator.process_many(run, emitted)
         finally:
             if self.profile:
                 self._observe_seconds(handle.name, "process", started)
-            if outputs:
-                self._propagate(handle, outputs)
+            self.emit(handle.name, emitted)
 
     def _observe_seconds(self, query: str, phase: str, started: float) -> None:
         self.metrics.histogram(
@@ -814,53 +784,33 @@ class Gigascope:
             phase=phase,
         ).observe(perf_counter() - started)
 
-    def _dispatch_batch(self, handle: QueryHandle, batch: Any) -> None:
-        """Feed one column batch to a vectorized operator (and onward)."""
-        operator = handle.operator
-        if self.profile:
-            started = perf_counter()
-        outputs = operator.process_batch(batch)
-        if self.profile:
-            self._observe_seconds(handle.name, "process", started)
-        if outputs is not None and len(outputs):
-            self._propagate_batch(handle, outputs)
+    def emit(self, name: str, run: Collection[Record]) -> None:
+        """Hand on ``run`` as what query node ``name`` just emitted:
+        retain it and give it to each child as it is.  A column batch
+        builds its records only here — for a retained sink, or inside a
+        per-tuple child — and once.
 
-    def _propagate_batch(self, handle: QueryHandle, outputs: Any) -> None:
-        """Batch analogue of :meth:`_propagate`: records are rebuilt only
-        where a row-wise consumer (the results sink, a tuple-path child)
-        actually needs them; vectorized children receive the batch."""
-        records: Optional[List[Record]] = None
-        if handle.keep_results:
-            records = outputs.to_records()
-            handle.results.extend(records)
-        downstream = self._downstream.get(handle.name)
-        if not downstream:
+        Every node's output passes through here.  Public for the serving
+        layer's shared-feed replay, where another instance already ran
+        the shared low-level prefix over the batch.
+        """
+        if self._session is None:
+            raise ExecutionError("start() the instance before emitting into it")
+        if not run:
             return
-        count = len(outputs)
-        handle.forwarded += count
-        self.cost.charge(handle.name, "tuple_copy", count)
-        self._forwarded_series(handle).inc(count)
-        for child_name in downstream:
-            child = self._queries[child_name]
-            if child.to_batch is not None:
-                self._dispatch_batch(child, outputs)
-            else:
-                if records is None:
-                    records = outputs.to_records()
-                self._dispatch(child, records, handle.name)
-
-    def _propagate(self, handle: QueryHandle, outputs: List[Record]) -> None:
+        handle = self.query(name)
         if handle.keep_results:
-            handle.results.extend(outputs)
-        downstream = self._downstream.get(handle.name)
+            handle.results.extend(run)
+        downstream = self._downstream.get(name)
         if not downstream:
             return
         # Forwarding to another query is the copy the paper charges for.
-        handle.forwarded += len(outputs)
-        self.cost.charge(handle.name, "tuple_copy", len(outputs))
-        self._forwarded_series(handle).inc(len(outputs))
+        count = len(run)
+        handle.forwarded += count
+        self.cost.charge(name, "tuple_copy", count)
+        self._forwarded_series(handle).inc(count)
         for child_name in downstream:
-            self._dispatch(self._queries[child_name], outputs, handle.name)
+            self._dispatch(self._queries[child_name], run, name)
 
     def _forwarded_series(self, handle: QueryHandle) -> Counter:
         series = handle.forwarded_series
@@ -880,16 +830,13 @@ class Gigascope:
             outputs = handle.operator.flush()
             if self.profile:
                 self._observe_seconds(name, "flush", started)
-            if outputs:
-                self._propagate(handle, outputs)
+            self.emit(name, outputs)
             # A flushed node is exhausted: release any downstream merge
             # watermark it was holding.
             for child_name in self._downstream.get(name, ()):
                 child = self._queries[child_name]
                 if hasattr(child.operator, "end_source"):
-                    released = child.operator.end_source(name)
-                    if released:
-                        self._propagate(child, released)
+                    self.emit(child_name, child.operator.end_source(name))
 
     # -- crash-recovery checkpoints -------------------------------------------------
 

@@ -387,7 +387,7 @@ class ShardedGigascope:
                 else RebalancePolicy()
             )
             self._rebalancer: Optional[Rebalancer] = Rebalancer(
-                policy, RoutingTable.default(shards, policy.slots_per_shard)
+                policy, RoutingTable.default(shards)
             )
         else:
             self._rebalancer = None

@@ -8,7 +8,7 @@ custom aggregate registrations — fall back per operator to the tuple
 path with byte-identical results either way.
 """
 
-from repro.dsms.vectorized.batch import RecordBatch, concat_batches
+from repro.dsms.vectorized.batch import RecordBatch
 from repro.dsms.vectorized.compiler import (
     BatchCompiler,
     Env,
@@ -24,7 +24,6 @@ from repro.dsms.vectorized.operators import (
 
 __all__ = [
     "RecordBatch",
-    "concat_batches",
     "BatchCompiler",
     "Env",
     "UnsupportedExpression",

@@ -17,7 +17,7 @@ model charges ~16k cycles for.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,28 +38,33 @@ DTYPES: Dict[str, Any] = {
 }
 
 
-def column_dtype(type_tag: str) -> Any:
-    return DTYPES.get(type_tag, object)
+#: Python type -> numpy dtype that holds its values exactly (int64
+#: overflow aside), for columns whose declared type is not to be trusted
+_EXACT_DTYPES: Dict[type, Any] = {int: np.int64, float: np.float64, bool: np.bool_}
 
 
 class RecordBatch:
     """A fixed-length run of tuples stored column-wise.
 
     Built either from materialized column arrays (operator outputs) or
-    from a list of records (the ingest edge), in which case columns are
-    converted on first access.
+    from a run of records (the ingest edge, a per-tuple parent), in
+    which case columns are converted on first access.  Either way it is
+    a *run* (DESIGN.md §2): it has a length and iterates over its rows
+    as :class:`Record`\\ s, built on first use and kept.
     """
 
-    __slots__ = ("schema", "length", "_columns", "_records")
+    __slots__ = ("schema", "length", "typed", "_columns", "_records")
 
     def __init__(
         self,
         schema: StreamSchema,
         columns: Optional[Dict[str, Any]] = None,
         length: Optional[int] = None,
-        records: Optional[List[Record]] = None,
+        records: Optional[Sequence[Record]] = None,
+        typed: bool = True,
     ) -> None:
         self.schema = schema
+        self.typed = typed
         self._columns: Dict[str, Any] = columns if columns is not None else {}
         self._records = records
         if length is not None:
@@ -74,9 +79,14 @@ class RecordBatch:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_records(cls, schema: StreamSchema, records: List[Record]) -> "RecordBatch":
-        """Wrap a record list; columns convert lazily on first access."""
-        return cls(schema, records=records)
+    def from_records(
+        cls, schema: StreamSchema, records: Sequence[Record], typed: bool = True
+    ) -> "RecordBatch":
+        """Wrap a record run; columns convert lazily on first access, to
+        the dtype ``schema`` declares or — not ``typed`` — the one the
+        values call for.  A source stream's declaration is trusted; a
+        query's output schema says ``int`` whatever its rows carry."""
+        return cls(schema, records=records, typed=typed)
 
     @classmethod
     def empty(cls, schema: StreamSchema) -> "RecordBatch":
@@ -86,6 +96,9 @@ class RecordBatch:
 
     def __len__(self) -> int:
         return self.length
+
+    def __iter__(self) -> Iterator[Record]:
+        return iter(self.to_records())
 
     def column(self, name: str) -> Any:
         """The column array for ``name``, converting from records if needed."""
@@ -100,10 +113,16 @@ class RecordBatch:
                 f"batch for schema {self.schema.name!r} has no column"
                 f" {name!r} and no record backing to convert it from"
             )
-        attr = self.schema.attribute(name)
         index = self.schema.index_of(name)
-        dtype = column_dtype(attr.type_tag)
         values = [record.values[index] for record in self._records]
+        if self.typed:
+            dtype = DTYPES.get(self.schema.attribute(name).type_tag, object)
+        else:
+            # Strict ``type(v) is``: bool subclasses int, and a float in
+            # an int64 array is truncated without a word.
+            kind = type(values[0]) if values else None
+            uniform = list(map(type, values)).count(kind) == len(values)
+            dtype = _EXACT_DTYPES.get(kind, object) if uniform else object
         try:
             col = np.asarray(values, dtype=dtype)
         except (TypeError, ValueError, OverflowError):
@@ -125,23 +144,21 @@ class RecordBatch:
 
     # -- output edge --------------------------------------------------------
 
-    def to_records(self) -> List[Record]:
-        """Rebuild row-wise records (the output-edge converter).
+    def to_records(self) -> Sequence[Record]:
+        """The rows as records (the output-edge converter), built once.
 
-        A batch still backed by its original record list returns that
-        list unchanged — the ingest-to-ingest passthrough is free.
+        A batch still backed by its original record run returns that
+        run unchanged — the ingest-to-ingest passthrough is free.
         ``tolist()`` is used per column so emitted values are plain
         Python scalars, byte-identical to the tuple path's output.
         """
-        if self._records is not None:
-            return self._records
-        if self.length == 0:
-            return []
-        lists = []
-        for attr in self.schema:
-            col = self.column(attr.name)
-            lists.append(col.tolist() if isinstance(col, np.ndarray) else list(col))
-        return [Record(self.schema, row) for row in zip(*lists)]
+        if self._records is None:
+            lists = []
+            for attr in self.schema if self.length else ():
+                col = self.column(attr.name)
+                lists.append(col.tolist() if isinstance(col, np.ndarray) else list(col))
+            self._records = [Record(self.schema, row) for row in zip(*lists)]
+        return self._records
 
     def take(self, mask: Any) -> "RecordBatch":
         """Rows selected by a boolean mask, as a new batch.
@@ -153,29 +170,7 @@ class RecordBatch:
             picked = [r for r, keep in zip(self._records, mask) if keep]
             columns = {name: col[mask] for name, col in self._columns.items()}
             return RecordBatch(self.schema, columns=columns, records=picked,
-                              length=len(picked))
+                              length=len(picked), typed=self.typed)
         columns = {name: col[mask] for name, col in self._columns.items()}
         return RecordBatch(self.schema, columns=columns,
                            length=int(np.count_nonzero(mask)))
-
-    def slice(self, start: int, stop: int) -> "RecordBatch":
-        """Rows ``start:stop`` as a new batch (window segmentation)."""
-        records = self._records[start:stop] if self._records is not None else None
-        columns = {name: col[start:stop] for name, col in self._columns.items()}
-        return RecordBatch(self.schema, columns=columns, records=records,
-                           length=stop - start)
-
-
-def concat_batches(schema: StreamSchema, batches: Sequence[RecordBatch]) -> RecordBatch:
-    """Concatenate output batches (multi-window emissions in one feed)."""
-    batches = [b for b in batches if len(b)]
-    if not batches:
-        return RecordBatch.empty(schema)
-    if len(batches) == 1:
-        return batches[0]
-    columns = {}
-    for attr in schema:
-        parts = [np.asarray(b.column(attr.name)) for b in batches]
-        columns[attr.name] = np.concatenate(parts)
-    return RecordBatch(schema, columns=columns,
-                       length=sum(len(b) for b in batches))

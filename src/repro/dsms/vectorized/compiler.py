@@ -1,12 +1,13 @@
 """Compile analyzed expression trees into whole-batch closures.
 
-The tuple path interprets the AST once per record; here each analyzed
-WHERE/SELECT/HAVING/GROUP-BY tree is compiled *once per query* into a
-closure that evaluates an entire :class:`RecordBatch` with numpy ufuncs.
-The closure takes an :class:`Env` — column resolver, batch length, cost
-hook, and (for HAVING/SELECT at window close) an aggregate-slot resolver
-— and returns either a column array or a Python scalar (constant
-subtrees stay scalars and broadcast for free).
+The tuple path calls a closure once per record; here each analyzed
+per-tuple tree — WHERE, a selection's SELECT list, GROUP BY, aggregate
+arguments — is compiled *once per query* into a closure that evaluates
+an entire :class:`RecordBatch` with numpy ufuncs.  The closure takes an
+:class:`Env` — column resolver, batch length, cost hook — and returns
+either a column array or a Python scalar (constant subtrees stay
+scalars and broadcast for free).  HAVING and an aggregation's SELECT
+run per group, at window close, on the tuple engine's closures.
 
 Semantics mirror ``repro.dsms.expr`` exactly where the data allows it:
 
@@ -32,7 +33,7 @@ factory turns into a clean fallback to the tuple path.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 import numpy as np
 
@@ -61,26 +62,21 @@ class UnsupportedExpression(Exception):
 class Env:
     """Evaluation environment for one compiled-closure invocation.
 
-    ``column`` resolves a name to an array of ``length`` rows (row envs
-    expose stream columns; group envs expose group-by key columns).
+    ``column`` resolves a name to an array of ``length`` rows.
     ``charge`` mirrors the tuple path's cost accounting as batch deltas.
-    ``aggregate`` resolves an aggregate slot to a per-group value array
-    and only exists in group envs.
     """
 
-    __slots__ = ("column", "length", "charge", "aggregate")
+    __slots__ = ("column", "length", "charge")
 
     def __init__(
         self,
         column: Callable[[str], Any],
         length: int,
         charge: Callable[[str, int], None],
-        aggregate: Optional[Callable[[int], Any]] = None,
     ) -> None:
         self.column = column
         self.length = length
         self.charge = charge
-        self.aggregate = aggregate
 
 
 def _no_charge(_op: str, _count: int) -> None:
@@ -264,26 +260,19 @@ class BatchCompiler:
     def __init__(self, functions: FunctionRegistry) -> None:
         self.functions = functions
 
-    def compile(self, expr: Expr, allow_aggregates: bool = False) -> Callable[[Env], Any]:
-        """Compile ``expr``; raises :class:`UnsupportedExpression` when the
-        tree needs per-tuple state (SFUNs, superaggregates, nondeterministic
-        scalar functions)."""
-        return self._compile(expr, allow_aggregates)
-
-    def compile_predicate(
-        self, expr: Expr, allow_aggregates: bool = False
-    ) -> Callable[[Env], Any]:
+    def compile_predicate(self, expr: Expr) -> Callable[[Env], Any]:
         """Like :meth:`compile` but coerces the result to a bool mask."""
-        fn = self._compile(expr, allow_aggregates)
+        fn = self.compile(expr)
 
         def run(env: Env) -> Any:
             return as_mask(fn(env), env.length)
 
         return run
 
-    # -- node dispatch -------------------------------------------------------
-
-    def _compile(self, expr: Expr, allow_aggregates: bool) -> Callable[[Env], Any]:
+    def compile(self, expr: Expr) -> Callable[[Env], Any]:
+        """Compile ``expr``; raises :class:`UnsupportedExpression` when the
+        tree needs per-tuple state (SFUNs, superaggregates, nondeterministic
+        scalar functions) or a group's (aggregates)."""
         if isinstance(expr, Literal):
             value = expr.value
             return lambda env: value
@@ -293,18 +282,15 @@ class BatchCompiler:
         if isinstance(expr, Star):
             return lambda env: 1
         if isinstance(expr, UnaryOp):
-            return self._compile_unary(expr, allow_aggregates)
+            return self._compile_unary(expr)
         if isinstance(expr, BinaryOp):
-            return self._compile_binary(expr, allow_aggregates)
+            return self._compile_binary(expr)
         if isinstance(expr, ScalarCall):
-            return self._compile_scalar_call(expr, allow_aggregates)
+            return self._compile_scalar_call(expr)
         if isinstance(expr, AggregateCall):
-            if not allow_aggregates:
-                raise UnsupportedExpression(
-                    f"aggregate {expr.name}(...) outside a group context"
-                )
-            slot = expr.slot
-            return lambda env: env.aggregate(slot)  # type: ignore[misc]
+            raise UnsupportedExpression(
+                f"aggregate {expr.name}(...) outside a group context"
+            )
         if isinstance(expr, SuperAggregateCall):
             raise UnsupportedExpression(
                 f"superaggregate {expr.name}$(...) requires supergroup state"
@@ -319,8 +305,8 @@ class BatchCompiler:
             )
         raise UnsupportedExpression(f"unknown expression node {type(expr).__name__}")
 
-    def _compile_unary(self, expr: UnaryOp, allow_aggregates: bool) -> Callable[[Env], Any]:
-        operand = self._compile(expr.operand, allow_aggregates)
+    def _compile_unary(self, expr: UnaryOp) -> Callable[[Env], Any]:
+        operand = self.compile(expr.operand)
         if expr.op == "-":
 
             def run_neg(env: Env) -> Any:
@@ -348,9 +334,9 @@ class BatchCompiler:
             return run_not
         raise UnsupportedExpression(f"unknown unary operator {expr.op!r}")
 
-    def _compile_binary(self, expr: BinaryOp, allow_aggregates: bool) -> Callable[[Env], Any]:
-        left = self._compile(expr.left, allow_aggregates)
-        right = self._compile(expr.right, allow_aggregates)
+    def _compile_binary(self, expr: BinaryOp) -> Callable[[Env], Any]:
+        left = self.compile(expr.left)
+        right = self.compile(expr.right)
         op = expr.op
         if op == "AND":
 
@@ -375,18 +361,14 @@ class BatchCompiler:
 
         return run
 
-    def _compile_scalar_call(
-        self, expr: ScalarCall, allow_aggregates: bool
-    ) -> Callable[[Env], Any]:
+    def _compile_scalar_call(self, expr: ScalarCall) -> Callable[[Env], Any]:
         fn = self.functions.get(expr.name)
         if not self.functions.is_deterministic(expr.name):
             raise UnsupportedExpression(
                 f"scalar function {expr.name!r} is nondeterministic; batch"
                 " re-evaluation could disagree with the tuple path"
             )
-        arg_fns: List[Callable[[Env], Any]] = [
-            self._compile(a, allow_aggregates) for a in expr.args
-        ]
+        arg_fns: List[Callable[[Env], Any]] = [self.compile(a) for a in expr.args]
         nargs = len(arg_fns)
         ufn = np.frompyfunc(fn, nargs, 1) if nargs else None
 

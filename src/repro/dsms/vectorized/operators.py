@@ -1,12 +1,14 @@
 """Vectorized selection and aggregation operators.
 
-Both subclass their tuple-path counterparts and override only the
-per-tuple hot path with a ``process_batch`` method; everything that is
-*not* per-tuple — window close, flush, checkpoint/restore, metric
-binding — is inherited, so the two engines share one group table format
-(checkpoints are interchangeable) and a single-record ``process`` call
-still works when a vectorized operator sits downstream of a
-non-vectorized one.
+Both subclass their tuple-path counterparts and replace only the
+per-tuple body: the one entry every operator has, ``process_many``,
+wraps a record run on entry (a column batch is taken as it is) and
+hands it to the columnar kernel, ``process_batch`` — whoever feeds the
+operator: the ring, a columnar or a per-tuple parent, ``Gigascope.emit``,
+``process(record)``.  Everything that is *not* per-tuple — window close,
+flush, checkpoint/restore, metric binding — is inherited, so the two
+engines share one group table format (checkpoints are interchangeable)
+and one window close.
 
 Accounting parity is a hard invariant: every cost-model charge and
 metric increment the tuple path makes per record, these operators make
@@ -26,11 +28,10 @@ makes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ExecutionError
 from repro.dsms.aggregates import (
     Aggregate,
     AggregateRegistry,
@@ -44,7 +45,6 @@ from repro.dsms.aggregates import (
     SumAggregate,
 )
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
-from repro.dsms.expr import column_names
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.operators.aggregation import AggregationOperator
 from repro.dsms.operators.selection import SelectionOperator
@@ -63,6 +63,17 @@ from repro.streams.schema import StreamSchema
 def _py(value: Any) -> Any:
     """Unbox a numpy scalar to the Python value the tuple path carries."""
     return value.item() if isinstance(value, np.generic) else value
+
+
+def _as_batch(schema: StreamSchema, run: Iterable[Record]) -> RecordBatch:
+    """``run`` for a columnar kernel: a batch as it is (forwarded, not
+    re-labelled), records wrapped under the operator's input schema —
+    untyped, since that may be a query's output schema."""
+    if type(run) is RecordBatch:
+        return run
+    if not isinstance(run, (list, tuple)):
+        run = list(run)  # a generator has no length
+    return RecordBatch.from_records(schema, run, typed=False)
 
 
 class VectorizedSelectionOperator(SelectionOperator):
@@ -85,7 +96,16 @@ class VectorizedSelectionOperator(SelectionOperator):
         self._select_fns = [compiler.compile(item.expr) for item in analyzed.ast.select]
         self._charge = lambda op, count: self._cost.charge(self._account, op, count)
 
+    def process_many(
+        self, records: Iterable[Record], out: Optional[List[Record]] = None
+    ) -> RecordBatch:
+        """The output batch: a run's rows are emitted together or (an
+        error) not at all, so ``out`` is left alone and no record is
+        built for a row nobody reads row-wise."""
+        return self.process_batch(_as_batch(self.analyzed.schema, records))
+
     def process_batch(self, batch: RecordBatch) -> RecordBatch:
+        """The columnar kernel: one input batch to its output batch."""
         n = len(batch)
         if n == 0:
             return RecordBatch.empty(self.output_schema)
@@ -346,30 +366,6 @@ FOLDS: Dict[type, Callable[..., None]] = {
 }
 
 
-def _group_column(values: List[Any]) -> Any:
-    """A column over the group table, typed only when provably exact.
-
-    Strict ``type(v) is`` checks (bool subclasses int, so ``isinstance``
-    would lie) guarantee ``tolist`` round-trips every value unchanged;
-    anything mixed, int64-overflowing or non-numeric stays an object
-    array and takes the compiler's element-wise exact path.
-    """
-    if values:
-        t = type(values[0])
-        if t is int and all(type(v) is int for v in values):
-            try:
-                return np.asarray(values, dtype=np.int64)
-            except OverflowError:
-                pass
-        elif t is float and all(type(v) is float for v in values):
-            return np.asarray(values, dtype=np.float64)
-        elif t is bool and all(type(v) is bool for v in values):
-            return np.asarray(values, dtype=np.bool_)
-    arr = np.empty(len(values), dtype=object)
-    arr[:] = values
-    return arr
-
-
 class VectorizedAggregationOperator(AggregationOperator):
     """Windowed GROUP BY evaluated one batch at a time.
 
@@ -377,10 +373,10 @@ class VectorizedAggregationOperator(AggregationOperator):
     ordered group-by values, computed pre-WHERE, closes the window —
     identical to the tuple path's per-record check), then each segment
     is filtered, factorized into group codes, and folded into the group
-    table.  Window close is also columnar: HAVING and SELECT evaluate
-    once over the whole group table (key columns + finalized aggregate
-    columns) instead of once per group, with the same charges, metrics
-    and trace events as the tuple path's ``_emit_window``.
+    table.  Window close is the inherited one: HAVING and SELECT run per
+    group over the table both engines share, so a plan falls back to the
+    tuple path only for what its per-tuple clauses — GROUP BY, WHERE,
+    aggregate arguments — cannot express.
     """
 
     execution_mode = "vectorized"
@@ -414,19 +410,6 @@ class VectorizedAggregationOperator(AggregationOperator):
             self._folds.append(fold)
             arg = node.args[0] if node.args else None
             self._arg_fns.append(compiler.compile(arg) if arg is not None else None)
-        # HAVING/SELECT run columnar over the group table at window
-        # close (compiling here also means unsupported trees fall back
-        # at build time, not at the first window close).
-        having = analyzed.ast.having
-        self._having_fn = (
-            compiler.compile_predicate(having, allow_aggregates=True)
-            if having is not None
-            else None
-        )
-        self._select_fns = [
-            compiler.compile(item.expr, allow_aggregates=True)
-            for item in analyzed.ast.select
-        ]
         self._charge = lambda op, count: self._cost.charge(self._account, op, count)
 
     # -- batch path ----------------------------------------------------------
@@ -444,10 +427,22 @@ class VectorizedAggregationOperator(AggregationOperator):
 
         return Env(column, length, self._charge)
 
-    def process_batch(self, batch: RecordBatch) -> RecordBatch:
+    def process_many(
+        self, records: Iterable[Record], out: Optional[List[Record]] = None
+    ) -> List[Record]:
+        return self.process_batch(_as_batch(self.analyzed.schema, records), out)
+
+    def process_batch(
+        self, batch: RecordBatch, out: Optional[List[Record]] = None
+    ) -> List[Record]:
+        """The columnar kernel.  The rows of each window the batch
+        closes go into ``out`` as it closes: they outlive an error in a
+        later segment."""
+        if out is None:
+            out = []
         n = len(batch)
         if n == 0:
-            return RecordBatch.from_records(self.output_schema, [])
+            return out
         env = Env(batch.column, n, self._charge)
         gb_arrays = [as_column(fn(env), n) for fn in self._gb_fns]
         window_arrays = [gb_arrays[i] for i in self._ordered_indices]
@@ -474,22 +469,17 @@ class VectorizedAggregationOperator(AggregationOperator):
         else:
             bounds = [0, n]
 
-        outputs: List[Record] = []
         for start, stop in zip(bounds, bounds[1:]):
             window = tuple(_py(col[start]) for col in window_arrays)
-            if self._current_window is None:
-                self._current_window = window
-                self.obs_trace.emit(
-                    "window_open", query=self.obs_query, window=list(window)
-                )
-            elif window != self._current_window:
-                outputs.extend(self._emit_window())
+            if window != self._current_window:
+                if self._current_window is not None:
+                    out.extend(self._emit_window())
                 self._current_window = window
                 self.obs_trace.emit(
                     "window_open", query=self.obs_query, window=list(window)
                 )
             self._process_segment(batch, gb_arrays, mask, start, stop)
-        return RecordBatch.from_records(self.output_schema, outputs)
+        return out
 
     def _process_segment(
         self,
@@ -560,79 +550,3 @@ class VectorizedAggregationOperator(AggregationOperator):
                 "aggregate_update",
                 admitted * len(self.analyzed.aggregates),
             )
-
-    # -- window close --------------------------------------------------------
-
-    def _emit_window(self) -> List[Record]:
-        """Columnar window close with exact tuple-path accounting parity:
-        one window_flush, predicate_eval per group, function_call per
-        group per scalar call site (HAVING sees all groups, SELECT only
-        survivors), output_tuple per surviving group."""
-        self._cost.charge(self._account, "window_flush")
-        n_groups = len(self._groups)
-        outputs: List[Record] = []
-        if n_groups:
-            keys = list(self._groups.keys())
-            tables = list(self._groups.values())
-            gb_index = self._gb_index
-            key_cache: Dict[int, Any] = {}
-            agg_cache: Dict[int, Any] = {}
-
-            def column(name: str) -> Any:
-                idx = gb_index.get(name)
-                if idx is None:
-                    raise ExecutionError(
-                        f"column {name!r} is not a group-by variable"
-                    )
-                col = key_cache.get(idx)
-                if col is None:
-                    col = _group_column([key[idx] for key in keys])
-                    key_cache[idx] = col
-                return col
-
-            def aggregate(slot: int) -> Any:
-                col = agg_cache.get(slot)
-                if col is None:
-                    col = _group_column([aggs[slot].value() for aggs in tables])
-                    agg_cache[slot] = col
-                return col
-
-            env = Env(column, n_groups, self._charge, aggregate)
-            if self._having_fn is not None:
-                self._cost.charge(self._account, "predicate_eval", n_groups)
-                hmask = self._having_fn(env)
-                kept = int(np.count_nonzero(hmask))
-                if kept < n_groups:
-                    self.m_having_rejected.inc(n_groups - kept)
-            else:
-                hmask = None
-                kept = n_groups
-            if kept:
-                if hmask is not None and kept < n_groups:
-                    sel_env = Env(
-                        lambda name: column(name)[hmask],
-                        kept,
-                        self._charge,
-                        lambda slot: aggregate(slot)[hmask],
-                    )
-                else:
-                    sel_env = env
-                col_lists = [
-                    as_column(fn(sel_env), kept).tolist()
-                    for fn in self._select_fns
-                ]
-                outputs = [
-                    Record(self.output_schema, list(row))
-                    for row in zip(*col_lists)
-                ]
-                self._cost.charge(self._account, "output_tuple", kept)
-        self.m_windows.inc()
-        self.m_rows_out.inc(len(outputs))
-        self.obs_trace.emit(
-            "window_close",
-            query=self.obs_query,
-            window=list(self._current_window or ()),
-            rows_out=len(outputs),
-        )
-        self._groups.clear()
-        return outputs

@@ -278,8 +278,6 @@ class StandingQueryEngine:
         reason: Optional[str]
         if not self.share:
             reason = "sharing is disabled for this server"
-        elif gs.vectorize:
-            reason = "vectorized instances execute whole batches locally"
         elif gs.shed_threshold is not None:
             reason = "overload shedding decisions are instance-local"
         elif gs.validate_admission:
@@ -432,7 +430,7 @@ class StandingQueryEngine:
             replayed = 0
             for sq in fed[index + 1:]:
                 try:
-                    replay_feed(sq.instance, sq.low_name, sq.high_name, capture)
+                    replay_feed(sq.instance, sq.low_name, capture)
                 except Exception as exc:  # fault boundary, not a bug trap
                     self._record_failure(sq, exc, "follower", offset, n)
                 else:
@@ -896,6 +894,10 @@ def resume_serving(
 # -- the asyncio server ------------------------------------------------------
 
 
+#: header fields accepted per request, beside ``max_header_bytes``
+MAX_HEADERS = 64
+
+
 @dataclass(frozen=True)
 class HttpLimits:
     """Hard bounds on the HTTP plane's exposure to misbehaving clients.
@@ -916,7 +918,6 @@ class HttpLimits:
     write_timeout: float = 5.0
     max_body_bytes: int = 1 << 20
     max_header_bytes: int = 8192
-    max_headers: int = 64
     max_connections: int = 64
 
 
@@ -1156,7 +1157,7 @@ class QueryServer:
         too_large = _RequestError(
             "431 Request Header Fields Too Large", "headers_too_large",
             f"request line/headers exceed {self.limits.max_header_bytes}"
-            f" bytes or {self.limits.max_headers} fields",
+            f" bytes or {MAX_HEADERS} fields",
         )
         try:
             request_line = await reader.readline()
@@ -1187,7 +1188,7 @@ class QueryServer:
             header_bytes += len(line)
             if (
                 header_bytes > self.limits.max_header_bytes
-                or len(headers) >= self.limits.max_headers
+                or len(headers) >= MAX_HEADERS
             ):
                 raise too_large
             key, _, value = line.decode("ascii", "replace").partition(":")

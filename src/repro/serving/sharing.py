@@ -17,10 +17,10 @@ and replays its effects into every other subscriber:
   low-level node's emitted records plus the exact metric-counter and
   cost-account deltas the shared prefix produced;
 * :func:`replay_feed` applies those deltas — relabelled to the
-  follower's node names — to every other member, then re-enacts the
-  SPLIT-edge copy (``tuple_copy`` charge, ``query_forwarded_total``,
-  results retention) per follower and injects the captured records into
-  the follower's own high-level operator.
+  follower's node names — to every other member, then hands the
+  captured run to the follower's low-level node as its own output
+  (:meth:`Gigascope.emit`): retention, the SPLIT-edge copy and the
+  follower's own high-level operator run exactly as they would solo.
 
 The replay is *exact*, not approximate: every counter an instance would
 have produced running solo is either regenerated natively (everything
@@ -33,7 +33,7 @@ pair and triple of example queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Collection, Dict, List, Optional, Tuple
 
 from repro.analysis.dataflow import build_plan_graph
 from repro.dsms.expr import ScalarCall, find_nodes
@@ -145,9 +145,8 @@ class BatchCapture:
     """Everything one canonical feed produced on the shared prefix."""
 
     low_name: str
-    high_name: Optional[str]
-    outputs: List[Record]
-    forwarded: int
+    #: the run the low-level node emitted, as its entry returned it
+    outputs: Collection[Record]
     metric_deltas: List[MetricDelta]
     helps: Dict[str, str]
     cost_deltas: Dict[str, int]
@@ -167,27 +166,29 @@ def capture_feed(
     """Feed ``batch`` to the canonical instance, capturing prefix effects.
 
     The low-level node's run entry (``process_many``) is shimmed for the
-    duration of the feed to collect its emitted records; metric and cost deltas are
-    taken by snapshot difference.  Deltas attributable to the canonical
-    query's own *high-level* operator are excluded (each follower
-    regenerates those natively via :func:`replay_feed`), as is the
-    SPLIT-edge copy accounting (``query_forwarded_total`` and its
-    ``tuple_copy`` cycles), which is re-enacted per follower because
-    followers differ in whether a downstream operator exists.
+    duration of the feed to keep the run it returns — a record list, or
+    on the columnar engine a batch, which followers take as it is;
+    metric and cost deltas are taken by snapshot difference.  Deltas
+    attributable to the canonical query's own *high-level* operator are
+    excluded (each follower regenerates those natively via
+    :func:`replay_feed`), as is the SPLIT-edge copy accounting
+    (``query_forwarded_total`` and its ``tuple_copy`` cycles), which the
+    follower's own runtime performs because followers differ in whether
+    a downstream operator exists.
     """
     low = gs.query(low_name)
     metrics_before = _counter_values(gs.metrics)
     cost_before = gs.cost.accounts() if gs.cost.enabled else {}
     forwarded_before = low.forwarded
 
-    outputs: List[Record] = []
+    runs: List[Collection[Record]] = []
     original = low.operator.process_many
 
-    def capturing(records: List[Record], out: List[Record]) -> List[Record]:
-        try:
-            return original(records, out)
-        finally:
-            outputs.extend(out)
+    def capturing(records: Any, out: List[Record]) -> Collection[Record]:
+        # One ring poll per feed, so one run; a run that raises fails
+        # the capture, and the group fails over.
+        runs.append(original(records, out))
+        return runs[-1]
 
     low.operator.process_many = capturing
     try:
@@ -226,25 +227,21 @@ def capture_feed(
 
     return BatchCapture(
         low_name=low_name,
-        high_name=high_name,
-        outputs=outputs,
-        forwarded=forwarded,
+        outputs=runs[0] if runs else [],
         metric_deltas=metric_deltas,
         helps=helps,
         cost_deltas=cost_deltas,
     )
 
 
-def replay_feed(
-    gs: Any, low_name: str, high_name: Optional[str], capture: BatchCapture
-) -> None:
+def replay_feed(gs: Any, low_name: str, capture: BatchCapture) -> None:
     """Re-enact one captured feed on a follower instance.
 
     Transplants the shared-prefix deltas (relabelled from the canonical
-    node's name to the follower's), then performs the follower's own
-    SPLIT-edge copy and dispatches the captured records into its
-    high-level operator — the exact work :meth:`Gigascope._propagate`
-    would have done had the follower's low-level node produced them.
+    node's name to the follower's), then emits the captured run from
+    the follower's low-level node: the runtime retains it, performs the
+    follower's own SPLIT-edge copy and dispatches it to the high-level
+    operator as if that node had produced it.
     """
     for name, labels, delta in capture.metric_deltas:
         relabelled = {
@@ -261,19 +258,4 @@ def replay_feed(
             for account, cycles in capture.cost_deltas.items()
         })
 
-    outputs = capture.outputs
-    low = gs.query(low_name)
-    if high_name is not None:
-        if outputs:
-            if low.keep_results:
-                low.results.extend(outputs)
-            low.forwarded += len(outputs)
-            gs.cost.charge(low_name, "tuple_copy", len(outputs))
-            gs.metrics.counter(
-                "query_forwarded_total",
-                help="tuples pushed to downstream queries",
-                query=low_name,
-            ).inc(len(outputs))
-            gs.inject(high_name, outputs, from_source=low_name)
-    elif outputs and low.keep_results:
-        low.results.extend(outputs)
+    gs.emit(low_name, capture.outputs)

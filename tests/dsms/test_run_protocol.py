@@ -6,7 +6,10 @@ path" is batch size 1 of the same code, and the oracle for any cut of a
 stream into runs is any other cut.  What must be identical: rows in
 order, every counter series, the cost accounts of a real ``CostModel``,
 window stats, overload counters, and a pickled checkpoint taken at a
-cut.  What a run that *fails* leaves behind is pinned separately.
+cut.  The engine is one more way to cut: a columnar operator has the
+same one entry, so a ``vectorize=True`` run cut anywhere is held to the
+one-run tuple reference.  What a run that *fails* leaves behind is
+pinned separately.
 """
 
 import pickle
@@ -74,6 +77,16 @@ def _raw_window_ids(gs):
     gs.add_query("SELECT tb, count(*) FROM TCP GROUP BY time as tb", name="agg")
 
 
+def _aggregate_of_a_sample(gs):
+    """Under ``vectorize=True`` a columnar aggregate whose parent, a
+    stateful selection, runs per tuple."""
+    gs.use_stateful_library(basic_subset_sum_library())
+    gs.add_query(PREFILTER_QUERY.format(z=50), name="pre")
+    gs.add_query(
+        "SELECT tb, sum(len), count(*) FROM pre GROUP BY time/1 as tb", name="q"
+    )
+
+
 #: name -> (build, whether a ``None`` timestamp is survivable)
 DEPLOYMENTS = {
     "subset_sum": (_subset_sum, False),
@@ -82,6 +95,7 @@ DEPLOYMENTS = {
     "selection": (_selection, False),
     "prefilter_chain": (_prefilter_chain, False),
     "raw_window_ids": (_raw_window_ids, True),
+    "aggregate_of_a_sample": (_aggregate_of_a_sample, False),
 }
 
 #: ~50 and ~20-60 records per second of stream time: several one-second
@@ -104,15 +118,18 @@ def _with_time(record, time):
 
 
 def _series(gs):
-    """Every series but the histograms (wall time is not reproducible)."""
+    """Every series but the histograms (wall time is not reproducible)
+    and the one that says which engine was asked for."""
     return [
-        (s.name, s.labels, s.value) for s in gs.metrics.series() if s.kind != "histogram"
+        (s.name, s.labels, s.value)
+        for s in gs.metrics.series()
+        if s.kind != "histogram" and s.name != "vectorize_fallback_total"
     ]
 
 
-def _observe(deployment, records, cuts, checkpoint_at):
+def _observe(deployment, records, cuts, checkpoint_at, vectorize=False):
     """Everything observable after feeding ``records`` cut at ``cuts``."""
-    gs = Gigascope(cost_model=CostModel())
+    gs = Gigascope(cost_model=CostModel(), vectorize=vectorize)
     gs.register_stream(TCP_SCHEMA)
     DEPLOYMENTS[deployment][0](gs)
     gs.start()
@@ -121,7 +138,10 @@ def _observe(deployment, records, cuts, checkpoint_at):
     for lo, hi in zip(edges, edges[1:]):
         gs.feed(records[lo:hi])
         if hi == checkpoint_at:
-            checkpoint = pickle.dumps(gs.checkpoint())
+            snapshot = gs.checkpoint()
+            checkpoint = (
+                pickle.dumps(snapshot["queries"]), snapshot["cost_accounts"], _series(gs)
+            )
     gs.finish()
     seen = {"checkpoint": checkpoint, "series": _series(gs), "cost": gs.cost.accounts()}
     for handle in gs.query_handles():
@@ -145,18 +165,18 @@ def _cases(draw):
             records[index] = _with_time(records[index], None)
     cuts = draw(st.lists(st.integers(1, n - 1), max_size=12))
     checkpoint_at = draw(st.integers(1, n - 1))
-    return deployment, records, cuts, checkpoint_at
+    return deployment, records, cuts, checkpoint_at, draw(st.booleans())
 
 
 class TestRunCutInvariance:
     @given(_cases())
     @settings(max_examples=40, deadline=None)
     def test_every_cut_of_a_stream_is_the_same_run(self, case):
-        deployment, records, cuts, checkpoint_at = case
+        deployment, records, cuts, checkpoint_at, vectorize = case
         one_run = _observe(deployment, records, [], checkpoint_at)
         assert one_run["checkpoint"] is not None
         all_ones = _observe(deployment, records, range(len(records)), checkpoint_at)
-        random_cut = _observe(deployment, records, cuts, checkpoint_at)
+        random_cut = _observe(deployment, records, cuts, checkpoint_at, vectorize)
         assert all_ones == one_run
         assert random_cut == one_run
 
@@ -209,6 +229,13 @@ AFTER_BOUNDARY = [
 ]
 
 
+#: a failure a columnar batch cannot raise before any window closes (a
+#: WHERE is evaluated over the whole batch first, DESIGN.md §11): it sits
+#: in an aggregate *argument*, ``time - 3`` is 0 in window 1's segment
+IN_AN_ARGUMENT = "SELECT tb, sum(len % (time - 3)) FROM TCP GROUP BY time/2 as tb"
+ONE_BATCH = [_packet(time=time, len=10) for time in range(4)]
+
+
 def _fed(query, batch):
     gs = Gigascope(cost_model=CostModel())
     gs.register_stream(TCP_SCHEMA)
@@ -256,6 +283,31 @@ class TestRowsAlreadyEmittedSurviveALaterError:
         with pytest.raises(ExecutionError):
             gs.feed(AT_BOUNDARY)
         assert [r.values for r in gs.results("child")] == [(0,)]
+
+    @pytest.mark.parametrize("low_level", [False, True], ids=["feeder", "low_level"])
+    @pytest.mark.parametrize("vectorize", [False, True], ids=["tuple", "vectorized"])
+    def test_on_either_engine(self, vectorize, low_level):
+        gs = Gigascope(cost_model=CostModel(), vectorize=vectorize, profile=True)
+        gs.register_stream(TCP_SCHEMA)
+        gs.add_query(IN_AN_ARGUMENT, name="q", low_level_aggregation=low_level)
+        gs.add_query("SELECT tb FROM q", name="child")
+        engine = "vectorized" if vectorize else "tuple"
+        assert {h.operator.execution_mode for h in gs.query_handles()} == {engine}
+        gs.start()
+        with pytest.raises(ExecutionError, match="modulo by zero"):
+            gs.feed(ONE_BATCH)
+        assert [r.values for r in gs.results("q")] == [(0, -2)]
+        assert _count(gs, "operator_rows_out_total") == 1
+        assert [r.values for r in gs.results("child")] == [(0,)]
+        # Time is observed for the call that raised, too.
+        assert {
+            h.name: gs.metrics.value("operator_seconds", query=h.name, phase="process")
+            for h in gs.query_handles()
+        } == {h.name: 1 for h in gs.query_handles()}
+        # The query is not abandoned: the next batch lands in window 1.
+        gs.feed([_packet(time=2, len=10)])
+        gs.finish()
+        assert [r.values[0] for r in gs.results("q")] == [0, 1]
 
 
 class TestTheNodeThatRaisedCountedWhatItConsumed:
@@ -495,6 +547,83 @@ class TestTheFeederForwards:
         gs.feed(STEADY[:5])
         assert [r.values for r in gs.results("mine")] == [r.values for r in STEADY[:5]]
         assert {r.schema.name for r in gs.results("mine")} == {"mine"}
+
+
+class TestAColumnarOperatorIsColumnarWhoeverFeedsIt:
+    """``execution_mode`` names the engine that runs: the columnar
+    kernel is entered once per run whether the run comes off the ring,
+    from a per-tuple parent, through ``emit`` or from a leader's replay."""
+
+    AGGREGATE = "SELECT tb, srcIP, sum(len), count(*) FROM TCP GROUP BY time/1 as tb, srcIP"
+
+    @pytest.fixture
+    def entered(self, monkeypatch):
+        """Kernel entries, by operator."""
+        from collections import Counter
+
+        from repro.dsms.vectorized import VectorizedAggregationOperator as Columnar
+
+        entered, kernel = Counter(), Columnar.process_batch
+
+        def counting(operator, batch, out=None):
+            entered[operator] += 1
+            return kernel(operator, batch, out)
+
+        monkeypatch.setattr(Columnar, "process_batch", counting)
+        return entered
+
+    def test_under_a_per_tuple_parent(self, entered):
+        gs = _instance(_aggregate_of_a_sample, vectorize=True)
+        parent, child = gs.query("pre").operator, gs.query("q").operator
+        assert (parent.execution_mode, child.execution_mode) == ("tuple", "vectorized")
+        runs = 0
+        for batch in CUT:
+            sampled = len(gs.results("pre"))
+            gs.feed(batch)
+            runs += len(gs.results("pre")) > sampled
+        assert runs > 1 and entered == {child: runs}
+        assert set(gs.run_report()["vectorize"]["fallbacks"]) == {"pre"}
+        assert _seen(gs)["rows"] == _fed_in(CUT, _aggregate_of_a_sample)["rows"]
+
+    def test_through_emit(self, entered):
+        def build(gs):
+            gs.add_query(self.AGGREGATE, name="q")
+
+        gs = _instance(build, vectorize=True)
+        for batch in CUT:
+            gs.emit("q__lowsel", batch)
+        assert entered == {gs.query("q").operator: len(CUT)}
+        assert _seen(gs)["rows"]["q"] == _fed_in(CUT, build)["rows"]["q"]
+
+    def test_served_in_a_sharing_group(self, entered):
+        from repro.serving.server import StandingQueryEngine, drive
+
+        def factory():
+            gs = Gigascope(cost_model=CostModel(), vectorize=True)
+            gs.register_stream(TCP_SCHEMA)
+            return gs
+
+        def state(gs):
+            return (
+                [r.values for r in gs.results("q")],
+                sorted(gs.metrics.comparable_items()),
+                gs.cost.accounts(),
+            )
+
+        engine = StandingQueryEngine(factory)
+        served = [engine.register(self.AGGREGATE, name="q") for _ in range(2)]
+        assert served[0].signature is not None
+        assert served[0].signature == served[1].signature
+        drive(engine, STEADY, batch_size=64)
+        batches = -(-len(STEADY) // 64)
+        assert engine.metrics.value("serving_shared_replays_total") == batches
+        assert entered == {sq.instance.query("q").operator: batches for sq in served}
+        solo = factory()
+        solo.add_query(self.AGGREGATE, name="q")
+        solo.run(STEADY, batch_size=64)
+        assert len(solo.results("q")) > 3
+        for sq in served:
+            assert state(sq.instance) == state(solo)
 
 
 class TestOneBatchPerPolledSpan:

@@ -44,9 +44,9 @@ for _path in EXAMPLE_PATHS:
 BATCH = 128
 
 
-def make_instance() -> Gigascope:
+def make_instance(vectorize: bool = False) -> Gigascope:
     """One solo-shaped instance: private cost model + metrics registry."""
-    gs = Gigascope(cost_model=CostModel())
+    gs = Gigascope(cost_model=CostModel(), vectorize=vectorize)
     gs.register_stream(TCP_SCHEMA)
     gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
     gs.use_stateful_library(basic_subset_sum_library())
@@ -88,9 +88,10 @@ def solo_state(
     name: str = "q",
     batch_size: int = BATCH,
     finish: bool = True,
+    vectorize: bool = False,
 ) -> State:
     """The oracle: one private serial run of ``text`` over ``records``."""
-    gs = make_instance()
+    gs = make_instance(vectorize)
     gs.add_query(text, name=name)
     gs.start()
     for start in range(0, len(records), batch_size):
@@ -108,10 +109,11 @@ _SOLO_CACHE: Dict[tuple, State] = {}
 
 
 def solo_state_cached(
-    text: str, records_key: str, records: List, name: str = "q"
+    text: str, records_key: str, records: List, name: str = "q",
+    vectorize: bool = False,
 ) -> State:
     """Memoised :func:`solo_state` — the 100-variant test reuses oracles."""
-    key = (text, records_key, name)
+    key = (text, records_key, name, vectorize)
     if key not in _SOLO_CACHE:
-        _SOLO_CACHE[key] = solo_state(text, records, name=name)
+        _SOLO_CACHE[key] = solo_state(text, records, name=name, vectorize=vectorize)
     return _SOLO_CACHE[key]

@@ -27,12 +27,14 @@ PAIRS = list(itertools.combinations(NAMES, 2))
 TRIPLES = [tuple(NAMES[i : i + 3]) for i in range(len(NAMES) - 2)]
 
 
-def serve_and_compare(names, records, share):
-    engine = StandingQueryEngine(make_instance, share=share)
+def serve_and_compare(names, records, share, vectorize=False):
+    engine = StandingQueryEngine(lambda: make_instance(vectorize), share=share)
     served = [engine.register(EXAMPLE_TEXTS[name], name="q") for name in names]
     drive(engine, records, batch_size=BATCH)
     for name, sq in zip(names, served):
-        oracle = solo_state_cached(EXAMPLE_TEXTS[name], "records", records)
+        oracle = solo_state_cached(
+            EXAMPLE_TEXTS[name], "records", records, vectorize=vectorize
+        )
         rows, metrics, cost = served_state(sq)
         orows, ometrics, ocost = oracle
         assert rows == orows, f"{name}: rows diverged under serving"
@@ -42,9 +44,20 @@ def serve_and_compare(names, records, share):
 
 
 class TestPairs:
-    @pytest.mark.parametrize("pair", PAIRS, ids=["+".join(p) for p in PAIRS])
-    def test_shared(self, pair, records):
-        serve_and_compare(pair, records, share=True)
+    #: every pair on the tuple engine, then again from a ``vectorize=True``
+    #: factory against the vectorized solo run
+    ENGINES = [(p, False) for p in PAIRS] + [(p, True) for p in PAIRS]
+
+    @pytest.mark.parametrize(
+        "pair, vectorize",
+        ENGINES,
+        ids=["+".join(p) + "-vectorized" * v for p, v in ENGINES],
+    )
+    def test_shared(self, pair, vectorize, records):
+        engine = serve_and_compare(pair, records, share=True, vectorize=vectorize)
+        # Which engine runs a member is no reason to serve it privately.
+        reasons = [sq["share_reason"] for sq in engine.report()["queries"]]
+        assert not any("vectoriz" in (reason or "") for reason in reasons)
 
     @pytest.mark.parametrize("pair", PAIRS, ids=["+".join(p) for p in PAIRS])
     def test_unshared(self, pair, records):

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import SchemaError
 from repro.streams.records import Record
 from repro.streams.schema import TCP_SCHEMA
-from repro.dsms.vectorized import RecordBatch, concat_batches
+from repro.dsms.vectorized import RecordBatch
 
 from tests.vectorized.conftest import VAL_SCHEMA, make_val_records
 
@@ -89,13 +89,6 @@ def test_take_filters_records_and_columns():
     assert taken.column("time").tolist() == [0, 2, 4]
 
 
-def test_slice_window():
-    batch = RecordBatch.from_records(TCP_SCHEMA, _packets(6))
-    part = batch.slice(2, 5)
-    assert len(part) == 3
-    assert part.column("time").tolist() == [2, 3, 4]
-
-
 def test_empty_batch():
     batch = RecordBatch.empty(TCP_SCHEMA)
     assert len(batch) == 0
@@ -106,14 +99,3 @@ def test_missing_column_without_backing_raises():
     batch = RecordBatch(TCP_SCHEMA, columns={}, length=0)
     with pytest.raises(SchemaError):
         batch.column("len")
-
-
-def test_concat_batches():
-    a = RecordBatch.from_records(TCP_SCHEMA, _packets(2))
-    b = RecordBatch.from_records(TCP_SCHEMA, _packets(3))
-    empty = RecordBatch.empty(TCP_SCHEMA)
-    merged = concat_batches(TCP_SCHEMA, [a, empty, b])
-    assert len(merged) == 5
-    assert merged.column("time").tolist() == [0, 1, 0, 1, 2]
-    # Single non-empty input passes through untouched.
-    assert concat_batches(TCP_SCHEMA, [empty, a]) is a

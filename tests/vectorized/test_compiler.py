@@ -17,7 +17,7 @@ from repro.dsms.expr import evaluate, EvalContext
 from repro.dsms.functions import default_function_registry
 from repro.dsms.parser import parse_query
 from repro.dsms.parser.analyzer import analyze
-from repro.dsms.vectorized import BatchCompiler, Env, UnsupportedExpression, make_env
+from repro.dsms.vectorized import BatchCompiler, UnsupportedExpression, make_env
 from repro.dsms.vectorized import RecordBatch
 
 from tests.vectorized.conftest import VAL_SCHEMA, make_val_records
@@ -164,9 +164,4 @@ def test_aggregate_outside_group_context_is_unsupported():
     compiler = BatchCompiler(registries.scalars)
     agg_item = analyzed.ast.select[1].expr
     with pytest.raises(UnsupportedExpression):
-        compiler.compile(agg_item, allow_aggregates=False)
-    # ... but compiles in a group env.
-    fn = compiler.compile(agg_item, allow_aggregates=True)
-    env = Env(lambda name: None, 2, lambda op, n: None,
-              aggregate=lambda slot: np.asarray([5, 6]))
-    assert fn(env).tolist() == [5, 6]
+        compiler.compile(agg_item)

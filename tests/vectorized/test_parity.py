@@ -125,6 +125,25 @@ def test_nondeterministic_scalar_forces_fallback():
     assert "nondeterministic" in handle.operator.vectorize_fallback
 
 
+def test_only_per_tuple_clauses_decide_the_fallback(packet_trace):
+    """HAVING and an aggregation's SELECT run per group in the window
+    close both engines share, so what they hold — a nondeterministic
+    scalar, say — keeps no plan off the columnar engine."""
+
+    def setup(gs):
+        gs.registries.scalars.register("wobble", lambda x: x, deterministic=False)
+
+    _, handle = run_both(
+        "SELECT tb, srcIP, wobble(sum(len)) FROM TCP GROUP BY time/10 AS tb, srcIP"
+        " HAVING wobble(count(*)) > 1",
+        packet_trace,
+        schema=packet_trace[0].schema,
+        setup=setup,
+    )
+    assert handle.operator.execution_mode == "vectorized"
+    assert len(handle.results) > 10
+
+
 def test_scalar_functions_match(packet_trace):
     """H() runs through frompyfunc with object-boxed args: hash values
     (which overflow int64 intermediates when computed on numpy ints)
@@ -308,6 +327,27 @@ def test_modulo_and_negation_errors_match_across_engines(select, message):
     assert errors[0] == errors[1]
 
 
+def test_columnar_child_of_a_per_tuple_parent_reads_what_the_rows_carry():
+    """A query's output schema types every attribute ``int``; the rows a
+    per-tuple parent emits carry floats and bools all the same.  The
+    columnar child wraps them untyped, so nothing is truncated."""
+
+    def setup(gs):
+        gs.registries.scalars.register("wobble", lambda v: v, deterministic=False)
+        gs.add_query("SELECT t, wobble(f) AS f, b, x FROM VAL", name="up")
+
+    rows = [(t, t % 3, t + 0.5, t % 2 == 0) for t in range(12)]
+    got, handle = run_both(
+        "SELECT tb, sum(f), max(f), sum(b), first(b), sum(x / 2) FROM up"
+        " WHERE f > 1.0 GROUP BY t/4 AS tb",
+        make_val_records(rows),
+        setup=setup,
+    )
+    assert handle.operator.execution_mode == "vectorized"
+    assert got[0] == (0, 1.5 + 2.5 + 3.5, 3.5, 1, False, 1)
+    run_both("SELECT t, f, b FROM up WHERE f > 1.0", make_val_records(rows), setup=setup)
+
+
 def test_checkpoints_interchangeable_between_engines(packet_trace):
     """A vectorized aggregation checkpoint restores onto a tuple operator
     and vice versa: the group-table format is shared."""
@@ -325,7 +365,7 @@ def test_checkpoints_interchangeable_between_engines(packet_trace):
         RecordBatch.from_records(packet_trace[0].schema, packet_trace[:half])
     )
     tup.restore(vec.checkpoint())
-    out_t = list(emitted.to_records())
+    out_t = list(emitted)
     for record in packet_trace[half:]:
         out_t.extend(tup.process(record))
     out_t.extend(tup.flush())
