@@ -76,7 +76,7 @@ from repro.dsms.rebalance import RebalancePolicy
 from repro.dsms.resilience import SupervisionPolicy
 from repro.dsms.runtime import Gigascope
 from repro.dsms.sharded import ShardedGigascope
-from repro.errors import ExecutionError, PlanningError, ReproError, SourceError
+from repro.errors import ExecutionError, PlanningError, QueryError, ReproError, SourceError
 from repro.obs import TraceSink, write_metrics, write_trace
 from repro.streams.persistence import load_trace, save_trace
 from repro.streams.schema import TCP_SCHEMA
@@ -1043,7 +1043,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             # The unsupervised worker-per-shard flag is gone.
             message += " (shards fork workers under --supervise)"
         parser.error(message)  # exits 2
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except QueryError as exc:
+        # lexer, parser, analyzer, planner: the caller's error in every command
+        print(f"invalid query: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -104,7 +104,7 @@ class _Context(EvalContext):
     superaggregate arguments, CLEANING WHEN), the visited group's during
     a cleaning phase and at window close (CLEANING BY, HAVING, SELECT),
     when ``group`` is that group.  ``supergroup`` holds the SFUN states
-    and superaggregates either way.  Compiled closures reach operator
+    and superaggregates either way.  Compiled clauses reach operator
     state only through these fields, so a ``restore()`` that swaps the
     tables needs no recompilation.
     """
@@ -174,36 +174,40 @@ class SamplingOperator(Operator):
         at_group = bind_group(names)
 
         self._group_key = compile_tuple(
-            [item.expr for item in spec.group_by], bind_input(schema)
+            [item.expr for item in spec.group_by], bind_input(schema), f"{account}:GROUP BY"
         )
         self._window_of = pick(spec.ordered_indices)
         self._supergroup_key_of = pick(spec.nonordered_supergroup_indices)
-        self._where = compile_clause(spec.where, at_tuple)
+        self._where = compile_clause(spec.where, at_tuple, f"{account}:WHERE")
         self._aggregate_names = tuple(node.name for node in spec.aggregates)
         self._aggregate_args = tuple(
-            compile_update_value(node, at_tuple) for node in spec.aggregates
+            compile_update_value(node, at_tuple, f"{account}:aggregate {node.slot}")
+            for node in spec.aggregates
         )
         #: (slot, value) of the superaggregates fed by every admitted tuple
         self._tuple_fed = tuple(
-            (slot, compile_expr(sa.value_expr, at_tuple))
+            (slot, compile_expr(sa.value_expr, at_tuple, f"{account}:superaggregate {slot}"))
             for slot, sa in enumerate(spec.superaggregates)
             if sa.feeds == "tuple"
         )
         #: per slot: the group value of a group-fed superaggregate, else None
         self._group_values = tuple(
-            compile_expr(sa.value_expr, at_group) if sa.feeds == "group" else None
-            for sa in spec.superaggregates
+            compile_expr(sa.value_expr, at_group, f"{account}:superaggregate {slot}")
+            if sa.feeds == "group" else None
+            for slot, sa in enumerate(spec.superaggregates)
         )
         self._group_fed = tuple(
             (slot, value)
             for slot, value in enumerate(self._group_values)
             if value is not None
         )
-        self._cleaning_when = compile_clause(spec.cleaning_when, at_group)
-        self._cleaning_by = compile_clause(spec.cleaning_by, at_group)
-        self._having = compile_clause(spec.having, at_group)
+        self._cleaning_when = compile_clause(
+            spec.cleaning_when, at_group, f"{account}:CLEANING WHEN"
+        )
+        self._cleaning_by = compile_clause(spec.cleaning_by, at_group, f"{account}:CLEANING BY")
+        self._having = compile_clause(spec.having, at_group, f"{account}:HAVING")
         self._select = compile_tuple(
-            [item.expr for item in spec.select_items], at_group
+            [item.expr for item in spec.select_items], at_group, f"{account}:SELECT"
         )
 
         self._ctx = _Context(scalars, stateful)

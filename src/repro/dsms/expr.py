@@ -4,32 +4,35 @@ The parser builds these nodes; the analyzer classifies function calls into
 scalar functions, aggregates, superaggregates (``name$``-suffixed, paper
 §6.3) and stateful functions (paper §6.2); the operators compile them.
 
-Compile once, run per tuple: :func:`compile_expr` turns an analyzed tree
-into nested closures when an operator is built, with every column name
+Compile once, run per tuple: when an operator is built,
+:func:`compile_expr` writes an analyzed tree out as the source of one
+Python function per clause (DESIGN.md §2), with every column name
 resolved by a *binder* to the position it is read from (a record slot,
-a group-by value) and every function name and aggregate slot captured.
-It is the only implementation of scalar expression semantics;
-:func:`evaluate` is its one-shot form for tests and ad-hoc callers.
+a group-by value) and every literal, function name and aggregate node
+bound as an argument default.  It is the only implementation of scalar
+expression semantics; :func:`evaluate` is its one-shot form for tests.
 
 The sampling operator evaluates its clauses in several phases (per-tuple
 WHERE, per-supergroup CLEANING WHEN, per-group CLEANING BY / HAVING, and
 output SELECT).  What differs between phases is the binder each clause
 is compiled with (:func:`bind_input`, :func:`bind_tuple`,
-:func:`bind_group`), not the evaluator: at run time a closure takes one
+:func:`bind_group`), not the evaluator: at run time a clause takes one
 :class:`EvalContext`, reads the fields the binder pointed it at, and
 calls the context's hooks for functions and aggregates — which is where
-calls are counted for the cost model.  A context only needs the hooks for node kinds that
-can legally appear in its clauses — the analyzer enforces legality, so a
-hook that is missing at runtime is a bug, reported as
-:class:`ExecutionError`.  Closures hold no operator state, so nothing
+calls are counted for the cost model.  The analyzer enforces which node
+kinds a clause may hold, so a hook missing at run time is a bug, reported
+as :class:`ExecutionError`.  A clause holds no operator state: nothing
 compiled is ever checkpointed and ``restore()`` needs no recompilation.
 """
 
 from __future__ import annotations
 
+import linecache
 import operator
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+import threading
+import zlib
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.dsms.span import Span
 from repro.errors import ExecutionError
@@ -116,38 +119,39 @@ class BinaryOp(Expr):
         return f"({self.left} {self.op} {self.right})"
 
 
+class _Call(Expr):
+    """``name(args)``: what every kind of call node shares."""
+
+    name: str
+    args: Tuple[Expr, ...]
+
+    def children(self) -> Tuple[Expr, ...]:
+        return self.args
+
+    def __str__(self) -> str:
+        return f"{self.name}({', '.join(map(str, self.args))})"
+
+
 @dataclass(frozen=True)
-class FunctionCall(Expr):
+class FunctionCall(_Call):
     """An unclassified call, as parsed.  The analyzer rewrites these."""
 
     name: str
     args: Tuple[Expr, ...]
     span: Optional[Span] = _span_field()
 
-    def children(self) -> Tuple[Expr, ...]:
-        return self.args
-
-    def __str__(self) -> str:
-        return f"{self.name}({', '.join(map(str, self.args))})"
-
 
 @dataclass(frozen=True)
-class ScalarCall(Expr):
+class ScalarCall(_Call):
     """A call to a registered scalar function (H, UMAX, ...)."""
 
     name: str
     args: Tuple[Expr, ...]
     span: Optional[Span] = _span_field()
 
-    def children(self) -> Tuple[Expr, ...]:
-        return self.args
-
-    def __str__(self) -> str:
-        return f"{self.name}({', '.join(map(str, self.args))})"
-
 
 @dataclass(frozen=True)
-class AggregateCall(Expr):
+class AggregateCall(_Call):
     """A group aggregate: sum(len), count(*), min(x)...
 
     ``slot`` is assigned by the planner: the index of this aggregate in the
@@ -159,15 +163,9 @@ class AggregateCall(Expr):
     slot: int = -1
     span: Optional[Span] = _span_field()
 
-    def children(self) -> Tuple[Expr, ...]:
-        return self.args
-
-    def __str__(self) -> str:
-        return f"{self.name}({', '.join(map(str, self.args))})"
-
 
 @dataclass(frozen=True)
-class SuperAggregateCall(Expr):
+class SuperAggregateCall(_Call):
     """A supergroup aggregate, written ``name$(args)`` (paper §6.3)."""
 
     name: str
@@ -175,27 +173,18 @@ class SuperAggregateCall(Expr):
     slot: int = -1
     span: Optional[Span] = _span_field()
 
-    def children(self) -> Tuple[Expr, ...]:
-        return self.args
-
     def __str__(self) -> str:
         return f"{self.name}$({', '.join(map(str, self.args))})"
 
 
 @dataclass(frozen=True)
-class StatefulCall(Expr):
+class StatefulCall(_Call):
     """A call to an SFUN sharing per-supergroup state (paper §6.2)."""
 
     name: str
     state_name: str
     args: Tuple[Expr, ...]
     span: Optional[Span] = _span_field()
-
-    def children(self) -> Tuple[Expr, ...]:
-        return self.args
-
-    def __str__(self) -> str:
-        return f"{self.name}({', '.join(map(str, self.args))})"
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +196,8 @@ class EvalContext:
     """What compiled expressions read and call at evaluation time.
 
     A context carries the per-evaluation data (the operators add plain
-    attributes such as ``record`` or ``gb_values`` that positional
-    getters read) and the hooks below.  Subclasses override the hooks
+    attributes such as ``record`` or ``key`` that compiled clauses read
+    by position) and the hooks below.  Subclasses override the hooks
     relevant to their phase; the defaults raise, which surfaces analyzer
     gaps as explicit errors instead of silent Nones.  ``column`` serves
     only :func:`by_name` binding — operators bind names to positions
@@ -239,34 +228,30 @@ class EvalContext:
         raise ExecutionError(f"aggregate {node.name!r} not available in this context")
 
     def superaggregate_value(self, node: SuperAggregateCall) -> Any:
-        raise ExecutionError(
-            f"superaggregate {node.name}$ not available in this context"
-        )
+        raise ExecutionError(f"superaggregate {node.name}$ not available in this context")
 
     def call_stateful(self, node: StatefulCall, args: Sequence[Any]) -> Any:
-        raise ExecutionError(
-            f"stateful function {node.name!r} not available in this context"
-        )
+        raise ExecutionError(f"stateful function {node.name!r} not available in this context")
 
 
-#: A compiled expression (or a bound column): context in, value out.
+#: A compiled clause: context in, value out.
 Compiled = Callable[[Any], Any]
-#: Resolves a column name, once, to the getter that reads it.
-Bind = Callable[[str], Compiled]
+#: Where a binder found a column: ``(base, index)`` — read ``base[index]``, ``base`` an attribute
+#: path from ``ctx`` — or, for a name without a position, a callable of the context.
+Where = Union[Tuple[str, int], Compiled]
+#: Resolves a column name, once, to where it is read from.
+Bind = Callable[[str], Where]
 
 
-def by_name(name: str) -> Compiled:
+def by_name(name: str) -> Where:
     """The binder of last resort: ask the context's ``column`` hook."""
-    return lambda ctx: ctx.column(name)
+    return operator.methodcaller("column", name)
 
 
 def _fails(message: str) -> Compiled:
-    """What a node nothing can evaluate compiles to.
-
-    The analyzer rejects such queries, so this only runs for trees built
-    by hand; the error still belongs to the record that evaluates it,
-    not to operator construction.
-    """
+    """What a node nothing can evaluate compiles to a call of (a tree
+    built by hand: the analyzer rejects such queries).  The error belongs
+    to the record that evaluates it, not to operator construction."""
 
     def fail(ctx: Any) -> Any:
         raise ExecutionError(message)
@@ -278,11 +263,10 @@ def bind_input(schema: Any) -> Bind:
     """Names are columns of ``schema``, read from ``ctx.record`` by
     position.  GROUP BY expressions and selections bind this way."""
 
-    def bind(name: str) -> Compiled:
+    def bind(name: str) -> Where:
         if name not in schema:
             return _fails(f"column {name!r} not available in this context")
-        index = schema.index_of(name)
-        return lambda ctx: ctx.record.values[index]
+        return "ctx.record.values", schema.index_of(name)
 
     return bind
 
@@ -293,11 +277,11 @@ def bind_group(group_by_names: Sequence[str]) -> Bind:
     from ``ctx.key`` — the group-by values in scope."""
     positions = {name: i for i, name in enumerate(group_by_names)}
 
-    def bind(name: str) -> Compiled:
+    def bind(name: str) -> Where:
         index = positions.get(name)
         if index is None:
             return _fails(f"column {name!r} is not a group-by variable")
-        return lambda ctx: ctx.key[index]
+        return "ctx.key", index
 
     return bind
 
@@ -314,7 +298,7 @@ def bind_tuple(schema: Any, group_by_names: Sequence[str]) -> Bind:
     bind_key = bind_group(group_by_names)
     bind_column = bind_input(schema)
 
-    def bind(name: str) -> Compiled:
+    def bind(name: str) -> Where:
         if name in group_by_names:
             return bind_key(name)
         if name in schema:
@@ -333,72 +317,50 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Any:
     return compile_expr(expr, by_name)(ctx)
 
 
-def compile_expr(expr: Expr, bind: Bind) -> Compiled:
-    """Turn an analyzed tree into nested closures, once.
+def compile_expr(expr: Expr, bind: Bind, label: str = "expr") -> Compiled:
+    """Turn an analyzed tree into one Python function, once.
 
-    ``bind`` resolves every :class:`ColumnRef`; function names and
-    aggregate slots are captured, so evaluating the result touches no
-    AST node and looks no name up.  Semantics: division is SQL/C integer
-    division on two ints (``time/60`` must bucket, not produce floats)
-    and float division otherwise, ``bool`` counting as a number rather
-    than an int; AND/OR short-circuit; arguments evaluate left to right;
-    scalar and stateful calls go through the context hooks (which charge
-    them).  Every error is raised when the offending record is
-    evaluated, never here.
+    ``bind`` resolves every :class:`ColumnRef`, so evaluating the result
+    walks no AST, looks no name up and runs in one frame; ``label``
+    (query and clause) names it in tracebacks (:func:`_code`).
+    Semantics: division is SQL/C integer division on two ints
+    (``time/60`` must bucket, not produce floats) and float division
+    otherwise, ``bool`` counting as a number rather than an int; AND/OR
+    short-circuit; arguments evaluate left to right; scalar and stateful
+    calls go through the context hooks (which charge them).  Every error
+    is raised when the offending record is evaluated, never here.
     """
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda ctx: value
-    if isinstance(expr, ColumnRef):
-        return bind(expr.name)
-    if isinstance(expr, Star):
-        return lambda ctx: 1  # count(*) counts rows; the argument value is irrelevant
-    if isinstance(expr, UnaryOp):
-        return _compile_unary(expr, compile_expr(expr.operand, bind))
-    if isinstance(expr, BinaryOp):
-        return _compile_binary(expr, bind)
-    if isinstance(expr, ScalarCall):
-        name = expr.name
-        scalar_args = _compile_args(expr.args, bind)
-        return lambda ctx: ctx.call_scalar(name, scalar_args(ctx))
-    if isinstance(expr, AggregateCall):
-        return lambda ctx: ctx.aggregate_value(expr)
-    if isinstance(expr, SuperAggregateCall):
-        return lambda ctx: ctx.superaggregate_value(expr)
-    if isinstance(expr, StatefulCall):
-        sfun_args = _compile_args(expr.args, bind)
-        return lambda ctx: ctx.call_stateful(expr, sfun_args(ctx))
-    if isinstance(expr, FunctionCall):
-        return _fails(
-            f"unclassified function call {expr.name!r} reached evaluation;"
-            " run the analyzer before executing"
-        )
-    return _fails(f"unknown expression node {type(expr).__name__}")
+    emitter = _Emitter(bind)
+    return emitter.function(emitter.emit(expr), label)
 
 
-def compile_clause(expr: Optional[Expr], bind: Bind) -> Optional[Compiled]:
+def compile_clause(expr: Optional[Expr], bind: Bind, label: str = "expr") -> Optional[Compiled]:
     """An optional clause (WHERE, HAVING, CLEANING ...): compiled, or
     None when the query has none."""
-    return compile_expr(expr, bind) if expr is not None else None
+    return compile_expr(expr, bind, label) if expr is not None else None
 
 
-def compile_tuple(exprs: Sequence[Expr], bind: Bind) -> Callable[[Any], Tuple[Any, ...]]:
-    """Compile ``exprs`` into one closure returning their values, left
+def compile_tuple(exprs: Sequence[Expr], bind: Bind, label: str = "expr") -> Compiled:
+    """Compile ``exprs`` into one function returning their values, left
     to right, as a tuple (a group key, an output row)."""
-    return _sequence([compile_expr(expr, bind) for expr in exprs], "(", ")")
+    emitter = _Emitter(bind)
+    items = ", ".join([emitter.emit(expr) for expr in exprs])
+    return emitter.function(f"({items},)" if items else "()", label)
 
 
-def compile_update_value(node: AggregateCall, bind: Bind) -> Optional[Compiled]:
+def compile_update_value(
+    node: AggregateCall, bind: Bind, label: str = "expr"
+) -> Optional[Compiled]:
     """What one tuple feeds an aggregate: its first argument, compiled —
     or None when that is the constant 1 (``count(*)``, ``count()``)."""
     if not node.args or isinstance(node.args[0], Star):
         return None
-    return compile_expr(node.args[0], bind)
+    return compile_expr(node.args[0], bind, label)
 
 
 def pick(indices: Sequence[int]) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
     """``values -> tuple(values[i] for i in indices)``, built once (a
-    window id out of group-by values, bare columns out of a record).
+    window id, a supergroup key out of group-by values).
     ``itemgetter`` takes no fewer than one index and returns a bare
     value for exactly one, hence the two cases before it."""
     if not indices:
@@ -409,49 +371,168 @@ def pick(indices: Sequence[int]) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
     return operator.itemgetter(*indices)
 
 
-def _compile_args(args: Sequence[Expr], bind: Bind) -> Callable[[Any], List[Any]]:
-    """Argument list of a call: a fresh list per evaluation."""
-    return _sequence([compile_expr(arg, bind) for arg in args], "[", "]")
+class _Emitter:
+    """Writes one clause as the body of ``def run(ctx, k0=k0, ...)``.
 
-
-def _sequence(fns: Sequence[Compiled], opening: str, closing: str) -> Compiled:
-    """``lambda ctx: (f0(ctx), f1(ctx), ...)`` for any number of ``fns``
-    (or ``[...]``), written out as one display expression.
-
-    The comprehension ``[fn(ctx) for fn in fns]`` means the same, but
-    before Python 3.12 it runs in a frame of its own per evaluation, and
-    group keys and call arguments are built for every record: on the
-    ledger's ``ss_steady`` it reads 125k rec/s against 141k for this
-    (80.2 against 77.2 calls/record).
+    One statement per evaluation that can raise or call out — a column
+    read, an operator, a hook call — in the order a tree walk makes
+    them, each leaving a local (``t1``, ``t2`` ...): a ``try`` wraps one
+    operator and nothing else, so a ``TypeError`` out of a hook
+    propagates as it is.  Nothing from the query text is written into
+    the source, only positions and the names made up here: literals,
+    function names and the nodes that hooks and error messages want are
+    the default arguments ``k0``, ``k1`` ... (they load as locals).
     """
-    names = {f"f{i}": fn for i, fn in enumerate(fns)}
-    items = "".join(f"{name}(ctx), " for name in names)
-    return eval(f"lambda ctx: {opening}{items}{closing}", names)
+
+    def __init__(self, bind: Bind) -> None:
+        self.bind = bind
+        self.lines: List[str] = []
+        self.consts: List[Any] = []
+        self.locals = 0
+        self.depth = 1
+        #: the base loaded into ``b`` on entry; None until the first read
+        self.hoisted: Optional[str] = None
+
+    def const(self, value: Any) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    def assign(self, source: str, error: Optional[str] = None) -> str:
+        """``tN = source`` as the next statement; with ``error``, alone
+        under a ``try`` that raises it in place of a ``TypeError``."""
+        self.locals += 1
+        name = f"t{self.locals}"
+        if error is None:
+            self.line(f"{name} = {source}")
+        else:
+            self.line("try:")
+            self.line(f"    {name} = {source}")
+            self.line("except TypeError:")
+            self.line(f"    raise {error} from None")
+        return name
+
+    def fail(self, message: str) -> str:
+        return self.assign(f"{self.const(_fails(message))}(ctx)")
+
+    def emit(self, expr: Expr) -> str:
+        """Write what evaluates ``expr``; the name that then holds it."""
+        if isinstance(expr, Literal):
+            return self.const(expr.value)
+        if isinstance(expr, Star):
+            return self.const(1)  # count(*) counts rows; the argument value is irrelevant
+        if isinstance(expr, ColumnRef):
+            return self.read(self.bind(expr.name))
+        if isinstance(expr, UnaryOp):
+            return self.unary(expr)
+        if isinstance(expr, BinaryOp):
+            return self.logic(expr) if expr.op in ("AND", "OR") else self.binary(expr)
+        if isinstance(expr, ScalarCall):
+            return self.call("call_scalar", expr.name, expr.args)
+        if isinstance(expr, StatefulCall):
+            return self.call("call_stateful", expr, expr.args)
+        if isinstance(expr, AggregateCall):
+            return self.assign(f"ctx.aggregate_value({self.const(expr)})")
+        if isinstance(expr, SuperAggregateCall):
+            return self.assign(f"ctx.superaggregate_value({self.const(expr)})")
+        if isinstance(expr, FunctionCall):
+            return self.fail(
+                f"unclassified function call {expr.name!r} reached evaluation;"
+                " run the analyzer before executing"
+            )
+        return self.fail(f"unknown expression node {type(expr).__name__}")
+
+    def call(self, hook: str, callee: Any, args: Sequence[Expr]) -> str:
+        items = ", ".join([self.emit(arg) for arg in args])  # a fresh list per evaluation
+        return self.assign(f"ctx.{hook}({self.const(callee)}, [{items}])")
+
+    def read(self, where: Where) -> str:
+        if not isinstance(where, tuple):
+            return self.assign(f"{self.const(where)}(ctx)")
+        base, index = where
+        if self.hoisted is None:
+            # Loading ``base`` on entry is the same AttributeError at the
+            # same moment only when the clause's first evaluation reads
+            # it: not from under an AND / OR arm, not after a hook call.
+            self.hoisted = "" if self.lines else base
+        return self.assign(f"{'b' if base == self.hoisted else base}[{index}]")
+
+    def unary(self, expr: UnaryOp) -> str:
+        value = self.emit(expr.operand)
+        if expr.op == "NOT":
+            return self.assign(f"not {value}")
+        if expr.op == "-":
+            return self.assign(f"-{value}", f"_type_error({self.const(expr)}, {value})")
+        return self.fail(f"unknown unary operator {expr.op!r}")
+
+    def binary(self, expr: BinaryOp) -> str:
+        op, left, right = expr.op, self.emit(expr.left), self.emit(expr.right)
+        if op in _INFIX:
+            source = f"{left} {_INFIX[op]} {right}"
+        elif op in _SPANNED:
+            source = f"{self.const(_SPANNED[op](expr))}({left}, {right})"
+            divisor = expr.right.value if isinstance(expr.right, Literal) else None
+            if op == "/" and type(divisor) is int and divisor != 0:
+                # ``time / 60``: no call when the column holds an int.
+                source = f"{left} // {right} if type({left}) is int else {source}"
+        else:
+            return self.fail(f"unknown binary operator {op!r}")
+        return self.assign(source, f"_type_error({self.const(expr)}, {left}, {right})")
+
+    def logic(self, expr: BinaryOp) -> str:
+        """Short-circuit: the right operand's statements sit under an ``if``
+        on the left's truth (``True if a else False``, not ``bool(a)``: no
+        call).  ``a AND b AND c`` parses left-nested, so its blocks follow
+        one another; operands parenthesised to the right do nest, and the
+        parser's limit stops them inside the tokenizer's 100 levels."""
+        result = self.emit(expr.left)
+        if not (isinstance(expr.left, BinaryOp) and expr.left.op in ("AND", "OR")):
+            result = self.assign(f"True if {result} else False")
+        self.line(f"if {result}:" if expr.op == "AND" else f"if not {result}:")
+        self.depth += 1
+        value = self.emit(expr.right)
+        self.line(f"{result} = True if {value} else False")
+        self.depth -= 1
+        return result
+
+    def function(self, result: str, label: str) -> Compiled:
+        names = [f"k{i}" for i in range(len(self.consts))]
+        head = [f"def run(ctx{''.join(f', {k}={k}' for k in names)}):"]
+        if self.hoisted:
+            head.append(f"    b = {self.hoisted}")
+        source = "\n".join(head + self.lines + [f"    return {result}", ""])
+        namespace = dict(zip(names, self.consts), __name__=__name__, _type_error=_type_error)
+        exec(_code(source, label), namespace)
+        return namespace["run"]
 
 
-def _compile_unary(expr: UnaryOp, operand: Compiled) -> Compiled:
-    if expr.op == "NOT":
-        return lambda ctx: not operand(ctx)
-    if expr.op == "-":
+#: (file name, source) -> code object, oldest first: shards, replicas and
+#: re-registrations compile the same text under the same name again.  Bounded,
+#: so an unregistered query's source does not stay for the life of a server.
+_CODE: Dict[Tuple[str, str], Any] = {}
+_CODE_LIMIT = 512
+_CODE_LOCK = threading.Lock()
 
-        def negate(ctx: Any) -> Any:
-            value = operand(ctx)
-            try:
-                return -value
-            except TypeError:
-                raise ExecutionError(
-                    f"cannot evaluate {expr}: unsupported operand type for"
-                    f" '-' ({type(value).__name__})",
-                    span=expr.span,
-                ) from None
 
-        return negate
-
-    def unknown(ctx: Any) -> Any:
-        operand(ctx)
-        raise ExecutionError(f"unknown unary operator {expr.op!r}")
-
-    return unknown
+def _code(source: str, label: str) -> Any:
+    """``source`` compiled under the file name ``<gsql:LABEL:DIGEST>``,
+    which ``linecache`` knows: a traceback through a generated clause
+    shows the generated line, and ``inspect.getsource`` prints the
+    clause.  The digest keeps two texts of one label apart."""
+    filename = f"<gsql:{label}:{zlib.crc32(source.encode()):08x}>"
+    key = (filename, source)
+    with _CODE_LOCK:
+        code = _CODE.get(key)
+        if code is None:
+            code = _CODE[key] = compile(source, filename, "exec")
+            linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+            if len(_CODE) > _CODE_LIMIT:
+                oldest = next(iter(_CODE))
+                del _CODE[oldest]
+                linecache.cache.pop(oldest[0], None)
+    return code
 
 
 def _is_integer(value: Any) -> bool:
@@ -467,9 +548,8 @@ def _is_integer(value: Any) -> bool:
 
 def _divider(expr: BinaryOp) -> Callable[[Any, Any], Any]:
     def divide(left: Any, right: Any) -> Any:
-        # Exact ints first: the common case (``time/60``) without the
-        # subclass-aware test below (ss_steady: 6.0 fewer calls/record,
-        # 139k -> 144k rec/s).
+        # Exact ints first: the common case, without the two calls of the
+        # subclass-aware test.
         if (type(left) is int and type(right) is int) or (
             _is_integer(left) and _is_integer(right)
         ):
@@ -511,6 +591,10 @@ _PLAIN: dict = {
 }
 
 
+#: The same operators as generated source spells them.
+_INFIX: dict = {op: {"=": "==", "<>": "!="}.get(op, op) for op in _PLAIN}
+
+
 def binary_function(expr: BinaryOp) -> Callable[[Any, Any], Any]:
     """``(left, right) -> value`` of one arithmetic or comparison node:
     the scalar semantics, for whoever applies them outside a compiled
@@ -528,64 +612,22 @@ def binary_function(expr: BinaryOp) -> Callable[[Any, Any], Any]:
         try:
             return apply(left, right)
         except TypeError:
-            raise _type_error(op, left, right, expr) from None
+            raise _type_error(expr, left, right) from None
 
     return run
 
 
-def _compile_binary(expr: BinaryOp, bind: Bind) -> Compiled:
-    op = expr.op
-    left = compile_expr(expr.left, bind)
-    right = compile_expr(expr.right, bind)
-    if op == "AND":
-        return lambda ctx: bool(left(ctx)) and bool(right(ctx))
-    if op == "OR":
-        return lambda ctx: bool(left(ctx)) or bool(right(ctx))
-    apply = _SPANNED[op](expr) if op in _SPANNED else _PLAIN.get(op)
-    if apply is None:
-
-        def unknown(ctx: Any) -> Any:
-            left(ctx)
-            right(ctx)
-            raise ExecutionError(f"unknown binary operator {op!r}")
-
-        return unknown
-
-    if isinstance(expr.right, Literal):
-        # ``len > 100``, ``time / 60``: the literal is captured, not
-        # called (ss_steady: 2.8 fewer calls/record, 138k -> 144k rec/s).
-        const = expr.right.value
-
-        def run_const(ctx: Any) -> Any:
-            a = left(ctx)
-            try:
-                return apply(a, const)
-            except TypeError:
-                raise _type_error(op, a, const, expr) from None
-
-        return run_const
-
-    def run(ctx: Any) -> Any:
-        a = left(ctx)
-        b = right(ctx)
-        try:
-            return apply(a, b)
-        except TypeError:
-            raise _type_error(op, a, b, expr) from None
-
-    return run
-
-
-def _type_error(op: str, left: Any, right: Any, expr: BinaryOp) -> ExecutionError:
+def _type_error(expr: Any, *operands: Any) -> ExecutionError:
     """A mixed-type operand failure as a span-carrying ExecutionError.
 
     Without this, ``srcIP > 100`` on a string column escapes as a raw
     ``TypeError`` traceback from deep inside the operator instead of a
     diagnostic that names the expression and its source position.
     """
+    types = " and ".join(type(value).__name__ for value in operands)
+    kind = "types" if len(operands) > 1 else "type"
     return ExecutionError(
-        f"cannot evaluate {expr}: unsupported operand types for {op!r}"
-        f" ({type(left).__name__} and {type(right).__name__})",
+        f"cannot evaluate {expr}: unsupported operand {kind} for {expr.op!r} ({types})",
         span=expr.span,
     )
 
@@ -616,18 +658,11 @@ def free_column_names(expr: Expr) -> List[str]:
     time, so the columns inside them are bound to the input stream rather
     than the clause's own context; clause-legality checks must skip them.
     """
-    names: List[str] = []
-
-    def visit(node: Expr) -> None:
-        if isinstance(node, AggregateCall):
-            return
-        if isinstance(node, ColumnRef):
-            names.append(node.name)
-        for child in node.children():
-            visit(child)
-
-    visit(expr)
-    return names
+    if isinstance(expr, AggregateCall):
+        return []
+    if isinstance(expr, ColumnRef):
+        return [expr.name]
+    return [name for child in expr.children() for name in free_column_names(child)]
 
 
 def rewrite(expr: Expr, fn: Callable[[Expr], Optional[Expr]]) -> Expr:
@@ -637,34 +672,11 @@ def rewrite(expr: Expr, fn: Callable[[Expr], Optional[Expr]]) -> Expr:
     rebuilt) node.  Dataclass frozen-ness means rebuilds create new nodes.
     """
     if isinstance(expr, UnaryOp):
-        rebuilt: Expr = UnaryOp(expr.op, rewrite(expr.operand, fn), span=expr.span)
+        rebuilt: Expr = replace(expr, operand=rewrite(expr.operand, fn))
     elif isinstance(expr, BinaryOp):
-        rebuilt = BinaryOp(
-            expr.op, rewrite(expr.left, fn), rewrite(expr.right, fn), span=expr.span
-        )
-    elif isinstance(expr, FunctionCall):
-        rebuilt = FunctionCall(
-            expr.name, tuple(rewrite(a, fn) for a in expr.args), span=expr.span
-        )
-    elif isinstance(expr, ScalarCall):
-        rebuilt = ScalarCall(
-            expr.name, tuple(rewrite(a, fn) for a in expr.args), span=expr.span
-        )
-    elif isinstance(expr, AggregateCall):
-        rebuilt = AggregateCall(
-            expr.name, tuple(rewrite(a, fn) for a in expr.args), expr.slot,
-            span=expr.span,
-        )
-    elif isinstance(expr, SuperAggregateCall):
-        rebuilt = SuperAggregateCall(
-            expr.name, tuple(rewrite(a, fn) for a in expr.args), expr.slot,
-            span=expr.span,
-        )
-    elif isinstance(expr, StatefulCall):
-        rebuilt = StatefulCall(
-            expr.name, expr.state_name, tuple(rewrite(a, fn) for a in expr.args),
-            span=expr.span,
-        )
+        rebuilt = replace(expr, left=rewrite(expr.left, fn), right=rewrite(expr.right, fn))
+    elif isinstance(expr, _Call):
+        rebuilt = replace(expr, args=tuple(rewrite(arg, fn) for arg in expr.args))
     else:
         rebuilt = expr
     replacement = fn(rebuilt)

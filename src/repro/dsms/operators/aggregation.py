@@ -93,16 +93,21 @@ class AggregationOperator(Operator):
         at_tuple = bind_tuple(analyzed.schema, names)
         at_group = bind_group(names)
         self._group_key = compile_tuple(
-            [item.expr for item in analyzed.group_by], bind_input(analyzed.schema)
+            [item.expr for item in analyzed.group_by],
+            bind_input(analyzed.schema),
+            f"{account}:GROUP BY",
         )
         self._window_of = pick(self._ordered_indices)
-        self._where = compile_clause(ast.where, at_tuple)
+        self._where = compile_clause(ast.where, at_tuple, f"{account}:WHERE")
         self._aggregate_names = tuple(node.name for node in analyzed.aggregates)
         self._aggregate_args = tuple(
-            compile_update_value(node, at_tuple) for node in analyzed.aggregates
+            compile_update_value(node, at_tuple, f"{account}:aggregate {node.slot}")
+            for node in analyzed.aggregates
         )
-        self._having = compile_clause(ast.having, at_group)
-        self._select = compile_tuple([item.expr for item in ast.select], at_group)
+        self._having = compile_clause(ast.having, at_group, f"{account}:HAVING")
+        self._select = compile_tuple(
+            [item.expr for item in ast.select], at_group, f"{account}:SELECT"
+        )
 
         self._ctx = _AggContext(scalars)
         self._default_obs(account)

@@ -9,18 +9,15 @@ operator" (§7.2) and how low-level prefilter queries work (Fig 6).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.expr import (
-    ColumnRef,
-    Compiled,
     EvalContext,
     StatefulCall,
     bind_input,
     compile_clause,
     compile_tuple,
-    pick,
 )
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.operators.base import Operator
@@ -58,8 +55,8 @@ class SelectionOperator(Operator):
     """Plain WHERE + SELECT over a stream.
 
     WHERE and the SELECT list are compiled against the plan-time input
-    schema when the operator is built; a record costs two closure calls
-    plus whatever the expressions themselves do.
+    schema when the operator is built; a record costs one call per
+    clause plus whatever hooks the expressions call.
     """
 
     kind_label = "selection"
@@ -77,7 +74,11 @@ class SelectionOperator(Operator):
         self._cost = cost_model
         self._account = account
         self._ctx = _SelectionContext(scalars)
-        self._where, self._select = _compile_clauses(analyzed)
+        bind = bind_input(analyzed.schema)
+        self._where = compile_clause(analyzed.ast.where, bind, f"{account}:WHERE")
+        self._select = compile_tuple(
+            [item.expr for item in analyzed.ast.select], bind, f"{account}:SELECT"
+        )
         self._forwards = False
         self._default_obs(account)
 
@@ -120,23 +121,6 @@ class SelectionOperator(Operator):
             self.m_filtered.inc(n_filtered)
             self.m_rows_out.inc(len(out) - before)
         return out
-
-
-def _compile_clauses(
-    analyzed: AnalyzedQuery,
-) -> Tuple[Optional[Compiled], Callable[[Any], Tuple[Any, ...]]]:
-    """WHERE (or None) and the SELECT list of a selection, compiled."""
-    schema = analyzed.schema
-    bind = bind_input(schema)
-    exprs = [item.expr for item in analyzed.ast.select]
-    if all(isinstance(e, ColumnRef) and e.name in schema for e in exprs):
-        # A projection of bare columns is one itemgetter over the record,
-        # not a call per column.
-        columns = pick([schema.index_of(e.name) for e in exprs])
-        select = lambda ctx: columns(ctx.record.values)  # noqa: E731
-    else:
-        select = compile_tuple(exprs, bind)
-    return compile_clause(analyzed.ast.where, bind), select
 
 
 class StatefulSelectionOperator(SelectionOperator):

@@ -20,11 +20,16 @@ Grammar (clauses in this order, bracketed ones optional)::
     unary      := '-' unary | primary
     primary    := NUMBER | STRING | TRUE | FALSE | '(' expr ')'
                 | ident '(' [arglist] ')' | ident | '*'   (inside arglists)
+
+An expression nests at most :data:`MAX_EXPRESSION_DEPTH` levels, or it is
+a :class:`ParseError`: of parentheses, NOT, minus and call arguments on
+the way down (this parser recurses per level) and of operators in the tree
+it returns (the analyzer, the linter and the clause compiler recurse per node).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ParseError
 from repro.dsms.expr import (
@@ -42,11 +47,16 @@ from repro.dsms.span import Span
 
 _COMPARISON_OPS = ("=", "<>", "!=", "<=", ">=", "<", ">")
 
+#: Nine parser frames a level and a few per node downstream stay far inside the
+#: recursion limit, a compiled clause inside the tokenizer's 100 indentation levels.
+MAX_EXPRESSION_DEPTH = 64
+
 
 class _Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._nesting = 0
 
     # -- token helpers -------------------------------------------------------
 
@@ -202,7 +212,24 @@ class _Parser:
     # -- expressions -----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        return self._parse_or()
+        """One clause-level expression, its tree no deeper than the limit."""
+        expr = self._parse_or()
+        level = [expr]  # the nodes 0, 1, 2 ... operators below the root
+        for _ in range(MAX_EXPRESSION_DEPTH + 1):
+            level = [child for node in level for child in node.children()]
+            if not level:
+                return expr
+        raise _too_deep(level[0].span)
+
+    def _parse_nested(self, opening: Token, parse: Callable[[], Any]) -> Any:
+        """``parse`` run one level below ``opening`` (a parenthesis, NOT, a minus sign)."""
+        if self._nesting == MAX_EXPRESSION_DEPTH:
+            raise _too_deep(opening.span)
+        self._nesting += 1
+        try:
+            return parse()
+        finally:
+            self._nesting -= 1
 
     def _parse_or(self) -> Expr:
         left = self._parse_and()
@@ -221,7 +248,8 @@ class _Parser:
     def _parse_not(self) -> Expr:
         if self._current.is_keyword("NOT"):
             op_token = self._advance()
-            return UnaryOp("NOT", self._parse_not(), span=op_token.span)
+            operand = self._parse_nested(op_token, self._parse_not)
+            return UnaryOp("NOT", operand, span=op_token.span)
         return self._parse_comparison()
 
     def _parse_comparison(self) -> Expr:
@@ -260,7 +288,8 @@ class _Parser:
     def _parse_unary(self) -> Expr:
         token = self._current
         if self._accept_op("-"):
-            return UnaryOp("-", self._parse_unary(), span=token.span)
+            operand = self._parse_nested(token, self._parse_unary)
+            return UnaryOp("-", operand, span=token.span)
         return self._parse_primary()
 
     def _parse_primary(self) -> Expr:
@@ -278,13 +307,13 @@ class _Parser:
             self._advance()
             return Literal(False, span=token.span)
         if self._accept_op("("):
-            inner = self.parse_expr()
+            inner = self._parse_nested(token, self._parse_or)
             self._expect_op(")")
             return inner
         if token.type is TokenType.IDENT:
             self._advance()
             if self._accept_op("("):
-                args = self._parse_arglist()
+                args = self._parse_nested(token, self._parse_arglist)
                 self._expect_op(")")
                 return FunctionCall(token.value, tuple(args), span=token.span)
             if token.value.endswith("$"):
@@ -310,7 +339,12 @@ class _Parser:
         if token.type is TokenType.OP and token.value == "*":
             self._advance()
             return Star(span=token.span)
-        return self.parse_expr()
+        return self._parse_or()
+
+
+def _too_deep(span: Span) -> ParseError:
+    message = f"expression nests deeper than {MAX_EXPRESSION_DEPTH} levels"
+    return ParseError(f"{message} (line {span.line}, col {span.col})", span.line, span.col)
 
 
 def parse_query(text: str) -> QueryAst:

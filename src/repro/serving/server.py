@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.errors import ExecutionError, PlanningError
+from repro.errors import ExecutionError, QueryError
 from repro.dsms.durability import (
     ResultJournal,
     batches,
@@ -1339,7 +1339,7 @@ class QueryServer:
             return self._error("404 Not Found", "unknown_query", str(exc))
         except ServingUnavailableError as exc:
             return self._error("503 Service Unavailable", "draining", str(exc))
-        except (ExecutionError, PlanningError, ValueError) as exc:
+        except (ExecutionError, QueryError, ValueError) as exc:
             return self._error("400 Bad Request", "rejected", str(exc))
         except Exception as exc:  # never kill the connection handler
             return self._error(

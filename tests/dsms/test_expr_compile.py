@@ -1,12 +1,19 @@
 """``compile_expr`` against the naive reference interpreter.
 
 The interpreter in ``_naive_eval.py`` is the oracle: for any tree, the
-compiled closure must produce the same value of the same type after the
-same sequence of function calls, or fail with the same error.  The unit
-tests below it pin what binding by position adds on top.
+compiled function must produce the same value of the same type after the
+same sequence of function calls, or fail with the same error — under
+each of the four binders, and item by item for a tuple or an argument
+list.  The unit tests below pin what generating source adds on top: a
+query's text never reaches it, and every tree the parser admits
+compiles.
 """
 
+import inspect
+import linecache
 import sys
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,13 +36,18 @@ from repro.dsms.expr import (
     StatefulCall,
     SuperAggregateCall,
     UnaryOp,
+    bind_group,
     bind_input,
+    bind_tuple,
     by_name,
     compile_expr,
+    compile_tuple,
 )
+from repro.dsms.parser.parser import MAX_EXPRESSION_DEPTH, parse_expression
 from repro.dsms.runtime import Gigascope
 from repro.dsms.span import Span
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ParseError
+from repro.serving.server import StandingQueryEngine
 from repro.streams.records import Record
 from repro.streams.schema import TCP_SCHEMA, Attribute, StreamSchema
 from repro.streams.traces import TraceConfig, data_center_feed
@@ -50,6 +62,49 @@ RECORDS = [
     Record(SCHEMA, (7, 0, 2.5, True, "abc", None)),
     Record(SCHEMA, (-3, 0, float("nan"), False, "", None)),
     Record(SCHEMA, (10**12, 0, -0.0, True, "7", None)),
+    Record(SCHEMA, (1, 0, 0.5, False, "torn", None)),
+]
+# ... and one cut short behind the constructor's back, as an unvalidated
+# source can deliver it: reading ``b``, ``s`` or ``n`` is an IndexError,
+# which makes *when* a column is read part of the outcome.
+RECORDS[-1].values = RECORDS[-1].values[:3]
+
+
+#: group-by names in scope at group time; ``i`` shadows the input column
+GROUP = ("g", "i")
+KEY = ("grp", 42)
+
+
+def _column_of_record(ctx, name):
+    return ctx.record[name]
+
+
+def _column_of_input(ctx, name):
+    if name not in SCHEMA:
+        raise ExecutionError(f"column {name!r} not available in this context")
+    return ctx.record[name]
+
+
+def _column_of_group(ctx, name):
+    if name not in GROUP:
+        raise ExecutionError(f"column {name!r} is not a group-by variable")
+    return ctx.key[GROUP.index(name)]
+
+
+def _column_of_tuple(ctx, name):
+    if name in GROUP:
+        return ctx.key[GROUP.index(name)]
+    if name not in SCHEMA:
+        raise ExecutionError(f"column {name!r} not available at WHERE time")
+    return ctx.record[name]
+
+
+#: (binder, what the oracle's by-name lookup must do to mean the same)
+BINDERS = [
+    (by_name, _column_of_record),
+    (bind_input(SCHEMA), _column_of_input),
+    (bind_group(GROUP), _column_of_group),
+    (bind_tuple(SCHEMA, GROUP), _column_of_tuple),
 ]
 
 
@@ -57,12 +112,14 @@ class LoggingContext(EvalContext):
     """Stub hooks that record every call, in order, with its arguments
     (as ``repr``: a computed NaN argument must equal itself)."""
 
-    def __init__(self, record):
+    def __init__(self, record, column=_column_of_record):
         self.record = record
+        self.key = KEY
         self.log = []
+        self._column = column
 
     def column(self, name):
-        return self.record[name]
+        return self._column(self, name)
 
     def call_scalar(self, name, args):
         self.log.append(("scalar", name, repr(list(args))))
@@ -93,7 +150,7 @@ literals = st.builds(
 )
 leaves = st.one_of(
     literals,
-    st.builds(ColumnRef, st.sampled_from(SCHEMA.names)),
+    st.builds(ColumnRef, st.sampled_from(SCHEMA.names + ("g", "missing"))),
     st.just(Star()),
     st.builds(AggregateCall, st.just("sum"), st.just(()), st.integers(0, 2)),
     st.builds(SuperAggregateCall, st.just("count_distinct"), st.just(()), st.integers(0, 1)),
@@ -124,18 +181,48 @@ def _outcome(run, ctx):
     except Exception as error:  # e.g. OverflowError: must match too
         return (type(error).__name__, str(error)), ctx.log
     # repr, not ==: NaN equals itself here, and -0.0 differs from 0.0
-    return ("value", type(value), repr(value)), ctx.log
+    types = [type(item) for item in value] if type(value) is tuple else type(value)
+    return ("value", types, repr(value)), ctx.log
 
 
 @settings(max_examples=400, deadline=None)
-@given(trees, st.sampled_from(RECORDS))
-def test_compiled_equals_naive(tree, record):
-    want = _outcome(lambda ctx: naive_evaluate(tree, ctx), LoggingContext(record))
-    for bind in (by_name, bind_input(SCHEMA)):
-        compiled = compile_expr(tree, bind)
-        assert _outcome(compiled, LoggingContext(record)) == want
-        # a compiled closure carries nothing over from one call to the next
-        assert _outcome(compiled, LoggingContext(record)) == want
+@given(trees, st.sampled_from(RECORDS), st.sampled_from(BINDERS))
+def test_compiled_equals_naive(tree, record, binder):
+    bind, column = binder
+    want = _outcome(
+        lambda ctx: naive_evaluate(tree, ctx), LoggingContext(record, column)
+    )
+    compiled = compile_expr(tree, bind)
+    assert _outcome(compiled, LoggingContext(record, column)) == want
+    # a compiled function carries nothing over from one call to the next
+    assert _outcome(compiled, LoggingContext(record, column)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(trees, max_size=5),
+    st.sampled_from(RECORDS),
+    st.sampled_from(BINDERS),
+)
+def test_items_evaluate_left_to_right(items, record, binder):
+    """A tuple and an argument list are their items, in order: an error
+    in item *k* comes after the hook calls of the items before it."""
+    bind, column = binder
+    want = _outcome(
+        lambda ctx: tuple([naive_evaluate(item, ctx) for item in items]),
+        LoggingContext(record, column),
+    )
+    compiled = compile_tuple(items, bind)
+    assert _outcome(compiled, LoggingContext(record, column)) == want
+    for call in (
+        ScalarCall("first", tuple(items)),
+        StatefulCall("flip", "flip_state", tuple(items)),
+    ):
+        want = _outcome(
+            lambda ctx: naive_evaluate(call, ctx), LoggingContext(record, column)
+        )
+        compiled = compile_expr(call, bind)
+        assert _outcome(compiled, LoggingContext(record, column)) == want
 
 
 def test_errors_belong_to_evaluation_not_compilation():
@@ -151,6 +238,119 @@ def test_errors_belong_to_evaluation_not_compilation():
     for bomb in bombs:
         guarded = BinaryOp("AND", Literal(False), bomb)
         assert compile_expr(guarded, bind_input(SCHEMA))(LoggingContext(RECORDS[0])) is False
+
+
+def test_a_base_is_loaded_once_only_where_the_first_read_fails_alike():
+    """``b = ctx.record.values`` ahead of everything is the same error at
+    the same moment only when the first thing the clause evaluates reads
+    a column: not under an AND / OR arm, not after a hook call."""
+    bind = bind_input(SCHEMA)
+    twice = BinaryOp("+", ColumnRef("i"), ColumnRef("i"))
+    hoisted = compile_expr(twice, bind)
+    assert "b = ctx.record.values" in inspect.getsource(hoisted)
+    with pytest.raises(AttributeError):
+        hoisted(LoggingContext(None))
+
+    guarded = BinaryOp("AND", Literal(False), twice)
+    assert compile_expr(guarded, bind)(LoggingContext(None)) is False
+
+    late = BinaryOp("+", ScalarCall("first", (Literal(1),)), twice)
+    ctx = LoggingContext(None)
+    with pytest.raises(AttributeError):
+        compile_expr(late, bind)(ctx)
+    assert ctx.log == [("scalar", "first", "[1]")]
+
+
+# -- source generation ---------------------------------------------------------
+
+HOSTILE = [
+    "'); import os; os._exit(9) #",
+    '"""); raise SystemExit #',
+    "\\",
+    "a\\'; raise SystemExit('\\",
+    "nul\x00byte",
+    "{0} {ctx} %s",
+]
+
+
+def _generated_sources():
+    return [
+        "".join(entry[2])
+        for name, entry in linecache.cache.items()
+        if name.startswith("<gsql:")
+    ]
+
+
+@pytest.mark.parametrize("text", HOSTILE)
+def test_query_text_is_data_never_source(text):
+    """A literal from the network reaches the generated function through
+    its arguments: it evaluates as data, comes back unchanged, and appears
+    in no generated line.  An alias is an identifier, so the hostile ones
+    are the emitter's own names."""
+    quote = '"' if "'" in text else "'"
+    sql = (
+        f"SELECT len AS k0, {quote}{text}{quote} AS t1, srcIP AS ctx, time AS b"
+        f" FROM TCP WHERE {quote}{text}{quote} = {quote}{text}{quote} AND len > 0"
+    )
+    packet = Record.from_mapping(TCP_SCHEMA, {"time": 3, "srcIP": 9, "len": 40})
+
+    gs = Gigascope()
+    gs.register_stream(TCP_SCHEMA)
+    gs.add_query(sql, name="hostile")
+    gs.run([packet])
+    assert _rows(gs, "hostile") == [(40, text, 9, 3)]
+
+    def instance():
+        served = Gigascope()
+        served.register_stream(TCP_SCHEMA)
+        return served
+
+    engine = StandingQueryEngine(instance)
+    sq = engine.register(sql, name="hostile")
+    engine.feed([packet])
+    assert [row.values for row in sq.results] == [(40, text, 9, 3)]
+
+    sources = _generated_sources()
+    assert sources and not any(text in source for source in sources)
+    # ... and a hand-built tree may hold what the lexer refuses: a newline
+    line_break = Literal("\n    raise SystemExit")
+    compiled = compile_expr(BinaryOp("+", line_break, Literal(text)), by_name)
+    assert compiled(LoggingContext(RECORDS[0])) == line_break.value + text
+    assert "SystemExit" not in inspect.getsource(compiled)
+
+
+def _nested(op, depth, side):
+    """``x op (x op (...))`` or ``((...) op x) op x``, ``depth`` operators."""
+    text = "i"
+    for _ in range(depth):
+        text = f"i {op} ({text})" if side == "right" else f"({text}) {op} i"
+    return text
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("op", ["AND", "OR", "+", "-"])
+def test_every_tree_the_parser_admits_compiles(op, side):
+    """At the parser's nesting limit a chain compiles (the tokenizer's
+    100 indentation levels are further out than the limit) and agrees
+    with the oracle; one operator more is the parser's error."""
+    tree = parse_expression(_nested(op, MAX_EXPRESSION_DEPTH, side))
+    for record in RECORDS[:3]:
+        want = _outcome(lambda ctx: naive_evaluate(tree, ctx), LoggingContext(record))
+        for bind in (by_name, bind_input(SCHEMA)):
+            assert _outcome(compile_expr(tree, bind), LoggingContext(record)) == want
+    with pytest.raises(ParseError, match="nests deeper than 64 levels"):
+        parse_expression(_nested(op, MAX_EXPRESSION_DEPTH + 1, side))
+
+
+def test_alternating_operators_nest_to_the_limit():
+    """AND under OR under AND ...: the one shape whose blocks do nest."""
+    text = "i > 0"
+    for level in range(MAX_EXPRESSION_DEPTH - 1):
+        text = f"z = 0 {('AND', 'OR')[level % 2]} ({text})"
+    tree = parse_expression(text)
+    want = _outcome(lambda ctx: naive_evaluate(tree, ctx), LoggingContext(RECORDS[0]))
+    compiled = compile_expr(tree, bind_input(SCHEMA))
+    assert _outcome(compiled, LoggingContext(RECORDS[0])) == want
 
 
 # -- binding by position --------------------------------------------------------
@@ -224,12 +424,15 @@ def test_subset_sum_python_calls_per_record():
     per record.  The count is exact and repeats, so it moves only when
     the per-record code path does: 262 with the tree-walking evaluator,
     107.9 compiled but handed from node to node a record at a time, 76.5
-    once operators took runs, 63.5 now that admission, the ring and the
-    pass-through feeder take them too (these 4 000 records are the
-    insert-heavy head of the stream; the perf ledger's 24 000 read 36.8).
+    once operators took runs, 63.5 once admission, the ring and the
+    pass-through feeder took them too, 43.1 now that a clause is one
+    generated function instead of a closure per AST node (these 4 000
+    records are the insert-heavy head of the stream; the perf ledger's
+    24 000 read 22.3).
     What trips the bound now is two calls per record: a per-record
     admission hop (``_admit_payload``, a ``ring.push``) or the feeder
-    re-wrapping each tuple in a new ``Record`` coming back — as well as
+    re-wrapping each tuple in a new ``Record`` coming back, a call per
+    operand or per column read coming back into the clauses — as well as
     a per-record ``cost.charge`` or ``Counter.inc``, a dispatch hop
     between nodes, a tree walk or a by-name column lookup."""
     records = 4000
@@ -251,4 +454,4 @@ def test_subset_sum_python_calls_per_record():
     finally:
         sys.setprofile(previous)
     assert gs.results("ss")
-    assert calls[0] / records <= 65
+    assert calls[0] / records <= 45

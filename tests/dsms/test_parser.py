@@ -11,7 +11,11 @@ from repro.dsms.expr import (
     Star,
     UnaryOp,
 )
-from repro.dsms.parser.parser import parse_expression, parse_query
+from repro.dsms.parser.parser import (
+    MAX_EXPRESSION_DEPTH,
+    parse_expression,
+    parse_query,
+)
 from repro.algorithms.bindings import (
     HEAVY_HITTERS_QUERY,
     MIN_HASH_QUERY,
@@ -168,3 +172,41 @@ class TestExpressions:
         expr = parse_expression("time/60")
         assert isinstance(expr, BinaryOp) and expr.op == "/"
         assert expr.left == ColumnRef("time")
+
+
+class TestNestingLimit:
+    """One limit, the parser's: its own recursion (parentheses, NOT,
+    minus, call arguments) and the height of the tree it hands on."""
+
+    SHAPES = {
+        "parentheses": lambda n: "(" * n + "len" + ")" * n,
+        "not": lambda n: "NOT " * n + "len",
+        "minus": lambda n: "- " * n + "len",
+        "calls": lambda n: "f(" * n + "len" + ")" * n,
+        "and chain": lambda n: " AND ".join(["len"] * (n + 1)),
+        "sum chain": lambda n: " + ".join(["1"] * (n + 1)),
+        "right nested": lambda n: "len OR (" * n + "len" + ")" * n,
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_at_the_limit_and_one_over(self, shape):
+        parse_expression(self.SHAPES[shape](MAX_EXPRESSION_DEPTH))
+        with pytest.raises(ParseError, match="nests deeper than 64 levels") as info:
+            parse_expression(self.SHAPES[shape](MAX_EXPRESSION_DEPTH + 1))
+        assert info.value.line == 1 and info.value.col >= 1
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_far_over_is_the_same_error(self, shape):
+        # 150 parentheses used to leave ``_parse_and`` as a RecursionError
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_expression(self.SHAPES[shape](3000))
+
+    def test_the_error_points_at_the_level_that_is_one_too_many(self):
+        text = "SELECT time FROM TCP\nWHERE " + "(" * 70 + "len" + ")" * 70 + " > 3"
+        with pytest.raises(ParseError) as info:
+            parse_query(text)
+        assert (info.value.line, info.value.col) == (2, 7 + MAX_EXPRESSION_DEPTH)
+
+    def test_each_clause_has_the_whole_budget(self):
+        deep = self.SHAPES["parentheses"](MAX_EXPRESSION_DEPTH)
+        parse_query(f"SELECT {deep} FROM TCP WHERE {deep} > 3 GROUP BY {deep} AS g")

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, QueryError
 from repro.obs.export import render_prometheus
 from repro.dsms.durability import ResultJournal
 from repro.serving.journal import split_log
@@ -56,7 +56,7 @@ class TestRegistry:
 
     def test_bad_query_never_joins_the_set(self):
         engine = StandingQueryEngine(make_instance)
-        with pytest.raises(Exception):
+        with pytest.raises(QueryError):
             engine.register("SELECT nope FROM Missing", name="q")
         assert engine.queries() == []
 
@@ -372,6 +372,44 @@ class TestHttpPlane:
 
         sq = self.run_server(scenario())
         assert served_state(sq) == solo_state(SELECTION, records[:512])
+
+    def test_an_invalid_query_is_the_clients_error(self):
+        """A text the lexer, the parser or the analyzer refuses — one
+        nested past the parser's limit included — answers 400 and
+        registers nothing; it used to be 500 (only ``PlanningError`` of
+        the ``QueryError`` family was caught)."""
+        too_deep = "(" * 150 + "len + 1" + ")" * 150
+        texts = [
+            ("SELECT time FROM TCP WHERE len ? 3", 400),
+            ("SELEC x", 400),
+            ("SELECT nope FROM TCP", 400),
+            ("SELECT time FROM Missing", 400),
+            (f"SELECT time FROM TCP WHERE {too_deep} > 3", 400),
+            (SELECTION, 201),
+        ]
+
+        async def scenario():
+            engine = StandingQueryEngine(make_instance)
+            server = QueryServer(engine, batch_size=BATCH)
+            _, port = await server.start_http()
+            answers = []
+            for text, _ in texts:
+                body = json.dumps({"query": text})
+                status, payload = await self.request(
+                    port,
+                    f"POST /queries HTTP/1.1\r\nContent-Length: {len(body)}"
+                    f"\r\n\r\n{body}",
+                )
+                answers.append((status, json.loads(payload)))
+            await server.stop_http()
+            return engine, answers
+
+        engine, answers = self.run_server(scenario())
+        assert [status for status, _ in answers] == [want for _, want in texts]
+        for status, payload in answers[:-1]:
+            assert payload["error"]["reason"] == "rejected"
+        assert "nests deeper than 64 levels" in answers[-2][1]["error"]["detail"]
+        assert [sq.qid for sq in engine.queries()] == [answers[-1][1]["id"]]
 
     def test_http_registration_lands_at_a_batch_boundary(self, records):
         """A query registered mid-ingest sees exactly the later records."""

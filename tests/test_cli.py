@@ -279,6 +279,43 @@ class TestExplain:
         assert "selection" in capsys.readouterr().out
 
 
+class TestInvalidQueries:
+    """A text the front end refuses is a diagnostic and a non-zero exit
+    from every command that takes one — never a traceback."""
+
+    TOO_DEEP = (
+        "SELECT time FROM TCP WHERE " + "(" * 150 + "len + 1" + ")" * 150 + " > 3"
+    )
+    TEXTS = {
+        "lexer": "SELECT time FROM TCP WHERE len ? 3",
+        "parser": "SELEC x",
+        "analyzer": "SELECT nope FROM TCP",
+        "too deep": TOO_DEEP,
+    }
+
+    @pytest.mark.parametrize("stage", sorted(TEXTS))
+    @pytest.mark.parametrize("command", ["explain", "query", "query --no-lint"])
+    def test_one_line_and_exit_one(self, command, stage, trace_file, capsys):
+        argv = command.split() + ["--sql", self.TEXTS[stage]]
+        if argv[0] == "query":
+            argv += ["--trace", str(trace_file)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if command == "query":  # the linter reports it, with its caret
+            assert " error: " in captured.err
+        else:
+            (line,) = captured.err.splitlines()
+            assert line.startswith("invalid query: ")
+        if stage == "too deep":
+            assert "nests deeper than 64 levels" in captured.err
+
+    def test_lint_reports_the_depth_as_a_diagnostic(self, capsys):
+        assert main(["lint", "--sql", self.TOO_DEEP]) == 1
+        assert "nests deeper than 64 levels" in capsys.readouterr().out
+
+
 AGG_SQL = "SELECT tb, srcIP, sum(len) FROM TCP GROUP BY time/5 as tb, srcIP"
 GSQL = "examples/queries/big_flows.gsql"
 
