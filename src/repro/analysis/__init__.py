@@ -21,7 +21,7 @@ from repro.analysis.diagnostics import (
 )
 
 if TYPE_CHECKING:
-    from repro.analysis.execsafety import ExecTarget, parse_target
+    from repro.analysis.legality import ExecTarget, parse_target
     from repro.analysis.linter import LintResult, lint_query, lint_source
     from repro.analysis.sampling_algebra import SamplingFact
     from repro.analysis.sarif import results_to_json, results_to_sarif
@@ -50,8 +50,8 @@ _LAZY = {
     "LintResult": "repro.analysis.linter",
     "lint_query": "repro.analysis.linter",
     "lint_source": "repro.analysis.linter",
-    "ExecTarget": "repro.analysis.execsafety",
-    "parse_target": "repro.analysis.execsafety",
+    "ExecTarget": "repro.analysis.legality",
+    "parse_target": "repro.analysis.legality",
     "SamplingFact": "repro.analysis.sampling_algebra",
     "results_to_json": "repro.analysis.sarif",
     "results_to_sarif": "repro.analysis.sarif",

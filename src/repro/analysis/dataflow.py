@@ -18,9 +18,8 @@ along its edges* instead of re-walking clause ASTs ad hoc:
 * :func:`run_dataflow` walks the graph in topological order and records
   the fact on every edge, returned as a :class:`DataflowResult`.
 
-Two passes ride on this engine: :mod:`repro.analysis.sampling_algebra`
-(sampling-soundness facts, rules SA2xx) and
-:mod:`repro.analysis.execsafety` (execution-safety facts, rules SA3xx).
+One pass rides on this engine today: :mod:`repro.analysis.sampling_algebra`
+(sampling-soundness facts, rules SA2xx).
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@
 6. dataflow passes over the *compiled* plan (only when stages 1–5 found
    no errors — the planner needs a well-formed query): sampling
    soundness (``SA201``–``SA204``) and, when an
-   :class:`~repro.analysis.execsafety.ExecTarget` is given, execution
-   safety (``SA301``–``SA306``) plus serving shareability (``SA401``
-   under a ``serve`` target)
+   :class:`~repro.analysis.legality.ExecTarget` is given, every row of
+   the legality table that deployment holds the plan to
+   (``SA301``–``SA306``, ``SA401`` under a ``serve`` target)
 
 — and returns every finding in one :class:`LintResult`.  Rules can be
 suppressed per query with a pragma comment anywhere in the text::
@@ -38,11 +38,11 @@ from repro.analysis.diagnostics import (
     DiagnosticCollector,
     render_diagnostics,
 )
-from repro.analysis.execsafety import ExecTarget, check_execsafety
+from repro.analysis.execsafety import check_execsafety
+from repro.analysis.legality import ExecTarget
 from repro.analysis.plan_rules import check_plan
 from repro.analysis.rules import check_semantics
 from repro.analysis.sampling_algebra import check_sampling
-from repro.analysis.serving_rules import check_serving
 from repro.analysis.types import TypeCheckResult, check_types
 from repro.dsms.parser.analyzer import AnalyzedQuery, Registries, analyze
 from repro.dsms.parser.planner import QueryPlan, plan as plan_query
@@ -116,8 +116,8 @@ def lint_query(
 ) -> LintResult:
     """Lint one query text against explicit registries.
 
-    ``target`` (an :class:`ExecTarget`) additionally runs the SA3xx
-    execution-safety rules against that deployment configuration.
+    ``target`` (an :class:`ExecTarget`) additionally reports what that
+    deployment would refuse the query for (SA3xx, SA401).
     """
     collector = DiagnosticCollector()
     analyzed: Optional[AnalyzedQuery] = None
@@ -148,12 +148,7 @@ def lint_query(
                     compiled = None
                 if compiled is not None:
                     check_sampling(analyzed, compiled, registries, collector)
-                    check_execsafety(
-                        analyzed, compiled, registries, collector, target
-                    )
-                    check_serving(
-                        analyzed, compiled, registries, collector, target
-                    )
+                    check_execsafety(compiled, registries, collector, target)
     disabled = parse_pragmas(source)
     diagnostics = [d for d in collector.sorted() if d.rule not in disabled]
     return LintResult(

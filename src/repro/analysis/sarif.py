@@ -16,6 +16,7 @@ import json
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.legality import RULES
 from repro.analysis.linter import LintResult
 
 SARIF_VERSION = "2.1.0"
@@ -58,12 +59,8 @@ RULE_DESCRIPTIONS: Dict[str, str] = {
     "SA202": "linear aggregate under weighted sampling lacks a correction",
     "SA203": "chained sampler families break exchangeability",
     "SA204": "GROUP BY on a column the sampler conditions on",
-    "SA301": "output has no ordered attribute for the sharded MERGE",
-    "SA302": "operator state cannot be hash-partitioned",
-    "SA303": "durable resume and load shedding do not mix",
-    "SA305": "SFUN state is not checkpointable under a durable or supervised target",
-    "SA306": "operator state not migratable across shard boundaries",
-    "SA401": "query cannot share a served feed",
+    # SA3xx / SA401: the legality table names its own rows
+    **{rule.id: rule.title for rule in RULES},
 }
 
 _SARIF_LEVELS: Dict[Severity, str] = {

@@ -59,8 +59,10 @@ Subcommands (also reachable as ``python -m repro.cli``):
   refuse.  ``--format json|sarif`` emits a machine-readable report
   (SARIF 2.1.0 uploads straight to GitHub code scanning); ``--output``
   writes it to a file while the human summary stays on stderr.
-  ``query`` also lints before running and prints warnings to stderr;
-  disable with ``--no-lint`` or escalate with ``--strict``.
+  ``query`` also lints before running — against the deployment its own
+  flags describe, so ``--shards 2`` on an unshardable query is SA301 /
+  SA302 with carets and exit 1 — and prints warnings to stderr; disable
+  with ``--no-lint`` or escalate with ``--strict``.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.analysis.legality import ExecTarget, parse_target
 from repro.dsms.durability import DurableRunner
 from repro.dsms.explain import explain
 from repro.dsms.parser import compile_query
@@ -108,55 +111,35 @@ _FEEDS = {
 
 def _standard_instance(
     relax_factor: float,
-    shards: int = 0,
-    supervise: bool = False,
+    target: ExecTarget = ExecTarget(),
     max_restarts: int = 2,
-    shed_threshold: Optional[int] = None,
-    trace_sink: Optional[TraceSink] = None,
-    profile: bool = False,
-    quarantine: Optional[QuarantineStream] = None,
-    validate_admission: bool = False,
-    vectorize: bool = False,
-    rebalance=None,
+    rebalance: Optional[RebalancePolicy] = None,
     schema=TCP_SCHEMA,
+    **options,
 ):
-    """A DSMS instance with one source stream (``schema``, the stock TCP
-    one by default) and all SFUN packs loaded.
+    """The deployment ``target`` describes — a :class:`ShardedGigascope`
+    when it is sharded, else a serial :class:`Gigascope` — with one
+    source stream (``schema``, the stock TCP one by default) and all
+    SFUN packs loaded.
 
-    ``shards > 0`` returns a :class:`ShardedGigascope` running the query
-    hash-partitioned across that many shards instead of serially.
-    ``vectorize`` enables the columnar batch engine (serial instances
-    only; eligible operators fall back per plan, see DESIGN.md §11).
-    ``supervise`` runs the shards in forked workers under crash
-    supervision with up to ``max_restarts`` restarts each;
-    ``shed_threshold`` enables overload shedding (ring-backlog admission
-    control, and — supervised — input queue shedding).
-    ``trace_sink`` / ``profile`` attach the
-    observability layer (docs/OBSERVABILITY.md).  ``quarantine`` /
-    ``validate_admission`` route malformed records to a dead-letter
-    stream at admission instead of raising (docs/RESILIENCE.md).
+    A supervised pool restarts each worker up to ``max_restarts`` times;
+    ``rebalance`` is the policy of a rebalancing one.  ``options`` are
+    what both constructors take alike: ``trace``, ``profile``,
+    ``vectorize`` (docs/OBSERVABILITY.md, DESIGN.md §11), ``quarantine``
+    and ``validate_admission`` (docs/RESILIENCE.md).
     """
-    if shards > 0:
+    if target.sharded:
         gs = ShardedGigascope(
-            shards=shards,
+            shards=target.shards,
             supervision=SupervisionPolicy(max_restarts=max_restarts)
-            if supervise
+            if target.supervise
             else None,
-            shed_threshold=shed_threshold,
-            trace=trace_sink,
-            quarantine=quarantine,
-            validate_admission=validate_admission,
+            shed_threshold=target.shed_threshold,
             rebalance=rebalance,
+            **options,
         )
     else:
-        gs = Gigascope(
-            shed_threshold=shed_threshold,
-            trace=trace_sink,
-            profile=profile,
-            quarantine=quarantine,
-            validate_admission=validate_admission,
-            vectorize=vectorize,
-        )
+        gs = Gigascope(shed_threshold=target.shed_threshold, **options)
     gs.register_stream(schema)
     gs.use_stateful_library(subset_sum_library(relax_factor=relax_factor))
     gs.use_stateful_library(basic_subset_sum_library())
@@ -198,6 +181,18 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.resume and not args.journal:
         print("--resume needs --journal <path>", file=sys.stderr)
         return 2
+    try:
+        # The deployment these flags describe: built from it, linted against it.
+        target = ExecTarget(
+            shards=args.shards if args.shards > 0 else None,
+            supervise=args.supervise,
+            durable=args.journal is not None,
+            rebalance=args.rebalance,
+            shed_threshold=args.shed_threshold,
+        )
+    except ValueError as exc:
+        print(f"bad deployment flags: {exc}", file=sys.stderr)
+        return 2
 
     # The hardened ingest edge (docs/RESILIENCE.md): a dead-letter
     # quarantine plus admission validation whenever the caller asked for
@@ -234,39 +229,30 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return 1
 
     trace_sink = TraceSink() if args.trace_out else None
-    if args.profile and args.shards > 0:
-        print("-- --profile is serial-only; ignored with --shards", file=sys.stderr)
-    if args.vectorize and args.shards > 0:
-        print("--vectorize is not yet supported with --shards", file=sys.stderr)
-        return 2
-    rebalance = None
-    if args.rebalance:
-        if args.shards <= 0:
-            print("--rebalance needs --shards N", file=sys.stderr)
-            return 2
-        rebalance = RebalancePolicy(
+    gs = _standard_instance(
+        args.relax_factor,
+        target,
+        max_restarts=args.max_restarts,
+        rebalance=RebalancePolicy(
             check_interval=args.rebalance_interval,
             imbalance_threshold=args.rebalance_threshold,
             max_shards=args.max_shards,
             curate=args.rebalance_curate,
         )
-    gs = _standard_instance(
-        args.relax_factor,
-        shards=args.shards,
-        supervise=args.supervise,
-        max_restarts=args.max_restarts,
-        shed_threshold=args.shed_threshold,
-        trace_sink=trace_sink,
+        if target.rebalance
+        else None,
+        # The trace's own schema, when it is not the stock TCP one.
+        schema=trace[0].schema,
+        trace=trace_sink,
         profile=args.profile,
         quarantine=quarantine,
         validate_admission=harden,
         vectorize=args.vectorize,
-        rebalance=rebalance,
-        # The trace's own schema, when it is not the stock TCP one.
-        schema=trace[0].schema,
     )
     if args.lint:
-        result = gs.lint(sql, name="cli")
+        from repro.analysis.linter import lint_query
+
+        result = lint_query(sql, gs.registries, filename="cli", target=target)
         if result.diagnostics:
             print(result.render(), file=sys.stderr)
         if result.errors or (args.strict and result.diagnostics):
@@ -275,18 +261,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         handle = gs.add_query(sql, name="cli")
     except PlanningError as exc:
         print(f"cannot run this query under --shards: {exc}", file=sys.stderr)
-        print(
-            "-- `repro lint --target shards=N[,durable,...]` reports this"
-            " statically (rules SA301/SA302)",
-            file=sys.stderr,
-        )
         return 2
-    if args.vectorize and getattr(handle.operator, "execution_mode", "tuple") != "vectorized":
-        reason = (
-            getattr(handle.operator, "vectorize_fallback", None)
-            or "this plan kind runs per-tuple"
-        )
-        print(f"-- --vectorize: tuple-path fallback ({reason})", file=sys.stderr)
     if args.journal is not None:
         try:
             runner = DurableRunner(gs, args.journal)
@@ -390,7 +365,6 @@ def _print_run_report(gs, force: bool = False) -> None:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.execsafety import parse_target
     from repro.analysis.linter import lint_query
     from repro.analysis.sarif import render_report
 
@@ -809,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="charge per-operator wall time into the operator_seconds"
-        " histogram (serial runs only)",
+        " histogram (per shard under --shards)",
     )
     query.add_argument(
         "--journal",

@@ -49,10 +49,12 @@ import os
 import pickle
 import struct
 import zlib
+from dataclasses import replace
 from itertools import islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ExecutionError, StreamError, TraceCorruptError
+from repro.analysis.legality import ExecTarget, require_runnable
 from repro.streams.records import Record
 
 _MAGIC = b"RPJRNL01"
@@ -354,7 +356,10 @@ class DurableRunner:
     ``instance`` is a :class:`~repro.dsms.runtime.Gigascope` or a
     :class:`~repro.dsms.sharded.ShardedGigascope`; both shard pools
     checkpoint at round boundaries, and a journal written over one
-    resumes over the other.
+    resumes over the other.  The queries registered at construction
+    must pass every row of the legality table (:mod:`repro.analysis.
+    legality`) the instance's target holds them to once ``durable`` is
+    added to it (:attr:`target`) — ``ExecutionError`` names the first.
 
     Hooks (both optional, both for chaos tests and progress reporting):
     ``on_batch(batch_no, consumed)`` after each batch is fed, and
@@ -378,16 +383,17 @@ class DurableRunner:
         self.commit_interval = commit_interval
         self.on_batch = on_batch
         self.on_commit = on_commit
-        if getattr(instance, "shed_threshold", None) is not None:
-            raise ExecutionError(
-                "durable resume and load shedding do not mix: shedding"
-                " depends on wall-clock queue depths, so a resumed run"
-                " could shed differently and silently diverge"
-            )
-        states = [s for h in instance.query_handles() for s in h.operator.required_states]
-        instance.registries.stateful.require_checkpointable(
-            states, "durable resume cannot journal this run's operator state"
-        )
+        for handle in instance.query_handles():
+            if handle.plan is not None:
+                require_runnable(
+                    self.target, handle.plan, instance.registries, handle.name,
+                    ExecutionError,
+                )
+
+    @property
+    def target(self) -> ExecTarget:
+        """The driven instance's deployment, made durable."""
+        return replace(self.instance.target, durable=True)
 
     def run(self, records: Iterable[Record]) -> int:
         """Fresh run: truncate the journal, run, commit, finalize.

@@ -34,8 +34,8 @@ breakers, dead letters     serving engine   StandingQueryEngine.checkpoint engin
 Rings are in no checkpoint (a batch boundary drains them), nor are
 quarantine payloads (they may not pickle).  "Gated": every consumer of
 operator checkpoints — a durable journal, supervised workers,
-rebalancing, a journalled serve — first passes the one gate,
-:meth:`repro.dsms.stateful.StatefulLibrary.require_checkpointable`.
+rebalancing, a journalled serve — first passes the one gate, rows
+SA305/SA306 of :data:`repro.analysis.legality.RULES`.
 """
 
 from __future__ import annotations
@@ -62,13 +62,7 @@ class Operator:
 
     # -- static capabilities ----------------------------------------------
     #
-    # Introspectable without running the operator: the checkpoint gate and
-    # the execution-safety analyzer (rules SA3xx) read these to decide up
-    # front whether a deployment is safe, instead of finding out mid-run.
-
-    #: SFUN state names this operator's plan requires (set by the
-    #: factory from the analyzed query; empty for stateless plans).
-    required_states: Tuple[str, ...] = ()
+    # Introspectable without running the operator.
 
     #: "tuple" or "vectorized" — which engine executes this operator's
     #: hot path (the vectorized subclasses override it).

@@ -31,7 +31,6 @@ def build_operator(
     if vectorize and plan.kind in ("selection", "aggregation"):
         vectorized = _try_vectorized(plan, cost_model, account)
         if isinstance(vectorized, Operator):
-            vectorized.required_states = tuple(plan.analyzed.state_names)
             return vectorized
         fallback_reason = vectorized
     else:
@@ -71,9 +70,6 @@ def build_operator(
         )
     else:
         raise PlanningError(f"unknown plan kind {plan.kind!r}")
-    # Instance-level capability record: which SFUN states this plan needs
-    # (the checkpoint gate checks them against the library up front).
-    operator.required_states = tuple(plan.analyzed.state_names)
     if fallback_reason is not None:
         operator.vectorize_fallback = fallback_reason
     return operator

@@ -29,13 +29,14 @@ from typing import (
 )
 
 from repro.errors import ExecutionError, PlanningError, SchemaError
+from repro.analysis.legality import ExecTarget
 from repro.dsms.aggregates import default_aggregate_registry
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.durability import CHECKPOINT_VERSION, batches, run_batches
 from repro.dsms.functions import default_function_registry
 from repro.dsms.operators import build_operator
 from repro.dsms.operators.base import Operator
-from repro.dsms.parser import Registries, compile_query
+from repro.dsms.parser import QueryPlan, Registries, compile_query
 from repro.dsms.ring_buffer import RingBuffer
 from repro.dsms.stateful import StatefulLibrary
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -196,6 +197,8 @@ class QueryHandle:
     level: str  # "low" | "high"
     source: str  # source stream or upstream query name
     operator: Operator
+    #: what ``text`` compiled to (a MERGE node has no text to compile)
+    plan: Optional[QueryPlan] = None
     results: List[Record] = field(default_factory=list)
     keep_results: bool = True
     forwarded: int = 0  # tuples this node pushed to downstream queries
@@ -316,12 +319,18 @@ class Gigascope:
     def register_scalar(self, name: str, fn, deterministic: bool = True) -> None:
         self.registries.scalars.register(name, fn, deterministic=deterministic)
 
+    @property
+    def target(self) -> ExecTarget:
+        """This deployment as the legality table sees it."""
+        return ExecTarget(shed_threshold=self.shed_threshold)
+
     def lint(self, text: str, name: str = "query"):
         """Statically analyze a query against this instance's registries
-        without compiling or registering it; returns a ``LintResult``."""
+        and its :attr:`target`, without compiling or registering it;
+        returns a ``LintResult``."""
         from repro.analysis.linter import lint_query
 
-        return lint_query(text, self.registries, filename=name)
+        return lint_query(text, self.registries, filename=name, target=self.target)
 
     # -- queries -----------------------------------------------------------------
 
@@ -420,6 +429,7 @@ class Gigascope:
             level=level,
             source=source,
             operator=operator,
+            plan=plan,
             keep_results=keep_results,
         )
         self._queries[name] = handle

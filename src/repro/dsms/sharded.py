@@ -66,6 +66,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError, PlanningError
+from repro.analysis.legality import ExecTarget, require_runnable
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.durability import batches, run_batches
 from repro.dsms.operators.merge import MergeOperator
@@ -313,6 +314,8 @@ class ShardedGigascope:
         quarantine: Optional["QuarantineStream"] = None,
         validate_admission: bool = False,
         rebalance: Any = None,
+        vectorize: bool = False,
+        profile: bool = False,
     ) -> None:
         """Beyond the PR-2 parameters:
 
@@ -357,6 +360,11 @@ class ShardedGigascope:
         checkpoint/restore snapshots, scale the shard pool, and — under
         ``policy.curate`` — downsample an unmigratable hot key's traffic
         with shed-style cost accounting.
+
+        ``vectorize`` / ``profile`` are every shard instance's (see
+        :class:`Gigascope`); a shard's ``operator_seconds`` histograms
+        fold into the parent registry under its ``shard`` label like
+        every other series.
         """
         if shards < 1:
             raise PlanningError("shards must be >= 1")
@@ -380,6 +388,8 @@ class ShardedGigascope:
             quarantine if quarantine is not None else QuarantineStream()
         )
         self._ring_capacity = ring_capacity
+        self.vectorize = vectorize
+        self.profile = profile
         if rebalance:
             policy = (
                 rebalance
@@ -419,6 +429,8 @@ class ShardedGigascope:
             ring_capacity=self._ring_capacity,
             shed_threshold=self.shed_threshold,
             trace=TraceSink() if self.trace.enabled else None,
+            vectorize=self.vectorize,
+            profile=self.profile,
         )
 
     def _ensure_pool(self, size: int) -> List[int]:
@@ -483,8 +495,20 @@ class ShardedGigascope:
             instance.register_scalar(name, fn, deterministic=deterministic)
         self._replay_log.append(("scalar", (name, fn, deterministic)))
 
+    @property
+    def target(self) -> ExecTarget:
+        """This deployment as the legality table sees it."""
+        return ExecTarget(
+            shards=self.shards,
+            supervise=self.supervise,
+            rebalance=self._rebalancer is not None,
+            shed_threshold=self.shed_threshold,
+        )
+
     def lint(self, text: str, name: str = "query"):
-        return self._instances[0].lint(text, name=name)
+        from repro.analysis.linter import lint_query
+
+        return lint_query(text, self.registries, filename=name, target=self.target)
 
     # -- queries -----------------------------------------------------------------
 
@@ -498,10 +522,12 @@ class ShardedGigascope:
     ) -> ShardedQueryHandle:
         """Register one query on every shard (see :meth:`Gigascope.add_query`).
 
-        Beyond the serial checks, the query must be *shardable*: its
-        output needs an ordered attribute (for the recombining MERGE)
-        and its operator state must be partitionable on some non-ordered
-        column of the source stream (see :func:`partition_info`).
+        Beyond the serial checks, the query must pass every row of the
+        legality table this deployment's :attr:`target` holds it to
+        (:mod:`repro.analysis.legality`: an ordered output attribute for
+        the recombining MERGE, partitionable operator state, state that
+        checkpoints under ``supervise`` / ``rebalance``), and one of its
+        partition columns must survive the upstream query chain.
         """
         if name is None:
             self._auto_counter += 1
@@ -520,37 +546,17 @@ class ShardedGigascope:
                 f"query {name!r} reads from {source!r}, which is neither a"
                 " source stream nor a registered query"
             )
-        if self._rebalancer is not None or self.supervise:
-            # Rebalancing moves operator state between shards, and a
-            # restarted worker recovers it, as checkpoint snapshots.
-            # Checked before the shardability rules so a query failing
-            # several is refused for this reason first — ``repro lint
-            # --target shards=N,rebalance`` (SA306) / ``,supervise`` (SA305).
-            self._instances[0].registries.stateful.require_checkpointable(
-                plan.analyzed.state_names,
-                f"query {name!r} is not migratable across shard boundaries"
-                if self._rebalancer is not None
-                else f"a restarted worker could not recover query {name!r}",
-                PlanningError,
-            )
-        if not plan.output_schema.ordered_attributes():
-            raise PlanningError(
-                f"cannot shard query {name!r}: its output has no ordered"
-                " attribute for the recombining MERGE; select the window"
-                " variable (an ordered column) first"
-            )
-
+        require_runnable(self.target, plan, self.registries, name, PlanningError)
+        # What the table cannot know: the upstream query chain.
         info = partition_info(plan)
         if info.candidates is not None:
             effective = frozenset(info.candidates) & node.passthrough
             if not effective:
-                detail = info.reason or (
-                    "none of its candidate partition columns"
-                    f" {sorted(info.candidates)} survives the upstream"
-                    f" query chain (colocated columns: {sorted(node.passthrough)})"
-                )
                 raise PlanningError(
-                    f"cannot shard query {name!r}: {detail}"
+                    f"cannot shard query {name!r}: none of its candidate"
+                    f" partition columns {sorted(info.candidates)} survives"
+                    " the upstream query chain (colocated columns:"
+                    f" {sorted(node.passthrough)})"
                 )
             for root in node.roots:
                 self._constraints[root].append((name, effective))
@@ -1044,9 +1050,11 @@ class ShardedGigascope:
         return "\n".join(lines)
 
 
-def _merge_reports(reports: Sequence[dict]) -> Dict[str, Dict[str, Dict[str, int]]]:
-    """Sum per-shard :meth:`Gigascope.run_report` dicts counter-wise."""
-    merged: Dict[str, Dict[str, Dict[str, int]]] = {"streams": {}, "queries": {}}
+def _merge_reports(reports: Sequence[dict]) -> Dict[str, Any]:
+    """Sum per-shard :meth:`Gigascope.run_report` dicts counter-wise; the
+    columnar fallbacks (one reason per query, the same on every shard)
+    are kept as they are."""
+    merged: Dict[str, Any] = {"streams": {}, "queries": {}}
     for report in reports:
         if not report:
             continue
@@ -1055,4 +1063,6 @@ def _merge_reports(reports: Sequence[dict]) -> Dict[str, Dict[str, Dict[str, int
                 slot = merged[section].setdefault(name, {})
                 for key, value in counters.items():
                     slot[key] = slot.get(key, 0) + value
+        if "vectorize" in report:
+            merged["vectorize"] = report["vectorize"]
     return merged

@@ -26,9 +26,9 @@ planner then knows which states each supergroup must allocate.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Type
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Type
 
-from repro.errors import ExecutionError, RegistryError, StatefulFunctionError
+from repro.errors import RegistryError, StatefulFunctionError
 
 
 class StatefulState:
@@ -43,8 +43,9 @@ class StatefulState:
     #: Whether instances can be snapshotted by :meth:`checkpoint` and
     #: rebuilt by :meth:`restore`.  A state holding unsnapshottable
     #: resources (live sockets, ffi handles, external cursors) sets this
-    #: to False; :meth:`StatefulLibrary.require_checkpointable` then refuses
-    #: the query up front, and the static analyzer at lint time (SA305/SA306).
+    #: to False; every deployment that consumes operator checkpoints then
+    #: refuses the query up front, and the static analyzer at lint time
+    #: (rows SA305/SA306 of :data:`repro.analysis.legality.RULES`).
     checkpointable: ClassVar[bool] = True
 
     @classmethod
@@ -155,25 +156,14 @@ class StatefulLibrary:
         """Static capability check: can this state ride a checkpoint?
 
         Reads the state class's :attr:`StatefulState.checkpointable`
-        declaration without instantiating anything — the analyzer
-        (rules SA305/SA306) and :meth:`require_checkpointable` both
-        decide from this before any tuple flows.
+        declaration without instantiating anything — the one gate every
+        consumer of operator checkpoints passes (a durable journal,
+        supervised workers, rebalancing, a journalled serve) decides
+        from this before any tuple flows: rows SA305/SA306 of
+        :data:`repro.analysis.legality.RULES`, read by the linter and
+        raised by the runtimes.
         """
         return bool(getattr(self.state_class(state_name), "checkpointable", True))
-
-    def require_checkpointable(
-        self, state_names: Iterable[str], feature: str, error: type = ExecutionError
-    ) -> None:
-        """The one gate every consumer of operator checkpoints passes — a
-        durable journal, supervised workers, rebalancing, a journalled
-        serve: raise ``error`` naming the ``state_names`` that declare
-        ``checkpointable = False``; ``feature`` says what they preclude."""
-        bad = sorted({name for name in state_names if not self.checkpointable(name)})
-        if bad:
-            raise error(
-                f"SFUN state(s) {bad} declare checkpointable=False, so"
-                f" {feature}; make the state snapshottable or run without it"
-            )
 
     def state_names(self) -> List[str]:
         return sorted(self._states)

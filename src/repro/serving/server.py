@@ -52,11 +52,12 @@ import asyncio
 import json
 import signal
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ExecutionError, QueryError
+from repro.analysis.legality import require_runnable
 from repro.dsms.durability import (
     ResultJournal,
     batches,
@@ -67,7 +68,6 @@ from repro.dsms.durability import (
     resume,
 )
 from repro.dsms.cost import NULL_COST_MODEL
-from repro.dsms.parser import compile_query
 from repro.dsms.runtime import Gigascope, own_state, restore_own_state
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry
@@ -235,7 +235,10 @@ class StandingQueryEngine:
         """Register one standing query; takes effect at the next batch.
 
         Compilation errors (unknown stream, lint refusals under a strict
-        factory...) propagate — a rejected query never joins the set.
+        factory...) propagate, and so does what the legality table
+        (:mod:`repro.analysis.legality`) refuses this deployment — the
+        factory's instance, served, durable when journalled — as an
+        ``ExecutionError``: a rejected query never joins the set.
         """
         if self._closed:
             raise ExecutionError("the serving engine is closed")
@@ -256,11 +259,8 @@ class StandingQueryEngine:
                 f" the factory returned {type(gs).__name__}"
             )
         handle = gs.add_query(text, name=name)
-        if self.journal is not None:
-            gs.registries.stateful.require_checkpointable(
-                handle.operator.required_states,
-                f"a journalled serve cannot commit query {name!r}",
-            )
+        target = replace(gs.target, serve=True, durable=self.journal is not None)
+        require_runnable(target, handle.plan, gs.registries, name, ExecutionError)
         feeder = f"{name}__lowsel"
         if (
             handle.level == "high"
@@ -274,19 +274,14 @@ class StandingQueryEngine:
         else:
             low_name = high_name = None  # reads another registered query
 
-        signature: Optional[ShareSignature] = None
-        reason: Optional[str]
-        if not self.share:
-            reason = "sharing is disabled for this server"
-        elif gs.shed_threshold is not None:
-            reason = "overload shedding decisions are instance-local"
-        elif gs.validate_admission:
-            reason = "admission validation quarantines per instance"
-        elif low_name is None:
-            reason = "the query reads from another registered query"
-        else:
-            plan = compile_query(text, gs.registries, query_name=name)
-            signature, reason = share_signature(plan, gs.registries)
+        signature, reason = share_signature(
+            handle.plan,
+            gs.registries,
+            share=self.share,
+            shed_threshold=target.shed_threshold,
+            validate_admission=gs.validate_admission,
+            reads_query=low_name is None,
+        )
 
         node = handle
         while node.source in gs._queries:

@@ -7,11 +7,11 @@ copying survivors up the SPLIT edge.  When two standing queries compile
 to the same low-level prefix, the serving layer runs that prefix **once**
 and replays its effects into every other subscriber:
 
-* :func:`share_signature` decides whether a compiled plan *has* a
-  shareable prefix and what it is, by walking the operator-phase DAG
-  from :func:`repro.analysis.dataflow.build_plan_graph` — the same graph
-  the SA2xx/SA3xx dataflow lints analyze, and the graph the SA401
-  serving lint reports against;
+* :func:`share_signature` decides whether a served instance may share
+  at all, whether its compiled plan *has* a shareable prefix and what
+  it is, by walking the operator-phase DAG from
+  :func:`repro.analysis.dataflow.build_plan_graph` — the graph the
+  SA2xx dataflow lints analyze; lint rule SA401 reports its answer;
 * :func:`capture_feed` feeds a batch to the *canonical* (first
   registered) instance of a signature group normally, capturing the
   low-level node's emitted records plus the exact metric-counter and
@@ -73,14 +73,32 @@ class ShareSignature:
 
 
 def share_signature(
-    plan: QueryPlan, registries: Any
+    plan: QueryPlan,
+    registries: Any,
+    *,
+    share: bool = True,
+    shed_threshold: Optional[int] = None,
+    validate_admission: bool = False,
+    reads_query: bool = False,
 ) -> Tuple[Optional[ShareSignature], Optional[str]]:
     """The shareable-prefix signature of one compiled plan, or a reason.
 
     Returns ``(signature, None)`` when the query can share its served
-    feed, ``(None, reason)`` when it cannot.  The reasons mirror the
-    runtime's sharing refusals 1:1 and are what lint rule SA401 reports.
+    feed, ``(None, reason)`` when it cannot.  This is the engine's whole
+    sharing decision and what lint rule SA401 reports: the keywords say
+    what the serving instance is (``share``: the server's switch; the
+    instance's ``shed_threshold`` and ``validate_admission``;
+    ``reads_query``: its source is another registered query), the rest
+    is read off the plan.
     """
+    if not share:
+        return None, "sharing is disabled for this server"
+    if shed_threshold is not None:
+        return None, "overload shedding decisions are instance-local"
+    if validate_admission:
+        return None, "admission validation quarantines per instance"
+    if reads_query:
+        return None, "the query reads from another registered query"
     analyzed = plan.analyzed
     source = analyzed.ast.from_stream
     if source not in registries.schemas:

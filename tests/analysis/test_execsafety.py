@@ -10,9 +10,14 @@ plus targeted single-rule cases.
 
 from __future__ import annotations
 
+import os
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.execsafety import ExecTarget, parse_target
 from repro.analysis.linter import default_lint_registries, lint_source
@@ -41,17 +46,28 @@ def rules_of(result):
     return {d.rule for d in result.diagnostics}
 
 
-def make_runtime(shards=0, supervise=False, shed_threshold=None, rebalance=False):
-    """A fully-loaded runtime mirroring the lint registries."""
-    if shards > 0:
-        gs = ShardedGigascope(
-            shards=shards,
+def make_runtime(
+    shards=0, supervise=False, shed_threshold=None, rebalance=False, target=None
+):
+    """A fully-loaded runtime mirroring the lint registries: the instance
+    ``target`` describes (whatever drives it — ``durable``, ``serve`` —
+    goes on top)."""
+    if target is None:
+        target = ExecTarget(
+            shards=shards or None,
             supervise=supervise,
+            rebalance=rebalance,
             shed_threshold=shed_threshold,
-            rebalance=RebalancePolicy() if rebalance else None,
+        )
+    if target.sharded:
+        gs = ShardedGigascope(
+            shards=target.shards,
+            supervise=target.supervise,
+            shed_threshold=target.shed_threshold,
+            rebalance=RebalancePolicy() if target.rebalance else None,
         )
     else:
-        gs = Gigascope(shed_threshold=shed_threshold)
+        gs = Gigascope(shed_threshold=target.shed_threshold)
     gs.register_stream(TCP_SCHEMA)
     for pack in (
         subset_sum_library(),
@@ -108,6 +124,26 @@ class TestParseTarget:
         target = parse_target("shards=4,supervise,rebalance")
         assert target == ExecTarget(shards=4, supervise=True, rebalance=True)
         assert target.describe() == "shards=4,supervise,rebalance"
+
+
+class TestTargetsNoRuntimeCanBuild:
+    """A deployment that cannot exist is not a target (it used to lint
+    ``ok``): the dataclass refuses it, so ``--target`` and ``repro
+    query``'s flags refuse it with one sentence."""
+
+    @pytest.mark.parametrize("flag", ["supervise", "rebalance"])
+    def test_workers_and_migration_need_shards(self, flag):
+        with pytest.raises(ValueError, match=r"shards=N"):
+            ExecTarget(**{flag: True})
+        with pytest.raises(ValueError, match=rf"'{flag}' needs shards=N"):
+            parse_target(flag)
+        assert getattr(parse_target(f"shards=2,{flag}"), flag)
+
+    def test_the_serving_engine_is_serial(self):
+        with pytest.raises(ValueError, match="serial Gigascope"):
+            parse_target("serve,shards=2")
+        with pytest.raises(ValueError, match="serial Gigascope"):
+            ExecTarget(shards=1, serve=True)
 
 
 class TestGating:
@@ -418,6 +454,130 @@ class TestOneToOneMapping:
         except ExecutionError:
             runtime_refuses = True
         assert lint_refuses == runtime_refuses, result.render()
+
+
+LATTICE_QUERIES = {path.stem: path.read_text() for path in EXAMPLES}
+LATTICE_QUERIES.update(flaky_sampling=FLAKY_SAMPLING, flaky_selection=FLAKY_QUERY)
+
+
+def deploy(target, text, directory):
+    """Build the deployment ``target`` describes and register ``text`` on
+    it; returns what describes itself (the instance, or the runner over
+    it) — ``None`` behind the engine, which keeps a target per instance."""
+
+    def instance():
+        gs = make_runtime(target=replace(target, durable=False, serve=False))
+        gs.use_stateful_library(flaky_library())
+        return gs
+
+    journal = os.path.join(directory, "journal.bin")
+    if target.serve:
+        engine = StandingQueryEngine(
+            instance,
+            journal=ResultJournal(journal, fresh=True) if target.durable else None,
+        )
+        try:
+            engine.register(text, name="q")
+        finally:
+            engine.close()
+        return None
+    gs = instance()
+    gs.add_query(text, name="q")
+    return DurableRunner(gs, journal) if target.durable else gs
+
+
+class TestTheTargetLattice:
+    """The 1:1 mapping as one property: over every deployment the six
+    facts can describe and every shipped query, lint reports an SA3xx
+    error exactly when building that deployment and registering the
+    query raises — with the sentence of a row lint reported."""
+
+    registries = default_lint_registries()
+    registries.stateful = registries.stateful.merge(flaky_library())
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        shards=st.sampled_from([None, 1, 2]),
+        supervise=st.booleans(),
+        durable=st.booleans(),
+        rebalance=st.booleans(),
+        shed_threshold=st.sampled_from([None, 100]),
+        serve=st.booleans(),
+        query=st.sampled_from(sorted(LATTICE_QUERIES)),
+    )
+    def test_lint_refuses_iff_the_deployment_does(self, query, **facts):
+        illegal = (
+            (facts["supervise"] or facts["rebalance"]) and facts["shards"] is None
+        ) or (facts["serve"] and facts["shards"] is not None)
+        if illegal:
+            with pytest.raises(ValueError):
+                ExecTarget(**facts)
+            return
+        target = ExecTarget(**facts)
+        text = LATTICE_QUERIES[query]
+        result = lint_source(text, self.registries, target=target)
+        refused = [d.rule for d in result.errors if d.rule.startswith("SA3")]
+        with tempfile.TemporaryDirectory() as directory:
+            try:
+                deployed = deploy(target, text, directory)
+                raised = None
+            except (PlanningError, ExecutionError) as exc:
+                raised = str(exc)
+        assert bool(refused) == (raised is not None), (
+            f"{target.describe()} / {query}: lint {refused}, runtime {raised!r}"
+        )
+        if raised is None:
+            # Each deployment describes itself as the target it was built from.
+            assert deployed is None or deployed.target == target
+            return
+        from repro.analysis.legality import RULES
+
+        reasons = [
+            rule.reason(result.plan, self.registries, target)
+            for rule in RULES
+            if rule.id in refused
+        ]
+        assert any(reason in raised for reason in reasons), (raised, reasons)
+
+
+class TestOneTableTwoReaders:
+    def test_every_row_has_a_doc_row_and_a_sarif_title(self):
+        from repro.analysis.legality import RULES
+        from repro.analysis.sarif import RULE_DESCRIPTIONS
+
+        docs = (EXAMPLES[0].parents[2] / "docs" / "LINT_RULES.md").read_text()
+        for rule in RULES:
+            assert f"| {rule.id} |" in docs, f"{rule.id} has no row in LINT_RULES.md"
+            assert RULE_DESCRIPTIONS[rule.id] == rule.title
+
+    def test_an_instance_lints_against_itself(self):
+        text = LATTICE_QUERIES["unsound_unshardable"]
+        assert make_runtime().lint(text).clean
+        sharded = make_runtime(shards=2)
+        assert sharded.lint(text).target == sharded.target == parse_target("shards=2")
+        assert rules_of(sharded.lint(text)) == {"SA301", "SA302"}
+
+    def test_a_journalled_engine_refuses_shedding_like_the_runner(self, tmp_path):
+        # One SA303 row, two drivers: the same serial shedding instance
+        # was refused durability by DurableRunner and granted it by the
+        # engine, which nothing had ever resumed.
+        text = LATTICE_QUERIES["top_talkers"]
+        with pytest.raises(ExecutionError) as runner:
+            deploy(parse_target("durable,shed=100"), text, str(tmp_path))
+        engine = StandingQueryEngine(
+            lambda: make_runtime(shed_threshold=100),
+            journal=ResultJournal(str(tmp_path / "j.bin"), fresh=True),
+        )
+        with pytest.raises(ExecutionError) as served:
+            engine.register(text, name="q")
+        assert engine.queries() == []
+        engine.close()
+        sentence = "shedding depends on wall-clock queue depths"
+        assert sentence in str(runner.value) and sentence in str(served.value)
+        # Without a journal the same factory serves (on a private feed).
+        unjournalled = StandingQueryEngine(lambda: make_runtime(shed_threshold=100))
+        assert unjournalled.register(text, name="q").active
+        unjournalled.close()
 
 
 class TestAnnotations:

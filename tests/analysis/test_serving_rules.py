@@ -2,7 +2,8 @@
 
 The rule's whole design is *one predicate, two callers*:
 ``repro.serving.sharing.share_signature`` decides sharing at runtime
-(``StandingQueryEngine.register``) and at compile time (``check_serving``).
+(``StandingQueryEngine.register``) and at compile time (row SA401 of
+``repro.analysis.legality.RULES``).
 These tests pin the mirror: for every shipped example, the linter warns
 exactly when the engine would serve the query on a private feed.
 """
@@ -42,9 +43,9 @@ class TestGating:
         assert "serving" not in result.plan.annotations
 
     def test_serve_flag_parses_and_describes(self):
-        target = parse_target("shards=2,serve")
+        target = parse_target("durable,serve")
         assert target.serve
-        assert target.describe() == "shards=2,serve"
+        assert target.describe() == "durable,serve"
         assert target.to_json()["serve"] is True
 
 
@@ -102,3 +103,24 @@ class TestMirrorsTheEngine:
             f" {'refuse' if engine_refuses else 'share'}"
             f" ({sq.share_reason})"
         )
+
+    def test_a_shedding_instance_is_private_to_both(self):
+        # The whole decision is shared, not just its plan half: lint used
+        # to print ``ok`` for a target the engine serves on a private feed.
+        from repro.dsms.runtime import Gigascope
+        from repro.streams.schema import TCP_SCHEMA
+
+        def shedding():
+            gs = Gigascope(shed_threshold=100)
+            gs.register_stream(TCP_SCHEMA)
+            return gs
+
+        text = "SELECT time, srcIP FROM TCP WHERE len > 100"
+        assert lint_source(text, target=SERVE).clean
+        result = lint_source(text, target=parse_target("serve,shed=100"))
+        [diag] = [d for d in result.diagnostics if d.rule == "SA401"]
+        sq = StandingQueryEngine(shedding).register(text, name="q")
+        assert sq.signature is None
+        assert sq.share_reason == "overload shedding decisions are instance-local"
+        assert sq.share_reason in diag.message
+        assert result.plan.annotations["serving"]["reason"] == sq.share_reason

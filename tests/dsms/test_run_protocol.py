@@ -30,6 +30,7 @@ from repro.algorithms.bindings import (
 )
 from repro.dsms.cost import CostBook, CostModel
 from repro.dsms.runtime import Gigascope
+from repro.dsms.sharded import ShardedGigascope, canonical_rows
 from repro.errors import ExecutionError
 from repro.streams.records import Record
 from repro.streams.schema import PKT_SCHEMA, TCP_SCHEMA
@@ -41,6 +42,13 @@ from repro.streams.traces import TraceConfig, data_center_feed, research_center_
 def _subset_sum(gs):
     gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
     gs.add_query(SUBSET_SUM_QUERY.format(window=1, target=20), name="q")
+
+
+def _subset_sum_per_source(gs):
+    """The same sampler with a supergroup key a SPLIT can partition on."""
+    gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
+    text = SUBSET_SUM_QUERY.format(window=1, target=20)
+    gs.add_query(text.replace("\nHAVING", " SUPERGROUP BY tb, srcIP\nHAVING"), name="q")
 
 
 def _heavy_hitters(gs):
@@ -90,6 +98,7 @@ def _aggregate_of_a_sample(gs):
 #: name -> (build, whether a ``None`` timestamp is survivable)
 DEPLOYMENTS = {
     "subset_sum": (_subset_sum, False),
+    "subset_sum_per_source": (_subset_sum_per_source, False),
     "heavy_hitters": (_heavy_hitters, False),
     "aggregate": (_aggregate, False),
     "selection": (_selection, False),
@@ -97,6 +106,10 @@ DEPLOYMENTS = {
     "raw_window_ids": (_raw_window_ids, True),
     "aggregate_of_a_sample": (_aggregate_of_a_sample, False),
 }
+
+#: the deployments whose every query two shards can run (the rest hold a
+#: global state set or a key-less group, which the legality table refuses)
+SHARDABLE = ("aggregate", "selection", "subset_sum_per_source")
 
 #: ~50 and ~20-60 records per second of stream time: several one-second
 #: windows in 160 records, enough tuples in each for cleaning phases
@@ -118,18 +131,32 @@ def _with_time(record, time):
 
 
 def _series(gs):
-    """Every series but the histograms (wall time is not reproducible)
-    and the one that says which engine was asked for."""
+    """Every series but the histograms (wall time is not reproducible),
+    the one that says which engine was asked for and a supervised
+    pool's own (they count rounds)."""
     return [
         (s.name, s.labels, s.value)
         for s in gs.metrics.series()
-        if s.kind != "histogram" and s.name != "vectorize_fallback_total"
+        if s.kind != "histogram"
+        and s.name != "vectorize_fallback_total"
+        and not s.name.startswith("supervisor_")
     ]
 
 
-def _observe(deployment, records, cuts, checkpoint_at, vectorize=False):
-    """Everything observable after feeding ``records`` cut at ``cuts``."""
-    gs = Gigascope(cost_model=CostModel(), vectorize=vectorize)
+def _observe(deployment, records, cuts, checkpoint_at, vectorize=False, pool=None):
+    """Everything observable after feeding ``records`` cut at ``cuts``.
+
+    ``pool`` (``"inline"`` / ``"supervised"``) runs the deployment on two
+    shards of that pool, the engine forwarded to them: rows in canonical
+    order (a MERGE breaks ties by arrival), every series as the parent
+    folds them, the one cost model — and nothing that lives per shard
+    (checkpoints, window stats)."""
+    if pool is None:
+        gs = Gigascope(cost_model=CostModel(), vectorize=vectorize)
+    else:
+        gs = ShardedGigascope(
+            2, cost_model=CostModel(), vectorize=vectorize, supervise=pool == "supervised"
+        )
     gs.register_stream(TCP_SCHEMA)
     DEPLOYMENTS[deployment][0](gs)
     gs.start()
@@ -137,7 +164,7 @@ def _observe(deployment, records, cuts, checkpoint_at, vectorize=False):
     edges = sorted({0, checkpoint_at, len(records), *cuts})
     for lo, hi in zip(edges, edges[1:]):
         gs.feed(records[lo:hi])
-        if hi == checkpoint_at:
+        if hi == checkpoint_at and pool is None:
             snapshot = gs.checkpoint()
             checkpoint = (
                 pickle.dumps(snapshot["queries"]), snapshot["cost_accounts"], _series(gs)
@@ -145,7 +172,11 @@ def _observe(deployment, records, cuts, checkpoint_at, vectorize=False):
     gs.finish()
     seen = {"checkpoint": checkpoint, "series": _series(gs), "cost": gs.cost.accounts()}
     for handle in gs.query_handles():
-        seen["rows", handle.name] = [r.values for r in handle.results]
+        rows = gs.query(handle.name).results
+        if pool is not None:
+            seen["rows", handle.name] = canonical_rows(rows)
+            continue
+        seen["rows", handle.name] = [r.values for r in rows]
         if hasattr(handle.operator, "window_stats"):
             seen["windows", handle.name] = handle.operator.window_stats
             seen["overload", handle.name] = handle.operator.overload_counters()
@@ -155,30 +186,53 @@ def _observe(deployment, records, cuts, checkpoint_at, vectorize=False):
 @st.composite
 def _cases(draw):
     deployment = draw(st.sampled_from(sorted(DEPLOYMENTS)))
+    pools = [None, "inline", "supervised"] if deployment in SHARDABLE else [None]
+    pool = draw(st.sampled_from(pools))
     records = list(TRACES[draw(st.sampled_from(sorted(TRACES)))])
     n = len(records)
-    # Late tuples: a timestamp from a window that already closed.
-    for index in draw(st.lists(st.integers(1, n - 1), max_size=4)):
-        records[index] = _with_time(records[index], records[0].values[_TIME])
+    # Late tuples: a timestamp from a window that already closed.  (Not
+    # through a sharded selection: it forwards them as they come, and
+    # the MERGE of its shards refuses a source that runs backwards.)
+    if pool is None or deployment != "selection":
+        for index in draw(st.lists(st.integers(1, n - 1), max_size=4)):
+            records[index] = _with_time(records[index], records[0].values[_TIME])
     if DEPLOYMENTS[deployment][1]:
         for index in draw(st.lists(st.integers(1, n - 1), max_size=4)):
             records[index] = _with_time(records[index], None)
     cuts = draw(st.lists(st.integers(1, n - 1), max_size=12))
     checkpoint_at = draw(st.integers(1, n - 1))
-    return deployment, records, cuts, checkpoint_at, draw(st.booleans())
+    return deployment, records, cuts, checkpoint_at, draw(st.booleans()), pool
 
 
 class TestRunCutInvariance:
     @given(_cases())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_every_cut_of_a_stream_is_the_same_run(self, case):
-        deployment, records, cuts, checkpoint_at, vectorize = case
-        one_run = _observe(deployment, records, [], checkpoint_at)
-        assert one_run["checkpoint"] is not None
-        all_ones = _observe(deployment, records, range(len(records)), checkpoint_at)
-        random_cut = _observe(deployment, records, cuts, checkpoint_at, vectorize)
-        assert all_ones == one_run
+        deployment, records, cuts, checkpoint_at, vectorize, pool = case
+        one_run = _observe(deployment, records, [], checkpoint_at, pool=pool)
+        assert pool is not None or one_run["checkpoint"] is not None
+        random_cut = _observe(deployment, records, cuts, checkpoint_at, vectorize, pool)
         assert random_cut == one_run
+        if pool != "supervised":  # one queue round trip per record proves no more
+            every = range(len(records))
+            assert _observe(deployment, records, every, checkpoint_at, pool=pool) == one_run
+
+    @pytest.mark.parametrize("pool", ["inline", "supervised"])
+    @pytest.mark.parametrize("deployment", SHARDABLE)
+    def test_the_engine_reaches_the_shards(self, deployment, pool):
+        """The grid the property samples from, once each: a pool asked
+        for the columnar engine runs it in every shard (it used to be
+        refused), observably like the tuple engine and with serial's rows."""
+        records = TRACES["steady"]
+        sharded = _observe(deployment, records, [], 80, pool=pool)
+        assert _observe(deployment, records, [40, 41, 120], 80, True, pool) == sharded
+        serial = _observe(deployment, records, [], 80)
+        assert sorted(sharded["rows", "q"]) == sorted(serial["rows", "q"])
+        gs = ShardedGigascope(2, vectorize=True, supervise=pool == "supervised")
+        gs.register_stream(TCP_SCHEMA)
+        DEPLOYMENTS[deployment][0](gs)
+        engines = {h.operator.execution_mode for h in gs.query("q").shard_handles}
+        assert engines == ({"tuple"} if "subset_sum" in deployment else {"vectorized"})
 
     @pytest.mark.parametrize("deployment", sorted(DEPLOYMENTS))
     def test_the_traces_exercise_the_operators(self, deployment):

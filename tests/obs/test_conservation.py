@@ -25,6 +25,7 @@ import os
 import pytest
 
 from repro.cli import _standard_instance
+from repro.dsms.cost import CostModel
 from repro.dsms.rebalance import RebalancePolicy
 from repro.dsms.resilience import SupervisionPolicy
 from repro.dsms.runtime import Gigascope
@@ -301,6 +302,42 @@ class TestSupervisorQueueShed:
             m.value("stream_shed_total", stream="TCP", shard=shard)
             for shard in range(2)
         )
+
+
+class TestProfileUnderShards:
+    @pytest.mark.parametrize("supervise", [False, True], ids=["inline", "supervised"])
+    def test_operator_seconds_fold_per_shard_and_nothing_else_moves(self, supervise):
+        """``profile`` is every shard's: the parent folds each shard's
+        ``operator_seconds`` under its ``shard`` label (it used to be
+        dropped with a notice) — and, as in a serial run, timing an
+        operator moves no other series and no cost account."""
+
+        def run(profile):
+            sh = ShardedGigascope(
+                shards=2, supervise=supervise, cost_model=CostModel(), profile=profile
+            )
+            sh.register_stream(TCP_SCHEMA)
+            sh.use_stateful_library(subset_sum_library(relax_factor=10.0))
+            sh.add_query(SS_TEXT, name="q")
+            sh.run(feed(), batch_size=BATCH)
+            return sh
+
+        plain, profiled = run(False), run(True)
+        timed = [s for s in profiled.metrics.series() if s.name == "operator_seconds"]
+        for shard in ("0", "1"):
+            folded = {
+                (dict(s.labels)["query"], dict(s.labels)["phase"]): s.count
+                for s in timed
+                if dict(s.labels)["shard"] == shard
+            }
+            assert folded["q", "process"] > 0 and folded["q__lowsel", "process"] > 0
+        assert len(timed) == sum(len(dict(s.labels)) == 3 for s in timed)  # none unlabelled
+        assert not [s for s in plain.metrics.series() if s.name == "operator_seconds"]
+        # (a worker checkpoint carries its histograms, so its size moves)
+        without = ("supervisor_checkpoint_bytes",)
+        assert profiled.metrics.comparable_items(without) == plain.metrics.comparable_items(without)
+        assert profiled.cost.accounts() == plain.cost.accounts()
+        assert canonical_rows(profiled.results("q")) == canonical_rows(plain.results("q"))
 
 
 class TestSerialVsSharded:

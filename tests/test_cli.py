@@ -1,5 +1,8 @@
 """The command-line interface."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import main
@@ -156,10 +159,106 @@ class TestQuery:
             "SELECT tb, b, count(*) FROM TCP"
             " GROUP BY time/5 as tb, srcIP/2 as b",
         ])
-        assert rc == 2
+        # The deployment lints the query against itself: a lint error
+        # like any other, before a record is fed or a query registered.
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "SA302" in captured.err and "cannot shard" in captured.err
+        assert captured.out == ""
+
+
+class TestTheDeploymentKnowsWhatItIs:
+    """``query`` builds one target from its flags, its instance from that
+    target, and lints against it — so what a deployment refuses is a
+    caret diagnostic before any record is fed, and every mode takes
+    ``--vectorize`` and ``--profile``."""
+
+    UNSHARDABLE = os.path.join(
+        os.path.dirname(__file__), "..", "examples", "queries", "unsound_unshardable.gsql"
+    )
+    GROUPED = "SELECT tb, srcIP, sum(len) FROM TCP GROUP BY time/5 as tb, srcIP"
+
+    def test_an_unshardable_example_is_a_lint_error_under_shards(
+        self, trace_file, capsys
+    ):
+        assert main(["query", self.UNSHARDABLE, "--trace", trace_file]) == 0
+        capsys.readouterr()
+        rc = main(["query", self.UNSHARDABLE, "--trace", trace_file, "--shards", "2"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert "SA301 error" in captured.err and "SA302 error" in captured.err
+        assert "^^^" in captured.err and "lint --target" not in captured.err
+
+    def test_no_lint_leaves_the_refusal_to_the_runtime(self, trace_file, capsys):
+        rc = main([
+            "query", self.UNSHARDABLE, "--trace", trace_file, "--shards", "2",
+            "--no-lint",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        assert "cannot run this query under --shards" in line
+        assert "checkpoint" not in line and "MERGE" in line
+
+    def test_a_shedding_journal_is_refused_before_registration(
+        self, trace_file, tmp_path, capsys
+    ):
+        journal = tmp_path / "run.journal"
+        args = [
+            "query", "--trace", trace_file, "--shards", "2", "--sql", self.GROUPED,
+            "--journal", str(journal), "--shed-threshold", "5",
+        ]
+        assert main(args) == 1
         err = capsys.readouterr().err
-        assert "cannot shard" in err
-        assert "lint --target" in err  # points at the static check
+        assert "SA303 error" in err and "shards=2,durable,shed=5" in err
+        assert not journal.exists()
+        assert main([*args, "--no-lint"]) == 2
+        assert "cannot journal this run" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--supervise", "--rebalance"])
+    def test_workers_and_migration_need_shards(self, trace_file, capsys, flag):
+        # --supervise alone used to run serial without a word.
+        rc = main(["query", "--trace", trace_file, "--sql", self.GROUPED, flag])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"target '{flag[2:]}' needs shards=N" in captured.err
+        assert main(["lint", "--target", flag[2:], "--sql", self.GROUPED]) == 2
+        assert f"target '{flag[2:]}' needs shards=N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--supervise"]], ids=["inline", "supervised"])
+    def test_vectorize_reaches_the_shards(self, trace_file, capsys, extra):
+        def run(sql, args):
+            rc = main([
+                "query", "--trace", trace_file, "--limit", "100000", "--sql", sql, *args,
+            ])
+            assert rc == 0
+            captured = capsys.readouterr()
+            return sorted(captured.out.splitlines()[1:]), captured.err
+
+        serial, _ = run(self.GROUPED, [])
+        rows, err = run(self.GROUPED, ["--shards", "2", "--vectorize", *extra])
+        assert rows == serial and "vectorize fallback" not in err
+        # A plan the columnar engine cannot run says so through the one
+        # report line, whichever deployment ran it.
+        sampled = self.GROUPED.replace("FROM TCP", "FROM TCP WHERE ssample(len, 10) = TRUE")
+        for args in ([], ["--shards", "2", *extra]):
+            _, err = run(sampled + " SUPERGROUP tb, srcIP", ["--vectorize", *args])
+            assert "-- vectorize fallback cli: " in err
+
+    @pytest.mark.parametrize("extra", [[], ["--supervise"]], ids=["inline", "supervised"])
+    def test_profile_reaches_the_shards(self, trace_file, tmp_path, capsys, extra):
+        out = tmp_path / "m.json"
+        rc = main([
+            "query", "--trace", trace_file, "--sql", self.GROUPED, "--shards", "2",
+            "--profile", "--metrics-out", str(out), *extra,
+        ])
+        assert rc == 0 and "serial-only" not in capsys.readouterr().err
+        series = [
+            s for s in json.loads(out.read_text())["metrics"]
+            if s["name"] == "operator_seconds"
+        ]
+        assert {s["labels"]["shard"] for s in series} == {"0", "1"}
+        assert all(s["count"] > 0 for s in series)
 
 
 class TestLint:
