@@ -151,11 +151,16 @@ def opted_out(plan: QueryPlan, registries: Registries) -> Sequence[str]:
 
 def _needs_snapshots(consequence: str) -> Reason:
     """The demand of a consumer of operator checkpoints; the reason names
-    the first state that opts out of them."""
+    every state that opts out of them, so one pass fixes the query."""
     def reason(plan: QueryPlan, registries: Registries, target: ExecTarget) -> Optional[str]:
-        for state in opted_out(plan, registries):
-            return f"SFUN state {state!r} declares checkpointable=False, so {consequence}"
-        return None
+        states = opted_out(plan, registries)
+        if not states:
+            return None
+        others = f" (as do {', '.join(map(repr, states[1:]))})" if states[1:] else ""
+        return (
+            f"SFUN state {states[0]!r} declares checkpointable=False{others},"
+            f" so {consequence}"
+        )
 
     return reason
 
@@ -252,14 +257,11 @@ RULES: Tuple[Rule, ...] = (
 
 
 def refusals(
-    target: ExecTarget,
-    plan: QueryPlan,
-    registries: Registries,
-    rules: Sequence[Rule] = RULES,
+    target: ExecTarget, plan: QueryPlan, registries: Registries
 ) -> Iterator[Tuple[Rule, str]]:
     """The rows ``target`` holds ``plan`` to and the plan fails, each
     with its reason."""
-    for rule in rules:
+    for rule in RULES:
         reason = rule.reason(plan, registries, target) if rule.applies(target) else None
         if reason is not None:
             yield rule, reason
@@ -271,6 +273,6 @@ def require_runnable(
     """The runtimes' reading: raise ``error`` for the first row that
     forbids ``target`` to run query ``name`` (a warning row forbids
     nothing)."""
-    errors = [rule for rule in RULES if rule.error]
-    for _rule, reason in refusals(target, plan, registries, errors):
-        raise error(f"target {target.describe()} cannot run query {name!r}: {reason}")
+    for rule, reason in refusals(target, plan, registries):
+        if rule.error:
+            raise error(f"target {target.describe()} cannot run query {name!r}: {reason}")

@@ -356,10 +356,12 @@ class DurableRunner:
     ``instance`` is a :class:`~repro.dsms.runtime.Gigascope` or a
     :class:`~repro.dsms.sharded.ShardedGigascope`; both shard pools
     checkpoint at round boundaries, and a journal written over one
-    resumes over the other.  The queries registered at construction
-    must pass every row of the legality table (:mod:`repro.analysis.
-    legality`) the instance's target holds them to once ``durable`` is
-    added to it (:attr:`target`) — ``ExecutionError`` names the first.
+    resumes over the other.  Every registered query must pass the rows
+    of the legality table (:mod:`repro.analysis.legality`) the
+    instance's target holds it to once ``durable`` is added to it
+    (:attr:`target`) — ``ExecutionError`` names the first.  Checked at
+    construction, and again before a run or a resume reads anything:
+    a query may be registered in between.
 
     Hooks (both optional, both for chaos tests and progress reporting):
     ``on_batch(batch_no, consumed)`` after each batch is fed, and
@@ -383,27 +385,32 @@ class DurableRunner:
         self.commit_interval = commit_interval
         self.on_batch = on_batch
         self.on_commit = on_commit
-        for handle in instance.query_handles():
-            if handle.plan is not None:
-                require_runnable(
-                    self.target, handle.plan, instance.registries, handle.name,
-                    ExecutionError,
-                )
+        self._require_runnable()
 
     @property
     def target(self) -> ExecTarget:
         """The driven instance's deployment, made durable."""
         return replace(self.instance.target, durable=True)
 
+    def _require_runnable(self) -> None:
+        for handle in self.instance.query_handles():
+            if handle.plan is not None:
+                require_runnable(
+                    self.target, handle.plan, self.instance.registries,
+                    handle.name, ExecutionError,
+                )
+
     def run(self, records: Iterable[Record]) -> int:
         """Fresh run: truncate the journal, run, commit, finalize.
 
         Returns total records consumed.
         """
+        self._require_runnable()
         return self._run(records, None)
 
     def resume(self, records: Iterable[Record]) -> int:
         """Resume from the journal's last commit (see :func:`resume`)."""
+        self._require_runnable()
         entries = read_journal(self.journal_path, self.instance.journal_mode)
         last, rest = resume(self.instance, entries, records)
         return last["consumed"] if rest is None else self._run(rest, last)

@@ -274,6 +274,11 @@ class StandingQueryEngine:
         else:
             low_name = high_name = None  # reads another registered query
 
+        node = handle
+        while node.source in gs._queries:
+            node = gs._queries[node.source]
+        stream = node.source
+
         signature, reason = share_signature(
             handle.plan,
             gs.registries,
@@ -282,11 +287,11 @@ class StandingQueryEngine:
             validate_admission=gs.validate_admission,
             reads_query=low_name is None,
         )
-
-        node = handle
-        while node.source in gs._queries:
-            node = gs._queries[node.source]
-        stream = node.source
+        if signature is not None:
+            # ``add_query`` recompiled a heavy query to read its own
+            # ``<name>__lowsel`` feeder; what is shared is the scan of
+            # the raw stream under it, whatever the query is called.
+            signature = replace(signature, stream=stream)
 
         gs.start()
         sq = ServedQuery(

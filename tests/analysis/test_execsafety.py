@@ -276,6 +276,34 @@ class TestSA305:
         with pytest.raises(ExecutionError, match="flaky_state"):
             DurableRunner(gs, str(tmp_path / "journal.bin"))
 
+    def test_every_opted_out_state_is_named_in_one_pass(self, tmp_path):
+        # Fixing the first must not be what reveals the second.
+        brittle = StatefulLibrary()
+
+        @brittle.state("brittle_state")
+        class BrittleState(StatefulState):
+            checkpointable = False
+
+        @brittle.sfun("brittle", state="brittle_state")
+        def brittle_sfun(state: BrittleState, measure: int) -> bool:
+            return True
+
+        text = "SELECT time, srcIP FROM TCP WHERE flaky(len) = TRUE AND brittle(len) = TRUE"
+        registries = self.make_registries()
+        registries.stateful = registries.stateful.merge(brittle)
+        for spec, rule in [("durable", "SA305"), ("shards=2,rebalance", "SA306")]:
+            result = lint_source(text, registries, target=parse_target(spec))
+            (diag,) = [d for d in result.diagnostics if d.rule == rule]
+            assert "SFUN state 'flaky_state' declares checkpointable=False" in diag.message
+            assert "(as do 'brittle_state')" in diag.message
+        gs = Gigascope()
+        gs.register_stream(TCP_SCHEMA)
+        gs.use_stateful_library(flaky_library())
+        gs.use_stateful_library(brittle)
+        gs.add_query(text, name="q")
+        with pytest.raises(ExecutionError, match="flaky_state.*brittle_state"):
+            DurableRunner(gs, str(tmp_path / "journal.bin"))
+
     def test_runtime_accepts_checkpointable_state(self, tmp_path):
         gs = make_runtime()
         gs.add_query(

@@ -409,6 +409,22 @@ class TestRefusals:
         with pytest.raises(ExecutionError):
             DurableRunner(gs, str(tmp_path / "j.bin"))
 
+    def test_a_query_registered_after_the_runner_is_held_to_the_table_too(
+        self, tmp_path
+    ):
+        # The guard is not a property of construction order: a shedding
+        # instance that had no query yet is refused before a run or a
+        # resume reads a record or touches the journal.
+        gs = Gigascope(shed_threshold=8)
+        gs.register_stream(TCP_SCHEMA)
+        path = tmp_path / "j.bin"
+        runner = DurableRunner(gs, str(path))
+        gs.add_query("SELECT time, srcIP FROM TCP WHERE len > 100", name="q")
+        for drive_it in (runner.run, runner.resume):
+            with pytest.raises(ExecutionError, match="wall-clock queue depths"):
+                drive_it(untouchable())
+        assert not path.exists()
+
     def test_an_unknown_checkpoint_version_is_refused_by_name(self, tmp_path):
         from repro.dsms.durability import entry, read_journal
 

@@ -12,13 +12,16 @@ import itertools
 
 import pytest
 
+from repro.analysis.linter import lint_source
 from repro.serving.server import StandingQueryEngine, drive
+from repro.streams.schema import TCP_SCHEMA
 
 from tests.serving.conftest import (
     BATCH,
     EXAMPLE_TEXTS,
     make_instance,
     served_state,
+    solo_state,
     solo_state_cached,
 )
 
@@ -88,6 +91,36 @@ class TestSharingHappens:
         drive(engine, records, batch_size=BATCH)
         replays = engine.metrics.value("serving_shared_replays_total")
         assert replays > 0
+
+    def test_feeders_unify_whatever_the_queries_are_called(self, records):
+        """`repro serve a.gsql b.gsql` and `POST /queries` name each query;
+        the shared node is the scan of TCP under its `<name>__lowsel`
+        feeder — and an explicit whole-stream selection is that scan too."""
+        from repro.analysis.legality import parse_target
+
+        engine = StandingQueryEngine(make_instance)
+        registries = make_instance().registries
+        texts = {
+            "reservoir": EXAMPLE_TEXTS["reservoir"],
+            "top_talkers": EXAMPLE_TEXTS["top_talkers"],
+            "everything": f"SELECT {', '.join(TCP_SCHEMA.names)} FROM TCP",
+        }
+        served = {name: engine.register(text, name=name) for name, text in texts.items()}
+        first = served["reservoir"].signature
+        assert first is not None and first.stream == "TCP"
+        for name, sq in served.items():
+            assert sq.signature == first, name
+            # ... and lint's SA401 verdict is the engine's, name for name.
+            linted = lint_source(
+                texts[name], registries, target=parse_target("serve")
+            ).plan.annotations["serving"]
+            assert linted["signature"] == sq.signature.describe(), name
+        assert len(engine.report()["shared_groups"]) == 1
+        drive(engine, records, batch_size=BATCH)
+        batches = (len(records) + BATCH - 1) // BATCH
+        assert engine.metrics.value("serving_shared_replays_total") == 2 * batches
+        for name, sq in served.items():
+            assert served_state(sq) == solo_state(texts[name], records, name=name), name
 
     def test_stateful_selection_gets_private_feed(self, records):
         """The SA401 counterexample still serves — on its own scan."""
