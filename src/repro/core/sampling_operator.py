@@ -33,15 +33,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.expr import (
-    AggregateCall,
     EvalContext,
-    Expr,
-    StatefulCall,
-    SuperAggregateCall,
     bind_group,
     bind_input,
     bind_tuple,
@@ -49,7 +45,6 @@ from repro.dsms.expr import (
     compile_expr,
     compile_tuple,
     compile_update_value,
-    pick,
 )
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.operators.base import Operator
@@ -96,42 +91,6 @@ class WindowStats:
     peak_groups: int = 0
 
 
-class _Context(EvalContext):
-    """What the compiled clauses read and call.
-
-    ``record`` is the input tuple and ``key`` the group-by values in
-    scope: the tuple's own while it is admitted (WHERE, aggregate and
-    superaggregate arguments, CLEANING WHEN), the visited group's during
-    a cleaning phase and at window close (CLEANING BY, HAVING, SELECT),
-    when ``group`` is that group.  ``supergroup`` holds the SFUN states
-    and superaggregates either way.  Compiled clauses reach operator
-    state only through these fields, so a ``restore()`` that swaps the
-    tables needs no recompilation.
-    """
-
-    def __init__(self, scalars: FunctionRegistry, stateful: StatefulLibrary) -> None:
-        self._call = scalars.call
-        self._invoke = stateful.invoke
-        self.record: Optional[Record] = None
-        self.key: Tuple[Any, ...] = ()
-        self.supergroup: Optional[SuperGroupEntry] = None
-        self.group: Optional[GroupEntry] = None
-
-    def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self.function_calls += 1
-        return self._call(name, args)
-
-    def call_stateful(self, node: StatefulCall, args: Sequence[Any]) -> Any:
-        self.sfun_calls += 1
-        return self._invoke(node.name, self.supergroup.states, args)
-
-    def aggregate_value(self, node: AggregateCall) -> Any:
-        return self.group.aggregates[node.slot].value()
-
-    def superaggregate_value(self, node: SuperAggregateCall) -> Any:
-        return self.supergroup.superaggregates[node.slot].value()
-
-
 class SamplingOperator(Operator):
     """Executable instance of one sampling query."""
 
@@ -173,11 +132,17 @@ class SamplingOperator(Operator):
         at_tuple = bind_tuple(schema, names)
         at_group = bind_group(names)
 
+        #: -> (group-by values, window id, supergroup key)
         self._group_key = compile_tuple(
-            [item.expr for item in spec.group_by], bind_input(schema), f"{account}:GROUP BY"
+            [item.expr for item in spec.group_by],
+            bind_input(schema),
+            f"{account}:GROUP BY",
+            spec.ordered_indices,
+            spec.nonordered_supergroup_indices,
         )
-        self._window_of = pick(spec.ordered_indices)
-        self._supergroup_key_of = pick(spec.nonordered_supergroup_indices)
+        #: with no SUPERGROUP BY beyond the window, a window has one
+        #: supergroup: a run looks it up once per window, not per record
+        self._holds_supergroup = not spec.nonordered_supergroup_indices
         self._where = compile_clause(spec.where, at_tuple, f"{account}:WHERE")
         self._aggregate_names = tuple(node.name for node in spec.aggregates)
         self._aggregate_args = tuple(
@@ -210,7 +175,14 @@ class SamplingOperator(Operator):
             [item.expr for item in spec.select_items], at_group, f"{account}:SELECT"
         )
 
-        self._ctx = _Context(scalars, stateful)
+        # What the clauses read: ``key`` holds the tuple's own group-by
+        # values while it is admitted (WHERE, aggregate and superaggregate
+        # arguments, CLEANING WHEN), the visited group's during a cleaning
+        # phase and at window close (CLEANING BY, HAVING, SELECT), when
+        # ``aggregates`` are that group's; ``states`` and ``superaggregates``
+        # are the supergroup's either way.  Clauses reach operator state
+        # only through these fields, so ``restore()`` needs no recompiling.
+        self._ctx = EvalContext(scalars.functions, stateful.functions)
         self._default_obs(account)
 
     # -- observability -----------------------------------------------------------
@@ -286,12 +258,15 @@ class SamplingOperator(Operator):
         self, records: Iterable[Record], out: Optional[List[Record]] = None
     ) -> List[Record]:
         """Feed a run of input records; appends output records to ``out``
-        (non-empty only when a record of the run closed a window)."""
+        (non-empty only when a record of the run closed a window).  With
+        one supergroup per window (``_holds_supergroup``), the run keeps
+        it until a window close swaps the tables; ``hash_probe`` is
+        still charged per record, as if it were looked up."""
         if out is None:
             out = []
         ctx, where, cleaning_when = self._ctx, self._where, self._cleaning_when
-        group_key, window_of = self._group_key, self._window_of
-        supergroup_key_of = self._supergroup_key_of
+        group_key, hold = self._group_key, self._holds_supergroup
+        supergroup = None  # the first record looks its supergroup up
         tables = self._tables
         groups, supergroups = tables.groups, tables.new_supergroups
         create, names = self._aggregate_factory, self._aggregate_names
@@ -304,8 +279,8 @@ class SamplingOperator(Operator):
             for record in records:
                 n_in += 1
                 ctx.record = record
-                ctx.key = key = group_key(ctx)
-                window = window_of(key)
+                key, window, supergroup_key = group_key(ctx)
+                ctx.key = key
                 if window != current:
                     if current is not None:
                         try:
@@ -327,18 +302,20 @@ class SamplingOperator(Operator):
                         # outlive an error later in the run.
                         out.extend(self._close_window())
                         supergroups = tables.new_supergroups
+                        supergroup = None
                         ctx.key = key  # the close visited the old groups
                     self._open_window(window)
                     current, stats = window, self._active_stats
                 stats.tuples_seen += 1
 
-                supergroup_key = supergroup_key_of(key)
                 n_probes += 1
-                supergroup = supergroups.get(supergroup_key)
-                if supergroup is None:
-                    supergroup = self._new_supergroup(supergroup_key)
-                    n_inserts += 1
-                ctx.supergroup = supergroup
+                if not hold or supergroup is None:
+                    supergroup = supergroups.get(supergroup_key)
+                    if supergroup is None:
+                        supergroup = self._new_supergroup(supergroup_key)
+                        n_inserts += 1
+                    ctx.states = supergroup.states
+                    ctx.superaggregates = superaggregates = supergroup.superaggregates
 
                 if where is not None:
                     n_predicates += 1
@@ -348,7 +325,6 @@ class SamplingOperator(Operator):
                 stats.tuples_admitted += 1
                 n_admitted += 1
 
-                superaggregates = supergroup.superaggregates
                 for slot, value in tuple_fed:
                     superaggregates[slot].on_tuple(key, value(ctx))
                     n_updates += 1
@@ -374,7 +350,7 @@ class SamplingOperator(Operator):
                     n_updates += 1
 
                 if is_new_group:  # tell the group-fed superaggregates
-                    ctx.group = group
+                    ctx.aggregates = group.aggregates
                     for slot, value in group_fed:
                         superaggregates[slot].on_group_added(key, value(ctx))
                         n_updates += 1
@@ -655,7 +631,7 @@ class SamplingOperator(Operator):
         charge, account, ctx = self._charge, self._account, self._ctx
         cleaning_by = self._cleaning_by
         charge(account, "cleaning_phase")
-        ctx.supergroup = supergroup
+        ctx.states, ctx.superaggregates = supergroup.states, supergroup.superaggregates
         groups = self._tables.groups
         visited = evicted = 0
         try:
@@ -663,7 +639,7 @@ class SamplingOperator(Operator):
                 group = groups.get(group_key)
                 if group is None:
                     continue
-                ctx.group = group
+                ctx.aggregates = group.aggregates
                 ctx.key = group_key
                 visited += 1
                 if cleaning_by is not None and not cleaning_by(ctx):
@@ -711,9 +687,10 @@ class SamplingOperator(Operator):
                 if group is None:
                     continue
                 supergroup = self._tables.new_supergroups[group.supergroup_key]
-                ctx.group = group
+                ctx.aggregates = group.aggregates
                 ctx.key = group_key
-                ctx.supergroup = supergroup
+                ctx.states = supergroup.states
+                ctx.superaggregates = supergroup.superaggregates
                 if having is not None:
                     charge(account, "predicate_eval")
                     if not having(ctx):

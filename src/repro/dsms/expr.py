@@ -18,11 +18,12 @@ output SELECT).  What differs between phases is the binder each clause
 is compiled with (:func:`bind_input`, :func:`bind_tuple`,
 :func:`bind_group`), not the evaluator: at run time a clause takes one
 :class:`EvalContext`, reads the fields the binder pointed it at, and
-calls the context's hooks for functions and aggregates — which is where
-calls are counted for the cost model.  The analyzer enforces which node
-kinds a clause may hold, so a hook missing at run time is a bug, reported
-as :class:`ExecutionError`.  A clause holds no operator state: nothing
-compiled is ever checkpointed and ``restore()`` needs no recompilation.
+calls what it names straight out of the context's function, state and
+aggregate fields — counting each call there for the cost model.  The
+analyzer enforces which node kinds a clause may hold, so a field missing
+at run time is a bug, reported as :class:`ExecutionError`.  A clause
+holds no operator state: nothing compiled is ever checkpointed and
+``restore()`` needs no recompilation.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ import operator
 import threading
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.dsms.functions import unknown_function
 from repro.dsms.span import Span
+from repro.dsms.stateful import unallocated_state, unknown_sfun
 from repro.errors import ExecutionError
 
 
@@ -193,27 +196,48 @@ class StatefulCall(_Call):
 
 
 class EvalContext:
-    """What compiled expressions read and call at evaluation time.
+    """What compiled expressions read at evaluation time.
 
-    A context carries the per-evaluation data (the operators add plain
-    attributes such as ``record`` or ``key`` that compiled clauses read
-    by position) and the hooks below.  Subclasses override the hooks
-    relevant to their phase; the defaults raise, which surfaces analyzer
-    gaps as explicit errors instead of silent Nones.  ``column`` serves
-    only :func:`by_name` binding — operators bind names to positions
-    when they are built and never look a column up by name per tuple.
+    A context carries the per-evaluation data (``record``, and ``key``
+    — the group-by values in scope — that compiled clauses read by
+    position) and five fields a clause calls through directly:
+    ``ctx.scalars[name](...)`` (the registry's own mapping, so a later
+    ``register(..., replace=True)`` still binds), ``ctx.sfuns[name](
+    ctx.states[state], ...)`` (the supergroup's state set, or a stateful
+    selection's), ``ctx.aggregates[slot].value()`` (the group in scope)
+    and ``ctx.superaggregates[slot].value()``.  A field this phase lacks
+    stays None, and a clause reaching it raises what that analyzer gap
+    means (:func:`_unavailable`).  ``column`` serves only :func:`by_name`
+    binding — operators bind names to positions when they are built and
+    never look a column up by name per tuple.
 
     An operator's context does not charge a ``function_call`` /
-    ``sfun_call`` per hook call; it counts them here, and the operator
-    settles the counts into its cost account when its run (or flush)
-    ends — :meth:`settle_calls`.
+    ``sfun_call`` per call; the clause counts them here, and the
+    operator settles the counts into its cost account when its run (or
+    flush) ends — :meth:`settle_calls`.
     """
 
     function_calls = 0
     sfun_calls = 0
+    scalars: Optional[Mapping[str, Callable[..., Any]]] = None
+    sfuns: Optional[Mapping[str, Callable[..., Any]]] = None
+    states: Optional[Mapping[str, Any]] = None
+    aggregates: Optional[Sequence[Any]] = None
+    superaggregates: Optional[Sequence[Any]] = None
+
+    def __init__(
+        self,
+        scalars: Optional[Mapping[str, Callable[..., Any]]] = None,
+        sfuns: Optional[Mapping[str, Callable[..., Any]]] = None,
+    ) -> None:
+        # every field set here, in one order, so every context has one layout
+        self.scalars, self.sfuns = scalars, sfuns
+        self.states = self.aggregates = self.superaggregates = None
+        self.record: Any = None
+        self.key: Tuple[Any, ...] = ()
 
     def settle_calls(self, charge: Callable[..., None], account: str) -> None:
-        """Charge, then zero, the hook calls counted since the last settle."""
+        """Charge, then zero, the calls counted since the last settle."""
         charge(account, "function_call", self.function_calls)
         charge(account, "sfun_call", self.sfun_calls)
         self.function_calls = self.sfun_calls = 0
@@ -221,17 +245,24 @@ class EvalContext:
     def column(self, name: str) -> Any:
         raise ExecutionError(f"column {name!r} not available in this context")
 
-    def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        raise ExecutionError(f"scalar function {name!r} not available in this context")
 
-    def aggregate_value(self, node: AggregateCall) -> Any:
-        raise ExecutionError(f"aggregate {node.name!r} not available in this context")
-
-    def superaggregate_value(self, node: SuperAggregateCall) -> Any:
-        raise ExecutionError(f"superaggregate {node.name}$ not available in this context")
-
-    def call_stateful(self, node: StatefulCall, args: Sequence[Any]) -> Any:
-        raise ExecutionError(f"stateful function {node.name!r} not available in this context")
+def _unavailable(ctx: EvalContext, node: Expr) -> Exception:
+    """What a clause raises when a call or an aggregate read finds nothing
+    in the context: the field is None (this phase has no such thing) or
+    lacks the key (a tree built by hand, or a state never allocated)."""
+    if isinstance(node, ScalarCall) and ctx.scalars is not None:
+        return unknown_function(node.name)
+    if isinstance(node, StatefulCall) and ctx.sfuns is not None:
+        if node.name not in ctx.sfuns:
+            return unknown_sfun(node.name)
+        return unallocated_state(node.state_name, node.name)
+    kind = {
+        ScalarCall: "scalar function",
+        StatefulCall: "stateful function",
+        AggregateCall: "aggregate",
+    }.get(type(node))
+    shown = f"{kind} {node.name!r}" if kind else f"superaggregate {node.name}$"
+    return ExecutionError(f"{shown} not available in this context")
 
 
 #: A compiled clause: context in, value out.
@@ -327,8 +358,8 @@ def compile_expr(expr: Expr, bind: Bind, label: str = "expr") -> Compiled:
     (``time/60`` must bucket, not produce floats) and float division
     otherwise, ``bool`` counting as a number rather than an int; AND/OR
     short-circuit; arguments evaluate left to right; scalar and stateful
-    calls go through the context hooks (which charge them).  Every error
-    is raised when the offending record is evaluated, never here.
+    calls are looked up in the context's fields and counted there.  Every
+    error is raised when the offending record is evaluated, never here.
     """
     emitter = _Emitter(bind)
     return emitter.function(emitter.emit(expr), label)
@@ -340,12 +371,17 @@ def compile_clause(expr: Optional[Expr], bind: Bind, label: str = "expr") -> Opt
     return compile_expr(expr, bind, label) if expr is not None else None
 
 
-def compile_tuple(exprs: Sequence[Expr], bind: Bind, label: str = "expr") -> Compiled:
+def compile_tuple(
+    exprs: Sequence[Expr], bind: Bind, label: str = "expr", *views: Sequence[int]
+) -> Compiled:
     """Compile ``exprs`` into one function returning their values, left
-    to right, as a tuple (a group key, an output row)."""
+    to right, as a tuple (a group key, an output row).  Given ``views``
+    (item positions: a window id's, a supergroup key's) it returns
+    ``(values, view, ...)`` — every key a GROUP BY yields, in one call."""
     emitter = _Emitter(bind)
-    items = ", ".join([emitter.emit(expr) for expr in exprs])
-    return emitter.function(f"({items},)" if items else "()", label)
+    items = [emitter.emit(expr) for expr in exprs]
+    rows = [", ".join([items[i] for i in view]) for view in (range(len(items)), *views)]
+    return emitter.function(", ".join([f"({row},)" if row else "()" for row in rows]), label)
 
 
 def compile_update_value(
@@ -358,30 +394,18 @@ def compile_update_value(
     return compile_expr(node.args[0], bind, label)
 
 
-def pick(indices: Sequence[int]) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
-    """``values -> tuple(values[i] for i in indices)``, built once (a
-    window id, a supergroup key out of group-by values).
-    ``itemgetter`` takes no fewer than one index and returns a bare
-    value for exactly one, hence the two cases before it."""
-    if not indices:
-        return lambda values: ()
-    if len(indices) == 1:
-        (index,) = indices
-        return lambda values: (values[index],)
-    return operator.itemgetter(*indices)
-
-
 class _Emitter:
     """Writes one clause as the body of ``def run(ctx, k0=k0, ...)``.
 
     One statement per evaluation that can raise or call out — a column
-    read, an operator, a hook call — in the order a tree walk makes
-    them, each leaving a local (``t1``, ``t2`` ...): a ``try`` wraps one
-    operator and nothing else, so a ``TypeError`` out of a hook
-    propagates as it is.  Nothing from the query text is written into
-    the source, only positions and the names made up here: literals,
-    function names and the nodes that hooks and error messages want are
-    the default arguments ``k0``, ``k1`` ... (they load as locals).
+    read, an operator, a call — in the order a tree walk makes them,
+    each leaving a local (``t1``, ``t2`` ...): a ``try`` wraps one
+    operator or one lookup in the context and nothing else, so a
+    ``TypeError`` out of a called function propagates as it is.  Nothing
+    from the query text is written into the source, only positions and
+    the names made up here: literals, function names, slots and the
+    nodes error messages want are the default arguments ``k0``, ``k1``
+    ... (they load as locals).
     """
 
     def __init__(self, bind: Bind) -> None:
@@ -400,9 +424,9 @@ class _Emitter:
     def line(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
 
-    def assign(self, source: str, error: Optional[str] = None) -> str:
+    def assign(self, source: str, error: Optional[str] = None, catch: str = "TypeError") -> str:
         """``tN = source`` as the next statement; with ``error``, alone
-        under a ``try`` that raises it in place of a ``TypeError``."""
+        under a ``try`` that raises it in place of ``catch``."""
         self.locals += 1
         name = f"t{self.locals}"
         if error is None:
@@ -410,9 +434,15 @@ class _Emitter:
         else:
             self.line("try:")
             self.line(f"    {name} = {source}")
-            self.line("except TypeError:")
+            self.line(f"except {catch}:")
             self.line(f"    raise {error} from None")
         return name
+
+    def lookup(self, source: str, node: str) -> str:
+        """``source``, a context field indexed, alone under a ``try``: a
+        field that is None or lacks the key raises what
+        :func:`_unavailable` says for ``node`` (a bound node's name)."""
+        return self.assign(source, f"_unavailable(ctx, {node})", "(LookupError, TypeError)")
 
     def fail(self, message: str) -> str:
         return self.assign(f"{self.const(_fails(message))}(ctx)")
@@ -429,14 +459,12 @@ class _Emitter:
             return self.unary(expr)
         if isinstance(expr, BinaryOp):
             return self.logic(expr) if expr.op in ("AND", "OR") else self.binary(expr)
-        if isinstance(expr, ScalarCall):
-            return self.call("call_scalar", expr.name, expr.args)
-        if isinstance(expr, StatefulCall):
-            return self.call("call_stateful", expr, expr.args)
-        if isinstance(expr, AggregateCall):
-            return self.assign(f"ctx.aggregate_value({self.const(expr)})")
-        if isinstance(expr, SuperAggregateCall):
-            return self.assign(f"ctx.superaggregate_value({self.const(expr)})")
+        if isinstance(expr, (ScalarCall, StatefulCall)):
+            return self.call(expr)
+        if isinstance(expr, (AggregateCall, SuperAggregateCall)):
+            field = "aggregates" if isinstance(expr, AggregateCall) else "superaggregates"
+            slot = self.lookup(f"ctx.{field}[{self.const(expr.slot)}]", self.const(expr))
+            return self.assign(f"{slot}.value()")
         if isinstance(expr, FunctionCall):
             return self.fail(
                 f"unclassified function call {expr.name!r} reached evaluation;"
@@ -444,9 +472,19 @@ class _Emitter:
             )
         return self.fail(f"unknown expression node {type(expr).__name__}")
 
-    def call(self, hook: str, callee: Any, args: Sequence[Expr]) -> str:
-        items = ", ".join([self.emit(arg) for arg in args])  # a fresh list per evaluation
-        return self.assign(f"ctx.{hook}({self.const(callee)}, [{items}])")
+    def call(self, node: Union[ScalarCall, StatefulCall]) -> str:
+        """Arguments left to right, the count, the lookups, then one call:
+        an SFUN takes the state its node names ahead of its arguments."""
+        items = [self.emit(arg) for arg in node.args]
+        bound, name = self.const(node), self.const(node.name)
+        if isinstance(node, StatefulCall):
+            self.line("ctx.sfun_calls += 1")
+            fn = self.lookup(f"ctx.sfuns[{name}]", bound)
+            items.insert(0, self.lookup(f"ctx.states[{self.const(node.state_name)}]", bound))
+        else:
+            self.line("ctx.function_calls += 1")
+            fn = self.lookup(f"ctx.scalars[{name}]", bound)
+        return self.assign(f"{fn}({', '.join(items)})")
 
     def read(self, where: Where) -> str:
         if not isinstance(where, tuple):
@@ -503,7 +541,8 @@ class _Emitter:
         if self.hoisted:
             head.append(f"    b = {self.hoisted}")
         source = "\n".join(head + self.lines + [f"    return {result}", ""])
-        namespace = dict(zip(names, self.consts), __name__=__name__, _type_error=_type_error)
+        namespace = dict(zip(names, self.consts), __name__=__name__)
+        namespace.update(_type_error=_type_error, _unavailable=_unavailable)
         exec(_code(source, label), namespace)
         return namespace["run"]
 

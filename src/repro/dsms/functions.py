@@ -14,11 +14,16 @@ processes — a property the min-hash resemblance tests rely on.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Sequence
+from typing import Any, Callable, Dict, Mapping, Sequence
 
 from repro.errors import RegistryError
 
 ScalarFn = Callable[..., Any]
+
+
+def unknown_function(name: str) -> RegistryError:
+    """A scalar function name nothing registered."""
+    return RegistryError(f"unknown scalar function {name!r}")
 
 
 class FunctionRegistry:
@@ -59,10 +64,17 @@ class FunctionRegistry:
         try:
             return self._functions[name]
         except KeyError:
-            raise RegistryError(f"unknown scalar function {name!r}") from None
+            raise unknown_function(name) from None
 
     def call(self, name: str, args: Sequence[Any]) -> Any:
+        """A one-shot call by name; compiled clauses index :attr:`functions`."""
         return self.get(name)(*args)
+
+    @property
+    def functions(self) -> Mapping[str, ScalarFn]:
+        """The name -> callable mapping itself, not a copy: compiled
+        clauses look names up here, so a later ``register`` still binds."""
+        return self._functions
 
     def names(self) -> Sequence[str]:
         return sorted(self._functions)

@@ -13,13 +13,12 @@ windows run next to the sampling query.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.dsms.aggregates import Aggregate, AggregateRegistry
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.expr import (
-    AggregateCall,
     EvalContext,
     bind_group,
     bind_input,
@@ -27,32 +26,12 @@ from repro.dsms.expr import (
     compile_clause,
     compile_tuple,
     compile_update_value,
-    pick,
 )
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.operators.base import Operator
 from repro.dsms.parser.analyzer import AnalyzedQuery
 from repro.streams.records import Record
 from repro.streams.schema import StreamSchema
-
-
-class _AggContext(EvalContext):
-    """What the compiled clauses read: the input record and, in ``key``,
-    the group-by values in scope — the tuple's own at tuple time, the
-    visited group's (with its ``aggregates``) at window close."""
-
-    def __init__(self, scalars: FunctionRegistry) -> None:
-        self._scalars = scalars
-        self.record: Optional[Record] = None
-        self.key: Tuple[Any, ...] = ()
-        self.aggregates: List[Aggregate] = []
-
-    def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self.function_calls += 1
-        return self._scalars.call(name, args)
-
-    def aggregate_value(self, node: AggregateCall) -> Any:
-        return self.aggregates[node.slot].value()
 
 
 class AggregationOperator(Operator):
@@ -81,9 +60,7 @@ class AggregationOperator(Operator):
 
         names = analyzed.group_by_names
         self._gb_index = {name: i for i, name in enumerate(names)}
-        self._ordered_indices = tuple(
-            list(self._gb_index[name] for name in analyzed.ordered_names)
-        )
+        self._ordered_indices = tuple(self._gb_index[name] for name in analyzed.ordered_names)
         self._groups: Dict[Tuple[Any, ...], List[Aggregate]] = {}
         self._current_window: Optional[Tuple[Any, ...]] = None
 
@@ -92,12 +69,13 @@ class AggregationOperator(Operator):
         ast = analyzed.ast
         at_tuple = bind_tuple(analyzed.schema, names)
         at_group = bind_group(names)
+        #: -> (group-by values, window id)
         self._group_key = compile_tuple(
             [item.expr for item in analyzed.group_by],
             bind_input(analyzed.schema),
             f"{account}:GROUP BY",
+            self._ordered_indices,
         )
-        self._window_of = pick(self._ordered_indices)
         self._where = compile_clause(ast.where, at_tuple, f"{account}:WHERE")
         self._aggregate_names = tuple(node.name for node in analyzed.aggregates)
         self._aggregate_args = tuple(
@@ -109,7 +87,9 @@ class AggregationOperator(Operator):
             [item.expr for item in ast.select], at_group, f"{account}:SELECT"
         )
 
-        self._ctx = _AggContext(scalars)
+        # ``key`` holds the tuple's own group-by values at tuple time, the
+        # visited group's (with its ``aggregates``) at window close
+        self._ctx = EvalContext(scalars.functions)
         self._default_obs(account)
 
     def _bind_series(self) -> None:
@@ -139,7 +119,7 @@ class AggregationOperator(Operator):
         if out is None:
             out = []
         ctx, where, groups = self._ctx, self._where, self._groups
-        group_key, window_of = self._group_key, self._window_of
+        group_key = self._group_key
         create, names = self._registry.create, self._aggregate_names
         arguments = self._aggregate_args
         current = self._current_window
@@ -147,8 +127,8 @@ class AggregationOperator(Operator):
         try:
             for record in records:
                 ctx.record = record
-                ctx.key = key = group_key(ctx)
-                window = window_of(key)
+                key, window = group_key(ctx)
+                ctx.key = key
                 if window != current:
                     if current is not None:
                         # Into the caller's list at once: these rows

@@ -9,16 +9,10 @@ operator" (§7.2) and how low-level prefilter queries work (Fig 6).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List, Optional
 
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
-from repro.dsms.expr import (
-    EvalContext,
-    StatefulCall,
-    bind_input,
-    compile_clause,
-    compile_tuple,
-)
+from repro.dsms.expr import EvalContext, bind_input, compile_clause, compile_tuple
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.operators.base import Operator
 from repro.dsms.parser.analyzer import AnalyzedQuery
@@ -27,36 +21,12 @@ from repro.streams.records import Record
 from repro.streams.schema import StreamSchema
 
 
-class _SelectionContext(EvalContext):
-    def __init__(self, scalars: FunctionRegistry) -> None:
-        self._scalars = scalars
-        self._stateful: Optional[StatefulLibrary] = None
-        self._states: Optional[dict] = None
-        self.record: Optional[Record] = None
-
-    def use_states(self, stateful: StatefulLibrary, states: dict) -> None:
-        """Point SFUN calls at ``states`` (a stateful selection's global
-        state set, at build and again after ``restore``)."""
-        self._stateful = stateful
-        self._states = states
-
-    def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self.function_calls += 1
-        return self._scalars.call(name, args)
-
-    def call_stateful(self, node: StatefulCall, args: Sequence[Any]) -> Any:
-        if self._stateful is None or self._states is None:
-            return super().call_stateful(node, args)
-        self.sfun_calls += 1
-        return self._stateful.invoke(node.name, self._states, args)
-
-
 class SelectionOperator(Operator):
     """Plain WHERE + SELECT over a stream.
 
     WHERE and the SELECT list are compiled against the plan-time input
     schema when the operator is built; a record costs one call per
-    clause plus whatever hooks the expressions call.
+    clause plus whatever functions the expressions call.
     """
 
     kind_label = "selection"
@@ -73,7 +43,7 @@ class SelectionOperator(Operator):
         self.output_schema = output_schema
         self._cost = cost_model
         self._account = account
-        self._ctx = _SelectionContext(scalars)
+        self._ctx = EvalContext(scalars.functions)  # a stateful one adds SFUNs and states
         bind = bind_input(analyzed.schema)
         self._where = compile_clause(analyzed.ast.where, bind, f"{account}:WHERE")
         self._select = compile_tuple(
@@ -145,7 +115,7 @@ class StatefulSelectionOperator(SelectionOperator):
         super().__init__(analyzed, output_schema, scalars, cost_model, account)
         self._stateful = stateful
         self.states = stateful.instantiate_states(analyzed.state_names)
-        self._ctx.use_states(stateful, self.states)
+        self._ctx.sfuns, self._ctx.states = stateful.functions, self.states
 
     def checkpoint(self) -> Any:
         """Snapshot the global SFUN state set by state *name* (the state
@@ -154,5 +124,4 @@ class StatefulSelectionOperator(SelectionOperator):
         return {"states": self._stateful.checkpoint_states(self.states)}
 
     def restore(self, snapshot: Any) -> None:
-        self.states = self._stateful.restore_states(snapshot["states"])
-        self._ctx.use_states(self._stateful, self.states)
+        self.states = self._ctx.states = self._stateful.restore_states(snapshot["states"])

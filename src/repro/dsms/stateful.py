@@ -26,7 +26,7 @@ planner then knows which states each supergroup must allocate.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Type
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Type
 
 from repro.errors import RegistryError, StatefulFunctionError
 
@@ -86,6 +86,18 @@ class StatefulState:
 SFun = Callable[..., Any]
 
 
+def unknown_sfun(fn_name: str) -> RegistryError:
+    return RegistryError(f"unknown stateful function {fn_name!r}")
+
+
+def unallocated_state(state_name: str, fn_name: str) -> StatefulFunctionError:
+    """An SFUN called with a state set that lacks its state."""
+    return StatefulFunctionError(
+        f"state {state_name!r} for SFUN {fn_name!r} was not allocated;"
+        " this usually means the call appears outside a sampling query"
+    )
+
+
 class StatefulLibrary:
     """Registry of STATE types and the SFUNs bound to them."""
 
@@ -138,7 +150,7 @@ class StatefulLibrary:
         try:
             return self._sfuns[fn_name]
         except KeyError:
-            raise RegistryError(f"unknown stateful function {fn_name!r}") from None
+            raise unknown_sfun(fn_name) from None
 
     def state_class(self, state_name: str) -> Type[StatefulState]:
         try:
@@ -150,7 +162,12 @@ class StatefulLibrary:
         try:
             return self._callables[fn_name]
         except KeyError:
-            raise RegistryError(f"unknown stateful function {fn_name!r}") from None
+            raise unknown_sfun(fn_name) from None
+
+    @property
+    def functions(self) -> Mapping[str, SFun]:
+        """SFUN name -> callable, the library's own mapping; the state goes first."""
+        return self._callables
 
     def checkpointable(self, state_name: str) -> bool:
         """Static capability check: can this state ride a checkpoint?
@@ -237,14 +254,11 @@ class StatefulLibrary:
         states: Dict[str, StatefulState],
         args: Sequence[Any],
     ) -> Any:
-        """Call an SFUN against the supergroup's state set."""
+        """A one-shot SFUN call; compiled clauses index :attr:`functions`."""
         try:
             state = states[self._sfuns[fn_name]]
             fn = self._callables[fn_name]
         except KeyError:
             state_name = self.state_of(fn_name)  # unknown SFUN: RegistryError
-            raise StatefulFunctionError(
-                f"state {state_name!r} for SFUN {fn_name!r} was not allocated;"
-                " this usually means the call appears outside a sampling query"
-            ) from None
+            raise unallocated_state(state_name, fn_name) from None
         return fn(state, *args)

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.errors import ExecutionError, QueryError
+from repro.errors import ExecutionError, QueryError, SchemaError
 from repro.analysis.legality import require_runnable
 from repro.dsms.durability import (
     ResultJournal,
@@ -947,10 +947,13 @@ class QueryServer:
       begins or the engine closes;
     * ``GET /queries`` — the standing set, sharing and quarantine report;
     * ``POST /queries`` — register (JSON ``{"query": ..., "name": ...,
-      "tenant": ...}``); 503 while draining;
+      "tenant": ...}``, all strings); 400 for a field that is not a
+      string, an invalid query or a name no schema can carry; 503 while
+      draining;
     * ``DELETE /queries/<id>`` — unregister (404 for unknown ids);
     * ``GET /queries/<id>/results`` — rows emitted so far
-      (``?limit=N`` truncates; 404 for unknown ids);
+      (``?limit=N`` truncates, 400 for a negative or non-integer N; 404
+      for unknown ids);
     * ``POST /drain`` — request a graceful drain (202).
     """
 
@@ -1299,11 +1302,10 @@ class QueryServer:
                         "400 Bad Request", "missing_field",
                         "missing 'query'",
                     )
-                sq = self.engine.register(
-                    request["query"],
-                    name=request.get("name", "q"),
-                    tenant=request.get("tenant", "default"),
-                )
+                fields = (request["query"], request.get("name", "q"), request.get("tenant", "default"))
+                if not all(isinstance(value, str) for value in fields):
+                    raise ValueError("'query', 'name' and 'tenant' must be strings")
+                sq = self.engine.register(*fields)
                 return self._json("201 Created", {
                     "id": sq.qid,
                     "offset": sq.registered_at,
@@ -1325,7 +1327,10 @@ class QueryServer:
                     rows = [list(r.values) for r in sq.results]
                     for item in query_string.split("&"):
                         if item.startswith("limit="):
-                            rows = rows[: int(item[len("limit="):])]
+                            limit = int(item[len("limit="):])
+                            if limit < 0:
+                                raise ValueError(f"limit {limit} is negative")
+                            rows = rows[:limit]
                     schema = sq.instance.query(sq.name).output_schema
                     return self._json("200 OK", {
                         "id": sq.qid,
@@ -1339,7 +1344,8 @@ class QueryServer:
             return self._error("404 Not Found", "unknown_query", str(exc))
         except ServingUnavailableError as exc:
             return self._error("503 Service Unavailable", "draining", str(exc))
-        except (ExecutionError, QueryError, ValueError) as exc:
+        except (ExecutionError, QueryError, SchemaError, ValueError) as exc:
+            # SchemaError: a query name no output schema can carry
             return self._error("400 Bad Request", "rejected", str(exc))
         except Exception as exc:  # never kill the connection handler
             return self._error(

@@ -1,9 +1,11 @@
 """The sampling operator: §5 semantics, §6.4 evaluation order."""
 
 import pickle
+from collections import Counter
 
 import pytest
 
+from repro.dsms.cost import CostModel
 from repro.dsms.operators import build_operator
 from repro.dsms.parser.planner import compile_query
 from repro.dsms.stateful import StatefulLibrary, StatefulState
@@ -270,6 +272,56 @@ class TestSuperGroups:
         op.process(packet(time=10, uts=2, src=2))  # different supergroup key
         final = op.finish()
         assert final[0][2] == 0
+
+
+class _Tally(CostModel):
+    """A cost model that also counts each operation charged."""
+
+    def __init__(self):
+        super().__init__()
+        self.counts = Counter()
+
+    def charge(self, account, operation, count=1):
+        self.counts[operation] += count
+        super().charge(account, operation, count)
+
+
+class TestHeldSupergroup:
+    """A window's one supergroup (no SUPERGROUP BY beyond the window) is
+    looked up once per run and window, any other per record; either way
+    the supergroup in hand must never outlive its window.  Every two-run
+    cut of the stream is held to the stream fed a record at a time."""
+
+    QUERY = (
+        "SELECT tb, srcIP, count(*), carried() FROM TCP WHERE tick(1) = TRUE"
+        " GROUP BY time/4 as tb, srcIP SUPERGROUP BY {}"
+    )
+    #: srcIP alternates every record for three windows, then comes in
+    #: threes, so a window boundary falls both between two keys and
+    #: between two records of one key
+    RECORDS = trace(*[(i, 1 + (i % 2 if i < 12 else i // 3 % 2), 10) for i in range(24)])
+
+    def observe(self, registries, query, runs, held):
+        tally = _Tally()
+        op = build_operator(compile_query(query, registries), tally)
+        assert op._holds_supergroup == held
+        rows = [tuple(row) for run in runs for row in op.process_many(run)]
+        rows.extend(tuple(row) for row in op.flush())
+        probes, inserts = tally.counts["hash_probe"], tally.counts["hash_insert"]
+        return rows, probes, inserts, op.m_carryover.value
+
+    @pytest.mark.parametrize(
+        "supergroup, held, carryovers", [("tb, srcIP", False, 10), ("tb", True, 5)]
+    )
+    def test_every_cut_is_a_record_at_a_time(self, registries, supergroup, held, carryovers):
+        registries.stateful = registries.stateful.merge(threshold_library())
+        query, records = self.QUERY.format(supergroup), self.RECORDS
+        want = self.observe(registries, query, [[record] for record in records], held)
+        rows, _, _, carried_over = want
+        assert len({row[0] for row in rows}) == 6 and carried_over == carryovers
+        for cut in range(len(records) + 1):
+            runs = [records[:cut], records[cut:]]
+            assert self.observe(registries, query, runs, held) == want
 
 
 class TestKmvAdmission:

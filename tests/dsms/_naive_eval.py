@@ -3,11 +3,14 @@
 This is the tree-walking ``evaluate`` the tuple engine shipped before
 ``compile_expr`` replaced it, kept as the oracle the compiler is tested
 against (``test_expr_compile.py``): one ``isinstance`` ladder, every
-column resolved by name through ``ctx.column``, nothing cached.  It is
-verbatim except for the two error fixes that landed with the compiler —
-``%`` by zero and unary minus on a non-number raise span-carrying
+column resolved by name through ``ctx.column``, every function, state
+and aggregate read out of the context's five fields, nothing cached.  It
+is verbatim except for the two error fixes that landed with the compiler
+— ``%`` by zero and unary minus on a non-number raise span-carrying
 ``ExecutionError`` instead of leaking ``ZeroDivisionError`` /
-``TypeError`` — so the oracle defines the intended semantics.
+``TypeError`` — and for calling through those fields where the context
+used to offer a hook per kind of call, so the oracle defines the
+intended semantics.
 """
 
 from typing import Any
@@ -71,14 +74,14 @@ def naive_evaluate(expr: Expr, ctx: EvalContext) -> Any:
         return _evaluate_binary(expr, ctx)
     if isinstance(expr, ScalarCall):
         args = [naive_evaluate(a, ctx) for a in expr.args]
-        return ctx.call_scalar(expr.name, args)
+        return ctx.scalars[expr.name](*args)
     if isinstance(expr, AggregateCall):
-        return ctx.aggregate_value(expr)
+        return ctx.aggregates[expr.slot].value()
     if isinstance(expr, SuperAggregateCall):
-        return ctx.superaggregate_value(expr)
+        return ctx.superaggregates[expr.slot].value()
     if isinstance(expr, StatefulCall):
         args = [naive_evaluate(a, ctx) for a in expr.args]
-        return ctx.call_stateful(expr, args)
+        return ctx.sfuns[expr.name](ctx.states[expr.state_name], *args)
     if isinstance(expr, FunctionCall):
         raise ExecutionError(
             f"unclassified function call {expr.name!r} reached evaluation;"

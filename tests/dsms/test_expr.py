@@ -28,15 +28,18 @@ from repro.dsms.expr import (
 class DictContext(EvalContext):
     def __init__(self, columns=None, scalars=None):
         self.columns = columns or {}
-        self.scalars = scalars or {}
+        self.scalars = {name: self._logged(name, fn) for name, fn in (scalars or {}).items()}
         self.scalar_calls = []
 
     def column(self, name):
         return self.columns[name]
 
-    def call_scalar(self, name, args):
-        self.scalar_calls.append(name)
-        return self.scalars[name](*args)
+    def _logged(self, name, fn):
+        def call(*args):
+            self.scalar_calls.append(name)
+            return fn(*args)
+
+        return call
 
 
 def lit(x):
@@ -149,17 +152,19 @@ class TestCalls:
             evaluate(FunctionCall("f", ()), DictContext())
 
     def test_default_context_hooks_raise(self):
+        """A bare context has no column hook and no fields: every read
+        through them is an ExecutionError, not a silent None."""
         ctx = EvalContext()
         with pytest.raises(ExecutionError):
             ctx.column("x")
-        with pytest.raises(ExecutionError):
-            ctx.call_scalar("f", [])
-        with pytest.raises(ExecutionError):
-            ctx.aggregate_value(AggregateCall("sum", (), 0))
-        with pytest.raises(ExecutionError):
-            ctx.superaggregate_value(SuperAggregateCall("count_distinct", (), 0))
-        with pytest.raises(ExecutionError):
-            ctx.call_stateful(StatefulCall("f", "s", ()), [])
+        for node in (
+            ScalarCall("f", ()),
+            AggregateCall("sum", (), 0),
+            SuperAggregateCall("count_distinct", (), 0),
+            StatefulCall("f", "s", ()),
+        ):
+            with pytest.raises(ExecutionError):
+                evaluate(node, ctx)
 
 
 class TestTreeUtilities:

@@ -12,6 +12,7 @@ compiles.
 import inspect
 import linecache
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -42,11 +43,19 @@ from repro.dsms.expr import (
     by_name,
     compile_expr,
     compile_tuple,
+    evaluate,
+    find_nodes,
 )
 from repro.dsms.parser.parser import MAX_EXPRESSION_DEPTH, parse_expression
 from repro.dsms.runtime import Gigascope
 from repro.dsms.span import Span
-from repro.errors import ExecutionError, ParseError
+from repro.errors import (
+    ExecutionError,
+    ParseError,
+    RegistryError,
+    ReproError,
+    StatefulFunctionError,
+)
 from repro.serving.server import StandingQueryEngine
 from repro.streams.records import Record
 from repro.streams.schema import TCP_SCHEMA, Attribute, StreamSchema
@@ -108,34 +117,48 @@ BINDERS = [
 ]
 
 
+class _Stub:
+    """An aggregate that holds one value."""
+
+    def __init__(self, value):
+        self._value = value
+
+    def value(self):
+        return self._value
+
+
 class LoggingContext(EvalContext):
-    """Stub hooks that record every call, in order, with its arguments
-    (as ``repr``: a computed NaN argument must equal itself)."""
+    """Stub functions that record every call, in order, with its arguments
+    (as ``repr``: a computed NaN argument must equal itself), and stub
+    aggregates, in the fields a compiled clause reads."""
 
     def __init__(self, record, column=_column_of_record):
         self.record = record
         self.key = KEY
         self.log = []
         self._column = column
+        self.scalars = {name: self._scalar(name) for name in ("first", "boom")}
+        self.sfuns = {"flip": self._flip}
+        self.states = {"flip_state": object()}
+        self.aggregates = [_Stub(value) for value in (3, 2.0, 0)]
+        self.superaggregates = [_Stub(value) for value in (11, 0)]
 
     def column(self, name):
         return self._column(self, name)
 
-    def call_scalar(self, name, args):
-        self.log.append(("scalar", name, repr(list(args))))
-        if name == "boom":
-            raise ExecutionError("boom")
-        return args[0] if args else 0
+    def _scalar(self, name):
+        def call(*args):
+            self.log.append(("scalar", name, repr(list(args))))
+            if name == "boom":
+                raise ExecutionError("boom")
+            return args[0] if args else 0
 
-    def call_stateful(self, node, args):
-        self.log.append(("sfun", node.name, repr(list(args))))
+        return call
+
+    def _flip(self, state, *args):
+        assert state is self.states["flip_state"]
+        self.log.append(("sfun", "flip", repr(list(args))))
         return len(self.log) % 2 == 0
-
-    def aggregate_value(self, node):
-        return (3, 2.0, 0)[node.slot]
-
-    def superaggregate_value(self, node):
-        return (11, 0)[node.slot]
 
 
 spans = st.one_of(
@@ -259,6 +282,53 @@ def test_a_base_is_loaded_once_only_where_the_first_read_fails_alike():
     with pytest.raises(AttributeError):
         compile_expr(late, bind)(ctx)
     assert ctx.log == [("scalar", "first", "[1]")]
+
+
+def test_a_context_without_what_a_call_needs_fails_as_the_hooks_did():
+    """Error parity with the hook protocol this replaced: each message
+    below is the one the hooks raised, type and text.  A bare context has
+    no functions, states or aggregates; a plain selection's has scalars
+    but no SFUNs; a sampling supergroup may miss its state, and a
+    hand-built tree may name what no registry holds."""
+    gs = Gigascope()
+    gs.register_stream(TCP_SCHEMA)
+    library = subset_sum_library()
+    gs.use_stateful_library(library)
+    selection = gs.add_query("SELECT len FROM TCP", name="sel").operator._ctx
+    sampling = gs.add_query(SUBSET_SUM_QUERY.format(window=2, target=1000), name="ss").operator
+    (ssample,) = find_nodes(sampling.spec.where, StatefulCall)
+    ssample = replace(ssample, args=(Literal(40), Literal(1000)))
+    supergroup = sampling._ctx
+    supergroup.states = {}  # a supergroup missing the state
+
+    unallocated = (
+        "state 'subsetsum_sampling_state' for SFUN 'ssample' was not allocated;"
+        " this usually means the call appears outside a sampling query"
+    )
+    cases = [
+        (EvalContext(), ScalarCall("f", ()), ExecutionError,
+         "scalar function 'f' not available in this context"),
+        (EvalContext(), AggregateCall("sum", (), 0), ExecutionError,
+         "aggregate 'sum' not available in this context"),
+        (EvalContext(), SuperAggregateCall("count_distinct", (), 0), ExecutionError,
+         "superaggregate count_distinct$ not available in this context"),
+        (EvalContext(), StatefulCall("f", "s", ()), ExecutionError,
+         "stateful function 'f' not available in this context"),
+        (selection, ssample, ExecutionError,
+         "stateful function 'ssample' not available in this context"),
+        (supergroup, ssample, StatefulFunctionError, unallocated),
+        (supergroup, ScalarCall("nope", ()), RegistryError, "unknown scalar function 'nope'"),
+        (supergroup, StatefulCall("nope", "s", ()), RegistryError,
+         "unknown stateful function 'nope'"),
+    ]
+    for ctx, node, kind, message in cases:
+        with pytest.raises(ReproError) as caught:
+            evaluate(node, ctx)
+        assert (type(caught.value), str(caught.value)) == (kind, message)
+    # ... and the library's one-shot call says the same
+    with pytest.raises(StatefulFunctionError) as caught:
+        library.invoke("ssample", {}, [40, 1000])
+    assert str(caught.value) == unallocated
 
 
 # -- source generation ---------------------------------------------------------
@@ -425,16 +495,21 @@ def test_subset_sum_python_calls_per_record():
     the per-record code path does: 262 with the tree-walking evaluator,
     107.9 compiled but handed from node to node a record at a time, 76.5
     once operators took runs, 63.5 once admission, the ring and the
-    pass-through feeder took them too, 43.1 now that a clause is one
-    generated function instead of a closure per AST node (these 4 000
-    records are the insert-heavy head of the stream; the perf ledger's
-    24 000 read 22.3).
+    pass-through feeder took them too, 43.1 once a clause was one
+    generated function instead of a closure per AST node, 30.9 now that
+    a clause calls SFUNs, scalars and aggregates straight out of the
+    context's fields, the GROUP BY function returns the window id and
+    supergroup key too, and the operator holds its supergroup (these
+    4 000 records are the insert-heavy head of the stream; the perf
+    ledger's 24 000 read 14.3).
     What trips the bound now is two calls per record: a per-record
     admission hop (``_admit_payload``, a ``ring.push``) or the feeder
-    re-wrapping each tuple in a new ``Record`` coming back, a call per
-    operand or per column read coming back into the clauses — as well as
-    a per-record ``cost.charge`` or ``Counter.inc``, a dispatch hop
-    between nodes, a tree walk or a by-name column lookup."""
+    re-wrapping each tuple in a new ``Record`` coming back, a hook frame
+    between a clause and the SFUN it calls, a key ``pick`` or a
+    supergroup lookup per record coming back — as well as a call per
+    operand or per column read in the clauses, a per-record
+    ``cost.charge`` or ``Counter.inc``, a dispatch hop between nodes, a
+    tree walk or a by-name column lookup."""
     records = 4000
     trace = _steady(records)
     gs = Gigascope()
@@ -454,4 +529,4 @@ def test_subset_sum_python_calls_per_record():
     finally:
         sys.setprofile(previous)
     assert gs.results("ss")
-    assert calls[0] / records <= 45
+    assert calls[0] / records <= 33

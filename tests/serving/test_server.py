@@ -411,6 +411,52 @@ class TestHttpPlane:
         assert "nests deeper than 64 levels" in answers[-2][1]["error"]["detail"]
         assert [sq.qid for sq in engine.queries()] == [answers[-1][1]["id"]]
 
+    def test_a_malformed_request_is_the_clients_error(self, records):
+        """A name no schema can carry, a field of the wrong JSON type and
+        a negative ``limit`` answer 400 and register nothing; they used
+        to be 500 (``SchemaError``, ``AttributeError``, ``TypeError``) and,
+        for the limit, 200 with every row but the last."""
+        bodies = [
+            {"query": SELECTION, "name": "bad-name"},
+            {"query": SELECTION, "name": 5},
+            {"query": 7},
+            {"query": SELECTION, "tenant": ["acme"]},
+        ]
+
+        async def scenario():
+            engine = StandingQueryEngine(make_instance)
+            server = QueryServer(engine, batch_size=BATCH)
+            _, port = await server.start_http()
+            answers = []
+            for request in bodies:
+                body = json.dumps(request)
+                answers.append(await self.request(
+                    port,
+                    f"POST /queries HTTP/1.1\r\nContent-Length: {len(body)}"
+                    f"\r\n\r\n{body}",
+                ))
+            registered = [sq.qid for sq in engine.queries()]
+            body = json.dumps({"query": SELECTION})
+            _, payload = await self.request(
+                port,
+                f"POST /queries HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n{body}",
+            )
+            qid = json.loads(payload)["id"]
+            await server.ingest(records[:512], close=False)
+            for limit in ("-1", "x", "3"):
+                answers.append(await self.request(
+                    port, f"GET /queries/{qid}/results?limit={limit} HTTP/1.1\r\n\r\n"
+                ))
+            await server.stop_http()
+            return registered, answers
+
+        registered, answers = self.run_server(scenario())
+        assert registered == []
+        assert [status for status, _ in answers] == [400] * 6 + [200]
+        for _, payload in answers[:-1]:
+            assert json.loads(payload)["error"]["reason"] == "rejected"
+        assert len(json.loads(answers[-1][1])["rows"]) == 3
+
     def test_http_registration_lands_at_a_batch_boundary(self, records):
         """A query registered mid-ingest sees exactly the later records."""
 

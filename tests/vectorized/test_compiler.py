@@ -41,13 +41,10 @@ def _registries():
 class _RowCtx(EvalContext):
     def __init__(self, record, scalars):
         self.record = record
-        self.scalars = scalars
+        self.scalars = scalars.functions
 
     def column(self, name):
         return self.record[name]
-
-    def call_scalar(self, name, args):
-        return self.scalars.call(name, args)
 
 
 def _compile_select(sql):
