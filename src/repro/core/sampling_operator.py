@@ -195,21 +195,7 @@ class SamplingOperator(Operator):
         super()._bind_series()
         metrics = self.obs_metrics
         common = {"query": self.obs_query, "operator": self.kind_label}
-        self.m_admitted = metrics.counter(
-            "operator_tuples_admitted_total",
-            help="tuples that passed WHERE and fed a group",
-            **common,
-        )
-        self.m_late = metrics.counter(
-            "operator_late_tuples_total",
-            help="tuples dropped because their window already closed",
-            **common,
-        )
-        self.m_incomparable = metrics.counter(
-            "operator_incomparable_tuples_total",
-            help="tuples dropped because their window id was unorderable",
-            **common,
-        )
+        self._bind_window_series(**common)
         self.m_shed = metrics.counter(
             "operator_shed_tuples_total",
             help="tuples shed upstream at admission (never reached process)",
@@ -220,20 +206,9 @@ class SamplingOperator(Operator):
             help="tuples dead-lettered upstream at admission (malformed)",
             **common,
         )
-        self.m_windows = metrics.counter(
-            "operator_windows_total", help="windows closed", **common
-        )
-        self.m_groups_created = metrics.counter(
-            "operator_groups_created_total", help="group-table inserts", **common
-        )
         self.m_groups_evicted = metrics.counter(
             "operator_groups_evicted_total",
             help="groups evicted by CLEANING BY during cleaning phases",
-            **common,
-        )
-        self.m_having_rejected = metrics.counter(
-            "operator_having_rejected_total",
-            help="groups rejected by HAVING at window close",
             **common,
         )
         self.m_cleaning_phases = metrics.counter(
@@ -282,22 +257,14 @@ class SamplingOperator(Operator):
                 key, window, supergroup_key = group_key(ctx)
                 ctx.key = key
                 if window != current:
+                    dropped = self._late(window, current)
+                    if dropped == "late":
+                        stats.late_tuples += 1
+                        continue
+                    if dropped is not None:
+                        stats.incomparable_tuples += 1
+                        continue
                     if current is not None:
-                        try:
-                            is_late = window < current
-                        except TypeError:
-                            # An unorderable window id must not close the
-                            # window: that would drop every live group and
-                            # SFUN state.
-                            stats.incomparable_tuples += 1
-                            self.m_incomparable.inc()
-                            continue
-                        if is_late:
-                            # The tuple's window already closed and was
-                            # emitted; state for it no longer exists.
-                            stats.late_tuples += 1
-                            self.m_late.inc()
-                            continue
                         # Into the caller's list at once: these rows must
                         # outlive an error later in the run.
                         out.extend(self._close_window())

@@ -3,7 +3,10 @@
 The conventional (non-sampling) aggregation path: groups accumulate UDAF
 state within a window; when any ordered group-by variable changes value
 (paper §3: window boundaries derive from ordered-attribute references),
-all groups are finalized, HAVING-filtered and emitted.
+all groups are finalized, HAVING-filtered and emitted — unless the new
+window id orders before the open one or cannot be ordered against it:
+that tuple is late or incomparable, and is counted and dropped
+(``Operator._late``, the sampling operator's policy).
 
 This operator doubles as the exact baseline for the accuracy experiments:
 Fig 2's "actual" series is a plain ``sum(len)`` aggregation over 20-second
@@ -94,24 +97,7 @@ class AggregationOperator(Operator):
 
     def _bind_series(self) -> None:
         super()._bind_series()
-        common = {"query": self.obs_query, "operator": self.kind_label}
-        m = self.obs_metrics
-        self.m_admitted = m.counter(
-            "operator_tuples_admitted_total",
-            help="tuples that passed WHERE and fed a group",
-            **common,
-        )
-        self.m_windows = m.counter(
-            "operator_windows_total", help="windows closed", **common
-        )
-        self.m_groups_created = m.counter(
-            "operator_groups_created_total", help="group-table inserts", **common
-        )
-        self.m_having_rejected = m.counter(
-            "operator_having_rejected_total",
-            help="groups rejected by HAVING at window close",
-            **common,
-        )
+        self._bind_window_series(query=self.obs_query, operator=self.kind_label)
 
     def process_many(
         self, records: Iterable[Record], out: Optional[List[Record]] = None
@@ -123,13 +109,17 @@ class AggregationOperator(Operator):
         create, names = self._registry.create, self._aggregate_names
         arguments = self._aggregate_args
         current = self._current_window
-        n_in = n_filtered = n_admitted = n_created = n_updates = 0
+        n_in = n_dropped = n_filtered = n_admitted = n_created = n_updates = 0
         try:
             for record in records:
                 ctx.record = record
                 key, window = group_key(ctx)
                 ctx.key = key
+                n_in += 1
                 if window != current:
+                    if self._late(window, current) is not None:
+                        n_dropped += 1
+                        continue
                     if current is not None:
                         # Into the caller's list at once: these rows
                         # must outlive an error later in the run.
@@ -139,7 +129,6 @@ class AggregationOperator(Operator):
                     self.obs_trace.emit(
                         "window_open", query=self.obs_query, window=list(window)
                     )
-                n_in += 1
                 if where is not None and not where(ctx):
                     n_filtered += 1
                     continue
@@ -156,7 +145,7 @@ class AggregationOperator(Operator):
             charge(account, "tuple_read", n_in)
             charge(account, "hash_probe", n_in)
             if where is not None:
-                charge(account, "predicate_eval", n_in)
+                charge(account, "predicate_eval", n_in - n_dropped)
             charge(account, "hash_insert", n_created)
             charge(account, "aggregate_update", n_updates)
             ctx.settle_calls(charge, account)

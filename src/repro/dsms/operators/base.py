@@ -78,11 +78,11 @@ class Operator:
     # Every operator carries metric series for the tuple-conservation
     # identity ``in == filtered + rows_out`` (selections) or
     # ``in == filtered + admitted + late + incomparable`` (windowed
-    # operators; see docs/OBSERVABILITY.md).  Series are resolved once,
-    # at bind time, into plain attributes so the per-tuple cost is one
-    # integer add.  Operators built standalone (unit tests) bind a
-    # private registry; the runtime re-binds them onto the instance-wide
-    # registry before any tuple flows.
+    # operators, one late-tuple policy: :meth:`_late`; docs/OBSERVABILITY.md).
+    # Series are resolved once, at bind time, into plain attributes so the
+    # per-tuple cost is one integer add.  Operators built standalone (unit
+    # tests) bind a private registry; the runtime re-binds them onto the
+    # instance-wide registry before any tuple flows.
 
     def bind_obs(
         self, metrics: MetricsRegistry, trace: TraceSink, query: str
@@ -116,6 +116,55 @@ class Operator:
     def _default_obs(self, query: str) -> None:
         """Bind a private registry (constructor fallback; see bind_obs)."""
         self.bind_obs(MetricsRegistry(), NULL_TRACE, query)
+
+    # -- windowed operators: their series, their one late-tuple policy --
+
+    def _bind_window_series(self, **labels: str) -> None:
+        """What a windowed operator counts beyond every operator's series:
+        the rest of its identity (:meth:`_late` counts two of the terms),
+        its windows and its groups."""
+        counter = self.obs_metrics.counter
+        self.m_admitted = counter(
+            "operator_tuples_admitted_total",
+            help="tuples that passed WHERE and fed a group",
+            **labels,
+        )
+        self.m_late = counter(
+            "operator_late_tuples_total",
+            help="tuples dropped because their window already closed",
+            **labels,
+        )
+        self.m_incomparable = counter(
+            "operator_incomparable_tuples_total",
+            help="tuples dropped because their window id was unorderable",
+            **labels,
+        )
+        self.m_windows = counter("operator_windows_total", help="windows closed", **labels)
+        self.m_groups_created = counter(
+            "operator_groups_created_total", help="group-table inserts", **labels
+        )
+        self.m_having_rejected = counter(
+            "operator_having_rejected_total",
+            help="groups rejected by HAVING at window close",
+            **labels,
+        )
+
+    def _late(self, window: Any, current: Any, count: int = 1) -> Optional[str]:
+        """Asked only when ``window`` differs from the open ``current``:
+        ``"late"`` when it orders before it (that window was emitted),
+        ``"incomparable"`` when it cannot be ordered against it (a None
+        timestamp) — the ``count`` tuples are counted and dropped and the
+        open window stays open — or None: ``window`` opens."""
+        if current is None:
+            return None
+        try:
+            if not window < current:
+                return None
+            kind, counter = "late", self.m_late
+        except TypeError:
+            kind, counter = "incomparable", self.m_incomparable
+        counter.inc(count)
+        return kind
 
     def process_many(
         self, records: Iterable[Record], out: Optional[List[Record]] = None

@@ -56,7 +56,6 @@ message path is handled anyway.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import queue as _queue
 import time
@@ -781,7 +780,7 @@ def _supervised_worker(
                 out_queue.put(("ckpt", shard, epoch, message[1], blob))
             elif kind == "finish":
                 if fault_plan is not None and fault_plan.drops_result(shard, epoch):
-                    os._exit(0)
+                    fault_plan.die(out_queue, 0)
                 instance.finish()
                 results = {name: instance.query(name).results for name in query_names}
                 accounts = instance.cost.accounts() if instance.cost.enabled else {}

@@ -12,9 +12,8 @@ and one window close.
 
 Accounting parity is a hard invariant: every cost-model charge and
 metric increment the tuple path makes per record, these operators make
-as a batch delta — the conservation identities
-(``in == filtered + rows_out``, ``in == filtered + admitted``) and the
-cost-account totals come out byte-identical for the same input.
+as a batch delta — the conservation identities (docs/OBSERVABILITY.md)
+and the cost-account totals come out byte-identical for the same input.
 
 Group state stays as ordinary :class:`Aggregate` instances; each batch
 is factorized into group codes (iterated pairwise ``np.unique`` packing)
@@ -345,10 +344,11 @@ def _fold_count_distinct(groups, slot, codes, values, n_groups):
         return
     uniques, value_codes = np.unique(values, return_inverse=True)
     value_codes = value_codes.reshape(-1)
-    pairs = np.unique(codes * len(uniques) + value_codes)
+    pairs, first = np.unique(codes * len(uniques) + value_codes, return_index=True)
     unique_values = uniques.tolist()
     width = len(uniques)
-    for pair in pairs.tolist():
+    # in arrival order, as the tuple path inserts: a set pickles in that order
+    for pair in pairs[np.argsort(first)].tolist():
         groups[pair // width][slot].update(unique_values[pair % width])
 
 
@@ -371,12 +371,14 @@ class VectorizedAggregationOperator(AggregationOperator):
 
     A batch is first segmented at window boundaries (any change in the
     ordered group-by values, computed pre-WHERE, closes the window —
-    identical to the tuple path's per-record check), then each segment
-    is filtered, factorized into group codes, and folded into the group
-    table.  Window close is the inherited one: HAVING and SELECT run per
-    group over the table both engines share, so a plan falls back to the
-    tuple path only for what its per-tuple clauses — GROUP BY, WHERE,
-    aggregate arguments — cannot express.
+    identical to the tuple path's per-record check; a segment whose
+    window id is late or incomparable is counted and dropped whole,
+    ``Operator._late``), then each segment is filtered, factorized into
+    group codes, and folded into the group table.  Window close is the
+    inherited one: HAVING and SELECT run per group over the table both
+    engines share, so a plan falls back to the tuple path only for what
+    its per-tuple clauses — GROUP BY, WHERE, aggregate arguments —
+    cannot express.
     """
 
     execution_mode = "vectorized"
@@ -447,20 +449,10 @@ class VectorizedAggregationOperator(AggregationOperator):
         gb_arrays = [as_column(fn(env), n) for fn in self._gb_fns]
         window_arrays = [gb_arrays[i] for i in self._ordered_indices]
 
-        # WHERE evaluates once over the whole batch (group-by names
-        # shadowing included); segments slice the mask.
-        mask = None
-        if self._where_fn is not None:
-            self._cost.charge(self._account, "predicate_eval", n)
-            mask = self._where_fn(self._row_env(batch, gb_arrays, n))
-
-        self._cost.charge(self._account, "tuple_read", n)
-        self._cost.charge(self._account, "hash_probe", n)
-        self.m_in.inc(n)
-
         # Window segmentation happens pre-WHERE: any tuple whose ordered
         # group-by values differ from the previous tuple's closes the
-        # window, whether or not WHERE admits it.
+        # window, whether or not WHERE admits it — unless its window id is
+        # late or incomparable: that segment is dropped before WHERE.
         if window_arrays and n > 1:
             change = np.zeros(n, dtype=np.bool_)
             for col in window_arrays:
@@ -468,9 +460,37 @@ class VectorizedAggregationOperator(AggregationOperator):
             bounds = [0] + np.flatnonzero(change).tolist() + [n]
         else:
             bounds = [0, n]
-
+        segments, current, kept = [], self._current_window, 0
         for start, stop in zip(bounds, bounds[1:]):
             window = tuple(_py(col[start]) for col in window_arrays)
+            if window != current:
+                if self._late(window, current, stop - start) is not None:
+                    continue
+                current = window
+            segments.append((window, start, stop))
+            kept += stop - start
+
+        # WHERE evaluates once over the rows kept (group-by names
+        # shadowing included); segments slice the mask.
+        mask = None
+        if self._where_fn is not None and kept:
+            self._cost.charge(self._account, "predicate_eval", kept)
+            if kept == n:
+                mask = self._where_fn(self._row_env(batch, gb_arrays, n))
+            else:
+                rows = np.zeros(n, dtype=np.bool_)
+                for _, start, stop in segments:
+                    rows[start:stop] = True
+                mask = np.zeros(n, dtype=np.bool_)
+                mask[rows] = self._where_fn(
+                    self._row_env(batch.take(rows), [col[rows] for col in gb_arrays], kept)
+                )
+
+        self._cost.charge(self._account, "tuple_read", n)
+        self._cost.charge(self._account, "hash_probe", n)
+        self.m_in.inc(n)
+
+        for window, start, stop in segments:
             if window != self._current_window:
                 if self._current_window is not None:
                     out.extend(self._emit_window())

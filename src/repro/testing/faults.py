@@ -118,16 +118,22 @@ class FaultPlan:
         for fault in self._matches(shard, epoch, "corrupt"):
             if fault.at_batch == batch_no and out_queue is not None:
                 out_queue.put(PoisonPill())
-                # Flush the feeder thread so the poison actually reaches
-                # the pipe, then die: a corrupt message in practice means
-                # the sender is broken, and exiting lets the parent's
-                # liveness check attribute the poison to this shard.
-                out_queue.close()
-                out_queue.join_thread()
-                os._exit(1)
+                # a corrupt message means a broken sender: exiting lets the
+                # parent's liveness check attribute the poison to this shard
+                self.die(out_queue, 1)
         for fault in self._matches(shard, epoch, "kill"):
             if fault.at_batch == batch_no:
-                os._exit(1)
+                self.die(out_queue, 1)
+
+    @staticmethod
+    def die(out_queue: Any, code: int) -> None:
+        """Hard-exit once what was put on ``out_queue`` reached the pipe:
+        a worker killed inside a put would hold the queue's write lock,
+        and every later writer — its restarted self included — would hang."""
+        if out_queue is not None:
+            out_queue.close()
+            out_queue.join_thread()
+        os._exit(code)
 
     def drops_result(self, shard: int, epoch: int) -> bool:
         """Called by the worker at finish: die silently instead of reporting?"""

@@ -11,13 +11,10 @@ plus targeted single-rule cases.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.execsafety import ExecTarget, parse_target
 from repro.analysis.linter import default_lint_registries, lint_source
@@ -512,60 +509,6 @@ def deploy(target, text, directory):
     gs = instance()
     gs.add_query(text, name="q")
     return DurableRunner(gs, journal) if target.durable else gs
-
-
-class TestTheTargetLattice:
-    """The 1:1 mapping as one property: over every deployment the six
-    facts can describe and every shipped query, lint reports an SA3xx
-    error exactly when building that deployment and registering the
-    query raises — with the sentence of a row lint reported."""
-
-    registries = default_lint_registries()
-    registries.stateful = registries.stateful.merge(flaky_library())
-
-    @settings(max_examples=400, deadline=None)
-    @given(
-        shards=st.sampled_from([None, 1, 2]),
-        supervise=st.booleans(),
-        durable=st.booleans(),
-        rebalance=st.booleans(),
-        shed_threshold=st.sampled_from([None, 100]),
-        serve=st.booleans(),
-        query=st.sampled_from(sorted(LATTICE_QUERIES)),
-    )
-    def test_lint_refuses_iff_the_deployment_does(self, query, **facts):
-        illegal = (
-            (facts["supervise"] or facts["rebalance"]) and facts["shards"] is None
-        ) or (facts["serve"] and facts["shards"] is not None)
-        if illegal:
-            with pytest.raises(ValueError):
-                ExecTarget(**facts)
-            return
-        target = ExecTarget(**facts)
-        text = LATTICE_QUERIES[query]
-        result = lint_source(text, self.registries, target=target)
-        refused = [d.rule for d in result.errors if d.rule.startswith("SA3")]
-        with tempfile.TemporaryDirectory() as directory:
-            try:
-                deployed = deploy(target, text, directory)
-                raised = None
-            except (PlanningError, ExecutionError) as exc:
-                raised = str(exc)
-        assert bool(refused) == (raised is not None), (
-            f"{target.describe()} / {query}: lint {refused}, runtime {raised!r}"
-        )
-        if raised is None:
-            # Each deployment describes itself as the target it was built from.
-            assert deployed is None or deployed.target == target
-            return
-        from repro.analysis.legality import RULES
-
-        reasons = [
-            rule.reason(result.plan, self.registries, target)
-            for rule in RULES
-            if rule.id in refused
-        ]
-        assert any(reason in raised for reason in reasons), (raised, reasons)
 
 
 class TestOneTableTwoReaders:

@@ -57,6 +57,16 @@ def pytest_runtest_call(item):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
 
+from hypothesis import settings
+
+# Tier 1 is derandomized, on a fixed budget: a property draws the same
+# examples on every run.  ``--hypothesis-profile=deep`` is the CI step
+# that looks further (tests/test_oracle.py), ten times the examples,
+# freshly drawn.  A test that sets its own ``max_examples`` keeps it.
+settings.register_profile("tier1", max_examples=100, deadline=None, derandomize=True, database=None)
+settings.register_profile("deep", max_examples=1000, deadline=None)
+settings.load_profile("tier1")
+
 from repro.dsms.aggregates import default_aggregate_registry
 from repro.dsms.functions import default_function_registry
 from repro.dsms.parser import Registries

@@ -1,8 +1,10 @@
 """A deliberately naive reference interpreter for scalar expressions.
 
-This is the tree-walking ``evaluate`` the tuple engine shipped before
-``compile_expr`` replaced it, kept as the oracle the compiler is tested
-against (``test_expr_compile.py``): one ``isinstance`` ladder, every
+The expression half of the oracle: ``tests/_oracle.py`` interprets the
+operator and evaluates every clause through :func:`naive_evaluate`, and
+the compiler is tested against it directly (``test_expr_compile.py``).
+It is the tree-walking ``evaluate`` the tuple engine shipped before
+``compile_expr`` replaced it: one ``isinstance`` ladder, every
 column resolved by name through ``ctx.column``, every function, state
 and aggregate read out of the context's five fields, nothing cached.  It
 is verbatim except for the two error fixes that landed with the compiler

@@ -1,12 +1,13 @@
 """Elastic skew-aware sharding: routing, migration, curation, refusals.
 
 The load-bearing property mirrors test_sharded.py's: a rebalanced run —
-hot keys pinned, slots migrated, shards scaled mid-stream — must yield
-exactly the serial runtime's window output.  On top of that sit the
-rebalancer's own contracts: the default routing table is byte-identical
-to the legacy modulo, every decision is a pure function of record
-counts (so checkpoint/restore replays identically), and hot-key
-curation drops records only with full shed-style accounting.
+hot keys pinned, slots migrated, shards scaled mid-stream — yields the
+oracle's window output (``tests/test_oracle.py`` draws the policy with
+everything else; the equivalence classes here are fixed points of it).
+On top of that sit the rebalancer's own contracts: the default routing
+table is byte-identical to the legacy modulo, every decision is a pure
+function of record counts (so checkpoint/restore replays identically),
+and hot-key curation drops records only with full shed-style accounting.
 """
 
 import pickle
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.legality import ExecTarget
 from repro.errors import ExecutionError, PlanningError
 from repro.dsms.cost import CostModel
 from repro.dsms.rebalance import (
@@ -31,6 +33,8 @@ from repro.streams.schema import TCP_SCHEMA
 from repro.streams.traces import TraceConfig, research_center_feed
 from repro.testing.faults import hot_key_stream
 from repro.algorithms.bindings import SUBSET_SUM_QUERY, subset_sum_library
+
+from tests.test_oracle import Case, Family, Stream, agree, stream
 
 SS_TEXT = SUBSET_SUM_QUERY.format(window=5, target=500).replace(
     "GROUP BY time/5 as tb, srcIP, destIP, uts",
@@ -51,16 +55,6 @@ def policy(**overrides):
     defaults = dict(check_interval=2, min_records=64, max_shards=4)
     defaults.update(overrides)
     return RebalancePolicy(**defaults)
-
-
-def serial_rows(text, feed, library=None):
-    gs = Gigascope()
-    gs.register_stream(TCP_SCHEMA)
-    if library is not None:
-        gs.use_stateful_library(library)
-    handle = gs.add_query(text, name="q")
-    gs.run(iter(feed))
-    return canonical_rows(handle.results)
 
 
 def build(rebalance, shards=2, library=None, **kwargs):
@@ -262,51 +256,39 @@ class TestOperatorsCutAndJoinTheirOwnSnapshots:
         assert pickle.dumps(snapshot) == before
 
 
+def rebalanced(text, rebalance_policy, shards=2, supervise=False, feed=None, **options):
+    """``text`` on a rebalancing pool, cut in rounds of 128 payloads and
+    held to the oracle (``tests/test_oracle.py::agree``)."""
+    feed = feed or stream(skewed_trace(seconds=5))
+    case = Case(
+        Family((text,)), feed,
+        target=ExecTarget(shards=shards, supervise=supervise, rebalance=True),
+        cuts=tuple(range(128, len(feed.payloads), 128)), policy=rebalance_policy, **options,
+    )
+    return agree(case).deployment
+
+
 class TestInlineEquivalence:
     def test_aggregation_on_skewed_stream(self):
-        feed = skewed_trace()
-        sh = build(policy())
-        sh.run(iter(feed), batch_size=128)
-        assert canonical_rows(sh.query("q").results) == serial_rows(
-            AGG_TEXT, feed
-        )
-        report = sh.run_report()["rebalance"]
+        report = rebalanced(AGG_TEXT, policy()).run_report()["rebalance"]
         assert report["plans"] >= 1, "skew never triggered a rebalance"
         assert report["pinned_keys"] >= 1
 
     def test_subset_sum_supergroup_on_skewed_stream(self):
-        feed = skewed_trace()
-        library = subset_sum_library(relax_factor=10.0)
-        sh = build(policy(), library=library)
-        sh.run(iter(feed), batch_size=128)
-        assert canonical_rows(sh.query("q").results) == serial_rows(
-            SS_TEXT, feed, library=subset_sum_library(relax_factor=10.0)
-        )
-        assert sh.run_report()["rebalance"]["plans"] >= 1
+        assert rebalanced(SS_TEXT, policy()).run_report()["rebalance"]["plans"] >= 1
 
     def test_scales_shard_pool_up(self):
-        feed = skewed_trace()
-        # A decision window spans check_interval * batch_size ~ 256
-        # records; capacity 100 makes the planner want ceil(256/100) = 3
-        # shards, above the starting pool of 2.
-        sh = build(policy(shard_capacity=100), shards=2)
-        sh.run(iter(feed), batch_size=128)
-        report = sh.run_report()["rebalance"]
+        # A decision window spans check_interval * 128 ~ 256 records;
+        # capacity 100 makes the planner want ceil(256/100) = 3 shards,
+        # above the starting pool of 2.
+        report = rebalanced(AGG_TEXT, policy(shard_capacity=100)).run_report()["rebalance"]
         assert report["scale_ups"] >= 1
         assert report["routing"]["shard_count"] > 2
-        assert canonical_rows(sh.query("q").results) == serial_rows(
-            AGG_TEXT, feed
-        )
 
 
 class TestSupervisedEquivalence:
     def test_supervised_rebalance_matches_serial(self):
-        feed = skewed_trace(seconds=10)
-        sh = build(policy(), supervise=True)
-        sh.run(iter(feed), batch_size=128)
-        assert canonical_rows(sh.query("q").results) == serial_rows(
-            AGG_TEXT, feed
-        )
+        sh = rebalanced(AGG_TEXT, policy(), supervise=True)
         assert sh.run_report()["rebalance"]["plans"] >= 1
 
     def test_cycles_match_inline_after_migrating_into_fresh_shards(self):
@@ -318,20 +300,18 @@ class TestSupervisedEquivalence:
         from repro.testing.faults import _rekey_record
 
         ips = [ip for ip in range(1, 2000) if stable_hash(ip) % 4 == 0][:40]
-        feed = [
+        records = [
             _rekey_record(record, "srcIP", ips[i % len(ips)])
-            for i, record in enumerate(skewed_trace(seconds=10, fraction=0.01))
+            for i, record in enumerate(skewed_trace(seconds=5, fraction=0.01))
         ]
+        feed = Stream(tuple([object()] * 10 + records), tuple(records))
         accounts = {}
         for supervise in (False, True):
-            sh = build(
+            sh = rebalanced(
+                AGG_TEXT,
                 RebalancePolicy(check_interval=2, min_records=64, imbalance_threshold=1.2),
-                shards=4,
-                supervise=supervise,
-                cost_model=CostModel(),
-                validate_admission=True,
+                shards=4, supervise=supervise, feed=feed, validate=True,
             )
-            sh.run(iter([object()] * 10 + feed), batch_size=128)
             report = sh.run_report()["rebalance"]
             assert report["plans"] >= 1 and report["migrated_groups"] > 0
             accounts[supervise] = sh.cost.accounts()

@@ -1,17 +1,19 @@
 """Resilience layer: checkpoints, supervised crash recovery, shedding.
 
 The load-bearing property mirrors the sharded runtime's: a supervised
-run that loses (or restarts) any single shard worker mid-stream must
-still produce exactly the serial runtime's window output.  Recovery is
-deterministic because every algorithm's state is seeded RNG plus
-counters — restoring a checkpoint and replaying the journal reconstructs
-the crashed worker's state bit for bit.
+run that loses (or restarts) any single shard worker mid-stream still
+produces the oracle's window output.  Recovery is deterministic because
+every algorithm's state is seeded RNG plus counters — restoring a
+checkpoint and replaying the journal reconstructs the crashed worker's
+state bit for bit.  ``tests/test_oracle.py`` draws the fault with
+everything else; the cases here are fixed points of it.
 """
 
 import pickle
 
 import pytest
 
+from repro.analysis.legality import ExecTarget
 from repro.errors import ExecutionError
 from repro.dsms.cost import CostModel
 from repro.dsms.resilience import SupervisionPolicy
@@ -23,11 +25,15 @@ from repro.testing.faults import Fault, FaultPlan, PoisonPill
 from repro.algorithms.bindings import (
     HEAVY_HITTERS_QUERY,
     SUBSET_SUM_QUERY,
-    heavy_hitters_library,
     subset_sum_library,
 )
 
+from tests.test_oracle import TRACES, Case, Family, agree, stream
+
 BATCH = 128  # trace() below yields 1969 records -> 16 batches per run
+#: the oracle's stream, cut into 32 rounds: both shards see every one
+STREAM = stream(TRACES["steady"])
+ROUNDS = tuple(range(5, len(STREAM.records), 5))
 
 
 def trace(seconds=12, seed=11):
@@ -52,16 +58,6 @@ HH_TEXT = with_supergroup(HEAVY_HITTERS_QUERY.format(window=5, bucket=100), 5)
 AGG_TEXT = "SELECT tb, srcIP, sum(len), count(*) FROM TCP GROUP BY time/5 as tb, srcIP"
 
 
-def serial_rows(text, library=None):
-    gs = Gigascope()
-    gs.register_stream(TCP_SCHEMA)
-    if library is not None:
-        gs.use_stateful_library(library)
-    handle = gs.add_query(text, name="q")
-    gs.run(trace())
-    return canonical_rows(handle.results)
-
-
 def supervised(text, fault_plan=None, library=None, policy=None, shards=2):
     sh = ShardedGigascope(
         shards=shards, supervise=True, supervision=policy, fault_plan=fault_plan
@@ -84,34 +80,13 @@ class TestCheckpointRestore:
             gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
         return gs
 
-    @pytest.mark.parametrize(
-        "text,needs_library",
-        [(SS_TEXT, True), (AGG_TEXT, False)],
-        ids=["sampling", "aggregation"],
-    )
-    def test_mid_stream_restore_matches_uninterrupted_run(self, text, needs_library):
-        feed = list(trace())
-        reference = self.build(needs_library)
-        ref_handle = reference.add_query(text, name="q")
-        reference.run(iter(feed))
-
-        first = self.build(needs_library)
-        first.add_query(text, name="q")
-        first.start()
-        first.feed(feed[: len(feed) // 2])
-        # The snapshot must survive pickling: that is how it crosses the
-        # worker/parent process boundary in supervised runs.
-        blob = pickle.dumps(first.checkpoint())
-
-        second = self.build(needs_library)
-        handle = second.add_query(text, name="q")
-        second.start()
-        second.restore(pickle.loads(blob))
-        second.feed(feed[len(feed) // 2 :])
-        second.finish()
-        assert [r.values for r in handle.results] == [
-            r.values for r in ref_handle.results
-        ]
+    @pytest.mark.parametrize("text", [SS_TEXT, AGG_TEXT], ids=["sampling", "aggregation"])
+    def test_mid_stream_restore_matches_uninterrupted_run(self, text):
+        """The pickled snapshot, restored into a fresh instance halfway,
+        finishes on the oracle's rows and the uninterrupted run's series
+        and charges (pickling is how it crosses the worker/parent
+        boundary in supervised runs)."""
+        agree(Case(Family((text,)), STREAM, checkpoint_at=len(STREAM.records) // 2))
 
     def test_restore_rejects_mismatched_queries(self):
         donor = self.build(library=False)
@@ -152,71 +127,51 @@ class TestFaultHarness:
 
 
 class TestSupervisedRecovery:
-    """Kill any single worker at any point: output still equals serial."""
+    """Kill any single worker at any point: the rows are still the
+    oracle's, the series and charges the fault-free run's, and the
+    supervisor says what it did (``tests/test_oracle.py::agree``)."""
+
+    def recovered(self, text, fault, policy=None):
+        case = Case(
+            Family((text,)), STREAM, target=ExecTarget(shards=2, supervise=True),
+            cuts=ROUNDS, fault=fault, supervision=policy,
+        )
+        return agree(case).deployment.last_supervision
 
     @pytest.mark.parametrize("shard", [0, 1])
     @pytest.mark.parametrize("at_batch", [1, 7, 15], ids=["first", "middle", "last"])
     def test_kill_one_worker_matches_serial(self, shard, at_batch):
-        expected = serial_rows(AGG_TEXT)
-        plan = FaultPlan([Fault(shard=shard, action="kill", at_batch=at_batch)])
-        rows, sh = supervised(AGG_TEXT, plan)
-        assert rows == expected
-        assert sh.last_supervision.restarts == {shard: 1}
+        assert self.recovered(AGG_TEXT, ("kill", shard, at_batch)).restarts == {shard: 1}
 
     def test_kill_recovers_sampling_state_exactly(self):
-        expected = serial_rows(SS_TEXT, subset_sum_library(relax_factor=10.0))
-        assert expected
-        plan = FaultPlan([Fault(shard=1, action="kill", at_batch=4)])
-        rows, sh = supervised(
-            SS_TEXT, plan, library=subset_sum_library(relax_factor=10.0)
-        )
-        assert rows == expected
-        assert sh.last_supervision.total_restarts == 1
+        assert self.recovered(SS_TEXT, ("kill", 1, 4)).total_restarts == 1
 
     def test_dropped_result_is_recovered(self):
-        expected = serial_rows(HH_TEXT, heavy_hitters_library())
-        plan = FaultPlan([Fault(shard=0, action="drop_result")])
-        rows, sh = supervised(HH_TEXT, plan, library=heavy_hitters_library())
-        assert rows == expected
-        assert sh.last_supervision.restarts == {0: 1}
+        assert self.recovered(HH_TEXT, ("drop_result", 0, 1)).restarts == {0: 1}
 
     def test_corrupt_result_queue_is_survived(self):
-        expected = serial_rows(AGG_TEXT)
-        plan = FaultPlan([Fault(shard=1, action="corrupt", at_batch=2)])
-        rows, sh = supervised(AGG_TEXT, plan)
-        assert rows == expected
-        assert any("undecodable" in f for f in sh.last_supervision.failures)
+        report = self.recovered(AGG_TEXT, ("corrupt", 1, 2))
+        assert any("undecodable" in f for f in report.failures)
 
     def test_stalled_worker_is_killed_and_restarted(self):
-        expected = serial_rows(AGG_TEXT)
-        plan = FaultPlan([Fault(shard=0, action="delay", at_batch=2, seconds=3.0)])
-        rows, sh = supervised(
-            AGG_TEXT, plan, policy=SupervisionPolicy(heartbeat_timeout=0.5)
+        report = self.recovered(
+            AGG_TEXT, ("delay", 0, 2, 3.0), SupervisionPolicy(heartbeat_timeout=0.5)
         )
-        assert rows == expected
-        assert sh.last_supervision.restarts == {0: 1}
-        assert any("stalled" in f for f in sh.last_supervision.failures)
+        assert report.restarts == {0: 1}
+        assert any("stalled" in f for f in report.failures)
 
     def test_recovery_uses_checkpoint_when_journal_truncated(self):
-        expected = serial_rows(AGG_TEXT)
-        plan = FaultPlan([Fault(shard=0, action="kill", at_batch=12)])
-        rows, sh = supervised(
-            AGG_TEXT,
-            plan,
-            policy=SupervisionPolicy(checkpoint_interval=2, journal_capacity=4),
+        report = self.recovered(
+            AGG_TEXT, ("kill", 0, 12), SupervisionPolicy(checkpoint_interval=2, journal_capacity=4)
         )
-        assert rows == expected
-        report = sh.last_supervision
         assert report.recoveries_from_checkpoint == {0: 1}
         # The bounded journal replayed only the tail past the checkpoint.
         assert report.replayed_batches[0] <= 4 + 1
 
     def test_no_fault_run_is_untouched(self):
-        expected = serial_rows(AGG_TEXT)
-        rows, sh = supervised(AGG_TEXT)
-        assert rows == expected
-        assert sh.last_supervision.total_restarts == 0
-        assert sh.last_supervision.failures == []
+        report = self.recovered(AGG_TEXT, None)
+        assert report.total_restarts == 0
+        assert report.failures == []
 
 
 class TestPermanentFailure:

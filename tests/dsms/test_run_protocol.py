@@ -2,39 +2,34 @@
 
 The run entry (``Operator.process_many``) is the only per-tuple body an
 operator has, and ``process(record)`` is a run of one — so "the tuple
-path" is batch size 1 of the same code, and the oracle for any cut of a
-stream into runs is any other cut.  What must be identical: rows in
-order, every counter series, the cost accounts of a real ``CostModel``,
-window stats, overload counters, and a pickled checkpoint taken at a
-cut.  The engine is one more way to cut: a columnar operator has the
-same one entry, so a ``vectorize=True`` run cut anywhere is held to the
-one-run tuple reference.  What a run that *fails* leaves behind is
-pinned separately.
+path" is batch size 1 of the same code.  ``tests/test_oracle.py`` draws
+the cut with everything else and holds rows to the oracle and series,
+cost accounts and a pickled checkpoint to the one-run tuple reference;
+``TestRunCutInvariance`` is that generator's fixed corpus for the
+extreme cut, every record its own run, and its guard against vacuity.
+What a run that *fails* leaves behind is pinned separately, and so is
+the ingest edge.
 """
 
 import pickle
-from itertools import islice
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.algorithms.bindings import (
-    HEAVY_HITTERS_QUERY,
     PREFILTER_QUERY,
     SUBSET_SUM_QUERY,
     basic_subset_sum_library,
-    heavy_hitters_library,
     subset_sum_library,
     subset_sum_query,
 )
+from repro.analysis.legality import ExecTarget
 from repro.dsms.cost import CostBook, CostModel
 from repro.dsms.runtime import Gigascope
-from repro.dsms.sharded import ShardedGigascope, canonical_rows
 from repro.errors import ExecutionError
 from repro.streams.records import Record
 from repro.streams.schema import PKT_SCHEMA, TCP_SCHEMA
-from repro.streams.traces import TraceConfig, data_center_feed, research_center_feed
+
+from tests.test_oracle import FAMILIES, TRACES, Case, agree, late, registered, series, stream
 
 # -- deployments ----------------------------------------------------------------
 
@@ -42,18 +37,6 @@ from repro.streams.traces import TraceConfig, data_center_feed, research_center_
 def _subset_sum(gs):
     gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
     gs.add_query(SUBSET_SUM_QUERY.format(window=1, target=20), name="q")
-
-
-def _subset_sum_per_source(gs):
-    """The same sampler with a supergroup key a SPLIT can partition on."""
-    gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
-    text = SUBSET_SUM_QUERY.format(window=1, target=20)
-    gs.add_query(text.replace("\nHAVING", " SUPERGROUP BY tb, srcIP\nHAVING"), name="q")
-
-
-def _heavy_hitters(gs):
-    gs.use_stateful_library(heavy_hitters_library())
-    gs.add_query(HEAVY_HITTERS_QUERY.format(window=1, bucket=10), name="q")
 
 
 def _aggregate(gs):
@@ -68,23 +51,6 @@ def _selection(gs):
     gs.add_query("SELECT time, srcIP, UMAX(len, 100) FROM TCP WHERE len > 200", name="q")
 
 
-def _prefilter_chain(gs):
-    gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
-    gs.use_stateful_library(basic_subset_sum_library())
-    gs.add_query(PREFILTER_QUERY.format(z=50), name="pre")
-    gs.add_query(subset_sum_query(window=1, target=10, stream="pre"), name="q")
-
-
-def _raw_window_ids(gs):
-    """Window id = ``time`` itself, so a ``None`` timestamp reaches the
-    operators as an unorderable window id instead of failing a division."""
-    gs.add_query(
-        "SELECT tb, srcIP, count(*) FROM TCP GROUP BY time as tb, srcIP SUPERGROUP tb",
-        name="q",
-    )
-    gs.add_query("SELECT tb, count(*) FROM TCP GROUP BY time as tb", name="agg")
-
-
 def _aggregate_of_a_sample(gs):
     """Under ``vectorize=True`` a columnar aggregate whose parent, a
     stateful selection, runs per tuple."""
@@ -95,159 +61,58 @@ def _aggregate_of_a_sample(gs):
     )
 
 
-#: name -> (build, whether a ``None`` timestamp is survivable)
+#: deployment -> the generator's query set, and its queries' names
 DEPLOYMENTS = {
-    "subset_sum": (_subset_sum, False),
-    "subset_sum_per_source": (_subset_sum_per_source, False),
-    "heavy_hitters": (_heavy_hitters, False),
-    "aggregate": (_aggregate, False),
-    "selection": (_selection, False),
-    "prefilter_chain": (_prefilter_chain, False),
-    "raw_window_ids": (_raw_window_ids, True),
-    "aggregate_of_a_sample": (_aggregate_of_a_sample, False),
+    "subset_sum": ("subset_sum", ("q",)),
+    "subset_sum_per_source": ("subset_sum_per_source", ("q",)),
+    "heavy_hitters": ("heavy_hitters_1s", ("q",)),
+    "aggregate": ("aggregate", ("q",)),
+    "selection": ("selection", ("q",)),
+    "prefilter_chain": ("prefilter_chain", ("pre", "q")),
+    "raw_window_ids": ("raw_window_ids", ("q", "agg")),
+    "aggregate_of_a_sample": ("aggregate_of_a_sample", ("pre", "q")),
 }
-
-#: the deployments whose every query two shards can run (the rest hold a
-#: global state set or a key-less group, which the legality table refuses)
+#: the deployments whose every query two shards can run
 SHARDABLE = ("aggregate", "selection", "subset_sum_per_source")
 
-#: ~50 and ~20-60 records per second of stream time: several one-second
-#: windows in 160 records, enough tuples in each for cleaning phases
-TRACES = {
-    "steady": list(
-        islice(data_center_feed(TraceConfig(rate_scale=0.0005, seed=15)), 160)
-    ),
-    "bursty": list(
-        islice(research_center_feed(TraceConfig(rate_scale=0.004, seed=15)), 160)
-    ),
-}
-_TIME = TCP_SCHEMA.index_of("time")
 
-
-def _with_time(record, time):
-    values = list(record.values)
-    values[_TIME] = time
-    return Record(TCP_SCHEMA, values)
-
-
-def _series(gs):
-    """Every series but the histograms (wall time is not reproducible),
-    the one that says which engine was asked for and a supervised
-    pool's own (they count rounds)."""
-    return [
-        (s.name, s.labels, s.value)
-        for s in gs.metrics.series()
-        if s.kind != "histogram"
-        and s.name != "vectorize_fallback_total"
-        and not s.name.startswith("supervisor_")
-    ]
-
-
-def _observe(deployment, records, cuts, checkpoint_at, vectorize=False, pool=None):
-    """Everything observable after feeding ``records`` cut at ``cuts``.
-
-    ``pool`` (``"inline"`` / ``"supervised"``) runs the deployment on two
-    shards of that pool, the engine forwarded to them: rows in canonical
-    order (a MERGE breaks ties by arrival), every series as the parent
-    folds them, the one cost model — and nothing that lives per shard
-    (checkpoints, window stats)."""
-    if pool is None:
-        gs = Gigascope(cost_model=CostModel(), vectorize=vectorize)
-    else:
-        gs = ShardedGigascope(
-            2, cost_model=CostModel(), vectorize=vectorize, supervise=pool == "supervised"
-        )
-    gs.register_stream(TCP_SCHEMA)
-    DEPLOYMENTS[deployment][0](gs)
-    gs.start()
-    checkpoint = None
-    edges = sorted({0, checkpoint_at, len(records), *cuts})
-    for lo, hi in zip(edges, edges[1:]):
-        gs.feed(records[lo:hi])
-        if hi == checkpoint_at and pool is None:
-            snapshot = gs.checkpoint()
-            checkpoint = (
-                pickle.dumps(snapshot["queries"]), snapshot["cost_accounts"], _series(gs)
-            )
-    gs.finish()
-    seen = {"checkpoint": checkpoint, "series": _series(gs), "cost": gs.cost.accounts()}
-    for handle in gs.query_handles():
-        rows = gs.query(handle.name).results
-        if pool is not None:
-            seen["rows", handle.name] = canonical_rows(rows)
-            continue
-        seen["rows", handle.name] = [r.values for r in rows]
-        if hasattr(handle.operator, "window_stats"):
-            seen["windows", handle.name] = handle.operator.window_stats
-            seen["overload", handle.name] = handle.operator.overload_counters()
-    return seen
-
-
-@st.composite
-def _cases(draw):
-    deployment = draw(st.sampled_from(sorted(DEPLOYMENTS)))
-    pools = [None, "inline", "supervised"] if deployment in SHARDABLE else [None]
-    pool = draw(st.sampled_from(pools))
-    records = list(TRACES[draw(st.sampled_from(sorted(TRACES)))])
-    n = len(records)
-    # Late tuples: a timestamp from a window that already closed.  (Not
-    # through a sharded selection: it forwards them as they come, and
-    # the MERGE of its shards refuses a source that runs backwards.)
-    if pool is None or deployment != "selection":
-        for index in draw(st.lists(st.integers(1, n - 1), max_size=4)):
-            records[index] = _with_time(records[index], records[0].values[_TIME])
-    if DEPLOYMENTS[deployment][1]:
-        for index in draw(st.lists(st.integers(1, n - 1), max_size=4)):
-            records[index] = _with_time(records[index], None)
-    cuts = draw(st.lists(st.integers(1, n - 1), max_size=12))
-    checkpoint_at = draw(st.integers(1, n - 1))
-    return deployment, records, cuts, checkpoint_at, draw(st.booleans()), pool
+def _case(deployment, records, **options):
+    family, names = DEPLOYMENTS[deployment]
+    return Case(FAMILIES[family], stream(records), names=names + ("r",), **options)
 
 
 class TestRunCutInvariance:
-    @given(_cases())
-    @settings(max_examples=80, deadline=None)
-    def test_every_cut_of_a_stream_is_the_same_run(self, case):
-        deployment, records, cuts, checkpoint_at, vectorize, pool = case
-        one_run = _observe(deployment, records, [], checkpoint_at, pool=pool)
-        assert pool is not None or one_run["checkpoint"] is not None
-        random_cut = _observe(deployment, records, cuts, checkpoint_at, vectorize, pool)
-        assert random_cut == one_run
-        if pool != "supervised":  # one queue round trip per record proves no more
-            every = range(len(records))
-            assert _observe(deployment, records, every, checkpoint_at, pool=pool) == one_run
+    def test_every_cut_of_a_stream_is_the_same_run(self):
+        """Every record its own run — rows, series, charges and a pickled
+        checkpoint at record 80 — on every deployment, with a late record."""
+        records = late(TRACES["bursty"], [50, 120])
+        for deployment in DEPLOYMENTS:
+            agree(_case(deployment, records, cuts=tuple(range(1, len(records))), checkpoint_at=80))
 
     @pytest.mark.parametrize("pool", ["inline", "supervised"])
     @pytest.mark.parametrize("deployment", SHARDABLE)
     def test_the_engine_reaches_the_shards(self, deployment, pool):
-        """The grid the property samples from, once each: a pool asked
+        """The grid the generator samples from, once each: a pool asked
         for the columnar engine runs it in every shard (it used to be
-        refused), observably like the tuple engine and with serial's rows."""
-        records = TRACES["steady"]
-        sharded = _observe(deployment, records, [], 80, pool=pool)
-        assert _observe(deployment, records, [40, 41, 120], 80, True, pool) == sharded
-        serial = _observe(deployment, records, [], 80)
-        assert sorted(sharded["rows", "q"]) == sorted(serial["rows", "q"])
-        gs = ShardedGigascope(2, vectorize=True, supervise=pool == "supervised")
-        gs.register_stream(TCP_SCHEMA)
-        DEPLOYMENTS[deployment][0](gs)
-        engines = {h.operator.execution_mode for h in gs.query("q").shard_handles}
+        refused), held to the oracle and to the tuple engine's run."""
+        target = ExecTarget(shards=2, supervise=pool == "supervised")
+        case = _case(deployment, TRACES["steady"], target=target, vectorize=True, cuts=(40, 41, 120))
+        agree(case)
+        engines = {h.operator.execution_mode for h in registered(case).query("q").shard_handles}
         assert engines == ({"tuple"} if "subset_sum" in deployment else {"vectorized"})
 
     @pytest.mark.parametrize("deployment", sorted(DEPLOYMENTS))
     def test_the_traces_exercise_the_operators(self, deployment):
-        """Guard on the generator above: windows close mid-trace, tuples
-        are dropped late, cleaning phases run — or the property is vacuous."""
-        records = list(TRACES["bursty"])
-        records[100] = _with_time(records[100], records[0].values[_TIME])
-        seen = _observe(deployment, records, [], 80)
-        series = {(name, dict(labels).get("query")): v for name, labels, v in seen["series"]}
-        assert len(seen["rows", "q"]) > 3
-        if ("windows", "q") in seen:
-            assert len(seen["windows", "q"]) > 1
-            assert seen["overload", "q"]["late_tuples"] == 1
+        """Guard on the corpus: windows close mid-trace, tuples are dropped
+        late, cleaning phases run — or the agreement is vacuous."""
+        seen = agree(_case(deployment, late(TRACES["bursty"], [100]), checkpoint_at=80))
+        total = seen.deployment.metrics.total
+        assert len(seen.rows["q"]) > 3
+        if deployment != "selection":
+            assert total("operator_windows_total", query="q") > 1
+            assert total("operator_late_tuples_total", query="q") == 1
         if deployment in ("subset_sum", "heavy_hitters", "prefilter_chain"):
-            assert series["operator_cleaning_phases_total", "q"] > 0
+            assert total("operator_cleaning_phases_total", query="q") > 0
 
 
 # -- what a failing run leaves behind ----------------------------------------------
@@ -445,7 +310,7 @@ def _seen(gs):
     gs.finish()
     return {
         "rows": {h.name: [r.values for r in h.results] for h in gs.query_handles()},
-        "series": _series(gs),
+        "series": series(gs.metrics),
         "cost": gs.cost.accounts(),
         "report": gs.run_report(),
     }

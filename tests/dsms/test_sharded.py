@@ -1,13 +1,15 @@
-"""Sharded parallel runtime: SPLIT / MERGE execution and equivalence.
+"""Sharded parallel runtime: SPLIT / MERGE execution.
 
-The load-bearing property is serial equivalence: for a query whose state
-is partitionable, running it hash-partitioned across N shards must yield
-exactly the serial runtime's window output (up to within-window row
-order, hence :func:`canonical_rows`).
+The load-bearing property: for a query whose state is partitionable,
+running it hash-partitioned across N shards yields the oracle's window
+output (up to within-window row order, hence :func:`canonical_rows`) —
+drawn with everything else in ``tests/test_oracle.py``, with fixed
+points in ``TestSerialEquivalence``.
 """
 
 import pytest
 
+from repro.analysis.legality import ExecTarget
 from repro.errors import ExecutionError, PlanningError
 from repro.dsms.cost import CostModel
 from repro.dsms.parser.planner import compile_query, partition_info
@@ -20,10 +22,11 @@ from repro.algorithms.bindings import (
     HEAVY_HITTERS_QUERY,
     RESERVOIR_QUERY,
     SUBSET_SUM_QUERY,
-    heavy_hitters_library,
     reservoir_library,
     subset_sum_library,
 )
+
+from tests.test_oracle import TRACES, Case, Family, agree, stream
 
 
 def trace(seconds=30, seed=11):
@@ -168,33 +171,31 @@ class TestRegistration:
 
 
 class TestSerialEquivalence:
+    """Fixed points of the oracle generator (``tests/test_oracle.py``):
+    sharded rows equal the oracle's up to within-window order, and the
+    series and charges the tuple engine's one run."""
+
+    def sharded(self, text, shards):
+        seen = agree(Case(Family((text,)), stream(TRACES["sparse"]), target=ExecTarget(shards=shards)))
+        assert seen.rows["q"]  # the trace must actually exercise the query
+
     @pytest.mark.parametrize("shards", [2, 3])
     def test_aggregation(self, shards):
-        assert sharded_rows(AGG_TEXT, shards) == serial_rows(AGG_TEXT)
+        self.sharded(AGG_TEXT, shards)
 
     @pytest.mark.parametrize("shards", [2, 3])
     def test_heavy_hitters(self, shards):
-        expected = serial_rows(HH_TEXT, heavy_hitters_library())
-        assert expected  # the trace must actually exercise the query
-        got = sharded_rows(HH_TEXT, shards, heavy_hitters_library())
-        assert got == expected
+        self.sharded(HH_TEXT, shards)
 
     @pytest.mark.parametrize("shards", [2, 3])
     def test_subset_sum_fixed_seed(self, shards):
-        library = subset_sum_library(relax_factor=10.0)
-        expected = serial_rows(SS_TEXT, library)
-        assert expected
-        got = sharded_rows(
-            SS_TEXT, shards, subset_sum_library(relax_factor=10.0)
-        )
-        assert got == expected
+        self.sharded(SS_TEXT, shards)
 
     def test_single_shard_passthrough(self):
-        assert sharded_rows(AGG_TEXT, 1) == serial_rows(AGG_TEXT)
+        self.sharded(AGG_TEXT, 1)
 
     def test_selection_only(self):
-        text = "SELECT time, srcIP, len FROM TCP WHERE len > 500"
-        assert sharded_rows(text, 3) == serial_rows(text)
+        self.sharded("SELECT time, srcIP, len FROM TCP WHERE len > 500", 3)
 
 
 class TestProcessMode:

@@ -1,19 +1,20 @@
-"""Shared fixtures for the serving tests: factories, feeds, solo oracles.
+"""Shared fixtures for the serving tests: factories, feeds, solo runs.
 
-The serving layer's whole correctness claim is *byte-identity to solo
-runs*: whatever queries are registered, however they share, whatever
-arrives or leaves mid-stream, each query's rows, metric counters, and
-cost accounts must equal a private serial run of the same text over the
-records it was subscribed for.  Every test in this package phrases its
-assertion through :func:`solo_state` / :func:`served_state` so "equal"
-always means the same three things.
+The serving layer's correctness claim: whatever queries are registered,
+however they share, whatever arrives or leaves mid-stream, each query's
+rows are the oracle's over the records it was subscribed for
+(``tests/test_oracle.py``, ``test_lifecycle.py``), and its metric
+counters and cost accounts a private serial run's of the same text.
+Tests that compare a served query with that run phrase it through
+:func:`solo_state` / :func:`served_state`, so "equal" always means the
+same three things.
 """
 
 from __future__ import annotations
 
 import glob
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -103,17 +104,3 @@ def solo_state(
 
 def served_state(sq) -> State:
     return instance_state(sq.instance, sq.name)
-
-
-_SOLO_CACHE: Dict[tuple, State] = {}
-
-
-def solo_state_cached(
-    text: str, records_key: str, records: List, name: str = "q",
-    vectorize: bool = False,
-) -> State:
-    """Memoised :func:`solo_state` — the 100-variant test reuses oracles."""
-    key = (text, records_key, name, vectorize)
-    if key not in _SOLO_CACHE:
-        _SOLO_CACHE[key] = solo_state(text, records, name=name, vectorize=vectorize)
-    return _SOLO_CACHE[key]

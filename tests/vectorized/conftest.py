@@ -1,21 +1,16 @@
 """Shared helpers for vectorized-engine tests.
 
-The central claim of the batch engine is *engine equivalence*: for any
-query, running with ``vectorize=True`` produces byte-identical rows,
-identical metric series, and identical cost-account balances.  The
-``run_both`` helper drives one query through both engines end to end
-(ring buffers, runtime batching, operator, sinks) and returns everything
-a test needs to assert that.
+The columnar engine is held to the oracle like every deployment
+(``tests/test_oracle.py``); what lives here is the small ``VAL`` schema
+its value-domain cases run on, and a shared packet trace.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import List
 
 import pytest
 
-from repro.dsms.cost import CostModel
-from repro.dsms.runtime import Gigascope
 from repro.streams.records import Record
 from repro.streams.schema import Attribute, Ordering, StreamSchema
 from repro.streams.traces import TraceConfig, research_center_feed
@@ -36,57 +31,6 @@ VAL_SCHEMA = StreamSchema(
 
 def make_val_records(rows) -> List[Record]:
     return [Record(VAL_SCHEMA, list(row)) for row in rows]
-
-
-def metric_state(gs: Gigascope) -> Dict[Tuple[Any, ...], Any]:
-    """Every metric series keyed by (name, labels) -> internal state."""
-    out: Dict[Tuple[Any, ...], Any] = {}
-    for series in gs.metrics.series():
-        if series.name == "vectorize_fallback_total":
-            # The one engine-asymmetric series by design: it exists only
-            # on a vectorize=True run that fell back, precisely to make
-            # the asymmetry visible (run_report()'s ``vectorize`` section).
-            continue
-        labels = series.labels
-        if isinstance(labels, dict):
-            labels = tuple(sorted(labels.items()))
-        out[(series.name, labels)] = series._state()
-    return out
-
-
-def run_engine(sql: str, records, schema=None, vectorize: bool = False, setup=None):
-    gs = Gigascope(vectorize=vectorize, cost_model=CostModel())
-    gs.register_stream(schema if schema is not None else VAL_SCHEMA)
-    if setup is not None:
-        setup(gs)
-    handle = gs.add_query(sql, name="q")
-    gs.run(iter(records))
-    return gs, handle
-
-
-def _comparable(value: Any) -> Any:
-    """NaN-aware comparison key (NaN != NaN, but both engines emitting
-    NaN in the same cell counts as agreement)."""
-    if isinstance(value, float) and value != value:
-        return "<NaN>"
-    return value
-
-
-def run_both(sql: str, records, schema=None, setup=None):
-    """Run ``sql`` on both engines; assert full equivalence; return rows."""
-    gs_t, h_t = run_engine(sql, records, schema, vectorize=False, setup=setup)
-    gs_v, h_v = run_engine(sql, records, schema, vectorize=True, setup=setup)
-    rows_t = [tuple(r.values) for r in h_t.results]
-    rows_v = [tuple(r.values) for r in h_v.results]
-    assert [tuple(_comparable(v) for v in row) for row in rows_t] == [
-        tuple(_comparable(v) for v in row) for row in rows_v
-    ]
-    types_t = [tuple(type(v) for v in row) for row in rows_t]
-    types_v = [tuple(type(v) for v in row) for row in rows_v]
-    assert types_t == types_v, "engines agree on values but not value types"
-    assert metric_state(gs_t) == metric_state(gs_v)
-    assert gs_t.cost.accounts() == gs_v.cost.accounts()
-    return rows_t, h_v
 
 
 @pytest.fixture(scope="session")

@@ -1,66 +1,54 @@
-"""Engine-equivalence parity tests.
+"""The columnar engine against the oracle, plus what only it has.
 
-Every shipped example query (and a battery of targeted shapes) must
-produce byte-identical rows, metric series, and cost accounts on the
-tuple and vectorized engines; plans the batch compiler cannot express
-must fall back cleanly — same results, tuple execution — rather than
-erroring or silently diverging.
+Every shipped example query and a battery of targeted shapes run with
+``vectorize=True`` and are held to the oracle's rows, value types
+included, and to the tuple engine's one-run series and cost accounts
+(``tests/test_oracle.py::agree``); an error must carry the oracle's
+message.  Plans the batch compiler cannot express must fall back
+cleanly — the same held rows, tuple execution, the reason recorded —
+and the group table is one format, so checkpoints cross engines.
 """
 
 from __future__ import annotations
 
-import math
-from pathlib import Path
-
 import pytest
 
 from repro.cli import _standard_instance
-from repro.dsms.cost import CostModel
-from repro.errors import ExecutionError
 from repro.streams.records import Record
-from repro.streams.schema import Attribute, Ordering, StreamSchema
+from repro.streams.schema import TCP_SCHEMA, Attribute, Ordering, StreamSchema
 
-from tests.vectorized.conftest import (
-    make_val_records,
-    metric_state,
-    run_both,
-    run_engine,
-)
+from tests.test_oracle import EXAMPLES, FAMILIES, TRACES, Case, Family, agree, stream
+from tests.vectorized.conftest import VAL_SCHEMA, make_val_records
 
-EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples" / "queries"
-EXAMPLES = sorted(EXAMPLES_DIR.glob("*.gsql"))
+EXAMPLE_PATHS = sorted(EXAMPLES.glob("*.gsql"))
 
 
-def _run_example(sql: str, trace, vectorize: bool):
-    gs = _standard_instance(relax_factor=10.0, vectorize=vectorize)
-    handle = gs.add_query(sql, name="q")
-    gs.run(iter(trace))
-    return gs, handle
+def columnar(texts, records, schema=VAL_SCHEMA, setup=None, names=("q", "r")):
+    """``texts`` on the columnar engine, held to the oracle."""
+    family = Family(tuple(texts) if isinstance(texts, (list, tuple)) else (texts,), schema)
+    return agree(Case(family, stream(records), names=names, vectorize=True, setup=setup))
+
+
+def tcp(text, setup=None):
+    return columnar(text, TRACES["bursty"], TCP_SCHEMA, setup)
+
+
+def wobble(gs):
+    gs.register_scalar("wobble", lambda x: x, deterministic=False)
 
 
 def test_example_inventory():
-    assert [path.name for path in EXAMPLES] == sorted(
-        path.name for path in EXAMPLES
-    )
-    assert any(path.name == "big_flows.gsql" for path in EXAMPLES)
+    assert [path.name for path in EXAMPLE_PATHS] == sorted(path.name for path in EXAMPLE_PATHS)
+    assert any(path.name == "big_flows.gsql" for path in EXAMPLE_PATHS)
 
 
-@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
-def test_example_queries_byte_identical(path, packet_trace):
-    sql = path.read_text()
-    gs_t, h_t = _run_example(sql, packet_trace, vectorize=False)
-    gs_v, h_v = _run_example(sql, packet_trace, vectorize=True)
-    rows_t = [tuple(r.values) for r in h_t.results]
-    rows_v = [tuple(r.values) for r in h_v.results]
-    assert rows_t == rows_v
-    assert [tuple(type(v) for v in row) for row in rows_t] == [
-        tuple(type(v) for v in row) for row in rows_v
-    ]
-    assert metric_state(gs_t) == metric_state(gs_v)
+@pytest.mark.parametrize("path", EXAMPLE_PATHS, ids=lambda p: p.stem)
+def test_example_queries_byte_identical(path):
+    agree(Case(FAMILIES[path.stem], stream(TRACES["sparse"]), vectorize=True))
 
 
 def test_selection_vectorizes(packet_trace):
-    sql = (EXAMPLES_DIR / "big_flows.gsql").read_text()
+    sql = (EXAMPLES / "big_flows.gsql").read_text()
     gs = _standard_instance(relax_factor=10.0, vectorize=True)
     handle = gs.add_query(sql, name="q")
     assert handle.operator.execution_mode == "vectorized"
@@ -76,20 +64,11 @@ def test_plain_aggregation_vectorizes(packet_trace):
     assert handle.operator.execution_mode == "vectorized"
 
 
-def test_sfun_plan_falls_back_cleanly(packet_trace):
+def test_sfun_plan_falls_back_cleanly():
     """SFUN-bearing sampling plans run on the tuple path under
-    vectorize=True with identical results."""
-    sql = (EXAMPLES_DIR / "subset_sum.gsql").read_text()
-    gs = _standard_instance(relax_factor=10.0, vectorize=True)
-    handle = gs.add_query(sql, name="q")
-    assert getattr(handle.operator, "execution_mode", "tuple") == "tuple"
-    gs.run(iter(packet_trace))
-    gs_t = _standard_instance(relax_factor=10.0, vectorize=False)
-    h_t = gs_t.add_query(sql, name="q")
-    gs_t.run(iter(packet_trace))
-    assert [tuple(r.values) for r in handle.results] == [
-        tuple(r.values) for r in h_t.results
-    ]
+    vectorize=True, held to the same rows."""
+    seen = agree(Case(FAMILIES["subset_sum"], stream(TRACES["bursty"]), vectorize=True))
+    assert seen.deployment.query("q").operator.execution_mode == "tuple"
 
 
 def test_custom_aggregate_forces_fallback():
@@ -125,169 +104,103 @@ def test_nondeterministic_scalar_forces_fallback():
     assert "nondeterministic" in handle.operator.vectorize_fallback
 
 
-def test_only_per_tuple_clauses_decide_the_fallback(packet_trace):
+def test_only_per_tuple_clauses_decide_the_fallback():
     """HAVING and an aggregation's SELECT run per group in the window
     close both engines share, so what they hold — a nondeterministic
     scalar, say — keeps no plan off the columnar engine."""
-
-    def setup(gs):
-        gs.registries.scalars.register("wobble", lambda x: x, deterministic=False)
-
-    _, handle = run_both(
-        "SELECT tb, srcIP, wobble(sum(len)) FROM TCP GROUP BY time/10 AS tb, srcIP"
+    seen = tcp(
+        "SELECT tb, srcIP, wobble(sum(len)) FROM TCP GROUP BY time/1 AS tb, srcIP"
         " HAVING wobble(count(*)) > 1",
-        packet_trace,
-        schema=packet_trace[0].schema,
-        setup=setup,
+        setup=wobble,
     )
-    assert handle.operator.execution_mode == "vectorized"
-    assert len(handle.results) > 10
+    assert seen.deployment.query("q").operator.execution_mode == "vectorized"
+    assert len(seen.rows["q"]) > 10
 
 
-def test_scalar_functions_match(packet_trace):
+def test_scalar_functions_match():
     """H() runs through frompyfunc with object-boxed args: hash values
     (which overflow int64 intermediates when computed on numpy ints)
-    must equal the tuple path's Python-int arithmetic."""
-    run_both(
-        "SELECT time, H(srcIP, 7) FROM TCP WHERE H(srcIP, 7) % 3 = 0",
-        packet_trace,
-        schema=packet_trace[0].schema,
-    )
+    must equal the oracle's Python-int arithmetic."""
+    tcp("SELECT time, H(srcIP, 7) FROM TCP WHERE H(srcIP, 7) % 3 = 0")
 
 
-def test_having_and_full_aggregate_battery(packet_trace):
-    run_both(
+def test_having_and_full_aggregate_battery():
+    tcp(
         "SELECT tb, srcIP, sum(len), count(*), avg(len), min(len), max(len),"
         " first(len), last(len), count_distinct(destIP)"
         " FROM TCP WHERE len > 100"
-        " GROUP BY time/10 AS tb, srcIP HAVING count(*) > 2",
-        packet_trace,
-        schema=packet_trace[0].schema,
+        " GROUP BY time/1 AS tb, srcIP HAVING count(*) > 2"
     )
 
 
-def test_group_by_expression_shadowing(packet_trace):
-    """Group-by aliases shadow stream columns in WHERE, as on the tuple
-    path (``expr.bind_tuple``'s rule)."""
-    run_both(
-        "SELECT tb, count(*) FROM TCP WHERE tb % 2 = 0 GROUP BY time/5 AS tb",
-        packet_trace,
-        schema=packet_trace[0].schema,
-    )
+def test_group_by_expression_shadowing():
+    """Group-by aliases shadow stream columns in WHERE."""
+    tcp("SELECT tb, count(*) FROM TCP WHERE tb % 2 = 0 GROUP BY time/1 AS tb")
+    tcp("SELECT time, count(*), sum(len) FROM TCP WHERE len > 1 GROUP BY time/2 AS time, len/500 AS len")
 
 
-# -- targeted value-domain parity -------------------------------------------
+# -- targeted value-domain cases ---------------------------------------------
 
 
 def test_nan_values_in_aggregates():
     nan = float("nan")
-    rows = [
-        (0, 1, 1.5, True),
-        (0, 2, nan, False),
-        (0, 3, 2.5, True),
-        (11, 4, nan, False),
-        (11, 5, 0.5, True),
-    ]
-    out, _ = run_both(
-        "SELECT tb, min(f), max(f), count_distinct(f) FROM VAL"
-        " GROUP BY t/10 AS tb",
-        make_val_records(rows),
-    )
+    rows = [(0, 1, 1.5, True), (0, 2, nan, False), (0, 3, 2.5, True), (11, 4, nan, False), (11, 5, 0.5, True)]
+    out = columnar(
+        "SELECT tb, min(f), max(f), count_distinct(f) FROM VAL GROUP BY t/10 AS tb", make_val_records(rows)
+    ).rows["q"]
     assert len(out) == 2
     # Python's comparison chain keeps the first value it saw, so the
     # first window's min is the non-NaN 1.5 while the second window's
-    # min *is* NaN (it arrived first there) — on both engines.
-    assert out[0][1] == 1.5
-    assert math.isnan(out[1][1])
+    # min *is* NaN (it arrived first there).
+    assert out[0][1] == ("float", 1.5)
+    assert out[1][1] == ("float", "NaN")
 
 
 def test_nan_group_keys():
-    # Distinct NaN objects: each is its own dict key on both paths
-    # (degenerate, but equal).  A *shared* NaN object would collapse on
-    # the tuple path only — dict keys compare by identity first, which
-    # no value-based engine can reproduce; DESIGN.md §11 documents that
+    # Distinct NaN objects: each is its own dict key (degenerate, but the
+    # oracle's semantics too).  A *shared* NaN object would collapse on the
+    # tuple path only — dict keys compare by identity first, which no
+    # value-based engine can reproduce; DESIGN.md §11 documents that
     # divergence and Record.from_mapping rejects NaN keys outright.
-    rows = [
-        (0, 1, float("nan"), True),
-        (0, 2, float("nan"), False),
-        (0, 3, 1.0, True),
-    ]
-    out, _ = run_both(
-        "SELECT tb, f, count(*) FROM VAL GROUP BY t/10 AS tb, f",
-        make_val_records(rows),
-    )
-    assert len(out) == 3
+    rows = [(0, 1, float("nan"), True), (0, 2, float("nan"), False), (0, 3, 1.0, True)]
+    assert len(columnar("SELECT tb, f, count(*) FROM VAL GROUP BY t/10 AS tb, f", make_val_records(rows)).rows["q"]) == 3
 
 
 def test_bool_columns_everywhere():
     rows = [(0, 1, 1.0, True), (0, 2, 2.0, False), (1, 3, 3.0, True)]
-    run_both(
-        "SELECT t, b, x FROM VAL WHERE b = TRUE",
-        make_val_records(rows),
-    )
-    run_both(
-        "SELECT tb, sum(b), min(b), max(b) FROM VAL GROUP BY t/10 AS tb",
-        make_val_records(rows),
-    )
+    columnar("SELECT t, b, x FROM VAL WHERE b = TRUE", make_val_records(rows))
+    columnar("SELECT tb, sum(b), min(b), max(b) FROM VAL GROUP BY t/10 AS tb", make_val_records(rows))
 
 
 def test_bool_arithmetic_promotes_like_python():
-    rows = [(0, 1, 1.0, True), (0, 2, 2.0, False)]
-    run_both(
-        "SELECT t, b + b, -b, b / 2.0 FROM VAL",
-        make_val_records(rows),
-    )
+    columnar("SELECT t, b + b, -b, b / 2.0 FROM VAL", make_val_records([(0, 1, 1.0, True), (0, 2, 2.0, False)]))
 
 
 def test_empty_stream():
-    run_both("SELECT t, x FROM VAL WHERE x > 0", [])
+    columnar("SELECT t, x FROM VAL WHERE x > 0", [])
 
 
 def test_single_record_stream():
-    run_both(
-        "SELECT tb, sum(x), avg(x) FROM VAL GROUP BY t/10 AS tb",
-        make_val_records([(3, 7, 1.0, True)]),
-    )
+    columnar("SELECT tb, sum(x), avg(x) FROM VAL GROUP BY t/10 AS tb", make_val_records([(3, 7, 1.0, True)]))
 
 
 def test_where_rejects_everything():
     rows = [(0, 1, 1.0, True), (1, 2, 2.0, False)]
-    run_both("SELECT t, x FROM VAL WHERE x > 100", make_val_records(rows))
-    run_both(
-        "SELECT tb, sum(x) FROM VAL WHERE x > 100 GROUP BY t/10 AS tb",
-        make_val_records(rows),
-    )
+    columnar("SELECT t, x FROM VAL WHERE x > 100", make_val_records(rows))
+    columnar("SELECT tb, sum(x) FROM VAL WHERE x > 100 GROUP BY t/10 AS tb", make_val_records(rows))
 
 
 def test_integer_division_buckets():
-    rows = [(i, i * 3, float(i), i % 2 == 0) for i in range(25)]
-    run_both(
-        "SELECT tb, sum(x) FROM VAL GROUP BY t/7 AS tb",
-        make_val_records(rows),
-    )
+    columnar("SELECT tb, sum(x) FROM VAL GROUP BY t/7 AS tb", make_val_records([(i, i * 3, float(i), i % 2 == 0) for i in range(25)]))
 
 
 def test_division_by_zero_raises_same_error():
-    rows = make_val_records([(0, 1, 1.0, True)])
-    errors = []
-    for vectorize in (False, True):
-        with pytest.raises(ExecutionError) as exc_info:
-            run_engine("SELECT t, x / 0 FROM VAL", rows, vectorize=vectorize)
-        errors.append(str(exc_info.value))
-    assert "integer division by zero" in errors[0]
-    assert errors[0] == errors[1]
+    seen = columnar("SELECT t, x / 0 FROM VAL", make_val_records([(0, 1, 1.0, True)]))
+    assert "integer division by zero" in seen.error
 
 
 def test_mixed_type_comparison_raises_same_error():
-    schema_rows = make_val_records([(0, 1, 1.0, True)])
-    errors = []
-    for vectorize in (False, True):
-        with pytest.raises(ExecutionError) as exc_info:
-            run_engine(
-                "SELECT t FROM VAL WHERE x < 'zzz'", schema_rows, vectorize=vectorize
-            )
-        errors.append(str(exc_info.value))
-    assert errors[0] == errors[1]
+    assert "unsupported operand types" in columnar("SELECT t FROM VAL WHERE x < 'zzz'", make_val_records([(0, 1, 1.0, True)])).error
 
 
 _STR_SCHEMA = StreamSchema(
@@ -315,48 +228,41 @@ _STR_SCHEMA = StreamSchema(
 def test_modulo_and_negation_errors_match_across_engines(select, message):
     """Both used to escape the tuple engine raw (ZeroDivisionError,
     TypeError); DESIGN.md §11 promises one span-carrying ExecutionError
-    on either engine."""
+    on either engine — the oracle's."""
     records = [Record(_STR_SCHEMA, [0, 7, 2.5, "alpha"]), Record(_STR_SCHEMA, [1, 9, 0.5, "b"])]
-    errors = []
     for vectorize in (False, True):
-        with pytest.raises(ExecutionError) as exc_info:
-            run_engine(f"SELECT t, {select} FROM S", records, _STR_SCHEMA, vectorize)
-        assert exc_info.value.span is not None
-        errors.append(str(exc_info.value))
-    assert message in errors[0]
-    assert errors[0] == errors[1]
+        family = Family((f"SELECT t, {select} FROM S",), _STR_SCHEMA)
+        error = agree(Case(family, stream(records), vectorize=vectorize)).error
+        assert message in error and "(at line 1, col " in error
 
 
 def test_columnar_child_of_a_per_tuple_parent_reads_what_the_rows_carry():
     """A query's output schema types every attribute ``int``; the rows a
     per-tuple parent emits carry floats and bools all the same.  The
     columnar child wraps them untyped, so nothing is truncated."""
-
-    def setup(gs):
-        gs.registries.scalars.register("wobble", lambda v: v, deterministic=False)
-        gs.add_query("SELECT t, wobble(f) AS f, b, x FROM VAL", name="up")
-
-    rows = [(t, t % 3, t + 0.5, t % 2 == 0) for t in range(12)]
-    got, handle = run_both(
-        "SELECT tb, sum(f), max(f), sum(b), first(b), sum(x / 2) FROM up"
-        " WHERE f > 1.0 GROUP BY t/4 AS tb",
-        make_val_records(rows),
-        setup=setup,
+    rows = make_val_records([(t, t % 3, t + 0.5, t % 2 == 0) for t in range(12)])
+    parent = "SELECT t, wobble(f) AS f, b, x FROM VAL"
+    child = "SELECT tb, sum(f), max(f), sum(b), first(b), sum(x / 2) FROM {0} WHERE f > 1.0 GROUP BY t/4 AS tb"
+    seen = columnar([parent, child], rows, setup=wobble, names=("up", "q"))
+    assert seen.deployment.query("q").operator.execution_mode == "vectorized"
+    assert seen.rows["q"][0] == tuple(
+        ("bool" if v is False else type(v).__name__, v) for v in (0, 1.5 + 2.5 + 3.5, 3.5, 1, False, 1)
     )
-    assert handle.operator.execution_mode == "vectorized"
-    assert got[0] == (0, 1.5 + 2.5 + 3.5, 3.5, 1, False, 1)
-    run_both("SELECT t, f, b FROM up WHERE f > 1.0", make_val_records(rows), setup=setup)
+    columnar([parent, "SELECT t, f, b FROM {0} WHERE f > 1.0"], rows, setup=wobble, names=("up", "q"))
 
 
 def test_checkpoints_interchangeable_between_engines(packet_trace):
     """A vectorized aggregation checkpoint restores onto a tuple operator
-    and vice versa: the group-table format is shared."""
+    and vice versa: the group-table format is shared, and so are its
+    bytes (a distinct-value set pickles in insertion order)."""
+    import pickle
+
     from repro.dsms.parser import compile_query
     from repro.dsms.operators.factory import build_operator
     from repro.dsms.vectorized import RecordBatch
 
     gs = _standard_instance(relax_factor=10.0)
-    sql = "SELECT tb, srcIP, sum(len) FROM TCP GROUP BY time/20 AS tb, srcIP"
+    sql = "SELECT tb, srcIP, sum(len), count_distinct(destIP) FROM TCP GROUP BY time/20 AS tb, srcIP"
     plan = compile_query(sql, gs.registries, query_name="q")
     vec = build_operator(plan, vectorize=True)
     tup = build_operator(plan, vectorize=False)
@@ -364,6 +270,9 @@ def test_checkpoints_interchangeable_between_engines(packet_trace):
     emitted = vec.process_batch(
         RecordBatch.from_records(packet_trace[0].schema, packet_trace[:half])
     )
+    tup.process_many(packet_trace[:half])
+    assert pickle.dumps(vec.checkpoint()) == pickle.dumps(tup.checkpoint())
+    tup = build_operator(plan, vectorize=False)
     tup.restore(vec.checkpoint())
     out_t = list(emitted)
     for record in packet_trace[half:]:

@@ -1,95 +1,59 @@
-"""Property-style engine-equivalence tests.
+"""The ``VAL`` slice of the oracle generator, one query at a time.
 
-Hypothesis generates adversarial value streams — NaN and infinite
-floats, negative ints, degenerate single-row and all-filtered inputs —
-and asserts the tuple and vectorized engines agree byte-for-byte on
-rows, value types, metric series, and cost accounts (``run_both``
-asserts all four).
+Hypothesis draws adversarial value streams — NaN and infinite floats,
+negative ints, bools, degenerate single-row and all-filtered inputs —
+and the columnar engine is held to the oracle's rows, value types
+included, and to the tuple engine's one-run series and cost accounts
+(``tests/test_oracle.py::agree``).  The queries are the generator's
+``val_*`` families, and one more.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from tests.vectorized.conftest import make_val_records, run_both
-
-#: Floats include NaN and ±inf: the fold layer must drop to sequential
-#: updates for them rather than trusting numpy reductions.
-_floats = st.floats(width=64)
-_ints = st.integers(min_value=-(2**40), max_value=2**40)
+from tests.test_oracle import FAMILIES, Case, Family, agree, stream, val_rows
+from tests.vectorized.conftest import VAL_SCHEMA
 
 
-@st.composite
-def val_rows(draw, min_size=0, max_size=40):
-    n = draw(st.integers(min_value=min_size, max_value=max_size))
-    times = sorted(
-        draw(
-            st.lists(
-                st.integers(min_value=0, max_value=99), min_size=n, max_size=n
-            )
-        )
-    )
-    rows = []
-    for t in times:
-        rows.append((t, draw(_ints), draw(_floats), draw(st.booleans())))
-    return rows
-
-
-@settings(max_examples=40, deadline=None)
-@given(val_rows())
-def test_selection_equivalence(rows):
-    run_both(
-        "SELECT t, x, f, b FROM VAL WHERE x % 3 = 0 AND b = TRUE",
-        make_val_records(rows),
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(val_rows())
-def test_selection_arithmetic_equivalence(rows):
-    run_both(
-        "SELECT t, x + x, x * 2 - 1, t / 7 FROM VAL WHERE NOT x < 0",
-        make_val_records(rows),
-    )
-
-
-@settings(max_examples=30, deadline=None)
-@given(val_rows())
-def test_aggregation_equivalence(rows):
-    run_both(
-        "SELECT tb, sum(x), count(*), min(x), max(x), first(x), last(x)"
-        " FROM VAL GROUP BY t/10 AS tb",
-        make_val_records(rows),
-    )
-
-
-@settings(max_examples=30, deadline=None)
-@given(val_rows())
-def test_float_aggregation_equivalence(rows):
-    """Float sums use the sequential fold: addition order (and NaN/inf
-    propagation) must match the tuple path exactly."""
-    run_both(
-        "SELECT tb, sum(f), min(f), max(f), avg(f) FROM VAL GROUP BY t/10 AS tb",
-        make_val_records(rows),
-    )
-
-
-@settings(max_examples=30, deadline=None)
-@given(val_rows())
-def test_having_and_distinct_equivalence(rows):
-    run_both(
-        "SELECT tb, count_distinct(x), sum(b) FROM VAL"
-        " GROUP BY t/10 AS tb HAVING count(*) > 1",
-        make_val_records(rows),
-    )
+def columnar(family, records) -> None:
+    agree(Case(FAMILIES.get(family) or Family((family,), VAL_SCHEMA), stream(records), vectorize=True))
 
 
 @settings(max_examples=20, deadline=None)
+@given(val_rows())
+def test_selection_equivalence(records):
+    columnar("val_selection", records)
+
+
+@settings(max_examples=20, deadline=None)
+@given(val_rows())
+def test_selection_arithmetic_equivalence(records):
+    columnar("val_arithmetic", records)
+
+
+@settings(max_examples=15, deadline=None)
+@given(val_rows())
+def test_aggregation_equivalence(records):
+    columnar("val_aggregates", records)
+
+
+@settings(max_examples=15, deadline=None)
+@given(val_rows())
+def test_float_aggregation_equivalence(records):
+    """Float sums use the sequential fold: addition order (and NaN/inf
+    propagation) must match the oracle's exactly."""
+    columnar("val_floats", records)
+
+
+@settings(max_examples=15, deadline=None)
+@given(val_rows())
+def test_having_and_distinct_equivalence(records):
+    columnar("val_having", records)
+
+
+@settings(max_examples=10, deadline=None)
 @given(val_rows(min_size=1, max_size=3))
-def test_tiny_streams_equivalence(rows):
+def test_tiny_streams_equivalence(records):
     """Single-record and near-empty streams: window open/close edges."""
-    run_both(
-        "SELECT tb, sum(x), avg(x) FROM VAL GROUP BY t/10 AS tb",
-        make_val_records(rows),
-    )
+    columnar("SELECT tb, sum(x), avg(x) FROM VAL GROUP BY t/10 AS tb", records)
