@@ -484,7 +484,7 @@ def _serve(args: argparse.Namespace) -> int:
         )
 
     def factory():
-        return _standard_instance(args.relax_factor)
+        return _standard_instance(args.relax_factor, profile=args.profile)
 
     try:
         breaker = BreakerConfig(
@@ -997,6 +997,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the combined per-query/per-tenant metrics registry"
         " (.prom/.txt = Prometheus text format, anything else = JSON)",
+    )
+    serve.add_argument(
+        "--profile",
+        action="store_true",
+        help="charge per-operator wall time into the operator_seconds"
+        " histogram, per served query (a follower's shared prefix: phase"
+        " replay)",
     )
     serve.set_defaults(fn=_cmd_serve)
 

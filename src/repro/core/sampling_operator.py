@@ -32,25 +32,19 @@ removed when **CLEANING BY evaluates to FALSE**.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
-from repro.dsms.expr import (
-    EvalContext,
-    bind_group,
-    bind_input,
-    bind_tuple,
-    compile_clause,
-    compile_expr,
-    compile_tuple,
-    compile_update_value,
-)
+from repro.dsms.aggregates import AggregateRegistry
+from repro.dsms.expr import EvalContext, bind_group, compile_clause, compile_expr, compile_tuple
 from repro.dsms.functions import FunctionRegistry
+from repro.dsms.node import emit_node, in_place
 from repro.dsms.operators.base import Operator
 from repro.dsms.parser.planner import SamplingSpec
 from repro.dsms.stateful import StatefulLibrary
 from repro.core.group_tables import GroupEntry, GroupTables, SuperGroupEntry
+from repro.core.superaggregates import SuperAggregateRegistry
 from repro.streams.records import Record
 
 
@@ -101,16 +95,15 @@ class SamplingOperator(Operator):
         spec: SamplingSpec,
         scalars: FunctionRegistry,
         stateful: StatefulLibrary,
-        aggregate_factory,
-        superaggregate_factory,
+        aggregates: AggregateRegistry,
+        superaggregates: SuperAggregateRegistry,
         cost_model: CostModel = NULL_COST_MODEL,
         account: str = "sampling",
     ) -> None:
         self.spec = spec
         self._stateful = stateful
-        self._aggregate_factory = aggregate_factory
-        self._superaggregate_factory = superaggregate_factory
-        self._charge = cost_model.charge
+        self._superaggregates = superaggregates
+        self._cost = cost_model
         self._account = account
 
         self.output_schema = spec.output_schema
@@ -125,65 +118,41 @@ class SamplingOperator(Operator):
         #: likewise for tuples dead-lettered at admission
         self._pending_quarantined = 0
 
-        # The whole per-record plan is fixed here, once: every clause
-        # compiled against the plan-time input schema (shadowing rule:
-        # see expr.bind_tuple), superaggregates split by how they are fed.
-        schema = spec.analyzed.schema
-        at_tuple = bind_tuple(schema, names)
-        at_group = bind_group(names)
-
-        #: -> (group-by values, window id, supergroup key)
-        self._group_key = compile_tuple(
-            [item.expr for item in spec.group_by],
-            bind_input(schema),
-            f"{account}:GROUP BY",
-            spec.ordered_indices,
-            spec.nonordered_supergroup_indices,
-        )
+        # The whole per-record plan is fixed here, once: the run entry is
+        # generated (repro.dsms.node), the clauses a group meets are
+        # compiled, all against the plan-time input schema (shadowing
+        # rule: see expr.bind_tuple).
         #: with no SUPERGROUP BY beyond the window, a window has one
         #: supergroup: a run looks it up once per window, not per record
         self._holds_supergroup = not spec.nonordered_supergroup_indices
-        self._where = compile_clause(spec.where, at_tuple, f"{account}:WHERE")
-        self._aggregate_names = tuple(node.name for node in spec.aggregates)
-        self._aggregate_args = tuple(
-            compile_update_value(node, at_tuple, f"{account}:aggregate {node.slot}")
-            for node in spec.aggregates
+        forms = in_place(
+            [aggregates.factory(node.name) for node in spec.aggregates],
+            [type(superaggregates.create(sa.name, sa.const_args)) for sa in spec.superaggregates],
         )
-        #: (slot, value) of the superaggregates fed by every admitted tuple
-        self._tuple_fed = tuple(
-            (slot, compile_expr(sa.value_expr, at_tuple, f"{account}:superaggregate {slot}"))
-            for slot, sa in enumerate(spec.superaggregates)
-            if sa.feeds == "tuple"
-        )
+        at_group = bind_group(names)
         #: per slot: the group value of a group-fed superaggregate, else None
         self._group_values = tuple(
-            compile_expr(sa.value_expr, at_group, f"{account}:superaggregate {slot}")
+            compile_expr(sa.value_expr, at_group, f"{account}:superaggregate {slot}", forms)
             if sa.feeds == "group" else None
             for slot, sa in enumerate(spec.superaggregates)
         )
-        self._group_fed = tuple(
-            (slot, value)
-            for slot, value in enumerate(self._group_values)
-            if value is not None
+        self._cleaning_by = compile_clause(
+            spec.cleaning_by, at_group, f"{account}:CLEANING BY", forms
         )
-        self._cleaning_when = compile_clause(
-            spec.cleaning_when, at_group, f"{account}:CLEANING WHEN"
-        )
-        self._cleaning_by = compile_clause(spec.cleaning_by, at_group, f"{account}:CLEANING BY")
-        self._having = compile_clause(spec.having, at_group, f"{account}:HAVING")
+        self._having = compile_clause(spec.having, at_group, f"{account}:HAVING", forms)
         self._select = compile_tuple(
-            [item.expr for item in spec.select_items], at_group, f"{account}:SELECT"
+            [item.expr for item in spec.select_items], at_group, f"{account}:SELECT", forms
         )
 
-        # What the clauses read: ``key`` holds the tuple's own group-by
-        # values while it is admitted (WHERE, aggregate and superaggregate
-        # arguments, CLEANING WHEN), the visited group's during a cleaning
-        # phase and at window close (CLEANING BY, HAVING, SELECT), when
-        # ``aggregates`` are that group's; ``states`` and ``superaggregates``
-        # are the supergroup's either way.  Clauses reach operator state
-        # only through these fields, so ``restore()`` needs no recompiling.
+        # What clauses read: ``key`` holds the visited group's key during
+        # a cleaning phase and at window close (CLEANING BY, HAVING,
+        # SELECT), when ``aggregates`` are that group's; ``states`` and
+        # ``superaggregates`` are the supergroup's either way.  Clauses
+        # reach operator state only through these fields, so ``restore()``
+        # needs no recompiling.
         self._ctx = EvalContext(scalars.functions, stateful.functions)
         self._default_obs(account)
+        emit_node(self, account, spec.analyzed, aggregates, spec, forms, GroupEntry)
 
     # -- observability -----------------------------------------------------------
     #
@@ -193,170 +162,37 @@ class SamplingOperator(Operator):
 
     def _bind_series(self) -> None:
         super()._bind_series()
-        metrics = self.obs_metrics
         common = {"query": self.obs_query, "operator": self.kind_label}
         self._bind_window_series(**common)
-        self.m_shed = metrics.counter(
-            "operator_shed_tuples_total",
-            help="tuples shed upstream at admission (never reached process)",
-            **common,
-        )
-        self.m_quarantined = metrics.counter(
-            "operator_quarantined_tuples_total",
-            help="tuples dead-lettered upstream at admission (malformed)",
-            **common,
-        )
-        self.m_groups_evicted = metrics.counter(
-            "operator_groups_evicted_total",
-            help="groups evicted by CLEANING BY during cleaning phases",
-            **common,
-        )
-        self.m_cleaning_phases = metrics.counter(
-            "operator_cleaning_phases_total",
-            help="cleaning phases triggered by CLEANING WHEN",
-            **common,
-        )
-        self.m_carryover = metrics.counter(
-            "operator_supergroup_carryover_total",
-            help="supergroups whose SFUN states carried over from the old window",
-            **common,
-        )
-        self.g_peak_groups = metrics.gauge(
-            "operator_peak_groups",
-            help="high-water mark of the group table",
-            **common,
-        )
+        counter = self.obs_metrics.counter
+        self.m_shed = counter(
+            "operator_shed_tuples_total", **common,
+            help="tuples shed upstream at admission (never reached process)")
+        self.m_quarantined = counter(
+            "operator_quarantined_tuples_total", **common,
+            help="tuples dead-lettered upstream at admission (malformed)")
+        self.m_groups_evicted = counter(
+            "operator_groups_evicted_total", **common,
+            help="groups evicted by CLEANING BY during cleaning phases")
+        self.m_cleaning_phases = counter(
+            "operator_cleaning_phases_total", **common,
+            help="cleaning phases triggered by CLEANING WHEN")
+        self.m_carryover = counter(
+            "operator_supergroup_carryover_total", **common,
+            help="supergroups whose SFUN states carried over from the old window")
+        self.g_peak_groups = self.obs_metrics.gauge(
+            "operator_peak_groups", **common, help="high-water mark of the group table")
 
     # -- public API -------------------------------------------------------------
-
-    def process_many(
-        self, records: Iterable[Record], out: Optional[List[Record]] = None
-    ) -> List[Record]:
-        """Feed a run of input records; appends output records to ``out``
-        (non-empty only when a record of the run closed a window).  With
-        one supergroup per window (``_holds_supergroup``), the run keeps
-        it until a window close swaps the tables; ``hash_probe`` is
-        still charged per record, as if it were looked up."""
-        if out is None:
-            out = []
-        ctx, where, cleaning_when = self._ctx, self._where, self._cleaning_when
-        group_key, hold = self._group_key, self._holds_supergroup
-        supergroup = None  # the first record looks its supergroup up
-        tables = self._tables
-        groups, supergroups = tables.groups, tables.new_supergroups
-        create, names = self._aggregate_factory, self._aggregate_names
-        arguments = self._aggregate_args
-        tuple_fed, group_fed = self._tuple_fed, self._group_fed
-        current, stats = self._current_window, self._active_stats
-        n_in = n_filtered = n_admitted = n_created = peak = 0
-        n_probes = n_inserts = n_predicates = n_updates = 0
-        try:
-            for record in records:
-                n_in += 1
-                ctx.record = record
-                key, window, supergroup_key = group_key(ctx)
-                ctx.key = key
-                if window != current:
-                    dropped = self._late(window, current)
-                    if dropped == "late":
-                        stats.late_tuples += 1
-                        continue
-                    if dropped is not None:
-                        stats.incomparable_tuples += 1
-                        continue
-                    if current is not None:
-                        # Into the caller's list at once: these rows must
-                        # outlive an error later in the run.
-                        out.extend(self._close_window())
-                        supergroups = tables.new_supergroups
-                        supergroup = None
-                        ctx.key = key  # the close visited the old groups
-                    self._open_window(window)
-                    current, stats = window, self._active_stats
-                stats.tuples_seen += 1
-
-                n_probes += 1
-                if not hold or supergroup is None:
-                    supergroup = supergroups.get(supergroup_key)
-                    if supergroup is None:
-                        supergroup = self._new_supergroup(supergroup_key)
-                        n_inserts += 1
-                    ctx.states = supergroup.states
-                    ctx.superaggregates = superaggregates = supergroup.superaggregates
-
-                if where is not None:
-                    n_predicates += 1
-                    if not where(ctx):
-                        n_filtered += 1
-                        continue
-                stats.tuples_admitted += 1
-                n_admitted += 1
-
-                for slot, value in tuple_fed:
-                    superaggregates[slot].on_tuple(key, value(ctx))
-                    n_updates += 1
-
-                n_probes += 1
-                group = groups.get(key)
-                is_new_group = group is None
-                if is_new_group:
-                    group = GroupEntry(
-                        key=key,
-                        aggregates=[create(name) for name in names],
-                        supergroup_key=supergroup_key,
-                    )
-                    tables.add_group(group)
-                    stats.groups_created += 1
-                    n_created += 1
-                    if len(groups) > stats.peak_groups:
-                        stats.peak_groups = len(groups)
-                        if len(groups) > peak:
-                            peak = len(groups)
-                for argument, aggregate in zip(arguments, group.aggregates):
-                    aggregate.update(argument(ctx) if argument is not None else 1)
-                    n_updates += 1
-
-                if is_new_group:  # tell the group-fed superaggregates
-                    ctx.aggregates = group.aggregates
-                    for slot, value in group_fed:
-                        superaggregates[slot].on_group_added(key, value(ctx))
-                        n_updates += 1
-
-                if cleaning_when is not None:
-                    n_predicates += 1
-                    if cleaning_when(ctx):
-                        if self.obs_trace.enabled:
-                            self.obs_trace.emit(
-                                "cleaning_trigger",
-                                query=self.obs_query,
-                                window=list(current),
-                                supergroup=list(supergroup_key),
-                            )
-                        self._run_cleaning_phase(supergroup)
-        finally:
-            charge, account = self._charge, self._account
-            charge(account, "tuple_read", n_in)
-            charge(account, "hash_probe", n_probes)
-            charge(account, "hash_insert", n_inserts + n_created)
-            charge(account, "predicate_eval", n_predicates)
-            charge(account, "aggregate_update", n_updates)
-            ctx.settle_calls(charge, account)
-            self.m_in.inc(n_in)
-            self.m_filtered.inc(n_filtered)
-            self.m_admitted.inc(n_admitted)
-            self.m_groups_created.inc(n_created)
-            if peak > self.g_peak_groups.value:
-                self.g_peak_groups.set(peak)
-        return out
 
     def flush(self) -> List[Record]:
         """Close the trailing window and return its output."""
         if self._current_window is None:
             return []
         try:
-            outputs = self._close_window()
+            outputs = self._emit_window()
         finally:
-            self._ctx.settle_calls(self._charge, self._account)
+            self._ctx.settle_calls(self._cost.charge, self._account)
         self._current_window = None
         self._active_stats = None
         return outputs
@@ -583,7 +419,7 @@ class SamplingOperator(Operator):
                 )
         states = self._stateful.instantiate_states(self.spec.state_names, old_states)
         superaggs = [
-            self._superaggregate_factory(sa.name, sa.const_args)
+            self._superaggregates.create(sa.name, sa.const_args)
             for sa in self.spec.superaggregates
         ]
         entry = SuperGroupEntry(key=key, states=states, superaggregates=superaggs)
@@ -591,11 +427,19 @@ class SamplingOperator(Operator):
         return entry
 
     def _run_cleaning_phase(self, supergroup: SuperGroupEntry) -> None:
+        """CLEANING WHEN held for ``supergroup``: visit its groups."""
         stats = self._active_stats
         assert stats is not None
+        if self.obs_trace.enabled:
+            self.obs_trace.emit(
+                "cleaning_trigger",
+                query=self.obs_query,
+                window=list(stats.window),
+                supergroup=list(supergroup.key),
+            )
         stats.cleaning_phases += 1
         self.m_cleaning_phases.inc()
-        charge, account, ctx = self._charge, self._account, self._ctx
+        charge, account, ctx = self._cost.charge, self._account, self._ctx
         cleaning_by = self._cleaning_by
         charge(account, "cleaning_phase")
         ctx.states, ctx.superaggregates = supergroup.states, supergroup.superaggregates
@@ -633,10 +477,10 @@ class SamplingOperator(Operator):
             sa.on_group_removed(group.key, value(ctx) if value is not None else None)
         self._tables.remove_group(group.key)
 
-    def _close_window(self) -> List[Record]:
+    def _emit_window(self) -> List[Record]:
         stats = self._active_stats
         assert stats is not None
-        charge, account, ctx = self._charge, self._account, self._ctx
+        charge, account, ctx = self._cost.charge, self._account, self._ctx
         having, select = self._having, self._select
         charge(account, "window_flush")
 

@@ -57,6 +57,8 @@ class CountDistinctSuper(SuperAggregate):
     """``count_distinct$(*)`` — the number of groups in the supergroup."""
 
     feeds = "group"
+    #: on_group_added() and value() as a generated node writes them
+    in_place = ("{0}._count += 1", "_count")
 
     def __init__(self) -> None:
         self._count = 0

@@ -55,6 +55,8 @@ class Aggregate:
 class SumAggregate(Aggregate):
     reversible = True
     mergeable = True
+    #: update() and value() as a generated node writes them (repro.dsms.node)
+    in_place = ("{0}._total += {1}", "_total")
 
     def __init__(self) -> None:
         self._total: Any = 0
@@ -76,6 +78,7 @@ class SumAggregate(Aggregate):
 class CountAggregate(Aggregate):
     reversible = True
     mergeable = True
+    in_place = ("{0}._count += 1", "_count")
 
     def __init__(self) -> None:
         self._count = 0
@@ -96,6 +99,7 @@ class CountAggregate(Aggregate):
 
 class MinAggregate(Aggregate):
     mergeable = True
+    in_place = ("if {0}._min is None or {1} < {0}._min: {0}._min = {1}", "_min")
 
     def __init__(self) -> None:
         self._min: Optional[Any] = None
@@ -115,6 +119,7 @@ class MinAggregate(Aggregate):
 
 class MaxAggregate(Aggregate):
     mergeable = True
+    in_place = ("if {0}._max is None or {1} > {0}._max: {0}._max = {1}", "_max")
 
     def __init__(self) -> None:
         self._max: Optional[Any] = None
@@ -233,6 +238,10 @@ class AggregateRegistry:
             return self._factories[name]()
         except KeyError:
             raise RegistryError(f"unknown aggregate {name!r}") from None
+
+    def factory(self, name: str) -> Optional[AggregateFactory]:
+        """What :meth:`create` calls for ``name``; None when unregistered."""
+        return self._factories.get(name)
 
     def names(self) -> List[str]:
         return sorted(self._factories)

@@ -4,13 +4,15 @@ The parser builds these nodes; the analyzer classifies function calls into
 scalar functions, aggregates, superaggregates (``name$``-suffixed, paper
 §6.3) and stateful functions (paper §6.2); the operators compile them.
 
-Compile once, run per tuple: when an operator is built,
-:func:`compile_expr` writes an analyzed tree out as the source of one
-Python function per clause (DESIGN.md §2), with every column name
-resolved by a *binder* to the position it is read from (a record slot,
-a group-by value) and every literal, function name and aggregate node
-bound as an argument default.  It is the only implementation of scalar
-expression semantics; :func:`evaluate` is its one-shot form for tests.
+Compile once, run per tuple: when an operator is built, the clause
+emitter writes an analyzed tree out as Python source (DESIGN.md §2) —
+the statements of a node's generated run loop (:mod:`repro.dsms.node`),
+or one function per clause a group meets (:func:`compile_expr`) — with
+every column name resolved by a *binder* to the position it is read from
+(a record slot, a group-by value) and every literal, function name and
+aggregate node bound as an argument default.  It is the only
+implementation of scalar expression semantics; :func:`evaluate` is its
+one-shot form for tests.
 
 The sampling operator evaluates its clauses in several phases (per-tuple
 WHERE, per-supergroup CLEANING WHEN, per-group CLEANING BY / HAVING, and
@@ -290,44 +292,50 @@ def _fails(message: str) -> Compiled:
     return fail
 
 
-def bind_input(schema: Any) -> Bind:
-    """Names are columns of ``schema``, read from ``ctx.record`` by
-    position.  GROUP BY expressions and selections bind this way."""
+def bind_input(schema: Any, values: str = "ctx.record.values") -> Bind:
+    """Names are columns of ``schema``, read by position from ``values``
+    (the record's; a generated node holds them in a local).  GROUP BY
+    expressions and selections bind this way."""
 
     def bind(name: str) -> Where:
         if name not in schema:
             return _fails(f"column {name!r} not available in this context")
-        return "ctx.record.values", schema.index_of(name)
+        return values, schema.index_of(name)
 
     return bind
 
 
-def bind_group(group_by_names: Sequence[str]) -> Bind:
+def bind_group(group_by_names: Sequence[str], key: str = "ctx.key") -> Bind:
     """Group-time binding (CLEANING WHEN/BY, HAVING, SELECT, group-fed
     superaggregate values): only group-by names exist, read by position
-    from ``ctx.key`` — the group-by values in scope."""
+    from ``key`` — the group-by values in scope."""
     positions = {name: i for i, name in enumerate(group_by_names)}
 
     def bind(name: str) -> Where:
         index = positions.get(name)
         if index is None:
             return _fails(f"column {name!r} is not a group-by variable")
-        return "ctx.key", index
+        return key, index
 
     return bind
 
 
-def bind_tuple(schema: Any, group_by_names: Sequence[str]) -> Bind:
+def bind_tuple(
+    schema: Any,
+    group_by_names: Sequence[str],
+    values: str = "ctx.record.values",
+    key: str = "ctx.key",
+) -> Bind:
     """Tuple-time binding once GROUP BY has run (WHERE, aggregate
     arguments, tuple-fed superaggregate values).
 
     The one shadowing rule: GROUP BY expressions see input columns
     (:func:`bind_input`); everywhere after, a group-by name wins over an
-    input column of the same name (:func:`bind_group`, with ``ctx.key``
+    input column of the same name (:func:`bind_group`, with ``key``
     holding the tuple's own group-by values).
     """
-    bind_key = bind_group(group_by_names)
-    bind_column = bind_input(schema)
+    bind_key = bind_group(group_by_names, key)
+    bind_column = bind_input(schema, values)
 
     def bind(name: str) -> Where:
         if name in group_by_names:
@@ -348,12 +356,21 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Any:
     return compile_expr(expr, by_name)(ctx)
 
 
-def compile_expr(expr: Expr, bind: Bind, label: str = "expr") -> Compiled:
+#: ``(field, slot)`` -> the ``in_place`` (update statement, value field) of
+#: a built-in aggregate or superaggregate: read and updated in place
+InPlace = Mapping[Tuple[str, int], Tuple[str, str]]
+
+
+def compile_expr(
+    expr: Expr, bind: Bind, label: str = "expr", in_place: Optional[InPlace] = None
+) -> Compiled:
     """Turn an analyzed tree into one Python function, once.
 
     ``bind`` resolves every :class:`ColumnRef`, so evaluating the result
     walks no AST, looks no name up and runs in one frame; ``label``
-    (query and clause) names it in tracebacks (:func:`_code`).
+    (query and clause) names it in tracebacks (:func:`_code`);
+    ``in_place`` names the aggregate slots whose value is read as a
+    field rather than called.
     Semantics: division is SQL/C integer division on two ints
     (``time/60`` must bucket, not produce floats) and float division
     otherwise, ``bool`` counting as a number rather than an int; AND/OR
@@ -361,37 +378,25 @@ def compile_expr(expr: Expr, bind: Bind, label: str = "expr") -> Compiled:
     calls are looked up in the context's fields and counted there.  Every
     error is raised when the offending record is evaluated, never here.
     """
-    emitter = _Emitter(bind)
+    emitter = _Emitter(bind, in_place)
     return emitter.function(emitter.emit(expr), label)
 
 
-def compile_clause(expr: Optional[Expr], bind: Bind, label: str = "expr") -> Optional[Compiled]:
+def compile_clause(
+    expr: Optional[Expr], bind: Bind, label: str = "expr", in_place: Optional[InPlace] = None
+) -> Optional[Compiled]:
     """An optional clause (WHERE, HAVING, CLEANING ...): compiled, or
     None when the query has none."""
-    return compile_expr(expr, bind, label) if expr is not None else None
+    return compile_expr(expr, bind, label, in_place) if expr is not None else None
 
 
 def compile_tuple(
-    exprs: Sequence[Expr], bind: Bind, label: str = "expr", *views: Sequence[int]
+    exprs: Sequence[Expr], bind: Bind, label: str = "expr", in_place: Optional[InPlace] = None
 ) -> Compiled:
     """Compile ``exprs`` into one function returning their values, left
-    to right, as a tuple (a group key, an output row).  Given ``views``
-    (item positions: a window id's, a supergroup key's) it returns
-    ``(values, view, ...)`` — every key a GROUP BY yields, in one call."""
-    emitter = _Emitter(bind)
-    items = [emitter.emit(expr) for expr in exprs]
-    rows = [", ".join([items[i] for i in view]) for view in (range(len(items)), *views)]
-    return emitter.function(", ".join([f"({row},)" if row else "()" for row in rows]), label)
-
-
-def compile_update_value(
-    node: AggregateCall, bind: Bind, label: str = "expr"
-) -> Optional[Compiled]:
-    """What one tuple feeds an aggregate: its first argument, compiled —
-    or None when that is the constant 1 (``count(*)``, ``count()``)."""
-    if not node.args or isinstance(node.args[0], Star):
-        return None
-    return compile_expr(node.args[0], bind, label)
+    to right, as a tuple (an output row)."""
+    emitter = _Emitter(bind, in_place)
+    return emitter.function(emitter.row(exprs), label)
 
 
 class _Emitter:
@@ -408,8 +413,9 @@ class _Emitter:
     ... (they load as locals).
     """
 
-    def __init__(self, bind: Bind) -> None:
+    def __init__(self, bind: Bind, in_place: Optional[InPlace] = None) -> None:
         self.bind = bind
+        self.in_place = in_place or {}
         self.lines: List[str] = []
         self.consts: List[Any] = []
         self.locals = 0
@@ -464,13 +470,18 @@ class _Emitter:
         if isinstance(expr, (AggregateCall, SuperAggregateCall)):
             field = "aggregates" if isinstance(expr, AggregateCall) else "superaggregates"
             slot = self.lookup(f"ctx.{field}[{self.const(expr.slot)}]", self.const(expr))
-            return self.assign(f"{slot}.value()")
+            form = self.in_place.get((field, expr.slot))
+            return self.assign(f"{slot}.{form[1]}" if form else f"{slot}.value()")
         if isinstance(expr, FunctionCall):
             return self.fail(
                 f"unclassified function call {expr.name!r} reached evaluation;"
                 " run the analyzer before executing"
             )
         return self.fail(f"unknown expression node {type(expr).__name__}")
+
+    def row(self, exprs: Sequence[Expr]) -> str:
+        """``exprs`` left to right, as the display of one tuple."""
+        return f"({''.join(f'{self.emit(expr)}, ' for expr in exprs)})"
 
     def call(self, node: Union[ScalarCall, StatefulCall]) -> str:
         """Arguments left to right, the count, the lookups, then one call:
@@ -535,16 +546,16 @@ class _Emitter:
         self.depth -= 1
         return result
 
-    def function(self, result: str, label: str) -> Compiled:
+    def function(self, result: str, label: str, name: str = "run", params: str = "ctx") -> Any:
         names = [f"k{i}" for i in range(len(self.consts))]
-        head = [f"def run(ctx{''.join(f', {k}={k}' for k in names)}):"]
+        head = [f"def {name}({params}{''.join(f', {k}={k}' for k in names)}):"]
         if self.hoisted:
             head.append(f"    b = {self.hoisted}")
         source = "\n".join(head + self.lines + [f"    return {result}", ""])
         namespace = dict(zip(names, self.consts), __name__=__name__)
         namespace.update(_type_error=_type_error, _unavailable=_unavailable)
         exec(_code(source, label), namespace)
-        return namespace["run"]
+        return namespace[name]
 
 
 #: (file name, source) -> code object, oldest first: shards, replicas and

@@ -66,10 +66,6 @@ class FunctionRegistry:
         except KeyError:
             raise unknown_function(name) from None
 
-    def call(self, name: str, args: Sequence[Any]) -> Any:
-        """A one-shot call by name; compiled clauses index :attr:`functions`."""
-        return self.get(name)(*args)
-
     @property
     def functions(self) -> Mapping[str, ScalarFn]:
         """The name -> callable mapping itself, not a copy: compiled

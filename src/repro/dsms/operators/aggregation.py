@@ -16,21 +16,14 @@ windows run next to the sampling query.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.dsms.aggregates import Aggregate, AggregateRegistry
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
-from repro.dsms.expr import (
-    EvalContext,
-    bind_group,
-    bind_input,
-    bind_tuple,
-    compile_clause,
-    compile_tuple,
-    compile_update_value,
-)
+from repro.dsms.expr import EvalContext, bind_group, compile_clause, compile_tuple
 from repro.dsms.functions import FunctionRegistry
+from repro.dsms.node import emit_node, in_place
 from repro.dsms.operators.base import Operator
 from repro.dsms.parser.analyzer import AnalyzedQuery
 from repro.streams.records import Record
@@ -67,93 +60,29 @@ class AggregationOperator(Operator):
         self._groups: Dict[Tuple[Any, ...], List[Aggregate]] = {}
         self._current_window: Optional[Tuple[Any, ...]] = None
 
-        # Every clause is compiled here, once, against the plan-time
-        # input schema (shadowing rule: see expr.bind_tuple).
-        ast = analyzed.ast
-        at_tuple = bind_tuple(analyzed.schema, names)
+        # The run entry is generated (repro.dsms.node) and the clauses a
+        # window close evaluates compiled, here, once, against the
+        # plan-time input schema (shadowing rule: see expr.bind_tuple).
+        forms = in_place([aggregates.factory(node.name) for node in analyzed.aggregates])
         at_group = bind_group(names)
-        #: -> (group-by values, window id)
-        self._group_key = compile_tuple(
-            [item.expr for item in analyzed.group_by],
-            bind_input(analyzed.schema),
-            f"{account}:GROUP BY",
-            self._ordered_indices,
-        )
-        self._where = compile_clause(ast.where, at_tuple, f"{account}:WHERE")
-        self._aggregate_names = tuple(node.name for node in analyzed.aggregates)
-        self._aggregate_args = tuple(
-            compile_update_value(node, at_tuple, f"{account}:aggregate {node.slot}")
-            for node in analyzed.aggregates
-        )
-        self._having = compile_clause(ast.having, at_group, f"{account}:HAVING")
+        self._having = compile_clause(analyzed.ast.having, at_group, f"{account}:HAVING", forms)
         self._select = compile_tuple(
-            [item.expr for item in ast.select], at_group, f"{account}:SELECT"
+            [item.expr for item in analyzed.ast.select], at_group, f"{account}:SELECT", forms
         )
 
-        # ``key`` holds the tuple's own group-by values at tuple time, the
-        # visited group's (with its ``aggregates``) at window close
+        # ``key`` holds the visited group's key, with its ``aggregates``,
+        # at window close
         self._ctx = EvalContext(scalars.functions)
         self._default_obs(account)
+        emit_node(self, account, analyzed, aggregates, forms=forms)
 
     def _bind_series(self) -> None:
         super()._bind_series()
         self._bind_window_series(query=self.obs_query, operator=self.kind_label)
 
-    def process_many(
-        self, records: Iterable[Record], out: Optional[List[Record]] = None
-    ) -> List[Record]:
-        if out is None:
-            out = []
-        ctx, where, groups = self._ctx, self._where, self._groups
-        group_key = self._group_key
-        create, names = self._registry.create, self._aggregate_names
-        arguments = self._aggregate_args
-        current = self._current_window
-        n_in = n_dropped = n_filtered = n_admitted = n_created = n_updates = 0
-        try:
-            for record in records:
-                ctx.record = record
-                key, window = group_key(ctx)
-                ctx.key = key
-                n_in += 1
-                if window != current:
-                    if self._late(window, current) is not None:
-                        n_dropped += 1
-                        continue
-                    if current is not None:
-                        # Into the caller's list at once: these rows
-                        # must outlive an error later in the run.
-                        out.extend(self._emit_window())
-                        ctx.key = key  # the close visited other groups
-                    self._current_window = current = window
-                    self.obs_trace.emit(
-                        "window_open", query=self.obs_query, window=list(window)
-                    )
-                if where is not None and not where(ctx):
-                    n_filtered += 1
-                    continue
-                n_admitted += 1
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = [create(name) for name in names]
-                    n_created += 1
-                for argument, aggregate in zip(arguments, group):
-                    aggregate.update(argument(ctx) if argument is not None else 1)
-                    n_updates += 1
-        finally:
-            charge, account = self._cost.charge, self._account
-            charge(account, "tuple_read", n_in)
-            charge(account, "hash_probe", n_in)
-            if where is not None:
-                charge(account, "predicate_eval", n_in - n_dropped)
-            charge(account, "hash_insert", n_created)
-            charge(account, "aggregate_update", n_updates)
-            ctx.settle_calls(charge, account)
-            self.m_in.inc(n_in)
-            self.m_filtered.inc(n_filtered)
-            self.m_admitted.inc(n_admitted)
-            self.m_groups_created.inc(n_created)
-        return out
+    def _open_window(self, window: Tuple[Any, ...]) -> None:
+        self._current_window = window
+        self.obs_trace.emit("window_open", query=self.obs_query, window=list(window))
 
     def flush(self) -> List[Record]:
         if self._current_window is None:

@@ -178,11 +178,12 @@ class Operator:
         emits a run's rows together or not at all (the columnar
         selection) may leave ``out`` alone and return its own run.
 
-        The one per-tuple body of every operator.  Operation counts and
-        metric increments accumulate in locals and are settled once, in
-        a ``finally``: when an error escapes, the operator has counted
-        and charged exactly the records it consumed, the failing one
-        included.
+        The one per-tuple body of every operator: a tuple-engine
+        operator binds the one :mod:`repro.dsms.node` generates for its
+        plan over this one.  Operation counts and metric increments
+        accumulate in locals and are settled once, in a ``finally``: when
+        an error escapes, the operator has counted and charged exactly
+        the records it consumed, the failing one included.
         """
         raise NotImplementedError
 

@@ -63,8 +63,8 @@ def build_operator(
             plan.sampling,
             registries.scalars,
             registries.stateful,
-            aggregate_factory=registries.aggregates.create,
-            superaggregate_factory=registries.superaggregates.create,
+            registries.aggregates,
+            registries.superaggregates,
             cost_model=cost_model,
             account=account,
         )

@@ -9,24 +9,25 @@ operator" (§7.2) and how low-level prefilter queries work (Fig 6).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional
+from typing import Any
 
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
-from repro.dsms.expr import EvalContext, bind_input, compile_clause, compile_tuple
+from repro.dsms.expr import EvalContext
 from repro.dsms.functions import FunctionRegistry
+from repro.dsms.node import emit_node
 from repro.dsms.operators.base import Operator
 from repro.dsms.parser.analyzer import AnalyzedQuery
 from repro.dsms.stateful import StatefulLibrary
-from repro.streams.records import Record
 from repro.streams.schema import StreamSchema
 
 
 class SelectionOperator(Operator):
     """Plain WHERE + SELECT over a stream.
 
-    WHERE and the SELECT list are compiled against the plan-time input
-    schema when the operator is built; a record costs one call per
-    clause plus whatever functions the expressions call.
+    The run entry — WHERE and the SELECT list written into one loop
+    (repro.dsms.node) — is generated against the plan-time input schema
+    when the operator is built; a record costs the functions its
+    expressions call and the output ``Record``.
     """
 
     kind_label = "selection"
@@ -44,13 +45,9 @@ class SelectionOperator(Operator):
         self._cost = cost_model
         self._account = account
         self._ctx = EvalContext(scalars.functions)  # a stateful one adds SFUNs and states
-        bind = bind_input(analyzed.schema)
-        self._where = compile_clause(analyzed.ast.where, bind, f"{account}:WHERE")
-        self._select = compile_tuple(
-            [item.expr for item in analyzed.ast.select], bind, f"{account}:SELECT"
-        )
         self._forwards = False
         self._default_obs(account)
+        emit_node(self, account, analyzed)
 
     def forward_input(self) -> None:
         """Emit input records as they are — read, counted and charged as
@@ -60,37 +57,6 @@ class SelectionOperator(Operator):
         keeps re-wrapping (its rows' ``schema`` shows in equality,
         ``repr`` and journal bytes)."""
         self._forwards = True
-
-    def process_many(
-        self, records: Iterable[Record], out: Optional[List[Record]] = None
-    ) -> List[Record]:
-        if out is None:
-            out = []
-        ctx, where, select = self._ctx, self._where, self._select
-        schema, emit, before = self.output_schema, out.append, len(out)
-        n_in = n_filtered = 0
-        try:
-            if self._forwards:
-                out.extend(records)
-                n_in = len(out) - before
-            else:
-                for record in records:
-                    n_in += 1
-                    ctx.record = record
-                    if where is not None and not where(ctx):
-                        n_filtered += 1
-                        continue
-                    emit(Record(schema, select(ctx)))
-        finally:
-            charge, account = self._cost.charge, self._account
-            charge(account, "tuple_read", n_in)
-            if where is not None:
-                charge(account, "predicate_eval", n_in)
-            ctx.settle_calls(charge, account)
-            self.m_in.inc(n_in)
-            self.m_filtered.inc(n_filtered)
-            self.m_rows_out.inc(len(out) - before)
-        return out
 
 
 class StatefulSelectionOperator(SelectionOperator):

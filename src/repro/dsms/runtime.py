@@ -20,7 +20,7 @@ of Figure 1) and also forwarded to any downstream queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from time import perf_counter
 from typing import (
@@ -36,7 +36,8 @@ from repro.dsms.durability import CHECKPOINT_VERSION, batches, run_batches
 from repro.dsms.functions import default_function_registry
 from repro.dsms.operators import build_operator
 from repro.dsms.operators.base import Operator
-from repro.dsms.parser import QueryPlan, Registries, compile_query
+from repro.dsms.parser import QueryPlan, Registries, analyze, compile_query, parse_query
+from repro.dsms.parser import plan as plan_query
 from repro.dsms.ring_buffer import RingBuffer
 from repro.dsms.stateful import StatefulLibrary
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -387,11 +388,10 @@ class Gigascope:
             feeder_name = f"{name}__lowsel"
             self._add_passthrough_selection(source, feeder_name)
             try:
-                text_rewritten = self._rewrite_from(text, source, feeder_name)
-                plan = compile_query(
-                    text_rewritten, self.registries, query_name=name,
-                    strict=strict,
-                )
+                # Read the feeder, with every span still in the text the
+                # user registered (an error points at what they wrote).
+                ast = replace(parse_query(text), from_stream=feeder_name)
+                plan = plan_query(analyze(ast, self.registries), self.registries, name)
             except Exception:
                 # The feeder must not outlive the query it was inserted
                 # for; a leaked __lowsel node would shadow the name and
@@ -783,10 +783,13 @@ class Gigascope:
                 emitted = operator.process_many(run, emitted)
         finally:
             if self.profile:
-                self._observe_seconds(handle.name, "process", started)
+                self.observe_seconds(handle.name, "process", started)
             self.emit(handle.name, emitted)
 
-    def _observe_seconds(self, query: str, phase: str, started: float) -> None:
+    def observe_seconds(self, query: str, phase: str, started: float) -> None:
+        """One ``operator_seconds`` sample, taken under ``profile``: node
+        ``query``'s ``phase`` (process, flush; a served follower's
+        replay), begun at ``started`` (``perf_counter``)."""
         self.metrics.histogram(
             "operator_seconds",
             help="wall time per operator call",
@@ -839,7 +842,7 @@ class Gigascope:
                 started = perf_counter()
             outputs = handle.operator.flush()
             if self.profile:
-                self._observe_seconds(name, "flush", started)
+                self.observe_seconds(name, "flush", started)
             self.emit(name, outputs)
             # A flushed node is exhausted: release any downstream merge
             # watermark it was holding.

@@ -247,18 +247,3 @@ class StatefulLibrary:
             state.restore(fields)
             states[name] = state
         return states
-
-    def invoke(
-        self,
-        fn_name: str,
-        states: Dict[str, StatefulState],
-        args: Sequence[Any],
-    ) -> Any:
-        """A one-shot SFUN call; compiled clauses index :attr:`functions`."""
-        try:
-            state = states[self._sfuns[fn_name]]
-            fn = self._callables[fn_name]
-        except KeyError:
-            state_name = self.state_of(fn_name)  # unknown SFUN: RegistryError
-            raise unallocated_state(state_name, fn_name) from None
-        return fn(state, *args)

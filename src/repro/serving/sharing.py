@@ -33,6 +33,7 @@ pair and triple of example queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Any, Collection, Dict, List, Optional, Tuple
 
 from repro.analysis.dataflow import build_plan_graph
@@ -184,8 +185,9 @@ def capture_feed(
     """Feed ``batch`` to the canonical instance, capturing prefix effects.
 
     The low-level node's run entry (``process_many``) is shimmed for the
-    duration of the feed to keep the run it returns — a record list, or
-    on the columnar engine a batch, which followers take as it is;
+    duration of the feed, then restored as it was, to keep the run it
+    returns — a record list, or on the columnar engine a batch, which
+    followers take as it is;
     metric and cost deltas are taken by snapshot difference.  Deltas
     attributable to the canonical query's own *high-level* operator are
     excluded (each follower regenerates those natively via
@@ -200,7 +202,10 @@ def capture_feed(
     forwarded_before = low.forwarded
 
     runs: List[Collection[Record]] = []
-    original = low.operator.process_many
+    operator = low.operator
+    original = operator.process_many
+    # the entry bound on the instance (a generated node's), or None
+    bound = vars(operator).get("process_many")
 
     def capturing(records: Any, out: List[Record]) -> Collection[Record]:
         # One ring poll per feed, so one run; a run that raises fails
@@ -208,11 +213,14 @@ def capture_feed(
         runs.append(original(records, out))
         return runs[-1]
 
-    low.operator.process_many = capturing
+    operator.process_many = capturing
     try:
         gs.feed(batch)
     finally:
-        del low.operator.process_many
+        if bound is None:
+            del operator.process_many
+        else:
+            operator.process_many = bound
 
     forwarded = low.forwarded - forwarded_before
     metric_deltas: List[MetricDelta] = []
@@ -259,8 +267,11 @@ def replay_feed(gs: Any, low_name: str, capture: BatchCapture) -> None:
     node's name to the follower's), then emits the captured run from
     the follower's low-level node: the runtime retains it, performs the
     follower's own SPLIT-edge copy and dispatches it to the high-level
-    operator as if that node had produced it.
+    operator as if that node had produced it.  Under ``profile`` the
+    transplant is the low-level node's ``operator_seconds`` sample,
+    ``phase="replay"``.
     """
+    started = perf_counter() if gs.profile else 0.0
     for name, labels, delta in capture.metric_deltas:
         relabelled = {
             key: (low_name if key == "query" and value == capture.low_name
@@ -275,5 +286,6 @@ def replay_feed(gs: Any, low_name: str, capture: BatchCapture) -> None:
             (low_name if account == capture.low_name else account): cycles
             for account, cycles in capture.cost_deltas.items()
         })
-
+    if gs.profile:  # what the follower's low-level node does instead of running
+        gs.observe_seconds(low_name, "replay", started)
     gs.emit(low_name, capture.outputs)

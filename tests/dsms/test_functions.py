@@ -15,7 +15,7 @@ class TestRegistry:
     def test_register_and_call(self):
         registry = FunctionRegistry()
         registry.register("inc", lambda x: x + 1)
-        assert registry.call("inc", [41]) == 42
+        assert registry.functions["inc"](41) == 42
         assert "inc" in registry
 
     def test_duplicate_rejected(self):
@@ -28,7 +28,7 @@ class TestRegistry:
         registry = FunctionRegistry()
         registry.register("f", lambda: 1)
         registry.register("f", lambda: 2, replace=True)
-        assert registry.call("f", []) == 2
+        assert registry.functions["f"]() == 2
 
     def test_unknown_raises(self):
         with pytest.raises(RegistryError):
@@ -81,15 +81,15 @@ class TestBuiltins:
 
     def test_umax_umin(self):
         registry = default_function_registry()
-        assert registry.call("UMAX", [3, 7]) == 7
-        assert registry.call("UMAX", [7.5, 3]) == 7.5
-        assert registry.call("UMIN", [3, 7]) == 3
+        assert registry.functions["UMAX"](3, 7) == 7
+        assert registry.functions["UMAX"](7.5, 3) == 7.5
+        assert registry.functions["UMIN"](3, 7) == 3
 
     def test_ip_str(self):
         registry = default_function_registry()
-        assert registry.call("ip_str", [0x0A000001]) == "10.0.0.1"
-        assert registry.call("ip_str", [0xFFFFFFFF]) == "255.255.255.255"
+        assert registry.functions["ip_str"](0x0A000001) == "10.0.0.1"
+        assert registry.functions["ip_str"](0xFFFFFFFF) == "255.255.255.255"
 
     def test_h_matches_hash32(self):
         registry = default_function_registry()
-        assert registry.call("H", [42]) == hash32(42)
+        assert registry.functions["H"](42) == hash32(42)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PlanningError, ExecutionError
+from repro.errors import AnalysisError, PlanningError, ExecutionError
 from repro.dsms.cost import CostModel
 from repro.dsms.runtime import Gigascope
 from repro.streams.records import Record
@@ -176,8 +176,9 @@ class TestFromRewrite:
 
 
 class TestStrictRecompile:
-    """The post-rewrite recompile must inherit the caller's strict flag
-    and must not leak the auto-inserted feeder when it fails."""
+    """A heavy query is checked as the user wrote it, with the caller's
+    strict flag, and then planned to read its auto-inserted feeder; a
+    failure there must not leak the feeder."""
 
     def test_recompile_preserves_strict(self, monkeypatch):
         import repro.dsms.runtime as runtime_mod
@@ -196,22 +197,25 @@ class TestStrictRecompile:
         gs.add_query(
             SUBSET_SUM_QUERY.format(window=2, target=5), name="ss", strict=True
         )
-        strict_flags = [s for (n, s) in calls if n == "ss"]
-        assert len(strict_flags) == 2  # submission + post-rewrite recompile
-        assert all(strict_flags)
+        assert [s for (n, s) in calls if n == "ss"] == [True]  # once, strictly
+        assert gs.query("ss").source == "ss__lowsel"
+        # strict refuses a heavy query lint warns about, and no feeder is left
+        with pytest.raises(AnalysisError):
+            gs.add_query("SELECT tb, sum(len) FROM TCP GROUP BY time/2 as tb, uts", strict=True)
+        assert [name for name in gs.registries.schemas if name.endswith("__lowsel")] == ["ss__lowsel"]
 
     def test_failed_recompile_removes_feeder(self, monkeypatch):
         import repro.dsms.runtime as runtime_mod
 
-        real = runtime_mod.compile_query
+        real = runtime_mod.analyze
         arm = [True]
 
-        def failing(text, registries, query_name="Q", strict=False):
-            if arm[0] and "lowsel" in text:
+        def failing(ast, registries, *args, **kwargs):
+            if arm[0] and ast.from_stream.endswith("lowsel"):
                 raise PlanningError("recompile boom")
-            return real(text, registries, query_name=query_name, strict=strict)
+            return real(ast, registries, *args, **kwargs)
 
-        monkeypatch.setattr(runtime_mod, "compile_query", failing)
+        monkeypatch.setattr(runtime_mod, "analyze", failing)
         gs = Gigascope()
         gs.register_stream(TCP_SCHEMA)
         query = "SELECT tb, sum(len) FROM TCP GROUP BY time/2 as tb"
@@ -225,6 +229,27 @@ class TestStrictRecompile:
         handle = gs.add_query(query, name="agg")
         gs.run(iter(packets(10)))
         assert handle.results
+
+    def test_an_error_points_into_the_text_the_user_registered(self):
+        """The plan reads the ``<name>__lowsel`` feeder, but its spans are
+        the user's: on the FROM line the column is not moved by the
+        feeder name's length."""
+        from repro.dsms.expr import BinaryOp, find_nodes
+        from repro.dsms.parser import parse_query
+
+        text = "SELECT tb, count(*) FROM TCP WHERE 10/(len - 40) >= 0 GROUP BY time/1 as tb"
+        (divide,) = [
+            node for node in find_nodes(parse_query(text).where, BinaryOp) if node.op == "/"
+        ]
+        gs = Gigascope()
+        gs.register_stream(TCP_SCHEMA)
+        gs.add_query(text, name="query")
+        gs.start()
+        with pytest.raises(ExecutionError) as caught:
+            gs.feed([Record.from_mapping(TCP_SCHEMA, {"time": 0, "len": 40})])
+        assert caught.value.span == divide.span
+        assert str(caught.value).endswith(f"(at line 1, col {divide.span.col})")
+        assert text[divide.span.col - 1] == "/"
 
 
 class TestIncrementalRun:

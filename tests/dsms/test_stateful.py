@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import RegistryError, StatefulFunctionError
+from repro.dsms.expr import EvalContext, Literal, StatefulCall, evaluate
 from repro.dsms.stateful import StatefulLibrary, StatefulState
 
 
@@ -68,30 +69,38 @@ class TestRegistration:
             library.callable_of("nope")
 
 
+def call(library, fn_name, states, *args):
+    """An SFUN called the way a compiled clause calls it: out of the
+    library's ``functions``, its state first."""
+    return library.functions[fn_name](states[library.state_of(fn_name)], *args)
+
+
 class TestRuntime:
-    def test_invoke_mutates_shared_state(self):
+    def test_sfun_mutates_shared_state(self):
         library = make_counter_library()
         states = library.instantiate_states(["counter_state"])
-        assert library.invoke("bump", states, [5]) == 5
-        assert library.invoke("bump", states, [2]) == 7
-        assert library.invoke("read", states, []) == 7
+        assert call(library, "bump", states, 5) == 5
+        assert call(library, "bump", states, 2) == 7
+        assert call(library, "read", states) == 7
 
     def test_window_carryover(self):
         library = make_counter_library()
         old = library.instantiate_states(["counter_state"])
-        library.invoke("bump", old, [10])
+        call(library, "bump", old, 10)
         new = library.instantiate_states(["counter_state"], old_states=old)
-        assert library.invoke("read", new, []) == 5
+        assert call(library, "read", new) == 5
 
     def test_fresh_state_without_old(self):
         library = make_counter_library()
         states = library.instantiate_states(["counter_state"])
-        assert library.invoke("read", states, []) == 0
+        assert call(library, "read", states) == 0
 
-    def test_invoke_without_state_raises(self):
+    def test_sfun_without_state_raises(self):
         library = make_counter_library()
+        ctx = EvalContext(sfuns=library.functions)
+        ctx.states = {}
         with pytest.raises(StatefulFunctionError, match="was not allocated"):
-            library.invoke("bump", {}, [1])
+            evaluate(StatefulCall("bump", "counter_state", (Literal(1),)), ctx)
 
     def test_on_window_final_default_noop(self):
         StatefulState().on_window_final()  # must not raise

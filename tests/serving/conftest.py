@@ -45,9 +45,9 @@ for _path in EXAMPLE_PATHS:
 BATCH = 128
 
 
-def make_instance(vectorize: bool = False) -> Gigascope:
+def make_instance(vectorize: bool = False, profile: bool = False) -> Gigascope:
     """One solo-shaped instance: private cost model + metrics registry."""
-    gs = Gigascope(cost_model=CostModel(), vectorize=vectorize)
+    gs = Gigascope(cost_model=CostModel(), vectorize=vectorize, profile=profile)
     gs.register_stream(TCP_SCHEMA)
     gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
     gs.use_stateful_library(basic_subset_sum_library())
