@@ -250,12 +250,11 @@ class SamplingOperator(Operator):
     # -- crash-recovery checkpoints -------------------------------------------------
 
     def checkpoint(self) -> Dict[str, Any]:
-        """Picklable snapshot of the full operator state.
-
-        Groups (aggregate vectors) and superaggregates deepcopy/pickle
-        directly; SFUN states are snapshotted by *state name* plus field
-        dict because their classes are closure-local inside the
-        ``*_library`` factories (see ``StatefulState.checkpoint``).
+        """The full operator state, over its live objects (see
+        ``Operator.checkpoint``): a group is its key, its aggregate
+        vector and its supergroup key; SFUN states go by *state name*
+        plus field dict because their classes are closure-local inside
+        the ``*_library`` factories (see ``StatefulState.checkpoint``).
         Group insertion order is preserved by the group list, which also
         reconstructs the supergroup-group table — the cleaning pass
         depends on visiting groups in arrival order.
@@ -266,19 +265,19 @@ class SamplingOperator(Operator):
                 (
                     entry.key,
                     self._stateful.checkpoint_states(entry.states),
-                    copy.deepcopy(entry.superaggregates),
+                    list(entry.superaggregates),
                 )
                 for entry in table.values()
             ]
 
         return {
             "current_window": self._current_window,
-            "window_stats": copy.deepcopy(self._window_stats),
-            "active_stats": copy.deepcopy(self._active_stats),
+            "window_stats": list(self._window_stats),
+            "active_stats": self._active_stats,
             "pending_shed": self._pending_shed,
             "pending_quarantined": self._pending_quarantined,
             "groups": [
-                (entry.key, copy.deepcopy(entry.aggregates), entry.supergroup_key)
+                (entry.key, entry.aggregates, entry.supergroup_key)
                 for entry in self._tables.groups.values()
             ],
             "new_supergroups": snap_supergroups(self._tables.new_supergroups),

@@ -13,7 +13,7 @@ a run mid-stream — and the rest is written once, here, against those:
 * :func:`batches` cuts a stream into batches (the one place a batch size
   is validated) and :func:`skip` drops a committed prefix;
 * :func:`feed_loop` feeds batch after batch and commits when due: when a
-  window closed since the last commit (``rows_emitted()`` grew — a
+  window closed since the last commit (``windows_closed()`` grew — a
   serial instance sees its windows close; shard pools and the serving
   engine report a constant, so theirs is interval-only) or after
   ``commit_interval`` batches.  A batch boundary is a consistent cut:
@@ -250,7 +250,8 @@ def commit(
     consumed: int,
     on_commit: Hook = None,
 ) -> None:
-    """Make ``driven``'s state after ``consumed`` records durable.
+    """Make ``driven``'s state after ``consumed`` records durable: its
+    ``checkpoint()`` view is pickled here, and that is its one copy.
 
     ``on_commit(consumed, kind)`` fires once the entry is fsync'd;
     killing the process inside it is exactly the crash the journal is
@@ -285,7 +286,7 @@ def feed_loop(
     try:
         if commit_interval < 1:
             raise StreamError(f"commit_interval must be >= 1, got {commit_interval}")
-        emitted = driven.rows_emitted()
+        closed = driven.windows_closed() if journal is not None else 0
         since_commit = 0
         for batch_no, batch in enumerate(batch_iter, 1):
             consumed += driven.feed(batch)
@@ -293,10 +294,10 @@ def feed_loop(
                 on_batch(batch_no, consumed)
             since_commit += 1
             if journal is not None:
-                now = driven.rows_emitted()
-                if now > emitted or since_commit >= commit_interval:
+                now = driven.windows_closed()
+                if now > closed or since_commit >= commit_interval:
                     commit(driven, journal, "commit", consumed, on_commit)
-                    emitted, since_commit = now, 0
+                    closed, since_commit = now, 0
             yield consumed
     except GeneratorExit:
         raise  # the caller stopped driving; the run is still its to end

@@ -15,7 +15,6 @@ windows run next to the sampling query.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
@@ -92,14 +91,12 @@ class AggregationOperator(Operator):
         return outputs
 
     def checkpoint(self) -> Any:
-        """Snapshot the open window: group table plus current window id.
-
-        Aggregate instances are module-level classes holding plain
-        accumulator fields, so a deepcopy is both decoupled from the live
-        table and picklable across the worker/parent boundary.
-        """
+        """The open window: group table plus current window id.  The
+        table is a fresh dict over the live aggregate vectors (see
+        ``Operator.checkpoint``); aggregate instances are module-level
+        classes holding plain accumulator fields, so they pickle."""
         return {
-            "groups": copy.deepcopy(self._groups),
+            "groups": dict(self._groups),
             "current_window": self._current_window,
         }
 

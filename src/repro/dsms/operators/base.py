@@ -10,8 +10,9 @@ handing each node's output run to the downstream node.  Decisions stay
 per tuple and in order, so how a stream is cut into runs changes no row,
 counter, charge or checkpoint (DESIGN.md §2).
 
-Checkpoint protocol (DESIGN.md §8): :meth:`Operator.checkpoint` decouples
-— the snapshot is picklable and stays valid while the operator runs on;
+Checkpoint protocol (DESIGN.md §8): :meth:`Operator.checkpoint` is a
+picklable view, valid until the operator is next fed — the pickle that
+keeps it longer is its one copy;
 :meth:`Operator.restore` takes ownership — on a freshly built operator
 of the same plan; keep a snapshot you will restore twice by pickling it.
 Only an operator reads its own snapshot: state moves between shards
@@ -196,12 +197,13 @@ class Operator:
         return []
 
     def checkpoint(self) -> Any:
-        """Picklable snapshot of mutable operator state.
+        """Picklable view of mutable operator state at a batch boundary.
 
         ``None`` means the operator is stateless (the default — plain
-        selections have nothing to recover).  Stateful operators return a
-        structure fully decoupled from their live state, so the snapshot
-        stays valid while the operator keeps processing.
+        selections have nothing to recover).  Stateful operators return
+        containers of their own over the live aggregates, superaggregates
+        and SFUN fields: valid until the operator is next fed, so pickle
+        the snapshot to keep it past that.
         """
         return None
 

@@ -14,7 +14,6 @@ watermark back.  ``flush`` releases everything that remains.
 
 from __future__ import annotations
 
-import copy
 import heapq
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
@@ -150,11 +149,11 @@ class MergeOperator(Operator):
         return out
 
     def checkpoint(self) -> Any:
-        """Snapshot buffered records, per-source frontiers, and ended
-        sources (the heap list is already heap-ordered, so restore needs
-        no re-heapify)."""
+        """Buffered records, per-source frontiers, and ended sources (the
+        heap list is already heap-ordered, so restore needs no
+        re-heapify); records are immutable once emitted."""
         return {
-            "heap": copy.deepcopy(self._heap),
+            "heap": list(self._heap),
             "seq": self._seq,
             "frontier": dict(self._frontier),
             "done": set(self._done),

@@ -563,9 +563,9 @@ def migrate_states(
     Raises :class:`MigrationDeferred` when, for some query, the shards
     losing or gaining state disagree on the current window: moving a
     window-w group into a shard already past w would mis-emit it.
-    ``states`` is half-rewritten by then and must be discarded — it is
-    the caller's private copy (a fresh ``checkpoint()`` per inline
-    shard, an unpickled blob per worker), nothing was installed, and
+    ``states`` is half-rewritten by then and must be discarded — only
+    its containers are (a ``checkpoint()`` view per inline shard owns
+    them; an unpickled blob per worker), nothing was installed, and
     the shards run on under the old routing until the caller retries at
     the next barrier (worker state is a pure function of the input, so a
     resumed run defers and retries at the same rounds).

@@ -595,14 +595,11 @@ class Gigascope:
         """Drop an open run without flushing it (a no-op when idle)."""
         self._session = None
 
-    def rows_emitted(self) -> int:
-        """Rows retained so far; it grows exactly when a window closed,
-        which is when the durable feed loop commits early."""
-        return sum(
-            len(handle.results)
-            for handle in self._queries.values()
-            if handle.keep_results
-        )
+    def windows_closed(self) -> int:
+        """Windows closed so far, by every windowed node — whether or
+        not it kept a row; the durable feed loop commits early when
+        this grew."""
+        return int(self.metrics.total("operator_windows_total"))
 
     def refuse(
         self, kind: str, stream: str, count: int, offered: bool = True,
@@ -854,22 +851,22 @@ class Gigascope:
     # -- crash-recovery checkpoints -------------------------------------------------
 
     def checkpoint(self) -> Dict[str, Any]:
-        """Picklable snapshot of all mutable run state.
+        """Picklable view of all mutable run state at a batch boundary
+        (``Operator.checkpoint``): pickle it to keep it past the next feed.
 
-        Captures every query node: operator state (see
-        ``Operator.checkpoint``), retained results, and forwarded-tuple
-        counters — plus what the instance owns itself (:func:`own_state`).
-        Ring buffers are deliberately *not* captured: a restored instance
-        starts with empty rings, and the supervisor replays the journalled
-        batches that postdate the checkpoint to refill the pipeline.
+        Captures every query node: operator state, retained results, and
+        forwarded-tuple counters — plus what the instance owns itself
+        (:func:`own_state`).  Ring buffers are deliberately *not*
+        captured: a restored instance starts with empty rings, and the
+        supervisor replays the journalled batches that postdate the
+        checkpoint to refill the pipeline.
         """
         queries = {}
         for name in self._order:
             handle = self._queries[name]
             queries[name] = {
                 "operator": handle.operator.checkpoint(),
-                # Shallow copy: records are immutable once emitted, the
-                # list must be decoupled from the still-growing handle.
+                # records are immutable once emitted
                 "results": list(handle.results),
                 "forwarded": handle.forwarded,
             }

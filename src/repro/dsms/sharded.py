@@ -771,7 +771,7 @@ class ShardedGigascope:
             self._pool.close()
             self._pool = None
 
-    def rows_emitted(self) -> int:
+    def windows_closed(self) -> int:
         """Constant: under supervision windows close inside the workers,
         invisible here until checkpointed, so durable commits over
         either pool come every ``commit_interval`` rounds only."""
@@ -779,7 +779,8 @@ class ShardedGigascope:
 
     def shard_state(self, shard: int) -> Dict[str, Any]:
         """A checkpoint of the parent-side instance of ``shard``: an
-        inline pool's live one, or the pristine copy a worker is forked
+        inline pool's live one (a view the rebalance barrier restores
+        before the next feed), or the pristine copy a worker is forked
         from.  Both charge this deployment's cost model, which
         :meth:`checkpoint` carries once — so no balances here (a worker
         restoring them as its own would count them once per shard)."""

@@ -25,7 +25,6 @@ planner then knows which states each supergroup must allocate.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Type
 
 from repro.errors import RegistryError, StatefulFunctionError
@@ -64,18 +63,19 @@ class StatefulState:
     # -- crash-recovery checkpoints ---------------------------------------
 
     def checkpoint(self) -> Dict[str, Any]:
-        """A picklable snapshot of this state's fields.
+        """This state's fields: a fresh dict over the live values (the
+        view ``Operator.checkpoint`` describes).
 
         State *classes* are often closure-local (the ``*_library``
         factories define them inside the factory so they close over the
         pack configuration), which makes the instances themselves
         unpicklable by class reference.  The field dict, by contrast, is
-        plain data (numbers, lists, ``random.Random`` instances), so the
-        supervisor checkpoints states as ``(state name, field dict)`` and
+        plain data (numbers, lists, ``random.Random`` instances), so a
+        checkpoint carries states as ``(state name, field dict)`` and
         rebuilds the instance from the library on restore.  Subclasses
         holding unsnapshottable resources override this pair.
         """
-        return copy.deepcopy(self.__dict__)
+        return dict(self.__dict__)
 
     def restore(self, snapshot: Dict[str, Any]) -> None:
         """Reinstate the fields :meth:`checkpoint` captured (taking them over)."""

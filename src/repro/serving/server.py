@@ -637,17 +637,17 @@ class StandingQueryEngine:
         """Append one durable checkpoint of every served query."""
         commit(self, self.journal, kind, self.consumed, self.on_commit)
 
-    def rows_emitted(self) -> int:
+    def windows_closed(self) -> int:
         """Constant: the serving cadence is every ``commit_interval``
         batches, whichever windows closed in between."""
         return 0
 
     def checkpoint(self) -> Dict[str, Any]:
-        """Picklable state of the serve at a batch boundary: every
-        served query's instance checkpoint, the quota ledger, breaker
-        and dead-letter state, and what the engine owns itself
-        (``runtime.own_state``: its ``serving_*`` series, the HTTP
-        plane's included, and its trace)."""
+        """Picklable view of the serve at a batch boundary, which
+        :meth:`commit` pickles at once: every served query's instance
+        checkpoint, the quota ledger, breaker and dead-letter state, and
+        what the engine owns itself (``runtime.own_state``: its
+        ``serving_*`` series, the HTTP plane's included, and its trace)."""
         return {
             **own_state(self),
             "consumed": self.consumed,

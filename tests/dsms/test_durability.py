@@ -600,7 +600,7 @@ class TestCrashAtEveryCommit:
 
 class TestCommitsDidNotMove:
     def test_commit_offsets_match_the_recorded_ones(self, tmp_path):
-        """Where commits land is behaviour: an interval commit copies the
+        """Where commits land is behaviour: an interval commit pickles the
         group table at whatever point of the cleaning cycle it falls on
         (benchmarks/ledger/README.md, ss_durable).  The list below was
         recorded from the commit before the loops were merged: the first
@@ -617,6 +617,36 @@ class TestCommitsDidNotMove:
             on_commit=lambda consumed, kind: commits.append((consumed, kind)),
         ).run(iter(trace))
         assert commits == [(2048, "commit"), (2560, "commit"), (4000, "final")]
+
+    @pytest.mark.parametrize(
+        "having, keep_results",
+        [("", False), (" HAVING count(*) < 0", True)],
+        ids=["not-retained", "having-rejects-every-group"],
+    )
+    def test_every_window_close_commits(self, tmp_path, having, keep_results):
+        """A commit is due when a window closed, not when a row was
+        retained: a query that keeps no rows, or whose HAVING rejects
+        every group, commits where the retained run does — at the two
+        window closes (320, 640) between the interval commits."""
+
+        def offsets(text, keep):
+            gs = Gigascope()
+            gs.register_stream(TCP_SCHEMA)
+            gs.add_query(text, name="q", keep_results=keep)
+            commits = []
+            DurableRunner(
+                gs,
+                str(tmp_path / "j.bin"),
+                batch_size=64,
+                commit_interval=4,
+                on_commit=lambda consumed, kind: commits.append(consumed),
+            ).run(iter(feed()))
+            return commits
+
+        text = "SELECT tb, srcIP, count(*) FROM TCP GROUP BY time/5 as tb, srcIP"
+        retained = offsets(text, True)
+        assert retained == [256, 320, 576, 640, 896, len(feed())]
+        assert offsets(text + having, keep_results) == retained
 
 
 class TestParentCommitJournals:
