@@ -71,9 +71,13 @@ fi
 # installs .[test]) enforce the floor and leave coverage.xml behind for
 # the workflow to upload; in minimal containers just run the tests.
 if python -c "import pytest_cov" >/dev/null 2>&1; then
-    # Conservative floor (ratchet toward measured baseline - 2 as the
-    # suite grows; lowering it needs a written justification in the PR).
-    pytest_args+=(--cov=repro --cov-report=term --cov-report=xml --cov-fail-under=75)
+    # Floor: measured - 2, ratcheted as the suite grows; lowering it
+    # needs a written justification in the PR.  Measured here is the
+    # line census (scripts/line_census.py, docs/UNREACHED.txt): 930 of
+    # 13 227 executable lines unreached, 93.0% reached.  coverage.py
+    # counts statements, not lines, and its own figure is not recorded
+    # yet, so the floor sits 5 points under the census instead of 2.
+    pytest_args+=(--cov=repro --cov-report=term --cov-report=xml --cov-fail-under=88)
 else
     echo "==> pytest-cov not installed; skipping coverage floor (pip install -e .[test])"
 fi

@@ -226,27 +226,6 @@ class SamplingOperator(Operator):
             self._pending_quarantined += count
         self.m_quarantined.inc(count)
 
-    def overload_counters(self) -> Dict[str, int]:
-        """Degradation counters over all windows (closed and active).
-
-        These are the "did the sample quietly degrade?" numbers: tuples
-        dropped because they arrived late, tuples with unorderable window
-        ids, tuples shed at admission under overload, and tuples
-        dead-lettered at admission as malformed.
-        """
-        stats = list(self._window_stats)
-        if self._active_stats is not None:
-            stats.append(self._active_stats)
-        return {
-            "late_tuples": sum(s.late_tuples for s in stats),
-            "incomparable_tuples": sum(s.incomparable_tuples for s in stats),
-            "shed_tuples": sum(s.shed_tuples for s in stats) + self._pending_shed,
-            "quarantined_tuples": (
-                sum(s.quarantined_tuples for s in stats)
-                + self._pending_quarantined
-            ),
-        }
-
     # -- crash-recovery checkpoints -------------------------------------------------
 
     def checkpoint(self) -> Dict[str, Any]:

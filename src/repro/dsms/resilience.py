@@ -177,8 +177,7 @@ class ShardSupervisor:
         self._restarts = [0] * shards
         #: error text a worker reported before exiting (better than exitcode)
         self._pending_error: Dict[int, str] = {}
-        #: per shard: (results, cost accounts, run report, metrics snapshot,
-        #: trace events)
+        #: per shard: (results, cost accounts, metrics snapshot, trace events)
         self._results: Dict[int, tuple] = {}
         self._finishing = False
         #: monotonic time of the outstanding checkpoint request, per shard
@@ -671,17 +670,16 @@ class ShardSupervisor:
                 entry for entry in self._journal[shard] if entry[0] > seq
             ]
         elif kind == "result":
-            self._results[shard] = (
-                message[3], message[4], message[5], message[6], message[7]
-            )
+            self._results[shard] = message[3:]
         elif kind == "error":
             self._pending_error[shard] = message[3]
         return True
 
     # -- completion ------------------------------------------------------------------
 
-    def finish(self) -> Tuple[List[Dict[str, List[Record]]], List[dict]]:
-        """Flush every worker; returns ``(results per shard, run reports)``."""
+    def finish(self) -> List[Dict[str, List[Record]]]:
+        """Flush every worker, fold its balances and registry into the
+        owner's; returns the results per shard."""
         self._finishing = True
         for shard in range(self.owner.shards):
             self._send_control(shard, ("finish",))
@@ -717,14 +715,12 @@ class ShardSupervisor:
                     f" (failure log: {'; '.join(self.report.failures) or 'none'})"
                 )
         shard_results: List[Dict[str, List[Record]]] = []
-        reports: List[dict] = []
         for shard in range(self.owner.shards):
-            results, accounts, report, metrics_snap, trace_events = self._results[shard]
+            results, accounts, metrics_snap, trace_events = self._results[shard]
             shard_results.append(results)
             self.owner.cost.absorb(accounts)
-            reports.append(report)
             self.owner._absorb_shard_obs(shard, metrics_snap, trace_events)
-        return shard_results, reports
+        return shard_results
 
 
 def _supervised_worker(
@@ -782,6 +778,7 @@ def _supervised_worker(
                 if fault_plan is not None and fault_plan.drops_result(shard, epoch):
                     fault_plan.die(out_queue, 0)
                 instance.finish()
+                instance.sync_ring_metrics()
                 results = {name: instance.query(name).results for name in query_names}
                 accounts = instance.cost.accounts() if instance.cost.enabled else {}
                 trace_events = (
@@ -789,8 +786,7 @@ def _supervised_worker(
                 )
                 out_queue.put(
                     ("result", shard, epoch, results, accounts,
-                     instance.run_report(), instance.metrics.checkpoint(),
-                     trace_events)
+                     instance.metrics.checkpoint(), trace_events)
                 )
                 return
             else:  # pragma: no cover - protocol guard

@@ -124,6 +124,57 @@ def account_refusal(
         )
 
 
+#: ``run_report()`` columns and the series each one sums: per source
+#: stream, the ring gauges and one per :data:`REFUSALS` kind; per
+#: sampling query, what its operator dropped
+_STREAM_COLUMNS = {
+    "drops": "ring_dropped",
+    "backlog": "ring_backlog",
+    **{kind: row.counter for kind, row in REFUSALS.items()},
+}
+_QUERY_COLUMNS = {
+    column: f"operator_{column}_total"
+    for column in ("late_tuples", "incomparable_tuples", "shed_tuples", "quarantined_tuples")
+}
+
+
+def registry_report(
+    host: Any, streams: Iterable[str], handles: Sequence[QueryHandle]
+) -> Dict[str, Any]:
+    """The ``run_report()`` of any deployment ``host`` (it has
+    ``metrics``, ``vectorize``): the columns of each of ``streams`` and
+    of each sampling query among ``handles``, read off its registry and
+    summed over ``shard`` labels; under ``vectorize``, also the nodes
+    that fell back to the tuple engine, and why."""
+    total = host.metrics.total
+    report: Dict[str, Any] = {
+        "streams": {
+            stream: {
+                column: int(total(name, stream=stream))
+                for column, name in _STREAM_COLUMNS.items()
+            }
+            for stream in streams
+        },
+        "queries": {
+            handle.name: {
+                column: int(total(name, query=handle.name, operator="sampling"))
+                for column, name in _QUERY_COLUMNS.items()
+            }
+            for handle in handles
+            if handle.operator.kind_label == "sampling"
+        },
+    }
+    if host.vectorize:
+        fallbacks = {
+            handle.name: handle.operator.vectorize_fallback
+            for handle in handles
+            if handle.operator.execution_mode != "vectorized"
+        }
+        if fallbacks:
+            report["vectorize"] = {"fallbacks": fallbacks}
+    return report
+
+
 def own_state(host: Any) -> Dict[str, Any]:
     """The run state ``host`` (any deployment: it has ``cost``,
     ``metrics``, ``trace``) owns itself, for its ``checkpoint()`` to
@@ -494,35 +545,6 @@ class Gigascope:
         # emit (paper §3): do not perform it again here, per tuple.
         handle.operator.forward_input()
         return handle
-
-    @staticmethod
-    def _rewrite_from(text: str, old: str, new: str) -> str:
-        """Replace the FROM stream name using the parsed AST's span.
-
-        A textual search can match ``FROM <name>`` inside a string
-        literal or a ``--`` comment and corrupt the query; the parser's
-        FROM span points at the one real stream-name token.
-        """
-        from repro.dsms.parser import parse_query
-
-        ast = parse_query(text)
-        if ast.from_stream != old:
-            raise PlanningError(
-                f"could not rewrite FROM {old}: query reads from"
-                f" {ast.from_stream!r}"
-            )
-        span = ast.clause_span("FROM")
-        if span is None:  # pragma: no cover - parser always records it
-            raise PlanningError(f"could not rewrite FROM {old}: no span")
-        lines = text.split("\n")
-        offset = sum(len(line) + 1 for line in lines[: span.line - 1])
-        offset += span.col - 1
-        if text[offset : offset + span.length] != old:
-            raise PlanningError(
-                f"could not rewrite FROM {old}: span does not cover the"
-                " stream name"
-            )
-        return text[:offset] + new + text[offset + span.length :]
 
     def _remove_query(self, name: str) -> None:
         """Unregister a query added during a failed composite operation."""
@@ -896,53 +918,20 @@ class Gigascope:
         return self.query(name).results
 
     def run_report(self) -> Dict[str, Any]:
-        """Overload/degradation counters for the most recent run.
+        """Overload/degradation counters (:func:`registry_report`).
 
-        ``streams``: per source stream, ring-buffer ``drops`` (slowest
-        subscriber), remaining ``backlog``, and a column per refusal kind
-        (:data:`REFUSALS`).  ``queries``: per sampling query, late /
-        incomparable / shed / quarantined tuple totals over all windows.
         Everything here is a tuple the answer silently does *not*
         include — the report makes degradation visible instead of silent.
         """
-        self._sync_ring_metrics()
-        value = self.metrics.value
-        streams: Dict[str, Dict[str, int]] = {}
-        for stream in self._rings:
-            streams[stream] = {
-                "drops": int(value("ring_dropped", stream=stream)),
-                "backlog": int(value("ring_backlog", stream=stream)),
-            }
-            for kind, row in REFUSALS.items():
-                streams[stream][kind] = int(value(row.counter, stream=stream))
-        queries: Dict[str, Dict[str, int]] = {}
-        for name in self._order:
-            operator = self._queries[name].operator
-            if getattr(operator, "overload_counters", None) is None:
-                continue
-            # Each counter the operator keeps is mirrored by a series
-            # named after it; the report reads the registry.
-            labels = {"query": name, "operator": operator.kind_label}
-            queries[name] = {
-                key: int(value(f"operator_{key}_total", **labels))
-                for key in operator.overload_counters()
-            }
-        report: Dict[str, Any] = {"streams": streams, "queries": queries}
-        if self.vectorize:
-            fallbacks = {
-                name: self._queries[name].operator.vectorize_fallback
-                for name in self._order
-                if self._queries[name].operator.execution_mode != "vectorized"
-            }
-            if fallbacks:
-                report["vectorize"] = {"fallbacks": fallbacks}
-        return report
+        self.sync_ring_metrics()
+        return registry_report(self, self._rings, self.query_handles())
 
-    def _sync_ring_metrics(self) -> None:
+    def sync_ring_metrics(self) -> None:
         """Mirror ring-buffer drop/backlog counts into gauges.
 
         Rings are polled state, not events, so the registry mirrors them
-        on demand (report/export time) rather than per push.
+        on demand (report time, and before a shard pool folds this
+        registry) rather than per push.
         """
         for stream, ring in self._rings.items():
             sids = [

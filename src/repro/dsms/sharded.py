@@ -81,8 +81,8 @@ from repro.dsms.rebalance import (
 )
 from repro.dsms.resilience import ShardSupervisor, SupervisionPolicy, SupervisionReport
 from repro.dsms.runtime import (
-    REFUSALS, Gigascope, QueryHandle, account_refusal, admit_payload, own_state,
-    restore_own_state,
+    Gigascope, QueryHandle, account_refusal, admit_payload, own_state,
+    registry_report, restore_own_state,
 )
 from repro.dsms.stateful import StatefulLibrary
 from repro.obs.metrics import MetricsRegistry
@@ -253,7 +253,7 @@ class _InlinePool:
             for shard, state in self.states().items()
         }
 
-    def finish(self) -> Tuple[List[Dict[str, List[Record]]], List[dict]]:
+    def finish(self) -> List[Dict[str, List[Record]]]:
         owner = self.owner
         for instance in owner._instances:
             instance.finish()
@@ -261,10 +261,8 @@ class _InlinePool:
             {name: instance.query(name).results for name in owner._order}
             for instance in owner._instances
         ]
-        # Snapshot the per-shard reports before the registries are
-        # zeroed below (run_report reads the registry).
-        reports = [instance.run_report() for instance in owner._instances]
         for shard, instance in enumerate(owner._instances):
+            instance.sync_ring_metrics()
             owner._absorb_shard_obs(
                 shard,
                 instance.metrics.checkpoint(),
@@ -276,7 +274,7 @@ class _InlinePool:
             instance.metrics.reset()
             if instance.trace.enabled:
                 instance.trace.events.clear()
-        return results, reports
+        return results
 
     def close(self) -> None:
         """Abandon any shard still mid-run (a no-op after finish)."""
@@ -289,9 +287,10 @@ class ShardedGigascope:
 
     Mirrors the :class:`Gigascope` API (``register_stream``,
     ``use_stateful_library``, ``add_query``, ``add_merge``, ``run``,
-    ``results``, ``cpu_percent``, ``explain``); queries must satisfy the
-    partition rules of :func:`partition_info` or ``add_query`` raises a
-    :class:`PlanningError` explaining why the query cannot shard.
+    ``results``, ``run_report``, ``cpu_percent``, ``explain``); queries
+    must satisfy the partition rules of :func:`partition_info` or
+    ``add_query`` raises a :class:`PlanningError` explaining why the
+    query cannot shard.
     """
 
     #: the ``mode`` this deployment's journal entries carry
@@ -340,7 +339,8 @@ class ShardedGigascope:
         absorbs every shard's series stamped with a ``shard`` label, so
         ``metrics.total(name, query=...)`` aggregates across shards while
         the per-shard series stay distinguishable.  Under ``supervise``
-        the snapshots cross the fork boundary with the results.
+        the snapshots cross the fork boundary with the results.  The
+        folded registry is the one :meth:`run_report` reads.
 
         ``validate_admission`` validates every record at the SPLIT edge
         — in the parent, the same for both pools — and routes
@@ -380,7 +380,6 @@ class ShardedGigascope:
         self.fault_plan = fault_plan
         #: SupervisionReport of the most recent supervised run (else None)
         self.last_supervision: Optional[SupervisionReport] = None
-        self._last_report: Optional[dict] = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.trace = trace if trace is not None else NULL_TRACE
         self.validate_admission = validate_admission
@@ -706,7 +705,6 @@ class ShardedGigascope:
             raise ExecutionError("instance is already running; finish() first")
         self._route = self._route_indices()
         self._sinks = [_MergeSink(self._handles[name]) for name in self._order]
-        self._last_report = None
         self._pool = (
             ShardSupervisor(
                 self,
@@ -748,21 +746,16 @@ class ShardedGigascope:
         return offered
 
     def finish(self) -> None:
-        """End the run: collect every shard, MERGE what is left."""
+        """End the run: collect every shard — its rows, and its registry
+        folded into :attr:`metrics` — and MERGE what is left."""
         if self._pool is None:
             raise ExecutionError("instance is not running")
         try:
-            results, reports = self._pool.finish()
+            results = self._pool.finish()
         finally:
             self.abandon()
         for sink in self._sinks:
             sink.finish(results)
-        report = _merge_reports(reports)
-        # What the parent refused itself is in no shard's report.
-        for stream, counters in report["streams"].items():
-            for kind, row in REFUSALS.items():
-                counters[kind] += int(self.metrics.value(row.counter, stream=stream))
-        self._last_report = report
 
     def abandon(self) -> None:
         """Reap an open run's pool without collecting it (a no-op when
@@ -992,28 +985,23 @@ class ShardedGigascope:
         """Aggregate CPU% of one query across all shards (one account)."""
         return self.cost.cpu_percent(name, stream_seconds)
 
-    def run_report(self) -> Dict[str, Dict[str, Dict[str, int]]]:
-        """Overload counters of the most recent run, summed over shards.
-
-        Same shape as :meth:`Gigascope.run_report`; supervised workers'
-        reports cross the queue with the results, inline shards' are
-        read straight off the instances, and what the parent refused
-        itself is added from its registry (:attr:`last_supervision`
-        keeps queue shedding by shard).
+    def run_report(self) -> Dict[str, Any]:
+        """Overload counters read off :attr:`metrics`, summed over
+        shards — the one :func:`~repro.dsms.runtime.registry_report`
+        :meth:`Gigascope.run_report` reads too.  A shard's series count
+        once :meth:`finish` has folded them in; what the parent refused
+        itself is there from the start (:attr:`last_supervision` keeps
+        queue shedding by shard).
 
         When rebalancing is enabled the report grows a ``rebalance``
         section (plans, migrations, pins, scale events, curated
         records, the routing table); without it the shape is exactly
         the serial runtime's ``{streams, queries}``.
         """
-        if self._last_report is not None:
-            report = self._last_report
-        else:
-            report = _merge_reports(
-                [instance.run_report() for instance in self._instances]
-            )
+        report = registry_report(
+            self, self._streams, self._instances[0].query_handles()
+        )
         if self._rebalancer is not None:
-            report = dict(report)
             report["rebalance"] = {
                 **self._rebalancer.report.as_dict(),
                 "routing": self._rebalancer.table.to_json(),
@@ -1049,21 +1037,3 @@ class ShardedGigascope:
         lines.append("  per-shard DAG:")
         lines.extend("    " + line for line in self._instances[0].explain().splitlines())
         return "\n".join(lines)
-
-
-def _merge_reports(reports: Sequence[dict]) -> Dict[str, Any]:
-    """Sum per-shard :meth:`Gigascope.run_report` dicts counter-wise; the
-    columnar fallbacks (one reason per query, the same on every shard)
-    are kept as they are."""
-    merged: Dict[str, Any] = {"streams": {}, "queries": {}}
-    for report in reports:
-        if not report:
-            continue
-        for section in ("streams", "queries"):
-            for name, counters in report.get(section, {}).items():
-                slot = merged[section].setdefault(name, {})
-                for key, value in counters.items():
-                    slot[key] = slot.get(key, 0) + value
-        if "vectorize" in report:
-            merged["vectorize"] = report["vectorize"]
-    return merged

@@ -402,6 +402,18 @@ class TestSplitEdgeQuarantineIsDurable:
         assert comparable(fresh) == comparable(ref)
         assert fresh.run_report() == ref.run_report()
 
+    @pytest.mark.parametrize("supervise", [False, True], ids=["inline", "supervised"])
+    def test_finished_journal_restores_the_report(self, tmp_path, supervise):
+        # The report of a finished run is read off the registry the final
+        # entry carries, so a restore with no input reports what it did.
+        ref, _ = uninterrupted(
+            tmp_path, damaged_feed(), supervise=supervise, validate_admission=True
+        )
+        fresh = build(shards=2, supervise=supervise, validate_admission=True)
+        DurableRunner(fresh, str(tmp_path / "ref.bin")).resume(iter(()))
+        assert fresh.run_report()["streams"]["TCP"]["quarantined"] == 5
+        assert fresh.run_report() == ref.run_report()
+
 
 class TestRefusals:
     def test_shedding_and_durability_do_not_mix(self, tmp_path):

@@ -139,31 +139,6 @@ class TestCostAccounting:
 
 
 class TestFromRewrite:
-    def test_rewrite_from(self):
-        rewritten = Gigascope._rewrite_from(
-            "SELECT a FROM TCP WHERE x > 1", "TCP", "feeder"
-        )
-        assert "FROM feeder" in rewritten
-        assert "FROM TCP" not in rewritten
-
-    def test_rewrite_failure_raises(self):
-        with pytest.raises(PlanningError):
-            Gigascope._rewrite_from("SELECT a FROM OTHER", "TCP", "feeder")
-
-    def test_rewrite_ignores_comment_mentioning_from(self):
-        # A textual replace would hit the comment (the first occurrence of
-        # "FROM TCP") and leave the real clause pointing at the stream.
-        text = (
-            "-- derived FROM TCP by the capture pipeline\n"
-            "SELECT len\n"
-            "FROM TCP\n"
-            "WHERE len > 1"
-        )
-        rewritten = Gigascope._rewrite_from(text, "TCP", "feeder")
-        assert "-- derived FROM TCP by the capture pipeline" in rewritten
-        assert "\nFROM feeder\n" in rewritten
-        assert rewritten.count("feeder") == 1
-
     def test_query_with_commented_from_runs_through_feeder(self, gigascope):
         handle = gigascope.add_query(
             "-- counts FROM TCP per bucket\n"
