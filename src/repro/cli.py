@@ -689,8 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=0,
-        help="run the query hash-partitioned across N parallel shards"
-        " (0 = serial)",
+        help="run the query hash-partitioned across N shards (0 ="
+        " serial): state partitioning and, with --supervise, fault"
+        " isolation; slower than serial, not a speed-up",
     )
     query.add_argument(
         "--vectorize",
@@ -743,7 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --shards, fork one worker process per shard (instead"
         " of interleaving the shards in this process) under crash"
         " supervision: dead/stalled workers restart and recover from"
-        " checkpoints plus batch replay",
+        " checkpoints plus batch replay (for fault isolation; it pickles"
+        " every batch, so it runs well below serial speed)",
     )
     query.add_argument(
         "--max-restarts",

@@ -6,13 +6,11 @@ module gives the sharded runtime that property.  The
 forked workers: :meth:`ShardedGigascope.run` drives it round by round
 (``start`` / ``ship`` / ``finish``), and every call monitors the workers:
 
-* **Failure detection** — three signals: the worker process is dead
-  (``is_alive`` false, with a short grace period for a result already in
-  the queue's feeder pipe), the worker is *stalled* (alive but no
-  ack/checkpoint/result event for ``heartbeat_timeout`` seconds while it
-  has outstanding work), or the result queue delivered an undecodable
-  (corrupt) message — the sender of a corrupt message is expected to die
-  and is then attributed by the liveness check.
+* **Failure detection** — three signals: the worker process is dead,
+  the worker is *stalled* (alive but no ack/checkpoint/result event for
+  ``heartbeat_timeout`` seconds), or the result queue delivered an
+  undecodable (corrupt) message — the sender of a corrupt message is
+  expected to die and is then attributed by the liveness check.
 * **Restart with capped exponential backoff** — each shard may restart
   ``max_restarts`` times; the Nth restart waits
   ``min(backoff_base * 2**(N-1), backoff_cap)`` seconds.  Workers are
@@ -28,10 +26,10 @@ forked workers: :meth:`ShardedGigascope.run` drives it round by round
   operator-state snapshot (:meth:`Gigascope.checkpoint`), and on the
   snapshot's arrival trims journal entries it covers.  The journal is
   thereby bounded by ``journal_capacity``; if it fills before a snapshot
-  lands, shipping backpressures until the in-flight checkpoint arrives
-  (the supervisor never discards a batch it might need — recoverability
-  is an invariant, not best-effort).  Recovery then *restores* the
-  snapshot and replays only the journal tail past it.
+  lands, shipping backpressures until one arrives (the supervisor never
+  discards a batch it might need — recoverability is an invariant, not
+  best-effort).  Recovery then *restores* the snapshot and replays only
+  the journal tail past it.
 * **Graceful degradation** — when a shard's input queue stays full and
   its depth is at ``shed_threshold``, the supervisor drops the batch
   instead of blocking indefinitely: the shed records are counted per
@@ -40,6 +38,16 @@ forked workers: :meth:`ShardedGigascope.run` drives it round by round
   shed, charged ``tuple_shed``), and the run keeps its latency at the
   cost of answer completeness (the paper's position: a degraded sample
   beats a stalled operator).
+
+The parent side is one put and one wait.  :meth:`ShardSupervisor._put`
+is the only queue put: it pumps worker events while the queue is full
+and gives up on a worker that is dead or silent past the heartbeat
+(``_send`` then recovers the shard).  :meth:`ShardSupervisor._await` is
+the only wait — the ``checkpoint_all`` barrier, journal backpressure
+and ``finish`` — with one rule for the shards it waits on: a worker dead
+for ``RESULT_GRACE`` (its last message may still be in the pipe) or
+silent past the heartbeat is recovered, and no wait outlasts
+``RESULT_TIMEOUT``.
 
 Epochs disambiguate incarnations: every worker message carries the
 worker's epoch, and the parent ignores messages from epochs it has
@@ -60,7 +68,7 @@ import pickle
 import queue as _queue
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.dsms.runtime import Gigascope, account_refusal
@@ -70,10 +78,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dsms.sharded import ShardedGigascope
 
 
-#: overall ceiling, in seconds, on waiting for final results after finish
+#: ceiling, in seconds, on every wait for worker events (a checkpoint
+#: barrier, journal backpressure, the final results)
 RESULT_TIMEOUT = 30.0
-#: grace, in seconds, for a dead worker's in-flight result to surface
-#: from the pipe
+#: grace, in seconds, before a waited-on dead worker is recovered: its
+#: last message may still be in the pipe
 RESULT_GRACE = 1.0
 
 
@@ -116,23 +125,13 @@ class SupervisionReport:
     def total_shed(self) -> int:
         return sum(self.shed_records.values())
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "restarts": dict(self.restarts),
-            "checkpoints": dict(self.checkpoints),
-            "recoveries_from_checkpoint": dict(self.recoveries_from_checkpoint),
-            "replayed_batches": dict(self.replayed_batches),
-            "shed_records": dict(self.shed_records),
-            "failures": list(self.failures),
-        }
-
 
 def _bump(counter: Dict[int, int], shard: int, by: int = 1) -> None:
     counter[shard] = counter.get(shard, 0) + by
 
 
 class _WorkerDied(Exception):
-    """Internal: the worker targeted by a recovery put is gone."""
+    """Internal: the worker a put targets is dead or stalled."""
 
 
 class ShardSupervisor:
@@ -213,30 +212,29 @@ class ShardSupervisor:
         """
         for shard in range(self.owner.shards):
             self._spawn(shard)
-        for shard, (seq, blob) in resume_state.items():
-            self._ckpt[shard] = (seq, blob)
-            self._seq[shard] = seq
-            self._last_ckpt_request[shard] = seq
-            self._trace(
-                "shard_resume", shard=shard, seq=seq, bytes=len(blob)
-            )
-            try:
-                self._put_or_die(shard, ("restore", seq, blob))
-            except _WorkerDied as died:
-                # _recover re-sends the restore from self._ckpt.
-                self._recover(shard, str(died))
+        self._install(resume_state, "shard_resume")
 
     def ship(self, buckets: List[List[Record]]) -> None:
-        """Journal and send one round's routed buckets."""
+        """Journal and send one round's routed buckets; a journal past
+        ``journal_capacity`` backpressures until a checkpoint trims it."""
+        capacity = self.policy.journal_capacity
         for shard, bucket in enumerate(buckets):
             if not bucket:
                 continue
             self._seq[shard] += 1
             seq = self._seq[shard]
             self._journal[shard].append((seq, bucket))
-            self._send_batch(shard, seq, bucket)
-            self._maybe_checkpoint(shard)
-            self._enforce_journal_bound(shard)
+            if self._send(shard, ("batch", seq, bucket), shed=True) is False:
+                self._journal[shard].pop()
+                self._shed(shard, bucket)
+            self._request_checkpoint(shard, every=self.policy.checkpoint_interval)
+            self._await(
+                lambda shard=shard: (
+                    [shard] if len(self._journal[shard]) > capacity else []
+                ),
+                f"shard {shard}'s journal backpressure",
+                ask=self._request_checkpoint,
+            )
         self._drain()
 
     def close(self) -> None:
@@ -279,80 +277,36 @@ class ShardSupervisor:
         self._spawn(shard)
 
     def install_checkpoints(self, blobs: Dict[int, bytes]) -> None:
-        """Atomically replace shard checkpoints after a state migration.
-
-        Two phases, deliberately ordered: first *every* affected shard's
-        parent-side ``_ckpt`` slot is rewritten (and its journal prefix
-        dropped — the new snapshot covers everything shipped so far), and
-        only then are the live workers told to restore.  A worker that
-        crashes before, during, or after its restore is recovered by the
-        normal :meth:`_recover` path, which reads the already-rewritten
-        ``_ckpt`` — so a mid-migration crash can only land the run in the
-        consistent post-migration state, never a half-migrated one.
-        """
-        for shard, blob in blobs.items():
-            seq = self._seq[shard]
-            self._ckpt[shard] = (seq, blob)
-            self._last_ckpt_request[shard] = seq
-            self._journal[shard] = [
-                entry for entry in self._journal[shard] if entry[0] > seq
-            ]
-            self._trace(
-                "shard_migrate", shard=shard, seq=seq, bytes=len(blob)
-            )
+        """Replace shard checkpoints after a state migration: each new
+        snapshot covers everything shipped to its shard so far (the
+        two-phase :meth:`_install`)."""
+        for shard in blobs:
             self._count(
                 "supervisor_migrations_total", shard,
                 help="post-migration checkpoints installed into workers",
             )
-        for shard in blobs:
-            seq, blob = self._ckpt[shard]
-            # False return means recovery intervened — and _recover
-            # already restored from the new _ckpt, so nothing to re-send.
-            self._send_control(shard, ("restore", seq, blob))
+        self._install(
+            {shard: (self._seq[shard], blob) for shard, blob in blobs.items()},
+            "shard_migrate",
+        )
 
     def checkpoint_all(self) -> Dict[int, Tuple[int, bytes]]:
         """Synchronously checkpoint every shard at its current sequence.
 
         Queue ordering guarantees the returned snapshots cover every
         batch shipped so far: the checkpoint request is enqueued behind
-        them, so the worker processes them first.  Blocks (pumping events
-        and running recovery as needed) until every shard's snapshot has
-        arrived; a shard that recovers mid-request is re-asked, because
-        the replacement's restored state never saw the request.  Shards
-        that have received no batches are omitted — they have no state.
+        them, so the worker processes them first.  A shard that recovers
+        mid-request is re-asked, because the replacement's restored state
+        never saw the request.  Shards that have received no batches are
+        omitted — they have no state.
         """
-        deadline = time.monotonic() + RESULT_TIMEOUT
-        while True:
-            pending = [
-                shard
-                for shard in range(self.owner.shards)
-                if (self._ckpt[shard][0] if self._ckpt[shard] else 0)
-                < self._seq[shard]
-            ]
-            if not pending:
-                break
-            for shard in pending:
-                covered = self._ckpt[shard][0] if self._ckpt[shard] else 0
-                if self._last_ckpt_request[shard] <= covered:
-                    if self._send_control(
-                        shard, ("checkpoint", self._seq[shard])
-                    ):
-                        self._last_ckpt_request[shard] = self._seq[shard]
-                        self._ckpt_request_time[shard] = time.monotonic()
-            if not self._pump_once(0.05):
-                for shard in pending:
-                    self._check_health(shard)
-            if time.monotonic() > deadline:
-                raise ExecutionError(
-                    "checkpoint_all timed out after"
-                    f" {RESULT_TIMEOUT}s waiting for shards"
-                    f" {pending}"
-                )
-        return {
-            shard: self._ckpt[shard]
-            for shard in range(self.owner.shards)
-            if self._ckpt[shard] is not None
-        }
+        shards = range(self.owner.shards)
+        self._await(
+            lambda: [s for s in shards if self._covered(s) < self._seq[s]],
+            "checkpoint_all",
+            ask=self._request_checkpoint,
+        )
+        return {s: self._ckpt[s] for s in shards if self._ckpt[s] is not None}
 
     def states(self) -> Dict[int, Dict[str, Any]]:
         """Every shard's current checkpoint, unpickled (the rebalance
@@ -366,6 +320,55 @@ class ShardSupervisor:
         self.install_checkpoints(
             {shard: pickle.dumps(state) for shard, state in states.items()}
         )
+
+    # -- checkpoints -----------------------------------------------------------------
+
+    def _covered(self, shard: int) -> int:
+        """The seq the shard's latest checkpoint covers (0: none)."""
+        checkpoint = self._ckpt[shard]
+        return checkpoint[0] if checkpoint else 0
+
+    def _keep(self, shard: int, seq: int, blob: bytes) -> None:
+        """Hold ``blob`` as the shard's checkpoint at ``seq``; drop the
+        journal entries it covers."""
+        self._ckpt[shard] = (seq, blob)
+        self._journal[shard] = [
+            entry for entry in self._journal[shard] if entry[0] > seq
+        ]
+
+    def _request_checkpoint(self, shard: int, every: int = 0) -> None:
+        """Ask the worker for a checkpoint at the shard's current seq:
+        once ``every`` batches have passed the last request or
+        checkpoint, or (``every=0``) whenever no request is in flight."""
+        seq = self._seq[shard]
+        requested, covered = self._last_ckpt_request[shard], self._covered(shard)
+        due = (seq - max(requested, covered) >= every) if every else requested <= covered
+        if due and self._send(shard, ("checkpoint", seq)):
+            self._last_ckpt_request[shard] = seq
+            self._ckpt_request_time[shard] = time.monotonic()
+
+    def _install(
+        self, checkpoints: Dict[int, Tuple[int, bytes]], trace_event: str
+    ) -> None:
+        """Make ``checkpoints`` (per shard ``(seq, blob)``) the shards'
+        state — a resume's, or a migration's.
+
+        Two phases, deliberately ordered: first *every* listed shard's
+        parent-side ``_ckpt`` slot is rewritten (its numbering continues
+        from ``seq``, and the journal prefix it covers is dropped), and
+        only then are the live workers told to restore.  A worker that
+        crashes before, during, or after its restore is recovered by the
+        normal :meth:`_recover` path, which reads the already-rewritten
+        ``_ckpt`` — so a crash mid-install can only land the run in the
+        installed state, never a half-installed one.
+        """
+        for shard, (seq, blob) in checkpoints.items():
+            self._keep(shard, seq, blob)
+            self._seq[shard] = self._last_ckpt_request[shard] = seq
+            self._trace(trace_event, shard=shard, seq=seq, bytes=len(blob))
+        for shard, (seq, blob) in checkpoints.items():
+            # If recovery intervenes it restores from the new _ckpt.
+            self._send(shard, ("restore", seq, blob))
 
     # -- worker lifecycle ------------------------------------------------------------
 
@@ -396,7 +399,7 @@ class ShardSupervisor:
         self._last_event[shard] = time.monotonic()
 
     def _recover(self, shard: int, reason: str) -> None:
-        """Restart one shard: backoff, re-fork, restore, replay.
+        """Restart one shard: terminate, backoff, re-fork, restore, replay.
 
         Loops (rather than recursing) if the replacement also dies during
         recovery; every attempt burns one unit of the restart budget.
@@ -425,7 +428,7 @@ class ShardSupervisor:
             )
             old = self._workers[shard]
             if old.is_alive():
-                old.terminate()
+                old.terminate()  # stalled
             old.join(timeout=5.0)
             time.sleep(
                 min(
@@ -437,18 +440,15 @@ class ShardSupervisor:
             self._pending_error.pop(shard, None)
             self._spawn(shard)
             checkpoint = self._ckpt[shard]
-            self._last_ckpt_request[shard] = checkpoint[0] if checkpoint else 0
+            start_seq = self._last_ckpt_request[shard] = self._covered(shard)
             try:
-                start_seq = 0
                 if checkpoint is not None:
-                    ckpt_seq, blob = checkpoint
-                    self._put_or_die(shard, ("restore", ckpt_seq, blob))
-                    start_seq = ckpt_seq
+                    self._put(shard, ("restore", *checkpoint))
                     _bump(self.report.recoveries_from_checkpoint, shard)
                 replayed = 0
                 for seq, bucket in self._journal[shard]:
                     if seq > start_seq:
-                        self._put_or_die(shard, ("batch", seq, bucket))
+                        self._put(shard, ("batch", seq, bucket))
                         _bump(self.report.replayed_batches, shard)
                         replayed += 1
                 self._count(
@@ -464,33 +464,10 @@ class ShardSupervisor:
                     from_checkpoint=checkpoint is not None,
                 )
                 if self._finishing:
-                    self._put_or_die(shard, ("finish",))
+                    self._put(shard, ("finish",))
                 return
             except _WorkerDied as died:
                 reason = str(died)
-
-    def _put_or_die(self, shard: int, message: tuple) -> None:
-        while True:
-            worker = self._workers[shard]
-            if not worker.is_alive():
-                raise _WorkerDied(
-                    f"replacement worker (pid {worker.pid}) exited with code"
-                    f" {worker.exitcode} during recovery"
-                )
-            try:
-                self._in_queues[shard].put(message, timeout=self.policy.put_timeout)
-                return
-            except _queue.Full:
-                self._drain()
-                if (
-                    time.monotonic() - self._last_event[shard]
-                    > self.policy.heartbeat_timeout
-                ):
-                    worker.terminate()
-                    worker.join(timeout=5.0)
-                    raise _WorkerDied(
-                        "replacement worker stalled during recovery replay"
-                    ) from None
 
     def _failure_reason(self, shard: int) -> str:
         error = self._pending_error.pop(shard, None)
@@ -502,88 +479,95 @@ class ShardSupervisor:
             " without reporting a result"
         )
 
-    # -- shipping --------------------------------------------------------------------
+    def _stalled(self, shard: int) -> Optional[str]:
+        """Why a live worker counts as failed (None: it does not)."""
+        if time.monotonic() - self._last_event[shard] > self.policy.heartbeat_timeout:
+            return f"stalled: no event for {self.policy.heartbeat_timeout}s"
+        return None
 
-    def _send_batch(self, shard: int, seq: int, bucket: List[Record]) -> None:
-        while True:
-            worker = self._workers[shard]
-            if not worker.is_alive():
-                # Recovery replays the journal, which already holds this
-                # batch — nothing further to send here.
-                self._recover(shard, self._failure_reason(shard))
-                return
-            try:
-                self._in_queues[shard].put(("batch", seq, bucket), timeout=self.policy.put_timeout)
-                return
-            except _queue.Full:
-                if (
-                    self.shed_threshold is not None
-                    and self._queue_depth(shard) >= self.shed_threshold
-                ):
-                    entry = self._journal[shard].pop()
-                    assert entry[0] == seq
-                    self._shed(shard, bucket)
-                    return
-                self._drain()
-                if self._check_stalled(shard):
-                    return
+    # -- the one put and the one wait ---------------------------------------------
 
-    def _send_control(self, shard: int, message: tuple) -> bool:
-        """Send a non-batch message; returns False if recovery intervened
-        (recovery resets control bookkeeping, so nothing is re-sent)."""
+    def _put(self, shard: int, message: tuple, shed: bool = False) -> bool:
+        """Put ``message`` on the shard's queue, pumping worker events
+        while it is full; with ``shed``, False once the full queue is at
+        ``shed_threshold``.
+
+        Raises :class:`_WorkerDied` when the worker is dead, or silent
+        past the heartbeat (:meth:`_recover` terminates it).
+        """
         while True:
-            worker = self._workers[shard]
-            if not worker.is_alive():
-                self._recover(shard, self._failure_reason(shard))
-                return False
+            if not self._workers[shard].is_alive():
+                raise _WorkerDied(self._failure_reason(shard))
             try:
                 self._in_queues[shard].put(message, timeout=self.policy.put_timeout)
                 return True
             except _queue.Full:
-                self._drain()
-                if self._check_stalled(shard):
+                if (
+                    shed
+                    and self.shed_threshold is not None
+                    and self._queue_depth(shard) >= self.shed_threshold
+                ):
                     return False
+                self._drain()
+                stalled = self._stalled(shard)
+                if stalled:
+                    raise _WorkerDied(stalled) from None
 
-    def _check_stalled(self, shard: int) -> bool:
-        """Terminate-and-recover a silent worker; True if recovery ran."""
-        if time.monotonic() - self._last_event[shard] <= self.policy.heartbeat_timeout:
-            return False
-        worker = self._workers[shard]
-        worker.terminate()
-        worker.join(timeout=5.0)
-        self._recover(
-            shard,
-            f"stalled: no event for {self.policy.heartbeat_timeout}s"
-            " with outstanding work",
-        )
-        return True
+    def _send(self, shard: int, message: tuple, shed: bool = False) -> Optional[bool]:
+        """:meth:`_put`, recovering the shard if its worker died — None
+        then, and the caller re-sends nothing: recovery restores ``_ckpt``
+        and replays the journal."""
+        try:
+            return self._put(shard, message, shed)
+        except _WorkerDied as died:
+            self._recover(shard, str(died))
+            return None
 
-    def _maybe_checkpoint(self, shard: int) -> None:
-        covered = self._ckpt[shard][0] if self._ckpt[shard] else 0
-        outstanding = max(self._last_ckpt_request[shard], covered)
-        if self._seq[shard] - outstanding >= self.policy.checkpoint_interval:
-            if self._send_control(shard, ("checkpoint", self._seq[shard])):
-                self._last_ckpt_request[shard] = self._seq[shard]
-                self._ckpt_request_time[shard] = time.monotonic()
+    def _await(
+        self,
+        pending: Callable[[], List[int]],
+        what: str,
+        ask: Optional[Callable[[int], None]] = None,
+    ) -> None:
+        """Pump worker events until ``pending()`` names no shard.
 
-    def _enforce_journal_bound(self, shard: int) -> None:
-        """Backpressure until an in-flight checkpoint trims the journal."""
-        while len(self._journal[shard]) > self.policy.journal_capacity:
-            covered = self._ckpt[shard][0] if self._ckpt[shard] else 0
-            if self._last_ckpt_request[shard] <= covered:
-                if self._send_control(shard, ("checkpoint", self._seq[shard])):
-                    self._last_ckpt_request[shard] = self._seq[shard]
-                    self._ckpt_request_time[shard] = time.monotonic()
+        Each turn calls ``ask`` on every pending shard.  A turn that
+        brings no event recovers each pending worker dead for
+        ``RESULT_GRACE`` or silent past the heartbeat.  A wait that
+        outlasts ``RESULT_TIMEOUT`` raises, naming ``what``.
+        """
+        deadline = time.monotonic() + RESULT_TIMEOUT
+        # per (shard, epoch): when this wait first saw that worker dead
+        dead_since: Dict[Tuple[int, int], float] = {}
+        while True:
+            shards = pending()
+            if not shards:
+                return
+            if time.monotonic() > deadline:
+                raise ExecutionError(
+                    f"{what} timed out after {RESULT_TIMEOUT}s waiting for"
+                    f" shards {shards} (failure log:"
+                    f" {'; '.join(self.report.failures) or 'none'})"
+                )
+            if ask is not None:
+                for shard in shards:
+                    ask(shard)
+            if self._pump_once(0.05):
                 continue
-            if not self._pump_once(0.05):
-                self._check_health(shard)
+            now = time.monotonic()
+            for shard in shards:
+                if self._workers[shard].is_alive():
+                    reason = self._stalled(shard)
+                else:
+                    since = dead_since.setdefault((shard, self._epoch[shard]), now)
+                    reason = (
+                        self._failure_reason(shard)
+                        if now - since >= RESULT_GRACE else None
+                    )
+                if reason is not None:
+                    self._recover(shard, reason)
 
-    def _check_health(self, shard: int) -> None:
-        worker = self._workers[shard]
-        if not worker.is_alive():
-            self._recover(shard, self._failure_reason(shard))
-        else:
-            self._check_stalled(shard)
+    # -- shedding --------------------------------------------------------------------
 
     def _shed(self, shard: int, bucket: List[Record]) -> None:
         _bump(self.report.shed_records, shard, len(bucket))
@@ -641,7 +625,7 @@ class ShardSupervisor:
             pass  # the event itself is the heartbeat
         elif kind == "ckpt":
             seq, blob = message[3], message[4]
-            self._ckpt[shard] = (seq, blob)
+            self._keep(shard, seq, blob)
             _bump(self.report.checkpoints, shard)
             self._count(
                 "supervisor_checkpoints_total", shard,
@@ -666,9 +650,6 @@ class ShardSupervisor:
                 seq=seq,
                 bytes=len(blob),
             )
-            self._journal[shard] = [
-                entry for entry in self._journal[shard] if entry[0] > seq
-            ]
         elif kind == "result":
             self._results[shard] = message[3:]
         elif kind == "error":
@@ -681,41 +662,14 @@ class ShardSupervisor:
         """Flush every worker, fold its balances and registry into the
         owner's; returns the results per shard."""
         self._finishing = True
-        for shard in range(self.owner.shards):
-            self._send_control(shard, ("finish",))
-        deadline = time.monotonic() + RESULT_TIMEOUT
-        dead_since: Dict[int, float] = {}
-        while len(self._results) < self.owner.shards:
-            if self._pump_once(0.05):
-                continue
-            now = time.monotonic()
-            for shard in range(self.owner.shards):
-                if shard in self._results:
-                    dead_since.pop(shard, None)
-                    continue
-                worker = self._workers[shard]
-                if not worker.is_alive():
-                    since = dead_since.setdefault(shard, now)
-                    if now - since >= RESULT_GRACE:
-                        dead_since.pop(shard, None)
-                        self._recover(shard, self._failure_reason(shard))
-                elif now - self._last_event[shard] > self.policy.heartbeat_timeout:
-                    worker.terminate()
-                    worker.join(timeout=5.0)
-                    self._recover(
-                        shard,
-                        "stalled while finishing: no event for"
-                        f" {self.policy.heartbeat_timeout}s",
-                    )
-            if time.monotonic() > deadline:
-                missing = sorted(set(range(self.owner.shards)) - set(self._results))
-                raise ExecutionError(
-                    f"supervised run timed out after {RESULT_TIMEOUT}s"
-                    f" waiting for shards {missing}"
-                    f" (failure log: {'; '.join(self.report.failures) or 'none'})"
-                )
+        shards = range(self.owner.shards)
+        for shard in shards:
+            self._send(shard, ("finish",))
+        self._await(
+            lambda: [s for s in shards if s not in self._results], "supervised run"
+        )
         shard_results: List[Dict[str, List[Record]]] = []
-        for shard in range(self.owner.shards):
+        for shard in shards:
             results, accounts, metrics_snap, trace_events = self._results[shard]
             shard_results.append(results)
             self.owner.cost.absorb(accounts)

@@ -1,8 +1,10 @@
-"""Sharded parallel runtime: hash-partitioned SPLIT / MERGE execution.
+"""Sharded runtime: hash-partitioned SPLIT / MERGE execution.
 
 The paper runs its sampling operator inside Gigascope on live 100 kpps
-feeds; the serial :class:`~repro.dsms.runtime.Gigascope` instance is the
-throughput ceiling of this reproduction.  Group-by sampling is
+feeds.  Sharding buys this reproduction fault isolation and state
+partitioning, not throughput: one serial
+:class:`~repro.dsms.runtime.Gigascope` outruns both shard pools
+(docs/PERFORMANCE.md, "Shards").  Group-by sampling is
 embarrassingly partitionable — every algorithm's state (reservoir,
 subset-sum threshold, heavy-hitter counters) lives in group/supergroup
 tables keyed by group-by values — so hash-partitioning the source stream
@@ -283,7 +285,10 @@ class _InlinePool:
 
 
 class ShardedGigascope:
-    """A DSMS instance that executes every query on N parallel shards.
+    """A DSMS instance that executes every query on N shards: per-key
+    state partitioned, and under ``supervise`` each shard's failures
+    isolated in its own worker (not a throughput feature; see the
+    module docstring).
 
     Mirrors the :class:`Gigascope` API (``register_stream``,
     ``use_stateful_library``, ``add_query``, ``add_merge``, ``run``,

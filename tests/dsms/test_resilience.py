@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis.legality import ExecTarget
 from repro.errors import ExecutionError
+from repro.dsms import resilience
 from repro.dsms.cost import CostModel
 from repro.dsms.resilience import SupervisionPolicy
 from repro.dsms.runtime import Gigascope
@@ -168,6 +169,17 @@ class TestSupervisedRecovery:
         # The bounded journal replayed only the tail past the checkpoint.
         assert report.replayed_batches[0] <= 4 + 1
 
+    def test_backpressure_alone_bounds_the_journal(self):
+        """With checkpoints due only every 64 batches, the journal is
+        trimmed by backpressure alone: shipping waits for a checkpoint
+        whenever more than two batches are journalled, so recovery
+        replays at most the capacity plus the batch in flight."""
+        report = self.recovered(
+            AGG_TEXT, ("kill", 0, 12), SupervisionPolicy(checkpoint_interval=64, journal_capacity=2)
+        )
+        assert report.recoveries_from_checkpoint == {0: 1}
+        assert report.replayed_batches[0] <= 3
+
     def test_no_fault_run_is_untouched(self):
         report = self.recovered(AGG_TEXT, None)
         assert report.total_restarts == 0
@@ -190,6 +202,22 @@ class TestPermanentFailure:
         with pytest.raises(ExecutionError, match="shard 1 failed permanently"):
             sh.run(trace(), batch_size=BATCH)
         assert sh.last_supervision.restarts == {1: 2}
+
+    def test_journal_backpressure_is_bounded_by_the_result_timeout(self, monkeypatch):
+        """A worker alive and within its heartbeat, but too slow to
+        answer the checkpoint a full journal waits for, fails the run
+        after ``RESULT_TIMEOUT`` like every other wait, never hangs it."""
+        monkeypatch.setattr(resilience, "RESULT_TIMEOUT", 0.5)
+        plan = FaultPlan([Fault(shard=0, action="delay", at_batch=2, seconds=3.0)])
+        sh = ShardedGigascope(
+            shards=2,
+            supervision=SupervisionPolicy(checkpoint_interval=64, journal_capacity=1),
+            fault_plan=plan,
+        )
+        sh.register_stream(TCP_SCHEMA)
+        sh.add_query(AGG_TEXT, name="q")
+        with pytest.raises(ExecutionError, match="journal backpressure timed out"):
+            sh.run(trace(), batch_size=BATCH)
 
 
 class TestLoadShedding:
