@@ -16,7 +16,7 @@ Keys are tuples of evaluated group-by variable values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.dsms.aggregates import Aggregate
 from repro.dsms.stateful import StatefulState
@@ -54,22 +54,9 @@ class GroupTables:
         # dict-as-ordered-set: group keys in insertion order per supergroup
         self.supergroup_groups: Dict[SuperGroupKey, Dict[GroupKey, None]] = {}
 
-    def groups_of(self, supergroup_key: SuperGroupKey) -> List[GroupKey]:
-        """Group keys currently registered under a supergroup."""
-        return list(self.supergroup_groups.get(supergroup_key, ()))
-
     def add_group(self, entry: GroupEntry) -> None:
         self.groups[entry.key] = entry
         self.supergroup_groups.setdefault(entry.supergroup_key, {})[entry.key] = None
-
-    def remove_group(self, group_key: GroupKey) -> Optional[GroupEntry]:
-        """Drop a group from both the group table and its supergroup's set."""
-        entry = self.groups.pop(group_key, None)
-        if entry is not None:
-            members = self.supergroup_groups.get(entry.supergroup_key)
-            if members is not None:
-                members.pop(group_key, None)
-        return entry
 
     def end_window(self) -> None:
         """Paper §6.4: clear group tables, move new supergroups to old."""

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.aggregates import AggregateRegistry
-from repro.dsms.expr import EvalContext, bind_group, compile_clause, compile_expr, compile_tuple
+from repro.dsms.expr import EvalContext
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.node import emit_node, in_place
 from repro.dsms.operators.base import Operator
@@ -107,7 +107,6 @@ class SamplingOperator(Operator):
         self._account = account
 
         self.output_schema = spec.output_schema
-        names = spec.group_by_names
         self._tables = GroupTables()
         self._current_window: Optional[Tuple[Any, ...]] = None
         self._window_stats: List[WindowStats] = []
@@ -118,10 +117,13 @@ class SamplingOperator(Operator):
         #: likewise for tuples dead-lettered at admission
         self._pending_quarantined = 0
 
-        # The whole per-record plan is fixed here, once: the run entry is
-        # generated (repro.dsms.node), the clauses a group meets are
-        # compiled, all against the plan-time input schema (shadowing
-        # rule: see expr.bind_tuple).
+        # The whole plan is fixed here, once: the run entry and the window
+        # close are generated (repro.dsms.node) against the plan-time input
+        # schema (shadowing rule: see expr.bind_tuple).  What their clauses
+        # read of the context: ``aggregates`` are the visited group's, and
+        # ``states`` and ``superaggregates`` its supergroup's; clauses reach
+        # operator state only through these fields, so ``restore()`` needs
+        # no recompiling.
         #: with no SUPERGROUP BY beyond the window, a window has one
         #: supergroup: a run looks it up once per window, not per record
         self._holds_supergroup = not spec.nonordered_supergroup_indices
@@ -129,27 +131,6 @@ class SamplingOperator(Operator):
             [aggregates.factory(node.name) for node in spec.aggregates],
             [type(superaggregates.create(sa.name, sa.const_args)) for sa in spec.superaggregates],
         )
-        at_group = bind_group(names)
-        #: per slot: the group value of a group-fed superaggregate, else None
-        self._group_values = tuple(
-            compile_expr(sa.value_expr, at_group, f"{account}:superaggregate {slot}", forms)
-            if sa.feeds == "group" else None
-            for slot, sa in enumerate(spec.superaggregates)
-        )
-        self._cleaning_by = compile_clause(
-            spec.cleaning_by, at_group, f"{account}:CLEANING BY", forms
-        )
-        self._having = compile_clause(spec.having, at_group, f"{account}:HAVING", forms)
-        self._select = compile_tuple(
-            [item.expr for item in spec.select_items], at_group, f"{account}:SELECT", forms
-        )
-
-        # What clauses read: ``key`` holds the visited group's key during
-        # a cleaning phase and at window close (CLEANING BY, HAVING,
-        # SELECT), when ``aggregates`` are that group's; ``states`` and
-        # ``superaggregates`` are the supergroup's either way.  Clauses
-        # reach operator state only through these fields, so ``restore()``
-        # needs no recompiling.
         self._ctx = EvalContext(scalars.functions, stateful.functions)
         self._default_obs(account)
         emit_node(self, account, spec.analyzed, aggregates, spec, forms, GroupEntry)
@@ -189,10 +170,7 @@ class SamplingOperator(Operator):
         """Close the trailing window and return its output."""
         if self._current_window is None:
             return []
-        try:
-            outputs = self._emit_window()
-        finally:
-            self._ctx.settle_calls(self._cost.charge, self._account)
+        outputs = self._emit_window()
         self._current_window = None
         self._active_stats = None
         return outputs
@@ -403,124 +381,3 @@ class SamplingOperator(Operator):
         entry = SuperGroupEntry(key=key, states=states, superaggregates=superaggs)
         self._tables.new_supergroups[key] = entry
         return entry
-
-    def _run_cleaning_phase(self, supergroup: SuperGroupEntry) -> None:
-        """CLEANING WHEN held for ``supergroup``: visit its groups."""
-        stats = self._active_stats
-        assert stats is not None
-        if self.obs_trace.enabled:
-            self.obs_trace.emit(
-                "cleaning_trigger",
-                query=self.obs_query,
-                window=list(stats.window),
-                supergroup=list(supergroup.key),
-            )
-        stats.cleaning_phases += 1
-        self.m_cleaning_phases.inc()
-        charge, account, ctx = self._cost.charge, self._account, self._ctx
-        cleaning_by = self._cleaning_by
-        charge(account, "cleaning_phase")
-        ctx.states, ctx.superaggregates = supergroup.states, supergroup.superaggregates
-        groups = self._tables.groups
-        visited = evicted = 0
-        try:
-            for group_key in self._tables.groups_of(supergroup.key):
-                group = groups.get(group_key)
-                if group is None:
-                    continue
-                ctx.aggregates = group.aggregates
-                ctx.key = group_key
-                visited += 1
-                if cleaning_by is not None and not cleaning_by(ctx):
-                    self._evict_group(group, supergroup)
-                    evicted += 1
-                    if self.obs_trace.enabled:
-                        self.obs_trace.emit(
-                            "group_evicted",
-                            query=self.obs_query,
-                            window=list(self._current_window or ()),
-                            group=list(group.key),
-                        )
-        finally:
-            charge(account, "cleaning_per_group", visited)
-            charge(account, "hash_delete", evicted)
-            stats.groups_evicted += evicted
-            self.m_groups_evicted.inc(evicted)
-
-    def _evict_group(self, group: GroupEntry, supergroup: SuperGroupEntry) -> None:
-        """Remove ``group`` — the group the context is visiting (the
-        caller charges the ``hash_delete``, folded over its pass)."""
-        ctx = self._ctx
-        for sa, value in zip(supergroup.superaggregates, self._group_values):
-            sa.on_group_removed(group.key, value(ctx) if value is not None else None)
-        self._tables.remove_group(group.key)
-
-    def _emit_window(self) -> List[Record]:
-        stats = self._active_stats
-        assert stats is not None
-        charge, account, ctx = self._cost.charge, self._account, self._ctx
-        having, select = self._having, self._select
-        charge(account, "window_flush")
-
-        # 1. Signal window end to every state (paper: final_init()).
-        for supergroup in self._tables.new_supergroups.values():
-            for state in supergroup.states.values():
-                state.on_window_final()
-
-        # 2. HAVING filters groups; survivors are emitted.
-        outputs: List[Record] = []
-        rejected = 0
-        try:
-            for group_key in list(self._tables.groups.keys()):
-                group = self._tables.groups.get(group_key)
-                if group is None:
-                    continue
-                supergroup = self._tables.new_supergroups[group.supergroup_key]
-                ctx.aggregates = group.aggregates
-                ctx.key = group_key
-                ctx.states = supergroup.states
-                ctx.superaggregates = supergroup.superaggregates
-                if having is not None:
-                    charge(account, "predicate_eval")
-                    if not having(ctx):
-                        self._evict_group(group, supergroup)
-                        rejected += 1
-                        if self.obs_trace.enabled:
-                            self.obs_trace.emit(
-                                "having_rejected",
-                                query=self.obs_query,
-                                window=list(stats.window),
-                                group=list(group.key),
-                            )
-                        continue
-                outputs.append(Record(self.spec.output_schema, select(ctx)))
-                charge(account, "output_tuple")
-                if self.obs_trace.enabled:
-                    self.obs_trace.emit(
-                        "group_emitted",
-                        query=self.obs_query,
-                        window=list(stats.window),
-                        group=list(group.key),
-                    )
-        finally:
-            charge(account, "hash_delete", rejected)
-            self.m_having_rejected.inc(rejected)
-
-        stats.output_tuples = len(outputs)
-        self._window_stats.append(stats)
-        self.m_windows.inc()
-        self.m_rows_out.inc(len(outputs))
-        if self.obs_trace.enabled:
-            self.obs_trace.emit(
-                "window_close",
-                query=self.obs_query,
-                window=list(stats.window),
-                rows_out=len(outputs),
-                groups_created=stats.groups_created,
-                groups_evicted=stats.groups_evicted,
-                cleaning_phases=stats.cleaning_phases,
-            )
-
-        # 3. Swap tables (paper §6.4).
-        self._tables.end_window()
-        return outputs

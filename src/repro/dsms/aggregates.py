@@ -192,6 +192,8 @@ class CountDistinctAggregate(Aggregate):
 class FirstAggregate(Aggregate):
     """First value seen in the group (paper §6.6 heavy-hitters query)."""
 
+    in_place = ("if not {0}._has_value: {0}._first, {0}._has_value = {1}, True", "_first")
+
     def __init__(self) -> None:
         self._first: Optional[Any] = None
         self._has_value = False
@@ -206,6 +208,8 @@ class FirstAggregate(Aggregate):
 
 
 class LastAggregate(Aggregate):
+    in_place = ("{0}._last = {1}", "_last")
+
     def __init__(self) -> None:
         self._last: Optional[Any] = None
 

@@ -6,8 +6,8 @@ scalar functions, aggregates, superaggregates (``name$``-suffixed, paper
 
 Compile once, run per tuple: when an operator is built, the clause
 emitter writes an analyzed tree out as Python source (DESIGN.md §2) —
-the statements of a node's generated run loop (:mod:`repro.dsms.node`),
-or one function per clause a group meets (:func:`compile_expr`) — with
+the statements of a node's generated run loop and window close
+(:mod:`repro.dsms.node`), or one function (:func:`compile_expr`) — with
 every column name resolved by a *binder* to the position it is read from
 (a record slot, a group-by value) and every literal, function name and
 aggregate node bound as an argument default.  It is the only
@@ -200,9 +200,9 @@ class StatefulCall(_Call):
 class EvalContext:
     """What compiled expressions read at evaluation time.
 
-    A context carries the per-evaluation data (``record``, and ``key``
-    — the group-by values in scope — that compiled clauses read by
-    position) and five fields a clause calls through directly:
+    A context carries the record a clause bound by :func:`bind_input`'s
+    default reads (a generated node holds its record's values and keys
+    in locals instead) and five fields a clause calls through directly:
     ``ctx.scalars[name](...)`` (the registry's own mapping, so a later
     ``register(..., replace=True)`` still binds), ``ctx.sfuns[name](
     ctx.states[state], ...)`` (the supergroup's state set, or a stateful
@@ -236,7 +236,6 @@ class EvalContext:
         self.scalars, self.sfuns = scalars, sfuns
         self.states = self.aggregates = self.superaggregates = None
         self.record: Any = None
-        self.key: Tuple[Any, ...] = ()
 
     def settle_calls(self, charge: Callable[..., None], account: str) -> None:
         """Charge, then zero, the calls counted since the last settle."""
@@ -305,7 +304,7 @@ def bind_input(schema: Any, values: str = "ctx.record.values") -> Bind:
     return bind
 
 
-def bind_group(group_by_names: Sequence[str], key: str = "ctx.key") -> Bind:
+def bind_group(group_by_names: Sequence[str], key: str) -> Bind:
     """Group-time binding (CLEANING WHEN/BY, HAVING, SELECT, group-fed
     superaggregate values): only group-by names exist, read by position
     from ``key`` — the group-by values in scope."""
@@ -320,12 +319,7 @@ def bind_group(group_by_names: Sequence[str], key: str = "ctx.key") -> Bind:
     return bind
 
 
-def bind_tuple(
-    schema: Any,
-    group_by_names: Sequence[str],
-    values: str = "ctx.record.values",
-    key: str = "ctx.key",
-) -> Bind:
+def bind_tuple(schema: Any, group_by_names: Sequence[str], values: str, key: str) -> Bind:
     """Tuple-time binding once GROUP BY has run (WHERE, aggregate
     arguments, tuple-fed superaggregate values).
 
@@ -380,23 +374,6 @@ def compile_expr(
     """
     emitter = _Emitter(bind, in_place)
     return emitter.function(emitter.emit(expr), label)
-
-
-def compile_clause(
-    expr: Optional[Expr], bind: Bind, label: str = "expr", in_place: Optional[InPlace] = None
-) -> Optional[Compiled]:
-    """An optional clause (WHERE, HAVING, CLEANING ...): compiled, or
-    None when the query has none."""
-    return compile_expr(expr, bind, label, in_place) if expr is not None else None
-
-
-def compile_tuple(
-    exprs: Sequence[Expr], bind: Bind, label: str = "expr", in_place: Optional[InPlace] = None
-) -> Compiled:
-    """Compile ``exprs`` into one function returning their values, left
-    to right, as a tuple (an output row)."""
-    emitter = _Emitter(bind, in_place)
-    return emitter.function(emitter.row(exprs), label)
 
 
 class _Emitter:

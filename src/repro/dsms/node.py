@@ -3,11 +3,14 @@
 Gigascope compiles a query node to C; the tuple engine compiles it to one
 Python function.  :func:`emit_node` writes the run entry of a selection,
 aggregation or sampling node — ``process_many`` — from one loop,
-:data:`LOOP`, and binds it on the operator (DESIGN.md §2).  The clauses
-a record evaluates (GROUP BY, WHERE, aggregate arguments, superaggregate
-values, CLEANING WHEN, SELECT) are statements of that loop, written by
-:mod:`repro.dsms.expr`'s clause emitter under its rules, reading the
-record's values and its group key as the locals ``v`` and ``key``.
+:data:`LOOP`, and a windowed node's window close — ``_emit_window`` —
+from :data:`CLOSE`, and binds them on the operator (DESIGN.md §2).  Every
+clause (GROUP BY, WHERE, aggregate arguments, superaggregate values,
+CLEANING WHEN and BY, HAVING, SELECT) is statements of one of them,
+written by :mod:`repro.dsms.expr`'s clause emitter under its rules,
+reading the record's values, its group key and a visited group's key as
+the locals ``v``, ``key`` and ``gkey``; a cleaning phase is a loop over
+the supergroup's groups inside :data:`LOOP`.
 Nothing from the query text reaches the source: literals, names, nodes
 and the classes a body instantiates are default arguments, so replicas
 of one query shape run one cached code object.  A built-in aggregate or
@@ -44,6 +47,7 @@ LOOP = dedent("""
     tables, stats, supergroup = self._tables, self._active_stats, None  #? sampling
     groups, supergroups = tables.groups, tables.new_supergroups  #? sampling
     members, n_probes, n_inserts, peak = tables.supergroup_groups, 0, 0, 0  #? sampling
+    n_phases = n_visited = n_evicted = 0  #? cleaning
     try:
         if self._forwards:  #? selection
             out.extend(records)  #? selection
@@ -113,7 +117,23 @@ LOOP = dedent("""
                 {group_fed}  #? group-fed
             n_predicates += 1  #? cleaning
             if {cleaning_when}:  #? cleaning
-                self._run_cleaning_phase(supergroup)  #? cleaning
+                # a cleaning phase: CLEANING BY on each group of the  #? cleaning
+                # supergroup, in arrival order; FALSE evicts the group  #? cleaning
+                stats.cleaning_phases += 1  #? cleaning
+                n_phases += 1  #? cleaning
+                if self.obs_trace.enabled:  #? cleaning
+                    self.obs_trace.emit("cleaning_trigger", query=self.obs_query,  #? cleaning
+                                        window=list(current), supergroup=list(sgkey))  #? cleaning
+                for gkey in list(members[sgkey]):  #? cleaning
+                    ctx.aggregates = groups[gkey].aggregates  #? cleaning
+                    n_visited += 1  #? cleaning
+                    if not {cleaning_by}:  #? cleaning
+                        {evict}  #? cleaning
+                        stats.groups_evicted += 1  #? cleaning
+                        n_evicted += 1  #? cleaning
+                        if self.obs_trace.enabled:  #? cleaning
+                            self.obs_trace.emit("group_evicted", query=self.obs_query,  #? cleaning
+                                                window=list(current), group=list(gkey))  #? cleaning
     finally:
         charge, account = self._cost.charge, self._account
         charge(account, "tuple_read", n_in)
@@ -123,14 +143,76 @@ LOOP = dedent("""
         charge(account, "hash_insert", n_inserts + n_created)  #? sampling
         charge(account, "predicate_eval", n_predicates)  #? where sampling
         charge(account, "aggregate_update", n_updates)  #? windowed
+        charge(account, "cleaning_phase", n_phases)  #? cleaning
+        charge(account, "cleaning_per_group", n_visited)  #? cleaning
+        charge(account, "hash_delete", n_evicted)  #? cleaning
         ctx.settle_calls(charge, account)
         self.m_in.inc(n_in)
         self.m_filtered.inc(n_filtered)
         self.m_rows_out.inc(len(out) - before)  #? selection
         self.m_admitted.inc(n_admitted)  #? windowed
         self.m_groups_created.inc(n_created)  #? windowed
+        self.m_cleaning_phases.inc(n_phases)  #? cleaning
+        self.m_groups_evicted.inc(n_evicted)  #? cleaning
         if peak > self.g_peak_groups.value:  #? sampling
             self.g_peak_groups.set(peak)  #? sampling
+""").strip("\n")
+
+#: Every windowed node's window close, ``_emit_window``, on :data:`LOOP`'s
+#: terms, with the tags ``having`` and ``rejects`` (a sampling node's
+#: HAVING: a group it rejects is evicted).  HAVING and SELECT read the
+#: visited group's key as the local ``gkey``.
+CLOSE = dedent("""
+    ctx, rows = self._ctx, []
+    charge, account = self._cost.charge, self._account
+    charge(account, "window_flush")
+    n_tested = n_rejected = 0
+    stats, tables = self._active_stats, self._tables  #? sampling
+    groups, supergroups, members = tables.groups, tables.new_supergroups, tables.supergroup_groups  #? sampling
+    for supergroup in supergroups.values():  #? sampling
+        for state in supergroup.states.values():  #? sampling
+            state.on_window_final()  #? sampling
+    try:
+        for gkey, aggs in self._groups.items():  #? aggregation
+        for gkey, group in list(groups.items()):  #? sampling
+            aggs, sgkey = group.aggregates, group.supergroup_key  #? sampling
+            supergroup = supergroups[sgkey]  #? sampling
+            ctx.states = supergroup.states  #? sampling
+            ctx.superaggregates = superaggregates = supergroup.superaggregates  #? sampling
+            ctx.aggregates = aggs
+            n_tested += 1  #? having
+            if not {having}:  #? having
+                n_rejected += 1  #? having
+                {evict}  #? rejects
+                if self.obs_trace.enabled:  #? rejects
+                    self.obs_trace.emit("having_rejected", query=self.obs_query,  #? rejects
+                                        window=list(stats.window), group=list(gkey))  #? rejects
+                continue  #? having
+            rows.append({record}({schema}, {select}))
+            if self.obs_trace.enabled:  #? sampling
+                self.obs_trace.emit("group_emitted", query=self.obs_query,  #? sampling
+                                    window=list(stats.window), group=list(gkey))  #? sampling
+    finally:
+        # settled per window, not per group: a close that raises has
+        # charged the groups it visited, the failing one included
+        charge(account, "predicate_eval", n_tested)
+        charge(account, "output_tuple", len(rows))
+        charge(account, "hash_delete", n_rejected)  #? sampling
+        ctx.settle_calls(charge, account)
+        self.m_having_rejected.inc(n_rejected)
+    stats.output_tuples = len(rows)  #? sampling
+    self._window_stats.append(stats)  #? sampling
+    self.m_windows.inc()
+    self.m_rows_out.inc(len(rows))
+    if self.obs_trace.enabled:
+        self.obs_trace.emit("window_close", query=self.obs_query,
+                            window=list(self._current_window), rows_out=len(rows),
+                            groups_created=stats.groups_created,  #? sampling
+                            groups_evicted=stats.groups_evicted,  #? sampling
+                            cleaning_phases=stats.cleaning_phases,  #? sampling
+                            )
+    tables.end_window()  #? sampling
+    self._groups.clear()  #? aggregation
 """).strip("\n")
 
 
@@ -150,20 +232,18 @@ def emit_node(
     op: Operator, label: str, analyzed: Any, aggregates: Any = None, spec: Any = None,
     forms: Optional[InPlace] = None, entry: Any = None,
 ) -> None:
-    """Bind ``op.process_many`` to :data:`LOOP` written for the plan
-    ``analyzed`` describes — a selection; an aggregation, given the
-    ``aggregates`` registry and the :func:`in_place` ``forms``; a
-    sampling node, given its ``spec`` and ``entry`` (the group-table
-    entry class) too — unless ``op``'s class runs its own entry (the
-    columnar subclasses).  ``label`` names the source (``expr._code``)."""
-    if type(op).process_many is not Operator.process_many:
-        return
-    node = _Emitter(bind_group(()), forms)
-    node.hoisted = ""  # the record's values and its key are locals already
+    """Bind ``op.process_many`` to :data:`LOOP` and a windowed ``op``'s
+    ``_emit_window`` to :data:`CLOSE`, written for the plan ``analyzed``
+    describes — a selection; an aggregation, given the ``aggregates``
+    registry and the :func:`in_place` ``forms``; a sampling node, given
+    its ``spec`` and ``entry`` (the group-table entry class) too.  An
+    ``op`` whose class runs its own entry (the columnar subclasses) keeps
+    it, and takes the close.  ``label`` names the source (``expr._code``)."""
+    node: Any = None  # the emitter of the function being written
     names, superaggregates = analyzed.group_by_names, spec.superaggregates if spec else ()
     at_input = bind_input(analyzed.schema, "v")
     at_tuple = bind_tuple(analyzed.schema, names, "v", "key") if names else at_input
-    at_key = bind_group(names, "key")
+    at_key, at_group = bind_group(names, "key"), bind_group(names, "gkey")
 
     def clause(bind: Any, depth: int, expr: Any) -> str:
         node.bind, node.depth = bind, depth
@@ -176,7 +256,7 @@ def emit_node(
         return ", ".join(f"({''.join(items[i] + ', ' for i in view)})" for view in views)
 
     def select(depth: int) -> str:
-        node.bind, node.depth = at_input, depth
+        node.bind, node.depth = at_input if kind == "selection" else at_group, depth
         return node.row([item.expr for item in analyzed.ast.select])
 
     def apply(depth: int, field: str, target: str, slot: int, value: str, call: str) -> None:
@@ -199,6 +279,17 @@ def emit_node(
                 apply(depth, "superaggregates", "superaggregates", sa.slot, value, call)
         return ""
 
+    def evict(depth: int) -> str:
+        """Remove the group ``gkey``: each superaggregate told, in slot
+        order — a group-fed one with its value for the group — then both
+        tables."""
+        node.depth = depth
+        for slot, sa in enumerate(superaggregates):
+            value = clause(at_group, depth, sa.value_expr) if sa.feeds == "group" else "None"
+            node.line(f"superaggregates[{slot}].on_group_removed(gkey, {value})")
+        node.line("del groups[gkey], members[sgkey][gkey]")
+        return ""
+
     parts: Dict[str, Callable[[int], str]] = {
         "group_by": group_by,
         "where": lambda depth: clause(at_tuple, depth, analyzed.ast.where),
@@ -216,20 +307,35 @@ def emit_node(
         "entry": lambda depth: node.const(entry),
         "group_fed": lambda depth: fed(depth, "group", at_key, "{0}.on_group_added(key, {1})"),
         "cleaning_when": lambda depth: clause(at_key, depth, spec.cleaning_when),
+        "cleaning_by": lambda depth: clause(at_group, depth, spec.cleaning_by),
+        "evict": evict,
+        "having": lambda depth: clause(at_group, depth, analyzed.ast.having),
     }
-    tags = {analyzed.kind.replace("stateful_", "")} | ({"windowed"} if names else set())
+    kind = analyzed.kind.replace("stateful_", "")
+    tags = {kind} | ({"windowed"} if names else set())
     tags |= {"where"} if analyzed.ast.where is not None else set()
+    tags |= {"having"} if analyzed.ast.having is not None else set()
     if spec is not None:
         tags |= {"per-record"} if spec.nonordered_supergroup_indices else set()
         tags |= {"cleaning"} if spec.cleaning_when is not None else set()
         tags |= {"group-fed"} if any(sa.feeds == "group" for sa in superaggregates) else set()
-    for line in LOOP.split("\n"):
-        text, _, only = line.partition("  #? ")
-        if not only or tags & set(only.split()):
-            depth = (len(text) - len(text.lstrip())) // 4 + 1
-            text = re.sub(r"\{(\w+)\}", lambda m: parts[m.group(1)](depth), text)
-            if text.strip():
-                node.depth = 1
-                node.line(text)
-    body = node.function("out", f"{label}:process_many", "process_many", "self, records, out=None")
-    op.process_many = MethodType(body, op)
+        tags |= {"rejects"} if "having" in tags else set()
+
+    def write(template: str, result: str, name: str, params: str) -> Any:
+        nonlocal node
+        node = _Emitter(bind_group((), "key"), forms)
+        node.hoisted = ""  # what a clause reads is in locals already
+        for line in template.split("\n"):
+            text, _, only = line.partition("  #? ")
+            if not only or tags & set(only.split()):
+                depth = (len(text) - len(text.lstrip())) // 4 + 1
+                text = re.sub(r"\{(\w+)\}", lambda m: parts[m.group(1)](depth), text)
+                if text.strip():
+                    node.depth = 1
+                    node.line(text)
+        return MethodType(node.function(result, f"{label}:{name}", name, params), op)
+
+    if kind != "selection":
+        op._emit_window = write(CLOSE, "rows", "_emit_window", "self")
+    if type(op).process_many is Operator.process_many:
+        op.process_many = write(LOOP, "out", "process_many", "self, records, out=None")

@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import ExecutionError
 from repro.dsms.aggregates import Aggregate, AggregateRegistry
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
-from repro.dsms.expr import EvalContext, bind_group, compile_clause, compile_tuple
+from repro.dsms.expr import EvalContext
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.node import emit_node, in_place
 from repro.dsms.operators.base import Operator
@@ -59,18 +59,10 @@ class AggregationOperator(Operator):
         self._groups: Dict[Tuple[Any, ...], List[Aggregate]] = {}
         self._current_window: Optional[Tuple[Any, ...]] = None
 
-        # The run entry is generated (repro.dsms.node) and the clauses a
-        # window close evaluates compiled, here, once, against the
-        # plan-time input schema (shadowing rule: see expr.bind_tuple).
+        # The run entry and the window close are generated
+        # (repro.dsms.node), here, once, against the plan-time input schema
+        # (shadowing rule: see expr.bind_tuple).
         forms = in_place([aggregates.factory(node.name) for node in analyzed.aggregates])
-        at_group = bind_group(names)
-        self._having = compile_clause(analyzed.ast.having, at_group, f"{account}:HAVING", forms)
-        self._select = compile_tuple(
-            [item.expr for item in analyzed.ast.select], at_group, f"{account}:SELECT", forms
-        )
-
-        # ``key`` holds the visited group's key, with its ``aggregates``,
-        # at window close
         self._ctx = EvalContext(scalars.functions)
         self._default_obs(account)
         emit_node(self, account, analyzed, aggregates, forms=forms)
@@ -126,37 +118,3 @@ class AggregationOperator(Operator):
         if snapshot["current_window"] is None:
             snapshot["current_window"] = window
         return len(part), 0
-
-    def _emit_window(self) -> List[Record]:
-        outputs: List[Record] = []
-        ctx, having, select = self._ctx, self._having, self._select
-        charge, account = self._cost.charge, self._account
-        charge(account, "window_flush")
-        n_tested = n_rejected = 0
-        try:
-            for key, aggregates in self._groups.items():
-                ctx.key = key
-                ctx.aggregates = aggregates
-                if having is not None:
-                    n_tested += 1
-                    if not having(ctx):
-                        n_rejected += 1
-                        continue
-                outputs.append(Record(self.output_schema, select(ctx)))
-        finally:
-            # Settled per window, not per group; a close that raises has
-            # charged the groups it visited, the failing one included.
-            charge(account, "predicate_eval", n_tested)
-            charge(account, "output_tuple", len(outputs))
-            ctx.settle_calls(charge, account)
-            self.m_having_rejected.inc(n_rejected)
-        self.m_windows.inc()
-        self.m_rows_out.inc(len(outputs))
-        self.obs_trace.emit(
-            "window_close",
-            query=self.obs_query,
-            window=list(self._current_window or ()),
-            rows_out=len(outputs),
-        )
-        self._groups.clear()
-        return outputs

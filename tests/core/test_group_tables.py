@@ -14,32 +14,18 @@ class TestGroups:
         assert ("a",) in tables.groups
         assert tables.group_count == 1
 
-    def test_groups_of_preserves_insertion_order(self):
+    def test_supergroup_members_keep_arrival_order(self):
+        # the cleaning pass visits a supergroup's groups in this order
         tables = GroupTables()
         for key in ("x", "y", "z"):
             tables.add_group(group((key,)))
-        assert tables.groups_of(("sg",)) == [("x",), ("y",), ("z",)]
-
-    def test_remove_group_updates_both_tables(self):
-        tables = GroupTables()
-        tables.add_group(group(("a",)))
-        tables.add_group(group(("b",)))
-        removed = tables.remove_group(("a",))
-        assert removed is not None and removed.key == ("a",)
-        assert tables.groups_of(("sg",)) == [("b",)]
-
-    def test_remove_missing_group_returns_none(self):
-        assert GroupTables().remove_group(("ghost",)) is None
-
-    def test_groups_of_unknown_supergroup_is_empty(self):
-        assert GroupTables().groups_of(("nope",)) == []
+        assert list(tables.supergroup_groups[("sg",)]) == [("x",), ("y",), ("z",)]
 
     def test_separate_supergroups(self):
         tables = GroupTables()
         tables.add_group(group(("a",), sg_key=("s1",)))
         tables.add_group(group(("b",), sg_key=("s2",)))
-        assert tables.groups_of(("s1",)) == [("a",)]
-        assert tables.groups_of(("s2",)) == [("b",)]
+        assert tables.supergroup_groups == {("s1",): {("a",): None}, ("s2",): {("b",): None}}
 
 
 class TestWindowSwap:
@@ -52,7 +38,7 @@ class TestWindowSwap:
         assert tables.group_count == 0
         assert tables.supergroup_count == 0
         assert tables.old_supergroups[("k",)] is entry
-        assert tables.groups_of(("k",)) == []
+        assert tables.supergroup_groups == {}
 
     def test_second_end_window_discards_old(self):
         tables = GroupTables()

@@ -42,8 +42,8 @@ from repro.dsms.expr import (
     bind_input,
     bind_tuple,
     by_name,
+    _Emitter,
     compile_expr,
-    compile_tuple,
     evaluate,
     find_nodes,
 )
@@ -113,8 +113,8 @@ def _column_of_tuple(ctx, name):
 BINDERS = [
     (by_name, _column_of_record),
     (bind_input(SCHEMA), _column_of_input),
-    (bind_group(GROUP), _column_of_group),
-    (bind_tuple(SCHEMA, GROUP), _column_of_tuple),
+    (bind_group(GROUP, "ctx.key"), _column_of_group),
+    (bind_tuple(SCHEMA, GROUP, "ctx.record.values", "ctx.key"), _column_of_tuple),
 ]
 
 
@@ -236,7 +236,11 @@ def test_items_evaluate_left_to_right(items, record, binder):
         lambda ctx: tuple([naive_evaluate(item, ctx) for item in items]),
         LoggingContext(record, column),
     )
-    compiled = compile_tuple(items, bind)
+    # No public function writes a row: the emitter's row, wrapped
+    # in a function of its own, stands in for the SELECT row a window
+    # close writes inline.
+    emitter = _Emitter(bind)
+    compiled = emitter.function(emitter.row(items), "row")
     assert _outcome(compiled, LoggingContext(record, column)) == want
     for call in (
         ScalarCall("first", tuple(items)),
@@ -417,6 +421,37 @@ def test_alternating_operators_nest_to_the_limit():
     want = _outcome(lambda ctx: naive_evaluate(tree, ctx), LoggingContext(RECORDS[0]))
     compiled = compile_expr(tree, bind_input(SCHEMA))
     assert _outcome(compiled, LoggingContext(RECORDS[0])) == want
+
+
+def test_group_clauses_nest_to_the_limit_inside_a_node():
+    """A sampling node writes CLEANING BY inside its run loop's cleaning
+    pass and HAVING inside its window close, blocks deep already; at the
+    parser's limit both still compile, and the nested blocks run."""
+
+    def deep(innermost, levels=MAX_EXPRESSION_DEPTH - 2):
+        """``levels`` AND / OR over ``count(*) > n``: a tree at the limit."""
+        text = innermost
+        for level in range(levels):
+            text = f"{('count(*) > 0 AND', 'count(*) < 0 OR')[level % 2]} ({text})"
+        return text
+
+    query = (
+        "SELECT tb, srcIP, count(*) FROM TCP GROUP BY time/2 as tb, srcIP SUPERGROUP BY tb"
+        " HAVING {0} CLEANING WHEN count_distinct$(*) > 5 CLEANING BY {1}"
+    )
+    rows = []
+    for having, cleaning_by in (
+        (deep("count(*) > 1"), deep("count(*) > 2")),
+        ("count(*) > 1", "count(*) > 2"),
+    ):
+        gs = Gigascope()
+        gs.register_stream(TCP_SCHEMA)
+        gs.add_query(query.format(having, cleaning_by), name="q")
+        gs.run(iter(_steady(400)))
+        rows.append(_rows(gs, "q"))
+    assert rows[0] and rows[0] == rows[1]
+    with pytest.raises(ReproError, match="nests deeper than 64 levels"):
+        Gigascope().add_query(query.format(deep("count(*) > 1", MAX_EXPRESSION_DEPTH - 1), "1 = 1"))
 
 
 # -- binding by position --------------------------------------------------------
