@@ -2,7 +2,7 @@
 
 Every benchmark family lands its measured numbers in a flat
 ``{benchmark_name: payload}`` JSON document at the repo root
-(``BENCH_throughput.json``, ``BENCH_rebalance.json``, ...) for trend
+(``BENCH_throughput.json``, ``BENCH_figures.json``) for trend
 tracking and the CI gate (``scripts/check_bench_gate.py``).  Rewriting the
 whole document on every merge keeps it valid JSON regardless of which
 subset of benchmarks ran.

@@ -21,7 +21,7 @@ Two implementations are provided:
 An evicted flow that receives further packets re-enters as a fresh
 partial flow, so per-flow byte totals are estimated, not exact — the
 price of bounded memory.  The window's total-byte estimate stays
-accurate because every surviving entry carries its subset-sum adjusted
+close because every surviving entry carries its subset-sum adjusted
 weight; tests quantify both properties on the DDoS trace.
 """
 

@@ -21,7 +21,7 @@ from repro.dsms.parser.planner import QueryPlan, partition_info
 
 @dataclass(frozen=True)
 class ExecTarget:
-    """``ShardedGigascope(shards=, supervise=, rebalance=, shed_threshold=)``
+    """``ShardedGigascope(shards=, supervise=, shed_threshold=)``
     or a serial ``Gigascope``; under a ``DurableRunner`` when ``durable``,
     behind the standing-query engine when ``serve``.  A combination no
     runtime can build is a :class:`ValueError`.
@@ -35,18 +35,15 @@ class ExecTarget:
     shards: Optional[int] = None
     supervise: bool = False
     durable: bool = False
-    rebalance: bool = False
     serve: bool = False
     shed_threshold: Optional[int] = field(default=None, metadata={"key": "shed"})
 
     def __post_init__(self) -> None:
-        for flag in ("supervise", "rebalance"):
-            if getattr(self, flag) and self.shards is None:
-                raise ValueError(
-                    f"target {flag!r} needs shards=N: only a sharded"
-                    " deployment has workers to supervise or shards to"
-                    " rebalance between"
-                )
+        if self.supervise and self.shards is None:
+            raise ValueError(
+                "target 'supervise' needs shards=N: only a sharded"
+                " deployment has workers to supervise"
+            )
         if self.serve and self.shards is not None:
             raise ValueError(
                 "target 'serve' excludes shards=N: the serving engine"
@@ -61,8 +58,7 @@ class ExecTarget:
     @property
     def checkpoints(self) -> bool:
         """The deployment snapshots operator state as it runs (SA305): a
-        durable journal, or supervised shard workers.  ``rebalance``
-        snapshots too, under its own rule id (SA306)."""
+        durable journal, or supervised shard workers."""
         return self.durable or self.supervise
 
     def describe(self) -> str:
@@ -82,6 +78,14 @@ def _grammar() -> Dict[str, Field]:
     return {f.metadata.get("key", f.name): f for f in fields(ExecTarget)}
 
 
+def grammar_hint() -> str:
+    """The ``--target`` items, ``shards=N`` style for a keyed value."""
+    items = [
+        key if spec.default is False else f"{key}=N" for key, spec in _grammar().items()
+    ]
+    return ", ".join(items[:-1]) + ", or " + items[-1]
+
+
 def parse_target(text: str) -> ExecTarget:
     """Parse a ``--target`` value like ``shards=4,durable,supervise``:
     comma-separated flags (``durable``) and keyed values (``shards=N``).
@@ -97,10 +101,7 @@ def parse_target(text: str) -> ExecTarget:
         key, _, value = (part.strip().lower() for part in item.partition("="))
         spec = grammar.get(key)
         if spec is None:
-            raise ValueError(
-                f"unknown target item {item!r}; expected"
-                " shards=N, shed=N, durable, supervise, rebalance, or serve"
-            )
+            raise ValueError(f"unknown target item {item!r}; expected {grammar_hint()}")
         if spec.default is False:
             if value:
                 raise ValueError(
@@ -149,20 +150,17 @@ def opted_out(plan: QueryPlan, registries: Registries) -> Sequence[str]:
     ]
 
 
-def _needs_snapshots(consequence: str) -> Reason:
+def _needs_snapshots(plan: QueryPlan, registries: Registries, target: ExecTarget) -> Optional[str]:
     """The demand of a consumer of operator checkpoints; the reason names
     every state that opts out of them, so one pass fixes the query."""
-    def reason(plan: QueryPlan, registries: Registries, target: ExecTarget) -> Optional[str]:
-        states = opted_out(plan, registries)
-        if not states:
-            return None
-        others = f" (as do {', '.join(map(repr, states[1:]))})" if states[1:] else ""
-        return (
-            f"SFUN state {states[0]!r} declares checkpointable=False{others},"
-            f" so {consequence}"
-        )
-
-    return reason
+    states = opted_out(plan, registries)
+    if not states:
+        return None
+    others = f" (as do {', '.join(map(repr, states[1:]))})" if states[1:] else ""
+    return (
+        f"SFUN state {states[0]!r} declares checkpointable=False{others},"
+        " so this query cannot ride a durable journal commit or a worker checkpoint"
+    )
 
 
 def _unpartitionable(plan: QueryPlan, registries: Registries, target: ExecTarget) -> Optional[str]:
@@ -177,26 +175,14 @@ def _private_feed(plan: QueryPlan, registries: Registries, target: ExecTarget) -
 
 
 #: In refusal order: a runtime raises the first row that answers.  The
-#: snapshot rows come first because no rewrite of the query lifts them
+#: snapshot row comes first because no rewrite of the query lifts it
 #: (the state class has to change), so a query failing several hears that.
 RULES: Tuple[Rule, ...] = (
-    Rule(
-        "SA306",
-        "operator state not migratable across shard boundaries",
-        lambda target: target.rebalance,
-        _needs_snapshots("its operator state is not migratable across shard boundaries"),
-        "{reason} (target {target})",
-        "FROM",
-        "run without rebalancing or make the state snapshottable",
-        culprits=opted_out,
-    ),
     Rule(
         "SA305",
         "SFUN state is not checkpointable under a durable or supervised target",
         lambda target: target.checkpoints,
-        _needs_snapshots(
-            "this query cannot ride a durable journal commit or a worker checkpoint"
-        ),
+        _needs_snapshots,
         "{reason} (target {target})",
         "FROM",
         "make the state checkpointable (implement checkpoint()/restore()"

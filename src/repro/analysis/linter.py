@@ -13,7 +13,7 @@
    soundness (``SA201``–``SA204``) and, when an
    :class:`~repro.analysis.legality.ExecTarget` is given, every row of
    the legality table that deployment holds the plan to
-   (``SA301``–``SA306``, ``SA401`` under a ``serve`` target)
+   (``SA301``–``SA305``, ``SA401`` under a ``serve`` target)
 
 — and returns every finding in one :class:`LintResult`.  Rules can be
 suppressed per query with a pragma comment anywhere in the text::

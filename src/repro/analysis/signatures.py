@@ -6,7 +6,7 @@ The runtime registries (:mod:`repro.dsms.functions`,
 the analyzer nothing to reason with statically.  This module recovers
 signatures two ways:
 
-* a curated table for the built-ins (exact types the paper's queries
+* a hand-written table for the built-ins (exact types the paper's queries
   depend on — ``H`` is a 32-bit hash, ``HU`` lands in the unit interval);
 * :mod:`inspect` introspection for user-registered callables: positional
   parameter counts become arity bounds, and ``bool``/``int``/``float``/

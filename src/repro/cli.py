@@ -71,11 +71,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.legality import ExecTarget, parse_target
+from repro.analysis.legality import ExecTarget, grammar_hint, parse_target
 from repro.dsms.durability import DurableRunner
 from repro.dsms.explain import explain
 from repro.dsms.parser import compile_query
-from repro.dsms.rebalance import RebalancePolicy
 from repro.dsms.resilience import SupervisionPolicy
 from repro.dsms.runtime import Gigascope
 from repro.dsms.sharded import ShardedGigascope
@@ -113,7 +112,6 @@ def _standard_instance(
     relax_factor: float,
     target: ExecTarget = ExecTarget(),
     max_restarts: int = 2,
-    rebalance: Optional[RebalancePolicy] = None,
     schema=TCP_SCHEMA,
     **options,
 ):
@@ -122,11 +120,10 @@ def _standard_instance(
     source stream (``schema``, the stock TCP one by default) and all
     SFUN packs loaded.
 
-    A supervised pool restarts each worker up to ``max_restarts`` times;
-    ``rebalance`` is the policy of a rebalancing one.  ``options`` are
-    what both constructors take alike: ``trace``, ``profile``,
-    ``vectorize`` (docs/OBSERVABILITY.md, DESIGN.md §11), ``quarantine``
-    and ``validate_admission`` (docs/RESILIENCE.md).
+    A supervised pool restarts each worker up to ``max_restarts`` times.
+    ``options`` are what both constructors take alike: ``trace``,
+    ``profile``, ``vectorize`` (docs/OBSERVABILITY.md, DESIGN.md §11),
+    ``quarantine`` and ``validate_admission`` (docs/RESILIENCE.md).
     """
     if target.sharded:
         gs = ShardedGigascope(
@@ -135,7 +132,6 @@ def _standard_instance(
             if target.supervise
             else None,
             shed_threshold=target.shed_threshold,
-            rebalance=rebalance,
             **options,
         )
     else:
@@ -187,7 +183,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             shards=args.shards if args.shards > 0 else None,
             supervise=args.supervise,
             durable=args.journal is not None,
-            rebalance=args.rebalance,
             shed_threshold=args.shed_threshold,
         )
     except ValueError as exc:
@@ -233,14 +228,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         args.relax_factor,
         target,
         max_restarts=args.max_restarts,
-        rebalance=RebalancePolicy(
-            check_interval=args.rebalance_interval,
-            imbalance_threshold=args.rebalance_threshold,
-            max_shards=args.max_shards,
-            curate=args.rebalance_curate,
-        )
-        if target.rebalance
-        else None,
         # The trace's own schema, when it is not the stock TCP one.
         schema=trace[0].schema,
         trace=trace_sink,
@@ -331,22 +318,6 @@ def _print_run_report(gs, force: bool = False) -> None:
     ):
         print(
             f"-- vectorize fallback {name}: {reason}",
-            file=sys.stderr,
-        )
-    rebalance = report.get("rebalance")
-    if rebalance is not None and (force or rebalance["plans"] or rebalance["deferred"]):
-        routing = rebalance["routing"]
-        print(
-            f"-- rebalance: plans={rebalance['plans']}"
-            f" deferred={rebalance['deferred']}"
-            f" migrated_groups={rebalance['migrated_groups']}"
-            f" migrated_supergroups={rebalance['migrated_supergroups']}"
-            f" moved_slots={rebalance['moved_slots']}"
-            f" pinned_keys={rebalance['pinned_keys']}"
-            f" scale_ups={rebalance['scale_ups']}"
-            f" scale_downs={rebalance['scale_downs']}"
-            f" curated_records={rebalance['curated_records']}"
-            f" routing=v{routing['version']}/{routing['shard_count']} shards",
             file=sys.stderr,
         )
     supervision = getattr(gs, "last_supervision", None)
@@ -701,44 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
         " back automatically)",
     )
     query.add_argument(
-        "--rebalance",
-        action="store_true",
-        help="with --shards, watch per-shard load and migrate hot key"
-        " ranges between shards at window boundaries (elastic skew"
-        " defence; results stay byte-identical to serial)",
-    )
-    query.add_argument(
-        "--rebalance-threshold",
-        type=float,
-        default=1.5,
-        metavar="RATIO",
-        help="with --rebalance, trigger when the hottest shard carries"
-        " this multiple of the mean load (default 1.5)",
-    )
-    query.add_argument(
-        "--rebalance-interval",
-        type=int,
-        default=4,
-        metavar="ROUNDS",
-        help="with --rebalance, check the load balance every N rounds"
-        " (default 4)",
-    )
-    query.add_argument(
-        "--max-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --rebalance, let the pool grow up to N shards under"
-        " sustained skew (default: the initial --shards count)",
-    )
-    query.add_argument(
-        "--rebalance-curate",
-        action="store_true",
-        help="with --rebalance, degrade gracefully when one key is too"
-        " hot to migrate away from: deterministically downsample only"
-        " that key's traffic, with shed-style cost accounting",
-    )
-    query.add_argument(
         "--supervise",
         action="store_true",
         help="with --shards, fork one worker process per shard (instead"
@@ -839,8 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="deployment configuration for the SA3xx execution-safety"
         " and SA4xx serving rules, e.g. 'shards=4,durable,supervise'"
-        " (flags: durable, supervise, rebalance, serve;"
-        " keyed: shards=N, shed=N)",
+        f" (items: {grammar_hint()})",
     )
     lint_cmd.add_argument(
         "--format",

@@ -31,9 +31,8 @@ removed when **CLEANING BY evaluates to FALSE**.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.aggregates import AggregateRegistry
@@ -266,82 +265,6 @@ class SamplingOperator(Operator):
         self._pending_shed = snapshot["pending_shed"]
         # Pre-quarantine snapshots lack the key.
         self._pending_quarantined = snapshot.get("pending_quarantined", 0)
-
-    def split_snapshot(
-        self, snapshot: Any, column: str, route: Callable[[Any], int], src: int
-    ) -> Dict[int, Any]:
-        parts: Dict[int, Dict[str, Any]] = {}
-        names = self.spec.group_by_names
-        if column not in names:
-            return parts
-        gb_index = names.index(column)
-        #: the column's position inside the supergroup key, or None when
-        #: no supergroup-keyed state hangs on it
-        indices = self.spec.nonordered_supergroup_indices
-        sg_pos = indices.index(gb_index) if gb_index in indices else None
-
-        def part(dest: int) -> Dict[str, Any]:
-            if dest not in parts:
-                # ``copied``: the supergroup entries are placeholders *copied*
-                # (not moved) so the destination's window close finds them.
-                parts[dest] = {"groups": [], "new_supergroups": [], "old_supergroups": []}
-                parts[dest]["copied"] = sg_pos is None
-            return parts[dest]
-
-        kept_groups = []
-        #: supergroup keys that must exist at each destination (sg_pos None)
-        needed_sg: Dict[int, set] = {}
-        for entry in snapshot["groups"]:
-            dest = route(entry[0][gb_index])
-            if dest == src:
-                kept_groups.append(entry)
-            else:
-                part(dest)["groups"].append(entry)
-                if sg_pos is None:
-                    needed_sg.setdefault(dest, set()).add(entry[2])
-        snapshot["groups"] = kept_groups
-
-        for table_name in ("new_supergroups", "old_supergroups"):
-            kept = []
-            for entry in snapshot[table_name]:
-                if sg_pos is not None:
-                    dest = route(entry[0][sg_pos])
-                    if dest == src:
-                        kept.append(entry)
-                    else:
-                        part(dest)[table_name].append(entry)
-                else:
-                    # Partition column outside the supergroup key: the planner
-                    # only permits that when the supergroup carries no SFUN /
-                    # superaggregate state, so the entry is a placeholder —
-                    # keep it, and copy it wherever one of its groups went.
-                    kept.append(entry)
-                    for dest, keys in needed_sg.items():
-                        if entry[0] in keys:
-                            part(dest)[table_name].append(copy.deepcopy(entry))
-            snapshot[table_name] = kept
-        return parts
-
-    def merge_snapshot(self, snapshot: Any, part: Any, window: Any) -> Tuple[int, int]:
-        supergroups_moved = 0
-        for table_name in ("new_supergroups", "old_supergroups"):
-            table = snapshot[table_name]
-            present = {entry[0] for entry in table}
-            for entry in part[table_name]:
-                if part["copied"] and entry[0] in present:
-                    continue  # another of its groups brought it already
-                table.append(entry)
-                present.add(entry[0])
-                supergroups_moved += not part["copied"]
-        snapshot["groups"].extend(part["groups"])
-        if snapshot["current_window"] is None and window is not None:
-            # A fresh destination adopts the in-flight window: its next input
-            # tuple must not re-open the window (which would orphan the
-            # migrated groups), and the window close needs live WindowStats.
-            snapshot["current_window"] = window
-            if snapshot["active_stats"] is None:
-                snapshot["active_stats"] = WindowStats(window=window)
-        return len(part["groups"]), supergroups_moved
 
     # -- internals -----------------------------------------------------------------
 

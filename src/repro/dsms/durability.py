@@ -67,7 +67,9 @@ JOURNAL_VERSION = 2
 
 #: version of what ``checkpoint()`` returns, independent of the above: it
 #: rides inside each commit as ``checkpoint_version`` (some version-1
-#: journals carry none); within a version, keys are only ever added
+#: journals carry none); within a version, keys are only ever added,
+#: bar a sharded commit's ``routing``, which is no longer written and,
+#: when not None, refused by ``ShardedGigascope.restore``
 CHECKPOINT_VERSION = 2
 
 Hook = Optional[Callable[[int, str], None]]

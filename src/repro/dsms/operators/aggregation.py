@@ -15,7 +15,7 @@ windows run next to the sampling query.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.dsms.aggregates import Aggregate, AggregateRegistry
@@ -95,26 +95,3 @@ class AggregationOperator(Operator):
     def restore(self, snapshot: Any) -> None:
         self._groups = snapshot["groups"]
         self._current_window = snapshot["current_window"]
-
-    def split_snapshot(
-        self, snapshot: Any, column: str, route: Callable[[Any], int], src: int
-    ) -> Dict[int, Any]:
-        parts: Dict[int, Dict[Any, Any]] = {}
-        index = self._gb_index.get(column)
-        if index is None:
-            return parts
-        kept = {}
-        for key, aggregates in snapshot["groups"].items():
-            dest = route(key[index])
-            if dest == src:
-                kept[key] = aggregates
-            else:
-                parts.setdefault(dest, {})[key] = aggregates
-        snapshot["groups"] = kept
-        return parts
-
-    def merge_snapshot(self, snapshot: Any, part: Any, window: Any) -> Tuple[int, int]:
-        snapshot["groups"].update(part)
-        if snapshot["current_window"] is None:
-            snapshot["current_window"] = window
-        return len(part), 0

@@ -15,11 +15,8 @@ picklable view, valid until the operator is next fed — the pickle that
 keeps it longer is its one copy;
 :meth:`Operator.restore` takes ownership — on a freshly built operator
 of the same plan; keep a snapshot you will restore twice by pickling it.
-Only an operator reads its own snapshot: state moves between shards
-through :meth:`Operator.split_snapshot` / :meth:`Operator.merge_snapshot`,
-and the one key anyone else may read is a windowed operator's
-``"current_window"`` (``dsms/rebalance.py`` checks that shards agree on
-it before moving anything).  Every piece of run state has one owner:
+Only an operator reads its own snapshot.  Every piece of run state has
+one owner:
 
 ========================== ================ ============================== ================================
 state                      owner            who checkpoints it             who may restore it
@@ -28,22 +25,19 @@ group / supergroup tables  the operator     Operator.checkpoint            the s
 SFUN states, by name       stateful library checkpoint_states (gated)      restore_states, equal library
 retained rows, forwarded   Gigascope        Gigascope.checkpoint           identically registered instance
 metrics, trace, cycles     its deployment   runtime.own_state, once        restore_own_state (absent: kept)
-routing + rebalancer state Rebalancer       ShardedGigascope.checkpoint    same rebalance= configuration
 breakers, dead letters     serving engine   StandingQueryEngine.checkpoint engine holding the same queries
 ========================== ================ ============================== ================================
 
 Rings are in no checkpoint (a batch boundary drains them), nor are
 quarantine payloads (they may not pickle).  "Gated": every consumer of
-operator checkpoints — a durable journal, supervised workers,
-rebalancing, a journalled serve — first passes the one gate, rows
-SA305/SA306 of :data:`repro.analysis.legality.RULES`.
+operator checkpoints — a durable journal, supervised workers, a
+journalled serve — first passes the one gate, row SA305 of
+:data:`repro.analysis.legality.RULES`.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any, Callable, Collection, Dict, Iterable, Iterator, List, Optional, Tuple,
-)
+from typing import Any, Collection, Iterable, Iterator, List, Optional
 
 from repro.errors import ExecutionError
 from repro.obs.metrics import MetricsRegistry
@@ -215,22 +209,6 @@ class Operator:
                 f"{type(self).__name__} is stateless but was given a"
                 f" non-empty snapshot ({type(snapshot).__name__})"
             )
-
-    def split_snapshot(
-        self, snapshot: Any, column: str, route: Callable[[Any], int], src: int
-    ) -> Dict[int, Any]:
-        """Cut out of ``snapshot`` — a :meth:`checkpoint` of this plan
-        taken on shard ``src``; not live state, so a parent's pristine
-        operator answers for a worker's — the state whose ``column``
-        value ``route`` sends elsewhere; returns it by destination.
-        Default: none (stateless, or not keyed by ``column``)."""
-        return {}
-
-    def merge_snapshot(self, snapshot: Any, part: Any, window: Any) -> Tuple[int, int]:
-        """Fold one :meth:`split_snapshot` part into ``snapshot``, which
-        adopts the in-flight ``window`` if it has none open; returns the
-        ``(groups, supergroups)`` that moved in."""
-        raise ExecutionError(f"{type(self).__name__} has no state to merge")
 
     def run(self, records: Iterable[Record]) -> Iterator[Record]:
         """Drive the operator over a whole stream."""

@@ -212,7 +212,7 @@ class ShardSupervisor:
         """
         for shard in range(self.owner.shards):
             self._spawn(shard)
-        self._install(resume_state, "shard_resume")
+        self._install(resume_state)
 
     def ship(self, buckets: List[List[Record]]) -> None:
         """Journal and send one round's routed buckets; a journal past
@@ -246,50 +246,6 @@ class ShardSupervisor:
             if worker is not None:
                 worker.join(timeout=5.0)
 
-    def add_shard(self, shard: int) -> None:
-        """Grow the supervised pool by one worker (elastic scale-up).
-
-        The owner must already have grown ``_instances``/``shards``; this
-        extends every per-shard structure and spawns the worker.  The new
-        shard starts at seq 0 with no journal — it receives state only
-        through :meth:`install_checkpoints` (a migration) or routed
-        batches.
-        """
-        if shard != len(self._workers):
-            raise ExecutionError(
-                f"add_shard({shard}) out of order: pool has"
-                f" {len(self._workers)} workers"
-            )
-        self._in_queues.append(None)
-        self._workers.append(None)
-        self._epoch.append(0)
-        self._seq.append(0)
-        self._journal.append([])
-        self._ckpt.append(None)
-        self._last_ckpt_request.append(0)
-        self._last_event.append(0.0)
-        self._restarts.append(0)
-        self._trace("shard_added", shard=shard)
-        self._count(
-            "supervisor_shards_added_total", shard,
-            help="workers added to the pool by elastic scale-up",
-        )
-        self._spawn(shard)
-
-    def install_checkpoints(self, blobs: Dict[int, bytes]) -> None:
-        """Replace shard checkpoints after a state migration: each new
-        snapshot covers everything shipped to its shard so far (the
-        two-phase :meth:`_install`)."""
-        for shard in blobs:
-            self._count(
-                "supervisor_migrations_total", shard,
-                help="post-migration checkpoints installed into workers",
-            )
-        self._install(
-            {shard: (self._seq[shard], blob) for shard, blob in blobs.items()},
-            "shard_migrate",
-        )
-
     def checkpoint_all(self) -> Dict[int, Tuple[int, bytes]]:
         """Synchronously checkpoint every shard at its current sequence.
 
@@ -307,19 +263,6 @@ class ShardSupervisor:
             ask=self._request_checkpoint,
         )
         return {s: self._ckpt[s] for s in shards if self._ckpt[s] is not None}
-
-    def states(self) -> Dict[int, Dict[str, Any]]:
-        """Every shard's current checkpoint, unpickled (the rebalance
-        barrier rewrites them and hands back the changed ones)."""
-        return {
-            shard: pickle.loads(blob)
-            for shard, (_seq, blob) in self.checkpoint_all().items()
-        }
-
-    def install_states(self, states: Dict[int, Dict[str, Any]]) -> None:
-        self.install_checkpoints(
-            {shard: pickle.dumps(state) for shard, state in states.items()}
-        )
 
     # -- checkpoints -----------------------------------------------------------------
 
@@ -347,11 +290,9 @@ class ShardSupervisor:
             self._last_ckpt_request[shard] = seq
             self._ckpt_request_time[shard] = time.monotonic()
 
-    def _install(
-        self, checkpoints: Dict[int, Tuple[int, bytes]], trace_event: str
-    ) -> None:
-        """Make ``checkpoints`` (per shard ``(seq, blob)``) the shards'
-        state — a resume's, or a migration's.
+    def _install(self, checkpoints: Dict[int, Tuple[int, bytes]]) -> None:
+        """Make ``checkpoints`` (per shard ``(seq, blob)``, a resume's)
+        the shards' state.
 
         Two phases, deliberately ordered: first *every* listed shard's
         parent-side ``_ckpt`` slot is rewritten (its numbering continues
@@ -365,7 +306,7 @@ class ShardSupervisor:
         for shard, (seq, blob) in checkpoints.items():
             self._keep(shard, seq, blob)
             self._seq[shard] = self._last_ckpt_request[shard] = seq
-            self._trace(trace_event, shard=shard, seq=seq, bytes=len(blob))
+            self._trace("shard_resume", shard=shard, seq=seq, bytes=len(blob))
         for shard, (seq, blob) in checkpoints.items():
             # If recovery intervenes it restores from the new _ckpt.
             self._send(shard, ("restore", seq, blob))

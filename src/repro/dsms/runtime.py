@@ -75,7 +75,7 @@ class Refusal(NamedTuple):
 #: operations, counters and events.  On every deployment's folded registry
 #: ``stream_records_total == stream_ingested_total + Σ`` these counters.
 REFUSALS: Dict[str, Refusal] = {
-    # overload: ring admission, hot-key curation, a saturated shard queue
+    # overload: ring admission, a saturated shard queue
     "shed": Refusal(
         "tuple_shed", "stream_shed_total",
         "records refused at admission under overload", "shed", "note_shed",

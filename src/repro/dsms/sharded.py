@@ -33,11 +33,10 @@ Architecture::
   pickled record batches over queues (POSIX ``fork`` start method, so
   SFUN closures need no pickling) and restarts crashed or stalled
   workers from checkpoints.  Both answer the same calls — ``start``,
-  ``ship``, ``add_shard``, ``checkpoint_all`` / ``states`` /
-  ``install_states``, ``finish``, ``close`` — so one round is one
-  :meth:`ShardedGigascope.feed`: validate at the SPLIT edge, split,
-  ``pool.ship(buckets)``, drain the MERGE, rebalance barrier.  The
-  pool is crossed once per round, never per record.
+  ``ship``, ``checkpoint_all``, ``finish``, ``close`` — so one round is
+  one :meth:`ShardedGigascope.feed`: validate at the SPLIT edge, split,
+  ``pool.ship(buckets)``, drain the MERGE.  The pool is crossed once
+  per round, never per record.
 * **MERGE** — one :class:`MergeOperator` per registered query recombines
   the shard outputs on the query's ordered output attribute; a shard
   that finishes releases its watermark via ``end_source``.
@@ -74,13 +73,6 @@ from repro.dsms.durability import batches, run_batches
 from repro.dsms.operators.merge import MergeOperator
 from repro.dsms.parser import compile_query
 from repro.dsms.parser.planner import partition_info
-from repro.dsms.rebalance import (
-    MigrationDeferred,
-    RebalancePolicy,
-    Rebalancer,
-    RoutingTable,
-    migrate_states,
-)
 from repro.dsms.resilience import ShardSupervisor, SupervisionPolicy, SupervisionReport
 from repro.dsms.runtime import (
     Gigascope, QueryHandle, account_refusal, admit_payload, own_state,
@@ -155,17 +147,13 @@ class _MergeSink:
         # Rows the shard handles already hold come from an earlier run()
         # on inline shards and were merged then; start past them.
         self.cursors = [len(h.results) for h in handle.shard_handles]
-        self._bind(len(self.cursors))
-
-    def _bind(self, shards: int) -> None:
-        self.sources = [f"shard{i}" for i in range(shards)]
+        self.sources = [f"shard{i}" for i in range(len(self.cursors))]
         # MergeOperator needs >= 2 sources; one shard is a pass-through.
         self.operator = (
-            MergeOperator(self.handle.output_schema, self.sources)
-            if shards > 1
+            MergeOperator(handle.output_schema, self.sources)
+            if len(self.sources) > 1
             else None
         )
-        self.cursors += [0] * (shards - len(self.cursors))
 
     def drain(self, shard: int, produced: Sequence[Record]) -> None:
         """Feed any records the shard produced since the last drain."""
@@ -182,10 +170,6 @@ class _MergeSink:
 
     def finish(self, results: Sequence[Dict[str, List[Record]]]) -> None:
         """Feed every shard's remaining rows and release its watermark."""
-        if len(results) > len(self.sources):
-            # The pool grew mid-run (rebalance), which defers all merging
-            # to this point, so nothing has been fed to the old operator.
-            self._bind(len(results))
         for shard, rows in enumerate(results):
             self.drain(shard, rows[self.handle.name])
             if self.operator is not None:
@@ -233,26 +217,13 @@ class _InlinePool:
                 self._seq[shard] += 1
                 instances[shard].feed(bucket)
 
-    def add_shard(self, shard: int) -> None:
-        self._seq.append(0)
-        self.owner._instances[shard].start()
-
     # A round boundary is a consistent cut: feed() drains the rings, so
     # a shard's checkpoint covers all input shipped to it.
 
-    def states(self) -> Dict[int, Dict[str, Any]]:
-        return {
-            shard: self.owner.shard_state(shard) for shard in range(self.owner.shards)
-        }
-
-    def install_states(self, states: Dict[int, Dict[str, Any]]) -> None:
-        for shard, state in states.items():
-            self.owner._instances[shard].restore(state)
-
     def checkpoint_all(self) -> Dict[int, Tuple[int, bytes]]:
         return {
-            shard: (self._seq[shard], pickle.dumps(state))
-            for shard, state in self.states().items()
+            shard: (self._seq[shard], pickle.dumps(self.owner.shard_state(shard)))
+            for shard in range(self.owner.shards)
         }
 
     def finish(self) -> List[Dict[str, List[Record]]]:
@@ -317,7 +288,6 @@ class ShardedGigascope:
         trace: Optional[TraceSink] = None,
         quarantine: Optional["QuarantineStream"] = None,
         validate_admission: bool = False,
-        rebalance: Any = None,
         vectorize: bool = False,
         profile: bool = False,
     ) -> None:
@@ -353,18 +323,9 @@ class ShardedGigascope:
         :class:`repro.streams.sources.QuarantineStream`; a private
         bounded one by default) instead of shipping them to a worker
         where the failure would surface as a shard crash.  Like every
-        record the parent itself refuses (curation, a saturated shard
-        queue) they are accounted in the parent registry, with no
-        ``shard`` label, as offered and as refused (``runtime.REFUSALS``).
-
-        ``rebalance`` enables elastic skew-aware sharding (``True`` for
-        the default policy, or a :class:`RebalancePolicy`): routing goes
-        through a :class:`RoutingTable` instead of the pure hash modulo,
-        and a :class:`Rebalancer` watches per-shard load to split hot
-        key ranges, migrate operator state between shards via the
-        checkpoint/restore snapshots, scale the shard pool, and — under
-        ``policy.curate`` — downsample an unmigratable hot key's traffic
-        with shed-style cost accounting.
+        record the parent itself refuses (a saturated shard queue) they
+        are accounted in the parent registry, with no ``shard`` label,
+        as offered and as refused (``runtime.REFUSALS``).
 
         ``vectorize`` / ``profile`` are every shard instance's (see
         :class:`Gigascope`); a shard's ``operator_seconds`` histograms
@@ -391,25 +352,21 @@ class ShardedGigascope:
         self.quarantine = (
             quarantine if quarantine is not None else QuarantineStream()
         )
-        self._ring_capacity = ring_capacity
         self.vectorize = vectorize
         self.profile = profile
-        if rebalance:
-            policy = (
-                rebalance
-                if isinstance(rebalance, RebalancePolicy)
-                else RebalancePolicy()
-            )
-            self._rebalancer: Optional[Rebalancer] = Rebalancer(
-                policy, RoutingTable.default(shards)
-            )
-        else:
-            self._rebalancer = None
-        #: registration calls replayed onto pool-grown shard instances
-        self._replay_log: List[Tuple[str, tuple]] = []
         # Strictness is enforced once, centrally, in add_query; the shard
         # instances receive pre-vetted text and never re-lint it.
-        self._instances = [self._new_instance() for _ in range(shards)]
+        self._instances = [
+            Gigascope(
+                cost_model=self.cost,
+                ring_capacity=ring_capacity,
+                shed_threshold=shed_threshold,
+                trace=TraceSink() if self.trace.enabled else None,
+                vectorize=vectorize,
+                profile=profile,
+            )
+            for _ in range(shards)
+        ]
         self._handles: Dict[str, ShardedQueryHandle] = {}
         self._order: List[str] = []
         self._nodes: Dict[str, _Node] = {}
@@ -427,52 +384,6 @@ class ShardedGigascope:
 
     # -- registration -----------------------------------------------------------
 
-    def _new_instance(self) -> Gigascope:
-        return Gigascope(
-            cost_model=self.cost,
-            ring_capacity=self._ring_capacity,
-            shed_threshold=self.shed_threshold,
-            trace=TraceSink() if self.trace.enabled else None,
-            vectorize=self.vectorize,
-            profile=self.profile,
-        )
-
-    def _ensure_pool(self, size: int) -> List[int]:
-        """Grow the shard pool to ``size`` instances; returns new ids.
-
-        The pool only grows — a scale-*down* simply routes no traffic to
-        the retired shards, which stay alive to report the results and
-        state they already hold.  New instances replay the registration
-        log so they carry the identical query DAG.
-        """
-        added: List[int] = []
-        while self.shards < size:
-            shard = self.shards
-            instance = self._new_instance()
-            for kind, args in self._replay_log:
-                if kind == "stream":
-                    instance.register_stream(*args)
-                elif kind == "library":
-                    instance.use_stateful_library(*args)
-                elif kind == "scalar":
-                    name, fn, deterministic = args
-                    instance.register_scalar(name, fn, deterministic=deterministic)
-                elif kind == "query":
-                    text, name, low_level = args
-                    instance.add_query(
-                        text,
-                        name=name,
-                        keep_results=True,
-                        low_level_aggregation=low_level,
-                        strict=False,
-                    )
-            self._instances.append(instance)
-            for name in self._order:
-                self._handles[name].shard_handles.append(instance.query(name))
-            self.shards += 1
-            added.append(shard)
-        return added
-
     @property
     def registries(self):
         """Registries of shard 0 (all shards are kept identical)."""
@@ -481,7 +392,6 @@ class ShardedGigascope:
     def register_stream(self, schema: StreamSchema) -> None:
         for instance in self._instances:
             instance.register_stream(schema)
-        self._replay_log.append(("stream", (schema,)))
         nonordered = frozenset(
             a.name for a in schema.attributes if not a.ordering.is_ordered
         )
@@ -492,12 +402,10 @@ class ShardedGigascope:
     def use_stateful_library(self, library: StatefulLibrary) -> None:
         for instance in self._instances:
             instance.use_stateful_library(library)
-        self._replay_log.append(("library", (library,)))
 
     def register_scalar(self, name: str, fn, deterministic: bool = True) -> None:
         for instance in self._instances:
             instance.register_scalar(name, fn, deterministic=deterministic)
-        self._replay_log.append(("scalar", (name, fn, deterministic)))
 
     @property
     def target(self) -> ExecTarget:
@@ -505,7 +413,6 @@ class ShardedGigascope:
         return ExecTarget(
             shards=self.shards,
             supervise=self.supervise,
-            rebalance=self._rebalancer is not None,
             shed_threshold=self.shed_threshold,
         )
 
@@ -530,7 +437,7 @@ class ShardedGigascope:
         legality table this deployment's :attr:`target` holds it to
         (:mod:`repro.analysis.legality`: an ordered output attribute for
         the recombining MERGE, partitionable operator state, state that
-        checkpoints under ``supervise`` / ``rebalance``), and one of its
+        checkpoints under ``supervise``), and one of its
         partition columns must survive the upstream query chain.
         """
         if name is None:
@@ -578,7 +485,6 @@ class ShardedGigascope:
             )
             for instance in self._instances
         ]
-        self._replay_log.append(("query", (text, name, low_level_aggregation)))
         handle = ShardedQueryHandle(
             name=name,
             text=text,
@@ -595,12 +501,6 @@ class ShardedGigascope:
         the shard outputs like any other query)."""
         if name in self._nodes:
             raise PlanningError(f"name {name!r} already in use")
-        if self._rebalancer is not None:
-            raise PlanningError(
-                "rebalance does not support in-shard MERGE nodes: a"
-                " MergeOperator's watermark state is keyed by source, not"
-                " by partition value, so it cannot migrate between shards"
-            )
         nodes = []
         for source in sources:
             if source not in self._handles:
@@ -730,7 +630,7 @@ class ShardedGigascope:
 
     def feed(self, batch: List[Record]) -> int:
         """One round: validate at the SPLIT edge, split, ship, drain the
-        MERGE (or hold the rebalance barrier); returns the batch size."""
+        MERGE; returns the batch size."""
         pool = self._pool
         if pool is None:
             raise ExecutionError("start() the instance before feeding it")
@@ -738,16 +638,10 @@ class ShardedGigascope:
         if self.validate_admission:
             batch = self._validate_edge(batch)
         pool.ship(self._split(batch, self._route))
-        if self._rebalancer is None:
-            for sink in self._sinks:
-                handles = sink.handle.shard_handles
-                for shard in range(self.shards):
-                    sink.drain(shard, handles[shard].results)
-        else:
-            # The shard pool can grow mid-run, so the merge is deferred
-            # to finish() (sized to the final pool); shard handles keep
-            # full results either way.
-            self._rebalance(pool)
+        for sink in self._sinks:
+            handles = sink.handle.shard_handles
+            for shard in range(self.shards):
+                sink.drain(shard, handles[shard].results)
         return offered
 
     def finish(self) -> None:
@@ -776,10 +670,8 @@ class ShardedGigascope:
         return 0
 
     def shard_state(self, shard: int) -> Dict[str, Any]:
-        """A checkpoint of the parent-side instance of ``shard``: an
-        inline pool's live one (a view the rebalance barrier restores
-        before the next feed), or the pristine copy a worker is forked
-        from.  Both charge this deployment's cost model, which
+        """A checkpoint of an inline pool's live instance of ``shard``.
+        Every inline shard charges this deployment's cost model, which
         :meth:`checkpoint` carries once — so no balances here (a worker
         restoring them as its own would count them once per shard)."""
         state = self._instances[shard].checkpoint()
@@ -787,14 +679,12 @@ class ShardedGigascope:
         return state
 
     def checkpoint(self) -> Dict[str, Any]:
-        """Picklable state at a round boundary (after the rebalance
-        barrier, so post-migration checkpoints and the routing table
-        travel together): every shard's ``(seq, pickled checkpoint)``,
-        the routing snapshot when rebalancing, and what the parent owns
-        itself (``runtime.own_state``) — SPLIT-edge refusals (quarantine,
-        curation, queue shed) are counted, charged and traced outside
-        every shard.  Once the run has finished the shards are gone and
-        its state is the merged results."""
+        """Picklable state at a round boundary: every shard's ``(seq,
+        pickled checkpoint)`` and what the parent owns itself
+        (``runtime.own_state``) — SPLIT-edge refusals (quarantine, queue
+        shed) are counted, charged and traced outside every shard.  Once
+        the run has finished the shards are gone and its state is the
+        merged results."""
         state = own_state(self)
         if self._pool is None:
             state["results"] = {
@@ -802,12 +692,21 @@ class ShardedGigascope:
             }
             return state
         state["shards"] = self._pool.checkpoint_all()
-        state["routing"] = self.routing_snapshot()
         return state
 
     def restore(self, state: Dict[str, Any]) -> None:
         """Reinstate a :meth:`checkpoint`: a finished run's results at
-        once, an open run's shards at the next :meth:`start`."""
+        once, an open run's shards at the next :meth:`start`.
+
+        A commit that carries a routing table comes from a run that
+        migrated shard states and may have grown its pool; routing is
+        ``stable_hash(value) % shards`` here, so it is refused."""
+        if state.get("routing") is not None:
+            raise ExecutionError(
+                "this journal was written by a rebalancing run (its commit"
+                " carries a routing table); rebalancing is no longer"
+                " supported, so its migrated shard states cannot resume"
+            )
         if "results" in state:
             for name, rows in state["results"].items():
                 self.query(name).results[:] = rows
@@ -816,20 +715,6 @@ class ShardedGigascope:
                 int(shard): (seq, blob)
                 for shard, (seq, blob) in state["shards"].items()
             }
-            routing = state.get("routing")
-            if (routing is None) != (self._rebalancer is None):
-                raise ExecutionError(
-                    "the journal and this instance disagree about"
-                    " rebalance=...: the journal"
-                    f" {'has no' if routing is None else 'carries a'}"
-                    " routing table; resume with the same configuration"
-                    " as the original run"
-                )
-            if routing is not None:
-                # The replay routes — and keeps re-deciding — under the
-                # journalled routing history.
-                self._ensure_pool(routing["pool"])
-                self._rebalancer.restore(routing["rebalancer"])
         restore_own_state(self, state)
 
     def _validate_edge(self, batch: List[Any]) -> List[Record]:
@@ -858,7 +743,6 @@ class ShardedGigascope:
         self, batch: Sequence[Record], route: Dict[str, int]
     ) -> List[List[Record]]:
         buckets: List[List[Record]] = [[] for _ in range(self.shards)]
-        rebalancer = self._rebalancer
         for record in batch:
             try:
                 index = route[record.schema.name]
@@ -866,32 +750,8 @@ class ShardedGigascope:
                 # Refuse it as the serial runtime's admission would: raises.
                 admit_payload(record, self.registries.schemas, self._streams, False)
                 raise
-            value = record.values[index]
-            if rebalancer is None:
-                buckets[stable_hash(value) % self.shards].append(record)
-            else:
-                shard, admit = rebalancer.route_record(
-                    stable_hash(value), value, record.schema.name
-                )
-                if admit:
-                    buckets[shard].append(record)
-        if rebalancer is not None:
-            self._account_curated(rebalancer.drain_curated())
+            buckets[stable_hash(record.values[index]) % self.shards].append(record)
         return buckets
-
-    def _account_curated(self, per_stream: Dict[str, int]) -> None:
-        """Curated (hot-key downsampled) records are shed records; the
-        curation counter keeps the by-cause breakdown."""
-        for stream, count in per_stream.items():
-            self.metrics.counter(
-                "rebalance_curated_total",
-                help="records dropped by hot-key curation at the split edge",
-                stream=stream,
-            ).inc(count)
-            account_refusal(
-                self, "shed", stream, count, offered=True,
-                event="rebalance_curate", fields={"stream": stream, "dropped": count},
-            )
 
     def _absorb_shard_obs(
         self, shard: int, metrics_snapshot: Optional[dict], trace_events: list
@@ -902,87 +762,6 @@ class ShardedGigascope:
             self.metrics.absorb(metrics_snapshot, extra_labels={"shard": shard})
         if self.trace.enabled and trace_events:
             self.trace.absorb(trace_events, shard=shard)
-
-    # -- rebalancing --------------------------------------------------------------
-
-    def _rebalance(self, pool: Any) -> None:
-        """Round-boundary decision point: plan, migrate state, commit.
-
-        Every shipped batch is behind the barrier (inline rings are
-        drained; a worker's checkpoint request queues behind its
-        batches), so the shard checkpoints are a consistent migration
-        point.  The pool installs the rewritten snapshots so that a
-        worker crash at any point mid-migration recovers from the
-        post-migration set (see ``ShardSupervisor.install_checkpoints``).
-        """
-        rebalancer = self._rebalancer
-        assert rebalancer is not None
-        plan = rebalancer.maybe_plan()
-        if plan is None:
-            return
-        if not plan.reroutes:
-            rebalancer.commit(plan)
-            self._note_rebalance(rebalancer, migrated=(0, 0))
-            return
-        for shard in self._ensure_pool(plan.table.shard_count):
-            pool.add_shard(shard)
-        try:
-            states, changed, moved = migrate_states(
-                self, pool.states(), plan.table
-            )
-        except MigrationDeferred as exc:
-            rebalancer.defer(plan, str(exc))
-            self._note_rebalance(rebalancer, deferred=str(exc))
-            return
-        pool.install_states({shard: states[shard] for shard in sorted(changed)})
-        rebalancer.commit(plan, moved)
-        self._note_rebalance(rebalancer, migrated=moved)
-
-    def _note_rebalance(
-        self,
-        rebalancer: Rebalancer,
-        migrated: Optional[Tuple[int, int]] = None,
-        deferred: Optional[str] = None,
-    ) -> None:
-        """Mirror one rebalance decision into metrics and the trace."""
-        if deferred is not None:
-            self.metrics.counter(
-                "rebalance_deferred_total",
-                help="rebalance plans deferred (shard windows not aligned)",
-            ).inc()
-            if self.trace.enabled:
-                self.trace.emit("rebalance_defer", reason=deferred)
-            return
-        assert migrated is not None
-        self.metrics.counter(
-            "rebalance_plans_total", help="rebalance plans committed"
-        ).inc()
-        self.metrics.counter(
-            "rebalance_migrated_groups_total",
-            help="operator groups migrated between shards",
-        ).inc(migrated[0])
-        self.metrics.gauge(
-            "rebalance_routing_version", help="committed routing-table version"
-        ).set(rebalancer.table.version)
-        self.metrics.gauge(
-            "rebalance_active_shards",
-            help="shards the routing table currently routes to",
-        ).set(rebalancer.table.shard_count)
-        if self.trace.enabled:
-            self.trace.emit(
-                "rebalance_plan",
-                version=rebalancer.table.version,
-                shards=rebalancer.table.shard_count,
-                migrated_groups=migrated[0],
-                migrated_supergroups=migrated[1],
-                pinned=sorted(rebalancer.table.hot.values()),
-            )
-
-    def routing_snapshot(self) -> Optional[Dict[str, Any]]:
-        """Picklable routing/rebalancer state for the durable journal."""
-        if self._rebalancer is None:
-            return None
-        return {"pool": self.shards, "rebalancer": self._rebalancer.checkpoint()}
 
     # -- reporting ------------------------------------------------------------------
 
@@ -996,22 +775,12 @@ class ShardedGigascope:
         :meth:`Gigascope.run_report` reads too.  A shard's series count
         once :meth:`finish` has folded them in; what the parent refused
         itself is there from the start (:attr:`last_supervision` keeps
-        queue shedding by shard).
-
-        When rebalancing is enabled the report grows a ``rebalance``
-        section (plans, migrations, pins, scale events, curated
-        records, the routing table); without it the shape is exactly
-        the serial runtime's ``{streams, queries}``.
+        queue shedding by shard).  The shape is exactly the serial
+        runtime's.
         """
-        report = registry_report(
+        return registry_report(
             self, self._streams, self._instances[0].query_handles()
         )
-        if self._rebalancer is not None:
-            report["rebalance"] = {
-                **self._rebalancer.report.as_dict(),
-                "routing": self._rebalancer.table.to_json(),
-            }
-        return report
 
     def explain(self) -> str:
         """Render the sharding layout plus one shard's query DAG."""
@@ -1022,19 +791,10 @@ class ShardedGigascope:
         try:
             self._resolve_partitions()
             for stream in self._streams:
-                if self._rebalancer is not None:
-                    table = self._rebalancer.table
-                    lines.append(
-                        f"  split {stream} by"
-                        f" routing_table[hash({self._partition[stream]})]"
-                        f" (v{table.version}, {len(table.slots)} slots,"
-                        f" {table.shard_count} shards)"
-                    )
-                else:
-                    lines.append(
-                        f"  split {stream} by hash({self._partition[stream]})"
-                        f" % {self.shards}"
-                    )
+                lines.append(
+                    f"  split {stream} by hash({self._partition[stream]})"
+                    f" % {self.shards}"
+                )
         except PlanningError as exc:
             lines.append(f"  (partition unresolved: {exc})")
         for name in self._order:

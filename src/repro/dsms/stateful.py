@@ -44,7 +44,7 @@ class StatefulState:
     #: resources (live sockets, ffi handles, external cursors) sets this
     #: to False; every deployment that consumes operator checkpoints then
     #: refuses the query up front, and the static analyzer at lint time
-    #: (rows SA305/SA306 of :data:`repro.analysis.legality.RULES`).
+    #: (row SA305 of :data:`repro.analysis.legality.RULES`).
     checkpointable: ClassVar[bool] = True
 
     @classmethod
@@ -175,8 +175,8 @@ class StatefulLibrary:
         Reads the state class's :attr:`StatefulState.checkpointable`
         declaration without instantiating anything — the one gate every
         consumer of operator checkpoints passes (a durable journal,
-        supervised workers, rebalancing, a journalled serve) decides
-        from this before any tuple flows: rows SA305/SA306 of
+        supervised workers, a journalled serve) decides from this before
+        any tuple flows: row SA305 of
         :data:`repro.analysis.legality.RULES`, read by the linter and
         raised by the runtimes.
         """

@@ -144,7 +144,7 @@ class FaultPlan:
 # Ingest-edge faults
 # --------------------------------------------------------------------------
 
-_SOURCE_ACTIONS = ("drop", "duplicate", "reorder", "corrupt", "fail", "stall", "hot_key")
+_SOURCE_ACTIONS = ("drop", "duplicate", "reorder", "corrupt", "fail", "stall")
 
 
 @dataclass(frozen=True)
@@ -161,13 +161,6 @@ class SourceFault:
       schema's first ordered attribute) is replaced with ``value``
       (default NaN, which schema coercion rejects), so admission-time
       validation quarantines it.
-    * ``hot_key`` — adversarial skew: starting at ``at_record``, rewrite
-      ``fraction`` of the records so their ``attribute`` (the partition
-      key) carries the single hot ``value``.  The selection is evenly
-      spaced and purely count-driven (the same accumulator rule the
-      hot-key curation uses), so the damaged stream is identical across
-      reruns, resumes and shard counts — a reproducible DDoS victim key
-      for rebalance and chaos tests.
 
     Read-failure actions fire while the damaged stream is being *read*,
     once per :class:`FaultySource` (so a reconnect sees a clean source):
@@ -181,7 +174,6 @@ class SourceFault:
     seconds: float = 0.0
     attribute: Optional[str] = None
     value: Any = float("nan")
-    fraction: float = 0.8
 
     def __post_init__(self) -> None:
         if self.action not in _SOURCE_ACTIONS:
@@ -191,11 +183,6 @@ class SourceFault:
             )
         if self.at_record < 1:
             raise ValueError("at_record is 1-based and must be >= 1")
-        if self.action == "hot_key":
-            if self.attribute is None:
-                raise ValueError("hot_key needs attribute= (the partition key)")
-            if not (0.0 < self.fraction <= 1.0):
-                raise ValueError("hot_key fraction must be in (0, 1]")
 
 
 def _corrupt_record(record: Any, fault: SourceFault) -> Any:
@@ -227,34 +214,25 @@ def _rekey_record(record: Any, attribute: str, value: Any) -> Any:
 
 
 def hot_key_stream(
-    records: Sequence[Any],
-    attribute: str,
-    value: Any,
-    fraction: float = 0.8,
-    start: int = 1,
+    records: Sequence[Any], attribute: str, value: Any, fraction: float = 0.8
 ) -> List[Any]:
-    """Concentrate *fraction* of the traffic from position *start* on one key.
+    """Concentrate *fraction* of the traffic on one key: adversarial skew,
+    a reproducible DDoS victim key.
 
-    Record ``k`` (1-based, counted from *start*) is rewritten exactly when
-    ``int(k*fraction) > int((k-1)*fraction)`` — the same deterministic
-    accumulator the rebalancer's curation uses — so the hot records are
-    evenly interleaved with the cold tail and the damaged sequence is a
-    pure function of the input, independent of timing or shard count.
+    Record ``k`` (1-based) is rewritten exactly when
+    ``int(k*fraction) > int((k-1)*fraction)``, a deterministic
+    accumulator, so the hot records are evenly interleaved with the cold
+    tail and the damaged sequence is a pure function of the input,
+    independent of timing or shard count.
     """
     if not (0.0 < fraction <= 1.0):
         raise ValueError("fraction must be in (0, 1]")
-    out: List[Any] = []
-    for index, record in enumerate(records):
-        position = index + 1
-        if position < start:
-            out.append(record)
-            continue
-        k = position - start + 1
-        if int(k * fraction) > int((k - 1) * fraction):
-            out.append(_rekey_record(record, attribute, value))
-        else:
-            out.append(record)
-    return out
+    return [
+        _rekey_record(record, attribute, value)
+        if int(k * fraction) > int((k - 1) * fraction)
+        else record
+        for k, record in enumerate(records, 1)
+    ]
 
 
 class FaultySource:
@@ -276,15 +254,6 @@ class FaultySource:
         self._fired: set = set()
 
     def _apply_damage(self, records: List[Any]) -> List[Any]:
-        for fault in self.faults:
-            if fault.action == "hot_key":
-                records = hot_key_stream(
-                    records,
-                    fault.attribute,
-                    fault.value,
-                    fraction=fault.fraction,
-                    start=fault.at_record,
-                )
         out: List[Any] = []
         index = 0
         while index < len(records):

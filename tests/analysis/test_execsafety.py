@@ -11,6 +11,7 @@ plus targeted single-rule cases.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,6 @@ import pytest
 from repro.analysis.execsafety import ExecTarget, parse_target
 from repro.analysis.linter import default_lint_registries, lint_source
 from repro.dsms.durability import DurableRunner, ResultJournal
-from repro.dsms.rebalance import RebalancePolicy
 from repro.dsms.runtime import Gigascope
 from repro.dsms.sharded import ShardedGigascope
 from repro.dsms.stateful import StatefulLibrary, StatefulState
@@ -43,9 +43,7 @@ def rules_of(result):
     return {d.rule for d in result.diagnostics}
 
 
-def make_runtime(
-    shards=0, supervise=False, shed_threshold=None, rebalance=False, target=None
-):
+def make_runtime(shards=0, supervise=False, shed_threshold=None, target=None):
     """A fully-loaded runtime mirroring the lint registries: the instance
     ``target`` describes (whatever drives it — ``durable``, ``serve`` —
     goes on top)."""
@@ -53,7 +51,6 @@ def make_runtime(
         target = ExecTarget(
             shards=shards or None,
             supervise=supervise,
-            rebalance=rebalance,
             shed_threshold=shed_threshold,
         )
     if target.sharded:
@@ -61,7 +58,6 @@ def make_runtime(
             shards=target.shards,
             supervise=target.supervise,
             shed_threshold=target.shed_threshold,
-            rebalance=RebalancePolicy() if target.rebalance else None,
         )
     else:
         gs = Gigascope(shed_threshold=target.shed_threshold)
@@ -117,10 +113,14 @@ class TestParseTarget:
             shards=2, durable=True
         )
 
-    def test_rebalance_flag(self):
-        target = parse_target("shards=4,supervise,rebalance")
-        assert target == ExecTarget(shards=4, supervise=True, rebalance=True)
-        assert target.describe() == "shards=4,supervise,rebalance"
+    def test_unknown_item_hint_is_the_grammar(self):
+        from repro.analysis.legality import _grammar
+
+        with pytest.raises(ValueError, match="unknown target item 'rebalance'") as info:
+            parse_target("shards=2,rebalance")
+        hint = str(info.value).split("; expected ", 1)[1]
+        named = [item.split("=")[0] for item in hint.replace(", or ", ", ").split(", ")]
+        assert named == list(_grammar())
 
 
 class TestTargetsNoRuntimeCanBuild:
@@ -128,7 +128,7 @@ class TestTargetsNoRuntimeCanBuild:
     ``ok``): the dataclass refuses it, so ``--target`` and ``repro
     query``'s flags refuse it with one sentence."""
 
-    @pytest.mark.parametrize("flag", ["supervise", "rebalance"])
+    @pytest.mark.parametrize("flag", ["supervise"])
     def test_workers_and_migration_need_shards(self, flag):
         with pytest.raises(ValueError, match=r"shards=N"):
             ExecTarget(**{flag: True})
@@ -288,11 +288,10 @@ class TestSA305:
         text = "SELECT time, srcIP FROM TCP WHERE flaky(len) = TRUE AND brittle(len) = TRUE"
         registries = self.make_registries()
         registries.stateful = registries.stateful.merge(brittle)
-        for spec, rule in [("durable", "SA305"), ("shards=2,rebalance", "SA306")]:
-            result = lint_source(text, registries, target=parse_target(spec))
-            (diag,) = [d for d in result.diagnostics if d.rule == rule]
-            assert "SFUN state 'flaky_state' declares checkpointable=False" in diag.message
-            assert "(as do 'brittle_state')" in diag.message
+        result = lint_source(text, registries, target=parse_target("durable"))
+        (diag,) = [d for d in result.diagnostics if d.rule == "SA305"]
+        assert "SFUN state 'flaky_state' declares checkpointable=False" in diag.message
+        assert "(as do 'brittle_state')" in diag.message
         gs = Gigascope()
         gs.register_stream(TCP_SCHEMA)
         gs.use_stateful_library(flaky_library())
@@ -348,53 +347,6 @@ class TestSA305:
         engine.close()
 
 
-class TestSA306:
-    def make_registries(self):
-        registries = default_lint_registries()
-        registries.stateful = registries.stateful.merge(flaky_library())
-        return registries
-
-    def test_non_migratable_state_under_rebalance(self):
-        result = lint_source(
-            FLAKY_QUERY,
-            self.make_registries(),
-            target=parse_target("shards=2,rebalance"),
-        )
-        diags = [d for d in result.diagnostics if d.rule == "SA306"]
-        assert diags, result.render()
-        assert "flaky_state" in diags[0].message
-        assert "not migratable across shard boundaries" in diags[0].message
-
-    def test_silent_without_rebalance_flag(self):
-        result = lint_source(
-            FLAKY_QUERY,
-            self.make_registries(),
-            target=parse_target("shards=2"),
-        )
-        assert "SA306" not in rules_of(result), result.render()
-
-    def test_checkpointable_states_are_fine(self, registries):
-        text = (EXAMPLES[0].parent / "top_talkers.gsql").read_text()
-        result = lint_source(
-            text, registries, target=parse_target("shards=2,rebalance")
-        )
-        assert "SA306" not in rules_of(result), result.render()
-
-    def test_runtime_twin_refuses(self):
-        sh = ShardedGigascope(shards=2, rebalance=RebalancePolicy())
-        sh.register_stream(TCP_SCHEMA)
-        sh.use_stateful_library(flaky_library())
-        with pytest.raises(
-            PlanningError, match="not migratable across shard boundaries"
-        ):
-            sh.add_query(FLAKY_QUERY, name="q")
-
-    def test_runtime_accepts_checkpointable_state(self):
-        sh = make_runtime(shards=2, rebalance=True)
-        text = (EXAMPLES[0].parent / "top_talkers.gsql").read_text()
-        assert sh.add_query(text, name="q") is not None
-
-
 class TestOneToOneMapping:
     """lint --target reports an error ⟺ the runtime refuses the deployment."""
 
@@ -406,23 +358,6 @@ class TestOneToOneMapping:
             {"SA301", "SA302"} & {d.rule for d in result.errors}
         )
         gs = make_runtime(shards=4)
-        try:
-            gs.add_query(text, name="q")
-            runtime_refuses = False
-        except PlanningError:
-            runtime_refuses = True
-        assert lint_refuses == runtime_refuses, result.render()
-
-    @pytest.mark.parametrize("path", EXAMPLES, ids=[p.stem for p in EXAMPLES])
-    def test_rebalance_verdict_matches_runtime(self, registries, path):
-        text = path.read_text()
-        result = lint_source(
-            text, registries, target=parse_target("shards=4,rebalance")
-        )
-        lint_refuses = bool(
-            {"SA301", "SA302", "SA306"} & {d.rule for d in result.errors}
-        )
-        gs = make_runtime(shards=4, rebalance=True)
         try:
             gs.add_query(text, name="q")
             runtime_refuses = False
@@ -520,6 +455,10 @@ class TestOneTableTwoReaders:
         for rule in RULES:
             assert f"| {rule.id} |" in docs, f"{rule.id} has no row in LINT_RULES.md"
             assert RULE_DESCRIPTIONS[rule.id] == rule.title
+        # ... and the other way: a deleted row leaves no live doc row.
+        section = docs.split("## Execution-safety lints", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\| (SA3\d\d|SA401) \|", section, re.MULTILINE)
+        assert documented and set(documented) <= {rule.id for rule in RULES}
 
     def test_an_instance_lints_against_itself(self):
         text = LATTICE_QUERIES["unsound_unshardable"]

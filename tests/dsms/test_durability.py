@@ -19,8 +19,8 @@ from repro.dsms.durability import (
     DurableRunner,
     ResultJournal,
     batches,
+    entry,
 )
-from repro.dsms.rebalance import RebalancePolicy
 from repro.dsms.resilience import SupervisionPolicy
 from repro.dsms.runtime import Gigascope
 from repro.dsms.sharded import ShardedGigascope
@@ -221,12 +221,6 @@ class TestSupervisedDurability:
         assert comparable(sh) == comparable(ref)
 
 
-def skewed_feed():
-    from repro.testing.faults import hot_key_stream
-
-    return hot_key_stream(feed(), "srcIP", 0x0A0A0A0A, fraction=0.8)
-
-
 def damaged_feed(bad=(5, 90, 91, 200, 201)):
     from repro.testing.faults import FaultySource, SourceFault
 
@@ -279,21 +273,6 @@ class TestInlineShardDurability:
         assert rows_of(sh) == rows_of(ref)
         assert comparable(sh) == comparable(ref)
 
-    @pytest.mark.parametrize("where", ["first", "last"])
-    def test_routing_snapshot_rides_the_commits(self, tmp_path, where):
-        from repro.dsms.rebalance import RebalancePolicy
-
-        policy = RebalancePolicy(check_interval=2, min_records=64, max_shards=4)
-        ref, commits = uninterrupted(tmp_path, skewed_feed(), rebalance=policy)
-        assert ref.run_report()["rebalance"]["plans"] >= 1
-        crash_at = 1 if where == "first" else commits
-        fresh = crash_and_resume(tmp_path, skewed_feed(), crash_at, rebalance=policy)
-        entries = ResultJournal.read(str(tmp_path / "j.bin"))
-        assert all(e["routing"] is not None for e in entries if e["kind"] == "commit")
-        assert rows_of(fresh) == rows_of(ref)
-        assert fresh.run_report() == ref.run_report()
-        assert comparable(fresh) == comparable(ref)
-
     def test_final_entry_restores_without_input(self, tmp_path):
         ref, _ = uninterrupted(tmp_path, feed())
         fresh = build(shards=2)
@@ -319,41 +298,20 @@ class TestResumeAcrossPools:
     written over one pool resumes over the other, and over either, to
     the uninterrupted run's rows, series, cycles and trace."""
 
-    CURATING = RebalancePolicy(
-        check_interval=2, min_records=64, max_shards=4, curate=True, curate_threshold=0.5
-    )
-
     @pytest.mark.parametrize(
-        "written_by, resumed_on, rebalance",
-        [
-            (False, True, None),
-            (True, False, None),
-            (False, False, CURATING),
-            (True, True, CURATING),
-        ],
-        ids=[
-            "inline-to-supervised",
-            "supervised-to-inline",
-            "inline-curating",
-            "supervised-curating",
-        ],
+        "written_by, resumed_on",
+        [(False, True), (True, False)],
+        ids=["inline-to-supervised", "supervised-to-inline"],
     )
-    def test_resume_on_the_other_pool(self, tmp_path, written_by, resumed_on, rebalance):
-        records = feed() if rebalance is None else skewed_feed()
-        ref, _ = uninterrupted(tmp_path, records, observe=True, rebalance=rebalance)
-        if rebalance is not None:
-            kinds = ref.trace.kinds()
-            assert kinds["rebalance_plan"] >= 1 and kinds["rebalance_curate"] >= 1
+    def test_resume_on_the_other_pool(self, tmp_path, written_by, resumed_on):
+        ref, _ = uninterrupted(tmp_path, feed(), observe=True)
         fresh = crash_and_resume(
             tmp_path,
-            records,
+            feed(),
             2,
             supervise=written_by,
             observe=True,
-            rebalance=rebalance,
-            resume_options={
-                "supervise": resumed_on, "observe": True, "rebalance": rebalance
-            },
+            resume_options={"supervise": resumed_on, "observe": True},
         )
         assert observed(fresh, ordered=False) == observed(ref, ordered=False)
 
@@ -755,3 +713,35 @@ class TestParentCommitJournals:
         assert DurableRunner(fresh, path).resume(untouchable()) == len(feed())
         assert rows_of(fresh) == rows_of(ref)
         assert comparable(fresh) == comparable(ref)
+
+    def parent_sharded_commit(self, tmp_path, routing):
+        """A commit as the last writer of checkpoint version 2 shaped it,
+        which added ``routing`` to every sharded checkpoint."""
+        sh = self.fed_to_the_cut(build(shards=2), 128)
+        state = sh.checkpoint()
+        sh.abandon()
+        return self.write(
+            tmp_path,
+            {
+                **state,
+                "routing": routing,
+                **entry("commit", "sharded", self.CUT, checkpoint_version=2),
+            },
+        )
+
+    def test_sharded_commit_without_a_routing_table_resumes(self, tmp_path):
+        ref = build(shards=2)
+        ref.run(iter(feed()), batch_size=128)
+        path = self.parent_sharded_commit(tmp_path, None)
+        fresh = build(shards=2)
+        DurableRunner(fresh, path, batch_size=128).resume(iter(feed()))
+        assert rows_of(fresh) == rows_of(ref)
+        assert comparable(fresh) == comparable(ref)
+
+    def test_sharded_commit_with_a_routing_table_is_refused(self, tmp_path):
+        # A rebalancing run journalled its pool size and routing state:
+        # its shard states were migrated, so no static-hash run resumes them.
+        routing = {"pool": 3, "rebalancer": {"table": {"version": 2, "shard_count": 3}}}
+        path = self.parent_sharded_commit(tmp_path, routing)
+        with pytest.raises(ExecutionError, match="written by a rebalancing run"):
+            DurableRunner(build(shards=2), path, batch_size=128).resume(iter(feed()))

@@ -11,9 +11,8 @@ layer (docs/OBSERVABILITY.md lists the identities):
 
 These are checked for every shipped example query, for a shedding run,
 for a run with malformed records quarantined at admission, for a
-rebalanced run that curates its hot key and a supervised run whose
-saturated shard queue sheds (both refuse records in the parent, outside
-every shard's admission), for serial-vs-sharded agreement on
+supervised run whose saturated shard queue sheds (it refuses records in
+the parent, outside every shard's admission), for serial-vs-sharded agreement on
 partition-invariant totals, and for a supervised run with an injected
 shard kill (the counters must come out byte-identical to an unfaulted
 supervised run).
@@ -26,13 +25,12 @@ import pytest
 
 from repro.cli import _standard_instance
 from repro.dsms.cost import CostModel
-from repro.dsms.rebalance import RebalancePolicy
 from repro.dsms.resilience import SupervisionPolicy
 from repro.dsms.runtime import Gigascope
 from repro.dsms.sharded import ShardedGigascope, canonical_rows
 from repro.streams.schema import TCP_SCHEMA
 from repro.streams.traces import TraceConfig, research_center_feed
-from repro.testing.faults import Fault, FaultPlan, hot_key_stream
+from repro.testing.faults import Fault, FaultPlan
 from repro.algorithms.bindings import SUBSET_SUM_QUERY, subset_sum_library
 
 from tests.dsms.test_refusals import conserved
@@ -238,35 +236,6 @@ class TestQuarantine:
         # The operator-level mirror: quarantined tuples appear in the
         # query's overload accounting without ever entering the window.
         assert val(gs, "operator_quarantined_tuples_total", query="q") == 2
-
-
-class TestCuration:
-    def test_curated_records_are_offered_and_shed(self):
-        """benchmarks/test_rebalance.py's hot-key workload (half length):
-        the 4 508 curated records used to be charged ``tuple_shed`` and
-        counted nowhere — 6 522 read, ``stream_records_total`` 2 014."""
-        records = list(
-            research_center_feed(
-                TraceConfig(duration_seconds=30, rate_scale=0.02, seed=7)
-            )
-        )
-        skewed = hot_key_stream(records, "srcIP", 0x0A0A0A0A, fraction=0.8)
-        policy = RebalancePolicy(
-            check_interval=2, min_records=256, max_shards=4,
-            curate=True, curate_threshold=0.5, curate_keep=0.0625,
-        )
-        sh = ShardedGigascope(shards=4, rebalance=policy)
-        sh.register_stream(TCP_SCHEMA)
-        sh.use_stateful_library(subset_sum_library(relax_factor=10.0))
-        sh.add_query(SS_TEXT, name="ss")
-        read = sh.run(iter(skewed), batch_size=256)
-        assert read == 6522
-        refused = conserved(sh.metrics, sh.run_report(), read)
-        assert sh.metrics.total("stream_ingested_total") == 2014
-        assert refused["shed"] == 4508
-        # the by-cause breakdown stays where it was
-        assert sh.metrics.value("rebalance_curated_total", stream="TCP") == 4508
-        assert sh.run_report()["rebalance"]["curated_records"] == 4508
 
 
 class TestSupervisorQueueShed:

@@ -215,7 +215,7 @@ class TestTheDeploymentKnowsWhatItIs:
         assert main([*args, "--no-lint"]) == 2
         assert "cannot journal this run" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--supervise", "--rebalance"])
+    @pytest.mark.parametrize("flag", ["--supervise"])
     def test_workers_and_migration_need_shards(self, trace_file, capsys, flag):
         # --supervise alone used to run serial without a word.
         rc = main(["query", "--trace", trace_file, "--sql", self.GROUPED, flag])
@@ -224,6 +224,16 @@ class TestTheDeploymentKnowsWhatItIs:
         assert f"target '{flag[2:]}' needs shards=N" in captured.err
         assert main(["lint", "--target", flag[2:], "--sql", self.GROUPED]) == 2
         assert f"target '{flag[2:]}' needs shards=N" in capsys.readouterr().err
+
+    def test_rebalancing_is_an_unknown_deployment(self, trace_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", "--trace", trace_file, "--shards", "2", "--rebalance",
+                  "--sql", self.GROUPED])
+        assert exit_info.value.code == 2 and capsys.readouterr().out == ""
+        assert main(["lint", "--target", "shards=2,rebalance", "--sql", self.GROUPED]) == 2
+        err = capsys.readouterr().err
+        assert "unknown target item 'rebalance'" in err
+        assert "expected shards=N, supervise, durable, serve, or shed=N" in err
 
     @pytest.mark.parametrize("extra", [[], ["--supervise"]], ids=["inline", "supervised"])
     def test_vectorize_reaches_the_shards(self, trace_file, capsys, extra):

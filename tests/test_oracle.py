@@ -4,8 +4,7 @@ A draw is a query set (a shipped example, a ``bindings.py`` query, or a
 composed one that may alias a GROUP BY over an input column), the query
 names, a stream (a trace slice, or ``VAL`` rows carrying NaN, ±inf and
 bools; with late records and ``None`` timestamps), a deployment (an
-``ExecTarget`` point, with a rebalance policy with or without curation),
-the engine, the cut into runs, a checkpoint point and a fault (a
+``ExecTarget`` point), the engine, the cut into runs, a checkpoint point and a fault (a
 supervised kill, dropped or corrupt result at batch N, or a crash inside
 ``on_commit`` at commit N followed by a resume).
 
@@ -18,7 +17,7 @@ what"):
   against the same deployment run the plainest way: tuple engine, one
   run, no fault (a served query: its solo serial run);
 * the conservation identities on every deployment, and on one that drops
-  records by policy (shedding, curation) instead of the oracle's rows;
+  records by policy (shedding) instead of the oracle's rows;
 * a refused deployment against lint: lint reports an SA3xx error exactly
   when building it raises, and the error carries one of lint's reasons.
 
@@ -67,7 +66,6 @@ from repro.dsms.cost import CostModel
 from repro.dsms.durability import DurableRunner, ResultJournal
 from repro.dsms.parser import compile_query
 from repro.dsms.parser.lexer import KEYWORDS
-from repro.dsms.rebalance import RebalancePolicy
 from repro.dsms.resilience import SupervisionPolicy
 from repro.dsms.runtime import REFUSALS, Gigascope
 from repro.dsms.stateful import StatefulLibrary, StatefulState
@@ -90,7 +88,7 @@ LIBRARIES = (
     reservoir_library,
     heavy_hitters_library,
     distinct_sampling_library,
-    flaky_library,  # its state opts out of checkpoints: SA305 / SA306 refuse it
+    flaky_library,  # its state opts out of checkpoints: SA305 refuses it
 )
 
 # -- query sets -------------------------------------------------------------------
@@ -176,7 +174,7 @@ TRACES = {
     "bursty": list(islice(research_center_feed(TraceConfig(rate_scale=0.004, seed=15)), 160)),
     "sparse": list(islice(data_center_feed(TraceConfig(rate_scale=0.00002, seed=15)), 160)),
 }
-#: one source sends 80 % of the packets: rebalancing pins it, curation thins it
+#: one source sends 80 % of the packets: one shard gets most of the stream
 TRACES["hot"] = hot_key_stream(TRACES["steady"], "srcIP", 0x0A0A0A0A, fraction=0.8)
 _LEN = TCP_SCHEMA.index_of("len")
 #: divisors of the composed WHERE: some are packet lengths, one is not
@@ -306,7 +304,6 @@ class Case:
     #: ``(action, shard, at_batch[, seconds])`` for a supervised pool
     #: (``repro.testing.faults.Fault``), ``("crash", commit)`` for a durable run
     fault: Optional[Tuple[Any, ...]] = None
-    policy: Optional[RebalancePolicy] = None
     supervision: Optional[SupervisionPolicy] = None
     validate: bool = False
     share: bool = True
@@ -324,8 +321,7 @@ class Case:
 
     @property
     def drops_by_policy(self) -> bool:
-        curates = self.target.rebalance and self.policy is not None and self.policy.curate
-        return self.target.shed_threshold is not None or curates
+        return self.target.shed_threshold is not None
 
 
 def instance(case: Case, **options: Any) -> Any:
@@ -336,8 +332,7 @@ def instance(case: Case, **options: Any) -> Any:
                    validate_admission=case.validate, shed_threshold=target.shed_threshold)
     if target.sharded:
         gs: Any = ShardedGigascope(
-            target.shards, supervise=target.supervise, supervision=case.supervision,
-            rebalance=case.policy if target.rebalance else None, **options,
+            target.shards, supervise=target.supervise, supervision=case.supervision, **options,
         )
     else:
         gs = Gigascope(**options)
@@ -515,8 +510,8 @@ def unplaced(error: Optional[str]) -> Optional[str]:
 
 def plainest(case: Case) -> Case:
     """The accounting reference: tuple engine, no fault, one run — but
-    the checkpoint point, and a rebalancer's rounds, stay."""
-    return replace(case, vectorize=False, fault=None, cuts=case.cuts if case.target.rebalance else ())
+    the checkpoint point stays."""
+    return replace(case, vectorize=False, fault=None, cuts=())
 
 
 def refusals(case: Case) -> Tuple[List[str], List[str]]:
@@ -648,7 +643,6 @@ def targets(draw: Any, shape: str, family: Family) -> ExecTarget:
     return ExecTarget(
         shards=draw(st.sampled_from([2, 1])),
         supervise=draw(st.sampled_from([False, False, False, True])),
-        rebalance=draw(st.sampled_from([False, False, True])),
         durable=durable, shed_threshold=shed,
     )
 
@@ -676,7 +670,7 @@ def cases(draw: Any) -> Case:
     n = len(drawn.payloads)
     offsets = st.integers(1, max(n - 1, 1))
     fault: Optional[Tuple[Any, ...]] = None
-    if target.supervise and not (target.rebalance or validate) and draw(st.booleans()):
+    if target.supervise and not validate and draw(st.booleans()):
         fault = (draw(st.sampled_from(["kill", "drop_result", "corrupt"])),
                  draw(st.integers(0, target.shards - 1)), draw(st.integers(1, 3)))
     elif target.durable and draw(st.booleans()):
@@ -700,10 +694,6 @@ def cases(draw: Any) -> Case:
         batch_size=draw(st.sampled_from([16, 64, 1000])),
         checkpoint_at=draw(st.none() | offsets) if plain else None,
         fault=fault,
-        policy=RebalancePolicy(
-            check_interval=1, min_records=16, imbalance_threshold=1.2, max_shards=3,
-            curate=draw(st.booleans()), curate_threshold=0.5, curate_keep=0.25,
-        ) if target.rebalance else None,
         supervision=SupervisionPolicy(
             checkpoint_interval=draw(st.sampled_from([8, 2])),
             journal_capacity=draw(st.sampled_from([64, 4])),
