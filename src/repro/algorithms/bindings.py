@@ -507,6 +507,18 @@ def distinct_sampling_library() -> StatefulLibrary:
     return library
 
 
+def standard_libraries(relax_factor: float = 10.0) -> List[StatefulLibrary]:
+    """Every pack above, fresh: what :func:`repro.deploy.deploy` loads
+    unless told otherwise (``relax_factor``: the subset-sum pack's)."""
+    return [
+        subset_sum_library(relax_factor=relax_factor),
+        basic_subset_sum_library(),
+        reservoir_library(),
+        heavy_hitters_library(),
+        distinct_sampling_library(),
+    ]
+
+
 #: Distinct sampling as an operator query: a uniform sample of the
 #: distinct source addresses per window, with per-value multiplicities
 #: (count(*)) and the final level for the 2^level scale-up.

@@ -21,10 +21,11 @@ from repro.dsms.parser.planner import QueryPlan, partition_info
 
 @dataclass(frozen=True)
 class ExecTarget:
-    """``ShardedGigascope(shards=, supervise=, shed_threshold=)``
-    or a serial ``Gigascope``; under a ``DurableRunner`` when ``durable``,
-    behind the standing-query engine when ``serve``.  A combination no
-    runtime can build is a :class:`ValueError`.
+    """A deployment, built by ``repro.deploy.deploy(target)``, the one
+    place a target becomes one: ``ShardedGigascope(shards=, supervise=,
+    shed_threshold=)``, a serial ``Gigascope``, or for ``serve`` the
+    engine over serial ones; ``DurableRunner`` drives it when ``durable``.
+    A combination no runtime can build is a :class:`ValueError`.
 
     A boolean field is a flag of the ``--target`` grammar, any other a
     ``key=N`` item (``metadata["key"]`` where the key is not the field

@@ -164,36 +164,15 @@ def lint_query(
 
 
 def default_lint_registries() -> Registries:
-    """Registries for standalone linting: the stock streams, built-in
-    functions, and every SFUN pack this repository ships (mirrors the
-    CLI's standard instance, minus the runtime)."""
-    from repro.algorithms.bindings import (
-        basic_subset_sum_library,
-        distinct_sampling_library,
-        heavy_hitters_library,
-        reservoir_library,
-        subset_sum_library,
-    )
-    from repro.core.superaggregates import default_superaggregate_registry
-    from repro.dsms.aggregates import default_aggregate_registry
-    from repro.dsms.functions import default_function_registry
-    from repro.streams.schema import PKT_SCHEMA, TCP_SCHEMA
+    """Registries for standalone linting: a default deployment's
+    (:func:`repro.deploy.deploy`: the TCP stream, built-in functions and
+    every SFUN pack), plus the stock packet stream."""
+    from repro.deploy import deploy
+    from repro.streams.schema import PKT_SCHEMA
 
-    stateful = subset_sum_library()
-    for pack in (
-        basic_subset_sum_library(),
-        reservoir_library(),
-        heavy_hitters_library(),
-        distinct_sampling_library(),
-    ):
-        stateful = stateful.merge(pack)
-    return Registries(
-        schemas={TCP_SCHEMA.name: TCP_SCHEMA, PKT_SCHEMA.name: PKT_SCHEMA},
-        scalars=default_function_registry(),
-        aggregates=default_aggregate_registry(),
-        superaggregates=default_superaggregate_registry(),
-        stateful=stateful,
-    )
+    registries: Registries = deploy().registries
+    registries.schemas[PKT_SCHEMA.name] = PKT_SCHEMA
+    return registries
 
 
 def lint_source(

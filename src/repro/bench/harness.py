@@ -11,10 +11,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.deploy import deploy
 from repro.dsms.cost import CostModel
-from repro.dsms.runtime import Gigascope
 from repro.streams.records import Record
-from repro.streams.schema import TCP_SCHEMA
 from repro.algorithms.bindings import (
     BASIC_SUBSET_SUM_QUERY,
     PREFILTER_QUERY,
@@ -49,17 +48,11 @@ class SubsetSumRun:
         return sorted(self.estimates)
 
 
-def _new_instance(with_cost: bool) -> Gigascope:
-    gs = Gigascope(cost_model=CostModel() if with_cost else None)
-    gs.register_stream(TCP_SCHEMA)
-    return gs
-
-
 def run_actual_sums(
     trace: Sequence[Record], window_seconds: int
 ) -> Dict[int, float]:
     """Exact per-window sum(len): the paper's "actual" series (Fig 2)."""
-    gs = _new_instance(with_cost=False)
+    gs = deploy(libraries=())
     query = gs.add_query(
         f"SELECT tb, sum(len) FROM TCP GROUP BY time/{window_seconds} as tb",
         name="actual",
@@ -82,15 +75,13 @@ def run_subset_sum(
     label: Optional[str] = None,
 ) -> SubsetSumRun:
     """Run the §6.1 dynamic subset-sum query over a trace."""
-    gs = _new_instance(with_cost=measure_cost)
-    gs.use_stateful_library(
-        subset_sum_library(
-            relax_factor=relax_factor,
-            gamma=gamma,
-            adjustment=adjustment,
-            adjust_at_close=adjust_at_close,
-        )
+    library = subset_sum_library(
+        relax_factor=relax_factor,
+        gamma=gamma,
+        adjustment=adjustment,
+        adjust_at_close=adjust_at_close,
     )
+    gs = deploy(libraries=[library], cost_model=CostModel() if measure_cost else None)
     query = gs.add_query(
         subset_sum_query(window=window_seconds, target=target), name="ss"
     )
@@ -135,8 +126,7 @@ def run_basic_subset_sum(
 
     Returns (sampled tuple count, CPU%% of the selection node).
     """
-    gs = _new_instance(with_cost=True)
-    gs.use_stateful_library(basic_subset_sum_library())
+    gs = deploy(libraries=[basic_subset_sum_library()], cost_model=CostModel())
     query = gs.add_query(
         BASIC_SUBSET_SUM_QUERY.format(z=z), name="basic", keep_results=False
     )
@@ -157,9 +147,10 @@ def run_prefiltered_subset_sum(
 ) -> SubsetSumRun:
     """Fig 6's improved plan: a basic-SS low-level subquery feeds the
     dynamic subset-sum sampling query."""
-    gs = _new_instance(with_cost=True)
-    gs.use_stateful_library(basic_subset_sum_library())
-    gs.use_stateful_library(subset_sum_library(relax_factor=relax_factor))
+    gs = deploy(
+        libraries=[basic_subset_sum_library(), subset_sum_library(relax_factor=relax_factor)],
+        cost_model=CostModel(),
+    )
     gs.add_query(
         PREFILTER_QUERY.format(z=prefilter_z), name="pre", keep_results=False
     )

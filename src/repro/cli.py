@@ -69,19 +69,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
+from repro.algorithms.bindings import standard_libraries
 from repro.analysis.legality import ExecTarget, grammar_hint, parse_target
+from repro.deploy import deploy
 from repro.dsms.durability import DurableRunner
 from repro.dsms.explain import explain
 from repro.dsms.parser import compile_query
 from repro.dsms.resilience import SupervisionPolicy
-from repro.dsms.runtime import Gigascope
-from repro.dsms.sharded import ShardedGigascope
 from repro.errors import ExecutionError, PlanningError, QueryError, ReproError, SourceError
 from repro.obs import TraceSink, write_metrics, write_trace
 from repro.streams.persistence import load_trace, save_trace
-from repro.streams.schema import TCP_SCHEMA
 from repro.streams.sources import (
     QuarantineStream,
     RetryPolicy,
@@ -93,13 +92,6 @@ from repro.streams.traces import (
     ddos_feed,
     research_center_feed,
 )
-from repro.algorithms.bindings import (
-    basic_subset_sum_library,
-    distinct_sampling_library,
-    heavy_hitters_library,
-    reservoir_library,
-    subset_sum_library,
-)
 
 _FEEDS = {
     "research": research_center_feed,
@@ -108,41 +100,24 @@ _FEEDS = {
 }
 
 
-def _standard_instance(
-    relax_factor: float,
-    target: ExecTarget = ExecTarget(),
-    max_restarts: int = 2,
-    schema=TCP_SCHEMA,
-    **options,
-):
-    """The deployment ``target`` describes — a :class:`ShardedGigascope`
-    when it is sharded, else a serial :class:`Gigascope` — with one
-    source stream (``schema``, the stock TCP one by default) and all
-    SFUN packs loaded.
-
-    A supervised pool restarts each worker up to ``max_restarts`` times.
-    ``options`` are what both constructors take alike: ``trace``,
-    ``profile``, ``vectorize`` (docs/OBSERVABILITY.md, DESIGN.md §11),
-    ``quarantine`` and ``validate_admission`` (docs/RESILIENCE.md).
-    """
-    if target.sharded:
-        gs = ShardedGigascope(
-            shards=target.shards,
-            supervision=SupervisionPolicy(max_restarts=max_restarts)
-            if target.supervise
-            else None,
-            shed_threshold=target.shed_threshold,
-            **options,
+def _feed(trace: Optional[str], retries: Optional[int] = None, quarantine=None) -> list:
+    """The ``trace`` file's records (through a source retrying ``retries``
+    times, if given), else the research feed `generate` makes by default."""
+    if trace is None:
+        config = TraceConfig(duration_seconds=60, rate_scale=0.01, seed=20050614)
+        records = list(research_center_feed(config))
+        print(
+            f"-- no --trace: synthesised research feed ({len(records):,} records)",
+            file=sys.stderr,
         )
-    else:
-        gs = Gigascope(shed_threshold=target.shed_threshold, **options)
-    gs.register_stream(schema)
-    gs.use_stateful_library(subset_sum_library(relax_factor=relax_factor))
-    gs.use_stateful_library(basic_subset_sum_library())
-    gs.use_stateful_library(reservoir_library())
-    gs.use_stateful_library(heavy_hitters_library())
-    gs.use_stateful_library(distinct_sampling_library())
-    return gs
+        return records
+    if retries is None:
+        return load_trace(trace)
+    return list(
+        resilient_trace_source(
+            trace, RetryPolicy(max_retries=retries), quarantine=quarantine, name="cli"
+        )
+    )
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -174,9 +149,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         sql = args.sql
 
-    if args.resume and not args.journal:
-        print("--resume needs --journal <path>", file=sys.stderr)
-        return 2
     try:
         # The deployment these flags describe: built from it, linted against it.
         target = ExecTarget(
@@ -191,45 +163,26 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     # The hardened ingest edge (docs/RESILIENCE.md): a dead-letter
     # quarantine plus admission validation whenever the caller asked for
-    # any of its knobs, and a retrying torn-tail-tolerant trace source
-    # when --source-retries is given.
+    # any of its knobs.
     harden = args.quarantine_out is not None or args.source_retries is not None
     quarantine = QuarantineStream() if harden else None
 
-    if args.trace is not None:
-        if args.source_retries is not None:
-            policy = RetryPolicy(max_retries=args.source_retries)
-            try:
-                trace = list(
-                    resilient_trace_source(
-                        args.trace, policy, quarantine=quarantine, name="cli"
-                    )
-                )
-            except SourceError as exc:
-                print(f"cannot read {args.trace}: {exc}", file=sys.stderr)
-                return 1
-        else:
-            trace = load_trace(args.trace)
-    else:
-        # No trace given: synthesise the default research-center feed
-        # (same parameters as `generate` defaults) in memory.
-        config = TraceConfig(duration_seconds=60, rate_scale=0.01, seed=20050614)
-        trace = list(research_center_feed(config))
-        print(
-            f"-- no --trace: synthesised research feed ({len(trace):,} records)",
-            file=sys.stderr,
-        )
+    try:
+        trace = _feed(args.trace, args.source_retries, quarantine)
+    except SourceError as exc:
+        print(f"cannot read {args.trace}: {exc}", file=sys.stderr)
+        return 1
     if not trace:
         print("trace is empty", file=sys.stderr)
         return 1
 
     trace_sink = TraceSink() if args.trace_out else None
-    gs = _standard_instance(
-        args.relax_factor,
+    gs = deploy(
         target,
-        max_restarts=args.max_restarts,
         # The trace's own schema, when it is not the stock TCP one.
         schema=trace[0].schema,
+        libraries=standard_libraries(args.relax_factor),
+        supervision=SupervisionPolicy(max_restarts=args.max_restarts),
         trace=trace_sink,
         profile=args.profile,
         quarantine=quarantine,
@@ -270,12 +223,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         gs.run(iter(trace))
     rows = handle.results
-    limit = args.limit if args.limit is not None else len(rows)
-    print("\t".join(handle.output_schema.names))
-    for row in rows[:limit]:
-        print("\t".join(str(value) for value in row.values))
-    if limit < len(rows):
-        print(f"... ({len(rows) - limit} more rows)")
+    _print_rows(handle.output_schema.names, rows, args.limit)
     print(f"-- {len(rows)} rows", file=sys.stderr)
     _print_run_report(gs, force=args.report)
     if args.metrics_out:
@@ -292,6 +240,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 0
+
+
+def _print_rows(names: Sequence[str], rows: list, limit: int) -> None:
+    """A tab-separated header, the first ``limit`` rows, and how many more."""
+    print("\t".join(names))
+    for row in rows[:limit]:
+        print("\t".join(str(value) for value in row.values))
+    if limit < len(rows):
+        print(f"... ({len(rows) - limit} more rows)")
 
 
 def _print_run_report(gs, force: bool = False) -> None:
@@ -364,7 +321,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"cannot read {path}: {exc}", file=sys.stderr)
             return 2
 
-    registries = _standard_instance(args.relax_factor).registries
+    registries = deploy(libraries=standard_libraries(args.relax_factor)).registries
     results = [
         lint_query(text, registries, filename=filename, target=target)
         for filename, text in sources
@@ -414,14 +371,10 @@ def _serve(args: argparse.Namespace) -> int:
         DRAIN_EXIT_CODE,
         HttpLimits,
         QueryServer,
-        StandingQueryEngine,
         drive,
         resume_serving,
     )
 
-    if args.resume and not args.journal:
-        print("--resume needs --journal <path>", file=sys.stderr)
-        return 2
     if not args.files and not args.resume:
         print("serve needs one or more .gsql files (or --resume)", file=sys.stderr)
         return 2
@@ -444,19 +397,7 @@ def _serve(args: argparse.Namespace) -> int:
             )
             return 2
 
-    if args.trace is not None:
-        records = load_trace(args.trace)
-    else:
-        config = TraceConfig(duration_seconds=60, rate_scale=0.01, seed=20050614)
-        records = list(research_center_feed(config))
-        print(
-            f"-- no --trace: synthesised research feed ({len(records):,} records)",
-            file=sys.stderr,
-        )
-
-    def factory():
-        return _standard_instance(args.relax_factor, profile=args.profile)
-
+    records = _feed(args.trace)
     try:
         breaker = BreakerConfig(
             failure_threshold=args.breaker_failures,
@@ -466,10 +407,21 @@ def _serve(args: argparse.Namespace) -> int:
         print(f"bad breaker configuration: {exc}", file=sys.stderr)
         return 2
 
+    engine = deploy(
+        ExecTarget(serve=True, durable=args.journal is not None),
+        libraries=standard_libraries(args.relax_factor),
+        profile=args.profile,
+        share=args.share,
+        quotas=quotas,
+        breaker=breaker,
+        journal=ResultJournal(args.journal, fresh=True)
+        if args.journal and not args.resume
+        else None,
+    )
     drained = False
     if args.resume:
         engine = resume_serving(
-            factory,
+            engine.instance_factory,
             args.journal,
             records,
             share=args.share,
@@ -484,16 +436,6 @@ def _serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     else:
-        journal = (
-            ResultJournal(args.journal, fresh=True) if args.journal else None
-        )
-        engine = StandingQueryEngine(
-            factory,
-            share=args.share,
-            quotas=quotas,
-            journal=journal,
-            breaker=breaker,
-        )
         for path in args.files:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
@@ -585,11 +527,7 @@ def _serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         if args.limit:
-            print("\t".join(sq.instance.query(sq.name).output_schema.names))
-            for row in rows[: args.limit]:
-                print("\t".join(str(value) for value in row.values))
-            if args.limit < len(rows):
-                print(f"... ({len(rows) - args.limit} more rows)")
+            _print_rows(sq.instance.query(sq.name).output_schema.names, rows, args.limit)
     if args.report:
         import json
 
@@ -612,7 +550,7 @@ def _serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    gs = _standard_instance(args.relax_factor)
+    gs = deploy(libraries=standard_libraries(args.relax_factor))
     plan = compile_query(args.sql, gs.registries, query_name="cli")
     print(explain(plan))
     return 0
@@ -625,6 +563,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The flags of the two commands that run a deployment over a feed.
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument(
+        "--trace",
+        default=None,
+        help="trace file to run over (default: synthesise a research feed)",
+    )
+    runs.add_argument("--relax-factor", type=float, default=10.0)
+    runs.add_argument(
+        "--journal",
+        default=None,
+        metavar="PATH",
+        help="journal committed state (query: closed windows; serve:"
+        " registrations and commits) to this write-ahead file so a killed"
+        " run can be resumed with --resume (query: serial or --shards runs,"
+        " with or without --supervise; incompatible with --shed-threshold)",
+    )
+    runs.add_argument(
+        "--resume",
+        action="store_true",
+        help="with --journal, restore the committed state from the journal"
+        " and continue instead of starting over; output is byte-identical"
+        " to an uninterrupted run",
+    )
+    runs.add_argument(
+        "--metrics-out",
+        default=None,
+        metavar="PATH",
+        help="write the metrics registry after the run (serve: per query and"
+        " tenant; .prom/.txt = Prometheus text format, anything else = JSON)",
+    )
+    runs.add_argument(
+        "--profile",
+        action="store_true",
+        help="charge per-operator wall time into the operator_seconds"
+        " histogram (per shard under --shards; per served query, a"
+        " follower's shared prefix as phase replay)",
+    )
+    runs.add_argument(
+        "--report",
+        action="store_true",
+        help="query: always print the degradation/supervision report to"
+        " stderr (default: only when something was dropped or shed); serve:"
+        " print the serving report (queries, sharing groups, tenant ledgers)"
+        " as JSON",
+    )
+
     generate = sub.add_parser("generate", help="synthesise and persist a trace")
     generate.add_argument("--feed", choices=sorted(_FEEDS), default="research")
     generate.add_argument("--seconds", type=int, default=60)
@@ -633,18 +618,12 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--out", required=True)
     generate.set_defaults(fn=_cmd_generate)
 
-    query = sub.add_parser("query", help="run one GSQL query over a trace")
+    query = sub.add_parser("query", parents=[runs], help="run one GSQL query over a trace")
     query.add_argument(
         "file", nargs="?", help="path to a .gsql query file (or use --sql)"
     )
-    query.add_argument(
-        "--trace",
-        default=None,
-        help="trace file to run over (default: synthesise a research feed)",
-    )
     query.add_argument("--sql", help="query text instead of a .gsql file")
     query.add_argument("--limit", type=int, default=20)
-    query.add_argument("--relax-factor", type=float, default=10.0)
     query.add_argument(
         "--no-lint",
         dest="lint",
@@ -696,45 +675,10 @@ def build_parser() -> argparse.ArgumentParser:
         " blocking; shed counts appear in the run report",
     )
     query.add_argument(
-        "--report",
-        action="store_true",
-        help="always print the degradation/supervision report to stderr"
-        " (default: only when something was dropped or shed)",
-    )
-    query.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write the metrics registry after the run (.prom/.txt ="
-        " Prometheus text format, anything else = JSON)",
-    )
-    query.add_argument(
         "--trace-out",
         default=None,
         metavar="PATH",
         help="record window/cleaning trace events and write them as JSONL",
-    )
-    query.add_argument(
-        "--profile",
-        action="store_true",
-        help="charge per-operator wall time into the operator_seconds"
-        " histogram (per shard under --shards)",
-    )
-    query.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="journal committed windows to this write-ahead file so a"
-        " killed run can be resumed with --resume (serial or --shards"
-        " runs, with or without --supervise; incompatible with"
-        " --shed-threshold)",
-    )
-    query.add_argument(
-        "--resume",
-        action="store_true",
-        help="with --journal, replay committed state from the journal and"
-        " continue from the last committed window instead of starting"
-        " over; output is byte-identical to an uninterrupted run",
     )
     query.add_argument(
         "--quarantine-out",
@@ -791,6 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
+        parents=[runs],
         help="serve many standing queries over one feed",
         epilog="exit codes: 0 = feed served to completion; 2 = bad"
         " arguments or rejected query; 3 = terminated early by a"
@@ -801,12 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "files", nargs="*", help="paths to .gsql files, one standing query each"
     )
-    serve.add_argument(
-        "--trace",
-        default=None,
-        help="trace file to serve (default: synthesise a research feed)",
-    )
-    serve.add_argument("--relax-factor", type=float, default=10.0)
     serve.add_argument(
         "--tenant",
         default="default",
@@ -899,45 +838,11 @@ def build_parser() -> argparse.ArgumentParser:
         " (default 4)",
     )
     serve.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="journal registrations and commits to this write-ahead file"
-        " so a killed serve can be resumed with --resume",
-    )
-    serve.add_argument(
-        "--resume",
-        action="store_true",
-        help="with --journal, restore the standing-query set and committed"
-        " state from the journal and continue; byte-identical to an"
-        " uninterrupted serve",
-    )
-    serve.add_argument(
         "--limit",
         type=int,
         default=0,
         metavar="N",
         help="print up to N result rows per query (default: counts only)",
-    )
-    serve.add_argument(
-        "--report",
-        action="store_true",
-        help="print the serving report (queries, sharing groups, tenant"
-        " ledgers) as JSON",
-    )
-    serve.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write the combined per-query/per-tenant metrics registry"
-        " (.prom/.txt = Prometheus text format, anything else = JSON)",
-    )
-    serve.add_argument(
-        "--profile",
-        action="store_true",
-        help="charge per-operator wall time into the operator_seconds"
-        " histogram, per served query (a follower's shared prefix: phase"
-        " replay)",
     )
     serve.set_defaults(fn=_cmd_serve)
 
@@ -958,6 +863,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             # The unsupervised worker-per-shard flag is gone.
             message += " (shards fork workers under --supervise)"
         parser.error(message)  # exits 2
+    if getattr(args, "resume", False) and not args.journal:
+        print("--resume needs --journal <path>", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except QueryError as exc:

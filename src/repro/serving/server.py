@@ -173,7 +173,8 @@ class StandingQueryEngine:
     ``instance_factory`` builds one fresh, fully configured (streams +
     SFUN packs) serial :class:`Gigascope` per registered query; each
     call must return a *new* instance with a private cost model and
-    metrics registry.  ``quotas`` maps tenant names to
+    metrics registry (``deploy(ExecTarget(serve=True))`` builds the
+    engine over such a factory, :attr:`instance_factory`).  ``quotas`` maps tenant names to
     :class:`TenantQuota` (or bare cycles-per-record numbers).
     ``breaker`` configures the per-query circuit breakers (see
     :mod:`repro.serving.faults`); the poison-batch quarantine log
@@ -199,7 +200,7 @@ class StandingQueryEngine:
         breaker: Optional[BreakerConfig] = None,
         trace: Optional[TraceSink] = None,
     ) -> None:
-        self._factory = instance_factory
+        self.instance_factory = instance_factory
         self.share = share
         self.quotas: Dict[str, TenantQuota] = {
             tenant: (
@@ -252,7 +253,7 @@ class StandingQueryEngine:
             qid = f"sq{self._next_id}"
         elif qid in self._queries:
             raise ExecutionError(f"standing query id {qid!r} already in use")
-        gs = self._factory()
+        gs = self.instance_factory()
         if not isinstance(gs, Gigascope):
             raise ExecutionError(
                 "the serving engine drives serial Gigascope instances;"

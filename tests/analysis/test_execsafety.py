@@ -10,7 +10,6 @@ plus targeted single-rule cases.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -19,20 +18,11 @@ import pytest
 
 from repro.analysis.execsafety import ExecTarget, parse_target
 from repro.analysis.linter import default_lint_registries, lint_source
+from repro.deploy import deploy
 from repro.dsms.durability import DurableRunner, ResultJournal
-from repro.dsms.runtime import Gigascope
-from repro.dsms.sharded import ShardedGigascope
 from repro.dsms.stateful import StatefulLibrary, StatefulState
 from repro.errors import ExecutionError, PlanningError
-from repro.serving.server import StandingQueryEngine
-from repro.streams.schema import TCP_SCHEMA
-from repro.algorithms.bindings import (
-    basic_subset_sum_library,
-    distinct_sampling_library,
-    heavy_hitters_library,
-    reservoir_library,
-    subset_sum_library,
-)
+from repro.algorithms.bindings import standard_libraries
 
 EXAMPLES = sorted(
     (Path(__file__).resolve().parents[2] / "examples/queries").glob("*.gsql")
@@ -41,36 +31,6 @@ EXAMPLES = sorted(
 
 def rules_of(result):
     return {d.rule for d in result.diagnostics}
-
-
-def make_runtime(shards=0, supervise=False, shed_threshold=None, target=None):
-    """A fully-loaded runtime mirroring the lint registries: the instance
-    ``target`` describes (whatever drives it — ``durable``, ``serve`` —
-    goes on top)."""
-    if target is None:
-        target = ExecTarget(
-            shards=shards or None,
-            supervise=supervise,
-            shed_threshold=shed_threshold,
-        )
-    if target.sharded:
-        gs = ShardedGigascope(
-            shards=target.shards,
-            supervise=target.supervise,
-            shed_threshold=target.shed_threshold,
-        )
-    else:
-        gs = Gigascope(shed_threshold=target.shed_threshold)
-    gs.register_stream(TCP_SCHEMA)
-    for pack in (
-        subset_sum_library(),
-        basic_subset_sum_library(),
-        reservoir_library(),
-        heavy_hitters_library(),
-        distinct_sampling_library(),
-    ):
-        gs.use_stateful_library(pack)
-    return gs
 
 
 class TestParseTarget:
@@ -141,6 +101,26 @@ class TestTargetsNoRuntimeCanBuild:
             parse_target("serve,shards=2")
         with pytest.raises(ValueError, match="serial Gigascope"):
             ExecTarget(shards=1, serve=True)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["", "shards=1", "shards=2,supervise", "shed=8", "shards=2,shed=8", "serve",
+     "serve,shed=8", "durable", "shards=2,supervise,durable"],
+)
+def test_a_deployment_describes_itself(spec, tmp_path):
+    target = parse_target(spec)
+    deployment = deploy(target)
+    if target.serve:
+        # The engine keeps a target per instance: serial, charged to a private model.
+        sq = deployment.register("SELECT time, len FROM TCP", name="q")
+        assert sq.instance.target == replace(target, serve=False)
+        assert sq.instance.cost.enabled
+        deployment.close()
+        return
+    if target.durable:
+        deployment = DurableRunner(deployment, str(tmp_path / "journal.bin"))
+    assert deployment.target == target
 
 
 class TestGating:
@@ -266,9 +246,7 @@ class TestSA305:
         assert "SA305" not in rules_of(result), result.render()
 
     def test_runtime_twin_refuses(self, tmp_path):
-        gs = Gigascope()
-        gs.register_stream(TCP_SCHEMA)
-        gs.use_stateful_library(flaky_library())
+        gs = deploy(libraries=[flaky_library()])
         gs.add_query(FLAKY_QUERY, name="q")
         with pytest.raises(ExecutionError, match="flaky_state"):
             DurableRunner(gs, str(tmp_path / "journal.bin"))
@@ -292,16 +270,13 @@ class TestSA305:
         (diag,) = [d for d in result.diagnostics if d.rule == "SA305"]
         assert "SFUN state 'flaky_state' declares checkpointable=False" in diag.message
         assert "(as do 'brittle_state')" in diag.message
-        gs = Gigascope()
-        gs.register_stream(TCP_SCHEMA)
-        gs.use_stateful_library(flaky_library())
-        gs.use_stateful_library(brittle)
+        gs = deploy(libraries=[flaky_library(), brittle])
         gs.add_query(text, name="q")
         with pytest.raises(ExecutionError, match="flaky_state.*brittle_state"):
             DurableRunner(gs, str(tmp_path / "journal.bin"))
 
     def test_runtime_accepts_checkpointable_state(self, tmp_path):
-        gs = make_runtime()
+        gs = deploy()
         gs.add_query(
             "SELECT time, srcIP FROM TCP WHERE ssbasic(len, 25) = TRUE",
             name="q",
@@ -319,9 +294,7 @@ class TestSA305:
     def test_supervised_twin_refuses_at_registration(self, supervise):
         # A restarted worker recovers from a checkpoint: refused up
         # front, not by burning the restart budget on a pickling error.
-        sh = ShardedGigascope(shards=2, supervise=supervise)
-        sh.register_stream(TCP_SCHEMA)
-        sh.use_stateful_library(flaky_library())
+        sh = deploy(ExecTarget(shards=2, supervise=supervise), libraries=[flaky_library()])
         if supervise:
             with pytest.raises(PlanningError, match="flaky_state"):
                 sh.add_query(FLAKY_SAMPLING, name="q")
@@ -330,14 +303,10 @@ class TestSA305:
 
     @pytest.mark.parametrize("journalled", [True, False])
     def test_journalled_serve_twin_refuses_at_registration(self, tmp_path, journalled):
-        def factory():
-            gs = Gigascope()
-            gs.register_stream(TCP_SCHEMA)
-            gs.use_stateful_library(flaky_library())
-            return gs
-
         journal = ResultJournal(str(tmp_path / "j.bin"), fresh=True) if journalled else None
-        engine = StandingQueryEngine(factory, journal=journal)
+        engine = deploy(
+            ExecTarget(serve=True, durable=journalled), libraries=[flaky_library()], journal=journal
+        )
         if journalled:
             with pytest.raises(ExecutionError, match="flaky_state"):
                 engine.register(FLAKY_QUERY, name="q")
@@ -357,7 +326,7 @@ class TestOneToOneMapping:
         lint_refuses = bool(
             {"SA301", "SA302"} & {d.rule for d in result.errors}
         )
-        gs = make_runtime(shards=4)
+        gs = deploy(parse_target("shards=4"))
         try:
             gs.add_query(text, name="q")
             runtime_refuses = False
@@ -379,8 +348,9 @@ class TestOneToOneMapping:
         lint_refuses = bool(
             {"SA301", "SA302", "SA305"} & {d.rule for d in result.errors}
         )
-        gs = make_runtime(shards=4, supervise=True)
-        gs.use_stateful_library(flaky_library())
+        gs = deploy(
+            parse_target("shards=4,supervise"), libraries=[*standard_libraries(), flaky_library()]
+        )
         try:
             gs.add_query(text, name="q")
             runtime_refuses = False
@@ -406,7 +376,7 @@ class TestOneToOneMapping:
         lint_refuses = bool(
             {"SA303", "SA305"} & {d.rule for d in result.errors}
         )
-        gs = make_runtime(shards=shards, supervise=supervise, shed_threshold=shed)
+        gs = deploy(ExecTarget(shards=shards or None, supervise=supervise, shed_threshold=shed))
         gs.add_query(text, name="q")
         try:
             DurableRunner(gs, str(tmp_path / "journal.bin"))
@@ -418,32 +388,6 @@ class TestOneToOneMapping:
 
 LATTICE_QUERIES = {path.stem: path.read_text() for path in EXAMPLES}
 LATTICE_QUERIES.update(flaky_sampling=FLAKY_SAMPLING, flaky_selection=FLAKY_QUERY)
-
-
-def deploy(target, text, directory):
-    """Build the deployment ``target`` describes and register ``text`` on
-    it; returns what describes itself (the instance, or the runner over
-    it) — ``None`` behind the engine, which keeps a target per instance."""
-
-    def instance():
-        gs = make_runtime(target=replace(target, durable=False, serve=False))
-        gs.use_stateful_library(flaky_library())
-        return gs
-
-    journal = os.path.join(directory, "journal.bin")
-    if target.serve:
-        engine = StandingQueryEngine(
-            instance,
-            journal=ResultJournal(journal, fresh=True) if target.durable else None,
-        )
-        try:
-            engine.register(text, name="q")
-        finally:
-            engine.close()
-        return None
-    gs = instance()
-    gs.add_query(text, name="q")
-    return DurableRunner(gs, journal) if target.durable else gs
 
 
 class TestOneTableTwoReaders:
@@ -462,8 +406,8 @@ class TestOneTableTwoReaders:
 
     def test_an_instance_lints_against_itself(self):
         text = LATTICE_QUERIES["unsound_unshardable"]
-        assert make_runtime().lint(text).clean
-        sharded = make_runtime(shards=2)
+        assert deploy().lint(text).clean
+        sharded = deploy(parse_target("shards=2"))
         assert sharded.lint(text).target == sharded.target == parse_target("shards=2")
         assert rules_of(sharded.lint(text)) == {"SA301", "SA302"}
 
@@ -472,10 +416,12 @@ class TestOneTableTwoReaders:
         # was refused durability by DurableRunner and granted it by the
         # engine, which nothing had ever resumed.
         text = LATTICE_QUERIES["top_talkers"]
+        gs = deploy(parse_target("durable,shed=100"))
+        gs.add_query(text, name="q")
         with pytest.raises(ExecutionError) as runner:
-            deploy(parse_target("durable,shed=100"), text, str(tmp_path))
-        engine = StandingQueryEngine(
-            lambda: make_runtime(shed_threshold=100),
+            DurableRunner(gs, str(tmp_path / "runner.bin"))
+        engine = deploy(
+            parse_target("serve,durable,shed=100"),
             journal=ResultJournal(str(tmp_path / "j.bin"), fresh=True),
         )
         with pytest.raises(ExecutionError) as served:
@@ -485,7 +431,7 @@ class TestOneTableTwoReaders:
         sentence = "shedding depends on wall-clock queue depths"
         assert sentence in str(runner.value) and sentence in str(served.value)
         # Without a journal the same factory serves (on a private feed).
-        unjournalled = StandingQueryEngine(lambda: make_runtime(shed_threshold=100))
+        unjournalled = deploy(parse_target("serve,shed=100"))
         assert unjournalled.register(text, name="q").active
         unjournalled.close()
 

@@ -13,6 +13,8 @@ from itertools import islice
 
 import pytest
 
+from repro.analysis.legality import ExecTarget
+from repro.deploy import deploy
 from repro.dsms.cost import CostModel
 from repro.dsms.durability import (
     JOURNAL_VERSION,
@@ -22,14 +24,11 @@ from repro.dsms.durability import (
     entry,
 )
 from repro.dsms.resilience import SupervisionPolicy
-from repro.dsms.runtime import Gigascope
-from repro.dsms.sharded import ShardedGigascope
 from repro.errors import ExecutionError, StreamError, TraceCorruptError
 from repro.obs.tracing import TraceSink
 from repro.serving.server import StandingQueryEngine, drive, resume_serving
-from repro.streams.schema import TCP_SCHEMA
 from repro.streams.traces import TraceConfig, data_center_feed, research_center_feed
-from repro.algorithms.bindings import SUBSET_SUM_QUERY, subset_sum_library
+from repro.algorithms.bindings import SUBSET_SUM_QUERY
 
 from tests.serving.conftest import instance_state, make_instance
 
@@ -49,18 +48,11 @@ def build(shards=0, supervise=False, shed_threshold=None, observe=False, **optio
     if observe:
         # Cycles and trace events are run state too: a resume owes them.
         options.update(cost_model=CostModel(), trace=TraceSink())
-    if shards:
-        gs = ShardedGigascope(
-            shards=shards,
-            supervise=supervise,
-            supervision=SupervisionPolicy(max_restarts=2) if supervise else None,
-            shed_threshold=shed_threshold,
-            **options,
-        )
-    else:
-        gs = Gigascope(shed_threshold=shed_threshold, **options)
-    gs.register_stream(TCP_SCHEMA)
-    gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
+    gs = deploy(
+        ExecTarget(shards=shards or None, supervise=supervise, shed_threshold=shed_threshold),
+        supervision=SupervisionPolicy(max_restarts=2),
+        **options,
+    )
     gs.add_query(SS_SHARDED if shards else SS_TEXT, name="q")
     return gs
 
@@ -385,8 +377,7 @@ class TestRefusals:
         # The guard is not a property of construction order: a shedding
         # instance that had no query yet is refused before a run or a
         # resume reads a record or touches the journal.
-        gs = Gigascope(shed_threshold=8)
-        gs.register_stream(TCP_SCHEMA)
+        gs = deploy(ExecTarget(shed_threshold=8))
         path = tmp_path / "j.bin"
         runner = DurableRunner(gs, str(path))
         gs.add_query("SELECT time, srcIP FROM TCP WHERE len > 100", name="q")
@@ -600,8 +591,7 @@ class TestCommitsDidNotMove:
         window closes (320, 640) between the interval commits."""
 
         def offsets(text, keep):
-            gs = Gigascope()
-            gs.register_stream(TCP_SCHEMA)
+            gs = deploy(libraries=())
             gs.add_query(text, name="q", keep_results=keep)
             commits = []
             DurableRunner(

@@ -23,7 +23,7 @@ import os
 
 import pytest
 
-from repro.cli import _standard_instance
+from repro.deploy import deploy
 from repro.dsms.cost import CostModel
 from repro.dsms.resilience import SupervisionPolicy
 from repro.dsms.runtime import Gigascope
@@ -31,7 +31,7 @@ from repro.dsms.sharded import ShardedGigascope, canonical_rows
 from repro.streams.schema import TCP_SCHEMA
 from repro.streams.traces import TraceConfig, research_center_feed
 from repro.testing.faults import Fault, FaultPlan
-from repro.algorithms.bindings import SUBSET_SUM_QUERY, subset_sum_library
+from repro.algorithms.bindings import SUBSET_SUM_QUERY, standard_libraries, subset_sum_library
 
 from tests.dsms.test_refusals import conserved
 
@@ -60,10 +60,10 @@ def feed(seconds=20, seed=7):
     return research_center_feed(config)
 
 
-def run_example(path, **instance_kwargs):
+def run_example(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    gs = _standard_instance(relax_factor=1.0, **instance_kwargs)
+    gs = deploy(libraries=standard_libraries(1.0))
     handle = gs.add_query(text, name="q")
     gs.run(feed())
     return gs, handle

@@ -6,11 +6,10 @@ registry, so these tests pin both the shape and the sourcing: every
 report number must equal the corresponding registry series.
 """
 
-from repro.dsms.runtime import Gigascope
-from repro.dsms.sharded import ShardedGigascope
-from repro.streams.schema import TCP_SCHEMA
+from repro.analysis.legality import ExecTarget
+from repro.deploy import deploy
 from repro.streams.traces import TraceConfig, research_center_feed
-from repro.algorithms.bindings import SUBSET_SUM_QUERY, subset_sum_library
+from repro.algorithms.bindings import SUBSET_SUM_QUERY
 
 SS_TEXT = SUBSET_SUM_QUERY.format(window=5, target=200)
 # Sharding needs a keyed supergroup to hash-partition the SFUN state on.
@@ -26,12 +25,7 @@ def feed(seconds=15, seed=3):
 
 
 def build(shed_threshold=None, shards=0):
-    if shards:
-        gs = ShardedGigascope(shards=shards, shed_threshold=shed_threshold)
-    else:
-        gs = Gigascope(shed_threshold=shed_threshold)
-    gs.register_stream(TCP_SCHEMA)
-    gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
+    gs = deploy(ExecTarget(shards=shards or None, shed_threshold=shed_threshold))
     gs.add_query(SS_SHARDED if shards else SS_TEXT, name="q")
     return gs
 
@@ -62,8 +56,7 @@ class TestReportShape:
                     assert isinstance(value, int)
 
     def test_only_sampling_queries_are_reported(self):
-        gs = Gigascope()
-        gs.register_stream(TCP_SCHEMA)
+        gs = deploy(libraries=())
         gs.add_query(
             "SELECT tb, srcIP, count(*) FROM TCP GROUP BY time/5 as tb, srcIP",
             name="agg",

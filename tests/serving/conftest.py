@@ -18,17 +18,10 @@ from typing import Dict, List, Tuple
 
 import pytest
 
+from repro.deploy import deploy
 from repro.dsms.cost import CostModel
 from repro.dsms.runtime import Gigascope
-from repro.streams.schema import TCP_SCHEMA
 from repro.streams.traces import TraceConfig, research_center_feed
-from repro.algorithms.bindings import (
-    basic_subset_sum_library,
-    distinct_sampling_library,
-    heavy_hitters_library,
-    reservoir_library,
-    subset_sum_library,
-)
 
 EXAMPLES_DIR = os.path.join(
     os.path.dirname(__file__), "..", "..", "examples", "queries"
@@ -45,16 +38,10 @@ for _path in EXAMPLE_PATHS:
 BATCH = 128
 
 
-def make_instance(vectorize: bool = False, profile: bool = False) -> Gigascope:
-    """One solo-shaped instance: private cost model + metrics registry."""
-    gs = Gigascope(cost_model=CostModel(), vectorize=vectorize, profile=profile)
-    gs.register_stream(TCP_SCHEMA)
-    gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
-    gs.use_stateful_library(basic_subset_sum_library())
-    gs.use_stateful_library(reservoir_library())
-    gs.use_stateful_library(heavy_hitters_library())
-    gs.use_stateful_library(distinct_sampling_library())
-    return gs
+def make_instance(**options) -> Gigascope:
+    """One solo-shaped instance: private cost model + metrics registry,
+    as :func:`deploy` gives every served query."""
+    return deploy(cost_model=CostModel(), **options)
 
 
 @pytest.fixture(scope="session")
@@ -92,7 +79,7 @@ def solo_state(
     vectorize: bool = False,
 ) -> State:
     """The oracle: one private serial run of ``text`` over ``records``."""
-    gs = make_instance(vectorize)
+    gs = make_instance(vectorize=vectorize)
     gs.add_query(text, name=name)
     gs.start()
     for start in range(0, len(records), batch_size):

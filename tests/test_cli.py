@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from repro.analysis.legality import ExecTarget
 from repro.cli import main
+from repro.deploy import deploy
 from repro.streams.persistence import load_trace
 
 
@@ -460,11 +462,10 @@ def die_at_commit(n):
 @pytest.fixture
 def killed_query_journal(trace_file, tmp_path):
     """A `repro query --journal` run killed after its second commit."""
-    from repro.cli import _standard_instance
     from repro.dsms.durability import DurableRunner
 
     path = str(tmp_path / "query.journal")
-    gs = _standard_instance(10.0)
+    gs = deploy()
     gs.add_query(AGG_SQL, name="cli")
     runner = DurableRunner(gs, path, batch_size=64, on_commit=die_at_commit(2))
     with pytest.raises(_Killed):
@@ -475,13 +476,12 @@ def killed_query_journal(trace_file, tmp_path):
 @pytest.fixture
 def killed_serve_journal(trace_file, tmp_path):
     """A `repro serve --journal` run killed after its second commit."""
-    from repro.cli import _standard_instance
     from repro.dsms.durability import ResultJournal
-    from repro.serving.server import StandingQueryEngine, drive
+    from repro.serving.server import drive
 
     path = str(tmp_path / "serve.journal")
-    engine = StandingQueryEngine(
-        lambda: _standard_instance(10.0),
+    engine = deploy(
+        ExecTarget(serve=True, durable=True),
         journal=ResultJournal(path, fresh=True),
         on_commit=die_at_commit(2),
     )
@@ -513,6 +513,18 @@ class TestCadenceFlags:
             capsys, ["serve", GSQL, "--trace", trace_file, "--commit-interval", "0"]
         )
         assert "commit_interval must be >= 1" in line
+
+
+def test_serve_charges_the_tenant_quota(trace_file, tmp_path, capsys):
+    """`serve` built its instances with no cost model: nothing was ever
+    spent, so --tenant-quota never shed."""
+    out = tmp_path / "m.json"
+    argv = ["serve", GSQL, "--trace", trace_file, "--tenant-quota", "default=0.001"]
+    assert main([*argv, "--report", "--metrics-out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tenants"]["default"]["spent_cycles"] > 0
+    metrics = json.loads(out.read_text())["metrics"]
+    assert [s["value"] > 0 for s in metrics if s["name"] == "serving_quota_shed_total"] == [True]
 
 
 @pytest.mark.parametrize("command", ["query", "serve"])

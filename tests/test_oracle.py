@@ -52,26 +52,23 @@ from repro.algorithms.bindings import (
     PREFILTER_QUERY,
     RESERVOIR_QUERY,
     SUBSET_SUM_QUERY,
-    basic_subset_sum_library,
-    distinct_sampling_library,
-    heavy_hitters_library,
-    reservoir_library,
-    subset_sum_library,
+    standard_libraries,
     subset_sum_query,
 )
 from repro.analysis.legality import RULES, ExecTarget
 from repro.analysis.legality import refusals as table_refusals
 from repro.analysis.linter import lint_query
+from repro.deploy import deploy
 from repro.dsms.cost import CostModel
 from repro.dsms.durability import DurableRunner, ResultJournal
 from repro.dsms.parser import compile_query
 from repro.dsms.parser.lexer import KEYWORDS
 from repro.dsms.resilience import SupervisionPolicy
-from repro.dsms.runtime import REFUSALS, Gigascope
+from repro.dsms.runtime import REFUSALS
 from repro.dsms.stateful import StatefulLibrary, StatefulState
-from repro.dsms.sharded import ShardedGigascope, stable_hash
+from repro.dsms.sharded import stable_hash
 from repro.errors import ExecutionError, PlanningError
-from repro.serving.server import StandingQueryEngine, drive, resume_serving
+from repro.serving.server import drive, resume_serving
 from repro.streams.records import Record
 from repro.streams.schema import PKT_SCHEMA, TCP_SCHEMA
 from repro.streams.traces import TraceConfig, data_center_feed, research_center_feed
@@ -82,14 +79,8 @@ from tests.analysis.test_execsafety import FLAKY_QUERY, FLAKY_SAMPLING, flaky_li
 from tests.dsms.test_durability import _Boom, crash_on_commit
 from tests.vectorized.conftest import VAL_SCHEMA
 
-LIBRARIES = (
-    lambda: subset_sum_library(relax_factor=10.0),
-    basic_subset_sum_library,
-    reservoir_library,
-    heavy_hitters_library,
-    distinct_sampling_library,
-    flaky_library,  # its state opts out of checkpoints: SA305 refuses it
-)
+#: every pack, and one whose state opts out of checkpoints (SA305 refuses it)
+LIBRARIES = (*standard_libraries(), flaky_library())
 
 # -- query sets -------------------------------------------------------------------
 
@@ -327,18 +318,11 @@ class Case:
 def instance(case: Case, **options: Any) -> Any:
     """The deployment ``case.target`` describes short of durability and
     serving: the stream and every SFUN pack registered, no query."""
-    target = case.target
-    options.update(cost_model=CostModel(), vectorize=case.vectorize,
-                   validate_admission=case.validate, shed_threshold=target.shed_threshold)
-    if target.sharded:
-        gs: Any = ShardedGigascope(
-            target.shards, supervise=target.supervise, supervision=case.supervision, **options,
-        )
-    else:
-        gs = Gigascope(**options)
-    gs.register_stream(case.family.schema)
-    for library in LIBRARIES:
-        gs.use_stateful_library(library())
+    gs = deploy(
+        case.target, schema=case.family.schema, libraries=LIBRARIES,
+        supervision=case.supervision, cost_model=CostModel(), vectorize=case.vectorize,
+        validate_admission=case.validate, **options,
+    )
     if case.setup is not None:
         case.setup(gs)
     return gs
@@ -455,12 +439,11 @@ def _served(case: Case, tmp: str) -> Seen:
     """The set registered on one standing-query engine and driven through
     ``drive``; rows and accounting per query."""
 
-    def factory() -> Gigascope:
-        return instance(replace(case, target=ExecTarget(shed_threshold=case.target.shed_threshold)))
-
+    assert case.setup is None, "a served instance is deploy's own"
     journal = tempfile.mkdtemp(dir=tmp) + "/journal"
-    engine = StandingQueryEngine(
-        factory, share=case.share, on_commit=crash_on_commit(case.crash_at),
+    engine = deploy(
+        case.target, schema=case.family.schema, libraries=LIBRARIES, vectorize=case.vectorize,
+        validate_admission=case.validate, share=case.share, on_commit=crash_on_commit(case.crash_at),
         journal=ResultJournal(journal, fresh=True) if case.target.durable else None,
     )
     served = [engine.register(text, name=name) for text, name in served_queries(case)]
@@ -477,7 +460,7 @@ def _served(case: Case, tmp: str) -> Seen:
     try:
         drive(engine, fed, batch_size=case.batch_size, commit_interval=2)
     except _Boom:
-        engine, resumed = resume_serving(factory, journal, iter(fed), share=case.share,
+        engine, resumed = resume_serving(engine.instance_factory, journal, iter(fed), share=case.share,
                                          batch_size=case.batch_size, commit_interval=2), True
         served = [engine.lookup(sq.qid) for sq in served]
     return Seen(
@@ -775,10 +758,7 @@ def test_the_oracle_is_anchored(name: str) -> None:
     text, records, rows = ANCHORS[name]
     instances = []
     for _ in range(2):
-        gs = Gigascope()
-        gs.register_stream(TCP_SCHEMA)
-        gs.use_stateful_library(tally_library())
-        instances.append(gs)
+        instances.append(deploy(libraries=[tally_library()]))
     reference = Oracle(instances[0].registries)
     reference.add(text, "q")
     assert reference.run(records)["q"] == rows

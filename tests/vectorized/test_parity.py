@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import _standard_instance
+from repro.deploy import deploy
 from repro.streams.records import Record
 from repro.streams.schema import TCP_SCHEMA, Attribute, Ordering, StreamSchema
 
@@ -49,14 +49,14 @@ def test_example_queries_byte_identical(path):
 
 def test_selection_vectorizes(packet_trace):
     sql = (EXAMPLES / "big_flows.gsql").read_text()
-    gs = _standard_instance(relax_factor=10.0, vectorize=True)
+    gs = deploy(vectorize=True)
     handle = gs.add_query(sql, name="q")
     assert handle.operator.execution_mode == "vectorized"
     assert handle.operator.vectorize_fallback is None
 
 
 def test_plain_aggregation_vectorizes(packet_trace):
-    gs = _standard_instance(relax_factor=10.0, vectorize=True)
+    gs = deploy(vectorize=True)
     handle = gs.add_query(
         "SELECT tb, sum(len), count(*) FROM TCP GROUP BY time/20 AS tb",
         name="q",
@@ -87,7 +87,7 @@ def test_custom_aggregate_forces_fallback():
             ordered = sorted(self._values)
             return ordered[len(ordered) // 2] if ordered else None
 
-    gs = _standard_instance(relax_factor=10.0, vectorize=True)
+    gs = deploy(vectorize=True)
     gs.registries.aggregates.register("median", Median)
     handle = gs.add_query(
         "SELECT tb, median(len) FROM TCP GROUP BY time/20 AS tb", name="q"
@@ -97,7 +97,7 @@ def test_custom_aggregate_forces_fallback():
 
 
 def test_nondeterministic_scalar_forces_fallback():
-    gs = _standard_instance(relax_factor=10.0, vectorize=True)
+    gs = deploy(vectorize=True)
     gs.registries.scalars.register("wobble", lambda x: x, deterministic=False)
     handle = gs.add_query("SELECT time FROM TCP WHERE wobble(len) > 0", name="q")
     assert handle.operator.execution_mode == "tuple"
@@ -261,7 +261,7 @@ def test_checkpoints_interchangeable_between_engines(packet_trace):
     from repro.dsms.operators.factory import build_operator
     from repro.dsms.vectorized import RecordBatch
 
-    gs = _standard_instance(relax_factor=10.0)
+    gs = deploy()
     sql = "SELECT tb, srcIP, sum(len), count_distinct(destIP) FROM TCP GROUP BY time/20 AS tb, srcIP"
     plan = compile_query(sql, gs.registries, query_name="q")
     vec = build_operator(plan, vectorize=True)
@@ -290,7 +290,7 @@ def test_checkpoints_interchangeable_between_engines(packet_trace):
 def test_fallbacks_surface_in_run_report(packet_trace):
     """Fallback reasons reach run_report()/metrics; the section is
     strictly conditional so plain report consumers never see it."""
-    gs = _standard_instance(relax_factor=10.0, vectorize=True)
+    gs = deploy(vectorize=True)
     gs.registries.scalars.register("wobble", lambda x: x, deterministic=False)
     gs.add_query(
         "SELECT time, len FROM TCP WHERE len > 200", name="fast",
@@ -310,7 +310,7 @@ def test_fallbacks_surface_in_run_report(packet_trace):
 
     # Fully vectorized run: no section at all (the {streams, queries}
     # shape pin in tests/obs/test_report_compat.py stays intact).
-    gs = _standard_instance(relax_factor=10.0, vectorize=True)
+    gs = deploy(vectorize=True)
     gs.add_query("SELECT time, len FROM TCP WHERE len > 200", name="fast",
                  keep_results=False)
     gs.run(iter(packet_trace))
