@@ -2,7 +2,7 @@
 
 Every pass — clause-legality analysis, type inference, semantic lints,
 plan lints — reports through the same :class:`Diagnostic` shape so the
-CLI, the runtime's strict mode, and the tests all consume one format.
+CLI, the SARIF export and the tests all consume one format.
 
 Diagnostics are *collected*, not raised: a :class:`DiagnosticCollector`
 accumulates everything the passes find so a single ``repro lint`` run

@@ -23,8 +23,9 @@ suppressed per query with a pragma comment anywhere in the text::
 (the pragma filter runs after *all* stages collect, so it applies to
 plan-stage and dataflow rules exactly as to lexer/semantic ones).
 
-The CLI's ``repro lint`` subcommand and the runtime's pre-execution check
-(``Gigascope`` strict mode) both go through here.
+The CLI's ``repro lint`` subcommand and ``repro query``'s pre-execution
+check (against the deployment's own target) both go through here: it is
+the one lint gate, and the runtime compiles without it.
 """
 
 from __future__ import annotations

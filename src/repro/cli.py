@@ -35,10 +35,10 @@ Subcommands (also reachable as ``python -m repro.cli``):
 
   Every ``.gsql`` file becomes one standing query; queries whose
   compiled plans share a low-level prefix are served off one shared
-  scan (disable with ``--no-share`` — results are byte-identical either
-  way).  ``--tenant-quota acme=5000`` caps a tenant's spend to that
-  many cost-model cycles per offered record, shedding its batches at
-  the serving edge once it exceeds the budget.  ``--listen HOST:PORT``
+  scan, with results byte-identical to a private run.
+  ``--tenant-quota acme=5000`` caps a tenant's spend to that many
+  cost-model cycles per offered record, shedding its batches at the
+  serving edge once it exceeds the budget.  ``--listen HOST:PORT``
   exposes the HTTP control plane (``/metrics``, ``/queries``,
   ``/healthz``) while the feed drains; ``--journal``/``--resume`` make
   the standing-query set itself durable.
@@ -411,7 +411,6 @@ def _serve(args: argparse.Namespace) -> int:
         ExecTarget(serve=True, durable=args.journal is not None),
         libraries=standard_libraries(args.relax_factor),
         profile=args.profile,
-        share=args.share,
         quotas=quotas,
         breaker=breaker,
         journal=ResultJournal(args.journal, fresh=True)
@@ -420,15 +419,12 @@ def _serve(args: argparse.Namespace) -> int:
     )
     drained = False
     if args.resume:
-        engine = resume_serving(
-            engine.instance_factory,
+        resume_serving(
+            engine,
             args.journal,
             records,
-            share=args.share,
-            quotas=quotas,
             batch_size=args.batch_size,
             commit_interval=args.commit_interval,
-            breaker=breaker,
         )
         print(
             f"-- resumed {len(engine.queries())} standing quer(y/ies) from"
@@ -758,13 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap TENANT's spend to CYCLES cost-model cycles per offered"
         " record; its batches are shed at the serving edge beyond that"
         " (repeatable)",
-    )
-    serve.add_argument(
-        "--no-share",
-        dest="share",
-        action="store_false",
-        help="run every query on its own private feed instead of sharing"
-        " common low-level prefixes (results are byte-identical)",
     )
     serve.add_argument(
         "--listen",

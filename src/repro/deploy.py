@@ -39,7 +39,7 @@ def deploy(
     its tenant's quota is charged from.
 
     ``options`` go to the constructor; a served deployment's engine takes
-    its own (``share``, ``quotas``, ``journal``, ...), every instance the rest.
+    its own (``quotas``, ``journal``, ``trace``, ...), every instance the rest.
     """
     if target.serve:
         engine = {key: options.pop(key) for key in _ENGINE_OPTIONS & options.keys()}

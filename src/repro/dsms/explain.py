@@ -102,12 +102,11 @@ def explain(plan: QueryPlan) -> str:
 def explain_instance(gigascope) -> str:
     """The whole query DAG of a runtime instance."""
     lines: List[str] = []
-    for name in gigascope._order:
-        handle = gigascope._queries[name]
-        cycles = gigascope.cost.cycles(name)
+    for handle in gigascope.query_handles():
+        cycles = gigascope.cost.cycles(handle.name)
         suffix = f"  [{cycles:,} cycles]" if cycles else ""
         lines.append(
-            f"{handle.level:>4}  {name}  <- {handle.source}"
+            f"{handle.level:>4}  {handle.name}  <- {handle.source}"
             f"  ({type(handle.operator).__name__}){suffix}"
         )
     return "\n".join(lines)

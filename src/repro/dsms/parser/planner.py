@@ -330,41 +330,9 @@ def partition_info(plan: QueryPlan) -> PartitionInfo:
     return PartitionInfo(tuple(candidates), passthrough, reason if not candidates else "")
 
 
-def compile_query(
-    text: str,
-    registries: Registries,
-    query_name: str = "Q",
-    strict: bool = False,
-    annotate: bool = False,
-) -> QueryPlan:
-    """Parse, analyze and plan a query text in one call.
-
-    ``strict`` runs the full static analyzer first and refuses to compile
-    a query with *any* diagnostic — lint warnings included — so sampling
-    mistakes (unbounded group tables, constant CLEANING predicates, ...)
-    fail at submission instead of silently running wrong.
-
-    ``annotate`` additionally runs the sampling-soundness dataflow pass
-    and stores its facts on ``plan.annotations["sampling"]`` (imported
-    lazily so the base compile path has no analysis dependency).
-    """
-    if strict:
-        from repro.analysis.linter import lint_query
-
-        result = lint_query(text, registries, filename=query_name)
-        if result.diagnostics:
-            from repro.errors import AnalysisError
-
-            raise AnalysisError(
-                f"strict compilation of {query_name!r} failed:\n"
-                + result.render()
-            )
+def compile_query(text: str, registries: Registries, query_name: str = "Q") -> QueryPlan:
+    """Parse, analyze and plan a query text in one call."""
     ast = parse_query(text)
     analyzed = analyze(ast, registries)
     assert analyzed is not None  # raise mode always returns or raises
-    planned = plan(analyzed, registries, query_name=query_name)
-    if annotate:
-        from repro.analysis.sampling_algebra import analyze_sampling
-
-        analyze_sampling(planned)
-    return planned
+    return plan(analyzed, registries, query_name=query_name)

@@ -260,6 +260,9 @@ class QueryHandle:
     #: this node's ``query_forwarded_total`` series, resolved on first
     #: forward (a node that never forwards registers no series)
     forwarded_series: Optional[Counter] = None
+    #: the pass-through feeder :meth:`Gigascope.add_query` inserted for
+    #: this query, which it reads (paper §7.2), or None
+    feeder: Optional[str] = None
 
     @property
     def output_schema(self) -> StreamSchema:
@@ -276,7 +279,6 @@ class Gigascope:
         self,
         cost_model: Optional[CostModel] = None,
         ring_capacity: int = 65536,
-        strict: bool = False,
         shed_threshold: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         trace: Optional[TraceSink] = None,
@@ -285,10 +287,7 @@ class Gigascope:
         validate_admission: bool = False,
         vectorize: bool = False,
     ) -> None:
-        """``strict`` makes every :meth:`add_query` refuse queries with
-        any static-analysis diagnostic (see ``repro.analysis``).
-
-        ``shed_threshold`` enables overload load shedding: when a source
+        """``shed_threshold`` enables overload load shedding: when a source
         stream's ring-buffer backlog (slowest subscriber) would exceed
         this many records, the surplus of the incoming batch is *shed* —
         refused at admission and accounted as :data:`REFUSALS` says
@@ -323,7 +322,6 @@ class Gigascope:
         byte-identical either way.
         """
         self.cost = cost_model or NULL_COST_MODEL
-        self.strict = strict
         self.shed_threshold = shed_threshold
         self.validate_admission = validate_admission
         self.vectorize = vectorize
@@ -392,7 +390,6 @@ class Gigascope:
         name: Optional[str] = None,
         keep_results: bool = True,
         low_level_aggregation: bool = False,
-        strict: Optional[bool] = None,
     ) -> QueryHandle:
         """Compile and register one query.
 
@@ -406,10 +403,8 @@ class Gigascope:
         an auto-inserted pass-through feeder — early data reduction that
         avoids the per-tuple copy cost.  Sampling queries always run at
         the high level (paper §7.2: the low level supports only selection
-        and partial aggregation).
-
-        ``strict`` (default: the instance's flag) refuses the query when
-        the static analyzer reports any diagnostic, warnings included.
+        and partial aggregation).  The feeder's name is the handle's
+        ``feeder``.
         """
         if name is None:
             self._auto_counter += 1
@@ -417,10 +412,10 @@ class Gigascope:
         if name in self.registries.schemas:
             raise PlanningError(f"name {name!r} already in use")
 
-        strict = self.strict if strict is None else strict
-        plan = compile_query(text, self.registries, query_name=name, strict=strict)
+        plan = compile_query(text, self.registries, query_name=name)
         source = plan.analyzed.ast.from_stream
         reads_source_stream = source in self._rings
+        feeder: Optional[str] = None
 
         if low_level_aggregation and plan.kind != "aggregation":
             raise PlanningError(
@@ -436,20 +431,20 @@ class Gigascope:
             # Paper §7.2: only selection runs at the low level, so a heavy
             # query against a raw stream needs a low-level feeder.  Insert
             # the pass-through selection the paper used (and measured).
-            feeder_name = f"{name}__lowsel"
-            self._add_passthrough_selection(source, feeder_name)
+            feeder = f"{name}__lowsel"
+            self._add_passthrough_selection(source, feeder)
             try:
                 # Read the feeder, with every span still in the text the
                 # user registered (an error points at what they wrote).
-                ast = replace(parse_query(text), from_stream=feeder_name)
+                ast = replace(parse_query(text), from_stream=feeder)
                 plan = plan_query(analyze(ast, self.registries), self.registries, name)
             except Exception:
                 # The feeder must not outlive the query it was inserted
                 # for; a leaked __lowsel node would shadow the name and
                 # keep forwarding (and charging for) every tuple.
-                self._remove_query(feeder_name)
+                self._remove_query(feeder)
                 raise
-            source = feeder_name
+            source = feeder
             reads_source_stream = False
 
         level = "low" if reads_source_stream else "high"
@@ -482,6 +477,7 @@ class Gigascope:
             operator=operator,
             plan=plan,
             keep_results=keep_results,
+            feeder=feeder,
         )
         self._queries[name] = handle
         self._order.append(name)
@@ -534,12 +530,8 @@ class Gigascope:
     def _add_passthrough_selection(self, stream: str, name: str) -> QueryHandle:
         schema = self.registries.schemas[stream]
         select_list = ", ".join(schema.names)
-        # Internal plumbing, not user input: never strict-check it.
         handle = self.add_query(
-            f"SELECT {select_list} FROM {stream}",
-            name=name,
-            keep_results=False,
-            strict=False,
+            f"SELECT {select_list} FROM {stream}", name=name, keep_results=False
         )
         # Reading the ring is free and the copy upward is charged once, in
         # emit (paper §3): do not perform it again here, per tuple.

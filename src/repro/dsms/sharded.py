@@ -278,7 +278,6 @@ class ShardedGigascope:
         *,
         cost_model: Optional[CostModel] = None,
         ring_capacity: int = 65536,
-        strict: bool = False,
         queue_depth: int = 8,
         supervise: bool = False,
         supervision: Optional[SupervisionPolicy] = None,
@@ -339,7 +338,6 @@ class ShardedGigascope:
         self.shards = shards
         self.supervise = supervise or supervision is not None
         self.cost = cost_model or NULL_COST_MODEL
-        self.strict = strict
         self.queue_depth = queue_depth
         self.supervision = supervision
         self.shed_threshold = shed_threshold
@@ -429,7 +427,6 @@ class ShardedGigascope:
         name: Optional[str] = None,
         keep_results: bool = True,
         low_level_aggregation: bool = False,
-        strict: Optional[bool] = None,
     ) -> ShardedQueryHandle:
         """Register one query on every shard (see :meth:`Gigascope.add_query`).
 
@@ -446,10 +443,7 @@ class ShardedGigascope:
         if name in self._nodes:
             raise PlanningError(f"name {name!r} already in use")
 
-        strict = self.strict if strict is None else strict
-        plan = compile_query(
-            text, self._instances[0].registries, query_name=name, strict=strict
-        )
+        plan = compile_query(text, self._instances[0].registries, query_name=name)
         source = plan.analyzed.ast.from_stream
         node = self._nodes.get(source)
         if node is None:
@@ -481,7 +475,6 @@ class ShardedGigascope:
                 name=name,
                 keep_results=True,  # shard outputs feed the merge
                 low_level_aggregation=low_level_aggregation,
-                strict=False,
             )
             for instance in self._instances
         ]

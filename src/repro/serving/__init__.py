@@ -2,12 +2,15 @@
 
 A :class:`~repro.serving.server.StandingQueryEngine` multiplexes many
 standing queries over shared source streams with hot register/unregister,
-common-subexpression sharing at the split edge, per-tenant cost quotas,
-per-query fault isolation (circuit breakers + a dead-letter log, see
-:mod:`repro.serving.faults`), and journalled registrations for durable
-resume; :class:`~repro.serving.server.QueryServer` wraps it in an
-asyncio ingest loop with a hardened HTTP control/metrics plane and
-graceful drain.
+common-subexpression sharing at the split edge (a query that cannot
+share is fed as a group of one, through the same loop), per-tenant cost
+quotas, per-query fault isolation (circuit breakers + a dead-letter log,
+see :mod:`repro.serving.faults`), and journalled registrations for
+durable resume; :class:`~repro.serving.server.QueryServer` wraps it in
+an asyncio ingest loop with a hardened HTTP control/metrics plane and
+graceful drain.  ``repro.deploy.deploy(ExecTarget(serve=True))`` builds
+the engine, and :func:`~repro.serving.server.resume_serving` resumes a
+crashed serve into a fresh one built the same way.
 """
 
 from repro.serving.faults import (

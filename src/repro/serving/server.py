@@ -80,7 +80,6 @@ from repro.serving.faults import (
 )
 from repro.serving.journal import split_log
 from repro.serving.sharing import (
-    BatchCapture,
     ShareSignature,
     capture_feed,
     replay_feed,
@@ -174,7 +173,7 @@ class StandingQueryEngine:
     SFUN packs) serial :class:`Gigascope` per registered query; each
     call must return a *new* instance with a private cost model and
     metrics registry (``deploy(ExecTarget(serve=True))`` builds the
-    engine over such a factory, :attr:`instance_factory`).  ``quotas`` maps tenant names to
+    engine over such a factory).  ``quotas`` maps tenant names to
     :class:`TenantQuota` (or bare cycles-per-record numbers).
     ``breaker`` configures the per-query circuit breakers (see
     :mod:`repro.serving.faults`); the poison-batch quarantine log
@@ -193,7 +192,6 @@ class StandingQueryEngine:
         self,
         instance_factory: Callable[[], Gigascope],
         *,
-        share: bool = True,
         quotas: Optional[Dict[str, Any]] = None,
         journal: Optional[ResultJournal] = None,
         on_commit: Optional[Callable[[int, str], None]] = None,
@@ -201,7 +199,6 @@ class StandingQueryEngine:
         trace: Optional[TraceSink] = None,
     ) -> None:
         self.instance_factory = instance_factory
-        self.share = share
         self.quotas: Dict[str, TenantQuota] = {
             tenant: (
                 quota if isinstance(quota, TenantQuota)
@@ -218,7 +215,6 @@ class StandingQueryEngine:
         self.metrics = MetricsRegistry()
         self._queries: Dict[str, ServedQuery] = {}  # by qid, insertion order
         self._groups: Dict[ShareSignature, List[str]] = {}
-        self._direct: List[str] = []
         self._offered: Dict[str, int] = {}  # records offered, per tenant
         self._next_id = 0
         self._closed = False
@@ -235,8 +231,8 @@ class StandingQueryEngine:
     ) -> ServedQuery:
         """Register one standing query; takes effect at the next batch.
 
-        Compilation errors (unknown stream, lint refusals under a strict
-        factory...) propagate, and so does what the legality table
+        Compilation errors (unknown stream, unknown function...)
+        propagate, and so does what the legality table
         (:mod:`repro.analysis.legality`) refuses this deployment — the
         factory's instance, served, durable when journalled — as an
         ``ExecutionError``: a rejected query never joins the set.
@@ -262,13 +258,8 @@ class StandingQueryEngine:
         handle = gs.add_query(text, name=name)
         target = replace(gs.target, serve=True, durable=self.journal is not None)
         require_runnable(target, handle.plan, gs.registries, name, ExecutionError)
-        feeder = f"{name}__lowsel"
-        if (
-            handle.level == "high"
-            and handle.source == feeder
-            and feeder in gs._queries
-        ):
-            low_name: Optional[str] = feeder
+        if handle.feeder is not None:
+            low_name: Optional[str] = handle.feeder
             high_name: Optional[str] = name
         elif handle.level == "low":
             low_name, high_name = name, None
@@ -276,22 +267,21 @@ class StandingQueryEngine:
             low_name = high_name = None  # reads another registered query
 
         node = handle
-        while node.source in gs._queries:
-            node = gs._queries[node.source]
+        while node.level == "high":
+            node = gs.query(node.source)
         stream = node.source
 
         signature, reason = share_signature(
             handle.plan,
             gs.registries,
-            share=self.share,
             shed_threshold=target.shed_threshold,
             validate_admission=gs.validate_admission,
             reads_query=low_name is None,
         )
         if signature is not None:
             # ``add_query`` recompiled a heavy query to read its own
-            # ``<name>__lowsel`` feeder; what is shared is the scan of
-            # the raw stream under it, whatever the query is called.
+            # feeder; what is shared is the scan of the raw stream
+            # under it, whatever the query is called.
             signature = replace(signature, stream=stream)
 
         gs.start()
@@ -312,8 +302,6 @@ class StandingQueryEngine:
         self._queries[qid] = sq
         if signature is not None:
             self._groups.setdefault(signature, []).append(qid)
-        else:
-            self._direct.append(qid)
         self._journal_event(
             "register",
             qid=qid,
@@ -343,8 +331,6 @@ class StandingQueryEngine:
             members.remove(qid)
             if not members:
                 del self._groups[sq.signature]
-        else:
-            self._direct.remove(qid)
         self._journal_event("unregister", qid=qid, offset=self.consumed)
         self.metrics.counter(
             "serving_unregistered_total",
@@ -374,12 +360,16 @@ class StandingQueryEngine:
     def feed(self, batch: List[Record]) -> int:
         """Push one batch through every active standing query.
 
-        Each query's step runs inside a fault boundary: an exception
-        from one instance quarantines *that query* (dead-lettered,
-        breaker-counted) and never interrupts the others.  A failing
-        shared-group leader is replaced by the next healthy member and
-        the prefilter re-runs for the same batch, so followers never
-        observe a gap.
+        The batch visits one feed group at a time (:meth:`_feed_groups`).
+        Each member gets one admission decision (shed for its tenant's
+        quota, skipped behind its open breaker, or fed) and runs inside
+        its own fault boundary: an exception from one instance
+        quarantines *that query* (dead-lettered, breaker-counted) and
+        never interrupts the others.  The first admitted member leads:
+        it feeds the batch, capturing the shared prefix when admitted
+        followers replay it.  A failing leader is replaced by the next
+        admitted member, which re-runs the prefix for the same batch,
+        so followers never observe a gap.
         """
         if self._closed:
             raise ExecutionError("the serving engine is closed")
@@ -394,72 +384,67 @@ class StandingQueryEngine:
         offset = self.consumed  # records consumed *before* this batch
         self.consumed += n
         shed_tenants = self._quota_decisions(n)
-        for members in list(self._groups.values()):
-            live = [self._queries[qid] for qid in members]
+        for role, members in self._feed_groups():
             fed: List[ServedQuery] = []
-            for sq in live:
+            for sq in members:
                 if sq.tenant in shed_tenants:
                     sq.instance.refuse("quota_shed", sq.stream, n)
                 elif sq.breaker.admits():
                     fed.append(sq)
                 else:
                     self._poison_skip(sq, n)
-            if not fed:
-                continue
-            # Leader failover: the lowest-qid member runs the shared
-            # prefix; if it fails, promote the next healthy member and
-            # re-run the prefilter for the same batch.
-            capture: Optional[BatchCapture] = None
-            index = 0
-            while index < len(fed):
-                leader = fed[index]
+            for index, leader in enumerate(fed):
+                followers = fed[index + 1:]
                 try:
-                    capture = capture_feed(
-                        leader.instance, leader.low_name, leader.high_name,
-                        batch,
-                    )
+                    if followers:
+                        capture = capture_feed(
+                            leader.instance, leader.low_name, leader.high_name,
+                            batch,
+                        )
+                    else:
+                        leader.instance.feed(batch)
                 except Exception as exc:  # fault boundary, not a bug trap
-                    self._record_failure(leader, exc, "leader", offset, n)
-                    index += 1
-                    if index < len(fed):
-                        self._note_failover(leader, fed[index], offset)
+                    self._record_failure(leader, exc, role, offset, n)
+                    if followers:
+                        self._note_failover(leader, followers[0], offset)
                     continue
                 self._record_success(leader)
+                replayed = 0
+                for sq in followers:
+                    try:
+                        replay_feed(sq.instance, sq.low_name, capture)
+                    except Exception as exc:  # fault boundary, not a bug trap
+                        self._record_failure(sq, exc, "follower", offset, n)
+                    else:
+                        self._record_success(sq)
+                        replayed += 1
+                if replayed:
+                    self.metrics.counter(
+                        "serving_shared_replays_total",
+                        help="follower feeds satisfied by shared-prefix replay",
+                    ).inc(replayed)
                 break
-            if capture is None:
-                continue  # every member failed; each is dead-lettered
-            replayed = 0
-            for sq in fed[index + 1:]:
-                try:
-                    replay_feed(sq.instance, sq.low_name, capture)
-                except Exception as exc:  # fault boundary, not a bug trap
-                    self._record_failure(sq, exc, "follower", offset, n)
-                else:
-                    self._record_success(sq)
-                    replayed += 1
-            if replayed:
-                self.metrics.counter(
-                    "serving_shared_replays_total",
-                    help="follower feeds satisfied by shared-prefix replay",
-                ).inc(replayed)
-        for qid in list(self._direct):
-            sq = self._queries[qid]
-            if sq.tenant in shed_tenants:
-                sq.instance.refuse("quota_shed", sq.stream, n)
-            elif not sq.breaker.admits():
-                self._poison_skip(sq, n)
-            else:
-                try:
-                    sq.instance.feed(batch)
-                except Exception as exc:  # fault boundary, not a bug trap
-                    self._record_failure(sq, exc, "direct", offset, n)
-                else:
-                    self._record_success(sq)
         self.metrics.counter(
             "serving_records_total",
             help="records offered to the serving engine",
         ).inc(n)
         return n
+
+    def _feed_groups(self) -> List[Tuple[str, List[ServedQuery]]]:
+        """The feed groups, with the dead-letter role of their leaders:
+        each sharing group (``leader``), then each active query that
+        cannot share, as a group of one (``direct``), registration order
+        within both."""
+        queries = self._queries
+        groups = [
+            ("leader", [queries[qid] for qid in members])
+            for members in self._groups.values()
+        ]
+        return groups + [
+            ("direct", [sq])
+            for sq in queries.values()
+            if sq.signature is None and sq.active
+        ]
 
     def _quota_decisions(self, n: int) -> set:
         """Which tenants shed this batch (and advance their ledgers)."""
@@ -838,39 +823,42 @@ def drive(
 
 
 def resume_serving(
-    instance_factory: Callable[[], Gigascope],
+    engine: StandingQueryEngine,
     journal_path: str,
     records: Iterable[Record],
     *,
-    share: bool = True,
-    quotas: Optional[Dict[str, Any]] = None,
     batch_size: int = 512,
     commit_interval: int = 4,
-    on_commit: Optional[Callable[[int, str], None]] = None,
-    breaker: Optional[BreakerConfig] = None,
 ) -> StandingQueryEngine:
-    """Resume a journalled serve after a crash.
+    """Resume a journalled serve after a crash, into ``engine``.
 
+    ``engine`` is fresh, built as the original serve's was
+    (``deploy(ExecTarget(serve=True, durable=True), ...)`` with the same
+    options), so quota and quarantine decisions replay at the same
+    offsets and its trace, ``on_commit`` hook and breaker configuration
+    carry on; one that already holds queries or a journal is refused.
     Rebuilds every standing registration from the event log, restores
     the last commit's instance checkpoints (including circuit-breaker
-    and dead-letter state), skips the committed input prefix and replays
-    the remainder — re-applying any events recorded after the last
-    commit at their original offsets.  ``records`` must be the same
-    replayable stream the original serve consumed, and ``breaker`` must
-    match the original configuration so quarantine decisions replay at
-    the same offsets.  Returns the closed engine (results, metrics and
-    cost accounts byte-identical to an uninterrupted serve).
+    and dead-letter state) and what the engine owns itself, skips the
+    committed input prefix and replays the remainder — re-applying any
+    events recorded after the last commit at their original offsets.
+    ``records`` must be the same replayable stream the original serve
+    consumed.  Returns the closed engine (results, metrics and cost
+    accounts byte-identical to an uninterrupted serve).
     """
+    if engine.queries():
+        raise ExecutionError(
+            "resume_serving needs a fresh engine; this one already holds"
+            f" queries {[sq.qid for sq in engine.queries()]}"
+        )
+    if engine.journal is not None:
+        raise ExecutionError(
+            "resume_serving needs a fresh engine; this one already writes"
+            f" the journal {engine.journal.path!r}"
+        )
     entries = read_journal(journal_path, StandingQueryEngine.journal_mode)
     replayed, _, pending = split_log(entries)
     # No journal yet: the events being replayed are already in it.
-    engine = StandingQueryEngine(
-        instance_factory,
-        share=share,
-        quotas=quotas,
-        on_commit=on_commit,
-        breaker=breaker,
-    )
     for event in replayed:
         # Registrations stamp the offset they happen at.
         engine.consumed = event["offset"]

@@ -77,7 +77,6 @@ def share_signature(
     plan: QueryPlan,
     registries: Any,
     *,
-    share: bool = True,
     shed_threshold: Optional[int] = None,
     validate_admission: bool = False,
     reads_query: bool = False,
@@ -87,13 +86,10 @@ def share_signature(
     Returns ``(signature, None)`` when the query can share its served
     feed, ``(None, reason)`` when it cannot.  This is the engine's whole
     sharing decision and what lint rule SA401 reports: the keywords say
-    what the serving instance is (``share``: the server's switch; the
-    instance's ``shed_threshold`` and ``validate_admission``;
-    ``reads_query``: its source is another registered query), the rest
-    is read off the plan.
+    what the serving instance is (its ``shed_threshold`` and
+    ``validate_admission``; ``reads_query``: its source is another
+    registered query), the rest is read off the plan.
     """
-    if not share:
-        return None, "sharing is disabled for this server"
     if shed_threshold is not None:
         return None, "overload shedding decisions are instance-local"
     if validate_admission:

@@ -17,6 +17,7 @@ from repro.analysis.dataflow import (
     build_plan_graph,
     run_dataflow,
 )
+from repro.analysis.sampling_algebra import analyze_sampling
 from repro.dsms.parser.planner import compile_query
 
 FULL_QUERY = (
@@ -159,9 +160,8 @@ class TestRunDataflow:
 
 class TestCompileQueryAnnotate:
     def test_annotate_exports_sampling_facts(self, registries):
-        plan = compile_query(
-            FULL_QUERY, registries, query_name="q", annotate=True
-        )
+        plan = compile_query(FULL_QUERY, registries, query_name="q")
+        analyze_sampling(plan)
         sampling = plan.annotations["sampling"]
         assert "q.where->q.group" in sampling["edges"]
         assert sampling["estimators"]

@@ -186,7 +186,7 @@ class TestServingCrashResume:
         journal = str(tmp_path / "serve.wal")
         kill_server_at_commit(journal, kill_at)
         resumed = resume_serving(
-            make_instance,
+            StandingQueryEngine(make_instance),
             journal,
             feed(),
             batch_size=BATCH,
@@ -209,15 +209,14 @@ class TestServingCrashResume:
 
         with pytest.raises(KeyboardInterrupt):
             resume_serving(
-                make_instance,
+                StandingQueryEngine(make_instance, on_commit=explode),
                 journal,
                 feed(),
                 batch_size=BATCH,
                 commit_interval=COMMIT_INTERVAL,
-                on_commit=explode,
             )
         resumed = resume_serving(
-            make_instance,
+            StandingQueryEngine(make_instance),
             journal,
             feed(),
             batch_size=BATCH,
@@ -245,7 +244,7 @@ class TestServingCrashResume:
             raise AssertionError("a completed serve must not re-read input")
             yield  # pragma: no cover
 
-        resumed = resume_serving(make_instance, journal, no_records())
+        resumed = resume_serving(StandingQueryEngine(make_instance), journal, no_records())
         assert resumed.closed
         assert_engines_identical(resumed, engine)
 
@@ -421,7 +420,7 @@ class TestServingJournalTornTail:
         run_child([_TORN_CHILD, journal, text], journal, expect_rc=86)
 
         resumed = resume_serving(
-            make_instance,
+            StandingQueryEngine(make_instance),
             journal,
             feed(),
             batch_size=BATCH,
@@ -463,7 +462,7 @@ class TestGracefulDrainChaos:
             raise AssertionError("a drained serve must not re-read input")
             yield  # pragma: no cover
 
-        resumed = resume_serving(make_instance, journal, no_records())
+        resumed = resume_serving(StandingQueryEngine(make_instance), journal, no_records())
         assert resumed.closed
         consumed = resumed.consumed
         assert 0 < consumed < len(feed())  # genuinely cut short
@@ -580,12 +579,11 @@ class TestPoisonCrashResume:
         )
         breaker = BreakerConfig(failure_threshold=2, cooldown_batches=3)
         resumed = resume_serving(
-            poison_make_instance,
+            StandingQueryEngine(poison_make_instance, breaker=breaker),
             journal,
             feed(),
             batch_size=BATCH,
             commit_interval=COMMIT_INTERVAL,
-            breaker=breaker,
         )
         oracle = StandingQueryEngine(poison_make_instance, breaker=breaker)
         oracle.register(POISON_TEXT, name="q", qid="bad")

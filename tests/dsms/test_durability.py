@@ -485,7 +485,8 @@ class _Served:
 
     def resume(self, path, records):
         engine = resume_serving(
-            make_instance, path, records, quotas=self.quotas, batch_size=128, commit_interval=2
+            StandingQueryEngine(make_instance, quotas=self.quotas), path, records,
+            batch_size=128, commit_interval=2,
         )
         return engine, engine.consumed
 

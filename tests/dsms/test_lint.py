@@ -21,6 +21,7 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.linter import (
     default_lint_registries,
+    lint_query,
     lint_source,
     parse_pragmas,
 )
@@ -28,13 +29,11 @@ from repro.analysis.rules import NOT_CONSTANT, fold_constant
 from repro.dsms.expr import BinaryOp, EvalContext, Literal, evaluate
 from repro.dsms.parser.analyzer import Registries, analyze
 from repro.dsms.parser.parser import parse_expression, parse_query
-from repro.dsms.runtime import Gigascope
 from repro.dsms.parser.planner import compile_query
 from repro.dsms.span import Span
 from repro.dsms.stateful import StatefulLibrary
 from repro.dsms.vectorized.compiler import apply_binary
 from repro.errors import AnalysisError, ExecutionError
-from repro.streams.schema import TCP_SCHEMA
 
 
 @pytest.fixture(scope="module")
@@ -380,43 +379,32 @@ class TestCustomRegistries:
 
 
 class TestStrictMode:
+    """Strictness is one gate: ``lint_query`` against the deployment's
+    target, which ``repro query --strict`` refuses on for any
+    diagnostic.  The compiler itself never lints."""
+
     WARNING_QUERY = "SELECT srcIP FROM TCP GROUP BY srcIP"
 
-    def test_compile_query_strict_raises(self, registries):
-        with pytest.raises(AnalysisError, match="SA001"):
-            compile_query(self.WARNING_QUERY, registries, strict=True)
+    def test_lint_reports_what_strict_refuses(self, registries):
+        result = lint_query(self.WARNING_QUERY, registries)
+        assert "SA001" in {d.rule for d in result.diagnostics}
+        assert not result.errors  # a warning: only --strict refuses it
 
     def test_compile_query_default_still_compiles(self, registries):
         plan = compile_query(self.WARNING_QUERY, registries)
         assert plan.kind == "aggregation"
 
-    def test_gigascope_strict_instance(self):
-        gs = Gigascope(strict=True)
-        gs.register_stream(TCP_SCHEMA)
-        with pytest.raises(AnalysisError, match="SA001"):
-            gs.add_query(self.WARNING_QUERY)
-
-    def test_gigascope_per_query_override(self):
-        gs = Gigascope(strict=True)
-        gs.register_stream(TCP_SCHEMA)
-        handle = gs.add_query(self.WARNING_QUERY, strict=False)
-        assert handle.name
-
-    def test_strict_accepts_clean_query(self):
-        gs = Gigascope(strict=True)
-        gs.register_stream(TCP_SCHEMA)
-        handle = gs.add_query(
-            "SELECT tb, sum(len) FROM TCP GROUP BY time/20 as tb"
+    def test_strict_accepts_clean_query(self, registries):
+        result = lint_query(
+            "SELECT tb, sum(len) FROM TCP GROUP BY time/20 as tb", registries
         )
-        assert handle.level == "high"
+        assert not result.diagnostics
 
-    def test_strict_accepts_pragma_suppressed_query(self):
-        gs = Gigascope(strict=True)
-        gs.register_stream(TCP_SCHEMA)
-        handle = gs.add_query(
-            "-- lint: disable=SA001,SA101\n" + self.WARNING_QUERY
+    def test_strict_accepts_pragma_suppressed_query(self, registries):
+        result = lint_query(
+            "-- lint: disable=SA001,SA101\n" + self.WARNING_QUERY, registries
         )
-        assert handle.name
+        assert not result.diagnostics
 
 
 class TestCorpusClean:

@@ -132,11 +132,11 @@ class TestEveryDeploymentRefusesAlike:
         assert conserved(sh.metrics, sh.run_report(), len(feed)) == expected
         assert dead_letters(sh.quarantine) == letters
 
-        for share in (False, True):
-            engine = StandingQueryEngine(lambda: bare(True), share=share)
+        for count in (1, 2):
+            engine = StandingQueryEngine(lambda: bare(True))
             # a lone query runs direct; equal twins would form a sharing
             # group, which per-instance validation declines
-            twins = [engine.register(AGG_TEXT, name="q") for _ in range(1 + share)]
+            twins = [engine.register(AGG_TEXT, name="q") for _ in range(count)]
             assert drive(engine, iter(feed), batch_size=batch_size) == len(feed)
             assert not engine.dead_letters.entries  # nothing raised in a query
             for sq in twins:

@@ -151,32 +151,30 @@ class TestFromRewrite:
 
 
 class TestStrictRecompile:
-    """A heavy query is checked as the user wrote it, with the caller's
-    strict flag, and then planned to read its auto-inserted feeder; a
-    failure there must not leak the feeder."""
+    """A heavy query is compiled as the user wrote it and then planned
+    to read its auto-inserted feeder; a failure there must not leak the
+    feeder."""
 
-    def test_recompile_preserves_strict(self, monkeypatch):
+    def test_the_user_text_compiles_once(self, monkeypatch):
         import repro.dsms.runtime as runtime_mod
 
         calls = []
         real = runtime_mod.compile_query
 
-        def spy(text, registries, query_name="Q", strict=False):
-            calls.append((query_name, strict))
-            return real(text, registries, query_name=query_name, strict=strict)
+        def spy(text, registries, query_name="Q"):
+            calls.append(query_name)
+            return real(text, registries, query_name=query_name)
 
         monkeypatch.setattr(runtime_mod, "compile_query", spy)
         gs = Gigascope()
         gs.register_stream(TCP_SCHEMA)
         gs.use_stateful_library(subset_sum_library())
-        gs.add_query(
-            SUBSET_SUM_QUERY.format(window=2, target=5), name="ss", strict=True
-        )
-        assert [s for (n, s) in calls if n == "ss"] == [True]  # once, strictly
-        assert gs.query("ss").source == "ss__lowsel"
-        # strict refuses a heavy query lint warns about, and no feeder is left
+        handle = gs.add_query(SUBSET_SUM_QUERY.format(window=2, target=5), name="ss")
+        assert calls.count("ss") == 1
+        assert handle.source == handle.feeder == "ss__lowsel"
+        # a heavy query that does not compile inserts no feeder
         with pytest.raises(AnalysisError):
-            gs.add_query("SELECT tb, sum(len) FROM TCP GROUP BY time/2 as tb, uts", strict=True)
+            gs.add_query("SELECT tb, nope(len) FROM TCP GROUP BY time/2 as tb", name="bad")
         assert [name for name in gs.registries.schemas if name.endswith("__lowsel")] == ["ss__lowsel"]
 
     def test_failed_recompile_removes_feeder(self, monkeypatch):

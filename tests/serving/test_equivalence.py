@@ -6,7 +6,7 @@ produces*.  Each case below serves a set on one engine and holds every
 member's rows to the oracle and its series and cost accounts to its solo
 serial run, and the engine's sharing to lint's SA401 verdict
 (``tests/test_oracle.py::agree``) — for every pair of shipped examples
-with and without sharing, for sliding triples, and for a 100-query
+shared and on private feeds, for sliding triples, and for a 100-query
 standing set.
 """
 
@@ -27,10 +27,10 @@ TRIPLES = [tuple(NAMES[i : i + 3]) for i in range(len(NAMES) - 2)]
 RECORDS = TRACES["bursty"]
 
 
-def served(texts, names, share=True, vectorize=False):
+def served(texts, names, vectorize=False, validate=False):
     case = Case(
         Family(tuple(texts)), stream(RECORDS), names=tuple(names),
-        target=ExecTarget(serve=True), vectorize=vectorize, share=share, batch_size=BATCH,
+        target=ExecTarget(serve=True), vectorize=vectorize, validate=validate, batch_size=BATCH,
     )
     return agree(case).deployment
 
@@ -57,7 +57,10 @@ class TestPairs:
 
     @pytest.mark.parametrize("pair", PAIRS, ids=["+".join(p) for p in PAIRS])
     def test_unshared(self, pair):
-        served([EXAMPLE_TEXTS[name] for name in pair], pair, share=False)
+        # Admission validation quarantines per instance, so neither
+        # member shares: each is fed as a group of one.
+        engine = served([EXAMPLE_TEXTS[name] for name in pair], pair, validate=True)
+        assert not engine.report()["shared_groups"]
 
 
 class TestTriples:

@@ -21,8 +21,10 @@ from repro.serving.faults import (
     DeadLetterLog,
 )
 from repro.dsms.durability import ResultJournal
+from repro.obs.tracing import TraceSink
 from repro.serving.server import StandingQueryEngine, drive, resume_serving
 
+from tests.dsms.test_durability import _Boom, crash_on_commit
 from tests.serving.conftest import BATCH, make_instance, served_state, solo_state
 
 #: The poison trigger: ``POISON(time)`` raises once ``time`` crosses
@@ -268,7 +270,9 @@ class TestPoisonQuarantine:
     def test_breaker_closes_again_when_the_fault_heals(self, records):
         """A transient fault (raises only inside a time window) opens
         the breaker, then a successful half-open probe re-closes it and
-        the query serves again."""
+        the query serves again.  The engine's trace tells the story: the
+        leader's poisoned batch, its breaker opening, the failover to
+        the follower, and the breaker closing once the fault heals."""
 
         def transient(value):
             if 2 <= value < 4:
@@ -280,9 +284,11 @@ class TestPoisonQuarantine:
             gs.register_scalar("POISON", transient, deterministic=True)
             return gs
 
+        trace = TraceSink()
         engine = StandingQueryEngine(
             factory,
             breaker=BreakerConfig(failure_threshold=1, cooldown_batches=1),
+            trace=trace,
         )
         sq = engine.register(POISON_SHARED, name="q")
         witness = engine.register(HEALTHY_AGGS[0], name="q")
@@ -293,6 +299,18 @@ class TestPoisonQuarantine:
         assert sq.breaker.last_error is None
         assert len(sq.results) > 0  # served again after healing
         assert served_state(witness) == solo_state(HEALTHY_AGGS[0], records)
+
+        kinds = [event.kind for event in trace.events]
+        assert kinds[:3] == ["breaker_open", "poison_batch", "leader_failover"]
+        assert kinds[-1] == "breaker_close"
+        opened, poisoned, failover = (event.fields for event in trace.events[:3])
+        assert opened["qid"] == poisoned["qid"] == sq.qid
+        assert poisoned["role"] == "leader"
+        assert "transient fault window" in poisoned["error"]
+        assert failover == {
+            "failed": sq.qid, "promoted": witness.qid, "offset": poisoned["offset"],
+        }
+        assert trace.events[-1].fields["qid"] == sq.qid
 
     def test_unregistering_the_leader_promotes_the_next_member(self, records):
         """Removing a shared-group leader mid-stream hands leadership to
@@ -341,6 +359,52 @@ class TestPoisonQuarantine:
         assert report["dead_letters"]["by_query"] == {sq.qid: (
             report["dead_letters"]["total"]
         )}
+        # A lone shareable query is a group of one: it fails as its
+        # leader, with no one to fail over to.
+        assert sq.signature is not None
+        assert {e.role for e in engine.dead_letters.entries} == {"leader"}
+        assert engine.metrics.value("serving_leader_failovers_total") == 0
+
+
+class TestOneFeedPath:
+    """Every feed group — a sharing group, or a query that cannot share
+    as a group of one — runs through one loop: one admission decision
+    and one fault boundary per member, the role in the dead letter
+    saying where in the group it failed."""
+
+    def test_a_follower_whose_replay_raises(self, records):
+        """The poisoned query follows a healthy leader: its replay raises
+        inside its own boundary, and the leader never notices."""
+        engine = StandingQueryEngine(poison_factory)
+        leader = engine.register(HEALTHY_AGGS[0], name="q")
+        follower = engine.register(POISON_SHARED, name="q")
+        assert engine.report()["shared_groups"][0]["members"] == [leader.qid, follower.qid]
+        feed_all(engine, records)
+        engine.close()
+        assert {e.role for e in engine.dead_letters.entries} == {"follower"}
+        assert follower.breaker.state == "open"
+        assert engine.metrics.value("serving_leader_failovers_total") == 0
+        assert served_state(leader) == solo_state(HEALTHY_AGGS[0], records)
+
+    def test_a_flush_that_raises_is_dead_lettered(self, records):
+        """The last window only closes in ``finish``, and its HAVING
+        raises there: the flush is dead-lettered and the drain goes on
+        for every other query."""
+        engine = StandingQueryEngine(poison_factory)
+        sq = engine.register(
+            "SELECT tb, count(*) FROM TCP GROUP BY time/2 as tb"
+            " HAVING POISON(tb) > 0",
+            name="q",
+        )
+        witness = engine.register(HEALTHY_AGGS[0], name="q")
+        feed_all(engine, records)
+        assert not engine.dead_letters.entries  # every batch fed cleanly
+        engine.close()
+        assert engine.closed
+        (letter,) = engine.dead_letters.entries
+        assert (letter.qid, letter.role) == (sq.qid, "flush")
+        assert (letter.offset, letter.batch_size) == (len(records), 0)
+        assert served_state(witness) == solo_state(HEALTHY_AGGS[0], records)
 
 
 class TestBreakerDurability:
@@ -356,6 +420,42 @@ class TestBreakerDurability:
         drive(engine, records, batch_size=BATCH, commit_interval=2)
         return engine
 
+    def test_a_resumed_serve_keeps_its_engine_trace(self, tmp_path, records):
+        """Killed at its second commit, after the poisoned leader's
+        first failures were traced, and resumed into a fresh traced
+        engine: the trace is the uninterrupted serve's."""
+        path = str(tmp_path / "serve.wal")
+
+        def traced(**options):
+            engine = StandingQueryEngine(
+                poison_factory,
+                breaker=BreakerConfig(failure_threshold=2, cooldown_batches=3),
+                trace=TraceSink(),
+                **options,
+            )
+            engine.register(POISON_SHARED, name="q", qid="bad")
+            engine.register(HEALTHY_AGGS[0], name="q", qid="good")
+            return engine
+
+        oracle = traced()
+        drive(oracle, records, batch_size=BATCH, commit_interval=2)
+        killed = traced(
+            journal=ResultJournal(path, fresh=True), on_commit=crash_on_commit(2)
+        )
+        with pytest.raises(_Boom):
+            drive(killed, records, batch_size=BATCH, commit_interval=2)
+        assert killed.trace.kinds()["breaker_open"] == 1  # traced before the kill
+
+        fresh = StandingQueryEngine(
+            poison_factory,
+            breaker=BreakerConfig(failure_threshold=2, cooldown_batches=3),
+            trace=TraceSink(),
+        )
+        resumed = resume_serving(fresh, path, records, batch_size=BATCH, commit_interval=2)
+        assert resumed is fresh and resumed.closed
+        assert resumed.trace.checkpoint() == oracle.trace.checkpoint()
+        assert resumed.dead_letters.checkpoint() == oracle.dead_letters.checkpoint()
+
     def test_breaker_and_dead_letter_state_ride_the_journal(
         self, tmp_path, records
     ):
@@ -365,12 +465,14 @@ class TestBreakerDurability:
         oracle = self.run_drive(None, records)
         self.run_drive(path, records)
         resumed = resume_serving(
-            poison_factory,
+            StandingQueryEngine(
+                poison_factory,
+                breaker=BreakerConfig(failure_threshold=2, cooldown_batches=3),
+            ),
             path,
             (_ for _ in ()),  # final commit present: reads no input
             batch_size=BATCH,
             commit_interval=2,
-            breaker=BreakerConfig(failure_threshold=2, cooldown_batches=3),
         )
         assert resumed.closed
         for qid in ("bad", "good"):
@@ -407,7 +509,7 @@ class TestBreakerDurability:
         legacy.close()
 
         resumed = resume_serving(
-            make_instance, path, records, batch_size=BATCH
+            StandingQueryEngine(make_instance), path, records, batch_size=BATCH
         )
         assert resumed.lookup("good").breaker.state == "closed"
         assert resumed.dead_letters.total == 0

@@ -334,7 +334,7 @@ class TestGracefulDrain:
             raise AssertionError("a drained serve must not re-read input")
             yield  # pragma: no cover
 
-        resumed = resume_serving(make_instance, path, no_records())
+        resumed = resume_serving(StandingQueryEngine(make_instance), path, no_records())
         assert resumed.closed
         assert served_state(resumed.lookup("sqA")) == served_state(
             engine.lookup("sqA")

@@ -92,12 +92,6 @@ class TestSharingDecisions:
         assert a.signature != c.signature
         assert len(engine.report()["shared_groups"]) == 2
 
-    def test_share_disabled_reason(self):
-        engine = StandingQueryEngine(make_instance, share=False)
-        sq = engine.register(SELECTION, name="q")
-        assert sq.signature is None
-        assert "disabled" in sq.share_reason
-
     def test_describe_carries_the_reason(self):
         engine = StandingQueryEngine(make_instance)
         sq = engine.register(EXAMPLE_TEXTS["unsound_unshardable"], name="q")
@@ -211,7 +205,20 @@ class TestJournalFormat:
         with ResultJournal(path, fresh=True) as journal:
             journal.append({"serving_version": 99, "kind": "commit"})
         with pytest.raises(ExecutionError, match="version 99"):
-            resume_serving(make_instance, path, [])
+            resume_serving(StandingQueryEngine(make_instance), path, [])
+
+    def test_resume_refuses_an_engine_that_is_not_fresh(self, tmp_path):
+        path = str(tmp_path / "serve.wal")
+        holding = StandingQueryEngine(make_instance)
+        holding.register(SELECTION, name="q")
+        with pytest.raises(ExecutionError, match=r"already holds queries \['sq1'\]"):
+            resume_serving(holding, path, [])
+        journalled = StandingQueryEngine(
+            make_instance, journal=ResultJournal(path, fresh=True)
+        )
+        with pytest.raises(ExecutionError, match="already writes the journal"):
+            resume_serving(journalled, path, [])
+        journalled.journal.close()
 
     def test_pre_envelope_journal_still_resumes(self, tmp_path, records):
         """Entries shaped as the serving journal's own writer shaped
@@ -250,7 +257,9 @@ class TestJournalFormat:
             for old_entry in old_entries:
                 journal.append(old_entry)
 
-        resumed = resume_serving(make_instance, path, records, batch_size=BATCH)
+        resumed = resume_serving(
+            StandingQueryEngine(make_instance), path, records, batch_size=BATCH
+        )
         assert resumed.closed and resumed.consumed == len(records)
         assert served_state(resumed.lookup("sqA")) == solo_state(
             SELECTION, records
@@ -287,7 +296,9 @@ class TestJournalFormat:
         # Crash before the first commit: only the register event is
         # durable.  Resume must replay the whole stream.
         engine.journal.close()
-        resumed = resume_serving(make_instance, path, records, batch_size=BATCH)
+        resumed = resume_serving(
+            StandingQueryEngine(make_instance), path, records, batch_size=BATCH
+        )
         sq = resumed.lookup("sq1")
         assert served_state(sq) == solo_state(SELECTION, records)
 

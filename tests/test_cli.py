@@ -527,6 +527,21 @@ def test_serve_charges_the_tenant_quota(trace_file, tmp_path, capsys):
     assert [s["value"] > 0 for s in metrics if s["name"] == "serving_quota_shed_total"] == [True]
 
 
+def test_serve_resumes_a_killed_journal(trace_file, killed_serve_journal, capsys):
+    """`serve --journal J --resume` resumes into the engine it built and
+    prints the rows and the report of an uninterrupted serve."""
+    flags = ["--trace", trace_file, "--batch-size", "64", "--limit", "100000", "--report"]
+    assert main(["serve", GSQL, *flags]) == 0
+    uninterrupted = capsys.readouterr()
+    assert main(["serve", *flags, "--journal", killed_serve_journal, "--resume"]) == 0
+    resumed = capsys.readouterr()
+    assert resumed.out == uninterrupted.out
+    report = json.loads(resumed.out[resumed.out.index("\n{") + 1 :])
+    assert report["consumed"] == len(load_trace(trace_file))
+    assert report["queries"][0]["rows"] > 0
+    assert f"-- resumed 1 standing quer(y/ies) from {killed_serve_journal}" in resumed.err
+
+
 @pytest.mark.parametrize("command", ["query", "serve"])
 class TestResumeRefusals:
     """Every way --resume can be refused is one line and exit 2, the same

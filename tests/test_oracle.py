@@ -297,7 +297,6 @@ class Case:
     fault: Optional[Tuple[Any, ...]] = None
     supervision: Optional[SupervisionPolicy] = None
     validate: bool = False
-    share: bool = True
     #: what every instance registers beyond the stream and the SFUN packs
     setup: Optional[Callable[[Any], None]] = None
 
@@ -441,13 +440,17 @@ def _served(case: Case, tmp: str) -> Seen:
 
     assert case.setup is None, "a served instance is deploy's own"
     journal = tempfile.mkdtemp(dir=tmp) + "/journal"
-    engine = deploy(
-        case.target, schema=case.family.schema, libraries=LIBRARIES, vectorize=case.vectorize,
-        validate_admission=case.validate, share=case.share, on_commit=crash_on_commit(case.crash_at),
+
+    def engine_for(**options: Any) -> Any:
+        return deploy(case.target, schema=case.family.schema, libraries=LIBRARIES,
+                      vectorize=case.vectorize, validate_admission=case.validate, **options)
+
+    engine = engine_for(
+        on_commit=crash_on_commit(case.crash_at),
         journal=ResultJournal(journal, fresh=True) if case.target.durable else None,
     )
     served = [engine.register(text, name=name) for text, name in served_queries(case)]
-    for sq, (text, _) in zip(served, served_queries(case)) if case.share and not case.validate else ():
+    for sq, (text, _) in zip(served, served_queries(case)) if not case.validate else ():
         # the engine shares what lint's SA401 says it shares (where lint
         # gets that far: a type error it reports stops it first)
         linted = lint_query(text, sq.instance.registries, target=replace(case.target, durable=False))
@@ -460,7 +463,7 @@ def _served(case: Case, tmp: str) -> Seen:
     try:
         drive(engine, fed, batch_size=case.batch_size, commit_interval=2)
     except _Boom:
-        engine, resumed = resume_serving(engine.instance_factory, journal, iter(fed), share=case.share,
+        engine, resumed = resume_serving(engine_for(), journal, iter(fed),
                                          batch_size=case.batch_size, commit_interval=2), True
         served = [engine.lookup(sq.qid) for sq in served]
     return Seen(
@@ -682,7 +685,6 @@ def cases(draw: Any) -> Case:
             journal_capacity=draw(st.sampled_from([64, 4])),
         ) if target.supervise else None,
         validate=validate,
-        share=draw(st.booleans()),
     )
 
 
