@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.dsms.expr import InPlace, Star, _Emitter, bind_group, bind_input, bind_tuple
 from repro.dsms.operators.base import Operator
+from repro.errors import PlanningError
 from repro.streams.records import Record
 
 #: Every tuple-engine node's run entry.  A line marked ``#? tags`` is
@@ -88,7 +89,9 @@ LOOP = dedent("""
             if not {where}:  #? where
                 n_filtered += 1  #? where
                 continue  #? where
-            emit({record}({schema}, {select}))  #? selection
+            row = {new}({record})  #? selection
+            row.schema, row.values = {schema}, {select}  #? selection
+            emit(row)  #? selection
             stats.tuples_admitted += 1  #? sampling
             n_admitted += 1  #? windowed
             {tuple_fed}  #? sampling
@@ -188,7 +191,9 @@ CLOSE = dedent("""
                     self.obs_trace.emit("having_rejected", query=self.obs_query,  #? rejects
                                         window=list(stats.window), group=list(gkey))  #? rejects
                 continue  #? having
-            rows.append({record}({schema}, {select}))
+            row = {new}({record})
+            row.schema, row.values = {schema}, {select}
+            rows.append(row)
             if self.obs_trace.enabled:  #? sampling
                 self.obs_trace.emit("group_emitted", query=self.obs_query,  #? sampling
                                     window=list(stats.window), group=list(gkey))  #? sampling
@@ -238,7 +243,13 @@ def emit_node(
     registry and the :func:`in_place` ``forms``; a sampling node, given
     its ``spec`` and ``entry`` (the group-table entry class) too.  An
     ``op`` whose class runs its own entry (the columnar subclasses) keeps
-    it, and takes the close.  ``label`` names the source (``expr._code``)."""
+    it, and takes the close.  ``label`` names the source (``expr._code``).
+    A row is built through :class:`Record`'s slots, so its arity is checked
+    here, once: a SELECT list that misfits ``op.output_schema`` fails."""
+    width, schema = len(analyzed.ast.select), op.output_schema
+    if width != len(schema):
+        raise PlanningError(f"{label}: SELECT lists {width} values for {len(schema)}"
+                            f" attributes of {schema.name!r}")
     node: Any = None  # the emitter of the function being written
     names, superaggregates = analyzed.group_by_names, spec.superaggregates if spec else ()
     at_input = bind_input(analyzed.schema, "v")
@@ -294,6 +305,7 @@ def emit_node(
         "group_by": group_by,
         "where": lambda depth: clause(at_tuple, depth, analyzed.ast.where),
         "select": select,
+        "new": lambda depth: node.const(object.__new__),
         "record": lambda depth: node.const(Record),
         "schema": lambda depth: node.const(op.output_schema),
         "tuple_fed": lambda depth: fed(depth, "tuple", at_tuple, "{0}.on_tuple(key, {1})"),

@@ -70,7 +70,7 @@ from repro.dsms.durability import (
 from repro.dsms.cost import NULL_COST_MODEL
 from repro.dsms.runtime import Gigascope, own_state, restore_own_state
 from repro.obs.export import render_prometheus
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracing import NULL_TRACE, TraceSink
 from repro.serving.faults import (
     BreakerConfig,
@@ -80,6 +80,7 @@ from repro.serving.faults import (
 )
 from repro.serving.journal import split_log
 from repro.serving.sharing import (
+    SeriesKey,
     ShareSignature,
     capture_feed,
     replay_feed,
@@ -132,6 +133,8 @@ class ServedQuery:
     registered_at: int
     unregistered_at: Optional[int] = None
     breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
+    #: the series a replay transplants into, resolved once (``replay_feed``)
+    series: Dict[SeriesKey, Counter] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def active(self) -> bool:
@@ -412,7 +415,7 @@ class StandingQueryEngine:
                 replayed = 0
                 for sq in followers:
                     try:
-                        replay_feed(sq.instance, sq.low_name, capture)
+                        replay_feed(sq.instance, sq.low_name, capture, sq.series)
                     except Exception as exc:  # fault boundary, not a bug trap
                         self._record_failure(sq, exc, "follower", offset, n)
                     else:

@@ -39,10 +39,13 @@ from typing import Any, Collection, Dict, List, Optional, Tuple
 from repro.analysis.dataflow import build_plan_graph
 from repro.dsms.expr import ScalarCall, find_nodes
 from repro.dsms.parser.planner import QueryPlan, partition_info
+from repro.obs.metrics import Counter
 from repro.streams.records import Record
 
 #: (metric name, sorted label items, counter delta)
 MetricDelta = Tuple[str, Tuple[Tuple[str, str], ...], int]
+#: (leader's low-level node, metric name, sorted label items)
+SeriesKey = Tuple[str, str, Tuple[Tuple[str, str], ...]]
 
 
 @dataclass(frozen=True)
@@ -256,7 +259,9 @@ def capture_feed(
     )
 
 
-def replay_feed(gs: Any, low_name: str, capture: BatchCapture) -> None:
+def replay_feed(
+    gs: Any, low_name: str, capture: BatchCapture, series: Dict[SeriesKey, Counter]
+) -> None:
     """Re-enact one captured feed on a follower instance.
 
     Transplants the shared-prefix deltas (relabelled from the canonical
@@ -265,18 +270,19 @@ def replay_feed(gs: Any, low_name: str, capture: BatchCapture) -> None:
     follower's own SPLIT-edge copy and dispatches it to the high-level
     operator as if that node had produced it.  Under ``profile`` the
     transplant is the low-level node's ``operator_seconds`` sample,
-    ``phase="replay"``.
+    ``phase="replay"``.  ``series`` holds the follower's counters by
+    (leader's node, metric, labels): each is looked up once (a restore
+    mutates series in place).
     """
     started = perf_counter() if gs.profile else 0.0
     for name, labels, delta in capture.metric_deltas:
-        relabelled = {
-            key: (low_name if key == "query" and value == capture.low_name
-                  else value)
-            for key, value in labels
-        }
-        gs.metrics.counter(
-            name, help=capture.helps.get(name), **relabelled
-        ).inc(delta)
+        key = (capture.low_name, name, labels)
+        if key not in series:
+            relabelled = dict(labels)
+            if relabelled.get("query") == capture.low_name:
+                relabelled["query"] = low_name
+            series[key] = gs.metrics.counter(name, help=capture.helps.get(name), **relabelled)
+        series[key].inc(delta)
     if gs.cost.enabled and capture.cost_deltas:
         gs.cost.absorb({
             (low_name if account == capture.low_name else account): cycles

@@ -6,8 +6,10 @@ and live inside sets during tests.  Field access is by name (``rec.len`` /
 ``rec["len"]``) or by position.
 
 The implementation intentionally avoids per-record dicts: values live in a
-plain tuple and name lookup goes through the schema's precomputed index,
-which keeps record creation cheap — the DSMS creates one per packet.
+plain tuple and name lookup goes through the schema's precomputed index.
+``Record(...)`` validates the value count against the schema; a generated
+query node (``repro.dsms.node``) checks its SELECT list's arity once, when
+it is written, and builds each output row through the slots instead.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ compiles.
 import gc
 import inspect
 import linecache
+import pickle
 import sys
 from dataclasses import replace
 
@@ -47,12 +48,14 @@ from repro.dsms.expr import (
     evaluate,
     find_nodes,
 )
+from repro.dsms.node import emit_node
 from repro.dsms.parser.parser import MAX_EXPRESSION_DEPTH, parse_expression
 from repro.dsms.runtime import Gigascope
 from repro.dsms.span import Span
 from repro.errors import (
     ExecutionError,
     ParseError,
+    PlanningError,
     RegistryError,
     ReproError,
     StatefulFunctionError,
@@ -596,3 +599,49 @@ def test_a_checkpoint_costs_no_call_per_group():
         finally:
             gc.enable()
     assert counts[0] == counts[1]
+
+
+def test_a_selection_row_costs_two_calls():
+    """A selection node builds each row it keeps through ``Record``'s
+    slots: one ``object.__new__`` and one append, no constructor and no
+    arity check per row (that is made once, when the node is written).
+    Over N records the node costs a constant plus 2 calls per kept row,
+    and its rows are the rows ``Record(...)`` builds."""
+    gs = Gigascope()
+    gs.register_stream(TCP_SCHEMA)
+    op = gs.add_query("SELECT time, srcIP, len FROM TCP WHERE len > 500", name="q").operator
+    trace = _steady(2000)
+    expected = [
+        Record(op.output_schema, (r.time, r.srcIP, r.len)) for r in trace if r.len > 500
+    ]
+    assert 0 < len(expected) < len(trace)
+    counts, rows = [], []
+    # a collection would run ``gc.callbacks`` (hypothesis registers one)
+    gc.disable()
+    try:
+        for records in ([], trace):
+            counts.append(_python_calls(lambda: rows.append(op.process_many(records))))
+    finally:
+        gc.enable()
+    assert counts[1] - counts[0] <= 2 * len(expected)
+    assert rows[1] == expected
+    assert [hash(row) for row in rows[1]] == [hash(row) for row in expected]
+    assert pickle.loads(pickle.dumps(rows[1])) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "SELECT time, len FROM TCP WHERE len > 500",
+    "SELECT tb, sum(len) FROM TCP GROUP BY time/2 as tb",
+])
+def test_a_select_list_that_misfits_its_schema_fails_when_the_node_is_written(text):
+    """The per-row arity check ``Record(...)`` makes is made by
+    ``emit_node``, once: an output schema one attribute wider than the
+    SELECT list is a ``PlanningError``, and no entry is bound."""
+    gs = Gigascope()
+    gs.register_stream(TCP_SCHEMA)
+    op = gs.add_query(text, name="q").operator
+    node = object.__new__(type(op))
+    node.output_schema = StreamSchema("wide", [*op.output_schema, Attribute("extra")])
+    with pytest.raises(PlanningError, match="SELECT lists 2 values for 3 attributes"):
+        emit_node(node, "q", op.analyzed)
+    assert "process_many" not in vars(node) and "_emit_window" not in vars(node)

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.obs.export import render_prometheus
+from repro.obs.metrics import MetricsRegistry
 from repro.serving.faults import (
     BreakerConfig,
     CircuitBreaker,
@@ -405,6 +406,72 @@ class TestOneFeedPath:
         assert (letter.qid, letter.role) == (sq.qid, "flush")
         assert (letter.offset, letter.batch_size) == (len(records), 0)
         assert served_state(witness) == solo_state(HEALTHY_AGGS[0], records)
+
+
+class TestReplaySeries:
+    """A follower resolves each series its replay transplants into on
+    its first batch, keyed by the leader's node (``ServedQuery.series``),
+    and afterwards only increments them."""
+
+    TEXTS = HEALTHY_AGGS[:3] + HEALTHY_SELECTIONS[:1] * 3
+
+    def test_a_replay_resolves_no_series_after_the_first_batch(
+        self, tmp_path, records, monkeypatch
+    ):
+        engine = StandingQueryEngine(make_instance)
+        served = [engine.register(text, name=f"q{i}") for i, text in enumerate(self.TEXTS)]
+        assert len(engine.report()["shared_groups"]) == 2
+        engine.feed(records[:BATCH])
+        followers = {id(sq.instance.metrics) for sq in served} - {
+            id(engine.lookup(group["members"][0]).instance.metrics)
+            for group in engine.report()["shared_groups"]
+        }
+        assert len(followers) == 4
+        resolved = []
+        counter = MetricsRegistry.counter
+
+        def counting(registry, name, *args, **labels):
+            if id(registry) in followers:
+                resolved.append(name)
+            return counter(registry, name, *args, **labels)
+
+        monkeypatch.setattr(MetricsRegistry, "counter", counting)
+        feed_all(engine, records[BATCH:])
+        assert engine.metrics.value("serving_shared_replays_total") > 4
+        assert resolved == []
+
+        # A failover hands the group to a leader with another node name,
+        # and a resume rebuilds every query: each follower still counts
+        # and charges what it would running alone.
+        monkeypatch.undo()
+        path = str(tmp_path / "serve.wal")
+
+        def fresh(**options):
+            return StandingQueryEngine(
+                poison_factory,
+                breaker=BreakerConfig(failure_threshold=2, cooldown_batches=3),
+                **options,
+            )
+
+        def poisoned(**options):
+            engine = fresh(**options)
+            engine.register(POISON_SHARED, name="bad", qid="bad")
+            for i, text in enumerate(self.TEXTS):
+                engine.register(text, name=f"q{i}", qid=f"q{i}")
+            return engine
+
+        killed = poisoned(journal=ResultJournal(path, fresh=True), on_commit=crash_on_commit(3))
+        with pytest.raises(_Boom):
+            drive(killed, records, batch_size=BATCH, commit_interval=2)
+        assert killed.metrics.value("serving_leader_failovers_total") > 0
+        uninterrupted = poisoned()
+        drive(uninterrupted, records, batch_size=BATCH, commit_interval=2)
+        resumed = resume_serving(fresh(), path, records, batch_size=BATCH, commit_interval=2)
+        for engine in (uninterrupted, resumed):
+            for i, text in enumerate(self.TEXTS):
+                assert served_state(engine.lookup(f"q{i}")) == solo_state(
+                    text, records, name=f"q{i}"
+                ), f"q{i}"
 
 
 class TestBreakerDurability:
