@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
-from repro.dsms.aggregates import AggregateRegistry
+from repro.dsms.aggregates import AggregateRegistry, checkpoint_column, restore_column
+from repro.dsms.durability import Appended
 from repro.dsms.expr import EvalContext
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.node import emit_node, in_place
@@ -205,15 +206,15 @@ class SamplingOperator(Operator):
 
     # -- crash-recovery checkpoints -------------------------------------------------
 
-    def checkpoint(self) -> Dict[str, Any]:
+    def checkpoint(self, since: Optional[Dict[str, int]] = None) -> Dict[str, Any]:
         """The full operator state, over its live objects (see
-        ``Operator.checkpoint``): a group is its key, its aggregate
-        vector and its supergroup key; SFUN states go by *state name*
-        plus field dict because their classes are closure-local inside
-        the ``*_library`` factories (see ``StatefulState.checkpoint``).
-        Group insertion order is preserved by the group list, which also
-        reconstructs the supergroup-group table — the cleaning pass
-        depends on visiting groups in arrival order.
+        ``Operator.checkpoint``): groups as columns (keys, supergroup keys,
+        ``checkpoint_column`` per aggregate slot); SFUN states by *state
+        name* plus field dict because their classes are closure-local
+        inside the ``*_library`` factories (see ``StatefulState.checkpoint``).
+        Column order is insertion order, which also reconstructs the
+        supergroup-group table — the cleaning pass depends on visiting
+        groups in arrival order.
         """
 
         def snap_supergroups(table: Dict[Any, SuperGroupEntry]) -> List[Tuple]:
@@ -226,16 +227,20 @@ class SamplingOperator(Operator):
                 for entry in table.values()
             ]
 
+        groups = self._tables.groups
+        slots = zip(*[entry.aggregates for entry in groups.values()])
+        start = since.get("window_stats", 0) if since else 0
         return {
             "current_window": self._current_window,
-            "window_stats": list(self._window_stats),
+            "window_stats": Appended(start, self._window_stats[start:]),
             "active_stats": self._active_stats,
             "pending_shed": self._pending_shed,
             "pending_quarantined": self._pending_quarantined,
-            "groups": [
-                (entry.key, entry.aggregates, entry.supergroup_key)
-                for entry in self._tables.groups.values()
-            ],
+            "groups": {
+                "keys": list(groups),
+                "supergroups": [entry.supergroup_key for entry in groups.values()],
+                "aggregates": list(map(checkpoint_column, slots)),
+            },
             "new_supergroups": snap_supergroups(self._tables.new_supergroups),
             "old_supergroups": snap_supergroups(self._tables.old_supergroups),
         }
@@ -256,15 +261,16 @@ class SamplingOperator(Operator):
         tables = GroupTables()
         tables.new_supergroups = rebuild(snapshot["new_supergroups"])
         tables.old_supergroups = rebuild(snapshot["old_supergroups"])
-        for entry in snapshot["groups"]:  # (key, aggregates, supergroup key)
-            tables.add_group(GroupEntry(*entry))
+        groups = snapshot["groups"]
+        slots = [restore_column(*column) for column in groups["aggregates"]]
+        for key, supergroup, *aggregates in zip(groups["keys"], groups["supergroups"], *slots):
+            tables.add_group(GroupEntry(key, aggregates, supergroup))
         self._tables = tables
         self._current_window = snapshot["current_window"]
-        self._window_stats = snapshot["window_stats"]
+        self._window_stats = snapshot["window_stats"].items
         self._active_stats = snapshot["active_stats"]
         self._pending_shed = snapshot["pending_shed"]
-        # Pre-quarantine snapshots lack the key.
-        self._pending_quarantined = snapshot.get("pending_quarantined", 0)
+        self._pending_quarantined = snapshot["pending_quarantined"]
 
     # -- internals -----------------------------------------------------------------
 

@@ -20,7 +20,9 @@ from surviving groups.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from functools import lru_cache
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import RegistryError
 
@@ -221,6 +223,34 @@ class LastAggregate(Aggregate):
 
 
 AggregateFactory = Callable[[], Aggregate]
+
+
+@lru_cache(maxsize=None)
+def _plain(cls: type) -> bool:
+    """Whether an instance of ``cls`` is its ``__dict__``: no slots, no pickling of its own."""
+    own = ("__reduce_ex__", "__reduce__", "__getstate__", "__setstate__", "__getnewargs_ex__",
+           "__getnewargs__")
+    return not hasattr(cls, "__slots__") and all(
+        getattr(cls, name, None) is getattr(object, name, None) for name in own
+    )
+
+
+def checkpoint_column(aggregates: Sequence[Aggregate]) -> Tuple[Optional[type], List[Any]]:
+    """One aggregate slot across groups: the class once and each (live) field
+    dict when all are one :func:`_plain` class, else ``None`` and the aggregates."""
+    kinds = set(map(type, aggregates))
+    if len(kinds) == 1 and _plain(*kinds):
+        return kinds.pop(), list(map(attrgetter("__dict__"), aggregates))
+    return None, list(aggregates)
+
+
+def restore_column(cls: Optional[type], items: List[Any]) -> List[Any]:
+    """The aggregates of a :func:`checkpoint_column`, over its field dicts."""
+    if cls is not None:
+        for index, fields in enumerate(items):
+            items[index] = aggregate = cls.__new__(cls)
+            aggregate.__dict__ = fields
+    return items
 
 
 class AggregateRegistry:

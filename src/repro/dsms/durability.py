@@ -7,8 +7,8 @@ same way for every deployment.  A serial
 :class:`~repro.dsms.sharded.ShardedGigascope` over either shard pool and
 a :class:`~repro.serving.server.StandingQueryEngine` answer the same
 calls — ``start()``, ``feed(batch) -> int``, ``finish()``,
-``checkpoint() -> dict``, ``restore(dict)``, plus ``abandon()`` to drop
-a run mid-stream — and the rest is written once, here, against those:
+``checkpoint(since) -> dict``, ``restore(dict)``, plus ``abandon()`` —
+and the rest is written once, here, against those:
 
 * :func:`batches` cuts a stream into batches (the one place a batch size
   is validated) and :func:`skip` drops a committed prefix;
@@ -34,8 +34,8 @@ was killed mid-append) is detected and discarded on read, so the last
 one envelope (:func:`entry`): ``journal_version``, ``kind`` (``commit``
 / ``final``, and the serving registry's ``register`` / ``unregister``),
 ``mode`` (the deployment's ``journal_mode``: serial, sharded or serving)
-and ``consumed``; a commit carries the deployment's ``checkpoint()``
-beside it.
+and ``consumed``; a commit carries what the deployment's ``checkpoint``
+holds beside it, of each append-only list what was :class:`Appended`.
 
 Load shedding and durable resume do not mix deterministically: shedding
 decisions depend on wall-clock queue depths, so a resumed run may shed
@@ -50,8 +50,9 @@ import pickle
 import struct
 import zlib
 from dataclasses import replace
+from functools import reduce
 from itertools import islice
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ExecutionError, StreamError, TraceCorruptError
 from repro.analysis.legality import ExecTarget, require_runnable
@@ -67,10 +68,10 @@ JOURNAL_VERSION = 2
 
 #: version of what ``checkpoint()`` returns, independent of the above: it
 #: rides inside each commit as ``checkpoint_version`` (some version-1
-#: journals carry none); within a version, keys are only ever added,
-#: bar a sharded commit's ``routing``, which is no longer written and,
-#: when not None, refused by ``ShardedGigascope.restore``
-CHECKPOINT_VERSION = 2
+#: journals carry none); within a version, keys are only ever added.
+#: Version 3 journals append-only lists as :class:`Appended` suffixes;
+#: version 2 (whole lists; a sharded commit's ``routing``) is refused
+CHECKPOINT_VERSION = 3
 
 Hook = Optional[Callable[[int, str], None]]
 
@@ -85,23 +86,25 @@ class ResultJournal:
     ignored by :meth:`read` — reads never propagate a partial entry.
     """
 
-    def __init__(self, path: str, fresh: bool = False) -> None:
+    def __init__(self, path: str, fresh: bool = False, end: Optional[int] = None) -> None:
         """Open ``path`` for appending; ``fresh=True`` truncates first.
 
         Appending to an existing journal seeks past the last complete
-        frame, so a torn tail from a previous crash is overwritten
-        rather than permanently wedging the file.
+        frame (``end``, if read), so a torn tail from a previous crash
+        is overwritten rather than permanently wedging the file.
         """
         self.path = path
+        self.marks: Optional[Dict[str, Any]] = None  # :func:`marks` of the last commit
         if fresh or not os.path.exists(path) or os.path.getsize(path) == 0:
             self._fh = open(path, "wb")
             self._fh.write(_MAGIC)
             self._flush()
         else:
-            _, good_offset = self._scan(path)
+            if end is None:
+                _, end = self._scan(path)
             self._fh = open(path, "r+b")
-            self._fh.truncate(good_offset)
-            self._fh.seek(good_offset)
+            self._fh.truncate(end)
+            self._fh.seek(end)
 
     def append(self, entry: Dict[str, Any]) -> None:
         payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
@@ -194,8 +197,9 @@ def _upgraded(e: Dict[str, Any]) -> Dict[str, Any]:
     return e
 
 
-def read_journal(path: str, mode: str) -> List[Dict[str, Any]]:
-    """Every complete entry of the ``mode`` journal at ``path``, upgraded.
+def read_journal(path: str, mode: str) -> Tuple[List[Dict[str, Any]], int]:
+    """Every complete entry of the ``mode`` journal at ``path``, upgraded;
+    and the offset past the last, where a resumed run appends.
 
     The one place a journal is judged fit to resume from: a missing
     file, a file that is not a journal (:class:`TraceCorruptError`), an
@@ -204,7 +208,8 @@ def read_journal(path: str, mode: str) -> List[Dict[str, Any]]:
     """
     if not os.path.exists(path):
         raise ExecutionError(f"journal {path!r} does not exist")
-    entries = [_upgraded(e) for e in ResultJournal.read(path)]
+    raw, end = ResultJournal._scan(path)
+    entries = [_upgraded(e) for e in raw]
     for e in entries:
         if e.get("journal_version") not in (1, JOURNAL_VERSION):
             raise ExecutionError(
@@ -221,7 +226,40 @@ def read_journal(path: str, mode: str) -> List[Dict[str, Any]]:
                 f"journal {path!r} was written by a {e.get('mode')!r} run;"
                 f" it cannot resume a {mode!r} run"
             )
-    return entries
+    return entries, end
+
+
+class Appended(NamedTuple):
+    """An append-only list in a checkpoint: its ``items`` from ``start`` on."""
+
+    start: int
+    items: List[Any]
+
+
+def marks(state: Dict[str, Any]) -> Dict[str, Any]:
+    """Where each :class:`Appended` list in ``state`` ends: the next ``since``."""
+    return {
+        key: value.start + len(value.items) if isinstance(value, Appended) else marks(value)
+        for key, value in state.items()
+        if isinstance(value, (Appended, dict))
+    }
+
+
+def joined(held: Dict[str, Any], state: Dict[str, Any], path: str = "") -> Dict[str, Any]:
+    """Commit ``state``, each :class:`Appended` piece joined onto ``held``'s
+    (the commits before, joined), which it must continue exactly."""
+    out = dict(state)
+    for key, value in state.items():
+        before, where = held.get(key), f"{path}/{key}"
+        if isinstance(value, Appended):
+            out[key] = before = before if isinstance(before, Appended) else Appended(0, [])
+            if value.start != len(before.items):
+                raise ExecutionError(f"journal commits do not join up: {where[1:]} continues"
+                                     f" from {value.start}, after {len(before.items)} items")
+            before.items.extend(value.items)
+        elif isinstance(value, dict):
+            out[key] = joined(before if isinstance(before, dict) else {}, value, where)
+    return out
 
 
 def batches(records: Iterable[Record], size: int) -> Iterator[List[Record]]:
@@ -253,7 +291,7 @@ def commit(
     on_commit: Hook = None,
 ) -> None:
     """Make ``driven``'s state after ``consumed`` records durable: its
-    ``checkpoint()`` view is pickled here, and that is its one copy.
+    ``checkpoint(since)`` view is pickled here, and that is its one copy.
 
     ``on_commit(consumed, kind)`` fires once the entry is fsync'd;
     killing the process inside it is exactly the crash the journal is
@@ -261,8 +299,10 @@ def commit(
     """
     if journal is None:
         return
+    state = driven.checkpoint(journal.marks)
     envelope = entry(kind, driven.journal_mode, consumed, checkpoint_version=CHECKPOINT_VERSION)
-    journal.append({**driven.checkpoint(), **envelope})
+    journal.append({**state, **envelope})
+    journal.marks = marks(state)
     if on_commit is not None:
         on_commit(consumed, kind)
 
@@ -333,24 +373,24 @@ def run_batches(
 
 
 def resume(
-    driven: Any, entries: List[Dict[str, Any]], records: Iterable[Record]
-) -> Tuple[Optional[Dict[str, Any]], Optional[Iterable[Record]]]:
-    """Restore the last commit among ``entries`` into ``driven``.
-
-    Returns that commit and the input still to be fed: ``records`` (the
-    same replayable stream the original run consumed) past the committed
-    prefix; all of it when nothing was durable yet, so the resume
-    degenerates to a fresh run; ``None`` when the last commit is
-    ``final`` — the finished run's state is restored, no input is read.
-    """
-    commits = [e for e in entries if e["kind"] in ("commit", "final")]
+    driven: Any, path: str, scan: Tuple[List[Dict[str, Any]], int], records: Iterable[Record]
+) -> Tuple[int, Optional[Iterable[Record]], Optional[ResultJournal]]:
+    """Restore the last commit of the journal ``path`` (``scan``: as
+    :func:`read_journal` read it), its pieces joined, into ``driven``.
+    Returns the records it consumed, the input still to be fed (the
+    rest of ``records``, the same replayable stream the original run
+    consumed) and the journal to go on with: ``None`` for both after a
+    ``final`` commit."""
+    commits = [e for e in scan[0] if e["kind"] in ("commit", "final")]
     if not commits:
-        return None, records
-    last = commits[-1]
+        return 0, records, ResultJournal(path, fresh=True)
+    last = reduce(joined, commits, {})
     driven.restore(last)
     if last["kind"] == "final":
-        return last, None
-    return last, skip(records, last["consumed"])
+        return last["consumed"], None, None
+    journal = ResultJournal(path, end=scan[1])
+    journal.marks = marks(last)  # unfed since the restore took the lists over
+    return last["consumed"], skip(records, last["consumed"]), journal
 
 
 class DurableRunner:
@@ -409,22 +449,22 @@ class DurableRunner:
         Returns total records consumed.
         """
         self._require_runnable()
-        return self._run(records, None)
+        return self._run(records, ResultJournal(self.journal_path, fresh=True), 0)
 
     def resume(self, records: Iterable[Record]) -> int:
         """Resume from the journal's last commit (see :func:`resume`)."""
         self._require_runnable()
-        entries = read_journal(self.journal_path, self.instance.journal_mode)
-        last, rest = resume(self.instance, entries, records)
-        return last["consumed"] if rest is None else self._run(rest, last)
+        scan = read_journal(self.journal_path, self.instance.journal_mode)
+        consumed, rest, journal = resume(self.instance, self.journal_path, scan, records)
+        return consumed if journal is None else self._run(rest, journal, consumed)
 
-    def _run(self, records: Iterable[Record], last: Optional[Dict[str, Any]]) -> int:
-        with ResultJournal(self.journal_path, fresh=last is None) as journal:
+    def _run(self, records: Iterable[Record], journal: ResultJournal, consumed: int) -> int:
+        with journal:
             return run_batches(
                 self.instance,
                 batches(records, self.batch_size),
                 journal,
-                last["consumed"] if last else 0,
+                consumed,
                 self.on_commit,
                 commit_interval=self.commit_interval,
                 on_batch=self.on_batch,

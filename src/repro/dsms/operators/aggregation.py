@@ -82,7 +82,7 @@ class AggregationOperator(Operator):
         self._current_window = None
         return outputs
 
-    def checkpoint(self) -> Any:
+    def checkpoint(self, since: Optional[Dict[str, int]] = None) -> Any:
         """The open window: group table plus current window id.  The
         table is a fresh dict over the live aggregate vectors (see
         ``Operator.checkpoint``); aggregate instances are module-level

@@ -37,7 +37,7 @@ journalled serve — first passes the one gate, row SA305 of
 
 from __future__ import annotations
 
-from typing import Any, Collection, Iterable, Iterator, List, Optional
+from typing import Any, Collection, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ExecutionError
 from repro.obs.metrics import MetricsRegistry
@@ -190,14 +190,14 @@ class Operator:
         """End-of-stream: emit anything still buffered (default: nothing)."""
         return []
 
-    def checkpoint(self) -> Any:
+    def checkpoint(self, since: Optional[Dict[str, int]] = None) -> Any:
         """Picklable view of mutable operator state at a batch boundary.
 
         ``None`` means the operator is stateless (the default — plain
         selections have nothing to recover).  Stateful operators return
         containers of their own over the live aggregates, superaggregates
         and SFUN fields: valid until the operator is next fed, so pickle
-        the snapshot to keep it past that.
+        the snapshot to keep it past that; append-only lists from ``since``.
         """
         return None
 

@@ -148,7 +148,7 @@ class MergeOperator(Operator):
         self.g_buffered.set(0)
         return out
 
-    def checkpoint(self) -> Any:
+    def checkpoint(self, since: Optional[Dict[str, int]] = None) -> Any:
         """Buffered records, per-source frontiers, and ended sources (the
         heap list is already heap-ordered, so restore needs no
         re-heapify); records are immutable once emitted."""

@@ -9,7 +9,7 @@ operator" (§7.2) and how low-level prefilter queries work (Fig 6).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Dict, Optional
 
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.expr import EvalContext
@@ -83,7 +83,7 @@ class StatefulSelectionOperator(SelectionOperator):
         self.states = stateful.instantiate_states(analyzed.state_names)
         self._ctx.sfuns, self._ctx.states = stateful.functions, self.states
 
-    def checkpoint(self) -> Any:
+    def checkpoint(self, since: Optional[Dict[str, int]] = None) -> Any:
         """Snapshot the global SFUN state set by state *name* (the state
         classes are closure-local and unpicklable — see
         ``StatefulState.checkpoint``)."""

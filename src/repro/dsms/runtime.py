@@ -32,7 +32,7 @@ from repro.errors import ExecutionError, PlanningError, SchemaError
 from repro.analysis.legality import ExecTarget
 from repro.dsms.aggregates import default_aggregate_registry
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
-from repro.dsms.durability import CHECKPOINT_VERSION, batches, run_batches
+from repro.dsms.durability import CHECKPOINT_VERSION, Appended, batches, run_batches
 from repro.dsms.functions import default_function_registry
 from repro.dsms.operators import build_operator
 from repro.dsms.operators.base import Operator
@@ -864,24 +864,26 @@ class Gigascope:
 
     # -- crash-recovery checkpoints -------------------------------------------------
 
-    def checkpoint(self) -> Dict[str, Any]:
+    def checkpoint(self, since: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """Picklable view of all mutable run state at a batch boundary
         (``Operator.checkpoint``): pickle it to keep it past the next feed.
 
-        Captures every query node: operator state, retained results, and
-        forwarded-tuple counters — plus what the instance owns itself
-        (:func:`own_state`).  Ring buffers are deliberately *not*
+        Captures every query node: operator state, retained results (value
+        tuples emitted since ``since``) and forwarded-tuple counters — plus
+        what the instance owns itself (:func:`own_state`).  Rings are *not*
         captured: a restored instance starts with empty rings, and the
         supervisor replays the journalled batches that postdate the
         checkpoint to refill the pipeline.
         """
+        held = since.get("queries", {}) if since else {}
         queries = {}
         for name in self._order:
             handle = self._queries[name]
+            mark = held.get(name, {})
+            start = mark.get("results", 0)
             queries[name] = {
-                "operator": handle.operator.checkpoint(),
-                # records are immutable once emitted
-                "results": list(handle.results),
+                "operator": handle.operator.checkpoint(mark.get("operator")),
+                "results": Appended(start, [row.values for row in handle.results[start:]]),
                 "forwarded": handle.forwarded,
             }
         return {"version": CHECKPOINT_VERSION, "queries": queries, **own_state(self)}
@@ -900,7 +902,7 @@ class Gigascope:
             entry = queries[name]
             handle = self._queries[name]
             handle.operator.restore(entry["operator"])
-            handle.results[:] = entry["results"]
+            handle.results[:] = [Record(handle.output_schema, row) for row in entry["results"].items]
             handle.forwarded = entry["forwarded"]
         restore_own_state(self, snapshot)
 

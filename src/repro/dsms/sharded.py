@@ -671,11 +671,12 @@ class ShardedGigascope:
         state["cost_accounts"] = {}
         return state
 
-    def checkpoint(self) -> Dict[str, Any]:
+    def checkpoint(self, since: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """Picklable state at a round boundary: every shard's ``(seq,
         pickled checkpoint)`` and what the parent owns itself
         (``runtime.own_state``) — SPLIT-edge refusals (quarantine, queue
-        shed) are counted, charged and traced outside every shard.  Once
+        shed) are counted, charged and traced outside every shard; a
+        shard's is whole, whatever ``since`` says (DESIGN.md §8).  Once
         the run has finished the shards are gone and its state is the
         merged results."""
         state = own_state(self)
@@ -689,17 +690,7 @@ class ShardedGigascope:
 
     def restore(self, state: Dict[str, Any]) -> None:
         """Reinstate a :meth:`checkpoint`: a finished run's results at
-        once, an open run's shards at the next :meth:`start`.
-
-        A commit that carries a routing table comes from a run that
-        migrated shard states and may have grown its pool; routing is
-        ``stable_hash(value) % shards`` here, so it is refused."""
-        if state.get("routing") is not None:
-            raise ExecutionError(
-                "this journal was written by a rebalancing run (its commit"
-                " carries a routing table); rebalancing is no longer"
-                " supported, so its migrated shard states cannot resume"
-            )
+        once, an open run's shards at the next :meth:`start`."""
         if "results" in state:
             for name, rows in state["results"].items():
                 self.query(name).results[:] = rows

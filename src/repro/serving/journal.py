@@ -10,10 +10,10 @@ entry kinds of their own beside the commits:
   effect; replaying the event log at the same offsets reproduces the
   exact standing-query set at every point of the stream;
 * ``commit`` / ``final`` — periodic durable snapshots: ``consumed``
-  plus every served query's full instance checkpoint
+  plus every served query's instance checkpoint
   (:meth:`~repro.dsms.runtime.Gigascope.checkpoint` — operator state,
-  results, metrics, cost balances), the per-tenant quota ledger and the
-  engine's own registry and trace.
+  metrics, cost balances, rows emitted since the previous commit), the
+  per-tenant quota ledger and the engine's own registry and trace.
 
 :func:`repro.serving.server.resume_serving` rebuilds the query set from
 the event log, restores the last commit's checkpoints, skips the

@@ -631,12 +631,14 @@ class StandingQueryEngine:
         batches, whichever windows closed in between."""
         return 0
 
-    def checkpoint(self) -> Dict[str, Any]:
+    def checkpoint(self, since: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """Picklable view of the serve at a batch boundary, which
         :meth:`commit` pickles at once: every served query's instance
-        checkpoint, the quota ledger, breaker and dead-letter state, and
-        what the engine owns itself (``runtime.own_state``: its
-        ``serving_*`` series, the HTTP plane's included, and its trace)."""
+        checkpoint (since ``since``), the quota ledger, breaker and
+        dead-letter state, and what the engine owns itself
+        (``runtime.own_state``: its ``serving_*`` series, the HTTP
+        plane's included, and its trace)."""
+        held = since.get("queries", {}) if since else {}
         return {
             **own_state(self),
             "consumed": self.consumed,
@@ -644,7 +646,7 @@ class StandingQueryEngine:
             "next_id": self._next_id,
             "queries": {
                 qid: {
-                    "snapshot": sq.instance.checkpoint(),
+                    "snapshot": sq.instance.checkpoint(held.get(qid, {}).get("snapshot")),
                     "active": sq.active,
                 }
                 for qid, sq in self._queries.items()
@@ -859,20 +861,19 @@ def resume_serving(
             "resume_serving needs a fresh engine; this one already writes"
             f" the journal {engine.journal.path!r}"
         )
-    entries = read_journal(journal_path, StandingQueryEngine.journal_mode)
-    replayed, _, pending = split_log(entries)
+    scan = read_journal(journal_path, StandingQueryEngine.journal_mode)
+    replayed, _, pending = split_log(scan[0])
     # No journal yet: the events being replayed are already in it.
     for event in replayed:
         # Registrations stamp the offset they happen at.
         engine.consumed = event["offset"]
         _apply_event(engine, event)
-    last, rest = resume(engine, entries, records)
+    _, rest, engine.journal = resume(engine, journal_path, scan, records)
     if rest is None:
         engine.abandon()  # the serve had ended: nothing is left running
         return engine
-    # Died before anything durable: a fresh serve, with every recorded
-    # event as the schedule.
-    engine.journal = ResultJournal(journal_path, fresh=last is None)
+    # Past the committed prefix; died before anything durable, a fresh
+    # serve with every recorded event as the schedule.
     drive(
         engine,
         rest,

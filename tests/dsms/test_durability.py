@@ -9,6 +9,8 @@ fsync'd when the hook fires, exactly the state a killed process leaves
 behind); the chaos suite does it for real with ``os._exit``.
 """
 
+import os
+import pickle
 from itertools import islice
 
 import pytest
@@ -17,7 +19,9 @@ from repro.analysis.legality import ExecTarget
 from repro.deploy import deploy
 from repro.dsms.cost import CostModel
 from repro.dsms.durability import (
+    CHECKPOINT_VERSION,
     JOURNAL_VERSION,
+    Appended,
     DurableRunner,
     ResultJournal,
     batches,
@@ -28,7 +32,8 @@ from repro.errors import ExecutionError, StreamError, TraceCorruptError
 from repro.obs.tracing import TraceSink
 from repro.serving.server import StandingQueryEngine, drive, resume_serving
 from repro.streams.traces import TraceConfig, data_center_feed, research_center_feed
-from repro.algorithms.bindings import SUBSET_SUM_QUERY
+from repro.algorithms.bindings import SUBSET_SUM_QUERY, subset_sum_library
+from repro.dsms.aggregates import Aggregate
 
 from tests.serving.conftest import instance_state, make_instance
 
@@ -392,7 +397,7 @@ class TestRefusals:
         path = str(tmp_path / "j.bin")
         with ResultJournal(path, fresh=True) as journal:
             journal.append(entry("commit", "serial", 0))  # version-1 writers stamped none
-        assert len(read_journal(path, "serial")) == 1
+        assert len(read_journal(path, "serial")[0]) == 1
         with ResultJournal(path) as journal:
             journal.append(entry("commit", "serial", 64, checkpoint_version=99))
         with pytest.raises(ExecutionError, match="checkpoint version 99"):
@@ -613,7 +618,9 @@ class TestCommitsDidNotMove:
 class TestParentCommitJournals:
     """Entry shapes copied from the writers this loop replaced: journal
     version 1, serial state nested under ``snapshot``, sharded state
-    spread at top level."""
+    spread at top level.  What is pinned is the envelope: the state in it
+    is today's checkpoint, so the entries carry today's checkpoint
+    version (a version-2 checkpoint is refused: ``TestRefusals``)."""
 
     CUT = 512  # records behind the hand-built commit
 
@@ -621,7 +628,7 @@ class TestParentCommitJournals:
     def envelope(kind, mode, consumed, **state):
         return {
             "journal_version": 1,
-            "checkpoint_version": 2,
+            "checkpoint_version": CHECKPOINT_VERSION,
             "kind": kind,
             "mode": mode,
             "consumed": consumed,
@@ -706,8 +713,8 @@ class TestParentCommitJournals:
         assert comparable(fresh) == comparable(ref)
 
     def parent_sharded_commit(self, tmp_path, routing):
-        """A commit as the last writer of checkpoint version 2 shaped it,
-        which added ``routing`` to every sharded checkpoint."""
+        """A sharded commit with the ``routing`` the last writer of
+        checkpoint version 2 added to every sharded checkpoint."""
         sh = self.fed_to_the_cut(build(shards=2), 128)
         state = sh.checkpoint()
         sh.abandon()
@@ -716,7 +723,7 @@ class TestParentCommitJournals:
             {
                 **state,
                 "routing": routing,
-                **entry("commit", "sharded", self.CUT, checkpoint_version=2),
+                **entry("commit", "sharded", self.CUT, checkpoint_version=CHECKPOINT_VERSION),
             },
         )
 
@@ -729,10 +736,169 @@ class TestParentCommitJournals:
         assert rows_of(fresh) == rows_of(ref)
         assert comparable(fresh) == comparable(ref)
 
-    def test_sharded_commit_with_a_routing_table_is_refused(self, tmp_path):
-        # A rebalancing run journalled its pool size and routing state:
-        # its shard states were migrated, so no static-hash run resumes them.
-        routing = {"pool": 3, "rebalancer": {"table": {"version": 2, "shard_count": 3}}}
-        path = self.parent_sharded_commit(tmp_path, routing)
-        with pytest.raises(ExecutionError, match="written by a rebalancing run"):
-            DurableRunner(build(shards=2), path, batch_size=128).resume(iter(feed()))
+
+
+def growth_run(tmp_path, records):
+    """The paper's subset-sum sampler, rows retained, under the runner's
+    cadence on the steady feed: what a long durable run journals.
+    Returns the journal's size per record consumed."""
+    gs = deploy(libraries=(subset_sum_library(relax_factor=10.0),))
+    gs.add_query(SUBSET_SUM_QUERY.format(window=2, target=1000), name="ss")
+    path = str(tmp_path / f"growth-{records}.bin")
+    config = TraceConfig(duration_seconds=600, seed=7)
+    DurableRunner(gs, path, batch_size=1024, commit_interval=8).run(
+        islice(data_center_feed(config), records)
+    )
+    return os.path.getsize(path) / records
+
+
+class TestACommitJournalsWhatItAdds:
+    """A commit carries what is live and what was appended since the
+    previous commit — rows as value tuples, closed windows' stats — so
+    the journal grows linearly in the run, and a resume joins the pieces
+    back in journal order."""
+
+    def test_bytes_per_record_stay_flat(self, tmp_path):
+        # Whole-history commits read 142 B/record at 24k and 454 at 96k.
+        small, large = growth_run(tmp_path, 24_000), growth_run(tmp_path, 96_000)
+        assert small < 30
+        assert large / small <= 1.25
+
+    def test_each_commit_starts_where_the_last_one_ended(self, tmp_path):
+        path = str(tmp_path / "j.bin")
+        DurableRunner(build(), path, batch_size=64, commit_interval=2).run(iter(feed()))
+        commits = [e for e in ResultJournal.read(path) if e["kind"] in ("commit", "final")]
+        held = {"results": 0, "window_stats": 0}
+        for commit in commits:
+            query = commit["queries"]["q"]
+            for key, piece in (
+                ("results", query["results"]),
+                ("window_stats", query["operator"]["window_stats"]),
+            ):
+                assert piece.start == held[key]
+                held[key] += len(piece.items)
+        gs = build()
+        gs.run(iter(feed()), batch_size=64)
+        assert held["results"] == len(rows_of(gs)) > 0
+        assert held["window_stats"] == len(gs.query("q").operator.window_stats) > 1
+
+    @staticmethod
+    def crashed_journal(tmp_path, crash_at=4):
+        path = str(tmp_path / "j.bin")
+        runner = DurableRunner(
+            build(), path, batch_size=64, commit_interval=2, on_commit=crash_on_commit(crash_at)
+        )
+        with pytest.raises(_Boom):
+            runner.run(iter(feed()))
+        return path
+
+    @staticmethod
+    def rewrite(path, entries):
+        with ResultJournal(path, fresh=True) as journal:
+            for e in entries:
+                journal.append(e)
+
+    def test_a_version_2_journal_is_refused_by_name(self, tmp_path):
+        path = self.crashed_journal(tmp_path)
+        self.rewrite(
+            path, [{**e, "checkpoint_version": 2} for e in ResultJournal.read(path)]
+        )
+        with pytest.raises(ExecutionError, match="checkpoint version 2 .* not supported"):
+            DurableRunner(build(), path).resume(untouchable())
+
+    def test_pieces_that_skip_an_index_are_refused_by_name(self, tmp_path):
+        path = self.crashed_journal(tmp_path)
+        entries = ResultJournal.read(path)
+        # The last commit that appended rows loses its first one: its
+        # piece starts one past the end of those before it.
+        query = [e for e in entries if e["queries"]["q"]["results"].items][-1]["queries"]["q"]
+        start, rows = query["results"]
+        query["results"] = Appended(start + 1, rows[1:])
+        self.rewrite(path, entries)
+        with pytest.raises(
+            ExecutionError, match=f"do not join up: queries/q/results continues from"
+            f" {start + 1}, after {start} items"
+        ):
+            DurableRunner(build(), path).resume(untouchable())
+
+    @pytest.mark.parametrize("name", ["serial", "served"])
+    def test_a_resume_decodes_each_entry_once(self, tmp_path, name, monkeypatch):
+        deployment = DEPLOYMENTS[name]
+        path = str(tmp_path / "j.bin")
+        with pytest.raises(_Boom):
+            deployment.run(path, feed(), on_commit=crash_on_commit(3))
+        entries = len(ResultJournal.read(path))
+        decoded = []
+        loads = pickle.loads
+        monkeypatch.setattr(pickle, "loads", lambda data: decoded.append(1) or loads(data))
+        deployment.resume(path, iter(feed()))
+        assert len(decoded) == entries
+
+
+class SlotSum(Aggregate):
+    """A UDAF whose state is a slot: it has no field dict to journal."""
+
+    __slots__ = ("total",)
+
+    def __init__(self):
+        self.total = 0
+
+    def update(self, value):
+        self.total += value
+
+    def value(self):
+        return self.total
+
+
+class ReducedSum(Aggregate):
+    """A UDAF that pickles its own way."""
+
+    def __init__(self, total=0):
+        self.total = total
+
+    def update(self, value):
+        self.total += value
+
+    def value(self):
+        return self.total
+
+    def __reduce__(self):
+        return (ReducedSum, (self.total,))
+
+
+class TestAggregatesAsTheirFields:
+    """A group's aggregates are journalled as one class per slot and each
+    group's field dict; an aggregate without one, or with pickling of
+    its own, as itself — and either way a resume is byte-identical."""
+
+    TEXT = SS_TEXT.replace(
+        "UMAX(sum(len), ssthreshold())", "UMAX(sum(len), ssthreshold()), udaf(len)"
+    )
+
+    def build(self, udaf):
+        gs = build(observe=True)
+        gs.registries.aggregates.register("udaf", udaf)
+        gs.add_query(self.TEXT, name="u")
+        return gs
+
+    @pytest.mark.parametrize("udaf", [SlotSum, ReducedSum], ids=["slots", "reduce"])
+    def test_resume_is_identical(self, tmp_path, udaf):
+        ref = self.build(udaf)
+        DurableRunner(ref, str(tmp_path / "ref.bin"), batch_size=64, commit_interval=2).run(
+            iter(feed())
+        )
+        path = str(tmp_path / "j.bin")
+        runner = DurableRunner(
+            self.build(udaf), path, batch_size=64, commit_interval=2, on_commit=crash_on_commit(3)
+        )
+        with pytest.raises(_Boom):
+            runner.run(iter(feed()))
+        columns = ResultJournal.read(path)[-1]["queries"]["u"]["operator"]["groups"]["aggregates"]
+        kinds = [cls for cls, _ in columns]
+        assert kinds[-1] is None and all(kinds[:-1])  # the UDAF's slot is itself
+        assert columns[-1][1] and all(type(a) is udaf for a in columns[-1][1])
+        fresh = self.build(udaf)
+        DurableRunner(fresh, path, batch_size=64, commit_interval=2).resume(iter(feed()))
+        for name in ("q", "u"):
+            assert [r.values for r in fresh.results(name)] == [r.values for r in ref.results(name)]
+        assert observed(fresh) == observed(ref)

@@ -207,6 +207,39 @@ class TestJournalFormat:
         with pytest.raises(ExecutionError, match="version 99"):
             resume_serving(StandingQueryEngine(make_instance), path, [])
 
+    def journalled(self, path, records):
+        engine = StandingQueryEngine(make_instance, journal=ResultJournal(path, fresh=True))
+        engine.register(SELECTION, name="q", qid="sqA")
+        engine.register(EXAMPLE_TEXTS["big_flows"], name="q", qid="sqB")
+        drive(engine, records, batch_size=BATCH, commit_interval=2)
+        return [e for e in ResultJournal.read(path) if e["kind"] in ("commit", "final")]
+
+    def test_a_commit_carries_the_rows_each_query_appended(self, tmp_path, records):
+        commits = self.journalled(str(tmp_path / "serve.wal"), records)
+        assert len(commits) > 2
+        for qid in ("sqA", "sqB"):
+            held = 0
+            for commit in commits:
+                piece = commit["queries"][qid]["snapshot"]["queries"]["q"]["results"]
+                assert piece.start == held
+                held += len(piece.items)
+            assert held == len(solo_state(
+                SELECTION if qid == "sqA" else EXAMPLE_TEXTS["big_flows"], records
+            )[0]) > 0
+
+    def test_a_version_2_commit_is_refused_by_name(self, tmp_path, records):
+        path = str(tmp_path / "serve.wal")
+        self.journalled(path, records)
+        entries = [
+            {**e, "checkpoint_version": 2} if "checkpoint_version" in e else e
+            for e in ResultJournal.read(path)
+        ]
+        with ResultJournal(path, fresh=True) as journal:
+            for e in entries:
+                journal.append(e)
+        with pytest.raises(ExecutionError, match="checkpoint version 2 .* not supported"):
+            resume_serving(StandingQueryEngine(make_instance), path, records)
+
     def test_resume_refuses_an_engine_that_is_not_fresh(self, tmp_path):
         path = str(tmp_path / "serve.wal")
         holding = StandingQueryEngine(make_instance)
