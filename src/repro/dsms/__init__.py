@@ -9,7 +9,7 @@ The paper's host system (paper §3) has a two-level architecture:
 
 This package provides that substrate:
 
-* :mod:`repro.dsms.ring_buffer` — the fixed-size source buffer,
+* :mod:`repro.dsms.ring_buffer` — the bounded source buffer,
 * :mod:`repro.dsms.cost` — a deterministic cycle-cost model standing in for
   the paper's CPU-utilisation measurements (a Python interpreter cannot
   process 100 kpps per-packet at native line rate, so the performance

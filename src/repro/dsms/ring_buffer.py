@@ -1,4 +1,4 @@
-"""Fixed-size ring buffer feeding low-level queries.
+"""Bounded ring buffer feeding low-level queries.
 
 Paper §3: "Data from a source stream is fed to the low level queries from
 a ring buffer without copying."  We model the buffer explicitly because the
@@ -9,9 +9,11 @@ query).
 
 The buffer is single-producer / multi-consumer.  Producers ``push``;
 consumers attach with :meth:`subscribe` and receive every record pushed
-after their subscription.  If a consumer lags more than ``capacity``
-records behind, the oldest records are dropped and the consumer's drop
-counter increments — the stream analogue of packet loss under overload.
+after their subscription.  The buffer holds only the records some
+subscriber has yet to read, at most ``capacity`` of them: a ring nobody
+reads holds nothing.  If a consumer lags more than ``capacity`` records
+behind, the oldest records are dropped and the consumer's drop counter
+increments — the stream analogue of packet loss under overload.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ class RingBuffer:
         if capacity <= 0:
             raise StreamError("ring buffer capacity must be positive")
         self.capacity = capacity
-        self._slots: List[Any] = [None] * capacity
+        #: the records ``[head - len(_slots), head)``: at most ``capacity``
+        #: of them, and only while some subscriber has yet to read them
+        self._slots: List[Any] = []
         self._head = 0  # sequence number of the next record to be written
         self._cursors: Dict[int, int] = {}
         self._drops: Dict[int, int] = {}
@@ -37,28 +41,23 @@ class RingBuffer:
     # -- producer side -----------------------------------------------------
 
     def push(self, record: Any) -> None:
-        """Append one record, overwriting the oldest slot when full."""
-        self._slots[self._head % self.capacity] = record
+        """Append one record, releasing the oldest past ``capacity``.
+        With no subscriber nobody can read it, so nothing is kept."""
         self._head += 1
+        if self._cursors:
+            slots = self._slots
+            slots.append(record)
+            if len(slots) > self.capacity:
+                del slots[0]
 
     def extend(self, records: Iterable[Any]) -> int:
-        """Append a run, as ``push`` per record would, with at most two
-        slice assignments (a run may wrap); return its length.  Of a run
-        longer than ``capacity`` only the newest ``capacity`` records
-        are written, into the slots they would have landed in."""
+        """Append a run, as ``push`` per record would; return its length."""
         run = records if isinstance(records, (list, tuple)) else list(records)
-        count, capacity = len(run), self.capacity
-        if count > capacity:
-            run = run[count - capacity:]
-        start = (self._head + count - len(run)) % capacity
-        room = capacity - start  # slots before the wrap
-        if len(run) <= room:
-            self._slots[start:start + len(run)] = run
-        else:
-            self._slots[start:] = run[:room]
-            self._slots[:len(run) - room] = run[room:]
-        self._head += count
-        return count
+        self._head += len(run)
+        if self._cursors:
+            self._slots += run
+            del self._slots[: -self.capacity]
+        return len(run)
 
     # -- consumer side -----------------------------------------------------
 
@@ -74,28 +73,36 @@ class RingBuffer:
         self._drops[sid] = 0
         return sid
 
+    def unsubscribe(self, subscriber_id: int) -> None:
+        """Detach a consumer; what only it had yet to read is released."""
+        self.poll(subscriber_id)  # read to the head: nothing left pinned by it
+        del self._cursors[subscriber_id], self._drops[subscriber_id]
+
     def poll(self, subscriber_id: int, max_records: Optional[int] = None) -> List[Any]:
-        """Return (and consume) available records for one subscriber."""
+        """Return (and consume) available records for one subscriber.
+        When the slowest subscriber reads on, the records every
+        subscriber has now read are released."""
         if subscriber_id not in self._cursors:
             raise StreamError(f"unknown subscriber id {subscriber_id}")
         if max_records is not None and max_records < 0:
             # it would move the cursor backwards and re-deliver records
             raise StreamError(f"max_records must not be negative: {max_records}")
         cursor = self._cursors[subscriber_id]
-        oldest_available = max(0, self._head - self.capacity)
+        oldest_available = self._head - self.capacity
         if cursor < oldest_available:
             self._drops[subscriber_id] += oldest_available - cursor
             cursor = oldest_available
         end = self._head
         if max_records is not None:
             end = min(end, cursor + max_records)
-        # At most ``capacity`` records are readable: the span wraps once.
-        start = cursor % self.capacity
-        stop = start + end - cursor
-        out = self._slots[start:stop]
-        if stop > self.capacity:
-            out += self._slots[: stop - self.capacity]
+        slots = self._slots
+        base = self._head - len(slots)
+        out = slots[cursor - base:end - base]
         self._cursors[subscriber_id] = end
+        if cursor == base:  # only the slowest reader can free records
+            low = min(self._cursors.values())
+            if low > base:
+                del slots[: low - base]
         return out
 
     def drops(self, subscriber_id: int) -> int:

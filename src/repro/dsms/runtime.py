@@ -580,6 +580,9 @@ class Gigascope:
         """Begin an incremental run: subscribe low-level queries."""
         if self._session is not None:
             raise ExecutionError("instance is already running; finish() first")
+        # The previous run's cursors would pin everything fed from here on.
+        for name, sid in self._last_subscribers.items():
+            self._rings[self._queries[name].source].unsubscribe(sid)
         self._session = self._subscribe_low_level()
         # Kept after finish() so run_report() can still read ring
         # drop/backlog counters for the completed run.

@@ -1,4 +1,7 @@
-"""Ring buffer: subscription, polling, drop accounting."""
+"""Ring buffer: subscription, polling, drop accounting, release."""
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -130,18 +133,112 @@ class TestErrors:
         assert ring.poll(sid) == [2, 3, 4]
 
 
+class _Item:
+    """A pushed record the tests hold a weak reference to."""
+
+
+def _alive(refs):
+    """Which of the weakly referenced records something still holds."""
+    gc.collect()
+    return [ref() is not None for ref in refs]
+
+
+class TestRelease:
+    """The ring holds only what some subscriber has yet to read."""
+
+    def test_a_record_every_subscriber_polled_is_released(self):
+        ring = RingBuffer(16)
+        a, b = ring.subscribe(), ring.subscribe()
+        items = [_Item() for _ in range(3)]
+        refs = [weakref.ref(item) for item in items]
+        ring.extend(items)
+        ring.push(items[0])
+        del items
+        ring.poll(a)
+        assert _alive(refs) == [True] * 3  # b has yet to read them
+        ring.poll(b)
+        assert _alive(refs) == [False] * 3
+
+    def test_what_a_lagging_subscriber_has_not_read_stays_readable(self):
+        ring = RingBuffer(16)
+        fast, slow = ring.subscribe(), ring.subscribe()
+        items = [_Item() for _ in range(4)]
+        refs = [weakref.ref(item) for item in items]
+        ring.extend(items)
+        ring.poll(fast)
+        del items
+        assert _alive(refs) == [True] * 4
+        assert ring.poll(slow, max_records=1) == [refs[0]()]
+        assert _alive(refs) == [False, True, True, True]
+        assert ring.poll(slow) == [ref() for ref in refs[1:]]
+
+    def test_what_a_max_records_poll_left_stays_readable(self):
+        ring = RingBuffer(16)
+        sid = ring.subscribe()
+        items = [_Item() for _ in range(5)]
+        refs = [weakref.ref(item) for item in items]
+        ring.extend(items)
+        del items
+        ring.poll(sid, max_records=2)
+        assert _alive(refs) == [False, False, True, True, True]
+        assert ring.poll(sid) == [ref() for ref in refs[2:]]
+
+    def test_a_ring_with_no_subscriber_keeps_nothing_it_is_pushed(self):
+        ring = RingBuffer(16)
+        items = [_Item() for _ in range(3)]
+        refs = [weakref.ref(item) for item in items]
+        ring.push(items[0])
+        ring.extend(items[1:])
+        del items
+        assert _alive(refs) == [False] * 3
+        assert len(ring) == 3
+
+    def test_unsubscribing_releases_what_only_it_had_yet_to_read(self):
+        ring = RingBuffer(16)
+        fast, slow = ring.subscribe(), ring.subscribe()
+        items = [_Item() for _ in range(2)]
+        refs = [weakref.ref(item) for item in items]
+        ring.extend(items)
+        del items
+        ring.poll(fast)
+        ring.unsubscribe(slow)
+        assert _alive(refs) == [False, False]
+        with pytest.raises(StreamError):
+            ring.poll(slow)
+        with pytest.raises(StreamError):
+            ring.unsubscribe(slow)
+
+    def test_records_past_capacity_are_released_unread(self):
+        ring = RingBuffer(4)
+        sid = ring.subscribe()
+        items = [_Item() for _ in range(10)]
+        refs = [weakref.ref(item) for item in items]
+        ring.extend(items[:3])
+        for item in items[3:]:
+            ring.push(item)
+        del items, item
+        assert _alive(refs) == [False] * 6 + [True] * 4
+        assert ring.poll(sid) == [ref() for ref in refs[6:]]
+        assert ring.drops(sid) == 6
+
+
 class _NaiveRing:
     """The model: every record ever written, and a cursor per subscriber."""
 
     def __init__(self, capacity):
-        self.capacity, self.log, self.cursors, self.lost = capacity, [], [], []
+        self.capacity, self.log, self.cursors, self.lost = capacity, [], {}, {}
+        self.subscribed = 0
 
     def oldest(self):
         return max(0, len(self.log) - self.capacity)
 
     def subscribe(self):
-        self.cursors.append(len(self.log))
-        self.lost.append(0)
+        sid, self.subscribed = self.subscribed, self.subscribed + 1
+        self.cursors[sid], self.lost[sid] = len(self.log), 0
+        return sid
+
+    def unsubscribe(self, sid):
+        del self.cursors[sid], self.lost[sid]
 
     def poll(self, sid, max_records):
         start = max(self.cursors[sid], self.oldest())
@@ -165,6 +262,7 @@ _RING_OPS = st.one_of(
         st.sampled_from([list, tuple, iter]),
     ),
     st.just(("subscribe",)),
+    st.tuples(st.just("unsubscribe"), st.integers(0, 7)),
     st.tuples(
         st.just("poll"),
         st.integers(0, 7),
@@ -192,12 +290,15 @@ class TestAgainstANaiveModel:
                 assert ring.extend(args[1](run)) == len(run)
                 model.log.extend(run)
             elif op == "subscribe":
-                assert ring.subscribe() == len(model.cursors)
-                model.subscribe()
+                assert ring.subscribe() == model.subscribe()
             elif model.cursors:
-                sid = args[0] % len(model.cursors)
-                assert ring.poll(sid, args[1]) == model.poll(sid, args[1])
-            sids = range(len(model.cursors))
+                sid = list(model.cursors)[args[0] % len(model.cursors)]
+                if op == "unsubscribe":
+                    ring.unsubscribe(sid)
+                    model.unsubscribe(sid)
+                else:
+                    assert ring.poll(sid, args[1]) == model.poll(sid, args[1])
+            sids = list(model.cursors)
             assert len(ring) == len(model.log)
             assert [ring.drops(s) for s in sids] == [model.drops(s) for s in sids]
             assert [ring.backlog(s) for s in sids] == [model.backlog(s) for s in sids]

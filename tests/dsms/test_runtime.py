@@ -1,5 +1,8 @@
 """The two-level Gigascope runtime."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import AnalysisError, PlanningError, ExecutionError
@@ -349,3 +352,37 @@ class TestOverloadBehaviour:
         handle = gs.add_query("SELECT len FROM TCP", name="sel")
         gs.run(iter(packets(64)), batch_size=4)
         assert len(handle.results) == 64
+
+
+class _Watched(Record):
+    """A fed record the tests hold a weak reference to."""
+
+    __slots__ = ("__weakref__",)
+
+
+class TestRingRelease:
+    """A run's rings hold nothing once its queries have read it, and a
+    second run on the instance is not pinned by the first run's cursors."""
+
+    @pytest.mark.parametrize(
+        "capacity, batch_size, dropped", [(65536, 16, 0), (8, 32, 48)]
+    )
+    def test_each_run_releases_what_it_was_fed(self, capacity, batch_size, dropped):
+        gs = Gigascope(ring_capacity=capacity)
+        gs.register_stream(TCP_SCHEMA)
+        handle = gs.add_query("SELECT len FROM TCP", name="sel")
+        for run in (1, 2):
+            refs = []
+
+            def streamed():
+                for record in packets(64):
+                    watched = _Watched(record.schema, record.values)
+                    refs.append(weakref.ref(watched))
+                    yield watched
+
+            assert gs.run(streamed(), batch_size=batch_size) == 64
+            gc.collect()
+            assert sum(ref() is not None for ref in refs) == 0
+            ring = gs.run_report()["streams"]["TCP"]
+            assert (ring["drops"], ring["backlog"]) == (dropped, 0)
+            assert len(handle.results) == run * (64 - dropped)
