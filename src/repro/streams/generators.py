@@ -16,17 +16,32 @@ assembles statistically similar synthetic feeds:
   have genuine skew to find.
 
 All processes take an explicit :class:`random.Random` so traces are fully
-reproducible from a seed.
+reproducible from a seed.  The feeds draw through ``bind``, each bounded
+integer from ``getrandbits`` as CPython's ``Random._randbelow`` draws it for
+``randrange``, ``randint`` and ``choice``; ``tests/streams/test_traces.py``
+pins the packets a seed yields.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import accumulate
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import StreamError
+
+
+def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """``Random._randbelow(n)`` for ``n >= 1``, from the same draws."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 class RateProcess:
@@ -131,14 +146,24 @@ class PacketLengthModel:
                 raise StreamError("length bands must satisfy 0 < lo <= hi")
 
     def draw(self, rng: random.Random) -> int:
-        u = rng.random()
-        if u < self.weights[0]:
-            band = self.small
-        elif u < self.weights[0] + self.weights[1]:
-            band = self.medium
-        else:
-            band = self.large
-        return rng.randint(band[0], band[1])
+        return self.bind(rng)()
+
+    def bind(self, rng: random.Random) -> Callable[[], int]:
+        """:meth:`draw` bound to ``rng``: ``random()`` picks a band, ``randint`` a length."""
+        random_, getrandbits = rng.random, rng.getrandbits
+        first, second = self.weights[0], self.weights[0] + self.weights[1]
+        widths = [(lo, hi - lo + 1) for lo, hi in (self.small, self.medium, self.large)]
+        bands = [(lo, n, n.bit_length()) for lo, n in widths]
+
+        def draw() -> int:
+            u = random_()
+            lo, n, k = bands[0] if u < first else bands[1] if u < second else bands[2]
+            r = getrandbits(k)  # randbelow(n), its bit length taken once: a draw per packet
+            while r >= n:
+                r = getrandbits(k)
+            return lo + r
+
+        return draw
 
     @property
     def mean_length(self) -> float:
@@ -168,26 +193,14 @@ class AddressSpace:
             raise StreamError("alpha must be non-negative")
         weights = [1.0 / (rank + 1) ** self.alpha for rank in range(self.size)]
         total = sum(weights)
-        cumulative: List[float] = []
-        acc = 0.0
-        for w in weights:
-            acc += w / total
-            cumulative.append(acc)
+        cumulative = list(accumulate(w / total for w in weights))
         cumulative[-1] = 1.0
         object.__setattr__(self, "_cumulative", cumulative)
 
     def pick(self, rng: random.Random) -> int:
         """Draw one address (32-bit int), heavier ranks more likely."""
-        u = rng.random()
         cumulative: List[float] = getattr(self, "_cumulative")
-        lo, hi = 0, len(cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cumulative[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.address_of(lo)
+        return self.address_of(bisect_left(cumulative, rng.random()))
 
     def address_of(self, rank: int) -> int:
         """The address assigned to popularity rank ``rank``."""
@@ -223,20 +236,26 @@ class FlowModel:
             raise StreamError("max_live_flows must be positive")
 
     def next_flow_key(self, rng: random.Random) -> Tuple[int, int, int, int, int]:
-        if self._live and rng.random() < self.continue_probability:
-            return self._live[rng.randrange(len(self._live))]
-        key = (
-            self.sources.pick(rng),
-            self.destinations.pick(rng),
-            rng.randint(1024, 65535),
-            rng.choice((80, 443, 53, 22, 25, rng.randint(1024, 65535))),
-            rng.choice((6, 6, 6, 17)),  # mostly TCP, some UDP
-        )
-        if len(self._live) < self.max_live_flows:
-            self._live.append(key)
-        else:
-            self._live[rng.randrange(len(self._live))] = key
-        return key
+        return self.bind(rng)()
+
+    def bind(self, rng: random.Random) -> Callable[[], Tuple[int, int, int, int, int]]:
+        """:meth:`next_flow_key` bound to ``rng``: mostly TCP flows, some UDP."""
+        random_, below = rng.random, partial(randbelow, rng.getrandbits)
+        source, destination = partial(self.sources.pick, rng), partial(self.destinations.pick, rng)
+        live, p, capacity = self._live, self.continue_probability, self.max_live_flows
+
+        def next_flow_key() -> Tuple[int, int, int, int, int]:
+            if live and random_() < p:
+                return live[below(len(live))]
+            key = (source(), destination(), 1024 + below(64512),  # randint/choice's draw order
+                   (80, 443, 53, 22, 25, 1024 + below(64512))[below(6)], (6, 6, 6, 17)[below(4)])
+            if len(live) < capacity:
+                live.append(key)
+            else:
+                live[below(len(live))] = key
+            return key
+
+        return next_flow_key
 
     def reset(self) -> None:
         """Forget all live flows (used when replaying a fresh trace)."""

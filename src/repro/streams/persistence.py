@@ -10,9 +10,10 @@ The format is a compact struct-packed binary:
   8-byte signed, float as 8-byte double; ``str`` attributes are not
   supported — packet schemas are numeric).
 
-``save_trace`` / ``load_trace`` round-trip any list of records over one
-numeric schema.  Loading reconstructs the schema from the header, so a
-trace file is self-describing.
+``save_trace`` / ``load_trace`` round-trip any records over one numeric
+schema; the header makes a trace file self-describing.  A row is one
+``struct`` pack or unpack, and the body is streamed: written and read in
+chunks of whole rows, never held whole, in the format above unchanged.
 
 Decoding failures raise :class:`repro.errors.TraceCorruptError` carrying
 the byte offset and record index of the damage — never a bare
@@ -23,9 +24,10 @@ fixed-width record framing instead of aborting the run.
 
 from __future__ import annotations
 
-import io
 import struct
-from typing import BinaryIO, Iterable, Iterator, List, Tuple, Union
+from functools import partial
+from itertools import chain
+from typing import BinaryIO, Callable, Iterable, Iterator, List, Tuple, Union
 
 from repro.errors import StreamError, TraceCorruptError
 from repro.streams.records import Record
@@ -34,8 +36,9 @@ from repro.streams.schema import Attribute, Ordering, StreamSchema
 _MAGIC = b"RPTRACE1"
 _HEADER = struct.Struct("<8sH")  # magic, attribute count
 _NAME = struct.Struct("<H")  # length-prefixed utf-8 strings
-_VALUE = struct.Struct("<q")
-_FLOAT = struct.Struct("<d")
+#: body rows a reader or writer holds at once
+_ROWS = 1024
+_new = object.__new__
 
 _NUMERIC_TAGS = {"int", "uint", "bool", "float"}
 
@@ -68,43 +71,52 @@ def _read_string(fh: BinaryIO, what: str) -> str:
         ) from None
 
 
+def _row_layout(schema: StreamSchema) -> Tuple[struct.Struct, Tuple[int, ...]]:
+    """A body row — ``d`` per float attribute, ``q`` per other — and where its bools sit."""
+    tags = [a.type_tag for a in schema]
+    codes = "".join("d" if tag == "float" else "q" for tag in tags)
+    return struct.Struct("<" + codes), tuple(i for i, tag in enumerate(tags) if tag == "bool")
+
+
 def save_trace(records: Iterable[Record], target: Union[str, BinaryIO]) -> int:
     """Write records to ``target`` (path or binary file); returns count.
 
-    All records must share one schema with numeric attributes only.
+    All records must share one schema with numeric attributes only.  Rows
+    are packed into a bounded chunk, written each time it fills.
     """
     own = isinstance(target, str)
     fh: BinaryIO = open(target, "wb") if own else target  # type: ignore[assignment]
     try:
-        count = 0
-        schema: StreamSchema | None = None
-        body = io.BytesIO()
-        for record in records:
-            if schema is None:
-                schema = record.schema
-                for attr in schema:
-                    if attr.type_tag not in _NUMERIC_TAGS:
-                        raise StreamError(
-                            f"cannot persist non-numeric attribute"
-                            f" {attr.name!r} ({attr.type_tag})"
-                        )
-            elif record.schema != schema:
-                raise StreamError("all records in a trace must share one schema")
-            for attr, value in zip(schema, record.values):
-                if attr.type_tag == "float":
-                    body.write(_FLOAT.pack(float(value)))
-                else:
-                    body.write(_VALUE.pack(int(value)))
-            count += 1
-        if schema is None:
+        records = iter(records)
+        first = next(records, None)
+        if first is None:
             raise StreamError("cannot persist an empty trace")
+        schema = first.schema
+        for attr in schema:
+            if attr.type_tag not in _NUMERIC_TAGS:
+                raise StreamError(
+                    f"cannot persist non-numeric attribute {attr.name!r} ({attr.type_tag})"
+                )
         fh.write(_HEADER.pack(_MAGIC, len(schema)))
         _write_string(fh, schema.name)
         for attr in schema:
             _write_string(fh, attr.name)
             _write_string(fh, attr.type_tag)
             _write_string(fh, attr.ordering.value)
-        fh.write(body.getvalue())
+        row, _ = _row_layout(schema)
+        coerce = [float if a.type_tag == "float" else int for a in schema]
+        chunk = bytearray(_ROWS * row.size)
+        for count, record in enumerate(chain((first,), records), 1):
+            if record.schema is not schema and record.schema != schema:
+                raise StreamError("all records in a trace must share one schema")
+            at = (count - 1) % _ROWS * row.size
+            try:
+                row.pack_into(chunk, at, *record.values)
+            except struct.error:  # a value int() or float() accepts, e.g. 3.0 or "7"
+                row.pack_into(chunk, at, *[c(v) for c, v in zip(coerce, record.values)])
+            if count % _ROWS == 0:
+                fh.write(chunk)
+        fh.write(chunk[: count % _ROWS * row.size])
         return count
     finally:
         if own:
@@ -158,37 +170,40 @@ def read_header(fh: BinaryIO) -> Tuple[StreamSchema, int]:
     return schema, fh.tell()
 
 
-def decode_row(schema: StreamSchema, row: bytes) -> Record:
-    """Decode one fixed-width body row (``8 * len(schema)`` bytes)."""
-    values = []
-    for index, attr in enumerate(schema):
-        chunk = row[index * 8:(index + 1) * 8]
-        if attr.type_tag == "float":
-            values.append(_FLOAT.unpack(chunk)[0])
-        elif attr.type_tag == "bool":
-            values.append(bool(_VALUE.unpack(chunk)[0]))
-        else:
-            values.append(_VALUE.unpack(chunk)[0])
-    return Record(schema, values)
+def row_decoder(schema: StreamSchema) -> Callable[[bytes], Record]:
+    """Decode one fixed-width body row (``8 * len(schema)`` bytes): one unpack."""
+    row_struct, bools = _row_layout(schema)
+
+    def decode_row(row: bytes) -> Record:
+        values = row_struct.unpack(row)
+        if bools:
+            values = tuple(bool(v) if i in bools else v for i, v in enumerate(values))
+        record = _new(Record)
+        record.schema, record.values = schema, values
+        return record
+
+    return decode_row
 
 
 def _iter_rows(fh: BinaryIO, schema: StreamSchema) -> Iterator[Record]:
-    row_size = 8 * len(schema)
-    index = 0
-    while True:
-        offset = fh.tell()
-        row = fh.read(row_size)
-        if not row:
-            return
-        if len(row) < row_size:
+    """The body's records, read a chunk of whole rows at a time."""
+    row, bools = _row_layout(schema)
+    size, offset, index = row.size, fh.tell(), 0
+    for data in iter(partial(fh.read, _ROWS * size), b""):
+        whole = len(data) - len(data) % size
+        for values in row.iter_unpack(memoryview(data)[:whole]):
+            if bools:
+                values = tuple(bool(v) if i in bools else v for i, v in enumerate(values))
+            record = _new(Record)
+            record.schema, record.values = schema, values
+            yield record
+        index += whole // size
+        if whole < len(data):
             raise TraceCorruptError(
-                "truncated trace file: partial record"
-                f" ({len(row)} of {row_size} bytes)",
-                offset=offset,
+                f"truncated trace file: partial record ({len(data) - whole} of {size} bytes)",
+                offset=offset + index * size,
                 record_index=index,
             )
-        yield decode_row(schema, row)
-        index += 1
 
 
 def load_trace(source: Union[str, BinaryIO]) -> List[Record]:

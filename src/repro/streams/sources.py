@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import SchemaError, SourceError, StreamError, TraceCorruptError
-from repro.streams.persistence import decode_row, read_header
+from repro.streams.persistence import read_header, row_decoder
 from repro.streams.records import Record
 from repro.streams.schema import StreamSchema, coerce_record
 
@@ -504,6 +504,7 @@ class TraceTailSource:
             self._fh.close()
             raise
         self._row_size = 8 * len(self.schema)
+        self._decode_row = row_decoder(self.schema)
         self.index = skip
         self._fh.seek(self._body_offset + skip * self._row_size)
 
@@ -521,7 +522,7 @@ class TraceTailSource:
             row = self._fh.read(self._row_size)
             if len(row) == self._row_size:
                 self.index += 1
-                return decode_row(self.schema, row)
+                return self._decode_row(row)
             if self.follow and waited < self.idle_timeout:
                 # The writer may still be mid-append: wait for the rest
                 # of the row to land.

@@ -27,19 +27,22 @@ that need absolute throughput use ``rate_scale=1.0`` over short spans.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional
 
-from repro.errors import StreamError
+from repro.errors import SchemaError, StreamError
 from repro.streams.generators import (
     BurstyRateProcess,
     FlowModel,
     PacketLengthModel,
     RateProcess,
     SteadyRateProcess,
+    randbelow,
 )
 from repro.streams.records import Record
 from repro.streams.schema import TCP_SCHEMA, StreamSchema
+
+_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -72,28 +75,25 @@ def _generate(
     schema: StreamSchema = TCP_SCHEMA,
 ) -> Iterator[Record]:
     """Yield records second by second according to the rate process."""
+    if len(schema) != 8:  # each record is built through the slots: arity checked once
+        raise SchemaError(f"a packet has 8 values; schema {schema.name!r} has {len(schema)}")
     rng = random.Random(config.seed)
+    flow_key, length, getrandbits = flows.bind(rng), lengths.bind(rng), rng.getrandbits
     uts = 0
     for second in range(config.duration_seconds):
         now = config.start_time + second
         rate = rate_process.rate_at(second, rng)
-        count = max(1, int(rate * config.rate_scale))
-        for _ in range(count):
-            src, dst, sport, dport, proto = flows.next_flow_key(rng)
-            uts += 1 + rng.randrange(1000)  # strictly increasing, gappy
-            yield Record(
-                schema,
-                (
-                    now,
-                    uts,
-                    src,
-                    dst,
-                    lengths.draw(rng),
-                    sport,
-                    dport,
-                    proto,
-                ),
+        for _ in range(max(1, int(rate * config.rate_scale))):
+            src, dst, sport, dport, proto = flow_key()
+            gap = getrandbits(10)  # randbelow(1000), inline
+            while gap >= 1000:
+                gap = getrandbits(10)
+            uts += 1 + gap  # strictly increasing, gappy
+            record = _new(Record)
+            record.schema, record.values = schema, (
+                now, uts, src, dst, length(), sport, dport, proto
             )
+            yield record
 
 
 def research_center_feed(config: Optional[TraceConfig] = None) -> Iterator[Record]:
@@ -137,9 +137,11 @@ def ddos_feed(
     if attack_start < 0 or attack_duration <= 0:
         raise StreamError("attack window must be non-empty and non-negative")
     rng = random.Random(config.seed ^ 0xDD05)
-    lengths = PacketLengthModel()
-    attack_lengths = PacketLengthModel(weights=(0.95, 0.04, 0.01))
+    random_, getrandbits = rng.random, rng.getrandbits
+    length = PacketLengthModel().bind(rng)
+    attack_length = PacketLengthModel(weights=(0.95, 0.04, 0.01)).bind(rng)
     flows = FlowModel()
+    flow_key, victim = flows.bind(rng), flows.destinations.address_of(0)
     base_rate = SteadyRateProcess(mean_rate=10_000, jitter=0.1)
     uts = 0
     for second in range(config.duration_seconds):
@@ -148,19 +150,21 @@ def ddos_feed(
         rate = base_rate.rate_at(second, rng)
         if in_attack:
             rate = int(rate * attack_rate_multiplier)
-        count = max(1, int(rate * config.rate_scale))
-        for _ in range(count):
-            uts += 1 + rng.randrange(1000)
-            if in_attack and rng.random() < 0.8:
+        for _ in range(max(1, int(rate * config.rate_scale))):
+            gap = getrandbits(10)  # randbelow(1000), inline
+            while gap >= 1000:
+                gap = getrandbits(10)
+            uts += 1 + gap
+            if in_attack and random_() < 0.8:
                 # Spoofed sources: each attack packet is its own tiny flow.
-                src = rng.getrandbits(32)
-                dst = flows.destinations.address_of(0)  # one victim
-                rec = (now, uts, src, dst, attack_lengths.draw(rng),
-                       rng.randint(1024, 65535), 80, 6)
+                values = (now, uts, getrandbits(32), victim, attack_length(),
+                          1024 + randbelow(getrandbits, 64512), 80, 6)
             else:
-                src, dst, sport, dport, proto = flows.next_flow_key(rng)
-                rec = (now, uts, src, dst, lengths.draw(rng), sport, dport, proto)
-            yield Record(TCP_SCHEMA, rec)
+                src, dst, sport, dport, proto = flow_key()
+                values = (now, uts, src, dst, length(), sport, dport, proto)
+            record = _new(Record)
+            record.schema, record.values = TCP_SCHEMA, values
+            yield record
 
 
 def replay(records: Iterable[Record]) -> Iterator[Record]:

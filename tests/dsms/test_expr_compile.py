@@ -13,7 +13,6 @@ import gc
 import inspect
 import linecache
 import pickle
-import sys
 from dataclasses import replace
 
 import pytest
@@ -65,6 +64,7 @@ from repro.streams.records import Record
 from repro.streams.schema import TCP_SCHEMA, Attribute, StreamSchema
 from repro.streams.traces import TraceConfig, data_center_feed
 
+from tests._calls import python_calls
 from tests.dsms._naive_eval import naive_evaluate
 
 # -- random trees -------------------------------------------------------------
@@ -523,23 +523,6 @@ class TestBindingFollowsTheUpstreamSchema:
 # -- interpretive overhead --------------------------------------------------------
 
 
-def _python_calls(thunk):
-    """Python and builtin calls made while ``thunk()`` runs."""
-    calls = [0]
-
-    def count(frame, event, arg):
-        if event == "call" or event == "c_call":
-            calls[0] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        thunk()
-    finally:
-        sys.setprofile(previous)
-    return calls[0]
-
-
 def _subset_sum_instance():
     gs = Gigascope()
     gs.register_stream(TCP_SCHEMA)
@@ -575,7 +558,7 @@ def test_subset_sum_python_calls_per_record():
     records = 4000
     trace = _steady(records)
     gs = _subset_sum_instance()
-    calls = _python_calls(lambda: gs.run(iter(trace)))
+    calls = python_calls(lambda: gs.run(iter(trace)))
     assert gs.results("ss")
     assert calls / records <= 19.5
 
@@ -595,7 +578,7 @@ def test_a_checkpoint_costs_no_call_per_group():
         # a collection would run ``gc.callbacks`` (hypothesis registers one)
         gc.disable()
         try:
-            counts.append(_python_calls(gs.checkpoint))
+            counts.append(python_calls(gs.checkpoint))
         finally:
             gc.enable()
     assert counts[0] == counts[1]
@@ -620,7 +603,7 @@ def test_a_selection_row_costs_two_calls():
     gc.disable()
     try:
         for records in ([], trace):
-            counts.append(_python_calls(lambda: rows.append(op.process_many(records))))
+            counts.append(python_calls(lambda: rows.append(op.process_many(records))))
     finally:
         gc.enable()
     assert counts[1] - counts[0] <= 2 * len(expected)

@@ -20,7 +20,7 @@ import pytest
 from repro.errors import SourceError, StreamError
 from repro.streams.persistence import save_trace
 from repro.streams.records import Record
-from repro.streams.schema import TCP_SCHEMA
+from repro.streams.schema import TCP_SCHEMA, Attribute, Ordering, StreamSchema
 from repro.streams.sources import (
     EAGER_RETRY,
     QuarantineStream,
@@ -190,6 +190,26 @@ class TestTraceTailSource:
         q = QuarantineStream()
         src = resilient_trace_source(str(path), EAGER_RETRY, quarantine=q)
         assert list(src) == recs
+        assert q.total == 0
+
+    def test_resilient_trace_source_decodes_each_column_type(self, tmp_path):
+        schema = StreamSchema(
+            "M",
+            [
+                Attribute("t", "uint", Ordering.INCREASING),
+                Attribute("x", "float"),
+                Attribute("ok", "bool"),
+                Attribute("n", "int"),
+            ],
+        )
+        recs = [Record(schema, (i, i / 4, i % 3 == 0, -i)) for i in range(3000)]
+        path = tmp_path / "mixed.bin"
+        save_trace(recs, str(path))
+        q = QuarantineStream()
+        src = resilient_trace_source(str(path), EAGER_RETRY, quarantine=q, validate=True)
+        out = list(src)
+        assert out == recs
+        assert [type(v) for v in out[3].values] == [int, float, bool, int]
         assert q.total == 0
 
     def test_resilient_validation_quarantines_nan(self, tmp_path):

@@ -1,5 +1,9 @@
 """The two synthetic feeds and the DDoS scenario."""
 
+import hashlib
+from collections import deque
+from itertools import islice
+
 import pytest
 
 from repro.errors import StreamError
@@ -11,6 +15,8 @@ from repro.streams.traces import (
     replay,
     research_center_feed,
 )
+
+from tests._calls import python_calls
 
 
 def small(duration=30, scale=0.005, seed=42):
@@ -122,3 +128,76 @@ class TestReplay:
         gen = research_center_feed(small(duration=5))
         replayed = list(replay(gen))
         assert replayed == list(research_center_feed(small(duration=5)))
+
+
+def digest(records):
+    """``(count, sha256 over repr(values) of each record, first 16 hex digits)``."""
+    sha, count = hashlib.sha256(), 0
+    for record in records:
+        sha.update(repr(record.values).encode())
+        count += 1
+    return count, sha.hexdigest()[:16]
+
+
+def tap(seed=20050614):
+    """The perf ledger's feed config: long enough for any record count asked."""
+    return TraceConfig(duration_seconds=100_000, rate_scale=0.1, seed=seed)
+
+
+class TestFeedDigests:
+    """A seed's packets, pinned.  These digests were recorded while the
+    feeds drew through ``random.Random``'s own methods (``randrange``,
+    ``randint``, ``choice``); the bound draws must consume the generator
+    exactly as those do, on every supported interpreter."""
+
+    @pytest.mark.parametrize(
+        "feed, seed, expected",
+        [
+            (data_center_feed, 20050614, "f7158d1b1abf027c"),
+            (research_center_feed, 20050614, "8546a037e6f94ed1"),
+            (data_center_feed, 7, "f984094769a19eda"),
+            (research_center_feed, 7, "950f9e6a2ec59077"),
+            (data_center_feed, 11, "6178cfda28da4fe4"),
+            (research_center_feed, 11, "b4e0d271daad271b"),
+        ],
+    )
+    def test_tap_feeds(self, feed, seed, expected):
+        assert digest(islice(feed(tap(seed)), 60_000)) == (60_000, expected)
+
+    @pytest.mark.parametrize(
+        "seed, count, expected",
+        [
+            (20050614, 295_766, "3e762b2af691540b"),
+            (7, 299_259, "db3c7c293a587d4d"),
+            (11, 300_020, "fa506ee405250666"),
+        ],
+    )
+    def test_ddos_feed(self, seed, count, expected):
+        config = TraceConfig(duration_seconds=180, rate_scale=0.05, seed=seed)
+        assert digest(ddos_feed(config)) == (count, expected)
+
+    def test_default_data_center_feed(self):
+        assert digest(islice(data_center_feed(), 30_000)) == (30_000, "140cbd85178b20b8")
+
+    def test_cli_research_feed(self):
+        config = TraceConfig(duration_seconds=60, rate_scale=0.01, seed=20050614)
+        assert digest(research_center_feed(config)) == (7_292, "5d232c4093042e0b")
+
+
+class TestGenerationCalls:
+    """Python calls per generated record.  Through ``random.Random``'s
+    methods a record cost 33.75 (steady), 37.17 (bursty) and 34.34 (DDoS)
+    calls; with the draws bound once per feed about 14.5, 16.6 and 13.5.
+    A draw going back through ``randrange``/``randint`` fails here."""
+
+    @pytest.mark.parametrize(
+        "feed, ceiling", [(data_center_feed, 17), (research_center_feed, 21)]
+    )
+    def test_tap_feeds(self, feed, ceiling):
+        calls = python_calls(lambda: deque(islice(feed(tap()), 20_000), maxlen=0))
+        assert calls / 20_000 <= ceiling
+
+    def test_ddos_feed(self):
+        config = TraceConfig(duration_seconds=180, rate_scale=0.05, seed=20050614)
+        calls = python_calls(lambda: deque(ddos_feed(config), maxlen=0))
+        assert calls / 295_766 <= 20  # its record count, pinned above
