@@ -60,6 +60,11 @@ def subset_sum_library(
     class SubsetSumState(StatefulState):
         """Threshold, credit counter, and live-sample bookkeeping."""
 
+        __slots__ = (
+            "z", "z_prev", "target", "credit", "admitted", "cleanings", "sizes",
+            "_expected", "_visited", "_survivors", "_clean_credit", "_final_active",
+        )
+
         def __init__(self, z: float = z_init) -> None:
             self.z = z
             self.z_prev = z
@@ -239,6 +244,8 @@ def basic_subset_sum_library() -> StatefulLibrary:
 
     @library.state(state_name)
     class BasicState(StatefulState):
+        __slots__ = ("credit", "sampled", "offered")
+
         def __init__(self) -> None:
             self.credit = 0.0
             self.sampled = 0
@@ -304,6 +311,11 @@ def reservoir_library(
 
     @library.state(state_name)
     class ReservoirState(StatefulState):
+        __slots__ = (
+            "n", "t", "skip", "candidates", "cleanings", "rng",
+            "_keep_indices", "_visit", "_final_active",
+        )
+
         def __init__(self) -> None:
             self.n: Optional[int] = None
             self.t = 0
@@ -427,6 +439,8 @@ def heavy_hitters_library(
 
     @library.state(state_name)
     class HeavyHitterState(StatefulState):
+        __slots__ = ("tuples", "width")
+
         def __init__(self) -> None:
             self.tuples = 0
             self.width = bucket_width
@@ -476,6 +490,8 @@ def distinct_sampling_library() -> StatefulLibrary:
 
     @library.state(state_name)
     class DistinctState(StatefulState):
+        __slots__ = ("level", "cleanings")
+
         def __init__(self) -> None:
             self.level = 0
             self.cleanings = 0

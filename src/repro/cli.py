@@ -69,7 +69,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from itertools import chain
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.algorithms.bindings import standard_libraries
 from repro.analysis.legality import ExecTarget, grammar_hint, parse_target
@@ -80,7 +81,9 @@ from repro.dsms.parser import compile_query
 from repro.dsms.resilience import SupervisionPolicy
 from repro.errors import ExecutionError, PlanningError, QueryError, ReproError, SourceError
 from repro.obs import TraceSink, write_metrics, write_trace
-from repro.streams.persistence import load_trace, save_trace
+from repro.streams.persistence import iter_trace, read_header, save_trace
+from repro.streams.records import Record
+from repro.streams.schema import TCP_SCHEMA, StreamSchema
 from repro.streams.sources import (
     QuarantineStream,
     RetryPolicy,
@@ -100,9 +103,12 @@ _FEEDS = {
 }
 
 
-def _feed(trace: Optional[str], retries: Optional[int] = None, quarantine=None) -> list:
-    """The ``trace`` file's records (through a source retrying ``retries``
-    times, if given), else the research feed `generate` makes by default."""
+def _feed(
+    trace: Optional[str], retries: Optional[int] = None, quarantine=None
+) -> Tuple[StreamSchema, Iterable[Record]]:
+    """The ``trace`` file's schema (its header) and its records, streamed
+    from the file (through a source retrying ``retries`` times, if given);
+    else the research feed `generate` makes by default, in memory."""
     if trace is None:
         config = TraceConfig(duration_seconds=60, rate_scale=0.01, seed=20050614)
         records = list(research_center_feed(config))
@@ -110,13 +116,13 @@ def _feed(trace: Optional[str], retries: Optional[int] = None, quarantine=None) 
             f"-- no --trace: synthesised research feed ({len(records):,} records)",
             file=sys.stderr,
         )
-        return records
+        return TCP_SCHEMA, records
+    with open(trace, "rb") as fh:
+        schema, _ = read_header(fh)
     if retries is None:
-        return load_trace(trace)
-    return list(
-        resilient_trace_source(
-            trace, RetryPolicy(max_retries=retries), quarantine=quarantine, name="cli"
-        )
+        return schema, iter_trace(trace)
+    return schema, resilient_trace_source(
+        trace, RetryPolicy(max_retries=retries), quarantine=quarantine, name="cli"
     )
 
 
@@ -167,20 +173,25 @@ def _cmd_query(args: argparse.Namespace) -> int:
     harden = args.quarantine_out is not None or args.source_retries is not None
     quarantine = QuarantineStream() if harden else None
 
+    # The records stream from the file into the run: one pass, whichever
+    # path below takes them (a resume skips what the journal committed).
     try:
-        trace = _feed(args.trace, args.source_retries, quarantine)
+        schema, source = _feed(args.trace, args.source_retries, quarantine)
+        records = iter(source)
+        first = next(records, None)
     except SourceError as exc:
         print(f"cannot read {args.trace}: {exc}", file=sys.stderr)
         return 1
-    if not trace:
+    if first is None:
         print("trace is empty", file=sys.stderr)
         return 1
+    records = chain([first], records)
 
     trace_sink = TraceSink() if args.trace_out else None
     gs = deploy(
         target,
         # The trace's own schema, when it is not the stock TCP one.
-        schema=trace[0].schema,
+        schema=schema,
         libraries=standard_libraries(args.relax_factor),
         supervision=SupervisionPolicy(max_restarts=args.max_restarts),
         trace=trace_sink,
@@ -202,26 +213,23 @@ def _cmd_query(args: argparse.Namespace) -> int:
     except PlanningError as exc:
         print(f"cannot run this query under --shards: {exc}", file=sys.stderr)
         return 2
-    if args.journal is not None:
-        try:
-            runner = DurableRunner(gs, args.journal)
-            if args.resume:
-                consumed = runner.resume(iter(trace))
-                print(
-                    f"-- resumed from {args.journal}; {consumed:,} records total",
-                    file=sys.stderr,
-                )
-            else:
-                consumed = runner.run(iter(trace))
-                print(
-                    f"-- journalled {consumed:,} records to {args.journal}",
-                    file=sys.stderr,
-                )
-        except ReproError as exc:
-            print(f"cannot journal this run: {exc}", file=sys.stderr)
-            return 2
-    else:
-        gs.run(iter(trace))
+    try:
+        if args.journal is None:
+            gs.run(records)
+        elif args.resume:
+            consumed = DurableRunner(gs, args.journal).resume(records)
+            print(f"-- resumed from {args.journal}; {consumed:,} records total", file=sys.stderr)
+        else:
+            consumed = DurableRunner(gs, args.journal).run(records)
+            print(f"-- journalled {consumed:,} records to {args.journal}", file=sys.stderr)
+    except SourceError as exc:
+        print(f"cannot read {args.trace}: {exc}", file=sys.stderr)
+        return 1
+    except ReproError as exc:
+        if args.journal is None:
+            raise
+        print(f"cannot journal this run: {exc}", file=sys.stderr)
+        return 2
     rows = handle.results
     _print_rows(handle.output_schema.names, rows, args.limit)
     print(f"-- {len(rows)} rows", file=sys.stderr)
@@ -397,7 +405,7 @@ def _serve(args: argparse.Namespace) -> int:
             )
             return 2
 
-    records = _feed(args.trace)
+    _, records = _feed(args.trace)
     try:
         breaker = BreakerConfig(
             failure_threshold=args.breaker_failures,

@@ -15,7 +15,7 @@ Keys are tuples of evaluated group-by variable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from repro.dsms.aggregates import Aggregate
@@ -26,7 +26,7 @@ GroupKey = Tuple[Any, ...]
 SuperGroupKey = Tuple[Any, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupEntry:
     """One group: its key values and its aggregate vector."""
 
@@ -35,7 +35,7 @@ class GroupEntry:
     supergroup_key: SuperGroupKey
 
 
-@dataclass
+@dataclass(slots=True)
 class SuperGroupEntry:
     """One supergroup: SFUN states and superaggregate vector."""
 

@@ -38,6 +38,7 @@ from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.aggregates import AggregateRegistry, checkpoint_column, restore_column
 from repro.dsms.durability import Appended
 from repro.dsms.expr import EvalContext
+from repro.dsms.fields import set_fields
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.node import emit_node, in_place
 from repro.dsms.operators.base import Operator
@@ -48,9 +49,12 @@ from repro.core.superaggregates import SuperAggregateRegistry
 from repro.streams.records import Record
 
 
-@dataclass
+@dataclass(slots=True)
 class WindowStats:
-    """Per-window observability counters (back the accuracy figures)."""
+    """Per-window observability counters (back the accuracy figures).
+    Bumped per record, so slotted (repro.dsms.fields)."""
+
+    __setstate__ = set_fields
 
     window: Tuple[Any, ...]
     tuples_seen: int = 0
@@ -209,9 +213,11 @@ class SamplingOperator(Operator):
     def checkpoint(self, since: Optional[Dict[str, int]] = None) -> Dict[str, Any]:
         """The full operator state, over its live objects (see
         ``Operator.checkpoint``): groups as columns (keys, supergroup keys,
-        ``checkpoint_column`` per aggregate slot); SFUN states by *state
-        name* plus field dict because their classes are closure-local
-        inside the ``*_library`` factories (see ``StatefulState.checkpoint``).
+        ``checkpoint_column`` per aggregate slot: fields, not objects); SFUN
+        states by *state name* plus field dict because their classes are
+        closure-local inside the ``*_library`` factories (see
+        ``StatefulState.checkpoint``).  Nothing here reads a ``__dict__``
+        of live state (``repro.dsms.fields``).
         Column order is insertion order, which also reconstructs the
         supergroup-group table — the cleaning pass depends on visiting
         groups in arrival order.

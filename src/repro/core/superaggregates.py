@@ -28,6 +28,7 @@ from __future__ import annotations
 import bisect
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.dsms.fields import set_fields
 from repro.errors import ExecutionError, RegistryError
 
 GroupKey = Hashable
@@ -35,6 +36,10 @@ GroupKey = Hashable
 
 class SuperAggregate:
     """Base class.  Subclasses set ``feeds`` and override the hooks."""
+
+    # Per-supergroup state lives in slots: see repro.dsms.fields.
+    __slots__ = ()
+    __setstate__ = set_fields
 
     feeds: str = "group"  # or "tuple"
 
@@ -59,6 +64,8 @@ class CountDistinctSuper(SuperAggregate):
     feeds = "group"
     #: on_group_added() and value() as a generated node writes them
     in_place = ("{0}._count += 1", "_count")
+
+    __slots__ = ("_count",)
 
     def __init__(self) -> None:
         self._count = 0
@@ -89,6 +96,8 @@ class KthSmallestSuper(SuperAggregate):
 
     feeds = "group"
 
+    __slots__ = ("k", "_values")
+
     def __init__(self, k: int) -> None:
         if k <= 0:
             raise ExecutionError(f"Kth_smallest_value$ needs k >= 1, got {k}")
@@ -117,6 +126,8 @@ class SumSuper(SuperAggregate):
 
     feeds = "tuple"
 
+    __slots__ = ("_total", "_contributions")
+
     def __init__(self) -> None:
         self._total: Any = 0
         self._contributions: Dict[GroupKey, Any] = {}
@@ -138,6 +149,8 @@ class CountSuper(SuperAggregate):
 
     feeds = "tuple"
 
+    __slots__ = ("_total", "_contributions")
+
     def __init__(self) -> None:
         self._total = 0
         self._contributions: Dict[GroupKey, int] = {}
@@ -157,6 +170,8 @@ class MaxSuper(SuperAggregate):
     """``max$(x)`` over live group values (recomputes after removal)."""
 
     feeds = "group"
+
+    __slots__ = ("_values",)
 
     def __init__(self) -> None:
         self._values: List[Any] = []
@@ -179,6 +194,8 @@ class MinSuper(SuperAggregate):
 
     feeds = "group"
 
+    __slots__ = ("_values",)
+
     def __init__(self) -> None:
         self._values: List[Any] = []
 
@@ -199,6 +216,8 @@ class AvgSuper(SuperAggregate):
     """``avg$(x)`` over all admitted tuples of live groups."""
 
     feeds = "tuple"
+
+    __slots__ = ("_total", "_count", "_contributions")
 
     def __init__(self) -> None:
         self._total: Any = 0

@@ -24,6 +24,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.dsms.fields import set_fields, slot_fields
 from repro.errors import RegistryError
 
 
@@ -33,8 +34,13 @@ class Aggregate:
     Instances are per-group; the class is the registered UDAF.  Subclasses
     override :meth:`update` and :meth:`value`, optionally :meth:`retract`
     and :meth:`merge` (merge enables partial aggregation at low-level
-    query nodes).
+    query nodes).  One that declares ``__slots__`` sets every slot in
+    ``__init__``: a checkpoint reads each by name.
     """
+
+    # Per-group state lives in slots: see repro.dsms.fields.
+    __slots__ = ()
+    __setstate__ = set_fields
 
     #: Set by subclasses that implement retract().
     reversible: bool = False
@@ -60,6 +66,8 @@ class SumAggregate(Aggregate):
     #: update() and value() as a generated node writes them (repro.dsms.node)
     in_place = ("{0}._total += {1}", "_total")
 
+    __slots__ = ("_total",)
+
     def __init__(self) -> None:
         self._total: Any = 0
 
@@ -82,6 +90,8 @@ class CountAggregate(Aggregate):
     mergeable = True
     in_place = ("{0}._count += 1", "_count")
 
+    __slots__ = ("_count",)
+
     def __init__(self) -> None:
         self._count = 0
 
@@ -103,6 +113,8 @@ class MinAggregate(Aggregate):
     mergeable = True
     in_place = ("if {0}._min is None or {1} < {0}._min: {0}._min = {1}", "_min")
 
+    __slots__ = ("_min",)
+
     def __init__(self) -> None:
         self._min: Optional[Any] = None
 
@@ -123,6 +135,8 @@ class MaxAggregate(Aggregate):
     mergeable = True
     in_place = ("if {0}._max is None or {1} > {0}._max: {0}._max = {1}", "_max")
 
+    __slots__ = ("_max",)
+
     def __init__(self) -> None:
         self._max: Optional[Any] = None
 
@@ -142,6 +156,8 @@ class MaxAggregate(Aggregate):
 class AvgAggregate(Aggregate):
     reversible = True
     mergeable = True
+
+    __slots__ = ("_total", "_count")
 
     def __init__(self) -> None:
         self._total: Any = 0
@@ -177,6 +193,8 @@ class CountDistinctAggregate(Aggregate):
     reversible = False
     mergeable = True
 
+    __slots__ = ("_seen",)
+
     def __init__(self) -> None:
         self._seen: Set[Any] = set()
 
@@ -196,6 +214,8 @@ class FirstAggregate(Aggregate):
 
     in_place = ("if not {0}._has_value: {0}._first, {0}._has_value = {1}, True", "_first")
 
+    __slots__ = ("_first", "_has_value")
+
     def __init__(self) -> None:
         self._first: Optional[Any] = None
         self._has_value = False
@@ -212,6 +232,8 @@ class FirstAggregate(Aggregate):
 class LastAggregate(Aggregate):
     in_place = ("{0}._last = {1}", "_last")
 
+    __slots__ = ("_last",)
+
     def __init__(self) -> None:
         self._last: Optional[Any] = None
 
@@ -226,30 +248,37 @@ AggregateFactory = Callable[[], Aggregate]
 
 
 @lru_cache(maxsize=None)
-def _plain(cls: type) -> bool:
-    """Whether an instance of ``cls`` is its ``__dict__``: no slots, no pickling of its own."""
-    own = ("__reduce_ex__", "__reduce__", "__getstate__", "__setstate__", "__getnewargs_ex__",
+def _fields(cls: type) -> Tuple[str, ...]:
+    """What a checkpoint writes of a ``cls`` aggregate: its slots
+    (:func:`~repro.dsms.fields.slot_fields`), or nothing — it goes as
+    itself — when it has a ``__dict__`` or pickles its own way."""
+    own = ("__reduce_ex__", "__reduce__", "__getstate__", "__getnewargs_ex__",
            "__getnewargs__")
-    return not hasattr(cls, "__slots__") and all(
-        getattr(cls, name, None) is getattr(object, name, None) for name in own
-    )
+    if any(getattr(cls, name, None) is not getattr(object, name, None) for name in own):
+        return ()
+    return slot_fields(cls) or ()
 
 
 def checkpoint_column(aggregates: Sequence[Aggregate]) -> Tuple[Optional[type], List[Any]]:
-    """One aggregate slot across groups: the class once and each (live) field
-    dict when all are one :func:`_plain` class, else ``None`` and the aggregates."""
+    """One aggregate slot across groups: the class once and each group's
+    field values (the value itself for a one-field class) when all are one
+    class with :func:`_fields`, else ``None`` and the aggregates."""
     kinds = set(map(type, aggregates))
-    if len(kinds) == 1 and _plain(*kinds):
-        return kinds.pop(), list(map(attrgetter("__dict__"), aggregates))
+    fields = _fields(*kinds) if len(kinds) == 1 else ()
+    if fields:
+        return kinds.pop(), list(map(attrgetter(*fields), aggregates))
     return None, list(aggregates)
 
 
 def restore_column(cls: Optional[type], items: List[Any]) -> List[Any]:
-    """The aggregates of a :func:`checkpoint_column`, over its field dicts."""
+    """The aggregates of a :func:`checkpoint_column`, over its field values."""
     if cls is not None:
-        for index, fields in enumerate(items):
+        fields = _fields(cls)
+        single = len(fields) == 1
+        for index, values in enumerate(items):
             items[index] = aggregate = cls.__new__(cls)
-            aggregate.__dict__ = fields
+            for name, value in zip(fields, (values,) if single else values):
+                setattr(aggregate, name, value)
     return items
 
 

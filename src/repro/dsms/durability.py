@@ -70,8 +70,10 @@ JOURNAL_VERSION = 2
 #: rides inside each commit as ``checkpoint_version`` (some version-1
 #: journals carry none); within a version, keys are only ever added.
 #: Version 3 journals append-only lists as :class:`Appended` suffixes;
-#: version 2 (whole lists; a sharded commit's ``routing``) is refused
-CHECKPOINT_VERSION = 3
+#: version 4 writes slotted state by its field values, not field dicts
+#: (DESIGN.md §8). Versions 2 (whole lists; a sharded commit's
+#: ``routing``) and 3 are refused
+CHECKPOINT_VERSION = 4
 
 Hook = Optional[Callable[[int, str], None]]
 

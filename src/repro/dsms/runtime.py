@@ -175,16 +175,16 @@ def registry_report(
     return report
 
 
-def own_state(host: Any) -> Dict[str, Any]:
+def own_state(host: Any, since: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """The run state ``host`` (any deployment: it has ``cost``,
-    ``metrics``, ``trace``) owns itself, for its ``checkpoint()`` to
-    carry beside its children's.  State that is shared is owned — and
-    checkpointed — once, by whoever handed it out (see
-    ``ShardedGigascope.shard_state``)."""
+    ``metrics``, ``trace``) owns itself, for its ``checkpoint(since)`` to
+    carry beside its children's: of the trace, the events since ``since``.
+    State that is shared is owned — and checkpointed — once, by whoever
+    handed it out (see ``ShardedGigascope.shard_state``)."""
     return {
         "cost_accounts": host.cost.accounts() if host.cost.enabled else {},
         "metrics": host.metrics.checkpoint(),
-        "trace": host.trace.checkpoint(),
+        "trace": host.trace.checkpoint(since.get("trace") if since else None),
     }
 
 
@@ -889,7 +889,7 @@ class Gigascope:
                 "results": Appended(start, [row.values for row in handle.results[start:]]),
                 "forwarded": handle.forwarded,
             }
-        return {"version": CHECKPOINT_VERSION, "queries": queries, **own_state(self)}
+        return {"version": CHECKPOINT_VERSION, "queries": queries, **own_state(self, since)}
 
     def restore(self, snapshot: Dict[str, Any]) -> None:
         """Reinstate a :meth:`checkpoint` taken from an identically

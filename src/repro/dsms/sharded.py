@@ -674,12 +674,12 @@ class ShardedGigascope:
     def checkpoint(self, since: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """Picklable state at a round boundary: every shard's ``(seq,
         pickled checkpoint)`` and what the parent owns itself
-        (``runtime.own_state``) — SPLIT-edge refusals (quarantine, queue
+        (``runtime.own_state``, its trace since ``since``) — SPLIT-edge refusals (quarantine, queue
         shed) are counted, charged and traced outside every shard; a
         shard's is whole, whatever ``since`` says (DESIGN.md §8).  Once
         the run has finished the shards are gone and its state is the
         merged results."""
-        state = own_state(self)
+        state = own_state(self, since)
         if self._pool is None:
             state["results"] = {
                 name: list(self._handles[name].results) for name in self._order

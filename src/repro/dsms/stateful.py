@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Type
 
+from repro.dsms.fields import slot_fields
 from repro.errors import RegistryError, StatefulFunctionError
 
 
@@ -38,6 +39,9 @@ class StatefulState:
     of a window (paper §6.4 calls ``final_init()`` on every state at the
     window border, before HAVING runs).
     """
+
+    # A state's fields live in slots: see repro.dsms.fields.
+    __slots__ = ()
 
     #: Whether instances can be snapshotted by :meth:`checkpoint` and
     #: rebuilt by :meth:`restore`.  A state holding unsnapshottable
@@ -63,8 +67,9 @@ class StatefulState:
     # -- crash-recovery checkpoints ---------------------------------------
 
     def checkpoint(self) -> Dict[str, Any]:
-        """This state's fields: a fresh dict over the live values (the
-        view ``Operator.checkpoint`` describes).
+        """This state's fields by name: a fresh dict over the live values
+        (the view ``Operator.checkpoint`` describes), read slot by slot
+        when the state declares ``__slots__``.
 
         State *classes* are often closure-local (the ``*_library``
         factories define them inside the factory so they close over the
@@ -75,12 +80,16 @@ class StatefulState:
         rebuilds the instance from the library on restore.  Subclasses
         holding unsnapshottable resources override this pair.
         """
-        return dict(self.__dict__)
+        fields = slot_fields(type(self))
+        if fields is None:
+            return dict(self.__dict__)
+        return {name: getattr(self, name) for name in fields}
 
     def restore(self, snapshot: Dict[str, Any]) -> None:
-        """Reinstate the fields :meth:`checkpoint` captured (taking them over)."""
-        self.__dict__.clear()
-        self.__dict__.update(snapshot)
+        """Reinstate, on a fresh instance, the fields :meth:`checkpoint`
+        captured (taking them over)."""
+        for name, value in snapshot.items():
+            setattr(self, name, value)
 
 
 SFun = Callable[..., Any]

@@ -122,18 +122,36 @@ class TraceSink:
 
     # -- checkpoint / restore ----------------------------------------------
 
-    def checkpoint(self) -> Dict[str, Any]:
+    def checkpoint(self, since: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        """The sink's state; of its events, those emitted since the commit
+        ``since`` marks (``durability.marks``) as an ``Appended`` piece.
+
+        The piece's positions count from the oldest event the journal
+        holds, and it is keyed by that event's seq (``{origin: piece}``).
+        When ``limit`` dropped events before any commit held them, no older
+        event survives a restore either: the piece then starts a new list,
+        under a new origin, from the oldest event kept.
+        """
+        from repro.dsms.durability import Appended  # repro.dsms imports this module
+
+        oldest = self._next_seq - len(self.events)  # the seq of events[0]
+        origin, held = next(iter(since["events"].items())) if since else (oldest, 0)
+        if origin + held < oldest:
+            origin, held = oldest, 0
+        new = self.events[origin + held - oldest:]
         return {
-            "events": [(e.seq, e.kind, dict(e.fields)) for e in self.events],
+            "events": {origin: Appended(held, [(e.seq, e.kind, dict(e.fields)) for e in new])},
             "next_seq": self._next_seq,
             "dropped": self.dropped_events,
         }
 
     def restore(self, snapshot: Dict[str, Any]) -> None:
-        self.events = [
-            TraceEvent(seq=seq, kind=kind, fields=fields)
-            for seq, kind, fields in snapshot["events"]
-        ]
+        """Reinstate a :meth:`checkpoint` (its pieces joined), within ``limit``."""
+        (piece,) = snapshot["events"].values()
+        events = piece.items
+        if self.limit is not None:
+            events = events[max(0, len(events) - self.limit):]
+        self.events = [TraceEvent(seq=seq, kind=kind, fields=fields) for seq, kind, fields in events]
         self._next_seq = snapshot["next_seq"]
         self.dropped_events = snapshot["dropped"]
 
@@ -148,9 +166,6 @@ class NullTraceSink(TraceSink):
 
     def absorb(self, events: List[TraceEvent], **extra_fields: Any) -> None:  # noqa: D102
         return
-
-    def checkpoint(self) -> Dict[str, Any]:  # noqa: D102
-        return {"events": [], "next_seq": 0, "dropped": 0}
 
     def restore(self, snapshot: Dict[str, Any]) -> None:  # noqa: D102
         return

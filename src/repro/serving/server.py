@@ -640,7 +640,7 @@ class StandingQueryEngine:
         plane's included, and its trace)."""
         held = since.get("queries", {}) if since else {}
         return {
-            **own_state(self),
+            **own_state(self, since),
             "consumed": self.consumed,
             "offered": dict(self._offered),
             "next_id": self._next_id,

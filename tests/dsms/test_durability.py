@@ -11,6 +11,7 @@ behind); the chaos suite does it for real with ``os._exit``.
 
 import os
 import pickle
+import shutil
 from itertools import islice
 
 import pytest
@@ -26,14 +27,28 @@ from repro.dsms.durability import (
     ResultJournal,
     batches,
     entry,
+    read_journal,
+    resume,
 )
 from repro.dsms.resilience import SupervisionPolicy
 from repro.errors import ExecutionError, StreamError, TraceCorruptError
 from repro.obs.tracing import TraceSink
 from repro.serving.server import StandingQueryEngine, drive, resume_serving
 from repro.streams.traces import TraceConfig, data_center_feed, research_center_feed
-from repro.algorithms.bindings import SUBSET_SUM_QUERY, subset_sum_library
+from repro.algorithms.bindings import (
+    BASIC_SUBSET_SUM_QUERY,
+    DISTINCT_SAMPLING_QUERY,
+    HEAVY_HITTERS_QUERY,
+    MIN_HASH_QUERY,
+    RESERVOIR_QUERY,
+    SUBSET_SUM_QUERY,
+    subset_sum_library,
+)
+from repro.core.sampling_operator import SamplingOperator, WindowStats
 from repro.dsms.aggregates import Aggregate
+from repro.dsms.operators.aggregation import AggregationOperator
+from repro.dsms.operators.selection import StatefulSelectionOperator
+from repro.dsms.stateful import StatefulLibrary, StatefulState
 
 from tests.serving.conftest import instance_state, make_instance
 
@@ -738,11 +753,11 @@ class TestParentCommitJournals:
 
 
 
-def growth_run(tmp_path, records):
+def growth_run(tmp_path, records, trace=None):
     """The paper's subset-sum sampler, rows retained, under the runner's
     cadence on the steady feed: what a long durable run journals.
     Returns the journal's size per record consumed."""
-    gs = deploy(libraries=(subset_sum_library(relax_factor=10.0),))
+    gs = deploy(libraries=(subset_sum_library(relax_factor=10.0),), trace=trace)
     gs.add_query(SUBSET_SUM_QUERY.format(window=2, target=1000), name="ss")
     path = str(tmp_path / f"growth-{records}.bin")
     config = TraceConfig(duration_seconds=600, seed=7)
@@ -764,6 +779,39 @@ class TestACommitJournalsWhatItAdds:
         assert small < 30
         assert large / small <= 1.25
 
+    def test_trace_events_are_journalled_once(self, tmp_path):
+        # Whole-history trace events read 123 B/record at 6k and 414 at 24k.
+        small = growth_run(tmp_path, 6_000, TraceSink())
+        large = growth_run(tmp_path, 24_000, TraceSink())
+        assert large / small <= 1.25
+
+    @pytest.mark.parametrize("limit", [5, 400])
+    def test_a_trace_whose_limit_dropped_events_still_joins(self, tmp_path, limit):
+        def bounded():
+            return build(cost_model=CostModel(), trace=TraceSink(limit=limit))
+
+        ref = bounded()
+        DurableRunner(ref, str(tmp_path / "ref.bin"), batch_size=64, commit_interval=2).run(
+            iter(feed())
+        )
+        crashed = bounded()
+        path = self.crashed_journal(tmp_path, crash_at=7, build=lambda: crashed)
+        # 628 events by the 7th commit, about 310 at each window close: a
+        # limit of 5 drops events no commit held, and a piece then starts
+        # a new list under the seq of the oldest event kept; at 400 every
+        # piece continues the one before, and restore trims the joined list.
+        origins = {next(iter(e["trace"]["events"])) for e in ResultJournal.read(path)}
+        assert (len(origins) > 1) == (limit == 5)
+        restored = bounded()
+        _, _, journal = resume(restored, path, read_journal(path, "serial"), iter(feed()))
+        journal.close()
+        assert crashed.trace.dropped_events > 0
+        assert restored.trace.checkpoint() == crashed.trace.checkpoint()
+        fresh = bounded()
+        DurableRunner(fresh, path, batch_size=64, commit_interval=2).resume(iter(feed()))
+        assert fresh.trace.checkpoint() == ref.trace.checkpoint()
+        assert observed(fresh) == observed(ref)
+
     def test_each_commit_starts_where_the_last_one_ended(self, tmp_path):
         path = str(tmp_path / "j.bin")
         DurableRunner(build(), path, batch_size=64, commit_interval=2).run(iter(feed()))
@@ -783,7 +831,7 @@ class TestACommitJournalsWhatItAdds:
         assert held["window_stats"] == len(gs.query("q").operator.window_stats) > 1
 
     @staticmethod
-    def crashed_journal(tmp_path, crash_at=4):
+    def crashed_journal(tmp_path, crash_at=4, build=build):
         path = str(tmp_path / "j.bin")
         runner = DurableRunner(
             build(), path, batch_size=64, commit_interval=2, on_commit=crash_on_commit(crash_at)
@@ -836,7 +884,7 @@ class TestACommitJournalsWhatItAdds:
 
 
 class SlotSum(Aggregate):
-    """A UDAF whose state is a slot: it has no field dict to journal."""
+    """A UDAF whose state is a slot: it is journalled by its field values."""
 
     __slots__ = ("total",)
 
@@ -868,8 +916,9 @@ class ReducedSum(Aggregate):
 
 class TestAggregatesAsTheirFields:
     """A group's aggregates are journalled as one class per slot and each
-    group's field dict; an aggregate without one, or with pickling of
-    its own, as itself — and either way a resume is byte-identical."""
+    group's field values; an aggregate with a ``__dict__``, or with
+    pickling of its own, as itself — and either way a resume is
+    byte-identical."""
 
     TEXT = SS_TEXT.replace(
         "UMAX(sum(len), ssthreshold())", "UMAX(sum(len), ssthreshold()), udaf(len)"
@@ -895,10 +944,179 @@ class TestAggregatesAsTheirFields:
             runner.run(iter(feed()))
         columns = ResultJournal.read(path)[-1]["queries"]["u"]["operator"]["groups"]["aggregates"]
         kinds = [cls for cls, _ in columns]
-        assert kinds[-1] is None and all(kinds[:-1])  # the UDAF's slot is itself
-        assert columns[-1][1] and all(type(a) is udaf for a in columns[-1][1])
+        if udaf is SlotSum:  # a slotted UDAF goes as its class and its field values
+            assert all(kinds) and kinds[-1] is SlotSum
+            assert columns[-1][1] and all(type(total) is int for total in columns[-1][1])
+        else:  # one that pickles its own way goes as itself
+            assert kinds[-1] is None and all(kinds[:-1])
+            assert columns[-1][1] and all(type(a) is udaf for a in columns[-1][1])
         fresh = self.build(udaf)
         DurableRunner(fresh, path, batch_size=64, commit_interval=2).resume(iter(feed()))
         for name in ("q", "u"):
             assert [r.values for r in fresh.results(name)] == [r.values for r in ref.results(name)]
         assert observed(fresh) == observed(ref)
+
+
+class PlainSum(Aggregate):
+    """A UDAF with a ``__dict__``: it is journalled as itself."""
+
+    def __init__(self):
+        self.total = 0
+
+    def update(self, value):
+        self.total += value
+
+    def value(self):
+        return self.total
+
+
+def tally_library():
+    """A user SFUN pack whose state has a ``__dict__``: it is journalled
+    as its field dict (its class is closure-local, so not as itself)."""
+    library = StatefulLibrary()
+
+    @library.state("tally_state")
+    class TallyState(StatefulState):
+        def __init__(self):
+            self.seen = 0
+
+    @library.sfun("tally", state="tally_state")
+    def tally(state, every):
+        state.seen += 1
+        return state.seen % every != 0
+
+    return library
+
+
+def live_objects(gs):
+    """What ``gs``'s operators touch per record or per group, by kind."""
+    found = {kind: [] for kind in ("stats", "entries", "aggregates", "superaggregates", "states")}
+    for handle in gs.query_handles():
+        op = handle.operator
+        if isinstance(op, SamplingOperator):
+            tables = op.tables
+            supergroups = [*tables.new_supergroups.values(), *tables.old_supergroups.values()]
+            found["stats"] += [*op.window_stats, *filter(None, [op._active_stats])]
+            found["entries"] += [*tables.groups.values(), *supergroups]
+            found["aggregates"] += [a for group in tables.groups.values() for a in group.aggregates]
+            found["superaggregates"] += [s for sg in supergroups for s in sg.superaggregates]
+            found["states"] += [s for sg in supergroups for s in sg.states.values()]
+        elif isinstance(op, StatefulSelectionOperator):
+            found["states"] += op.states.values()
+        elif isinstance(op, AggregationOperator):
+            found["aggregates"] += [a for group in op._groups.values() for a in group]
+    return found
+
+
+class TestLiveStateKeepsItsSlots:
+    """A commit reads the operators' per-record state by its fields, and a
+    resume writes it back the same way: neither leaves a live object with
+    a ``__dict__``, which on CPython 3.11 slows every later access to it."""
+
+    ALL_AGGREGATES = (
+        "sum(len), count(*), min(len), max(len), avg(len), count_distinct(destIP),"
+        " first(len), last(len)"
+    )
+    TEXTS = [
+        SS_TEXT,
+        RESERVOIR_QUERY.format(window=5, target=20),
+        HEAVY_HITTERS_QUERY.format(window=5, bucket=20),
+        DISTINCT_SAMPLING_QUERY.format(window=5, capacity=20),
+        BASIC_SUBSET_SUM_QUERY.format(z=500),
+        MIN_HASH_QUERY.format(window=5, k=3),
+        f"SELECT tb, srcIP, {ALL_AGGREGATES}, max$(HX), min$(HX) FROM TCP"
+        " WHERE sum$(len) >= 0 AND count$(*) >= 0 AND avg$(len) <> 0 - 1"
+        " GROUP BY time/5 as tb, srcIP, H(destIP) as HX SUPERGROUP BY tb"
+        " CLEANING WHEN count_distinct$(*) > 40 CLEANING BY count(*) > 1",
+        f"SELECT tb, srcIP, {ALL_AGGREGATES} FROM TCP GROUP BY time/5 as tb, srcIP",
+    ]
+
+    def build(self):
+        gs = deploy()
+        for index, text in enumerate(self.TEXTS):
+            gs.add_query(text, name=f"q{index}")
+        return gs
+
+    @staticmethod
+    def assert_slotted(gs):
+        found = live_objects(gs)
+        kinds = {kind: {type(obj).__name__ for obj in objs} for kind, objs in found.items()}
+        assert kinds["aggregates"] == {
+            "SumAggregate", "CountAggregate", "MinAggregate", "MaxAggregate", "AvgAggregate",
+            "CountDistinctAggregate", "FirstAggregate", "LastAggregate",
+        }
+        assert kinds["superaggregates"] == {
+            "CountDistinctSuper", "KthSmallestSuper", "SumSuper", "CountSuper", "AvgSuper",
+            "MaxSuper", "MinSuper",
+        }
+        assert kinds["states"] == {
+            "SubsetSumState", "ReservoirState", "HeavyHitterState", "DistinctState", "BasicState",
+        }
+        assert kinds["stats"] == {"WindowStats"}
+        assert kinds["entries"] == {"GroupEntry", "SuperGroupEntry"}
+        with_dicts = [type(obj).__name__ for objs in found.values() for obj in objs
+                      if hasattr(obj, "__dict__")]
+        assert not with_dicts
+
+    def test_no_live_object_has_a_dict_after_a_commit_or_a_resume(self, tmp_path):
+        path = str(tmp_path / "j.bin")
+        crash = crash_on_commit(3)
+
+        def check_then_crash(consumed, kind):
+            self.assert_slotted(gs)
+            crash(consumed, kind)
+
+        gs = self.build()
+        runner = DurableRunner(gs, path, batch_size=64, commit_interval=2,
+                               on_commit=check_then_crash)
+        with pytest.raises(_Boom):
+            runner.run(iter(feed()))
+        fresh = self.build()
+        _, _, journal = resume(fresh, path, read_journal(path, "serial"), iter(feed()))
+        journal.close()
+        self.assert_slotted(fresh)
+
+    def test_unslotted_user_state_resumes_identically(self, tmp_path):
+        text = (
+            "SELECT tb, srcIP, plain_sum(len) FROM TCP WHERE tally(3) = TRUE"
+            " GROUP BY time/5 as tb, srcIP SUPERGROUP BY tb"
+            " CLEANING WHEN count_distinct$(*) > 20 CLEANING BY plain_sum(len) > 500"
+        )
+
+        def build_user():
+            gs = deploy(libraries=[tally_library()], cost_model=CostModel(), trace=TraceSink())
+            gs.registries.aggregates.register("plain_sum", PlainSum)
+            gs.add_query(text, name="q")
+            return gs
+
+        ref = build_user()
+        DurableRunner(ref, str(tmp_path / "ref.bin"), batch_size=64, commit_interval=2).run(
+            iter(feed())
+        )
+        path = str(tmp_path / "j.bin")
+        runner = DurableRunner(
+            build_user(), path, batch_size=64, commit_interval=2, on_commit=crash_on_commit(3)
+        )
+        with pytest.raises(_Boom):
+            runner.run(iter(feed()))
+        operator = ResultJournal.read(path)[-1]["queries"]["q"]["operator"]
+        (cls, items), = operator["groups"]["aggregates"]
+        assert cls is None and items and all(type(a) is PlainSum for a in items)
+        (_, states, _), = operator["new_supergroups"]
+        assert states == {"tally_state": {"seen": states["tally_state"]["seen"]}}
+        fresh = build_user()
+        DurableRunner(fresh, path, batch_size=64, commit_interval=2).resume(iter(feed()))
+        assert rows_of(fresh) and observed(fresh) == observed(ref)
+
+    def test_a_checkpoint_version_3_journal_is_refused_by_name(self, tmp_path):
+        # Written by a crashed run before this state had slots (checkpoint
+        # version 3): SS_TEXT and an aggregation query, two commits.  It
+        # pickles WindowStats, superaggregates and the aggregation's
+        # aggregates as field dicts, which the slotted classes still take.
+        path = str(tmp_path / "v3.bin")
+        shutil.copy(os.path.join(os.path.dirname(__file__), "goldens", "journal_v3.bin"), path)
+        entries = ResultJournal.read(path)
+        assert [(e["kind"], e["checkpoint_version"]) for e in entries] == [("commit", 3)] * 2
+        assert type(entries[-1]["queries"]["q"]["operator"]["active_stats"]) is WindowStats
+        with pytest.raises(ExecutionError, match="checkpoint version 3 .* not supported"):
+            DurableRunner(build(), path).resume(untouchable())

@@ -6,9 +6,10 @@ import os
 import pytest
 
 from repro.analysis.legality import ExecTarget
-from repro.cli import main
+from repro.cli import _feed, main
 from repro.deploy import deploy
-from repro.streams.persistence import load_trace
+from repro.streams.persistence import load_trace, read_header
+from repro.streams.schema import TCP_SCHEMA
 
 
 @pytest.fixture
@@ -81,6 +82,20 @@ class TestQuery:
         with pytest.raises(Exception):
             main(["query", "--trace", str(tmp_path / "missing.bin"),
                   "--sql", "SELECT len FROM TCP"])
+
+    def test_a_trace_with_no_records_exits_one(self, trace_file, capsys):
+        with open(trace_file, "rb") as fh:
+            _, body = read_header(fh)
+        os.truncate(trace_file, body)
+        assert main(["query", "--trace", trace_file, "--sql", "SELECT len FROM TCP"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["trace is empty"]
+
+    def test_the_trace_streams_from_its_file(self, trace_file):
+        # The schema comes from the header; the records are read as the
+        # run pulls them, never held as a list.
+        schema, records = _feed(trace_file)
+        assert schema == TCP_SCHEMA and not isinstance(records, list)
+        assert list(records) == load_trace(trace_file)
 
     def test_sharded_matches_serial(self, trace_file, capsys):
         sql = "SELECT tb, srcIP, sum(len) FROM TCP GROUP BY time/5 as tb, srcIP"
