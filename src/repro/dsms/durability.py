@@ -71,9 +71,12 @@ JOURNAL_VERSION = 2
 #: journals carry none); within a version, keys are only ever added.
 #: Version 3 journals append-only lists as :class:`Appended` suffixes;
 #: version 4 writes slotted state by its field values, not field dicts
-#: (DESIGN.md §8). Versions 2 (whole lists; a sharded commit's
-#: ``routing``) and 3 are refused
-CHECKPOINT_VERSION = 4
+#: (DESIGN.md §8); version 5 shards by a key's value, not its ``repr``
+#: (``sharded.stable_hash``), so equal keys of a bool or float column
+#: that version 4 placed on two shards would split a group on resume.
+#: Versions 2 (whole lists; a sharded commit's ``routing``), 3 and 4
+#: are refused
+CHECKPOINT_VERSION = 5
 
 Hook = Optional[Callable[[int, str], None]]
 

@@ -23,7 +23,11 @@ Architecture::
 * **SPLIT** — each source stream gets one *partition column*, inferred
   by the planner (:func:`repro.dsms.parser.planner.partition_info`) from
   every query reading the stream; records route to shard
-  ``stable_hash(record[column]) % shards``.
+  ``stable_hash(record[column]) % shards``.  The route follows the
+  key's value, as GROUP BY does (``0.0`` and ``-0.0``, ``1`` and
+  ``True`` route alike), and a key that repeats is hashed once per run:
+  the SPLIT memoises key → shard, emptied at ``_ROUTE_MEMO_KEYS``, and
+  stops consulting the memo for a while when most of a batch misses it.
 * **shards** — full replicas of the query DAG, held by a *shard pool*.
   There are exactly two pools and they differ only in where the
   :class:`Gigascope` instances live: :class:`_InlinePool` (default)
@@ -62,7 +66,7 @@ with the serial runtime.
 from __future__ import annotations
 
 import pickle
-import zlib
+from zlib import crc32
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -86,14 +90,32 @@ from repro.streams.schema import StreamSchema
 from repro.streams.sources import QuarantineStream
 
 
+#: distinct keys the SPLIT's route memo holds before it starts afresh
+_ROUTE_MEMO_KEYS = 4096
+#: batches the SPLIT hashes without its memo after one in which most
+#: records missed it (a feed of fresh keys, e.g. spoofed sources)
+_ROUTE_MEMO_PAUSE = 64
+
+
 def stable_hash(value: Any) -> int:
     """Deterministic, process-independent hash for partition routing.
 
     Python's builtin ``hash`` is salted per process for strings, so it
     cannot route records consistently between a parent and its forked
-    workers; CRC32 of the value's ``repr`` is stable everywhere.
+    workers; CRC32 of the value's ``repr`` is stable everywhere.  Keys
+    of the schema types that compare equal hash equal, as they group
+    together: a ``bool`` or an integral ``float`` (``-0.0`` too) hashes
+    as the ``int`` it equals.  So routing follows the key's value, not
+    its spelling, and a memo of key → shard
+    (:meth:`ShardedGigascope._split`) cannot split a group.
     """
-    return zlib.crc32(repr(value).encode("utf-8"))
+    kind = type(value)
+    if kind is not int and kind is not str:
+        if isinstance(value, int):
+            value = int(value)
+        elif isinstance(value, float):
+            value = int(value) if value.is_integer() else float(value)
+    return crc32(repr(value).encode())
 
 
 def canonical_rows(records: Sequence[Record]) -> List[Tuple[Any, ...]]:
@@ -376,6 +398,10 @@ class ShardedGigascope:
         #: the open run's shard pool, SPLIT routes and MERGE sinks
         self._pool: Any = None
         self._route: Dict[str, int] = {}
+        #: the open run's SPLIT memo: partition key -> shard index
+        self._shard_of: Dict[Any, int] = {}
+        #: batches left before the SPLIT consults its memo again
+        self._memo_pause = 0
         self._sinks: List[_MergeSink] = []
         #: per shard ``(seq, pickled checkpoint)`` the next start() seeds
         self._resume_state: Dict[int, Tuple[int, bytes]] = {}
@@ -602,6 +628,7 @@ class ShardedGigascope:
         if self._pool is not None:
             raise ExecutionError("instance is already running; finish() first")
         self._route = self._route_indices()
+        self._shard_of, self._memo_pause = {}, 0
         self._sinks = [_MergeSink(self._handles[name]) for name in self._order]
         self._pool = (
             ShardSupervisor(
@@ -630,7 +657,7 @@ class ShardedGigascope:
         offered = len(batch)
         if self.validate_admission:
             batch = self._validate_edge(batch)
-        pool.ship(self._split(batch, self._route))
+        pool.ship(self._split(batch))
         for sink in self._sinks:
             handles = sink.handle.shard_handles
             for shard in range(self.shards):
@@ -723,10 +750,17 @@ class ShardedGigascope:
             self.quarantine.put(reason, payload, source=stream)
         return admitted
 
-    def _split(
-        self, batch: Sequence[Record], route: Dict[str, int]
-    ) -> List[List[Record]]:
-        buckets: List[List[Record]] = [[] for _ in range(self.shards)]
+    def _split(self, batch: Sequence[Record]) -> List[List[Record]]:
+        """Bucket one batch by shard.  A key's shard is hashed the first
+        time the run sees it and memoised after (an unhashable key is
+        hashed every time); the memo starts afresh when it holds
+        ``_ROUTE_MEMO_KEYS`` keys.  A miss costs more than the hash it
+        saves a hit, so after a batch in which most records missed the
+        next ``_ROUTE_MEMO_PAUSE`` batches hash every record, as if
+        there were no memo, before a batch tries the memo again."""
+        shards, route, shard_of = self.shards, self._route, self._shard_of
+        buckets: List[List[Record]] = [[] for _ in range(shards)]
+        memo, misses = not self._memo_pause, 0
         for record in batch:
             try:
                 index = route[record.schema.name]
@@ -734,7 +768,26 @@ class ShardedGigascope:
                 # Refuse it as the serial runtime's admission would: raises.
                 admit_payload(record, self.registries.schemas, self._streams, False)
                 raise
-            buckets[stable_hash(record.values[index]) % self.shards].append(record)
+            key = record.values[index]
+            if not memo:
+                shard = stable_hash(key) % shards
+            else:
+                try:
+                    shard = shard_of[key]
+                except KeyError:
+                    misses += 1
+                    shard = stable_hash(key) % shards
+                    if len(shard_of) >= _ROUTE_MEMO_KEYS:
+                        shard_of.clear()
+                    shard_of[key] = shard
+                except TypeError:
+                    misses += 1
+                    shard = stable_hash(key) % shards
+            buckets[shard].append(record)
+        if not memo:
+            self._memo_pause -= 1
+        elif misses * 2 > len(batch):
+            self._memo_pause = _ROUTE_MEMO_PAUSE
         return buckets
 
     def _absorb_shard_obs(

@@ -48,7 +48,10 @@ from repro.core.sampling_operator import SamplingOperator, WindowStats
 from repro.dsms.aggregates import Aggregate
 from repro.dsms.operators.aggregation import AggregationOperator
 from repro.dsms.operators.selection import StatefulSelectionOperator
+from repro.dsms.sharded import ShardedGigascope, canonical_rows
 from repro.dsms.stateful import StatefulLibrary, StatefulState
+from repro.streams.records import Record
+from repro.streams.schema import Attribute, Ordering, StreamSchema
 
 from tests.serving.conftest import instance_state, make_instance
 
@@ -418,6 +421,22 @@ class TestRefusals:
         with pytest.raises(ExecutionError, match="checkpoint version 99"):
             read_journal(path, "serial")
 
+    def test_a_checkpoint_version_4_sharded_journal_is_refused_by_name(self, tmp_path):
+        # Written by a crashed two-shard run that routed each key by its
+        # repr (checkpoint version 4): SS_SHARDED over feed(seconds=6),
+        # batches of 64, two commits.  A resume routing by value could
+        # find a group's state on the other shard, so it is refused.
+        path = str(tmp_path / "v4.bin")
+        shutil.copy(os.path.join(os.path.dirname(__file__), "goldens", "journal_v4.bin"), path)
+        entries = ResultJournal.read(path)
+        assert [(e["kind"], e["mode"], e["checkpoint_version"]) for e in entries] == [
+            ("commit", "sharded", 4)
+        ] * 2
+        assert sorted(entries[-1]["shards"]) == [0, 1]
+        for supervise in (False, True):
+            with pytest.raises(ExecutionError, match="checkpoint version 4 .* not supported"):
+                DurableRunner(build(shards=2, supervise=supervise), path).resume(untouchable())
+
     def test_a_commit_cadence_below_one_is_refused(self, tmp_path):
         runner = DurableRunner(build(), str(tmp_path / "j.bin"), commit_interval=0)
         with pytest.raises(StreamError, match="commit_interval"):
@@ -578,6 +597,57 @@ class TestCrashAtEveryCommit:
         driven, consumed = deployment.resume(path, records)
         assert consumed == len(feed())
         assert deployment.observed(driven) == expected
+
+
+F_SCHEMA = StreamSchema(
+    "F",
+    [
+        Attribute("time", "int", Ordering.INCREASING),
+        Attribute("k", "float"),
+        Attribute("v", "int"),
+    ],
+)
+
+
+def zeros_feed():
+    """Float keys where ``0.0`` comes first and ``-0.0`` opens every
+    later pair of 4-record rounds, so every resume sees ``-0.0`` first;
+    a window spans four commits."""
+    spellings = (0.0, 1.5, -0.0, 2.0, 0.0, 3.0, -0.0)
+    return [
+        Record(F_SCHEMA, (i // 16, -0.0 if i and i % 8 == 0 else spellings[i % 7], i % 5 + 1))
+        for i in range(96)
+    ]
+
+
+class TestEqualKeysResumeOnOneShard:
+    """A sharded run's route is a function of the key's value, so a
+    resume whose first spelling of zero is ``-0.0`` finds the state the
+    crashed run kept under ``0.0``, whichever commit it died after.
+    Rows compare in canonical order, as their ``repr`` (``-0.0`` is not
+    ``0.0`` there): a resume re-merges the restored shard rows shard by
+    shard, which can reorder a window's rows (ROADMAP.md)."""
+
+    def run(self, path, on_commit=None, resume=False):
+        sh = ShardedGigascope(shards=2, cost_model=CostModel(), trace=TraceSink())
+        sh.register_stream(F_SCHEMA)
+        handle = sh.add_query("SELECT tb, k, sum(v) FROM F GROUP BY time/2 as tb, k", name="q")
+        runner = DurableRunner(sh, path, batch_size=4, commit_interval=2, on_commit=on_commit)
+        consumed = (runner.resume if resume else runner.run)(iter(zeros_feed()))
+        assert consumed == 96
+        rows = canonical_rows(handle.results)
+        return rows, repr(rows), observed(sh, ordered=False)[1:]
+
+    def test_resume_is_identical_at_every_commit(self, tmp_path):
+        kinds = []
+        expected = self.run(str(tmp_path / "ref.bin"), lambda consumed, kind: kinds.append(kind))
+        assert kinds.count("commit") == 12
+        assert [tb for tb, k, _ in expected[0] if k == 0] == [0, 1, 2]
+        for crash_at in range(1, len(kinds) + 1):
+            path = str(tmp_path / f"j{crash_at}.bin")
+            with pytest.raises(_Boom):
+                self.run(path, crash_on_commit(crash_at))
+            assert self.run(path, resume=True) == expected, crash_at
 
 
 class TestCommitsDidNotMove:

@@ -7,17 +7,20 @@ drawn with everything else in ``tests/test_oracle.py``, with fixed
 points in ``TestSerialEquivalence``.
 """
 
+from itertools import islice
+
 import pytest
 
 from repro.analysis.legality import ExecTarget
 from repro.errors import ExecutionError, PlanningError
 from repro.dsms.cost import CostModel
 from repro.dsms.parser.planner import compile_query, partition_info
+from repro.dsms import sharded
 from repro.dsms.runtime import Gigascope
 from repro.dsms.sharded import ShardedGigascope, canonical_rows, stable_hash
 from repro.streams.records import Record
-from repro.streams.schema import PKT_SCHEMA, TCP_SCHEMA
-from repro.streams.traces import TraceConfig, research_center_feed
+from repro.streams.schema import PKT_SCHEMA, TCP_SCHEMA, Attribute, Ordering, StreamSchema
+from repro.streams.traces import TraceConfig, data_center_feed, research_center_feed
 from repro.algorithms.bindings import (
     HEAVY_HITTERS_QUERY,
     RESERVOIR_QUERY,
@@ -80,6 +83,185 @@ class TestStableHash:
     def test_spreads_keys(self):
         buckets = {stable_hash(i) % 4 for i in range(1000)}
         assert buckets == {0, 1, 2, 3}
+
+    # Recorded when routing hashed every key's repr: int, str and
+    # non-integral float keys still route where they did.
+    @pytest.mark.parametrize(
+        "key, recorded",
+        [
+            (0, 4108050209),
+            (1, 2212294583),
+            (-1, 808273962),
+            (12345, 3421846044),
+            (2**40, 1057089833),
+            ("10.0.0.1", 3056206504),
+            ("abc", 2530215470),
+            ("", 1041634801),
+            (0.5, 2258563469),
+        ],
+    )
+    def test_int_and_str_keys_route_where_they_did(self, key, recorded):
+        assert stable_hash(key) == recorded
+
+    def test_keys_that_compare_equal_hash_equal(self):
+        assert stable_hash(-0.0) == stable_hash(0.0) == stable_hash(0)
+        assert stable_hash(True) == stable_hash(1) == stable_hash(1.0)
+        assert stable_hash(False) == stable_hash(0)
+        assert stable_hash(-3.0) == stable_hash(-3)
+        assert stable_hash(2.5) != stable_hash(2)
+
+
+def keyed(type_tag):
+    """A stream whose partition column ``k`` has the given type."""
+    return StreamSchema(
+        "F",
+        [
+            Attribute("time", "int", Ordering.INCREASING),
+            Attribute("k", type_tag),
+            Attribute("v", "int"),
+        ],
+    )
+
+
+KEYED_TEXT = "SELECT tb, k, sum(v) FROM F GROUP BY time/2 as tb, k"
+
+
+def keyed_rows(schema, values, shards=0, supervise=False):
+    """``KEYED_TEXT``'s rows over unvalidated records, serial when
+    ``shards`` is 0, as their ``repr`` so that ``-0.0`` is not ``0.0``."""
+    gs = ShardedGigascope(shards=shards, supervise=supervise) if shards else Gigascope()
+    gs.register_stream(schema)
+    handle = gs.add_query(KEYED_TEXT, name="q")
+    gs.run(iter([Record(schema, v) for v in values]))
+    return repr(canonical_rows(handle.results))
+
+
+class TestEqualKeysShareAShard:
+    """GROUP BY groups by ``==``; the SPLIT must route by it too, or two
+    shards each hold half of one group and emit it twice."""
+
+    def agree(self, schema, values):
+        serial = keyed_rows(schema, values)
+        assert keyed_rows(schema, values, shards=2) == serial
+        assert keyed_rows(schema, values, shards=2, supervise=True) == serial
+        return serial
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_zero_and_negative_zero(self, first, second):
+        values = [(0, first, 1), (0, second, 1), (1, first, 1), (1, second, 1), (2, 1.5, 7)]
+        assert self.agree(keyed("float"), values) == repr([(0, first, 4), (1, 1.5, 7)])
+
+    def test_bools_and_integral_floats_in_an_int_column(self):
+        values = [
+            (0, 1, 1), (0, True, 2), (0, 0, 32), (1, False, 64),
+            (1, 1.0, 4), (1, 2, 8), (1, 0.0, 128), (2, True, 16),
+        ]
+        assert self.agree(keyed("int"), values) == repr(
+            [(0, 0, 224), (0, 1, 7), (0, 2, 8), (1, True, 16)]
+        )
+
+
+def steady(records, seed=20050614):
+    """The first ``records`` of the steady feed, as the perf ledger
+    reads it (``benchmarks/ledger/workloads.make_trace``)."""
+    config = TraceConfig(duration_seconds=100_000, rate_scale=0.1, seed=seed)
+    return list(islice(data_center_feed(config), records))
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """Counts the SPLIT's calls to ``stable_hash``."""
+    calls = []
+    real = sharded.stable_hash
+
+    def counting(value):
+        calls.append(value)
+        return real(value)
+
+    monkeypatch.setattr(sharded, "stable_hash", counting)
+    return calls
+
+
+class TestRouteMemo:
+    """The SPLIT hashes a key the first time a run sees it, not at
+    every record, and the memo that remembers it is bounded."""
+
+    def test_each_distinct_key_is_hashed_once(self, hashes):
+        records = steady(30_000)
+        sh = ShardedGigascope(shards=2)
+        sh.register_stream(TCP_SCHEMA)
+        sh.add_query(AGG_TEXT, name="q")
+        sh.run(iter(records), batch_size=1024)
+        distinct = {r.values[TCP_SCHEMA.index_of("srcIP")] for r in records}
+        assert len(distinct) < 1000
+        assert sorted(hashes) == sorted(distinct)
+
+    def test_the_memo_never_outgrows_its_bound(self, hashes):
+        bound = sharded._ROUTE_MEMO_KEYS
+        schema = keyed("int")
+        # Each key twice in a row: half of a batch misses, not most of it.
+        values = [(i // 1000, i // 2 % (2 * bound + 500), 1) for i in range(6 * bound)]
+        sh = ShardedGigascope(shards=2)
+        sh.register_stream(schema)
+        handle = sh.add_query(KEYED_TEXT, name="q")
+        sh.start()
+        sizes = []
+        for lo in range(0, len(values), 500):
+            sh.feed([Record(schema, v) for v in values[lo:lo + 500]])
+            sizes.append(len(sh._shard_of))
+        sh.finish()
+        assert sh._memo_pause == 0
+        assert max(sizes) == bound and min(sizes[16:]) < bound
+        assert len(hashes) > 2 * bound + 500  # keys forgotten are hashed again
+        assert repr(canonical_rows(handle.results)) == keyed_rows(schema, values)
+
+    def test_an_unhashable_key_is_routed_unmemoised(self, hashes):
+        # An unvalidated record may carry one; a selection passes it on.
+        schema = keyed("int")
+        values = [(0, [1], 1), (1, [2], 2), (2, [1], 3)]
+        sh = ShardedGigascope(shards=2)
+        sh.register_stream(schema)
+        handle = sh.add_query("SELECT time, k, v FROM F", name="q")
+        sh.run(iter([Record(schema, v) for v in values]))
+        assert sorted(r.values for r in handle.results) == values
+        assert hashes == [[1], [2], [1]] and sh._shard_of == {}
+
+    def test_a_batch_of_fresh_keys_pauses_the_memo(self, hashes):
+        # A miss costs more than a hash: after a batch that mostly
+        # misses, the SPLIT hashes as if it had no memo for a while.
+        pause = sharded._ROUTE_MEMO_PAUSE
+        schema = keyed("int")
+        values = [(0, k, 1) for k in range(100)] + [(1, 1000, 1)] * 10 * (pause + 2)
+        sh = ShardedGigascope(shards=2)
+        sh.register_stream(schema)
+        handle = sh.add_query(KEYED_TEXT, name="q")
+        sh.start()
+        sh.feed([Record(schema, v) for v in values[:100]])
+        assert sh._memo_pause == pause and len(sh._shard_of) == 100
+        for lo in range(100, 100 + 10 * pause, 10):
+            sh.feed([Record(schema, v) for v in values[lo:lo + 10]])
+        assert len(hashes) == 100 + 10 * pause  # every record hashed
+        assert len(sh._shard_of) == 100 and sh._memo_pause == 0
+        sh.feed([Record(schema, v) for v in values[-20:]])
+        assert len(hashes) == 100 + 10 * pause + 1 and 1000 in sh._shard_of
+        sh.finish()
+        assert repr(canonical_rows(handle.results)) == keyed_rows(schema, values)
+
+    def test_a_second_run_starts_with_an_empty_memo(self, hashes):
+        first = list(trace(seconds=10))
+        later = [Record(TCP_SCHEMA, (r.values[0] + 100,) + r.values[1:]) for r in first]
+        sh = ShardedGigascope(shards=2)
+        sh.register_stream(TCP_SCHEMA)
+        sh.add_query(AGG_TEXT, name="q")
+        distinct = len({r.values[TCP_SCHEMA.index_of("srcIP")] for r in first})
+        sh.run(iter(first))
+        assert len(hashes) == distinct
+        sh.start()
+        assert sh._shard_of == {}
+        for batch in (later[:500], later[500:]):
+            sh.feed(batch)
+        sh.finish()
+        assert len(hashes) == 2 * distinct
 
 
 class TestPartitionInfo:
