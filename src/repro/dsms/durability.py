@@ -208,8 +208,9 @@ def read_journal(path: str, mode: str) -> Tuple[List[Dict[str, Any]], int]:
 
     The one place a journal is judged fit to resume from: a missing
     file, a file that is not a journal (:class:`TraceCorruptError`), an
-    entry or checkpoint version this code does not read and a journal
-    written by another kind of run are each refused here, by name.
+    entry or checkpoint version this code does not read, a journal
+    written by another kind of run and a commit stamped with no
+    checkpoint version are each refused here, by name.
     """
     if not os.path.exists(path):
         raise ExecutionError(f"journal {path!r} does not exist")
@@ -230,6 +231,13 @@ def read_journal(path: str, mode: str) -> Tuple[List[Dict[str, Any]], int]:
             raise ExecutionError(
                 f"journal {path!r} was written by a {e.get('mode')!r} run;"
                 f" it cannot resume a {mode!r} run"
+            )
+    for e in entries:
+        if e.get("kind") in ("commit", "final") and "checkpoint_version" not in e:
+            # version-1 writers stamped none, and no restore reads what they wrote
+            raise ExecutionError(
+                f"the commit at offset {e.get('consumed')!r} in {path!r} carries no"
+                f" checkpoint version (expected {CHECKPOINT_VERSION})"
             )
     return entries, end
 

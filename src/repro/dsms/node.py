@@ -23,9 +23,11 @@ from __future__ import annotations
 import re
 from textwrap import dedent
 from types import MethodType
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.dsms.expr import InPlace, Star, _Emitter, bind_group, bind_input, bind_tuple
+from repro.dsms.expr import (
+    EvalContext, FunctionCall, InPlace, ScalarCall, Star, _Emitter, bind_group, bind_input, bind_tuple,
+)
 from repro.dsms.operators.base import Operator
 from repro.errors import PlanningError
 from repro.streams.records import Record
@@ -351,3 +353,82 @@ def emit_node(
         op._emit_window = write(CLOSE, "rows", "_emit_window", "self")
     if type(op).process_many is Operator.process_many:
         op.process_many = write(LOOP, "out", "process_many", "self, records, out=None")
+
+
+def scannable(op: Operator) -> bool:
+    """``op`` is a selection whose generated entry builds its rows, so a
+    scan (:func:`emit_scan`) can stand in for it."""
+    return op.kind_label == "selection" and "process_many" in vars(op) and not op._forwards
+
+
+def emit_scan(ops: Sequence[Operator], label: str) -> Callable[..., Tuple[List[Record], ...]]:
+    """One pass for the :func:`scannable` selections ``ops`` over one
+    stream: ``scan(records, contexts)`` reads each record once and returns
+    each member's rows as its entry would emit them, counting member
+    ``i``'s clause calls in ``contexts[i]``.  WHERE and SELECT are
+    :data:`LOOP`'s selection terms, member after member; members with
+    equal SELECT lists (calling no function) and output attributes share
+    a row, built for the first that passes and carrying its output
+    schema, whatever the queries are named.  A scan of one is its
+    member's entry, less the counters :func:`take` settles."""
+
+    def select_key(i: int, op: Operator) -> Any:
+        select = [item.expr for item in op.analyzed.ast.select]
+        if any(isinstance(node, (ScalarCall, FunctionCall)) for expr in select for node in expr.walk()):
+            return i
+        # positions are bound per input schema: share under the same one only
+        return id(op.analyzed.schema), op.output_schema.attributes, tuple(map(str, select))
+
+    keys = [select_key(i, op) for i, op in enumerate(ops)]
+    shared = {key: f"row{keys.index(key)}" for key in keys if keys.count(key) > 1}
+    node = _Emitter(bind_group((), "key"))
+    node.hoisted = ""  # what a clause reads is in locals already
+    members = range(len(ops))
+    node.line(f"{''.join(f'rows{i}, ' for i in members)}= runs = ({'[], ' * len(ops)})")
+    node.line(f"{''.join(f'emit{i}, ' for i in members)}= {''.join(f'rows{i}.append, ' for i in members)}")
+    node.line(f"{''.join(f'ctx{i}, ' for i in members)}= contexts")
+    node.line("for record in records:")
+    node.depth = 2
+    node.line("v = record.values")
+    for name in shared.values():
+        node.line(f"{name} = None")
+    for i, op in enumerate(ops):
+        start, where = len(node.lines), op.analyzed.ast.where
+        node.bind, node.depth = bind_input(op.analyzed.schema, "v"), 2
+        if where is not None:
+            node.line(f"if {node.emit(where)}:")
+            node.depth += 1
+        row = shared.get(keys[i], "row")
+        if keys[i] in shared:  # built by whichever sharer passes first
+            node.line(f"if {row} is None:")
+            node.depth += 1
+        node.line(f"{row} = {node.const(object.__new__)}({node.const(Record)})")
+        values = node.row([item.expr for item in op.analyzed.ast.select])
+        node.line(f"{row}.schema, {row}.values = {node.const(op.output_schema)}, {values}")
+        node.depth = 3 if where is not None else 2
+        node.line(f"emit{i}({row})")
+        if re.search(r"\bctx\b", "\n".join(node.lines[start:])):
+            node.lines.insert(start, f"        ctx = ctx{i}")
+    return node.function("runs", f"{label}:scan", "scan", "records, contexts")
+
+
+def take(op: Operator, records: Sequence[Record], out: Optional[List[Record]],
+         rows: List[Record], calls: EvalContext) -> List[Record]:
+    """``op``'s entry over ``records`` when a scan (:func:`emit_scan`) has
+    built its ``rows`` and counted its clauses' calls in ``calls``: it
+    emits the rows and settles what :data:`LOOP`'s ``finally`` settles
+    for a selection, and nothing else."""
+    if out is None:
+        out = []
+    out.extend(rows)
+    n_in, n_out, ctx = len(records), len(rows), op._ctx
+    charge, account = op._cost.charge, op._account
+    charge(account, "tuple_read", n_in)
+    charge(account, "predicate_eval", n_in if op.analyzed.ast.where is not None else 0)
+    ctx.function_calls += calls.function_calls
+    ctx.sfun_calls += calls.sfun_calls
+    ctx.settle_calls(charge, account)
+    op.m_in.inc(n_in)
+    op.m_filtered.inc(n_in - n_out)
+    op.m_rows_out.inc(n_out)
+    return out

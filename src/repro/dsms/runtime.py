@@ -50,6 +50,17 @@ from repro.core.superaggregates import default_superaggregate_registry
 
 _SCHEMA_OF = attrgetter("schema")
 
+
+def run_stream(batch: Sequence[Any]) -> Optional[str]:
+    """The stream a non-empty ``batch`` is one *run* of — exact ``Record``
+    instances that all carry the first one's schema — or None."""
+    if (
+        list(map(type, batch)).count(Record) == len(batch)
+        and list(map(_SCHEMA_OF, batch)).count(batch[0].schema) == len(batch)
+    ):
+        return batch[0].schema.name
+    return None
+
 #: help text of the two per-stream counters every fed batch lands in
 _STREAM_HELP = {
     "stream_records_total": "records offered to the stream (before admission)",
@@ -683,13 +694,8 @@ class Gigascope:
         """
         offered: Dict[str, int] = {}
         by_stream: Dict[str, Any] = {}
-        if (
-            not self.validate_admission
-            and list(map(type, batch)).count(Record) == len(batch)
-            and list(map(_SCHEMA_OF, batch)).count(batch[0].schema) == len(batch)
-            and batch[0].schema.name in self._rings
-        ):
-            stream = batch[0].schema.name
+        stream = None if self.validate_admission else run_stream(batch)
+        if stream in self._rings:
             offered[stream], by_stream[stream] = len(batch), batch
         else:
             for payload in batch:

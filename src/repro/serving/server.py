@@ -52,6 +52,7 @@ import asyncio
 import json
 import signal
 import threading
+from time import perf_counter
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -68,7 +69,9 @@ from repro.dsms.durability import (
     resume,
 )
 from repro.dsms.cost import NULL_COST_MODEL
-from repro.dsms.runtime import Gigascope, own_state, restore_own_state
+from repro.dsms.expr import EvalContext
+from repro.dsms.node import emit_scan, scannable
+from repro.dsms.runtime import Gigascope, own_state, restore_own_state, run_stream
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracing import NULL_TRACE, TraceSink
@@ -80,11 +83,13 @@ from repro.serving.faults import (
 )
 from repro.serving.journal import split_log
 from repro.serving.sharing import (
+    Run,
     SeriesKey,
     ShareSignature,
     capture_feed,
     replay_feed,
     share_signature,
+    taking,
 )
 from repro.streams.records import Record
 
@@ -92,6 +97,8 @@ from repro.streams.records import Record
 #: graceful drain (SIGTERM / SIGINT / ``POST /drain``) rather than by
 #: reaching the end of its input.
 DRAIN_EXIT_CODE = 3
+
+_SCANS_KEPT = 8  # leader sets whose scans are kept; a ninth starts afresh
 
 
 class UnknownQueryError(ExecutionError):
@@ -218,6 +225,8 @@ class StandingQueryEngine:
         self.metrics = MetricsRegistry()
         self._queries: Dict[str, ServedQuery] = {}  # by qid, insertion order
         self._groups: Dict[ShareSignature, List[str]] = {}
+        #: the scans written, by the leaders' low-level nodes they stand in for
+        self._scans: Dict[Tuple[Any, ...], Callable[..., Any]] = {}
         self._offered: Dict[str, int] = {}  # records offered, per tenant
         self._next_id = 0
         self._closed = False
@@ -329,6 +338,7 @@ class StandingQueryEngine:
             raise ExecutionError(f"standing query {qid!r} is already retired")
         sq.instance.finish()
         sq.unregistered_at = self.consumed
+        self._scans.clear()  # none stands in for a retired node
         if sq.signature is not None:
             members = self._groups[sq.signature]
             members.remove(qid)
@@ -370,9 +380,11 @@ class StandingQueryEngine:
         quarantines *that query* (dead-lettered, breaker-counted) and
         never interrupts the others.  The first admitted member leads:
         it feeds the batch, capturing the shared prefix when admitted
-        followers replay it.  A failing leader is replaced by the next
-        admitted member, which re-runs the prefix for the same batch,
-        so followers never observe a gap.
+        followers replay it, and its low-level node takes its run from
+        the one scan of the batch for every leader (:meth:`_scan`).  A
+        failing leader is replaced by the next admitted member, which
+        re-runs the prefix for the same batch, so followers never
+        observe a gap.
         """
         if self._closed:
             raise ExecutionError("the serving engine is closed")
@@ -387,6 +399,7 @@ class StandingQueryEngine:
         offset = self.consumed  # records consumed *before* this batch
         self.consumed += n
         shed_tenants = self._quota_decisions(n)
+        groups: List[Tuple[str, List[ServedQuery]]] = []
         for role, members in self._feed_groups():
             fed: List[ServedQuery] = []
             for sq in members:
@@ -396,16 +409,24 @@ class StandingQueryEngine:
                     fed.append(sq)
                 else:
                     self._poison_skip(sq, n)
+            groups.append((role, fed))
+        leaders = [fed[0] for role, fed in groups if role == "leader" and fed]
+        runs = self._scan(batch, leaders) if len(leaders) > 1 else {}
+        for role, fed in groups:
             for index, leader in enumerate(fed):
                 followers = fed[index + 1:]
+                run = runs.pop(leader.qid, None)  # a promoted follower runs its own node
                 try:
                     if followers:
                         capture = capture_feed(
                             leader.instance, leader.low_name, leader.high_name,
-                            batch,
+                            batch, run,
                         )
-                    else:
+                    elif run is None:
                         leader.instance.feed(batch)
+                    else:
+                        with taking(leader.instance, leader.low_name, run):
+                            leader.instance.feed(batch)
                 except Exception as exc:  # fault boundary, not a bug trap
                     self._record_failure(leader, exc, role, offset, n)
                     if followers:
@@ -432,6 +453,40 @@ class StandingQueryEngine:
             help="records offered to the serving engine",
         ).inc(n)
         return n
+
+    def _scan(self, batch: List[Record], leaders: List[ServedQuery]) -> Dict[str, Run]:
+        """Each scannable leader's :data:`~repro.serving.sharing.Run` of
+        ``batch``, by qid, from one scan; none when fewer than two leaders
+        read the stream the batch is one run of (a leader's own node is
+        the scan of one) or the scan raised (every leader then runs its
+        own node).  Scans are kept per leader set until a query leaves."""
+        members = [(sq, op) for sq in leaders
+                   if scannable(op := sq.instance.query(sq.low_name).operator)]
+        stream = run_stream(batch) if len(members) > 1 else None
+        members = [(sq, op) for sq, op in members if sq.stream == stream]
+        if len(members) < 2:
+            return {}
+        ops = tuple(op for _, op in members)
+        scan = self._scans.get(ops)
+        if scan is None:
+            if len(self._scans) == _SCANS_KEPT:  # leaders shed or failed over in turn
+                self._scans.clear()
+            scan = self._scans[ops] = emit_scan(ops, stream)
+        contexts = [EvalContext(op._ctx.scalars, op._ctx.sfuns) for op in ops]
+        profile = members[0][0].instance.profile
+        started = perf_counter() if profile else 0.0
+        try:
+            rows = scan(batch, contexts)
+        except Exception:  # the leaders' own nodes raise it again, each in its boundary
+            rows = None
+        if profile:
+            self.metrics.histogram("serving_scan_seconds", help="wall time per scan",
+                                   stream=stream).observe(perf_counter() - started)
+        outcome = "discarded" if rows is None else "taken"
+        self.metrics.counter("serving_scans_total", help="batches scanned once for all leaders",
+                             stream=stream, outcome=outcome).inc()
+        return {sq.qid: (len(batch), run, calls)
+                for (sq, _), run, calls in zip(members, rows or (), contexts)}
 
     def _feed_groups(self) -> List[Tuple[str, List[ServedQuery]]]:
         """The feed groups, with the dead-letter role of their leaders:

@@ -16,6 +16,9 @@ and replays its effects into every other subscriber:
   registered) instance of a signature group normally, capturing the
   low-level node's emitted records plus the exact metric-counter and
   cost-account deltas the shared prefix produced;
+* :func:`taking` lets a leader's low-level node take its run from the
+  engine's one scan of the batch for every group's leader
+  (:func:`repro.dsms.node.emit_scan`), settling what the node would;
 * :func:`replay_feed` applies those deltas — relabelled to the
   follower's node names — to every other member, then hands the
   captured run to the follower's low-level node as its own output
@@ -32,12 +35,14 @@ pair and triple of example queries.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Collection, Dict, List, Optional, Tuple
+from typing import Any, Collection, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.dataflow import build_plan_graph
-from repro.dsms.expr import ScalarCall, find_nodes
+from repro.dsms.expr import EvalContext, ScalarCall, find_nodes
+from repro.dsms.node import take
 from repro.dsms.parser.planner import QueryPlan, partition_info
 from repro.obs.metrics import Counter
 from repro.streams.records import Record
@@ -178,15 +183,55 @@ def _counter_values(metrics: Any) -> Dict[Tuple[str, tuple], int]:
     return out
 
 
+#: one member's share of a scan (``repro.dsms.node.emit_scan``): the
+#: length of the run scanned, the member's rows, and its clauses' calls
+Run = Tuple[int, List[Record], EvalContext]
+
+
+@contextmanager
+def taking(
+    gs: Any, low_name: Optional[str], run: Optional[Run], runs: Optional[List[Any]] = None
+) -> Iterator[None]:
+    """For one feed of ``gs``, its low-level node *takes* ``run`` when
+    handed the run the scan read (a ring that dropped records hands it
+    fewer) and otherwise runs itself, keeping what it returns in
+    ``runs``; then its entry is restored as it was."""
+    operator = gs.query(low_name).operator
+    original = operator.process_many
+    bound = vars(operator).get("process_many")  # a generated node's, or None
+
+    def entry(records: Any, out: List[Record]) -> Collection[Record]:
+        # One ring poll per feed, so one run; a run that raises fails the
+        # feed, and the group fails over.
+        if run is not None and len(records) == run[0]:
+            out = take(operator, records, out, run[1], run[2])
+        else:
+            out = original(records, out)
+        if runs is not None:
+            runs.append(out)
+        return out
+
+    operator.process_many = entry
+    try:
+        yield
+    finally:
+        if bound is None:
+            del operator.process_many
+        else:
+            operator.process_many = bound
+
+
 def capture_feed(
-    gs: Any, low_name: str, high_name: Optional[str], batch: List[Record]
+    gs: Any, low_name: str, high_name: Optional[str], batch: List[Record],
+    run: Optional[Run] = None,
 ) -> BatchCapture:
     """Feed ``batch`` to the canonical instance, capturing prefix effects.
 
     The low-level node's run entry (``process_many``) is shimmed for the
     duration of the feed, then restored as it was, to keep the run it
     returns — a record list, or on the columnar engine a batch, which
-    followers take as it is;
+    followers take as it is — and to take ``run``, the node's share of a
+    scan, when there is one;
     metric and cost deltas are taken by snapshot difference.  Deltas
     attributable to the canonical query's own *high-level* operator are
     excluded (each follower regenerates those natively via
@@ -201,25 +246,8 @@ def capture_feed(
     forwarded_before = low.forwarded
 
     runs: List[Collection[Record]] = []
-    operator = low.operator
-    original = operator.process_many
-    # the entry bound on the instance (a generated node's), or None
-    bound = vars(operator).get("process_many")
-
-    def capturing(records: Any, out: List[Record]) -> Collection[Record]:
-        # One ring poll per feed, so one run; a run that raises fails
-        # the capture, and the group fails over.
-        runs.append(original(records, out))
-        return runs[-1]
-
-    operator.process_many = capturing
-    try:
+    with taking(gs, low_name, run, runs):
         gs.feed(batch)
-    finally:
-        if bound is None:
-            del operator.process_many
-        else:
-            operator.process_many = bound
 
     forwarded = low.forwarded - forwarded_before
     metric_deltas: List[MetricDelta] = []

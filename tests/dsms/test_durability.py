@@ -415,7 +415,8 @@ class TestRefusals:
         path = str(tmp_path / "j.bin")
         with ResultJournal(path, fresh=True) as journal:
             journal.append(entry("commit", "serial", 0))  # version-1 writers stamped none
-        assert len(read_journal(path, "serial")[0]) == 1
+        with pytest.raises(ExecutionError, match="commit at offset 0 .* no checkpoint version"):
+            read_journal(path, "serial")
         with ResultJournal(path) as journal:
             journal.append(entry("commit", "serial", 64, checkpoint_version=99))
         with pytest.raises(ExecutionError, match="checkpoint version 99"):

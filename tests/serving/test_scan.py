@@ -1,0 +1,202 @@
+"""One scan per feed: the leaders of every sharing group on a stream take
+their runs from one pass over the batch (docs/SERVING.md, "Operator
+sharing").
+
+What a member takes is what its own node would have built and counted;
+a batch that raises in any member is not taken by anyone, and every
+leader runs its own node over it, so only the failing group fails, as it
+would alone.  A stream that one group reads is not scanned: the leader's
+own node is the scan of one.  A row is built once for the members whose
+SELECT lists and output attributes are equal, whatever the queries are
+named, and carries the output schema of the node that built it: a
+follower holds its leader's rows.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.dsms.node import emit_scan
+from repro.serving.server import StandingQueryEngine, drive
+from repro.streams.records import Record
+from repro.streams.schema import TCP_SCHEMA
+
+from tests.serving.conftest import BATCH, instance_state, make_instance, served_state, solo_state
+
+FAILING = "SELECT time, srcIP, len FROM TCP WHERE 10/(len - 41) >= 0"
+HEALTHY = "SELECT time, srcIP, len FROM TCP WHERE len > 200"
+#: the ledger's serve_shared shape: 8 signatures, one SELECT list
+CUTS = (0, 64, 128, 256, 512, 768, 1024, 1400)
+SHAPED = [f"SELECT time, srcIP, destIP, len FROM TCP WHERE len > {cut}" for cut in CUTS]
+LEN = TCP_SCHEMA.index_of("len")
+
+
+def with_len(record, value):
+    values = list(record.values)
+    values[LEN] = value
+    return Record(TCP_SCHEMA, values)
+
+
+def scans(engine, outcome):
+    return engine.metrics.value("serving_scans_total", stream="TCP", outcome=outcome)
+
+
+@pytest.fixture(scope="module")
+def poisoned(request):
+    """Two batches: the first holds one record of length 41, mid-batch;
+    the second none."""
+    records = request.getfixturevalue("records")
+    clean = [with_len(r, 42) if r.len == 41 else r for r in records[: 2 * BATCH]]
+    clean[BATCH // 2] = with_len(clean[BATCH // 2], 41)
+    return clean[:BATCH], clean[BATCH:]
+
+
+def serve(groups, batches):
+    """An engine serving each ``(text, qids)`` group, every query named
+    ``q``."""
+    engine = StandingQueryEngine(make_instance)
+    served = {qid: engine.register(text, name="q", qid=qid)
+              for text, qids in groups for qid in qids}
+    for batch in batches:
+        engine.feed(batch)
+    engine.finish()
+    return engine, served
+
+
+def letters(engine, qids):
+    return [e for e in engine.dead_letters.checkpoint()["entries"] if e["qid"] in qids]
+
+
+class TestAFailingMemberFailsAlone:
+    GROUPS = ((FAILING, ("bad1", "bad2")), (HEALTHY, ("ok1", "ok2")))
+
+    def test_each_group_ends_as_it_would_alone(self, poisoned):
+        engine, served = serve(self.GROUPS, poisoned)
+        alone, solo = serve(self.GROUPS[:1], poisoned)
+        # the failing group: its leader's solo error dead-lettered, then
+        # its promoted follower's; breakers and partial counts as alone
+        assert letters(engine, {"bad1", "bad2"}) == letters(alone, {"bad1", "bad2"})
+        private = make_instance()
+        private.add_query(FAILING, name="q")
+        private.start()
+        with pytest.raises(Exception) as raised:
+            private.feed(poisoned[0])
+        assert [e["error"] for e in letters(engine, {"bad1"})] == [str(raised.value)]
+        for qid in ("bad1", "bad2"):
+            assert served[qid].breaker.checkpoint() == solo[qid].breaker.checkpoint()
+            assert served_state(served[qid]) == served_state(solo[qid])
+        # the healthy group: rows, counters and cost of a private run
+        for qid in ("ok1", "ok2"):
+            assert served_state(served[qid]) == solo_state(HEALTHY, [*poisoned[0], *poisoned[1]])
+        assert not letters(engine, {"ok1", "ok2"})
+
+    def test_the_batch_after_is_scanned_again(self, poisoned):
+        engine, _ = serve(self.GROUPS, poisoned)
+        assert (scans(engine, "discarded"), scans(engine, "taken")) == (1, 1)
+
+
+class TestOneScanPerBatch:
+    def test_a_serve_shared_registration_runs_one_scan_per_batch(self, records):
+        engine = StandingQueryEngine(make_instance)
+        served = [engine.register(text, name="q") for text in SHAPED * 8]
+        drive(engine, records, batch_size=BATCH)
+        batches = -(-len(records) // BATCH)
+        assert (scans(engine, "taken"), scans(engine, "discarded")) == (batches, 0)
+        assert engine.metrics.value("serving_shared_replays_total") == 56 * batches
+        solo = {text: solo_state(text, records) for text in SHAPED}
+        for sq in served:
+            assert served_state(sq) == solo[sq.text]
+        # one row per record and SELECT list: each leader's rows are
+        # among the rows of the leader with the lowest cut
+        built = set(map(id, served[0].results))
+        assert all(set(map(id, sq.results)) <= built for sq in served[1:8])
+
+    def test_a_scan_is_written_once_per_shape(self, records):
+        """Replicas of one membership shape run one cached code object."""
+        codes = set()
+        for _ in range(2):
+            engine = StandingQueryEngine(make_instance)
+            ops = [engine.register(text, name="q").instance.query("q").operator
+                   for text in SHAPED]
+            codes.add(emit_scan(ops, "TCP").__code__)
+        assert len(codes) == 1
+
+
+class TestARowCarriesTheSchemaOfItsNode:
+    def test_a_follower_holds_its_leaders_rows(self, records):
+        engine = StandingQueryEngine(make_instance)
+        alpha = engine.register(HEALTHY, name="alpha")
+        beta = engine.register(HEALTHY, name="beta")
+        drive(engine, records, batch_size=BATCH)
+        assert beta.results[0].schema.name == "alpha"
+        assert beta.results == alpha.results
+        solo = make_instance()
+        solo.add_query(HEALTHY, name="beta")
+        solo.run(records, batch_size=BATCH)
+        assert beta.results != solo.results("beta")  # Record.__eq__ reads the schema
+        assert [r.values for r in beta.results] == [r.values for r in solo.results("beta")]
+        assert beta.instance.query("beta").output_schema.names == solo.query("beta").output_schema.names
+
+    def test_groups_share_a_row_whatever_they_are_called(self, records):
+        engine = StandingQueryEngine(make_instance)
+        alpha = engine.register(SHAPED[0], name="alpha")
+        gamma = engine.register(SHAPED[1], name="gamma")
+        drive(engine, records, batch_size=BATCH)
+        assert scans(engine, "taken")
+        assert {r.schema.name for r in gamma.results} == {"alpha"}
+        assert set(map(id, gamma.results)) <= set(map(id, alpha.results))
+        assert served_state(gamma) == solo_state(SHAPED[1], records, name="gamma")
+        assert served_state(alpha) == solo_state(SHAPED[0], records, name="alpha")
+
+    def test_other_output_attributes_get_their_own_row(self, records):
+        renamed = SHAPED[1].replace("len FROM", "len AS size FROM")
+        engine = StandingQueryEngine(make_instance)
+        engine.register(SHAPED[0], name="alpha")
+        gamma = engine.register(renamed, name="gamma")
+        drive(engine, records, batch_size=BATCH)
+        assert scans(engine, "taken")
+        assert {r.schema.name for r in gamma.results} == {"gamma"}
+        assert served_state(gamma) == solo_state(renamed, records, name="gamma")
+
+
+def with_half(**options):
+    gs = make_instance(**options)
+    gs.register_scalar("HALF", lambda x: x // 2)
+    return gs
+
+
+class TestAScanSettlesAsItsMembersWould:
+    def test_a_selection_with_no_where_and_a_scalar_call(self, records):
+        """No WHERE (no predicate charged) and a scalar call in SELECT
+        (counted in the member's own context, never a shared row)."""
+        texts = ["SELECT time, HALF(len) FROM TCP", HEALTHY,
+                 "SELECT time, HALF(len) FROM TCP WHERE len > 200"]
+        engine = StandingQueryEngine(with_half)
+        served = [engine.register(text, name="q") for text in texts]
+        drive(engine, records, batch_size=BATCH)
+        assert scans(engine, "taken") == -(-len(records) // BATCH)
+        for sq, text in zip(served, texts):
+            solo = with_half()
+            solo.add_query(text, name="q")
+            solo.run(records, batch_size=BATCH)
+            assert served_state(sq) == instance_state(solo, "q")
+
+    def test_a_stream_one_group_reads_is_not_scanned(self, records):
+        engine = StandingQueryEngine(make_instance)
+        sq = engine.register(HEALTHY, name="q")
+        engine.register(HEALTHY, name="q")
+        drive(engine, records, batch_size=BATCH)
+        assert scans(engine, "taken") == scans(engine, "discarded") == 0
+        assert served_state(sq) == solo_state(HEALTHY, records)
+
+    def test_scans_are_kept_until_a_query_leaves(self, records):
+        engine = StandingQueryEngine(make_instance)
+        for text in SHAPED[:3]:
+            engine.register(text, name="q")
+        engine.feed(records[:BATCH])
+        kept = dict(engine._scans)
+        last = engine.register(SHAPED[3], name="q")
+        engine.feed(records[BATCH:2 * BATCH])
+        assert len(engine._scans) == 2 and kept.items() <= engine._scans.items()
+        engine.unregister(last.qid)
+        assert not engine._scans

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ExecutionError, QueryError
 from repro.obs.export import render_prometheus
-from repro.dsms.durability import ResultJournal
+from repro.dsms.durability import CHECKPOINT_VERSION, ResultJournal
 from repro.serving.journal import split_log
 from repro.serving.server import (
     QueryServer,
@@ -256,7 +256,10 @@ class TestJournalFormat:
     def test_pre_envelope_journal_still_resumes(self, tmp_path, records):
         """Entries shaped as the serving journal's own writer shaped
         them: stamped ``serving_version: 1``, no ``journal_version`` or
-        ``mode``, registry events carrying only ``offset``."""
+        ``mode``, registry events carrying only ``offset``.  What is
+        pinned is the envelope: the commit holds today's checkpoint, so
+        it carries today's checkpoint version (an unstamped commit is
+        refused: ``test_durability.py``'s ``TestRefusals``)."""
         cut = 4 * BATCH
         engine = StandingQueryEngine(make_instance)
         engine.register(SELECTION, name="q", qid="sqA")
@@ -268,6 +271,7 @@ class TestJournalFormat:
              "offset": 0},
             {
                 "serving_version": 1,
+                "checkpoint_version": CHECKPOINT_VERSION,
                 "kind": "commit",
                 "consumed": cut,
                 "offered": {},
