@@ -25,6 +25,15 @@ mark and a JSON line per feed, and exits 1 when bytes per record at the
 end differ from the 24k value by more than 25 %, or when peak RSS is
 above the feed's bound in ``RSS_BOUND_MB`` (recorded in
 docs/PERFORMANCE.md with the runs that set it).
+
+Without ``--feed`` the soak ends with one more fixed run, in the parent
+once the feeds' processes are done: the steady feed's query with its
+threshold kept per ``tb, srcIP`` supergroup, which the SPLIT can
+partition, on two supervised shards up to ``SHARDED_RECORDS`` records.
+Each of its marks is a whole run of its own, read at its end: a sharded
+run's final entry holds every merged row once, so the end of one run is
+no mark for the commits before it.  Its peak RSS is the supervisor's,
+not its workers'.
 """
 
 from __future__ import annotations
@@ -40,9 +49,9 @@ from itertools import islice
 from typing import Dict, List
 
 from repro.algorithms.bindings import SUBSET_SUM_QUERY, subset_sum_library
+from repro.analysis.legality import ExecTarget
+from repro.deploy import deploy
 from repro.dsms.durability import DurableRunner
-from repro.dsms.runtime import Gigascope
-from repro.streams.schema import TCP_SCHEMA
 from repro.streams.traces import TraceConfig, data_center_feed, research_center_feed
 
 #: per feed: its records, and the sample the query keeps per window
@@ -51,19 +60,27 @@ FEEDS = {
     "bursty": (lambda: research_center_feed(TraceConfig(duration_seconds=14_000, seed=7)), 100),
 }
 #: peak RSS a 1M-record soak may reach, per feed: the retained rows
-#: (about half the records) are most of it
-RSS_BOUND_MB = {"steady": 200, "bursty": 200}
+#: (about half the records) are most of it; and the sharded run's
+#: supervisor, which holds every row of its shards and of the MERGE
+RSS_BOUND_MB = {"steady": 200, "bursty": 200, "sharded": 200}
+#: records of the sharded run's last mark
+SHARDED_RECORDS = 192_000
 FIRST_MARK = 24_000
 TOLERANCE = 0.25
 
 
-def soak(feed: str, records: int) -> Dict[str, object]:
-    """One durable run of ``records`` records of ``feed``."""
-    gs = Gigascope()
-    gs.register_stream(TCP_SCHEMA)
-    gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
+def soak(feed: str, records: int, shards: int = 0) -> Dict[str, object]:
+    """One durable run of ``records`` records of ``feed``, serial or on
+    ``shards`` supervised shards."""
+    gs = deploy(
+        ExecTarget(shards=shards or None, supervise=bool(shards)),
+        libraries=(subset_sum_library(relax_factor=10.0),),
+    )
     source, target = FEEDS[feed]
-    gs.add_query(SUBSET_SUM_QUERY.format(window=2, target=target), name="ss")
+    text = SUBSET_SUM_QUERY.format(window=2, target=target)
+    if shards:
+        text = text.replace("uts\n", "uts SUPERGROUP BY tb, srcIP\n")
+    gs.add_query(text, name="ss")
     marks: List[int] = []
     sizes: Dict[int, float] = {}
     with tempfile.TemporaryDirectory() as scratch:
@@ -81,19 +98,58 @@ def soak(feed: str, records: int) -> Dict[str, object]:
         consumed = runner.run(islice(source(), records))
         sizes[consumed] = os.path.getsize(path) / consumed
         journal_mb = os.path.getsize(path) / 2**20
-    first, last = sizes[min(sizes)], sizes[consumed]
+    return judged(
+        {
+            "feed": feed,
+            "records": consumed,
+            "rows": len(gs.results("ss")),
+            "journal_mb": round(journal_mb, 2),
+        },
+        sizes,
+        "sharded" if shards else feed,
+    )
+
+
+def judged(result: Dict[str, object], sizes: Dict[int, float], bound: str) -> Dict[str, object]:
+    """``result`` with its bytes per record at each mark, its growth
+    from the first mark to the last, its peak RSS and its verdict."""
+    first, last = sizes[min(sizes)], sizes[max(sizes)]
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {
-        "feed": feed,
-        "records": consumed,
-        "rows": len(gs.results("ss")),
+        **result,
         "bytes_per_record": {str(k): round(v, 2) for k, v in sorted(sizes.items())},
         "growth": round(last / first, 3),
-        "journal_mb": round(journal_mb, 2),
         "peak_rss_mb": round(peak_mb, 1),
-        "rss_bound_mb": RSS_BOUND_MB[feed],
-        "ok": abs(last / first - 1) <= TOLERANCE and peak_mb <= RSS_BOUND_MB[feed],
+        "rss_bound_mb": RSS_BOUND_MB[bound],
+        "ok": abs(last / first - 1) <= TOLERANCE and peak_mb <= RSS_BOUND_MB[bound],
     }
+
+
+def soak_sharded() -> Dict[str, object]:
+    """The sharded run: a whole run per mark, each read at its end."""
+    runs, records = [], FIRST_MARK
+    while records <= SHARDED_RECORDS:
+        runs.append(soak("steady", records, shards=2))
+        records *= 2
+    sizes = {run["records"]: run["bytes_per_record"][str(run["records"])] for run in runs}
+    return judged({**runs[-1], "feed": "steady/2 supervised shards"}, sizes, "sharded")
+
+
+def report(result: Dict[str, object]) -> int:
+    """Print ``result``'s table rows and JSON line; 1 when it failed."""
+    feed = result["feed"]
+    for records, per_record in result["bytes_per_record"].items():
+        print(f"{feed:>7} {int(records):>9} records {per_record:>8.2f} B/record")
+    print(json.dumps(result, sort_keys=True))
+    if not result["ok"]:
+        print(
+            f"soak FAILED: {feed} bytes per record moved {result['growth']}x"
+            f" (tolerance ±{TOLERANCE:.0%}) or peak RSS {result['peak_rss_mb']} MB"
+            f" passed {result['rss_bound_mb']} MB",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 def main(argv: List[str]) -> int:
@@ -106,20 +162,8 @@ def main(argv: List[str]) -> int:
         for feed in sorted(FEEDS, reverse=True):
             command = [sys.executable, __file__, "--feed", feed, "--records", str(args.records)]
             status |= subprocess.run(command).returncode
-        return status
-    result = soak(args.feed, args.records)
-    for records, per_record in result["bytes_per_record"].items():
-        print(f"{args.feed:>7} {int(records):>9} records {per_record:>8.2f} B/record")
-    print(json.dumps(result, sort_keys=True))
-    if not result["ok"]:
-        print(
-            f"soak FAILED: {args.feed} bytes per record moved {result['growth']}x"
-            f" (tolerance ±{TOLERANCE:.0%}) or peak RSS {result['peak_rss_mb']} MB"
-            f" passed {result['rss_bound_mb']} MB",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        return status | report(soak_sharded())
+    return report(soak(args.feed, args.records))
 
 
 if __name__ == "__main__":

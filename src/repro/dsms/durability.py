@@ -22,7 +22,7 @@ and the rest is written once, here, against those:
 * :func:`run_batches` is a whole run — start, loop, finish, final
   commit — journalled or not;
 * :func:`read_journal` says what kind of journal it was handed and
-  upgrades entries earlier writers shaped differently; :func:`resume`
+  envelopes the serving journal's version-1 entries; :func:`resume`
   restores the last commit and hands back the input still to be fed,
   so replaying it into an *identically registered* deployment is
   byte-identical to an uninterrupted run.
@@ -61,22 +61,22 @@ from repro.streams.records import Record
 _MAGIC = b"RPJRNL01"
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
 
-#: journal entry format version; version 1 nested serial state under
-#: ``snapshot`` and gave serving entries no envelope, and
-#: :func:`read_journal` still reads it
+#: journal entry format version; version 1 gave serving entries no
+#: envelope, and :func:`read_journal` still reads its registry events
 JOURNAL_VERSION = 2
 
-#: version of what ``checkpoint()`` returns, independent of the above: it
-#: rides inside each commit as ``checkpoint_version`` (some version-1
-#: journals carry none); within a version, keys are only ever added.
+#: version of what ``checkpoint()`` returns, per ``journal_mode``,
+#: independent of the above: it rides inside each commit as
+#: ``checkpoint_version``; within a version, keys are only ever added.
 #: Version 3 journals append-only lists as :class:`Appended` suffixes;
 #: version 4 writes slotted state by its field values, not field dicts
 #: (DESIGN.md §8); version 5 shards by a key's value, not its ``repr``
 #: (``sharded.stable_hash``), so equal keys of a bool or float column
-#: that version 4 placed on two shards would split a group on resume.
-#: Versions 2 (whole lists; a sharded commit's ``routing``), 3 and 4
-#: are refused
-CHECKPOINT_VERSION = 5
+#: that version 4 placed on two shards would split a group on resume;
+#: sharded version 6 journals each shard's appended lists as suffixes
+#: too, where version 5 wrote a whole pickled shard per commit.  Any
+#: other version of a mode is refused
+CHECKPOINT_VERSION = {"serial": 5, "serving": 5, "sharded": 6}
 
 Hook = Optional[Callable[[int, str], None]]
 
@@ -183,22 +183,16 @@ def entry(kind: str, mode: str, consumed: int, **fields: Any) -> Dict[str, Any]:
 
 
 def _upgraded(e: Dict[str, Any]) -> Dict[str, Any]:
-    """``e`` in today's envelope, whichever earlier writer shaped it."""
+    """``e`` in today's envelope: serving journals had their own version
+    stamp and no mode; registry events carried their offset under
+    ``offset`` only."""
     if "journal_version" not in e and "serving_version" in e:
-        # Serving journals had their own version stamp and no mode;
-        # registry events carried their offset under ``offset`` only.
         e = {
             "consumed": e.get("offset"),
             **e,
             "journal_version": e["serving_version"],
             "mode": "serving",
         }
-    if e.get("mode") == "supervised":
-        # From before the shard pools shared one checkpoint currency.
-        e = {**e, "mode": "sharded"}
-    if "snapshot" in e:
-        # Version-1 serial commits nested the instance checkpoint.
-        e = {**e, **e["snapshot"]}
     return e
 
 
@@ -216,28 +210,29 @@ def read_journal(path: str, mode: str) -> Tuple[List[Dict[str, Any]], int]:
         raise ExecutionError(f"journal {path!r} does not exist")
     raw, end = ResultJournal._scan(path)
     entries = [_upgraded(e) for e in raw]
+    expected = CHECKPOINT_VERSION[mode]
     for e in entries:
         if e.get("journal_version") not in (1, JOURNAL_VERSION):
             raise ExecutionError(
                 f"journal entry version {e.get('journal_version')!r} in"
                 f" {path!r} is not supported (expected 1 or {JOURNAL_VERSION})"
             )
-        if e.get("checkpoint_version", CHECKPOINT_VERSION) != CHECKPOINT_VERSION:
-            raise ExecutionError(
-                f"checkpoint version {e['checkpoint_version']!r} in {path!r}"
-                f" is not supported (expected {CHECKPOINT_VERSION})"
-            )
         if e.get("mode") != mode:
             raise ExecutionError(
                 f"journal {path!r} was written by a {e.get('mode')!r} run;"
                 f" it cannot resume a {mode!r} run"
+            )
+        if e.get("checkpoint_version", expected) != expected:
+            raise ExecutionError(
+                f"checkpoint version {e['checkpoint_version']!r} of a {mode!r} run in"
+                f" {path!r} is not supported (expected {expected})"
             )
     for e in entries:
         if e.get("kind") in ("commit", "final") and "checkpoint_version" not in e:
             # version-1 writers stamped none, and no restore reads what they wrote
             raise ExecutionError(
                 f"the commit at offset {e.get('consumed')!r} in {path!r} carries no"
-                f" checkpoint version (expected {CHECKPOINT_VERSION})"
+                f" checkpoint version (expected {expected})"
             )
     return entries, end
 
@@ -256,6 +251,19 @@ def marks(state: Dict[str, Any]) -> Dict[str, Any]:
         for key, value in state.items()
         if isinstance(value, (Appended, dict))
     }
+
+
+def cut(state: Dict[str, Any], at: Dict[str, Any]) -> Dict[str, Any]:
+    """``state`` with each :class:`Appended` list cut where the marks
+    ``at`` end it: what a commit after those marks carries of it."""
+    out = dict(state)
+    for key, value in state.items():
+        if isinstance(value, Appended):
+            start = at.get(key, 0)
+            out[key] = Appended(start, value.items[start - value.start:])
+        elif isinstance(value, dict):
+            out[key] = cut(value, at.get(key, {}))
+    return out
 
 
 def joined(held: Dict[str, Any], state: Dict[str, Any], path: str = "") -> Dict[str, Any]:
@@ -313,7 +321,8 @@ def commit(
     if journal is None:
         return
     state = driven.checkpoint(journal.marks)
-    envelope = entry(kind, driven.journal_mode, consumed, checkpoint_version=CHECKPOINT_VERSION)
+    mode = driven.journal_mode
+    envelope = entry(kind, mode, consumed, checkpoint_version=CHECKPOINT_VERSION[mode])
     journal.append({**state, **envelope})
     journal.marks = marks(state)
     if on_commit is not None:

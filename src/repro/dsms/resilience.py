@@ -22,14 +22,15 @@ forked workers: :meth:`ShardedGigascope.run` drives it round by round
   its state (all sampling state is seeded RNG + counters, so replay is
   exact).
 * **Checkpoint when the journal is truncated** — every
-  ``checkpoint_interval`` batches the parent asks the worker for an
-  operator-state snapshot (:meth:`Gigascope.checkpoint`), and on the
-  snapshot's arrival trims journal entries it covers.  The journal is
-  thereby bounded by ``journal_capacity``; if it fills before a snapshot
-  lands, shipping backpressures until one arrives (the supervisor never
-  discards a batch it might need — recoverability is an invariant, not
-  best-effort).  Recovery then *restores* the snapshot and replays only
-  the journal tail past it.
+  ``checkpoint_interval`` batches the parent asks the worker for its
+  :meth:`Gigascope.checkpoint` since the state the parent holds, joins
+  the reply onto it (``durability.joined``) and trims the journal
+  entries it covers.  The journal is thereby bounded by
+  ``journal_capacity``; if it fills before a checkpoint lands, shipping
+  backpressures until one arrives (the supervisor never discards a batch
+  it might need — recoverability is an invariant, not best-effort).
+  Recovery *restores* the held state and replays only the journal tail
+  past it; a durable commit takes the held state ``durability.cut``.
 * **Graceful degradation** — when a shard's input queue stays full and
   its depth is at ``shed_threshold``, the supervisor drops the batch
   instead of blocking indefinitely: the shed records are counted per
@@ -71,6 +72,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
+from repro.dsms.durability import cut, joined, marks
 from repro.dsms.runtime import Gigascope, account_refusal
 from repro.streams.records import Record
 
@@ -169,8 +171,8 @@ class ShardSupervisor:
         self._seq = [0] * shards
         #: per shard: journalled (seq, records) batches not yet checkpointed
         self._journal: List[List[Tuple[int, List[Record]]]] = [[] for _ in range(shards)]
-        #: per shard: latest checkpoint as (covered seq, pickled snapshot)
-        self._ckpt: List[Optional[Tuple[int, bytes]]] = [None] * shards
+        #: per shard: its checkpoints joined, ``{"seq": covered seq, **state}``
+        self._held: List[Optional[Dict[str, Any]]] = [None] * shards
         self._last_ckpt_request = [0] * shards
         self._last_event = [0.0] * shards
         self._restarts = [0] * shards
@@ -199,20 +201,23 @@ class ShardSupervisor:
 
     # -- the pool calls ------------------------------------------------------------
 
-    def start(self, resume_state: Dict[int, Tuple[int, bytes]]) -> None:
+    def start(self, resume_state: Dict[int, Dict[str, Any]]) -> None:
         """Fork the workers; restore the shards ``resume_state`` lists.
 
-        ``resume_state`` (per shard: ``(covered_seq, pickled snapshot)``,
-        as produced by :meth:`checkpoint_all`) seeds the run from a prior
-        process's committed checkpoints — the whole-pipeline durable
-        resume of :mod:`repro.dsms.durability`.  Each listed shard starts
-        by restoring its snapshot, and its sequence numbering continues
-        from ``covered_seq`` so later checkpoints and journal trims line
-        up; unlisted shards start fresh at seq 0.
+        ``resume_state`` (per shard ``{"seq": n, **checkpoint}``, a
+        journal's commits joined) seeds the run; unlisted shards start
+        fresh at seq 0.  Every held state is set before any worker is told
+        to restore, so a worker that crashes around its restore is
+        recovered (:meth:`_recover`) into the resumed state.
         """
         for shard in range(self.owner.shards):
             self._spawn(shard)
-        self._install(resume_state)
+        for shard, state in resume_state.items():
+            self._held[shard] = state
+            self._seq[shard] = self._last_ckpt_request[shard] = state["seq"]
+            self._trace("shard_resume", shard=shard, seq=state["seq"])
+        for shard in resume_state:
+            self._send(shard, ("restore", cut(self._held[shard], {})))
 
     def ship(self, buckets: List[List[Record]]) -> None:
         """Journal and send one round's routed buckets; a journal past
@@ -246,15 +251,15 @@ class ShardSupervisor:
             if worker is not None:
                 worker.join(timeout=5.0)
 
-    def checkpoint_all(self) -> Dict[int, Tuple[int, bytes]]:
-        """Synchronously checkpoint every shard at its current sequence.
+    def checkpoint_all(self, since: Dict[int, Any]) -> Dict[int, Dict[str, Any]]:
+        """Every shard's held state, once it covers every batch shipped so
+        far, cut at the marks ``since`` holds for it.
 
-        Queue ordering guarantees the returned snapshots cover every
-        batch shipped so far: the checkpoint request is enqueued behind
-        them, so the worker processes them first.  A shard that recovers
-        mid-request is re-asked, because the replacement's restored state
-        never saw the request.  Shards that have received no batches are
-        omitted — they have no state.
+        Queue ordering guarantees a checkpoint covers every batch
+        shipped before its request: the request is enqueued behind
+        them.  A shard that recovers mid-request is re-asked, because
+        the replacement never saw the request.  Shards that have
+        received no batches are omitted — they have no state.
         """
         shards = range(self.owner.shards)
         self._await(
@@ -262,54 +267,37 @@ class ShardSupervisor:
             "checkpoint_all",
             ask=self._request_checkpoint,
         )
-        return {s: self._ckpt[s] for s in shards if self._ckpt[s] is not None}
+        return {s: cut(self._held[s], since.get(s, {})) for s in shards if self._held[s]}
 
     # -- checkpoints -----------------------------------------------------------------
 
     def _covered(self, shard: int) -> int:
-        """The seq the shard's latest checkpoint covers (0: none)."""
-        checkpoint = self._ckpt[shard]
-        return checkpoint[0] if checkpoint else 0
+        """The seq the shard's held state covers (0: none)."""
+        held = self._held[shard]
+        return held["seq"] if held else 0
 
-    def _keep(self, shard: int, seq: int, blob: bytes) -> None:
-        """Hold ``blob`` as the shard's checkpoint at ``seq``; drop the
-        journal entries it covers."""
-        self._ckpt[shard] = (seq, blob)
+    def _hold(self, shard: int, seq: int, state: Dict[str, Any]) -> None:
+        """Join ``state``, the shard's checkpoint at ``seq`` since the held
+        one, onto the held one (its lists extended in place, so a restore
+        sends them ``cut`` afresh: ``Queue.put`` pickles later, on a feeder
+        thread); drop the journal entries it covers."""
+        self._held[shard] = {**joined(self._held[shard] or {}, state), "seq": seq}
         self._journal[shard] = [
             entry for entry in self._journal[shard] if entry[0] > seq
         ]
 
     def _request_checkpoint(self, shard: int, every: int = 0) -> None:
-        """Ask the worker for a checkpoint at the shard's current seq:
-        once ``every`` batches have passed the last request or
-        checkpoint, or (``every=0``) whenever no request is in flight."""
-        seq = self._seq[shard]
-        requested, covered = self._last_ckpt_request[shard], self._covered(shard)
-        due = (seq - max(requested, covered) >= every) if every else requested <= covered
-        if due and self._send(shard, ("checkpoint", seq)):
+        """Ask the worker for a checkpoint at the shard's current seq,
+        since the held state's marks: when no request is in flight (a
+        reply must join onto what is held when it arrives) and ``every``
+        batches have passed the held checkpoint."""
+        seq, covered = self._seq[shard], self._covered(shard)
+        if self._last_ckpt_request[shard] > covered or seq - covered < every:
+            return
+        held = self._held[shard]
+        if self._send(shard, ("checkpoint", seq, marks(held) if held else None)):
             self._last_ckpt_request[shard] = seq
             self._ckpt_request_time[shard] = time.monotonic()
-
-    def _install(self, checkpoints: Dict[int, Tuple[int, bytes]]) -> None:
-        """Make ``checkpoints`` (per shard ``(seq, blob)``, a resume's)
-        the shards' state.
-
-        Two phases, deliberately ordered: first *every* listed shard's
-        parent-side ``_ckpt`` slot is rewritten (its numbering continues
-        from ``seq``, and the journal prefix it covers is dropped), and
-        only then are the live workers told to restore.  A worker that
-        crashes before, during, or after its restore is recovered by the
-        normal :meth:`_recover` path, which reads the already-rewritten
-        ``_ckpt`` — so a crash mid-install can only land the run in the
-        installed state, never a half-installed one.
-        """
-        for shard, (seq, blob) in checkpoints.items():
-            self._keep(shard, seq, blob)
-            self._seq[shard] = self._last_ckpt_request[shard] = seq
-            self._trace("shard_resume", shard=shard, seq=seq, bytes=len(blob))
-        for shard, (seq, blob) in checkpoints.items():
-            # If recovery intervenes it restores from the new _ckpt.
-            self._send(shard, ("restore", seq, blob))
 
     # -- worker lifecycle ------------------------------------------------------------
 
@@ -380,11 +368,11 @@ class ShardSupervisor:
             self._epoch[shard] += 1
             self._pending_error.pop(shard, None)
             self._spawn(shard)
-            checkpoint = self._ckpt[shard]
+            held = self._held[shard]
             start_seq = self._last_ckpt_request[shard] = self._covered(shard)
             try:
-                if checkpoint is not None:
-                    self._put(shard, ("restore", *checkpoint))
+                if held is not None:
+                    self._put(shard, ("restore", cut(held, {})))
                     _bump(self.report.recoveries_from_checkpoint, shard)
                 replayed = 0
                 for seq, bucket in self._journal[shard]:
@@ -402,7 +390,7 @@ class ShardSupervisor:
                     epoch=self._epoch[shard],
                     from_seq=start_seq,
                     batches=replayed,
-                    from_checkpoint=checkpoint is not None,
+                    from_checkpoint=held is not None,
                 )
                 if self._finishing:
                     self._put(shard, ("finish",))
@@ -456,8 +444,8 @@ class ShardSupervisor:
 
     def _send(self, shard: int, message: tuple, shed: bool = False) -> Optional[bool]:
         """:meth:`_put`, recovering the shard if its worker died — None
-        then, and the caller re-sends nothing: recovery restores ``_ckpt``
-        and replays the journal."""
+        then, and the caller re-sends nothing: recovery restores the held
+        state and replays the journal."""
         try:
             return self._put(shard, message, shed)
         except _WorkerDied as died:
@@ -566,7 +554,7 @@ class ShardSupervisor:
             pass  # the event itself is the heartbeat
         elif kind == "ckpt":
             seq, blob = message[3], message[4]
-            self._keep(shard, seq, blob)
+            self._hold(shard, seq, pickle.loads(blob))
             _bump(self.report.checkpoints, shard)
             self._count(
                 "supervisor_checkpoints_total", shard,
@@ -574,7 +562,7 @@ class ShardSupervisor:
             )
             self.owner.metrics.histogram(
                 "supervisor_checkpoint_bytes",
-                help="pickled size of shard checkpoints",
+                help="pickled size of a shard checkpoint: live state and what it appended since",
                 shard=shard,
             ).observe(len(blob))
             requested = self._ckpt_request_time.pop(shard, None)
@@ -634,14 +622,15 @@ def _supervised_worker(
     record batches, checkpoints, result records and cost balances cross
     the process boundary, and those pickle cleanly.
 
-    Inbound: ``("restore", seq, blob)`` reinstates a pickled
-    :meth:`Gigascope.checkpoint`; ``("batch", seq, records)`` feeds one
-    routed batch and acks it; ``("checkpoint", seq)`` snapshots operator
-    state and ships it back; ``("finish",)`` flushes and reports.
-    Outbound messages all carry ``(kind, shard, epoch, ...)`` so the
-    parent can discard events from incarnations it has declared dead.
+    Inbound: ``("restore", state)`` reinstates the checkpoints the parent
+    holds, joined; ``("batch", seq, records)`` feeds one routed batch
+    and acks it; ``("checkpoint", seq, since)`` replies with
+    :meth:`Gigascope.checkpoint` since the marks ``since``;
+    ``("finish",)`` flushes and reports.  Outbound messages all carry
+    ``(kind, shard, epoch, ...)`` so the parent can discard events from
+    incarnations it has declared dead.
 
-    The checkpoint blob is pickled *synchronously* (``pickle.dumps``)
+    The checkpoint reply is pickled *synchronously* (``pickle.dumps``)
     before it enters the queue: Queue.put pickles lazily on a feeder
     thread, which would race with this loop mutating operator state on
     the very next batch.
@@ -657,8 +646,9 @@ def _supervised_worker(
             message = in_queue.get()
             kind = message[0]
             if kind == "restore":
-                # Any balances in it are this worker's own (cf. ``shard_state``).
-                instance.restore(pickle.loads(message[2]))
+                # Any balances in it are this worker's own (cf.
+                # ``_InlinePool.checkpoint_all``).
+                instance.restore(message[1])
             elif kind == "batch":
                 seq, records = message[1], message[2]
                 batch_no += 1
@@ -667,7 +657,7 @@ def _supervised_worker(
                 instance.feed(records)
                 out_queue.put(("ack", shard, epoch, seq))
             elif kind == "checkpoint":
-                blob = pickle.dumps(instance.checkpoint())
+                blob = pickle.dumps(instance.checkpoint(message[2]))
                 out_queue.put(("ckpt", shard, epoch, message[1], blob))
             elif kind == "finish":
                 if fault_plan is not None and fault_plan.drops_result(shard, epoch):

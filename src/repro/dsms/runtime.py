@@ -32,7 +32,7 @@ from repro.errors import ExecutionError, PlanningError, SchemaError
 from repro.analysis.legality import ExecTarget
 from repro.dsms.aggregates import default_aggregate_registry
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
-from repro.dsms.durability import CHECKPOINT_VERSION, Appended, batches, run_batches
+from repro.dsms.durability import Appended, batches, run_batches
 from repro.dsms.functions import default_function_registry
 from repro.dsms.operators import build_operator
 from repro.dsms.operators.base import Operator
@@ -191,7 +191,7 @@ def own_state(host: Any, since: Optional[Dict[str, Any]] = None) -> Dict[str, An
     ``metrics``, ``trace``) owns itself, for its ``checkpoint(since)`` to
     carry beside its children's: of the trace, the events since ``since``.
     State that is shared is owned — and checkpointed — once, by whoever
-    handed it out (see ``ShardedGigascope.shard_state``)."""
+    handed it out (see ``_InlinePool.checkpoint_all``)."""
     return {
         "cost_accounts": host.cost.accounts() if host.cost.enabled else {},
         "metrics": host.metrics.checkpoint(),
@@ -895,7 +895,7 @@ class Gigascope:
                 "results": Appended(start, [row.values for row in handle.results[start:]]),
                 "forwarded": handle.forwarded,
             }
-        return {"version": CHECKPOINT_VERSION, "queries": queries, **own_state(self, since)}
+        return {"queries": queries, **own_state(self, since)}
 
     def restore(self, snapshot: Dict[str, Any]) -> None:
         """Reinstate a :meth:`checkpoint` taken from an identically

@@ -40,7 +40,8 @@ Architecture::
   ``ship``, ``checkpoint_all``, ``finish``, ``close`` — so one round is
   one :meth:`ShardedGigascope.feed`: validate at the SPLIT edge, split,
   ``pool.ship(buckets)``, drain the MERGE.  The pool is crossed once
-  per round, never per record.
+  per round, never per record.  A shard checkpoints as a serial host
+  does: ``{"seq": n, **Gigascope.checkpoint(since)}`` per shard.
 * **MERGE** — one :class:`MergeOperator` per registered query recombines
   the shard outputs on the query's ordered output attribute; a shard
   that finishes releases its watermark via ``end_source``.
@@ -50,11 +51,12 @@ Semantics: for queries whose partition constraints are satisfiable (see
 the serial runtime up to within-window row order (the serial operator
 emits a window's groups in hash-table insertion order, which interleaves
 shard-owned keys arbitrarily; :func:`canonical_rows` gives the common
-canonical form).  One documented edge: a shard that receives *no* tuple
-for an entire window never observes that window boundary, so
-window-to-window SFUN carryover on that shard skips the silent window
-(the serial operator would have dropped the carryover state); dense
-feeds — the paper's operating regime — never hit this.
+canonical form): rows with equal merge-attribute values come in
+pool-dependent order (DESIGN.md §2).  One documented edge: a shard that
+receives *no* tuple for an entire window never observes that window
+boundary, so window-to-window SFUN carryover on that shard skips the
+silent window (the serial operator would have dropped the carryover
+state); dense feeds — the paper's operating regime — never hit this.
 
 Cost accounting: every shard charges the shared cost model (inline)
 or its own forked copy whose balances the parent absorbs afterwards
@@ -65,7 +67,6 @@ with the serial runtime.
 
 from __future__ import annotations
 
-import pickle
 from zlib import crc32
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -205,7 +206,7 @@ class _MergeSink:
 class _InlinePool:
     """The shard pool whose :class:`Gigascope` instances live in this
     process (``owner._instances``): shards advance batch by batch,
-    fully deterministic, nothing is pickled unless a journal asks.
+    fully deterministic, and nothing is pickled.
 
     Answers the same calls as :class:`ShardSupervisor`, the pool whose
     instances live in forked workers.
@@ -220,12 +221,11 @@ class _InlinePool:
         #: journal written here resumes on supervised shards and back
         self._seq = [0] * owner.shards
 
-    def start(self, resume_state: Dict[int, Tuple[int, bytes]]) -> None:
+    def start(self, resume_state: Dict[int, Dict[str, Any]]) -> None:
         instances = self.owner._instances
-        for shard, (seq, blob) in resume_state.items():
-            self._seq[shard] = seq
-            state = pickle.loads(blob)
-            # A blob a worker wrote carries the balances of its private
+        for shard, state in resume_state.items():
+            self._seq[shard] = state["seq"]
+            # A worker's checkpoint carries the balances of its private
             # model; here every shard charges the owner's one model.
             self.owner.cost.absorb(state.pop("cost_accounts", {}))
             instances[shard].restore(state)
@@ -242,10 +242,14 @@ class _InlinePool:
     # A round boundary is a consistent cut: feed() drains the rings, so
     # a shard's checkpoint covers all input shipped to it.
 
-    def checkpoint_all(self) -> Dict[int, Tuple[int, bytes]]:
+    def checkpoint_all(self, since: Dict[int, Any]) -> Dict[int, Dict[str, Any]]:
+        """Each live shard's ``checkpoint(since[shard])`` at its seq.  Every
+        inline shard charges the owner's cost model, which the owner
+        checkpoints once — so no balances here (a worker restoring them
+        as its own would count them once per shard)."""
         return {
-            shard: (self._seq[shard], pickle.dumps(self.owner.shard_state(shard)))
-            for shard in range(self.owner.shards)
+            shard: {"seq": seq, **instance.checkpoint(since.get(shard)), "cost_accounts": {}}
+            for shard, (seq, instance) in enumerate(zip(self._seq, self.owner._instances))
         }
 
     def finish(self) -> List[Dict[str, List[Record]]]:
@@ -403,8 +407,8 @@ class ShardedGigascope:
         #: batches left before the SPLIT consults its memo again
         self._memo_pause = 0
         self._sinks: List[_MergeSink] = []
-        #: per shard ``(seq, pickled checkpoint)`` the next start() seeds
-        self._resume_state: Dict[int, Tuple[int, bytes]] = {}
+        #: per shard ``{"seq": n, **checkpoint}`` the next start() seeds
+        self._resume_state: Dict[int, Dict[str, Any]] = {}
 
     # -- registration -----------------------------------------------------------
 
@@ -689,43 +693,31 @@ class ShardedGigascope:
         either pool come every ``commit_interval`` rounds only."""
         return 0
 
-    def shard_state(self, shard: int) -> Dict[str, Any]:
-        """A checkpoint of an inline pool's live instance of ``shard``.
-        Every inline shard charges this deployment's cost model, which
-        :meth:`checkpoint` carries once — so no balances here (a worker
-        restoring them as its own would count them once per shard)."""
-        state = self._instances[shard].checkpoint()
-        state["cost_accounts"] = {}
-        return state
-
     def checkpoint(self, since: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Picklable state at a round boundary: every shard's ``(seq,
-        pickled checkpoint)`` and what the parent owns itself
-        (``runtime.own_state``, its trace since ``since``) — SPLIT-edge refusals (quarantine, queue
-        shed) are counted, charged and traced outside every shard; a
-        shard's is whole, whatever ``since`` says (DESIGN.md §8).  Once
-        the run has finished the shards are gone and its state is the
-        merged results."""
+        """Picklable state at a round boundary: what the parent owns itself
+        (``runtime.own_state``, its trace since ``since``) — SPLIT-edge
+        refusals (quarantine, queue shed) are counted, charged and traced
+        outside every shard — and per shard the serial checkpoint since
+        ``since`` of its first ``n`` batches, ``{"seq": n, **checkpoint}``
+        (DESIGN.md §8).  Once the run has finished the shards are gone and
+        its state is the merged results."""
         state = own_state(self, since)
         if self._pool is None:
             state["results"] = {
                 name: list(self._handles[name].results) for name in self._order
             }
             return state
-        state["shards"] = self._pool.checkpoint_all()
+        state["shards"] = self._pool.checkpoint_all(since.get("shards", {}) if since else {})
         return state
 
     def restore(self, state: Dict[str, Any]) -> None:
-        """Reinstate a :meth:`checkpoint`: a finished run's results at
-        once, an open run's shards at the next :meth:`start`."""
+        """Reinstate a :meth:`checkpoint`, its pieces joined: a finished run's
+        results at once, an open run's shards at the next :meth:`start`."""
         if "results" in state:
             for name, rows in state["results"].items():
                 self.query(name).results[:] = rows
         else:
-            self._resume_state = {
-                int(shard): (seq, blob)
-                for shard, (seq, blob) in state["shards"].items()
-            }
+            self._resume_state = dict(state["shards"])
         restore_own_state(self, state)
 
     def _validate_edge(self, batch: List[Any]) -> List[Record]:

@@ -44,7 +44,7 @@ from repro.algorithms.bindings import (
     SUBSET_SUM_QUERY,
     subset_sum_library,
 )
-from repro.core.sampling_operator import SamplingOperator, WindowStats
+from repro.core.sampling_operator import SamplingOperator
 from repro.dsms.aggregates import Aggregate
 from repro.dsms.operators.aggregation import AggregationOperator
 from repro.dsms.operators.selection import StatefulSelectionOperator
@@ -307,7 +307,7 @@ class TestInlineShardDurability:
 
 
 class TestResumeAcrossPools:
-    """Both pools journal ``Gigascope.checkpoint()`` blobs, and the
+    """Both pools journal each shard's ``Gigascope.checkpoint(since)``, and the
     parent checkpoints what it owns itself — its cost model, what it
     refused and traced at the SPLIT edge — exactly once, so a journal
     written over one pool resumes over the other, and over either, to
@@ -329,32 +329,6 @@ class TestResumeAcrossPools:
             resume_options={"supervise": resumed_on, "observe": True},
         )
         assert observed(fresh, ordered=False) == observed(ref, ordered=False)
-
-    def test_journal_from_before_the_pools_merged_still_resumes(self, tmp_path):
-        # Older supervised runs wrote mode="supervised" and no parent metrics.
-        ref, _ = uninterrupted(tmp_path, feed())
-        path = str(tmp_path / "j.bin")
-        runner = DurableRunner(
-            build(shards=2, supervise=True),
-            path,
-            batch_size=128,
-            commit_interval=2,
-            on_commit=crash_on_commit(2),
-        )
-        with pytest.raises(_Boom):
-            runner.run(iter(feed()))
-        entries = ResultJournal.read(path)
-        with ResultJournal(path, fresh=True) as journal:
-            for entry in entries:
-                entry["mode"] = "supervised"
-                del entry["metrics"]
-                journal.append(entry)
-        fresh = build(shards=2, supervise=True)
-        DurableRunner(fresh, path, batch_size=128, commit_interval=2).resume(
-            iter(feed())
-        )
-        assert sorted(rows_of(fresh)) == sorted(rows_of(ref))
-        assert comparable(fresh) == comparable(ref)
 
 
 class TestSplitEdgeQuarantineIsDurable:
@@ -409,34 +383,45 @@ class TestRefusals:
                 drive_it(untouchable())
         assert not path.exists()
 
-    def test_an_unknown_checkpoint_version_is_refused_by_name(self, tmp_path):
-        from repro.dsms.durability import entry, read_journal
-
+    # What read_journal makes of a journal's checkpoint stamp, by source:
+    # a golden written by a crashed run of an earlier version, or one
+    # fabricated entry.  journal_v3.bin: SS_TEXT and an aggregation query,
+    # two commits, slotted state pickled as field dicts (which the slotted
+    # classes still take, so only the stamp refuses it).  journal_v4.bin:
+    # SS_SHARDED over feed(seconds=6), batches of 64, two commits, each
+    # key routed by its repr (a resume routing by value could find a
+    # group's state on the other shard).  A sharded version-5 commit holds
+    # each shard as one pickled blob; serial and served version 5 is today's.
+    @pytest.mark.parametrize(
+        "source, mode, stamp, refusal",
+        [
+            ("unstamped", "serial", None, "commit at offset 64 .* no checkpoint version"),
+            ("fabricated", "serial", 99, "checkpoint version 99 .* not supported"),
+            ("journal_v3.bin", "serial", 3, "checkpoint version 3 .* not supported"),
+            ("journal_v4.bin", "sharded", 4, "checkpoint version 4 .* not supported"),
+            ("fabricated", "sharded", 5, "version 5 of a 'sharded' run .* not supported"),
+            ("fabricated", "serial", 5, None),
+            ("fabricated", "serving", 5, None),
+        ],
+        ids=["unstamped", "unknown", "v3", "v4-sharded", "v5-sharded", "v5-serial", "v5-served"],
+    )
+    def test_a_checkpoint_version_is_read_by_mode(self, tmp_path, source, mode, stamp, refusal):
         path = str(tmp_path / "j.bin")
-        with ResultJournal(path, fresh=True) as journal:
-            journal.append(entry("commit", "serial", 0))  # version-1 writers stamped none
-        with pytest.raises(ExecutionError, match="commit at offset 0 .* no checkpoint version"):
-            read_journal(path, "serial")
-        with ResultJournal(path) as journal:
-            journal.append(entry("commit", "serial", 64, checkpoint_version=99))
-        with pytest.raises(ExecutionError, match="checkpoint version 99"):
-            read_journal(path, "serial")
-
-    def test_a_checkpoint_version_4_sharded_journal_is_refused_by_name(self, tmp_path):
-        # Written by a crashed two-shard run that routed each key by its
-        # repr (checkpoint version 4): SS_SHARDED over feed(seconds=6),
-        # batches of 64, two commits.  A resume routing by value could
-        # find a group's state on the other shard, so it is refused.
-        path = str(tmp_path / "v4.bin")
-        shutil.copy(os.path.join(os.path.dirname(__file__), "goldens", "journal_v4.bin"), path)
+        if source.endswith(".bin"):
+            shutil.copy(os.path.join(os.path.dirname(__file__), "goldens", source), path)
+        else:
+            stamped = {} if stamp is None else {"checkpoint_version": stamp}
+            with ResultJournal(path, fresh=True) as journal:
+                journal.append(entry("commit", mode, 64, **stamped))
         entries = ResultJournal.read(path)
-        assert [(e["kind"], e["mode"], e["checkpoint_version"]) for e in entries] == [
-            ("commit", "sharded", 4)
-        ] * 2
-        assert sorted(entries[-1]["shards"]) == [0, 1]
-        for supervise in (False, True):
-            with pytest.raises(ExecutionError, match="checkpoint version 4 .* not supported"):
-                DurableRunner(build(shards=2, supervise=supervise), path).resume(untouchable())
+        assert {(e["kind"], e["mode"], e.get("checkpoint_version")) for e in entries} == {
+            ("commit", mode, stamp)
+        }
+        if refusal is None:
+            assert read_journal(path, mode)[0] == entries
+        else:
+            with pytest.raises(ExecutionError, match=refusal):
+                read_journal(path, mode)
 
     def test_a_commit_cadence_below_one_is_refused(self, tmp_path):
         runner = DurableRunner(build(), str(tmp_path / "j.bin"), commit_interval=0)
@@ -627,7 +612,7 @@ class TestEqualKeysResumeOnOneShard:
     crashed run kept under ``0.0``, whichever commit it died after.
     Rows compare in canonical order, as their ``repr`` (``-0.0`` is not
     ``0.0`` there): a resume re-merges the restored shard rows shard by
-    shard, which can reorder a window's rows (ROADMAP.md)."""
+    shard, which can reorder a window's rows (DESIGN.md §2)."""
 
     def run(self, path, on_commit=None, resume=False):
         sh = ShardedGigascope(shards=2, cost_model=CostModel(), trace=TraceSink())
@@ -649,6 +634,63 @@ class TestEqualKeysResumeOnOneShard:
             with pytest.raises(_Boom):
                 self.run(path, crash_on_commit(crash_at))
             assert self.run(path, resume=True) == expected, crash_at
+
+
+K_SCHEMA = StreamSchema(
+    "K", [Attribute("time", "int", Ordering.INCREASING), Attribute("k", "int")]
+)
+
+
+class TestMergeTieOrder:
+    """Rows with equal merge-attribute values come in pool-dependent
+    order (DESIGN.md §2): keys 3 and -1 sit on shards 1 and 0, and each
+    window's two rows tie on ``tb``.  Inline and supervised runs order a
+    tie differently, and a resume can take either order, but every run
+    is ordered by ``tb`` and equal to the serial one canonically."""
+
+    TEXT = "SELECT tb, k, count(*) FROM K GROUP BY time/2 as tb, k"
+    RECORDS = [Record(K_SCHEMA, (t, k)) for t in range(8) for k in (3, -1)]
+
+    def build(self, shards=None, supervise=False):
+        gs = deploy(ExecTarget(shards=shards, supervise=supervise), libraries=())
+        gs.register_stream(K_SCHEMA)
+        gs.add_query(self.TEXT, name="q")
+        return gs
+
+    def durable(self, gs, path, on_commit=None):
+        return DurableRunner(gs, path, batch_size=1, commit_interval=2, on_commit=on_commit)
+
+    def test_every_pool_and_resume_agree_canonically_in_merge_order(self, tmp_path):
+        runs = {}
+        pools = {
+            "serial": {}, "inline": {"shards": 2}, "supervised": {"shards": 2, "supervise": True},
+        }
+        for name, options in pools.items():
+            gs = self.build(**options)
+            gs.run(iter(self.RECORDS), batch_size=1)
+            runs[name] = gs.query("q").results
+            if name == "serial":
+                continue
+            kinds = []
+            self.durable(self.build(**options), str(tmp_path / "ref.bin"),
+                         lambda consumed, kind: kinds.append(kind)).run(iter(self.RECORDS))
+            for crash_at in range(1, len(kinds) + 1):
+                path = str(tmp_path / f"{name}-{crash_at}.bin")
+                with pytest.raises(_Boom):
+                    self.durable(self.build(**options), path, crash_on_commit(crash_at)).run(
+                        iter(self.RECORDS)
+                    )
+                fresh = self.build(**options)
+                self.durable(fresh, path).resume(iter(self.RECORDS))
+                runs[f"{name} resumed after commit {crash_at}"] = fresh.query("q").results
+        first_tie = {name: [r.values[:2] for r in rows[:2]] for name, rows in runs.items()}
+        assert first_tie["inline"] == [(0, 3), (0, -1)]
+        assert first_tie["supervised"] == [(0, -1), (0, 3)]
+        assert first_tie["inline resumed after commit 3"] == first_tie["supervised"]
+        expected = canonical_rows(runs["serial"])
+        for name, rows in runs.items():
+            assert canonical_rows(rows) == expected, name
+            assert [r.values[0] for r in rows] == sorted(r.values[0] for r in rows), name
 
 
 class TestCommitsDidNotMove:
@@ -702,134 +744,50 @@ class TestCommitsDidNotMove:
 
 
 class TestParentCommitJournals:
-    """Entry shapes copied from the writers this loop replaced: journal
-    version 1, serial state nested under ``snapshot``, sharded state
-    spread at top level.  What is pinned is the envelope: the state in it
-    is today's checkpoint, so the entries carry today's checkpoint
-    version (a version-2 checkpoint is refused: ``TestRefusals``)."""
+    """A commit shaped as the last writer of checkpoint version 2 shaped
+    sharded ones, with a ``routing`` table beside today's state: the key
+    is left unread (a version-2 checkpoint itself is refused:
+    ``TestRefusals``)."""
 
     CUT = 512  # records behind the hand-built commit
-
-    @staticmethod
-    def envelope(kind, mode, consumed, **state):
-        return {
-            "journal_version": 1,
-            "checkpoint_version": CHECKPOINT_VERSION,
-            "kind": kind,
-            "mode": mode,
-            "consumed": consumed,
-            **state,
-        }
-
-    def fed_to_the_cut(self, gs, batch_size):
-        gs.start()
-        for batch in batches(feed()[: self.CUT], batch_size):
-            gs.feed(batch)
-        return gs
-
-    def write(self, tmp_path, entry):
-        path = str(tmp_path / "old.bin")
-        with ResultJournal(path, fresh=True) as journal:
-            journal.append(entry)
-        return path
-
-    def test_serial_commit_resumes(self, tmp_path):
-        ref = build()
-        ref.run(iter(feed()), batch_size=64)
-        gs = self.fed_to_the_cut(build(), 64)
-        path = self.write(
-            tmp_path,
-            self.envelope("commit", "serial", self.CUT, snapshot=gs.checkpoint()),
-        )
-        fresh = build()
-        assert DurableRunner(fresh, path, batch_size=64).resume(iter(feed())) == len(
-            feed()
-        )
-        assert rows_of(fresh) == rows_of(ref)
-        assert comparable(fresh) == comparable(ref)
-
-    def test_serial_final_restores_without_input(self, tmp_path):
-        ref = build()
-        ref.run(iter(feed()), batch_size=64)
-        path = self.write(
-            tmp_path,
-            self.envelope("final", "serial", len(feed()), snapshot=ref.checkpoint()),
-        )
-        fresh = build()
-        assert DurableRunner(fresh, path).resume(untouchable()) == len(feed())
-        assert rows_of(fresh) == rows_of(ref)
-
-    def test_sharded_commit_resumes(self, tmp_path):
-        ref = build(shards=2)
-        ref.run(iter(feed()), batch_size=128)
-        sh = self.fed_to_the_cut(build(shards=2), 128)
-        state = sh.checkpoint()
-        sh.abandon()
-        path = self.write(
-            tmp_path,
-            self.envelope(
-                "commit",
-                "sharded",
-                self.CUT,
-                shards=state["shards"],
-                metrics=state["metrics"],
-            ),
-        )
-        fresh = build(shards=2)
-        DurableRunner(fresh, path, batch_size=128).resume(iter(feed()))
-        assert rows_of(fresh) == rows_of(ref)
-        assert comparable(fresh) == comparable(ref)
-
-    def test_sharded_final_restores_without_input(self, tmp_path):
-        ref = build(shards=2)
-        ref.run(iter(feed()), batch_size=128)
-        path = self.write(
-            tmp_path,
-            self.envelope(
-                "final",
-                "sharded",
-                len(feed()),
-                results={"q": list(ref.query("q").results)},
-                metrics=ref.metrics.checkpoint(),
-            ),
-        )
-        fresh = build(shards=2)
-        assert DurableRunner(fresh, path).resume(untouchable()) == len(feed())
-        assert rows_of(fresh) == rows_of(ref)
-        assert comparable(fresh) == comparable(ref)
-
-    def parent_sharded_commit(self, tmp_path, routing):
-        """A sharded commit with the ``routing`` the last writer of
-        checkpoint version 2 added to every sharded checkpoint."""
-        sh = self.fed_to_the_cut(build(shards=2), 128)
-        state = sh.checkpoint()
-        sh.abandon()
-        return self.write(
-            tmp_path,
-            {
-                **state,
-                "routing": routing,
-                **entry("commit", "sharded", self.CUT, checkpoint_version=CHECKPOINT_VERSION),
-            },
-        )
 
     def test_sharded_commit_without_a_routing_table_resumes(self, tmp_path):
         ref = build(shards=2)
         ref.run(iter(feed()), batch_size=128)
-        path = self.parent_sharded_commit(tmp_path, None)
+        sh = build(shards=2)
+        sh.start()
+        for batch in batches(feed()[: self.CUT], 128):
+            sh.feed(batch)
+        state = sh.checkpoint()
+        sh.abandon()
+        path = str(tmp_path / "old.bin")
+        with ResultJournal(path, fresh=True) as journal:
+            journal.append({
+                **state,
+                "routing": None,
+                **entry("commit", "sharded", self.CUT,
+                        checkpoint_version=CHECKPOINT_VERSION["sharded"]),
+            })
         fresh = build(shards=2)
         DurableRunner(fresh, path, batch_size=128).resume(iter(feed()))
         assert rows_of(fresh) == rows_of(ref)
         assert comparable(fresh) == comparable(ref)
 
 
-
-def growth_run(tmp_path, records, trace=None):
+def growth_run(tmp_path, records, trace=None, shards=None, supervise=False):
     """The paper's subset-sum sampler, rows retained, under the runner's
-    cadence on the steady feed: what a long durable run journals.
-    Returns the journal's size per record consumed."""
-    gs = deploy(libraries=(subset_sum_library(relax_factor=10.0),), trace=trace)
-    gs.add_query(SUBSET_SUM_QUERY.format(window=2, target=1000), name="ss")
+    cadence on the steady feed: what a long durable run journals.  On
+    shards its threshold is kept per ``tb, srcIP`` supergroup, which the
+    SPLIT can partition.  Returns the journal's size per record consumed."""
+    gs = deploy(
+        ExecTarget(shards=shards, supervise=supervise),
+        libraries=(subset_sum_library(relax_factor=10.0),),
+        trace=trace,
+    )
+    text = SUBSET_SUM_QUERY.format(window=2, target=1000)
+    if shards:
+        text = text.replace("uts\n", "uts SUPERGROUP BY tb, srcIP\n")
+    gs.add_query(text, name="ss")
     path = str(tmp_path / f"growth-{records}.bin")
     config = TraceConfig(duration_seconds=600, seed=7)
     DurableRunner(gs, path, batch_size=1024, commit_interval=8).run(
@@ -844,10 +802,18 @@ class TestACommitJournalsWhatItAdds:
     the journal grows linearly in the run, and a resume joins the pieces
     back in journal order."""
 
-    def test_bytes_per_record_stay_flat(self, tmp_path):
-        # Whole-history commits read 142 B/record at 24k and 454 at 96k.
-        small, large = growth_run(tmp_path, 24_000), growth_run(tmp_path, 96_000)
-        assert small < 30
+    @pytest.mark.parametrize(
+        "shards, supervise, ceiling",
+        [(None, False, 30), (2, False, 75), (2, True, 75)],
+        ids=["serial", "inline", "supervised"],
+    )
+    def test_bytes_per_record_stay_flat(self, tmp_path, shards, supervise, ceiling):
+        # Whole-history commits read 142 B/record at 24k and 454 at 96k;
+        # whole shards at each sharded commit 84 and 162 on either pool.
+        small, large = (
+            growth_run(tmp_path, n, shards=shards, supervise=supervise) for n in (24_000, 96_000)
+        )
+        assert small < ceiling
         assert large / small <= 1.25
 
     def test_trace_events_are_journalled_once(self, tmp_path):
@@ -1178,16 +1144,3 @@ class TestLiveStateKeepsItsSlots:
         fresh = build_user()
         DurableRunner(fresh, path, batch_size=64, commit_interval=2).resume(iter(feed()))
         assert rows_of(fresh) and observed(fresh) == observed(ref)
-
-    def test_a_checkpoint_version_3_journal_is_refused_by_name(self, tmp_path):
-        # Written by a crashed run before this state had slots (checkpoint
-        # version 3): SS_TEXT and an aggregation query, two commits.  It
-        # pickles WindowStats, superaggregates and the aggregation's
-        # aggregates as field dicts, which the slotted classes still take.
-        path = str(tmp_path / "v3.bin")
-        shutil.copy(os.path.join(os.path.dirname(__file__), "goldens", "journal_v3.bin"), path)
-        entries = ResultJournal.read(path)
-        assert [(e["kind"], e["checkpoint_version"]) for e in entries] == [("commit", 3)] * 2
-        assert type(entries[-1]["queries"]["q"]["operator"]["active_stats"]) is WindowStats
-        with pytest.raises(ExecutionError, match="checkpoint version 3 .* not supported"):
-            DurableRunner(build(), path).resume(untouchable())

@@ -271,7 +271,7 @@ class TestJournalFormat:
              "offset": 0},
             {
                 "serving_version": 1,
-                "checkpoint_version": CHECKPOINT_VERSION,
+                "checkpoint_version": CHECKPOINT_VERSION["serving"],
                 "kind": "commit",
                 "consumed": cut,
                 "offered": {},
