@@ -1,11 +1,11 @@
-"""Shared JSON emitter for the tracked ``BENCH_*.json`` artifacts.
+"""JSON emitter and timers for the throughput benchmarks.
 
-Every benchmark family lands its measured numbers in a flat
-``{benchmark_name: payload}`` JSON document at the repo root
-(``BENCH_throughput.json``, ``BENCH_figures.json``) for trend
-tracking and the CI gate (``scripts/check_bench_gate.py``).  Rewriting the
-whole document on every merge keeps it valid JSON regardless of which
-subset of benchmarks ran.
+Each test in ``test_throughput.py`` merges its measured numbers into the
+flat ``{benchmark_name: payload}`` document ``BENCH_throughput.json`` at
+the repo root, for trend tracking and the CI gate
+(``scripts/check_bench_gate.py``).  Rewriting the whole document on every
+merge keeps it valid JSON regardless of which subset of benchmarks ran.
+(``BENCH_figures.json`` is written whole by ``python -m repro``.)
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ The package provides, from the bottom up:
   and Greenwald–Khanna quantiles, each as a standalone class and (where
   applicable) as an SFUN pack runnable inside the operator;
 * :mod:`repro.bench` — the harness regenerating every figure of the
-  paper's §7 evaluation.
+  paper's §7 evaluation; ``python -m repro`` runs it all and checks the
+  paper's claims against it.
 
 Quick start::
 

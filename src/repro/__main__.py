@@ -1,51 +1,46 @@
-"""``python -m repro`` — regenerate the paper's evaluation tables.
+"""``python -m repro`` — reproduce the paper's §7 evaluation.
 
-Delegates to the same per-figure entry points as
-``scripts/run_experiments.py`` but with smaller default sizes so a first
-run finishes in ~30 seconds.  Pass ``--full`` for reproduction scale.
+Runs every experiment EXPERIMENTS.md reports, at the size that file
+records (about 20 s), and prints each table.  Rewrites
+``BENCH_figures.json`` in the current directory, then checks the paper's
+claims (:meth:`repro.bench.figures.Evaluation.verdicts`): exits 1, naming
+each claim that no longer holds, and 0 when all hold.  Every run is
+deterministic, so a second one leaves ``BENCH_figures.json`` unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from repro.bench import figures
 
+RECORD_PATH = "BENCH_figures.json"
+
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    argparse.ArgumentParser(
         prog="python -m repro",
-        description="Regenerate the SIGMOD 2005 sampling-operator figures.",
-    )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="run at full reproduction scale (~2 minutes)",
-    )
-    args = parser.parse_args(argv)
+        description="Reproduce the SIGMOD 2005 sampling-operator evaluation.",
+    ).parse_args(argv)
 
-    if args.full:
-        acc_kwargs = dict(target=200, duration_seconds=300, rate_scale=0.02)
-        cpu_kwargs = dict(targets=(100, 1000, 10000), duration_seconds=3)
-    else:
-        acc_kwargs = dict(target=100, duration_seconds=120, rate_scale=0.01)
-        cpu_kwargs = dict(targets=(100, 1000), duration_seconds=1)
+    evaluation = figures.evaluate()
+    for title, table in evaluation.tables():
+        print(f"=== {title} ===\n{table}\n")
 
-    acc = figures.figure2(**acc_kwargs)
-    print("=== Figure 2: accuracy of summation ===")
-    print(acc.to_text())
-    print("\n=== Figure 3: samples per period ===")
-    print(acc.samples_to_text())
-    print("\n=== Figure 4: cleaning phases per period ===")
-    print(acc.cleanings_to_text())
+    with open(RECORD_PATH, "w", encoding="utf-8") as fh:
+        json.dump(evaluation.record(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
-    print("\n=== Figure 5: CPU usage for sampling (cost model) ===")
-    print(figures.figure5(**cpu_kwargs).to_text())
-
-    print("\n=== Figure 6: effect of low-level query type (cost model) ===")
-    print(figures.figure6(**cpu_kwargs).to_text())
-    return 0
+    verdicts = evaluation.verdicts()
+    print("=== Claims ===")
+    for claim, holds in verdicts:
+        print(f"{'holds' if holds else 'BROKEN':>6}  {claim}")
+    broken = [claim for claim, holds in verdicts if not holds]
+    for claim in broken:
+        print(f"claim does not hold: {claim}", file=sys.stderr)
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

@@ -1,51 +1,8 @@
-"""Benchmark harness reproducing the paper's §7 evaluation.
+"""The harness reproducing the paper's §7 evaluation.
 
-One entry point per figure (plus the in-text experiments):
-
-========================  ====================================================
-:func:`figures.figure2`   Accuracy of summation (actual vs relaxed vs
-                          non-relaxed estimates per 20 s window)
-:func:`figures.figure3`   Samples collected per period
-:func:`figures.figure4`   Cleaning phases per period
-:func:`figures.figure5`   CPU%% vs samples/period for SS-relaxed,
-                          SS-non-relaxed and basic-SS selection
-:func:`figures.figure6`   CPU%% of the dynamic sampler with a plain
-                          selection vs a basic-SS low-level subquery
-:func:`figures.accuracy_sweep`   §7.1 repeat at 100 / 1 000 / 10 000 samples
-:func:`figures.gamma_sweep`      §7.2 γ-sensitivity study
-:func:`figures.ablation_relax_factor`  relaxation-factor ablation
-:func:`figures.ablation_adjustment`    solve-vs-aggressive re-threshold rule
-:func:`figures.ablation_prefilter`     low-level prefilter threshold sweep
-========================  ====================================================
-
-Every function is deterministic (seeded traces) and returns a structured
-result object whose ``to_text()`` renders the series the paper plots.
+:mod:`repro.bench.figures` holds one entry point per figure, in-text
+experiment and ablation, and :func:`repro.bench.figures.evaluate`, which
+runs them all for ``python -m repro``.  :mod:`repro.bench.harness` runs
+one query configuration over a trace and :mod:`repro.bench.workloads`
+materialises the traces.
 """
-
-from repro.bench.workloads import (
-    accuracy_trace,
-    performance_trace,
-    ACCURACY_WINDOW_SECONDS,
-    PERFORMANCE_WINDOW_SECONDS,
-)
-from repro.bench.harness import (
-    SubsetSumRun,
-    run_actual_sums,
-    run_subset_sum,
-    run_basic_subset_sum,
-    run_prefiltered_subset_sum,
-)
-from repro.bench import figures
-
-__all__ = [
-    "accuracy_trace",
-    "performance_trace",
-    "ACCURACY_WINDOW_SECONDS",
-    "PERFORMANCE_WINDOW_SECONDS",
-    "SubsetSumRun",
-    "run_actual_sums",
-    "run_subset_sum",
-    "run_basic_subset_sum",
-    "run_prefiltered_subset_sum",
-    "figures",
-]

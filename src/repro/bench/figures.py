@@ -1,12 +1,13 @@
 """Per-figure reproductions of the paper's §7 evaluation.
 
-Each ``figureN`` function is deterministic, takes size knobs so the same
-code serves quick benchmark runs and full reproductions, and returns a
-result object with a ``to_text()`` rendering of the series the paper
-plots.  EXPERIMENTS.md records a full run next to the paper's claims.
+Each experiment function is deterministic and returns a result object
+with a ``to_text()`` rendering of the series the paper plots.  Its
+defaults are the size EXPERIMENTS.md records: :func:`evaluate` runs every
+experiment at them, and :meth:`Evaluation.verdicts` is the one table of
+the paper's claims that ``python -m repro`` checks.
 
 Scaling notes (see DESIGN.md §3): accuracy experiments replay the bursty
-feed at 1/100 rate with proportionally smaller sample targets — every
+feed at 1/50 rate with proportionally smaller sample targets — every
 quantity the figures compare is a per-window *ratio*, which rate scaling
 preserves.  CPU experiments run the steady feed at full per-second packet
 density over short spans, so per-packet cost arithmetic matches the
@@ -15,9 +16,17 @@ paper's 100 kpps operating point exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+import random
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
+from repro.algorithms.estimators import replicate, subset_sum_variance_gap
+from repro.algorithms.flow_sampling import NaiveFlowAggregator, SampledFlowAggregator
+from repro.algorithms.priority import PrioritySampler
+from repro.algorithms.subset_sum import solve_threshold
+from repro.algorithms.uniform import BernoulliSampler, DropSampler
 from repro.bench.harness import (
     SubsetSumRun,
     run_actual_sums,
@@ -31,6 +40,9 @@ from repro.bench.workloads import (
     accuracy_trace,
     performance_trace,
 )
+from repro.errors import ReproError
+from repro.streams.records import Record
+from repro.streams.traces import TraceConfig, ddos_feed
 
 # ---------------------------------------------------------------------------
 # Figures 2-4: accuracy, samples per period, cleaning phases
@@ -46,6 +58,23 @@ class AccuracyResult:
     relaxed: SubsetSumRun
     nonrelaxed: SubsetSumRun
     target: int
+
+    @property
+    def settled(self) -> List[int]:
+        """The windows after the warm-up one, where the claims are read."""
+        return self.windows[1:]
+
+    def mean_abs_error(self, run: SubsetSumRun) -> float:
+        return _mean_abs_error(self.actual, run)
+
+    def oversampled(self, run: SubsetSumRun) -> int:
+        return sum(1 for w in self.settled if run.admitted.get(w, 0) > self.target)
+
+    def undersampled(self, run: SubsetSumRun) -> int:
+        return sum(1 for w in self.settled if run.admitted.get(w, 0) < self.target)
+
+    def mean_cleanings(self, run: SubsetSumRun) -> float:
+        return sum(run.cleanings.get(w, 0) for w in self.settled) / len(self.settled)
 
     # -- figure 2 --------------------------------------------------------------
 
@@ -140,24 +169,6 @@ def figure2(
     return _accuracy_experiment(target, duration_seconds, rate_scale, seed=seed)
 
 
-def figure3(**kwargs) -> AccuracyResult:
-    """Fig 3: samples collected per period.
-
-    Paper claim: relaxed occasionally over-samples (admissions above the
-    target, later cleaned); non-relaxed frequently under-samples.
-    """
-    return figure2(**kwargs)
-
-
-def figure4(**kwargs) -> AccuracyResult:
-    """Fig 4: cleaning phases per period.
-
-    Paper claim: after warm-up, relaxed runs ~4 cleaning phases per
-    window, non-relaxed ~1.
-    """
-    return figure2(**kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Figure 5: CPU usage vs samples per period
 # ---------------------------------------------------------------------------
@@ -193,7 +204,7 @@ class CpuUsageResult:
 
 def figure5(
     targets: Sequence[int] = (100, 1000, 10000),
-    duration_seconds: int = 4,
+    duration_seconds: int = 3,
     window_seconds: int = 1,
     seed: int = 20050614,
 ) -> CpuUsageResult:
@@ -254,6 +265,10 @@ class LowLevelResult:
     selection_low_cpu: float
     prefilter_low_cpu: Dict[int, float]
 
+    def prefiltered_total(self, target: int) -> float:
+        """CPU%% of the whole prefiltered plan, both levels."""
+        return self.prefilter_fed[target] + self.prefilter_low_cpu[target]
+
     def to_text(self) -> str:
         rows = [
             (
@@ -275,7 +290,7 @@ class LowLevelResult:
 
 def figure6(
     targets: Sequence[int] = (100, 1000, 10000),
-    duration_seconds: int = 4,
+    duration_seconds: int = 3,
     window_seconds: int = 1,
     seed: int = 20050614,
 ) -> LowLevelResult:
@@ -340,13 +355,12 @@ class SweepResult:
         return format_table(self.headers, self.rows)
 
 
-def _mean_abs_error(result: AccuracyResult, run: SubsetSumRun) -> float:
-    ratios = result.estimate_ratio(run)
-    # Skip the warm-up window: both variants start from a cold threshold.
-    usable = [w for w in result.windows[1:]]
-    if not usable:
-        usable = result.windows
-    return sum(abs(1.0 - ratios[w]) for w in usable) / len(usable)
+def _mean_abs_error(actual: Dict[int, float], run: SubsetSumRun) -> float:
+    """Mean |1 - estimate/actual| per window, the warm-up window skipped:
+    every variant starts it from a cold threshold."""
+    windows = sorted(actual)
+    usable = windows[1:] or windows
+    return sum(abs(1.0 - run.estimates.get(w, 0.0) / actual[w]) for w in usable) / len(usable)
 
 
 def accuracy_sweep(
@@ -362,8 +376,8 @@ def accuracy_sweep(
         rows.append(
             (
                 target,
-                _mean_abs_error(result, result.relaxed),
-                _mean_abs_error(result, result.nonrelaxed),
+                result.mean_abs_error(result.relaxed),
+                result.mean_abs_error(result.nonrelaxed),
             )
         )
     return SweepResult(
@@ -376,7 +390,7 @@ def accuracy_sweep(
 def gamma_sweep(
     gammas: Sequence[float] = (1.5, 2.0, 4.0, 8.0),
     target: int = 1000,
-    duration_seconds: int = 4,
+    duration_seconds: int = 3,
     window_seconds: int = 1,
 ) -> SweepResult:
     """§7.2 in-text: CPU load depends only weakly on the cleaning trigger γ."""
@@ -417,12 +431,8 @@ def ablation_relax_factor(
         run = run_subset_sum(
             trace, target, ACCURACY_WINDOW_SECONDS, relax_factor=factor
         )
-        usable = windows[1:] or windows
-        err = sum(
-            abs(1.0 - (run.estimates.get(w, 0.0) / actual[w])) for w in usable
-        ) / len(usable)
         cleanings = sum(run.cleanings.values()) / max(1, len(windows))
-        rows.append((factor, err, cleanings))
+        rows.append((factor, _mean_abs_error(actual, run), cleanings))
     return SweepResult(
         label="relax-factor-ablation",
         headers=["relax factor f", "mean |err|", "cleanings/window"],
@@ -453,13 +463,10 @@ def ablation_adjustment(
             adjustment=adjustment,
         )
         usable = windows[1:] or windows
-        err = sum(
-            abs(1.0 - (run.estimates.get(w, 0.0) / actual[w])) for w in usable
-        ) / len(usable)
         short = sum(
             1 for w in usable if run.outputs.get(w, 0) < 0.9 * target
         )
-        rows.append((adjustment, err, short))
+        rows.append((adjustment, _mean_abs_error(actual, run), short))
     return SweepResult(
         label="adjustment-ablation",
         headers=["rule", "mean |err|", "windows short of target"],
@@ -470,7 +477,7 @@ def ablation_adjustment(
 def ablation_prefilter(
     fractions: Sequence[float] = (1.0, 0.5, 0.2, 0.1, 0.02),
     target: int = 1000,
-    duration_seconds: int = 4,
+    duration_seconds: int = 3,
     window_seconds: int = 1,
 ) -> SweepResult:
     """Low-level prefilter threshold sweep (the paper fixes 1/10).
@@ -507,4 +514,355 @@ def ablation_prefilter(
         headers=["z_pre / z_dyn", "low-level CPU %", "SS CPU %",
                  "mean final samples"],
         rows=rows,
+    )
+
+
+# ---------------------------------------------------------------------------
+# §8 and §4.4 in-text experiments
+# ---------------------------------------------------------------------------
+
+
+#: §8's integrated sampler keeps this many flows per window (γ = 2) ...
+FLOW_TARGET = 400
+#: ... and the naive flow table it is compared with holds this many.
+FLOW_MEMORY_LIMIT = 4000
+FLOW_WINDOW_SECONDS = 30
+
+
+def flow_sampling_ddos() -> SweepResult:
+    """§8: integrated flow aggregation + sampling under a DDoS storm.
+
+    Naive per-flow aggregation needs a group per flow and exhausts its
+    table during a spoofed-source storm; the integrated flow-sampling
+    table stays bounded at γ·N entries while keeping total-byte estimates
+    accurate ("small flows can be quickly sampled and purged from the
+    group table").
+    """
+    config = TraceConfig(duration_seconds=120, rate_scale=0.05, seed=77)
+    by_window: Dict[int, List[Record]] = defaultdict(list)
+    for record in ddos_feed(config, attack_start=30, attack_duration=60):
+        by_window[record["time"] // FLOW_WINDOW_SECONDS].append(record)
+
+    rows = []
+    sampler = SampledFlowAggregator(target=FLOW_TARGET, gamma=2.0, relax_factor=10.0)
+    for window in sorted(by_window):
+        records = by_window[window]
+        actual = sum(r["len"] for r in records)
+        distinct = len({(r["srcIP"], r["destIP"], r["srcPort"],
+                         r["destPort"], r["protocol"]) for r in records})
+
+        naive = NaiveFlowAggregator(memory_limit=FLOW_MEMORY_LIMIT)
+        naive_outcome = "OK"
+        try:
+            for record in records:
+                naive.offer(record)
+            naive.close_window()
+        except ReproError:
+            naive_outcome = "EXHAUSTED"
+
+        for record in records:
+            sampler.offer(record)
+        peak = sampler.peak_flows
+        sampler.peak_flows = 0
+        flows = sampler.close_window()
+        estimate = sampler.estimated_total_bytes(flows)
+        rows.append(
+            (window, distinct, naive_outcome, peak, len(flows), estimate / actual)
+        )
+    return SweepResult(
+        label="flow-sampling-ddos",
+        headers=["window", "true flows", f"naive({FLOW_MEMORY_LIMIT})",
+                 "sampled peak", "final sample", "est/actual"],
+        rows=rows,
+    )
+
+
+@dataclass
+class VarianceResult(SweepResult):
+    """§4.4: per-sampler relative bias and RMSE of the total-bytes
+    estimate, plus the analytic uniform/threshold variance ratio."""
+
+    gap: float
+
+    def to_text(self) -> str:
+        return (
+            super().to_text()
+            + f"\nanalytic variance gap (uniform/threshold): {self.gap:.1f}x"
+        )
+
+
+def _heavy_tailed_weights(n: int = 5000, seed: int = 99) -> List[float]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        u = rng.random()
+        if u < 0.5:
+            out.append(float(rng.randint(40, 80)))
+        elif u < 0.7:
+            out.append(float(rng.randint(300, 700)))
+        else:
+            out.append(float(rng.randint(1300, 1500)))
+    # a few elephants (aggregated flows) to create the heavy tail
+    for _ in range(10):
+        out.append(float(rng.randint(100_000, 500_000)))
+    return out
+
+
+#: §4.4's matched expected sample size and replications per sampler.
+VARIANCE_SAMPLE_SIZE = 100
+VARIANCE_REPLICATIONS = 40
+
+
+def variance_comparison() -> VarianceResult:
+    """§4.4: subset-sum sampling "provides a better estimate than random
+    sampling" — uniform (Bernoulli), systematic (DROP), threshold
+    (subset-sum) and priority sampling at matched expected sample size on
+    a heavy-tailed population."""
+    weights = _heavy_tailed_weights()
+    sample_size = VARIANCE_SAMPLE_SIZE
+    truth = sum(weights)
+    n = len(weights)
+    z = solve_threshold(weights, sample_size)
+
+    def bernoulli(seed):
+        sampler = BernoulliSampler(sample_size / n, random.Random(seed))
+        return sampler.estimate_sum(w for w in weights if sampler.offer())
+
+    def systematic(seed):
+        sampler = DropSampler(keep_one_in=n // sample_size, phase=seed % (n // sample_size))
+        return sampler.estimate_sum(w for w in weights if sampler.offer())
+
+    def threshold(seed):
+        rng = random.Random(seed)
+        total = 0.0
+        for w in weights:
+            if rng.random() < min(1.0, w / z):
+                total += max(w, z)
+        return total
+
+    def priority(seed):
+        sampler = PrioritySampler(k=sample_size, rng=random.Random(seed))
+        sampler.extend(weights)
+        return sampler.estimate_sum()
+
+    rows = []
+    for name, fn in (
+        ("uniform (Bernoulli)", bernoulli),
+        ("systematic (DROP)", systematic),
+        ("threshold (subset-sum)", threshold),
+        ("priority", priority),
+    ):
+        report = replicate(fn, truth, VARIANCE_REPLICATIONS)
+        rows.append((name, report.relative_bias, report.relative_rmse))
+    return VarianceResult(
+        label="variance-comparison",
+        headers=["sampler", "rel. bias", "rel. RMSE"],
+        rows=rows,
+        gap=subset_sum_variance_gap(weights, sample_size),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The whole evaluation and its verdicts
+# ---------------------------------------------------------------------------
+
+
+def _column(result: SweepResult, index: int) -> Dict:
+    """One column of a sweep, keyed by its first column."""
+    return {row[0]: row[index] for row in result.rows}
+
+
+@dataclass
+class Evaluation:
+    """Every experiment EXPERIMENTS.md reports, as one run produced it."""
+
+    accuracy: AccuracyResult  # Figs 2-4
+    cpu: CpuUsageResult  # Fig 5
+    low_level: LowLevelResult  # Fig 6
+    accuracy_sweep: SweepResult  # §7.1
+    gamma: SweepResult  # §7.2
+    relax_factor: SweepResult
+    adjustment: SweepResult
+    prefilter: SweepResult
+    ddos: SweepResult  # §8
+    variance: VarianceResult  # §4.4
+
+    def tables(self) -> List[Tuple[str, str]]:
+        """(title, table) for each table EXPERIMENTS.md records."""
+        return [
+            ("Figure 2: accuracy of summation", self.accuracy.to_text()),
+            ("Figure 3: samples per period", self.accuracy.samples_to_text()),
+            ("Figure 4: cleaning phases per period", self.accuracy.cleanings_to_text()),
+            ("Figure 5: CPU usage for sampling (cost model)", self.cpu.to_text()),
+            ("Figure 6: effect of low-level query type (cost model)",
+             self.low_level.to_text()),
+            ("§7.1: accuracy at different samples-per-period targets",
+             self.accuracy_sweep.to_text()),
+            ("§7.2: cleaning-trigger (γ) sensitivity", self.gamma.to_text()),
+            ("Ablation: relaxation factor", self.relax_factor.to_text()),
+            ("Ablation: re-threshold rule", self.adjustment.to_text()),
+            ("Ablation: prefilter fraction", self.prefilter.to_text()),
+            ("§8: flow sampling under a DDoS storm", self.ddos.to_text()),
+            ("§4.4: estimator variance (total bytes, matched sample size 100)",
+             self.variance.to_text()),
+        ]
+
+    def record(self) -> Dict[str, Dict]:
+        """The numbers tracked in ``BENCH_figures.json``."""
+        acc, cpu, low = self.accuracy, self.cpu, self.low_level
+        shape = {"target": acc.target, "windows": len(acc.settled)}
+        return {
+            "fig2_accuracy_of_summation": {
+                **shape,
+                "relaxed_mean_abs_err": round(acc.mean_abs_error(acc.relaxed), 4),
+                "nonrelaxed_mean_abs_err": round(acc.mean_abs_error(acc.nonrelaxed), 4),
+            },
+            "fig3_samples_per_period": {
+                **shape,
+                "relaxed_oversampled_windows": acc.oversampled(acc.relaxed),
+                "nonrelaxed_undersampled_windows": acc.undersampled(acc.nonrelaxed),
+            },
+            "fig4_cleaning_phases": {
+                **shape,
+                "relaxed_cleanings_per_window": round(acc.mean_cleanings(acc.relaxed), 2),
+                "nonrelaxed_cleanings_per_window": round(acc.mean_cleanings(acc.nonrelaxed), 2),
+            },
+            "fig5_cpu_usage": {
+                str(t): {
+                    "relaxed_cpu": round(cpu.relaxed[t], 2),
+                    "nonrelaxed_cpu": round(cpu.nonrelaxed[t], 2),
+                    "basic_cpu": round(cpu.basic[t], 2),
+                    "low_level_cpu": round(cpu.low_level[t], 2),
+                }
+                for t in cpu.targets
+            },
+            "fig6_low_level_query_type": {
+                "selection_low_cpu": round(low.selection_low_cpu, 1),
+                "prefilter_total_cpu_at_100": round(low.prefiltered_total(100), 2),
+                **{
+                    str(t): {
+                        "selection_fed_cpu": round(low.selection_fed[t], 2),
+                        "prefilter_fed_cpu": round(low.prefilter_fed[t], 2),
+                        "prefilter_low_cpu": round(low.prefilter_low_cpu[t], 2),
+                    }
+                    for t in low.targets
+                },
+            },
+        }
+
+    def verdicts(self) -> List[Tuple[str, bool]]:
+        """Each claim of the paper this evaluation reproduces, and whether
+        this run upholds it."""
+        acc, cpu, low = self.accuracy, self.cpu, self.low_level
+        settled = len(acc.settled)
+        relaxed_err = acc.mean_abs_error(acc.relaxed)
+        nonrelaxed_ratio = acc.estimate_ratio(acc.nonrelaxed)
+        relaxed_cleanings = acc.mean_cleanings(acc.relaxed)
+        nonrelaxed_cleanings = acc.mean_cleanings(acc.nonrelaxed)
+
+        sweep_relaxed = _column(self.accuracy_sweep, 1)
+        sweep_nonrelaxed = _column(self.accuracy_sweep, 2)
+        gamma_cpu = list(_column(self.gamma, 1).values())
+        gamma_cleanings = list(_column(self.gamma, 2).values())
+        relax_err = _column(self.relax_factor, 1)
+        relax_cleanings = _column(self.relax_factor, 2)
+        adjust_err = _column(self.adjustment, 1)
+        adjust_short = _column(self.adjustment, 2)
+        pre_low = _column(self.prefilter, 1)
+        pre_samples = _column(self.prefilter, 3)
+        flow_table = [row[2] for row in self.ddos.rows]
+        bias = _column(self.variance, 1)
+        rmse = _column(self.variance, 2)
+        noise = 4 / math.sqrt(VARIANCE_REPLICATIONS)
+        return [
+            ("Fig 2: relaxed estimates are within 8 % of the actual sums on average",
+             relaxed_err < 0.08),
+            ("Fig 2: non-relaxed estimates are worse than relaxed",
+             acc.mean_abs_error(acc.nonrelaxed) > relaxed_err),
+            ("Fig 2: non-relaxed never over-estimates by more than 5 %",
+             all(nonrelaxed_ratio[w] <= 1.05 for w in acc.settled)),
+            ("Fig 3: relaxed over-samples in at least 80 % of windows",
+             acc.oversampled(acc.relaxed) >= 0.8 * settled),
+            ("Fig 3: non-relaxed under-samples in at least 20 % of windows",
+             acc.undersampled(acc.nonrelaxed) >= 0.2 * settled),
+            ("Fig 3: relaxed final samples never exceed the target",
+             all(v <= acc.target for v in acc.relaxed.outputs.values())),
+            ("Fig 4: relaxed runs more cleaning phases per window than non-relaxed",
+             relaxed_cleanings > nonrelaxed_cleanings),
+            ("Fig 4: relaxed runs 1-8 cleaning phases per window",
+             1.0 <= relaxed_cleanings <= 8.0),
+            ("Fig 4: non-relaxed runs at most 2 cleaning phases per window",
+             nonrelaxed_cleanings <= 2.0),
+            ("Fig 5: the sampling operator costs 0-6 points over basic SS at every target",
+             all(0.0 < cpu.relaxed[t] - cpu.basic[t] < 6.0 for t in cpu.targets)),
+            ("Fig 5: relaxed costs at most 2 points over non-relaxed at every target",
+             all(cpu.relaxed[t] - cpu.nonrelaxed[t] <= 2.0 for t in cpu.targets)),
+            ("Fig 5: the low-level selection costs 50-70 % of a CPU at every target",
+             all(50.0 < cpu.low_level[t] < 70.0 for t in cpu.targets)),
+            ("Fig 5: CPU grows with the target (10 000 samples >= 100)",
+             cpu.relaxed[10000] >= cpu.relaxed[100]),
+            ("Fig 6: a basic-SS subquery lowers the sampler's CPU at every target",
+             all(low.prefilter_fed[t] < low.selection_fed[t] for t in low.targets)),
+            ("Fig 6: the basic-SS low level costs under a third of the selection's "
+             "at 100 and 1 000 samples",
+             all(low.prefilter_low_cpu[t] < low.selection_low_cpu / 3 for t in (100, 1000))),
+            ("Fig 6: the low-level selection costs over 50 % of a CPU",
+             low.selection_low_cpu > 50.0),
+            ("Fig 6: the prefiltered plan takes under 6 % of a CPU at 100 samples",
+             low.prefiltered_total(100) < 6.0),
+            ("§7.1: relaxed error is under 0.1 at every target",
+             all(err < 0.1 for err in sweep_relaxed.values())),
+            ("§7.1: relaxed error is no worse than non-relaxed at every target",
+             all(sweep_relaxed[t] < sweep_nonrelaxed[t] + 0.02 for t in sweep_relaxed)),
+            ("§7.1: relaxed errors are nearly identical across targets (spread < 0.08)",
+             max(sweep_relaxed.values()) - min(sweep_relaxed.values()) < 0.08),
+            ("§7.2: CPU moves by under 1.5 points across γ",
+             max(gamma_cpu) - min(gamma_cpu) < 1.5),
+            ("§7.2: a larger γ cleans no more often",
+             gamma_cleanings[0] >= gamma_cleanings[-1]),
+            ("Ablation f: f=10 is more accurate than f=1",
+             relax_err[10.0] < relax_err[1.0]),
+            ("Ablation f: f=30 runs more cleanings than f=1",
+             relax_cleanings[30.0] > relax_cleanings[1.0]),
+            ("Ablation f: accuracy saturates past f=10 (f=30 within 0.05)",
+             abs(relax_err[30.0] - relax_err[10.0]) < 0.05),
+            ("Ablation rule: the exact solve is no less accurate than the aggressive rule",
+             adjust_err["solve"] <= adjust_err["aggressive"] + 0.02),
+            ("Ablation rule: the aggressive rule ends short of target at least as often",
+             adjust_short["aggressive"] >= adjust_short["solve"]),
+            ("Ablation prefilter: forwarding cost falls as the prefilter tightens",
+             pre_low[0.02] > pre_low[0.1] > pre_low[1.0]),
+            ("Ablation prefilter: at 1/10 the sampler keeps over 80 % of its target",
+             pre_samples[0.1] > 0.8 * 1000),  # ablation_prefilter's target
+            ("Ablation prefilter: a prefilter at the dynamic threshold adds no samples",
+             pre_samples[1.0] <= pre_samples[0.1] + 50),
+            ("§8: the storm exhausts the naive flow table", "EXHAUSTED" in flow_table),
+            ("§8: calm windows fit the naive flow table", "OK" in flow_table),
+            ("§8: the sampled flow table never exceeds γ·N + 1 entries",
+             all(row[3] <= 2 * FLOW_TARGET + 1 for row in self.ddos.rows)),
+            ("§8: sampled byte estimates stay within 15 % in every window",
+             all(0.85 <= row[5] <= 1.15 for row in self.ddos.rows)),
+            ("§4.4: threshold sampling halves uniform sampling's RMSE",
+             rmse["threshold (subset-sum)"] < rmse["uniform (Bernoulli)"] / 2),
+            ("§4.4: priority sampling halves uniform sampling's RMSE",
+             rmse["priority"] < rmse["uniform (Bernoulli)"] / 2),
+            ("§4.4: every estimator's bias is within replication noise",
+             all(abs(bias[name]) < noise * rmse[name] + 0.02 for name in bias)),
+            ("§4.4: the analytic variance gap exceeds 3x", self.variance.gap > 3.0),
+        ]
+
+
+def evaluate() -> Evaluation:
+    """Run every experiment at the size EXPERIMENTS.md records."""
+    return Evaluation(
+        accuracy=figure2(),
+        cpu=figure5(),
+        low_level=figure6(),
+        accuracy_sweep=accuracy_sweep(),
+        gamma=gamma_sweep(),
+        relax_factor=ablation_relax_factor(),
+        adjustment=ablation_adjustment(),
+        prefilter=ablation_prefilter(),
+        ddos=flow_sampling_ddos(),
+        variance=variance_comparison(),
     )

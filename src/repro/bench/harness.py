@@ -8,7 +8,7 @@ and cost-model observables the figures plot.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.deploy import deploy
@@ -87,14 +87,6 @@ def run_subset_sum(
     )
     gs.run(iter(trace))
 
-    estimates: Dict[int, float] = defaultdict(float)
-    outputs: Dict[int, int] = defaultdict(int)
-    for row in query.results:
-        estimates[row[0]] += row[3]
-        outputs[row[0]] += 1
-    admitted = {ws.window[0]: ws.tuples_admitted for ws in query.operator.window_stats}
-    cleanings = {ws.window[0]: ws.cleaning_phases for ws in query.operator.window_stats}
-
     cpu = low_cpu = None
     if measure_cost:
         if trace_duration_seconds is None or rate_scale is None:
@@ -103,17 +95,7 @@ def run_subset_sum(
         cpu = gs.cpu_percent("ss", seconds)
         low_cpu = gs.cpu_percent("ss__lowsel", seconds)
 
-    return SubsetSumRun(
-        label=label or f"relax={relax_factor}",
-        target=target,
-        window_seconds=window_seconds,
-        estimates=dict(estimates),
-        admitted=admitted,
-        cleanings=cleanings,
-        outputs=dict(outputs),
-        cpu_percent=cpu,
-        low_level_cpu_percent=low_cpu,
-    )
+    return _distil(query, label or f"relax={relax_factor}", target, window_seconds, cpu, low_cpu)
 
 
 def run_basic_subset_sum(
@@ -159,7 +141,27 @@ def run_prefiltered_subset_sum(
         name="ss",
     )
     gs.run(iter(trace))
+    seconds = stream_seconds(trace_duration_seconds, rate_scale)
+    return _distil(
+        query,
+        f"prefilter z={prefilter_z:g}",
+        target,
+        window_seconds,
+        gs.cpu_percent("ss", seconds),
+        gs.cpu_percent("pre", seconds),
+    )
 
+
+def _distil(
+    query,
+    label: str,
+    target: int,
+    window_seconds: int,
+    cpu: Optional[float],
+    low_cpu: Optional[float],
+) -> SubsetSumRun:
+    """The per-window series of a finished subset-sum query (its rows are
+    ``(tb, srcIP, destIP, estimate)``) and its operator's window stats."""
     estimates: Dict[int, float] = defaultdict(float)
     outputs: Dict[int, int] = defaultdict(int)
     for row in query.results:
@@ -167,15 +169,14 @@ def run_prefiltered_subset_sum(
         outputs[row[0]] += 1
     admitted = {ws.window[0]: ws.tuples_admitted for ws in query.operator.window_stats}
     cleanings = {ws.window[0]: ws.cleaning_phases for ws in query.operator.window_stats}
-    seconds = stream_seconds(trace_duration_seconds, rate_scale)
     return SubsetSumRun(
-        label=f"prefilter z={prefilter_z:g}",
+        label=label,
         target=target,
         window_seconds=window_seconds,
         estimates=dict(estimates),
         admitted=admitted,
         cleanings=cleanings,
         outputs=dict(outputs),
-        cpu_percent=gs.cpu_percent("ss", seconds),
-        low_level_cpu_percent=gs.cpu_percent("pre", seconds),
+        cpu_percent=cpu,
+        low_level_cpu_percent=low_cpu,
     )
