@@ -51,9 +51,24 @@ from repro.core.superaggregates import default_superaggregate_registry
 _SCHEMA_OF = attrgetter("schema")
 
 
+class StreamRun(tuple):
+    """A batch :func:`run_stream` found to be one run of ``stream``,
+    frozen with that verdict: whoever fans it out to several instances
+    checks it once, and each instance reads the verdict instead."""
+
+    stream: str
+
+    def __new__(cls, records: Sequence[Record], stream: str) -> "StreamRun":
+        run = super().__new__(cls, records)
+        run.stream = stream
+        return run
+
+
 def run_stream(batch: Sequence[Any]) -> Optional[str]:
     """The stream a non-empty ``batch`` is one *run* of — exact ``Record``
     instances that all carry the first one's schema — or None."""
+    if type(batch) is StreamRun:
+        return batch.stream
     if (
         list(map(type, batch)).count(Record) == len(batch)
         and list(map(_SCHEMA_OF, batch)).count(batch[0].schema) == len(batch)
@@ -688,7 +703,9 @@ class Gigascope:
         compares by identity before equality, so nothing is hashed or
         compared at Python level unless schema objects differ (a worker's
         unpickled records share one equal to the registered schema, not
-        identical with it); the contract stays name-only.  Anything else
+        identical with it); the contract stays name-only.  A
+        :class:`StreamRun` is a run by the verdict it carries, checked
+        where it was fanned out.  Anything else
         goes payload by payload through :meth:`_admit_payload`.  A batch
         that raises has admitted and counted nothing.
         """

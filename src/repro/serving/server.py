@@ -55,7 +55,7 @@ import threading
 from time import perf_counter
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError, QueryError, SchemaError
 from repro.analysis.legality import require_runnable
@@ -71,7 +71,9 @@ from repro.dsms.durability import (
 from repro.dsms.cost import NULL_COST_MODEL
 from repro.dsms.expr import EvalContext
 from repro.dsms.node import emit_scan, scannable
-from repro.dsms.runtime import Gigascope, own_state, restore_own_state, run_stream
+from repro.dsms.runtime import (
+    Gigascope, StreamRun, own_state, restore_own_state, run_stream,
+)
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracing import NULL_TRACE, TraceSink
@@ -370,7 +372,7 @@ class StandingQueryEngine:
 
     # -- execution ---------------------------------------------------------
 
-    def feed(self, batch: List[Record]) -> int:
+    def feed(self, batch: Sequence[Record]) -> int:
         """Push one batch through every active standing query.
 
         The batch visits one feed group at a time (:meth:`_feed_groups`).
@@ -384,7 +386,11 @@ class StandingQueryEngine:
         the one scan of the batch for every leader (:meth:`_scan`).  A
         failing leader is replaced by the next admitted member, which
         re-runs the prefix for the same batch, so followers never
-        observe a gap.
+        observe a gap.  The batch is checked for being one run once,
+        here, for every instance fed: a run is handed on as a
+        :class:`~repro.dsms.runtime.StreamRun`, whose verdict each
+        instance's admission reads — still name-only, and an instance
+        that validates still validates every payload.
         """
         if self._closed:
             raise ExecutionError("the serving engine is closed")
@@ -395,6 +401,9 @@ class StandingQueryEngine:
         batch = list(batch)
         if not batch:
             return 0
+        stream = run_stream(batch)
+        if stream is not None:  # checked here, once for every instance fed
+            batch = StreamRun(batch, stream)
         n = len(batch)
         offset = self.consumed  # records consumed *before* this batch
         self.consumed += n
@@ -454,12 +463,14 @@ class StandingQueryEngine:
         ).inc(n)
         return n
 
-    def _scan(self, batch: List[Record], leaders: List[ServedQuery]) -> Dict[str, Run]:
+    def _scan(self, batch: Sequence[Record], leaders: List[ServedQuery]) -> Dict[str, Run]:
         """Each scannable leader's :data:`~repro.serving.sharing.Run` of
         ``batch``, by qid, from one scan; none when fewer than two leaders
         read the stream the batch is one run of (a leader's own node is
         the scan of one) or the scan raised (every leader then runs its
-        own node).  Scans are kept per leader set until a query leaves."""
+        own node).  Scans are kept per leader set until a query leaves.
+        ``batch`` comes checked from :meth:`feed`: reading its stream
+        costs no second check."""
         members = [(sq, op) for sq in leaders
                    if scannable(op := sq.instance.query(sq.low_name).operator)]
         stream = run_stream(batch) if len(members) > 1 else None

@@ -38,7 +38,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Collection, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.dataflow import build_plan_graph
 from repro.dsms.expr import EvalContext, ScalarCall, find_nodes
@@ -222,7 +222,7 @@ def taking(
 
 
 def capture_feed(
-    gs: Any, low_name: str, high_name: Optional[str], batch: List[Record],
+    gs: Any, low_name: str, high_name: Optional[str], batch: Sequence[Record],
     run: Optional[Run] = None,
 ) -> BatchCapture:
     """Feed ``batch`` to the canonical instance, capturing prefix effects.

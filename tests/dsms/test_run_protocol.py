@@ -11,6 +11,7 @@ What a run that *fails* leaves behind is pinned separately, and so is
 the ingest edge.
 """
 
+import math
 import pickle
 
 import pytest
@@ -24,7 +25,7 @@ from repro.algorithms.bindings import (
 )
 from repro.analysis.legality import ExecTarget
 from repro.dsms.cost import CostBook, CostModel
-from repro.dsms.runtime import Gigascope
+from repro.dsms.runtime import Gigascope, StreamRun, run_stream
 from repro.errors import ExecutionError
 from repro.streams.records import Record
 from repro.streams.schema import PKT_SCHEMA, TCP_SCHEMA
@@ -426,6 +427,60 @@ class TestRunAdmission:
             assert mine == batch
             mine.clear()
         assert _seen(gs) == _fed_in(CUT, ring_capacity=16)
+
+
+class TestACheckedRunNeverWidensAdmission:
+    """A ``StreamRun`` carries ``run_stream``'s verdict, which names a
+    stream and nothing more: an instance that validates still coerces it
+    payload by payload, one that does not register its stream refuses
+    it, each exactly as it treats the same records unwrapped."""
+
+    def test_a_validating_instance_coerces_each_payload(self, monkeypatch):
+        batch = list(STEADY)
+        batch[80] = Record(TCP_SCHEMA, (math.nan,) + batch[80].values[1:])
+        checked = StreamRun(batch, run_stream(batch))
+        assert checked.stream == "TCP"
+        gs = _instance(validate_admission=True)
+        per_payload = _spy_on_admission(gs, monkeypatch)
+        gs.feed(checked)
+        assert len(per_payload) == len(batch)
+        total = gs.metrics.total
+        assert total("stream_quarantined_total", stream="TCP") == 1
+        assert total("stream_records_total") == total("stream_ingested_total") + 1
+        seen = _seen(gs)
+        assert seen["rows"]["q"]
+        assert seen == _fed_in([batch], validate_admission=True)
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_a_run_of_a_stream_not_registered_is_refused(self, validate):
+        packets = [Record(PKT_SCHEMA, r.values[: len(PKT_SCHEMA)]) for r in STEADY]
+
+        def fed(batch):
+            gs = Gigascope(cost_model=CostModel(), validate_admission=validate)
+            gs.register_stream(TCP_SCHEMA)
+            _subset_sum(gs)
+            gs.start()
+            gs.feed(STEADY[:80])
+            raised = None
+            try:
+                gs.feed(batch)
+            except ExecutionError as exc:
+                raised = str(exc)
+            gs.feed(STEADY[80:])
+            total = gs.metrics.total
+            refused = total("stream_quarantined_total")
+            assert total("stream_records_total") == total("stream_ingested_total") + refused
+            letters = [(e.reason, e.source) for e in gs.quarantine.entries]
+            return raised, refused, letters, _seen(gs)
+
+        checked = fed(StreamRun(packets, "PKT"))
+        assert checked == fed(packets)
+        raised, refused, _, seen = checked
+        assert seen["rows"]["q"]
+        if validate:
+            assert (raised, refused) == (None, len(packets))
+        else:
+            assert (raised, refused) == ("record for unregistered stream 'PKT'", 0)
 
 
 class TestTheFeederForwards:

@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dsms import runtime
 from repro.dsms.node import emit_scan
+from repro.dsms.runtime import REFUSALS, StreamRun
+from repro.serving import server
 from repro.serving.server import StandingQueryEngine, drive
 from repro.streams.records import Record
-from repro.streams.schema import TCP_SCHEMA
+from repro.streams.schema import PKT_SCHEMA, TCP_SCHEMA
 
 from tests.serving.conftest import BATCH, instance_state, make_instance, served_state, solo_state
 
@@ -200,3 +203,92 @@ class TestAScanSettlesAsItsMembersWould:
         assert len(engine._scans) == 2 and kept.items() <= engine._scans.items()
         engine.unregister(last.qid)
         assert not engine._scans
+
+
+def count_checks(monkeypatch):
+    """The sizes of the batches ``run_stream`` checked in full, wherever
+    it is called from; a ``StreamRun`` it only reads."""
+    checked = []
+    for module in (runtime, server):
+        def counting(batch, check=module.run_stream):
+            if type(batch) is not StreamRun:
+                checked.append(len(batch))
+            return check(batch)
+
+        monkeypatch.setattr(module, "run_stream", counting)
+    return checked
+
+
+class TestAServedBatchIsCheckedOnce:
+    def test_a_serve_shared_registration_checks_each_batch_once(self, records, monkeypatch):
+        """8 leaders and the scan read the batch; only the engine checks it."""
+        checked = count_checks(monkeypatch)
+        engine = StandingQueryEngine(make_instance)
+        served = [engine.register(text, name="q") for text in SHAPED * 8]
+        drive(engine, records, batch_size=BATCH)
+        assert len(checked) == -(-len(records) // BATCH)
+        assert sum(checked) == len(records)
+        assert scans(engine, "taken") == len(checked)
+        assert served_state(served[-1]) == solo_state(SHAPED[-1], records)
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_a_batch_that_is_no_run_is_admitted_per_payload_everywhere(
+        self, records, monkeypatch, validate
+    ):
+        """Two streams in one batch, and with validation a mapping too:
+        never wrapped, each instance admits it payload by payload and
+        ends as its solo run of the same batches, refusals included."""
+        def two_streams():
+            gs = make_instance(validate_admission=validate)
+            gs.register_stream(PKT_SCHEMA)
+            return gs
+
+        packets = [Record(PKT_SCHEMA, tuple(getattr(r, name) for name in PKT_SCHEMA.names))
+                   for r in records[:BATCH]]
+        mixed = [r for pair in zip(records, packets) for r in pair]
+        batches = [mixed, records[BATCH:2 * BATCH]]
+        if validate:  # unroutable among two streams: dead-lettered, not raised
+            mapping = records[2 * BATCH:3 * BATCH]
+            mapping[5] = dict(zip(TCP_SCHEMA.names, mapping[5].values))
+            batches.insert(1, mapping)
+        wrapped = []
+
+        def wrap(run, stream):
+            wrapped.append(stream)
+            return StreamRun(run, stream)
+
+        monkeypatch.setattr(server, "StreamRun", wrap)
+        engine = StandingQueryEngine(two_streams)
+        served = [engine.register(text, name="q") for text in SHAPED[:2] * 2]
+        assert bool(engine.report()["shared_groups"]) != validate  # validation declines sharing
+        per_payload = {sq.qid: [] for sq in served}
+        for sq in served:
+            admit, seen = sq.instance._admit_payload, per_payload[sq.qid]
+            monkeypatch.setattr(sq.instance, "_admit_payload",
+                                lambda p, admit=admit, seen=seen: seen.append(p) or admit(p))
+        for batch in batches:
+            engine.feed(batch)
+        engine.finish()
+        assert wrapped == ["TCP"]
+        assert not engine.dead_letters.entries
+        # a validating instance admits every batch per payload; without
+        # validation the two leaders admit the mixed one so, and their
+        # followers replay what the leader admitted
+        admitted = [len(per_payload[sq.qid]) for sq in served]
+        every = sum(map(len, batches))
+        assert admitted == ([every] * 4 if validate else [len(mixed)] * 2 + [0] * 2)
+        for sq in served:
+            solo = two_streams()
+            solo.add_query(sq.text, name="q")
+            solo.start()
+            for batch in batches:
+                solo.feed(batch)
+            solo.finish()
+            assert served_state(sq) == instance_state(solo, "q")
+            instance = sq.instance
+            letters = [(e.reason, e.source) for e in instance.quarantine.entries]
+            assert letters == [(e.reason, e.source) for e in solo.quarantine.entries]
+            assert len(letters) == validate
+            total = instance.metrics.total
+            refused = sum(total(row.counter) for row in REFUSALS.values())
+            assert total("stream_records_total") == total("stream_ingested_total") + refused
