@@ -5,7 +5,7 @@ The package provides, from the bottom up:
 
 * :mod:`repro.streams` — stream schemas, records and synthetic network
   feeds standing in for the paper's live AT&T taps;
-* :mod:`repro.dsms` — a Gigascope-like DSMS: ring buffer, GSQL-subset
+* :mod:`repro.dsms` — a Gigascope-like DSMS: a GSQL-subset
   query language (with ``SUPERGROUP`` / ``CLEANING WHEN`` / ``CLEANING
   BY``), UDAFs, stateful functions, a two-level low/high query runtime,
   and a cycle-cost model for the CPU-usage experiments;
@@ -46,7 +46,7 @@ from repro.streams import (
     data_center_feed,
     ddos_feed,
 )
-from repro.dsms import Gigascope, ShardedGigascope, CostModel, CostBook, RingBuffer
+from repro.dsms import Gigascope, ShardedGigascope, CostModel, CostBook
 from repro.core import SamplingOperator
 
 __version__ = "1.0.0"
@@ -67,7 +67,6 @@ __all__ = [
     "ShardedGigascope",
     "CostModel",
     "CostBook",
-    "RingBuffer",
     "SamplingOperator",
     "__version__",
 ]

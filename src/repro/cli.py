@@ -674,9 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--shed-threshold",
         type=int,
         default=None,
-        help="shed admission beyond this ring backlog (and, supervised,"
-        " drop batches when a shard queue stays this deep) instead of"
-        " blocking; shed counts appear in the run report",
+        help="admit at most this many records of a stream per batch and"
+        " shed the rest (and, supervised, drop batches when a shard queue"
+        " stays this deep) instead of blocking; shed counts appear in the"
+        " run report",
     )
     query.add_argument(
         "--trace-out",

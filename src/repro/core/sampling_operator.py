@@ -75,7 +75,7 @@ class WindowStats:
     #: change would destroy all in-window sampling state.
     incomparable_tuples: int = 0
     #: Tuples the runtime refused at admission during this window because
-    #: the ring-buffer backlog crossed the load-shed threshold (the
+    #: a fed batch crossed the load-shed threshold (the
     #: paper's drop-under-overload behavior, §1/§7, made deliberate and
     #: observable instead of arbitrary packet loss).
     shed_tuples: int = 0

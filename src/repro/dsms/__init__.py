@@ -9,7 +9,6 @@ The paper's host system (paper §3) has a two-level architecture:
 
 This package provides that substrate:
 
-* :mod:`repro.dsms.ring_buffer` — the bounded source buffer,
 * :mod:`repro.dsms.cost` — a deterministic cycle-cost model standing in for
   the paper's CPU-utilisation measurements (a Python interpreter cannot
   process 100 kpps per-packet at native line rate, so the performance
@@ -27,13 +26,11 @@ This package provides that substrate:
   execution across N replica shards.
 """
 
-from repro.dsms.ring_buffer import RingBuffer
 from repro.dsms.cost import CostModel, CostBook, NULL_COST_MODEL
 from repro.dsms.runtime import Gigascope, QueryHandle
 from repro.dsms.sharded import ShardedGigascope, ShardedQueryHandle
 
 __all__ = [
-    "RingBuffer",
     "CostModel",
     "CostBook",
     "NULL_COST_MODEL",

@@ -17,15 +17,14 @@ and the rest is written once, here, against those:
   serial instance sees its windows close; shard pools and the serving
   engine report a constant, so theirs is interval-only) or after
   ``commit_interval`` batches.  A batch boundary is a consistent cut:
-  ``feed`` drains the rings, and a supervised worker's checkpoint
-  request queues behind every batch shipped to it;
+  ``feed`` runs a batch through before it returns, and a supervised
+  worker's checkpoint request queues behind every batch shipped to it;
 * :func:`run_batches` is a whole run — start, loop, finish, final
   commit — journalled or not;
-* :func:`read_journal` says what kind of journal it was handed and
-  envelopes the serving journal's version-1 entries; :func:`resume`
-  restores the last commit and hands back the input still to be fed,
-  so replaying it into an *identically registered* deployment is
-  byte-identical to an uninterrupted run.
+* :func:`read_journal` says what kind of journal it was handed;
+  :func:`resume` restores the last commit and hands back the input
+  still to be fed, so replaying it into an *identically registered*
+  deployment is byte-identical to an uninterrupted run.
 
 The journal (:class:`ResultJournal`) is an fsync'd, framed, CRC-checked
 append-only file — a torn tail (the normal state of a file whose writer
@@ -62,7 +61,7 @@ _MAGIC = b"RPJRNL01"
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
 
 #: journal entry format version; version 1 gave serving entries no
-#: envelope, and :func:`read_journal` still reads its registry events
+#: envelope (they were stamped ``serving_version``) and is refused
 JOURNAL_VERSION = 2
 
 #: version of what ``checkpoint()`` returns, per ``journal_mode``,
@@ -182,23 +181,9 @@ def entry(kind: str, mode: str, consumed: int, **fields: Any) -> Dict[str, Any]:
     }
 
 
-def _upgraded(e: Dict[str, Any]) -> Dict[str, Any]:
-    """``e`` in today's envelope: serving journals had their own version
-    stamp and no mode; registry events carried their offset under
-    ``offset`` only."""
-    if "journal_version" not in e and "serving_version" in e:
-        e = {
-            "consumed": e.get("offset"),
-            **e,
-            "journal_version": e["serving_version"],
-            "mode": "serving",
-        }
-    return e
-
-
 def read_journal(path: str, mode: str) -> Tuple[List[Dict[str, Any]], int]:
-    """Every complete entry of the ``mode`` journal at ``path``, upgraded;
-    and the offset past the last, where a resumed run appends.
+    """Every complete entry of the ``mode`` journal at ``path``, and the
+    offset past the last, where a resumed run appends.
 
     The one place a journal is judged fit to resume from: a missing
     file, a file that is not a journal (:class:`TraceCorruptError`), an
@@ -208,14 +193,14 @@ def read_journal(path: str, mode: str) -> Tuple[List[Dict[str, Any]], int]:
     """
     if not os.path.exists(path):
         raise ExecutionError(f"journal {path!r} does not exist")
-    raw, end = ResultJournal._scan(path)
-    entries = [_upgraded(e) for e in raw]
+    entries, end = ResultJournal._scan(path)
     expected = CHECKPOINT_VERSION[mode]
     for e in entries:
-        if e.get("journal_version") not in (1, JOURNAL_VERSION):
+        version = e.get("journal_version", e.get("serving_version"))
+        if version != JOURNAL_VERSION:
             raise ExecutionError(
-                f"journal entry version {e.get('journal_version')!r} in"
-                f" {path!r} is not supported (expected 1 or {JOURNAL_VERSION})"
+                f"journal entry version {version!r} in"
+                f" {path!r} is not supported (expected {JOURNAL_VERSION})"
             )
         if e.get("mode") != mode:
             raise ExecutionError(
@@ -229,7 +214,6 @@ def read_journal(path: str, mode: str) -> Tuple[List[Dict[str, Any]], int]:
             )
     for e in entries:
         if e.get("kind") in ("commit", "final") and "checkpoint_version" not in e:
-            # version-1 writers stamped none, and no restore reads what they wrote
             raise ExecutionError(
                 f"the commit at offset {e.get('consumed')!r} in {path!r} carries no"
                 f" checkpoint version (expected {expected})"

@@ -1,7 +1,7 @@
 """Push-based operator protocol.
 
 Operators consume their input a *run* at a time — whatever stretch of
-records the caller has at hand, in order: a ring poll, a parent's
+records the caller has at hand, in order: a fed batch, a parent's
 output (a column batch included), one record — through
 :meth:`Operator.process_many`, the one entry of every operator on
 either engine, and return the run they emitted; :meth:`flush` closes any
@@ -24,12 +24,12 @@ state                      owner            who checkpoints it             who m
 group / supergroup tables  the operator     Operator.checkpoint            the same plan's operator
 SFUN states, by name       stateful library checkpoint_states (gated)      restore_states, equal library
 retained rows, forwarded   Gigascope        Gigascope.checkpoint           identically registered instance
-metrics, trace, cycles     its deployment   runtime.own_state, once        restore_own_state (absent: kept)
+metrics, trace, cycles     its deployment   runtime.own_state, once        restore_own_state               
 breakers, dead letters     serving engine   StandingQueryEngine.checkpoint engine holding the same queries
 ========================== ================ ============================== ================================
 
-Rings are in no checkpoint (a batch boundary drains them), nor are
-quarantine payloads (they may not pickle).  "Gated": every consumer of
+Quarantine payloads are in no checkpoint (they may not pickle).
+"Gated": every consumer of
 operator checkpoints — a durable journal, supervised workers, a
 journalled serve — first passes the one gate, row SA305 of
 :data:`repro.analysis.legality.RULES`.

@@ -663,7 +663,6 @@ def _supervised_worker(
                 if fault_plan is not None and fault_plan.drops_result(shard, epoch):
                     fault_plan.die(out_queue, 0)
                 instance.finish()
-                instance.sync_ring_metrics()
                 results = {name: instance.query(name).results for name in query_names}
                 accounts = instance.cost.accounts() if instance.cost.enabled else {}
                 trace_events = (

@@ -1,9 +1,10 @@
 """The two-level Gigascope-like runtime (paper §3, Figure 1).
 
 Queries whose FROM clause names a registered *source stream* are low-level
-queries: they read from that stream's ring buffer.  Gigascope restricts
-low-level nodes to cheap data reduction — "Currently only selection and
-(partial) aggregation are supported" (paper §7.2) — so when a sampling
+queries: each fed batch hands them that stream's admitted records as one
+run.  Gigascope restricts low-level nodes to cheap data reduction —
+"Currently only selection and (partial) aggregation are supported"
+(paper §7.2) — so when a sampling
 query is submitted directly against a source stream the runtime does what
 the paper did: it interposes an automatic low-level pass-through selection
 query and runs the sampling operator at the high level.  Every tuple a
@@ -13,9 +14,9 @@ prefiltering low-level query (Fig 6) is done by submitting that query
 explicitly and pointing the sampling query at its name.
 
 The runtime is synchronous: :meth:`Gigascope.run` drives a record iterator
-through the ring buffers, the low-level operators, and on through the
-query DAG; each query's output is retained on its handle (the "App" sink
-of Figure 1) and also forwarded to any downstream queries.
+through admission, the low-level operators, and on through the query
+DAG; each query's output is retained on its handle (the "App" sink of
+Figure 1) and also forwarded to any downstream queries.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.dsms.operators import build_operator
 from repro.dsms.operators.base import Operator
 from repro.dsms.parser import QueryPlan, Registries, analyze, compile_query, parse_query
 from repro.dsms.parser import plan as plan_query
-from repro.dsms.ring_buffer import RingBuffer
 from repro.dsms.stateful import StatefulLibrary
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracing import NULL_TRACE, TraceSink
@@ -79,7 +79,7 @@ def run_stream(batch: Sequence[Any]) -> Optional[str]:
 #: help text of the two per-stream counters every fed batch lands in
 _STREAM_HELP = {
     "stream_records_total": "records offered to the stream (before admission)",
-    "stream_ingested_total": "records admitted into the ring buffer",
+    "stream_ingested_total": "records admitted to the stream's low-level queries",
 }
 
 
@@ -101,7 +101,7 @@ class Refusal(NamedTuple):
 #: operations, counters and events.  On every deployment's folded registry
 #: ``stream_records_total == stream_ingested_total + Σ`` these counters.
 REFUSALS: Dict[str, Refusal] = {
-    # overload: ring admission, a saturated shard queue
+    # overload: admission over shed_threshold, a saturated shard queue
     "shed": Refusal(
         "tuple_shed", "stream_shed_total",
         "records refused at admission under overload", "shed", "note_shed",
@@ -151,13 +151,12 @@ def account_refusal(
 
 
 #: ``run_report()`` columns and the series each one sums: per source
-#: stream, the ring gauges and one per :data:`REFUSALS` kind; per
-#: sampling query, what its operator dropped
-_STREAM_COLUMNS = {
-    "drops": "ring_dropped",
-    "backlog": "ring_backlog",
-    **{kind: row.counter for kind, row in REFUSALS.items()},
-}
+#: stream, one per :data:`REFUSALS` kind; per sampling query, what its
+#: operator dropped
+_STREAM_COLUMNS = {kind: row.counter for kind, row in REFUSALS.items()}
+#: per source stream, records lost or waiting after admission: none, as
+#: a fed batch is handed whole to the stream's low-level queries
+_ADMITTED_COLUMNS = {"drops": 0, "backlog": 0}
 _QUERY_COLUMNS = {
     column: f"operator_{column}_total"
     for column in ("late_tuples", "incomparable_tuples", "shed_tuples", "quarantined_tuples")
@@ -176,8 +175,11 @@ def registry_report(
     report: Dict[str, Any] = {
         "streams": {
             stream: {
-                column: int(total(name, stream=stream))
-                for column, name in _STREAM_COLUMNS.items()
+                **_ADMITTED_COLUMNS,
+                **{
+                    column: int(total(name, stream=stream))
+                    for column, name in _STREAM_COLUMNS.items()
+                },
             }
             for stream in streams
         },
@@ -215,18 +217,15 @@ def own_state(host: Any, since: Optional[Dict[str, Any]] = None) -> Dict[str, An
 
 
 def restore_own_state(host: Any, state: Dict[str, Any]) -> None:
-    """Reinstate whatever of :func:`own_state` ``state`` carries; what
-    it does not carry is left alone — no balances (a shard of a shared
-    model; a journal from before its writer checkpointed them), no
-    metrics or trace (a version-1 snapshot)."""
+    """Reinstate :func:`own_state` from ``state``; balances only if it
+    carries any (a shard of a shared model carries none)."""
     if state.get("cost_accounts") and host.cost.enabled:
         host.cost.reset()
         host.cost.absorb(state["cost_accounts"])
-    if "metrics" in state:
-        # In place: series bound to operators stay valid, and counts a
-        # replay of registrations bumped are overwritten, not added to.
-        host.metrics.restore(state["metrics"])
-    if "trace" in state and host.trace.enabled:
+    # In place: series bound to operators stay valid, and counts a
+    # replay of registrations bumped are overwritten, not added to.
+    host.metrics.restore(state["metrics"])
+    if host.trace.enabled:
         host.trace.restore(state["trace"])
 
 
@@ -304,7 +303,6 @@ class Gigascope:
     def __init__(
         self,
         cost_model: Optional[CostModel] = None,
-        ring_capacity: int = 65536,
         shed_threshold: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         trace: Optional[TraceSink] = None,
@@ -313,14 +311,12 @@ class Gigascope:
         validate_admission: bool = False,
         vectorize: bool = False,
     ) -> None:
-        """``shed_threshold`` enables overload load shedding: when a source
-        stream's ring-buffer backlog (slowest subscriber) would exceed
-        this many records, the surplus of the incoming batch is *shed* —
-        refused at admission and accounted as :data:`REFUSALS` says
-        (charged, counted per stream, reported to downstream sampling
-        operators' ``WindowStats``) — instead of silently overwriting the
-        ring.  ``None`` disables shedding (the default; the ring then
-        drops oldest records under overload exactly as before).
+        """``shed_threshold`` enables overload load shedding: a fed batch
+        admits at most this many records of one source stream, and the
+        newest surplus is *shed* — refused at admission and accounted as
+        :data:`REFUSALS` says (charged, counted per stream, reported to
+        downstream sampling operators' ``WindowStats``).  ``None``
+        disables shedding (the default): every record is admitted.
 
         ``metrics`` / ``trace`` attach an instance-wide metrics registry
         and trace sink; every operator registered afterwards is bound to
@@ -339,8 +335,8 @@ class Gigascope:
         source or inspect it afterwards.
 
         ``vectorize`` executes selection and plain-aggregation operators
-        on the columnar batch engine (DESIGN.md §11): ring-buffer output
-        is wrapped into a :class:`RecordBatch` and whole batches flow
+        on the columnar batch engine (DESIGN.md §11): a stream's admitted
+        run is wrapped into a :class:`RecordBatch` and whole batches flow
         through compiled numpy closures, with records rebuilt only at
         output edges.  Plans the batch engine cannot express (SFUNs,
         superaggregates, nondeterministic scalars, custom aggregates)
@@ -364,16 +360,15 @@ class Gigascope:
             superaggregates=default_superaggregate_registry(),
             stateful=StatefulLibrary(),
         )
-        self._ring_capacity = ring_capacity
-        self._rings: Dict[str, RingBuffer] = {}
+        #: the registered source streams, in registration order
+        self._streams: List[str] = []
         self._queries: Dict[str, QueryHandle] = {}
         self._order: List[str] = []  # insertion order == topological order
         self._downstream: Dict[str, List[str]] = {}
         self._auto_counter = 0
-        #: low-level subscriber ids while an incremental run is open
-        self._session: Optional[Dict[str, int]] = None
-        #: subscriber ids of the most recent run (for run_report)
-        self._last_subscribers: Dict[str, int] = {}
+        #: the low-level nodes, in registration order, while an
+        #: incremental run is open
+        self._session: Optional[List[QueryHandle]] = None
         #: per-stream counter series by (metric name, stream), resolved
         #: on first use (``MetricsRegistry.restore`` mutates series in
         #: place, so the references stay valid)
@@ -382,11 +377,11 @@ class Gigascope:
     # -- registration -----------------------------------------------------------
 
     def register_stream(self, schema: StreamSchema) -> None:
-        """Register a source stream (creates its ring buffer)."""
+        """Register a source stream."""
         if schema.name in self.registries.schemas:
             raise PlanningError(f"stream {schema.name!r} already registered")
         self.registries.schemas[schema.name] = schema
-        self._rings[schema.name] = RingBuffer(self._ring_capacity)
+        self._streams.append(schema.name)
 
     def use_stateful_library(self, library: StatefulLibrary) -> None:
         """Merge an SFUN pack into this instance's registries."""
@@ -440,7 +435,7 @@ class Gigascope:
 
         plan = compile_query(text, self.registries, query_name=name)
         source = plan.analyzed.ast.from_stream
-        reads_source_stream = source in self._rings
+        reads_source_stream = source in self._streams
         feeder: Optional[str] = None
 
         if low_level_aggregation and plan.kind != "aggregation":
@@ -559,8 +554,8 @@ class Gigascope:
         handle = self.add_query(
             f"SELECT {select_list} FROM {stream}", name=name, keep_results=False
         )
-        # Reading the ring is free and the copy upward is charged once, in
-        # emit (paper §3): do not perform it again here, per tuple.
+        # Reading the fed batch is free and the copy upward is charged
+        # once, in emit (paper §3): do not perform it again here, per tuple.
         handle.operator.forward_input()
         return handle
 
@@ -590,9 +585,9 @@ class Gigascope:
     def run(self, records: Iterable[Record], batch_size: int = 4096) -> int:
         """Drive a record stream through the system; returns records read.
 
-        Records are routed to the ring buffer of their schema's stream.
-        After the iterator is exhausted every operator is flushed in
-        topological order, so trailing windows are emitted.
+        Records are routed to their schema's stream.  After the iterator
+        is exhausted every operator is flushed in topological order, so
+        trailing windows are emitted.
         """
         return run_batches(self, batches(records, batch_size))
 
@@ -603,16 +598,10 @@ class Gigascope:
     # run unflushed; checkpoint()/restore() at any batch boundary.
 
     def start(self) -> None:
-        """Begin an incremental run: subscribe low-level queries."""
+        """Begin an incremental run of the low-level nodes registered now."""
         if self._session is not None:
             raise ExecutionError("instance is already running; finish() first")
-        # The previous run's cursors would pin everything fed from here on.
-        for name, sid in self._last_subscribers.items():
-            self._rings[self._queries[name].source].unsubscribe(sid)
-        self._session = self._subscribe_low_level()
-        # Kept after finish() so run_report() can still read ring
-        # drop/backlog counters for the completed run.
-        self._last_subscribers = dict(self._session)
+        self._session = [h for h in self.query_handles() if h.level == "low"]
 
     def feed(self, records: Iterable[Record]) -> int:
         """Push one batch of records through the DAG; returns batch size.
@@ -658,44 +647,34 @@ class Gigascope:
             account_refusal(self, kind, stream, count, offered, fields=fields)
             self._notify(REFUSALS[kind].note, stream, count)
 
-    def _subscribe_low_level(self) -> Dict[str, int]:
-        subscribers: Dict[str, int] = {}
-        for name in self._order:
-            handle = self._queries[name]
-            if handle.level == "low":
-                subscribers[name] = self._rings[handle.source].subscribe()
-        return subscribers
-
-    def _run_batch(self, batch: Sequence[Any], subscribers: Dict[str, int]) -> int:
-        for stream, run in self._admit_batch(batch).items():
-            ring = self._rings[stream]
+    def _run_batch(self, batch: Sequence[Any], nodes: List[QueryHandle]) -> int:
+        """Admit ``batch`` and hand each stream's admitted run to that
+        stream's low-level ``nodes``, in order, as it is: the nodes never
+        keep or change it.  Columnar nodes of one stream share one batch,
+        and a column converts once, for whoever touches it first."""
+        runs = self._admit_batch(batch)
+        for stream, run in runs.items():
             if self.shed_threshold is not None:
-                run = self._admit(stream, run, ring, subscribers)
+                run = runs[stream] = self._admit(stream, run)
             self._stream_counter("stream_ingested_total", stream).inc(len(run))
-            ring.extend(run)
-        # Every poll below ends at its ring's head, so its length names
-        # the span it read: columnar subscribers of one span share one
-        # batch, and a column converts once, for whoever touches it first.
-        spans: Dict[Tuple[str, int], Any] = {}
-        for name, sid in subscribers.items():
-            handle = self._queries[name]
-            pending = self._rings[handle.source].poll(sid)
-            if not pending:
+        columnar: Dict[str, Any] = {}
+        for handle in nodes:
+            run = runs.get(handle.source)
+            if not run:
                 continue
             if handle.operator.execution_mode == "vectorized":
-                span = (handle.source, len(pending))
-                if span not in spans:
+                if handle.source not in columnar:
                     from repro.dsms.vectorized.batch import RecordBatch
 
-                    spans[span] = RecordBatch.from_records(
-                        self.registries.schemas[handle.source], pending
+                    columnar[handle.source] = RecordBatch.from_records(
+                        self.registries.schemas[handle.source], run
                     )
-                pending = spans[span]
-            self._dispatch(handle, pending)
+                run = columnar[handle.source]
+            self._dispatch(handle, run)
         return len(batch)
 
     def _admit_batch(self, batch: Sequence[Any]) -> Dict[str, Sequence[Record]]:
-        """The records of one fed batch to write, per stream, in order.
+        """The records of one fed batch to admit, per stream, in order.
 
         A *run* — exact ``Record`` instances that all carry the first
         one's schema, named after a registered stream — is admitted
@@ -712,7 +691,7 @@ class Gigascope:
         offered: Dict[str, int] = {}
         by_stream: Dict[str, Any] = {}
         stream = None if self.validate_admission else run_stream(batch)
-        if stream in self._rings:
+        if stream in self._streams:
             offered[stream], by_stream[stream] = len(batch), batch
         else:
             for payload in batch:
@@ -737,7 +716,7 @@ class Gigascope:
         """Route one fed payload (:func:`admit_payload`) and dead-letter
         it if refused: ``(stream, record)``, or ``(stream, None)``."""
         stream, record, reason = admit_payload(
-            payload, self.registries.schemas, self._rings, self.validate_admission
+            payload, self.registries.schemas, self._streams, self.validate_admission
         )
         if reason is not None:
             self.refuse(
@@ -747,36 +726,20 @@ class Gigascope:
             self.quarantine.put(reason, payload, source=stream)
         return stream, record
 
-    def _admit(
-        self,
-        stream: str,
-        records: Sequence[Record],
-        ring: RingBuffer,
-        subscribers: Dict[str, int],
-    ) -> Sequence[Record]:
-        """Overload admission: step down intake instead of drowning the ring.
-
-        When the slowest subscriber's backlog plus the incoming batch
-        would exceed ``shed_threshold``, the surplus (newest records) is
-        refused as ``"shed"``: deliberate, observable degradation — the
-        paper's drop-under-overload behavior (§1) made explicit.
-        """
-        backlog = max(
-            (
-                ring.backlog(sid)
-                for name, sid in subscribers.items()
-                if self._queries[name].source == stream
-            ),
-            default=0,
-        )
+    def _admit(self, stream: str, records: Sequence[Record]) -> Sequence[Record]:
+        """Overload admission: the first ``shed_threshold`` records of
+        ``stream`` in one fed batch are admitted and the newest surplus
+        is refused as ``"shed"`` — deliberate, observable degradation,
+        the paper's drop-under-overload behaviour (§1) made explicit.
+        Nothing waits after admission, so the event's backlog is 0."""
         assert self.shed_threshold is not None
-        allowed = max(0, self.shed_threshold - backlog)
+        allowed = max(0, self.shed_threshold)
         if len(records) <= allowed:
             return records
         shed = len(records) - allowed
         self.refuse(
             "shed", stream, shed, offered=False,
-            fields={"stream": stream, "count": shed, "backlog": backlog},
+            fields={"stream": stream, "count": shed, "backlog": 0},
         )
         return records[:allowed]
 
@@ -896,10 +859,9 @@ class Gigascope:
 
         Captures every query node: operator state, retained results (value
         tuples emitted since ``since``) and forwarded-tuple counters — plus
-        what the instance owns itself (:func:`own_state`).  Rings are *not*
-        captured: a restored instance starts with empty rings, and the
-        supervisor replays the journalled batches that postdate the
-        checkpoint to refill the pipeline.
+        what the instance owns itself (:func:`own_state`).  Nothing waits
+        between batches, so nothing else is: a supervisor replays the
+        journalled batches that postdate the checkpoint.
         """
         held = since.get("queries", {}) if since else {}
         queries = {}
@@ -943,32 +905,7 @@ class Gigascope:
         Everything here is a tuple the answer silently does *not*
         include — the report makes degradation visible instead of silent.
         """
-        self.sync_ring_metrics()
-        return registry_report(self, self._rings, self.query_handles())
-
-    def sync_ring_metrics(self) -> None:
-        """Mirror ring-buffer drop/backlog counts into gauges.
-
-        Rings are polled state, not events, so the registry mirrors them
-        on demand (report time, and before a shard pool folds this
-        registry) rather than per push.
-        """
-        for stream, ring in self._rings.items():
-            sids = [
-                sid
-                for name, sid in self._last_subscribers.items()
-                if self._queries[name].source == stream
-            ]
-            self.metrics.gauge(
-                "ring_dropped",
-                help="records overwritten unread (slowest subscriber)",
-                stream=stream,
-            ).set(max((ring.drops(sid) for sid in sids), default=0))
-            self.metrics.gauge(
-                "ring_backlog",
-                help="records admitted but not yet consumed",
-                stream=stream,
-            ).set(max((ring.backlog(sid) for sid in sids), default=0))
+        return registry_report(self, self._streams, self.query_handles())
 
     def explain(self) -> str:
         """Render the query DAG (levels, sources, operators, cost)."""

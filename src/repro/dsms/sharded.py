@@ -239,8 +239,9 @@ class _InlinePool:
                 self._seq[shard] += 1
                 instances[shard].feed(bucket)
 
-    # A round boundary is a consistent cut: feed() drains the rings, so
-    # a shard's checkpoint covers all input shipped to it.
+    # A round boundary is a consistent cut: feed() runs a batch through
+    # before it returns, so a shard's checkpoint covers all input shipped
+    # to it.
 
     def checkpoint_all(self, since: Dict[int, Any]) -> Dict[int, Dict[str, Any]]:
         """Each live shard's ``checkpoint(since[shard])`` at its seq.  Every
@@ -261,7 +262,6 @@ class _InlinePool:
             for instance in owner._instances
         ]
         for shard, instance in enumerate(owner._instances):
-            instance.sync_ring_metrics()
             owner._absorb_shard_obs(
                 shard,
                 instance.metrics.checkpoint(),
@@ -303,7 +303,6 @@ class ShardedGigascope:
         shards: int = 2,
         *,
         cost_model: Optional[CostModel] = None,
-        ring_capacity: int = 65536,
         queue_depth: int = 8,
         supervise: bool = False,
         supervision: Optional[SupervisionPolicy] = None,
@@ -316,7 +315,8 @@ class ShardedGigascope:
         vectorize: bool = False,
         profile: bool = False,
     ) -> None:
-        """Beyond the PR-2 parameters:
+        """``shards`` is the number of shard instances; ``cost_model``
+        is charged by every one of them.
 
         ``supervise=True`` runs the shards in forked workers under a
         :class:`ShardSupervisor` instead of in this process: crashed or
@@ -326,9 +326,9 @@ class ShardedGigascope:
         implies ``supervise``).  ``queue_depth`` bounds each worker's
         input queue (batches), so a wedged worker backpressures the
         splitter instead of buffering unboundedly.  ``shed_threshold``
-        enables graceful degradation: each shard's Gigascope sheds
-        admission beyond that ring backlog, and the supervisor sheds
-        batches when a shard's input queue stays at that depth.
+        enables graceful degradation: each shard's Gigascope admits at
+        most that many records of a stream per batch, and the supervisor
+        sheds batches when a shard's input queue stays at that depth.
         ``fault_plan`` (a :class:`repro.testing.faults.FaultPlan`)
         injects deterministic worker failures for tests; ignored by
         inline shards.
@@ -383,7 +383,6 @@ class ShardedGigascope:
         self._instances = [
             Gigascope(
                 cost_model=self.cost,
-                ring_capacity=ring_capacity,
                 shed_threshold=shed_threshold,
                 trace=TraceSink() if self.trace.enabled else None,
                 vectorize=vectorize,

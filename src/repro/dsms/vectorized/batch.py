@@ -130,8 +130,8 @@ class RecordBatch:
             # column, an int overflowing int64): keep Python objects so
             # per-element semantics match the tuple path exactly.
             col = np.asarray(values, dtype=object)
-        # A record-backed batch may be shared by every query that polled
-        # the same span of the ring: a write must raise, not reach them.
+        # A record-backed batch may be shared by every low-level query of
+        # its stream: a write must raise, not reach them.
         col.setflags(write=False)
         self._columns[name] = col
         return col

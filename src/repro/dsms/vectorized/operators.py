@@ -4,7 +4,7 @@ Both subclass their tuple-path counterparts and replace only the
 per-tuple body: the one entry every operator has, ``process_many``,
 wraps a record run on entry (a column batch is taken as it is) and
 hands it to the columnar kernel, ``process_batch`` — whoever feeds the
-operator: the ring, a columnar or a per-tuple parent, ``Gigascope.emit``,
+operator: admission, a columnar or a per-tuple parent, ``Gigascope.emit``,
 ``process(record)``.  Everything that is *not* per-tuple — window close,
 flush, checkpoint/restore, metric binding — is inherited, so the two
 engines share one group table format (checkpoints are interchangeable)

@@ -496,7 +496,7 @@ class StandingQueryEngine:
         outcome = "discarded" if rows is None else "taken"
         self.metrics.counter("serving_scans_total", help="batches scanned once for all leaders",
                              stream=stream, outcome=outcome).inc()
-        return {sq.qid: (len(batch), run, calls)
+        return {sq.qid: (run, calls)
                 for (sq, _), run, calls in zip(members, rows or (), contexts)}
 
     def _feed_groups(self) -> List[Tuple[str, List[ServedQuery]]]:
@@ -736,14 +736,11 @@ class StandingQueryEngine:
             )
         for qid, served in state["queries"].items():
             self._queries[qid].instance.restore(served["snapshot"])
-        # Pre-isolation journals carry no breaker/dead-letter state;
-        # breakers then start closed, exactly as the original run did.
-        for qid, snapshot in state.get("breakers", {}).items():
+        for qid, snapshot in state["breakers"].items():
             sq = self._queries[qid]
             sq.breaker.restore(snapshot)
             self._sync_breaker_gauge(sq)
-        if "dead_letters" in state:
-            self.dead_letters.restore(state["dead_letters"])
+        self.dead_letters.restore(state["dead_letters"])
         self.consumed = state["consumed"]
         self._offered = dict(state["offered"])
         self._next_id = max(self._next_id, state["next_id"])
@@ -969,7 +966,7 @@ class HttpLimits:
     header block; ``max_body_bytes`` bounds the declared body.
     ``max_connections`` caps concurrent handlers — beyond it new
     connections are shed with a structured 503, which is load shedding,
-    not failure (the same graceful-degradation posture as ring-buffer
+    not failure (the same graceful-degradation posture as admission
     shedding at the data plane).
     """
 

@@ -2,7 +2,7 @@
 
 Gigascope's deployment model is many standing queries over a few heavy
 feeds (paper §1): almost all of the per-tuple work is the *low-level*
-prefix — reading the ring buffer, evaluating the shared prefilter, and
+prefix — reading the fed batch, evaluating the shared prefilter, and
 copying survivors up the SPLIT edge.  When two standing queries compile
 to the same low-level prefix, the serving layer runs that prefix **once**
 and replays its effects into every other subscriber:
@@ -184,27 +184,27 @@ def _counter_values(metrics: Any) -> Dict[Tuple[str, tuple], int]:
 
 
 #: one member's share of a scan (``repro.dsms.node.emit_scan``): the
-#: length of the run scanned, the member's rows, and its clauses' calls
-Run = Tuple[int, List[Record], EvalContext]
+#: member's rows and its clauses' calls
+Run = Tuple[List[Record], EvalContext]
 
 
 @contextmanager
 def taking(
     gs: Any, low_name: Optional[str], run: Optional[Run], runs: Optional[List[Any]] = None
 ) -> Iterator[None]:
-    """For one feed of ``gs``, its low-level node *takes* ``run`` when
-    handed the run the scan read (a ring that dropped records hands it
-    fewer) and otherwise runs itself, keeping what it returns in
-    ``runs``; then its entry is restored as it was."""
+    """For one feed of ``gs``, its low-level node *takes* ``run`` — it
+    is handed the whole batch the scan read — or, without one, runs
+    itself, keeping what it returns in ``runs``; then its entry is
+    restored as it was."""
     operator = gs.query(low_name).operator
     original = operator.process_many
     bound = vars(operator).get("process_many")  # a generated node's, or None
 
     def entry(records: Any, out: List[Record]) -> Collection[Record]:
-        # One ring poll per feed, so one run; a run that raises fails the
-        # feed, and the group fails over.
-        if run is not None and len(records) == run[0]:
-            out = take(operator, records, out, run[1], run[2])
+        # One run per feed; a run that raises fails the feed, and the
+        # group fails over.
+        if run is not None:
+            out = take(operator, records, out, *run)
         else:
             out = original(records, out)
         if runs is not None:

@@ -300,8 +300,8 @@ _TORN_CHILD = textwrap.dedent(
     # and half the pickled payload, make it durable, die.
     raw = engine.journal
     payload = pickle.dumps(
-        {"serving_version": 1, "kind": "register", "qid": "sqB",
-         "name": "q", "text": text, "tenant": "default", "offset": 512}
+        durability.entry("register", "serving", 512, qid="sqB", name="q",
+                         text=text, tenant="default", offset=512)
     )
     raw._fh.write(durability._FRAME.pack(len(payload), zlib.crc32(payload)))
     raw._fh.write(payload[: len(payload) // 2])

@@ -13,6 +13,7 @@ the ingest edge.
 
 import math
 import pickle
+from itertools import islice
 
 import pytest
 
@@ -24,11 +25,13 @@ from repro.algorithms.bindings import (
     subset_sum_query,
 )
 from repro.analysis.legality import ExecTarget
+from repro.deploy import deploy
 from repro.dsms.cost import CostBook, CostModel
 from repro.dsms.runtime import Gigascope, StreamRun, run_stream
 from repro.errors import ExecutionError
 from repro.streams.records import Record
 from repro.streams.schema import PKT_SCHEMA, TCP_SCHEMA
+from repro.streams.traces import TraceConfig, data_center_feed
 
 from tests.test_oracle import FAMILIES, TRACES, Case, agree, late, registered, series, stream
 
@@ -269,9 +272,29 @@ class TestTheNodeThatRaisedCountedWhatItConsumed:
         assert gs.cost.cycles("q__lowsel") == 4 * (book.tuple_read + book.tuple_copy)
 
 
+class TestAFeedThatRaisesReachesNoLaterNode:
+    """Each low-level node is handed the admitted run in registration
+    order; when one raises, the feed ends there, and the nodes after it
+    never see that batch, not on the next feed either."""
+
+    def test_the_next_node_gets_only_the_batches_fed_after(self):
+        gs = Gigascope()
+        gs.register_stream(TCP_SCHEMA)
+        gs.add_query("SELECT time, len FROM TCP WHERE 10/(len-7) >= 0", name="first")
+        gs.add_query("SELECT time, len FROM TCP", name="second")
+        gs.start()
+        with pytest.raises(ExecutionError, match="division by zero"):
+            gs.feed([_packet(time=0, len=10), _packet(time=0, len=7)])
+        gs.feed([_packet(time=1, len=10), _packet(time=1, len=11)])
+        gs.finish()
+        assert [r.values for r in gs.results("first")] == [(0, 10), (1, 10), (1, 11)]
+        assert [r.values for r in gs.results("second")] == [(1, 10), (1, 11)]
+        assert gs.metrics.total("stream_ingested_total", stream="TCP") == 4
+
+
 # -- the ingest edge takes runs too --------------------------------------------------
 #
-# Admission, the ring and the feeder handle a fed batch as one run when
+# Admission and the feeder handle a fed batch as one run when
 # it is one.  The oracle for a batch the fast path takes is the same
 # batch made of instances of a ``Record`` subclass, which it declines:
 # that goes payload by payload through ``_admit_payload`` and record by
@@ -386,7 +409,6 @@ class TestRunAdmission:
             gs.feed(batch)
         assert gs.metrics.total("stream_records_total", stream="TCP") == 10
         assert gs.metrics.total("stream_ingested_total", stream="TCP") == 10
-        assert len(gs._rings["TCP"]) == 10
         gs.feed(STEADY[10:])
         assert _seen(gs) == _fed_in([STEADY[:10], STEADY[10:]])
 
@@ -403,13 +425,6 @@ class TestRunAdmission:
         assert total("stream_ingested_total", stream="TCP") == len(STEADY)
         assert seen["rows"] == _fed_in([STEADY])["rows"]
 
-    def test_a_ring_smaller_than_the_batch_drops_the_oldest(self):
-        small = _fed_in(CUT, ring_capacity=16)
-        assert small["report"]["streams"]["TCP"]["drops"] == (64 - 16) + (93 - 16)
-        assert small == _fed_in(map(_declined, CUT), ring_capacity=16)
-        kept = [batch[-16:] for batch in CUT]
-        assert small["rows"] == _fed_in(kept)["rows"]
-
     def test_shedding_sees_the_run(self):
         shed = _fed_in(CUT, shed_threshold=20)
         assert shed["report"]["streams"]["TCP"]["shed"] == (64 - 20) + (93 - 20)
@@ -420,13 +435,70 @@ class TestRunAdmission:
         assert _fed_in([shape(batch) for batch in CUT]) == _fed_in(CUT)
 
     def test_feed_neither_keeps_nor_changes_the_callers_list(self):
-        gs = _instance(ring_capacity=16)
+        gs = _instance()
         for batch in CUT:
             mine = list(batch)
             assert gs.feed(mine) == len(batch)
             assert mine == batch
             mine.clear()
-        assert _seen(gs) == _fed_in(CUT, ring_capacity=16)
+        assert _seen(gs) == _fed_in(CUT)
+
+
+class TestTheBatchIsTheBuffer:
+    """Admission hands each low-level node its stream's whole run:
+    nothing waits between batches and nothing is lost after admission,
+    so one batch of 80 000 records answers what batches of 512 do."""
+
+    SELECTIONS = {
+        "a1": "SELECT time, srcIP, len FROM TCP",
+        "a2": "SELECT time, srcIP, len FROM TCP",
+        "b": "SELECT time, srcIP, len FROM TCP WHERE len > 200",
+    }
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return list(islice(data_center_feed(TraceConfig(rate_scale=0.01, seed=5)), 80_000))
+
+    def serial(self, records, batch_size):
+        gs = Gigascope(cost_model=CostModel())
+        gs.register_stream(TCP_SCHEMA)
+        _subset_sum(gs)
+        gs.add_query(self.SELECTIONS["a1"], name="all")
+        gs.run(records, batch_size=batch_size)
+        assert len(gs.results("all")) == len(records)
+        return {
+            "rows": {h.name: [r.values for r in h.results] for h in gs.query_handles()},
+            "series": series(gs.metrics),
+            "cost": gs.cost.accounts(),
+            "report": gs.run_report(),
+        }
+
+    def served(self, records, batch_size):
+        """Two signature groups on one stream: ``a1`` and ``b`` lead and
+        take their runs from the scan, ``a2`` follows ``a1`` by replay."""
+        engine = deploy(ExecTarget(serve=True))
+        served = [engine.register(text, name="q", qid=qid) for qid, text in self.SELECTIONS.items()]
+        for start in range(0, len(records), batch_size):
+            engine.feed(records[start : start + batch_size])
+        engine.finish()
+        batches = -(-len(records) // batch_size)
+        assert engine.metrics.value("serving_scans_total", stream="TCP", outcome="taken") == batches
+        assert engine.metrics.value("serving_shared_replays_total") == batches
+        assert len(served[1].results) == len(records)
+        return {
+            sq.qid: {
+                "rows": [r.values for r in sq.results],
+                "ingested": sq.instance.metrics.total("stream_ingested_total", stream="TCP"),
+                "cost": sq.instance.cost.accounts(),
+                "report": sq.instance.run_report(),
+            }
+            for sq in served
+        }
+
+    @pytest.mark.parametrize("deployment", ["serial", "served"])
+    def test_one_batch_answers_what_many_do(self, records, deployment):
+        run = getattr(self, deployment)
+        assert run(records, len(records)) == run(records, 512)
 
 
 class TestACheckedRunNeverWidensAdmission:
@@ -525,7 +597,7 @@ class TestTheFeederForwards:
 
 class TestAColumnarOperatorIsColumnarWhoeverFeedsIt:
     """``execution_mode`` names the engine that runs: the columnar
-    kernel is entered once per run whether the run comes off the ring,
+    kernel is entered once per run whether the run comes from admission,
     from a per-tuple parent, through ``emit`` or from a leader's replay."""
 
     AGGREGATE = "SELECT tb, srcIP, sum(len), count(*) FROM TCP GROUP BY time/1 as tb, srcIP"

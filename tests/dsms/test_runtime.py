@@ -330,45 +330,18 @@ class TestLowLevelAggregation:
             )
 
 
-class TestOverloadBehaviour:
-    """Ring-buffer overflow surfaces as counted drops, not corruption."""
-
-    def test_slow_polling_drops_oldest(self):
-        from repro.dsms.runtime import Gigascope
-
-        gs = Gigascope(ring_capacity=8)
-        gs.register_stream(TCP_SCHEMA)
-        handle = gs.add_query("SELECT len FROM TCP", name="sel")
-        # Batch larger than the ring: records pushed before the poll
-        # overwrite each other; the query only sees the survivors.
-        gs.run(iter(packets(64)), batch_size=64)
-        assert len(handle.results) == 8
-
-    def test_small_batches_never_drop(self):
-        from repro.dsms.runtime import Gigascope
-
-        gs = Gigascope(ring_capacity=8)
-        gs.register_stream(TCP_SCHEMA)
-        handle = gs.add_query("SELECT len FROM TCP", name="sel")
-        gs.run(iter(packets(64)), batch_size=4)
-        assert len(handle.results) == 64
-
-
 class _Watched(Record):
     """A fed record the tests hold a weak reference to."""
 
     __slots__ = ("__weakref__",)
 
 
-class TestRingRelease:
-    """A run's rings hold nothing once its queries have read it, and a
-    second run on the instance is not pinned by the first run's cursors."""
+class TestRunRelease:
+    """An instance keeps none of the records it was fed once its queries
+    have read them, in a first run or a second."""
 
-    @pytest.mark.parametrize(
-        "capacity, batch_size, dropped", [(65536, 16, 0), (8, 32, 48)]
-    )
-    def test_each_run_releases_what_it_was_fed(self, capacity, batch_size, dropped):
-        gs = Gigascope(ring_capacity=capacity)
+    def test_each_run_releases_what_it_was_fed(self):
+        gs = Gigascope()
         gs.register_stream(TCP_SCHEMA)
         handle = gs.add_query("SELECT len FROM TCP", name="sel")
         for run in (1, 2):
@@ -380,9 +353,9 @@ class TestRingRelease:
                     refs.append(weakref.ref(watched))
                     yield watched
 
-            assert gs.run(streamed(), batch_size=batch_size) == 64
+            assert gs.run(streamed(), batch_size=16) == 64
             gc.collect()
             assert sum(ref() is not None for ref in refs) == 0
-            ring = gs.run_report()["streams"]["TCP"]
-            assert (ring["drops"], ring["backlog"]) == (dropped, 0)
-            assert len(handle.results) == run * (64 - dropped)
+            stream = gs.run_report()["streams"]["TCP"]
+            assert (stream["drops"], stream["backlog"]) == (0, 0)
+            assert len(handle.results) == run * 64

@@ -549,37 +549,3 @@ class TestBreakerDurability:
         assert resumed.dead_letters.checkpoint() == (
             oracle.dead_letters.checkpoint()
         )
-
-    def test_old_journals_without_breaker_state_still_resume(
-        self, tmp_path, records
-    ):
-        """Commits written before fault isolation (no ``breakers`` /
-        ``dead_letters`` keys) restore with everything closed."""
-        path = str(tmp_path / "serve.wal")
-        engine = StandingQueryEngine(
-            make_instance, journal=ResultJournal(path, fresh=True)
-        )
-        engine.register(HEALTHY_AGGS[0], name="q", qid="good")
-        half = (len(records) // (2 * BATCH)) * BATCH
-        feed_all(engine, records[:half])
-
-        # Rewrite the journal's entries with the legacy commit shape.
-        engine.commit()
-        engine.journal.close()
-        entries = ResultJournal.read(path)
-        legacy = ResultJournal(path, fresh=True)
-        for entry in entries:
-            entry = dict(entry)
-            entry.pop("breakers", None)
-            entry.pop("dead_letters", None)
-            legacy.append(entry)
-        legacy.close()
-
-        resumed = resume_serving(
-            StandingQueryEngine(make_instance), path, records, batch_size=BATCH
-        )
-        assert resumed.lookup("good").breaker.state == "closed"
-        assert resumed.dead_letters.total == 0
-        assert served_state(resumed.lookup("good")) == solo_state(
-            HEALTHY_AGGS[0], records
-        )

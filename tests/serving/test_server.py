@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ExecutionError, QueryError
 from repro.obs.export import render_prometheus
-from repro.dsms.durability import CHECKPOINT_VERSION, ResultJournal
+from repro.dsms.durability import ResultJournal
 from repro.serving.journal import split_log
 from repro.serving.server import (
     QueryServer,
@@ -253,58 +253,15 @@ class TestJournalFormat:
             resume_serving(journalled, path, [])
         journalled.journal.close()
 
-    def test_pre_envelope_journal_still_resumes(self, tmp_path, records):
-        """Entries shaped as the serving journal's own writer shaped
-        them: stamped ``serving_version: 1``, no ``journal_version`` or
-        ``mode``, registry events carrying only ``offset``.  What is
-        pinned is the envelope: the commit holds today's checkpoint, so
-        it carries today's checkpoint version (an unstamped commit is
-        refused: ``test_durability.py``'s ``TestRefusals``)."""
-        cut = 4 * BATCH
-        engine = StandingQueryEngine(make_instance)
-        engine.register(SELECTION, name="q", qid="sqA")
-        for start in range(0, cut, BATCH):
-            engine.feed(records[start : start + BATCH])
-        event = {"serving_version": 1, "name": "q", "tenant": "default"}
-        old_entries = [
-            {**event, "kind": "register", "qid": "sqA", "text": SELECTION,
-             "offset": 0},
-            {
-                "serving_version": 1,
-                "checkpoint_version": CHECKPOINT_VERSION["serving"],
-                "kind": "commit",
-                "consumed": cut,
-                "offered": {},
-                "next_id": 0,
-                "queries": {
-                    "sqA": {
-                        "snapshot": engine.lookup("sqA").instance.checkpoint(),
-                        "active": True,
-                    }
-                },
-                "breakers": {"sqA": engine.lookup("sqA").breaker.checkpoint()},
-                "dead_letters": engine.dead_letters.checkpoint(),
-            },
-            # Journalled after the commit: replayed at its offset.
-            {**event, "kind": "register", "qid": "sqB",
-             "text": EXAMPLE_TEXTS["big_flows"], "offset": cut},
-        ]
+    def test_a_pre_envelope_journal_is_refused_by_its_version(self, tmp_path):
+        """The serving journal's own version-1 entries, stamped
+        ``serving_version: 1`` with no ``journal_version`` or ``mode``."""
         path = str(tmp_path / "serve.wal")
         with ResultJournal(path, fresh=True) as journal:
-            for old_entry in old_entries:
-                journal.append(old_entry)
-
-        resumed = resume_serving(
-            StandingQueryEngine(make_instance), path, records, batch_size=BATCH
-        )
-        assert resumed.closed and resumed.consumed == len(records)
-        assert served_state(resumed.lookup("sqA")) == solo_state(
-            SELECTION, records
-        )
-        assert resumed.lookup("sqB").registered_at == cut
-        assert served_state(resumed.lookup("sqB")) == solo_state(
-            EXAMPLE_TEXTS["big_flows"], records[cut:]
-        )
+            journal.append({"serving_version": 1, "kind": "register", "qid": "sqA",
+                            "name": "q", "text": SELECTION, "offset": 0})
+        with pytest.raises(ExecutionError, match="version 1 .* not supported"):
+            resume_serving(StandingQueryEngine(make_instance), path, [])
 
     def test_split_log_dedupes_resume_duplicates(self):
         entries = [
