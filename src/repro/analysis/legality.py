@@ -50,6 +50,11 @@ class ExecTarget:
                 "target 'serve' excludes shards=N: the serving engine"
                 " drives serial Gigascope instances"
             )
+        if self.shed_threshold is not None and self.shed_threshold < 1:
+            raise ValueError(
+                f"shed threshold must be >= 1 (got {self.shed_threshold}):"
+                " a lower one sheds every record"
+            )
 
     @property
     def sharded(self) -> bool:

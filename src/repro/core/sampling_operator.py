@@ -124,12 +124,12 @@ class SamplingOperator(Operator):
         # The whole plan is fixed here, once: the run entry and the window
         # close are generated (repro.dsms.node) against the plan-time input
         # schema (shadowing rule: see expr.bind_tuple).  What their clauses
-        # read of the context: ``aggregates`` are the visited group's, and
-        # ``states`` and ``superaggregates`` its supergroup's; clauses reach
-        # operator state only through these fields, so ``restore()`` needs
-        # no recompiling.
+        # read: ``aggregates`` are the visited group's, and ``states`` and
+        # ``superaggregates`` its supergroup's, taken from the tables as a
+        # run goes, so ``restore()`` needs no recompiling.
         #: with no SUPERGROUP BY beyond the window, a window has one
-        #: supergroup: a run looks it up once per window, not per record
+        #: supergroup: a run looks it up, and binds its SFUNs, once per
+        #: window, not per record
         self._holds_supergroup = not spec.nonordered_supergroup_indices
         forms = in_place(
             [aggregates.factory(node.name) for node in spec.aggregates],

@@ -213,10 +213,11 @@ class EvalContext:
     binding — operators bind names to positions when they are built and
     never look a column up by name per tuple.
 
-    An operator's context does not charge a ``function_call`` /
-    ``sfun_call`` per call; the clause counts them here, and the
-    operator settles the counts into its cost account when its run (or
-    flush) ends — :meth:`settle_calls`.
+    A clause function does not charge a ``function_call`` / ``sfun_call``
+    per call; it counts them here (``function_calls``, ``sfun_calls``) for
+    whoever charges them — a scan's member, :func:`repro.dsms.node.take`.
+    A generated node (DESIGN.md §2) counts and charges its own, and reads
+    the ``sfuns`` and ``states`` it calls once per supergroup.
     """
 
     function_calls = 0
@@ -236,12 +237,6 @@ class EvalContext:
         self.scalars, self.sfuns = scalars, sfuns
         self.states = self.aggregates = self.superaggregates = None
         self.record: Any = None
-
-    def settle_calls(self, charge: Callable[..., None], account: str) -> None:
-        """Charge, then zero, the calls counted since the last settle."""
-        charge(account, "function_call", self.function_calls)
-        charge(account, "sfun_call", self.sfun_calls)
-        self.function_calls = self.sfun_calls = 0
 
     def column(self, name: str) -> Any:
         raise ExecutionError(f"column {name!r} not available in this context")
@@ -264,6 +259,11 @@ def _unavailable(ctx: EvalContext, node: Expr) -> Exception:
     }.get(type(node))
     shown = f"{kind} {node.name!r}" if kind else f"superaggregate {node.name}$"
     return ExecutionError(f"{shown} not available in this context")
+
+
+def _raise(error: Exception, *args: Any) -> Any:
+    """What a node binds for an SFUN or state it lacks: :func:`_unavailable`'s error."""
+    raise error
 
 
 #: A compiled clause: context in, value out.
@@ -387,7 +387,7 @@ class _Emitter:
     from the query text is written into the source, only positions and
     the names made up here: literals, function names, slots and the
     nodes error messages want are the default arguments ``k0``, ``k1``
-    ... (they load as locals).
+    ... (they load as locals).  In a node, fields are read from its locals.
     """
 
     def __init__(self, bind: Bind, in_place: Optional[InPlace] = None) -> None:
@@ -399,6 +399,11 @@ class _Emitter:
         self.depth = 1
         #: the base loaded into ``b`` on entry; None until the first read
         self.hoisted: Optional[str] = None
+        #: where the context's fields are read ("" in a node); AND/OR arms open
+        self.scope, self.arms = "ctx.", 0
+        #: in a node holding its supergroup, ``(sfun, state)`` -> the line
+        #: binding it to ``f0, s0`` ...; None: each call looks them up
+        self.binds: Optional[Dict[Tuple[str, str], str]] = None
 
     def const(self, value: Any) -> str:
         self.consts.append(value)
@@ -427,6 +432,12 @@ class _Emitter:
         :func:`_unavailable` says for ``node`` (a bound node's name)."""
         return self.assign(source, f"_unavailable(ctx, {node})", "(LookupError, TypeError)")
 
+    def count(self, name: str) -> None:
+        """One more ``name``: in the context; in a node, a point it derives
+        from its events (``@ name += 1``), or under an AND/OR arm a local
+        bumped as it runs."""
+        self.line(f"{'ctx.' if self.scope else '' if self.arms else '@ '}{name} += 1")
+
     def fail(self, message: str) -> str:
         return self.assign(f"{self.const(_fails(message))}(ctx)")
 
@@ -446,7 +457,7 @@ class _Emitter:
             return self.call(expr)
         if isinstance(expr, (AggregateCall, SuperAggregateCall)):
             field = "aggregates" if isinstance(expr, AggregateCall) else "superaggregates"
-            slot = self.lookup(f"ctx.{field}[{self.const(expr.slot)}]", self.const(expr))
+            slot = self.lookup(f"{self.scope}{field}[{self.const(expr.slot)}]", self.const(expr))
             form = self.in_place.get((field, expr.slot))
             return self.assign(f"{slot}.{form[1]}" if form else f"{slot}.value()")
         if isinstance(expr, FunctionCall):
@@ -462,16 +473,24 @@ class _Emitter:
 
     def call(self, node: Union[ScalarCall, StatefulCall]) -> str:
         """Arguments left to right, the count, the lookups, then one call:
-        an SFUN takes the state its node names ahead of its arguments."""
+        an SFUN takes the state its node names ahead of its arguments (a
+        node holding its supergroup binds both once per supergroup instead;
+        one missing binds :func:`_raise`)."""
         items = [self.emit(arg) for arg in node.args]
+        stateful = isinstance(node, StatefulCall)
+        self.count("sfun_calls" if stateful else "function_calls")
+        if stateful and self.binds is not None:
+            key = (node.name, node.state_name)
+            if key not in self.binds:
+                name, state, bound = map(self.const, (node.name, node.state_name, node))
+                self.binds[key] = (f"f{len(self.binds)}, s{len(self.binds)} = (sfuns[{name}], states[{state}])"
+                                   f" if {name} in sfuns and {state} in states else (_raise, _unavailable(ctx, {bound}))")
+            i = list(self.binds).index(key)
+            return self.assign(f"f{i}({', '.join([f's{i}'] + items)})")
         bound, name = self.const(node), self.const(node.name)
-        if isinstance(node, StatefulCall):
-            self.line("ctx.sfun_calls += 1")
-            fn = self.lookup(f"ctx.sfuns[{name}]", bound)
-            items.insert(0, self.lookup(f"ctx.states[{self.const(node.state_name)}]", bound))
-        else:
-            self.line("ctx.function_calls += 1")
-            fn = self.lookup(f"ctx.scalars[{name}]", bound)
+        fn = self.lookup(f"{self.scope}{'sfuns' if stateful else 'scalars'}[{name}]", bound)
+        if stateful:
+            items.insert(0, self.lookup(f"{self.scope}states[{self.const(node.state_name)}]", bound))
         return self.assign(f"{fn}({', '.join(items)})")
 
     def read(self, where: Where) -> str:
@@ -517,10 +536,10 @@ class _Emitter:
         if not (isinstance(expr.left, BinaryOp) and expr.left.op in ("AND", "OR")):
             result = self.assign(f"True if {result} else False")
         self.line(f"if {result}:" if expr.op == "AND" else f"if not {result}:")
-        self.depth += 1
+        self.depth, self.arms = self.depth + 1, self.arms + 1
         value = self.emit(expr.right)
         self.line(f"{result} = True if {value} else False")
-        self.depth -= 1
+        self.depth, self.arms = self.depth - 1, self.arms - 1
         return result
 
     def function(self, result: str, label: str, name: str = "run", params: str = "ctx") -> Any:
@@ -530,7 +549,7 @@ class _Emitter:
             head.append(f"    b = {self.hoisted}")
         source = "\n".join(head + self.lines + [f"    return {result}", ""])
         namespace = dict(zip(names, self.consts), __name__=__name__)
-        namespace.update(_type_error=_type_error, _unavailable=_unavailable)
+        namespace.update(_type_error=_type_error, _unavailable=_unavailable, _raise=_raise)
         exec(_code(source, label), namespace)
         return namespace[name]
 

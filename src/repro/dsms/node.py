@@ -16,11 +16,17 @@ and the classes a body instantiates are default arguments, so replicas
 of one query shape run one cached code object.  A built-in aggregate or
 superaggregate is updated and read in place (the ``in_place`` its class
 declares); any other is called.
+
+A record's path reads locals only — each SFUN and its state is bound
+once per supergroup — and bumps only event counts; every other count is
+a fixed multiple of the events, derived once per run (:func:`tally`).
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections import Counter
 from textwrap import dedent
 from types import MethodType
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -38,19 +44,28 @@ from repro.streams.records import Record
 #: window), ``where``, ``cleaning``, ``group-fed`` (superaggregates fed by
 #: group) — and ``{part}`` is what :func:`emit_node` writes for the plan,
 #: statements first.  Counters are locals settled once per run, in the
-#: ``finally``: an error leaves counted exactly the records consumed.
+#: ``finally``: an error leaves counted exactly the records consumed.  On a
+#: record's path only events are bumped: records in, and in their branches
+#: records dropped or filtered and groups created or visited.  A point,
+#: ``@ name += 1`` (a clause's call is one too), is not written: ``{tally}``
+#: derives it from the events, less what a record that raised had yet to
+#: do.  SFUNs are bound per supergroup (``{bind}``); a window is tested on
+#: its ordered values (``cw0`` ...), and its stats settled as it closes.
 LOOP = dedent("""
     if out is None:
         out = []
-    ctx = self._ctx
-    n_in = n_filtered = n_predicates = n_admitted = n_created = n_updates = 0
+    ctx, miss = self._ctx, {zero}
+    scalars, sfuns, states, aggregates, superaggregates = ctx.scalars, ctx.sfuns, ctx.states, None, None
+    n_in = n_dropped = n_filtered = n_seen = n_predicates = n_admitted = n_created = n_inserts = n_updates = n_visited = sfun_calls = function_calls = 0
     emit, before = out.append, len(out)  #? selection
+    {bind}  #? selection
     current = self._current_window  #? windowed
+    {ordered} = current or {unset}  #? windowed
     groups = self._groups  #? aggregation
     tables, stats, supergroup = self._tables, self._active_stats, None  #? sampling
     groups, supergroups = tables.groups, tables.new_supergroups  #? sampling
-    members, n_probes, n_inserts, peak = tables.supergroup_groups, 0, 0, 0  #? sampling
-    n_phases = n_visited = n_evicted = 0  #? cleaning
+    members, n_probes, peak = tables.supergroup_groups, 0, 0  #? sampling
+    n_phases = n_evicted = w_seen = w_admitted = w_created = 0  #? sampling
     try:
         if self._forwards:  #? selection
             out.extend(records)  #? selection
@@ -58,26 +73,33 @@ LOOP = dedent("""
         for record in records:
             n_in += 1
             v = record.values
-            key, window = {group_by}  #? aggregation
-            key, window, sgkey = {group_by}  #? sampling
-            if window != current:  #? windowed
+            key = {group_by}  #? aggregation
+            key, sgkey = {group_by}  #? sampling
+            if {changed}:  #? windowed
+                window = {window}  #? windowed
                 dropped = self._late(window, current)  #? windowed
                 if dropped is not None:  #? windowed
+                    n_dropped += 1  #? windowed
                     if dropped == "late":  #? sampling
                         stats.late_tuples += 1  #? sampling
                     else:  #? sampling
                         stats.incomparable_tuples += 1  #? sampling
                     continue  #? windowed
                 if current is not None:  #? windowed
+                    seen = n_in - 1 - n_dropped  #? sampling
+                    stats.tuples_seen += seen - w_seen  #? sampling
+                    stats.tuples_admitted += seen - n_filtered - w_admitted  #? sampling
+                    stats.groups_created += n_created - w_created  #? sampling
+                    w_seen, w_admitted, w_created = seen, seen - n_filtered, n_created  #? sampling
                     # into the caller's list at once: these rows must  #? windowed
                     # outlive an error later in the run  #? windowed
                     out.extend(self._emit_window())  #? windowed
                     supergroups, supergroup = tables.new_supergroups, None  #? sampling
                 self._open_window(window)  #? windowed
-                current = window  #? windowed
+                current = {ordered} = window  #? windowed
                 stats = self._active_stats  #? sampling
-            stats.tuples_seen += 1  #? sampling
-            n_probes += 1  #? sampling
+            @ n_seen += 1  #? sampling
+            @ n_probes += 1  #? sampling
             supergroup = None  #? per-record
             if supergroup is None:  #? sampling
                 if sgkey in supergroups:  #? sampling
@@ -85,32 +107,30 @@ LOOP = dedent("""
                 else:  #? sampling
                     supergroup = self._new_supergroup(sgkey)  #? sampling
                     n_inserts += 1  #? sampling
-                ctx.states = supergroup.states  #? sampling
-                ctx.superaggregates = superaggregates = supergroup.superaggregates  #? sampling
-            n_predicates += 1  #? where
+                states, superaggregates = supergroup.states, supergroup.superaggregates  #? sampling
+                {bind}  #? sampling
+            @ n_predicates += 1  #? where
             if not {where}:  #? where
                 n_filtered += 1  #? where
                 continue  #? where
             row = {new}({record})  #? selection
             row.schema, row.values = {schema}, {select}  #? selection
             emit(row)  #? selection
-            stats.tuples_admitted += 1  #? sampling
-            n_admitted += 1  #? windowed
+            @ n_admitted += 1  #? windowed
             {tuple_fed}  #? sampling
-            n_probes += 1  #? sampling
+            @ n_probes += 1  #? sampling
             if key in groups:  #? windowed
-                aggs = groups[key]  #? aggregation
-                aggs = groups[key].aggregates  #? sampling
+                aggregates = groups[key]  #? aggregation
+                aggregates = groups[key].aggregates  #? sampling
                 {update}  #? windowed
             else:  #? windowed
-                aggs = groups[key] = [{creates}]  #? aggregation
-                aggs = [{creates}]  #? sampling
-                groups[key] = {entry}(key, aggs, sgkey)  #? sampling
+                aggregates = groups[key] = [{creates}]  #? aggregation
+                aggregates = [{creates}]  #? sampling
+                groups[key] = {entry}(key, aggregates, sgkey)  #? sampling
                 if sgkey in members:  #? sampling
                     members[sgkey][key] = None  #? sampling
                 else:  #? sampling
                     members[sgkey] = {key: None}  #? sampling
-                stats.groups_created += 1  #? sampling
                 n_created += 1  #? windowed
                 size = len(groups)  #? sampling
                 if size > stats.peak_groups:  #? sampling
@@ -118,9 +138,8 @@ LOOP = dedent("""
                     if size > peak:  #? sampling
                         peak = size  #? sampling
                 {update}  #? windowed
-                ctx.aggregates = aggs  #? group-fed
                 {group_fed}  #? group-fed
-            n_predicates += 1  #? cleaning
+            @ n_predicates += 1  #? cleaning
             if {cleaning_when}:  #? cleaning
                 # a cleaning phase: CLEANING BY on each group of the  #? cleaning
                 # supergroup, in arrival order; FALSE evicts the group  #? cleaning
@@ -130,8 +149,8 @@ LOOP = dedent("""
                     self.obs_trace.emit("cleaning_trigger", query=self.obs_query,  #? cleaning
                                         window=list(current), supergroup=list(sgkey))  #? cleaning
                 for gkey in list(members[sgkey]):  #? cleaning
-                    ctx.aggregates = groups[gkey].aggregates  #? cleaning
                     n_visited += 1  #? cleaning
+                    aggregates = groups[gkey].aggregates  #? cleaning
                     if not {cleaning_by}:  #? cleaning
                         {evict}  #? cleaning
                         stats.groups_evicted += 1  #? cleaning
@@ -139,19 +158,23 @@ LOOP = dedent("""
                         if self.obs_trace.enabled:  #? cleaning
                             self.obs_trace.emit("group_evicted", query=self.obs_query,  #? cleaning
                                                 window=list(current), group=list(gkey))  #? cleaning
+    except BaseException as exc:
+        miss = {missed}(exc)
+        raise
     finally:
+        {tally}
         charge, account = self._cost.charge, self._account
         charge(account, "tuple_read", n_in)
         charge(account, "hash_probe", n_in)  #? aggregation
-        charge(account, "hash_insert", n_created)  #? aggregation
         charge(account, "hash_probe", n_probes)  #? sampling
-        charge(account, "hash_insert", n_inserts + n_created)  #? sampling
+        charge(account, "hash_insert", n_inserts + n_created)  #? windowed
         charge(account, "predicate_eval", n_predicates)  #? where sampling
         charge(account, "aggregate_update", n_updates)  #? windowed
         charge(account, "cleaning_phase", n_phases)  #? cleaning
         charge(account, "cleaning_per_group", n_visited)  #? cleaning
         charge(account, "hash_delete", n_evicted)  #? cleaning
-        ctx.settle_calls(charge, account)
+        charge(account, "function_call", function_calls)
+        charge(account, "sfun_call", sfun_calls)
         self.m_in.inc(n_in)
         self.m_filtered.inc(n_filtered)
         self.m_rows_out.inc(len(out) - before)  #? selection
@@ -161,33 +184,40 @@ LOOP = dedent("""
         self.m_groups_evicted.inc(n_evicted)  #? cleaning
         if peak > self.g_peak_groups.value:  #? sampling
             self.g_peak_groups.set(peak)  #? sampling
+        if stats is not None:  #? sampling
+            stats.tuples_seen += n_seen - w_seen  #? sampling
+            stats.tuples_admitted += n_admitted - w_admitted  #? sampling
+            stats.groups_created += n_created - w_created  #? sampling
 """).strip("\n")
 
 #: Every windowed node's window close, ``_emit_window``, on :data:`LOOP`'s
-#: terms, with the tags ``having`` and ``rejects`` (a sampling node's
-#: HAVING: a group it rejects is evicted).  HAVING and SELECT read the
-#: visited group's key as the local ``gkey``.
+#: terms (a group, not a record, takes the path), with the tags ``having``
+#: and ``rejects`` (a sampling node's HAVING: a group it rejects is
+#: evicted).  HAVING and SELECT read the visited group's key as the local
+#: ``gkey``.
 CLOSE = dedent("""
-    ctx, rows = self._ctx, []
+    ctx, rows, miss, held = self._ctx, [], {zero}, None
+    scalars, sfuns = ctx.scalars, ctx.sfuns
+    n_groups = n_tested = n_rejected = sfun_calls = function_calls = 0
     charge, account = self._cost.charge, self._account
     charge(account, "window_flush")
-    n_tested = n_rejected = 0
     stats, tables = self._active_stats, self._tables  #? sampling
     groups, supergroups, members = tables.groups, tables.new_supergroups, tables.supergroup_groups  #? sampling
     for supergroup in supergroups.values():  #? sampling
         for state in supergroup.states.values():  #? sampling
             state.on_window_final()  #? sampling
     try:
-        for gkey, aggs in self._groups.items():  #? aggregation
+        for gkey, aggregates in self._groups.items():  #? aggregation
         for gkey, group in list(groups.items()):  #? sampling
-            aggs, sgkey = group.aggregates, group.supergroup_key  #? sampling
-            supergroup = supergroups[sgkey]  #? sampling
-            ctx.states = supergroup.states  #? sampling
-            ctx.superaggregates = superaggregates = supergroup.superaggregates  #? sampling
-            ctx.aggregates = aggs
-            n_tested += 1  #? having
+            n_groups += 1
+            aggregates, supergroup = group.aggregates, supergroups[group.supergroup_key]  #? sampling
+            if supergroup is not held:  #? sampling
+                held, states, superaggregates = supergroup, supergroup.states, supergroup.superaggregates  #? sampling
+                {bind}  #? sampling
+            @ n_tested += 1  #? having
             if not {having}:  #? having
                 n_rejected += 1  #? having
+                sgkey = group.supergroup_key  #? rejects
                 {evict}  #? rejects
                 if self.obs_trace.enabled:  #? rejects
                     self.obs_trace.emit("having_rejected", query=self.obs_query,  #? rejects
@@ -199,13 +229,16 @@ CLOSE = dedent("""
             if self.obs_trace.enabled:  #? sampling
                 self.obs_trace.emit("group_emitted", query=self.obs_query,  #? sampling
                                     window=list(stats.window), group=list(gkey))  #? sampling
+    except BaseException as exc:
+        miss = {missed}(exc)
+        raise
     finally:
-        # settled per window, not per group: a close that raises has
-        # charged the groups it visited, the failing one included
+        {tally}
         charge(account, "predicate_eval", n_tested)
         charge(account, "output_tuple", len(rows))
         charge(account, "hash_delete", n_rejected)  #? sampling
-        ctx.settle_calls(charge, account)
+        charge(account, "function_call", function_calls)
+        charge(account, "sfun_call", sfun_calls)
         self.m_having_rejected.inc(n_rejected)
     stats.output_tuples = len(rows)  #? sampling
     self._window_stats.append(stats)  #? sampling
@@ -221,6 +254,11 @@ CLOSE = dedent("""
     tables.end_window()  #? sampling
     self._groups.clear()  #? aggregation
 """).strip("\n")
+
+#: The points, in :func:`tally`'s order; the events that end a path early
+POINTS = ("n_seen", "n_admitted", "n_probes", "n_predicates", "n_updates", "n_tested",
+          "sfun_calls", "function_calls")
+EXITS = ("n_dropped", "n_filtered", "n_rejected")
 
 
 def in_place(aggregates: Sequence[Any], superaggregates: Sequence[Any] = ()) -> InPlace:
@@ -263,9 +301,10 @@ def emit_node(
         return node.emit(expr)
 
     def group_by(depth: int) -> str:
+        nonlocal ordered
         items = [clause(at_input, depth, item.expr) for item in analyzed.group_by]
-        views = [range(len(items)), [names.index(name) for name in analyzed.ordered_names]]
-        views += [spec.nonordered_supergroup_indices] if spec else []
+        ordered = [items[names.index(name)] for name in analyzed.ordered_names]
+        views = [range(len(items))] + ([spec.nonordered_supergroup_indices] if spec else [])
         return ", ".join(f"({''.join(items[i] + ', ' for i in view)})" for view in views)
 
     def select(depth: int) -> str:
@@ -275,14 +314,14 @@ def emit_node(
     def apply(depth: int, field: str, target: str, slot: int, value: str, call: str) -> None:
         form, node.depth = node.in_place.get((field, slot)), depth
         node.line((form[0] if form else call).format(f"{target}[{slot}]", value))
-        node.line("n_updates += 1")
+        node.count("n_updates")
 
     def update(depth: int) -> str:
         for call in analyzed.aggregates:
             value = "1"  # count(*): the argument's value is irrelevant
             if call.args and not isinstance(call.args[0], Star):
                 value = clause(at_tuple, depth, call.args[0])
-            apply(depth, "aggregates", "aggs", call.slot, value, "{0}.update({1})")
+            apply(depth, "aggregates", "aggregates", call.slot, value, "{0}.update({1})")
         return ""
 
     def fed(depth: int, feeds: str, bind: Any, call: str) -> str:
@@ -303,8 +342,20 @@ def emit_node(
         node.line("del groups[gkey], members[sgkey][gkey]")
         return ""
 
+    ordered: List[str] = []  # the locals the ordered group-by values are read into
+    windowed, missed = len(analyzed.ordered_names), object()  # a slot, filled once written
     parts: Dict[str, Callable[[int], str]] = {
         "group_by": group_by,
+        "ordered": lambda depth: "".join(f"cw{i}," for i in range(windowed)) or "()",
+        "unset": lambda depth: f"({'self, ' * windowed})",  # no record holds its operator
+        "changed": lambda depth: " or ".join(
+            f"{t} is not cw{i} and {t} != cw{i}" for i, t in enumerate(ordered)
+        ) or "current is None",
+        "window": lambda depth: f"({''.join(t + ', ' for t in ordered)})",
+        "zero": lambda depth: node.const((0,) * len(POINTS)),
+        "missed": lambda depth: node.const(missed),
+        "bind": lambda depth: "%bind",
+        "tally": lambda depth: "%tally",
         "where": lambda depth: clause(at_tuple, depth, analyzed.ast.where),
         "select": select,
         "new": lambda depth: node.const(object.__new__),
@@ -335,24 +386,86 @@ def emit_node(
         tags |= {"group-fed"} if any(sa.feeds == "group" for sa in superaggregates) else set()
         tags |= {"rejects"} if "having" in tags else set()
 
-    def write(template: str, result: str, name: str, params: str) -> Any:
+    def write(template: str, result: str, name: str, params: str, main: str) -> Any:
         nonlocal node
         node = _Emitter(bind_group((), "key"), forms)
-        node.hoisted = ""  # what a clause reads is in locals already
+        node.hoisted, node.scope = "", ""  # what a clause reads is in locals already
+        node.binds = None if "per-record" in tags else {}  # a supergroup per record: looked up
+
+        def fill(match: Any) -> str:
+            # what a group created, visited or evicted does is counted as it runs
+            node.arms = int(match[1] in ("group_fed", "cleaning_by", "evict"))
+            return parts[match[1]](depth)
+
         for line in template.split("\n"):
             text, _, only = line.partition("  #? ")
             if not only or tags & set(only.split()):
                 depth = (len(text) - len(text.lstrip())) // 4 + 1
-                text = re.sub(r"\{(\w+)\}", lambda m: parts[m.group(1)](depth), text)
+                text = re.sub(r"\{(\w+)\}", fill, text)
                 if text.strip():
                     node.depth = 1
                     node.line(text)
+        expand("%bind", list((node.binds or {}).values()))  # every call is known now
+        slot = next(i for i, const in enumerate(node.consts) if const is missed)
+        node.consts[slot], totals = tally(node, main)
+        expand("%tally", totals)
         return MethodType(node.function(result, f"{label}:{name}", name, params), op)
 
+    def expand(mark: str, body: List[str]) -> None:
+        """Write ``body`` in place of each line ``mark``, at its indent."""
+        for at in reversed([i for i, line in enumerate(node.lines) if line.strip() == mark]):
+            node.lines[at : at + 1] = [node.lines[at][: -len(mark)] + line for line in body]
+
     if kind != "selection":
-        op._emit_window = write(CLOSE, "rows", "_emit_window", "self")
+        op._emit_window = write(CLOSE, "rows", "_emit_window", "self", "n_groups")
     if type(op).process_many is Operator.process_many:
-        op.process_many = write(LOOP, "out", "process_many", "self, records, out=None")
+        op.process_many = write(LOOP, "out", "process_many", "self, records, out=None", "n_in")
+
+
+def tally(node: _Emitter, main: str) -> Tuple[Callable[[BaseException], Tuple[int, ...]], List[str]]:
+    """Take the points (``@ name += 1``) out of ``node``'s lines.  Return
+    the statements that derive each of :data:`POINTS` — once per ``main``
+    (a record, a group), less the exits before it — and a function of what
+    a record (group) raised: the points it had yet to pass, found by the
+    line its node's frame was on.  An ``else`` starts where its ``if`` was."""
+    passed: Counter[str] = Counter()
+    full, moved = passed, False
+    block: Optional[int] = None  # the indent of ``main``'s block, while in it
+    ifs: Dict[int, Counter[str]] = {}
+    exits: List[Tuple[str, Counter[str]]] = []
+    lines: List[str] = []
+    marks: List[Tuple[int, Counter[str]]] = []
+    for line in node.lines:
+        text, indent = line.strip(), len(line) - len(line.lstrip())
+        word = text.split(" ")[0]
+        if word == "@":
+            passed[text.split(" ")[1]] += 1
+            moved = True
+            continue
+        if text == f"{main} += 1":
+            passed, block, moved = Counter(), indent, True
+        elif block is not None and indent < block:
+            full, block, moved = passed, None, True
+        elif text.endswith(" += 1") and word in EXITS:
+            exits.append((word, Counter(passed)))
+        elif word == "if":
+            ifs[indent] = Counter(passed)
+        elif text == "else:":
+            passed, moved = Counter(ifs[indent]), True
+        lines.append(line)
+        if moved:  # from this line of the function on
+            marks.append((len(lines) + 1, Counter(passed) if block is not None else full))
+            moved = False
+    node.lines, totals = lines, []
+    for i, point in enumerate(POINTS):
+        if full[point]:
+            terms = [f" - {full[point] - before[point]} * {exit}" for exit, before in exits]
+            totals.append(f"{point} += {full[point]} * {main}{''.join(terms)} - miss[{i}]")
+    starts = [-1] + [number for number, _ in marks]  # -1, None: a line unknown
+    misses = [tuple(full[p] - state[p] for p in POINTS) for state in [full] + [m for _, m in marks]]
+    return lambda exc: misses[bisect_right(starts, exc.__traceback__.tb_lineno or 0) - 1], [
+        re.sub(r"\b1 \* | - 0 \* \w+", "", line) for line in totals
+    ]
 
 
 def scannable(op: Operator) -> bool:
@@ -421,13 +534,12 @@ def take(op: Operator, records: Sequence[Record], out: Optional[List[Record]],
     if out is None:
         out = []
     out.extend(rows)
-    n_in, n_out, ctx = len(records), len(rows), op._ctx
+    n_in, n_out = len(records), len(rows)
     charge, account = op._cost.charge, op._account
     charge(account, "tuple_read", n_in)
     charge(account, "predicate_eval", n_in if op.analyzed.ast.where is not None else 0)
-    ctx.function_calls += calls.function_calls
-    ctx.sfun_calls += calls.sfun_calls
-    ctx.settle_calls(charge, account)
+    charge(account, "function_call", calls.function_calls)
+    charge(account, "sfun_call", calls.sfun_calls)
     op.m_in.inc(n_in)
     op.m_filtered.inc(n_in - n_out)
     op.m_rows_out.inc(n_out)

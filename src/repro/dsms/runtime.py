@@ -316,7 +316,8 @@ class Gigascope:
         newest surplus is *shed* — refused at admission and accounted as
         :data:`REFUSALS` says (charged, counted per stream, reported to
         downstream sampling operators' ``WindowStats``).  ``None``
-        disables shedding (the default): every record is admitted.
+        disables shedding (the default): every record is admitted; a
+        threshold under 1 is refused with :class:`ValueError`.
 
         ``metrics`` / ``trace`` attach an instance-wide metrics registry
         and trace sink; every operator registered afterwards is bound to
@@ -343,6 +344,7 @@ class Gigascope:
         fall back per operator to the tuple path; results are
         byte-identical either way.
         """
+        ExecTarget(shed_threshold=shed_threshold)  # refuses a threshold under 1
         self.cost = cost_model or NULL_COST_MODEL
         self.shed_threshold = shed_threshold
         self.validate_admission = validate_admission
@@ -732,8 +734,8 @@ class Gigascope:
         is refused as ``"shed"`` — deliberate, observable degradation,
         the paper's drop-under-overload behaviour (§1) made explicit.
         Nothing waits after admission, so the event's backlog is 0."""
-        assert self.shed_threshold is not None
-        allowed = max(0, self.shed_threshold)
+        allowed = self.shed_threshold
+        assert allowed is not None
         if len(records) <= allowed:
             return records
         shed = len(records) - allowed

@@ -102,6 +102,15 @@ class TestTargetsNoRuntimeCanBuild:
         with pytest.raises(ValueError, match="serial Gigascope"):
             ExecTarget(shards=1, serve=True)
 
+    @pytest.mark.parametrize("threshold", [0, -3])
+    def test_a_shed_threshold_below_one_is_refused(self, threshold):
+        # it used to shed every record of every batch, without a word
+        with pytest.raises(ValueError, match="shed threshold must be >= 1"):
+            ExecTarget(shed_threshold=threshold)
+        with pytest.raises(ValueError, match="'shed' must be >= 1"):
+            parse_target(f"shed={threshold}")
+        assert ExecTarget(shed_threshold=1).shed_threshold == 1
+
 
 @pytest.mark.parametrize(
     "spec",

@@ -1,0 +1,57 @@
+"""A count gate on the generated nodes' own bytecode.
+
+Shared CI runners cannot gate records per second, but they can gate a
+count that repeats exactly: the opcodes the ``ss`` and ``hh`` nodes of the
+perf ledger (``benchmarks/ledger``) execute in their own frames —
+``process_many`` and ``_emit_window``, the functions ``repro.dsms.node``
+writes, known by their ``<gsql:…>`` file names — per record, over the
+first records of each ledger feed.  The ceilings were recorded on
+CPython 3.11 with 3 % headroom; another minor version compiles other
+bytecode, so it is not gated.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from benchmarks.ledger.workloads import HhBursty, SsSteady, make_trace
+
+SEED = 20050614
+RECORDS = 4000
+#: opcodes per record measured on CPython 3.11.7 (341 and 279 before the nodes
+#: counted events), with 3 % headroom
+CEILINGS = {"ss_steady": 228.7 * 1.03, "hh_bursty": 172.2 * 1.03}
+NODE = ("process_many", "_emit_window")
+
+
+def opcodes_per_record(workload) -> float:
+    driver, trace = workload.build(), make_trace(workload.feed, RECORDS, SEED)
+    count = 0
+
+    def opcode(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return opcode
+
+    def call(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith("<gsql:") and code.co_name in NODE:
+            frame.f_trace_opcodes = True
+            return opcode
+        return None
+
+    previous = sys.gettrace()  # a coverage or census tracer, put back after
+    sys.settrace(call)
+    try:
+        workload.run(driver, iter(trace))
+    finally:
+        sys.settrace(previous)
+    return count / RECORDS
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="no ceiling recorded for this Python")
+@pytest.mark.parametrize("workload", [SsSteady(), HhBursty()], ids=lambda w: w.name)
+def test_a_node_stays_under_its_opcode_ceiling(workload):
+    assert opcodes_per_record(workload) <= CEILINGS[workload.name]

@@ -28,6 +28,7 @@ from repro.analysis.legality import ExecTarget
 from repro.deploy import deploy
 from repro.dsms.cost import CostBook, CostModel
 from repro.dsms.runtime import Gigascope, StreamRun, run_stream
+from repro.dsms.stateful import StatefulLibrary, StatefulState
 from repro.errors import ExecutionError
 from repro.streams.records import Record
 from repro.streams.schema import PKT_SCHEMA, TCP_SCHEMA
@@ -263,6 +264,123 @@ class TestTheNodeThatRaisedCountedWhatItConsumed:
         assert gs.cost.cycles("q") == 10500
         stats = gs.query("q").operator.window_stats
         assert [(s.tuples_seen, s.tuples_admitted, s.output_tuples) for s in stats] == [(2, 2, 1)]
+
+    # -- a sampling node whose SFUN raises, or cannot be called ------------------
+
+    @staticmethod
+    def fuse_library():
+        """``burn(at)`` counts its calls across windows and raises at call
+        ``at``; before that it answers TRUE on every second call."""
+        library = StatefulLibrary()
+
+        @library.state("fuse")
+        class Fuse(StatefulState):
+            def __init__(self, calls=0):
+                self.calls = calls
+
+            @classmethod
+            def initial(cls, old):
+                return cls(old.calls if old is not None else 0)
+
+        @library.sfun("burn", state="fuse")
+        def burn(state, at):
+            state.calls += 1
+            if state.calls == at:
+                raise ExecutionError(f"fuse burnt at call {at}")
+            return state.calls % 2 == 0
+
+        return library
+
+    def fed_fuse(self, query, batch, match, allocate=True):
+        gs = Gigascope(cost_model=CostModel())
+        gs.register_stream(TCP_SCHEMA)
+        gs.use_stateful_library(self.fuse_library())
+        op = gs.add_query(query, name="q").operator
+        if not allocate:
+            new = op._new_supergroup
+
+            def without_state(key):
+                entry = new(key)
+                entry.states.clear()
+                return entry
+
+            op._new_supergroup = without_state
+        gs.start()
+        with pytest.raises(ExecutionError, match=match):
+            gs.feed(batch)
+        return gs, op
+
+    @staticmethod
+    def stats(op):
+        return [
+            (s.tuples_seen, s.tuples_admitted, s.groups_created, s.cleaning_phases,
+             s.groups_evicted, s.output_tuples)
+            for s in op.window_stats + [op._active_stats]
+        ]
+
+    def test_sampling_where_sfun_raises_on_the_kth_record(self):
+        query = (
+            "SELECT tb, srcIP, count(*) FROM TCP WHERE burn(4) = FALSE OR TRUE"
+            " GROUP BY time/2 as tb, srcIP"
+        )
+        batch = [_packet(time=t, len=10) for t in (0, 1, 2, 3, 3)]
+        gs, op = self.fed_fuse(query, batch, "burnt at call 4")
+        assert _count(gs, "operator_tuples_in_total") == 4
+        assert _count(gs, "operator_tuples_admitted_total") == 3
+        assert _count(gs, "operator_tuples_filtered_total") == 0
+        assert _count(gs, "operator_groups_created_total") == 2
+        assert [r.values for r in gs.results("q")] == [(0, 0, 2)]
+        # window 0 closed; the failing record was seen, not admitted
+        assert self.stats(op) == [(2, 2, 1, 0, 0, 1), (2, 1, 1, 0, 0, 0)]
+        book = self.BOOK
+        assert gs.cost.cycles("q") == (
+            4 * (book.tuple_read + book.predicate_eval + book.sfun_call)
+            + (4 + 3) * book.hash_probe
+            + (2 + 2) * book.hash_insert
+            + 3 * book.aggregate_update
+            + book.window_flush
+            + book.output_tuple
+        )
+
+    def test_sampling_cleaning_when_sfun_raises(self):
+        query = (
+            "SELECT tb, srcIP, count(*) FROM TCP GROUP BY time/2 as tb, srcIP"
+            " CLEANING WHEN burn(3) = TRUE CLEANING BY count(*) > 0"
+        )
+        batch = [_packet(time=0, len=10, srcIP=ip) for ip in (1, 2, 1, 2)]
+        gs, op = self.fed_fuse(query, batch, "burnt at call 3")
+        assert _count(gs, "operator_tuples_in_total") == 3
+        assert _count(gs, "operator_tuples_admitted_total") == 3
+        assert _count(gs, "operator_groups_created_total") == 2
+        assert _count(gs, "operator_cleaning_phases_total") == 1
+        assert self.stats(op) == [(3, 3, 2, 1, 0, 0)]
+        book = self.BOOK
+        assert gs.cost.cycles("q") == (
+            3 * (book.tuple_read + book.predicate_eval + book.sfun_call + book.aggregate_update)
+            + (3 + 3) * book.hash_probe
+            + (1 + 2) * book.hash_insert
+            + book.cleaning_phase
+            + 2 * book.cleaning_per_group
+        )
+
+    def test_sampling_state_missing_at_the_first_call(self):
+        query = (
+            "SELECT tb, srcIP, count(*) FROM TCP WHERE len > 100 AND burn(99) = TRUE"
+            " GROUP BY time/2 as tb, srcIP"
+        )
+        batch = [_packet(time=t, len=n) for t, n in ((0, 10), (0, 20), (1, 200), (1, 300))]
+        gs, op = self.fed_fuse(query, batch, "state 'fuse' for SFUN 'burn' was not allocated",
+                               allocate=False)
+        assert _count(gs, "operator_tuples_in_total") == 3
+        assert _count(gs, "operator_tuples_filtered_total") == 2
+        assert _count(gs, "operator_tuples_admitted_total") == 0
+        assert self.stats(op) == [(3, 0, 0, 0, 0, 0)]
+        book = self.BOOK
+        assert gs.cost.cycles("q") == (
+            3 * (book.tuple_read + book.hash_probe + book.predicate_eval)
+            + book.hash_insert
+            + book.sfun_call
+        )
 
     def test_upstream_consumed_the_whole_run(self):
         gs = _fed(AGGREGATE, AT_BOUNDARY)

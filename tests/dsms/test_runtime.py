@@ -59,6 +59,12 @@ class TestLevels:
         assert handle.level == "high"
 
 
+@pytest.mark.parametrize("threshold", [0, -3])
+def test_a_shed_threshold_below_one_is_refused(threshold):
+    with pytest.raises(ValueError, match="shed threshold must be >= 1"):
+        Gigascope(shed_threshold=threshold)
+
+
 class TestExecution:
     def test_selection_results(self, gigascope):
         handle = gigascope.add_query("SELECT len FROM TCP WHERE len > 50")

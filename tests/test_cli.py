@@ -169,6 +169,14 @@ class TestQuery:
         err = capsys.readouterr().err
         assert "shed=" in err
 
+    def test_a_shed_threshold_below_one_is_refused(self, trace_file, capsys):
+        # it used to print no rows, shed=<every record> and exit 0
+        line = refused(capsys, [
+            "query", "--trace", trace_file, "--shed-threshold", "-3",
+            "--sql", "SELECT time FROM TCP",
+        ])
+        assert "shed threshold must be >= 1 (got -3)" in line
+
     def test_unshardeable_query_errors_clearly(self, trace_file, capsys):
         rc = main([
             "query", "--trace", trace_file, "--shards", "2",
