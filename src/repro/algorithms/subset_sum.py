@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -138,18 +139,17 @@ def solve_threshold(weights: List[float], target: int, z_min: float = 0.0) -> fl
     if n <= target:
         return max(z_min, 0.0)
     ordered = sorted(weights, reverse=True)
-    # suffix[k] = sum of ordered[k:]
-    suffix = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + ordered[i]
+    # tail[j] = sum of the j smallest, added smallest first: ordered[k:]
+    # sums to tail[n - k]
+    tail = list(accumulate(reversed(ordered), initial=0.0))
     for k in range(0, target):
-        z = suffix[k] / (target - k)
+        z = tail[n - k] / (target - k)
         upper = ordered[k - 1] if k > 0 else float("inf")
         if ordered[k] <= z < upper:
             return max(z, z_min)
     # No consistent breakpoint (ties at the boundary): fall back to the
     # all-small solution, which can only under-shoot the target slightly.
-    return max(suffix[0] / target, z_min)
+    return max(tail[n] / target, z_min)
 
 
 @dataclass

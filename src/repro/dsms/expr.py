@@ -388,6 +388,13 @@ class _Emitter:
     the names made up here: literals, function names, slots and the
     nodes error messages want are the default arguments ``k0``, ``k1``
     ... (they load as locals).  In a node, fields are read from its locals.
+
+    The one-read rule: in a per-record body (a node's record loop, a
+    scan's), a column read written at the body's top level — not under an
+    ``if``, an AND/OR arm or a nested loop — leaves a local that every
+    later read of that column in the record reuses.  The record's values
+    are a tuple, and the first read stays where it was, so what raises and
+    what is counted do not move.
     """
 
     def __init__(self, bind: Bind, in_place: Optional[InPlace] = None) -> None:
@@ -404,6 +411,10 @@ class _Emitter:
         #: in a node holding its supergroup, ``(sfun, state)`` -> the line
         #: binding it to ``f0, s0`` ...; None: each call looks them up
         self.binds: Optional[Dict[Tuple[str, str], str]] = None
+        #: the depth of the per-record body being written (None: none), and
+        #: the locals its top-level column reads left, by ``(base, index)``
+        self.body: Optional[int] = None
+        self.held: Dict[Tuple[str, int], str] = {}
 
     def const(self, value: Any) -> str:
         self.consts.append(value)
@@ -496,13 +507,18 @@ class _Emitter:
     def read(self, where: Where) -> str:
         if not isinstance(where, tuple):
             return self.assign(f"{self.const(where)}(ctx)")
+        if where in self.held:
+            return self.held[where]
         base, index = where
         if self.hoisted is None:
             # Loading ``base`` on entry is the same AttributeError at the
             # same moment only when the clause's first evaluation reads
             # it: not from under an AND / OR arm, not after a hook call.
             self.hoisted = "" if self.lines else base
-        return self.assign(f"{'b' if base == self.hoisted else base}[{index}]")
+        name = self.assign(f"{'b' if base == self.hoisted else base}[{index}]")
+        if self.depth == self.body and not self.arms:
+            self.held[where] = name
+        return name
 
     def unary(self, expr: UnaryOp) -> str:
         value = self.emit(expr.operand)

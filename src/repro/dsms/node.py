@@ -405,6 +405,8 @@ def emit_node(
                 if text.strip():
                     node.depth = 1
                     node.line(text)
+                if text.strip() == "for record in records:":  # the one-read rule's body
+                    node.body = depth + 1
         expand("%bind", list((node.binds or {}).values()))  # every call is known now
         slot = next(i for i, const in enumerate(node.consts) if const is missed)
         node.consts[slot], totals = tally(node, main)
@@ -495,7 +497,7 @@ def emit_scan(ops: Sequence[Operator], label: str) -> Callable[..., Tuple[List[R
     keys = [select_key(i, op) for i, op in enumerate(ops)]
     shared = {key: f"row{keys.index(key)}" for key in keys if keys.count(key) > 1}
     node = _Emitter(bind_group((), "key"))
-    node.hoisted = ""  # what a clause reads is in locals already
+    node.hoisted, node.body = "", 2  # what a clause reads is in locals already
     members = range(len(ops))
     node.line(f"{''.join(f'rows{i}, ' for i in members)}= runs = ({'[], ' * len(ops)})")
     node.line(f"{''.join(f'emit{i}, ' for i in members)}= {''.join(f'rows{i}.append, ' for i in members)}")

@@ -278,6 +278,12 @@ class MetricsRegistry:
         for key in sorted(self._series):
             yield self._series[key]
 
+    def counter_values(self) -> Dict[Tuple[str, LabelItems], int]:
+        """Every counter's value by ``(name, labels)``, in registration
+        order: a snapshot to take differences of, without :meth:`series`'s
+        sort."""
+        return {key: series.value for key, series in self._series.items() if series.kind == "counter"}
+
     def names(self) -> List[str]:
         return sorted(self._types)
 

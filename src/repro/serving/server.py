@@ -85,8 +85,9 @@ from repro.serving.faults import (
 )
 from repro.serving.journal import split_log
 from repro.serving.sharing import (
+    ReplaySeries,
     Run,
-    SeriesKey,
+    Shape,
     ShareSignature,
     capture_feed,
     replay_feed,
@@ -101,6 +102,12 @@ from repro.streams.records import Record
 DRAIN_EXIT_CODE = 3
 
 _SCANS_KEPT = 8  # leader sets whose scans are kept; a ninth starts afresh
+
+_SERVING_HELP = {
+    "serving_records_total": "records offered to the serving engine",
+    "serving_shared_replays_total": "follower feeds satisfied by shared-prefix replay",
+    "serving_scans_total": "batches scanned once for all leaders",
+}
 
 
 class UnknownQueryError(ExecutionError):
@@ -142,8 +149,11 @@ class ServedQuery:
     registered_at: int
     unregistered_at: Optional[int] = None
     breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
-    #: the series a replay transplants into, resolved once (``replay_feed``)
-    series: Dict[SeriesKey, Counter] = field(default_factory=dict, compare=False, repr=False)
+    #: as a follower, by each leader's node, the last shape replayed from it
+    #: and this instance's counters for it (``replay_feed``)
+    series: ReplaySeries = field(default_factory=dict, compare=False, repr=False)
+    #: as a leader, the shape of its last capture; an equal next one is this object
+    shape: Shape = field(default=(), compare=False, repr=False)
 
     @property
     def active(self) -> bool:
@@ -230,6 +240,8 @@ class StandingQueryEngine:
         #: the scans written, by the leaders' low-level nodes they stand in for
         self._scans: Dict[Tuple[Any, ...], Callable[..., Any]] = {}
         self._offered: Dict[str, int] = {}  # records offered, per tenant
+        #: the per-batch counters, by ``(name, stream, outcome)`` (:meth:`_counter`)
+        self._series: Dict[Tuple[str, Optional[str], Optional[str]], Counter] = {}
         self._next_id = 0
         self._closed = False
         self.draining = False  # graceful drain in progress
@@ -429,8 +441,9 @@ class StandingQueryEngine:
                     if followers:
                         capture = capture_feed(
                             leader.instance, leader.low_name, leader.high_name,
-                            batch, run,
+                            batch, run, leader.shape,
                         )
+                        leader.shape = capture.shape
                     elif run is None:
                         leader.instance.feed(batch)
                     else:
@@ -452,16 +465,20 @@ class StandingQueryEngine:
                         self._record_success(sq)
                         replayed += 1
                 if replayed:
-                    self.metrics.counter(
-                        "serving_shared_replays_total",
-                        help="follower feeds satisfied by shared-prefix replay",
-                    ).inc(replayed)
+                    self._counter("serving_shared_replays_total").inc(replayed)
                 break
-        self.metrics.counter(
-            "serving_records_total",
-            help="records offered to the serving engine",
-        ).inc(n)
+        self._counter("serving_records_total").inc(n)
         return n
+
+    def _counter(self, name: str, stream: Optional[str] = None, outcome: Optional[str] = None) -> Counter:
+        """One of the per-batch engine counters, resolved once per label set
+        (``serving_scans_total`` is labelled by stream and outcome)."""
+        key = (name, stream, outcome)
+        series = self._series.get(key)
+        if series is None:
+            labels = {} if stream is None else {"stream": stream, "outcome": outcome}
+            series = self._series[key] = self.metrics.counter(name, help=_SERVING_HELP[name], **labels)
+        return series
 
     def _scan(self, batch: Sequence[Record], leaders: List[ServedQuery]) -> Dict[str, Run]:
         """Each scannable leader's :data:`~repro.serving.sharing.Run` of
@@ -493,9 +510,7 @@ class StandingQueryEngine:
         if profile:
             self.metrics.histogram("serving_scan_seconds", help="wall time per scan",
                                    stream=stream).observe(perf_counter() - started)
-        outcome = "discarded" if rows is None else "taken"
-        self.metrics.counter("serving_scans_total", help="batches scanned once for all leaders",
-                             stream=stream, outcome=outcome).inc()
+        self._counter("serving_scans_total", stream, "discarded" if rows is None else "taken").inc()
         return {sq.qid: (run, calls)
                 for (sq, _), run, calls in zip(members, rows or (), contexts)}
 

@@ -38,19 +38,21 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Collection, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.dataflow import build_plan_graph
 from repro.dsms.expr import EvalContext, ScalarCall, find_nodes
 from repro.dsms.node import take
 from repro.dsms.parser.planner import QueryPlan, partition_info
-from repro.obs.metrics import Counter
+from repro.errors import ReproError
+from repro.obs.metrics import Counter, LabelItems
 from repro.streams.records import Record
 
-#: (metric name, sorted label items, counter delta)
-MetricDelta = Tuple[str, Tuple[Tuple[str, str], ...], int]
-#: (leader's low-level node, metric name, sorted label items)
-SeriesKey = Tuple[str, str, Tuple[Tuple[str, str], ...]]
+#: the counters one captured feed moved, each as (metric name, sorted label items)
+Shape = Tuple[Tuple[str, LabelItems], ...]
+#: a follower's replay cache, by the leader's low-level node: the last shape
+#: replayed from it and the follower's own counters for that shape
+ReplaySeries = Dict[str, Tuple[Shape, List[Counter]]]
 
 
 @dataclass(frozen=True)
@@ -170,17 +172,13 @@ class BatchCapture:
     low_name: str
     #: the run the low-level node emitted, as its entry returned it
     outputs: Collection[Record]
-    metric_deltas: List[MetricDelta]
-    helps: Dict[str, str]
+    #: the counters the prefix moved, interned: the leader's last shape when equal
+    shape: Shape
+    #: what each counter of ``shape`` moved by, in its order; none negative
+    deltas: List[int]
+    #: the leader's help text of a metric, for a follower resolving a new shape
+    help_text: Callable[[str], Optional[str]]
     cost_deltas: Dict[str, int]
-
-
-def _counter_values(metrics: Any) -> Dict[Tuple[str, tuple], int]:
-    out: Dict[Tuple[str, tuple], int] = {}
-    for series in metrics.series():
-        if series.kind == "counter":
-            out[(series.name, series.labels)] = series.value
-    return out
 
 
 #: one member's share of a scan (``repro.dsms.node.emit_scan``): the
@@ -223,7 +221,7 @@ def taking(
 
 def capture_feed(
     gs: Any, low_name: str, high_name: Optional[str], batch: Sequence[Record],
-    run: Optional[Run] = None,
+    run: Optional[Run] = None, last: Shape = (),
 ) -> BatchCapture:
     """Feed ``batch`` to the canonical instance, capturing prefix effects.
 
@@ -231,17 +229,23 @@ def capture_feed(
     duration of the feed, then restored as it was, to keep the run it
     returns — a record list, or on the columnar engine a batch, which
     followers take as it is — and to take ``run``, the node's share of a
-    scan, when there is one;
-    metric and cost deltas are taken by snapshot difference.  Deltas
-    attributable to the canonical query's own *high-level* operator are
-    excluded (each follower regenerates those natively via
-    :func:`replay_feed`), as is the SPLIT-edge copy accounting
-    (``query_forwarded_total`` and its ``tuple_copy`` cycles), which the
-    follower's own runtime performs because followers differ in whether
-    a downstream operator exists.
+    scan, when there is one.  Counter deltas are the difference of two
+    reads of the registry (:meth:`~repro.obs.metrics.MetricsRegistry.counter_values`),
+    cost deltas of two reads of the accounts.  Deltas attributable to the
+    canonical query's own *high-level* operator are excluded (each
+    follower regenerates those natively via :func:`replay_feed`), as is
+    the SPLIT-edge copy accounting (``query_forwarded_total`` and its
+    ``tuple_copy`` cycles), which the follower's own runtime performs
+    because followers differ in whether a downstream operator exists.
+
+    The non-zero counter deltas are a :data:`Shape` — their series, in
+    registration order — and the deltas, checked here, once for every
+    follower, never to be negative (a counter does not decrease).  A shape
+    equal to ``last``, the leader's previous one, is returned as ``last``
+    itself, so a follower tells a same-shape batch by identity.
     """
     low = gs.query(low_name)
-    metrics_before = _counter_values(gs.metrics)
+    metrics_before = gs.metrics.counter_values()
     cost_before = gs.cost.accounts() if gs.cost.enabled else {}
     forwarded_before = low.forwarded
 
@@ -250,22 +254,22 @@ def capture_feed(
         gs.feed(batch)
 
     forwarded = low.forwarded - forwarded_before
-    metric_deltas: List[MetricDelta] = []
-    helps: Dict[str, str] = {}
-    for key, value in _counter_values(gs.metrics).items():
+    shape: List[Tuple[str, LabelItems]] = []
+    deltas: List[int] = []
+    for key, value in gs.metrics.counter_values().items():
         delta = value - metrics_before.get(key, 0)
         if not delta:
             continue
         name, labels = key
-        have = dict(labels)
-        if high_name is not None and have.get("query") == high_name:
+        query = dict(labels).get("query")
+        if high_name is not None and query == high_name:
             continue
-        if name == "query_forwarded_total" and have.get("query") == low_name:
+        if name == "query_forwarded_total" and query == low_name:
             continue
-        metric_deltas.append((name, labels, delta))
-        help_text = gs.metrics.help_text(name)
-        if help_text is not None:
-            helps[name] = help_text
+        if delta < 0:
+            raise ReproError(f"counter {name} cannot decrease (by={delta})")
+        shape.append(key)
+        deltas.append(delta)
 
     cost_deltas: Dict[str, int] = {}
     if gs.cost.enabled:
@@ -278,39 +282,48 @@ def capture_feed(
             if delta:
                 cost_deltas[account] = delta
 
+    interned = tuple(shape)
     return BatchCapture(
         low_name=low_name,
         outputs=runs[0] if runs else [],
-        metric_deltas=metric_deltas,
-        helps=helps,
+        shape=last if interned == last else interned,
+        deltas=deltas,
+        help_text=gs.metrics.help_text,
         cost_deltas=cost_deltas,
     )
 
 
-def replay_feed(
-    gs: Any, low_name: str, capture: BatchCapture, series: Dict[SeriesKey, Counter]
-) -> None:
+def replay_feed(gs: Any, low_name: str, capture: BatchCapture, series: ReplaySeries) -> None:
     """Re-enact one captured feed on a follower instance.
 
-    Transplants the shared-prefix deltas (relabelled from the canonical
-    node's name to the follower's), then emits the captured run from
-    the follower's low-level node: the runtime retains it, performs the
-    follower's own SPLIT-edge copy and dispatches it to the high-level
-    operator as if that node had produced it.  Under ``profile`` the
-    transplant is the low-level node's ``operator_seconds`` sample,
-    ``phase="replay"``.  ``series`` holds the follower's counters by
-    (leader's node, metric, labels): each is looked up once (a restore
-    mutates series in place).
+    Adds the shared-prefix deltas to the follower's counters, then emits
+    the captured run from the follower's low-level node: the runtime
+    retains it, performs the follower's own SPLIT-edge copy and
+    dispatches it to the high-level operator as if that node had produced
+    it.  Under ``profile`` the transplant is the low-level node's
+    ``operator_seconds`` sample, ``phase="replay"``.
+
+    ``series`` is the follower's cache, by the leader's node: the last
+    shape replayed from it and the follower's counters for that shape,
+    each series relabelled from the leader's node name to the follower's.
+    A batch of the same shape (the same object: :func:`capture_feed`
+    interns it) only adds; a new shape — a zero delta dropped, another
+    leader after a failover, a restored leader — resolves its counters
+    once.  A restore mutates series in place, so a held counter stays
+    the follower's.
     """
     started = perf_counter() if gs.profile else 0.0
-    for name, labels, delta in capture.metric_deltas:
-        key = (capture.low_name, name, labels)
-        if key not in series:
+    held = series.get(capture.low_name)
+    if held is None or held[0] is not capture.shape:
+        counters = []
+        for name, labels in capture.shape:
             relabelled = dict(labels)
             if relabelled.get("query") == capture.low_name:
                 relabelled["query"] = low_name
-            series[key] = gs.metrics.counter(name, help=capture.helps.get(name), **relabelled)
-        series[key].inc(delta)
+            counters.append(gs.metrics.counter(name, help=capture.help_text(name), **relabelled))
+        held = series[capture.low_name] = (capture.shape, counters)
+    for counter, delta in zip(held[1], capture.deltas):
+        counter.value += delta
     if gs.cost.enabled and capture.cost_deltas:
         gs.cost.absorb({
             (low_name if account == capture.low_name else account): cycles

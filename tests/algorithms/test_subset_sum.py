@@ -140,6 +140,36 @@ class TestSolveThreshold:
         with pytest.raises(ReproError):
             solve_threshold([1.0], 0)
 
+    @staticmethod
+    def by_loop(weights, target, z_min=0.0):
+        """The solver as an explicit suffix-sum loop: the reference the
+        accumulated form must equal bit for bit (the same additions in
+        the same order)."""
+        n = len(weights)
+        if n <= target:
+            return max(z_min, 0.0)
+        ordered = sorted(weights, reverse=True)
+        suffix = [0.0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            suffix[i] = suffix[i + 1] + ordered[i]
+        for k in range(0, target):
+            z = suffix[k] / (target - k)
+            upper = ordered[k - 1] if k > 0 else float("inf")
+            if ordered[k] <= z < upper:
+                return max(z, z_min)
+        return max(suffix[0] / target, z_min)
+
+    def test_equals_the_suffix_loop_bit_for_bit(self):
+        rng = random.Random(11)
+        for i in range(3000):
+            n = rng.randint(1, 400)
+            draw = (lambda: rng.uniform(0, 1500), lambda: rng.randint(40, 1500),
+                    lambda: 40 * rng.paretovariate(1.2))[i % 3]
+            weights = [draw() for _ in range(n)]
+            target, z_min = rng.randint(1, n), rng.choice([0.0, rng.uniform(0, 500)])
+            expected = self.by_loop(weights, target, z_min)
+            assert repr(solve_threshold(weights, target, z_min)) == repr(expected)
+
     @given(
         st.lists(st.floats(1, 10_000), min_size=1, max_size=300),
         st.integers(1, 50),

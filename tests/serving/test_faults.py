@@ -24,6 +24,7 @@ from repro.serving.faults import (
 from repro.dsms.durability import ResultJournal
 from repro.obs.tracing import TraceSink
 from repro.serving.server import StandingQueryEngine, drive, resume_serving
+from repro.streams.records import Record
 
 from tests.dsms.test_durability import _Boom, crash_on_commit
 from tests.serving.conftest import BATCH, make_instance, served_state, solo_state
@@ -409,11 +410,72 @@ class TestOneFeedPath:
 
 
 class TestReplaySeries:
-    """A follower resolves each series its replay transplants into on
-    its first batch, keyed by the leader's node (``ServedQuery.series``),
-    and afterwards only increments them."""
+    """A follower resolves the counters its replay adds to once per shape
+    of its leader's deltas, keyed by the leader's node
+    (``ServedQuery.series``), and while the shape holds only adds to
+    them; a new shape — a delta that was zero, another leader — resolves
+    again, and the follower still counts what it would alone."""
 
     TEXTS = HEALTHY_AGGS[:3] + HEALTHY_SELECTIONS[:1] * 3
+
+    def test_a_shape_that_gains_a_delta_is_resolved_again(self, records):
+        """No record of the first batch is filtered, so its capture drops
+        the zero ``operator_tuples_filtered_total`` delta; the next batch
+        filters, and its shape holds one series more."""
+        text = HEALTHY_SELECTIONS[0]
+        len_at = records[0].schema.index_of("len")
+        first = [Record(r.schema, [*r.values[:len_at], 1500, *r.values[len_at + 1:]])
+                 for r in records[:BATCH]]
+        fed = first + records[BATCH:]
+        engine = StandingQueryEngine(make_instance)
+        leader, *followers = [engine.register(text, name="q") for _ in range(3)]
+        shapes = []
+        for start in range(0, len(fed), BATCH):
+            engine.feed(fed[start : start + BATCH])
+            shapes.append({name for name, _ in leader.shape})
+        assert "operator_tuples_filtered_total" not in shapes[0]
+        assert "operator_tuples_filtered_total" in shapes[1]
+        engine.finish()
+        for sq in [leader, *followers]:
+            assert served_state(sq) == solo_state(text, fed), sq.qid
+
+    def test_a_failover_between_batches_is_resolved_again(self, records):
+        """The poisoned leader fails once ``time`` reaches
+        ``POISON_AFTER``; the next member leads under the same node name,
+        and its shape, another object, resolves each follower's counters
+        again."""
+        engine = StandingQueryEngine(
+            poison_factory, breaker=BreakerConfig(failure_threshold=2, cooldown_batches=3),
+        )
+        engine.register(POISON_SHARED, name="q")
+        healthy = [(text, engine.register(text, name="q")) for text in HEALTHY_AGGS[:3]]
+        feed_all(engine, records)
+        engine.finish()
+        assert engine.metrics.value("serving_leader_failovers_total") > 0
+        assert engine.metrics.value("serving_shared_replays_total") > 0
+        for text, sq in healthy:
+            assert served_state(sq) == solo_state(text, records), sq.qid
+
+    def test_a_counter_that_went_down_fails_its_leader(self, records):
+        """A capture checks that no counter decreased, once for every
+        follower: a leader whose counter went down fails its feed, the
+        next member leads, and no follower is handed a negative delta."""
+        text = HEALTHY_SELECTIONS[0]
+        engine = StandingQueryEngine(make_instance)
+        leader, *followers = [engine.register(text, name="q") for _ in range(3)]
+        feed, counted = leader.instance.feed, leader.instance.metrics.counter
+
+        def shrinking(batch):
+            feed(batch)
+            counted("stream_records_total", stream="TCP").value -= 2 * len(batch)
+
+        leader.instance.feed = shrinking
+        feed_all(engine, records)
+        engine.finish()
+        assert {e.role for e in engine.dead_letters.entries} == {"leader"}
+        assert "cannot decrease" in leader.breaker.last_error
+        for sq in followers:
+            assert served_state(sq) == solo_state(text, records), sq.qid
 
     def test_a_replay_resolves_no_series_after_the_first_batch(
         self, tmp_path, records, monkeypatch
