@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Distinct sampling: how many distinct sources, and how rare are they?
 
-Runs Gibbons distinct sampling (the paper's reference [19]) twice —
-standalone and as a query hosted by the generic sampling operator — and
-uses the sample to estimate (a) the number of distinct source addresses
-per window and (b) the fraction of sources that sent a single packet,
-cross-checked against exact values.
+Runs Gibbons distinct sampling (the paper's reference [19]) as a query
+hosted by the generic sampling operator, and uses the sample to estimate
+(a) the number of distinct source addresses per window and (b) the
+fraction of sources that sent a single packet, cross-checked against
+exact values.  The sample itself is checked against its definition: the
+distinct sources whose hash falls below ``2^-level``.
 
 Run:  python examples/distinct_count_report.py
 """
@@ -13,11 +14,8 @@ Run:  python examples/distinct_count_report.py
 from collections import Counter
 
 from repro import Gigascope, TCP_SCHEMA, TraceConfig, research_center_feed
-from repro.algorithms import (
-    DISTINCT_SAMPLING_QUERY,
-    DistinctSampler,
-    distinct_sampling_library,
-)
+from repro.algorithms import DISTINCT_SAMPLING_QUERY, distinct_sampling_library
+from repro.dsms.functions import hash_to_unit
 
 WINDOW = 60
 CAPACITY = 64
@@ -50,16 +48,11 @@ def main() -> None:
     print(f"  distinct sources   : est {estimate:.0f}  vs true {true_distinct}")
     print(f"  rarity (singletons): est {rarity:.2f}  vs true {true_rarity:.2f}")
 
-    # --- standalone cross-check --------------------------------------------------
-    sampler = DistinctSampler(capacity=CAPACITY)
-    sampler.extend(r["srcIP"] for r in trace)
-    print("\nStandalone DistinctSampler:")
-    print(f"  sample size        : {sampler.sample_size} (level {sampler.level})")
-    print(f"  distinct estimate  : {sampler.distinct_estimate():.0f}")
-    print(f"  rarity estimate    : {sampler.rarity_estimate():.2f}")
-    operator_sample = {row['srcIP'] for row in handle.results}
-    assert operator_sample == set(sampler.sample()), "the two must agree exactly"
-    print("  (operator and standalone samples are identical)")
+    # --- the exact answer: the hash-prefix rule ---------------------------------
+    expected = {src for src in truth if hash_to_unit(src) < 2.0 ** -level}
+    operator_sample = {row["srcIP"] for row in handle.results}
+    assert operator_sample == expected, "the sample must be the hash prefix"
+    print(f"  (the sample is exactly the {len(expected)} sources hashing below 2^-{level})")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Heavy hitters: the top traffic sources per minute, two ways.
+"""Heavy hitters: the top traffic sources per minute.
 
-1. Inside the DSMS, with the paper's §6.6 heavy-hitters query: the
-   Manku–Motwani pruning rule expressed as a CLEANING clause of the
-   generic sampling operator.
-2. Standalone, with the exact LossyCounting class, to cross-check both
-   the survivors and the ε-guarantees.
+The paper's §6.6 heavy-hitters query runs inside the DSMS: the
+Manku–Motwani pruning rule expressed as a CLEANING clause of the generic
+sampling operator.  Its answer is then checked against the exact
+per-source counts of the trace, for lossy counting's two guarantees: no
+source above the support threshold is missed, and no count falls short
+by more than the number of buckets (εN).
 
 Run:  python examples/heavy_hitters_report.py
 """
@@ -13,7 +14,7 @@ Run:  python examples/heavy_hitters_report.py
 from collections import Counter, defaultdict
 
 from repro import Gigascope, TCP_SCHEMA, TraceConfig, research_center_feed
-from repro.algorithms import HEAVY_HITTERS_QUERY, LossyCounting, heavy_hitters_library
+from repro.algorithms import HEAVY_HITTERS_QUERY, heavy_hitters_library
 from repro.dsms.functions import _ip_str as ip_str
 
 WINDOW = 60
@@ -46,33 +47,33 @@ def main() -> None:
                 f"    {ip_str(src):>15}  packets≈{packets:<6} bytes≈{total_bytes:,}"
             )
 
-    # --- standalone cross-check ----------------------------------------------
+    # --- the exact answer: per-source counts of window 0 ---------------------
     window0 = [r for r in trace if r["time"] // WINDOW == 0]
-    lossy = LossyCounting(epsilon=1.0 / BUCKET)
-    lossy.extend(r["srcIP"] for r in window0)
     truth = Counter(r["srcIP"] for r in window0)
+    reported = {row["srcIP"]: row[3] for row in query.results if row["tb"] == 0}
+    n = len(window0)
+    buckets = n // BUCKET + 1
 
     support = 0.02
-    hitters = lossy.query(support)
     print(
-        f"\nStandalone LossyCounting, window 0, support {support:.0%}:"
-        f" {len(hitters)} hitters, {lossy.entry_count} entries tracked"
-        f" (space bound {lossy.space_bound():.0f})"
+        f"\nExact counts, window 0, support {support:.0%}:"
+        f" {len(reported)} sources kept of {len(truth)} seen"
     )
-    for hitter in hitters[:5]:
-        true_count = truth[hitter.element]
+    for src, estimate in sorted(reported.items(), key=lambda kv: -kv[1])[:5]:
+        true_count = truth[src]
         print(
-            f"    {ip_str(hitter.element):>15}  est={hitter.estimated_frequency:<6}"
-            f" true={true_count:<6} undercount={true_count - hitter.estimated_frequency}"
+            f"    {ip_str(src):>15}  est={estimate:<6}"
+            f" true={true_count:<6} undercount={true_count - estimate}"
         )
+    # No count exceeds the truth or falls short of it by more than εN.
+    assert all(0 <= truth[src] - est <= buckets for src, est in reported.items())
     # The no-false-negative guarantee: every source above support*N shows up.
-    n = len(window0)
     missing = [
         src for src, count in truth.items()
-        if count >= support * n
-        and src not in {h.element for h in hitters}
+        if count >= support * n and src not in reported
     ]
-    print(f"    sources above support missed by the sketch: {len(missing)} (must be 0)")
+    assert not missing, missing
+    print(f"    sources above support missed by the query: {len(missing)} (must be 0)")
 
 
 if __name__ == "__main__":

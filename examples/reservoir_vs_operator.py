@@ -1,76 +1,71 @@
 #!/usr/bin/env python
-"""Reservoir sampling: Vitter's algorithms vs the operator formulation.
+"""Reservoir sampling: what the operator formulation keeps, against the stream.
 
-Compares three ways of drawing 100 uniform samples per window:
+The paper's §6.6 reservoir query draws 100 uniform samples per window
+inside the generic sampling operator: Vitter's skip generation admits
+buffered candidates, and CLEANING phases (tolerance T) replay them as the
+reservoir replacements Algorithm X would have made, so the survivors are
+a uniform reservoir sample.
 
-* Algorithm R (textbook reservoir) and Algorithm X (skip generation) from
-  the standalone library;
-* the paper's §6.6 operator query — buffered candidates with CLEANING
-  phases (tolerance T), i.e. how the generic sampling operator hosts the
-  algorithm.
-
-The report shows the work saved by skip generation and checks sample
-uniformity (the mean of sampled positions should sit near the middle of
-the stream).
+The report checks each window's sample against what a uniform sample of
+n from the window's N packets must be: exactly n distinct packets of that
+window, with a mean arrival position near the window's middle.  It also
+shows the work skip generation saves: candidates admitted against
+packets seen.
 
 Run:  python examples/reservoir_vs_operator.py
 """
 
-import random
 import statistics
+from collections import defaultdict
 
 from repro import Gigascope, TCP_SCHEMA, TraceConfig, research_center_feed
-from repro.algorithms import (
-    RESERVOIR_QUERY,
-    ReservoirSampler,
-    SkipReservoirSampler,
-    reservoir_library,
-)
+from repro.algorithms import RESERVOIR_QUERY, reservoir_library
 
 N = 100
-STREAM = 50_000
+WINDOW = 30
 
 
 def main() -> None:
-    rng = random.Random(7)
+    config = TraceConfig(duration_seconds=90, rate_scale=0.02)
+    trace = list(research_center_feed(config))
 
-    # --- standalone: R vs X -----------------------------------------------------
-    algo_r = ReservoirSampler(N, random.Random(1))
-    algo_x = SkipReservoirSampler(N, random.Random(2))
-    r_touches = 0
-    for position in range(STREAM):
-        if algo_r.offer(position):
-            r_touches += 1
-        algo_x.offer(position)
-    print(f"Stream of {STREAM:,} items, reservoir of {N}:")
-    print(f"  Algorithm R replacements: {r_touches:,}")
-    print(
-        f"  Algorithm R sample mean position: {statistics.mean(algo_r.sample()):,.0f}"
-        f" (uniform => ~{STREAM // 2:,})"
-    )
-    print(
-        f"  Algorithm X sample mean position: {statistics.mean(algo_x.sample()):,.0f}"
-    )
-
-    # --- the operator query -------------------------------------------------------
     gs = Gigascope()
     gs.register_stream(TCP_SCHEMA)
     gs.use_stateful_library(reservoir_library(tolerance=15))
-    query = gs.add_query(RESERVOIR_QUERY.format(window=30, target=N), name="rs")
-    config = TraceConfig(duration_seconds=90, rate_scale=0.02)
-    gs.run(research_center_feed(config))
+    # The paper's query, selecting each sample's arrival stamp (uts).
+    query = RESERVOIR_QUERY.replace("SELECT tb, srcIP, destIP", "SELECT tb, uts")
+    handle = gs.add_query(query.format(window=WINDOW, target=N), name="rs")
+    gs.run(iter(trace))
 
-    per_window = {}
-    for row in query.results:
-        per_window.setdefault(row["tb"], 0)
-        per_window[row["tb"]] += 1
-    print("\nOperator query (paper §6.6): samples per 30s window")
-    for window, count in sorted(per_window.items()):
-        stats = query.operator.window_stats[window]
+    # --- the exact answer: each window's packets, in arrival order ------------
+    position = {}
+    seen = defaultdict(int)
+    for record in trace:
+        window = record["time"] // WINDOW
+        position[record["uts"]] = (window, seen[window])
+        seen[window] += 1
+
+    sampled = defaultdict(list)
+    for row in handle.results:
+        window, index = position[row["uts"]]
+        assert window == row["tb"], "a sample must come from its own window"
+        sampled[window].append(index)
+
+    print(f"Operator query (paper §6.6): {N} samples per {WINDOW}s window")
+    for window in sorted(seen):
+        indices = sampled[window]
+        assert len(set(indices)) == len(indices) == min(N, seen[window])
+        stats = handle.operator.window_stats[window]
         print(
-            f"  window {window}: final={count:>4}"
+            f"  window {window}: packets={seen[window]:>5}"
             f"  candidates admitted={stats.tuples_admitted:>5}"
             f"  cleanings={stats.cleaning_phases}"
+            f"  final={len(indices)}"
+        )
+        print(
+            f"    sample mean position {statistics.mean(indices):,.0f}"
+            f" (uniform => ~{(seen[window] - 1) / 2:,.0f})"
         )
 
 

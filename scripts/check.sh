@@ -73,8 +73,8 @@ fi
 if python -c "import pytest_cov" >/dev/null 2>&1; then
     # Floor: measured - 2, ratcheted as the suite grows; lowering it
     # needs a written justification in the PR.  Measured here is the
-    # line census (scripts/line_census.py, docs/UNREACHED.txt): 930 of
-    # 13 227 executable lines unreached, 93.0% reached.  coverage.py
+    # line census (scripts/line_census.py, docs/UNREACHED.txt): 795 of
+    # 11 945 executable lines unreached, 93.3% reached.  coverage.py
     # counts statements, not lines, and its own figure is not recorded
     # yet, so the floor sits 5 points under the census instead of 2.
     pytest_args+=(--cov=repro --cov-report=term --cov-report=xml --cov-fail-under=88)

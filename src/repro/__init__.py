@@ -12,9 +12,9 @@ The package provides, from the bottom up:
 * :mod:`repro.core` — the paper's contribution: the generic stream
   sampling operator with groups, supergroups and superaggregates;
 * :mod:`repro.algorithms` — reservoir sampling, Manku–Motwani heavy
-  hitters, min-hash/KMV, subset-sum sampling (basic / dynamic / relaxed)
-  and Greenwald–Khanna quantiles, each as a standalone class and (where
-  applicable) as an SFUN pack runnable inside the operator;
+  hitters, min-hash/KMV, subset-sum (basic / dynamic / relaxed) and
+  distinct sampling, each once, as the SFUN pack its query runs inside
+  the operator, plus the baselines the evaluation compares against;
 * :mod:`repro.bench` — the harness regenerating every figure of the
   paper's §7 evaluation; ``python -m repro`` runs it all and checks the
   paper's claims against it.

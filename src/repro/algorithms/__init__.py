@@ -1,27 +1,22 @@
 """Stream sampling algorithms (paper §4) and their operator bindings.
 
-Each algorithm exists in two forms:
+Each sampler the operator hosts has one implementation: its **SFUN pack**
+in :mod:`repro.algorithms.bindings` — a
+:class:`~repro.dsms.stateful.StatefulLibrary` exposing the stateful
+functions (``ssample``, ``rsample``, ``local_count``...) that the §6.6
+example queries call, so the algorithm runs inside the generic sampling
+operator.  The min-hash query needs no pack: it is superaggregates only.
 
-* a **standalone** library class, usable without the DSMS — these are the
-  reference implementations the property tests exercise directly;
-* an **SFUN pack** in :mod:`repro.algorithms.bindings` — a
-  :class:`~repro.dsms.stateful.StatefulLibrary` exposing the stateful
-  functions (``ssample``, ``rsample``, ``local_count``...) that the §6.6
-  example queries call, so the same algorithm runs inside the generic
-  sampling operator.
+The rest are the baselines and tools the evaluation compares against:
+uniform (:mod:`~repro.algorithms.uniform`) and priority
+(:mod:`~repro.algorithms.priority`) sampling, the §8 flow-sampling
+contrast (:mod:`~repro.algorithms.flow_sampling`), the estimator kit
+(:mod:`~repro.algorithms.estimators`) and the subset-sum re-threshold
+rules (:mod:`~repro.algorithms.subset_sum`).
 """
 
-from repro.algorithms.reservoir import (
-    ReservoirSampler,
-    SkipReservoirSampler,
-    ConstantTimeSkipReservoirSampler,
-    BufferedReservoirSampler,
-    WeightedReservoirSampler,
-)
-from repro.algorithms.uniform import BernoulliSampler, DropSampler, EveryKthSampler
+from repro.algorithms.uniform import BernoulliSampler, DropSampler
 from repro.algorithms.priority import PrioritySample, PrioritySampler
-from repro.algorithms.concise import ConciseSampler
-from repro.algorithms.sticky import StickySampling
 from repro.algorithms.estimators import (
     EstimatorReport,
     replicate,
@@ -29,24 +24,13 @@ from repro.algorithms.estimators import (
     bernoulli_variance,
     subset_sum_variance_gap,
 )
-from repro.algorithms.heavy_hitters import LossyCounting, HeavyHitter
-from repro.algorithms.minhash import MinHashSignature, KMVSketch, estimate_resemblance
-from repro.algorithms.subset_sum import (
-    ThresholdSampler,
-    DynamicSubsetSumSampler,
-    adjust_threshold,
-    solve_threshold,
-    estimate_sum,
-)
-from repro.algorithms.quantiles import GKQuantileSummary
+from repro.algorithms.subset_sum import adjust_threshold, solve_threshold
 from repro.algorithms.flow_sampling import (
     FlowEntry,
     NaiveFlowAggregator,
     SampledFlowAggregator,
     flow_key,
 )
-from repro.algorithms.distinct import DistinctSampler
-from repro.algorithms.sample_hold import HeldFlow, SampleAndHold
 from repro.algorithms.bindings import (
     subset_sum_library,
     basic_subset_sum_library,
@@ -64,41 +48,21 @@ from repro.algorithms.bindings import (
 )
 
 __all__ = [
-    "ReservoirSampler",
-    "SkipReservoirSampler",
-    "ConstantTimeSkipReservoirSampler",
-    "BufferedReservoirSampler",
-    "WeightedReservoirSampler",
     "BernoulliSampler",
     "DropSampler",
-    "EveryKthSampler",
     "PrioritySample",
     "PrioritySampler",
-    "ConciseSampler",
-    "StickySampling",
     "EstimatorReport",
     "replicate",
     "threshold_variance_bound",
     "bernoulli_variance",
     "subset_sum_variance_gap",
-    "LossyCounting",
-    "HeavyHitter",
-    "MinHashSignature",
-    "KMVSketch",
-    "estimate_resemblance",
-    "ThresholdSampler",
-    "DynamicSubsetSumSampler",
     "adjust_threshold",
     "solve_threshold",
-    "estimate_sum",
-    "GKQuantileSummary",
     "FlowEntry",
     "NaiveFlowAggregator",
     "SampledFlowAggregator",
     "flow_key",
-    "DistinctSampler",
-    "HeldFlow",
-    "SampleAndHold",
     "distinct_sampling_library",
     "DISTINCT_SAMPLING_QUERY",
     "subset_sum_library",

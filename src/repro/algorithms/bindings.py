@@ -51,6 +51,12 @@ def subset_sum_library(
     closed-form rule, which can overshoot when B ≈ M — see
     :func:`repro.algorithms.subset_sum.solve_threshold`).
     """
+    if z_init <= 0:
+        raise ReproError("z_init must be positive")
+    if gamma <= 1.0:
+        raise ReproError("gamma must exceed 1 (cleaning needs headroom)")
+    if relax_factor < 1.0:
+        raise ReproError("relax_factor must be >= 1 (1 = non-relaxed)")
     if adjustment not in ("solve", "aggressive"):
         raise ReproError("adjustment must be 'solve' or 'aggressive'")
     library = StatefulLibrary()
@@ -304,8 +310,12 @@ def reservoir_library(
     have performed eagerly — candidate i > n overwrites a uniformly
     random slot — so the surviving n groups are an exactly uniform
     reservoir sample.  The operator visits groups in insertion (arrival)
-    order, which is what makes the replay valid.
+    order, which is what makes the replay valid.  ``tolerance`` is the
+    paper's T (10 < T < 40): it trades buffer memory against cleaning
+    frequency, and must exceed 1.
     """
+    if tolerance <= 1:
+        raise ReproError("tolerance T must exceed 1 (paper: 10 < T < 40)")
     library = StatefulLibrary()
     state_name = "reservoir_sampling_state"
 
@@ -375,6 +385,9 @@ def reservoir_library(
     @library.sfun("rsample", state=state_name)
     def rsample(state: ReservoirState, n: int) -> bool:
         if state.n is None:
+            # draw_skip never ends for n < 1: refuse once per state.
+            if int(n) < 1:
+                raise ReproError("reservoir size n must be positive")
             state.n = int(n)
         state.t += 1
         if state.t <= state.n:
@@ -434,6 +447,8 @@ def heavy_hitters_library(
     """SFUNs ``local_count`` and ``current_bucket`` for the Manku–Motwani
     query.  ``local_count(N)`` counts tuples and fires every N-th call;
     ``current_bucket()`` reads the current bucket id without counting."""
+    if bucket_width < 1:
+        raise ReproError("bucket_width must be at least 1")
     library = StatefulLibrary()
     state_name = "heavy_hitters_state"
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import ReproError
 

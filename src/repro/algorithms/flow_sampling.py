@@ -28,7 +28,7 @@ weight; tests quantify both properties on the DDoS trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.streams.records import Record

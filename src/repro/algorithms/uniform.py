@@ -9,9 +9,7 @@ be compared against:
 * :class:`BernoulliSampler` — keep each tuple independently with
   probability p (STREAM's ``SAMPLE``);
 * :class:`DropSampler` — Aurora's load-shedding ``DROP``: pass 1 of
-  every k tuples deterministically (a systematic sample);
-* :class:`EveryKthSampler` is an alias of the same mechanism with
-  phase control, kept separate for query readability.
+  every k tuples deterministically (a systematic sample).
 
 Both support sum estimation by inverse-probability weighting, which the
 tests compare against subset-sum sampling to demonstrate the variance gap
@@ -22,7 +20,7 @@ subset-sum sampling at all).
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional
 
 from repro.errors import ReproError
 
@@ -85,7 +83,3 @@ class DropSampler:
     def estimate_sum(self, sampled_measures: Iterable[float]) -> float:
         return sum(sampled_measures) * self.weight()
 
-
-#: Readability alias: `EveryKthSampler(k, phase)` reads better in tests
-#: that exercise the systematic-sampling phase behaviour.
-EveryKthSampler = DropSampler

@@ -1,102 +1,17 @@
-"""Gibbons distinct sampling: standalone class and operator query."""
+"""Gibbons distinct sampling: the SFUN pack run by its operator query."""
 
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.errors import ReproError
-from repro.algorithms.distinct import DistinctSampler
 from repro.algorithms.bindings import (
     DISTINCT_SAMPLING_QUERY,
     distinct_sampling_library,
 )
+from repro.dsms.functions import hash_to_unit
 from repro.dsms.runtime import Gigascope
 from repro.streams.schema import TCP_SCHEMA
 from repro.streams.traces import TraceConfig, research_center_feed
-
-
-class TestStandalone:
-    def test_capacity_bound(self):
-        sampler = DistinctSampler(capacity=50)
-        for value in range(10_000):
-            sampler.offer(value)
-            assert sampler.sample_size <= 50
-
-    def test_level_advances_under_pressure(self):
-        sampler = DistinctSampler(capacity=50)
-        sampler.extend(range(10_000))
-        assert sampler.level >= 6  # 10000/50 = 200 -> level ~ 8
-
-    def test_no_thinning_below_capacity(self):
-        sampler = DistinctSampler(capacity=100)
-        sampler.extend(range(60))
-        assert sampler.level == 0
-        assert sampler.sample_size == 60
-
-    def test_duplicates_do_not_grow_sample(self):
-        sampler = DistinctSampler(capacity=100)
-        sampler.extend([7] * 1000)
-        assert sampler.sample_size == 1
-        assert sampler.multiplicity(7) == 1000
-
-    def test_distinct_estimate_accuracy(self):
-        sampler = DistinctSampler(capacity=256)
-        true = 20_000
-        sampler.extend(range(true))
-        assert sampler.distinct_estimate() == pytest.approx(true, rel=0.25)
-
-    def test_distinct_estimate_exact_below_capacity(self):
-        sampler = DistinctSampler(capacity=100)
-        sampler.extend(range(42))
-        assert sampler.distinct_estimate() == 42
-
-    def test_rarity(self):
-        # 1000 values appear once, 1000 appear three times.
-        stream = list(range(2000)) + list(range(1000, 2000)) * 2
-        sampler = DistinctSampler(capacity=300)
-        sampler.extend(stream)
-        assert sampler.rarity_estimate() == pytest.approx(0.5, abs=0.12)
-
-    def test_rarity_empty(self):
-        assert DistinctSampler(capacity=5).rarity_estimate() == 0.0
-
-    def test_selectivity_estimate(self):
-        sampler = DistinctSampler(capacity=400)
-        sampler.extend(range(10_000))
-        even_share = sampler.selectivity_estimate(lambda v: v % 2 == 0)
-        assert even_share == pytest.approx(0.5, abs=0.1)
-
-    def test_deterministic_for_seed(self):
-        a = DistinctSampler(capacity=64, seed=9)
-        b = DistinctSampler(capacity=64, seed=9)
-        a.extend(range(5000))
-        b.extend(range(5000))
-        assert sorted(a.sample()) == sorted(b.sample())
-
-    def test_sample_is_hash_prefix(self):
-        # The retained set must be exactly {v : h(v) < 2^-level}: a fixed
-        # random subset of the distinct values, independent of arrival.
-        sampler = DistinctSampler(capacity=64)
-        sampler.extend(range(5000))
-        threshold = sampler.threshold
-        for value in sampler.sample():
-            assert sampler._hash(value) < threshold
-        survivors = {v for v in range(5000) if sampler._hash(v) < threshold}
-        assert set(sampler.sample()) == survivors
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ReproError):
-            DistinctSampler(capacity=0)
-
-    @given(st.lists(st.integers(0, 10**6), max_size=2000))
-    @settings(max_examples=30, deadline=None)
-    def test_property_bound_and_membership(self, stream):
-        sampler = DistinctSampler(capacity=32)
-        sampler.extend(stream)
-        assert sampler.sample_size <= 32
-        assert set(sampler.sample()) <= set(stream)
 
 
 class TestOperatorQuery:
@@ -118,11 +33,15 @@ class TestOperatorQuery:
         _, handle = self.run_query(capacity=64)
         assert 0 < len(handle.results) <= 64
 
-    def test_matches_standalone(self):
+    def test_sample_is_the_hash_prefix(self):
+        # The sample is exactly {v : h(v) < 2^-level} over the distinct
+        # values seen: a fixed random subset, independent of arrival order.
         trace, handle = self.run_query(capacity=64)
-        standalone = DistinctSampler(capacity=64)
-        standalone.extend(r["srcIP"] for r in trace)
-        assert {row["srcIP"] for row in handle.results} == set(standalone.sample())
+        level = handle.results[0][3]
+        expected = {
+            r["srcIP"] for r in trace if hash_to_unit(r["srcIP"]) < 2.0 ** -level
+        }
+        assert {row["srcIP"] for row in handle.results} == expected
 
     def test_multiplicities_exact(self):
         trace, handle = self.run_query(capacity=64)

@@ -1,73 +1,28 @@
 """Statistical invariants of the sampling algorithms (fixed seeds).
 
-Three properties the paper's algorithms promise, checked empirically:
+Two properties the paper's algorithms promise, checked empirically:
 
-* Reservoir variants draw *uniform* samples: over many seeded trials the
-  per-item inclusion counts pass a chi-squared uniformity test.  With 20
-  items there are 19 degrees of freedom; the alpha = 0.001 critical
-  value is 43.82 (hardcoded — no scipy dependency).  Trials are seeded
-  0..T-1, so the statistic is deterministic and the test cannot flake.
 * Priority sampling includes each item with probability min(1, w/tau)
   and its estimator Sum max(w, tau) is unbiased for the total.
-* The fixed-threshold subset-sum sampler's credit counter gives a
-  deterministic one-sided error: actual - z <= estimate <= actual.
+* The fixed-threshold subset-sum pack (``ssbasic``, run through the
+  operator by ``BASIC_SUBSET_SUM_QUERY``) keeps its estimate within one
+  threshold of the truth: |Sum max(len, z) - Sum len| <= z, and every
+  tuple bigger than z is sampled.  The credit counter left unemitted at
+  the end is the whole difference.
+
+The reservoir pack's uniformity is checked through its query in
+``test_bindings.py`` (``TestReservoirQuery``).
 """
 
 import random
 
 import pytest
 
+from repro.algorithms.bindings import BASIC_SUBSET_SUM_QUERY, basic_subset_sum_library
 from repro.algorithms.priority import PrioritySampler
-from repro.algorithms.reservoir import (
-    ConstantTimeSkipReservoirSampler,
-    ReservoirSampler,
-    SkipReservoirSampler,
-)
-from repro.algorithms.subset_sum import ThresholdSampler
-
-# Chi-squared critical value, df = 19, alpha = 0.001.
-CHI2_CRIT_DF19 = 43.82
-
-ITEMS = 20
-RESERVOIR = 4
-TRIALS = 3000
-
-
-class TestReservoirUniformity:
-    @pytest.mark.parametrize(
-        "cls",
-        [ReservoirSampler, SkipReservoirSampler, ConstantTimeSkipReservoirSampler],
-        ids=lambda c: c.__name__,
-    )
-    def test_chi_squared_uniform_inclusion(self, cls):
-        counts = [0] * ITEMS
-        for trial in range(TRIALS):
-            sampler = cls(RESERVOIR, rng=random.Random(trial))
-            for item in range(ITEMS):
-                sampler.offer(item)
-            for item in sampler.sample():
-                counts[item] += 1
-        assert sum(counts) == TRIALS * RESERVOIR
-        expected = TRIALS * RESERVOIR / ITEMS
-        chi2 = sum((c - expected) ** 2 / expected for c in counts)
-        assert chi2 < CHI2_CRIT_DF19, (chi2, counts)
-
-    def test_skip_variants_agree_with_algorithm_r_statistically(self):
-        # Same uniformity target, so the three variants' count vectors
-        # must all be close to flat; compare their chi-squareds too.
-        stats = []
-        for cls in (ReservoirSampler, SkipReservoirSampler):
-            counts = [0] * ITEMS
-            for trial in range(TRIALS):
-                sampler = cls(RESERVOIR, rng=random.Random(10_000 + trial))
-                for item in range(ITEMS):
-                    sampler.offer(item)
-                for item in sampler.sample():
-                    counts[item] += 1
-            expected = TRIALS * RESERVOIR / ITEMS
-            stats.append(sum((c - expected) ** 2 / expected for c in counts))
-        assert all(s < CHI2_CRIT_DF19 for s in stats), stats
-
+from repro.dsms.runtime import Gigascope
+from repro.streams.records import Record
+from repro.streams.schema import TCP_SCHEMA
 
 class TestPriorityInclusion:
     WEIGHTS = [1.0] * 10 + [10.0] * 10 + [100.0] * 5 + [1000.0] * 5
@@ -116,39 +71,47 @@ class TestPriorityInclusion:
             assert included[key] == self.TRIALS
 
 
+def ssbasic(lengths, z):
+    """Feed one packet per length through BASIC_SUBSET_SUM_QUERY; return
+    the sampled ``(uts, len)`` pairs (``uts`` is the packet's position)."""
+    gs = Gigascope()
+    gs.register_stream(TCP_SCHEMA)
+    gs.use_stateful_library(basic_subset_sum_library())
+    handle = gs.add_query(BASIC_SUBSET_SUM_QUERY.format(z=z), name="basic")
+    gs.run(
+        Record(TCP_SCHEMA, (0, uts, 1, 2, length, 1024, 80, 6))
+        for uts, length in enumerate(lengths)
+    )
+    return [(row["uts"], row["len"]) for row in handle.results]
+
+
 class TestSubsetSumOneSidedError:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    @pytest.mark.parametrize("z", [40.0, 500.0, 1500.0])
+    @pytest.mark.parametrize("z", [40.0, 500.0, 1500.0, 5000.0])
     def test_credit_counter_error_bound(self, seed, z):
         rng = random.Random(seed)
-        weights = [rng.uniform(40, 1500) for _ in range(2000)]
-        sampler = ThresholdSampler(z)
-        estimate = 0.0
-        for w in weights:
-            if sampler.offer(w):
-                estimate += sampler.adjusted_weight(w)
+        weights = [rng.randint(40, 1500) for _ in range(2000)]
+        sampled = ssbasic(weights, z)
+        estimate = sum(max(length, z) for _, length in sampled)
         actual = sum(weights)
-        # Deterministic one-sided error: the unemitted credit is the only
-        # shortfall, and it never exceeds z.
-        assert actual - z <= estimate <= actual, (estimate, actual, z)
+        # The unemitted credit is the only difference, and it never
+        # exceeds z.
+        assert abs(estimate - actual) <= z, (estimate, actual, z)
+        # Big tuples are always sampled.
+        big = {uts for uts, length in enumerate(weights) if length > z}
+        assert big <= {uts for uts, _ in sampled}
 
     def test_big_tuples_are_always_sampled_exactly(self):
-        sampler = ThresholdSampler(100.0)
-        weights = [500.0, 900.0, 101.0]
-        estimate = sum(
-            sampler.adjusted_weight(w) for w in weights if sampler.offer(w)
-        )
-        assert estimate == sum(weights)
-        assert sampler.sampled == len(weights)
+        weights = [500, 900, 101]
+        sampled = ssbasic(weights, 100.0)
+        assert [length for _, length in sampled] == weights
+        assert sum(max(length, 100.0) for _, length in sampled) == sum(weights)
 
     def test_all_small_stream_underestimates_by_less_than_z(self):
         z = 250.0
-        sampler = ThresholdSampler(z)
-        weights = [10.0] * 1000
-        estimate = sum(
-            sampler.adjusted_weight(w) for w in weights if sampler.offer(w)
-        )
-        actual = sum(weights)
-        assert actual - z <= estimate <= actual
+        weights = [10] * 1000
+        sampled = ssbasic(weights, z)
+        estimate = sum(max(length, z) for _, length in sampled)
+        assert abs(estimate - sum(weights)) <= z
         # Every emitted sample carries weight exactly z here.
-        assert estimate == sampler.sampled * z
+        assert estimate == len(sampled) * z

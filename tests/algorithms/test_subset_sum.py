@@ -1,4 +1,7 @@
-"""Subset-sum sampling: basic, adjustment rules, dynamic sampler."""
+"""Subset-sum re-threshold rules: the paper's aggressive one and the exact solve.
+
+The sampler itself is the SFUN pack; its tests run it through the
+operator (``test_bindings.py``, ``test_statistical.py``)."""
 
 import random
 
@@ -7,76 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.algorithms.subset_sum import (
-    DynamicSubsetSumSampler,
-    SampledTuple,
-    ThresholdSampler,
-    adjust_threshold,
-    estimate_sum,
-    solve_threshold,
-)
-
-
-def lengths(n=2000, seed=3):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(n):
-        u = rng.random()
-        if u < 0.5:
-            out.append(rng.randint(40, 80))
-        elif u < 0.7:
-            out.append(rng.randint(300, 700))
-        else:
-            out.append(rng.randint(1300, 1500))
-    return out
-
-
-class TestThresholdSampler:
-    def test_large_tuples_always_sampled(self):
-        sampler = ThresholdSampler(z=100)
-        assert all(sampler.offer(x) for x in (101, 500, 10_000))
-
-    def test_credit_counter_emits_one_per_z_mass(self):
-        sampler = ThresholdSampler(z=1000)
-        sampled = sum(1 for _ in range(100) if sampler.offer(100))
-        # 100 tuples x 100 bytes = 10,000 mass -> ~10 samples
-        assert sampled in (9, 10)
-
-    def test_estimate_conserves_total(self):
-        # The credit variant guarantees: estimate <= actual < estimate + z.
-        z = 5000.0
-        sampler = ThresholdSampler(z)
-        data = lengths()
-        estimate = sum(
-            sampler.adjusted_weight(x) for x in data if sampler.offer(x)
-        )
-        actual = sum(data)
-        assert estimate <= actual < estimate + z
-
-    def test_adjusted_weight(self):
-        sampler = ThresholdSampler(z=100)
-        assert sampler.adjusted_weight(50) == 100
-        assert sampler.adjusted_weight(500) == 500
-
-    def test_negative_measure_rejected(self):
-        with pytest.raises(ReproError):
-            ThresholdSampler(10).offer(-1)
-
-    def test_invalid_z(self):
-        with pytest.raises(ReproError):
-            ThresholdSampler(0)
-
-    @given(st.lists(st.floats(0, 10_000), max_size=500),
-           st.floats(1, 100_000))
-    @settings(max_examples=50, deadline=None)
-    def test_property_conservation(self, data, z):
-        sampler = ThresholdSampler(z)
-        estimate = sum(
-            sampler.adjusted_weight(x) for x in data if sampler.offer(x)
-        )
-        actual = sum(data)
-        assert estimate <= actual + 1e-6
-        assert actual < estimate + z + 1e-6
+from repro.algorithms.subset_sum import adjust_threshold, solve_threshold
 
 
 class TestAdjustThreshold:
@@ -185,111 +119,3 @@ class TestSolveThreshold:
         # Ties at the breakpoint can undershoot slightly; never overshoot.
         assert survivors <= target + 1e-6
         assert survivors >= min(target, len(weights)) * 0.5
-
-
-class TestDynamicSampler:
-    def run_windows(self, sampler, window_data):
-        reports = []
-        for data in window_data:
-            for x in data:
-                sampler.offer(x)
-            reports.append(sampler.close_window())
-        return reports
-
-    def test_sample_size_near_target_on_steady_load(self):
-        sampler = DynamicSubsetSumSampler(target=100, relax_factor=10.0)
-        reports = self.run_windows(sampler, [lengths(seed=s) for s in range(4)])
-        for report in reports[1:]:
-            assert len(report.samples) <= 100
-            assert len(report.samples) >= 80
-
-    def test_relaxed_estimates_accurate(self):
-        sampler = DynamicSubsetSumSampler(target=100, relax_factor=10.0)
-        window_data = [lengths(seed=s) for s in range(4)]
-        reports = self.run_windows(sampler, window_data)
-        for data, report in list(zip(window_data, reports))[1:]:
-            assert report.estimated_sum == pytest.approx(sum(data), rel=0.1)
-
-    def test_nonrelaxed_underestimates_after_load_drop(self):
-        sampler = DynamicSubsetSumSampler(target=100, relax_factor=1.0)
-        heavy = lengths(n=20_000, seed=1)
-        light = lengths(n=1000, seed=2)
-        self.run_windows(sampler, [heavy])
-        report = self.run_windows(sampler, [light])[0]
-        # Under-collection plus the end-of-window threshold re-estimation
-        # deflates the estimate (paper Fig 2 behaviour).
-        assert len(report.samples) < 60
-        assert report.estimated_sum < 0.7 * sum(light)
-
-    def test_relaxed_recovers_from_load_drop(self):
-        # f=10 absorbs load drops up to 10x; the paper's feed varies ~3x.
-        sampler = DynamicSubsetSumSampler(target=100, relax_factor=10.0)
-        heavy = lengths(n=20_000, seed=1)
-        light = lengths(n=4000, seed=2)
-        self.run_windows(sampler, [heavy])
-        report = self.run_windows(sampler, [light])[0]
-        assert report.estimated_sum == pytest.approx(sum(light), rel=0.15)
-
-    def test_relaxed_uses_more_cleanings(self):
-        window_data = [lengths(seed=s) for s in range(4)]
-        relaxed = DynamicSubsetSumSampler(target=100, relax_factor=10.0)
-        nonrelaxed = DynamicSubsetSumSampler(target=100, relax_factor=1.0)
-        relaxed_reports = self.run_windows(relaxed, window_data)
-        nonrelaxed_reports = self.run_windows(nonrelaxed, window_data)
-        relaxed_cleanings = sum(r.cleaning_phases for r in relaxed_reports[1:])
-        nonrelaxed_cleanings = sum(r.cleaning_phases for r in nonrelaxed_reports[1:])
-        assert relaxed_cleanings > nonrelaxed_cleanings
-
-    def test_live_sample_bounded_by_gamma(self):
-        sampler = DynamicSubsetSumSampler(target=50, gamma=2.0)
-        for x in lengths(n=10_000):
-            sampler.offer(x)
-            assert sampler.live_samples <= 2 * 50 + 1
-
-    def test_adjust_at_close_ablation_removes_bias(self):
-        heavy = lengths(n=20_000, seed=1)
-        light = lengths(n=1000, seed=2)
-        sampler = DynamicSubsetSumSampler(
-            target=100, relax_factor=1.0, adjust_at_close=False
-        )
-        self.run_windows(sampler, [heavy])
-        report = self.run_windows(sampler, [light])[0]
-        # Without the end-of-window re-estimation the credit-counter
-        # estimator is conservative but tight: within one z of the truth.
-        assert report.estimated_sum <= sum(light)
-        assert report.estimated_sum > sum(light) - report.z_final - 1
-
-    def test_aggressive_rule_selectable(self):
-        sampler = DynamicSubsetSumSampler(target=50, adjustment="aggressive")
-        for x in lengths(n=5000):
-            sampler.offer(x)
-        assert sampler.cleaning_phases >= 1
-
-    def test_invalid_configs(self):
-        with pytest.raises(ReproError):
-            DynamicSubsetSumSampler(target=0)
-        with pytest.raises(ReproError):
-            DynamicSubsetSumSampler(target=10, gamma=1.0)
-        with pytest.raises(ReproError):
-            DynamicSubsetSumSampler(target=10, relax_factor=0.5)
-        with pytest.raises(ReproError):
-            DynamicSubsetSumSampler(target=10, z_init=0)
-        with pytest.raises(ReproError):
-            DynamicSubsetSumSampler(target=10, adjustment="magic")
-
-    def test_negative_measure_rejected(self):
-        with pytest.raises(ReproError):
-            DynamicSubsetSumSampler(target=10).offer(-5)
-
-
-class TestEstimateSum:
-    def test_with_predicate(self):
-        samples = [
-            SampledTuple(key=0, measure=50, floor=100),
-            SampledTuple(key=1, measure=500, floor=100),
-        ]
-        total = estimate_sum(samples, z_final=100)
-        assert total == 100 + 500
-        only_big = estimate_sum(samples, z_final=100,
-                                predicate=lambda s: s.measure > 100)
-        assert only_big == 500

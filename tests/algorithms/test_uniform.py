@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import ReproError
-from repro.algorithms.uniform import BernoulliSampler, DropSampler, EveryKthSampler
+from repro.algorithms.uniform import BernoulliSampler, DropSampler
 
 
 class TestBernoulli:
@@ -70,9 +70,6 @@ class TestDrop:
         kept = [x for x in data if sampler.offer()]
         estimate = sampler.estimate_sum(kept)
         assert estimate > 2 * sum(data)  # aliased: every kept tuple is a burst
-
-    def test_alias(self):
-        assert EveryKthSampler is DropSampler
 
     def test_validation(self):
         with pytest.raises(ReproError):
