@@ -13,6 +13,11 @@ table per file.  A line is executable when an instruction of the
 compiled file maps to it (``co_lines``).  So a ``def`` line counts once
 its module is imported, and docstrings and comments never count.
 
+The hits are line numbers, so they hold only for the text that ran: a
+file under ``src/repro`` edited while the suite runs makes the census
+refuse to report or write anything, naming the file (each traced file's
+text is kept from the moment it is imported).
+
 Two limits:
 
 * Forked supervised workers leave through ``os._exit``, so nothing they
@@ -51,6 +56,8 @@ class LineCensus:
         self.root = root
         #: file name -> line numbers executed in it
         self.hits: Dict[str, Set[int]] = {}
+        #: file name -> its text when first traced (its import)
+        self.texts: Dict[str, str] = {}
         #: file name -> its line tracer, or None outside ``root``
         self._tracers: Dict[str, Optional[Callable]] = {}
 
@@ -67,6 +74,7 @@ class LineCensus:
     def _tracer_for(self, filename: str) -> Optional[Callable]:
         if not filename.startswith(self.root):
             return None
+        self.texts[filename] = _text(filename)
         add = self.hits.setdefault(filename, set()).add
 
         def line(frame, event, arg):
@@ -76,6 +84,11 @@ class LineCensus:
 
         return line
 
+    def changed(self) -> List[str]:
+        """The traced files whose text is not what was imported: their
+        hits are line numbers of the old text."""
+        return sorted(path for path, text in self.texts.items() if _text(path) != text)
+
     def pytest_load_initial_conftests(self, early_config, parser, args) -> None:
         threading.settrace(self._call)
         sys.settrace(self._call)
@@ -83,6 +96,14 @@ class LineCensus:
     def pytest_unconfigure(self, config) -> None:
         sys.settrace(None)
         threading.settrace(None)  # type: ignore[arg-type]
+
+
+def _text(path: str) -> Optional[str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError:  # removed since: changed
+        return None
 
 
 def executable_lines(path: str) -> Set[int]:
@@ -119,6 +140,14 @@ def main(argv: List[str]) -> int:
     root = os.path.join(SRC, "repro") + os.sep
     census = LineCensus(root)
     status = pytest.main(list(pytest_args), plugins=[census])  # it edits the list
+    changed = census.changed()
+    if changed:
+        for path in changed:
+            print(f"line census: {os.path.relpath(path, SRC)} changed during the run,"
+                  " so its hits are line numbers of the text it had", file=sys.stderr)
+        print("line census: nothing reported or written; rerun on an unchanged tree",
+              file=sys.stderr)
+        return 1
 
     rows = []
     for dirpath, _, filenames in os.walk(root):

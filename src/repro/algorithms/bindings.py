@@ -463,7 +463,12 @@ def heavy_hitters_library(
     @library.sfun("local_count", state=state_name)
     def local_count(state: HeavyHitterState, every: int) -> bool:
         state.tuples += 1
-        return state.tuples % int(every) == 0
+        try:
+            return state.tuples % int(every) == 0
+        except ZeroDivisionError:
+            raise ReproError(
+                f"local_count({every!r}): the bucket width must be at least 1"
+            ) from None
 
     @library.sfun("current_bucket", state=state_name)
     def current_bucket(state: HeavyHitterState) -> int:

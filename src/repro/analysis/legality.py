@@ -221,19 +221,6 @@ RULES: Tuple[Rule, ...] = (
         else (),
     ),
     Rule(
-        "SA303",
-        "durable resume and load shedding do not mix",
-        lambda target: target.durable,
-        lambda plan, registries, target: None
-        if target.shed_threshold is None
-        else "shedding depends on wall-clock queue depths, so a resumed run"
-        " could shed differently and silently diverge",
-        "target {target} combines durable resume with load shedding: {reason}",
-        "FROM",
-        "drop shed=N from the target (DurableRunner refuses the"
-        " combination at construction)",
-    ),
-    Rule(
         "SA401",
         "query cannot share a served feed",
         lambda target: target.serve,

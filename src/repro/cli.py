@@ -286,14 +286,11 @@ def _print_run_report(gs, force: bool = False) -> None:
             file=sys.stderr,
         )
     supervision = getattr(gs, "last_supervision", None)
-    if supervision is not None and (
-        force or supervision.total_restarts or supervision.total_shed
-    ):
+    if supervision is not None and (force or supervision.total_restarts):
         print(
             f"-- supervision: restarts={supervision.total_restarts}"
             f" checkpoints={sum(supervision.checkpoints.values())}"
-            f" replayed_batches={sum(supervision.replayed_batches.values())}"
-            f" shed_records={supervision.total_shed}",
+            f" replayed_batches={sum(supervision.replayed_batches.values())}",
             file=sys.stderr,
         )
         for failure in supervision.failures:
@@ -582,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal committed state (query: closed windows; serve:"
         " registrations and commits) to this write-ahead file so a killed"
         " run can be resumed with --resume (query: serial or --shards runs,"
-        " with or without --supervise; incompatible with --shed-threshold)",
+        " with or without --supervise)",
     )
     runs.add_argument(
         "--resume",
@@ -674,10 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shed-threshold",
         type=int,
         default=None,
-        help="admit at most this many records of a stream per batch and"
-        " shed the rest (and, supervised, drop batches when a shard queue"
-        " stays this deep) instead of blocking; shed counts appear in the"
-        " run report",
+        help="admit at most this many records of a stream per second of"
+        " stream time and shed the rest, whatever the batch size or shard"
+        " count; shed counts appear in the run report",
     )
     query.add_argument(
         "--trace-out",

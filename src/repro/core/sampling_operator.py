@@ -75,9 +75,9 @@ class WindowStats:
     #: change would destroy all in-window sampling state.
     incomparable_tuples: int = 0
     #: Tuples the runtime refused at admission during this window because
-    #: a fed batch crossed the load-shed threshold (the
-    #: paper's drop-under-overload behavior, §1/§7, made deliberate and
-    #: observable instead of arbitrary packet loss).
+    #: their second of stream time had used up the load-shed threshold
+    #: (the paper's drop-under-overload behavior, §1/§7, made deliberate
+    #: and observable instead of arbitrary packet loss).
     shed_tuples: int = 0
     #: Tuples the runtime dead-lettered at admission during this window
     #: because they failed schema validation/coercion (malformed or

@@ -35,11 +35,6 @@ one envelope (:func:`entry`): ``journal_version``, ``kind`` (``commit``
 ``mode`` (the deployment's ``journal_mode``: serial, sharded or serving)
 and ``consumed``; a commit carries what the deployment's ``checkpoint``
 holds beside it, of each append-only list what was :class:`Appended`.
-
-Load shedding and durable resume do not mix deterministically: shedding
-decisions depend on wall-clock queue depths, so a resumed run may shed
-differently than the original would have.  The runner refuses the
-combination rather than producing a silently different answer.
 """
 
 from __future__ import annotations

@@ -31,14 +31,6 @@ forked workers: :meth:`ShardedGigascope.run` drives it round by round
   it might need — recoverability is an invariant, not best-effort).
   Recovery *restores* the held state and replays only the journal tail
   past it; a durable commit takes the held state ``durability.cut``.
-* **Graceful degradation** — when a shard's input queue stays full and
-  its depth is at ``shed_threshold``, the supervisor drops the batch
-  instead of blocking indefinitely: the shed records are counted per
-  shard in the :class:`SupervisionReport` and accounted in the owner's
-  registry like every other shed record (``runtime.REFUSALS``: offered,
-  shed, charged ``tuple_shed``), and the run keeps its latency at the
-  cost of answer completeness (the paper's position: a degraded sample
-  beats a stalled operator).
 
 The parent side is one put and one wait.  :meth:`ShardSupervisor._put`
 is the only queue put: it pumps worker events while the queue is full
@@ -73,7 +65,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.dsms.durability import cut, joined, marks
-from repro.dsms.runtime import Gigascope, account_refusal
+from repro.dsms.runtime import Gigascope
 from repro.streams.records import Record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -116,16 +108,11 @@ class SupervisionReport:
     checkpoints: Dict[int, int] = field(default_factory=dict)
     recoveries_from_checkpoint: Dict[int, int] = field(default_factory=dict)
     replayed_batches: Dict[int, int] = field(default_factory=dict)
-    shed_records: Dict[int, int] = field(default_factory=dict)
     failures: List[str] = field(default_factory=list)
 
     @property
     def total_restarts(self) -> int:
         return sum(self.restarts.values())
-
-    @property
-    def total_shed(self) -> int:
-        return sum(self.shed_records.values())
 
 
 def _bump(counter: Dict[int, int], shard: int, by: int = 1) -> None:
@@ -150,12 +137,10 @@ class ShardSupervisor:
         owner: "ShardedGigascope",
         policy: Optional[SupervisionPolicy] = None,
         fault_plan: Any = None,
-        shed_threshold: Optional[int] = None,
     ) -> None:
         self.owner = owner
         self.policy = policy or SupervisionPolicy()
         self.fault_plan = fault_plan
-        self.shed_threshold = shed_threshold
         self.report = SupervisionReport()
         try:
             self._context = multiprocessing.get_context("fork")
@@ -229,9 +214,7 @@ class ShardSupervisor:
             self._seq[shard] += 1
             seq = self._seq[shard]
             self._journal[shard].append((seq, bucket))
-            if self._send(shard, ("batch", seq, bucket), shed=True) is False:
-                self._journal[shard].pop()
-                self._shed(shard, bucket)
+            self._send(shard, ("batch", seq, bucket))
             self._request_checkpoint(shard, every=self.policy.checkpoint_interval)
             self._await(
                 lambda shard=shard: (
@@ -416,10 +399,9 @@ class ShardSupervisor:
 
     # -- the one put and the one wait ---------------------------------------------
 
-    def _put(self, shard: int, message: tuple, shed: bool = False) -> bool:
+    def _put(self, shard: int, message: tuple) -> None:
         """Put ``message`` on the shard's queue, pumping worker events
-        while it is full; with ``shed``, False once the full queue is at
-        ``shed_threshold``.
+        while it is full.
 
         Raises :class:`_WorkerDied` when the worker is dead, or silent
         past the heartbeat (:meth:`_recover` terminates it).
@@ -429,28 +411,23 @@ class ShardSupervisor:
                 raise _WorkerDied(self._failure_reason(shard))
             try:
                 self._in_queues[shard].put(message, timeout=self.policy.put_timeout)
-                return True
+                return
             except _queue.Full:
-                if (
-                    shed
-                    and self.shed_threshold is not None
-                    and self._queue_depth(shard) >= self.shed_threshold
-                ):
-                    return False
                 self._drain()
                 stalled = self._stalled(shard)
                 if stalled:
                     raise _WorkerDied(stalled) from None
 
-    def _send(self, shard: int, message: tuple, shed: bool = False) -> Optional[bool]:
-        """:meth:`_put`, recovering the shard if its worker died — None
+    def _send(self, shard: int, message: tuple) -> bool:
+        """:meth:`_put`, recovering the shard if its worker died — False
         then, and the caller re-sends nothing: recovery restores the held
         state and replays the journal."""
         try:
-            return self._put(shard, message, shed)
+            self._put(shard, message)
         except _WorkerDied as died:
             self._recover(shard, str(died))
-            return None
+            return False
+        return True
 
     def _await(
         self,
@@ -495,34 +472,6 @@ class ShardSupervisor:
                     )
                 if reason is not None:
                     self._recover(shard, reason)
-
-    # -- shedding --------------------------------------------------------------------
-
-    def _shed(self, shard: int, bucket: List[Record]) -> None:
-        _bump(self.report.shed_records, shard, len(bucket))
-        self._count(
-            "supervisor_shed_records_total", shard, by=len(bucket),
-            help="records dropped at a saturated shard input queue",
-        )
-        per_stream: Dict[str, int] = {}
-        for record in bucket:
-            name = record.schema.name
-            per_stream[name] = per_stream.get(name, 0) + 1
-        for stream, count in per_stream.items():
-            # The worker never sees these, so the parent counts them as
-            # offered; the supervisor counter above is the by-cause view.
-            fields = {"shard": shard, "epoch": self._epoch[shard], "records": count}
-            account_refusal(
-                self.owner, "shed", stream, count, offered=True,
-                event="shard_shed", fields=fields,
-            )
-
-    def _queue_depth(self, shard: int) -> int:
-        try:
-            return self._in_queues[shard].qsize()
-        except NotImplementedError:  # pragma: no cover - macOS
-            # No depth introspection: a full queue counts as at-threshold.
-            return self.shed_threshold or 0
 
     # -- event pump ------------------------------------------------------------------
 

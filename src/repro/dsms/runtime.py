@@ -43,7 +43,7 @@ from repro.dsms.stateful import StatefulLibrary
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracing import NULL_TRACE, TraceSink
 from repro.streams.records import Record
-from repro.streams.schema import StreamSchema, coerce_record
+from repro.streams.schema import Ordering, StreamSchema, coerce_record
 from repro.streams.sources import QuarantineStream
 from repro.core.superaggregates import default_superaggregate_registry
 
@@ -86,8 +86,8 @@ _STREAM_HELP = {
 class Refusal(NamedTuple):
     """How one kind of unprocessed record is accounted: the cost ``op``
     charged per record, the per-stream ``counter`` (and its ``help``), the
-    trace ``event`` unless the refusing site names its own, and the
-    ``note`` downstream sampling operators are told."""
+    trace ``event``, and the ``note`` downstream sampling operators are
+    told."""
 
     op: str
     counter: str
@@ -101,7 +101,7 @@ class Refusal(NamedTuple):
 #: operations, counters and events.  On every deployment's folded registry
 #: ``stream_records_total == stream_ingested_total + Σ`` these counters.
 REFUSALS: Dict[str, Refusal] = {
-    # overload: admission over shed_threshold, a saturated shard queue
+    # overload: past shed_threshold records of one second of stream time
     "shed": Refusal(
         "tuple_shed", "stream_shed_total",
         "records refused at admission under overload", "shed", "note_shed",
@@ -127,7 +127,7 @@ REFUSALS: Dict[str, Refusal] = {
 
 def account_refusal(
     host: Any, kind: str, stream: str, count: int, offered: bool,
-    event: Optional[str] = None, fields: Optional[Dict[str, Any]] = None,
+    fields: Optional[Dict[str, Any]] = None,
 ) -> None:
     """Charge, count and trace ``count`` records of ``stream`` that
     ``host`` (any deployment: it has ``cost``, ``metrics``, ``trace``)
@@ -135,8 +135,8 @@ def account_refusal(
 
     ``offered``: count them in ``stream_records_total`` too — False when
     an instance's own admission refuses (it counted the batch already),
-    True outside one (serving edge, SPLIT edge, supervisor queue).
-    ``event`` / ``fields`` replace the trace default ``{stream, count}``.
+    True outside one (serving edge, SPLIT edge).  ``fields`` replace the
+    trace event's default ``{stream, count}``.
     """
     row = REFUSALS[kind]
     host.cost.charge(stream, row.op, count)
@@ -145,9 +145,7 @@ def account_refusal(
         host.metrics.counter(name, help=_STREAM_HELP[name], stream=stream).inc(count)
     host.metrics.counter(row.counter, help=row.help, stream=stream).inc(count)
     if host.trace.enabled:
-        host.trace.emit(
-            event or row.event, **(fields or {"stream": stream, "count": count})
-        )
+        host.trace.emit(row.event, **(fields or {"stream": stream, "count": count}))
 
 
 #: ``run_report()`` columns and the series each one sums: per source
@@ -203,25 +201,81 @@ def registry_report(
     return report
 
 
+class StreamShed:
+    """``shed=N`` on one source stream: at most ``limit`` records per
+    value of its first increasing attribute (``column``; ``time``, so per
+    second, for TCP and PKT).  A record whose value does not compare
+    greater than the current one — late, equal, ``None``, NaN — counts
+    against the current value's allowance.  The decision is a function
+    of the stream's prefix, so any cut into batches, a SPLIT after it and
+    a resume from its state ``(value, admitted)`` shed the same records.
+    """
+
+    __slots__ = ("column", "limit", "value", "admitted")
+
+    def __init__(self, schema: StreamSchema, limit: int) -> None:
+        increasing = [a.name for a in schema.attributes if a.ordering is Ordering.INCREASING]
+        if not increasing:
+            raise PlanningError(f"stream {schema.name!r} has no increasing attribute to shed by")
+        self.column, self.limit = schema.index_of(increasing[0]), limit
+        self.value: Any = None  # the current value: None before the first orderable one
+        self.admitted = 0  # how many records the current value admitted
+
+    def cut(self, run: Sequence[Record]) -> List[Tuple[Sequence[Record], int]]:
+        """``run`` in stream order as pieces: each admitted slice, and
+        how many records are shed right after it."""
+        column, limit, value, admitted = self.column, self.limit, self.value, self.admitted
+        pieces: List[Tuple[Sequence[Record], int]] = []
+        start = end = 0  # run[start:end]: admitted, not yet a piece
+        for i, record in enumerate(run):
+            t = record.values[column]
+            try:
+                newer = t > value if value is not None else t is not None and t == t
+            except TypeError:
+                newer = False
+            if newer:
+                value, admitted = t, 0
+            if admitted < limit:
+                admitted += 1
+                if end != i:  # records end .. i - 1 were shed
+                    pieces.append((run[start:end], i - end))
+                    start = i
+                end = i + 1
+        self.value, self.admitted = value, admitted
+        pieces.append((run[start:end], len(run) - end))
+        return pieces
+
+
 def own_state(host: Any, since: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """The run state ``host`` (any deployment: it has ``cost``,
     ``metrics``, ``trace``) owns itself, for its ``checkpoint(since)`` to
-    carry beside its children's: of the trace, the events since ``since``.
-    State that is shared is owned — and checkpointed — once, by whoever
-    handed it out (see ``_InlinePool.checkpoint_all``)."""
-    return {
+    carry beside its children's: of the trace, the events since ``since``;
+    of each :class:`StreamShed` in its ``sheds``, its state.  State that
+    is shared is owned — and checkpointed — once, by whoever handed it
+    out (see ``_InlinePool.checkpoint_all``)."""
+    state = {
         "cost_accounts": host.cost.accounts() if host.cost.enabled else {},
         "metrics": host.metrics.checkpoint(),
         "trace": host.trace.checkpoint(since.get("trace") if since else None),
     }
+    sheds = getattr(host, "sheds", None)
+    if sheds:
+        state["shedding"] = {stream: (s.value, s.admitted) for stream, s in sheds.items()}
+    return state
 
 
 def restore_own_state(host: Any, state: Dict[str, Any]) -> None:
     """Reinstate :func:`own_state` from ``state``; balances only if it
     carries any (a shard of a shared model carries none)."""
+    shedding, sheds = state.get("shedding", {}), getattr(host, "sheds", {})
+    if set(shedding) != set(sheds):
+        raise ExecutionError(f"checkpoint does not match this deployment: it sheds"
+                             f" streams {sorted(shedding)}, the deployment {sorted(sheds)}")
     if state.get("cost_accounts") and host.cost.enabled:
         host.cost.reset()
         host.cost.absorb(state["cost_accounts"])
+    for stream, (value, admitted) in shedding.items():
+        sheds[stream].value, sheds[stream].admitted = value, admitted
     # In place: series bound to operators stay valid, and counts a
     # replay of registrations bumped are overwritten, not added to.
     host.metrics.restore(state["metrics"])
@@ -311,13 +365,13 @@ class Gigascope:
         validate_admission: bool = False,
         vectorize: bool = False,
     ) -> None:
-        """``shed_threshold`` enables overload load shedding: a fed batch
-        admits at most this many records of one source stream, and the
-        newest surplus is *shed* — refused at admission and accounted as
-        :data:`REFUSALS` says (charged, counted per stream, reported to
-        downstream sampling operators' ``WindowStats``).  ``None``
-        disables shedding (the default): every record is admitted; a
-        threshold under 1 is refused with :class:`ValueError`.
+        """``shed_threshold`` enables load shedding by stream time: each
+        source stream admits at most this many records per second
+        (:class:`StreamShed`), whatever the batch cut, and the rest is
+        *shed*, accounted as :data:`REFUSALS` says.  ``None`` disables
+        shedding (the default); a threshold under 1 is a
+        :class:`ValueError`, a stream with no increasing attribute a
+        :class:`PlanningError`.
 
         ``metrics`` / ``trace`` attach an instance-wide metrics registry
         and trace sink; every operator registered afterwards is bound to
@@ -364,6 +418,8 @@ class Gigascope:
         )
         #: the registered source streams, in registration order
         self._streams: List[str] = []
+        #: per source stream, its shed rule (only under ``shed_threshold``)
+        self.sheds: Dict[str, StreamShed] = {}
         self._queries: Dict[str, QueryHandle] = {}
         self._order: List[str] = []  # insertion order == topological order
         self._downstream: Dict[str, List[str]] = {}
@@ -382,6 +438,8 @@ class Gigascope:
         """Register a source stream."""
         if schema.name in self.registries.schemas:
             raise PlanningError(f"stream {schema.name!r} already registered")
+        if self.shed_threshold is not None:
+            self.sheds[schema.name] = StreamShed(schema, self.shed_threshold)
         self.registries.schemas[schema.name] = schema
         self._streams.append(schema.name)
 
@@ -650,14 +708,27 @@ class Gigascope:
             self._notify(REFUSALS[kind].note, stream, count)
 
     def _run_batch(self, batch: Sequence[Any], nodes: List[QueryHandle]) -> int:
-        """Admit ``batch`` and hand each stream's admitted run to that
+        """Admit ``batch`` and hand each stream's admitted run, or under
+        ``shed_threshold`` each piece :class:`StreamShed` leaves of it,
+        to that stream's low-level ``nodes`` (:meth:`_run_nodes`)."""
+        runs = self._admit_batch(batch)
+        if not self.sheds:
+            self._run_nodes(runs, nodes)
+            return len(batch)
+        # A slice runs before the records shed after it are refused: a sampling
+        # operator counts them in the window a record-by-record run has open.
+        for stream, run in runs.items():
+            for piece, shed in self.sheds[stream].cut(run):
+                self._run_nodes({stream: piece}, nodes)
+                self.refuse("shed", stream, shed, offered=False)
+        return len(batch)
+
+    def _run_nodes(self, runs: Dict[str, Sequence[Record]], nodes: List[QueryHandle]) -> None:
+        """Count each stream's admitted run ingested and hand it to that
         stream's low-level ``nodes``, in order, as it is: the nodes never
         keep or change it.  Columnar nodes of one stream share one batch,
         and a column converts once, for whoever touches it first."""
-        runs = self._admit_batch(batch)
         for stream, run in runs.items():
-            if self.shed_threshold is not None:
-                run = runs[stream] = self._admit(stream, run)
             self._stream_counter("stream_ingested_total", stream).inc(len(run))
         columnar: Dict[str, Any] = {}
         for handle in nodes:
@@ -673,7 +744,6 @@ class Gigascope:
                     )
                 run = columnar[handle.source]
             self._dispatch(handle, run)
-        return len(batch)
 
     def _admit_batch(self, batch: Sequence[Any]) -> Dict[str, Sequence[Record]]:
         """The records of one fed batch to admit, per stream, in order.
@@ -727,23 +797,6 @@ class Gigascope:
             )
             self.quarantine.put(reason, payload, source=stream)
         return stream, record
-
-    def _admit(self, stream: str, records: Sequence[Record]) -> Sequence[Record]:
-        """Overload admission: the first ``shed_threshold`` records of
-        ``stream`` in one fed batch are admitted and the newest surplus
-        is refused as ``"shed"`` — deliberate, observable degradation,
-        the paper's drop-under-overload behaviour (§1) made explicit.
-        Nothing waits after admission, so the event's backlog is 0."""
-        allowed = self.shed_threshold
-        assert allowed is not None
-        if len(records) <= allowed:
-            return records
-        shed = len(records) - allowed
-        self.refuse(
-            "shed", stream, shed, offered=False,
-            fields={"stream": stream, "count": shed, "backlog": 0},
-        )
-        return records[:allowed]
 
     def _notify(self, note: str, stream: str, count: int) -> None:
         """Tell every query downstream of ``stream`` (transitively) that

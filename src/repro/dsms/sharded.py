@@ -38,8 +38,8 @@ Architecture::
   SFUN closures need no pickling) and restarts crashed or stalled
   workers from checkpoints.  Both answer the same calls — ``start``,
   ``ship``, ``checkpoint_all``, ``finish``, ``close`` — so one round is
-  one :meth:`ShardedGigascope.feed`: validate at the SPLIT edge, split,
-  ``pool.ship(buckets)``, drain the MERGE.  The pool is crossed once
+  one :meth:`ShardedGigascope.feed`: validate and shed at the SPLIT
+  edge, split, ``pool.ship(buckets)``, drain the MERGE.  The pool is crossed once
   per round, never per record.  A shard checkpoints as a serial host
   does: ``{"seq": n, **Gigascope.checkpoint(since)}`` per shard.
 * **MERGE** — one :class:`MergeOperator` per registered query recombines
@@ -80,8 +80,8 @@ from repro.dsms.parser import compile_query
 from repro.dsms.parser.planner import partition_info
 from repro.dsms.resilience import ShardSupervisor, SupervisionPolicy, SupervisionReport
 from repro.dsms.runtime import (
-    Gigascope, QueryHandle, account_refusal, admit_payload, own_state,
-    registry_report, restore_own_state,
+    Gigascope, QueryHandle, StreamShed, account_refusal, admit_payload,
+    own_state, registry_report, restore_own_state,
 )
 from repro.dsms.stateful import StatefulLibrary
 from repro.obs.metrics import MetricsRegistry
@@ -326,9 +326,9 @@ class ShardedGigascope:
         implies ``supervise``).  ``queue_depth`` bounds each worker's
         input queue (batches), so a wedged worker backpressures the
         splitter instead of buffering unboundedly.  ``shed_threshold``
-        enables graceful degradation: each shard's Gigascope admits at
-        most that many records of a stream per batch, and the supervisor
-        sheds batches when a shard's input queue stays at that depth.
+        is the serial rule (at most that many records of a stream per
+        second of stream time), applied in the parent before the SPLIT:
+        shards get no threshold, and the rows are the serial run's.
         ``fault_plan`` (a :class:`repro.testing.faults.FaultPlan`)
         injects deterministic worker failures for tests; ignored by
         inline shards.
@@ -348,9 +348,9 @@ class ShardedGigascope:
         :class:`repro.streams.sources.QuarantineStream`; a private
         bounded one by default) instead of shipping them to a worker
         where the failure would surface as a shard crash.  Like every
-        record the parent itself refuses (a saturated shard queue) they
-        are accounted in the parent registry, with no ``shard`` label,
-        as offered and as refused (``runtime.REFUSALS``).
+        record the parent itself refuses (shed ones too) they are
+        accounted in the parent registry, with no ``shard`` label, as
+        offered and as refused (``runtime.REFUSALS``).
 
         ``vectorize`` / ``profile`` are every shard instance's (see
         :class:`Gigascope`); a shard's ``operator_seconds`` histograms
@@ -383,7 +383,6 @@ class ShardedGigascope:
         self._instances = [
             Gigascope(
                 cost_model=self.cost,
-                shed_threshold=shed_threshold,
                 trace=TraceSink() if self.trace.enabled else None,
                 vectorize=vectorize,
                 profile=profile,
@@ -394,6 +393,7 @@ class ShardedGigascope:
         self._order: List[str] = []
         self._nodes: Dict[str, _Node] = {}
         self._streams: List[str] = []
+        self.sheds: Dict[str, StreamShed] = {}  # as Gigascope.sheds
         #: per root stream: (query name, acceptable partition columns)
         self._constraints: Dict[str, List[Tuple[str, frozenset]]] = {}
         self._partition: Dict[str, str] = {}
@@ -417,6 +417,8 @@ class ShardedGigascope:
         return self._instances[0].registries
 
     def register_stream(self, schema: StreamSchema) -> None:
+        if self.shed_threshold is not None:
+            self.sheds[schema.name] = StreamShed(schema, self.shed_threshold)
         for instance in self._instances:
             instance.register_stream(schema)
         nonordered = frozenset(
@@ -634,12 +636,7 @@ class ShardedGigascope:
         self._shard_of, self._memo_pause = {}, 0
         self._sinks = [_MergeSink(self._handles[name]) for name in self._order]
         self._pool = (
-            ShardSupervisor(
-                self,
-                policy=self.supervision,
-                fault_plan=self.fault_plan,
-                shed_threshold=self.shed_threshold,
-            )
+            ShardSupervisor(self, policy=self.supervision, fault_plan=self.fault_plan)
             if self.supervise
             else _InlinePool(self)
         )
@@ -652,14 +649,16 @@ class ShardedGigascope:
         self._resume_state = {}
 
     def feed(self, batch: List[Record]) -> int:
-        """One round: validate at the SPLIT edge, split, ship, drain the
-        MERGE; returns the batch size."""
+        """One round: validate and shed at the SPLIT edge, split, ship,
+        drain the MERGE; returns the batch size."""
         pool = self._pool
         if pool is None:
             raise ExecutionError("start() the instance before feeding it")
         offered = len(batch)
         if self.validate_admission:
             batch = self._validate_edge(batch)
+        if self.sheds:
+            batch = self._shed_edge(batch)
         pool.ship(self._split(batch))
         for sink in self._sinks:
             handles = sink.handle.shard_handles
@@ -694,9 +693,9 @@ class ShardedGigascope:
 
     def checkpoint(self, since: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """Picklable state at a round boundary: what the parent owns itself
-        (``runtime.own_state``, its trace since ``since``) — SPLIT-edge
-        refusals (quarantine, queue shed) are counted, charged and traced
-        outside every shard — and per shard the serial checkpoint since
+        (``runtime.own_state``: its trace since ``since``, its shed
+        rules) — SPLIT-edge refusals (quarantine, shed) are counted,
+        charged and traced outside every shard — and per shard the serial checkpoint since
         ``since`` of its first ``n`` batches, ``{"seq": n, **checkpoint}``
         (DESIGN.md §8).  Once the run has finished the shards are gone and
         its state is the merged results."""
@@ -740,6 +739,23 @@ class ShardedGigascope:
             )
             self.quarantine.put(reason, payload, source=stream)
         return admitted
+
+    def _shed_edge(self, batch: Sequence[Any]) -> List[Any]:
+        """What each stream's :class:`StreamShed` leaves of ``batch`` to
+        split, a stream's records in order; a payload of no shedding
+        stream is kept, for :meth:`_split` to refuse."""
+        runs: Dict[Any, List[Any]] = {}
+        for payload in batch:
+            stream = getattr(getattr(payload, "schema", None), "name", None)
+            runs.setdefault(stream, []).append(payload)
+        kept: List[Any] = []
+        for stream, run in runs.items():
+            shed = self.sheds.get(stream)
+            for piece, count in shed.cut(run) if shed else [(run, 0)]:
+                kept += piece
+                if count:
+                    account_refusal(self, "shed", stream, count, offered=True)
+        return kept
 
     def _split(self, batch: Sequence[Record]) -> List[List[Record]]:
         """Bucket one batch by shard.  A key's shard is hashed the first
@@ -802,8 +818,7 @@ class ShardedGigascope:
         shards — the one :func:`~repro.dsms.runtime.registry_report`
         :meth:`Gigascope.run_report` reads too.  A shard's series count
         once :meth:`finish` has folded them in; what the parent refused
-        itself is there from the start (:attr:`last_supervision` keeps
-        queue shedding by shard).  The shape is exactly the serial
+        itself is there from the start.  The shape is exactly the serial
         runtime's.
         """
         return registry_report(

@@ -20,11 +20,10 @@ group_emitted         a group survived HAVING and was emitted
 having_rejected       HAVING rejected a group at window close
 supergroup_carryover  a new supergroup inherited SFUN state from the
                       previous window's matching supergroup
-shed                  the runtime shed records at admission
+shed                  the runtime shed records past a second's allowance
 shard_restart         the supervisor restarted a shard worker
 shard_checkpoint      a shard checkpoint arrived at the supervisor
 shard_replay          recovery replayed journalled batches into a shard
-shard_shed            the supervisor shed a batch (queue overload)
 ===================== =====================================================
 
 The default sink everywhere is :data:`NULL_TRACE`, whose ``emit`` is a

@@ -34,6 +34,12 @@ There is no cost model, no metric, no run and no shard.  Scoping is
 PAPER.md's: GROUP BY sees input columns; WHERE and aggregate arguments
 see the tuple's group-by values first, then its columns; every later
 clause sees group-by values only.
+
+Under ``shed=N`` a stream's records reach its queries only while the
+current value of its first increasing attribute has admitted fewer than
+N: a record whose value is greater starts a new count, any other —
+equal, late, ``None``, NaN — counts against the current value (before
+the first orderable value, against none).
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.dsms.expr import EvalContext, Star
 from repro.dsms.parser import compile_query
 from repro.errors import ExecutionError
+from repro.streams.schema import Ordering
 
 from tests.dsms._naive_eval import naive_evaluate
 
@@ -202,16 +209,21 @@ class Oracle:
 
     ``add(text, name)`` compiles a query against those registries (its
     output becomes a stream later queries may read); ``feed(records)``
-    hands every record to the queries reading its stream; ``finish()``
+    hands every record ``shed_threshold`` does not shed to the queries
+    reading its stream; ``finish()``
     closes every open window in registration order; ``run`` is both, and
     returns each query's rows.  When an expression raises, so does the
     call, and ``rows`` holds what every query emitted before that.
     """
 
-    def __init__(self, registries: Any) -> None:
+    def __init__(self, registries: Any, shed_threshold: Optional[int] = None) -> None:
         self.registries = registries
+        self.shed_threshold = shed_threshold
         self.nodes: Dict[str, _Node] = {}
         self.readers: Dict[str, List[_Node]] = {}
+        #: per stream: the current value of its increasing attribute, and
+        #: how many records that value has admitted
+        self.seconds: Dict[str, List[Any]] = {}
 
     def add(self, text: str, name: str) -> None:
         plan = compile_query(text, self.registries, query_name=name)
@@ -227,8 +239,29 @@ class Oracle:
     def rows(self) -> Dict[str, List[Tuple[Any, ...]]]:
         return {name: node.rows for name, node in self.nodes.items()}
 
+    def shed(self, record: Any) -> bool:
+        schema = record.schema
+        time = next(a.name for a in schema.attributes if a.ordering is Ordering.INCREASING)
+        value = record.values[schema.index_of(time)]
+        current = self.seconds.setdefault(schema.name, [None, 0])
+        if current[0] is None:
+            newer = value is not None and value == value
+        else:
+            try:
+                newer = value > current[0]
+            except TypeError:
+                newer = False
+        if newer:
+            current[:] = [value, 0]
+        if current[1] == self.shed_threshold:
+            return True
+        current[1] += 1
+        return False
+
     def feed(self, records: Any) -> None:
         for record in records:
+            if self.shed_threshold is not None and self.shed(record):
+                continue
             columns = dict(zip(record.schema.names, record.values))
             for node in self.readers.get(record.schema.name, ()):
                 node.take(columns)

@@ -223,6 +223,14 @@ class TestHeavyHittersQuery:
             assert row[3] <= true
             assert true - row[3] <= buckets
 
+    def test_a_zero_bucket_is_refused_by_name(self):
+        # It used to leave the run with ``ZeroDivisionError: integer
+        # modulo by zero`` from inside the SFUN.
+        gs = fresh_gigascope(heavy_hitters_library())
+        gs.add_query(HEAVY_HITTERS_QUERY.format(window=60, bucket=0), name="hh")
+        with pytest.raises(ReproError, match=r"local_count\(0\): the bucket width must be at least 1"):
+            gs.run(iter(trace(duration=4)))
+
 
 class TestReservoirQuery:
     def run_query(self, data, target=50, tolerance=5):

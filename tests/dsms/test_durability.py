@@ -363,25 +363,34 @@ class TestSplitEdgeQuarantineIsDurable:
 
 
 class TestRefusals:
-    def test_shedding_and_durability_do_not_mix(self, tmp_path):
-        gs = build(shed_threshold=8)
-        with pytest.raises(ExecutionError):
-            DurableRunner(gs, str(tmp_path / "j.bin"))
-
     def test_a_query_registered_after_the_runner_is_held_to_the_table_too(
         self, tmp_path
     ):
-        # The guard is not a property of construction order: a shedding
-        # instance that had no query yet is refused before a run or a
-        # resume reads a record or touches the journal.
-        gs = deploy(ExecTarget(shed_threshold=8))
+        # The guard is not a property of construction order: an instance
+        # that had no query yet, then took one whose SFUN state cannot
+        # checkpoint, is refused before a run or a resume reads a record
+        # or touches the journal.
+        from tests.analysis.test_execsafety import FLAKY_QUERY, flaky_library
+
+        gs = deploy(libraries=[flaky_library()])
         path = tmp_path / "j.bin"
         runner = DurableRunner(gs, str(path))
-        gs.add_query("SELECT time, srcIP FROM TCP WHERE len > 100", name="q")
+        gs.add_query(FLAKY_QUERY, name="q")
         for drive_it in (runner.run, runner.resume):
-            with pytest.raises(ExecutionError, match="wall-clock queue depths"):
+            with pytest.raises(ExecutionError, match="declares checkpointable=False"):
                 drive_it(untouchable())
         assert not path.exists()
+
+    @pytest.mark.parametrize("written, resumed", [(50, None), (None, 50)], ids=["shed", "unshed"])
+    def test_a_journal_resumes_only_under_the_shedding_it_was_written_with(
+        self, tmp_path, written, resumed
+    ):
+        path = str(tmp_path / "j.bin")
+        with pytest.raises(_Boom):
+            DurableRunner(build(shed_threshold=written), path, batch_size=64,
+                          on_commit=crash_on_commit(1)).run(iter(feed()))
+        with pytest.raises(ExecutionError, match="checkpoint does not match this deployment: it sheds"):
+            DurableRunner(build(shed_threshold=resumed), path, batch_size=64).resume(iter(feed()))
 
     # What read_journal makes of a journal's checkpoint stamp, by source:
     # a golden written by a crashed run of an earlier version, or one
@@ -524,6 +533,9 @@ class _Served:
         return served, engine.metrics.comparable_items()
 
 
+#: ``feed()`` carries 55 to 71 records per second: every second sheds
+SHED = 50
+
 DEPLOYMENTS = {
     "serial": _Runner("serial", 64),
     "inline": _Runner("sharded", 128, shards=2),
@@ -531,6 +543,11 @@ DEPLOYMENTS = {
         "sharded", 128, ordered=False, shards=2, supervise=True
     ),
     "served": _Served(),
+    "serial,shed": _Runner("serial", 64, shed_threshold=SHED),
+    "inline,shed": _Runner("sharded", 128, shards=2, shed_threshold=SHED),
+    "supervised,shed": _Runner(
+        "sharded", 128, ordered=False, shards=2, supervise=True, shed_threshold=SHED
+    ),
 }
 
 
@@ -538,7 +555,8 @@ class TestCrashAtEveryCommit:
     """One loop, so one test: die inside ``on_commit`` — the entry is
     fsync'd, exactly what a killed process leaves behind — then resume a
     fresh deployment from the journal alone and land on the uninterrupted
-    run's rows, metrics, cost accounts and trace, wherever the crash fell."""
+    run's rows, metrics, cost accounts and trace, wherever the crash fell.
+    A shedding deployment too: its shed rule's state rides the commit."""
 
     _reference = {}
 
@@ -551,6 +569,8 @@ class TestCrashAtEveryCommit:
                 on_commit=lambda consumed, kind: kinds.append(kind),
             )
             assert kinds.count("commit") >= 3 and kinds[-1] == "final"
+            shed = driven.metrics.total("stream_shed_total")
+            assert shed > 0 if "shed" in name else shed == 0
             self._reference[name] = (
                 DEPLOYMENTS[name].observed(driven),
                 kinds.count("commit"),

@@ -256,7 +256,7 @@ class TestOneTable:
         ]
         assert events == [
             ("quarantine", ["reason", "stream"]),
-            ("shed", ["backlog", "count", "stream"]),
+            ("shed", ["count", "stream"]),
             ("quota_shed", ["count", "stream"]),
             ("poison_skip", ["count", "stream"]),
         ]

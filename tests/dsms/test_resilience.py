@@ -223,7 +223,7 @@ class TestPermanentFailure:
 class TestLoadShedding:
     def test_serial_admission_shedding_is_counted_everywhere(self):
         cost = CostModel()
-        gs = Gigascope(cost_model=cost, shed_threshold=200)
+        gs = Gigascope(cost_model=cost, shed_threshold=100)
         gs.register_stream(TCP_SCHEMA)
         gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
         gs.add_query(SS_TEXT, name="q")

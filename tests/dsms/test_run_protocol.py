@@ -13,6 +13,7 @@ the ingest edge.
 
 import math
 import pickle
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -545,8 +546,12 @@ class TestRunAdmission:
 
     def test_shedding_sees_the_run(self):
         shed = _fed_in(CUT, shed_threshold=20)
-        assert shed["report"]["streams"]["TCP"]["shed"] == (64 - 20) + (93 - 20)
+        per_second = Counter(r.values[0] for r in STEADY)
+        assert shed["report"]["streams"]["TCP"]["shed"] == sum(
+            max(0, n - 20) for n in per_second.values()
+        ) > 0
         assert shed == _fed_in(map(_declined, CUT), shed_threshold=20)
+        assert shed == _fed_in([STEADY], shed_threshold=20)
 
     @pytest.mark.parametrize("shape", [tuple, iter, lambda b: (r for r in b)])
     def test_feed_takes_any_iterable(self, shape):
@@ -565,7 +570,8 @@ class TestRunAdmission:
 class TestTheBatchIsTheBuffer:
     """Admission hands each low-level node its stream's whole run:
     nothing waits between batches and nothing is lost after admission,
-    so one batch of 80 000 records answers what batches of 512 do."""
+    so one batch of 80 000 records answers what batches of 512 do —
+    shedding too, which counts records per second of stream time."""
 
     SELECTIONS = {
         "a1": "SELECT time, srcIP, len FROM TCP",
@@ -577,13 +583,17 @@ class TestTheBatchIsTheBuffer:
     def records(self):
         return list(islice(data_center_feed(TraceConfig(rate_scale=0.01, seed=5)), 80_000))
 
-    def serial(self, records, batch_size):
-        gs = Gigascope(cost_model=CostModel())
+    #: about 1 000 records per second: the threshold sheds most of every second
+    SHED = 256
+
+    def serial(self, records, batch_size, shed):
+        gs = Gigascope(cost_model=CostModel(), shed_threshold=shed)
         gs.register_stream(TCP_SCHEMA)
         _subset_sum(gs)
         gs.add_query(self.SELECTIONS["a1"], name="all")
         gs.run(records, batch_size=batch_size)
-        assert len(gs.results("all")) == len(records)
+        admitted = len(gs.results("all"))
+        assert admitted == len(records) if shed is None else admitted == shed * 80
         return {
             "rows": {h.name: [r.values for r in h.results] for h in gs.query_handles()},
             "series": series(gs.metrics),
@@ -591,18 +601,20 @@ class TestTheBatchIsTheBuffer:
             "report": gs.run_report(),
         }
 
-    def served(self, records, batch_size):
+    def served(self, records, batch_size, shed):
         """Two signature groups on one stream: ``a1`` and ``b`` lead and
-        take their runs from the scan, ``a2`` follows ``a1`` by replay."""
-        engine = deploy(ExecTarget(serve=True))
+        take their runs from the scan, ``a2`` follows ``a1`` by replay.
+        A shedding instance shares nothing: each sheds for itself."""
+        engine = deploy(ExecTarget(serve=True, shed_threshold=shed))
         served = [engine.register(text, name="q", qid=qid) for qid, text in self.SELECTIONS.items()]
         for start in range(0, len(records), batch_size):
             engine.feed(records[start : start + batch_size])
         engine.finish()
-        batches = -(-len(records) // batch_size)
-        assert engine.metrics.value("serving_scans_total", stream="TCP", outcome="taken") == batches
-        assert engine.metrics.value("serving_shared_replays_total") == batches
-        assert len(served[1].results) == len(records)
+        if shed is None:
+            batches = -(-len(records) // batch_size)
+            assert engine.metrics.value("serving_scans_total", stream="TCP", outcome="taken") == batches
+            assert engine.metrics.value("serving_shared_replays_total") == batches
+        assert len(served[1].results) == (len(records) if shed is None else shed * 80)
         return {
             sq.qid: {
                 "rows": [r.values for r in sq.results],
@@ -613,10 +625,14 @@ class TestTheBatchIsTheBuffer:
             for sq in served
         }
 
-    @pytest.mark.parametrize("deployment", ["serial", "served"])
-    def test_one_batch_answers_what_many_do(self, records, deployment):
+    @pytest.mark.parametrize(
+        "deployment, shed",
+        [("serial", None), ("served", None), ("serial", SHED), ("served", SHED)],
+        ids=["serial", "served", "serial,shed", "served,shed"],
+    )
+    def test_one_batch_answers_what_many_do(self, records, deployment, shed):
         run = getattr(self, deployment)
-        assert run(records, len(records)) == run(records, 512)
+        assert run(records, len(records), shed) == run(records, 512, shed)
 
 
 class TestACheckedRunNeverWidensAdmission:

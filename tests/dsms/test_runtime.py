@@ -65,6 +65,45 @@ def test_a_shed_threshold_below_one_is_refused(threshold):
         Gigascope(shed_threshold=threshold)
 
 
+class TestShedByStreamTime:
+    """``shed=N``: at most N records per value of the stream's first
+    increasing attribute; a record whose value does not compare greater
+    counts against the current value's allowance."""
+
+    def admitted(self, times, threshold=2, cuts=()):
+        gs = Gigascope(shed_threshold=threshold)
+        gs.register_stream(TCP_SCHEMA)
+        handle = gs.add_query("SELECT time, len FROM TCP", name="sel")
+        fed = [
+            Record(TCP_SCHEMA, (t, *Record.from_mapping(TCP_SCHEMA, {"len": i}).values[1:]))
+            for i, t in enumerate(times)
+        ]
+        gs.start()
+        for lo, hi in zip((0, *cuts), (*cuts, len(fed))):
+            gs.feed(fed[lo:hi])
+        gs.finish()
+        assert gs.metrics.total("stream_shed_total") == len(fed) - len(handle.results)
+        return [r.values[1] for r in handle.results]
+
+    @pytest.mark.parametrize("cuts", [(), (1,), (2, 3), (1, 2, 3, 4, 5, 6, 7)])
+    def test_late_equal_and_unorderable_times_count_against_the_current_second(self, cuts):
+        # positions:     0  1  2     3  4  5     6  7  8
+        times = [None, 5, 5, 5, float("nan"), 4, 6, None, 6]
+        # None opens no second, so 0 is admitted before any; 5 admits 1 and
+        # 2, then 3 (equal), 4 (NaN) and 5 (late) are over its allowance;
+        # 6 admits 6 and 7 (None counts against it), and 8 is shed
+        assert self.admitted(times, cuts=cuts) == [0, 1, 2, 6, 7]
+
+    def test_a_stream_with_no_increasing_attribute_is_refused_by_name(self):
+        from repro.streams.schema import Attribute, StreamSchema
+
+        flat = StreamSchema("FLAT", [Attribute("k", "int"), Attribute("v", "int")])
+        gs = Gigascope(shed_threshold=8)
+        with pytest.raises(PlanningError, match="stream 'FLAT' has no increasing attribute"):
+            gs.register_stream(flat)
+        Gigascope().register_stream(flat)  # without shedding it needs none
+
+
 class TestExecution:
     def test_selection_results(self, gigascope):
         handle = gigascope.add_query("SELECT len FROM TCP WHERE len > 50")

@@ -380,6 +380,36 @@ class TestSerialEquivalence:
         self.sharded("SELECT time, srcIP, len FROM TCP WHERE len > 500", 3)
 
 
+class TestShedBeforeTheSplit:
+    """``shed=N`` counts records per second of stream time, once, in the
+    parent before the SPLIT: a sharded run sheds what the serial run
+    sheds and keeps its rows, at any batch size, on either pool.  (Each
+    shard used to cut its own share of every batch.)"""
+
+    SHED = 40  # trace() carries about 160 records a second
+
+    def run(self, text, shards=None, supervise=False, batch_size=4096):
+        if shards is None:
+            dsms = Gigascope(shed_threshold=self.SHED)
+        else:
+            dsms = ShardedGigascope(shards=shards, supervise=supervise, shed_threshold=self.SHED)
+        dsms.register_stream(TCP_SCHEMA)
+        dsms.use_stateful_library(subset_sum_library(relax_factor=10.0))
+        handle = dsms.add_query(text, name="q")
+        read = dsms.run(trace(seconds=10), batch_size=batch_size)
+        return canonical_rows(handle.results), read, dsms.metrics.total("stream_shed_total")
+
+    @pytest.mark.parametrize("text", [AGG_TEXT, SS_TEXT], ids=["aggregation", "subset_sum"])
+    @pytest.mark.parametrize(
+        "shards, supervise", [(1, False), (2, False), (1, True), (2, True)],
+        ids=["1-inline", "2-inline", "1-supervised", "2-supervised"],
+    )
+    def test_sharded_rows_are_the_serial_rows(self, text, shards, supervise):
+        expected = self.run(text)
+        assert expected[0] and 0 < expected[2] < expected[1]
+        assert self.run(text, shards, supervise, batch_size=128) == expected
+
+
 class TestProcessMode:
     def test_forked_workers_match_serial(self):
         library = subset_sum_library(relax_factor=10.0)
@@ -529,6 +559,13 @@ class TestMultiStreamDag:
         assert sharded == serial
         # Both chains actually produced output.
         assert all(serial)
+
+    def test_two_streams_shed_alike(self):
+        """Each stream's seconds are counted on their own, in the parent."""
+        serial = self.build(lambda: Gigascope(shed_threshold=15))
+        sharded = self.build(lambda: ShardedGigascope(shards=3, shed_threshold=15))
+        assert sharded == serial
+        assert all(serial) and serial != self.build(Gigascope)
 
     def test_merge_of_query_outputs(self):
         def build(factory):

@@ -11,8 +11,8 @@ layer (docs/OBSERVABILITY.md lists the identities):
 
 These are checked for every shipped example query, for a shedding run,
 for a run with malformed records quarantined at admission, for a
-supervised run whose saturated shard queue sheds (it refuses records in
-the parent, outside every shard's admission), for serial-vs-sharded agreement on
+sharded run that sheds (it refuses records in the parent, before the
+SPLIT, outside every shard's admission), for serial-vs-sharded agreement on
 partition-invariant totals, and for a supervised run with an injected
 shard kill (the counters must come out byte-identical to an unfaulted
 supervised run).
@@ -25,7 +25,6 @@ import pytest
 
 from repro.deploy import deploy
 from repro.dsms.cost import CostModel
-from repro.dsms.resilience import SupervisionPolicy
 from repro.dsms.runtime import Gigascope
 from repro.dsms.sharded import ShardedGigascope, canonical_rows
 from repro.streams.schema import TCP_SCHEMA
@@ -238,19 +237,13 @@ class TestQuarantine:
         assert val(gs, "operator_quarantined_tuples_total", query="q") == 2
 
 
-class TestSupervisorQueueShed:
-    def test_queue_shed_records_are_offered_and_shed(self):
-        """A stalled worker behind a one-batch queue: the supervisor
-        drops batches instead of blocking, and every dropped record is
-        offered + shed in the parent registry (no ``shard`` label)."""
-        plan = FaultPlan([Fault(shard=0, action="delay", at_batch=1, seconds=1.0)])
-        sh = ShardedGigascope(
-            shards=2,
-            queue_depth=1,
-            shed_threshold=1,
-            supervision=SupervisionPolicy(put_timeout=0.02),
-            fault_plan=plan,
-        )
+class TestSplitEdgeShed:
+    @pytest.mark.parametrize("supervise", [False, True], ids=["inline", "supervised"])
+    def test_the_parent_counts_what_it_sheds(self, supervise):
+        """Shedding runs once, in the parent, before the SPLIT: every shed
+        record is offered + shed in the parent registry (no ``shard``
+        label), and each shard ingests all it is sent."""
+        sh = ShardedGigascope(shards=2, supervise=supervise, shed_threshold=40)
         sh.register_stream(TCP_SCHEMA)
         sh.add_query(
             "SELECT tb, srcIP, count(*) FROM TCP GROUP BY time/5 as tb, srcIP",
@@ -260,17 +253,14 @@ class TestSupervisorQueueShed:
         read = sh.run(iter(records), batch_size=32)
         assert read == len(records)
         refused = conserved(sh.metrics, sh.run_report(), read)
-        queue_shed = sh.last_supervision.total_shed
-        assert queue_shed > 0
         m = sh.metrics
-        assert queue_shed == m.total("supervisor_shed_records_total")
-        # the parent's own series; each shard's admission shedding
-        # (``shed_threshold`` reaches the shards too) carries a label
-        assert queue_shed == m.value("stream_shed_total", stream="TCP")
-        assert refused["shed"] == queue_shed + sum(
-            m.value("stream_shed_total", stream="TCP", shard=shard)
-            for shard in range(2)
-        )
+        assert refused["shed"] == m.value("stream_shed_total", stream="TCP") > 0
+        for shard in range(2):
+            assert m.value("stream_shed_total", stream="TCP", shard=shard) == 0
+            assert m.value("stream_ingested_total", stream="TCP", shard=shard) == m.value(
+                "stream_records_total", stream="TCP", shard=shard
+            )
+        assert sum(row[2] for row in canonical_rows(sh.results("q"))) == read - refused["shed"]
 
 
 class TestProfileUnderShards:

@@ -225,20 +225,25 @@ class TestTheDeploymentKnowsWhatItIs:
         assert "cannot run this query under --shards" in line
         assert "checkpoint" not in line and "MERGE" in line
 
-    def test_a_shedding_journal_is_refused_before_registration(
+    def test_a_shedding_journal_resumes_to_the_serial_rows(
         self, trace_file, tmp_path, capsys
     ):
+        # Shedding is a rule of stream time: a journal takes it (SA303,
+        # which refused the pair, is retired), a resume repeats it, and
+        # a SPLIT after it sheds what the serial run sheds.
         journal = tmp_path / "run.journal"
-        args = [
-            "query", "--trace", trace_file, "--shards", "2", "--sql", self.GROUPED,
-            "--journal", str(journal), "--shed-threshold", "5",
+        base = [
+            "query", "--trace", trace_file, "--sql", self.GROUPED,
+            "--shed-threshold", "5", "--limit", "100000",
         ]
-        assert main(args) == 1
-        err = capsys.readouterr().err
-        assert "SA303 error" in err and "shards=2,durable,shed=5" in err
-        assert not journal.exists()
-        assert main([*args, "--no-lint"]) == 2
-        assert "cannot journal this run" in capsys.readouterr().err
+        assert main(base) == 0
+        serial = sorted(capsys.readouterr().out.splitlines())
+        args = [*base, "--shards", "2", "--journal", str(journal)]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert main([*args, "--resume"]) == 0
+        assert capsys.readouterr().out == first
+        assert sorted(first.splitlines()) == serial
 
     @pytest.mark.parametrize("flag", ["--supervise"])
     def test_workers_and_migration_need_shards(self, trace_file, capsys, flag):

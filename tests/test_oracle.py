@@ -16,8 +16,7 @@ what"):
 * every non-histogram series, the cost accounts and a pickled checkpoint
   against the same deployment run the plainest way: tuple engine, one
   run, no fault (a served query: its solo serial run);
-* the conservation identities on every deployment, and on one that drops
-  records by policy (shedding) instead of the oracle's rows;
+* the conservation identities on every deployment;
 * a refused deployment against lint: lint reports an SA3xx error exactly
   when building it raises, and the error carries one of lint's reasons.
 
@@ -309,10 +308,6 @@ class Case:
         """The commit whose ``on_commit`` dies (0: none)."""
         return self.fault[1] if self.fault is not None and self.fault[0] == "crash" else 0
 
-    @property
-    def drops_by_policy(self) -> bool:
-        return self.target.shed_threshold is not None
-
 
 def instance(case: Case, **options: Any) -> Any:
     """The deployment ``case.target`` describes short of durability and
@@ -477,9 +472,11 @@ def _served(case: Case, tmp: str) -> Seen:
 
 
 def oracle(case: Case) -> Tuple[Oracle, Optional[str]]:
-    """The oracle over the records admission lets through, and the error
-    it stopped at."""
-    reference = Oracle(instance(replace(case, target=ExecTarget())).registries)
+    """The oracle over the records admission lets through, shedding as
+    the deployment does, and the error it stopped at."""
+    reference = Oracle(
+        instance(replace(case, target=ExecTarget())).registries, case.target.shed_threshold
+    )
     for text, name in case.queries:
         reference.add(text, name)
     try:
@@ -581,26 +578,24 @@ def agree(case: Case) -> Optional[Seen]:
             return seen
         if case.target.serve and len(case.family.texts) == 1:  # twins
             expected.update({name: expected[case.names[0]] for name in case.names})
-        if not case.drops_by_policy:
-            assert seen.rows == expected
+        assert seen.rows == expected
         if error is not None:
             return seen
         if case.target.serve:
-            if not case.drops_by_policy:
-                for text, name in served_queries(case):
-                    solo = replace(plainest(case), family=Family((text,), case.family.schema),
-                                   names=(name,), target=ExecTarget())
-                    assert seen.accounts[name] == run(solo, tmp).accounts, name
+            for text, name in served_queries(case):
+                solo = replace(plainest(case), family=Family((text,), case.family.schema), names=(name,),
+                               target=ExecTarget(shed_threshold=case.target.shed_threshold))
+                assert seen.accounts[name] == run(solo, tmp).accounts, name
             return seen
         kinds = {name: node.plan.kind for name, node in reference.nodes.items()}
         conserved(seen.deployment, seen.read, kinds)
-        if not case.drops_by_policy:
-            plain = run(plainest(case), tmp)
-            assert seen.accounts == plain.accounts
-            # Which window's stats count a refused payload depends on the
-            # cut: the one open when its batch was admitted (ROADMAP 1(a)).
-            if case.stream.payloads == case.stream.records:
-                assert seen.checkpoint == plain.checkpoint
+        plain = run(plainest(case), tmp)
+        assert seen.accounts == plain.accounts
+        # Which window's stats count a dead-lettered payload depends on
+        # the cut: the one open when its batch was admitted (ROADMAP
+        # 1(a)).  A shed record is counted where its stream order puts it.
+        if case.stream.payloads == case.stream.records:
+            assert seen.checkpoint == plain.checkpoint
         if case.fault is not None and not case.crash_at:
             supervised_fault(case, seen)
     return seen
