@@ -108,8 +108,11 @@ def subset_sum_library(
         def rethreshold(self, live: int, goal: int) -> float:
             """New (never lower) threshold for a cleaning pass."""
             if adjustment == "solve":
-                weights = [max(size, self.z) for size in self.sizes]
-                return max(solve_threshold(weights, goal), self.z)
+                # max()'s rule, inline: the first of a tie stays
+                z = self.z
+                weights = [z if z > size else size for size in self.sizes]
+                solved = solve_threshold(weights, goal)
+                return z if z > solved else solved
             return adjust_threshold(self.z, live, goal, self.big_count())
 
         def start_pass(self) -> None:
@@ -119,9 +122,10 @@ def subset_sum_library(
             self._clean_credit = 0.0
 
         def walk(self, measure: float) -> bool:
-            """One step of the sequential re-threshold subsample."""
+            """Per-group resample under the adjusted threshold (keep = TRUE)."""
             self._visited += 1
-            weight = max(measure, self.z_prev)
+            z_prev = self.z_prev  # max(measure, z_prev), inline
+            weight = z_prev if z_prev > measure else measure
             keep = False
             if weight > self.z:
                 keep = True
@@ -186,10 +190,7 @@ def subset_sum_library(
         state.start_pass()
         return True
 
-    @library.sfun("ssclean_with", state=state_name)
-    def ssclean_with(state: SubsetSumState, measure: float) -> bool:
-        """Per-group resample under the adjusted threshold (keep = TRUE)."""
-        return state.walk(measure)
+    library.add_sfun("ssclean_with", state_name, SubsetSumState.walk)
 
     @library.sfun("ssfinal_clean", state=state_name)
     def ssfinal_clean(state: SubsetSumState, measure: float, live_groups: int) -> bool:

@@ -32,7 +32,8 @@ from types import MethodType
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dsms.expr import (
-    EvalContext, FunctionCall, InPlace, ScalarCall, Star, _Emitter, bind_group, bind_input, bind_tuple,
+    ColumnRef, EvalContext, FunctionCall, InPlace, ScalarCall, Star, _Emitter, bind_group, bind_input,
+    bind_tuple, column_names,
 )
 from repro.dsms.operators.base import Operator
 from repro.errors import PlanningError
@@ -50,7 +51,8 @@ from repro.streams.records import Record
 #: ``@ name += 1`` (a clause's call is one too), is not written: ``{tally}``
 #: derives it from the events, less what a record that raised had yet to
 #: do.  SFUNs are bound per supergroup (``{bind}``); a window is tested on
-#: its ordered values (``cw0`` ...), and its stats settled as it closes.
+#: its ordered values (``cw0`` ...), and its stats settled as it closes; a
+#: group key's bare columns may wait for the WHERE (``{key}``).
 LOOP = dedent("""
     if out is None:
         out = []
@@ -73,8 +75,7 @@ LOOP = dedent("""
         for record in records:
             n_in += 1
             v = record.values
-            key = {group_by}  #? aggregation
-            key, sgkey = {group_by}  #? sampling
+            {group_by}  #? windowed
             if {changed}:  #? windowed
                 window = {window}  #? windowed
                 dropped = self._late(window, current)  #? windowed
@@ -116,6 +117,7 @@ LOOP = dedent("""
             row = {new}({record})  #? selection
             row.schema, row.values = {schema}, {select}  #? selection
             emit(row)  #? selection
+            {key}  #? windowed
             @ n_admitted += 1  #? windowed
             {tuple_fed}  #? sampling
             @ n_probes += 1  #? sampling
@@ -301,11 +303,22 @@ def emit_node(
         return node.emit(expr)
 
     def group_by(depth: int) -> str:
+        """What is read before the window test: ``key, sgkey = ...``, less
+        ``key`` while items are deferred (:func:`key` builds it)."""
         nonlocal ordered
-        items = [clause(at_input, depth, item.expr) for item in analyzed.group_by]
+        items[:] = ["" if i in deferred else clause(at_input, depth, item.expr)
+                    for i, item in enumerate(analyzed.group_by)]
         ordered = [items[names.index(name)] for name in analyzed.ordered_names]
-        views = [range(len(items))] + ([spec.nonordered_supergroup_indices] if spec else [])
-        return ", ".join(f"({''.join(items[i] + ', ' for i in view)})" for view in views)
+        views = {} if deferred else {"key": range(len(items))}
+        views.update({"sgkey": spec.nonordered_supergroup_indices} if spec else {})
+        return f"{', '.join(views)} = " + ", ".join(
+            f"({''.join(items[i] + ', ' for i in view)})" for view in views.values()
+        ) if views else ""
+
+    def key(depth: int) -> str:
+        for i in deferred:
+            items[i] = clause(at_input, depth, analyzed.group_by[i].expr)
+        return f"key = ({''.join(t + ', ' for t in items)})" if deferred else ""
 
     def select(depth: int) -> str:
         node.bind, node.depth = at_input if kind == "selection" else at_group, depth
@@ -343,9 +356,19 @@ def emit_node(
         return ""
 
     ordered: List[str] = []  # the locals the ordered group-by values are read into
+    items: List[str] = []  # the locals the group-by values are read into
+    # A bare column of the group key that is neither ordered nor in the
+    # supergroup key is read once the WHERE has admitted the record, unless
+    # the WHERE reads the key: a column read cannot raise, so nothing moves.
+    where, sg = analyzed.ast.where, spec.nonordered_supergroup_indices if spec else ()
+    deferred = [] if where is None or set(column_names(where)) & set(names) else [
+        i for i, item in enumerate(analyzed.group_by)
+        if isinstance(item.expr, ColumnRef) and item.name not in analyzed.ordered_names and i not in sg
+    ]
     windowed, missed = len(analyzed.ordered_names), object()  # a slot, filled once written
     parts: Dict[str, Callable[[int], str]] = {
         "group_by": group_by,
+        "key": key,
         "ordered": lambda depth: "".join(f"cw{i}," for i in range(windowed)) or "()",
         "unset": lambda depth: f"({'self, ' * windowed})",  # no record holds its operator
         "changed": lambda depth: " or ".join(

@@ -545,7 +545,8 @@ def test_subset_sum_python_calls_per_record():
     that the node's whole run loop is one generated function with its
     clauses written in and built-in aggregates updated in place (these
     4 000 records are the insert-heavy head of the stream; the perf
-    ledger's 24 000 read 7.7).
+    ledger's 24 000 read 7.7), and 8.2, down from 10.7, once the cleaning
+    walk was the SFUN itself, with no wrapper frame and no builtin max().
     What trips the bound now is two calls per record: a per-record
     admission hop (``_admit_payload``, a ``ring.push``) or the feeder
     re-wrapping each tuple in a new ``Record`` coming back, a hook frame
@@ -560,7 +561,7 @@ def test_subset_sum_python_calls_per_record():
     gs = _subset_sum_instance()
     calls = python_calls(lambda: gs.run(iter(trace)))
     assert gs.results("ss")
-    assert calls / records <= 19.5
+    assert calls / records <= 10.0
 
 
 def test_a_checkpoint_costs_no_call_per_group():

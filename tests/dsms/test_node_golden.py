@@ -117,6 +117,19 @@ QUERIES: Dict[str, Tuple[str, ...]] = {
         "SELECT tb, srcIP, count(*) FROM TCP GROUP BY time/2 as tb, srcIP"
         " HAVING 10/(count(*) - 4) >= 0",
     ),
+    # a computed group-by item is read before the WHERE: the record the
+    # WHERE rejects still divides by zero
+    "raises_group_by": (
+        "SELECT tb, q, count(*) FROM TCP WHERE len <> 628"
+        " GROUP BY time/2 as tb, 10/(len - 628) as q SUPERGROUP BY tb"
+        " HAVING count_distinct$(*) > 0",
+    ),
+    # a WHERE that names a group-by variable reads it through the key
+    "where_names_key": (
+        "SELECT tb, srcIP, count(*) FROM TCP WHERE srcIP % 2 = 0"
+        " GROUP BY time/2 as tb, srcIP SUPERGROUP BY tb HAVING count_distinct$(*) > 0"
+        " CLEANING WHEN count_distinct$(*) > 30 CLEANING BY count(*) > 1",
+    ),
 }
 
 FEEDS = {
