@@ -199,7 +199,7 @@ def subset_sum_library(
             return True
         return state.walk(measure)
 
-    @library.sfun("ssthreshold", state=state_name)
+    @library.sfun("ssthreshold", state=state_name, reader=True)
     def ssthreshold(state: SubsetSumState) -> float:
         """The current threshold: each sample's adjusted weight floor."""
         return state.z
@@ -465,13 +465,13 @@ def heavy_hitters_library(
     def local_count(state: HeavyHitterState, every: int) -> bool:
         state.tuples += 1
         try:
-            return state.tuples % int(every) == 0
+            return state.tuples % (every if type(every) is int else int(every)) == 0
         except ZeroDivisionError:
             raise ReproError(
                 f"local_count({every!r}): the bucket width must be at least 1"
             ) from None
 
-    @library.sfun("current_bucket", state=state_name)
+    @library.sfun("current_bucket", state=state_name, reader=True)
     def current_bucket(state: HeavyHitterState) -> int:
         return state.tuples // state.width + 1
 
@@ -537,7 +537,7 @@ def distinct_sampling_library() -> StatefulLibrary:
     def dsclean_with(state: DistinctState, unit_hash: float) -> bool:
         return unit_hash < state.threshold
 
-    @library.sfun("dslevel", state=state_name)
+    @library.sfun("dslevel", state=state_name, reader=True)
     def dslevel(state: DistinctState) -> int:
         return state.level
 

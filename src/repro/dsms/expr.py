@@ -190,6 +190,7 @@ class StatefulCall(_Call):
     state_name: str
     args: Tuple[Expr, ...]
     span: Optional[Span] = _span_field()
+    reader: bool = field(default=False, compare=False, repr=False)  # StatefulLibrary.is_reader
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +416,8 @@ class _Emitter:
         #: the locals its top-level column reads left, by ``(base, index)``
         self.body: Optional[int] = None
         self.held: Dict[Tuple[str, int], str] = {}
+        #: in a walk no clause moves a reader: a quiet bound call's source -> its local, set once
+        self.once: Optional[Dict[str, str]] = None
 
     def const(self, value: Any) -> str:
         self.consts.append(value)
@@ -497,12 +500,22 @@ class _Emitter:
                 self.binds[key] = (f"f{len(self.binds)}, s{len(self.binds)} = (sfuns[{name}], states[{state}])"
                                    f" if {name} in sfuns and {state} in states else (_raise, _unavailable(ctx, {bound}))")
             i = list(self.binds).index(key)
-            return self.assign(f"f{i}({', '.join([f's{i}'] + items)})")
+            source = f"f{i}({', '.join([f's{i}'] + items)})"
+            if self.once is not None and self.quiet(node):
+                return self.once.setdefault(source, f"r{len(self.once)}")
+            return self.assign(source)
         bound, name = self.const(node), self.const(node.name)
         fn = self.lookup(f"{self.scope}{'sfuns' if stateful else 'scalars'}[{name}]", bound)
         if stateful:
             items.insert(0, self.lookup(f"{self.scope}states[{self.const(node.state_name)}]", bound))
         return self.assign(f"{fn}({', '.join(items)})")
+
+    def quiet(self, expr: Expr) -> bool:
+        """Evaluating ``expr`` writes nothing and raises nothing: a literal,
+        a column read by position, or a reader call on literals."""
+        if isinstance(expr, StatefulCall):
+            return expr.reader and all(isinstance(arg, Literal) for arg in expr.args)
+        return isinstance(expr, Literal) or isinstance(expr, ColumnRef) and type(self.bind(expr.name)) is tuple
 
     def read(self, where: Where) -> str:
         if not isinstance(where, tuple):

@@ -32,8 +32,8 @@ from types import MethodType
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dsms.expr import (
-    ColumnRef, EvalContext, FunctionCall, InPlace, ScalarCall, Star, _Emitter, bind_group, bind_input,
-    bind_tuple, column_names,
+    ColumnRef, EvalContext, FunctionCall, InPlace, ScalarCall, Star, StatefulCall, _Emitter, bind_group,
+    bind_input, bind_tuple, column_names,
 )
 from repro.dsms.operators.base import Operator
 from repro.errors import PlanningError
@@ -52,7 +52,8 @@ from repro.streams.records import Record
 #: derives it from the events, less what a record that raised had yet to
 #: do.  SFUNs are bound per supergroup (``{bind}``); a window is tested on
 #: its ordered values (``cw0`` ...), and its stats settled as it closes; a
-#: group key's bare columns may wait for the WHERE (``{key}``).
+#: group key's bare columns may wait for the WHERE (``{key}``), and a walk's
+#: reader calls are made before it (``{once}``, :func:`emit_node`'s ``cleaning_by``).
 LOOP = dedent("""
     if out is None:
         out = []
@@ -150,6 +151,7 @@ LOOP = dedent("""
                 if self.obs_trace.enabled:  #? cleaning
                     self.obs_trace.emit("cleaning_trigger", query=self.obs_query,  #? cleaning
                                         window=list(current), supergroup=list(sgkey))  #? cleaning
+                {once}  #? cleaning
                 for gkey in list(members[sgkey]):  #? cleaning
                     n_visited += 1  #? cleaning
                     aggregates = groups[gkey].aggregates  #? cleaning
@@ -331,11 +333,25 @@ def emit_node(
 
     def update(depth: int) -> str:
         for call in analyzed.aggregates:
-            value = "1"  # count(*): the argument's value is irrelevant
-            if call.args and not isinstance(call.args[0], Star):
-                value = clause(at_tuple, depth, call.args[0])
+            arg, value = (call.args or (Star(),))[0], "1"  # count(*): the argument's value is irrelevant
+            guard, _, then = node.in_place.get(("aggregates", call.slot), ("",))[0].partition(": ")
+            if then and "{1}" not in guard and node.quiet(arg):  # ``first``: only its guard keeps a value
+                node.depth, target = depth, f"aggregates[{call.slot}]"
+                node.count("n_updates")
+                node.line(guard.format(target) + ":")
+                node.line(then.format(target, clause(at_tuple, depth + 1, arg)))
+                continue
+            if not isinstance(arg, Star):
+                value = clause(at_tuple, depth, arg)
             apply(depth, "aggregates", "aggregates", call.slot, value, "{0}.update({1})")
         return ""
+
+    def cleaning_by(depth: int) -> str:
+        """CLEANING BY on the visited group.  When the walk calls no SFUN but
+        readers, a quiet one is made once before it (``%once``), still counted per visit."""
+        walk = [spec.cleaning_by] + [sa.value_expr for sa in superaggregates if sa.feeds == "group"]
+        node.once = None if any(isinstance(n, StatefulCall) and not n.reader for e in walk for n in e.walk()) else {}
+        return clause(at_group, depth, spec.cleaning_by)
 
     def fed(depth: int, feeds: str, bind: Any, call: str) -> str:
         for sa in superaggregates:
@@ -395,7 +411,8 @@ def emit_node(
         "entry": lambda depth: node.const(entry),
         "group_fed": lambda depth: fed(depth, "group", at_key, "{0}.on_group_added(key, {1})"),
         "cleaning_when": lambda depth: clause(at_key, depth, spec.cleaning_when),
-        "cleaning_by": lambda depth: clause(at_group, depth, spec.cleaning_by),
+        "cleaning_by": cleaning_by,
+        "once": lambda depth: "%once",
         "evict": evict,
         "having": lambda depth: clause(at_group, depth, analyzed.ast.having),
     }
@@ -431,6 +448,7 @@ def emit_node(
                 if text.strip() == "for record in records:":  # the one-read rule's body
                     node.body = depth + 1
         expand("%bind", list((node.binds or {}).values()))  # every call is known now
+        expand("%once", [f"{name} = {source}" for source, name in (node.once or {}).items()])
         slot = next(i for i, const in enumerate(node.consts) if const is missed)
         node.consts[slot], totals = tally(node, main)
         expand("%tally", totals)

@@ -201,9 +201,8 @@ class _Classifier:
                 self._super_slots[key] = slotted
             return self._super_slots[key]
         if name in registries.stateful:
-            return StatefulCall(
-                name, registries.stateful.state_of(name), args, span=node.span
-            )
+            library = registries.stateful
+            return StatefulCall(name, library.state_of(name), args, node.span, library.is_reader(name))
         if name in registries.aggregates:
             key = (name, "|".join(map(str, args)))
             if key not in self._agg_slots:

@@ -20,12 +20,13 @@ window-close signal (``final_init`` in paper §6.4) is the optional method
 SFUNs are plain callables whose first parameter is the state instance.
 The analyzer classifies a parsed function call as stateful when its name
 is registered in the library, and records which state it touches; the
-planner then knows which states each supergroup must allocate.
+planner then knows which states each supergroup must allocate, and
+which calls only read (``reader=True``: :meth:`StatefulLibrary.is_reader`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Type
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Set, Type
 
 from repro.dsms.fields import slot_fields
 from repro.errors import RegistryError, StatefulFunctionError
@@ -114,6 +115,7 @@ class StatefulLibrary:
         self._states: Dict[str, Type[StatefulState]] = {}
         self._sfuns: Dict[str, str] = {}  # function name -> state name
         self._callables: Dict[str, SFun] = {}
+        self._readers: Set[str] = set()
 
     # -- registration (usable as decorators) ---------------------------------
 
@@ -132,7 +134,7 @@ class StatefulLibrary:
 
         return register
 
-    def sfun(self, name: str, state: str) -> Callable[[SFun], SFun]:
+    def sfun(self, name: str, state: str, reader: bool = False) -> Callable[[SFun], SFun]:
         """Function decorator: register an SFUN bound to state ``state``."""
 
         def register(fn: SFun) -> SFun:
@@ -140,6 +142,8 @@ class StatefulLibrary:
                 raise RegistryError(f"stateful function {name!r} already registered")
             self._sfuns[name] = state
             self._callables[name] = fn
+            if reader:
+                self._readers.add(name)
             return fn
 
         return register
@@ -147,8 +151,8 @@ class StatefulLibrary:
     def add_state(self, name: str, cls: Type[StatefulState]) -> None:
         self.state(name)(cls)
 
-    def add_sfun(self, name: str, state: str, fn: SFun) -> None:
-        self.sfun(name, state)(fn)
+    def add_sfun(self, name: str, state: str, fn: SFun, reader: bool = False) -> None:
+        self.sfun(name, state, reader)(fn)
 
     # -- lookups ---------------------------------------------------------------
 
@@ -160,6 +164,10 @@ class StatefulLibrary:
             return self._sfuns[fn_name]
         except KeyError:
             raise unknown_sfun(fn_name) from None
+
+    def is_reader(self, fn_name: str) -> bool:
+        """Declared ``reader=True``: a value of its state and arguments, no write, no raise."""
+        return fn_name in self._readers
 
     def state_class(self, state_name: str) -> Type[StatefulState]:
         try:
@@ -214,6 +222,7 @@ class StatefulLibrary:
                     )
                 merged._sfuns[fn_name] = state_name
                 merged._callables[fn_name] = lib._callables[fn_name]
+            merged._readers |= lib._readers
         return merged
 
     # -- runtime -------------------------------------------------------------------

@@ -124,6 +124,14 @@ QUERIES: Dict[str, Tuple[str, ...]] = {
         " GROUP BY time/2 as tb, 10/(len - 628) as q SUPERGROUP BY tb"
         " HAVING count_distinct$(*) > 0",
     ),
+    # a reader next to a mutator in one CLEANING BY: local_count moves
+    # current_bucket() from group to group within a pass
+    "readers_mixed": (
+        "SELECT tb, srcIP, sum(len), count(*) FROM TCP GROUP BY time/2 as tb, srcIP"
+        " CLEANING WHEN local_count(20) = TRUE"
+        " CLEANING BY local_count(1000003) = FALSE"
+        " AND count(*) >= current_bucket() - first(current_bucket())",
+    ),
     # a WHERE that names a group-by variable reads it through the key
     "where_names_key": (
         "SELECT tb, srcIP, count(*) FROM TCP WHERE srcIP % 2 = 0"
