@@ -383,7 +383,7 @@ def reservoir_library(
             self.t = 0
             self.skip = 0
 
-    @library.sfun("rsample", state=state_name)
+    @library.sfun("rsample", state=state_name, least=(1,))
     def rsample(state: ReservoirState, n: int) -> bool:
         if state.n is None:
             # draw_skip never ends for n < 1: refuse once per state.
@@ -461,7 +461,7 @@ def heavy_hitters_library(
             self.tuples = 0
             self.width = bucket_width
 
-    @library.sfun("local_count", state=state_name)
+    @library.sfun("local_count", state=state_name, least=(1,))
     def local_count(state: HeavyHitterState, every: int) -> bool:
         state.tuples += 1
         try:

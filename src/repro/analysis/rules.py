@@ -28,6 +28,11 @@ operational folklore of the paper's operator (§5–§6):
 ``SA009``
     Two SELECT items producing the same output column name (the planner
     silently renames the second to ``name_2``).
+``SA012``
+    A constant SFUN argument below the least value its library declares
+    for it (``StatefulLibrary.sfun(least=...)``): the call refuses it at
+    run time: ``local_count(0)`` (a heavy-hitters bucket of width 0),
+    ``rsample(0)``.
 """
 
 from __future__ import annotations
@@ -280,6 +285,27 @@ def _check_duplicate_output_names(
             seen[name] = index
 
 
+def _check_sfun_argument_bounds(
+    analyzed: AnalyzedQuery,
+    registries: Registries,
+    collector: DiagnosticCollector,
+) -> None:
+    for _clause, expr in _all_exprs(analyzed):
+        for node in find_nodes(expr, StatefulCall):
+            for index, (arg, least) in enumerate(zip(node.args, registries.stateful.least(node.name))):
+                value = fold_constant(arg)
+                if least is None or value is NOT_CONSTANT or type(value) not in (int, float):
+                    continue
+                if value < least:
+                    collector.error(
+                        "SA012",
+                        f"{node.name}({value!r}): argument {index + 1} is below {least},"
+                        f" the least {node.name!r} takes",
+                        arg.span or node.span,
+                        hint=f"the call refuses it at run time; pass at least {least}",
+                    )
+
+
 def check_semantics(
     analyzed: AnalyzedQuery,
     registries: Registries,
@@ -293,3 +319,4 @@ def check_semantics(
     _check_nondeterministic_group_by(analyzed, registries, collector)
     _check_constant_zero_division(analyzed, collector)
     _check_duplicate_output_names(analyzed, collector)
+    _check_sfun_argument_bounds(analyzed, registries, collector)

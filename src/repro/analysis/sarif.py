@@ -40,6 +40,7 @@ RULE_DESCRIPTIONS: Dict[str, str] = {
     "SA009": "WHERE predicate is constant",
     "SA010": "wrong number of arguments",
     "SA011": "condition is not boolean",
+    "SA012": "constant SFUN argument below the least its library declares",
     "SA020": "unknown stream",
     "SA021": "unknown function",
     "SA022": "unknown superaggregate",

@@ -23,7 +23,7 @@ from repro.core.superaggregates import (
     SuperAggregateRegistry,
     default_superaggregate_registry,
 )
-from repro.core.group_tables import GroupEntry, SuperGroupEntry, GroupTables
+from repro.core.group_tables import SuperGroupEntry, GroupTables
 from repro.core.sampling_operator import SamplingOperator
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "AvgSuper",
     "SuperAggregateRegistry",
     "default_superaggregate_registry",
-    "GroupEntry",
     "SuperGroupEntry",
     "GroupTables",
     "SamplingOperator",

@@ -2,7 +2,9 @@
 
 Paper §6.4 maintains:
 
-* **group table** — group-by key -> per-group aggregate structure;
+* **group table** — group-by key -> per-group aggregate structure: one
+  ``list``, the supergroup key and then each aggregate's cells
+  (:class:`repro.dsms.aggregates.Layout`);
 * **supergroup table** (two copies, *old* and *new*) — supergroup key
   (excluding ordered variables, which are constant within a window) ->
   SFUN states and superaggregates.  The old copy holds last window's
@@ -18,21 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
-from repro.dsms.aggregates import Aggregate
 from repro.dsms.stateful import StatefulState
 from repro.core.superaggregates import SuperAggregate
 
 GroupKey = Tuple[Any, ...]
 SuperGroupKey = Tuple[Any, ...]
-
-
-@dataclass(slots=True)
-class GroupEntry:
-    """One group: its key values and its aggregate vector."""
-
-    key: GroupKey
-    aggregates: List[Aggregate]
-    supergroup_key: SuperGroupKey
 
 
 @dataclass(slots=True)
@@ -48,15 +40,16 @@ class GroupTables:
     """Container bundling the tables with the swap/clear choreography."""
 
     def __init__(self) -> None:
-        self.groups: Dict[GroupKey, GroupEntry] = {}
+        self.groups: Dict[GroupKey, List[Any]] = {}
         self.new_supergroups: Dict[SuperGroupKey, SuperGroupEntry] = {}
         self.old_supergroups: Dict[SuperGroupKey, SuperGroupEntry] = {}
         # dict-as-ordered-set: group keys in insertion order per supergroup
         self.supergroup_groups: Dict[SuperGroupKey, Dict[GroupKey, None]] = {}
 
-    def add_group(self, entry: GroupEntry) -> None:
-        self.groups[entry.key] = entry
-        self.supergroup_groups.setdefault(entry.supergroup_key, {})[entry.key] = None
+    def add_group(self, key: GroupKey, group: List[Any]) -> None:
+        """Add the group ``key``, whose list starts with its supergroup key."""
+        self.groups[key] = group
+        self.supergroup_groups.setdefault(group[0], {})[key] = None
 
     def end_window(self) -> None:
         """Paper §6.4: clear group tables, move new supergroups to old."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
-from repro.dsms.aggregates import AggregateRegistry, checkpoint_column, restore_column
+from repro.dsms.aggregates import AggregateRegistry, Layout, checkpoint_cells, restore_cells
 from repro.dsms.durability import Appended
 from repro.dsms.expr import EvalContext
 from repro.dsms.fields import set_fields
@@ -44,7 +44,7 @@ from repro.dsms.node import emit_node, in_place
 from repro.dsms.operators.base import Operator
 from repro.dsms.parser.planner import SamplingSpec
 from repro.dsms.stateful import StatefulLibrary
-from repro.core.group_tables import GroupEntry, GroupTables, SuperGroupEntry
+from repro.core.group_tables import GroupTables, SuperGroupEntry
 from repro.core.superaggregates import SuperAggregateRegistry
 from repro.streams.records import Record
 
@@ -124,20 +124,22 @@ class SamplingOperator(Operator):
         # The whole plan is fixed here, once: the run entry and the window
         # close are generated (repro.dsms.node) against the plan-time input
         # schema (shadowing rule: see expr.bind_tuple).  What their clauses
-        # read: ``aggregates`` are the visited group's, and ``states`` and
+        # read: ``group`` is the visited group's list (its supergroup key,
+        # then its aggregates' cells: ``self._layout``), and ``states`` and
         # ``superaggregates`` its supergroup's, taken from the tables as a
         # run goes, so ``restore()`` needs no recompiling.
         #: with no SUPERGROUP BY beyond the window, a window has one
         #: supergroup: a run looks it up, and binds its SFUNs, once per
         #: window, not per record
         self._holds_supergroup = not spec.nonordered_supergroup_indices
+        self._layout = Layout(aggregates, [node.name for node in spec.aggregates], ["sgkey"])
         forms = in_place(
-            [aggregates.factory(node.name) for node in spec.aggregates],
+            self._layout,
             [type(superaggregates.create(sa.name, sa.const_args)) for sa in spec.superaggregates],
         )
         self._ctx = EvalContext(scalars.functions, stateful.functions)
         self._default_obs(account)
-        emit_node(self, account, spec.analyzed, aggregates, spec, forms, GroupEntry)
+        emit_node(self, account, spec.analyzed, self._layout, spec, forms)
 
     # -- observability -----------------------------------------------------------
     #
@@ -212,8 +214,9 @@ class SamplingOperator(Operator):
 
     def checkpoint(self, since: Optional[Dict[str, int]] = None) -> Dict[str, Any]:
         """The full operator state, over its live objects (see
-        ``Operator.checkpoint``): groups as columns (keys, supergroup keys,
-        ``checkpoint_column`` per aggregate slot: fields, not objects); SFUN
+        ``Operator.checkpoint``): groups as columns (``checkpoint_cells``:
+        the keys, and each cell across groups, the first the supergroup
+        key; a UDAF's by its fields, not as objects); SFUN
         states by *state name* plus field dict because their classes are
         closure-local inside the ``*_library`` factories (see
         ``StatefulState.checkpoint``).  Nothing here reads a ``__dict__``
@@ -233,8 +236,6 @@ class SamplingOperator(Operator):
                 for entry in table.values()
             ]
 
-        groups = self._tables.groups
-        slots = zip(*[entry.aggregates for entry in groups.values()])
         start = since.get("window_stats", 0) if since else 0
         return {
             "current_window": self._current_window,
@@ -242,11 +243,7 @@ class SamplingOperator(Operator):
             "active_stats": self._active_stats,
             "pending_shed": self._pending_shed,
             "pending_quarantined": self._pending_quarantined,
-            "groups": {
-                "keys": list(groups),
-                "supergroups": [entry.supergroup_key for entry in groups.values()],
-                "aggregates": list(map(checkpoint_column, slots)),
-            },
+            "groups": checkpoint_cells(self._tables.groups, self._layout),
             "new_supergroups": snap_supergroups(self._tables.new_supergroups),
             "old_supergroups": snap_supergroups(self._tables.old_supergroups),
         }
@@ -267,10 +264,8 @@ class SamplingOperator(Operator):
         tables = GroupTables()
         tables.new_supergroups = rebuild(snapshot["new_supergroups"])
         tables.old_supergroups = rebuild(snapshot["old_supergroups"])
-        groups = snapshot["groups"]
-        slots = [restore_column(*column) for column in groups["aggregates"]]
-        for key, supergroup, *aggregates in zip(groups["keys"], groups["supergroups"], *slots):
-            tables.add_group(GroupEntry(key, aggregates, supergroup))
+        for key, group in restore_cells(snapshot["groups"], self._layout).items():
+            tables.add_group(key, group)
         self._tables = tables
         self._current_window = snapshot["current_window"]
         self._window_stats = snapshot["window_stats"].items

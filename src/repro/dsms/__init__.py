@@ -16,7 +16,8 @@ This package provides that substrate:
   DESIGN.md §3),
 * :mod:`repro.dsms.expr` — the expression AST and evaluator,
 * :mod:`repro.dsms.functions` — scalar function registry (``H``, ``UMAX``…),
-* :mod:`repro.dsms.aggregates` — the UDAF framework,
+* :mod:`repro.dsms.aggregates` — a group's cells (the built-in
+  aggregates, declared once) and the UDAF framework,
 * :mod:`repro.dsms.stateful` — ``STATE`` / ``SFUN`` declarations (paper §6.2),
 * :mod:`repro.dsms.parser` — the GSQL-subset front end,
 * :mod:`repro.dsms.operators` — selection / projection / aggregation

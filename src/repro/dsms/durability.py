@@ -39,6 +39,7 @@ holds beside it, of each append-only list what was :class:`Appended`.
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import struct
@@ -68,9 +69,12 @@ JOURNAL_VERSION = 2
 #: (``sharded.stable_hash``), so equal keys of a bool or float column
 #: that version 4 placed on two shards would split a group on resume;
 #: sharded version 6 journals each shard's appended lists as suffixes
-#: too, where version 5 wrote a whole pickled shard per commit.  Any
-#: other version of a mode is refused
-CHECKPOINT_VERSION = {"serial": 5, "serving": 5, "sharded": 6}
+#: too, where version 5 wrote a whole pickled shard per commit; serial
+#: and served version 6 and sharded version 7 write a group as columns of
+#: its cells (``aggregates.checkpoint_cells``), where the versions before
+#: held built-in aggregate objects.  Any other version of a mode is
+#: refused
+CHECKPOINT_VERSION = {"serial": 6, "serving": 6, "sharded": 7}
 
 Hook = Optional[Callable[[int, str], None]]
 
@@ -154,6 +158,11 @@ class ResultJournal:
                     break  # torn or corrupt tail: journal ends here
                 try:
                     entries.append(pickle.loads(payload))
+                except (AttributeError, ImportError):
+                    # a class (or module) an earlier version pickled is
+                    # gone: read it as a stand-in, so that the entry's
+                    # version refuses it, not a silent end of the journal
+                    entries.append(_Unpickler(io.BytesIO(payload)).load())
                 except Exception:
                     break  # CRC passed but payload undecodable: stop
                 good = fh.tell()
@@ -163,6 +172,27 @@ class ResultJournal:
     def read(cls, path: str) -> List[Dict[str, Any]]:
         """All complete entries, oldest first (torn tail silently cut)."""
         return cls._scan(path)[0]
+
+
+class _Gone:
+    """Stands in for an object whose class this version no longer has."""
+
+    def __init__(self, *args: Any) -> None:
+        self.args = args
+
+    def __setstate__(self, state: Any) -> None:
+        self.state = state
+
+
+class _Unpickler(pickle.Unpickler):
+    """Reads a class that is gone (an earlier checkpoint version's) as a
+    :class:`_Gone` subclass of its name."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        try:
+            return super().find_class(module, name)
+        except (AttributeError, ImportError):
+            return type(name, (_Gone,), {"__module__": module})
 
 
 def entry(kind: str, mode: str, consumed: int, **fields: Any) -> Dict[str, Any]:

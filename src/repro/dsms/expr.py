@@ -351,21 +351,18 @@ def evaluate(expr: Expr, ctx: EvalContext) -> Any:
     return compile_expr(expr, by_name)(ctx)
 
 
-#: ``(field, slot)`` -> the ``in_place`` (update statement, value field) of
-#: a built-in aggregate or superaggregate: read and updated in place
+#: ``(field, slot)`` -> how a generated node updates an aggregate or a
+#: built-in superaggregate (a statement over the value ``{v}``) and reads
+#: it (an expression over its locals): :func:`repro.dsms.node.in_place`
 InPlace = Mapping[Tuple[str, int], Tuple[str, str]]
 
 
-def compile_expr(
-    expr: Expr, bind: Bind, label: str = "expr", in_place: Optional[InPlace] = None
-) -> Compiled:
+def compile_expr(expr: Expr, bind: Bind, label: str = "expr") -> Compiled:
     """Turn an analyzed tree into one Python function, once.
 
     ``bind`` resolves every :class:`ColumnRef`, so evaluating the result
     walks no AST, looks no name up and runs in one frame; ``label``
-    (query and clause) names it in tracebacks (:func:`_code`);
-    ``in_place`` names the aggregate slots whose value is read as a
-    field rather than called.
+    (query and clause) names it in tracebacks (:func:`_code`).
     Semantics: division is SQL/C integer division on two ints
     (``time/60`` must bucket, not produce floats) and float division
     otherwise, ``bool`` counting as a number rather than an int; AND/OR
@@ -373,7 +370,7 @@ def compile_expr(
     calls are looked up in the context's fields and counted there.  Every
     error is raised when the offending record is evaluated, never here.
     """
-    emitter = _Emitter(bind, in_place)
+    emitter = _Emitter(bind)
     return emitter.function(emitter.emit(expr), label)
 
 
@@ -471,9 +468,11 @@ class _Emitter:
             return self.call(expr)
         if isinstance(expr, (AggregateCall, SuperAggregateCall)):
             field = "aggregates" if isinstance(expr, AggregateCall) else "superaggregates"
-            slot = self.lookup(f"{self.scope}{field}[{self.const(expr.slot)}]", self.const(expr))
             form = self.in_place.get((field, expr.slot))
-            return self.assign(f"{slot}.{form[1]}" if form else f"{slot}.value()")
+            if form:  # a node's: read in place, from its locals
+                return self.assign(form[1])
+            slot = self.lookup(f"{self.scope}{field}[{self.const(expr.slot)}]", self.const(expr))
+            return self.assign(f"{slot}.value()")
         if isinstance(expr, FunctionCall):
             return self.fail(
                 f"unclassified function call {expr.name!r} reached evaluation;"

@@ -12,10 +12,14 @@ reading the record's values, its group key and a visited group's key as
 the locals ``v``, ``key`` and ``gkey``; a cleaning phase is a loop over
 the supergroup's groups inside :data:`LOOP`.
 Nothing from the query text reaches the source: literals, names, nodes
-and the classes a body instantiates are default arguments, so replicas
-of one query shape run one cached code object.  A built-in aggregate or
-superaggregate is updated and read in place (the ``in_place`` its class
-declares); any other is called.
+and the factories a body calls are default arguments, so replicas of
+one query shape run one cached code object.  A group is one list, built
+by a list display and laid out by the plan's
+:class:`~repro.dsms.aggregates.Layout`: a built-in aggregate's cells are
+updated and read in place, as :mod:`repro.dsms.aggregates` declares
+them, and a UDAF in its cell is called.  A built-in superaggregate is
+updated and read in place too (the ``in_place`` its class declares);
+any other is called.
 
 A record's path reads locals only — each SFUN and its state is bound
 once per supergroup — and bumps only event counts; every other count is
@@ -31,6 +35,7 @@ from textwrap import dedent
 from types import MethodType
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.dsms.aggregates import Layout
 from repro.dsms.expr import (
     ColumnRef, EvalContext, FunctionCall, InPlace, ScalarCall, Star, StatefulCall, _Emitter, bind_group,
     bind_input, bind_tuple, column_names,
@@ -58,7 +63,7 @@ LOOP = dedent("""
     if out is None:
         out = []
     ctx, miss = self._ctx, {zero}
-    scalars, sfuns, states, aggregates, superaggregates = ctx.scalars, ctx.sfuns, ctx.states, None, None
+    scalars, sfuns, states, superaggregates = ctx.scalars, ctx.sfuns, ctx.states, None
     n_in = n_dropped = n_filtered = n_seen = n_predicates = n_admitted = n_created = n_inserts = n_updates = n_visited = sfun_calls = function_calls = 0
     emit, before = out.append, len(out)  #? selection
     {bind}  #? selection
@@ -67,7 +72,7 @@ LOOP = dedent("""
     groups = self._groups  #? aggregation
     tables, stats, supergroup = self._tables, self._active_stats, None  #? sampling
     groups, supergroups = tables.groups, tables.new_supergroups  #? sampling
-    members, n_probes, peak = tables.supergroup_groups, 0, 0  #? sampling
+    members, n_probes, peak, size = tables.supergroup_groups, 0, 0, len(groups)  #? sampling
     n_phases = n_evicted = w_seen = w_admitted = w_created = 0  #? sampling
     try:
         if self._forwards:  #? selection
@@ -96,7 +101,7 @@ LOOP = dedent("""
                     # into the caller's list at once: these rows must  #? windowed
                     # outlive an error later in the run  #? windowed
                     out.extend(self._emit_window())  #? windowed
-                    supergroups, supergroup = tables.new_supergroups, None  #? sampling
+                    supergroups, supergroup, size = tables.new_supergroups, None, 0  #? sampling
                 self._open_window(window)  #? windowed
                 current = {ordered} = window  #? windowed
                 stats = self._active_stats  #? sampling
@@ -123,19 +128,16 @@ LOOP = dedent("""
             {tuple_fed}  #? sampling
             @ n_probes += 1  #? sampling
             if key in groups:  #? windowed
-                aggregates = groups[key]  #? aggregation
-                aggregates = groups[key].aggregates  #? sampling
+                group = groups[key]  #? windowed
                 {update}  #? windowed
             else:  #? windowed
-                aggregates = groups[key] = [{creates}]  #? aggregation
-                aggregates = [{creates}]  #? sampling
-                groups[key] = {entry}(key, aggregates, sgkey)  #? sampling
+                group = groups[key] = {group}  #? windowed
                 if sgkey in members:  #? sampling
                     members[sgkey][key] = None  #? sampling
                 else:  #? sampling
                     members[sgkey] = {key: None}  #? sampling
                 n_created += 1  #? windowed
-                size = len(groups)  #? sampling
+                size += 1  #? sampling
                 if size > stats.peak_groups:  #? sampling
                     stats.peak_groups = size  #? sampling
                     if size > peak:  #? sampling
@@ -154,9 +156,10 @@ LOOP = dedent("""
                 {once}  #? cleaning
                 for gkey in list(members[sgkey]):  #? cleaning
                     n_visited += 1  #? cleaning
-                    aggregates = groups[gkey].aggregates  #? cleaning
+                    group = groups[gkey]  #? cleaning
                     if not {cleaning_by}:  #? cleaning
                         {evict}  #? cleaning
+                        size -= 1  #? cleaning
                         stats.groups_evicted += 1  #? cleaning
                         n_evicted += 1  #? cleaning
                         if self.obs_trace.enabled:  #? cleaning
@@ -211,17 +214,17 @@ CLOSE = dedent("""
         for state in supergroup.states.values():  #? sampling
             state.on_window_final()  #? sampling
     try:
-        for gkey, aggregates in self._groups.items():  #? aggregation
+        for gkey, group in self._groups.items():  #? aggregation
         for gkey, group in list(groups.items()):  #? sampling
             n_groups += 1
-            aggregates, supergroup = group.aggregates, supergroups[group.supergroup_key]  #? sampling
+            supergroup = supergroups[group[0]]  #? sampling
             if supergroup is not held:  #? sampling
                 held, states, superaggregates = supergroup, supergroup.states, supergroup.superaggregates  #? sampling
                 {bind}  #? sampling
             @ n_tested += 1  #? having
             if not {having}:  #? having
                 n_rejected += 1  #? having
-                sgkey = group.supergroup_key  #? rejects
+                sgkey = group[0]  #? rejects
                 {evict}  #? rejects
                 if self.obs_trace.enabled:  #? rejects
                     self.obs_trace.emit("having_rejected", query=self.obs_query,  #? rejects
@@ -265,27 +268,31 @@ POINTS = ("n_seen", "n_admitted", "n_probes", "n_predicates", "n_updates", "n_te
 EXITS = ("n_dropped", "n_filtered", "n_rejected")
 
 
-def in_place(aggregates: Sequence[Any], superaggregates: Sequence[Any] = ()) -> InPlace:
-    """The built-ins among a plan's aggregate factories and superaggregate
-    classes, by ``(field, slot)``: a class's own ``in_place`` only — a
-    subclass overriding ``update`` inherits none."""
-    return {
-        (field, slot): vars(cls)["in_place"]
-        for field, classes in (("aggregates", aggregates), ("superaggregates", superaggregates))
-        for slot, cls in enumerate(classes)
-        if isinstance(cls, type) and "in_place" in vars(cls)
-    }
+def in_place(layout: Layout, superaggregates: Sequence[Any] = ()) -> InPlace:
+    """How a node updates and reads each aggregate of ``layout`` and each
+    built-in among a plan's superaggregate classes, by ``(field, slot)``:
+    the statement that takes the value ``{v}``, and the expression of the
+    value.  A superaggregate class's own ``in_place`` only — a subclass
+    overriding ``update`` inherits none."""
+    forms = {("aggregates", slot): (layout.update(slot), layout.value(slot))
+             for slot in range(len(layout.kinds))}
+    for slot, cls in enumerate(superaggregates):
+        if isinstance(cls, type) and "in_place" in vars(cls):
+            update, field = vars(cls)["in_place"]
+            target = f"superaggregates[{slot}]"
+            forms["superaggregates", slot] = (update.format(target, "{v}"), f"{target}.{field}")
+    return forms
 
 
 def emit_node(
-    op: Operator, label: str, analyzed: Any, aggregates: Any = None, spec: Any = None,
-    forms: Optional[InPlace] = None, entry: Any = None,
+    op: Operator, label: str, analyzed: Any, layout: Optional[Layout] = None, spec: Any = None,
+    forms: Optional[InPlace] = None,
 ) -> None:
     """Bind ``op.process_many`` to :data:`LOOP` and a windowed ``op``'s
     ``_emit_window`` to :data:`CLOSE`, written for the plan ``analyzed``
-    describes — a selection; an aggregation, given the ``aggregates``
-    registry and the :func:`in_place` ``forms``; a sampling node, given
-    its ``spec`` and ``entry`` (the group-table entry class) too.  An
+    describes — a selection; an aggregation, given its groups' ``layout``
+    and the :func:`in_place` ``forms``; a sampling node, given its
+    ``spec`` too.  An
     ``op`` whose class runs its own entry (the columnar subclasses) keeps
     it, and takes the close.  ``label`` names the source (``expr._code``).
     A row is built through :class:`Record`'s slots, so its arity is checked
@@ -326,24 +333,25 @@ def emit_node(
         node.bind, node.depth = at_input if kind == "selection" else at_group, depth
         return node.row([item.expr for item in analyzed.ast.select])
 
-    def apply(depth: int, field: str, target: str, slot: int, value: str, call: str) -> None:
-        form, node.depth = node.in_place.get((field, slot)), depth
-        node.line((form[0] if form else call).format(f"{target}[{slot}]", value))
+    def apply(depth: int, form: str, value: str) -> None:
+        node.depth = depth
+        node.line(form.format(v=value))
         node.count("n_updates")
 
     def update(depth: int) -> str:
         for call in analyzed.aggregates:
             arg, value = (call.args or (Star(),))[0], "1"  # count(*): the argument's value is irrelevant
-            guard, _, then = node.in_place.get(("aggregates", call.slot), ("",))[0].partition(": ")
-            if then and "{1}" not in guard and node.quiet(arg):  # ``first``: only its guard keeps a value
-                node.depth, target = depth, f"aggregates[{call.slot}]"
+            form = node.in_place["aggregates", call.slot][0]
+            guard, _, then = form.partition(": ")
+            if then and "{v}" not in guard and node.quiet(arg):  # ``first``: only its guard keeps a value
+                node.depth = depth
                 node.count("n_updates")
-                node.line(guard.format(target) + ":")
-                node.line(then.format(target, clause(at_tuple, depth + 1, arg)))
+                node.line(guard + ":")
+                node.line(then.format(v=clause(at_tuple, depth + 1, arg)))
                 continue
             if not isinstance(arg, Star):
                 value = clause(at_tuple, depth, arg)
-            apply(depth, "aggregates", "aggregates", call.slot, value, "{0}.update({1})")
+            apply(depth, form, value)
         return ""
 
     def cleaning_by(depth: int) -> str:
@@ -357,7 +365,8 @@ def emit_node(
         for sa in superaggregates:
             if sa.feeds == feeds:
                 value = clause(bind, depth, sa.value_expr)
-                apply(depth, "superaggregates", "superaggregates", sa.slot, value, call)
+                form = node.in_place.get(("superaggregates", sa.slot))
+                apply(depth, form[0] if form else f"superaggregates[{sa.slot}].{call}", value)
         return ""
 
     def evict(depth: int) -> str:
@@ -400,16 +409,10 @@ def emit_node(
         "new": lambda depth: node.const(object.__new__),
         "record": lambda depth: node.const(Record),
         "schema": lambda depth: node.const(op.output_schema),
-        "tuple_fed": lambda depth: fed(depth, "tuple", at_tuple, "{0}.on_tuple(key, {1})"),
+        "tuple_fed": lambda depth: fed(depth, "tuple", at_tuple, "on_tuple(key, {v})"),
         "update": update,
-        "creates": lambda depth: ", ".join(
-            f"{node.const(aggregates.factory(call.name))}()"
-            if ("aggregates", call.slot) in node.in_place
-            else f"{node.const(aggregates.create)}({node.const(call.name)})"
-            for call in analyzed.aggregates
-        ),
-        "entry": lambda depth: node.const(entry),
-        "group_fed": lambda depth: fed(depth, "group", at_key, "{0}.on_group_added(key, {1})"),
+        "group": lambda depth: layout.display(node.const),
+        "group_fed": lambda depth: fed(depth, "group", at_key, "on_group_added(key, {v})"),
         "cleaning_when": lambda depth: clause(at_key, depth, spec.cleaning_when),
         "cleaning_by": cleaning_by,
         "once": lambda depth: "%once",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
-from repro.dsms.aggregates import Aggregate, AggregateRegistry
+from repro.dsms.aggregates import AggregateRegistry, Layout, checkpoint_cells, restore_cells
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.expr import EvalContext
 from repro.dsms.functions import FunctionRegistry
@@ -49,23 +49,23 @@ class AggregationOperator(Operator):
             )
         self.analyzed = analyzed
         self.output_schema = output_schema
-        self._registry = aggregates
         self._cost = cost_model
         self._account = account
 
         names = analyzed.group_by_names
         self._gb_index = {name: i for i, name in enumerate(names)}
         self._ordered_indices = tuple(self._gb_index[name] for name in analyzed.ordered_names)
-        self._groups: Dict[Tuple[Any, ...], List[Aggregate]] = {}
+        #: group key -> its aggregates' cells (``self._layout``)
+        self._groups: Dict[Tuple[Any, ...], List[Any]] = {}
         self._current_window: Optional[Tuple[Any, ...]] = None
 
         # The run entry and the window close are generated
         # (repro.dsms.node), here, once, against the plan-time input schema
         # (shadowing rule: see expr.bind_tuple).
-        forms = in_place([aggregates.factory(node.name) for node in analyzed.aggregates])
+        self._layout = Layout(aggregates, [node.name for node in analyzed.aggregates])
         self._ctx = EvalContext(scalars.functions)
         self._default_obs(account)
-        emit_node(self, account, analyzed, aggregates, forms=forms)
+        emit_node(self, account, analyzed, self._layout, forms=in_place(self._layout))
 
     def _bind_series(self) -> None:
         super()._bind_series()
@@ -83,15 +83,14 @@ class AggregationOperator(Operator):
         return outputs
 
     def checkpoint(self, since: Optional[Dict[str, int]] = None) -> Any:
-        """The open window: group table plus current window id.  The
-        table is a fresh dict over the live aggregate vectors (see
-        ``Operator.checkpoint``); aggregate instances are module-level
-        classes holding plain accumulator fields, so they pickle."""
+        """The open window: group table, as columns over the live cells
+        (``checkpoint_cells``, see ``Operator.checkpoint``), plus current
+        window id."""
         return {
-            "groups": dict(self._groups),
+            "groups": checkpoint_cells(self._groups, self._layout),
             "current_window": self._current_window,
         }
 
     def restore(self, snapshot: Any) -> None:
-        self._groups = snapshot["groups"]
+        self._groups = restore_cells(snapshot["groups"], self._layout)
         self._current_window = snapshot["current_window"]

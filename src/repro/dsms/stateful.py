@@ -21,12 +21,14 @@ SFUNs are plain callables whose first parameter is the state instance.
 The analyzer classifies a parsed function call as stateful when its name
 is registered in the library, and records which state it touches; the
 planner then knows which states each supergroup must allocate, and
-which calls only read (``reader=True``: :meth:`StatefulLibrary.is_reader`).
+which calls only read (``reader=True``: :meth:`StatefulLibrary.is_reader`);
+lint, which literal arguments an SFUN refuses (``least=``:
+:meth:`StatefulLibrary.least`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Set, Type
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Type
 
 from repro.dsms.fields import slot_fields
 from repro.errors import RegistryError, StatefulFunctionError
@@ -116,6 +118,7 @@ class StatefulLibrary:
         self._sfuns: Dict[str, str] = {}  # function name -> state name
         self._callables: Dict[str, SFun] = {}
         self._readers: Set[str] = set()
+        self._least: Dict[str, Tuple[Optional[int], ...]] = {}
 
     # -- registration (usable as decorators) ---------------------------------
 
@@ -134,8 +137,10 @@ class StatefulLibrary:
 
         return register
 
-    def sfun(self, name: str, state: str, reader: bool = False) -> Callable[[SFun], SFun]:
-        """Function decorator: register an SFUN bound to state ``state``."""
+    def sfun(self, name: str, state: str, reader: bool = False,
+             least: Tuple[Optional[int], ...] = ()) -> Callable[[SFun], SFun]:
+        """Function decorator: register an SFUN bound to state ``state``;
+        ``least`` holds, per argument, the least value it takes (None: any)."""
 
         def register(fn: SFun) -> SFun:
             if name in self._sfuns:
@@ -144,6 +149,8 @@ class StatefulLibrary:
             self._callables[name] = fn
             if reader:
                 self._readers.add(name)
+            if least:
+                self._least[name] = least
             return fn
 
         return register
@@ -168,6 +175,11 @@ class StatefulLibrary:
     def is_reader(self, fn_name: str) -> bool:
         """Declared ``reader=True``: a value of its state and arguments, no write, no raise."""
         return fn_name in self._readers
+
+    def least(self, fn_name: str) -> Tuple[Optional[int], ...]:
+        """Per argument, the least value ``fn_name`` takes (None: any); a
+        constant below it is a lint error (SA012)."""
+        return self._least.get(fn_name, ())
 
     def state_class(self, state_name: str) -> Type[StatefulState]:
         try:
@@ -223,6 +235,7 @@ class StatefulLibrary:
                 merged._sfuns[fn_name] = state_name
                 merged._callables[fn_name] = lib._callables[fn_name]
             merged._readers |= lib._readers
+            merged._least.update(lib._least)
         return merged
 
     # -- runtime -------------------------------------------------------------------

@@ -15,14 +15,15 @@ metric increment the tuple path makes per record, these operators make
 as a batch delta — the conservation identities (docs/OBSERVABILITY.md)
 and the cost-account totals come out byte-identical for the same input.
 
-Group state stays as ordinary :class:`Aggregate` instances; each batch
-is factorized into group codes (iterated pairwise ``np.unique`` packing)
-and per-group *folds* write batched deltas into those instances.  Folds
+Group state is the tuple path's: one list of cells per group, laid out
+by the plan's :class:`~repro.dsms.aggregates.Layout`.  Each batch is
+factorized into group codes (iterated pairwise ``np.unique`` packing)
+and per-group *folds* write batched deltas into those cells.  Folds
 preserve exactness: integer folds use int64 partials converted back to
 Python ints, and anything where batching could change the answer —
 float sums (addition order), NaN extremes, object columns — drops to a
-sequential per-row loop over the same ``update`` calls the tuple path
-makes.
+sequential per-row loop over the update the tuple path writes
+(``Layout.updater``).
 """
 
 from __future__ import annotations
@@ -31,18 +32,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.dsms.aggregates import (
-    Aggregate,
-    AggregateRegistry,
-    AvgAggregate,
-    CountAggregate,
-    CountDistinctAggregate,
-    FirstAggregate,
-    LastAggregate,
-    MaxAggregate,
-    MinAggregate,
-    SumAggregate,
-)
+from repro.dsms.aggregates import BUILTINS, AggregateRegistry
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.operators.aggregation import AggregationOperator
@@ -209,16 +199,17 @@ def _factorize_sequential(
 # Per-group aggregate folds
 # ---------------------------------------------------------------------------
 #
-# Each fold applies one batch of (code, value) updates to the per-group
-# Aggregate instances.  Values handed to an Aggregate are always Python
-# scalars, so finalized values (and checkpoints) are indistinguishable
-# from the tuple path's.  Count and Avg reach into the accumulator
-# fields directly — their update() signatures cannot express a batched
-# delta — which is safe here because the instances are the sibling
-# classes defined in repro.dsms.aggregates.
+# Each fold applies one batch of (code, value) updates to the cells of
+# one aggregate, at ``cell`` in each group's list, through the tuple
+# path's ``update`` (``Layout.updater``) — or, where that cannot take a
+# batched delta (count, avg), into the cells directly.  Values handed to
+# a group are always Python scalars, so finalized values (and
+# checkpoints) are indistinguishable from the tuple path's.
+
+Group = List[Any]
 
 
-def _sequential(groups: List[List[Aggregate]], slot: int, codes: Any, values: Any) -> None:
+def _sequential(groups: List[Group], update: Callable[..., None], codes: Any, values: Any) -> None:
     code_list = codes.tolist()
     if isinstance(values, np.ndarray):
         value_list = values.tolist()
@@ -227,7 +218,7 @@ def _sequential(groups: List[List[Aggregate]], slot: int, codes: Any, values: An
     else:
         value_list = [values] * len(code_list)
     for code, value in zip(code_list, value_list):
-        groups[code][slot].update(value)
+        update(groups[code], value)
 
 
 def _int_values(values: Any) -> Optional[Any]:
@@ -241,59 +232,59 @@ def _int_values(values: Any) -> Optional[Any]:
     return None
 
 
-def _fold_sum(groups, slot, codes, values, n_groups):
+def _fold_sum(groups, cell, update, codes, values, n_groups):
     ints = _int_values(values)
     if ints is None:
         if isinstance(values, (int,)) and not isinstance(values, bool):
             counts = np.bincount(codes, minlength=n_groups)
             for g, count in enumerate(counts.tolist()):
-                groups[g][slot].update(values * count)
+                update(groups[g], values * count)
             return
-        _sequential(groups, slot, codes, values)  # float order / objects
+        _sequential(groups, update, codes, values)  # float order / objects
         return
     part = np.zeros(n_groups, dtype=np.int64)
     np.add.at(part, codes, ints)
     for g, delta in enumerate(part.tolist()):
-        groups[g][slot].update(delta)
+        update(groups[g], delta)
 
 
-def _fold_count(groups, slot, codes, values, n_groups):
+def _fold_count(groups, cell, update, codes, values, n_groups):
     counts = np.bincount(codes, minlength=n_groups)
     for g, count in enumerate(counts.tolist()):
-        groups[g][slot]._count += int(count)
+        groups[g][cell] += count
 
 
-def _fold_avg(groups, slot, codes, values, n_groups):
+def _fold_avg(groups, cell, update, codes, values, n_groups):
     counts = np.bincount(codes, minlength=n_groups)
     ints = _int_values(values)
     if ints is None:
-        _sequential(groups, slot, codes, values)
+        _sequential(groups, update, codes, values)
         return
     part = np.zeros(n_groups, dtype=np.int64)
     np.add.at(part, codes, ints)
     for g, (delta, count) in enumerate(zip(part.tolist(), counts.tolist())):
-        agg = groups[g][slot]
-        agg._total += delta
-        agg._count += int(count)
+        group = groups[g]
+        group[cell] += delta  # the total, then the count
+        group[cell + 1] += count
 
 
 def _fold_extreme(ufunc_at, sentinel_for):
-    def fold(groups, slot, codes, values, n_groups):
+    def fold(groups, cell, update, codes, values, n_groups):
         if not isinstance(values, np.ndarray):
             for g in range(n_groups):
-                groups[g][slot].update(values)
+                update(groups[g], values)
             return
         if values.dtype.kind not in "iuf" or (
             values.dtype.kind == "f" and np.isnan(values).any()
         ):
             # Python's comparison chain keeps the first NaN it saw;
             # numpy's min/max propagate NaN differently.  Stay exact.
-            _sequential(groups, slot, codes, values)
+            _sequential(groups, update, codes, values)
             return
         part = np.full(n_groups, sentinel_for(values.dtype), dtype=values.dtype)
         ufunc_at(part, codes, values)
         for g, extreme in enumerate(part.tolist()):
-            groups[g][slot].update(extreme)
+            update(groups[g], extreme)
 
     return fold
 
@@ -310,37 +301,37 @@ _fold_min = _fold_extreme(np.minimum.at, _min_sentinel)
 _fold_max = _fold_extreme(np.maximum.at, _max_sentinel)
 
 
-def _fold_first(groups, slot, codes, values, n_groups):
+def _fold_first(groups, cell, update, codes, values, n_groups):
     present, first_idx = np.unique(codes, return_index=True)
     if isinstance(values, np.ndarray):
         for g, idx in zip(present.tolist(), first_idx.tolist()):
-            groups[g][slot].update(_py(values[idx]))
+            update(groups[g], _py(values[idx]))
     else:
         for g in present.tolist():
-            groups[g][slot].update(values)
+            update(groups[g], values)
 
 
-def _fold_last(groups, slot, codes, values, n_groups):
+def _fold_last(groups, cell, update, codes, values, n_groups):
     present, rev_idx = np.unique(codes[::-1], return_index=True)
     last_idx = len(codes) - 1 - rev_idx
     if isinstance(values, np.ndarray):
         for g, idx in zip(present.tolist(), last_idx.tolist()):
-            groups[g][slot].update(_py(values[idx]))
+            update(groups[g], _py(values[idx]))
     else:
         for g in present.tolist():
-            groups[g][slot].update(values)
+            update(groups[g], values)
 
 
-def _fold_count_distinct(groups, slot, codes, values, n_groups):
+def _fold_count_distinct(groups, cell, update, codes, values, n_groups):
     if not isinstance(values, np.ndarray):
         for g in np.unique(codes).tolist():
-            groups[g][slot].update(values)
+            update(groups[g], values)
         return
     if values.dtype == object or (
         values.dtype.kind == "f" and np.isnan(values).any()
     ):
         # Sets distinguish NaN objects; np.unique would merge them.
-        _sequential(groups, slot, codes, values)
+        _sequential(groups, update, codes, values)
         return
     uniques, value_codes = np.unique(values, return_inverse=True)
     value_codes = value_codes.reshape(-1)
@@ -349,20 +340,19 @@ def _fold_count_distinct(groups, slot, codes, values, n_groups):
     width = len(uniques)
     # in arrival order, as the tuple path inserts: a set pickles in that order
     for pair in pairs[np.argsort(first)].tolist():
-        groups[pair // width][slot].update(unique_values[pair % width])
+        update(groups[pair // width], unique_values[pair % width])
 
 
-#: Aggregate classes with a batched fold.  Registrations resolving to
-#: any other class force the whole operator back to the tuple path.
-FOLDS: Dict[type, Callable[..., None]] = {
-    SumAggregate: _fold_sum,
-    CountAggregate: _fold_count,
-    AvgAggregate: _fold_avg,
-    MinAggregate: _fold_min,
-    MaxAggregate: _fold_max,
-    FirstAggregate: _fold_first,
-    LastAggregate: _fold_last,
-    CountDistinctAggregate: _fold_count_distinct,
+#: The built-in aggregates' batched folds.  An aggregate resolving to any
+#: other registration (a UDAF) forces the whole operator back to the
+#: tuple path.
+FOLDS: Dict[Any, Callable[..., None]] = {
+    BUILTINS[name]: fold
+    for name, fold in (
+        ("sum", _fold_sum), ("count", _fold_count), ("avg", _fold_avg), ("min", _fold_min),
+        ("max", _fold_max), ("first", _fold_first), ("last", _fold_last),
+        ("count_distinct", _fold_count_distinct),
+    )
 }
 
 
@@ -401,17 +391,20 @@ class VectorizedAggregationOperator(AggregationOperator):
         self._where_fn = compiler.compile_predicate(where) if where is not None else None
         self._arg_fns: List[Optional[Callable[[Env], Any]]] = []
         self._folds: List[Callable[..., None]] = []
-        for node in analyzed.aggregates:
-            probe = aggregates.create(node.name)
-            fold = FOLDS.get(type(probe))
+        layout = self._layout
+        for slot, node in enumerate(analyzed.aggregates):
+            fold = FOLDS.get(layout.kinds[slot])
             if fold is None:
                 raise UnsupportedExpression(
                     f"aggregate {node.name!r} resolves to"
-                    f" {type(probe).__name__}, which has no batched fold"
+                    f" {getattr(layout.factories[slot], '__name__', 'a UDAF')},"
+                    " which has no batched fold"
                 )
             self._folds.append(fold)
             arg = node.args[0] if node.args else None
             self._arg_fns.append(compiler.compile(arg) if arg is not None else None)
+        self._new_group = layout.maker()
+        self._updates = [layout.updater(slot) for slot in range(len(analyzed.aggregates))]
         self._charge = lambda op, count: self._cost.charge(self._account, op, count)
 
     # -- batch path ----------------------------------------------------------
@@ -539,15 +532,11 @@ class VectorizedAggregationOperator(AggregationOperator):
                 return batch.column(name)[start:stop][seg_mask]
 
         codes, keys = _factorize(seg_gb, admitted)
-        groups: List[List[Aggregate]] = []
+        groups: List[Group] = []
         for key in keys:
             group = self._groups.get(key)
             if group is None:
-                group = [
-                    self._registry.create(node.name)
-                    for node in self.analyzed.aggregates
-                ]
-                self._groups[key] = group
+                group = self._groups[key] = self._new_group()
                 self._cost.charge(self._account, "hash_insert")
                 self.m_groups_created.inc()
             groups.append(group)
@@ -562,9 +551,10 @@ class VectorizedAggregationOperator(AggregationOperator):
                 return base_column(name)
 
             env = Env(column, admitted, self._charge)
-            for slot, (arg_fn, fold) in enumerate(zip(self._arg_fns, self._folds)):
+            starts = self._layout.starts
+            for cell, arg_fn, fold, update in zip(starts, self._arg_fns, self._folds, self._updates):
                 values = arg_fn(env) if arg_fn is not None else 1
-                fold(groups, slot, codes, values, len(keys))
+                fold(groups, cell, update, codes, values, len(keys))
             self._cost.charge(
                 self._account,
                 "aggregate_update",

@@ -26,9 +26,11 @@ deployment's *rows* are checked against (``tests/test_oracle.py``):
    old window's.
 
 A plain aggregation is the same operator with no SFUNs, supergroups or
-cleaning; a selection is WHERE and SELECT.  The SFUN packs, aggregates
-and superaggregates are reused unchanged (they are the algorithms, with
-suites of their own): only the operator is reimplemented here, and
+cleaning; a selection is WHERE and SELECT.  The SFUN packs, UDAFs and
+superaggregates are reused unchanged (they are the algorithms, with
+suites of their own); a built-in aggregate keeps every value it is fed
+and is computed when read (:class:`_Builtin`), where the engines keep
+it in cells.  Only the operator is reimplemented here, and
 every expression goes through :func:`tests.dsms._naive_eval.naive_evaluate`.
 There is no cost model, no metric, no run and no shard.  Scoping is
 PAPER.md's: GROUP BY sees input columns; WHERE and aggregate arguments
@@ -46,12 +48,46 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.dsms.aggregates import BUILTINS, Cells
 from repro.dsms.expr import EvalContext, Star
 from repro.dsms.parser import compile_query
 from repro.errors import ExecutionError
 from repro.streams.schema import Ordering
 
 from tests.dsms._naive_eval import naive_evaluate
+
+
+class _Builtin:
+    """A built-in aggregate, the plainest way: every value kept, the
+    aggregate computed from them when read."""
+
+    def __init__(self, cells: Cells) -> None:
+        self.name = next(name for name, known in BUILTINS.items() if known == cells)
+        self.values: List[Any] = []
+
+    def update(self, value: Any) -> None:
+        self.values.append(value)
+
+    def value(self) -> Any:
+        name, values = self.name, self.values
+        if name == "count":
+            return len(values)
+        if name == "count_distinct":
+            return len(set(values))
+        if name in ("first", "last"):
+            return (values[0] if name == "first" else values[-1]) if values else None
+        best: Any = None
+        if name in ("min", "max"):  # the first of equals, and a NaN seen first, is kept
+            for value in values:
+                if best is None or (value < best if name == "min" else value > best):
+                    best = value
+            return best
+        total: Any = 0
+        for value in values:
+            total += value
+        if name == "sum":
+            return total
+        return total / len(values) if values else None  # avg
 
 
 class _Scope(EvalContext):
@@ -152,7 +188,8 @@ class _Node:
                 superaggregate.on_tuple(key, self.evaluate(sa.value_expr, at_tuple, **calls))
         new = key not in self.groups
         if new:
-            aggregates = [self.registries.aggregates.create(node.name) for node in spec.aggregates]
+            kinds = [self.registries.aggregates.factory(node.name) for node in spec.aggregates]
+            aggregates = [_Builtin(kind) if isinstance(kind, Cells) else kind() for kind in kinds]
             self.groups[key] = (aggregates, sg_key)
         aggregates = self.groups[key][0]
         for node, aggregate in zip(spec.aggregates, aggregates):

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.algorithms.bindings import HEAVY_HITTERS_QUERY
 from repro.analysis.execsafety import parse_target
 from repro.analysis.linter import lint_source
 
@@ -62,6 +63,14 @@ def check_golden(request, name: str, payload: str) -> None:
 @pytest.mark.parametrize("path", EXAMPLES, ids=[p.stem for p in EXAMPLES])
 def test_example_diagnostics_match_golden(request, registries, path):
     check_golden(request, f"{path.stem}.lint", lint_report(path, registries))
+
+
+def test_a_bucket_below_one_matches_golden(request, registries):
+    # local_count refuses a width of 0 when it runs: lint says so first (SA012)
+    text = HEAVY_HITTERS_QUERY.format(window=60, bucket=0)
+    result = lint_source(text, registries, "heavy_hitters_bucket0.gsql")
+    assert [diag.rule for diag in result.diagnostics] == ["SA012"]
+    check_golden(request, "heavy_hitters_bucket0.lint", result.render() + "\n")
 
 
 def test_corpus_is_covered():

@@ -1,30 +1,35 @@
-"""The group / supergroup / supergroup-group tables."""
+"""The group / supergroup / supergroup-group tables.
 
-from repro.core.group_tables import GroupEntry, GroupTables, SuperGroupEntry
+A group is one list: its supergroup key, then its aggregates' cells."""
+
+from repro.core.group_tables import GroupTables, SuperGroupEntry
 
 
-def group(key, sg_key=("sg",)):
-    return GroupEntry(key=key, aggregates=[], supergroup_key=sg_key)
+def add(tables, key, sg_key=("sg",), *cells):
+    group = [sg_key, *cells]
+    tables.add_group(key, group)
+    return group
 
 
 class TestGroups:
     def test_add_and_lookup(self):
         tables = GroupTables()
-        tables.add_group(group(("a",)))
-        assert ("a",) in tables.groups
+        group = add(tables, ("a",), ("sg",), 0, None)
+        assert tables.groups[("a",)] is group
+        assert tables.groups[("a",)] == [("sg",), 0, None]
         assert tables.group_count == 1
 
     def test_supergroup_members_keep_arrival_order(self):
         # the cleaning pass visits a supergroup's groups in this order
         tables = GroupTables()
         for key in ("x", "y", "z"):
-            tables.add_group(group((key,)))
+            add(tables, (key,))
         assert list(tables.supergroup_groups[("sg",)]) == [("x",), ("y",), ("z",)]
 
     def test_separate_supergroups(self):
         tables = GroupTables()
-        tables.add_group(group(("a",), sg_key=("s1",)))
-        tables.add_group(group(("b",), sg_key=("s2",)))
+        add(tables, ("a",), ("s1",))
+        add(tables, ("b",), ("s2",))
         assert tables.supergroup_groups == {("s1",): {("a",): None}, ("s2",): {("b",): None}}
 
 
@@ -33,7 +38,7 @@ class TestWindowSwap:
         tables = GroupTables()
         entry = SuperGroupEntry(key=("k",), states={}, superaggregates=[])
         tables.new_supergroups[("k",)] = entry
-        tables.add_group(group(("a",), sg_key=("k",)))
+        add(tables, ("a",), ("k",))
         tables.end_window()
         assert tables.group_count == 0
         assert tables.supergroup_count == 0

@@ -2,9 +2,11 @@
 
 import pickle
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from repro.dsms.aggregates import Aggregate
 from repro.dsms.cost import CostModel
 from repro.dsms.operators import build_operator
 from repro.dsms.parser.planner import compile_query
@@ -517,3 +519,99 @@ class TestRestoreOnFreshOperator:
         got.extend(tuple(r) for r in second.finish())
         assert got == want
         assert second.window_stats == whole.window_stats
+
+
+class Spread(Aggregate):
+    """A slotted UDAF: the largest value less the smallest."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self):
+        self.lo = self.hi = None
+
+    def update(self, value):
+        self.lo = value if self.lo is None else min(self.lo, value)
+        self.hi = value if self.hi is None else max(self.hi, value)
+
+    def value(self):
+        return self.hi - self.lo
+
+
+class TestAGroupIsCells:
+    """A group is one list: its supergroup key, a UDAF's object in one
+    cell and each built-in's cells (avg and first two each)."""
+
+    TEXT = (
+        "SELECT tb, srcIP, spread(len), avg(len), first(len), min(len), count(*) FROM TCP"
+        " GROUP BY time/10 as tb, srcIP"
+        " CLEANING WHEN seen(4) = TRUE CLEANING BY count(*) >= 2"
+    )
+    # (time, srcIP, len): the 4th and 8th records trigger a cleaning pass
+    # that evicts the groups seen once; the 9th closes window 0
+    RECORDS = trace(
+        (0, 1, 10), (0, 2, 20), (0, 1, 30), (0, 3, 40),
+        (0, 2, 50), (0, 2, 60), (0, 1, 5), (0, 4, 70),
+        (10, 1, 80), (10, 5, 90),
+    )
+    ROWS = [
+        (0, 1, 25, 15.0, 10, 5, 3), (0, 2, 10, 55.0, 50, 50, 2),
+        (1, 1, 0, 80.0, 80, 80, 1), (1, 5, 0, 90.0, 90, 90, 1),
+    ]
+
+    def build(self, registries, sizes):
+        """The operator; ``sizes`` gets the group table's size at each
+        CLEANING WHEN, after the record's group is in it."""
+        library = StatefulLibrary()
+        holder = []
+
+        @library.state("seen_state")
+        class Seen(StatefulState):
+            __slots__ = ("tuples",)
+
+            def __init__(self):
+                self.tuples = 0
+
+        @library.sfun("seen", state="seen_state")
+        def seen(state, every):
+            state.tuples += 1
+            sizes.append((holder[0]._current_window, len(holder[0].tables.groups)))
+            return state.tuples % every == 0
+
+        registries = replace(registries, aggregates=registries.aggregates.copy())
+        registries.aggregates.register("spread", Spread)
+        holder.append(build(self.TEXT, registries, library))
+        return holder[0]
+
+    def test_rows_and_the_peak_group_count(self, registries):
+        sizes = []
+        op = self.build(registries, sizes)
+        rows = op.process_many(self.RECORDS) + op.finish()
+        assert [row.values for row in rows] == self.ROWS
+        assert not op.tables.groups  # the table empties at a window close
+        peaks = [stats.peak_groups for stats in op.window_stats]
+        assert peaks == [max(n for w, n in sizes if w == (0,)), max(n for w, n in sizes if w == (1,))]
+        assert peaks == [3, 2]
+        assert [stats.groups_evicted for stats in op.window_stats] == [3, 0]
+        assert op.g_peak_groups.value == 3
+
+    @pytest.mark.parametrize("cut", [3, 6, 8])
+    def test_a_checkpoint_restores_the_same_rows(self, registries, cut):
+        op = self.build(registries, [])
+        head = op.process_many(self.RECORDS[:cut])
+        groups = op.tables.groups
+        assert all(type(group) is list for group in groups.values())
+        # the supergroup key, then plain values and the UDAF's object
+        assert {type(cell) for group in groups.values() for cell in group} == {
+            tuple, Spread, int, bool,
+        }
+        snapshot = pickle.loads(pickle.dumps(op.checkpoint()))
+        fresh = self.build(registries, [])
+        fresh.restore(snapshot)
+        def cells(op):
+            return [[(c.lo, c.hi) if type(c) is Spread else c for c in group]
+                    for group in op.tables.groups.values()]
+
+        assert list(fresh.tables.groups) == list(groups) and cells(fresh) == cells(op)
+        rows = head + fresh.process_many(self.RECORDS[cut:]) + fresh.finish()
+        assert [row.values for row in rows] == self.ROWS
+        assert [s.peak_groups for s in fresh.window_stats] == [3, 2]

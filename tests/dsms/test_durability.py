@@ -400,7 +400,11 @@ class TestRefusals:
     # SS_SHARDED over feed(seconds=6), batches of 64, two commits, each
     # key routed by its repr (a resume routing by value could find a
     # group's state on the other shard).  A sharded version-5 commit holds
-    # each shard as one pickled blob; serial and served version 5 is today's.
+    # each shard as one pickled blob.  journal_v5.bin (serial: SS_TEXT and
+    # an aggregation of every built-in) and journal_v6.bin (sharded: as
+    # journal_v4.bin) hold built-in aggregate objects, whose classes are
+    # gone: groups are cells now.  Serial and served version 6 and sharded
+    # version 7 are today's.
     @pytest.mark.parametrize(
         "source, mode, stamp, refusal",
         [
@@ -409,10 +413,16 @@ class TestRefusals:
             ("journal_v3.bin", "serial", 3, "checkpoint version 3 .* not supported"),
             ("journal_v4.bin", "sharded", 4, "checkpoint version 4 .* not supported"),
             ("fabricated", "sharded", 5, "version 5 of a 'sharded' run .* not supported"),
-            ("fabricated", "serial", 5, None),
-            ("fabricated", "serving", 5, None),
+            ("fabricated", "serial", 5, "version 5 of a 'serial' run .* not supported"),
+            ("fabricated", "serving", 5, "version 5 of a 'serving' run .* not supported"),
+            ("journal_v5.bin", "serial", 5, "checkpoint version 5 .* not supported"),
+            ("journal_v6.bin", "sharded", 6, "checkpoint version 6 .* not supported"),
+            ("fabricated", "serial", 6, None),
+            ("fabricated", "serving", 6, None),
+            ("fabricated", "sharded", 7, None),
         ],
-        ids=["unstamped", "unknown", "v3", "v4-sharded", "v5-sharded", "v5-serial", "v5-served"],
+        ids=["unstamped", "unknown", "v3", "v4-sharded", "v5-sharded", "v5-serial", "v5-served",
+             "v5-objects", "v6-sharded-objects", "v6-serial", "v6-served", "v7-sharded"],
     )
     def test_a_checkpoint_version_is_read_by_mode(self, tmp_path, source, mode, stamp, refusal):
         path = str(tmp_path / "j.bin")
@@ -431,6 +441,15 @@ class TestRefusals:
         else:
             with pytest.raises(ExecutionError, match=refusal):
                 read_journal(path, mode)
+
+    @pytest.mark.parametrize("golden, shards", [("journal_v5.bin", 0), ("journal_v6.bin", 2)])
+    def test_a_journal_of_aggregate_objects_is_refused_by_its_version(self, tmp_path, golden, shards):
+        # a resume from a journal written when groups held aggregate
+        # objects says which version it is, not which class is missing
+        path = str(tmp_path / "j.bin")
+        shutil.copy(os.path.join(os.path.dirname(__file__), "goldens", golden), path)
+        with pytest.raises(ExecutionError, match=r"checkpoint version \d of a '\w+' run .* not supported"):
+            DurableRunner(build(shards=shards), path, batch_size=64).resume(iter(feed()))
 
     def test_a_commit_cadence_below_one_is_refused(self, tmp_path):
         runner = DurableRunner(build(), str(tmp_path / "j.bin"), commit_interval=0)
@@ -972,10 +991,10 @@ class ReducedSum(Aggregate):
 
 
 class TestAggregatesAsTheirFields:
-    """A group's aggregates are journalled as one class per slot and each
-    group's field values; an aggregate with a ``__dict__``, or with
-    pickling of its own, as itself — and either way a resume is
-    byte-identical."""
+    """A group's cells are journalled as columns: a built-in's as plain
+    values, a UDAF's as its class and each group's field values — or, for
+    one with a ``__dict__`` or with pickling of its own, as itself — and
+    either way a resume is byte-identical."""
 
     TEXT = SS_TEXT.replace(
         "UMAX(sum(len), ssthreshold())", "UMAX(sum(len), ssthreshold()), udaf(len)"
@@ -999,14 +1018,14 @@ class TestAggregatesAsTheirFields:
         )
         with pytest.raises(_Boom):
             runner.run(iter(feed()))
-        columns = ResultJournal.read(path)[-1]["queries"]["u"]["operator"]["groups"]["aggregates"]
-        kinds = [cls for cls, _ in columns]
+        cells = ResultJournal.read(path)[-1]["queries"]["u"]["operator"]["groups"]["cells"]
+        *plain, (cls, items) = cells  # the supergroup key, sum(len), then the UDAF's cell
+        assert len(plain) == 2 and all(type(column) is list for column in plain)
+        assert all(type(total) is int for total in plain[1])
         if udaf is SlotSum:  # a slotted UDAF goes as its class and its field values
-            assert all(kinds) and kinds[-1] is SlotSum
-            assert columns[-1][1] and all(type(total) is int for total in columns[-1][1])
+            assert cls is SlotSum and items and all(type(total) is int for total in items)
         else:  # one that pickles its own way goes as itself
-            assert kinds[-1] is None and all(kinds[:-1])
-            assert columns[-1][1] and all(type(a) is udaf for a in columns[-1][1])
+            assert cls is None and items and all(type(a) is udaf for a in items)
         fresh = self.build(udaf)
         DurableRunner(fresh, path, batch_size=64, commit_interval=2).resume(iter(feed()))
         for name in ("q", "u"):
@@ -1047,32 +1066,38 @@ def tally_library():
 
 def live_objects(gs):
     """What ``gs``'s operators touch per record or per group, by kind."""
-    found = {kind: [] for kind in ("stats", "entries", "aggregates", "superaggregates", "states")}
+    kinds = ("stats", "entries", "groups", "cells", "superaggregates", "states")
+    found = {kind: [] for kind in kinds}
     for handle in gs.query_handles():
         op = handle.operator
         if isinstance(op, SamplingOperator):
             tables = op.tables
             supergroups = [*tables.new_supergroups.values(), *tables.old_supergroups.values()]
             found["stats"] += [*op.window_stats, *filter(None, [op._active_stats])]
-            found["entries"] += [*tables.groups.values(), *supergroups]
-            found["aggregates"] += [a for group in tables.groups.values() for a in group.aggregates]
+            found["entries"] += supergroups
+            found["groups"] += tables.groups.values()
+            # a group's list: its supergroup key, then its aggregates' cells
+            found["cells"] += [c for group in tables.groups.values() for c in group[1:]]
             found["superaggregates"] += [s for sg in supergroups for s in sg.superaggregates]
             found["states"] += [s for sg in supergroups for s in sg.states.values()]
         elif isinstance(op, StatefulSelectionOperator):
             found["states"] += op.states.values()
         elif isinstance(op, AggregationOperator):
-            found["aggregates"] += [a for group in op._groups.values() for a in group]
+            found["groups"] += op._groups.values()
+            found["cells"] += [c for group in op._groups.values() for c in group]
     return found
 
 
 class TestLiveStateKeepsItsSlots:
     """A commit reads the operators' per-record state by its fields, and a
     resume writes it back the same way: neither leaves a live object with
-    a ``__dict__``, which on CPython 3.11 slows every later access to it."""
+    a ``__dict__``, which on CPython 3.11 slows every later access to it.
+    A group is a list of plain values, so the built-in aggregates hold
+    by construction; a UDAF in a cell is still slotted."""
 
     ALL_AGGREGATES = (
         "sum(len), count(*), min(len), max(len), avg(len), count_distinct(destIP),"
-        " first(len), last(len)"
+        " first(len), last(len), slot_sum(len)"
     )
     TEXTS = [
         SS_TEXT,
@@ -1090,6 +1115,7 @@ class TestLiveStateKeepsItsSlots:
 
     def build(self):
         gs = deploy()
+        gs.registries.aggregates.register("slot_sum", SlotSum)
         for index, text in enumerate(self.TEXTS):
             gs.add_query(text, name=f"q{index}")
         return gs
@@ -1098,10 +1124,8 @@ class TestLiveStateKeepsItsSlots:
     def assert_slotted(gs):
         found = live_objects(gs)
         kinds = {kind: {type(obj).__name__ for obj in objs} for kind, objs in found.items()}
-        assert kinds["aggregates"] == {
-            "SumAggregate", "CountAggregate", "MinAggregate", "MaxAggregate", "AvgAggregate",
-            "CountDistinctAggregate", "FirstAggregate", "LastAggregate",
-        }
+        assert kinds["groups"] == {"list"}
+        assert kinds["cells"] == {"int", "bool", "set", "SlotSum"}
         assert kinds["superaggregates"] == {
             "CountDistinctSuper", "KthSmallestSuper", "SumSuper", "CountSuper", "AvgSuper",
             "MaxSuper", "MinSuper",
@@ -1110,7 +1134,7 @@ class TestLiveStateKeepsItsSlots:
             "SubsetSumState", "ReservoirState", "HeavyHitterState", "DistinctState", "BasicState",
         }
         assert kinds["stats"] == {"WindowStats"}
-        assert kinds["entries"] == {"GroupEntry", "SuperGroupEntry"}
+        assert kinds["entries"] == {"SuperGroupEntry"}
         with_dicts = [type(obj).__name__ for objs in found.values() for obj in objs
                       if hasattr(obj, "__dict__")]
         assert not with_dicts
@@ -1157,7 +1181,7 @@ class TestLiveStateKeepsItsSlots:
         with pytest.raises(_Boom):
             runner.run(iter(feed()))
         operator = ResultJournal.read(path)[-1]["queries"]["q"]["operator"]
-        (cls, items), = operator["groups"]["aggregates"]
+        _, (cls, items) = operator["groups"]["cells"]
         assert cls is None and items and all(type(a) is PlainSum for a in items)
         (_, states, _), = operator["new_supergroups"]
         assert states == {"tally_state": {"seen": states["tally_state"]["seen"]}}
