@@ -29,18 +29,18 @@ SARIF_SCHEMA = (
 #: The SARIF ``rules`` array is built from the subset that actually
 #: fired; docs/LINT_RULES.md is the human catalogue.
 RULE_DESCRIPTIONS: Dict[str, str] = {
-    "SA001": "SELECT item references nothing from the group context",
-    "SA002": "aggregate of a constant expression",
-    "SA003": "HAVING predicate is constant",
-    "SA004": "CLEANING predicate is constant",
-    "SA005": "comparison between incompatible types",
-    "SA006": "duplicate output column name",
-    "SA007": "supergroup variable unused by any SFUN or superaggregate",
-    "SA008": "arithmetic on a non-numeric operand",
-    "SA009": "WHERE predicate is constant",
-    "SA010": "wrong number of arguments",
-    "SA011": "condition is not boolean",
-    "SA012": "constant SFUN argument below the least its library declares",
+    "SA001": "unbounded group table",
+    "SA002": "sampling SFUN re-evaluated outside WHERE",
+    "SA003": "SUPERGROUP with nothing that uses it",
+    "SA004": "constant CLEANING predicate",
+    "SA005": "SFUN signature mismatch",
+    "SA006": "non-deterministic group-by expression",
+    "SA007": "constant division by zero",
+    "SA008": "function arity mismatch",
+    "SA009": "duplicate output column name",
+    "SA010": "type mismatch",
+    "SA011": "predicate is not boolean",
+    "SA012": "SFUN argument below its least value",
     "SA020": "unknown stream",
     "SA021": "unknown function",
     "SA022": "unknown superaggregate",
@@ -54,12 +54,12 @@ RULE_DESCRIPTIONS: Dict[str, str] = {
     "SA030": "CLEANING WHEN and CLEANING BY must appear together",
     "SA090": "lexer error",
     "SA091": "parse error",
-    "SA101": "estimated group-table size exceeds the budget",
-    "SA102": "WHERE conjunct could run as a low-level prefilter",
-    "SA201": "non-linear aggregate over a sampled stream is biased",
-    "SA202": "linear aggregate under weighted sampling lacks a correction",
-    "SA203": "chained sampler families break exchangeability",
-    "SA204": "GROUP BY on a column the sampler conditions on",
+    "SA101": "group table beyond the cardinality budget",
+    "SA102": "prefilterable WHERE conjunct",
+    "SA201": "non-linear aggregate over a sample",
+    "SA202": "uncorrected linear aggregate",
+    "SA203": "chained sampler families",
+    "SA204": "grouping on a conditioned column",
     # SA3xx / SA401: the legality table names its own rows
     **{rule.id: rule.title for rule in RULES},
 }

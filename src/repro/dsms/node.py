@@ -37,8 +37,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dsms.aggregates import Layout
 from repro.dsms.expr import (
-    ColumnRef, EvalContext, FunctionCall, InPlace, ScalarCall, Star, StatefulCall, _Emitter, bind_group,
-    bind_input, bind_tuple, column_names,
+    BinaryOp, ColumnRef, EvalContext, FunctionCall, InPlace, Literal, ScalarCall, Star, StatefulCall, _Emitter,
+    bind_group, bind_input, bind_tuple, column_names,
 )
 from repro.dsms.operators.base import Operator
 from repro.errors import PlanningError
@@ -520,16 +520,87 @@ def scannable(op: Operator) -> bool:
     return op.kind_label == "selection" and "process_many" in vars(op) and not op._forwards
 
 
+#: a comparison with the literal on its left, as the column's: ``200 < len`` is ``len > 200``
+MIRRORED = {">": "<", ">=": "<=", "<": ">", "<=": ">="}
+
+#: one comparison of a column against a numeric literal: (input schema, column, comparison, literal)
+Bound = Tuple[int, str, str, Any]
+
+
+def bound(op: Operator) -> Optional[Bound]:
+    """``op``'s WHERE as a :data:`Bound`, the column on the left, when it
+    is one comparison of a column of its input schema against an int or
+    float literal; else None."""
+    where = op.analyzed.ast.where
+    if not isinstance(where, BinaryOp) or where.op not in MIRRORED:
+        return None
+    column, literal, comparison = where.left, where.right, where.op
+    if isinstance(column, Literal):
+        column, literal, comparison = literal, column, MIRRORED[comparison]
+    if not (isinstance(column, ColumnRef) and isinstance(literal, Literal)
+            and type(literal.value) in (int, float)):
+        return None
+    return id(op.analyzed.schema), column.name, comparison, literal.value
+
+
+def implies(j: Bound, i: Bound) -> bool:
+    """A record passing ``j`` passes ``i``: one column, one direction, and
+    ``j``'s bound at least as tight — at an equal bound, ``>`` implies
+    ``>=`` and not the reverse (``<`` and ``<=`` mirrored)."""
+    if j[:2] != i[:2] or j[2][0] != i[2][0]:
+        return False
+    if j[3] != i[3]:
+        return j[3] > i[3] if j[2][0] == ">" else j[3] < i[3]
+    return j[2] == i[2] or len(j[2]) == 1
+
+
+#: how deep a scan nests members: with a SELECT nested as deep as the
+#: parser allows, its lines stay inside the tokenizer's 100 levels
+NESTED = 16
+
+
+def nesting(ops: Sequence[Operator]) -> List[Optional[int]]:
+    """Each member's parent in a scan of ``ops``: the tightest other
+    member its WHERE implies (:func:`implies`) — of two that imply each
+    other, the earlier is the parent — or None, also for a member
+    :data:`NESTED` parents deep."""
+    bounds = [bound(op) for op in ops]
+    parents: List[Optional[int]] = []
+    for j, bj in enumerate(bounds):
+        parent: Optional[int] = None
+        tightest: Optional[Bound] = None
+        for i, bi in enumerate(bounds):
+            if (bi and bj and i != j and implies(bj, bi) and (i < j or not implies(bi, bj))
+                    and (tightest is None or implies(bi, tightest))):
+                parent, tightest = i, bi
+        parents.append(parent)
+
+    def depth(j: int) -> int:
+        parent = parents[j]
+        return 0 if parent is None else depth(parent) + 1
+
+    for j in sorted(range(len(ops)), key=depth):  # a chain too deep starts again
+        if depth(j) > NESTED:
+            parents[j] = None
+    return parents
+
+
 def emit_scan(ops: Sequence[Operator], label: str) -> Callable[..., Tuple[List[Record], ...]]:
     """One pass for the :func:`scannable` selections ``ops`` over one
     stream: ``scan(records, contexts)`` reads each record once and returns
     each member's rows as its entry would emit them, counting member
     ``i``'s clause calls in ``contexts[i]``.  WHERE and SELECT are
-    :data:`LOOP`'s selection terms, member after member; members with
-    equal SELECT lists (calling no function) and output attributes share
-    a row, built for the first that passes and carrying its output
-    schema, whatever the queries are named.  A scan of one is its
-    member's entry, less the counters :func:`take` settles."""
+    :data:`LOOP`'s selection terms.  A member whose WHERE implies
+    another's is tested inside that one's ``if`` (:func:`nesting`), so a
+    record failing ``len > 200`` is not tested against ``len > 1400``;
+    the others follow one another in registration order.  A value that
+    compares against one numeric literal without raising compares against
+    any, so the scan raises on the batches the members' own nodes would.
+    Members with equal SELECT lists (calling no function) and output
+    attributes share a row, built for the first that passes in the scan's
+    order and carrying its output schema, whatever the queries are named;
+    under a member that built it, a sharer emits it with no test.  A scan
+    of one is its member's entry, less the counters :func:`take` settles."""
 
     def select_key(i: int, op: Operator) -> Any:
         select = [item.expr for item in op.analyzed.ast.select]
@@ -540,6 +611,7 @@ def emit_scan(ops: Sequence[Operator], label: str) -> Callable[..., Tuple[List[R
 
     keys = [select_key(i, op) for i, op in enumerate(ops)]
     shared = {key: f"row{keys.index(key)}" for key in keys if keys.count(key) > 1}
+    parents = nesting(ops)
     node = _Emitter(bind_group((), "key"))
     node.hoisted, node.body = "", 2  # what a clause reads is in locals already
     members = range(len(ops))
@@ -549,25 +621,41 @@ def emit_scan(ops: Sequence[Operator], label: str) -> Callable[..., Tuple[List[R
     node.line("for record in records:")
     node.depth = 2
     node.line("v = record.values")
-    for name in shared.values():
-        node.line(f"{name} = None")
-    for i, op in enumerate(ops):
-        start, where = len(node.lines), op.analyzed.ast.where
-        node.bind, node.depth = bind_input(op.analyzed.schema, "v"), 2
-        if where is not None:
-            node.line(f"if {node.emit(where)}:")
+    top = len(node.lines)
+    built: List[str] = []  # the shared rows a member written so far builds
+    reset: List[str] = []  # ... and those a later member may find built by an earlier record
+
+    def write(i: int, depth: int, held: Tuple[str, ...]) -> None:
+        """Member ``i`` at ``depth``, then what nests in it; ``held``: the
+        shared rows its enclosing members built."""
+        op, start = ops[i], len(node.lines)
+        node.bind, node.depth = bind_input(op.analyzed.schema, "v"), depth
+        if op.analyzed.ast.where is not None:
+            node.line(f"if {node.emit(op.analyzed.ast.where)}:")
             node.depth += 1
-        row = shared.get(keys[i], "row")
-        if keys[i] in shared:  # built by whichever sharer passes first
-            node.line(f"if {row} is None:")
-            node.depth += 1
-        node.line(f"{row} = {node.const(object.__new__)}({node.const(Record)})")
-        values = node.row([item.expr for item in op.analyzed.ast.select])
-        node.line(f"{row}.schema, {row}.values = {node.const(op.output_schema)}, {values}")
-        node.depth = 3 if where is not None else 2
+        inner, row = node.depth, shared.get(keys[i], "row")
+        if row not in held:
+            if row in built:  # by another branch, or not in this record
+                reset.append(row)
+                node.line(f"if {row} is None:")
+                node.depth += 1
+            if keys[i] in shared:
+                built.append(row)
+            node.line(f"{row} = {node.const(object.__new__)}({node.const(Record)})")
+            values = node.row([item.expr for item in op.analyzed.ast.select])
+            node.line(f"{row}.schema, {row}.values = {node.const(op.output_schema)}, {values}")
+            node.depth = inner
         node.line(f"emit{i}({row})")
         if re.search(r"\bctx\b", "\n".join(node.lines[start:])):
-            node.lines.insert(start, f"        ctx = ctx{i}")
+            node.lines.insert(start, "    " * depth + f"ctx = ctx{i}")
+        for j in members:
+            if parents[j] == i:
+                write(j, inner, held + (row,) if keys[i] in shared else held)
+
+    for i in members:
+        if parents[i] is None:
+            write(i, 2, ())
+    node.lines[top:top] = [f"        {row} = None" for row in dict.fromkeys(reset)]
     return node.function("runs", f"{label}:scan", "scan", "records, contexts")
 
 

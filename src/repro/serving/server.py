@@ -78,6 +78,7 @@ from repro.obs.export import render_prometheus
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracing import NULL_TRACE, TraceSink
 from repro.serving.faults import (
+    CLOSED,
     BreakerConfig,
     CircuitBreaker,
     DeadLetter,
@@ -447,14 +448,15 @@ class StandingQueryEngine:
                     elif run is None:
                         leader.instance.feed(batch)
                     else:
-                        with taking(leader.instance, leader.low_name, run):
-                            leader.instance.feed(batch)
+                        taking(leader.instance, leader.low_name, run, batch)
                 except Exception as exc:  # fault boundary, not a bug trap
                     self._record_failure(leader, exc, role, offset, n)
                     if followers:
                         self._note_failover(leader, followers[0], offset)
                     continue
-                self._record_success(leader)
+                breaker = leader.breaker  # a closed breaker with no failures: a success changes nothing
+                if breaker.consecutive_failures or breaker.state != CLOSED:
+                    self._record_success(leader)
                 replayed = 0
                 for sq in followers:
                     try:
@@ -462,7 +464,9 @@ class StandingQueryEngine:
                     except Exception as exc:  # fault boundary, not a bug trap
                         self._record_failure(sq, exc, "follower", offset, n)
                     else:
-                        self._record_success(sq)
+                        breaker = sq.breaker
+                        if breaker.consecutive_failures or breaker.state != CLOSED:
+                            self._record_success(sq)
                         replayed += 1
                 if replayed:
                     self._counter("serving_shared_replays_total").inc(replayed)

@@ -16,8 +16,8 @@ and replays its effects into every other subscriber:
   registered) instance of a signature group normally, capturing the
   low-level node's emitted records plus the exact metric-counter and
   cost-account deltas the shared prefix produced;
-* :func:`taking` lets a leader's low-level node take its run from the
-  engine's one scan of the batch for every group's leader
+* :func:`taking` feeds a leader, its low-level node taking its run from
+  the engine's one scan of the batch for every group's leader
   (:func:`repro.dsms.node.emit_scan`), settling what the node would;
 * :func:`replay_feed` applies those deltas — relabelled to the
   follower's node names — to every other member, then hands the
@@ -35,10 +35,9 @@ pair and triple of example queries.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Collection, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.dataflow import build_plan_graph
 from repro.dsms.expr import EvalContext, ScalarCall, find_nodes
@@ -186,12 +185,12 @@ class BatchCapture:
 Run = Tuple[List[Record], EvalContext]
 
 
-@contextmanager
 def taking(
-    gs: Any, low_name: Optional[str], run: Optional[Run], runs: Optional[List[Any]] = None
-) -> Iterator[None]:
-    """For one feed of ``gs``, its low-level node *takes* ``run`` — it
-    is handed the whole batch the scan read — or, without one, runs
+    gs: Any, low_name: Optional[str], run: Optional[Run], batch: Sequence[Record],
+    runs: Optional[List[Any]] = None,
+) -> None:
+    """Feed ``batch`` to ``gs``, its low-level node *taking* ``run`` — it
+    is handed the whole batch the scan read — or, without one, running
     itself, keeping what it returns in ``runs``; then its entry is
     restored as it was."""
     operator = gs.query(low_name).operator
@@ -211,7 +210,7 @@ def taking(
 
     operator.process_many = entry
     try:
-        yield
+        gs.feed(batch)
     finally:
         if bound is None:
             del operator.process_many
@@ -250,8 +249,7 @@ def capture_feed(
     forwarded_before = low.forwarded
 
     runs: List[Collection[Record]] = []
-    with taking(gs, low_name, run, runs):
-        gs.feed(batch)
+    taking(gs, low_name, run, batch, runs)
 
     forwarded = low.forwarded - forwarded_before
     shape: List[Tuple[str, LabelItems]] = []

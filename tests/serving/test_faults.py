@@ -388,6 +388,31 @@ class TestOneFeedPath:
         assert engine.metrics.value("serving_leader_failovers_total") == 0
         assert served_state(leader) == solo_state(HEALTHY_AGGS[0], records)
 
+    @pytest.mark.parametrize("poisoned_first", [True, False], ids=["leader", "follower"])
+    def test_a_success_clears_failures_short_of_the_threshold(self, records, poisoned_first):
+        """A fault inside a time window fails fewer batches than the
+        threshold: the breaker stays closed, and the next batch the query
+        serves sets its count of consecutive failures back to 0."""
+
+        def transient(value):
+            if 2 <= value < 4:
+                raise RuntimeError("transient fault window")
+            return 1
+
+        def factory():
+            gs = make_instance()
+            gs.register_scalar("POISON", transient, deterministic=True)
+            return gs
+
+        engine = StandingQueryEngine(factory, breaker=BreakerConfig(failure_threshold=100))
+        texts = [POISON_SHARED, HEALTHY_AGGS[0]]
+        served = [engine.register(text, name="q") for text in (texts if poisoned_first else texts[::-1])]
+        feed_all(engine, records)
+        engine.close()
+        breaker = served[0 if poisoned_first else 1].breaker
+        assert breaker.failures_total > 0
+        assert (breaker.state, breaker.consecutive_failures) == ("closed", 0)
+
     def test_a_flush_that_raises_is_dead_lettered(self, records):
         """The last window only closes in ``finish``, and its HAVING
         raises there: the flush is dead-lettered and the drain goes on

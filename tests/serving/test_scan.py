@@ -14,10 +14,15 @@ follower holds its leader's rows.
 
 from __future__ import annotations
 
+import operator
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.dsms import runtime
-from repro.dsms.node import emit_scan
+from repro.dsms.expr import EvalContext
+from repro.dsms.node import NESTED, bound, emit_scan, nesting, scannable
 from repro.dsms.runtime import REFUSALS, StreamRun
 from repro.serving import server
 from repro.serving.server import StandingQueryEngine, drive
@@ -292,3 +297,135 @@ class TestAServedBatchIsCheckedOnce:
             total = instance.metrics.total
             refused = sum(total(row.counter) for row in REFUSALS.values())
             assert total("stream_records_total") == total("stream_ingested_total") + refused
+
+
+#: what a drawn member compares and against what; ``=`` never nests
+COLUMNS = ("len", "srcPort")
+COMPARISONS = (">", ">=", "<", "<=", "=")
+LITERALS = ("0", "64", "64.0", "64.5", "200", "200.0")
+#: shared (two lists), and never shared: a SELECT that calls a function
+SELECTS = ("time, srcIP, len", "time, len AS size", "time, HALF(len)")
+#: record values: the literals' bounds and their neighbours, NaN and bools;
+#: a batch may hold one value no number compares with
+VALUES = (-1, 0, 1, 63, 64, 64.0, 64.5, 65, 199, 200, 200.0, 201, 1000, float("nan"), True, False)
+ODD = (None, "64")
+
+members = st.lists(
+    st.tuples(st.sampled_from(COLUMNS), st.sampled_from(COMPARISONS + (None,)),
+              st.sampled_from(LITERALS), st.booleans(), st.sampled_from(SELECTS)),
+    min_size=1, max_size=6,
+)
+batches = st.tuples(
+    st.lists(st.tuples(st.sampled_from(VALUES), st.sampled_from(VALUES)), max_size=12),
+    st.none() | st.tuples(st.integers(0, 11), st.sampled_from(COLUMNS), st.sampled_from(ODD)),
+)
+
+
+def text(column, comparison, literal, left, select):
+    terms = (literal, comparison, column) if left else (column, comparison, literal)
+    where = "" if comparison is None else " WHERE " + " ".join(terms)
+    return f"SELECT {select} FROM TCP{where}"
+
+
+def selections(texts):
+    """Each text's selection node, all compiled against one input schema."""
+    gs = with_half()
+    for i, query in enumerate(texts):
+        gs.add_query(query, name=f"q{i}")
+    return [gs.query(f"q{i}").operator for i in range(len(texts))]
+
+
+def run(scan, ops, batch):
+    """The scan's runs and each member's calls counted, or None if it raised."""
+    contexts = [EvalContext(op._ctx.scalars, op._ctx.sfuns) for op in ops]
+    try:
+        runs = scan(batch, contexts)
+    except Exception:
+        return None
+    return [(shown(rows), (ctx.function_calls, ctx.sfun_calls)) for rows, ctx in zip(runs, contexts)]
+
+
+def shown(rows):
+    """Rows as their attribute names and values, NaN equal to NaN."""
+    return [(row.schema.names, repr(row.values)) for row in rows]
+
+
+def holds(cut, value):
+    """``value`` passes the comparison ``cut`` (a ``node.Bound``)."""
+    _, _, comparison, literal = cut
+    return {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}[comparison](value, literal)
+
+
+def chains(parents):
+    """The members' chains as root-first lists, when each parent has one child."""
+    roots = [i for i, parent in enumerate(parents) if parent is None]
+    out = []
+    for root in roots:
+        chain = [root]
+        while chain[-1] in parents:
+            chain.append(parents.index(chain[-1]))
+        out.append(chain)
+    return out
+
+
+class TestTheScanNestsByImplication:
+    """A member whose WHERE implies another's is tested only inside that
+    one's ``if`` (``node.nesting``); each member still takes what its own
+    node emits, and the scan raises on exactly the batches a flat scan —
+    every member tested on every record — raises on."""
+
+    @given(members, batches)
+    def test_each_member_runs_as_its_own_node(self, drawn, batch):
+        ops = selections([text(*member) for member in drawn])
+        assert all(map(scannable, ops))
+        values, poison = batch
+        fields = [dict(zip(COLUMNS, pair)) for pair in values]
+        if poison is not None and fields:
+            at, column, value = poison
+            fields[at % len(fields)][column] = value
+        records = [Record(TCP_SCHEMA, (1, 2, 3, 4, row["len"], row["srcPort"], 7, 8))
+                   for row in fields]
+        nested = run(emit_scan(ops, "TCP"), ops, records)
+        flat = [run(emit_scan([op], "TCP"), [op], records) for op in ops]  # a scan of one nests nothing
+        assert (nested is None) == (None in flat)
+        own = []
+        for op in ops:
+            try:
+                own.append(shown(op.process_many(records)))
+            except Exception:
+                own.append(None)
+        assert (nested is None) == (None in own)
+        if nested is not None:
+            assert nested == [member for (member,) in flat]
+            assert [rows for rows, _ in nested] == own
+
+    @given(members)
+    def test_a_member_nests_only_under_one_it_implies(self, drawn):
+        ops = selections([text(*member) for member in drawn])
+        for j, parent in enumerate(nesting(ops)):
+            if parent is not None:
+                inner, outer = bound(ops[j]), bound(ops[parent])
+                assert inner[:2] == outer[:2]  # one column of one schema
+                for value in VALUES:
+                    assert not holds(inner, value) or holds(outer, value)
+
+    @pytest.mark.parametrize("order", [range(8), range(7, -1, -1), [3, 7, 0, 5, 1, 6, 2, 4]])
+    def test_the_serve_shared_cuts_form_one_chain(self, order):
+        ops = selections([SHAPED[i] for i in order])
+        [chain] = chains(nesting(ops))
+        assert [order[i] for i in chain] == list(range(8))  # loosest first
+
+    def test_equal_bounds_nest_the_strict_under_the_loose_only(self):
+        wheres = ["len > 64", "len >= 64", "64.0 < len", "len >= 64.0"]
+        texts = [f"SELECT time, len FROM TCP WHERE {where}" for where in wheres]
+        # one chain: ``>= 64``, ``>= 64.0``, ``> 64``, ``64.0 < len``
+        assert nesting(selections(texts)) == [3, None, 0, 1]
+
+    def test_a_long_chain_starts_again_and_compiles(self, records):
+        """100 cuts in one chain would nest past the tokenizer's 100 levels."""
+        texts = [f"SELECT time, len FROM TCP WHERE len > {cut}" for cut in range(0, 1500, 15)]
+        ops = selections(texts)
+        parents = nesting(ops)
+        assert max(map(len, chains(parents))) == NESTED + 1 and len(chains(parents)) > 1
+        flat = [run(emit_scan([op], "TCP"), [op], records) for op in ops]
+        assert run(emit_scan(ops, "TCP"), ops, records) == [member for (member,) in flat]
