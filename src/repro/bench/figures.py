@@ -20,6 +20,7 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 from repro.algorithms.estimators import replicate, subset_sum_variance_gap
@@ -202,6 +203,12 @@ class CpuUsageResult:
         )
 
 
+def _total_len(trace: Sequence[Record]) -> int:
+    """Bytes in ``trace``, its ``len`` index looked up once."""
+    at = trace[0].schema.index_of("len")
+    return sum(r.values[at] for r in trace)
+
+
 def figure5(
     targets: Sequence[int] = (100, 1000, 10000),
     duration_seconds: int = 3,
@@ -216,7 +223,7 @@ def figure5(
     a CPU (memory copies).
     """
     trace = performance_trace(duration_seconds, rate_scale=1.0, seed=seed)
-    total_len = sum(r["len"] for r in trace)
+    total_len = _total_len(trace)
     windows = max(1, duration_seconds // window_seconds)
 
     relaxed: Dict[int, float] = {}
@@ -298,7 +305,7 @@ def figure6(
     dynamic level) collapses both the low-level cost (~60%% -> ~4%%) and
     the sampler's own cost."""
     trace = performance_trace(duration_seconds, rate_scale=1.0, seed=seed)
-    total_len = sum(r["len"] for r in trace)
+    total_len = _total_len(trace)
     windows = max(1, duration_seconds // window_seconds)
 
     selection_fed: Dict[int, float] = {}
@@ -486,7 +493,7 @@ def ablation_prefilter(
     recall, more copies); larger ones risk starving the dynamic sampler.
     """
     trace = performance_trace(duration_seconds, rate_scale=1.0)
-    total_len = sum(r["len"] for r in trace)
+    total_len = _total_len(trace)
     windows = max(1, duration_seconds // window_seconds)
     z_dynamic = total_len / windows / target
     rows = []
@@ -539,17 +546,19 @@ def flow_sampling_ddos() -> SweepResult:
     group table").
     """
     config = TraceConfig(duration_seconds=120, rate_scale=0.05, seed=77)
+    feed = list(ddos_feed(config, attack_start=30, attack_duration=60))
+    time_at, len_at = map(feed[0].schema.index_of, ("time", "len"))
+    flow_of = itemgetter(*map(feed[0].schema.index_of, ("srcIP", "destIP", "srcPort", "destPort", "protocol")))
     by_window: Dict[int, List[Record]] = defaultdict(list)
-    for record in ddos_feed(config, attack_start=30, attack_duration=60):
-        by_window[record["time"] // FLOW_WINDOW_SECONDS].append(record)
+    for record in feed:
+        by_window[record.values[time_at] // FLOW_WINDOW_SECONDS].append(record)
 
     rows = []
     sampler = SampledFlowAggregator(target=FLOW_TARGET, gamma=2.0, relax_factor=10.0)
     for window in sorted(by_window):
         records = by_window[window]
-        actual = sum(r["len"] for r in records)
-        distinct = len({(r["srcIP"], r["destIP"], r["srcPort"],
-                         r["destPort"], r["protocol"]) for r in records})
+        actual = sum(r.values[len_at] for r in records)
+        distinct = len({flow_of(r.values) for r in records})
 
         naive = NaiveFlowAggregator(memory_limit=FLOW_MEMORY_LIMIT)
         naive_outcome = "OK"

@@ -165,8 +165,9 @@ def _distil(
     estimates: Dict[int, float] = defaultdict(float)
     outputs: Dict[int, int] = defaultdict(int)
     for row in query.results:
-        estimates[row[0]] += row[3]
-        outputs[row[0]] += 1
+        values = row.values
+        estimates[values[0]] += values[3]
+        outputs[values[0]] += 1
     admitted = {ws.window[0]: ws.tuples_admitted for ws in query.operator.window_stats}
     cleanings = {ws.window[0]: ws.cleaning_phases for ws in query.operator.window_stats}
     return SubsetSumRun(

@@ -8,19 +8,23 @@ queries still see monotone time).
 The implementation is watermark-based: records buffer per source; the
 watermark is the minimum, across sources, of the last ordered-attribute
 value seen; buffered records at or below the watermark are released in
-sorted order.  A source that ends (``end_source``) stops holding the
-watermark back.  ``flush`` releases everything that remains.
+sorted order, the buffer sorted and cut at the watermark (no record pays
+a heap operation).  A source that ends (``end_source``) stops holding
+the watermark back.  ``flush`` releases everything that remains.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_right
+from operator import attrgetter, itemgetter, lt
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ExecutionError, SchemaError
 from repro.dsms.operators.base import Operator
 from repro.streams.records import Record
 from repro.streams.schema import StreamSchema
+
+_VALUES, _KEY, _RECORD = attrgetter("values"), itemgetter(0), itemgetter(2)
 
 
 class MergeOperator(Operator):
@@ -38,9 +42,10 @@ class MergeOperator(Operator):
             )
         self.output_schema = schema
         self.merge_attribute = ordered[0].name
-        self._key_index = schema.index_of(self.merge_attribute)
+        self._key_of = itemgetter(schema.index_of(self.merge_attribute))
         self._sources = list(sources)
-        self._heap: List[tuple] = []  # (key, seq, record)
+        #: (key, seq, record), sorted whenever a call returns
+        self._buffer: List[tuple] = []
         self._seq = 0
         #: last ordered value per live source (None until first record)
         self._frontier: Dict[str, Optional[Any]] = {s: None for s in sources}
@@ -65,33 +70,36 @@ class MergeOperator(Operator):
         out: Optional[List[Record]] = None,
     ) -> List[Record]:
         """Accept a run of records from a named source; appends what the
-        watermark releases to ``out``.  Releasing once, at the run's end
-        (or at the record that violates the source's ordering), yields
-        what a release per record would: the watermark only rises, and
-        every later record sorts at or above it."""
+        watermark releases to ``out``.  The run is buffered whole — up to
+        the record that violates the source's ordering, which raises
+        after the records before it are released — and released once:
+        the watermark only rises, and every later record sorts at or
+        above it, so that yields what a release per record would."""
         if out is None:
             out = []
         if source not in self._frontier:
             raise ExecutionError(f"unknown merge source {source!r}")
         if source in self._done:
             raise ExecutionError(f"merge source {source!r} already ended")
-        heap, key_index, push = self._heap, self._key_index, heapq.heappush
-        last, seq = self._frontier[source], self._seq
-        try:
-            for record in records:
-                key = record.values[key_index]
-                if last is not None and key < last:
-                    raise ExecutionError(
-                        f"merge source {source!r} violated ordering:"
-                        f" {key!r} after {last!r}"
-                    )
-                last = key
-                push(heap, (key, seq, record))
-                seq += 1
-        finally:
-            self.m_in.inc(seq - self._seq)
-            self._frontier[source], self._seq = last, seq
-            out.extend(self._release())
+        run = records if isinstance(records, (list, tuple)) else list(records)
+        keys = list(map(self._key_of, map(_VALUES, run)))
+        last = self._frontier[source]
+        previous = (keys[:1] if last is None else [last]) + keys
+        error = None
+        if any(map(lt, keys, previous)):
+            cut = next(i for i, key in enumerate(keys) if key < previous[i])
+            error = ExecutionError(
+                f"merge source {source!r} violated ordering: {keys[cut]!r} after {previous[cut]!r}"
+            )
+            del keys[cut:]
+            run = run[:cut]
+        seq, self._seq = self._seq, self._seq + len(keys)
+        self._buffer += zip(keys, range(seq, self._seq), run)
+        self._frontier[source] = keys[-1] if keys else last
+        self.m_in.inc(len(keys))
+        out.extend(self._release())
+        if error is not None:
+            raise error
         return out
 
     def process_from(self, source: str, record: Record) -> List[Record]:
@@ -123,51 +131,44 @@ class MergeOperator(Operator):
         return min(frontiers)
 
     def _release(self) -> List[Record]:
+        buffer = self._buffer
+        buffer.sort()  # the seq breaks ties: a record is never compared
         watermark = self._watermark()
-        out: List[Record] = []
         if watermark is _HOLD:
-            self.g_buffered.set(len(self._heap))
-            return out
-        while self._heap and (
-            watermark is None or self._heap[0][0] <= watermark
-        ):
-            _key, _seq, record = heapq.heappop(self._heap)
-            out.append(record)
+            cut = 0
+        else:
+            cut = len(buffer) if watermark is None else bisect_right(buffer, watermark, key=_KEY)
+        out = list(map(_RECORD, buffer[:cut]))
+        del buffer[:cut]
         self.m_rows_out.inc(len(out))
-        self.g_buffered.set(len(self._heap))
+        self.g_buffered.set(len(buffer))
         return out
 
     def flush(self) -> List[Record]:
         """End of all input: release every buffered record in order."""
         self._done.update(self._sources)
-        out: List[Record] = []
-        while self._heap:
-            _key, _seq, record = heapq.heappop(self._heap)
-            out.append(record)
-        self.m_rows_out.inc(len(out))
-        self.g_buffered.set(0)
-        return out
+        return self._release()
 
     def checkpoint(self, since: Optional[Dict[str, int]] = None) -> Any:
-        """Buffered records, per-source frontiers, and ended sources (the
-        heap list is already heap-ordered, so restore needs no
-        re-heapify); records are immutable once emitted."""
+        """Buffered records (sorted, so a heap, as older checkpoints hold
+        under ``heap``), per-source frontiers, and ended sources; records
+        are immutable once emitted."""
         return {
-            "heap": list(self._heap),
+            "heap": list(self._buffer),
             "seq": self._seq,
             "frontier": dict(self._frontier),
             "done": set(self._done),
         }
 
     def restore(self, snapshot: Any) -> None:
-        self._heap = snapshot["heap"]
+        self._buffer = snapshot["heap"]
         self._seq = snapshot["seq"]
         self._frontier = snapshot["frontier"]
         self._done = snapshot["done"]
 
     @property
     def buffered(self) -> int:
-        return len(self._heap)
+        return len(self._buffer)
 
 
 class _Hold:

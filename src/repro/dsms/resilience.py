@@ -61,7 +61,7 @@ import pickle
 import queue as _queue
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.dsms.durability import cut, joined, marks
@@ -155,7 +155,7 @@ class ShardSupervisor:
         self._epoch = [0] * shards
         self._seq = [0] * shards
         #: per shard: journalled (seq, records) batches not yet checkpointed
-        self._journal: List[List[Tuple[int, List[Record]]]] = [[] for _ in range(shards)]
+        self._journal: List[List[Tuple[int, Sequence[Record]]]] = [[] for _ in range(shards)]
         #: per shard: its checkpoints joined, ``{"seq": covered seq, **state}``
         self._held: List[Optional[Dict[str, Any]]] = [None] * shards
         self._last_ckpt_request = [0] * shards
@@ -204,7 +204,7 @@ class ShardSupervisor:
         for shard in resume_state:
             self._send(shard, ("restore", cut(self._held[shard], {})))
 
-    def ship(self, buckets: List[List[Record]]) -> None:
+    def ship(self, buckets: List[Sequence[Record]]) -> None:
         """Journal and send one round's routed buckets; a journal past
         ``journal_capacity`` backpressures until a checkpoint trims it."""
         capacity = self.policy.journal_capacity

@@ -63,6 +63,10 @@ class StreamRun(tuple):
         run.stream = stream
         return run
 
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # tuple's own reduction passes the records alone to __new__
+        return StreamRun, (tuple(self), self.stream)
+
 
 def run_stream(batch: Sequence[Any]) -> Optional[str]:
     """The stream a non-empty ``batch`` is one *run* of — exact ``Record``

@@ -28,6 +28,8 @@ Architecture::
   ``True`` route alike), and a key that repeats is hashed once per run:
   the SPLIT memoises key → shard, emptied at ``_ROUTE_MEMO_KEYS``, and
   stops consulting the memo for a while when most of a batch misses it.
+  The same pass vouches for a batch that is one run of a stream: its
+  buckets ship as ``StreamRun`` tuples that no shard checks again.
 * **shards** — full replicas of the query DAG, held by a *shard pool*.
   There are exactly two pools and they differ only in where the
   :class:`Gigascope` instances live: :class:`_InlinePool` (default)
@@ -43,8 +45,9 @@ Architecture::
   per round, never per record.  A shard checkpoints as a serial host
   does: ``{"seq": n, **Gigascope.checkpoint(since)}`` per shard.
 * **MERGE** — one :class:`MergeOperator` per registered query recombines
-  the shard outputs on the query's ordered output attribute; a shard
-  that finishes releases its watermark via ``end_source``.
+  the shard outputs on the query's ordered output attribute, releasing
+  a sorted slice of its buffer cut at the watermark; a shard that
+  finishes releases its watermark via ``end_source``.
 
 Semantics: for queries whose partition constraints are satisfiable (see
 ``partition_info``), a sharded run produces the same window output as
@@ -80,8 +83,8 @@ from repro.dsms.parser import compile_query
 from repro.dsms.parser.planner import partition_info
 from repro.dsms.resilience import ShardSupervisor, SupervisionPolicy, SupervisionReport
 from repro.dsms.runtime import (
-    Gigascope, QueryHandle, StreamShed, account_refusal, admit_payload,
-    own_state, registry_report, restore_own_state,
+    Gigascope, QueryHandle, StreamRun, StreamShed, account_refusal,
+    admit_payload, own_state, registry_report, restore_own_state,
 )
 from repro.dsms.stateful import StatefulLibrary
 from repro.obs.metrics import MetricsRegistry
@@ -232,7 +235,7 @@ class _InlinePool:
         for instance in instances:
             instance.start()
 
-    def ship(self, buckets: List[List[Record]]) -> None:
+    def ship(self, buckets: List[Sequence[Record]]) -> None:
         instances = self.owner._instances
         for shard, bucket in enumerate(buckets):
             if bucket:
@@ -757,24 +760,33 @@ class ShardedGigascope:
                     account_refusal(self, "shed", stream, count, offered=True)
         return kept
 
-    def _split(self, batch: Sequence[Record]) -> List[List[Record]]:
-        """Bucket one batch by shard.  A key's shard is hashed the first
-        time the run sees it and memoised after (an unhashable key is
-        hashed every time); the memo starts afresh when it holds
-        ``_ROUTE_MEMO_KEYS`` keys.  A miss costs more than the hash it
-        saves a hit, so after a batch in which most records missed the
-        next ``_ROUTE_MEMO_PAUSE`` batches hash every record, as if
-        there were no memo, before a batch tries the memo again."""
+    def _split(self, batch: Sequence[Record]) -> List[Sequence[Record]]:
+        """Bucket one batch by shard, and vouch for it in the same pass:
+        the buckets of a run (``run_stream``'s: exact ``Record``s of the
+        first one's schema, here by identity) ship as ``StreamRun`` tuples
+        no shard checks again; those of any other batch as plain lists.
+        A key's shard is hashed the first time the run sees it and
+        memoised after (an unhashable key is hashed every time); the
+        memo starts afresh at ``_ROUTE_MEMO_KEYS`` keys.  A miss costs
+        more than the hash it saves a hit, so after a batch in which
+        most records missed the next ``_ROUTE_MEMO_PAUSE`` batches hash
+        every record before a batch tries the memo again: on
+        ``ddos_feed``'s attack seconds this loop takes nearly twice as long
+        without the pause (docs/PERFORMANCE.md)."""
         shards, route, shard_of = self.shards, self._route, self._shard_of
         buckets: List[List[Record]] = [[] for _ in range(shards)]
         memo, misses = not self._memo_pause, 0
+        schema, run = None, True
         for record in batch:
-            try:
-                index = route[record.schema.name]
-            except (KeyError, AttributeError):
-                # Refuse it as the serial runtime's admission would: raises.
-                admit_payload(record, self.registries.schemas, self._streams, False)
-                raise
+            if type(record) is not Record or record.schema is not schema:
+                try:
+                    index = route[record.schema.name]
+                except (KeyError, AttributeError):
+                    # Refuse it as the serial runtime's admission would: raises.
+                    admit_payload(record, self.registries.schemas, self._streams, False)
+                    raise
+                # Only the first record opens a run; any later change ends it.
+                run, schema = schema is None and type(record) is Record, record.schema
             key = record.values[index]
             if not memo:
                 shard = stable_hash(key) % shards
@@ -795,7 +807,7 @@ class ShardedGigascope:
             self._memo_pause -= 1
         elif misses * 2 > len(batch):
             self._memo_pause = _ROUTE_MEMO_PAUSE
-        return buckets
+        return list(map(StreamRun, buckets, [schema.name] * shards)) if run and schema is not None else buckets
 
     def _absorb_shard_obs(
         self, shard: int, metrics_snapshot: Optional[dict], trace_events: list

@@ -113,8 +113,11 @@ class StreamSchema:
 
     def index_of(self, name: str) -> int:
         """Positional index of attribute ``name`` within the schema."""
-        self.attribute(name)
-        return self._index[name]
+        try:
+            return self._index[name]
+        except KeyError:
+            self.attribute(name)  # raises the SchemaError naming what is known
+            raise
 
     def ordered_attributes(self) -> Tuple[Attribute, ...]:
         """All attributes marked increasing or decreasing."""

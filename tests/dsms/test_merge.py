@@ -1,6 +1,10 @@
 """The order-preserving MERGE operator and its runtime integration."""
 
+import heapq
+import pickle
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ExecutionError, PlanningError, SchemaError
 from repro.dsms.operators.merge import MergeOperator
@@ -86,6 +90,101 @@ class TestOperator:
     def test_needs_two_sources(self):
         with pytest.raises(ExecutionError):
             MergeOperator(SCHEMA, ["solo"])
+
+
+SOURCES = ["a", "b", "c"]
+
+
+@st.composite
+def arrivals(draw):
+    """Runs ``(source, records)`` in arrival order, each source's keys
+    non-decreasing across its runs; ``v`` numbers every record."""
+    last = dict.fromkeys(SOURCES, 0)
+    runs, number = [], 0
+    for source, steps in draw(
+        st.lists(st.tuples(st.sampled_from(SOURCES), st.lists(st.integers(0, 2), max_size=6)), max_size=14)
+    ):
+        run = []
+        for step in steps:
+            last[source] += step
+            run.append(rec(last[source], number))
+            number += 1
+        runs.append((source, run))
+    return runs
+
+
+def merged(merge, runs):
+    """What ``merge`` releases over ``runs``, per call."""
+    return [merge.process_many_from(source, run) for source, run in runs]
+
+
+def heap_not_sorted(entries):
+    """A heap of ``entries`` built as pushes in reverse order build it:
+    heap-ordered, as older checkpoints held it, but seldom sorted."""
+    heap = []
+    for entry in reversed(entries):
+        heapq.heappush(heap, entry)
+    return heap
+
+
+class TestReleaseProperties:
+    """The MERGE buffers by appending and releases a sorted slice cut at
+    the watermark; what it releases is the heap's order."""
+
+    @given(runs=arrivals())
+    def test_release_order_is_a_stable_sort_of_arrival_order(self, runs):
+        merge = MergeOperator(SCHEMA, SOURCES)
+        released = [r for out in merged(merge, runs) for r in out] + merge.flush()
+        arrived = [r for _, run in runs for r in run]
+        assert released == sorted(arrived, key=lambda r: r["t"])
+        assert merge.buffered == 0
+
+    @given(runs=arrivals())
+    def test_a_silent_source_holds_everything_back(self, runs):
+        spoke = {source for source, run in runs if run}
+        merge = MergeOperator(SCHEMA, SOURCES)
+        released = [r for out in merged(merge, runs) for r in out]
+        if spoke != set(SOURCES):
+            assert released == []
+            assert merge.buffered == sum(len(run) for _, run in runs)
+
+    @given(runs=arrivals(), cut=st.integers(0, 14))
+    def test_a_restored_checkpoint_releases_what_the_run_would(self, runs, cut):
+        """A checkpoint mid-buffer, and one whose ``heap`` is heap-ordered
+        but not sorted, restore to release the same rows in the same order."""
+        merge = MergeOperator(SCHEMA, SOURCES)
+        merged(merge, runs[:cut])
+        snapshot = pickle.dumps(merge.checkpoint())
+        heap = pickle.loads(snapshot)["heap"]
+        assert heap == sorted(heap)
+        expected = merged(merge, runs[cut:]) + [merge.flush()]
+        for older in (False, True):
+            state = pickle.loads(snapshot)
+            if older:
+                state["heap"] = heap_not_sorted(state["heap"])
+            restored = MergeOperator(SCHEMA, SOURCES)
+            restored.restore(state)
+            assert restored.buffered == len(heap)
+            assert merged(restored, runs[cut:]) + [restored.flush()] == expected
+
+    def test_an_older_unsorted_heap_restores(self):
+        merge = MergeOperator(SCHEMA, SOURCES)
+        merged(merge, [("a", [rec(t, t) for t in range(5)]), ("b", [rec(9)])])
+        heap = heap_not_sorted(merge.checkpoint()["heap"])
+        assert heap != sorted(heap)
+        restored = MergeOperator(SCHEMA, SOURCES)
+        restored.restore(dict(merge.checkpoint(), heap=heap))
+        assert [r.values for r in restored.end_source("c")] == [(t, t) for t in range(5)]
+        assert [r.values for r in restored.flush()] == [(9, 0)]
+
+    def test_a_violation_releases_the_records_before_it(self):
+        merge = MergeOperator(SCHEMA, ["a", "b"])
+        merge.process_from("b", rec(10))
+        out = []
+        with pytest.raises(ExecutionError, match="violated ordering: 2 after 4"):
+            merge.process_many_from("a", [rec(1), rec(4), rec(2), rec(5)], out)
+        assert [r["t"] for r in out] == [1, 4]
+        assert merge.buffered == 1
 
 
 class TestRuntimeIntegration:

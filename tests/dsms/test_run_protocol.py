@@ -11,6 +11,7 @@ What a run that *fails* leaves behind is pinned separately, and so is
 the ingest edge.
 """
 
+import copy
 import math
 import pickle
 from collections import Counter
@@ -687,6 +688,28 @@ class TestACheckedRunNeverWidensAdmission:
             assert (raised, refused) == (None, len(packets))
         else:
             assert (raised, refused) == ("record for unregistered stream 'PKT'", 0)
+
+
+class TestAStreamRunTravels:
+    """A ``StreamRun`` crosses a process boundary (the supervised shard
+    pool pickles each bucket) and is copied like any tuple, its verdict
+    with it; ``tuple``'s own reduction used to drop ``stream``."""
+
+    @pytest.mark.parametrize(
+        "travel",
+        [
+            *(lambda run, p=p: pickle.loads(pickle.dumps(run, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=[*(f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)), "copy", "deepcopy"],
+    )
+    def test_a_round_trip_keeps_the_records_and_the_stream(self, travel):
+        batch = list(STEADY[:50])
+        back = travel(StreamRun(batch, "TCP"))
+        assert type(back) is StreamRun and back.stream == "TCP"
+        assert [r.values for r in back] == [r.values for r in batch]
+        assert run_stream(back) == "TCP"
 
 
 class TestTheFeederForwards:

@@ -7,16 +7,18 @@ drawn with everything else in ``tests/test_oracle.py``, with fixed
 points in ``TestSerialEquivalence``.
 """
 
+import math
 from itertools import islice
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.analysis.legality import ExecTarget
 from repro.errors import ExecutionError, PlanningError
 from repro.dsms.cost import CostModel
 from repro.dsms.parser.planner import compile_query, partition_info
 from repro.dsms import sharded
-from repro.dsms.runtime import Gigascope
+from repro.dsms.runtime import Gigascope, StreamRun, run_stream
 from repro.dsms.sharded import ShardedGigascope, canonical_rows, stable_hash
 from repro.streams.records import Record
 from repro.streams.schema import PKT_SCHEMA, TCP_SCHEMA, Attribute, Ordering, StreamSchema
@@ -264,6 +266,103 @@ class TestRouteMemo:
         assert len(hashes) == 2 * distinct
 
 
+class _Tagged(Record):
+    """A ``Record`` subclass: it routes, but no batch holding one is a
+    run (``run_stream`` takes exact ``Record`` instances only)."""
+
+    __slots__ = ()
+
+
+#: two registered streams of one layout, partitioned on ``k``, and one
+#: that is not registered
+_F, _G, _H = (
+    StreamSchema(name, [Attribute("time", "int", Ordering.INCREASING), Attribute("k"), Attribute("v")])
+    for name in "FGH"
+)
+
+_keys = st.one_of(
+    st.booleans(),
+    st.integers(-2, 2),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, math.nan, math.inf]),
+    st.floats(allow_nan=True),
+    st.lists(st.integers(0, 2), max_size=2),  # unhashable: never memoised
+)
+_payloads = st.tuples(
+    st.sampled_from(["record"] * 6 + ["tagged", "unregistered", "not_a_record"]),
+    st.sampled_from([_F, _G]),
+    _keys,
+)
+
+
+@st.composite
+def _batches(draw):
+    """One stream or two interleaved, mostly ``Record`` payloads, now and
+    then more fresh keys than the route memo holds."""
+    payloads = draw(st.lists(_payloads, min_size=1, max_size=30))
+    if draw(st.booleans()):  # one stream
+        payloads = [(kind, _F, key) for kind, _, key in payloads]
+    if draw(st.integers(0, 5)) == 0:
+        payloads += [("record", _F, 10_000 + i) for i in range(sharded._ROUTE_MEMO_KEYS + 1)]
+    made = {
+        "record": lambda schema, key: Record(schema, (0, key, 1)),
+        "tagged": lambda schema, key: _Tagged(schema, (0, key, 1)),
+        "unregistered": lambda schema, key: Record(_H, (0, key, 1)),
+        "not_a_record": lambda schema, key: (0, key, 1),
+    }
+    return [made[kind](schema, key) for kind, schema, key in payloads]
+
+
+class TestTheSplitVouchesForARun:
+    """One pass routes every record by its key's hash and decides whether
+    the batch is one run; the buckets of a run ship as ``StreamRun``s, so
+    no shard checks them again."""
+
+    @staticmethod
+    def deployment(shards):
+        sh = ShardedGigascope(shards=shards)
+        for schema in (_F, _G):
+            sh.register_stream(schema)
+            sh.add_query(f"SELECT tb, k, sum(v) FROM {schema.name} GROUP BY time/2 as tb, k")
+        return sh
+
+    @given(batches=st.lists(_batches(), min_size=1, max_size=3), shards=st.sampled_from([2, 3]))
+    def test_each_record_lands_on_its_hash_in_batch_order(self, batches, shards):
+        sh = self.deployment(shards)
+        sh.start()
+        shipped = []
+        sh._pool.ship = shipped.append
+        for batch in batches:
+            if any(type(p) is not Record and type(p) is not _Tagged or p.schema is _H for p in batch):
+                self.refused_as_today(sh, batch, shipped)
+                continue
+            expected = [[] for _ in range(shards)]
+            for record in batch:
+                expected[stable_hash(record.values[1]) % shards].append(record)
+            buckets = sh._split(batch)
+            assert [[id(r) for r in b] for b in buckets] == [[id(r) for r in b] for b in expected]
+            if run_stream(batch) is None:
+                assert all(type(b) is list for b in buckets)
+            else:
+                assert all(type(b) is StreamRun and b.stream == batch[0].schema.name for b in buckets)
+            assert all(shard == stable_hash(key) % shards for key, shard in sh._shard_of.items())
+        sh.abandon()
+
+    @staticmethod
+    def refused_as_today(sh, batch, shipped):
+        """The first payload the SPLIT cannot route raises what the serial
+        runtime's admission raises for it, and no bucket ships."""
+        gs = Gigascope()
+        for schema in (_F, _G):
+            gs.register_stream(schema)
+        gs.start()
+        with pytest.raises(ExecutionError) as serial:
+            gs.feed(batch)
+        with pytest.raises(ExecutionError) as split:
+            sh.feed(batch)
+        assert str(split.value) == str(serial.value)
+        assert shipped == []
+
+
 class TestPartitionInfo:
     def test_selection_is_unconstrained(self, registries):
         plan = compile_query("SELECT time, srcIP, len FROM TCP", registries)
@@ -418,6 +517,29 @@ class TestProcessMode:
             SS_TEXT, 2, subset_sum_library(relax_factor=10.0), supervise=True
         )
         assert got == expected
+
+    def test_one_run_batches_reach_workers_as_inline_shards(self, monkeypatch):
+        """Every bucket ships as a pickled ``StreamRun``; the workers take
+        it as the inline shards do: the same rows, the same counters."""
+        vouched = []
+        split = ShardedGigascope._split
+
+        def spy(self, batch):
+            buckets = split(self, batch)
+            vouched.extend(type(b) is StreamRun for b in buckets)
+            return buckets
+
+        monkeypatch.setattr(ShardedGigascope, "_split", spy)
+        seen = {}
+        for supervise in (False, True):
+            sh = ShardedGigascope(shards=2, supervise=supervise)
+            sh.register_stream(TCP_SCHEMA)
+            handle = sh.add_query(AGG_TEXT, name="q")
+            sh.run(trace(seconds=10), batch_size=256)
+            seen[supervise] = (canonical_rows(handle.results), sh.metrics.counter_values(), sh.run_report())
+        assert len(vouched) > 8 and all(vouched)
+        assert seen[True] == seen[False]
+        assert seen[True][0]
 
     def test_worker_failure_surfaces(self):
         sh = ShardedGigascope(shards=2, supervise=True)
