@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 from repro.errors import ExecutionError
 from repro.dsms.durability import cut, joined, marks
 from repro.dsms.runtime import Gigascope
-from repro.streams.records import Record
+from repro.streams.records import Record, records_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dsms.sharded import ShardedGigascope
@@ -548,8 +548,9 @@ class ShardSupervisor:
         )
         shard_results: List[Dict[str, List[Record]]] = []
         for shard in shards:
-            results, accounts, metrics_snap, trace_events = self._results[shard]
-            shard_results.append(results)
+            rows, accounts, metrics_snap, trace_events = self._results[shard]
+            schemas = {n: self.owner.query(n).output_schema for n in rows}
+            shard_results.append({n: records_of(schemas[n], v) for n, v in rows.items()})
             self.owner.cost.absorb(accounts)
             self.owner._absorb_shard_obs(shard, metrics_snap, trace_events)
         return shard_results
@@ -568,8 +569,8 @@ def _supervised_worker(
 
     Runs in a forked child, so ``instance`` (including closures inside
     SFUN libraries) is inherited by memory copy rather than pickled; only
-    record batches, checkpoints, result records and cost balances cross
-    the process boundary, and those pickle cleanly.
+    record batches, checkpoints, result rows and cost balances cross the
+    process boundary, the rows as value tuples (rebuilt by the parent).
 
     Inbound: ``("restore", state)`` reinstates the checkpoints the parent
     holds, joined; ``("batch", seq, records)`` feeds one routed batch
@@ -612,13 +613,13 @@ def _supervised_worker(
                 if fault_plan is not None and fault_plan.drops_result(shard, epoch):
                     fault_plan.die(out_queue, 0)
                 instance.finish()
-                results = {name: instance.query(name).results for name in query_names}
+                rows = {n: [r.values for r in instance.query(n).results] for n in query_names}
                 accounts = instance.cost.accounts() if instance.cost.enabled else {}
                 trace_events = (
                     list(instance.trace.events) if instance.trace.enabled else []
                 )
                 out_queue.put(
-                    ("result", shard, epoch, results, accounts,
+                    ("result", shard, epoch, rows, accounts,
                      instance.metrics.checkpoint(), trace_events)
                 )
                 return

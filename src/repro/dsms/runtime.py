@@ -42,7 +42,7 @@ from repro.dsms.parser import plan as plan_query
 from repro.dsms.stateful import StatefulLibrary
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracing import NULL_TRACE, TraceSink
-from repro.streams.records import Record
+from repro.streams.records import Record, records_of
 from repro.streams.schema import Ordering, StreamSchema, coerce_record
 from repro.streams.sources import QuarantineStream
 from repro.core.superaggregates import default_superaggregate_registry
@@ -64,8 +64,14 @@ class StreamRun(tuple):
         return run
 
     def __reduce__(self) -> Tuple[Any, ...]:
-        # tuple's own reduction passes the records alone to __new__
-        return StreamRun, (tuple(self), self.stream)
+        # Its schema once, then its rows' values: vouched for where it was
+        # cut, the run is rebuilt unchecked on the far side.
+        schema = self[0].schema if self else None
+        return _unpickle_run, (schema, [r.values for r in self], self.stream)
+
+
+def _unpickle_run(schema: Optional[StreamSchema], rows: List[tuple], stream: str) -> StreamRun:
+    return StreamRun(records_of(schema, rows), stream)
 
 
 def run_stream(batch: Sequence[Any]) -> Optional[str]:

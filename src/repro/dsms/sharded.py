@@ -36,9 +36,9 @@ Architecture::
   drives them in this process, batch-interleaved and fully
   deterministic; ``supervise=True`` runs them in forked workers under a
   :class:`~repro.dsms.resilience.ShardSupervisor`, which exchanges
-  pickled record batches over queues (POSIX ``fork`` start method, so
-  SFUN closures need no pickling) and restarts crashed or stalled
-  workers from checkpoints.  Both answer the same calls — ``start``,
+  pickled batches over queues, a run's rows as value tuples (``fork``
+  start method, so SFUN closures need no pickling) and restarts crashed
+  or stalled workers from checkpoints.  Both answer the same calls — ``start``,
   ``ship``, ``checkpoint_all``, ``finish``, ``close`` — so one round is
   one :meth:`ShardedGigascope.feed`: validate and shed at the SPLIT
   edge, split, ``pool.ship(buckets)``, drain the MERGE.  The pool is crossed once

@@ -2,8 +2,8 @@
 
 A :class:`Record` is a tuple of values bound to a :class:`StreamSchema`.
 Records are immutable and hashable so they can serve directly as group keys
-and live inside sets during tests.  Field access is by name (``rec.len`` /
-``rec["len"]``) or by position.
+and live inside sets during tests.  Field access is by name (``rec["len"]``)
+or by position, never by attribute: a ``__getattr__`` hook would slow every ``.values`` load.
 
 The implementation intentionally avoids per-record dicts: values live in a
 plain tuple and name lookup goes through the schema's precomputed index.
@@ -14,7 +14,7 @@ it is written, and builds each output row through the slots instead.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.errors import SchemaError
 from repro.streams.schema import StreamSchema
@@ -93,21 +93,6 @@ class Record:
             return self.values[self.schema.index_of(key)]
         return self.values[key]
 
-    def __getattr__(self, name: str) -> Any:
-        # __getattr__ is only called when normal lookup fails, so schema and
-        # values resolve through __slots__ first.  During unpickling the
-        # slots are not yet set, and looking up self.schema would re-enter
-        # __getattr__ forever — hence the guarded access.
-        try:
-            schema = object.__getattribute__(self, "schema")
-        except AttributeError:
-            raise AttributeError(name) from None
-        try:
-            idx = schema.index_of(name)
-        except SchemaError:
-            raise AttributeError(name) from None
-        return self.values[idx]
-
     def get(self, name: str, default: Any = None) -> Any:
         if name in self.schema:
             return self.values[self.schema.index_of(name)]
@@ -132,10 +117,8 @@ class Record:
     # -- protocol -------------------------------------------------------------
 
     def __reduce__(self) -> Tuple[Any, ...]:
-        # Rebuild through the constructor: the slots+__getattr__ combination
-        # breaks pickle's default state protocol (it probes __setstate__ on
-        # a not-yet-initialised instance).  The sharded runtime ships record
-        # batches between processes, so records must pickle cleanly.
+        # Rebuild through the constructor, which checks the arity; default
+        # slot state pickles larger.  A ``runtime.StreamRun`` ships values.
         return (Record, (self.schema, self.values))
 
     def __iter__(self) -> Iterator[Any]:
@@ -155,3 +138,13 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.schema.names, self.values))
         return f"Record<{self.schema.name}>({fields})"
+
+
+def records_of(schema: StreamSchema, rows: Iterable[Tuple[Any, ...]]) -> List[Record]:
+    """Records of ``schema`` built through the slots, unchecked: ``rows`` were its records."""
+    new, out = object.__new__, []
+    for values in rows:
+        record = new(Record)
+        record.schema, record.values = schema, values
+        out.append(record)
+    return out

@@ -625,7 +625,7 @@ def test_a_selection_row_costs_two_calls():
     op = gs.add_query("SELECT time, srcIP, len FROM TCP WHERE len > 500", name="q").operator
     trace = _steady(2000)
     expected = [
-        Record(op.output_schema, (r.time, r.srcIP, r.len)) for r in trace if r.len > 500
+        Record(op.output_schema, (r["time"], r["srcIP"], r["len"])) for r in trace if r["len"] > 500
     ]
     assert 0 < len(expected) < len(trace)
     counts, rows = [], []

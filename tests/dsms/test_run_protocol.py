@@ -18,6 +18,8 @@ from collections import Counter
 from itertools import islice
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.algorithms.bindings import (
     PREFILTER_QUERY,
@@ -30,10 +32,11 @@ from repro.analysis.legality import ExecTarget
 from repro.deploy import deploy
 from repro.dsms.cost import CostBook, CostModel
 from repro.dsms.runtime import Gigascope, StreamRun, run_stream
+from repro.dsms.sharded import ShardedGigascope
 from repro.dsms.stateful import StatefulLibrary, StatefulState
 from repro.errors import ExecutionError
 from repro.streams.records import Record
-from repro.streams.schema import PKT_SCHEMA, TCP_SCHEMA
+from repro.streams.schema import PKT_SCHEMA, TCP_SCHEMA, Attribute, Ordering, StreamSchema
 from repro.streams.traces import TraceConfig, data_center_feed
 
 from tests.test_oracle import FAMILIES, TRACES, Case, agree, late, registered, series, stream
@@ -690,6 +693,26 @@ class TestACheckedRunNeverWidensAdmission:
             assert (raised, refused) == ("record for unregistered stream 'PKT'", 0)
 
 
+#: a value of each schema type (NaN would not equal itself)
+_VALUES = {
+    "int": st.integers(), "uint": st.integers(0, 2**32), "bool": st.booleans(),
+    "float": st.floats(allow_nan=False), "str": st.text(max_size=6),
+}
+
+
+@st.composite
+def _runs(draw):
+    """A run of one schema's records: any attribute types, any length."""
+    tags = draw(st.lists(st.sampled_from(sorted(_VALUES)), min_size=1, max_size=6))
+    orders = draw(st.lists(st.sampled_from(Ordering), min_size=len(tags), max_size=len(tags)))
+    schema = StreamSchema(
+        draw(st.sampled_from(["S", "TCP"])),
+        [Attribute(f"a{i}", tag, order) for i, (tag, order) in enumerate(zip(tags, orders))],
+    )
+    rows = draw(st.lists(st.tuples(*(_VALUES[tag] for tag in tags)), max_size=30))
+    return StreamRun([Record(schema, row) for row in rows], schema.name)
+
+
 class TestAStreamRunTravels:
     """A ``StreamRun`` crosses a process boundary (the supervised shard
     pool pickles each bucket) and is copied like any tuple, its verdict
@@ -710,6 +733,35 @@ class TestAStreamRunTravels:
         assert type(back) is StreamRun and back.stream == "TCP"
         assert [r.values for r in back] == [r.values for r in batch]
         assert run_stream(back) == "TCP"
+
+    @example(run=StreamRun([], "S"))
+    @given(run=_runs())
+    def test_a_pickled_run_is_its_records(self, run):
+        """A run pickles as its schema once and its rows' values, and is
+        rebuilt as exact ``Record``s of an equal schema."""
+        back = pickle.loads(pickle.dumps(run))
+        assert type(back) is StreamRun and back.stream == run.stream
+        assert all(type(r) is Record for r in back)
+        assert [r.values for r in back] == [r.values for r in run]
+        assert all(r.schema == run[0].schema for r in back)
+
+    @pytest.mark.parametrize("build", [_aggregate, _selection])
+    def test_a_supervised_run_has_the_inline_rows(self, build):
+        """Shard workers ship their rows to the parent as value tuples,
+        rebuilt under the query's output schema: the rows are the inline
+        pool's, in its order.  One round, so both pools hand the MERGE each
+        shard's rows alike (across rounds, rows that tie on the merge
+        attribute come in pool-dependent order: DESIGN.md §2)."""
+        def results(supervise):
+            sh = ShardedGigascope(shards=2, supervise=supervise)
+            sh.register_stream(TCP_SCHEMA)
+            build(sh)
+            sh.run(iter(STEADY), batch_size=len(STEADY))
+            return sh, sh.results("q")
+
+        (_, inline), (sh, supervised) = results(False), results(True)
+        assert len(inline) > 3 and supervised == inline
+        assert all(r.schema is sh.query("q").output_schema for r in supervised)
 
 
 class TestTheFeederForwards:

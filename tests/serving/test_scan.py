@@ -54,7 +54,7 @@ def poisoned(request):
     """Two batches: the first holds one record of length 41, mid-batch;
     the second none."""
     records = request.getfixturevalue("records")
-    clean = [with_len(r, 42) if r.len == 41 else r for r in records[: 2 * BATCH]]
+    clean = [with_len(r, 42) if r["len"] == 41 else r for r in records[: 2 * BATCH]]
     clean[BATCH // 2] = with_len(clean[BATCH // 2], 41)
     return clean[:BATCH], clean[BATCH:]
 
@@ -248,7 +248,7 @@ class TestAServedBatchIsCheckedOnce:
             gs.register_stream(PKT_SCHEMA)
             return gs
 
-        packets = [Record(PKT_SCHEMA, tuple(getattr(r, name) for name in PKT_SCHEMA.names))
+        packets = [Record(PKT_SCHEMA, tuple(r[name] for name in PKT_SCHEMA.names))
                    for r in records[:BATCH]]
         mixed = [r for pair in zip(records, packets) for r in pair]
         batches = [mixed, records[BATCH:2 * BATCH]]

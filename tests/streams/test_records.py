@@ -72,8 +72,14 @@ class TestAccess:
     def test_by_index(self):
         assert make()[1] == 2
 
-    def test_by_attribute(self):
-        assert make().name == "x"
+    def test_a_field_is_not_an_attribute(self):
+        # Name access is by subscript only: a ``__getattr__`` or
+        # ``__getattribute__`` hook on Record stops CPython from
+        # specialising ``record.values`` in every hot loop.
+        with pytest.raises(AttributeError):
+            make().name
+        assert not hasattr(Record, "__getattr__")
+        assert Record.__getattribute__ is object.__getattribute__
 
     def test_missing_attribute_raises_attributeerror(self):
         with pytest.raises(AttributeError):
